@@ -20,6 +20,19 @@ cargo clippy --all-targets -- -D warnings
 echo "== cargo doc --no-deps (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
+echo "== urbench: build, unit tests, quick run =="
+# The benchmark is a package of its own that tier-1 never compiles; its
+# one file of calls into the program (urbench/src/adapter.rs) is frozen,
+# so a change that breaks that surface has to be caught here. The quick
+# run scans small worlds through all four workloads and exits non-zero
+# when one of its checks fails.
+cargo build --release --manifest-path urbench/Cargo.toml
+cargo test -q --manifest-path urbench/Cargo.toml
+./urbench/target/release/urbench run --quick || {
+    echo "ci.sh: urbench run --quick failed a check" >&2
+    exit 1
+}
+
 echo "== smoke: cargo run -p bench --bin table1 =="
 cargo run --release -p bench --bin table1
 

@@ -25,10 +25,12 @@ mod server;
 mod zone;
 
 pub use policy::{DomainClass, DuplicatePolicy, HostingPolicy, NsAllocation, VerificationPolicy};
-pub use provider::{AccountId, HostError, HostedZone, HostingProvider, ProviderAnswer, ZoneId};
+pub use provider::{
+    AccountId, HostError, HostedZone, HostingProvider, ProviderAnswer, ZoneId, PROTECTIVE_TTL,
+};
 pub use roots::DelegationRegistry;
 pub use server::{
-    dns_query, dns_query_with_timeout, zone_answer_to_message, AnswerMap, OracleRecursiveNs,
-    ProviderNsNode, SharedOracleNs, SharedProviderNs, StaticZoneNode, DNS_PORT,
+    dns_query, dns_query_with_timeout, exchange, AnswerMap, OracleRecursiveNs, ProviderNsNode,
+    SharedOracleNs, SharedProviderNs, StaticZoneNode, DNS_PORT,
 };
-pub use zone::{Zone, ZoneAnswer};
+pub use zone::{AnswerRecords, Glue, Zone, ZoneAnswer};

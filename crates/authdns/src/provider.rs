@@ -9,7 +9,7 @@
 
 use crate::policy::{DomainClass, HostingPolicy, NsAllocation, VerificationPolicy};
 use crate::zone::{Zone, ZoneAnswer};
-use dnswire::{Name, Question, RData, Record, RecordType};
+use dnswire::{Name, NameKey, NameRef, RData, Record, RecordType};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom as _;
 use rand::SeedableRng;
@@ -85,13 +85,19 @@ struct Account {
     fixed_ns: Vec<usize>,
 }
 
-/// How a provider's nameserver answers a question.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProviderAnswer {
+/// TTL of protective records.
+pub const PROTECTIVE_TTL: u32 = 300;
+
+/// How a provider's nameserver answers a question. Everything in it is
+/// borrowed from the provider.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProviderAnswer<'p> {
     /// Answered from a hosted zone.
-    FromZone(ZoneId, ZoneAnswer),
-    /// Protective records for a domain nobody hosts here.
-    Protective(Vec<Record>),
+    FromZone(ZoneId, ZoneAnswer<'p>),
+    /// For a domain nobody hosts here: the protective data to answer with
+    /// under the query's own name and [`PROTECTIVE_TTL`], or `None` when
+    /// the provider has none for the queried type (an empty NOERROR).
+    Protective(Option<&'p RData>),
     /// Policy refusal (nameserver not serving that domain).
     Refused,
 }
@@ -110,6 +116,9 @@ pub struct HostingProvider {
     zones: Vec<HostedZone>,
     by_domain: HashMap<Name, Vec<ZoneId>>,
     protective_ip: Ipv4Addr,
+    /// What an unhosted name's A and TXT queries are answered with.
+    protective_a: RData,
+    protective_txt: RData,
     rng: StdRng,
     seq: u64,
 }
@@ -144,6 +153,10 @@ impl HostingProvider {
             zones: Vec::new(),
             by_domain: HashMap::new(),
             protective_ip,
+            protective_a: RData::A(protective_ip),
+            protective_txt: RData::txt_from_str(&format!(
+                "v=warning; domain not hosted on {name}; see status page"
+            )),
             rng: StdRng::seed_from_u64(seed),
             seq: 0,
         }
@@ -382,19 +395,21 @@ impl HostingProvider {
     }
 
     /// Answer a question as the nameserver at `ns_ip` would.
-    pub fn answer(&self, ns_ip: Ipv4Addr, q: &Question) -> ProviderAnswer {
+    pub fn answer(
+        &self,
+        ns_ip: Ipv4Addr,
+        qname: NameRef<'_>,
+        qtype: RecordType,
+    ) -> ProviderAnswer<'_> {
         let Some(&ns_idx) = self.ns_by_ip.get(&ns_ip) else {
             return ProviderAnswer::Refused;
         };
         // Candidate zones: served by this NS, apex encloses qname. Walk the
         // qname's suffixes from most specific to least so the most specific
         // apex wins; among duplicates the oldest zone answers.
-        let qlabels = q.qname.label_count();
-        for take in (1..=qlabels).rev() {
-            let Some(suffix) = q.qname.suffix(take) else {
-                continue;
-            };
-            let Some(ids) = self.by_domain.get(&suffix) else {
+        for take in (1..=qname.label_count()).rev() {
+            let suffix = qname.suffix(take).expect("take within the label count");
+            let Some(ids) = self.by_domain.get(&suffix as &dyn NameKey) else {
                 continue;
             };
             let best = ids
@@ -403,27 +418,15 @@ impl HostingProvider {
                 .filter(|z| self.serves(z, ns_idx))
                 .min_by_key(|z| z.created_seq);
             if let Some(z) = best {
-                return ProviderAnswer::FromZone(z.id, z.zone.answer(q));
+                return ProviderAnswer::FromZone(z.id, z.zone.answer(qname, qtype));
             }
         }
         if self.policy.protective_records {
-            let recs = match q.qtype {
-                RecordType::A | RecordType::Any => vec![Record::new(
-                    q.qname.clone(),
-                    300,
-                    RData::A(self.protective_ip),
-                )],
-                RecordType::Txt => vec![Record::new(
-                    q.qname.clone(),
-                    300,
-                    RData::txt_from_str(&format!(
-                        "v=warning; domain not hosted on {}; see status page",
-                        self.name
-                    )),
-                )],
-                _ => Vec::new(),
-            };
-            return ProviderAnswer::Protective(recs);
+            return ProviderAnswer::Protective(match qtype {
+                RecordType::A | RecordType::Any => Some(&self.protective_a),
+                RecordType::Txt => Some(&self.protective_txt),
+                _ => None,
+            });
         }
         ProviderAnswer::Refused
     }
@@ -500,10 +503,11 @@ mod tests {
         );
         // global-fixed: every NS answers
         for (_, ip) in p.nameservers().to_vec() {
-            match p.answer(ip, &Question::new(n("trusted.com"), RecordType::A)) {
+            match p.answer(ip, n("trusted.com").borrowed(), RecordType::A) {
                 ProviderAnswer::FromZone(id, ZoneAnswer::Records(rs)) => {
                     assert_eq!(id, zid);
-                    assert_eq!(rs[0].rdata.as_a().unwrap(), Ipv4Addr::new(6, 6, 6, 6));
+                    let first = rs.iter().next().unwrap();
+                    assert_eq!(first.rdata.as_a().unwrap(), Ipv4Addr::new(6, 6, 6, 6));
                 }
                 other => panic!("unexpected: {other:?}"),
             }
@@ -597,11 +601,11 @@ mod tests {
         );
         let serving = p.serving_nameservers(zid);
         assert_eq!(serving.len(), 4);
-        let q = Question::new(n("t.com"), RecordType::A);
+        let q = n("t.com");
         let mut answered = 0;
         let mut refused = 0;
         for (_, ip) in p.nameservers().to_vec() {
-            match p.answer(ip, &q) {
+            match p.answer(ip, q.borrowed(), RecordType::A) {
                 ProviderAnswer::FromZone(..) => answered += 1,
                 ProviderAnswer::Refused => refused += 1,
                 other => panic!("unexpected {other:?}"),
@@ -621,15 +625,15 @@ mod tests {
             p
         };
         let ip = p.nameservers()[0].1;
-        match p.answer(ip, &Question::new(n("unhosted.net"), RecordType::A)) {
-            ProviderAnswer::Protective(rs) => {
-                assert_eq!(rs[0].rdata.as_a().unwrap(), p.protective_ip());
+        match p.answer(ip, n("unhosted.net").borrowed(), RecordType::A) {
+            ProviderAnswer::Protective(Some(rdata)) => {
+                assert_eq!(rdata.as_a().unwrap(), p.protective_ip());
             }
             other => panic!("unexpected: {other:?}"),
         }
-        match p.answer(ip, &Question::new(n("unhosted.net"), RecordType::Txt)) {
-            ProviderAnswer::Protective(rs) => {
-                assert!(rs[0].rdata.txt_joined().unwrap().contains("warning"));
+        match p.answer(ip, n("unhosted.net").borrowed(), RecordType::Txt) {
+            ProviderAnswer::Protective(Some(rdata)) => {
+                assert!(rdata.txt_joined().unwrap().contains("warning"));
             }
             other => panic!("unexpected: {other:?}"),
         }
@@ -641,7 +645,7 @@ mod tests {
         let _ = p.create_account();
         let ip = p.nameservers()[0].1;
         assert_eq!(
-            p.answer(ip, &Question::new(n("nobody.com"), RecordType::A)),
+            p.answer(ip, n("nobody.com").borrowed(), RecordType::A),
             ProviderAnswer::Refused
         );
     }
@@ -664,9 +668,11 @@ mod tests {
         assert!(!p.zone(squat).unwrap().active);
         assert!(p.zone(reclaimed).unwrap().active);
         // squatter's NS no longer serve the UR
-        let q = Question::new(n("brand.com"), RecordType::A);
+        let q = n("brand.com");
         for (_, ip) in p.nameservers().to_vec() {
-            if let ProviderAnswer::FromZone(id, ZoneAnswer::Records(_)) = p.answer(ip, &q) {
+            if let ProviderAnswer::FromZone(id, ZoneAnswer::Records(_)) =
+                p.answer(ip, q.borrowed(), RecordType::A)
+            {
                 panic!("squatter zone {id:?} still answering");
             }
         }
@@ -745,9 +751,9 @@ mod tests {
         );
         // On any NS serving both (none here: disjoint sets) — instead check
         // the per-NS answer maps to the zone assigned to it.
-        let q = Question::new(n("dup.com"), RecordType::A);
+        let q = n("dup.com");
         for (_, ip) in p.nameservers().to_vec() {
-            if let ProviderAnswer::FromZone(id, _) = p.answer(ip, &q) {
+            if let ProviderAnswer::FromZone(id, _) = p.answer(ip, q.borrowed(), RecordType::A) {
                 let z = p.zone(id).unwrap();
                 let idx = p
                     .nameservers()

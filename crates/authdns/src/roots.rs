@@ -220,7 +220,7 @@ impl DelegationRegistry {
 mod tests {
     use super::*;
     use crate::zone::ZoneAnswer;
-    use dnswire::{Question, RecordType};
+    use dnswire::RecordType;
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
@@ -279,7 +279,7 @@ mod tests {
     fn root_zone_refers_to_tlds() {
         let r = registry();
         let root = r.build_root_zone();
-        match root.answer(&Question::new(n("www.example.com"), RecordType::A)) {
+        match root.answer(n("www.example.com").borrowed(), RecordType::A) {
             ZoneAnswer::Delegation { ns, glue } => {
                 assert!(!ns.is_empty());
                 assert!(!glue.is_empty());
@@ -292,7 +292,7 @@ mod tests {
     fn tld_zone_refers_to_sld() {
         let r = registry();
         let com = r.build_tld_zone(&n("com"));
-        match com.answer(&Question::new(n("www.example.com"), RecordType::A)) {
+        match com.answer(n("www.example.com").borrowed(), RecordType::A) {
             ZoneAnswer::Delegation { ns, glue } => {
                 assert_eq!(ns.len(), 1);
                 // ns1.example.com is in-bailiwick: glue present
@@ -302,7 +302,7 @@ mod tests {
         }
         // Unregistered name: NXDOMAIN from the TLD
         assert_eq!(
-            com.answer(&Question::new(n("ghost.com"), RecordType::A)),
+            com.answer(n("ghost.com").borrowed(), RecordType::A),
             ZoneAnswer::NxDomain
         );
     }
@@ -311,7 +311,7 @@ mod tests {
     fn out_of_bailiwick_ns_has_no_glue() {
         let r = registry();
         let org = r.build_tld_zone(&n("org"));
-        match org.answer(&Question::new(n("hosted.org"), RecordType::A)) {
+        match org.answer(n("hosted.org").borrowed(), RecordType::A) {
             ZoneAnswer::Delegation { ns, glue } => {
                 assert_eq!(ns.len(), 1);
                 assert!(glue.is_empty(), "provider NS is out of bailiwick");

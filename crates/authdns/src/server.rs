@@ -1,9 +1,12 @@
 //! simnet node adapters: authoritative nameservers speaking real wire-format
 //! DNS over the simulated fabric.
 
-use crate::provider::{HostingProvider, ProviderAnswer};
-use crate::zone::{Zone, ZoneAnswer};
-use dnswire::{Message, Name, Question, Rcode, Record, RecordType};
+use crate::provider::{HostingProvider, ProviderAnswer, PROTECTIVE_TTL};
+use crate::zone::{RrSets, Zone, ZoneAnswer};
+use dnswire::{
+    Class, Message, MessageView, MessageWriter, Name, NameKey, NameRef, Rcode, Record, RecordType,
+    Section,
+};
 use simnet::{Actions, Datagram, Node, SimTime};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -14,45 +17,10 @@ use std::sync::Arc;
 /// The DNS service port.
 pub const DNS_PORT: u16 = 53;
 
-/// Build the authoritative response for a [`ZoneAnswer`].
-pub fn zone_answer_to_message(query: &Message, soa: Option<&Record>, ans: ZoneAnswer) -> Message {
-    match ans {
-        ZoneAnswer::Records(rs) => {
-            let mut m = Message::response_to(query, Rcode::NoError);
-            m.flags.authoritative = true;
-            m.answers = rs;
-            m
-        }
-        ZoneAnswer::Delegation { ns, glue } => {
-            let mut m = Message::response_to(query, Rcode::NoError);
-            m.authorities = ns;
-            m.additionals = glue;
-            m
-        }
-        ZoneAnswer::NoData => {
-            let mut m = Message::response_to(query, Rcode::NoError);
-            m.flags.authoritative = true;
-            if let Some(soa) = soa {
-                m.authorities.push(soa.clone());
-            }
-            m
-        }
-        ZoneAnswer::NxDomain => {
-            let mut m = Message::response_to(query, Rcode::NxDomain);
-            m.flags.authoritative = true;
-            if let Some(soa) = soa {
-                m.authorities.push(soa.clone());
-            }
-            m
-        }
-        ZoneAnswer::NotInZone => Message::response_to(query, Rcode::Refused),
-    }
-}
-
 /// Response size limit for a transport: UDP truncates at 512 bytes
 /// (classic DNS) unless the query advertised a larger EDNS(0) buffer; TCP
 /// carries the full message.
-fn size_limit(proto: simnet::Proto, query: &Message) -> usize {
+fn size_limit(proto: simnet::Proto, query: &MessageView<'_>) -> usize {
     match proto {
         simnet::Proto::Udp => {
             let advertised = query
@@ -65,55 +33,118 @@ fn size_limit(proto: simnet::Proto, query: &Message) -> usize {
     }
 }
 
-/// Assemble the response a provider nameserver at `ns_ip` gives to `query`.
+/// What every server node does with a datagram: parse it in place, let
+/// `answer` write the response to its first question, send that back.
+///
+/// `answer` gets the question and a writer already holding the response
+/// header (NOERROR, question section echoed) and the transport's size
+/// limit; it sets flags and appends records, all of them borrowed from
+/// wherever the node keeps its data. Records that do not fit are cut and
+/// TC set by the writer.
+fn serve(
+    dgram: &Datagram,
+    out: &mut Actions,
+    answer: impl FnOnce(NameRef<'_>, RecordType, &mut MessageWriter),
+) {
+    // Garbage, or a response delivered to a server: silently dropped,
+    // exactly like a defensive real-world server.
+    let Ok(query) = MessageView::parse(&dgram.payload) else {
+        return;
+    };
+    if query.flags.response {
+        return;
+    }
+    let reply = match query.question() {
+        Some(q) => {
+            let limit = size_limit(dgram.proto, &query);
+            let mut w = MessageWriter::response_to(&query, Rcode::NoError, limit);
+            answer(q.qname.to_buf().borrowed(), q.qtype, &mut w);
+            w.finish()
+        }
+        // Parseable but question-less: answer FORMERR.
+        None => {
+            MessageWriter::response_to(&query, Rcode::FormErr, dnswire::MAX_MESSAGE_LEN).finish()
+        }
+    };
+    if let Ok(bytes) = reply {
+        out.send(dgram.reply(bytes));
+    }
+}
+
+fn push_all<'r>(
+    w: &mut MessageWriter,
+    section: Section,
+    records: impl IntoIterator<Item = &'r Record>,
+) {
+    for r in records {
+        if !w.push(section, r) {
+            return;
+        }
+    }
+}
+
+/// Write the authoritative response for a [`ZoneAnswer`].
+fn write_zone_answer(w: &mut MessageWriter, soa: Option<&Record>, ans: ZoneAnswer<'_>) {
+    let flags = w.flags_mut();
+    match ans {
+        ZoneAnswer::Records(rs) => {
+            flags.authoritative = true;
+            push_all(w, Section::Answer, rs.iter());
+        }
+        ZoneAnswer::Delegation { ns, glue } => {
+            push_all(w, Section::Authority, ns);
+            push_all(w, Section::Additional, glue.iter());
+        }
+        ZoneAnswer::NoData => {
+            flags.authoritative = true;
+            push_all(w, Section::Authority, soa);
+        }
+        ZoneAnswer::NxDomain => {
+            flags.authoritative = true;
+            flags.rcode = Rcode::NxDomain;
+            push_all(w, Section::Authority, soa);
+        }
+        ZoneAnswer::NotInZone => flags.rcode = Rcode::Refused,
+    }
+}
+
+/// Write the response a provider nameserver at `ns_ip` gives.
 ///
 /// Shared by the `Rc`-backed single-fabric node and the `Arc`-backed shard
 /// replica so both answer bit-identically.
-fn provider_response(provider: &HostingProvider, ns_ip: Ipv4Addr, query: &Message) -> Message {
-    let q = query.question().expect("caller checked").clone();
-    match provider.answer(ns_ip, &q) {
+fn write_provider_answer(
+    provider: &HostingProvider,
+    ns_ip: Ipv4Addr,
+    qname: NameRef<'_>,
+    qtype: RecordType,
+    w: &mut MessageWriter,
+) {
+    match provider.answer(ns_ip, qname, qtype) {
         ProviderAnswer::FromZone(zid, ans) => {
-            let soa = provider.zone(zid).map(|z| z.zone.soa().clone());
-            zone_answer_to_message(query, soa.as_ref(), ans)
+            let soa = provider.zone(zid).map(|z| z.zone.soa());
+            write_zone_answer(w, soa, ans);
         }
-        ProviderAnswer::Protective(rs) => {
-            let mut m = Message::response_to(query, Rcode::NoError);
-            m.flags.authoritative = true;
-            m.answers = rs;
-            m
+        ProviderAnswer::Protective(rdata) => {
+            w.flags_mut().authoritative = true;
+            if let Some(rdata) = rdata {
+                w.record(Section::Answer, qname, Class::In, PROTECTIVE_TTL, rdata);
+            }
         }
-        ProviderAnswer::Refused => Message::response_to(query, Rcode::Refused),
+        ProviderAnswer::Refused => w.flags_mut().rcode = Rcode::Refused,
     }
 }
 
-/// Assemble the response a misconfigured-recursive oracle gives to `query`.
-fn oracle_response(truth: &AnswerMap, query: &Message) -> Message {
-    let q = query.question().expect("caller checked").clone();
-    match truth.get(&(q.qname.clone(), q.qtype)) {
-        Some(rs) if !rs.is_empty() => {
-            let mut m = Message::response_to(query, Rcode::NoError);
-            m.flags.recursion_available = true;
-            m.answers = rs.clone();
-            m
-        }
-        _ => {
-            let mut m = Message::response_to(query, Rcode::NxDomain);
-            m.flags.recursion_available = true;
-            m
-        }
-    }
-}
-
-fn decode_query(payload: &[u8]) -> Result<Message, Option<Message>> {
-    match Message::decode(payload) {
-        Ok(q) if !q.flags.response && q.question().is_some() => Ok(q),
-        Ok(q) if !q.flags.response => {
-            // Parseable but question-less: answer FORMERR.
-            Err(Some(Message::response_to(&q, Rcode::FormErr)))
-        }
-        // Responses delivered to a server, or garbage: silently dropped,
-        // exactly like a defensive real-world server.
-        _ => Err(None),
+/// Write the response a misconfigured-recursive oracle gives.
+fn write_oracle_answer(
+    truth: &AnswerMap,
+    qname: NameRef<'_>,
+    qtype: RecordType,
+    w: &mut MessageWriter,
+) {
+    w.flags_mut().recursion_available = true;
+    match truth.get(qname, qtype) {
+        [] => w.flags_mut().rcode = Rcode::NxDomain,
+        rs => push_all(w, Section::Answer, rs),
     }
 }
 
@@ -136,20 +167,9 @@ impl ProviderNsNode {
 
 impl Node for ProviderNsNode {
     fn handle(&mut self, _now: SimTime, dgram: &Datagram, out: &mut Actions) {
-        let query = match decode_query(&dgram.payload) {
-            Ok(q) => q,
-            Err(Some(resp)) => {
-                if let Ok(bytes) = resp.encode() {
-                    out.send(dgram.reply(bytes));
-                }
-                return;
-            }
-            Err(None) => return,
-        };
-        let resp = provider_response(&self.provider.borrow(), self.ip, &query);
-        if let Ok(bytes) = resp.encode_truncated(size_limit(dgram.proto, &query)) {
-            out.send(dgram.reply(bytes));
-        }
+        serve(dgram, out, |qname, qtype, w| {
+            write_provider_answer(&self.provider.borrow(), self.ip, qname, qtype, w)
+        });
     }
 
     fn role(&self) -> &'static str {
@@ -163,8 +183,8 @@ impl Node for ProviderNsNode {
 /// Unlike [`ProviderNsNode`], this node is `Send`: shard worker threads can
 /// each build their own fabric over shared snapshots without cloning the
 /// zone tables per shard. Answers are bit-identical to the `Rc` node because
-/// both route through the same response-assembly helper and
-/// [`HostingProvider::answer`] is a read-only query.
+/// both write through the same helper and [`HostingProvider::answer`] is a
+/// read-only query.
 pub struct SharedProviderNs {
     provider: Arc<HostingProvider>,
     ip: Ipv4Addr,
@@ -179,20 +199,9 @@ impl SharedProviderNs {
 
 impl Node for SharedProviderNs {
     fn handle(&mut self, _now: SimTime, dgram: &Datagram, out: &mut Actions) {
-        let query = match decode_query(&dgram.payload) {
-            Ok(q) => q,
-            Err(Some(resp)) => {
-                if let Ok(bytes) = resp.encode() {
-                    out.send(dgram.reply(bytes));
-                }
-                return;
-            }
-            Err(None) => return,
-        };
-        let resp = provider_response(&self.provider, self.ip, &query);
-        if let Ok(bytes) = resp.encode_truncated(size_limit(dgram.proto, &query)) {
-            out.send(dgram.reply(bytes));
-        }
+        serve(dgram, out, |qname, qtype, w| {
+            write_provider_answer(&self.provider, self.ip, qname, qtype, w)
+        });
     }
 
     fn role(&self) -> &'static str {
@@ -222,31 +231,18 @@ impl StaticZoneNode {
 
 impl Node for StaticZoneNode {
     fn handle(&mut self, _now: SimTime, dgram: &Datagram, out: &mut Actions) {
-        let query = match decode_query(&dgram.payload) {
-            Ok(q) => q,
-            Err(Some(resp)) => {
-                if let Ok(bytes) = resp.encode() {
-                    out.send(dgram.reply(bytes));
-                }
-                return;
+        serve(dgram, out, |qname, qtype, w| {
+            let zones = self.zones.borrow();
+            // Most specific enclosing zone wins.
+            let best = zones
+                .iter()
+                .filter(|z| qname.is_subdomain_of(z.apex().borrowed()))
+                .max_by_key(|z| z.apex().label_count());
+            match best {
+                Some(zone) => write_zone_answer(w, Some(zone.soa()), zone.answer(qname, qtype)),
+                None => w.flags_mut().rcode = Rcode::Refused,
             }
-            Err(None) => return,
-        };
-        let q = query.question().expect("checked").clone();
-        let zones = self.zones.borrow();
-        // Most specific enclosing zone wins.
-        let best = zones
-            .iter()
-            .filter(|z| q.qname.is_subdomain_of(z.apex()))
-            .max_by_key(|z| z.apex().label_count());
-        let resp = match best {
-            Some(zone) => zone_answer_to_message(&query, Some(zone.soa()), zone.answer(&q)),
-            None => Message::response_to(&query, Rcode::Refused),
-        };
-        drop(zones);
-        if let Ok(bytes) = resp.encode_truncated(size_limit(dgram.proto, &query)) {
-            out.send(dgram.reply(bytes));
-        }
+        });
     }
 
     fn role(&self) -> &'static str {
@@ -254,9 +250,35 @@ impl Node for StaticZoneNode {
     }
 }
 
-/// Ground-truth answer table shared by oracle nodes: `(qname, qtype)` to
-/// the canonical records for the delegated web.
-pub type AnswerMap = HashMap<(Name, RecordType), Vec<Record>>;
+/// Ground-truth answer table shared by oracle nodes: the canonical records
+/// of the delegated web by owner name and type.
+#[derive(Debug, Clone, Default)]
+pub struct AnswerMap {
+    by_name: HashMap<Name, RrSets>,
+}
+
+impl AnswerMap {
+    /// An empty table.
+    pub fn new() -> Self {
+        AnswerMap::default()
+    }
+
+    /// Append `record` to the RRset of its owner and type.
+    pub fn add(&mut self, record: Record) {
+        self.by_name
+            .entry(record.name.clone())
+            .or_default()
+            .entry(record.rtype())
+            .push(record);
+    }
+
+    /// The canonical records of `rtype` at `name`, empty if unknown.
+    pub fn get(&self, name: NameRef<'_>, rtype: RecordType) -> &[Record] {
+        self.by_name
+            .get(&name as &dyn NameKey)
+            .map_or(&[], |sets| sets.get(rtype))
+    }
+}
 
 /// A *misconfigured* nameserver that performs recursion for names it does
 /// not host and returns the correct global answer (RA set, AA clear).
@@ -276,20 +298,9 @@ impl OracleRecursiveNs {
 
 impl Node for OracleRecursiveNs {
     fn handle(&mut self, _now: SimTime, dgram: &Datagram, out: &mut Actions) {
-        let query = match decode_query(&dgram.payload) {
-            Ok(q) => q,
-            Err(Some(resp)) => {
-                if let Ok(bytes) = resp.encode() {
-                    out.send(dgram.reply(bytes));
-                }
-                return;
-            }
-            Err(None) => return,
-        };
-        let resp = oracle_response(&self.truth.borrow(), &query);
-        if let Ok(bytes) = resp.encode_truncated(size_limit(dgram.proto, &query)) {
-            out.send(dgram.reply(bytes));
-        }
+        serve(dgram, out, |qname, qtype, w| {
+            write_oracle_answer(&self.truth.borrow(), qname, qtype, w)
+        });
     }
 
     fn role(&self) -> &'static str {
@@ -313,20 +324,9 @@ impl SharedOracleNs {
 
 impl Node for SharedOracleNs {
     fn handle(&mut self, _now: SimTime, dgram: &Datagram, out: &mut Actions) {
-        let query = match decode_query(&dgram.payload) {
-            Ok(q) => q,
-            Err(Some(resp)) => {
-                if let Ok(bytes) = resp.encode() {
-                    out.send(dgram.reply(bytes));
-                }
-                return;
-            }
-            Err(None) => return,
-        };
-        let resp = oracle_response(&self.truth, &query);
-        if let Ok(bytes) = resp.encode_truncated(size_limit(dgram.proto, &query)) {
-            out.send(dgram.reply(bytes));
-        }
+        serve(dgram, out, |qname, qtype, w| {
+            write_oracle_answer(&self.truth, qname, qtype, w)
+        });
     }
 
     fn role(&self) -> &'static str {
@@ -334,10 +334,58 @@ impl Node for SharedOracleNs {
     }
 }
 
+/// One DNS exchange over the fabric, read in place: `read` is handed the
+/// validated response and its result returned; `None` on timeout, garbage
+/// or a mismatched id. A truncated UDP answer (TC bit) is transparently
+/// retried over TCP, as real stub resolvers and scanners do. The timeout
+/// applies to the UDP exchange and again to the TCP fallback.
+///
+/// Nothing is built on the way: the query is written into a pooled buffer
+/// the fabric consumes, the reply is parsed where it lies and its buffer
+/// returned to the pool, so the exchange allocates only what `read` does.
+#[allow(clippy::too_many_arguments)]
+pub fn exchange<T>(
+    net: &mut simnet::Network,
+    client_ip: Ipv4Addr,
+    server_ip: Ipv4Addr,
+    qname: &Name,
+    qtype: RecordType,
+    id: u16,
+    timeout: simnet::SimDuration,
+    read: impl FnOnce(&MessageView<'_>) -> T,
+) -> Option<T> {
+    let src = simnet::Endpoint::new(client_ip, 30000 + (id % 30000));
+    let dst = simnet::Endpoint::new(server_ip, DNS_PORT);
+    // No defensive clone of the wire bytes: the fabric consumes the buffer
+    // and recycles it through the pool. The rare TC fallback re-encodes,
+    // which is cheaper than cloning every query on the hot path.
+    let query = || dnswire::encode_query(id, qname.borrowed(), qtype);
+    let udp = net.rpc(src, dst, simnet::Proto::Udp, query(), timeout)?;
+    let out = match MessageView::parse(&udp) {
+        Ok(resp) if resp.id == id && resp.flags.truncated => {
+            // TCP fallback for the complete answer. TCP blocked, lost or
+            // mangled: the truncated answer is all we have.
+            let tcp = net.rpc(src, dst, simnet::Proto::Tcp, query(), timeout);
+            let full = tcp
+                .as_deref()
+                .and_then(|raw| MessageView::parse(raw).ok())
+                .filter(|full| full.id == id);
+            let out = read(full.as_ref().unwrap_or(&resp));
+            if let Some(raw) = tcp {
+                dnswire::bufpool::release(raw);
+            }
+            Some(out)
+        }
+        Ok(resp) if resp.id == id => Some(read(&resp)),
+        _ => None,
+    };
+    dnswire::bufpool::release(udp);
+    out
+}
+
 /// Convenience for tests and probes: one blocking DNS query over the fabric.
-/// Returns the decoded response, or `None` on timeout/garbage. A truncated
-/// UDP answer (TC bit) is transparently retried over TCP, as real stub
-/// resolvers and scanners do.
+/// Returns the decoded response, or `None` on timeout/garbage (see
+/// [`exchange`]).
 pub fn dns_query(
     net: &mut simnet::Network,
     client_ip: Ipv4Addr,
@@ -359,8 +407,7 @@ pub fn dns_query(
 
 /// [`dns_query`] with an explicit per-attempt timeout, used by retrying
 /// callers that want to wait less than the stub default before giving the
-/// attempt up. The timeout applies to the UDP exchange and again to the TCP
-/// fallback.
+/// attempt up.
 #[allow(clippy::too_many_arguments)]
 pub fn dns_query_with_timeout(
     net: &mut simnet::Network,
@@ -371,48 +418,16 @@ pub fn dns_query_with_timeout(
     id: u16,
     timeout: simnet::SimDuration,
 ) -> Option<Message> {
-    let query = Message::query(id, Question::new(qname.clone(), qtype));
-    // No defensive clone of the wire bytes: the fabric consumes the buffer
-    // and recycles it through the pool. The rare TC fallback re-encodes,
-    // which is cheaper than cloning every query on the hot path.
-    let bytes = query.encode().ok()?;
-    let reply = net.rpc(
-        simnet::Endpoint::new(client_ip, 30000 + (id % 30000)),
-        simnet::Endpoint::new(server_ip, DNS_PORT),
-        simnet::Proto::Udp,
-        bytes,
+    exchange(
+        net,
+        client_ip,
+        server_ip,
+        qname,
+        qtype,
+        id,
         timeout,
-    )?;
-    let decoded = Message::decode(&reply);
-    dnswire::bufpool::release(reply);
-    let resp = decoded.ok()?;
-    if resp.id != id {
-        return None;
-    }
-    if !resp.flags.truncated {
-        return Some(resp);
-    }
-    // TCP fallback for the complete answer.
-    let bytes = query.encode().ok()?;
-    let tcp_reply = net.rpc(
-        simnet::Endpoint::new(client_ip, 30000 + (id % 30000)),
-        simnet::Endpoint::new(server_ip, DNS_PORT),
-        simnet::Proto::Tcp,
-        bytes,
-        timeout,
-    );
-    match tcp_reply {
-        Some(raw) => {
-            let decoded = Message::decode(&raw);
-            dnswire::bufpool::release(raw);
-            match decoded {
-                Ok(full) if full.id == id => Some(full),
-                _ => Some(resp),
-            }
-        }
-        // TCP blocked or lost: the truncated answer is all we have.
-        None => Some(resp),
-    }
+        |resp| resp.to_message(),
+    )
 }
 
 #[cfg(test)]
@@ -543,15 +558,12 @@ mod tests {
 
     #[test]
     fn oracle_recursive_ns_returns_correct_records() {
-        let mut truth: AnswerMap = HashMap::new();
-        truth.insert(
-            (n("popular.com"), RecordType::A),
-            vec![Record::new(
-                n("popular.com"),
-                60,
-                RData::A(Ipv4Addr::new(203, 0, 113, 7)),
-            )],
-        );
+        let mut truth = AnswerMap::new();
+        truth.add(Record::new(
+            n("popular.com"),
+            60,
+            RData::A(Ipv4Addr::new(203, 0, 113, 7)),
+        ));
         let mut net = Network::new(1);
         let ns_ip = Ipv4Addr::new(192, 0, 2, 99);
         net.add_node(
@@ -631,6 +643,109 @@ mod tests {
         let udp_resp = Message::decode(&reply).unwrap();
         assert!(udp_resp.flags.truncated);
         assert!(udp_resp.answers.len() < 40);
+    }
+
+    #[test]
+    fn oversized_rrset_is_truncated_on_both_transports() {
+        // 300 A records come to ~4.8 KB untruncated, past MAX_MESSAGE_LEN.
+        // The server used to encode the whole answer before truncating it,
+        // fail on the length, and send nothing: the scanner timed out,
+        // retried, gave up and quarantined a healthy nameserver.
+        let mut zone = Zone::new(n("huge.example"));
+        for i in 0..300u16 {
+            let ip = Ipv4Addr::new(203, 0, (i >> 8) as u8, i as u8);
+            zone.add(Record::new(n("huge.example"), 60, RData::A(ip)));
+        }
+        let mut net = Network::new(4);
+        let ns_ip = Ipv4Addr::new(192, 0, 2, 62);
+        net.add_node(ns_ip, Box::new(StaticZoneNode::single(zone)));
+        for (proto, limit) in [
+            (simnet::Proto::Udp, dnswire::MAX_UDP_PAYLOAD),
+            (simnet::Proto::Tcp, dnswire::MAX_MESSAGE_LEN),
+        ] {
+            let reply = net
+                .rpc(
+                    simnet::Endpoint::new(Ipv4Addr::new(10, 0, 0, 8), 4003),
+                    simnet::Endpoint::new(ns_ip, DNS_PORT),
+                    proto,
+                    dnswire::encode_query(51, n("huge.example").borrowed(), RecordType::A),
+                    simnet::SimDuration::from_secs(2),
+                )
+                .unwrap_or_else(|| panic!("{proto} reply"));
+            assert!(reply.len() <= limit, "{proto}: {} bytes", reply.len());
+            // Every record the limit has room for, and only whole ones.
+            assert!(reply.len() + 16 > limit);
+            let resp = Message::decode(&reply).expect("whole records only");
+            assert!(resp.flags.truncated && resp.flags.authoritative);
+            assert_eq!(resp.answers.len(), (reply.len() - 12 - 18) / 16);
+        }
+        // The scanner's view: an answer, not a timeout.
+        let resp = dns_query(
+            &mut net,
+            Ipv4Addr::new(10, 0, 0, 8),
+            ns_ip,
+            &n("huge.example"),
+            RecordType::A,
+            52,
+        )
+        .expect("answered");
+        assert!(resp.flags.truncated);
+        assert!(resp.answers.len() > 200);
+    }
+
+    #[test]
+    fn questionless_query_gets_formerr_and_responses_are_dropped() {
+        let (mut net, _) = build_provider_net();
+        let mut bare = Message::query(77, dnswire::Question::new(n("x.y"), RecordType::A));
+        bare.questions.clear();
+        let mut send = |m: &Message| {
+            net.rpc(
+                simnet::Endpoint::new(Ipv4Addr::new(10, 0, 0, 1), 4004),
+                simnet::Endpoint::new(Ipv4Addr::new(198, 18, 0, 1), DNS_PORT),
+                simnet::Proto::Udp,
+                m.encode().unwrap(),
+                simnet::SimDuration::from_secs(2),
+            )
+        };
+        let reply = send(&bare).expect("FORMERR is an answer");
+        let want = Message::response_to(&bare, Rcode::FormErr);
+        assert_eq!(Message::decode(&reply).unwrap(), want);
+        assert_eq!(reply, want.encode().unwrap());
+        bare.flags.response = true;
+        assert!(send(&bare).is_none());
+    }
+
+    #[test]
+    fn every_question_is_echoed_and_the_first_answered() {
+        // The response is what building the owned message gives, byte for
+        // byte: both questions echoed (the second compressed against the
+        // first), the answer's owner a pointer at the first.
+        let (mut net, _) = build_provider_net();
+        let mut q = Message::query(
+            78,
+            dnswire::Question::new(n("Unhosted.Example.NET"), RecordType::A),
+        );
+        q.questions.push(dnswire::Question::new(
+            n("other.example.net"),
+            RecordType::Txt,
+        ));
+        let reply = net
+            .rpc(
+                simnet::Endpoint::new(Ipv4Addr::new(10, 0, 0, 1), 4005),
+                simnet::Endpoint::new(Ipv4Addr::new(198, 18, 0, 2), DNS_PORT),
+                simnet::Proto::Udp,
+                q.encode().unwrap(),
+                simnet::SimDuration::from_secs(2),
+            )
+            .unwrap();
+        let mut want = Message::response_to(&q, Rcode::NoError);
+        want.flags.authoritative = true;
+        want.answers.push(Record::new(
+            n("Unhosted.Example.NET"),
+            crate::PROTECTIVE_TTL,
+            RData::A(Ipv4Addr::new(198, 18, 0, 250)),
+        ));
+        assert_eq!(reply, want.encode().unwrap());
     }
 
     #[test]

@@ -1,30 +1,148 @@
 //! DNS zones: record storage and authoritative answer logic.
 
-use dnswire::{Name, Question, RData, Record, RecordType};
+use dnswire::{Name, NameKey, NameRef, RData, Record, RecordType};
 use std::collections::BTreeMap;
+use std::ops::Bound;
+
+/// The RRsets at one owner name, in `RecordType` order. A handful of types
+/// at most, so a sorted vector beats a map per name.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RrSets(Vec<(RecordType, Vec<Record>)>);
+
+impl RrSets {
+    /// The RRset of `rtype`, empty if there is none.
+    pub(crate) fn get(&self, rtype: RecordType) -> &[Record] {
+        match self.0.binary_search_by_key(&rtype, |(t, _)| *t) {
+            Ok(i) => &self.0[i].1,
+            Err(_) => &[],
+        }
+    }
+
+    /// The RRset of `rtype`, created empty if there is none.
+    pub(crate) fn entry(&mut self, rtype: RecordType) -> &mut Vec<Record> {
+        let i = match self.0.binary_search_by_key(&rtype, |(t, _)| *t) {
+            Ok(i) => i,
+            Err(i) => {
+                self.0.insert(i, (rtype, Vec::new()));
+                i
+            }
+        };
+        &mut self.0[i].1
+    }
+
+    fn remove(&mut self, rtype: RecordType) -> Option<Vec<Record>> {
+        let i = self.0.binary_search_by_key(&rtype, |(t, _)| *t).ok()?;
+        Some(self.0.remove(i).1)
+    }
+
+    /// Every record at this name, type by type.
+    fn iter(&self) -> impl Iterator<Item = &Record> {
+        self.0.iter().flat_map(|(_, set)| set)
+    }
+}
 
 /// A DNS zone: an apex name and the records at or below it.
 ///
-/// Records are stored per `(owner, type)` RRset. The zone also carries its
-/// SOA so negative answers can include it in the authority section.
+/// Records are stored per owner name in canonical order, one RRset per
+/// type under each, so a lookup borrows the name it is given. The zone
+/// also carries its SOA so negative answers can include it in the
+/// authority section.
 #[derive(Debug, Clone)]
 pub struct Zone {
     apex: Name,
-    records: BTreeMap<(Name, RecordType), Vec<Record>>,
+    records: BTreeMap<Name, RrSets>,
     serial: u32,
 }
 
-/// The outcome of resolving a question against a single zone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ZoneAnswer {
+/// Longest CNAME chain a zone follows before answering with what it has.
+const MAX_CNAME_CHAIN: usize = 8;
+
+/// Authoritative data for a question, borrowed from the zone: the CNAME
+/// records followed on the way (possibly none), then the RRsets that
+/// answer it (possibly none, when the chain leaves the zone or dead-ends).
+#[derive(Debug, Clone, Copy)]
+pub struct AnswerRecords<'z> {
+    cnames: [Option<&'z Record>; MAX_CNAME_CHAIN],
+    /// One RRset for a typed question, every RRset at the name for `ANY`.
+    sets: &'z [(RecordType, Vec<Record>)],
+}
+
+impl<'z> AnswerRecords<'z> {
+    /// The records in answer-section order.
+    pub fn iter(&self) -> impl Iterator<Item = &'z Record> {
+        let sets = self.sets;
+        self.cnames
+            .into_iter()
+            .flatten()
+            .chain(sets.iter().flat_map(|(_, set)| set))
+    }
+
+    /// True when there are none (never the case inside a [`ZoneAnswer`]).
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+}
+
+impl PartialEq for AnswerRecords<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for AnswerRecords<'_> {}
+
+/// Glue of a referral, borrowed from the zone: the A records the zone holds
+/// for each NS target, in NS order.
+#[derive(Debug, Clone, Copy)]
+pub struct Glue<'z> {
+    zone: &'z Zone,
+    ns: &'z [Record],
+}
+
+impl<'z> Glue<'z> {
+    /// The glue records.
+    pub fn iter(&self) -> impl Iterator<Item = &'z Record> {
+        let zone = self.zone;
+        self.ns
+            .iter()
+            .filter_map(|r| match &r.rdata {
+                RData::Ns(target) => Some(target),
+                _ => None,
+            })
+            .flat_map(move |target| zone.get(target, RecordType::A))
+    }
+
+    /// How many glue records there are.
+    pub fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    /// True when the zone holds no address for any NS target.
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+}
+
+impl PartialEq for Glue<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Glue<'_> {}
+
+/// The outcome of resolving a question against a single zone. Every record
+/// in it is borrowed from the zone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ZoneAnswer<'z> {
     /// Authoritative data for the question (may be a CNAME chain).
-    Records(Vec<Record>),
+    Records(AnswerRecords<'z>),
     /// The name is delegated below this zone: referral data.
     Delegation {
         /// NS records at the delegation cut.
-        ns: Vec<Record>,
+        ns: &'z [Record],
         /// Glue A records for in-zone nameservers.
-        glue: Vec<Record>,
+        glue: Glue<'z>,
     },
     /// The name exists but has no records of the requested type.
     NoData,
@@ -50,13 +168,13 @@ impl Zone {
                 minimum: 300,
             },
         );
-        let mut records = BTreeMap::new();
-        records.insert((apex.clone(), RecordType::Soa), vec![soa]);
-        Zone {
+        let mut zone = Zone {
             apex,
-            records,
+            records: BTreeMap::new(),
             serial: 1,
-        }
+        };
+        zone.rrset_mut(&soa.name, RecordType::Soa).push(soa);
+        zone
     }
 
     /// The zone apex.
@@ -67,6 +185,16 @@ impl Zone {
     /// Current serial (bumped on every mutation).
     pub fn serial(&self) -> u32 {
         self.serial
+    }
+
+    fn rrset_mut(&mut self, owner: &Name, rtype: RecordType) -> &mut Vec<Record> {
+        if !self.records.contains_key(owner) {
+            self.records.insert(owner.clone(), RrSets::default());
+        }
+        self.records
+            .get_mut(owner)
+            .expect("present or just inserted")
+            .entry(rtype)
     }
 
     /// Add a record. The owner must be at or below the apex.
@@ -81,8 +209,7 @@ impl Zone {
             self.apex
         );
         self.serial = self.serial.wrapping_add(1);
-        let key = (record.name.clone(), record.rtype());
-        let set = self.records.entry(key).or_default();
+        let set = self.rrset_mut(&record.name, record.rtype());
         if !set.contains(&record) {
             set.push(record);
         }
@@ -91,41 +218,61 @@ impl Zone {
     /// Remove all records of `rtype` at `owner`. Returns how many went away.
     pub fn remove(&mut self, owner: &Name, rtype: RecordType) -> usize {
         self.serial = self.serial.wrapping_add(1);
+        let Some(sets) = self.records.get_mut(owner) else {
+            return 0;
+        };
+        let removed = sets.remove(rtype).map_or(0, |set| set.len());
+        if sets.0.is_empty() {
+            self.records.remove(owner);
+        }
+        removed
+    }
+
+    /// Every RRset at `owner`.
+    fn sets_at(&self, owner: NameRef<'_>) -> &[(RecordType, Vec<Record>)] {
         self.records
-            .remove(&(owner.clone(), rtype))
-            .map(|v| v.len())
-            .unwrap_or(0)
+            .get(&owner as &dyn NameKey)
+            .map_or(&[], |sets| &sets.0)
+    }
+
+    /// [`Zone::get`] for a borrowed owner.
+    fn rrset(&self, owner: NameRef<'_>, rtype: RecordType) -> &[(RecordType, Vec<Record>)] {
+        let sets = self.sets_at(owner);
+        match sets.binary_search_by_key(&rtype, |(t, _)| *t) {
+            Ok(i) => &sets[i..=i],
+            Err(_) => &[],
+        }
     }
 
     /// The RRset of `rtype` at `owner`, if any.
     pub fn get(&self, owner: &Name, rtype: RecordType) -> &[Record] {
-        self.records
-            .get(&(owner.clone(), rtype))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.records.get(owner).map_or(&[], |sets| sets.get(rtype))
     }
 
-    /// Whether any record exists at `owner` (of any type).
+    /// Whether any record exists at `owner` (of any type) or below it.
+    ///
+    /// Descendants of a name sort directly after it in canonical order, so
+    /// the first key at or after `owner` settles it.
     pub fn name_exists(&self, owner: &Name) -> bool {
+        self.exists(owner.borrowed())
+    }
+
+    fn exists(&self, owner: NameRef<'_>) -> bool {
+        let from: &dyn NameKey = &owner;
         self.records
-            .range((owner.clone(), RecordType::A)..)
-            .take_while(|((n, _), _)| n == owner)
+            .range::<dyn NameKey, _>((Bound::Included(from), Bound::Unbounded))
             .next()
-            .is_some()
-            || self
-                .records
-                .keys()
-                .any(|(n, _)| n.is_strict_subdomain_of(owner))
+            .is_some_and(|(name, _)| name.borrowed().is_subdomain_of(owner))
     }
 
     /// Iterate over every record in the zone.
     pub fn iter(&self) -> impl Iterator<Item = &Record> {
-        self.records.values().flatten()
+        self.records.values().flat_map(RrSets::iter)
     }
 
     /// Total record count.
     pub fn len(&self) -> usize {
-        self.records.values().map(Vec::len).sum()
+        self.iter().count()
     }
 
     /// True when the zone holds only its SOA.
@@ -142,83 +289,58 @@ impl Zone {
     ///
     /// Implements the RFC 1034 §4.3.2 essentials: exact-match answers,
     /// CNAME chasing within the zone, delegation referrals at NS cuts below
-    /// the apex, NODATA and NXDOMAIN distinctions.
-    pub fn answer(&self, q: &Question) -> ZoneAnswer {
-        if !q.qname.is_subdomain_of(&self.apex) {
+    /// the apex, NODATA and NXDOMAIN distinctions. Nothing is copied: the
+    /// answer borrows the zone's records and the question's name.
+    pub fn answer(&self, qname: NameRef<'_>, qtype: RecordType) -> ZoneAnswer<'_> {
+        let apex = self.apex.borrowed();
+        if !qname.is_subdomain_of(apex) {
             return ZoneAnswer::NotInZone;
         }
         // Check for a delegation cut strictly between apex and qname.
-        let qlabels = q.qname.label_count();
-        let alabels = self.apex.label_count();
         // Walk from just below the apex toward the qname so the delegation
         // cut closest to the apex wins (RFC 1034 top-down matching).
-        for take in alabels + 1..=qlabels {
-            let cut = match q.qname.suffix(take) {
-                Some(c) => c,
-                None => continue,
-            };
+        for take in apex.label_count() + 1..=qname.label_count() {
             // The apex itself holding NS is not a delegation; and NS at the
             // qname for an NS query is an answer, not a referral.
-            if cut == q.qname && q.qtype == RecordType::Ns {
+            if take == qname.label_count() && qtype == RecordType::Ns {
                 continue;
             }
-            let ns = self.get(&cut, RecordType::Ns);
-            if !ns.is_empty() {
-                let mut glue = Vec::new();
-                for r in ns {
-                    if let RData::Ns(target) = &r.rdata {
-                        glue.extend(self.get(target, RecordType::A).iter().cloned());
-                    }
-                }
+            let cut = qname.suffix(take).expect("take within the label count");
+            if let [(_, ns)] = self.rrset(cut, RecordType::Ns) {
                 return ZoneAnswer::Delegation {
-                    ns: ns.to_vec(),
-                    glue,
+                    ns,
+                    glue: Glue { zone: self, ns },
                 };
             }
         }
-        // Exact match.
-        let mut chain: Vec<Record> = Vec::new();
-        let mut owner = q.qname.clone();
-        for _ in 0..8 {
-            let direct = self.get(&owner, q.qtype);
-            if !direct.is_empty() && q.qtype != RecordType::Any {
-                chain.extend(direct.iter().cloned());
-                return ZoneAnswer::Records(chain);
+        // Exact match, following CNAMEs while they stay in the zone.
+        let mut cnames = [None; MAX_CNAME_CHAIN];
+        let mut owner = qname;
+        for hop in 0..MAX_CNAME_CHAIN {
+            let sets = match qtype {
+                RecordType::Any => self.sets_at(owner),
+                _ => self.rrset(owner, qtype),
+            };
+            if !sets.is_empty() {
+                return ZoneAnswer::Records(AnswerRecords { cnames, sets });
             }
-            if q.qtype == RecordType::Any {
-                let all: Vec<Record> = self
-                    .records
-                    .range((owner.clone(), RecordType::A)..)
-                    .take_while(|((n, _), _)| *n == owner)
-                    .flat_map(|(_, v)| v.iter().cloned())
-                    .collect();
-                if !all.is_empty() {
-                    chain.extend(all);
-                    return ZoneAnswer::Records(chain);
-                }
-            }
-            let cname = self.get(&owner, RecordType::Cname);
-            if let Some(c) = cname.first() {
-                if q.qtype == RecordType::Cname {
-                    chain.push(c.clone());
-                    return ZoneAnswer::Records(chain);
-                }
-                chain.push(c.clone());
-                if let RData::Cname(target) = &c.rdata {
-                    if target.is_subdomain_of(&self.apex) {
-                        owner = target.clone();
-                        continue;
-                    }
+            let [(_, cname)] = self.rrset(owner, RecordType::Cname) else {
+                break;
+            };
+            let c = &cname[0];
+            cnames[hop] = Some(c);
+            match &c.rdata {
+                RData::Cname(target) if target.is_subdomain_of(&self.apex) => {
+                    owner = target.borrowed();
                 }
                 // CNAME points outside the zone: return what we have.
-                return ZoneAnswer::Records(chain);
+                _ => break,
             }
-            break;
         }
-        if !chain.is_empty() {
-            return ZoneAnswer::Records(chain);
+        if cnames[0].is_some() {
+            return ZoneAnswer::Records(AnswerRecords { cnames, sets: &[] });
         }
-        if self.name_exists(&q.qname) {
+        if self.exists(qname) {
             ZoneAnswer::NoData
         } else {
             ZoneAnswer::NxDomain
@@ -233,6 +355,17 @@ mod tests {
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
+    }
+
+    fn ask<'z>(z: &'z Zone, qname: &str, qtype: RecordType) -> ZoneAnswer<'z> {
+        z.answer(n(qname).borrowed(), qtype)
+    }
+
+    fn records<'z>(answer: ZoneAnswer<'z>) -> Vec<&'z Record> {
+        match answer {
+            ZoneAnswer::Records(rs) => rs.iter().collect(),
+            other => panic!("unexpected: {other:?}"),
+        }
     }
 
     fn a(owner: &str, ip: [u8; 4]) -> Record {
@@ -270,55 +403,42 @@ mod tests {
     #[test]
     fn exact_answer() {
         let z = zone();
-        match z.answer(&Question::new(n("www.example.com"), RecordType::A)) {
-            ZoneAnswer::Records(rs) => {
-                assert_eq!(rs.len(), 1);
-                assert_eq!(rs[0].rdata.as_a().unwrap(), Ipv4Addr::new(203, 0, 113, 2));
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
+        let rs = records(ask(&z, "www.example.com", RecordType::A));
+        assert_eq!(rs.len(), 1);
+        assert_eq!(rs[0].rdata.as_a().unwrap(), Ipv4Addr::new(203, 0, 113, 2));
     }
 
     #[test]
     fn apex_txt_answer() {
         let z = zone();
-        match z.answer(&Question::new(n("example.com"), RecordType::Txt)) {
-            ZoneAnswer::Records(rs) => assert_eq!(rs[0].rdata.txt_joined().unwrap(), "v=spf1 -all"),
-            other => panic!("unexpected: {other:?}"),
-        }
+        let rs = records(ask(&z, "example.com", RecordType::Txt));
+        assert_eq!(rs[0].rdata.txt_joined().unwrap(), "v=spf1 -all");
     }
 
     #[test]
     fn cname_is_chased_within_zone() {
         let z = zone();
-        match z.answer(&Question::new(n("alias.example.com"), RecordType::A)) {
-            ZoneAnswer::Records(rs) => {
-                assert_eq!(rs.len(), 2);
-                assert!(matches!(rs[0].rdata, RData::Cname(_)));
-                assert!(matches!(rs[1].rdata, RData::A(_)));
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
+        let rs = records(ask(&z, "alias.example.com", RecordType::A));
+        assert_eq!(rs.len(), 2);
+        assert!(matches!(rs[0].rdata, RData::Cname(_)));
+        assert!(matches!(rs[1].rdata, RData::A(_)));
     }
 
     #[test]
     fn external_cname_returned_alone() {
         let z = zone();
-        match z.answer(&Question::new(n("ext.example.com"), RecordType::A)) {
-            ZoneAnswer::Records(rs) => {
-                assert_eq!(rs.len(), 1);
-                assert!(matches!(rs[0].rdata, RData::Cname(_)));
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
+        let rs = records(ask(&z, "ext.example.com", RecordType::A));
+        assert_eq!(rs.len(), 1);
+        assert!(matches!(rs[0].rdata, RData::Cname(_)));
     }
 
     #[test]
     fn delegation_referral_with_glue() {
         let z = zone();
-        match z.answer(&Question::new(n("deep.sub.example.com"), RecordType::A)) {
+        match ask(&z, "deep.sub.example.com", RecordType::A) {
             ZoneAnswer::Delegation { ns, glue } => {
                 assert_eq!(ns.len(), 1);
+                let glue: Vec<&Record> = glue.iter().collect();
                 assert_eq!(glue.len(), 1);
                 assert_eq!(
                     glue[0].rdata.as_a().unwrap(),
@@ -334,13 +454,10 @@ mod tests {
         let z = zone();
         // Query for NS at the cut itself: answered from the zone (it is the
         // delegation data, but served as the answer to an explicit NS query).
-        match z.answer(&Question::new(n("sub.example.com"), RecordType::Ns)) {
-            ZoneAnswer::Records(rs) => assert_eq!(rs.len(), 1),
-            other => panic!("unexpected: {other:?}"),
-        }
+        assert_eq!(records(ask(&z, "sub.example.com", RecordType::Ns)).len(), 1);
         // A query below the cut refers.
         assert!(matches!(
-            z.answer(&Question::new(n("x.sub.example.com"), RecordType::A)),
+            ask(&z, "x.sub.example.com", RecordType::A),
             ZoneAnswer::Delegation { .. }
         ));
     }
@@ -349,11 +466,11 @@ mod tests {
     fn nodata_vs_nxdomain() {
         let z = zone();
         assert_eq!(
-            z.answer(&Question::new(n("www.example.com"), RecordType::Mx)),
+            ask(&z, "www.example.com", RecordType::Mx),
             ZoneAnswer::NoData
         );
         assert_eq!(
-            z.answer(&Question::new(n("nope.example.com"), RecordType::A)),
+            ask(&z, "nope.example.com", RecordType::A),
             ZoneAnswer::NxDomain
         );
     }
@@ -362,28 +479,55 @@ mod tests {
     fn empty_non_terminal_is_nodata() {
         let mut z = Zone::new(n("example.com"));
         z.add(a("a.b.example.com", [203, 0, 113, 9]));
-        assert_eq!(
-            z.answer(&Question::new(n("b.example.com"), RecordType::A)),
-            ZoneAnswer::NoData
-        );
+        assert_eq!(ask(&z, "b.example.com", RecordType::A), ZoneAnswer::NoData);
+    }
+
+    #[test]
+    fn name_exists_is_one_step_in_canonical_order() {
+        // The definition the range probe replaced: some record is owned by
+        // the name itself or by a name strictly below it.
+        fn by_scan(z: &Zone, owner: &Name) -> bool {
+            z.iter()
+                .any(|r| r.name == *owner || r.name.is_strict_subdomain_of(owner))
+        }
+        let mut ent = Zone::new(n("example.com"));
+        ent.add(a("a.b.example.com", [203, 0, 113, 9]));
+        ent.add(a("bb.example.com", [203, 0, 113, 10]));
+        for z in [zone(), ent, Zone::new(n("example.com"))] {
+            for probe in [
+                "example.com",
+                "www.example.com",
+                "b.example.com",
+                "a.b.example.com",
+                "x.a.b.example.com",
+                "sub.example.com",
+                "ns1.sub.example.com",
+                "alias.example.com",
+                "aa.example.com",
+                "zz.example.com",
+                "c.example.com",
+                "com",
+                "other.net",
+                "example.org",
+            ] {
+                let owner = n(probe);
+                assert_eq!(z.name_exists(&owner), by_scan(&z, &owner), "{probe}");
+            }
+            assert!(z.name_exists(&Name::root()));
+        }
     }
 
     #[test]
     fn out_of_zone() {
         let z = zone();
-        assert_eq!(
-            z.answer(&Question::new(n("other.net"), RecordType::A)),
-            ZoneAnswer::NotInZone
-        );
+        assert_eq!(ask(&z, "other.net", RecordType::A), ZoneAnswer::NotInZone);
     }
 
     #[test]
     fn any_query_returns_all_types() {
         let z = zone();
-        match z.answer(&Question::new(n("example.com"), RecordType::Any)) {
-            ZoneAnswer::Records(rs) => assert!(rs.len() >= 3), // SOA + A + TXT
-            other => panic!("unexpected: {other:?}"),
-        }
+        // SOA + A + TXT
+        assert!(records(ask(&z, "example.com", RecordType::Any)).len() >= 3);
     }
 
     #[test]
@@ -401,7 +545,7 @@ mod tests {
         let mut z = zone();
         assert_eq!(z.remove(&n("www.example.com"), RecordType::A), 1);
         assert_eq!(
-            z.answer(&Question::new(n("www.example.com"), RecordType::A)),
+            ask(&z, "www.example.com", RecordType::A),
             ZoneAnswer::NxDomain
         );
     }

@@ -2,7 +2,7 @@
 //! case distinctions for arbitrary zone contents and queries.
 
 use authdns::{DomainClass, HostingPolicy, HostingProvider, Zone, ZoneAnswer};
-use dnswire::{Name, Question, RData, Record, RecordType};
+use dnswire::{Name, RData, Record, RecordType};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -46,12 +46,11 @@ proptest! {
             zone.add(Record::new(name, 60, rdata));
         }
         let qtype = RecordType::from_code(qtype_code);
-        let q = Question::new(qname.clone(), qtype);
-        match zone.answer(&q) {
+        match zone.answer(qname.borrowed(), qtype) {
             ZoneAnswer::Records(rs) => {
                 prop_assert!(!rs.is_empty());
                 // every answer's owner is inside the zone
-                for r in &rs {
+                for r in rs.iter() {
                     prop_assert!(r.name.is_subdomain_of(&apex));
                 }
             }
@@ -94,8 +93,8 @@ proptest! {
         let qname: Name = query.parse().unwrap();
         for (_, ip) in &fleet {
             // must never panic, whatever the query
-            let _ = p.answer(*ip, &Question::new(qname.clone(), RecordType::A));
-            let _ = p.answer(*ip, &Question::new(qname.clone(), RecordType::Txt));
+            let _ = p.answer(*ip, qname.borrowed(), RecordType::A);
+            let _ = p.answer(*ip, qname.borrowed(), RecordType::Txt);
         }
     }
 }

@@ -68,17 +68,11 @@ pub(crate) fn query_one_ur(
     qid: u16,
     provider: &str,
 ) -> Option<CollectedUr> {
-    let resp = engine.query(net, scanner_ip, ns_ip, domain, rtype, qid)?;
-    if resp.rcode() != Rcode::NoError {
-        return None;
-    }
-    let records: Vec<dnswire::Record> = resp
-        .answers
-        .iter()
-        .filter(|r| r.rtype() == rtype && r.name == *domain)
-        .cloned()
-        .collect();
-    if records.is_empty() {
+    // Only the records that make the UR are copied out of the reply.
+    let resp = engine.query_keeping(net, scanner_ip, ns_ip, domain, rtype, qid, |r| {
+        r.rtype() == rtype && r.name.matches(domain.borrowed())
+    })?;
+    if resp.rcode() != Rcode::NoError || resp.answers.is_empty() {
         return None;
     }
     Some(CollectedUr {
@@ -87,7 +81,7 @@ pub(crate) fn query_one_ur(
             domain: InternedName::intern(domain),
             rtype,
         },
-        records,
+        records: resp.answers,
         aux_records: Vec::new(),
         provider: Sym::intern(provider),
         authoritative: resp.flags.authoritative,
@@ -127,15 +121,21 @@ impl QidGen {
     /// of how probes to *other* nameservers interleave, and therefore of
     /// the shard count.
     pub fn next_stream(&mut self, stream: u64, rtype: RecordType) -> u16 {
-        let key = (stream, rtype.code());
-        let ctr = self.streams.entry(key).or_insert(0);
-        let base = key
-            .0
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(u64::from(key.1).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        let id = ((base as u32).wrapping_add(*ctr) % 0xFFFF) + 1;
+        let ctr = self.streams.entry((stream, rtype.code())).or_insert(0);
+        let id = QidGen::nth(stream, rtype, *ctr);
         *ctr = ctr.wrapping_add(1);
-        id as u16
+        id
+    }
+
+    /// The `n`-th id (from 0) of a probe stream: what `n` earlier
+    /// [`QidGen::next_stream`] calls on the stream lead up to. A caller
+    /// that is the only user of a stream counts for itself and keeps no
+    /// generator.
+    pub fn nth(stream: u64, rtype: RecordType, n: u32) -> u16 {
+        let base = stream
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(u64::from(rtype.code()).wrapping_mul(0xBF58_476D_1CE4_E5B9));
+        (((base as u32).wrapping_add(n) % 0xFFFF) + 1) as u16
     }
 }
 
@@ -144,6 +144,34 @@ impl QidGen {
 /// 65,535 probes of one pair.
 pub fn scan_stream(ni: usize, di: usize) -> u64 {
     ((ni as u64) << 32) | di as u64
+}
+
+/// The ids of one task of the sharded and streamed scans, first probe
+/// then MX follow-ups. A `(pair, rtype)` stream belongs to exactly one
+/// task, so the task counts its own draws: the ids [`QidGen`] would give,
+/// without an entry per probe in a map that outlives the task.
+fn task_qids(ni: usize, di: usize, rtype: RecordType) -> impl FnMut() -> u16 {
+    let mut drawn = 0u32;
+    move || {
+        let id = QidGen::nth(scan_stream(ni, di), rtype, drawn);
+        drawn = drawn.wrapping_add(1);
+        id
+    }
+}
+
+/// The record types every scan pair is probed for. [`task_qids`] restarts
+/// the count per task, which equals one stream per `(pair, rtype)` only
+/// while no type is listed twice.
+fn distinct_query_types(cfg: &CollectConfig) -> &[RecordType] {
+    let types = &cfg.query_types;
+    debug_assert!(
+        types
+            .iter()
+            .enumerate()
+            .all(|(i, t)| !types[..i].contains(t)),
+        "query_types lists a type twice: two tasks would share a qid stream"
+    );
+    types
 }
 
 /// Collect URs: query every selected nameserver for every target domain,
@@ -223,8 +251,7 @@ pub fn collect_urs_stream(
         if let Some(ur) = probe_task(
             net,
             engine,
-            &mut qids,
-            di as u64,
+            || qids.next_stream(di as u64, rtype),
             ns,
             &targets[di],
             rtype,
@@ -276,7 +303,10 @@ fn build_scan_tasks(
     // O(N + M).
     let delegated_ips = delegated_ip_sets(world_registry, targets);
 
-    let mut tasks: Vec<(usize, usize, RecordType)> = Vec::new();
+    // The cross product is an upper bound a few delegated pairs short of
+    // exact: one allocation instead of a doubling series.
+    let mut tasks: Vec<(usize, usize, RecordType)> =
+        Vec::with_capacity(nameservers.len() * targets.len() * cfg.query_types.len());
     for (ni, ns) in nameservers.iter().enumerate() {
         for (di, delegated) in delegated_ips.iter().enumerate() {
             // Exclude domains exactly delegated to this nameserver — their
@@ -285,7 +315,7 @@ fn build_scan_tasks(
             if delegated.contains(&ns.ip) {
                 continue;
             }
-            for &rt in &cfg.query_types {
+            for &rt in distinct_query_types(cfg) {
                 tasks.push((ni, di, rt));
             }
         }
@@ -294,19 +324,17 @@ fn build_scan_tasks(
 }
 
 /// One scan task end to end: the UR probe plus MX follow-ups, drawing qids
-/// from the given stream. Shared by the single-fabric and sharded scans.
-#[allow(clippy::too_many_arguments)]
+/// from `next_qid`. Shared by the single-fabric and sharded scans.
 fn probe_task(
     net: &mut Network,
     engine: &mut ProbeEngine,
-    qids: &mut QidGen,
-    stream: u64,
+    mut next_qid: impl FnMut() -> u16,
     ns: &NsInfo,
     domain: &Name,
     rtype: RecordType,
     cfg: &CollectConfig,
 ) -> Option<CollectedUr> {
-    let qid = qids.next_stream(stream, rtype);
+    let qid = next_qid();
     let mut ur = query_one_ur(
         net,
         engine,
@@ -329,18 +357,18 @@ fn probe_task(
             })
             .collect();
         for exchange in exchanges {
-            let qid = qids.next_stream(stream, rtype);
-            if let Some(aux) =
-                engine.query(net, cfg.scanner_ip, ns.ip, &exchange, RecordType::A, qid)
-            {
-                if aux.rcode() == Rcode::NoError {
-                    ur.aux_records.extend(
-                        aux.answers
-                            .iter()
-                            .filter(|r| r.rtype() == RecordType::A)
-                            .cloned(),
-                    );
-                }
+            let qid = next_qid();
+            let aux = engine.query_keeping(
+                net,
+                cfg.scanner_ip,
+                ns.ip,
+                &exchange,
+                RecordType::A,
+                qid,
+                |r| r.rtype() == RecordType::A,
+            );
+            if let Some(aux) = aux.filter(|aux| aux.rcode() == Rcode::NoError) {
+                ur.aux_records.extend(aux.answers);
             }
         }
     }
@@ -492,7 +520,11 @@ pub fn partition_scan_tasks(tasks: &[ScanTask], ns_count: usize, shards: usize) 
             shard_of[ni] = w;
         }
     }
-    let mut parts: Vec<ShardTasks> = vec![Vec::new(); ranges.len()];
+    let mut sizes = vec![0usize; ranges.len()];
+    for task in tasks {
+        sizes[shard_of[task.0]] += 1;
+    }
+    let mut parts: Vec<ShardTasks> = sizes.into_iter().map(Vec::with_capacity).collect();
     for (gidx, task) in tasks.iter().enumerate() {
         parts[shard_of[task.0]].push((gidx, *task));
     }
@@ -526,8 +558,8 @@ pub struct ShardedScanOutcome {
 /// the tasks are partitioned across `shards` nameserver ranges
 /// ([`partition_scan_tasks`]) and each shard runs its own replica fabric
 /// (built from the [`worldgen::ScanBlueprint`]), [`ProbeEngine`] and
-/// [`QidGen`] on a scoped worker thread. Shard outputs are spliced back by
-/// global task index, so the URs reach `sink` in exactly the unsharded
+/// per-task qid streams on a scoped worker thread. Shard outputs are spliced
+/// back by global task index, so the URs reach `sink` in exactly the unsharded
 /// order and batch boundaries — output is bit-identical for every shard
 /// count, with and without per-flow fault injection.
 #[allow(clippy::too_many_arguments)]
@@ -549,12 +581,11 @@ pub fn collect_urs_sharded(
     scheduler.randomize(&mut tasks);
     let interval = scheduler.interval();
     let global_interval = scheduler.global_interval();
-    let n_tasks = tasks.len();
     let parts = partition_scan_tasks(&tasks, nameservers.len(), shards.max(1));
 
     // One shard's scan, on its own replica fabric. `shard_idx` seeds the
     // replica's general RNG stream; the per-flow fault seed is the world's.
-    let run_shard = |shard_idx: usize, part: &[(usize, (usize, usize, RecordType))]| {
+    let run_shard = |shard_idx: usize, part: ShardTasks| {
         let mut net = blueprint.build_network(shard_idx as u64);
         net.set_faults(faults);
         net.set_payload_recycler(Some(dnswire::bufpool::release));
@@ -568,12 +599,11 @@ pub fn collect_urs_sharded(
         // Pacing state is per shard; the seed is irrelevant (randomize was
         // already applied globally) but the interval policy carries over.
         let mut sched = QueryScheduler::new(0, interval).with_global_interval(global_interval);
-        let mut qids = QidGen::new();
         let mut urs: Vec<(usize, CollectedUr)> = Vec::new();
         let mut feed = TaskFeed::new(
             plan.adaptive,
             plan.backoff_seed,
-            part.to_vec(),
+            part,
             |&(_, (ni, _, _))| nameservers[ni].ip,
         );
         while let Some((gidx, (ni, di, rtype))) = feed.next(&engine.health) {
@@ -582,8 +612,7 @@ pub fn collect_urs_sharded(
             if let Some(ur) = probe_task(
                 &mut net,
                 &mut engine,
-                &mut qids,
-                scan_stream(ni, di),
+                task_qids(ni, di, rtype),
                 ns,
                 &targets[di],
                 rtype,
@@ -607,13 +636,14 @@ pub fn collect_urs_sharded(
         )
     };
 
-    let results: Vec<_> = if parts.len() == 1 {
-        vec![run_shard(0, &parts[0])]
+    let shards = parts.len();
+    let results: Vec<_> = if shards == 1 {
+        parts.into_iter().map(|part| run_shard(0, part)).collect()
     } else {
         std::thread::scope(|scope| {
             let run_shard = &run_shard;
             let handles: Vec<_> = parts
-                .iter()
+                .into_iter()
                 .enumerate()
                 .map(|(w, part)| scope.spawn(move || run_shard(w, part)))
                 .collect();
@@ -624,17 +654,19 @@ pub fn collect_urs_sharded(
         })
     };
 
-    let mut merged: Vec<Option<CollectedUr>> = (0..n_tasks).map(|_| None).collect();
+    let mut merged: Vec<(usize, CollectedUr)> = Vec::new();
     let mut outcome = ShardedScanOutcome {
         coverage: crate::query::CoverageReport::default(),
         elapsed: simnet::SimDuration::ZERO,
         stats: simnet::NetStats::default(),
-        shards: parts.len(),
+        shards,
         bucket_wait: simnet::SimDuration::ZERO,
     };
     for (urs, coverage, elapsed, stats, wait_us) in results {
-        for (gidx, ur) in urs {
-            merged[gidx] = Some(ur);
+        if merged.is_empty() {
+            merged = urs;
+        } else {
+            merged.extend(urs);
         }
         // absorb() merges quarantine lists in address order, which keeps
         // the union independent of shard boundaries.
@@ -654,15 +686,16 @@ pub fn collect_urs_sharded(
     } else {
         batch_size
     };
-    let mut pending: Vec<CollectedUr> = Vec::new();
-    for ur in merged.into_iter().flatten() {
-        pending.push(ur);
-        if pending.len() >= batch_size {
-            sink(std::mem::take(&mut pending));
+    // Splice shard outputs back into the global randomized order: every
+    // UR carries the index of the task that produced it.
+    merged.sort_unstable_by_key(|&(gidx, _)| gidx);
+    let mut urs = merged.into_iter().map(|(_, ur)| ur);
+    loop {
+        let batch: Vec<CollectedUr> = urs.by_ref().take(batch_size).collect();
+        if batch.is_empty() {
+            break;
         }
-    }
-    if !pending.is_empty() {
-        sink(pending);
+        sink(batch);
     }
     outcome
 }
@@ -685,7 +718,7 @@ type StreamShardSummary = (
 /// only that shard's nameserver nodes
 /// ([`worldgen::ScanBlueprint::build_network_scoped`] — on a lazy blueprint
 /// that materializes just the providers owning those addresses), scan the
-/// slice with their own [`ProbeEngine`] / [`QidGen`] / task feed, apply
+/// slice with their own [`ProbeEngine`] and task feed, apply
 /// `transform` to each full batch **on the worker thread** (this is where
 /// classification parallelizes), and drop the fabric before claiming the
 /// next shard. Transformed batches, tagged `(shard, batch_seq)`, flow
@@ -758,7 +791,7 @@ pub fn collect_urs_streamed<T: Send>(
                 if delegated.contains(&ns_ip) {
                     continue;
                 }
-                for &rt in &cfg.query_types {
+                for &rt in distinct_query_types(cfg) {
                     tasks.push((ni, di, rt));
                 }
             }
@@ -783,7 +816,6 @@ pub fn collect_urs_streamed<T: Send>(
         if let Some(hub) = &obs {
             engine = engine.with_obs(hub.clone());
         }
-        let mut qids = QidGen::new();
         let mut pending: Vec<CollectedUr> = Vec::new();
         let mut feed = TaskFeed::new(plan.adaptive, plan.backoff_seed, tasks, |&(ni, _, _)| {
             nameservers[ni].ip
@@ -794,8 +826,7 @@ pub fn collect_urs_streamed<T: Send>(
             if let Some(ur) = probe_task(
                 &mut net,
                 &mut engine,
-                &mut qids,
-                scan_stream(ni, di),
+                task_qids(ni, di, rtype),
                 ns,
                 &targets[di],
                 rtype,

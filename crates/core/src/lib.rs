@@ -66,7 +66,9 @@ pub use pipeline::{
     classified_sequence_hash, evaluate_false_negatives, run, run_streamed, HunterConfig,
     OverlapStats, RunOutput, SequenceHasher, StreamRunOutput,
 };
-pub use query::{CoverageReport, NsHealth, ProbeEngine, QueryPlan, RttEstimate, DEFAULT_RTT_K};
+pub use query::{
+    CoverageReport, NsHealth, ProbeEngine, ProbeReply, QueryPlan, RttEstimate, DEFAULT_RTT_K,
+};
 pub use report::{build_report, ProviderRow, Report, ReportBuilder, Table1Row, Totals};
 pub use schedule::{QueryScheduler, SharedTokenBucket, TokenBucket, PAPER_PER_SERVER_INTERVAL};
 pub use store::UrStore;

@@ -16,8 +16,10 @@
 //!   answered on the first try, retried-then-answered, skipped because its
 //!   server was quarantined, or given up after all attempts.
 //! * [`ProbeEngine`] — glues the three together around
-//!   [`authdns::dns_query_with_timeout`]; a retransmission reuses the same
-//!   qid (the original may still be in flight — a late reply must match).
+//!   [`authdns::exchange`]; a retransmission reuses the same qid (the
+//!   original may still be in flight — a late reply must match). Replies
+//!   are read in place: a probe keeps the answer records its caller asks
+//!   for and builds nothing else.
 //! * [`RttEstimate`] — per-nameserver smoothed RTT (Jacobson SRTT/RTTVAR,
 //!   integer microseconds on the virtual clock). With
 //!   [`QueryPlan::adaptive`] the engine derives each attempt's timeout as
@@ -34,8 +36,25 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
-use dnswire::{Message, Name, RecordType};
+use dnswire::{Flags, Name, Rcode, Record, RecordType, RecordView};
 use simnet::{Network, SimDuration};
+
+/// What a probe brings back: the response's header flags and the answer
+/// records the caller chose to keep.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProbeReply {
+    /// Header flags of the response.
+    pub flags: Flags,
+    /// Answer-section records that passed the caller's filter, owned.
+    pub answers: Vec<Record>,
+}
+
+impl ProbeReply {
+    /// The response code (shorthand for `flags.rcode`).
+    pub fn rcode(&self) -> Rcode {
+        self.flags.rcode
+    }
+}
 
 /// Retry/backoff policy for one collection run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -505,16 +524,50 @@ impl ProbeEngine {
         h.finish()
     }
 
-    /// One resilient DNS probe: transmit, wait, retransmit with backoff up
-    /// to `plan.attempts` times, reusing `qid` so a late reply to an earlier
-    /// transmission still matches. Every call lands in exactly one
-    /// [`CoverageReport`] bucket.
-    ///
-    /// For a quarantined server the probe is normally skipped; with a
-    /// non-zero [`QueryPlan::quarantine_cooldown`], every `cooldown`-th
-    /// skipped probe is instead sent as a single-attempt health probe. An
-    /// answer releases the server back into rotation; a timeout restarts
-    /// the cooldown window.
+    /// One transmission and its wait, over [`authdns::exchange`]: the reply
+    /// is parsed where it lies and only the answers `keep` accepts are
+    /// copied out of it.
+    #[allow(clippy::too_many_arguments)]
+    fn attempt(
+        net: &mut Network,
+        client_ip: Ipv4Addr,
+        server_ip: Ipv4Addr,
+        qname: &Name,
+        qtype: RecordType,
+        qid: u16,
+        timeout: SimDuration,
+        keep: &impl Fn(&RecordView<'_>) -> bool,
+    ) -> Option<ProbeReply> {
+        authdns::exchange(
+            net,
+            client_ip,
+            server_ip,
+            qname,
+            qtype,
+            qid,
+            timeout,
+            |resp| {
+                // Sized by what is left of the section at the first record
+                // kept: one exact allocation for the usual one-RRset answer,
+                // none for a reply nothing is kept of.
+                let mut answers = Vec::new();
+                for (i, r) in resp.answers().enumerate() {
+                    if keep(&r) {
+                        if answers.is_empty() {
+                            answers.reserve_exact(resp.answer_count() - i);
+                        }
+                        answers.push(r.to_record());
+                    }
+                }
+                ProbeReply {
+                    flags: resp.flags,
+                    answers,
+                }
+            },
+        )
+    }
+
+    /// [`ProbeEngine::query_keeping`] every answer record.
     pub fn query(
         &mut self,
         net: &mut Network,
@@ -523,7 +576,32 @@ impl ProbeEngine {
         qname: &Name,
         qtype: RecordType,
         qid: u16,
-    ) -> Option<Message> {
+    ) -> Option<ProbeReply> {
+        self.query_keeping(net, client_ip, server_ip, qname, qtype, qid, |_| true)
+    }
+
+    /// One resilient DNS probe: transmit, wait, retransmit with backoff up
+    /// to `plan.attempts` times, reusing `qid` so a late reply to an earlier
+    /// transmission still matches. Every call lands in exactly one
+    /// [`CoverageReport`] bucket. Of the response, the flags and the answer
+    /// records `keep` accepts come back.
+    ///
+    /// For a quarantined server the probe is normally skipped; with a
+    /// non-zero [`QueryPlan::quarantine_cooldown`], every `cooldown`-th
+    /// skipped probe is instead sent as a single-attempt health probe. An
+    /// answer releases the server back into rotation; a timeout restarts
+    /// the cooldown window.
+    #[allow(clippy::too_many_arguments)]
+    pub fn query_keeping(
+        &mut self,
+        net: &mut Network,
+        client_ip: Ipv4Addr,
+        server_ip: Ipv4Addr,
+        qname: &Name,
+        qtype: RecordType,
+        qid: u16,
+        keep: impl Fn(&RecordView<'_>) -> bool,
+    ) -> Option<ProbeReply> {
         self.coverage.scheduled += 1;
         if let Some(o) = &self.obs {
             o.scheduled.inc();
@@ -538,9 +616,10 @@ impl ProbeEngine {
                 }
                 return None;
             }
-            return self.health_probe(net, client_ip, server_ip, qname, qtype, qid);
+            return self.health_probe(net, client_ip, server_ip, qname, qtype, qid, &keep);
         }
-        let key = Self::probe_key(server_ip, qname, qtype, qid);
+        // Only a retransmission needs the jitter key.
+        let mut key = None;
         let attempts = self.plan.attempts.max(1);
         // The estimate cannot change mid-probe (a success returns at once),
         // so one derivation covers every attempt of this probe.
@@ -550,6 +629,7 @@ impl ProbeEngine {
                 // Deterministic backoff on the virtual clock; a late reply
                 // arriving during this wait is drained (and matched by qid)
                 // at the start of the next attempt's rpc.
+                let key = *key.get_or_insert_with(|| Self::probe_key(server_ip, qname, qtype, qid));
                 let wait = self.plan.backoff(key, attempt - 1);
                 let deadline = net.now() + wait;
                 net.run_until(deadline);
@@ -560,9 +640,9 @@ impl ProbeEngine {
                 }
             }
             let sent_at = net.now();
-            if let Some(resp) = authdns::dns_query_with_timeout(
-                net, client_ip, server_ip, qname, qtype, qid, timeout,
-            ) {
+            if let Some(resp) =
+                Self::attempt(net, client_ip, server_ip, qname, qtype, qid, timeout, &keep)
+            {
                 if resp.flags.recursion_available {
                     // Recursive responders resolve on their own clock;
                     // their service times poison the estimator (and a
@@ -631,6 +711,7 @@ impl ProbeEngine {
     /// quarantined-but-recovered fast server should be released after one
     /// short wait, and a dead one should cost the scan milliseconds, not
     /// the full 5 s, per cooldown window.
+    #[allow(clippy::too_many_arguments)]
     fn health_probe(
         &mut self,
         net: &mut Network,
@@ -639,11 +720,12 @@ impl ProbeEngine {
         qname: &Name,
         qtype: RecordType,
         qid: u16,
-    ) -> Option<Message> {
+        keep: &impl Fn(&RecordView<'_>) -> bool,
+    ) -> Option<ProbeReply> {
         let timeout = self.attempt_timeout(server_ip);
         let sent_at = net.now();
         if let Some(resp) =
-            authdns::dns_query_with_timeout(net, client_ip, server_ip, qname, qtype, qid, timeout)
+            Self::attempt(net, client_ip, server_ip, qname, qtype, qid, timeout, keep)
         {
             if resp.flags.recursion_available {
                 self.health.note_recursive(server_ip);
@@ -931,6 +1013,8 @@ mod tests {
     /// Minimal authoritative responder: answers every well-formed query
     /// with an empty NOERROR response (enough for the engine to count an
     /// answer and reset the breaker).
+    use dnswire::Message;
+
     struct Responder;
     impl simnet::Node for Responder {
         fn handle(

@@ -14,6 +14,10 @@
 //!   opaque bytes.
 //! * **Faithful compression** — encoders emit RFC 1035 name compression and
 //!   decoders chase (strictly backward) pointers with a hop bound.
+//! * **One encoder, one parser** — [`MessageWriter`] streams a message out
+//!   front to back and [`MessageView`] validates one in place; the owned
+//!   [`Message`] is a loop over the first and one walk of the second,
+//!   so code that only reads or only relays never builds one.
 //!
 //! ```
 //! use dnswire::{Message, Question, Record, RData, RecordType, Rcode};
@@ -42,8 +46,13 @@ mod record;
 mod types;
 
 pub use error::{WireError, WireResult};
-pub use message::{Flags, Message, MAX_MESSAGE_LEN, MAX_UDP_PAYLOAD};
-pub use name::{CompressionMap, Name, MAX_LABEL_LEN, MAX_NAME_LEN};
-pub use rdata::RData;
-pub use record::{Question, Record};
+pub use message::{
+    encode_query, Flags, Message, MessageView, MessageWriter, Section, MAX_MESSAGE_LEN,
+    MAX_UDP_PAYLOAD,
+};
+pub use name::{
+    CompressionMap, Name, NameBuf, NameKey, NameRef, WireName, MAX_LABEL_LEN, MAX_NAME_LEN,
+};
+pub use rdata::{RData, RDataView};
+pub use record::{Question, QuestionView, Record, RecordView};
 pub use types::{Class, Opcode, Rcode, RecordType};

@@ -1,8 +1,19 @@
 //! Domain names: parsing, formatting, wire encoding with compression and
 //! decoding with pointer-chase protection.
+//!
+//! Three representations share one set of semantics (case-insensitive
+//! equality and hashing, canonical ordering, case-preserving display):
+//!
+//! * [`Name`] owns its bytes — one contiguous buffer holding the
+//!   uncompressed wire form, so an owned name is at most one allocation;
+//! * [`NameRef`] borrows such a buffer (a whole name, or any suffix of one)
+//!   and is what lookups and encoders take;
+//! * [`WireName`] is a validated name still sitting inside a message,
+//!   compression pointers and all — what the parser yields.
 
 use crate::error::{WireError, WireResult};
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
@@ -15,12 +26,18 @@ pub const MAX_NAME_LEN: usize = 255;
 /// Upper bound on compression pointers followed per name; a legitimate name
 /// can never need more than `MAX_NAME_LEN` hops.
 const MAX_POINTER_HOPS: usize = 128;
+/// Most labels a name within [`MAX_NAME_LEN`] can have (each costs at
+/// least a length byte and one octet, plus the root byte).
+const MAX_LABELS: usize = (MAX_NAME_LEN - 1) / 2;
+/// Longest flat form: the wire form without the trailing root byte.
+const MAX_FLAT_LEN: usize = MAX_NAME_LEN - 1;
 
 /// A fully-qualified domain name.
 ///
-/// Names are stored as a sequence of labels, *excluding* the empty root
-/// label. Comparison and hashing are case-insensitive per RFC 1035 §2.3.3;
-/// the original case of each label is preserved for display.
+/// Stored as the uncompressed wire form without the root byte
+/// (`len label len label …`) in one buffer, plus the label count.
+/// Comparison and hashing are case-insensitive per RFC 1035 §2.3.3; the
+/// original case of each label is preserved for display.
 ///
 /// ```
 /// use dnswire::Name;
@@ -29,15 +46,46 @@ const MAX_POINTER_HOPS: usize = 128;
 /// assert_eq!(n.label_count(), 3);
 /// assert!(n.is_subdomain_of(&"example.com".parse().unwrap()));
 /// ```
-#[derive(Debug, Clone, Eq)]
+#[derive(Clone)]
 pub struct Name {
-    labels: Vec<Box<[u8]>>,
+    flat: Box<[u8]>,
+    labels: u8,
+}
+
+/// A borrowed name: a whole [`Name`], a suffix of one, or a [`NameBuf`].
+/// `Copy`, allocation-free, and interchangeable with `&Name` wherever a
+/// name is only read — including as a map key through [`NameKey`].
+#[derive(Clone, Copy)]
+pub struct NameRef<'a> {
+    /// Well-formed flat form: every length byte is 1..=63 and the labels
+    /// tile the slice exactly. Only this module constructs one.
+    flat: &'a [u8],
+    labels: u8,
+}
+
+/// Iterator over a name's labels, leftmost first.
+struct Labels<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&len, tail) = self.rest.split_first()?;
+        let (label, rest) = tail.split_at(len as usize);
+        self.rest = rest;
+        Some(label)
+    }
 }
 
 impl Name {
     /// The root name (zero labels).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name {
+            flat: Box::default(),
+            labels: 0,
+        }
     }
 
     /// Construct a name from raw labels. Each label must be 1..=63 octets and
@@ -47,8 +95,8 @@ impl Name {
         I: IntoIterator<Item = L>,
         L: AsRef<[u8]>,
     {
-        let mut out = Vec::new();
-        let mut wire_len = 1; // trailing root byte
+        let mut flat = Vec::new();
+        let mut count = 0usize;
         for l in labels {
             let l = l.as_ref();
             if l.is_empty() {
@@ -57,65 +105,61 @@ impl Name {
             if l.len() > MAX_LABEL_LEN {
                 return Err(WireError::LabelTooLong(l.len()));
             }
-            wire_len += 1 + l.len();
-            out.push(l.to_vec().into_boxed_slice());
+            flat.push(l.len() as u8);
+            flat.extend_from_slice(l);
+            count += 1;
         }
-        if wire_len > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wire_len));
+        if flat.len() > MAX_FLAT_LEN {
+            return Err(WireError::NameTooLong(flat.len() + 1));
         }
-        Ok(Name { labels: out })
+        Ok(Name {
+            flat: flat.into_boxed_slice(),
+            labels: count as u8,
+        })
+    }
+
+    /// This name, borrowed.
+    pub fn borrowed(&self) -> NameRef<'_> {
+        NameRef {
+            flat: &self.flat,
+            labels: self.labels,
+        }
     }
 
     /// Number of labels, excluding the root.
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels as usize
     }
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.labels == 0
     }
 
     /// Iterate over the labels, leftmost (most specific) first.
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        self.labels.iter().map(|l| l.as_ref())
+        self.borrowed().labels()
     }
 
     /// Wire-format length of this name when written without compression.
     pub fn wire_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| 1 + l.len()).sum::<usize>()
+        self.flat.len() + 1
     }
 
     /// The parent name (one label stripped from the left), or `None` at root.
     pub fn parent(&self) -> Option<Name> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(Name {
-                labels: self.labels[1..].to_vec(),
-            })
-        }
+        self.borrowed().parent().map(NameRef::to_name)
     }
 
     /// Prepend a label, producing a child name.
     pub fn child<L: AsRef<[u8]>>(&self, label: L) -> WireResult<Name> {
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.as_ref().to_vec());
-        labels.extend(self.labels.iter().map(|l| l.to_vec()));
-        Name::from_labels(labels)
+        Name::from_labels(std::iter::once(label.as_ref()).chain(self.labels()))
     }
 
     /// True if `self` is equal to `other` or is a descendant of it.
     /// Every name is a subdomain of the root.
     pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        if other.labels.len() > self.labels.len() {
-            return false;
-        }
-        let offset = self.labels.len() - other.labels.len();
-        self.labels[offset..]
-            .iter()
-            .zip(other.labels.iter())
-            .all(|(a, b)| eq_ignore_case(a, b))
+        self.borrowed().is_subdomain_of(other.borrowed())
     }
 
     /// True if `self` is strictly below `other` (subdomain but not equal).
@@ -127,21 +171,99 @@ impl Name {
     /// `www.example.com` is `example.com`). Returns `None` if `n` exceeds the
     /// label count.
     pub fn suffix(&self, n: usize) -> Option<Name> {
-        if n > self.labels.len() {
-            return None;
-        }
-        Some(Name {
-            labels: self.labels[self.labels.len() - n..].to_vec(),
-        })
+        self.borrowed().suffix(n).map(NameRef::to_name)
     }
 
     /// Encode at `buf`'s end without compression.
     pub fn encode_uncompressed(&self, buf: &mut Vec<u8>) {
-        for l in &self.labels {
-            buf.push(l.len() as u8);
-            buf.extend_from_slice(l);
+        self.borrowed().encode_uncompressed(buf)
+    }
+
+    /// Encode with DNS name compression (see [`NameRef::encode_compressed`]).
+    pub fn encode_compressed(&self, buf: &mut Vec<u8>, map: &mut CompressionMap) {
+        self.borrowed().encode_compressed(buf, map)
+    }
+
+    /// Decode a (possibly compressed) name from `msg` starting at `*pos`.
+    ///
+    /// `*pos` is advanced past the name as it appears at the original
+    /// location (pointers count as two bytes). Pointer chases are bounded and
+    /// must always point strictly backwards, which both matches RFC 1035
+    /// encoders in practice and guarantees termination.
+    pub fn decode(msg: &[u8], pos: &mut usize) -> WireResult<Name> {
+        WireName::parse(msg, pos).map(|n| n.to_name())
+    }
+}
+
+impl<'a> NameRef<'a> {
+    /// Number of labels, excluding the root.
+    pub fn label_count(self) -> usize {
+        self.labels as usize
+    }
+
+    /// True for the root name.
+    pub fn is_root(self) -> bool {
+        self.labels == 0
+    }
+
+    /// Iterate over the labels, leftmost (most specific) first.
+    pub fn labels(self) -> impl Iterator<Item = &'a [u8]> {
+        Labels { rest: self.flat }
+    }
+
+    /// An owned copy.
+    pub fn to_name(self) -> Name {
+        Name {
+            flat: self.flat.into(),
+            labels: self.labels,
         }
+    }
+
+    /// The trailing `n` labels, or `None` if `n` exceeds the label count.
+    /// Borrows from the same buffer: no allocation.
+    pub fn suffix(self, n: usize) -> Option<NameRef<'a>> {
+        let skip = self.label_count().checked_sub(n)?;
+        let mut rest = self.flat;
+        for _ in 0..skip {
+            rest = &rest[1 + rest[0] as usize..];
+        }
+        Some(NameRef {
+            flat: rest,
+            labels: n as u8,
+        })
+    }
+
+    /// The parent name (one label stripped from the left), or `None` at root.
+    pub fn parent(self) -> Option<NameRef<'a>> {
+        self.suffix(self.label_count().checked_sub(1)?)
+    }
+
+    /// True if `self` is equal to `other` or is a descendant of it.
+    pub fn is_subdomain_of(self, other: NameRef<'_>) -> bool {
+        self.suffix(other.label_count())
+            .is_some_and(|tail| tail == other)
+    }
+
+    /// Encode at `buf`'s end without compression.
+    pub fn encode_uncompressed(self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(self.flat);
         buf.push(0);
+    }
+
+    /// Offset of every label's length byte within the flat form.
+    fn label_starts(self) -> [u8; MAX_LABELS] {
+        let mut starts = [0u8; MAX_LABELS];
+        let mut at = 0usize;
+        for slot in starts.iter_mut().take(self.label_count()) {
+            *slot = at as u8;
+            at += 1 + self.flat[at] as usize;
+        }
+        starts
+    }
+
+    fn label_at(self, start: u8) -> &'a [u8] {
+        let start = start as usize;
+        &self.flat[start + 1..start + 1 + self.flat[start] as usize]
     }
 
     /// Encode with DNS name compression.
@@ -151,26 +273,27 @@ impl Name {
     /// offset is replaced with a 2-byte pointer, and newly written labels
     /// at offsets ≤ 0x3FFF become pointer targets for later names.
     /// Matching is case-insensitive (RFC 1035 §2.3.3).
-    pub fn encode_compressed(&self, buf: &mut Vec<u8>, map: &mut CompressionMap) {
-        let n = self.labels.len();
+    pub fn encode_compressed(self, buf: &mut Vec<u8>, map: &mut CompressionMap) {
+        let n = self.label_count();
+        let starts = self.label_starts();
         // Node ids for every suffix, built right-to-left so each node's
-        // parent already exists. A name has at most 127 labels
-        // (MAX_NAME_LEN), so the chain lives on the stack.
-        let mut chain = [CompressionMap::ROOT; (MAX_NAME_LEN - 1) / 2];
+        // parent already exists.
+        let mut chain = [CompressionMap::ROOT; MAX_LABELS];
         let mut parent = CompressionMap::ROOT;
         for i in (0..n).rev() {
-            let node = map.node(parent, &self.labels[i]);
+            let node = map.node(parent, self.label_at(starts[i]));
             chain[i] = node;
             parent = node;
         }
         // The longest suffix already written at a pointable offset.
         let pointer = (0..n).find_map(|i| map.offset(chain[i]).map(|off| (i, off)));
         let literal_upto = pointer.map_or(n, |(i, _)| i);
-        for (node, l) in chain.iter().zip(&self.labels).take(literal_upto) {
+        for (&node, &start) in chain.iter().zip(&starts).take(literal_upto) {
             let here = buf.len();
             if here <= 0x3FFF {
-                map.record_offset(*node, here as u16);
+                map.record_offset(node, here as u16);
             }
+            let l = self.label_at(start);
             buf.push(l.len() as u8);
             buf.extend_from_slice(l);
         }
@@ -182,17 +305,52 @@ impl Name {
             None => buf.push(0),
         }
     }
+}
 
-    /// Decode a (possibly compressed) name from `msg` starting at `*pos`.
+/// A name held inline: 254 bytes on the stack, no heap. The place a
+/// [`WireName`] is flattened into when its labels are needed contiguously
+/// (a server looking its question up, echoing it back compressed).
+#[derive(Clone)]
+pub struct NameBuf {
+    flat: [u8; MAX_FLAT_LEN],
+    len: u8,
+    labels: u8,
+}
+
+impl NameBuf {
+    /// The held name, borrowed.
+    pub fn borrowed(&self) -> NameRef<'_> {
+        NameRef {
+            flat: &self.flat[..self.len as usize],
+            labels: self.labels,
+        }
+    }
+}
+
+/// A validated name inside a message: where it starts, how many labels it
+/// has and how long it is once pointers are resolved. Reading it never
+/// fails and never allocates; [`WireName::to_name`] makes the owned copy.
+#[derive(Clone, Copy)]
+pub struct WireName<'a> {
+    msg: &'a [u8],
+    start: usize,
+    labels: u8,
+    flat_len: u8,
+    /// No pointer on the way: the flat form is `msg[start..][..flat_len]`.
+    literal: bool,
+}
+
+impl<'a> WireName<'a> {
+    /// Validate a (possibly compressed) name in `msg` starting at `*pos`.
     ///
     /// `*pos` is advanced past the name as it appears at the original
-    /// location (pointers count as two bytes). Pointer chases are bounded and
-    /// must always point strictly backwards, which both matches RFC 1035
-    /// encoders in practice and guarantees termination.
-    pub fn decode(msg: &[u8], pos: &mut usize) -> WireResult<Name> {
-        let mut labels: Vec<Box<[u8]>> = Vec::new();
+    /// location (pointers count as two bytes). Pointers must point strictly
+    /// backwards and at most 128 are followed.
+    pub fn parse(msg: &'a [u8], pos: &mut usize) -> WireResult<WireName<'a>> {
+        let start = *pos;
+        let mut labels = 0usize;
         let mut wire_len = 1usize;
-        let mut cursor = *pos;
+        let mut cursor = start;
         let mut followed_pointer = false;
         let mut hops = 0usize;
         loop {
@@ -205,15 +363,21 @@ impl Name {
                     if !followed_pointer {
                         *pos = cursor + 1;
                     }
-                    return Ok(Name { labels });
+                    return Ok(WireName {
+                        msg,
+                        start,
+                        labels: labels as u8,
+                        flat_len: (wire_len - 1) as u8,
+                        literal: !followed_pointer,
+                    });
                 }
                 1..=63 => {
                     let l = len_byte as usize;
-                    let start = cursor + 1;
-                    let end = start + l;
+                    let label_start = cursor + 1;
+                    let end = label_start + l;
                     if end > msg.len() {
                         return Err(WireError::Truncated {
-                            offset: start,
+                            offset: label_start,
                             what: "name label",
                         });
                     }
@@ -221,7 +385,7 @@ impl Name {
                     if wire_len > MAX_NAME_LEN {
                         return Err(WireError::NameTooLong(wire_len));
                     }
-                    labels.push(msg[start..end].to_vec().into_boxed_slice());
+                    labels += 1;
                     cursor = end;
                 }
                 b if b & 0xC0 == 0xC0 => {
@@ -247,35 +411,180 @@ impl Name {
             }
         }
     }
+
+    /// Iterate over the labels, leftmost first, following pointers.
+    pub fn labels(&self) -> impl Iterator<Item = &'a [u8]> {
+        WireLabels {
+            msg: self.msg,
+            cursor: self.start,
+        }
+    }
+
+    fn copy_flat(&self, flat: &mut [u8]) {
+        if self.literal {
+            let n = self.flat_len as usize;
+            flat[..n].copy_from_slice(&self.msg[self.start..self.start + n]);
+            return;
+        }
+        let mut at = 0;
+        for l in self.labels() {
+            flat[at] = l.len() as u8;
+            flat[at + 1..at + 1 + l.len()].copy_from_slice(l);
+            at += 1 + l.len();
+        }
+    }
+
+    /// An owned copy: the one allocation a decoded name costs.
+    pub fn to_name(self) -> Name {
+        let mut flat = vec![0u8; self.flat_len as usize].into_boxed_slice();
+        self.copy_flat(&mut flat);
+        Name {
+            flat,
+            labels: self.labels,
+        }
+    }
+
+    /// A flattened copy on the stack.
+    pub fn to_buf(self) -> NameBuf {
+        let mut buf = NameBuf {
+            flat: [0; MAX_FLAT_LEN],
+            len: self.flat_len,
+            labels: self.labels,
+        };
+        self.copy_flat(&mut buf.flat);
+        buf
+    }
+
+    /// Case-insensitive equality with an owned or borrowed name, in place.
+    pub fn matches(&self, other: NameRef<'_>) -> bool {
+        if self.labels != other.labels || self.flat_len as usize != other.flat.len() {
+            return false;
+        }
+        self.labels()
+            .zip(other.labels())
+            .all(|(a, b)| a.eq_ignore_ascii_case(b))
+    }
 }
 
-fn eq_ignore_case(a: &[u8], b: &[u8]) -> bool {
-    a.eq_ignore_ascii_case(b)
+/// Iterator over the labels of a [`WireName`].
+struct WireLabels<'a> {
+    msg: &'a [u8],
+    cursor: usize,
 }
 
-/// Per-message DNS name-compression state.
+impl<'a> Iterator for WireLabels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        // `WireName::parse` walked this exact path and bounded it.
+        loop {
+            let b = self.msg[self.cursor];
+            match b {
+                0 => return None,
+                1..=63 => {
+                    let start = self.cursor + 1;
+                    self.cursor = start + b as usize;
+                    return Some(&self.msg[start..self.cursor]);
+                }
+                _ => {
+                    self.cursor = (((b & 0x3F) as usize) << 8) | self.msg[self.cursor + 1] as usize;
+                }
+            }
+        }
+    }
+}
+
+/// Anything that can stand in for a [`Name`] as a map key.
 ///
-/// The previous implementation keyed compression offsets by a freshly
-/// formatted lowercase `String` per suffix per name — an allocation on
-/// every label of every name on the encode hot path. This map stores the
-/// suffixes structurally instead: a trie of `(parent node, label)` edges
-/// whose label bytes live in one shared arena, indexed by a hash of the
-/// parent id and the lowercased label bytes. Lookups hash in place and
-/// verify with a case-insensitive byte compare, so encoding allocates
-/// nothing per name once the arena has warmed up.
+/// `HashMap<Name, _>` and `BTreeMap<Name, _>` can be probed with
+/// `&dyn NameKey` — a `&Name`, or a [`NameRef`] such as a suffix of the
+/// query name — without building an owned key: `Name: Borrow<dyn NameKey>`,
+/// and the trait object hashes, compares and orders exactly as `Name` does.
+///
+/// ```
+/// use dnswire::{Name, NameKey};
+/// use std::collections::HashMap;
+/// let mut zones: HashMap<Name, u32> = HashMap::new();
+/// zones.insert("Example.com".parse().unwrap(), 7);
+/// let q: Name = "www.example.com".parse().unwrap();
+/// let apex = q.borrowed().suffix(2).unwrap();
+/// assert_eq!(zones.get(&apex as &dyn NameKey), Some(&7));
+/// ```
+pub trait NameKey {
+    /// The name to hash and compare by.
+    fn name_ref(&self) -> NameRef<'_>;
+}
+
+impl NameKey for Name {
+    fn name_ref(&self) -> NameRef<'_> {
+        self.borrowed()
+    }
+}
+
+impl NameKey for NameRef<'_> {
+    fn name_ref(&self) -> NameRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn NameKey + 'a> for Name {
+    fn borrow(&self) -> &(dyn NameKey + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn NameKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.name_ref() == other.name_ref()
+    }
+}
+
+impl Eq for dyn NameKey + '_ {}
+
+impl Hash for dyn NameKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.name_ref().hash(state)
+    }
+}
+
+impl PartialOrd for dyn NameKey + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn NameKey + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.name_ref().cmp(&other.name_ref())
+    }
+}
+
+/// DNS name-compression state of one message being written.
+///
+/// A trie of `(parent node, label)` edges whose lowercased label bytes live
+/// in one shared arena, found through a fixed table of bucket heads with
+/// the collision chain threaded through the nodes themselves. Lookups hash
+/// in place and verify with a case-insensitive byte compare. Nothing in
+/// here is sized per message, so [`CompressionMap::clear`] resets it for
+/// the next message without giving any memory back: a writer that keeps
+/// its map encodes without allocating once the map has warmed up.
 #[derive(Debug, Default)]
 pub struct CompressionMap {
     nodes: Vec<CompressNode>,
     /// Lowercased label bytes of every node, back to back.
     arena: Vec<u8>,
-    /// Hash of `(parent, lowercased label)` → candidate node ids.
-    index: HashMap<u64, Vec<u32>>,
+    /// First node of each hash bucket ([`CompressionMap::NONE`] when
+    /// empty); allocated on first use.
+    heads: Vec<u32>,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct CompressNode {
     parent: u32,
+    /// Next node in the same hash bucket.
+    next: u32,
     label_start: u32,
+    bucket: u16,
     label_len: u8,
     /// Message offset of this suffix, or [`CompressionMap::NO_OFFSET`] when
     /// the suffix was written beyond the pointable range (or not yet).
@@ -285,15 +594,30 @@ struct CompressNode {
 impl CompressionMap {
     /// Sentinel parent id of top-level labels (the root has no node).
     const ROOT: u32 = u32::MAX;
+    /// Sentinel for "no node" in bucket heads and chains.
+    const NONE: u32 = u32::MAX;
     /// Sentinel for "no recorded offset" (real offsets are ≤ 0x3FFF).
     const NO_OFFSET: u16 = u16::MAX;
+    /// Hash buckets. A 4 KiB message holds at most ~2 K labels, so chains
+    /// stay short at this size.
+    const BUCKETS: usize = 256;
 
-    /// An empty map, for one message.
+    /// An empty map.
     pub fn new() -> Self {
         CompressionMap::default()
     }
 
-    fn hash_edge(parent: u32, label: &[u8]) -> u64 {
+    /// Forget every suffix, keeping the memory: only the buckets the
+    /// previous message touched are reset.
+    pub fn clear(&mut self) {
+        for n in &self.nodes {
+            self.heads[n.bucket as usize] = Self::NONE;
+        }
+        self.nodes.clear();
+        self.arena.clear();
+    }
+
+    fn bucket_of(parent: u32, label: &[u8]) -> u16 {
         // FNV-1a over the parent id and the lowercased label bytes.
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for b in parent.to_le_bytes() {
@@ -302,26 +626,27 @@ impl CompressionMap {
         for &b in label {
             h = (h ^ b.to_ascii_lowercase() as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
-        h
+        ((h ^ (h >> 32)) as usize % Self::BUCKETS) as u16
     }
 
-    fn node_label(&self, id: u32) -> &[u8] {
-        let n = &self.nodes[id as usize];
+    fn node_label(&self, n: &CompressNode) -> &[u8] {
         &self.arena[n.label_start as usize..n.label_start as usize + n.label_len as usize]
     }
 
     /// The node for the suffix `label.<parent's suffix>`, created on first
     /// sight (without an offset).
     fn node(&mut self, parent: u32, label: &[u8]) -> u32 {
-        let h = Self::hash_edge(parent, label);
-        if let Some(candidates) = self.index.get(&h) {
-            for &id in candidates {
-                if self.nodes[id as usize].parent == parent
-                    && self.node_label(id).eq_ignore_ascii_case(label)
-                {
-                    return id;
-                }
+        if self.heads.is_empty() {
+            self.heads = vec![Self::NONE; Self::BUCKETS];
+        }
+        let bucket = Self::bucket_of(parent, label);
+        let mut id = self.heads[bucket as usize];
+        while id != Self::NONE {
+            let n = &self.nodes[id as usize];
+            if n.parent == parent && self.node_label(n).eq_ignore_ascii_case(label) {
+                return id;
             }
+            id = n.next;
         }
         let label_start = self.arena.len() as u32;
         self.arena
@@ -329,11 +654,13 @@ impl CompressionMap {
         let id = self.nodes.len() as u32;
         self.nodes.push(CompressNode {
             parent,
+            next: self.heads[bucket as usize],
             label_start,
+            bucket,
             label_len: label.len() as u8,
             offset: Self::NO_OFFSET,
         });
-        self.index.entry(h).or_default().push(id);
+        self.heads[bucket as usize] = id;
         id
     }
 
@@ -353,49 +680,77 @@ impl CompressionMap {
     }
 }
 
-impl PartialEq for Name {
+impl PartialEq for NameRef<'_> {
+    /// One pass over both buffers: length bytes (≤ 63) are not ASCII
+    /// letters, so they only match themselves, and once the first pair
+    /// matches the next pair sits at the same offset in both — label
+    /// boundaries align by induction.
     fn eq(&self, other: &Self) -> bool {
-        self.labels.len() == other.labels.len()
-            && self
-                .labels
-                .iter()
-                .zip(other.labels.iter())
-                .all(|(a, b)| eq_ignore_case(a, b))
+        self.flat.eq_ignore_ascii_case(other.flat)
     }
 }
 
-impl Hash for Name {
+impl Eq for NameRef<'_> {}
+
+impl Hash for NameRef<'_> {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for l in &self.labels {
+        for l in self.labels() {
             state.write_usize(l.len());
-            for &b in l.iter() {
+            for &b in l {
                 state.write_u8(b.to_ascii_lowercase());
             }
         }
     }
 }
 
+impl PartialOrd for NameRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for NameRef<'_> {
+    /// Canonical DNS ordering: compare label sequences right-to-left,
+    /// case-insensitively (RFC 4034 §6.1).
+    fn cmp(&self, other: &Self) -> Ordering {
+        let (a_starts, b_starts) = (self.label_starts(), other.label_starts());
+        let a_rev = a_starts[..self.label_count()].iter().rev();
+        let b_rev = b_starts[..other.label_count()].iter().rev();
+        for (&a, &b) in a_rev.zip(b_rev) {
+            let la = self.label_at(a).iter().map(u8::to_ascii_lowercase);
+            let lb = other.label_at(b).iter().map(u8::to_ascii_lowercase);
+            match la.cmp(lb) {
+                Ordering::Equal => continue,
+                ord => return ord,
+            }
+        }
+        self.labels.cmp(&other.labels)
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.borrowed() == other.borrowed()
+    }
+}
+
+impl Eq for Name {}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.borrowed().hash(state)
+    }
+}
+
 impl PartialOrd for Name {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Name {
-    /// Canonical DNS ordering: compare label sequences right-to-left,
-    /// case-insensitively (RFC 4034 §6.1).
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let a_rev = self.labels.iter().rev();
-        let b_rev = other.labels.iter().rev();
-        for (a, b) in a_rev.zip(b_rev) {
-            let la: Vec<u8> = a.iter().map(|c| c.to_ascii_lowercase()).collect();
-            let lb: Vec<u8> = b.iter().map(|c| c.to_ascii_lowercase()).collect();
-            match la.cmp(&lb) {
-                std::cmp::Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        self.labels.len().cmp(&other.labels.len())
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.borrowed().cmp(&other.borrowed())
     }
 }
 
@@ -415,7 +770,6 @@ impl FromStr for Name {
         if trimmed.is_empty() {
             return Err(WireError::BadName(format!("bad name {s:?}")));
         }
-        let mut labels = Vec::new();
         for part in trimmed.split('.') {
             if part.is_empty() {
                 return Err(WireError::BadName(format!("empty label in {s:?}")));
@@ -426,18 +780,17 @@ impl FromStr for Name {
             {
                 return Err(WireError::BadName(format!("bad character in {s:?}")));
             }
-            labels.push(part.as_bytes());
         }
-        Name::from_labels(labels)
+        Name::from_labels(trimmed.split('.'))
     }
 }
 
-impl fmt::Display for Name {
+impl fmt::Display for NameRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return write!(f, ".");
         }
-        for (i, l) in self.labels.iter().enumerate() {
+        for (i, l) in self.labels().enumerate() {
             if i > 0 {
                 write!(f, ".")?;
             }
@@ -450,6 +803,30 @@ impl fmt::Display for Name {
             }
         }
         Ok(())
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.borrowed().fmt(f)
+    }
+}
+
+impl fmt::Debug for NameRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Name({self})")
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.borrowed().fmt(f)
+    }
+}
+
+impl fmt::Debug for WireName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.to_buf().borrowed().fmt(f)
     }
 }
 
@@ -632,5 +1009,62 @@ mod tests {
     fn non_ascii_label_display_escapes() {
         let x = Name::from_labels([&[0xFFu8, b'a'][..]]).unwrap();
         assert!(x.to_string().contains("\\255"));
+    }
+
+    #[test]
+    fn cleared_map_compresses_like_a_fresh_one() {
+        let mut map = CompressionMap::new();
+        let mut first = Vec::new();
+        n("www.example.com").encode_compressed(&mut first, &mut map);
+        n("mail.example.com").encode_compressed(&mut first, &mut map);
+        map.clear();
+        let mut again = Vec::new();
+        n("www.example.com").encode_compressed(&mut again, &mut map);
+        n("mail.example.com").encode_compressed(&mut again, &mut map);
+        assert_eq!(again, first);
+        // Nothing of the first message survives a clear.
+        map.clear();
+        let mut lone = Vec::new();
+        n("mail.example.com").encode_compressed(&mut lone, &mut map);
+        assert_eq!(lone.len(), n("mail.example.com").wire_len());
+    }
+
+    #[test]
+    fn borrowed_suffix_probes_maps_keyed_by_name() {
+        use std::collections::{BTreeMap, HashMap};
+        let keys = ["example.com", "CO.uk", "a.b.example.com"];
+        let hashed: HashMap<Name, usize> = keys.iter().map(|k| n(k)).zip(0..).collect();
+        let ordered: BTreeMap<Name, usize> = keys.iter().map(|k| n(k)).zip(0..).collect();
+        let q = n("x.A.B.Example.COM");
+        let hits: Vec<Option<usize>> = (0..=q.label_count())
+            .map(|take| {
+                let suffix = q.borrowed().suffix(take).unwrap();
+                let owned = q.suffix(take).unwrap();
+                let got = hashed.get(&suffix as &dyn NameKey).copied();
+                assert_eq!(got, hashed.get(&owned).copied());
+                assert_eq!(got, ordered.get(&suffix as &dyn NameKey).copied());
+                got
+            })
+            .collect();
+        assert_eq!(hits, vec![None, None, Some(0), None, Some(2), None]);
+    }
+
+    #[test]
+    fn wire_name_reads_without_owning() {
+        let mut buf = Vec::new();
+        let mut map = CompressionMap::new();
+        n("www.Example.com").encode_compressed(&mut buf, &mut map);
+        let second = buf.len();
+        n("mail.example.COM").encode_compressed(&mut buf, &mut map);
+        let mut pos = second;
+        let wire = WireName::parse(&buf, &mut pos).unwrap();
+        assert_eq!(pos, buf.len());
+        assert_eq!(wire.labels().count(), 3);
+        assert!(wire.matches(n("MAIL.example.com").borrowed()));
+        assert!(!wire.matches(n("www.example.com").borrowed()));
+        assert_eq!(wire.to_name(), n("mail.example.com"));
+        // Case is carried from where the bytes were first written.
+        assert_eq!(wire.to_buf().borrowed().to_string(), "mail.Example.com");
+        assert_eq!(wire.to_buf().borrowed(), n("mail.example.com").borrowed());
     }
 }

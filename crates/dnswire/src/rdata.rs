@@ -1,7 +1,7 @@
 //! Typed RDATA representations with wire encode/decode.
 
 use crate::error::{WireError, WireResult};
-use crate::name::{CompressionMap, Name};
+use crate::name::{CompressionMap, Name, WireName};
 use crate::types::RecordType;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -169,6 +169,63 @@ impl RData {
         rtype: RecordType,
         rdlength: usize,
     ) -> WireResult<RData> {
+        RDataView::parse(msg, pos, rtype, rdlength).map(RDataView::to_rdata)
+    }
+}
+
+/// Validated RDATA still inside its message: [`RData`] with every name a
+/// [`WireName`] and every byte string a slice. Parsing one allocates
+/// nothing; [`RDataView::to_rdata`] makes the owned copy.
+#[derive(Debug, Clone, Copy)]
+pub enum RDataView<'a> {
+    /// IPv4 address.
+    A(Ipv4Addr),
+    /// IPv6 address.
+    Aaaa(Ipv6Addr),
+    /// Delegation to an authoritative server.
+    Ns(WireName<'a>),
+    /// Alias target.
+    Cname(WireName<'a>),
+    /// Reverse-mapping pointer.
+    Ptr(WireName<'a>),
+    /// Mail exchange: preference and exchange host.
+    Mx {
+        /// Lower is preferred.
+        preference: u16,
+        /// The mail server name.
+        exchange: WireName<'a>,
+    },
+    /// The character strings, each still behind its length byte.
+    Txt(&'a [u8]),
+    /// Start of authority.
+    Soa {
+        /// Primary master server name.
+        mname: WireName<'a>,
+        /// Responsible mailbox, encoded as a name.
+        rname: WireName<'a>,
+        /// Serial, refresh, retry, expire, minimum.
+        words: [u32; 5],
+    },
+    /// EDNS(0) pseudo-record payload, kept opaque.
+    Opt(&'a [u8]),
+    /// RDATA for a type this crate does not interpret.
+    Unknown {
+        /// The original type code.
+        rtype: u16,
+        /// Raw RDATA bytes.
+        data: &'a [u8],
+    },
+}
+
+impl<'a> RDataView<'a> {
+    /// Validate RDATA of `rtype` occupying `rdlength` bytes at `*pos` in
+    /// `msg`, advancing the cursor past it.
+    pub fn parse(
+        msg: &'a [u8],
+        pos: &mut usize,
+        rtype: RecordType,
+        rdlength: usize,
+    ) -> WireResult<RDataView<'a>> {
         let start = *pos;
         let end = start
             .checked_add(rdlength)
@@ -187,7 +244,7 @@ impl RData {
                 }
                 let o: [u8; 4] = msg[start..end].try_into().expect("checked length");
                 *pos = end;
-                RData::A(Ipv4Addr::from(o))
+                RDataView::A(Ipv4Addr::from(o))
             }
             RecordType::Aaaa => {
                 if rdlength != 16 {
@@ -198,15 +255,15 @@ impl RData {
                 }
                 let o: [u8; 16] = msg[start..end].try_into().expect("checked length");
                 *pos = end;
-                RData::Aaaa(Ipv6Addr::from(o))
+                RDataView::Aaaa(Ipv6Addr::from(o))
             }
             RecordType::Ns | RecordType::Cname | RecordType::Ptr => {
-                let n = Name::decode(msg, pos)?;
+                let n = WireName::parse(msg, pos)?;
                 check_consumed(start, *pos, rdlength)?;
                 match rtype {
-                    RecordType::Ns => RData::Ns(n),
-                    RecordType::Cname => RData::Cname(n),
-                    _ => RData::Ptr(n),
+                    RecordType::Ns => RDataView::Ns(n),
+                    RecordType::Cname => RDataView::Cname(n),
+                    _ => RDataView::Ptr(n),
                 }
             }
             RecordType::Mx => {
@@ -218,15 +275,14 @@ impl RData {
                 }
                 let preference = u16::from_be_bytes([msg[start], msg[start + 1]]);
                 *pos = start + 2;
-                let exchange = Name::decode(msg, pos)?;
+                let exchange = WireName::parse(msg, pos)?;
                 check_consumed(start, *pos, rdlength)?;
-                RData::Mx {
+                RDataView::Mx {
                     preference,
                     exchange,
                 }
             }
             RecordType::Txt => {
-                let mut chunks = Vec::new();
                 let mut cur = start;
                 while cur < end {
                     let l = msg[cur] as usize;
@@ -237,19 +293,14 @@ impl RData {
                             what: "txt string",
                         });
                     }
-                    chunks.push(msg[cur..cur + l].to_vec());
                     cur += l;
                 }
-                if chunks.is_empty() {
-                    // RFC 1035 requires at least one (possibly empty) string.
-                    chunks.push(Vec::new());
-                }
                 *pos = end;
-                RData::Txt(chunks)
+                RDataView::Txt(&msg[start..end])
             }
             RecordType::Soa => {
-                let mname = Name::decode(msg, pos)?;
-                let rname = Name::decode(msg, pos)?;
+                let mname = WireName::parse(msg, pos)?;
+                let rname = WireName::parse(msg, pos)?;
                 if *pos + 20 > msg.len() {
                     return Err(WireError::Truncated {
                         offset: *pos,
@@ -267,29 +318,74 @@ impl RData {
                     *pos += 4;
                 }
                 check_consumed(start, *pos, rdlength)?;
-                RData::Soa {
+                RDataView::Soa {
                     mname,
                     rname,
-                    serial: words[0],
-                    refresh: words[1],
-                    retry: words[2],
-                    expire: words[3],
-                    minimum: words[4],
+                    words,
                 }
             }
             RecordType::Opt => {
                 *pos = end;
-                RData::Opt(msg[start..end].to_vec())
+                RDataView::Opt(&msg[start..end])
             }
             other => {
                 *pos = end;
-                RData::Unknown {
+                RDataView::Unknown {
                     rtype: other.code(),
-                    data: msg[start..end].to_vec(),
+                    data: &msg[start..end],
                 }
             }
         };
         Ok(out)
+    }
+
+    /// An owned copy.
+    pub fn to_rdata(self) -> RData {
+        match self {
+            RDataView::A(ip) => RData::A(ip),
+            RDataView::Aaaa(ip) => RData::Aaaa(ip),
+            RDataView::Ns(n) => RData::Ns(n.to_name()),
+            RDataView::Cname(n) => RData::Cname(n.to_name()),
+            RDataView::Ptr(n) => RData::Ptr(n.to_name()),
+            RDataView::Mx {
+                preference,
+                exchange,
+            } => RData::Mx {
+                preference,
+                exchange: exchange.to_name(),
+            },
+            RDataView::Txt(mut raw) => {
+                let mut chunks = Vec::new();
+                while let Some((&l, tail)) = raw.split_first() {
+                    let (chunk, rest) = tail.split_at(l as usize);
+                    chunks.push(chunk.to_vec());
+                    raw = rest;
+                }
+                if chunks.is_empty() {
+                    // RFC 1035 requires at least one (possibly empty) string.
+                    chunks.push(Vec::new());
+                }
+                RData::Txt(chunks)
+            }
+            RDataView::Soa {
+                mname,
+                rname,
+                words,
+            } => RData::Soa {
+                mname: mname.to_name(),
+                rname: rname.to_name(),
+                serial: words[0],
+                refresh: words[1],
+                retry: words[2],
+                expire: words[3],
+                minimum: words[4],
+            },
+            RDataView::Opt(raw) => RData::Opt(raw.to_vec()),
+            RDataView::Unknown { rtype, data } => RData::Unknown {
+                rtype,
+                data: data.to_vec(),
+            },
+        }
     }
 }
 

@@ -1,8 +1,8 @@
 //! Resource records and questions.
 
 use crate::error::{WireError, WireResult};
-use crate::name::{CompressionMap, Name};
-use crate::rdata::RData;
+use crate::name::{CompressionMap, Name, NameRef, WireName};
+use crate::rdata::{RData, RDataView};
 use crate::types::{Class, RecordType};
 use std::fmt;
 
@@ -29,14 +29,43 @@ impl Question {
 
     /// Encode into `buf` using the shared compression map.
     pub fn encode(&self, buf: &mut Vec<u8>, offsets: &mut CompressionMap) {
-        self.qname.encode_compressed(buf, offsets);
-        buf.extend_from_slice(&self.qtype.code().to_be_bytes());
-        buf.extend_from_slice(&self.qclass.code().to_be_bytes());
+        encode_question(self.qname.borrowed(), self.qtype, self.qclass, buf, offsets);
     }
 
     /// Decode from `msg` at `*pos`, advancing the cursor.
     pub fn decode(msg: &[u8], pos: &mut usize) -> WireResult<Question> {
-        let qname = Name::decode(msg, pos)?;
+        QuestionView::parse(msg, pos).map(QuestionView::to_question)
+    }
+}
+
+/// [`Question::encode`] for a question that exists only as its parts.
+pub(crate) fn encode_question(
+    qname: NameRef<'_>,
+    qtype: RecordType,
+    qclass: Class,
+    buf: &mut Vec<u8>,
+    offsets: &mut CompressionMap,
+) {
+    qname.encode_compressed(buf, offsets);
+    buf.extend_from_slice(&qtype.code().to_be_bytes());
+    buf.extend_from_slice(&qclass.code().to_be_bytes());
+}
+
+/// A validated question still inside its message.
+#[derive(Debug, Clone, Copy)]
+pub struct QuestionView<'a> {
+    /// The name being queried.
+    pub qname: WireName<'a>,
+    /// The requested record type.
+    pub qtype: RecordType,
+    /// The requested class.
+    pub qclass: Class,
+}
+
+impl<'a> QuestionView<'a> {
+    /// Validate a question in `msg` at `*pos`, advancing the cursor.
+    pub fn parse(msg: &'a [u8], pos: &mut usize) -> WireResult<QuestionView<'a>> {
+        let qname = WireName::parse(msg, pos)?;
         if *pos + 4 > msg.len() {
             return Err(WireError::Truncated {
                 offset: *pos,
@@ -46,11 +75,20 @@ impl Question {
         let qtype = RecordType::from_code(u16::from_be_bytes([msg[*pos], msg[*pos + 1]]));
         let qclass = Class::from_code(u16::from_be_bytes([msg[*pos + 2], msg[*pos + 3]]));
         *pos += 4;
-        Ok(Question {
+        Ok(QuestionView {
             qname,
             qtype,
             qclass,
         })
+    }
+
+    /// An owned copy.
+    pub fn to_question(self) -> Question {
+        Question {
+            qname: self.qname.to_name(),
+            qtype: self.qtype,
+            qclass: self.qclass,
+        }
     }
 }
 
@@ -93,21 +131,62 @@ impl Record {
     /// field is computed from the bytes actually written (which may be
     /// shortened by compression of embedded names).
     pub fn encode(&self, buf: &mut Vec<u8>, offsets: &mut CompressionMap) {
-        self.name.encode_compressed(buf, offsets);
-        buf.extend_from_slice(&self.rtype().code().to_be_bytes());
-        buf.extend_from_slice(&self.class.code().to_be_bytes());
-        buf.extend_from_slice(&self.ttl.to_be_bytes());
-        let len_at = buf.len();
-        buf.extend_from_slice(&[0, 0]);
-        let data_start = buf.len();
-        self.rdata.encode(buf, offsets);
-        let rdlen = (buf.len() - data_start) as u16;
-        buf[len_at..len_at + 2].copy_from_slice(&rdlen.to_be_bytes());
+        encode_record(
+            self.name.borrowed(),
+            self.class,
+            self.ttl,
+            &self.rdata,
+            buf,
+            offsets,
+        );
     }
 
     /// Decode from `msg` at `*pos`, advancing the cursor.
     pub fn decode(msg: &[u8], pos: &mut usize) -> WireResult<Record> {
-        let name = Name::decode(msg, pos)?;
+        RecordView::parse(msg, pos).map(RecordView::to_record)
+    }
+}
+
+/// [`Record::encode`] for a record that exists only as its parts (a stored
+/// RDATA answered under the query's own name).
+pub(crate) fn encode_record(
+    owner: NameRef<'_>,
+    class: Class,
+    ttl: u32,
+    rdata: &RData,
+    buf: &mut Vec<u8>,
+    offsets: &mut CompressionMap,
+) {
+    owner.encode_compressed(buf, offsets);
+    buf.extend_from_slice(&rdata.record_type().code().to_be_bytes());
+    buf.extend_from_slice(&class.code().to_be_bytes());
+    buf.extend_from_slice(&ttl.to_be_bytes());
+    let len_at = buf.len();
+    buf.extend_from_slice(&[0, 0]);
+    let data_start = buf.len();
+    rdata.encode(buf, offsets);
+    let rdlen = (buf.len() - data_start) as u16;
+    buf[len_at..len_at + 2].copy_from_slice(&rdlen.to_be_bytes());
+}
+
+/// A validated resource record still inside its message.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordView<'a> {
+    /// Owner name the data is attached to.
+    pub name: WireName<'a>,
+    /// Record class.
+    pub class: Class,
+    /// Time-to-live in seconds.
+    pub ttl: u32,
+    /// The typed record data.
+    pub rdata: RDataView<'a>,
+    rtype: RecordType,
+}
+
+impl<'a> RecordView<'a> {
+    /// Validate a record in `msg` at `*pos`, advancing the cursor.
+    pub fn parse(msg: &'a [u8], pos: &mut usize) -> WireResult<RecordView<'a>> {
+        let name = WireName::parse(msg, pos)?;
         if *pos + 10 > msg.len() {
             return Err(WireError::Truncated {
                 offset: *pos,
@@ -119,13 +198,29 @@ impl Record {
         let ttl = u32::from_be_bytes([msg[*pos + 4], msg[*pos + 5], msg[*pos + 6], msg[*pos + 7]]);
         let rdlength = u16::from_be_bytes([msg[*pos + 8], msg[*pos + 9]]) as usize;
         *pos += 10;
-        let rdata = RData::decode(msg, pos, rtype, rdlength)?;
-        Ok(Record {
+        let rdata = RDataView::parse(msg, pos, rtype, rdlength)?;
+        Ok(RecordView {
             name,
             class,
             ttl,
             rdata,
+            rtype,
         })
+    }
+
+    /// The record's type.
+    pub fn rtype(&self) -> RecordType {
+        self.rtype
+    }
+
+    /// An owned copy.
+    pub fn to_record(self) -> Record {
+        Record {
+            name: self.name.to_name(),
+            class: self.class,
+            ttl: self.ttl,
+            rdata: self.rdata.to_rdata(),
+        }
     }
 }
 

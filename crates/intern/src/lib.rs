@@ -1,7 +1,7 @@
 //! # intern — compact ids for names and strings
 //!
 //! Paper-scale worlds put millions of `(nameserver, domain, type)` triples
-//! through the pipeline. `dnswire::Name` owns one heap allocation per label
+//! through the pipeline. `dnswire::Name` owns a heap allocation per name
 //! and `String` provider names are cloned into every [`CollectedUr`]-like
 //! struct, so the working set grows with the *number of observations* rather
 //! than the number of *distinct* names. This crate fixes the representation:

@@ -163,6 +163,9 @@ pub struct Network {
     /// Hook returning consumed datagram payloads to the caller's buffer
     /// pool (see [`Network::set_payload_recycler`]).
     payload_recycler: Option<fn(Vec<u8>)>,
+    /// The `Actions` handed to every handler: drained after each call, so
+    /// its vectors are allocated once per fabric, not once per delivery.
+    scratch: Actions,
 }
 
 impl Network {
@@ -184,6 +187,7 @@ impl Network {
             obs: None,
             seq: 0,
             payload_recycler: None,
+            scratch: Actions::default(),
         }
     }
 
@@ -306,6 +310,22 @@ impl Network {
             .get_mut(&ip)
             .map(std::mem::take)
             .unwrap_or_default()
+    }
+
+    /// Empty the inbox of `ip` in place (it keeps its capacity for the next
+    /// delivery), returning the payload of the first datagram `wanted`
+    /// accepts and recycling every other one.
+    fn drain_inbox(&mut self, ip: Ipv4Addr, wanted: impl Fn(&Datagram) -> bool) -> Option<Vec<u8>> {
+        let recycler = self.payload_recycler;
+        let mut found = None;
+        for d in self.external.get_mut(&ip)?.drain(..) {
+            if found.is_none() && wanted(&d) {
+                found = Some(d.payload);
+            } else if let Some(recycle) = recycler {
+                recycle(d.payload);
+            }
+        }
+        found
     }
 
     /// Inject a datagram into the fabric (from an external sender).
@@ -461,9 +481,10 @@ impl Network {
                     }
                 }
                 if let Some(node) = self.nodes.get_mut(&dgram.dst.ip) {
-                    let mut out = Actions::default();
+                    let mut out = std::mem::take(&mut self.scratch);
                     node.handle(self.now, &dgram, &mut out);
-                    self.apply_actions(out, dgram.dst.ip);
+                    self.apply_actions(&mut out, dgram.dst.ip);
+                    self.scratch = out;
                     self.recycle(dgram.payload);
                 } else if let Some(inbox) = self.external.get_mut(&dgram.dst.ip) {
                     inbox.push(dgram);
@@ -473,20 +494,22 @@ impl Network {
             }
             EventKind::Timer { node, token } => {
                 if let Some(n) = self.nodes.get_mut(&node) {
-                    let mut out = Actions::default();
+                    let mut out = std::mem::take(&mut self.scratch);
                     n.on_timer(self.now, token, &mut out);
-                    self.apply_actions(out, node);
+                    self.apply_actions(&mut out, node);
+                    self.scratch = out;
                 }
             }
         }
         true
     }
 
-    fn apply_actions(&mut self, out: Actions, origin: Ipv4Addr) {
-        for (delay, dgram) in out.sends {
+    /// Perform what a handler asked for, leaving `out` empty.
+    fn apply_actions(&mut self, out: &mut Actions, origin: Ipv4Addr) {
+        for (delay, dgram) in out.sends.drain(..) {
             self.enqueue_send(delay, dgram);
         }
-        for (delay, token) in out.timers {
+        for (delay, token) in out.timers.drain(..) {
             let at = self.now + delay;
             self.push_event(
                 at,
@@ -516,9 +539,7 @@ impl Network {
             self.register_external(src.ip);
         }
         // Drain any stale datagrams from previous exchanges.
-        for stale in self.take_inbox(src.ip) {
-            self.recycle(stale.payload);
-        }
+        self.drain_inbox(src.ip, |_| false);
         let deadline = self.now + timeout;
         self.send(Datagram {
             src,
@@ -536,14 +557,7 @@ impl Network {
             };
             let _ = next_at;
             self.step();
-            let mut reply: Option<Vec<u8>> = None;
-            for d in self.take_inbox(src.ip) {
-                if reply.is_none() && d.dst == src {
-                    reply = Some(d.payload);
-                } else {
-                    self.recycle(d.payload);
-                }
-            }
+            let reply = self.drain_inbox(src.ip, |d| d.dst == src);
             if reply.is_some() {
                 return reply;
             }

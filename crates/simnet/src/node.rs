@@ -95,7 +95,7 @@ impl Datagram {
 
 /// Side effects a node wants performed, collected while it handles an event.
 ///
-/// The fabric hands a fresh `Actions` to every handler invocation and applies
+/// The fabric hands an empty `Actions` to every handler invocation and applies
 /// the collected sends and timers afterwards, which keeps handlers free of
 /// references into the fabric (no re-entrancy, no borrow gymnastics).
 #[derive(Debug, Default)]

@@ -525,7 +525,7 @@ mod tests {
 
     #[test]
     fn scoped_fabric_answers_like_full_fabric() {
-        use dnswire::{Question, RecordType};
+        use dnswire::RecordType;
         let w = StreamWorld::generate(tiny_config());
         let bp = w.scan_blueprint();
         let full = bp.build_network(0);
@@ -533,11 +533,10 @@ mod tests {
         let scoped = bp.build_network_scoped(0, &scope);
         // Probe one scoped server in both fabrics with a hosted target.
         let target = &w.legit[0].domain;
-        let q = Question::new(target.clone(), RecordType::A);
         let p = w.plan.node_provider[&scope[0]] as usize;
-        let prov_full = w.plan.build_provider(p);
-        let answer = prov_full.answer(scope[0], &q);
-        let again = w.plan.build_provider(p).answer(scope[0], &q);
+        let (prov_full, prov_again) = (w.plan.build_provider(p), w.plan.build_provider(p));
+        let answer = prov_full.answer(scope[0], target.borrowed(), RecordType::A);
+        let again = prov_again.answer(scope[0], target.borrowed(), RecordType::A);
         assert_eq!(
             format!("{answer:?}"),
             format!("{again:?}"),

@@ -425,7 +425,7 @@ impl Builder {
             nameservers: Vec::new(),
             resolvers: Vec::new(),
             truth: GroundTruth::default(),
-            answer_map: Rc::new(RefCell::new(HashMap::new())),
+            answer_map: Rc::new(RefCell::new(AnswerMap::new())),
             legit_host: HashMap::new(),
             extra_targets: Vec::new(),
             config,
@@ -765,10 +765,7 @@ impl Builder {
                     self.config.today.saturating_sub(700),
                     self.config.today,
                 );
-                truth
-                    .entry((r.name.clone(), r.rtype()))
-                    .or_default()
-                    .push(r.clone());
+                truth.add(r.clone());
             }
         }
     }

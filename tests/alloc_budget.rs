@@ -1,0 +1,207 @@
+//! The probe path's allocation budget, counted.
+//!
+//! Wall-clock on a shared box drifts by 10–20 % in phases; the number of
+//! heap allocations a probe makes does not drift at all. This file counts
+//! them with its own global allocator, armed only around the measured
+//! region and only on the measuring thread, and holds the probe path —
+//! query write → fabric → authoritative serve → fabric → reply parse — to
+//! what the scan keeps: the records of a UR. After one warm-up pass (pools
+//! filled, tables grown, names interned) a probe that yields nothing must
+//! allocate nothing.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::net::Ipv4Addr;
+
+use dnswire::{Name, Rcode, RecordType};
+use urhunter::{
+    collect_urs_sharded, select_nameservers, CollectConfig, ProbeEngine, ProbeReply, QueryPlan,
+    QueryScheduler,
+};
+use worldgen::{World, WorldConfig};
+
+thread_local! {
+    /// Allocations made by this thread while armed.
+    static ARMED: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+struct Counting;
+
+fn note_allocation() {
+    // `try_with`: a thread tearing down may allocate past its locals.
+    let _ = ARMED.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+// SAFETY: every operation is `System`'s; the bookkeeping beside it is a
+// const-initialised thread-local counter, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        // SAFETY: `ptr` was allocated by `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `f`'s result and the allocations (and reallocations) this thread made
+/// while it ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ARMED.with(|c| c.set(Some(0)));
+    let out = f();
+    let n = ARMED.with(|c| c.replace(None)).expect("armed above");
+    (out, n)
+}
+
+/// One UR probe through the engine, keeping what `query_one_ur` keeps: the
+/// answers of exactly the asked name and type.
+fn probe(
+    engine: &mut ProbeEngine,
+    net: &mut simnet::Network,
+    scanner: Ipv4Addr,
+    ns: Ipv4Addr,
+    domain: &Name,
+    rtype: RecordType,
+    qid: u16,
+) -> Option<ProbeReply> {
+    engine.query_keeping(net, scanner, ns, domain, rtype, qid, |r| {
+        r.rtype() == rtype && r.name.matches(domain.borrowed())
+    })
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum Kind {
+    Refused,
+    ProtectiveA,
+    HostedA,
+    Txt,
+}
+
+#[test]
+fn a_probe_allocates_only_what_the_scan_keeps() {
+    let world = World::generate(WorldConfig::small());
+    let cfg = CollectConfig::default();
+    let nameservers = select_nameservers(&world, cfg.min_tail_sites);
+    let targets = world.scan_targets();
+    let protective: std::collections::HashSet<Ipv4Addr> = world
+        .provider_meta
+        .iter()
+        .map(|m| m.protective_ip)
+        .collect();
+    let mut net = world.scan_blueprint().build_network(0);
+    net.set_payload_recycler(Some(dnswire::bufpool::release));
+    let mut engine = ProbeEngine::new(QueryPlan::default());
+
+    // Warm-up: the whole scan plan once, remembering one pair of each kind.
+    let mut examples: std::collections::HashMap<Kind, (Ipv4Addr, &Name, RecordType)> =
+        Default::default();
+    let mut qid = 0u16;
+    for ns in &nameservers {
+        for domain in &targets {
+            for &rtype in &cfg.query_types {
+                qid = qid.wrapping_add(1).max(1);
+                let reply = probe(
+                    &mut engine,
+                    &mut net,
+                    cfg.scanner_ip,
+                    ns.ip,
+                    domain,
+                    rtype,
+                    qid,
+                )
+                .expect("a reliable fabric answers every probe");
+                let kind = match (reply.rcode(), reply.answers.first(), rtype) {
+                    (Rcode::Refused, ..) => Kind::Refused,
+                    (Rcode::NoError, Some(r), RecordType::A) => match r.rdata.as_a() {
+                        Some(ip) if protective.contains(&ip) => Kind::ProtectiveA,
+                        _ => Kind::HostedA,
+                    },
+                    (Rcode::NoError, Some(_), RecordType::Txt) => Kind::Txt,
+                    _ => continue,
+                };
+                examples.entry(kind).or_insert((ns.ip, domain, rtype));
+            }
+        }
+    }
+
+    for (kind, budget) in [
+        (Kind::Refused, 0),
+        (Kind::ProtectiveA, 4),
+        (Kind::HostedA, 4),
+        (Kind::Txt, 6),
+    ] {
+        let &(ns, domain, rtype) = examples
+            .get(&kind)
+            .unwrap_or_else(|| panic!("the small world has no {kind:?} probe"));
+        for round in 0..3 {
+            qid = qid.wrapping_add(1).max(1);
+            let (reply, allocations) = counted(|| {
+                probe(
+                    &mut engine,
+                    &mut net,
+                    cfg.scanner_ip,
+                    ns,
+                    domain,
+                    rtype,
+                    qid,
+                )
+            });
+            let reply = reply.expect("answered in the warm-up, answered now");
+            assert_eq!(reply.answers.is_empty(), kind == Kind::Refused);
+            assert!(
+                allocations <= budget,
+                "{kind:?} probe of {domain} {rtype} at {ns}, round {round}: \
+                 {allocations} allocations, budget {budget}"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_bulk_scan_stays_within_six_allocations_a_probe() {
+    let world = World::generate(WorldConfig::small());
+    let cfg = CollectConfig::default();
+    let nameservers = select_nameservers(&world, cfg.min_tail_sites);
+    let targets = world.scan_targets();
+    let blueprint = world.scan_blueprint();
+    let scan = || {
+        let mut urs = 0usize;
+        let outcome = collect_urs_sharded(
+            &blueprint,
+            QueryPlan::default(),
+            simnet::FaultPlan::reliable(),
+            None,
+            &world.registry,
+            &nameservers,
+            &targets,
+            &cfg,
+            &mut QueryScheduler::new(7, simnet::SimDuration::ZERO),
+            1,
+            usize::MAX,
+            &mut |batch| urs += batch.len(),
+        );
+        (outcome.coverage.scheduled, urs)
+    };
+    let warm = scan();
+    let (measured, allocations) = counted(scan);
+    assert_eq!(measured, warm, "the scan is deterministic");
+    let (probes, urs) = measured;
+    assert!(probes > 10_000 && urs > 1_000, "{probes} probes, {urs} URs");
+    // Everything is in the count: the replica fabric, the task list, every
+    // UR's records and the batch handed to the sink.
+    let per_probe = allocations as f64 / probes as f64;
+    assert!(
+        per_probe <= 6.0,
+        "{allocations} allocations over {probes} probes ({urs} URs): {per_probe:.2} a probe"
+    );
+}
