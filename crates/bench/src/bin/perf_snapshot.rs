@@ -5,19 +5,14 @@
 //! ```
 //!
 //! Times world generation, collection, classification (sequential vs.
-//! parallel) and the two pipeline executors on the medium benchmark world,
-//! verifies that every path produces bit-identical results, checks the
-//! collection coverage accounting (a reliable network must answer every
-//! probe), compares the adaptive RTT-derived timeout policy against the
-//! fixed plan timeout under loss in *simulated* time, records the
-//! token-bucket wait of a globally rate-capped run, and writes the
-//! results to `BENCH_pipeline.json` in the working directory.
-//!
-//! The strict-batch and streaming pipelines are timed under the *same*
-//! configuration (parallelism, raw-UR retention) so the comparison
-//! isolates the executor strategy: collect-then-classify versus
-//! stage-overlapped batches on the ordered pipeline, where the owned
-//! classification path also avoids deep-cloning every collected UR.
+//! parallel) and the whole pipeline — with and without the observability
+//! hub — on the medium benchmark world, verifies that every configuration
+//! produces bit-identical results, checks the collection coverage
+//! accounting (a reliable network must answer every probe), compares the
+//! adaptive RTT-derived timeout policy against the fixed plan timeout
+//! under loss in *simulated* time, records the token-bucket wait of a
+//! globally rate-capped run, and writes the results to
+//! `BENCH_pipeline.json` in the working directory.
 
 use std::time::Instant;
 use urhunter::{classify_all, run, HunterConfig, RunOutput};
@@ -45,18 +40,16 @@ fn timed_run(cfg: &HunterConfig) -> (f64, RunOutput) {
     (t0.elapsed().as_secs_f64() * 1e3, out)
 }
 
-/// One round of the three-way interleaved comparison: strict batch,
-/// streaming, and streaming with the observability hub attached, in that
-/// order every round so slow drift in background load hits all sides
-/// equally instead of biasing whichever block ran last. The obs config
-/// gets a *fresh* hub per run so the exported executor aggregates
-/// describe a single run; the hub of the fastest obs run is kept.
+/// The interleaved comparison: the pipeline without and with the
+/// observability hub, in that order every round so slow drift in
+/// background load hits both sides equally instead of biasing whichever
+/// block ran last. The obs config gets a *fresh* hub per run so the
+/// exported aggregates describe a single run; the hub of the fastest obs
+/// run is kept.
 struct Interleaved {
-    batch_ms: f64,
-    stream_ms: f64,
+    plain_ms: f64,
     obs_ms: f64,
-    batch_out: Option<RunOutput>,
-    stream_out: Option<RunOutput>,
+    plain_out: Option<RunOutput>,
     obs_out: Option<RunOutput>,
     obs_hub: Option<std::sync::Arc<obs::Obs>>,
 }
@@ -64,25 +57,20 @@ struct Interleaved {
 impl Interleaved {
     fn new() -> Self {
         Interleaved {
-            batch_ms: f64::INFINITY,
-            stream_ms: f64::INFINITY,
+            plain_ms: f64::INFINITY,
             obs_ms: f64::INFINITY,
-            batch_out: None,
-            stream_out: None,
+            plain_out: None,
             obs_out: None,
             obs_hub: None,
         }
     }
 
-    fn round(&mut self, batch_cfg: &HunterConfig, stream_cfg: &HunterConfig) {
-        let (ms, out) = timed_run(batch_cfg);
-        self.batch_ms = self.batch_ms.min(ms);
-        self.batch_out = Some(out);
-        let (ms, out) = timed_run(stream_cfg);
-        self.stream_ms = self.stream_ms.min(ms);
-        self.stream_out = Some(out);
+    fn round(&mut self, cfg: &HunterConfig) {
+        let (ms, out) = timed_run(cfg);
+        self.plain_ms = self.plain_ms.min(ms);
+        self.plain_out = Some(out);
         let hub = obs::Obs::shared();
-        let obs_cfg = stream_cfg.clone().with_obs(hub.clone());
+        let obs_cfg = cfg.clone().with_obs(hub.clone());
         let (ms, out) = timed_run(&obs_cfg);
         if ms < self.obs_ms {
             self.obs_ms = ms;
@@ -103,7 +91,7 @@ fn main() {
 
     // Reference run (untimed): keeps the raw URs for the classification
     // micro-benchmarks below and anchors the equivalence checks.
-    let out = run(&mut world, &HunterConfig::fast().with_parallelism(1));
+    let out = run(&mut world, &HunterConfig::fast().with_workers(1));
 
     // A reliable network must answer every probe on the first attempt:
     // any give-up here is a regression in the collection path.
@@ -122,43 +110,32 @@ fn main() {
     );
     let ref_hash = urhunter::classified_sequence_hash(&out.classified);
 
-    // Both timed pipelines share this configuration; only the executor
-    // differs (stream_batch_size 0 = strict batch).
     const PIPELINE_PARALLELISM: usize = 2;
-    const STREAM_BATCH: usize = 2048;
     let timed_cfg = HunterConfig::fast()
-        .with_parallelism(PIPELINE_PARALLELISM)
+        .with_workers(PIPELINE_PARALLELISM)
         .with_keep_raw_collected(false);
 
-    let stream_cfg = timed_cfg.clone().with_stream_batch_size(STREAM_BATCH);
     let mut timing = Interleaved::new();
     for _ in 0..3 {
-        timing.round(&timed_cfg, &stream_cfg);
+        timing.round(&timed_cfg);
     }
-    // Noise guard: the real gap between the executors (and the hub's
-    // overhead) is a few percent, while sustained background load on a
-    // shared host can skew every early sample by far more. All minima
-    // only tighten with more samples, so keep adding interleaved rounds
-    // (bounded) until the gate orderings below — with their tolerances —
-    // hold; a quiet host exits after the initial three rounds.
+    // Noise guard: the hub's overhead is a few percent, while sustained
+    // background load on a shared host can skew every early sample by far
+    // more. Both minima only tighten with more samples, so keep adding
+    // interleaved rounds (bounded) until the gate below — with its
+    // tolerance — holds; a quiet host exits after the initial three rounds.
     for _ in 0..24 {
-        if timing.stream_ms <= timing.batch_ms / 0.98 && timing.obs_ms <= timing.stream_ms * 1.03 {
+        if timing.obs_ms <= timing.plain_ms * 1.03 {
             break;
         }
-        timing.round(&timed_cfg, &stream_cfg);
+        timing.round(&timed_cfg);
     }
-    let pipeline_seq_ms = timing.batch_ms;
-    let pipeline_stream_ms = timing.stream_ms;
+    let pipeline_seq_ms = timing.plain_ms;
     let pipeline_obs_ms = timing.obs_ms;
-    let batch_out = timing.batch_out.expect("at least one round");
-    let stream_out = timing.stream_out.expect("at least one round");
+    let plain_out = timing.plain_out.expect("at least one round");
     let obs_out = timing.obs_out.expect("at least one round");
     let obs_hub = timing.obs_hub.expect("at least one round");
-    for (label, timed) in [
-        ("batch", &batch_out),
-        ("stream", &stream_out),
-        ("stream+obs", &obs_out),
-    ] {
+    for (label, timed) in [("plain", &plain_out), ("obs", &obs_out)] {
         assert_eq!(
             timed.report.totals, out.report.totals,
             "{label} pipeline diverged from the reference run"
@@ -236,88 +213,25 @@ fn main() {
     let batch_speedup = classify_per_ur_ms / classify_seq_ms;
     let thread_speedup = classify_seq_ms / classify_par_ms;
 
-    // Overlap metrics. classify_hidden_ratio is measured *structurally*
-    // from the executor's own instrumentation — the fraction of worker
-    // classify time from batches that finished while collection was still
-    // producing — so it reports genuine stage interleaving independent of
-    // wall-clock noise. It comes from the obs-attached run, the only one
-    // carrying executor instrumentation (without a hub the executor reads
-    // no clocks at all). stream_overlap_speedup is the end-to-end ratio
-    // under identical configuration.
-    let stream_overlap_speedup = pipeline_seq_ms / pipeline_stream_ms;
-    let metrics_overhead_ratio = pipeline_obs_ms / pipeline_stream_ms;
-    let classify_hidden_ratio = if obs_out.overlap.classify_busy_ms > 0.0 {
-        obs_out.overlap.classify_hidden_ms / obs_out.overlap.classify_busy_ms
-    } else {
-        0.0
-    };
-    // The plain stream run carries no hub, so its overlap stats must be
-    // exactly zero — instrumentation disabled means no clocks read, not
-    // "cheaper clocks".
-    assert_eq!(
-        stream_out.overlap.classify_busy_ms, 0.0,
-        "un-instrumented run reported overlap stats"
-    );
-    // Regression gates at parallelism >= 2: the stream path must actually
-    // interleave classification with collection (it hid nothing before the
-    // owned-classification path and coarser batches landed), and it must
-    // not lose end-to-end to the strict-batch path beyond measurement
-    // noise (it was 0.89x). The 2% tolerance is for wall-clock noise on a
-    // shared single-core host, where the two executors' floors sit within
-    // a few milliseconds of each other.
-    assert!(
-        classify_hidden_ratio > 0.0,
-        "streaming hid no classification work behind collection at \
-         parallelism {PIPELINE_PARALLELISM}"
-    );
-    assert!(
-        stream_overlap_speedup >= 0.98,
-        "streaming lost to strict batch at parallelism {PIPELINE_PARALLELISM} \
-         (batch {pipeline_seq_ms:.2} ms vs stream {pipeline_stream_ms:.2} ms)"
-    );
     // Observability overhead gate: the fully wired hub (fabric counters,
-    // probe funnel, verdict shards, executor histograms, stage spans) may
-    // cost at most 3% end-to-end against the identical un-instrumented
-    // configuration.
+    // probe funnel, verdict shards, stage spans) may cost at most 3%
+    // end-to-end against the identical un-instrumented configuration.
+    let metrics_overhead_ratio = pipeline_obs_ms / pipeline_seq_ms;
     assert!(
         metrics_overhead_ratio <= 1.03,
         "observability hub costs more than 3% \
-         (stream {pipeline_stream_ms:.2} ms vs instrumented {pipeline_obs_ms:.2} ms)"
+         (plain {pipeline_seq_ms:.2} ms vs instrumented {pipeline_obs_ms:.2} ms)"
     );
 
-    // Executor aggregates from the instrumented run's registry — the same
+    // Cache aggregates from the instrumented run's registry — the same
     // numbers a user gets from `--metrics-out`.
     let snap = obs_hub.registry().snapshot();
-    let hist_mean = |h: &obs::HistogramData| {
-        if h.count == 0 {
-            0.0
-        } else {
-            h.sum as f64 / h.count as f64
-        }
-    };
-    let exec_batches = snap.counter("exec_batches").unwrap_or(0);
-    let queue_depth_mean = snap
-        .histogram("exec_queue_depth")
-        .map(hist_mean)
-        .unwrap_or(0.0);
-    let queue_depth_max = snap
-        .histogram("exec_queue_depth")
-        .map(|h| h.max)
-        .unwrap_or(0);
-    let reorder_pending_max = snap
-        .histogram("exec_reorder_pending")
-        .map(|h| h.max)
-        .unwrap_or(0);
-    let worker_busy_ms = snap.counter("exec_worker_busy_us").unwrap_or(0) as f64 / 1e3;
-    let worker_hidden_ms = snap.counter("exec_worker_hidden_us").unwrap_or(0) as f64 / 1e3;
-    let worker_idle_ms = snap.counter("exec_worker_idle_us").unwrap_or(0) as f64 / 1e3;
     let attr_cache_hits = snap.counter("attr_cache_hits").unwrap_or(0);
     let attr_cache_resolved = snap.counter("attr_cache_resolved").unwrap_or(0);
 
-    // Collection-stage cost and shard scaling, isolated on the strict-batch
-    // path (whose "collect" span covers only the scan; the streaming span
-    // also absorbs classification hidden behind it). Each sample gets a
-    // fresh world and hub so the span counter holds exactly one run, and
+    // Collection-stage cost and shard scaling, read from the "collect"
+    // span (which covers only the scan). Each sample gets a fresh world
+    // and hub so the span counter holds exactly one run, and
     // every run is pinned to the reference hash — sharding must never buy
     // speed with a different answer.
     let collect_ms_at = |shards: usize| -> f64 {
@@ -326,7 +240,7 @@ fn main() {
             let mut world = World::generate(WorldConfig::medium());
             let hub = obs::Obs::shared();
             let cfg = HunterConfig::fast()
-                .with_parallelism(1)
+                .with_workers(shards)
                 .with_keep_raw_collected(false)
                 .with_shards(shards)
                 .with_obs(hub.clone());
@@ -374,7 +288,7 @@ fn main() {
     // fabric's worst RTT, so the answers — and the classified hash — are
     // bit-identical; only the simulated clock differs).
     let lossy_cfg = HunterConfig::fast()
-        .with_parallelism(1)
+        .with_workers(1)
         .with_keep_raw_collected(false)
         .with_scan_faults(simnet::FaultPlan::lossy(0.05).scheduled_per_flow());
     let adaptive_cfg = lossy_cfg.clone().with_adaptive();
@@ -410,7 +324,7 @@ fn main() {
     // pacing moves the simulated clock, never the answers).
     const RATE_LIMIT_PER_SEC: u64 = 2;
     let paced_cfg = HunterConfig::fast()
-        .with_parallelism(1)
+        .with_workers(1)
         .with_keep_raw_collected(false)
         .with_rate_limit_per_sec(RATE_LIMIT_PER_SEC);
     let paced_out = run(&mut World::generate(WorldConfig::medium()), &paced_cfg);
@@ -443,18 +357,13 @@ fn main() {
         // Sequential fold first so its RSS high-water is captured before
         // the parallel run can raise it (VmHWM is monotonic).
         let t0 = Instant::now();
-        let xl =
-            urhunter::run_streamed(&xl_world, &xl_cfg.clone().with_stream_workers(1), XL_SHARDS);
+        let xl = urhunter::run_streamed(&xl_world, &xl_cfg.clone().with_workers(1), XL_SHARDS);
         let xl_secs = t0.elapsed().as_secs_f64();
         let xl_urs_per_sec = xl.total_urs as f64 / xl_secs.max(1e-9);
         let xl_rss = bench::peak_rss_mb();
 
         let t0 = Instant::now();
-        let xl_par = urhunter::run_streamed(
-            &xl_world,
-            &xl_cfg.with_stream_workers(XL_WORKERS),
-            XL_SHARDS,
-        );
+        let xl_par = urhunter::run_streamed(&xl_world, &xl_cfg.with_workers(XL_WORKERS), XL_SHARDS);
         let xl_par_secs = t0.elapsed().as_secs_f64();
         let xl_urs_per_sec_parallel = xl_par.total_urs as f64 / xl_par_secs.max(1e-9);
         let xl_rss_par = bench::peak_rss_mb();
@@ -527,21 +436,8 @@ fn main() {
          \"scaling_gate_enforced\": {scaling_gate} }},\n  \
          \"pipeline_parallelism\": {PIPELINE_PARALLELISM},\n  \
          \"pipeline_seq_ms\": {pipeline_seq_ms:.2},\n  \
-         \"pipeline_stream_ms\": {pipeline_stream_ms:.2},\n  \
-         \"pipeline_stream_obs_ms\": {pipeline_obs_ms:.2},\n  \
+         \"pipeline_obs_ms\": {pipeline_obs_ms:.2},\n  \
          \"metrics_overhead_ratio\": {metrics_overhead_ratio:.3},\n  \
-         \"stream_batch_size\": {STREAM_BATCH},\n  \
-         \"stream_overlap_speedup\": {stream_overlap_speedup:.3},\n  \
-         \"classify_hidden_ratio\": {classify_hidden_ratio:.3},\n  \
-         \"stream_classify_busy_ms\": {:.2},\n  \
-         \"stream_classify_hidden_ms\": {:.2},\n  \
-         \"executor\": {{ \"batches\": {exec_batches}, \
-         \"queue_depth_mean\": {queue_depth_mean:.2}, \
-         \"queue_depth_max\": {queue_depth_max}, \
-         \"reorder_pending_max\": {reorder_pending_max}, \
-         \"worker_busy_ms\": {worker_busy_ms:.2}, \
-         \"worker_hidden_ms\": {worker_hidden_ms:.2}, \
-         \"worker_idle_ms\": {worker_idle_ms:.2} }},\n  \
          \"classify_per_ur_ms\": {classify_per_ur_ms:.2},\n  \
          \"classify_seq_ms\": {classify_seq_ms:.2},\n  \
          \"classify_par_ms\": {classify_par_ms:.2},\n  \
@@ -562,8 +458,6 @@ fn main() {
          \"gave_up\": {}, \"skipped_quarantined\": {}, \"retransmissions\": {}, \
          \"quarantined_servers\": {} }}{xl_json}\n}}\n",
         out.collected.len(),
-        obs_out.overlap.classify_busy_ms,
-        obs_out.overlap.classify_hidden_ms,
         retry.attempts,
         retry.timeout.as_micros() / 1_000,
         cov.scheduled,

@@ -1,13 +1,13 @@
 //! `pipeline_hash` — print the pinned determinism digests for one preset.
 //!
-//! Runs the pipeline across {batch, stream} × shards {1, 4} and prints one
-//! JSON line per combination with the three pinned invariants:
-//! `classified_sequence_hash` (order-sensitive per-UR digest), the
-//! [`CoverageReport`] fields, and the observability registry's `sim_hash`.
-//! All four lines must agree on every field except the executor labels —
-//! and the whole output must be byte-stable across representation refactors
-//! (this is how the interned-name/columnar-store work proves it changed
-//! nothing).
+//! Runs the pipeline at shards {1, 4} and prints one JSON line per shard
+//! count with the three pinned invariants: `classified_sequence_hash`
+//! (order-sensitive per-UR digest), the [`CoverageReport`] fields, and the
+//! observability registry's `sim_hash`. Both lines must agree on every
+//! field but `shards` — and the whole output must be byte-stable across
+//! refactors (the `"executor": "batch"` label dates from when there was a
+//! second executor; it stays so a line can be compared byte for byte with
+//! one printed by any earlier commit).
 //!
 //! ```text
 //! pipeline_hash [small|medium]
@@ -43,24 +43,21 @@ fn main() {
             std::process::exit(2);
         }
     };
-    for (label, batch) in [("batch", 0usize), ("stream", 64usize)] {
-        for shards in [1usize, 4] {
-            let hub = obs::Obs::shared();
-            let cfg = HunterConfig::fast()
-                .with_stream_batch_size(batch)
-                .with_shards(shards)
-                .with_obs(hub.clone());
-            let mut world = World::generate(config.clone());
-            let out = run(&mut world, &cfg);
-            println!(
-                "{{\"preset\": \"{preset}\", \"executor\": \"{label}\", \"shards\": {shards}, \
-                 \"classified_sequence_hash\": {}, \"urs\": {}, \"coverage\": {}, \
-                 \"sim_hash\": {}}}",
-                classified_sequence_hash(&out.classified),
-                out.classified.len(),
-                coverage_json(&out.coverage),
-                hub.registry().sim_hash(),
-            );
-        }
+    for shards in [1usize, 4] {
+        let hub = obs::Obs::shared();
+        let cfg = HunterConfig::fast()
+            .with_shards(shards)
+            .with_obs(hub.clone());
+        let mut world = World::generate(config.clone());
+        let out = run(&mut world, &cfg);
+        println!(
+            "{{\"preset\": \"{preset}\", \"executor\": \"batch\", \"shards\": {shards}, \
+             \"classified_sequence_hash\": {}, \"urs\": {}, \"coverage\": {}, \
+             \"sim_hash\": {}}}",
+            classified_sequence_hash(&out.classified),
+            out.classified.len(),
+            coverage_json(&out.coverage),
+            hub.registry().sim_hash(),
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! memory/throughput envelope.
 //!
 //! Runs [`run_streamed`] against a plan-backed [`StreamWorld`] twice —
-//! once sequentially (`stream_workers = 1`), once with the parallel shard
+//! once sequentially (`workers = 1`), once with the parallel shard
 //! fold — and prints one JSON line: UR population, category split, probe
 //! coverage, the order-sensitive sequence digest, sequential and parallel
 //! wall-clock throughput (`urs_per_sec`, `urs_per_sec_parallel`), the
@@ -61,12 +61,12 @@ fn main() {
     let base = || HunterConfig::fast().with_keep_raw_collected(false);
 
     let start = std::time::Instant::now();
-    let seq = run_streamed(&world, &base().with_stream_workers(1), shards);
+    let seq = run_streamed(&world, &base().with_workers(1), shards);
     let seq_secs = start.elapsed().as_secs_f64();
     let urs_per_sec = seq.total_urs as f64 / seq_secs.max(1e-9);
 
     let start = std::time::Instant::now();
-    let par = run_streamed(&world, &base().with_stream_workers(workers_knob), shards);
+    let par = run_streamed(&world, &base().with_workers(workers_knob), shards);
     let par_secs = start.elapsed().as_secs_f64();
     let urs_per_sec_parallel = par.total_urs as f64 / par_secs.max(1e-9);
     let scaling = urs_per_sec_parallel / urs_per_sec.max(1e-9);

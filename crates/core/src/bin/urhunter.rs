@@ -3,7 +3,7 @@
 //! ```text
 //! urhunter [--scale small|default] [--world medium|paper|xl] [--seed N]
 //!          [--report summary|table1|figure2|figure3|table2|all]
-//!          [--parallelism N] [--batch-size N] [--shards N] [--stream-workers N]
+//!          [--shards N] [--workers N]
 //!          [--retries N] [--timeout MS] [--fault-drop P]
 //!          [--adaptive] [--rtt-k N] [--rate-limit N]
 //!          [--extended] [--expand-pdns] [--payload-match] [--ethics] [--pcap FILE]
@@ -15,18 +15,18 @@
 //! streamed path — lazy plan-backed shard fabrics, URs folded into
 //! category counters and a sequence digest as they arrive, nothing
 //! retained — and print the scan summary (only `--seed`, `--shards`,
-//! `--stream-workers` and the probe/rate knobs apply there).
-//! `--stream-workers N` scans N shards concurrently on the streamed path
-//! (default: auto-sized from the machine, capped at the shard count);
-//! the folded output is bit-identical for every worker count.
+//! `--workers` and the probe/rate knobs apply there).
 //!
-//! `--parallelism 0` (the default) sizes the classification worker pool
-//! from the machine; `--batch-size N` (N > 0) switches to the streaming
-//! stage-overlapped pipeline with N collected URs per batch. `--shards N`
-//! splits the bulk scan across N replica fabrics, one per thread,
-//! partitioned by nameserver (default 1; ignored under `--ethics`, which
-//! paces a single scanner clock). All three settings change wall-clock
-//! only — the output is bit-identical.
+//! Two knobs size the execution, and neither changes a byte of output.
+//! `--shards N` splits the bulk scan across N replica fabrics partitioned
+//! by nameserver (default 1, or 8 world shards on the streamed path;
+//! ignored under `--ethics` and `--rate-limit` on the materialized
+//! pipeline, which pace a single scanner clock). `--workers N` is the
+//! thread count for every parallel stage: scan workers claim shards (at
+//! most `min(shards, N)` run at once; one worker scans on the calling
+//! thread) and classification and the analysis join fan out over the same
+//! count (default: sized from the machine, `URHUNTER_PARALLELISM`
+//! override).
 //!
 //! `--retries N` gives every collection probe N attempts (default 3;
 //! 1 = single-shot), `--timeout MS` bounds each attempt, and
@@ -59,7 +59,7 @@
 //! Examples:
 //!   urhunter --report all
 //!   urhunter --scale default --seed 7 --report table1
-//!   urhunter --scale default --batch-size 64 --parallelism 4
+//!   urhunter --scale default --shards 4 --workers 2
 //!   urhunter --fault-drop 0.05 --retries 5 --timeout 2000
 //!   urhunter --metrics-out metrics.jsonl
 //!   urhunter --extended --payload-match --pcap sandbox.pcap
@@ -74,10 +74,8 @@ struct Args {
     world: Option<String>,
     seed: Option<u64>,
     report: String,
-    parallelism: Option<usize>,
-    batch_size: Option<usize>,
     shards: Option<usize>,
-    stream_workers: Option<usize>,
+    workers: Option<usize>,
     retries: Option<u32>,
     timeout_ms: Option<u64>,
     fault_drop: Option<f64>,
@@ -96,7 +94,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: urhunter [--scale small|default] [--world medium|paper|xl] [--seed N] \
          [--report summary|table1|figure2|figure3|table2|all]\n\
-         \u{20}               [--parallelism N] [--batch-size N] [--shards N] [--stream-workers N]\n\
+         \u{20}               [--shards N] [--workers N]\n\
          \u{20}               [--retries N] [--timeout MS] [--fault-drop P]\n\
          \u{20}               [--adaptive] [--rtt-k N] [--rate-limit N]\n\
          \u{20}               [--extended] [--expand-pdns] [--payload-match] [--ethics] [--pcap FILE]\n\
@@ -104,16 +102,15 @@ fn usage() -> ! {
          \u{20} --world medium runs the materialized medium world through the full\n\
          \u{20} pipeline; --world paper|xl runs the paper-scale streamed path (lazy\n\
          \u{20} plan-backed fabrics, URs folded into counters as they arrive) and\n\
-         \u{20} prints the scan summary — only --seed, --shards, --stream-workers\n\
-         \u{20} and the probe/rate knobs apply there;\n\
-         \u{20} --stream-workers N scans N shards concurrently on the streamed path\n\
-         \u{20} (minimum 1, maximum 64; default auto-sizes from the machine, capped\n\
-         \u{20} at the shard count; output is bit-identical for every worker count);\n\
-         \u{20} --parallelism 0 sizes the worker pool automatically (default);\n\
-         \u{20} --batch-size 0 disables streaming (default), N > 0 streams N URs per batch;\n\
+         \u{20} prints the scan summary — only --seed, --shards, --workers and the\n\
+         \u{20} probe/rate knobs apply there;\n\
          \u{20} --shards N runs the bulk scan on N replica fabrics partitioned by\n\
          \u{20} nameserver (default 1, maximum 64; bit-identical output, clamped to 1\n\
          \u{20} under --ethics);\n\
+         \u{20} --workers N is the thread count of every parallel stage: scan workers\n\
+         \u{20} claim shards, classification and analysis fan out (minimum 1, maximum\n\
+         \u{20} 64; default auto-sizes from the machine; output is bit-identical for\n\
+         \u{20} every worker count);\n\
          \u{20} --retries N attempts per probe (default 3, minimum 1), --timeout MS per\n\
          \u{20} attempt (positive), --fault-drop P injects drop probability P in [0,1]\n\
          \u{20} for the collection stages; --adaptive derives per-attempt timeouts\n\
@@ -130,21 +127,19 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// Validate a `--stream-workers` value. Zero is rejected (a scan needs at
-/// least one worker; omit the flag to auto-size from the machine) and the
-/// cap mirrors `--shards`: more workers than shards would idle anyway.
-fn validate_stream_workers(v: &str) -> Result<usize, String> {
+/// Validate a `--workers` value. Zero is rejected (a scan needs at least
+/// one worker; omit the flag to auto-size from the machine) and the cap
+/// mirrors `--shards`: more scan workers than shards would idle anyway.
+fn validate_workers(v: &str) -> Result<usize, String> {
     let n: usize = v
         .parse()
-        .map_err(|_| format!("--stream-workers must be a number (got {v})"))?;
+        .map_err(|_| format!("--workers must be a number (got {v})"))?;
     if n == 0 {
-        return Err(
-            "--stream-workers must be at least 1 (got 0): omit the flag to auto-size".to_string(),
-        );
+        return Err("--workers must be at least 1 (got 0): omit the flag to auto-size".to_string());
     }
     if n > 64 {
         return Err(format!(
-            "--stream-workers is capped at 64 (got {v}): each worker drives a whole shard fabric"
+            "--workers is capped at 64 (got {v}): each scan worker drives a whole shard fabric"
         ));
     }
     Ok(n)
@@ -156,10 +151,8 @@ fn parse_args() -> Args {
         world: None,
         seed: None,
         report: "summary".to_string(),
-        parallelism: None,
-        batch_size: None,
         shards: None,
-        stream_workers: None,
+        workers: None,
         retries: None,
         timeout_ms: None,
         fault_drop: None,
@@ -190,14 +183,6 @@ fn parse_args() -> Args {
                 args.seed = Some(v.parse().unwrap_or_else(|_| usage()));
             }
             "--report" => args.report = it.next().unwrap_or_else(|| usage()),
-            "--parallelism" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                args.parallelism = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--batch-size" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                args.batch_size = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
             "--shards" => {
                 let v = it.next().unwrap_or_else(|| usage());
                 let n: usize = v.parse().unwrap_or_else(|_| usage());
@@ -213,10 +198,10 @@ fn parse_args() -> Args {
                 }
                 args.shards = Some(n);
             }
-            "--stream-workers" => {
+            "--workers" => {
                 let v = it.next().unwrap_or_else(|| usage());
-                match validate_stream_workers(&v) {
-                    Ok(n) => args.stream_workers = Some(n),
+                match validate_workers(&v) {
+                    Ok(n) => args.workers = Some(n),
                     Err(msg) => {
                         eprintln!("{msg}");
                         usage()
@@ -315,8 +300,8 @@ fn run_world_preset(args: &Args, preset: &str) -> ExitCode {
         world.scan_targets().len()
     );
     let mut hunter = HunterConfig::fast().with_keep_raw_collected(false);
-    if let Some(workers) = args.stream_workers {
-        hunter = hunter.with_stream_workers(workers);
+    if let Some(workers) = args.workers {
+        hunter = hunter.with_workers(workers);
     }
     if args.adaptive {
         hunter = hunter.with_adaptive();
@@ -418,11 +403,8 @@ fn main() -> ExitCode {
     if args.payload_match {
         hunter = hunter.with_payload_matching();
     }
-    if let Some(workers) = args.parallelism {
-        hunter = hunter.with_parallelism(workers);
-    }
-    if let Some(batch) = args.batch_size {
-        hunter = hunter.with_stream_batch_size(batch);
+    if let Some(workers) = args.workers {
+        hunter = hunter.with_workers(workers);
     }
     if let Some(shards) = args.shards {
         hunter = hunter.with_shards(shards);
@@ -535,26 +517,26 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::validate_stream_workers;
+    use super::validate_workers;
 
     #[test]
     fn stream_workers_accepts_the_valid_range() {
-        assert_eq!(validate_stream_workers("1"), Ok(1));
-        assert_eq!(validate_stream_workers("4"), Ok(4));
-        assert_eq!(validate_stream_workers("64"), Ok(64));
+        assert_eq!(validate_workers("1"), Ok(1));
+        assert_eq!(validate_workers("4"), Ok(4));
+        assert_eq!(validate_workers("64"), Ok(64));
     }
 
     #[test]
     fn stream_workers_rejects_zero_with_a_clear_message() {
-        let err = validate_stream_workers("0").unwrap_err();
+        let err = validate_workers("0").unwrap_err();
         assert!(err.contains("at least 1"), "got: {err}");
         assert!(err.contains("auto-size"), "got: {err}");
     }
 
     #[test]
     fn stream_workers_rejects_garbage_and_oversize() {
-        assert!(validate_stream_workers("many").is_err());
-        assert!(validate_stream_workers("-3").is_err());
-        assert!(validate_stream_workers("65").unwrap_err().contains("64"));
+        assert!(validate_workers("many").is_err());
+        assert!(validate_workers("-3").is_err());
+        assert!(validate_workers("65").unwrap_err().contains("64"));
     }
 }

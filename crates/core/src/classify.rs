@@ -76,8 +76,8 @@ pub fn classify_ur(
 }
 
 /// The decision part of a classification, separated from UR ownership so
-/// the borrowed path (`ur.clone()`) and the owned streaming path (move the
-/// UR in, no clone) share one implementation.
+/// the borrowed path (`ur.clone()`) and the owned path (move the UR in, no
+/// clone) share one implementation.
 struct Verdict {
     category: UrCategory,
     correct_reason: Option<CorrectReason>,
@@ -120,8 +120,7 @@ fn classify_ur_with(
 }
 
 /// Owned variant: the caller hands the UR over and no deep clone of its
-/// record vectors is made — the hot path for streaming classification when
-/// raw collected URs are not kept.
+/// record vectors is made — the pipeline's path, batch by batch.
 fn classify_ur_with_owned(
     ur: CollectedUr,
     correct: &CorrectDb,
@@ -464,11 +463,11 @@ fn reason_metric(reason: CorrectReason) -> &'static str {
 /// counters-only shard: verdict totals plus, for every correct verdict,
 /// the Appendix-B condition that excluded it.
 ///
-/// A pure function of the batch, so both executors feed the same registry
-/// the same way: the batch path shards its whole output once, the
-/// streaming path shards per batch on the worker and merges in splice
-/// order. Every counter is sim-class — verdicts are bit-identical across
-/// executors by the pipeline's core invariant.
+/// A pure function of the batch, so both entry points feed the same
+/// registry the same way: `run` shards its whole output once, the streamed
+/// path shards per batch on the scan worker and merges in fold order.
+/// Every counter is sim-class — verdicts are bit-identical across worker
+/// counts by the pipeline's core invariant.
 pub fn classify_shard(batch: &[ClassifiedUr]) -> obs::MetricShard {
     let mut shard = obs::MetricShard::new();
     for c in batch {
@@ -491,7 +490,7 @@ pub fn classify_shard(batch: &[ClassifiedUr]) -> obs::MetricShard {
 
 /// Wall-class instrumentation for the attribute index.
 ///
-/// Wall, not sim: under the streaming executor two workers can race to
+/// Wall, not sim: on the streamed path two scan workers can race to
 /// resolve the same address (both compute the same pure result; `absorb`
 /// keeps the first), so hit/resolve counts depend on thread timing even
 /// though classifications never do.
@@ -527,11 +526,11 @@ impl AttrCacheMetrics {
     }
 }
 
-/// The streaming entry point to suspicious-record determination.
+/// The batch-at-a-time entry point to suspicious-record determination.
 ///
 /// Where [`classify_all`] sees the whole UR set at once and resolves every
-/// distinct address up front, the stream classifier receives batches while
-/// collection is still driving the simulated clock on the main thread. Its
+/// distinct address up front, the stream classifier receives batches — on
+/// the streamed path while other shards are still being scanned. Its
 /// [`AttrIndex`] grows incrementally: each batch's distinct new addresses
 /// are resolved once and absorbed into the shared index under a
 /// [`std::sync::RwLock`], so addresses recurring across batches (shared
@@ -555,7 +554,7 @@ pub struct StreamClassifier<'a> {
 
 impl<'a> StreamClassifier<'a> {
     /// A classifier over the stage databases; `cfg.parallelism` is ignored
-    /// here (the streaming executor owns the worker pool).
+    /// here (the caller owns the threads).
     pub fn new(
         correct: &'a CorrectDb,
         protective: &'a ProtectiveDb,
@@ -618,33 +617,9 @@ impl<'a> StreamClassifier<'a> {
     }
 
     /// Absorb the batch's distinct new addresses into the shared index,
-    /// then classify the batch in order. Results are exactly what
-    /// [`classify_all`] would produce for these URs at the same positions.
-    pub fn classify_batch(&self, batch: &[CollectedUr]) -> Vec<ClassifiedUr> {
-        self.absorb_missing(batch);
-        let attrs = self.attrs.read().expect("attr index lock");
-        batch
-            .iter()
-            .map(|ur| {
-                classify_ur_with(
-                    ur,
-                    self.correct,
-                    self.protective,
-                    self.metadata,
-                    &attrs,
-                    self.history,
-                    self.cfg,
-                )
-            })
-            .collect()
-    }
-
-    /// Like [`StreamClassifier::classify_batch`] but consumes the batch:
-    /// each UR is moved into its [`ClassifiedUr`] instead of deep-cloned.
-    /// This is the streaming hot path when raw collected URs are not kept —
-    /// on the medium world it saves one clone of every record vector for
-    /// each of ~20k URs per run. Output is bit-identical to the borrowed
-    /// path.
+    /// then classify the batch in order, moving each UR into its
+    /// [`ClassifiedUr`]. Results are exactly what [`classify_all`] would
+    /// produce for these URs at the same positions.
     pub fn classify_batch_owned(&self, batch: Vec<CollectedUr>) -> Vec<ClassifiedUr> {
         self.absorb_missing(&batch);
         let attrs = self.attrs.read().expect("attr index lock");
@@ -919,11 +894,11 @@ mod tests {
         let sc = StreamClassifier::new(&f.correct, &f.protective, &f.metadata, &f.history, &f.cfg)
             .with_metrics(metrics.clone());
         let batch = vec![a_ur("site.com", "20.0.0.1", &["30.0.0.10", "30.0.0.11"])];
-        sc.classify_batch(&batch);
+        sc.classify_batch_owned(batch.clone());
         assert_eq!(metrics.resolved(), 2);
         assert_eq!(metrics.hits(), 0);
         // Same addresses again: all served from the index.
-        sc.classify_batch(&batch);
+        sc.classify_batch_owned(batch);
         assert_eq!(metrics.resolved(), 2);
         assert_eq!(metrics.hits(), 2);
     }

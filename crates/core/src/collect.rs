@@ -89,48 +89,25 @@ pub(crate) fn query_one_ur(
     })
 }
 
-/// Deterministic query-id generator shared by the bulk scan and the §4.2
-/// false-negative evaluation.
+/// Deterministic query ids for the bulk scan and the §4.2 false-negative
+/// evaluation.
 ///
 /// A single global counter (`qid.wrapping_add(1).max(1)`) reuses ids after
 /// 65,535 probes *in total*, so on large worlds unrelated probes collide.
-/// Ids here are drawn per `(target, rtype)` stream: each stream walks the
-/// nonzero 16-bit space from its own hash-derived offset, so an id repeats
-/// only after 65,535 probes of the *same* target and record type — one per
-/// nameserver plus MX follow-ups — instead of 65,535 probes globally.
-#[derive(Debug, Default)]
-pub struct QidGen {
-    streams: std::collections::HashMap<(u64, u16), u32>,
-}
+/// Ids here are drawn per probe stream: each stream walks the nonzero
+/// 16-bit space from its own hash-derived offset, so an id repeats only
+/// after 65,535 probes of the *same* stream. Every stream has exactly one
+/// user, which counts its own draws — there is no generator state.
+#[derive(Debug)]
+pub struct QidGen;
 
 impl QidGen {
-    /// A fresh generator (streams start at their hash-derived offsets).
-    pub fn new() -> Self {
-        QidGen::default()
-    }
-
-    /// The next id for the `(target, rtype)` probe stream: never zero,
-    /// never repeated within 65,535 consecutive probes of the stream.
-    pub fn next(&mut self, target_idx: usize, rtype: RecordType) -> u16 {
-        self.next_stream(target_idx as u64, rtype)
-    }
-
-    /// The next id for an arbitrary probe stream. The sharded bulk scan
-    /// keys streams by `(nameserver, target)` (see [`scan_stream`]) so a
-    /// probe's id depends only on its own stream's history — independent
-    /// of how probes to *other* nameservers interleave, and therefore of
-    /// the shard count.
-    pub fn next_stream(&mut self, stream: u64, rtype: RecordType) -> u16 {
-        let ctr = self.streams.entry((stream, rtype.code())).or_insert(0);
-        let id = QidGen::nth(stream, rtype, *ctr);
-        *ctr = ctr.wrapping_add(1);
-        id
-    }
-
-    /// The `n`-th id (from 0) of a probe stream: what `n` earlier
-    /// [`QidGen::next_stream`] calls on the stream lead up to. A caller
-    /// that is the only user of a stream counts for itself and keeps no
-    /// generator.
+    /// The `n`-th id (from 0) of a probe stream: never zero, never repeated
+    /// within 65,535 consecutive draws of the stream. The bulk scan keys
+    /// streams by `(nameserver, target)` (see [`scan_stream`]) so a probe's
+    /// id depends only on its own stream's history — independent of how
+    /// probes to *other* nameservers interleave, and therefore of the
+    /// shard count.
     pub fn nth(stream: u64, rtype: RecordType, n: u32) -> u16 {
         let base = stream
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -146,10 +123,9 @@ pub fn scan_stream(ni: usize, di: usize) -> u64 {
     ((ni as u64) << 32) | di as u64
 }
 
-/// The ids of one task of the sharded and streamed scans, first probe
-/// then MX follow-ups. A `(pair, rtype)` stream belongs to exactly one
-/// task, so the task counts its own draws: the ids [`QidGen`] would give,
-/// without an entry per probe in a map that outlives the task.
+/// The ids of one scan task, first probe then MX follow-ups. A
+/// `(pair, rtype)` stream belongs to exactly one task, so the task counts
+/// its own draws.
 fn task_qids(ni: usize, di: usize, rtype: RecordType) -> impl FnMut() -> u16 {
     let mut drawn = 0u32;
     move || {
@@ -174,104 +150,9 @@ fn distinct_query_types(cfg: &CollectConfig) -> &[RecordType] {
     types
 }
 
-/// Collect URs: query every selected nameserver for every target domain,
-/// excluding pairs where the domain is exactly delegated to that server.
-/// Only NOERROR responses with answers yield URs.
-///
-/// Thin wrapper over [`collect_urs_stream`] that accumulates the single
-/// unbounded batch; the streaming pipeline consumes batches directly.
-pub fn collect_urs(
-    net: &mut Network,
-    engine: &mut ProbeEngine,
-    world_registry: &authdns::DelegationRegistry,
-    nameservers: &[NsInfo],
-    targets: &[Name],
-    cfg: &CollectConfig,
-    scheduler: &mut QueryScheduler,
-) -> Vec<CollectedUr> {
-    let mut out: Vec<CollectedUr> = Vec::new();
-    collect_urs_stream(
-        net,
-        engine,
-        world_registry,
-        nameservers,
-        targets,
-        cfg,
-        scheduler,
-        usize::MAX,
-        &mut |batch| {
-            if out.is_empty() {
-                out = batch;
-            } else {
-                out.extend(batch);
-            }
-        },
-    );
-    out
-}
-
-/// Streaming collection: identical probe order, scheduling, and query ids
-/// to [`collect_urs`], but URs are emitted through `sink` in batches of
-/// `batch_size` (`0` or `usize::MAX` = one unbounded batch) as soon as
-/// they are assembled, so downstream stages can classify them while the
-/// scan is still driving the simulated network on this thread.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_urs_stream(
-    net: &mut Network,
-    engine: &mut ProbeEngine,
-    world_registry: &authdns::DelegationRegistry,
-    nameservers: &[NsInfo],
-    targets: &[Name],
-    cfg: &CollectConfig,
-    scheduler: &mut QueryScheduler,
-    batch_size: usize,
-    sink: &mut dyn FnMut(Vec<CollectedUr>),
-) {
-    let mut tasks = build_scan_tasks(world_registry, nameservers, targets, cfg);
-    scheduler.randomize(&mut tasks);
-    let batch_size = if batch_size == 0 {
-        usize::MAX
-    } else {
-        batch_size
-    };
-    let mut pending: Vec<CollectedUr> = Vec::new();
-    let mut qids = QidGen::new();
-    net.set_payload_recycler(Some(dnswire::bufpool::release));
-    let mut feed = TaskFeed::new(
-        engine.plan.adaptive,
-        engine.plan.backoff_seed,
-        tasks,
-        |&(ni, _, _)| nameservers[ni].ip,
-    );
-    while let Some((ni, di, rtype)) = feed.next(&engine.health) {
-        let ns = &nameservers[ni];
-        scheduler.admit(net, ns.ip);
-        // Legacy stream keying: one qid stream per (target, rtype), shared
-        // across nameservers. The sharded scan keys per pair instead.
-        if let Some(ur) = probe_task(
-            net,
-            engine,
-            || qids.next_stream(di as u64, rtype),
-            ns,
-            &targets[di],
-            rtype,
-            cfg,
-        ) {
-            pending.push(ur);
-            if pending.len() >= batch_size {
-                sink(std::mem::take(&mut pending));
-            }
-        }
-    }
-    if !pending.is_empty() {
-        sink(pending);
-    }
-}
-
 /// Per-target delegated-server sets, resolved once: which addresses each
 /// target is exactly delegated to (delegation of an enclosing registered
-/// suffix covers subdomain targets). Shared by the global task builder and
-/// the per-shard streamed builder.
+/// suffix covers subdomain targets).
 fn delegated_ip_sets(
     world_registry: &authdns::DelegationRegistry,
     targets: &[Name],
@@ -288,31 +169,24 @@ fn delegated_ip_sets(
         .collect()
 }
 
-/// Build the full unrandomized scan task list: the cross product of
-/// selected nameservers × targets × record types, minus pairs where the
-/// domain is exactly delegated to that server.
+/// The unrandomized scan tasks of the nameservers in `range`: their cross
+/// product with targets × record types, minus pairs where the domain is
+/// exactly delegated to that server — its records there are authoritative,
+/// not undelegated.
 fn build_scan_tasks(
-    world_registry: &authdns::DelegationRegistry,
+    delegated_ips: &[HashSet<Ipv4Addr>],
     nameservers: &[NsInfo],
-    targets: &[Name],
+    range: std::ops::Range<usize>,
     cfg: &CollectConfig,
-) -> Vec<(usize, usize, RecordType)> {
-    // Resolved once per target. The old per-pair lookup re-ran
-    // registered_suffix + delegation_of and cloned the delegation Vec for
-    // every (nameserver, target) combination — O(N·M) allocations; this is
-    // O(N + M).
-    let delegated_ips = delegated_ip_sets(world_registry, targets);
-
+) -> Vec<ScanTask> {
     // The cross product is an upper bound a few delegated pairs short of
     // exact: one allocation instead of a doubling series.
-    let mut tasks: Vec<(usize, usize, RecordType)> =
-        Vec::with_capacity(nameservers.len() * targets.len() * cfg.query_types.len());
-    for (ni, ns) in nameservers.iter().enumerate() {
+    let mut tasks: Vec<ScanTask> =
+        Vec::with_capacity(range.len() * delegated_ips.len() * cfg.query_types.len());
+    for ni in range {
+        let ns_ip = nameservers[ni].ip;
         for (di, delegated) in delegated_ips.iter().enumerate() {
-            // Exclude domains exactly delegated to this nameserver — their
-            // records there are authoritative, not undelegated. Delegation
-            // of an enclosing registered suffix covers subdomain targets.
-            if delegated.contains(&ns.ip) {
+            if delegated.contains(&ns_ip) {
                 continue;
             }
             for &rt in distinct_query_types(cfg) {
@@ -324,7 +198,7 @@ fn build_scan_tasks(
 }
 
 /// One scan task end to end: the UR probe plus MX follow-ups, drawing qids
-/// from `next_qid`. Shared by the single-fabric and sharded scans.
+/// from `next_qid`.
 fn probe_task(
     net: &mut Network,
     engine: &mut ProbeEngine,
@@ -497,8 +371,9 @@ impl<T> TaskFeed<T> {
 /// One bulk-scan probe: (nameserver index, target index, record type).
 pub type ScanTask = (usize, usize, RecordType);
 
-/// A shard's slice of the scan: tasks tagged with their global index in
-/// the randomized order, so shard outputs can be spliced back.
+/// A shard's slice of the materialized scan: tasks tagged with their
+/// global index in the randomized order, so shard outputs can be sorted
+/// back.
 pub type ShardTasks = Vec<(usize, ScanTask)>;
 
 /// Partition a randomized task list across `shards` contiguous nameserver
@@ -531,7 +406,7 @@ pub fn partition_scan_tasks(tasks: &[ScanTask], ns_count: usize, shards: usize) 
     parts
 }
 
-/// What a sharded bulk scan produced besides the URs streamed to the sink.
+/// What a bulk scan produced besides the URs streamed to the sink.
 #[derive(Debug, Clone)]
 pub struct ShardedScanOutcome {
     /// Summed probe accounting across every shard engine (quarantine lists
@@ -552,192 +427,75 @@ pub struct ShardedScanOutcome {
     pub bucket_wait: simnet::SimDuration,
 }
 
-/// Sharded bulk scan: the tentpole parallel collection path.
-///
-/// Identical task list and randomized order to [`collect_urs_stream`], but
-/// the tasks are partitioned across `shards` nameserver ranges
-/// ([`partition_scan_tasks`]) and each shard runs its own replica fabric
-/// (built from the [`worldgen::ScanBlueprint`]), [`ProbeEngine`] and
-/// per-task qid streams on a scoped worker thread. Shard outputs are spliced
-/// back by global task index, so the URs reach `sink` in exactly the unsharded
-/// order and batch boundaries — output is bit-identical for every shard
-/// count, with and without per-flow fault injection.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_urs_sharded(
-    blueprint: &worldgen::ScanBlueprint,
-    plan: crate::query::QueryPlan,
-    faults: simnet::FaultPlan,
-    obs: Option<std::sync::Arc<obs::Obs>>,
-    world_registry: &authdns::DelegationRegistry,
-    nameservers: &[NsInfo],
-    targets: &[Name],
-    cfg: &CollectConfig,
-    scheduler: &mut QueryScheduler,
-    shards: usize,
-    batch_size: usize,
-    sink: &mut dyn FnMut(Vec<CollectedUr>),
-) -> ShardedScanOutcome {
-    let mut tasks = build_scan_tasks(world_registry, nameservers, targets, cfg);
-    scheduler.randomize(&mut tasks);
-    let interval = scheduler.interval();
-    let global_interval = scheduler.global_interval();
-    let parts = partition_scan_tasks(&tasks, nameservers.len(), shards.max(1));
+/// A task as a shard's list carries it. The plan-backed order lists bare
+/// [`ScanTask`]s; the materialized order tags each with its index in the
+/// global shuffle, and the tag rides with the UR the task yields so the
+/// caller can sort shard outputs back into that order.
+trait ShardTask: Copy + Send {
+    /// What the scan emits for a task of this kind that yields a UR.
+    type Ur: Send;
+    fn task(self) -> ScanTask;
+    fn tag(self, ur: CollectedUr) -> Self::Ur;
+}
 
-    // One shard's scan, on its own replica fabric. `shard_idx` seeds the
-    // replica's general RNG stream; the per-flow fault seed is the world's.
-    let run_shard = |shard_idx: usize, part: ShardTasks| {
-        let mut net = blueprint.build_network(shard_idx as u64);
-        net.set_faults(faults);
-        net.set_payload_recycler(Some(dnswire::bufpool::release));
-        if let Some(hub) = &obs {
-            net.set_obs(Some(simnet::FabricMetrics::register(hub.registry())));
-        }
-        let mut engine = ProbeEngine::new(plan);
-        if let Some(hub) = &obs {
-            engine = engine.with_obs(hub.clone());
-        }
-        // Pacing state is per shard; the seed is irrelevant (randomize was
-        // already applied globally) but the interval policy carries over.
-        let mut sched = QueryScheduler::new(0, interval).with_global_interval(global_interval);
-        let mut urs: Vec<(usize, CollectedUr)> = Vec::new();
-        let mut feed = TaskFeed::new(
-            plan.adaptive,
-            plan.backoff_seed,
-            part,
-            |&(_, (ni, _, _))| nameservers[ni].ip,
-        );
-        while let Some((gidx, (ni, di, rtype))) = feed.next(&engine.health) {
-            let ns = &nameservers[ni];
-            sched.admit(&mut net, ns.ip);
-            if let Some(ur) = probe_task(
-                &mut net,
-                &mut engine,
-                task_qids(ni, di, rtype),
-                ns,
-                &targets[di],
-                rtype,
-                cfg,
-            ) {
-                urs.push((gidx, ur));
-            }
-        }
-        // Elapsed is read before settling: stragglers (replies landing
-        // after their probe's deadline) are flushed into the shard's stats
-        // but don't extend the scan clock, mirroring how the single-fabric
-        // path leaves them queued past the collect stage.
-        let elapsed = net.now() - simnet::SimTime::ZERO;
-        net.settle();
-        (
-            urs,
-            engine.take_coverage(),
-            elapsed,
-            net.stats(),
-            sched.wait_us(),
-        )
-    };
-
-    let shards = parts.len();
-    let results: Vec<_> = if shards == 1 {
-        parts.into_iter().map(|part| run_shard(0, part)).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let run_shard = &run_shard;
-            let handles: Vec<_> = parts
-                .into_iter()
-                .enumerate()
-                .map(|(w, part)| scope.spawn(move || run_shard(w, part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan shard panicked"))
-                .collect()
-        })
-    };
-
-    let mut merged: Vec<(usize, CollectedUr)> = Vec::new();
-    let mut outcome = ShardedScanOutcome {
-        coverage: crate::query::CoverageReport::default(),
-        elapsed: simnet::SimDuration::ZERO,
-        stats: simnet::NetStats::default(),
-        shards,
-        bucket_wait: simnet::SimDuration::ZERO,
-    };
-    for (urs, coverage, elapsed, stats, wait_us) in results {
-        if merged.is_empty() {
-            merged = urs;
-        } else {
-            merged.extend(urs);
-        }
-        // absorb() merges quarantine lists in address order, which keeps
-        // the union independent of shard boundaries.
-        outcome.coverage.absorb(&coverage);
-        outcome.elapsed = outcome.elapsed + elapsed;
-        outcome.bucket_wait = outcome.bucket_wait + simnet::SimDuration::from_micros(wait_us);
-        outcome.stats.delivered += stats.delivered;
-        outcome.stats.dropped += stats.dropped;
-        outcome.stats.corrupted += stats.corrupted;
-        outcome.stats.no_route += stats.no_route;
-        outcome.stats.bytes_delivered += stats.bytes_delivered;
-        outcome.stats.events += stats.events;
+impl ShardTask for ScanTask {
+    type Ur = CollectedUr;
+    fn task(self) -> ScanTask {
+        self
     }
+    fn tag(self, ur: CollectedUr) -> CollectedUr {
+        ur
+    }
+}
 
-    let batch_size = if batch_size == 0 {
+impl ShardTask for (usize, ScanTask) {
+    type Ur = (usize, CollectedUr);
+    fn task(self) -> ScanTask {
+        self.1
+    }
+    fn tag(self, ur: CollectedUr) -> (usize, CollectedUr) {
+        (self.0, ur)
+    }
+}
+
+/// A caller's batch size as a length limit: `0` means one unbounded batch.
+fn batch_limit(batch_size: usize) -> usize {
+    if batch_size == 0 {
         usize::MAX
     } else {
         batch_size
-    };
-    // Splice shard outputs back into the global randomized order: every
-    // UR carries the index of the task that produced it.
-    merged.sort_unstable_by_key(|&(gidx, _)| gidx);
-    let mut urs = merged.into_iter().map(|(_, ur)| ur);
-    loop {
-        let batch: Vec<CollectedUr> = urs.by_ref().take(batch_size).collect();
-        if batch.is_empty() {
-            break;
-        }
-        sink(batch);
     }
-    outcome
 }
 
-/// What one streamed shard reports back to the fold besides its batches.
-type StreamShardSummary = (
+/// What one shard reports back to the fold besides its batches.
+type ShardSummary = (
     crate::query::CoverageReport,
     simnet::SimDuration,
     simnet::NetStats,
     u64,
 );
 
-/// Parallel streamed bulk scan for plan-backed worlds (the `paper` and
-/// `xl` presets): the memory-bounded counterpart of
-/// [`collect_urs_sharded`], now scaling with cores.
+/// The bulk scan — the only one in the tree.
 ///
-/// The selected nameservers are split into `world_shards` contiguous
-/// ranges. `stream_workers` worker threads (clamped to the shard count)
-/// each claim the next shard index, build a scoped replica fabric holding
-/// only that shard's nameserver nodes
-/// ([`worldgen::ScanBlueprint::build_network_scoped`] — on a lazy blueprint
-/// that materializes just the providers owning those addresses), scan the
-/// slice with their own [`ProbeEngine`] and task feed, apply
-/// `transform` to each full batch **on the worker thread** (this is where
-/// classification parallelizes), and drop the fabric before claiming the
-/// next shard. Transformed batches, tagged `(shard, batch_seq)`, flow
-/// through [`par::sharded_ordered_fold`] to `sink` on the calling thread
-/// in canonical **shard-major** order, and each shard's summary
+/// The selected nameservers are split into `shards` contiguous ranges.
+/// `workers` threads (clamped to the shard count; one worker scans on the
+/// calling thread) each claim the next shard index, take its task list
+/// from `shard_tasks` — already in probe order — build a replica fabric
+/// for it ([`worldgen::ScanBlueprint::build_network_scoped`]: every node
+/// on an eager blueprint, on a lazy one just the providers owning the
+/// shard's addresses), scan it with their own [`ProbeEngine`] and task
+/// feed, apply `transform` to each full batch **on the worker thread**,
+/// and drop the fabric before claiming the next shard. Transformed batches
+/// flow through [`par::sharded_ordered_fold`] to `sink` on the calling
+/// thread in canonical **shard-major** order, and each shard's summary
 /// (coverage, elapsed, fabric stats, bucket waits) is absorbed in shard
-/// order — so for every `stream_workers` value the output is bit-identical
-/// to a `for shard in 0..world_shards` loop, and peak memory is bounded by
-/// `stream_workers` resident shard fabrics plus the in-flight batches (an
-/// admission window inside the fold executor keeps fast workers from
-/// racing ahead of the fold).
+/// order — so for every `workers` value the output is bit-identical to a
+/// `for shard in 0..shards` loop, and peak memory is bounded by `workers`
+/// resident shard fabrics plus the in-flight batches.
 ///
-/// Each shard's tasks are randomized with a seed derived from
-/// `scheduler_seed` and the shard index; batches never span a shard
-/// boundary (the final partial batch of a shard flushes when the shard
-/// ends — UR *order* across batches is unchanged). Output is deterministic
-/// in `(world, scheduler_seed, world_shards)`; unlike the sharded scan it
-/// intentionally *depends* on `world_shards`, which is part of a streamed
-/// run's configuration — and never on `stream_workers`.
+/// Batches never span a shard boundary (the final partial batch of a
+/// shard flushes when the shard ends); `batch_size` `0` or `usize::MAX`
+/// hands a shard's URs over once, at shard end.
 ///
 /// A non-zero `global_pacing` (`--rate-limit`) is enforced by a
 /// [`SharedTokenBucket`](crate::schedule::SharedTokenBucket) metering the
@@ -746,66 +504,42 @@ type StreamShardSummary = (
 /// throttle-bound by construction) while remaining bit-identical for any
 /// worker count.
 #[allow(clippy::too_many_arguments)]
-pub fn collect_urs_streamed<T: Send>(
+fn scan<K: ShardTask, T: Send>(
     blueprint: &worldgen::ScanBlueprint,
     plan: crate::query::QueryPlan,
     faults: simnet::FaultPlan,
     obs: Option<std::sync::Arc<obs::Obs>>,
-    world_registry: &authdns::DelegationRegistry,
     nameservers: &[NsInfo],
     targets: &[Name],
     cfg: &CollectConfig,
-    scheduler_seed: u64,
     pacing: simnet::SimDuration,
     global_pacing: simnet::SimDuration,
-    world_shards: usize,
-    stream_workers: usize,
+    shards: usize,
+    workers: usize,
     batch_size: usize,
-    transform: &(dyn Fn(Vec<CollectedUr>) -> T + Sync),
+    shard_tasks: &(dyn Fn(usize) -> Vec<K> + Sync),
+    transform: &(dyn Fn(Vec<K::Ur>) -> T + Sync),
     sink: &mut dyn FnMut(T),
 ) -> ShardedScanOutcome {
-    let delegated_ips = delegated_ip_sets(world_registry, targets);
-    let ranges = par::chunk_ranges(nameservers.len(), world_shards.max(1));
-    let batch_size = if batch_size == 0 {
-        usize::MAX
-    } else {
-        batch_size
-    };
-    let workers = stream_workers.max(1).min(ranges.len());
-    let shared_global = if global_pacing == simnet::SimDuration::ZERO {
-        None
-    } else {
-        Some(crate::schedule::SharedTokenBucket::new(global_pacing))
-    };
+    let ranges = par::chunk_ranges(nameservers.len(), shards.max(1));
+    let batch_size = batch_limit(batch_size);
+    let global = (global_pacing != simnet::SimDuration::ZERO)
+        .then(|| crate::schedule::SharedTokenBucket::new(global_pacing));
 
-    let scan_shard = |shard_idx: usize, emit: &mut dyn FnMut(T)| -> StreamShardSummary {
-        let range = ranges[shard_idx].clone();
-        // This shard's slice of the cross product, randomized with its own
-        // derived seed. Building per shard keeps the task list O(slice)
-        // instead of O(inventory) — on a paper-scale world the global list
-        // alone would be hundreds of megabytes.
-        let mut tasks: Vec<ScanTask> = Vec::new();
-        for ni in range.clone() {
-            let ns_ip = nameservers[ni].ip;
-            for (di, delegated) in delegated_ips.iter().enumerate() {
-                if delegated.contains(&ns_ip) {
-                    continue;
-                }
-                for &rt in distinct_query_types(cfg) {
-                    tasks.push((ni, di, rt));
-                }
-            }
+    let scan_shard = |shard_idx: usize, emit: &mut dyn FnMut(T)| -> ShardSummary {
+        let tasks = shard_tasks(shard_idx);
+        // Pacing state is per shard; the order is the task list's.
+        let mut sched = QueryScheduler::new(0, pacing);
+        if let Some(g) = &global {
+            sched = sched.with_shared_global(g.clone(), shard_idx);
         }
-        let shard_seed =
-            scheduler_seed ^ (shard_idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut sched = QueryScheduler::new(shard_seed, pacing);
-        sched = match &shared_global {
-            Some(g) => sched.with_shared_global(g.clone(), shard_idx),
-            None => sched.with_global_interval(global_pacing),
-        };
-        sched.randomize(&mut tasks);
-        let scope: Vec<Ipv4Addr> = range.clone().map(|ni| nameservers[ni].ip).collect();
+        let scope: Vec<Ipv4Addr> = ranges[shard_idx]
+            .clone()
+            .map(|ni| nameservers[ni].ip)
+            .collect();
         let pool_before = dnswire::bufpool::stats();
+        // `shard_idx` seeds the replica's general RNG stream; the per-flow
+        // fault seed is the world's.
         let mut net = blueprint.build_network_scoped(shard_idx as u64, &scope);
         net.set_faults(faults);
         net.set_payload_recycler(Some(dnswire::bufpool::release));
@@ -816,11 +550,12 @@ pub fn collect_urs_streamed<T: Send>(
         if let Some(hub) = &obs {
             engine = engine.with_obs(hub.clone());
         }
-        let mut pending: Vec<CollectedUr> = Vec::new();
-        let mut feed = TaskFeed::new(plan.adaptive, plan.backoff_seed, tasks, |&(ni, _, _)| {
-            nameservers[ni].ip
+        let mut pending: Vec<K::Ur> = Vec::new();
+        let mut feed = TaskFeed::new(plan.adaptive, plan.backoff_seed, tasks, |k| {
+            nameservers[k.task().0].ip
         });
-        while let Some((ni, di, rtype)) = feed.next(&engine.health) {
+        while let Some(k) = feed.next(&engine.health) {
+            let (ni, di, rtype) = k.task();
             let ns = &nameservers[ni];
             sched.admit(&mut net, ns.ip);
             if let Some(ur) = probe_task(
@@ -832,7 +567,7 @@ pub fn collect_urs_streamed<T: Send>(
                 rtype,
                 cfg,
             ) {
-                pending.push(ur);
+                pending.push(k.tag(ur));
                 if pending.len() >= batch_size {
                     emit(transform(std::mem::take(&mut pending)));
                 }
@@ -841,9 +576,12 @@ pub fn collect_urs_streamed<T: Send>(
         if !pending.is_empty() {
             emit(transform(pending));
         }
+        // Elapsed is read before settling: stragglers (replies landing
+        // after their probe's deadline) are flushed into the shard's stats
+        // but don't extend the scan clock.
         let elapsed = net.now() - simnet::SimTime::ZERO;
         net.settle();
-        if let Some(g) = &shared_global {
+        if let Some(g) = &global {
             // Hand the global bucket to the next shard on the concatenated
             // timeline — exactly once per shard, even an empty one.
             g.finish_shard(shard_idx, elapsed);
@@ -888,23 +626,189 @@ pub fn collect_urs_streamed<T: Send>(
         scan_shard,
         (),
         |_: &mut (), _shard, batch: T| sink(batch),
-        |_: &mut (), _shard, summary: StreamShardSummary| {
-            let (coverage, elapsed, stats, wait_us) = summary;
+        |_: &mut (), _shard, (coverage, elapsed, stats, wait_us): ShardSummary| {
             // absorb() merges quarantine lists in address order; summaries
             // arrive in shard order, so every sum below is the sequential
             // loop's sum.
             outcome.coverage.absorb(&coverage);
             outcome.elapsed = outcome.elapsed + elapsed;
             outcome.bucket_wait = outcome.bucket_wait + simnet::SimDuration::from_micros(wait_us);
-            outcome.stats.delivered += stats.delivered;
-            outcome.stats.dropped += stats.dropped;
-            outcome.stats.corrupted += stats.corrupted;
-            outcome.stats.no_route += stats.no_route;
-            outcome.stats.bytes_delivered += stats.bytes_delivered;
-            outcome.stats.events += stats.events;
+            outcome.stats += stats;
         },
     );
     outcome
+}
+
+/// Bulk scan in the **materialized** task order, for eager worlds: the
+/// whole cross product is shuffled once with the scheduler's seed and
+/// partitioned across `shards` nameserver ranges
+/// ([`partition_scan_tasks`]). Every UR carries the global index of the
+/// task that produced it, so sorting the shard outputs by it restores the
+/// unsharded emission order — URs reach `sink` in batches of `batch_size`
+/// (`0` or `usize::MAX` = one batch) in exactly the order and at the batch
+/// boundaries of a one-shard scan, for every shard count, with and without
+/// per-flow fault injection. Shards are claimed by the automatic worker
+/// count.
+#[allow(clippy::too_many_arguments)]
+pub fn collect_urs_sharded(
+    blueprint: &worldgen::ScanBlueprint,
+    plan: crate::query::QueryPlan,
+    faults: simnet::FaultPlan,
+    obs: Option<std::sync::Arc<obs::Obs>>,
+    world_registry: &authdns::DelegationRegistry,
+    nameservers: &[NsInfo],
+    targets: &[Name],
+    cfg: &CollectConfig,
+    scheduler: &mut QueryScheduler,
+    shards: usize,
+    batch_size: usize,
+    sink: &mut dyn FnMut(Vec<CollectedUr>),
+) -> ShardedScanOutcome {
+    collect_urs_sharded_on(
+        blueprint,
+        plan,
+        faults,
+        obs,
+        world_registry,
+        nameservers,
+        targets,
+        cfg,
+        scheduler,
+        shards,
+        par::Parallelism::auto().get(),
+        batch_size,
+        sink,
+    )
+}
+
+/// [`collect_urs_sharded`] on a given number of shard workers.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn collect_urs_sharded_on(
+    blueprint: &worldgen::ScanBlueprint,
+    plan: crate::query::QueryPlan,
+    faults: simnet::FaultPlan,
+    obs: Option<std::sync::Arc<obs::Obs>>,
+    world_registry: &authdns::DelegationRegistry,
+    nameservers: &[NsInfo],
+    targets: &[Name],
+    cfg: &CollectConfig,
+    scheduler: &mut QueryScheduler,
+    shards: usize,
+    workers: usize,
+    batch_size: usize,
+    sink: &mut dyn FnMut(Vec<CollectedUr>),
+) -> ShardedScanOutcome {
+    let delegated_ips = delegated_ip_sets(world_registry, targets);
+    let mut tasks = build_scan_tasks(&delegated_ips, nameservers, 0..nameservers.len(), cfg);
+    scheduler.randomize(&mut tasks);
+    // Each part is taken by the one shard that scans it.
+    let parts: Vec<_> = partition_scan_tasks(&tasks, nameservers.len(), shards.max(1))
+        .into_iter()
+        .map(|part| std::sync::Mutex::new(Some(part)))
+        .collect();
+    let mut merged: Vec<(usize, CollectedUr)> = Vec::new();
+    // One batch per shard: a worker hands its URs over once, at shard end,
+    // and never blocks on a full queue.
+    let outcome = scan(
+        blueprint,
+        plan,
+        faults,
+        obs,
+        nameservers,
+        targets,
+        cfg,
+        scheduler.interval(),
+        scheduler.global_interval(),
+        parts.len(),
+        workers,
+        usize::MAX,
+        &|shard| {
+            parts[shard]
+                .lock()
+                .expect("no scan runs under this lock")
+                .take()
+                .expect("each shard is scanned once")
+        },
+        &|urs| urs,
+        &mut |urs| {
+            if merged.is_empty() {
+                merged = urs;
+            } else {
+                merged.extend(urs);
+            }
+        },
+    );
+    merged.sort_unstable_by_key(|&(gidx, _)| gidx);
+    let batch_size = batch_limit(batch_size);
+    let mut urs = merged.into_iter().map(|(_, ur)| ur);
+    loop {
+        let batch: Vec<CollectedUr> = urs.by_ref().take(batch_size).collect();
+        if batch.is_empty() {
+            break;
+        }
+        sink(batch);
+    }
+    outcome
+}
+
+/// Bulk scan in the **per-shard** task order, for plan-backed worlds (the
+/// `paper` and `xl` presets): each shard builds its own slice of the cross
+/// product and shuffles it with a seed derived from `scheduler_seed` and
+/// the shard index, so the task list is O(slice) instead of O(inventory) —
+/// on a paper-scale world the global list alone would be hundreds of
+/// megabytes. `transform` runs on the worker that scanned the batch (this
+/// is where classification parallelizes); `sink` sees the transformed
+/// batches in shard-major order.
+///
+/// Output is deterministic in `(world, scheduler_seed, world_shards)`;
+/// unlike the materialized order it intentionally *depends* on
+/// `world_shards`, which is part of a streamed run's configuration — and
+/// never on `workers`.
+#[allow(clippy::too_many_arguments)]
+pub fn collect_urs_streamed<T: Send>(
+    blueprint: &worldgen::ScanBlueprint,
+    plan: crate::query::QueryPlan,
+    faults: simnet::FaultPlan,
+    obs: Option<std::sync::Arc<obs::Obs>>,
+    world_registry: &authdns::DelegationRegistry,
+    nameservers: &[NsInfo],
+    targets: &[Name],
+    cfg: &CollectConfig,
+    scheduler_seed: u64,
+    pacing: simnet::SimDuration,
+    global_pacing: simnet::SimDuration,
+    world_shards: usize,
+    workers: usize,
+    batch_size: usize,
+    transform: &(dyn Fn(Vec<CollectedUr>) -> T + Sync),
+    sink: &mut dyn FnMut(T),
+) -> ShardedScanOutcome {
+    let delegated_ips = delegated_ip_sets(world_registry, targets);
+    let ranges = par::chunk_ranges(nameservers.len(), world_shards.max(1));
+    scan(
+        blueprint,
+        plan,
+        faults,
+        obs,
+        nameservers,
+        targets,
+        cfg,
+        pacing,
+        global_pacing,
+        ranges.len(),
+        workers,
+        batch_size,
+        &|shard| {
+            let mut tasks =
+                build_scan_tasks(&delegated_ips, nameservers, ranges[shard].clone(), cfg);
+            let shard_seed =
+                scheduler_seed ^ (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            QueryScheduler::new(shard_seed, pacing).randomize(&mut tasks);
+            tasks
+        },
+        transform,
+        sink,
+    )
 }
 
 /// Collect correct records: ask a sample of stable open resolvers for each
@@ -1058,10 +962,6 @@ mod tests {
     use simnet::SimDuration;
     use worldgen::WorldConfig;
 
-    fn quick_scheduler() -> QueryScheduler {
-        QueryScheduler::new(7, SimDuration::ZERO)
-    }
-
     #[test]
     fn selection_filters_small_providers() {
         let world = World::generate(WorldConfig::small());
@@ -1074,18 +974,24 @@ mod tests {
 
     #[test]
     fn collect_urs_finds_planted_campaigns() {
-        let mut world = World::generate(WorldConfig::small());
+        let world = World::generate(WorldConfig::small());
         let cfg = CollectConfig::default();
         let nameservers = select_nameservers(&world, cfg.min_tail_sites);
         let targets = world.scan_targets();
-        let urs = collect_urs(
-            &mut world.net,
-            &mut ProbeEngine::single_shot(),
+        let mut urs = Vec::new();
+        collect_urs_sharded(
+            &world.scan_blueprint(),
+            crate::query::QueryPlan::single_shot(),
+            world.net.faults(),
+            None,
             &world.registry,
             &nameservers,
             &targets,
             &cfg,
-            &mut quick_scheduler(),
+            &mut QueryScheduler::new(7, SimDuration::ZERO),
+            1,
+            usize::MAX,
+            &mut |batch| urs.extend(batch),
         );
         assert!(!urs.is_empty());
         // at least one planted campaign's UR must be collected

@@ -56,15 +56,15 @@ pub use classify::{
     ClassifyConfig, StreamClassifier,
 };
 pub use collect::{
-    collect_correct, collect_protective, collect_urs, collect_urs_sharded, collect_urs_stream,
-    collect_urs_streamed, correct_db_from_stream, partition_scan_tasks, protective_db_from_stream,
-    scan_stream, select_nameservers, CollectConfig, QidGen, RttSelector, ScanTask, ShardTasks,
+    collect_correct, collect_protective, collect_urs_sharded, collect_urs_streamed,
+    correct_db_from_stream, partition_scan_tasks, protective_db_from_stream, scan_stream,
+    select_nameservers, CollectConfig, QidGen, RttSelector, ScanTask, ShardTasks,
     ShardedScanOutcome, NS_SELECTION_THRESHOLD,
 };
 pub use defense::{BypassAlert, EgressMonitor};
 pub use pipeline::{
-    classified_sequence_hash, evaluate_false_negatives, run, run_streamed, HunterConfig,
-    OverlapStats, RunOutput, SequenceHasher, StreamRunOutput,
+    classified_sequence_hash, evaluate_false_negatives, run, run_streamed, HunterConfig, RunOutput,
+    SequenceHasher, StreamRunOutput,
 };
 pub use query::{
     CoverageReport, NsHealth, ProbeEngine, ProbeReply, QueryPlan, RttEstimate, DEFAULT_RTT_K,

@@ -6,7 +6,7 @@ use crate::classify::{
     classify_all, classify_shard, AttrCacheMetrics, ClassifyConfig, StreamClassifier,
 };
 use crate::collect::{
-    collect_correct, collect_protective, collect_urs_sharded, query_one_ur, select_nameservers,
+    collect_correct, collect_protective, collect_urs_sharded_on, query_one_ur, select_nameservers,
     CollectConfig, QidGen,
 };
 use crate::query::{CoverageReport, ProbeEngine, QueryPlan};
@@ -19,9 +19,10 @@ use simnet::{FaultPlan, SimDuration};
 use std::sync::Arc;
 use worldgen::{NsInfo, World};
 
-/// Batch-view size when draining the columnar [`UrStore`] into the
-/// classifier on the strict-batch path. Output is identical for any value;
-/// this only bounds how many URs are materialized at once.
+/// How many URs are classified at a time: the batch-view size when [`run`]
+/// drains the columnar [`UrStore`] into the classifier, and the batch a
+/// [`run_streamed`] worker fills before classifying it. Output is identical
+/// for any value; this only bounds how many URs are materialized at once.
 const STORE_CLASSIFY_BATCH: usize = 4096;
 
 /// Complete pipeline configuration.
@@ -40,36 +41,24 @@ pub struct HunterConfig {
     /// Recover legitimate subdomains from passive DNS and add them to the
     /// target list (§6 future work).
     pub expand_targets_from_pdns: bool,
-    /// Worker threads for the CPU-bound stages (classification and the
-    /// analysis vendor join): `0` is automatic (available parallelism,
-    /// `URHUNTER_PARALLELISM` override), `1` is sequential, `n` fixed.
-    /// Results are bit-identical for every value.
-    pub parallelism: usize,
-    /// Independent fabric shards for the bulk scan — the other parallelism
-    /// axis. The selected nameservers are split into `shards` contiguous
-    /// ranges; each shard scans its range on a replica fabric on its own
-    /// thread. Output is bit-identical for every value (pinned by
-    /// `tests/sharding.rs`). Clamped to 1 under ethics pacing, where the
-    /// paper's single scanner interleaves probes across servers and the
-    /// elapsed-time bookkeeping is only meaningful on one clock.
+    /// Independent fabric shards for the bulk scan of [`run`]. The
+    /// selected nameservers are split into `shards` contiguous ranges, each
+    /// scanned on its own replica fabric. Output is bit-identical for every
+    /// value (pinned by `tests/sharding.rs`). Clamped to 1 under ethics
+    /// pacing or a rate cap, where the elapsed-time bookkeeping is only
+    /// meaningful on one clock. ([`run_streamed`] takes its world-shard
+    /// count as an argument: there it is part of the run's identity.)
     pub shards: usize,
-    /// Streaming batch size: `0` runs the legacy strict-batch pipeline
-    /// (collect everything, then classify); `n > 0` streams URs from the
-    /// collector to the classification workers in batches of `n`, so
-    /// collection latency and classification compute overlap. The output
-    /// is bit-identical either way, for every batch size and worker count
-    /// (pinned by `tests/streaming.rs`).
-    pub stream_batch_size: usize,
-    /// Worker threads for the *streamed* paper/xl scan path
-    /// ([`run_streamed`]): each worker claims the next world shard, scans
-    /// it on a scoped replica fabric and classifies its batches; a fold on
-    /// the calling thread absorbs everything in canonical shard-major
-    /// order. `0` is automatic — `min(world_shards, available cores)`,
-    /// with the `URHUNTER_PARALLELISM` override. Output is bit-identical
-    /// for every value (pinned by `tests/streamed_parallel.rs`); only
-    /// wall-clock time and peak RSS (bounded by `workers` resident shard
-    /// fabrics) change.
-    pub stream_workers: usize,
+    /// Worker threads, for every parallel stage alike: scan workers claim
+    /// shards (at most one each, so `min(shards, workers)` run; one worker
+    /// scans on the calling thread), and classification and the analysis
+    /// vendor join fan out over the same count. `0` is automatic
+    /// (available parallelism, `URHUNTER_PARALLELISM` override), `1` is
+    /// sequential, `n` fixed. Output is bit-identical for every value
+    /// (pinned by `tests/parallelism.rs`, `tests/sharding.rs` and
+    /// `tests/streamed_parallel.rs`); only wall-clock time and peak RSS
+    /// (bounded by `workers` resident shard fabrics) change.
+    pub workers: usize,
     /// Keep the raw [`CollectedUr`] set in [`RunOutput::collected`].
     /// Defaults to `true` (tests and examples inspect it); bench binaries
     /// turn it off so large-world runs don't hold every UR twice — each
@@ -88,17 +77,17 @@ pub struct HunterConfig {
     /// Global scan rate cap: minimum spacing between *any* two bulk-scan
     /// probes, regardless of server (`ZERO` = uncapped). Enforced by a
     /// token bucket on the virtual clock. In the materialized pipeline it
-    /// forces the scan onto one shard, like ethics pacing, because a
-    /// global rate only means something on one clock; the streamed path
-    /// instead threads one [`crate::SharedTokenBucket`] through every
-    /// shard scheduler, metering the concatenated shard timeline, so it
-    /// composes with any `world_shards` / [`HunterConfig::stream_workers`]
+    /// forces the scan onto one shard, like ethics pacing, because the
+    /// materialized order is shard-count invariant only on one clock; the
+    /// streamed path threads one [`crate::SharedTokenBucket`] through
+    /// every shard scheduler, metering the concatenated shard timeline, so
+    /// it composes with any `world_shards` / [`HunterConfig::workers`]
     /// setting.
     pub rate_limit_interval: SimDuration,
     /// Observability hub (see `crates/obs`): when set, every layer mirrors
     /// its accounting into the hub's registry and event sink — fabric
-    /// datagram counters, the probe-funnel, classification verdicts, stage
-    /// spans, and executor overlap. `None` (the default) makes every
+    /// datagram counters, the probe-funnel, classification verdicts and
+    /// stage spans. `None` (the default) makes every
     /// instrumentation site a single branch: no atomics touched, no clocks
     /// read.
     pub obs: Option<Arc<obs::Obs>>,
@@ -115,10 +104,8 @@ impl HunterConfig {
             per_server_interval: SimDuration::ZERO,
             scheduler_seed: 0x5545,
             expand_targets_from_pdns: false,
-            parallelism: 0,
             shards: 1,
-            stream_batch_size: 0,
-            stream_workers: 0,
+            workers: 0,
             keep_raw_collected: true,
             retry: QueryPlan::default(),
             scan_faults: None,
@@ -156,12 +143,6 @@ impl HunterConfig {
         self
     }
 
-    /// Set the worker-thread knob (see [`HunterConfig::parallelism`]).
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers;
-        self
-    }
-
     /// Set the collection shard count (see [`HunterConfig::shards`];
     /// `0` and `1` both mean unsharded).
     pub fn with_shards(mut self, shards: usize) -> Self {
@@ -169,19 +150,16 @@ impl HunterConfig {
         self
     }
 
-    /// Enable the streaming stage-overlapped pipeline with this batch size
-    /// (see [`HunterConfig::stream_batch_size`]; `0` reverts to the legacy
-    /// strict-batch path).
-    pub fn with_stream_batch_size(mut self, batch: usize) -> Self {
-        self.stream_batch_size = batch;
+    /// Set the worker-thread count (see [`HunterConfig::workers`]; `0` =
+    /// automatic).
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
         self
     }
 
-    /// Set the streamed-scan worker count (see
-    /// [`HunterConfig::stream_workers`]; `0` = `min(shards, cores)`).
-    pub fn with_stream_workers(mut self, workers: usize) -> Self {
-        self.stream_workers = workers;
-        self
+    /// [`HunterConfig::with_workers`] under its older name.
+    pub fn with_stream_workers(self, workers: usize) -> Self {
+        self.with_workers(workers)
     }
 
     /// Set raw-UR retention (see [`HunterConfig::keep_raw_collected`]).
@@ -250,14 +228,14 @@ impl HunterConfig {
     fn classify_cfg(&self, today: pdns::Day) -> ClassifyConfig {
         let mut cfg = self.classify.clone();
         cfg.today = today;
-        cfg.parallelism = self.parallelism;
+        cfg.parallelism = self.workers;
         cfg
     }
 
     /// The analyze config with the pipeline-level overrides applied.
     fn analyze_cfg(&self) -> AnalyzeConfig {
         let mut cfg = self.analyze.clone();
-        cfg.parallelism = self.parallelism;
+        cfg.parallelism = self.workers;
         cfg
     }
 }
@@ -283,9 +261,6 @@ pub struct RunOutput {
     /// Coverage accounting across every collection-stage probe (also
     /// embedded in [`Report::coverage`]).
     pub coverage: CoverageReport,
-    /// Wall-clock overlap instrumentation from the streaming executor
-    /// (all zero on the strict-batch path).
-    pub overlap: OverlapStats,
     /// Simulated time the bulk scan took (summed across shard fabrics) —
     /// the honest basis for comparing fixed vs adaptive timeouts, since
     /// host wall time barely notices a 5 s virtual wait.
@@ -293,21 +268,6 @@ pub struct RunOutput {
     /// Simulated time the scan's schedulers spent blocked on pacing
     /// buckets (per-server interval plus global rate cap).
     pub bucket_wait: SimDuration,
-}
-
-/// How much classification work the streaming executor ran while the
-/// collection stage was still producing. Pure wall-clock measurement —
-/// it never influences results, only reports how well the two stages
-/// overlapped on this machine.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OverlapStats {
-    /// Total wall time workers spent classifying batches.
-    pub classify_busy_ms: f64,
-    /// The portion of `classify_busy_ms` from batches whose
-    /// classification finished before collection finished — work genuinely
-    /// interleaved with (on multi-core machines, hidden behind) the
-    /// collection stage instead of strictly following it.
-    pub classify_hidden_ms: f64,
 }
 
 /// Run the full URHunter pipeline against a world.
@@ -375,7 +335,6 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     let mut scheduler = QueryScheduler::new(cfg.scheduler_seed, cfg.per_server_interval)
         .with_global_interval(cfg.rate_limit_interval);
     let classify_cfg = cfg.classify_cfg(world.config.today);
-    let mut overlap = OverlapStats::default();
     // Under ethics pacing the paper's single scanner interleaves probes
     // across servers on one clock; sharding would make total elapsed time
     // depend on the shard layout, so pacing runs unsharded. A global rate
@@ -392,168 +351,67 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     // knob): same fault seed and latency, per-shard RNG streams.
     let blueprint = world.scan_blueprint();
     let scan_faults = world.net.faults();
-    let (mut collected, mut classified, scan) = if cfg.stream_batch_size == 0 {
-        // Strict-batch path: accumulate every UR in the columnar store,
-        // then classify. The store keeps the scan output in
-        // struct-of-arrays form (4-byte interned domains and providers,
-        // one shared record arena) instead of a `Vec<CollectedUr>`; the
-        // classifier is fed materialized batch views in splice order, so
-        // the output is the same sequence `classify_all` would produce.
-        let sp = obs.map(|h| h.span("collect", world.net.now().as_micros()));
-        let mut store = UrStore::new();
-        let scan = collect_urs_sharded(
-            &blueprint,
-            cfg.retry,
-            scan_faults,
-            cfg.obs.clone(),
-            &world.registry,
-            &nameservers,
-            &targets,
-            &cfg.collect,
-            &mut scheduler,
-            shards,
-            usize::MAX,
-            &mut |batch| store.extend(batch),
-        );
-        // The world clock advances by the shards' summed scan time and the
-        // fabric inherits their traffic accounting, exactly as if the scan
-        // had run here.
-        world.net.run_until(world.net.now() + scan.elapsed);
-        world.net.absorb_stats(scan.stats);
-        if let Some((s, h)) = sp.zip(obs) {
-            s.finish(h, world.net.now().as_micros());
-        }
-        let sp = obs.map(|h| h.span("classify", world.net.now().as_micros()));
-        let mut streamer = StreamClassifier::new(
-            &correct_db,
-            &protective_db,
-            &world.db,
-            &world.pdns,
-            &classify_cfg,
-        );
-        if let Some(hub) = obs {
-            streamer = streamer.with_metrics(AttrCacheMetrics::register(hub.registry()));
-        }
-        // Raw retention snapshots the store before the batches consume it;
-        // the classified set embeds every record either way.
-        let collected = if cfg.keep_raw_collected {
-            store.to_vec()
-        } else {
-            Vec::new()
-        };
-        let mut classified = Vec::with_capacity(store.len());
-        for batch in store.into_batches(STORE_CLASSIFY_BATCH) {
-            classified.extend(streamer.classify_batch_owned(batch));
-        }
-        if let Some(hub) = obs {
-            // The whole output is one shard here; the streaming path below
-            // shards per batch and merges in splice order — same sums, by
-            // the bit-identical-output invariant.
-            hub.registry()
-                .merge_shard(obs::Class::Sim, &classify_shard(&classified));
-        }
-        if let Some((s, h)) = sp.zip(obs) {
-            // Classification never touches the simulated network, so the
-            // sim delta is exactly zero on both executor paths.
-            s.finish(h, world.net.now().as_micros());
-        }
-        (collected, classified, scan)
+    // The scan output accumulates in the columnar store (4-byte interned
+    // domains and providers, one shared record arena) instead of a
+    // `Vec<CollectedUr>`, then the classifier is fed materialized batch
+    // views in splice order, so the output is the same sequence
+    // `classify_all` would produce.
+    let sp = obs.map(|h| h.span("collect", world.net.now().as_micros()));
+    let mut store = UrStore::new();
+    let scan = collect_urs_sharded_on(
+        &blueprint,
+        cfg.retry,
+        scan_faults,
+        cfg.obs.clone(),
+        &world.registry,
+        &nameservers,
+        &targets,
+        &cfg.collect,
+        &mut scheduler,
+        shards,
+        par::Parallelism::from_knob(cfg.workers).get(),
+        usize::MAX,
+        &mut |batch| store.extend(batch),
+    );
+    // The world clock advances by the shards' summed scan time and the
+    // fabric inherits their traffic accounting, exactly as if the scan had
+    // run here.
+    world.net.run_until(world.net.now() + scan.elapsed);
+    world.net.absorb_stats(scan.stats);
+    if let Some((s, h)) = sp.zip(obs) {
+        s.finish(h, world.net.now().as_micros());
+    }
+    let sp = obs.map(|h| h.span("classify", world.net.now().as_micros()));
+    let mut streamer = StreamClassifier::new(
+        &correct_db,
+        &protective_db,
+        &world.db,
+        &world.pdns,
+        &classify_cfg,
+    );
+    if let Some(hub) = obs {
+        streamer = streamer.with_metrics(AttrCacheMetrics::register(hub.registry()));
+    }
+    // Raw retention snapshots the store before the batches consume it; the
+    // classified set embeds every record either way.
+    let collected = if cfg.keep_raw_collected {
+        store.to_vec()
     } else {
-        // Streaming stage-overlapped path: the collector keeps driving the
-        // simulated network on this thread and hands sequence-numbered
-        // batches to classification workers through a bounded channel; a
-        // splicer re-establishes collection order, so the outcome is
-        // bit-identical to the batch path above.
-        let mut streamer = StreamClassifier::new(
-            &correct_db,
-            &protective_db,
-            &world.db,
-            &world.pdns,
-            &classify_cfg,
-        );
-        if let Some(hub) = obs {
-            streamer = streamer.with_metrics(AttrCacheMetrics::register(hub.registry()));
-        }
-        let workers = par::Parallelism::from_knob(cfg.parallelism);
-        let capacity = workers.get().saturating_mul(2).max(4);
-        let keep_raw = cfg.keep_raw_collected;
-        let shard_funnel = obs.is_some();
-        // Executor instrumentation (batch flow, queue depth, worker
-        // idle/busy/hidden split) lives in the hub when one is attached;
-        // the overlap summary below is read back from the same counters.
-        // Measurement only — results never depend on it.
-        let exec_obs = obs.map(|h| par::ExecObs::register(h.registry()));
-        let sp = obs.map(|h| h.span("collect", world.net.now().as_micros()));
-        let registry = &world.registry;
-        let mut scan = None;
-        let scan_slot = &mut scan;
-        let out = par::ordered_pipeline_obs(
-            workers,
-            capacity,
-            exec_obs.as_ref(),
-            |sink: &mut dyn FnMut(Vec<CollectedUr>)| {
-                *scan_slot = Some(collect_urs_sharded(
-                    &blueprint,
-                    cfg.retry,
-                    scan_faults,
-                    cfg.obs.clone(),
-                    registry,
-                    &nameservers,
-                    &targets,
-                    &cfg.collect,
-                    &mut scheduler,
-                    shards,
-                    cfg.stream_batch_size,
-                    sink,
-                ));
-            },
-            |batch: Vec<CollectedUr>| {
-                let (raw, cls) = if keep_raw {
-                    let classified = streamer.classify_batch(&batch);
-                    (batch, classified)
-                } else {
-                    // Hot path: move each UR into its classification
-                    // instead of deep-cloning ~20k record vectors per run.
-                    (Vec::new(), streamer.classify_batch_owned(batch))
-                };
-                // The verdict funnel is sharded on the worker and merged
-                // in splice order by the fold — counters-only, so the
-                // sums match the batch path exactly.
-                let shard = shard_funnel.then(|| classify_shard(&cls));
-                (raw, cls, shard)
-            },
-            (Vec::new(), Vec::new()),
-            |acc: &mut (Vec<CollectedUr>, Vec<ClassifiedUr>), (raw, cls, shard)| {
-                acc.0.extend(raw);
-                acc.1.extend(cls);
-                if let (Some(shard), Some(hub)) = (shard, obs) {
-                    hub.registry().merge_shard(obs::Class::Sim, &shard);
-                }
-            },
-        );
-        if let Some(m) = &exec_obs {
-            overlap = OverlapStats {
-                classify_busy_ms: m.worker_busy_us() as f64 / 1e3,
-                classify_hidden_ms: m.worker_hidden_us() as f64 / 1e3,
-            };
-        }
-        let scan = scan.expect("producer ran to completion");
-        // Same clock/stats bookkeeping as the batch path, inside the
-        // collect span so the stage's sim delta matches it exactly.
-        world.net.run_until(world.net.now() + scan.elapsed);
-        world.net.absorb_stats(scan.stats);
-        if let Some((s, h)) = sp.zip(obs) {
-            s.finish(h, world.net.now().as_micros());
-        }
-        // Path parity: the batch executor records a classify span, so this
-        // one does too — its sim delta is exactly zero on both (classifying
-        // never touches the simulated network).
-        let sp = obs.map(|h| h.span("classify", world.net.now().as_micros()));
-        if let Some((s, h)) = sp.zip(obs) {
-            s.finish(h, world.net.now().as_micros());
-        }
-        (out.0, out.1, scan)
+        Vec::new()
     };
+    let mut classified = Vec::with_capacity(store.len());
+    for batch in store.into_batches(STORE_CLASSIFY_BATCH) {
+        classified.extend(streamer.classify_batch_owned(batch));
+    }
+    if let Some(hub) = obs {
+        hub.registry()
+            .merge_shard(obs::Class::Sim, &classify_shard(&classified));
+    }
+    if let Some((s, h)) = sp.zip(obs) {
+        // Classification never touches the simulated network, so the sim
+        // delta is exactly zero.
+        s.finish(h, world.net.now().as_micros());
+    }
     // Collection is done: restore the fabric's fault plan before the local
     // sandbox/IDS phase, and bank the probe accounting: the main engine's
     // support-stage funnel plus the shard engines' bulk-scan funnel.
@@ -569,9 +427,6 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
             .set(scan.bucket_wait.as_micros() as i64);
     }
     world.net.trace.set_enabled(true);
-    if !cfg.keep_raw_collected {
-        collected = Vec::new();
-    }
 
     let analyze_cfg = cfg.analyze_cfg();
     let samples = world.samples.clone();
@@ -610,7 +465,6 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         correct_db,
         protective_db,
         coverage,
-        overlap,
         scan_elapsed: scan.elapsed,
         bucket_wait: scan.bucket_wait,
     }
@@ -654,7 +508,7 @@ impl SequenceHasher {
 }
 
 /// Order-sensitive digest of a classified sequence (see
-/// [`SequenceHasher`]): two runs (or the batch and streaming paths) agree
+/// [`SequenceHasher`]): two runs (at any shard and worker counts) agree
 /// iff they produced the same URs, in the same order, with the same
 /// categories.
 pub fn classified_sequence_hash(classified: &[ClassifiedUr]) -> u64 {
@@ -700,7 +554,7 @@ pub struct StreamRunOutput {
 }
 
 /// Run the streamed paper-scale pipeline against a plan-backed world:
-/// scoped scan shards claimed by [`HunterConfig::stream_workers`] worker
+/// scoped scan shards claimed by [`HunterConfig::workers`] worker
 /// threads ([`crate::collect::collect_urs_streamed`]), every UR classified
 /// on the worker that scanned it the moment its batch fills, and the
 /// classified batches folded into the [`StreamRunOutput`] aggregates on
@@ -713,7 +567,7 @@ pub struct StreamRunOutput {
 /// materialized pipeline, whose output is shard-count invariant). The
 /// worker count is **not** part of the identity: every field of the
 /// output, including `sequence_hash` and the deterministic metrics
-/// snapshot, is bit-identical for every `stream_workers` value (pinned by
+/// snapshot, is bit-identical for every `workers` value (pinned by
 /// `tests/streamed_parallel.rs`).
 pub fn run_streamed(
     world: &worldgen::StreamWorld,
@@ -744,12 +598,7 @@ pub fn run_streamed(
     let mut seq = SequenceHasher::new();
     let mut total = 0u64;
     let mut by_category = [0u64; 4];
-    let batch = if cfg.stream_batch_size == 0 {
-        STORE_CLASSIFY_BATCH
-    } else {
-        cfg.stream_batch_size
-    };
-    let workers = par::Parallelism::from_knob(cfg.stream_workers)
+    let workers = par::Parallelism::from_knob(cfg.workers)
         .get()
         .min(world_shards.max(1));
     // Runs on whichever worker scanned the batch's shard: the shared
@@ -777,7 +626,7 @@ pub fn run_streamed(
         cfg.rate_limit_interval,
         world_shards,
         workers,
-        batch,
+        STORE_CLASSIFY_BATCH,
         &classify_batch,
         &mut |(cls, funnel): (Vec<ClassifiedUr>, Option<obs::MetricShard>)| {
             if let (Some(shard), Some(hub)) = (funnel, &cfg.obs) {
@@ -824,7 +673,6 @@ pub fn evaluate_false_negatives(
     let classify_cfg = cfg.classify_cfg(world.config.today);
     let targets: Vec<dnswire::Name> = world.tranco.domains().to_vec();
     let mut delegated_inputs: Vec<CollectedUr> = Vec::new();
-    let mut qids = QidGen::new();
     // The replay crosses the same hostile network as the bulk scan: same
     // fault plan, same retry policy, restored afterwards.
     let pre_scan_faults = world.net.faults();
@@ -843,7 +691,9 @@ pub fn evaluate_false_negatives(
         };
         for (_, ns_ip) in delegation.iter().take(1) {
             for &rtype in &cfg.collect.query_types {
-                let qid = qids.next(ti, rtype);
+                // Each `(target, rtype)` stream is drawn exactly once here
+                // (first delegated server × distinct types): its first id.
+                let qid = QidGen::nth(ti as u64, rtype, 0);
                 // Same probe + assembly path as the bulk scan, so the
                 // evaluation exercises the exact production logic.
                 if let Some(ur) = query_one_ur(

@@ -115,7 +115,7 @@ pub struct Report {
 /// Build the report from classified URs and the analysis.
 ///
 /// Thin wrapper over [`ReportBuilder`]: one absorb of the whole slice,
-/// then finish. The streaming pipeline absorbs batch by batch instead.
+/// then finish.
 pub fn build_report(
     classified: &[ClassifiedUr],
     analysis: &Analysis,
@@ -179,12 +179,11 @@ impl Table1Acc {
 /// Incremental report aggregation: absorb classified URs batch by batch,
 /// then [`finish`](ReportBuilder::finish) against the analysis.
 ///
-/// This is the streaming pipeline's fold — per-UR state is reduced into
-/// counters and distinct-entity sets as each batch arrives, so the
-/// aggregation never needs the whole classified set resident at once and
-/// the result is identical to a one-shot [`build_report`] over the
-/// concatenated batches (absorption is order-insensitive up to the input
-/// order itself, which the streaming splicer already guarantees).
+/// Per-UR state is reduced into counters and distinct-entity sets as each
+/// batch arrives, so the aggregation never needs the whole classified set
+/// resident at once and the result is identical to a one-shot
+/// [`build_report`] over the concatenated batches (absorption is
+/// order-insensitive up to the input order itself).
 #[derive(Debug, Default)]
 pub struct ReportBuilder {
     totals: Totals,

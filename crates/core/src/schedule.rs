@@ -4,10 +4,9 @@
 //!
 //! Pacing is built on [`TokenBucket`]s running on the virtual clock: one
 //! bucket per server (burst 1, so admissions to a server are never closer
-//! than the interval) plus an optional global bucket capping the whole
-//! scanner's aggregate probe rate (`--rate-limit`). With burst 1 the
-//! bucket is bit-equivalent to the old `next_allowed` map, so enabling
-//! the refactor changes no schedule.
+//! than the interval) plus an optional global [`SharedTokenBucket`]
+//! capping the whole scanner's aggregate probe rate (`--rate-limit`),
+//! shared by every shard of a scan.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -92,8 +91,9 @@ impl TokenBucket {
     }
 }
 
-/// One global admission point shared by every shard of a streamed scan,
-/// so `--rate-limit` composes with `world_shards > 1`.
+/// One global admission point shared by every shard of a scan, so
+/// `--rate-limit` composes with more than one shard. With one shard it is
+/// a plain [`TokenBucket`] behind a lock.
 ///
 /// Each shard runs its own fabric with its own virtual clock starting at
 /// zero, but a *global* rate cap is a statement about the whole scan. The
@@ -185,9 +185,8 @@ impl SharedTokenBucket {
 pub struct QueryScheduler {
     interval: SimDuration,
     buckets: HashMap<Ipv4Addr, TokenBucket>,
-    global: Option<TokenBucket>,
-    shared_global: Option<(Arc<SharedTokenBucket>, usize)>,
-    global_interval: SimDuration,
+    /// The global cap and the shard this scheduler admits for.
+    global: Option<(Arc<SharedTokenBucket>, usize)>,
     rng: StdRng,
     waits: u64,
     wait_us: u64,
@@ -200,8 +199,6 @@ impl QueryScheduler {
             interval,
             buckets: HashMap::new(),
             global: None,
-            shared_global: None,
-            global_interval: SimDuration::ZERO,
             rng: StdRng::seed_from_u64(seed),
             waits: 0,
             wait_us: 0,
@@ -209,15 +206,11 @@ impl QueryScheduler {
     }
 
     /// Add a global rate cap: at most one probe (to any server) per
-    /// `interval` of simulated time. `ZERO` removes the cap.
+    /// `interval` of simulated time. `ZERO` removes the cap. The bucket is
+    /// private to this scheduler: a one-shard [`SharedTokenBucket`].
     pub fn with_global_interval(mut self, interval: SimDuration) -> Self {
-        self.global_interval = interval;
-        self.shared_global = None;
-        self.global = if interval == SimDuration::ZERO {
-            None
-        } else {
-            Some(TokenBucket::new(interval, 1))
-        };
+        self.global =
+            (interval != SimDuration::ZERO).then(|| (SharedTokenBucket::new(interval), 0));
         self
     }
 
@@ -229,9 +222,7 @@ impl QueryScheduler {
     /// [`SharedTokenBucket::finish_shard`] — that hand-off is what makes a
     /// rate-limited multi-shard scan bit-identical for any worker count.
     pub fn with_shared_global(mut self, bucket: Arc<SharedTokenBucket>, shard: usize) -> Self {
-        self.global_interval = bucket.interval();
-        self.global = None;
-        self.shared_global = Some((bucket, shard));
+        self.global = Some((bucket, shard));
         self
     }
 
@@ -246,10 +237,11 @@ impl QueryScheduler {
         self.interval
     }
 
-    /// The global rate-cap interval (`ZERO` when uncapped). Shard workers
-    /// replicate it alongside the per-server interval.
+    /// The global rate-cap interval (`ZERO` when uncapped).
     pub fn global_interval(&self) -> SimDuration {
-        self.global_interval
+        self.global
+            .as_ref()
+            .map_or(SimDuration::ZERO, |(g, _)| g.interval())
     }
 
     /// Block (in simulated time) until `server` may be queried again —
@@ -262,10 +254,7 @@ impl QueryScheduler {
             .entry(server)
             .or_insert_with(|| TokenBucket::new(self.interval, 1))
             .next_ready(now);
-        if let Some(g) = &mut self.global {
-            ready = ready.max(g.next_ready(now));
-        }
-        if let Some((g, shard)) = &self.shared_global {
+        if let Some((g, shard)) = &self.global {
             ready = ready.max(g.next_ready(*shard, now));
         }
         if ready > now {
@@ -277,10 +266,7 @@ impl QueryScheduler {
         if let Some(b) = self.buckets.get_mut(&server) {
             b.take(t);
         }
-        if let Some(g) = &mut self.global {
-            g.take(t);
-        }
-        if let Some((g, shard)) = &self.shared_global {
+        if let Some((g, shard)) = &self.global {
             g.take(*shard, t);
         }
     }
@@ -427,9 +413,26 @@ mod tests {
 
     #[test]
     fn scheduler_with_shared_global_matches_owned_global_for_one_shard() {
-        // With a single shard the shared bucket must reproduce the owned
-        // global bucket's schedule exactly.
+        // With a single shard the shared bucket must reproduce the
+        // schedule of a plain bucket owned by the caller exactly.
         let g = SimDuration::from_millis(50);
+        let owned = {
+            let mut net = Network::new(1);
+            let mut bucket = TokenBucket::new(g, 1);
+            let (mut stamps, mut waits, mut wait_us) = (Vec::new(), 0u64, 0u64);
+            for _ in 0..6 {
+                let now = net.now();
+                let ready = bucket.next_ready(now);
+                if ready > now {
+                    net.run_until(ready);
+                    waits += 1;
+                    wait_us += ready.since(now).as_micros();
+                }
+                bucket.take(net.now());
+                stamps.push(net.now());
+            }
+            (stamps, waits, wait_us)
+        };
         let run = |mut sched: QueryScheduler| {
             let mut net = Network::new(1);
             let mut stamps = Vec::new();
@@ -439,10 +442,11 @@ mod tests {
             }
             (stamps, sched.waits(), sched.wait_us())
         };
-        let owned = run(QueryScheduler::new(1, SimDuration::ZERO).with_global_interval(g));
+        let private = run(QueryScheduler::new(1, SimDuration::ZERO).with_global_interval(g));
         let shared = run(QueryScheduler::new(1, SimDuration::ZERO)
             .with_shared_global(SharedTokenBucket::new(g), 0));
-        assert_eq!(owned, shared);
+        assert_eq!(private, owned);
+        assert_eq!(shared, owned);
     }
 
     #[test]

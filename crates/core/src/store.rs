@@ -13,7 +13,7 @@
 //!
 //! The store is *write-once, read-many*: the collector pushes URs in splice
 //! order, then the pipeline either materializes batch views for the
-//! streaming classifier ([`UrStore::into_batches`], which moves records out
+//! stream classifier ([`UrStore::into_batches`], which moves records out
 //! of the arena without cloning) or snapshots the whole set
 //! ([`UrStore::to_vec`]) when raw retention is on. Materialized URs are
 //! field-for-field equal to what a plain `Vec<CollectedUr>` sink would have

@@ -33,9 +33,9 @@ OPTIONS:
     --expire-fraction F    fraction of campaigns expiring per drift step,
                            0 <= F <= 1 (default 0.3)
     --shards N             fabric shards, 1..=64 (default 1)
-    --stream N             streamed executor with batch size N >= 1
-                           (default: batch executor)
-    --parallelism N        classification workers, N >= 1
+    --workers N            threads for every parallel stage (shard scans,
+                           classification, analysis), N >= 1
+                           (default: sized from the machine)
     --retries N            probe attempts per query, N >= 1
     --timeout SECS         simulated probe timeout, > 0
     --help                 print this text
@@ -139,21 +139,13 @@ pub fn parse_flags(args: &[String]) -> Result<DaemonConfig, String> {
                 }
                 cfg.driver.hunter = cfg.driver.hunter.with_shards(n);
             }
-            "--stream" => {
-                let v = need_value(arg, &mut iter)?;
-                let n: usize = parse_num(arg, v, "a batch size >= 1")?;
-                if n == 0 {
-                    return Err("urhunterd: --stream batch size must be >= 1".to_string());
-                }
-                cfg.driver.hunter = cfg.driver.hunter.with_stream_batch_size(n);
-            }
-            "--parallelism" => {
+            "--workers" => {
                 let v = need_value(arg, &mut iter)?;
                 let n: usize = parse_num(arg, v, "a worker count >= 1")?;
                 if n == 0 {
-                    return Err("urhunterd: --parallelism must be >= 1".to_string());
+                    return Err("urhunterd: --workers must be >= 1".to_string());
                 }
-                cfg.driver.hunter = cfg.driver.hunter.with_parallelism(n);
+                cfg.driver.hunter = cfg.driver.hunter.with_workers(n);
             }
             "--retries" => {
                 let v = need_value(arg, &mut iter)?;
@@ -222,8 +214,8 @@ mod tests {
             "0.5",
             "--shards",
             "4",
-            "--stream",
-            "16",
+            "--workers",
+            "2",
         ]))
         .expect("valid flags");
         assert_eq!(cfg.listen.port(), 0);
@@ -237,6 +229,8 @@ mod tests {
         assert_eq!(cfg.driver.drift_days, 240);
         assert_eq!(cfg.driver.new_campaigns, 40);
         assert_eq!(cfg.driver.expire_fraction, 0.5);
+        assert_eq!(cfg.driver.hunter.shards, 4);
+        assert_eq!(cfg.driver.hunter.workers, 2);
     }
 
     #[test]
@@ -247,7 +241,7 @@ mod tests {
             (vec!["--epoch-interval", "0"], "--epoch-interval"),
             (vec!["--expire-fraction", "1.5"], "--expire-fraction"),
             (vec!["--shards", "65"], "--shards"),
-            (vec!["--stream", "0"], "--stream"),
+            (vec!["--workers", "0"], "--workers"),
             (vec!["--retries", "0"], "--retries"),
             (vec!["--timeout", "0"], "--timeout"),
             (vec!["--scale", "galactic"], "--scale"),

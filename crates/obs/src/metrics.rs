@@ -14,7 +14,7 @@
 //! registration cost is paid once at wiring time. Worker threads that want
 //! to stay allocation-light batch their updates in a [`MetricShard`] and
 //! merge it into the registry in a deterministic sequence order (the
-//! streaming executor merges shards in batch-splice order); since counter
+//! streamed scan's fold merges shards in shard-major order); since counter
 //! merges are sums, the totals are independent of the merge order anyway —
 //! the ordering guarantee is what makes the bit-identical argument a
 //! one-liner instead of a scheduling proof.
@@ -269,8 +269,8 @@ impl MetricsRegistry {
     /// Merge a worker-local shard: every shard counter is added to the
     /// registry counter of the same name under `class`. Callers that need
     /// the determinism guarantee to be *structural* (not just "sums
-    /// commute") merge shards in a fixed sequence order — the streaming
-    /// executor merges in batch-splice order.
+    /// commute") merge shards in a fixed sequence order — the streamed
+    /// scan's fold merges in shard-major order.
     pub fn merge_shard(&self, class: Class, shard: &MetricShard) {
         for (name, n) in &shard.counters {
             self.counter(name, class).add(*n);

@@ -10,9 +10,11 @@
 //! then spliced back in chunk order, so `par_map(xs, n, f)` equals
 //! `xs.iter().map(f).collect()` for every `n`.
 //!
-//! Determinism (DESIGN.md §6) is preserved because the simulation's only
-//! stateful phases — world generation and simnet packet exchange — never go
-//! through this crate; only the read-only post-collection stages do.
+//! The bulk scan is parallel at the source instead — whole shards, each on
+//! its own replica fabric — and [`sharded_ordered_fold`] is the one
+//! executor that merges shard output back into canonical order, with the
+//! same guarantee: bit-identical to the sequential shard loop for every
+//! worker count (DESIGN.md §6, §9).
 //!
 //! No dependencies, no unsafe, no work stealing: contiguous chunks keep
 //! per-item cache locality and make the equality-with-sequential argument
@@ -23,9 +25,7 @@
 
 mod stream;
 
-pub use stream::{
-    ordered_pipeline, ordered_pipeline_obs, sharded_ordered_fold, BatchChannel, ExecObs, Splicer,
-};
+pub use stream::{sharded_ordered_fold, BatchChannel};
 
 use std::num::NonZeroUsize;
 

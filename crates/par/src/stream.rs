@@ -1,103 +1,25 @@
-//! Deterministic stage-overlapped streaming: a bounded, sequence-numbered
-//! batch channel plus an ordered pipeline executor.
+//! Deterministic sharded streaming: a bounded, sequence-numbered batch
+//! channel plus the one ordered-merge executor.
 //!
-//! The URHunter collection stage drives the simulated network on the main
-//! thread (its nodes are `!Sync` by design) while suspicious-record
-//! determination is CPU-bound and embarrassingly parallel. The primitives
-//! here let those two stages overlap without giving up the crate's core
-//! invariant — output bit-identical to the sequential path:
+//! A bulk scan is parallel at the *source*: each shard drives its own
+//! replica of the simulated network (whose nodes are `!Sync` by design)
+//! and everything downstream must still see one canonical sequence — the
+//! crate's core invariant, output bit-identical to the sequential path:
 //!
 //! * [`BatchChannel`] — a bounded FIFO of `(sequence, batch)` pairs with
 //!   blocking send (backpressure on the producer) and blocking receive.
 //!   Closing wakes every waiter; sends after close are dropped, so a
 //!   failing consumer never deadlocks the producer.
-//! * [`Splicer`] — a reorder buffer that accepts `(sequence, value)` pairs
-//!   in any arrival order and releases values strictly in sequence order.
-//! * [`ordered_pipeline`] — the executor: the *calling thread* produces
-//!   batches through a sink, `workers` threads transform them, and a
-//!   collector thread splices results back into sequence order and folds
-//!   them. For every batch size, capacity and worker count the fold sees
-//!   exactly the sequence `produce` emitted, transformed — the same
-//!   invariant as [`crate::par_map`], extended to a producer that is busy
-//!   making the next batch while earlier ones are being consumed.
-//! * [`sharded_ordered_fold`] — the inverse shape, for scans that are
-//!   parallel at the *source*: worker threads claim whole shards, each
-//!   delivering through its own bounded queue, and the calling thread
-//!   folds everything in canonical shard-major order under a window gate
-//!   that bounds resident shards. Bit-identical to the sequential
-//!   shard loop for every worker count.
+//! * [`sharded_ordered_fold`] — the executor: worker threads claim whole
+//!   shards, each delivering through its own bounded queue, and the
+//!   calling thread folds everything in canonical shard-major order under
+//!   a window gate that bounds resident shards. Bit-identical to the
+//!   sequential shard loop for every worker count — and, with one worker,
+//!   *is* that loop, on the calling thread.
 
-use crate::Parallelism;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
-
-/// Executor-health instrumentation for [`ordered_pipeline_obs`].
-///
-/// Every metric here is [`obs::Class::Wall`]: queue depths, reorder-buffer
-/// occupancy, and worker idle/busy time all depend on thread scheduling
-/// and on which executor ran at all (the strict-batch path never touches
-/// this module), so none of them may enter the deterministic snapshot.
-/// The sim-identical outputs of the pipeline are what the `Sim` class
-/// certifies; this struct is how you see the *cost* of producing them.
-#[derive(Debug, Clone)]
-pub struct ExecObs {
-    batches: obs::Counter,
-    queue_depth: obs::Histogram,
-    reorder_pending: obs::Histogram,
-    worker_busy_us: obs::Counter,
-    worker_hidden_us: obs::Counter,
-    worker_idle_us: obs::Counter,
-}
-
-impl ExecObs {
-    /// Register the `exec_*` metric family in `reg`. Idempotent.
-    pub fn register(reg: &obs::MetricsRegistry) -> Self {
-        use obs::Class::Wall;
-        const DEPTH_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64];
-        ExecObs {
-            batches: reg.counter("exec_batches", Wall),
-            queue_depth: reg.histogram("exec_queue_depth", Wall, DEPTH_BOUNDS),
-            reorder_pending: reg.histogram("exec_reorder_pending", Wall, DEPTH_BOUNDS),
-            worker_busy_us: reg.counter("exec_worker_busy_us", Wall),
-            worker_hidden_us: reg.counter("exec_worker_hidden_us", Wall),
-            worker_idle_us: reg.counter("exec_worker_idle_us", Wall),
-        }
-    }
-
-    /// Batches that entered the pipeline.
-    pub fn batches(&self) -> u64 {
-        self.batches.get()
-    }
-
-    /// Input-queue depth distribution, sampled after each producer send.
-    pub fn queue_depth(&self) -> &obs::Histogram {
-        &self.queue_depth
-    }
-
-    /// Reorder-buffer occupancy distribution, sampled after each
-    /// out-of-order arrival at the collector.
-    pub fn reorder_pending(&self) -> &obs::Histogram {
-        &self.reorder_pending
-    }
-
-    /// Total microseconds workers spent transforming batches.
-    pub fn worker_busy_us(&self) -> u64 {
-        self.worker_busy_us.get()
-    }
-
-    /// Portion of busy time from batches that finished while the producer
-    /// was still emitting — work genuinely hidden behind production.
-    pub fn worker_hidden_us(&self) -> u64 {
-        self.worker_hidden_us.get()
-    }
-
-    /// Total microseconds workers spent blocked waiting for input.
-    pub fn worker_idle_us(&self) -> u64 {
-        self.worker_idle_us.get()
-    }
-}
 
 /// A bounded FIFO of sequence-numbered batches (single producer in the
 /// pipeline use, but safe for any number of senders/receivers).
@@ -177,259 +99,6 @@ impl<T> BatchChannel<T> {
         self.not_full.notify_all();
         self.not_empty.notify_all();
     }
-
-    /// Number of batches currently queued.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("channel lock").queue.len()
-    }
-
-    /// Whether no batch is currently queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Closes a [`BatchChannel`] when dropped, so a panicking stage can never
-/// leave the stages up- or downstream of it blocked forever.
-struct CloseOnDrop<'a, T>(&'a BatchChannel<T>);
-
-impl<T> Drop for CloseOnDrop<'_, T> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-/// A reorder buffer: accepts `(sequence, value)` in any arrival order,
-/// releases values strictly in sequence order starting from 0.
-#[derive(Debug)]
-pub struct Splicer<U> {
-    next: u64,
-    pending: BTreeMap<u64, U>,
-}
-
-impl<U> Default for Splicer<U> {
-    fn default() -> Self {
-        Splicer::new()
-    }
-}
-
-impl<U> Splicer<U> {
-    /// An empty splicer expecting sequence 0 first.
-    pub fn new() -> Self {
-        Splicer {
-            next: 0,
-            pending: BTreeMap::new(),
-        }
-    }
-
-    /// Buffer one out-of-order arrival. Sequences must be unique; a
-    /// duplicate is a caller bug and panics.
-    pub fn push(&mut self, seq: u64, value: U) {
-        assert!(seq >= self.next, "sequence {seq} already released");
-        let clash = self.pending.insert(seq, value);
-        assert!(clash.is_none(), "duplicate sequence {seq}");
-    }
-
-    /// The next in-sequence value, if it has arrived.
-    pub fn pop_ready(&mut self) -> Option<U> {
-        let value = self.pending.remove(&self.next)?;
-        self.next += 1;
-        Some(value)
-    }
-
-    /// How many values are buffered waiting for an earlier sequence.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The sequence number the splicer will release next.
-    pub fn next_seq(&self) -> u64 {
-        self.next
-    }
-}
-
-/// Run a producer, a worker pool, and an in-order folding consumer as one
-/// stage-overlapped pipeline, returning the fold accumulator.
-///
-/// * `produce` runs on the **calling thread** (the URHunter producer owns
-///   the `!Sync` simulated network) and emits batches through the sink it
-///   is handed; each batch is stamped with the next sequence number.
-/// * `work` runs on `parallelism` worker threads, each batch exactly once.
-/// * `fold` runs on a dedicated collector thread and sees the results in
-///   **production order** — a [`Splicer`] holds back out-of-order
-///   completions — so the accumulator is bit-identical to
-///   `produce → work → fold` run sequentially, for every worker count and
-///   channel capacity.
-///
-/// `capacity` bounds both the batch queue and the un-spliced result set,
-/// so peak memory is `O(capacity + workers)` batches regardless of input
-/// length. A panic in any stage closes the channels (no deadlock) and
-/// propagates to the caller when the thread scope joins.
-pub fn ordered_pipeline<T, U, A, P, W, F>(
-    parallelism: Parallelism,
-    capacity: usize,
-    produce: P,
-    work: W,
-    init: A,
-    fold: F,
-) -> A
-where
-    T: Send,
-    U: Send,
-    A: Send,
-    P: FnOnce(&mut dyn FnMut(T)),
-    W: Fn(T) -> U + Sync,
-    F: FnMut(&mut A, U) + Send,
-{
-    ordered_pipeline_obs(parallelism, capacity, None, produce, work, init, fold)
-}
-
-/// [`ordered_pipeline`] with optional executor instrumentation.
-///
-/// With `obs` attached the executor records, all wall-clock:
-/// * input-queue depth after every producer send, and the batch count;
-/// * reorder-buffer occupancy after every out-of-order completion;
-/// * per-worker busy / idle time, plus the **hidden** share of busy time —
-///   work on batches that completed while the producer was still emitting,
-///   i.e. classification genuinely overlapped with collection.
-///
-/// With `obs == None` the instrumentation is a branch on `None` per batch:
-/// no clocks are read and no atomics are touched, so the uninstrumented
-/// pipeline costs what it did before this hook existed.
-pub fn ordered_pipeline_obs<T, U, A, P, W, F>(
-    parallelism: Parallelism,
-    capacity: usize,
-    obs: Option<&ExecObs>,
-    produce: P,
-    work: W,
-    init: A,
-    fold: F,
-) -> A
-where
-    T: Send,
-    U: Send,
-    A: Send,
-    P: FnOnce(&mut dyn FnMut(T)),
-    W: Fn(T) -> U + Sync,
-    F: FnMut(&mut A, U) + Send,
-{
-    let workers = parallelism.get();
-    let input: BatchChannel<T> = BatchChannel::bounded(capacity);
-    let results: BatchChannel<U> = BatchChannel::bounded(capacity.max(workers));
-    let live_workers = AtomicUsize::new(workers);
-    let producing = AtomicBool::new(true);
-
-    let mut acc = init;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let input = &input;
-            let results = &results;
-            let live_workers = &live_workers;
-            let producing = &producing;
-            let work = &work;
-            scope.spawn(move || {
-                // The last worker out closes both channels — even on
-                // panic — so neither the collector (waiting on results)
-                // nor the producer (blocked on a full input queue) can
-                // ever wait on a pool that no longer exists.
-                struct LastOut<'a, T, U> {
-                    live: &'a AtomicUsize,
-                    input: &'a BatchChannel<T>,
-                    results: &'a BatchChannel<U>,
-                }
-                impl<T, U> Drop for LastOut<'_, T, U> {
-                    fn drop(&mut self) {
-                        if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            self.input.close();
-                            self.results.close();
-                        }
-                    }
-                }
-                let _last_out = LastOut {
-                    live: live_workers,
-                    input,
-                    results,
-                };
-                if let Some(m) = obs {
-                    // Instrumented loop: accumulate locally, flush once at
-                    // exit so the hot path pays clock reads, not atomics.
-                    let (mut idle, mut busy, mut hidden) = (0u64, 0u64, 0u64);
-                    loop {
-                        let t_wait = Instant::now();
-                        let Some((seq, batch)) = input.recv() else {
-                            break;
-                        };
-                        idle += t_wait.elapsed().as_micros() as u64;
-                        let t_work = Instant::now();
-                        let out = work(batch);
-                        let dt = t_work.elapsed().as_micros() as u64;
-                        busy += dt;
-                        if producing.load(Ordering::Acquire) {
-                            hidden += dt;
-                        }
-                        if !results.send(seq, out) {
-                            break; // collector gone; drain no further
-                        }
-                    }
-                    m.worker_idle_us.add(idle);
-                    m.worker_busy_us.add(busy);
-                    m.worker_hidden_us.add(hidden);
-                } else {
-                    while let Some((seq, batch)) = input.recv() {
-                        if !results.send(seq, work(batch)) {
-                            break; // collector gone; drain no further
-                        }
-                    }
-                }
-            });
-        }
-
-        let collector = {
-            let results = &results;
-            let input = &input;
-            let acc = &mut acc;
-            let mut fold = fold;
-            scope.spawn(move || {
-                // A collector panic must unblock the producer too.
-                let _close_input = CloseOnDrop(input);
-                let mut splicer = Splicer::new();
-                while let Some((seq, value)) = results.recv() {
-                    splicer.push(seq, value);
-                    if let Some(m) = obs {
-                        m.reorder_pending.observe(splicer.pending_len() as u64);
-                    }
-                    while let Some(ready) = splicer.pop_ready() {
-                        fold(acc, ready);
-                    }
-                }
-                assert_eq!(splicer.pending_len(), 0, "result sequence has gaps");
-            })
-        };
-
-        {
-            // Producer runs here, on the calling thread; closing on drop
-            // lets the workers drain and exit even if `produce` panics.
-            let _close_input = CloseOnDrop(&input);
-            let mut seq = 0u64;
-            let mut sink = |batch: T| {
-                input.send(seq, batch);
-                seq += 1;
-                if let Some(m) = obs {
-                    m.batches.inc();
-                    m.queue_depth.observe(input.len() as u64);
-                }
-            };
-            produce(&mut sink);
-            // Visible to workers before the channel close wakes them: any
-            // batch finishing after this point was not hidden behind
-            // production.
-            producing.store(false, Ordering::Release);
-        }
-        // Propagate a collector panic promptly (worker panics surface when
-        // the scope joins them).
-        collector.join().expect("collector thread panicked");
-    });
-    acc
 }
 
 /// Admission gate bounding how many shards may be in flight at once.
@@ -531,6 +200,11 @@ enum ShardItem<T, S> {
 ///   `O(workers × (shard fabric + capacity × batch))` regardless of
 ///   `shards`.
 ///
+/// With one worker (one shard, or `workers <= 1`) no thread is spawned:
+/// the loop above runs as written on the calling thread, the same
+/// convention as [`crate::par_map`]. The default scan is one shard, and it
+/// keeps the thread, allocator arena and resident set it always had.
+///
 /// A panicking worker poisons the gate and closes every queue, so every
 /// other stage unblocks; the panic propagates when the thread scope
 /// joins. A panicking fold closes/poisons on unwind likewise.
@@ -548,6 +222,14 @@ where
     S: Send,
 {
     let workers = workers.max(1).min(shards.max(1));
+    let mut acc = init;
+    if workers == 1 {
+        for shard in 0..shards {
+            let summary = scan(shard, &mut |batch| fold_batch(&mut acc, shard, batch));
+            fold_done(&mut acc, shard, summary);
+        }
+        return acc;
+    }
     let window = workers;
     let queues: Vec<BatchChannel<ShardItem<T, S>>> = (0..shards)
         .map(|_| BatchChannel::bounded(capacity.max(1)))
@@ -561,7 +243,6 @@ where
         }
     }
 
-    let mut acc = init;
     let mut folded_shards = 0usize;
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -659,29 +340,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn splicer_reorders_any_arrival_order() {
-        let mut sp = Splicer::new();
-        sp.push(2, "c");
-        sp.push(0, "a");
-        assert_eq!(sp.pop_ready(), Some("a"));
-        assert_eq!(sp.pop_ready(), None);
-        sp.push(1, "b");
-        assert_eq!(sp.pop_ready(), Some("b"));
-        assert_eq!(sp.pop_ready(), Some("c"));
-        assert_eq!(sp.pop_ready(), None);
-        assert_eq!(sp.next_seq(), 3);
-        assert_eq!(sp.pending_len(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate sequence")]
-    fn splicer_rejects_duplicate_sequences() {
-        let mut sp = Splicer::new();
-        sp.push(1, ());
-        sp.push(1, ());
-    }
-
-    #[test]
     fn channel_delivers_fifo_and_drains_after_close() {
         let ch: BatchChannel<u32> = BatchChannel::bounded(4);
         assert!(ch.send(0, 10));
@@ -709,91 +367,6 @@ mod tests {
         });
     }
 
-    fn run_pipeline(items: usize, batch: usize, workers: usize, capacity: usize) -> Vec<u64> {
-        ordered_pipeline(
-            Parallelism::fixed(workers),
-            capacity,
-            |sink| {
-                let mut pending = Vec::new();
-                for i in 0..items as u64 {
-                    pending.push(i);
-                    if pending.len() >= batch {
-                        sink(std::mem::take(&mut pending));
-                    }
-                }
-                if !pending.is_empty() {
-                    sink(pending);
-                }
-            },
-            |batch: Vec<u64>| {
-                batch
-                    .iter()
-                    .map(|x| x.wrapping_mul(31).rotate_left(7))
-                    .collect::<Vec<u64>>()
-            },
-            Vec::new(),
-            |acc: &mut Vec<u64>, out| acc.extend(out),
-        )
-    }
-
-    #[test]
-    fn pipeline_equals_sequential_for_every_shape() {
-        let expect: Vec<u64> = (0..197u64)
-            .map(|x| x.wrapping_mul(31).rotate_left(7))
-            .collect();
-        for workers in [1, 2, 4, 8] {
-            for batch in [1, 3, 64, 1000] {
-                for capacity in [1, 2, 8] {
-                    let got = run_pipeline(197, batch, workers, capacity);
-                    assert_eq!(
-                        got, expect,
-                        "workers={workers} batch={batch} cap={capacity}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn instrumented_pipeline_matches_and_counts() {
-        let reg = obs::MetricsRegistry::new();
-        let exec = ExecObs::register(&reg);
-        let expect: Vec<u64> = (0..197u64)
-            .map(|x| x.wrapping_mul(31).rotate_left(7))
-            .collect();
-        let got = ordered_pipeline_obs(
-            Parallelism::fixed(3),
-            2,
-            Some(&exec),
-            |sink| {
-                for chunk in (0..197u64).collect::<Vec<_>>().chunks(10) {
-                    sink(chunk.to_vec());
-                }
-            },
-            |batch: Vec<u64>| {
-                batch
-                    .iter()
-                    .map(|x| x.wrapping_mul(31).rotate_left(7))
-                    .collect::<Vec<u64>>()
-            },
-            Vec::new(),
-            |acc: &mut Vec<u64>, out| acc.extend(out),
-        );
-        assert_eq!(got, expect, "instrumentation must not change the output");
-        assert_eq!(exec.batches(), 20);
-        assert_eq!(exec.queue_depth().count(), 20);
-        assert_eq!(exec.reorder_pending().count(), 20);
-        // Every executor metric is wall-class: the deterministic snapshot
-        // must be empty no matter how much the executor recorded.
-        assert!(reg.snapshot().sim_only().is_empty());
-    }
-
-    #[test]
-    fn pipeline_handles_empty_input() {
-        let got = run_pipeline(0, 7, 4, 2);
-        assert!(got.is_empty());
-    }
-
     /// Reference for the sharded fold: the sequential loop it must match.
     fn sharded_sequential(shards: usize, per_shard: usize) -> (Vec<u64>, Vec<usize>) {
         let mut out = Vec::new();
@@ -819,7 +392,7 @@ mod tests {
                         capacity,
                         |shard, emit| {
                             // Emit in small uneven batches to exercise the
-                            // per-shard splicer.
+                            // per-shard queues.
                             let mut batch = Vec::new();
                             for i in 0..23u64 {
                                 batch.push((shard as u64) << 32 | i.wrapping_mul(31));
@@ -920,29 +493,5 @@ mod tests {
             )
         }));
         assert!(result.is_err(), "fold panic must propagate");
-    }
-
-    #[test]
-    fn worker_panic_propagates_without_deadlock() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ordered_pipeline(
-                Parallelism::fixed(3),
-                2,
-                |sink| {
-                    for i in 0..50u64 {
-                        sink(vec![i]);
-                    }
-                },
-                |batch: Vec<u64>| {
-                    if batch[0] == 13 {
-                        panic!("unlucky batch");
-                    }
-                    batch
-                },
-                0usize,
-                |acc: &mut usize, out: Vec<u64>| *acc += out.len(),
-            )
-        }));
-        assert!(result.is_err(), "worker panic must propagate");
     }
 }

@@ -1,71 +1,63 @@
-//! Property tests for the ordered-batch streaming layer: for arbitrary
-//! input lengths, batch partitions, worker counts and channel capacities,
-//! [`par::ordered_pipeline`] must be indistinguishable from the sequential
-//! map, and [`par::Splicer`] must restore sequence order from any arrival
-//! order.
+//! Property test for the one ordered-merge executor: for arbitrary shard
+//! counts, per-shard batch lists, worker counts and queue capacities,
+//! [`par::sharded_ordered_fold`] must be indistinguishable from the
+//! sequential shard loop its documentation defines it by. Worker count 1
+//! takes the executor's inline arm and every other count the threaded
+//! one, so the property also pins the two arms to each other.
 
-use par::{ordered_pipeline, Parallelism, Splicer};
+use par::sharded_ordered_fold;
 use proptest::prelude::*;
 
-fn transform(x: u64) -> u64 {
-    x.wrapping_mul(0x9E37_79B9).rotate_left(11) ^ 0x5bd1_e995
+/// What the fold saw, in the order it saw it.
+#[derive(Debug, PartialEq)]
+enum Folded {
+    Batch(usize, Vec<u64>),
+    Done(usize, u64),
+}
+
+fn summary_of(shard: usize, batches: &[Vec<u64>]) -> u64 {
+    batches
+        .iter()
+        .flatten()
+        .fold(shard as u64, |h, x| h.rotate_left(5) ^ x)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The executor's fold sees exactly the produced sequence, transformed,
-    /// for every (items, batch, workers, capacity) shape.
     #[test]
-    fn ordered_pipeline_equals_sequential_map(
-        items in 0usize..300,
-        batch in 1usize..40,
+    fn sharded_ordered_fold_equals_the_sequential_shard_loop(
+        plan in proptest::collection::vec(
+            proptest::collection::vec(
+                proptest::collection::vec(any::<u64>(), 0..6),
+                0..10,
+            ),
+            0..13,
+        ),
         workers in 1usize..9,
-        capacity in 1usize..6,
+        capacity in 1usize..5,
     ) {
-        let expect: Vec<u64> = (0..items as u64).map(transform).collect();
-        let got = ordered_pipeline(
-            Parallelism::fixed(workers),
+        let mut expect = Vec::new();
+        for (shard, batches) in plan.iter().enumerate() {
+            for batch in batches {
+                expect.push(Folded::Batch(shard, batch.clone()));
+            }
+            expect.push(Folded::Done(shard, summary_of(shard, batches)));
+        }
+        let got = sharded_ordered_fold(
+            workers,
+            plan.len(),
             capacity,
-            |sink| {
-                let mut pending = Vec::new();
-                for i in 0..items as u64 {
-                    pending.push(i);
-                    if pending.len() >= batch {
-                        sink(std::mem::take(&mut pending));
-                    }
+            |shard, emit| {
+                for batch in &plan[shard] {
+                    emit(batch.clone());
                 }
-                if !pending.is_empty() {
-                    sink(pending);
-                }
+                summary_of(shard, &plan[shard])
             },
-            |b: Vec<u64>| b.into_iter().map(transform).collect::<Vec<u64>>(),
             Vec::new(),
-            |acc: &mut Vec<u64>, out| acc.extend(out),
+            |acc: &mut Vec<Folded>, shard, batch| acc.push(Folded::Batch(shard, batch)),
+            |acc: &mut Vec<Folded>, shard, summary| acc.push(Folded::Done(shard, summary)),
         );
         prop_assert_eq!(got, expect);
-    }
-
-    /// A splicer fed sequences in an arbitrary arrival order releases the
-    /// values in exact sequence order, draining completely.
-    #[test]
-    fn splicer_restores_sequence_order(keys in proptest::collection::vec(any::<u64>(), 0..120)) {
-        // Derive an arbitrary permutation of 0..n from the random keys:
-        // sort the indices by key (ties broken by index).
-        let n = keys.len() as u64;
-        let mut arrival: Vec<u64> = (0..n).collect();
-        arrival.sort_by_key(|&i| (keys[i as usize], i));
-
-        let mut splicer = Splicer::new();
-        let mut released: Vec<u64> = Vec::new();
-        for seq in arrival {
-            splicer.push(seq, seq);
-            while let Some(v) = splicer.pop_ready() {
-                released.push(v);
-            }
-        }
-        prop_assert_eq!(released, (0..n).collect::<Vec<u64>>());
-        prop_assert_eq!(splicer.pending_len(), 0);
-        prop_assert_eq!(splicer.next_seq(), n);
     }
 }

@@ -73,6 +73,27 @@ pub struct NetStats {
     pub events: u64,
 }
 
+impl std::ops::AddAssign for NetStats {
+    /// Field-by-field sum. `rhs` is destructured exhaustively, so a field
+    /// added to [`NetStats`] fails to compile here until it is summed.
+    fn add_assign(&mut self, rhs: NetStats) {
+        let NetStats {
+            delivered,
+            dropped,
+            corrupted,
+            no_route,
+            bytes_delivered,
+            events,
+        } = rhs;
+        self.delivered += delivered;
+        self.dropped += dropped;
+        self.corrupted += corrupted;
+        self.no_route += no_route;
+        self.bytes_delivered += bytes_delivered;
+        self.events += events;
+    }
+}
+
 /// Live fabric counters mirrored into an [`obs`] registry, updated on the
 /// same code paths as [`NetStats`]. Every counter is [`obs::Class::Sim`]:
 /// the fabric is single-threaded and seeded, so datagram fates are part of
@@ -255,12 +276,7 @@ impl Network {
     /// Fold another fabric's counters into this one's, field by field.
     /// Used to account shard-replica traffic against the parent fabric.
     pub fn absorb_stats(&mut self, other: NetStats) {
-        self.stats.delivered += other.delivered;
-        self.stats.dropped += other.dropped;
-        self.stats.corrupted += other.corrupted;
-        self.stats.no_route += other.no_route;
-        self.stats.bytes_delivered += other.bytes_delivered;
-        self.stats.events += other.events;
+        self.stats += other;
     }
 
     /// The latency model in force.
@@ -576,6 +592,44 @@ impl Network {
 mod tests {
     use super::*;
     use crate::node::Proto;
+
+    #[test]
+    fn net_stats_sum_covers_every_field() {
+        let one = NetStats {
+            delivered: 1,
+            dropped: 2,
+            corrupted: 3,
+            no_route: 4,
+            bytes_delivered: 5,
+            events: 6,
+        };
+        let mut sum = one;
+        sum += one;
+        // Exhaustive on purpose: a new field stops this compiling until the
+        // sum and this check both know it.
+        let NetStats {
+            delivered,
+            dropped,
+            corrupted,
+            no_route,
+            bytes_delivered,
+            events,
+        } = sum;
+        assert_eq!(
+            [
+                delivered,
+                dropped,
+                corrupted,
+                no_route,
+                bytes_delivered,
+                events
+            ],
+            [2, 4, 6, 8, 10, 12]
+        );
+        let mut net = Network::new(1);
+        net.absorb_stats(one);
+        assert_eq!(net.stats(), one);
+    }
 
     /// Echoes every datagram back to its sender with payload reversed.
     struct Echo;

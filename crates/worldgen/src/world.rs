@@ -355,7 +355,7 @@ impl ScanBlueprint {
     }
 
     /// Build shard `shard`'s replica with only the nameserver nodes in
-    /// `scope` — the sequential streaming scan's memory lever. An eager
+    /// `scope` — the scan's memory lever on plan-backed worlds. An eager
     /// blueprint ignores the scope and builds the full replica (identical
     /// fabrics keep the sharded scan bit-identical for every shard count);
     /// a lazy blueprint generates accounts and zones for exactly the

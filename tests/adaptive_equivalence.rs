@@ -4,7 +4,7 @@
 //! collects, how the probes are accounted, or any sim-class metric. This
 //! suite pins that contract from three sides:
 //!
-//! * adaptive runs are bit-identical to each other across executor paths,
+//! * adaptive runs are bit-identical to each other across worker counts,
 //!   shard counts, and repeats (classified hash, coverage, obs `sim_hash`);
 //! * an adaptive run is bit-identical to the fixed-timeout run on the same
 //!   world — with and without injected loss — while simulated elapsed time
@@ -14,8 +14,8 @@
 
 use simnet::{FaultPlan, SimDuration};
 use urhunter::{
-    classified_sequence_hash, collect_urs, run, select_nameservers, CollectConfig, CoverageReport,
-    HunterConfig, ProbeEngine, QueryPlan, QueryScheduler, RunOutput,
+    classified_sequence_hash, run, select_nameservers, CollectConfig, CoverageReport, HunterConfig,
+    ProbeEngine, QueryPlan, QueryScheduler, RunOutput,
 };
 use worldgen::{World, WorldConfig};
 
@@ -79,19 +79,13 @@ fn adaptive_runs_are_bit_identical_across_executors_shards_and_repeats() {
     );
     assert_eq!(repeat.scan_elapsed, reference.scan_elapsed);
 
-    // Both executor paths, sharded and not: strict batch (stream batch 0)
-    // and the stage-overlapped streaming executor.
-    for (shards, batch) in [(4usize, 0usize), (1, 16), (4, 16)] {
-        let out = observe(
-            adaptive()
-                .with_shards(shards)
-                .with_stream_batch_size(batch)
-                .with_parallelism(2),
-        );
+    // Sharded and not, with as many workers as shards and with fewer.
+    for (shards, workers) in [(4usize, 4usize), (1, 2), (4, 2)] {
+        let out = observe(adaptive().with_shards(shards).with_workers(workers));
         assert_eq!(
             signature(&out),
             signature(&reference),
-            "adaptive run diverges at shards={shards} batch={batch}"
+            "adaptive run diverges at shards={shards} workers={workers}"
         );
         assert_eq!(out.scan_elapsed, reference.scan_elapsed);
     }
@@ -175,7 +169,9 @@ fn rate_limited_run_is_bit_identical_and_reports_its_waits() {
 /// fabric's flow log must never show two scanner UDP transmissions admitted
 /// closer together than the interval — globally (by reconstructed send
 /// time) and per server (delivery spacing, since per-pair latency is
-/// constant). Runs the collector directly on a trace-enabled fabric.
+/// constant). Drives the two primitives the contract is about — the
+/// scheduler's `admit` and the engine's `query` — over every nameserver ×
+/// target pair on the world's own trace-enabled fabric.
 #[test]
 fn flow_log_never_shows_transmissions_inside_the_interval() {
     for adaptive in [false, true] {
@@ -192,16 +188,24 @@ fn flow_log_never_shows_transmissions_inside_the_interval() {
         let mut scheduler =
             QueryScheduler::new(0x5545, SimDuration::ZERO).with_global_interval(interval);
         world.net.trace.set_enabled(true);
-        let urs = collect_urs(
-            &mut world.net,
-            &mut engine,
-            &world.registry,
-            &nameservers,
-            &targets,
-            &collect_cfg,
-            &mut scheduler,
-        );
-        assert!(!urs.is_empty(), "paced scan collected nothing");
+        let mut answered = 0usize;
+        for (ni, ns) in nameservers.iter().enumerate() {
+            for (di, domain) in targets.iter().enumerate() {
+                scheduler.admit(&mut world.net, ns.ip);
+                let qid =
+                    urhunter::QidGen::nth(urhunter::scan_stream(ni, di), dnswire::RecordType::A, 0);
+                let reply = engine.query(
+                    &mut world.net,
+                    collect_cfg.scanner_ip,
+                    ns.ip,
+                    domain,
+                    dnswire::RecordType::A,
+                    qid,
+                );
+                answered += usize::from(reply.is_some());
+            }
+        }
+        assert!(answered > 0, "paced scan got no reply");
 
         let latency = world.net.latency();
         // Scanner→server UDP datagrams only: TCP fallback legs belong to an

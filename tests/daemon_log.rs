@@ -1,9 +1,8 @@
 //! Event-log determinism contract for the daemon.
 //!
 //! The daemon's value rests on one claim: the epoch stream is a pure
-//! function of the driver configuration. Executor choice (batch vs
-//! stream) and shard count may change wall-clock behaviour but never the
-//! events, and replaying the log must provably reconstruct the live
+//! function of the driver configuration. Worker and shard counts may
+//! change wall-clock behaviour but never the events, and replaying the log must provably reconstruct the live
 //! verdict store — including after snapshot compaction.
 
 use urhunterd::{DriverConfig, EpochDriver, EpochSeal, LiveState, UrEvent};
@@ -51,26 +50,15 @@ fn epoch_stream_is_identical_across_executors_and_shards() {
         "three drifting epochs must emit events"
     );
 
+    let variant = |shards: usize, workers: usize| {
+        let mut c = drifting_config();
+        c.hunter = c.hunter.with_shards(shards).with_workers(workers);
+        c
+    };
     let variants: Vec<(&str, DriverConfig)> = vec![
-        ("batch/shards=4", {
-            let mut c = drifting_config();
-            c.hunter = c.hunter.with_shards(4);
-            c
-        }),
-        ("stream/shards=1", {
-            let mut c = drifting_config();
-            c.hunter = c.hunter.with_parallelism(2).with_stream_batch_size(16);
-            c
-        }),
-        ("stream/shards=4", {
-            let mut c = drifting_config();
-            c.hunter = c
-                .hunter
-                .with_shards(4)
-                .with_parallelism(2)
-                .with_stream_batch_size(16);
-            c
-        }),
+        ("shards=4 workers=4", variant(4, 4)),
+        ("shards=1 workers=2", variant(1, 2)),
+        ("shards=4 workers=2", variant(4, 2)),
     ];
     for (label, cfg) in variants {
         let state = run_epochs(cfg, 3);

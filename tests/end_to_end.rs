@@ -266,3 +266,22 @@ fn different_seeds_produce_different_worlds_same_invariants() {
     );
     assert_eq!(fn_count, 0);
 }
+
+#[test]
+fn legacy_path_without_raw_retention_drops_collected() {
+    let (_world, retained) = small_run();
+    let mut world = World::generate(WorldConfig::small());
+    let out = run(
+        &mut world,
+        &HunterConfig::fast().with_keep_raw_collected(false),
+    );
+    assert!(out.collected.is_empty());
+    assert!(out.report.totals.total > 0);
+    // Retention is bookkeeping only: the classified set still embeds every
+    // collected record, in the same order with the same verdicts.
+    assert_eq!(out.classified.len(), retained.collected.len());
+    assert_eq!(
+        urhunter::classified_sequence_hash(&out.classified),
+        urhunter::classified_sequence_hash(&retained.classified)
+    );
+}

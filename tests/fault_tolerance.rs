@@ -64,10 +64,9 @@ fn lossy(drop: f64) -> FaultPlan {
     FaultPlan::lossy(drop).scheduled_per_flow()
 }
 
-fn lossy_cfg(drop: f64, attempts: u32, stream_batch: usize, parallelism: usize) -> HunterConfig {
+fn lossy_cfg(drop: f64, attempts: u32, workers: usize) -> HunterConfig {
     HunterConfig::fast()
-        .with_parallelism(parallelism)
-        .with_stream_batch_size(stream_batch)
+        .with_workers(workers)
         .with_retry_plan(QueryPlan::with_attempts(attempts))
         .with_scan_faults(lossy(drop))
 }
@@ -93,7 +92,7 @@ fn assert_accounted(out: &RunOutput, label: &str) {
 fn reliable_run_is_bit_identical_to_single_shot() {
     // Pre-PR behavior is one attempt with a 5 s timeout and no breaker; on
     // a reliable fabric the default retrying engine must not change a bit,
-    // on either path.
+    // at any worker count.
     let single = run_with(HunterConfig::fast().with_retry_plan(QueryPlan::single_shot()));
     let sig = signature(&single);
     assert!(single.report.totals.total > 0);
@@ -101,10 +100,7 @@ fn reliable_run_is_bit_identical_to_single_shot() {
     for cfg in [
         HunterConfig::fast(), // default: 3 attempts
         HunterConfig::fast().with_retries(5),
-        HunterConfig::fast()
-            .with_retries(5)
-            .with_stream_batch_size(16)
-            .with_parallelism(4),
+        HunterConfig::fast().with_retries(5).with_workers(4),
         // An explicitly reliable fault plan is the same as no plan.
         HunterConfig::fast().with_scan_faults(FaultPlan::reliable()),
     ] {
@@ -123,8 +119,8 @@ fn single_attempt_under_loss_accounts_every_miss() {
     // attempts=1 under 5% drop: silent false negatives become measured
     // give-ups — answered + gave_up == scheduled, nothing vanishes.
     for (label, cfg) in [
-        ("batch", lossy_cfg(0.05, 1, 0, 1)),
-        ("stream", lossy_cfg(0.05, 1, 16, 4)),
+        ("workers=1", lossy_cfg(0.05, 1, 1)),
+        ("workers=4", lossy_cfg(0.05, 1, 4)),
     ] {
         let out = run_with(cfg);
         assert_accounted(&out, label);
@@ -144,12 +140,12 @@ fn single_attempt_under_loss_accounts_every_miss() {
 fn retries_recover_reliable_hash_at_five_percent_drop() {
     // The acceptance config: drop=0.05, attempts=5 answers every probe
     // (per-probe give-up odds are ~1e-5) and the classified sequence is
-    // bit-identical to the reliable run, on both paths.
+    // bit-identical to the reliable run, at either worker count.
     let reliable = run_with(HunterConfig::fast());
     let sig = signature(&reliable);
     for (label, cfg) in [
-        ("batch", lossy_cfg(0.05, 5, 0, 1)),
-        ("stream", lossy_cfg(0.05, 5, 16, 4)),
+        ("workers=1", lossy_cfg(0.05, 5, 1)),
+        ("workers=4", lossy_cfg(0.05, 5, 4)),
     ] {
         let out = run_with(cfg);
         assert_accounted(&out, label);
@@ -173,11 +169,12 @@ fn retries_recover_reliable_hash_at_five_percent_drop() {
 #[test]
 fn batch_and_stream_see_identical_coverage_under_loss() {
     // Same seed, same fault lottery (per-flow scheduling), same retry
-    // policy: the two execution strategies must agree probe for probe.
-    let batch = run_with(lossy_cfg(0.05, 3, 0, 1));
-    let stream = run_with(lossy_cfg(0.05, 3, 16, 4));
-    assert_eq!(batch.coverage, stream.coverage);
-    assert_eq!(signature(&batch), signature(&stream));
+    // policy: one worker on one shard and four workers on four shards must
+    // agree probe for probe.
+    let one = run_with(lossy_cfg(0.05, 3, 1));
+    let four = run_with(lossy_cfg(0.05, 3, 4).with_shards(4));
+    assert_eq!(one.coverage, four.coverage);
+    assert_eq!(signature(&one), signature(&four));
 }
 
 #[test]
@@ -189,8 +186,8 @@ fn adaptive_timeouts_never_trade_recall_for_speed_under_loss() {
     // spending strictly less simulated time whenever loss makes the fixed
     // policy wait out its full timeout.
     for drop in [0.0, 0.01, 0.05] {
-        let fixed = run_with(lossy_cfg(drop, 3, 0, 1));
-        let adaptive = run_with(lossy_cfg(drop, 3, 0, 1).with_adaptive());
+        let fixed = run_with(lossy_cfg(drop, 3, 1));
+        let adaptive = run_with(lossy_cfg(drop, 3, 1).with_adaptive());
         let label = format!("drop={drop}");
         assert_accounted(&adaptive, &label);
         assert_eq!(
@@ -222,7 +219,7 @@ fn heavy_loss_quarantines_nothing_on_healthy_servers() {
     // 20% drop with one attempt fails ~36% of probes, but failures are
     // spread across servers; the consecutive-failure breaker must not
     // quarantine servers that do answer.
-    let out = run_with(lossy_cfg(0.2, 1, 0, 1));
+    let out = run_with(lossy_cfg(0.2, 1, 1));
     assert_accounted(&out, "heavy loss");
     assert!(out.coverage.gave_up > 0);
     // Any quarantine must be visible in the report, not silent.
@@ -233,9 +230,9 @@ fn heavy_loss_quarantines_nothing_on_healthy_servers() {
 }
 
 /// The full matrix from the issue: drop {0, 0.01, 0.05, 0.2} × attempts
-/// {1, 3, 5} × {batch, streaming at parallelism 4}, plus an adaptive twin
-/// of every default-budget cell. Expensive (32 full pipeline runs), so
-/// ignored by default; ci.sh runs it in release.
+/// {1, 3, 5} × workers {1, 4}, plus an adaptive twin of every
+/// default-budget cell. Expensive (32 full pipeline runs), so ignored by
+/// default; ci.sh runs it in release.
 #[test]
 #[ignore = "32 full pipeline runs; ci.sh executes this in release"]
 fn full_fault_matrix() {
@@ -243,9 +240,9 @@ fn full_fault_matrix() {
     let sig = signature(&reliable);
     for drop in [0.0, 0.01, 0.05, 0.2] {
         for attempts in [1u32, 3, 5] {
-            for (path, stream_batch, parallelism) in [("batch", 0, 1), ("stream", 16, 4)] {
-                let label = format!("drop={drop} attempts={attempts} path={path}");
-                let out = run_with(lossy_cfg(drop, attempts, stream_batch, parallelism));
+            for workers in [1usize, 4] {
+                let label = format!("drop={drop} attempts={attempts} workers={workers}");
+                let out = run_with(lossy_cfg(drop, attempts, workers));
                 assert_accounted(&out, &label);
                 if drop == 0.0 {
                     assert_eq!(signature(&out), sig, "{label}: reliable must match");
@@ -263,9 +260,7 @@ fn full_fault_matrix() {
                 // Adaptive rows at the default retry budget: the derived
                 // timeouts must reproduce the fixed cell exactly.
                 if attempts == 3 {
-                    let adaptive = run_with(
-                        lossy_cfg(drop, attempts, stream_batch, parallelism).with_adaptive(),
-                    );
+                    let adaptive = run_with(lossy_cfg(drop, attempts, workers).with_adaptive());
                     assert_accounted(&adaptive, &format!("{label} adaptive"));
                     assert_eq!(
                         signature(&adaptive),

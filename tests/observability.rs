@@ -1,9 +1,9 @@
 //! Integration contract for the observability subsystem (`crates/obs`):
 //! every sim-class metric is a pure function of the simulated world, so
-//! the deterministic snapshot hash must be bit-identical across executor
-//! strategies, worker counts, and batch sizes — with and without injected
-//! loss — while wall-class metrics (host timing, scheduling) stay out of
-//! the hash entirely. The exporters must round-trip the same registry.
+//! the deterministic snapshot hash must be bit-identical across worker
+//! and shard counts — with and without injected loss — while wall-class
+//! metrics (host timing, scheduling) stay out of the hash entirely. The
+//! exporters must round-trip the same registry.
 
 use simnet::FaultPlan;
 use std::sync::Arc;
@@ -18,24 +18,19 @@ fn observed_run(cfg: HunterConfig) -> (RunOutput, Arc<obs::Obs>) {
     (out, hub)
 }
 
-/// The parallelism/batch matrix the determinism contract covers: the
-/// strict-batch executor at 1 and 4 workers, and the streaming executor
-/// at 1 and 4 workers with two different batch sizes.
+/// The execution matrix the determinism contract covers: one worker and
+/// four, on one shard and on four (with as many workers, and with fewer).
 fn matrix() -> Vec<(&'static str, HunterConfig)> {
     vec![
-        ("batch p1", HunterConfig::fast().with_parallelism(1)),
-        ("batch p4", HunterConfig::fast().with_parallelism(4)),
+        ("workers=1", HunterConfig::fast().with_workers(1)),
+        ("workers=4", HunterConfig::fast().with_workers(4)),
         (
-            "stream b16 p1",
-            HunterConfig::fast()
-                .with_parallelism(1)
-                .with_stream_batch_size(16),
+            "shards=4 workers=4",
+            HunterConfig::fast().with_shards(4).with_workers(4),
         ),
         (
-            "stream b64 p4",
-            HunterConfig::fast()
-                .with_parallelism(4)
-                .with_stream_batch_size(64),
+            "shards=4 workers=2",
+            HunterConfig::fast().with_shards(4).with_workers(2),
         ),
     ]
 }
@@ -63,7 +58,7 @@ fn sim_metrics_hash_is_identical_across_executors_and_parallelism() {
 fn sim_metrics_hash_is_identical_under_loss() {
     // 1% drop with the default 3 attempts: retries fire, backoff waits
     // accumulate, and all of it must still be a pure function of the
-    // simulated world — identical across every executor configuration.
+    // simulated world — identical across every worker and shard count.
     let mut reference: Option<u64> = None;
     let mut snapshots = Vec::new();
     for (label, cfg) in matrix() {
@@ -86,16 +81,14 @@ fn sim_metrics_hash_is_identical_under_loss() {
 
 #[test]
 fn wall_metrics_exist_but_stay_out_of_the_sim_hash() {
-    let (_, hub) = observed_run(
-        HunterConfig::fast()
-            .with_parallelism(2)
-            .with_stream_batch_size(32),
-    );
+    let (_, hub) = observed_run(HunterConfig::fast().with_workers(2));
     let snap = hub.registry().snapshot();
-    // The streaming run registers executor and cache instrumentation…
-    assert!(snap.counter("exec_batches").unwrap_or(0) > 0);
+    // The run registers cache, stage-span and buffer-pool instrumentation
+    // (the scan publishes its pool traffic whatever the world kind)…
     assert!(snap.counter("attr_cache_resolved").unwrap_or(0) > 0);
     assert!(snap.counter("stage_collect_wall_us").is_some());
+    assert!(snap.counter("bufpool_recycled").unwrap_or(0) > 0);
+    assert!(snap.counter("bufpool_allocated").is_some());
     // …none of which appears in the deterministic subset.
     for m in snap.sim_only() {
         assert_eq!(
@@ -104,10 +97,11 @@ fn wall_metrics_exist_but_stay_out_of_the_sim_hash() {
             "{} leaked into sim subset",
             m.name
         );
+        assert!(!m.name.starts_with("bufpool_"), "{} is wall-class", m.name);
     }
     let before = hub.registry().sim_hash();
     hub.registry()
-        .counter("exec_batches", obs::Class::Wall)
+        .counter("bufpool_recycled", obs::Class::Wall)
         .inc();
     assert_eq!(
         before,
@@ -126,7 +120,7 @@ fn wall_metrics_exist_but_stay_out_of_the_sim_hash() {
 
 #[test]
 fn registry_funnels_match_the_run_output() {
-    let (out, hub) = observed_run(HunterConfig::fast().with_stream_batch_size(16));
+    let (out, hub) = observed_run(HunterConfig::fast());
     let snap = hub.registry().snapshot();
     let c = |name: &str| snap.counter(name).unwrap_or(0);
     // Probe funnel vs the engine's coverage report.
@@ -196,21 +190,18 @@ fn exporters_render_the_whole_registry() {
 }
 
 #[test]
-fn runs_without_a_hub_pay_nothing_and_report_zero_overlap() {
-    // No hub: the streaming executor must not fabricate overlap stats
-    // (instrumentation off means no clocks read at all), and the output
-    // still matches an instrumented run bit for bit.
-    let cfg = HunterConfig::fast()
-        .with_parallelism(2)
-        .with_stream_batch_size(32);
+fn runs_without_a_hub_match_an_instrumented_run() {
+    // No hub: the output still matches an instrumented run bit for bit,
+    // down to the simulated scan clock.
+    let cfg = HunterConfig::fast().with_workers(2);
     let mut world = World::generate(WorldConfig::small());
     let plain = run(&mut world, &cfg.clone());
-    assert_eq!(plain.overlap.classify_busy_ms, 0.0);
-    assert_eq!(plain.overlap.classify_hidden_ms, 0.0);
     let (observed, _) = observed_run(cfg);
     assert_eq!(
         classified_sequence_hash(&plain.classified),
         classified_sequence_hash(&observed.classified),
         "attaching the hub changed the output"
     );
+    assert_eq!(plain.coverage, observed.coverage);
+    assert_eq!(plain.scan_elapsed, observed.scan_elapsed);
 }

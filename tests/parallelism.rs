@@ -5,26 +5,23 @@ use urhunter::{classify_all, evaluate_false_negatives, run, HunterConfig};
 use worldgen::{World, WorldConfig};
 
 /// Full-pipeline totals and per-UR categories are identical for
-/// `parallelism` 1, 2, 3 and 8.
+/// `workers` 1, 2, 3 and 8.
 #[test]
 fn pipeline_output_identical_across_worker_counts() {
     let baseline = {
         let mut world = World::generate(WorldConfig::small());
-        run(&mut world, &HunterConfig::fast().with_parallelism(1))
+        run(&mut world, &HunterConfig::fast().with_workers(1))
     };
     for workers in [2usize, 3, 8] {
         let mut world = World::generate(WorldConfig::small());
-        let out = run(&mut world, &HunterConfig::fast().with_parallelism(workers));
+        let out = run(&mut world, &HunterConfig::fast().with_workers(workers));
         assert_eq!(
             out.report.totals, baseline.report.totals,
-            "totals diverge at parallelism={workers}"
+            "totals diverge at workers={workers}"
         );
         assert_eq!(out.classified.len(), baseline.classified.len());
         for (a, b) in out.classified.iter().zip(baseline.classified.iter()) {
-            assert_eq!(
-                a.ur.key, b.ur.key,
-                "UR order diverges at parallelism={workers}"
-            );
+            assert_eq!(a.ur.key, b.ur.key, "UR order diverges at workers={workers}");
             assert_eq!(a.category, b.category);
             assert_eq!(a.correct_reason, b.correct_reason);
             assert_eq!(a.corresponding_ips, b.corresponding_ips);
@@ -76,7 +73,7 @@ fn classify_all_identical_for_sequential_and_parallel() {
 #[test]
 fn false_negative_evaluation_unaffected_by_parallelism() {
     let mut world = World::generate(WorldConfig::small());
-    let cfg = HunterConfig::fast().with_parallelism(4);
+    let cfg = HunterConfig::fast().with_workers(4);
     let out = run(&mut world, &cfg);
     let fn_count = evaluate_false_negatives(&mut world, &out.correct_db, &out.protective_db, &cfg);
     assert_eq!(fn_count, 0);

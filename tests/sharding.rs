@@ -1,5 +1,5 @@
 //! The sharded collection fabric must be invisible in the results: for
-//! every shard count, on both executor paths, with and without injected
+//! every shard count and every worker count, with and without injected
 //! loss, the pipeline produces bit-identical per-UR classifications,
 //! coverage accounting, and deterministic (sim-class) metrics. Sharding
 //! may only change wall-clock time, never the measurement.
@@ -46,22 +46,40 @@ fn batch_path_is_bit_identical_across_shard_counts() {
 }
 
 #[test]
-fn stream_path_is_bit_identical_across_shard_counts() {
-    let baseline = run_with(HunterConfig::fast().with_shards(1));
-    let base_sig = signature(&baseline);
-
-    for shards in [1usize, 2, 4, 8] {
-        let out = run_with(
+fn fewer_workers_than_shards_is_bit_identical_to_one_shard() {
+    // Workers claim shards, so with fewer workers than shards a worker
+    // scans several in turn (and one worker scans them all on the calling
+    // thread). Reliable, and per-flow lossy with the adaptive feed: the
+    // sequence, the accounting and both simulated clocks must be the
+    // one-shard run's.
+    let base = |lossy: bool| {
+        if lossy {
             HunterConfig::fast()
-                .with_shards(shards)
-                .with_parallelism(2)
-                .with_stream_batch_size(16),
+                .with_scan_faults(FaultPlan::lossy(0.05).scheduled_per_flow())
+                .with_adaptive()
+        } else {
+            HunterConfig::fast()
+        }
+    };
+    for lossy in [false, true] {
+        let label = if lossy { "lossy adaptive" } else { "reliable" };
+        let base = || base(lossy);
+        let baseline = run_with(base().with_shards(1));
+        assert!(
+            baseline.report.totals.total > 0,
+            "{label}: nothing collected"
         );
-        assert_eq!(
-            signature(&out),
-            base_sig,
-            "stream path diverges from batch at shards={shards}"
-        );
+        assert_eq!(baseline.coverage.retransmissions > 0, lossy, "{label}");
+        for workers in [1usize, 2, 4] {
+            let out = run_with(base().with_shards(4).with_workers(workers));
+            assert_eq!(
+                signature(&out),
+                signature(&baseline),
+                "{label}: diverges at shards=4 workers={workers}"
+            );
+            assert_eq!(out.scan_elapsed, baseline.scan_elapsed, "{label}");
+            assert_eq!(out.bucket_wait, baseline.bucket_wait, "{label}");
+        }
     }
 }
 
@@ -89,17 +107,6 @@ fn sharding_is_invariant_under_injected_loss() {
             base_sig,
             "lossy batch path diverges at shards={shards}"
         );
-        let stream = run_with(lossy(
-            HunterConfig::fast()
-                .with_shards(shards)
-                .with_parallelism(2)
-                .with_stream_batch_size(16),
-        ));
-        assert_eq!(
-            signature(&stream),
-            base_sig,
-            "lossy stream path diverges at shards={shards}"
-        );
     }
 }
 
@@ -109,12 +116,11 @@ fn sim_metrics_hash_is_identical_across_shard_counts() {
     // counters, verdict funnel, stage sim deltas) must not see the shard
     // count either: shard engines and fabrics mirror into the same
     // counter cells, and counter sums commute.
-    let observed = |shards: usize, batch: usize| {
+    let observed = |shards: usize| {
         let mut world = World::generate(WorldConfig::small());
         let hub = obs::Obs::shared();
         let cfg = HunterConfig::fast()
             .with_shards(shards)
-            .with_stream_batch_size(batch)
             .with_obs(hub.clone());
         let out = run(&mut world, &cfg);
         (
@@ -122,12 +128,12 @@ fn sim_metrics_hash_is_identical_across_shard_counts() {
             classified_sequence_hash(&out.classified),
         )
     };
-    let reference = observed(1, 0);
-    for (shards, batch) in [(2usize, 0usize), (4, 0), (4, 16), (8, 16)] {
+    let reference = observed(1);
+    for shards in [2usize, 4, 8] {
         assert_eq!(
-            observed(shards, batch),
+            observed(shards),
             reference,
-            "sim metrics diverge at shards={shards} batch={batch}"
+            "sim metrics diverge at shards={shards}"
         );
     }
 }

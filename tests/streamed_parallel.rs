@@ -1,5 +1,5 @@
 //! The parallel streamed scan must be invisible in the results: for every
-//! `stream_workers` count the folded output — sequence digest, full probe
+//! `workers` count the folded output — sequence digest, full probe
 //! coverage, category counters, summed sim time, and the deterministic
 //! (sim-class) metrics hash — is bit-identical to the sequential fold at
 //! the same `world_shards`, with and without injected loss, and with the
@@ -53,12 +53,12 @@ fn parallel_fold_is_bit_identical_to_sequential() {
                     base
                 }
             };
-            let (seq, seq_hub) = observed_run(cfg().with_stream_workers(1), shards);
+            let (seq, seq_hub) = observed_run(cfg().with_workers(1), shards);
             assert!(seq.total_urs > 0, "sequential scan found no URs");
             assert_eq!(seq.workers, 1);
             let want = signature(&seq, &seq_hub);
             for workers in [2usize, 4] {
-                let (par, par_hub) = observed_run(cfg().with_stream_workers(workers), shards);
+                let (par, par_hub) = observed_run(cfg().with_workers(workers), shards);
                 assert_eq!(par.workers, workers.min(shards));
                 assert_eq!(
                     signature(&par, &par_hub),
@@ -79,7 +79,7 @@ fn rate_limited_scan_composes_with_shards_and_workers() {
         HunterConfig::fast()
             .with_keep_raw_collected(false)
             .with_rate_limit_per_sec(PER_SEC)
-            .with_stream_workers(workers)
+            .with_workers(workers)
     };
     let (seq, seq_hub) = observed_run(cfg(1), shards);
     assert!(seq.total_urs > 0, "rate-limited scan found no URs");
@@ -111,7 +111,7 @@ fn rate_limited_scan_composes_with_shards_and_workers() {
 
 #[test]
 fn bufpool_recycling_is_visible_per_run() {
-    let (_, hub) = observed_run(HunterConfig::fast().with_stream_workers(2), 4);
+    let (_, hub) = observed_run(HunterConfig::fast().with_workers(2), 4);
     let recycled = hub.registry().counter_value("bufpool_recycled");
     let allocated = hub.registry().counter_value("bufpool_allocated");
     assert!(
