@@ -1,7 +1,9 @@
-//! Shared helpers for the benchmark harness and the table/figure
-//! regeneration binaries.
+//! Shared helpers for the table/figure regeneration binaries, and the
+//! exact invariants behind `BENCH_pipeline.json` ([`invariants`]).
 
 #![forbid(unsafe_code)]
+
+pub mod invariants;
 
 use urhunter::{run, HunterConfig, RunOutput};
 use worldgen::{World, WorldConfig};
@@ -54,37 +56,7 @@ pub fn experiment_run() -> (World, RunOutput) {
     (world, out)
 }
 
-/// Generate the small (test-sized) world and run the pipeline — used by
-/// criterion benches where wall-clock per iteration matters.
-pub fn small_run() -> (World, RunOutput) {
-    let mut world = World::generate(WorldConfig::small());
-    let out = run(&mut world, &HunterConfig::fast());
-    (world, out)
-}
-
 /// Print a `measured vs paper` comparison line.
 pub fn compare(label: &str, measured: f64, paper: f64) {
     println!("  {label:<18} measured {measured:>7.2}%   paper {paper:>7.2}%");
-}
-
-/// Peak resident set size of this process in MiB (`VmHWM` from
-/// `/proc/self/status`), or 0 on platforms without procfs. This is the
-/// process-wide high-water mark, so in a binary that runs several
-/// workloads it reflects the largest of them.
-pub fn peak_rss_mb() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb / 1024;
-        }
-    }
-    0
 }

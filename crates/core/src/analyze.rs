@@ -5,7 +5,6 @@
 use crate::types::{ClassifiedUr, MaliciousEvidence, UrCategory};
 use dnswire::RecordType;
 use intel::{Alert, IdsEngine, IntelAggregator, MalwareSample, Sandbox, SandboxReport, Severity};
-use par::{par_map, Parallelism};
 use simnet::Network;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::Ipv4Addr;
@@ -20,10 +19,6 @@ pub struct AnalyzeConfig {
     /// signatures (the §6 future-work extension; off in the
     /// paper-faithful mode, where such URs stay unknown).
     pub match_txt_payloads: bool,
-    /// Worker threads for the per-IP vendor join: `0` is automatic
-    /// (available parallelism, `URHUNTER_PARALLELISM` override), `1` is
-    /// sequential. Output is identical for every value.
-    pub parallelism: usize,
 }
 
 impl Default for AnalyzeConfig {
@@ -31,7 +26,6 @@ impl Default for AnalyzeConfig {
         AnalyzeConfig {
             severity_threshold: Severity::Medium,
             match_txt_payloads: false,
-            parallelism: 0,
         }
     }
 }
@@ -121,16 +115,11 @@ pub fn analyze(
         .collect();
 
     // Vendor join: each distinct address is checked against every vendor
-    // feed, the dominant per-IP cost of this stage. Sorting first makes
-    // the chunk layout deterministic; the set result is order-free anyway.
-    let mut join_ips: Vec<Ipv4Addr> = ur_ips.iter().copied().collect();
-    join_ips.sort_unstable();
-    let vendor_malicious: HashSet<Ipv4Addr> =
-        par_map(&join_ips, Parallelism::from_knob(cfg.parallelism), |ip| {
-            intel.is_malicious(*ip).then_some(*ip)
-        })
-        .into_iter()
-        .flatten()
+    // feed, the dominant per-IP cost of this stage.
+    let vendor_malicious: HashSet<Ipv4Addr> = ur_ips
+        .iter()
+        .copied()
+        .filter(|ip| intel.is_malicious(*ip))
         .collect();
     let ids_relevant: HashSet<Ipv4Addr> = ids_malicious.intersection(&ur_ips).copied().collect();
 

@@ -22,11 +22,10 @@
 //! by nameserver (default 1, or 8 world shards on the streamed path;
 //! ignored under `--ethics` and `--rate-limit` on the materialized
 //! pipeline, which pace a single scanner clock). `--workers N` is the
-//! thread count for every parallel stage: scan workers claim shards (at
-//! most `min(shards, N)` run at once; one worker scans on the calling
-//! thread) and classification and the analysis join fan out over the same
-//! count (default: sized from the machine, `URHUNTER_PARALLELISM`
-//! override).
+//! number of scan workers claiming shards (at most `min(shards, N)` run at
+//! once; one worker scans on the calling thread, as does everything
+//! downstream of the scan; default: sized from the machine,
+//! `URHUNTER_PARALLELISM` override).
 //!
 //! `--retries N` gives every collection probe N attempts (default 3;
 //! 1 = single-shot), `--timeout MS` bounds each attempt, and
@@ -107,10 +106,9 @@ fn usage() -> ! {
          \u{20} --shards N runs the bulk scan on N replica fabrics partitioned by\n\
          \u{20} nameserver (default 1, maximum 64; bit-identical output, clamped to 1\n\
          \u{20} under --ethics);\n\
-         \u{20} --workers N is the thread count of every parallel stage: scan workers\n\
-         \u{20} claim shards, classification and analysis fan out (minimum 1, maximum\n\
-         \u{20} 64; default auto-sizes from the machine; output is bit-identical for\n\
-         \u{20} every worker count);\n\
+         \u{20} --workers N is the number of scan workers claiming shards, so\n\
+         \u{20} min(shards, N) scan at once (minimum 1, maximum 64; default auto-sizes\n\
+         \u{20} from the machine; output is bit-identical for every worker count);\n\
          \u{20} --retries N attempts per probe (default 3, minimum 1), --timeout MS per\n\
          \u{20} attempt (positive), --fault-drop P injects drop probability P in [0,1]\n\
          \u{20} for the collection stages; --adaptive derives per-attempt timeouts\n\

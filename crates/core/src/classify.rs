@@ -12,7 +12,6 @@ use crate::types::{
 };
 use dnswire::RecordType;
 use netdb::{AttrIndex, NetDb, PageKind};
-use par::{par_map, Parallelism};
 use pdns::{Day, PassiveDns, SIX_YEARS_DAYS};
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
@@ -36,10 +35,6 @@ pub struct ClassifyConfig {
     pub today: Day,
     /// Lookback window for passive DNS.
     pub pdns_window: u32,
-    /// Worker threads for batch classification: `0` is automatic
-    /// (available parallelism, `URHUNTER_PARALLELISM` override), `1` is
-    /// sequential. Output is bit-identical for every value.
-    pub parallelism: usize,
 }
 
 impl Default for ClassifyConfig {
@@ -53,31 +48,14 @@ impl Default for ClassifyConfig {
             use_http_exclusion: true,
             today: 2_500,
             pdns_window: SIX_YEARS_DAYS,
-            parallelism: 0,
         }
     }
 }
 
-/// Classify one UR into Correct / Protective / (pre-analysis) Unknown.
-///
-/// The malicious promotion happens later in [`mod@crate::analyze`]; this stage
-/// only separates suspicious records from explainable ones.
-pub fn classify_ur(
-    ur: &CollectedUr,
-    correct: &CorrectDb,
-    protective: &ProtectiveDb,
-    metadata: &NetDb,
-    history: &PassiveDns,
-    cfg: &ClassifyConfig,
-) -> ClassifiedUr {
-    // Single-UR entry point: resolve just this record's addresses.
-    let attrs = AttrIndex::build(metadata, ur_ips(ur));
-    classify_ur_with(ur, correct, protective, metadata, &attrs, history, cfg)
-}
-
-/// The decision part of a classification, separated from UR ownership so
-/// the borrowed path (`ur.clone()`) and the owned path (move the UR in, no
-/// clone) share one implementation.
+/// The decision part of a classification into Correct / Protective /
+/// (pre-analysis) Unknown — the malicious promotion happens later in
+/// [`mod@crate::analyze`]. Separate from UR ownership so the decision borrows
+/// the UR and [`Verdict::into_classified`] then moves it in without a clone.
 struct Verdict {
     category: UrCategory,
     correct_reason: Option<CorrectReason>,
@@ -105,32 +83,6 @@ fn ur_ips(ur: &CollectedUr) -> impl Iterator<Item = Ipv4Addr> + '_ {
         .iter()
         .chain(ur.aux_records.iter())
         .filter_map(|r| r.rdata.as_a())
-}
-
-fn classify_ur_with(
-    ur: &CollectedUr,
-    correct: &CorrectDb,
-    protective: &ProtectiveDb,
-    metadata: &NetDb,
-    attrs: &AttrIndex,
-    history: &PassiveDns,
-    cfg: &ClassifyConfig,
-) -> ClassifiedUr {
-    verdict_for(ur, correct, protective, metadata, attrs, history, cfg).into_classified(ur.clone())
-}
-
-/// Owned variant: the caller hands the UR over and no deep clone of its
-/// record vectors is made — the pipeline's path, batch by batch.
-fn classify_ur_with_owned(
-    ur: CollectedUr,
-    correct: &CorrectDb,
-    protective: &ProtectiveDb,
-    metadata: &NetDb,
-    attrs: &AttrIndex,
-    history: &PassiveDns,
-    cfg: &ClassifyConfig,
-) -> ClassifiedUr {
-    verdict_for(&ur, correct, protective, metadata, attrs, history, cfg).into_classified(ur)
 }
 
 fn verdict_for(
@@ -379,70 +331,6 @@ fn classify_mx(
     }
 }
 
-/// Classify a whole batch.
-///
-/// Two optimizations over calling [`classify_ur`] in a loop, neither of
-/// which changes the output:
-///
-/// 1. all network attributes (ASN, geo, certificate, HTTP kind) are
-///    resolved once per *distinct* address into an [`AttrIndex`] instead
-///    of once per UR that mentions the address;
-/// 2. both the attribute resolution and the per-UR classification run on
-///    a deterministic chunked [`par_map`], honoring `cfg.parallelism`.
-///    Results land in index order, so the output is bit-identical to the
-///    sequential path for every worker count.
-pub fn classify_all(
-    urs: &[CollectedUr],
-    correct: &CorrectDb,
-    protective: &ProtectiveDb,
-    metadata: &NetDb,
-    history: &PassiveDns,
-    cfg: &ClassifyConfig,
-) -> Vec<ClassifiedUr> {
-    classify_all_observed(urs, correct, protective, metadata, history, cfg, None)
-}
-
-/// [`classify_all`] with optional [`AttrCacheMetrics`]: records how many
-/// distinct addresses the up-front index resolved and how many repeat
-/// mentions it served from cache. `None` costs one branch.
-#[allow(clippy::too_many_arguments)]
-pub fn classify_all_observed(
-    urs: &[CollectedUr],
-    correct: &CorrectDb,
-    protective: &ProtectiveDb,
-    metadata: &NetDb,
-    history: &PassiveDns,
-    cfg: &ClassifyConfig,
-    cache: Option<&AttrCacheMetrics>,
-) -> Vec<ClassifiedUr> {
-    let workers = Parallelism::from_knob(cfg.parallelism);
-
-    // Distinct addresses across the batch, in first-seen order (the order
-    // only affects scheduling, never results — the index is keyed by IP).
-    let mut seen = HashSet::new();
-    let mut distinct: Vec<Ipv4Addr> = Vec::new();
-    let mut mentions = 0u64;
-    for ur in urs {
-        for ip in ur_ips(ur) {
-            mentions += 1;
-            if seen.insert(ip) {
-                distinct.push(ip);
-            }
-        }
-    }
-    if let Some(c) = cache {
-        c.record(mentions - distinct.len() as u64, distinct.len() as u64);
-    }
-    let resolved = par_map(&distinct, workers, |ip| {
-        (*ip, AttrIndex::resolve(metadata, *ip))
-    });
-    let attrs = AttrIndex::from_resolved(resolved);
-
-    par_map(urs, workers, |ur| {
-        classify_ur_with(ur, correct, protective, metadata, &attrs, history, cfg)
-    })
-}
-
 /// Metric name of the Appendix-B exclusion condition behind a correct
 /// verdict.
 fn reason_metric(reason: CorrectReason) -> &'static str {
@@ -526,22 +414,20 @@ impl AttrCacheMetrics {
     }
 }
 
-/// The batch-at-a-time entry point to suspicious-record determination.
+/// The one entry point to suspicious-record determination.
 ///
-/// Where [`classify_all`] sees the whole UR set at once and resolves every
-/// distinct address up front, the stream classifier receives batches — on
-/// the streamed path while other shards are still being scanned. Its
-/// [`AttrIndex`] grows incrementally: each batch's distinct new addresses
-/// are resolved once and absorbed into the shared index under a
-/// [`std::sync::RwLock`], so addresses recurring across batches (shared
-/// C2s, CDN nodes, protective sinks) are still resolved exactly once per
-/// run.
+/// The classifier receives batches — on the streamed path while other
+/// shards are still being scanned. Its [`AttrIndex`] grows incrementally:
+/// each batch's distinct new addresses are resolved once and absorbed into
+/// the shared index under a [`std::sync::RwLock`], so addresses recurring
+/// across batches (shared C2s, CDN nodes, protective sinks) are still
+/// resolved exactly once per run.
 ///
-/// Safe to call from several worker threads at once, and **bit-identical
-/// to the batch path** for every batch partition and thread count: the
-/// index is a pure cache (resolution is a pure function of the read-only
-/// [`NetDb`]), so its fill level never changes a classification — only how
-/// much work the fallback [`AttrIndex::get_or_resolve`] has to redo.
+/// Safe to call from several worker threads at once, and **bit-identical**
+/// for every batch partition and thread count: the index is a pure cache
+/// (resolution is a pure function of the read-only [`NetDb`]), so its fill
+/// level never changes a classification — only how much work the fallback
+/// [`AttrIndex::get_or_resolve`] has to redo.
 pub struct StreamClassifier<'a> {
     correct: &'a CorrectDb,
     protective: &'a ProtectiveDb,
@@ -553,8 +439,7 @@ pub struct StreamClassifier<'a> {
 }
 
 impl<'a> StreamClassifier<'a> {
-    /// A classifier over the stage databases; `cfg.parallelism` is ignored
-    /// here (the caller owns the threads).
+    /// A classifier over the stage databases (the caller owns the threads).
     pub fn new(
         correct: &'a CorrectDb,
         protective: &'a ProtectiveDb,
@@ -618,16 +503,15 @@ impl<'a> StreamClassifier<'a> {
 
     /// Absorb the batch's distinct new addresses into the shared index,
     /// then classify the batch in order, moving each UR into its
-    /// [`ClassifiedUr`]. Results are exactly what [`classify_all`] would
-    /// produce for these URs at the same positions.
+    /// [`ClassifiedUr`] without a clone of its record vectors.
     pub fn classify_batch_owned(&self, batch: Vec<CollectedUr>) -> Vec<ClassifiedUr> {
         self.absorb_missing(&batch);
         let attrs = self.attrs.read().expect("attr index lock");
         batch
             .into_iter()
             .map(|ur| {
-                classify_ur_with_owned(
-                    ur,
+                verdict_for(
+                    &ur,
                     self.correct,
                     self.protective,
                     self.metadata,
@@ -635,6 +519,7 @@ impl<'a> StreamClassifier<'a> {
                     self.history,
                     self.cfg,
                 )
+                .into_classified(ur)
             })
             .collect()
     }
@@ -752,15 +637,13 @@ mod tests {
         }
     }
 
+    fn run_batch(f: &Fixture, urs: Vec<CollectedUr>) -> Vec<ClassifiedUr> {
+        StreamClassifier::new(&f.correct, &f.protective, &f.metadata, &f.history, &f.cfg)
+            .classify_batch_owned(urs)
+    }
+
     fn run(f: &Fixture, ur: &CollectedUr) -> ClassifiedUr {
-        classify_ur(
-            ur,
-            &f.correct,
-            &f.protective,
-            &f.metadata,
-            &f.history,
-            &f.cfg,
-        )
+        run_batch(f, vec![ur.clone()]).remove(0)
     }
 
     #[test]
@@ -869,14 +752,7 @@ mod tests {
             a_ur("site.com", "20.0.0.5", &["40.0.0.10"]), // suspicious
             a_ur("anything.org", "20.0.0.1", &["20.0.255.1"]), // protective
         ];
-        let out = classify_all(
-            &urs,
-            &f.correct,
-            &f.protective,
-            &f.metadata,
-            &f.history,
-            &f.cfg,
-        );
+        let out = run_batch(&f, urs);
         let reg = obs::MetricsRegistry::new();
         reg.merge_shard(obs::Class::Sim, &classify_shard(&out));
         assert_eq!(reg.counter_value("classify_total"), Some(3));
@@ -910,14 +786,7 @@ mod tests {
             a_ur("site.com", "20.0.0.1", &["30.0.0.10"]),
             a_ur("site.com", "20.0.0.1", &["40.0.0.10"]),
         ];
-        let out = classify_all(
-            &urs,
-            &f.correct,
-            &f.protective,
-            &f.metadata,
-            &f.history,
-            &f.cfg,
-        );
+        let out = run_batch(&f, urs);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].category, UrCategory::Correct);
         assert_eq!(out[1].category, UrCategory::Unknown);

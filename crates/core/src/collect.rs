@@ -377,10 +377,10 @@ pub type ScanTask = (usize, usize, RecordType);
 pub type ShardTasks = Vec<(usize, ScanTask)>;
 
 /// Partition a randomized task list across `shards` contiguous nameserver
-/// ranges (via [`par::chunk_ranges`], the same worker-count plumbing the
-/// classify stage uses). Each shard's list keeps the global randomized
-/// order, and every task is tagged with its global index so the merge can
-/// splice shard outputs back into exactly the unsharded emission order.
+/// ranges (via [`par::chunk_ranges`]). Each shard's list keeps the global
+/// randomized order, and every task is tagged with its global index so the
+/// merge can splice shard outputs back into exactly the unsharded emission
+/// order.
 ///
 /// Partitioning by *nameserver* (not by task) is what makes shard output
 /// invariant: every `(scanner, nameserver)` flow — probes, retries, MX

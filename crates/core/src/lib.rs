@@ -51,10 +51,7 @@ pub mod types;
 
 pub use analyze::{analyze, evidence_histogram, run_sandboxes, Analysis, AnalyzeConfig};
 pub use audit::{audit_provider, audit_table2, AuditRow};
-pub use classify::{
-    classify_all, classify_all_observed, classify_shard, classify_ur, AttrCacheMetrics,
-    ClassifyConfig, StreamClassifier,
-};
+pub use classify::{classify_shard, AttrCacheMetrics, ClassifyConfig, StreamClassifier};
 pub use collect::{
     collect_correct, collect_protective, collect_urs_sharded, collect_urs_streamed,
     correct_db_from_stream, partition_scan_tasks, protective_db_from_stream, scan_stream,

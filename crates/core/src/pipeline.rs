@@ -2,9 +2,7 @@
 //! malicious-behaviour analysis → report.
 
 use crate::analyze::{analyze, run_sandboxes, Analysis, AnalyzeConfig};
-use crate::classify::{
-    classify_all, classify_shard, AttrCacheMetrics, ClassifyConfig, StreamClassifier,
-};
+use crate::classify::{classify_shard, AttrCacheMetrics, ClassifyConfig, StreamClassifier};
 use crate::collect::{
     collect_correct, collect_protective, collect_urs_sharded_on, query_one_ur, select_nameservers,
     CollectConfig, QidGen,
@@ -49,15 +47,16 @@ pub struct HunterConfig {
     /// meaningful on one clock. ([`run_streamed`] takes its world-shard
     /// count as an argument: there it is part of the run's identity.)
     pub shards: usize,
-    /// Worker threads, for every parallel stage alike: scan workers claim
-    /// shards (at most one each, so `min(shards, workers)` run; one worker
-    /// scans on the calling thread), and classification and the analysis
-    /// vendor join fan out over the same count. `0` is automatic
-    /// (available parallelism, `URHUNTER_PARALLELISM` override), `1` is
-    /// sequential, `n` fixed. Output is bit-identical for every value
-    /// (pinned by `tests/parallelism.rs`, `tests/sharding.rs` and
-    /// `tests/streamed_parallel.rs`); only wall-clock time and peak RSS
-    /// (bounded by `workers` resident shard fabrics) change.
+    /// Scan worker threads: workers claim shards (at most one each, so
+    /// `min(shards, workers)` run; one worker scans on the calling thread).
+    /// Nothing else is threaded: [`run`] classifies, analyzes and reports
+    /// on the calling thread, and in [`run_streamed`] a worker classifies
+    /// the batches it scanned. `0` is automatic (available parallelism,
+    /// `URHUNTER_PARALLELISM` override), `1` is sequential, `n` fixed.
+    /// Output is bit-identical for every value (pinned by
+    /// `tests/sharding.rs` and `tests/streamed_parallel.rs`); only
+    /// wall-clock time and peak RSS (bounded by `workers` resident shard
+    /// fabrics) change.
     pub workers: usize,
     /// Keep the raw [`CollectedUr`] set in [`RunOutput::collected`].
     /// Defaults to `true` (tests and examples inspect it); bench binaries
@@ -210,9 +209,12 @@ impl HunterConfig {
 
     /// Cap the whole scan at `per_sec` probes per simulated second (the
     /// `--rate-limit` flag; see [`HunterConfig::rate_limit_interval`]).
+    /// `0` turns the cap off; a rate above one probe per microsecond — the
+    /// virtual clock's resolution — is held to that, since a zero interval
+    /// would mean "uncapped".
     pub fn with_rate_limit_per_sec(mut self, per_sec: u64) -> Self {
         self.rate_limit_interval = match 1_000_000u64.checked_div(per_sec) {
-            Some(us) => SimDuration::from_micros(us),
+            Some(us) => SimDuration::from_micros(us.max(1)),
             None => SimDuration::ZERO,
         };
         self
@@ -224,18 +226,10 @@ impl HunterConfig {
         self
     }
 
-    /// The classify config with the pipeline-level overrides applied.
+    /// The classify config dated to the world's `today`.
     fn classify_cfg(&self, today: pdns::Day) -> ClassifyConfig {
         let mut cfg = self.classify.clone();
         cfg.today = today;
-        cfg.parallelism = self.workers;
-        cfg
-    }
-
-    /// The analyze config with the pipeline-level overrides applied.
-    fn analyze_cfg(&self) -> AnalyzeConfig {
-        let mut cfg = self.analyze.clone();
-        cfg.parallelism = self.workers;
         cfg
     }
 }
@@ -354,8 +348,7 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     // The scan output accumulates in the columnar store (4-byte interned
     // domains and providers, one shared record arena) instead of a
     // `Vec<CollectedUr>`, then the classifier is fed materialized batch
-    // views in splice order, so the output is the same sequence
-    // `classify_all` would produce.
+    // views in splice order.
     let sp = obs.map(|h| h.span("collect", world.net.now().as_micros()));
     let mut store = UrStore::new();
     let scan = collect_urs_sharded_on(
@@ -428,7 +421,6 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     }
     world.net.trace.set_enabled(true);
 
-    let analyze_cfg = cfg.analyze_cfg();
     let samples = world.samples.clone();
     let sp = obs.map(|h| h.span("analyze", world.net.now().as_micros()));
     let (reports, ids_malicious) = run_sandboxes(
@@ -436,7 +428,7 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         &world.sandbox,
         &world.ids,
         &samples,
-        &analyze_cfg,
+        &cfg.analyze,
     );
     let analysis = analyze(
         &mut classified,
@@ -444,7 +436,7 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         reports,
         ids_malicious,
         &world.payload_sigs,
-        &analyze_cfg,
+        &cfg.analyze,
     );
     if let Some((s, h)) = sp.zip(obs) {
         s.finish(h, world.net.now().as_micros());
@@ -716,18 +708,17 @@ pub fn evaluate_false_negatives(
         !delegated_inputs.is_empty(),
         "false-negative evaluation needs delegated records as input"
     );
-    let classified = classify_all(
-        &delegated_inputs,
+    StreamClassifier::new(
         correct_db,
         protective_db,
         &world.db,
         &world.pdns,
         &classify_cfg,
-    );
-    classified
-        .iter()
-        .filter(|c| matches!(c.category, UrCategory::Unknown | UrCategory::Malicious))
-        .count()
+    )
+    .classify_batch_owned(delegated_inputs)
+    .iter()
+    .filter(|c| matches!(c.category, UrCategory::Unknown | UrCategory::Malicious))
+    .count()
 }
 
 #[cfg(test)]
@@ -845,6 +836,20 @@ mod tests {
             (c.correct, c.protective, c.unknown),
             (a.correct, a.protective, a.unknown)
         );
+    }
+
+    #[test]
+    fn a_rate_limit_above_the_clock_resolution_is_still_a_limit() {
+        let interval = |n| {
+            HunterConfig::fast()
+                .with_rate_limit_per_sec(n)
+                .rate_limit_interval
+        };
+        assert_eq!(interval(0), SimDuration::ZERO, "0 stays off");
+        assert_eq!(interval(2), SimDuration::from_micros(500_000));
+        for n in [1_000_000, 1_000_001, u64::MAX] {
+            assert_eq!(interval(n), SimDuration::from_micros(1), "--rate-limit {n}");
+        }
     }
 
     #[test]

@@ -33,8 +33,7 @@ OPTIONS:
     --expire-fraction F    fraction of campaigns expiring per drift step,
                            0 <= F <= 1 (default 0.3)
     --shards N             fabric shards, 1..=64 (default 1)
-    --workers N            threads for every parallel stage (shard scans,
-                           classification, analysis), N >= 1
+    --workers N            scan workers claiming shards, N >= 1
                            (default: sized from the machine)
     --retries N            probe attempts per query, N >= 1
     --timeout SECS         simulated probe timeout, > 0

@@ -310,12 +310,12 @@ pub struct IpAttrs {
     pub http_kind: Option<PageKind>,
 }
 
-/// A per-distinct-IP attribute table precomputed before classification.
+/// A per-distinct-IP attribute table filled as classification proceeds.
 ///
 /// The Appendix-B uniformity conditions consult ASN, geo, certificate and
 /// HTTP data for every address of every UR. The same addresses recur across
 /// thousands of URs (shared C2s, CDN nodes, protective sinks), so the
-/// pipeline resolves each distinct address exactly once up front instead of
+/// pipeline resolves each distinct address exactly once instead of
 /// re-running longest-prefix matches and map probes per UR.
 #[derive(Debug, Default, Clone)]
 pub struct AttrIndex {
@@ -323,17 +323,7 @@ pub struct AttrIndex {
 }
 
 impl AttrIndex {
-    /// Resolve every address in `ips` (duplicates are fine) against `db`.
-    pub fn build(db: &NetDb, ips: impl IntoIterator<Item = Ipv4Addr>) -> Self {
-        let mut map = HashMap::new();
-        for ip in ips {
-            map.entry(ip).or_insert_with(|| Self::resolve(db, ip));
-        }
-        AttrIndex { map }
-    }
-
-    /// Resolve one address directly (the slow path [`AttrIndex::build`]
-    /// amortizes).
+    /// Resolve one address directly (the slow path the index amortizes).
     pub fn resolve(db: &NetDb, ip: Ipv4Addr) -> IpAttrs {
         IpAttrs {
             asn: db.asn_of(ip).map(|a| a.asn),
@@ -343,17 +333,10 @@ impl AttrIndex {
         }
     }
 
-    /// Build from already-resolved pairs (the parallel build path).
-    pub fn from_resolved(pairs: impl IntoIterator<Item = (Ipv4Addr, IpAttrs)>) -> Self {
-        AttrIndex {
-            map: pairs.into_iter().collect(),
-        }
-    }
-
-    /// Absorb already-resolved pairs into an existing index (the streaming
-    /// build path: each arriving batch contributes its distinct new
-    /// addresses). First resolution wins; duplicates are ignored, which is
-    /// sound because resolution is a pure function of the database.
+    /// Absorb already-resolved pairs into the index (each arriving batch
+    /// contributes its distinct new addresses). First resolution wins;
+    /// duplicates are ignored, which is sound because resolution is a pure
+    /// function of the database.
     pub fn absorb(&mut self, pairs: impl IntoIterator<Item = (Ipv4Addr, IpAttrs)>) {
         for (ip, attrs) in pairs {
             self.map.entry(ip).or_insert(attrs);
@@ -365,13 +348,8 @@ impl AttrIndex {
         self.map.contains_key(&ip)
     }
 
-    /// The attributes of `ip`, when it was part of the build set.
-    pub fn get(&self, ip: Ipv4Addr) -> Option<&IpAttrs> {
-        self.map.get(&ip)
-    }
-
-    /// Attributes of `ip`, falling back to a direct resolve when the build
-    /// set missed it (keeps single-UR entry points correct).
+    /// Attributes of `ip`, falling back to a direct resolve when the index
+    /// has not absorbed it.
     pub fn get_or_resolve(&self, db: &NetDb, ip: Ipv4Addr) -> IpAttrs {
         self.map
             .get(&ip)
@@ -473,17 +451,22 @@ mod tests {
         db.set_geo(a, GeoInfo::new("DE", 1));
         db.set_cert(a, CertInfo::for_domain("example.de", "SimCA"));
         db.set_http(b, HttpProfile::parking());
-        let idx = AttrIndex::build(&db, [a, b, a, ip("8.8.8.8")]);
+        let mut idx = AttrIndex::default();
+        idx.absorb([a, b, a, ip("8.8.8.8")].map(|ip| (ip, AttrIndex::resolve(&db, ip))));
         assert_eq!(idx.len(), 3, "duplicates collapse");
-        let got = idx.get(a).unwrap();
+        assert!(idx.contains(a) && idx.contains(b) && idx.contains(ip("8.8.8.8")));
+        let got = idx.get_or_resolve(&db, a);
         assert_eq!(got.asn, Some(64500));
         assert_eq!(got.geo, db.geo_of(a));
         assert_eq!(got.cert_fp, db.cert_of(a).map(|c| c.fingerprint));
         assert_eq!(got.http_kind, None);
-        assert_eq!(idx.get(b).unwrap().http_kind, Some(PageKind::Parking));
-        let missing = idx.get(ip("8.8.8.8")).unwrap();
         assert_eq!(
-            *missing,
+            idx.get_or_resolve(&db, b).http_kind,
+            Some(PageKind::Parking)
+        );
+        let missing = idx.get_or_resolve(&db, ip("8.8.8.8"));
+        assert_eq!(
+            missing,
             IpAttrs {
                 asn: None,
                 geo: None,
@@ -491,8 +474,9 @@ mod tests {
                 http_kind: None
             }
         );
-        // fall-back resolve for an address outside the build set
+        // fall-back resolve for an address the index never absorbed
         let c = ip("203.0.113.7");
+        assert!(!idx.contains(c));
         assert_eq!(idx.get_or_resolve(&db, c).asn, Some(64500));
     }
 

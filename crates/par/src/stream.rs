@@ -201,9 +201,9 @@ enum ShardItem<T, S> {
 ///   `shards`.
 ///
 /// With one worker (one shard, or `workers <= 1`) no thread is spawned:
-/// the loop above runs as written on the calling thread, the same
-/// convention as [`crate::par_map`]. The default scan is one shard, and it
-/// keeps the thread, allocator arena and resident set it always had.
+/// the loop above runs as written on the calling thread. The default scan
+/// is one shard, and it keeps the thread, allocator arena and resident set
+/// it always had.
 ///
 /// A panicking worker poisons the gate and closes every queue, so every
 /// other stage unblocks; the panic propagates when the thread scope

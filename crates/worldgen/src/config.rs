@@ -106,9 +106,9 @@ impl WorldConfig {
     }
 
     /// A benchmark-sized world between [`WorldConfig::small`] and
-    /// [`WorldConfig::default_scale`]: enough URs for the parallel
-    /// classification stage to matter, while the single-threaded
-    /// collection stage stays a manageable share of the run.
+    /// [`WorldConfig::default_scale`]: enough URs (~20 K) for every stage
+    /// to do measurable work while a whole run stays a fraction of a
+    /// second.
     pub fn medium() -> Self {
         WorldConfig {
             seed: 777,

@@ -7,7 +7,8 @@
 //! query write → fabric → authoritative serve → fabric → reply parse — to
 //! what the scan keeps: the records of a UR. After one warm-up pass (pools
 //! filled, tables grown, names interned) a probe that yields nothing must
-//! allocate nothing.
+//! allocate nothing — with the observability hub attached or without it,
+//! which makes this the exact tripwire on instrumentation cost too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -87,8 +88,10 @@ enum Kind {
     Txt,
 }
 
-#[test]
-fn a_probe_allocates_only_what_the_scan_keeps() {
+/// Warm the probe path up, then hold one probe of each kind to its budget
+/// — on a bare engine and fabric, or with `hub` wired into both the way
+/// `run` wires it.
+fn hold_probes_to_their_budgets(hub: Option<std::sync::Arc<obs::Obs>>) {
     let world = World::generate(WorldConfig::small());
     let cfg = CollectConfig::default();
     let nameservers = select_nameservers(&world, cfg.min_tail_sites);
@@ -101,6 +104,10 @@ fn a_probe_allocates_only_what_the_scan_keeps() {
     let mut net = world.scan_blueprint().build_network(0);
     net.set_payload_recycler(Some(dnswire::bufpool::release));
     let mut engine = ProbeEngine::new(QueryPlan::default());
+    if let Some(hub) = hub {
+        net.set_obs(Some(simnet::FabricMetrics::register(hub.registry())));
+        engine = engine.with_obs(hub);
+    }
 
     // Warm-up: the whole scan plan once, remembering one pair of each kind.
     let mut examples: std::collections::HashMap<Kind, (Ipv4Addr, &Name, RecordType)> =
@@ -165,6 +172,16 @@ fn a_probe_allocates_only_what_the_scan_keeps() {
             );
         }
     }
+}
+
+#[test]
+fn a_probe_allocates_only_what_the_scan_keeps() {
+    hold_probes_to_their_budgets(None);
+}
+
+#[test]
+fn the_hub_adds_no_allocation_to_a_probe() {
+    hold_probes_to_their_budgets(Some(obs::Obs::shared()));
 }
 
 #[test]
