@@ -6,7 +6,7 @@
 //! definition, undelegated — its records at the provider are URs.
 
 use crate::zone::Zone;
-use dnswire::{Name, RData, Record};
+use dnswire::{Name, NameKey, NameRef, RData, Record};
 use intern::InternedName;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -30,12 +30,8 @@ struct RootData {
 #[derive(Debug)]
 struct TldData {
     ip: Ipv4Addr,
-    /// domain -> (ns name, ns ip) delegation set. Keyed by interned name:
-    /// registered domains are world-controlled and heavily re-looked-up
-    /// (once per scan target per shard), so the 4-byte id keeps the map
-    /// compact and probes are an integer hash away. Callers pass `&Name`;
-    /// the probe is interned, which is fine for the world-scale name sets
-    /// this registry serves.
+    /// domain -> (ns name, ns ip) delegation set, keyed by interned name.
+    /// Inserts intern; probes go through [`InternedName::lookup`].
     delegations: HashMap<InternedName, Vec<(Name, Ipv4Addr)>>,
 }
 
@@ -80,44 +76,44 @@ impl DelegationRegistry {
     /// # Panics
     /// Panics when the TLD is unknown — register TLDs first.
     pub fn delegate(&mut self, domain: &Name, nameservers: Vec<(Name, Ipv4Addr)>) {
-        let tld = self
-            .enclosing_tld(domain)
-            .unwrap_or_else(|| panic!("no TLD registered for {domain}"));
-        self.tlds
-            .get_mut(&tld)
-            .expect("tld present")
+        self.tld_of_mut(domain)
+            .unwrap_or_else(|| panic!("no TLD registered for {domain}"))
             .delegations
             .insert(InternedName::intern(domain), nameservers);
     }
 
     /// Remove a delegation (domain expiry / provider switch).
     pub fn undelegate(&mut self, domain: &Name) {
-        if let Some(tld) = self.enclosing_tld(domain) {
-            self.tlds
-                .get_mut(&tld)
-                .expect("tld present")
-                .delegations
-                .remove(&InternedName::intern(domain));
+        if let (Some(tld), Some(id)) = (
+            self.tld_of_mut(domain),
+            InternedName::lookup(domain.borrowed()),
+        ) {
+            tld.delegations.remove(&id);
         }
+    }
+
+    /// The most specific registered TLD zone strictly enclosing `domain`,
+    /// key and data: the domain's own suffixes, longest first, each probed
+    /// as a borrowed key. Which zone wins is decided by the name, never by
+    /// the map's iteration order.
+    fn tld_of(&self, domain: NameRef<'_>) -> Option<(&Name, &TldData)> {
+        (0..domain.label_count()).rev().find_map(|labels| {
+            let suffix = domain.suffix(labels)?;
+            self.tlds.get_key_value(&suffix as &dyn NameKey)
+        })
+    }
+
+    fn tld_of_mut(&mut self, domain: &Name) -> Option<&mut TldData> {
+        let labels = self.enclosing_tld(domain)?.label_count();
+        let suffix = domain.borrowed().suffix(labels)?;
+        self.tlds.get_mut(&suffix as &dyn NameKey)
     }
 
     /// The most specific registered TLD enclosing `domain` (handles both
     /// `com` and multi-label public-suffix TLD zones like `co.uk` when they
     /// are registered as TLD zones).
-    pub fn enclosing_tld(&self, domain: &Name) -> Option<Name> {
-        let mut best: Option<Name> = None;
-        for tld in self.tlds.keys() {
-            if domain.is_strict_subdomain_of(tld) {
-                let better = match &best {
-                    None => true,
-                    Some(b) => tld.label_count() > b.label_count(),
-                };
-                if better {
-                    best = Some(tld.clone());
-                }
-            }
-        }
-        best
+    pub fn enclosing_tld(&self, domain: &Name) -> Option<&Name> {
+        self.tld_of(domain.borrowed()).map(|(tld, _)| tld)
     }
 
     /// Is `domain` currently delegated (exactly)?
@@ -125,34 +121,27 @@ impl DelegationRegistry {
         self.delegation_of(domain).is_some()
     }
 
-    /// The delegation set of `domain`, if any.
+    /// The delegation set of `domain`, if any. A name that was never
+    /// interned was never delegated, so a miss leaves the name table alone.
     pub fn delegation_of(&self, domain: &Name) -> Option<&[(Name, Ipv4Addr)]> {
-        let tld = self.enclosing_tld(domain)?;
-        self.tlds
-            .get(&tld)?
-            .delegations
-            .get(&InternedName::intern(domain))
+        Self::delegation_in(self.tld_of(domain.borrowed())?.1, domain.borrowed())
+    }
+
+    fn delegation_in<'a>(tld: &'a TldData, domain: NameRef<'_>) -> Option<&'a [(Name, Ipv4Addr)]> {
+        tld.delegations
+            .get(&InternedName::lookup(domain)?)
             .map(Vec::as_slice)
     }
 
     /// The registered domain (delegation point) enclosing `name`, if any:
-    /// walks from `name` toward the root looking for a delegated suffix.
+    /// walks from `name` toward its TLD looking for a delegated suffix.
     pub fn registered_suffix(&self, name: &Name) -> Option<Name> {
-        let tld = self.enclosing_tld(name)?;
-        let data = self.tlds.get(&tld)?;
-        let mut labels = name.label_count();
-        while labels > tld.label_count() {
-            if let Some(candidate) = name.suffix(labels) {
-                if data
-                    .delegations
-                    .contains_key(&InternedName::intern(&candidate))
-                {
-                    return Some(candidate);
-                }
-            }
-            labels -= 1;
-        }
-        None
+        let (tld, data) = self.tld_of(name.borrowed())?;
+        (tld.label_count() + 1..=name.label_count())
+            .rev()
+            .filter_map(|labels| name.borrowed().suffix(labels))
+            .find(|suffix| Self::delegation_in(data, *suffix).is_some())
+            .map(NameRef::to_name)
     }
 
     /// Build the root zone (NS + glue for every TLD).
@@ -256,8 +245,8 @@ mod tests {
     fn enclosing_tld_prefers_most_specific() {
         let mut r = registry();
         r.add_tld(n("uk"), Ipv4Addr::new(192, 5, 6, 33));
-        assert_eq!(r.enclosing_tld(&n("shop.co.uk")).unwrap(), n("co.uk"));
-        assert_eq!(r.enclosing_tld(&n("plain.uk")).unwrap(), n("uk"));
+        assert_eq!(r.enclosing_tld(&n("shop.co.uk")), Some(&n("co.uk")));
+        assert_eq!(r.enclosing_tld(&n("plain.uk")), Some(&n("uk")));
         assert!(r.enclosing_tld(&n("x.dev")).is_none());
     }
 

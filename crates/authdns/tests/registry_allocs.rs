@@ -1,0 +1,86 @@
+//! The registry's lookups, counted.
+//!
+//! `enclosing_tld`, `delegation_of` and `registered_suffix` run once per
+//! scan target inside the bulk scan's allocation count. They used to find
+//! a name's TLD zone by iterating the zone map and cloning every improving
+//! candidate, so for a name under a two-label zone (`co.uk` beside `uk`)
+//! the clone count followed the map's per-process iteration order and the
+//! scan's allocation count with it. A lookup walks the queried name's own
+//! suffixes and allocates nothing; this file holds it to that with its own
+//! counting allocator, over enough fresh maps to meet both orders.
+
+use authdns::DelegationRegistry;
+use dnswire::Name;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::net::Ipv4Addr;
+
+thread_local! {
+    /// Allocations made by this thread while armed.
+    static ARMED: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+struct Counting;
+
+fn note_allocation() {
+    // `try_with`: a thread tearing down may allocate past its locals.
+    let _ = ARMED.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+// SAFETY: every operation is `System`'s; the bookkeeping beside it is a
+// const-initialised thread-local counter, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        // SAFETY: `ptr` was allocated by `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `f`'s result and the allocations this thread made while it ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ARMED.with(|c| c.set(Some(0)));
+    let out = f();
+    let n = ARMED.with(|c| c.replace(None)).expect("armed above");
+    (out, n)
+}
+
+fn n(s: &str) -> Name {
+    s.parse().unwrap()
+}
+
+#[test]
+fn lookups_under_a_two_label_tld_allocate_nothing() {
+    let (uk, co_uk, target) = (n("uk"), n("co.uk"), n("a.co.uk"));
+    for round in 0..32 {
+        // A fresh registry is a fresh `RandomState`: its own iteration order.
+        let mut registry = DelegationRegistry::new();
+        registry.add_tld(uk.clone(), Ipv4Addr::new(192, 5, 6, 33));
+        registry.add_tld(co_uk.clone(), Ipv4Addr::new(192, 5, 6, 32));
+        let lookups = || {
+            (
+                registry.enclosing_tld(&target) == Some(&co_uk),
+                registry.delegation_of(&target).is_some(),
+                registry.registered_suffix(&target).is_some(),
+            )
+        };
+        // The process's first lookup creates the (empty) name table.
+        lookups();
+        let ((tld, delegated, registered), allocations) = counted(lookups);
+        assert!(tld, "round {round}: co.uk is the most specific zone");
+        assert!(!delegated && !registered, "round {round}: never delegated");
+        assert_eq!(allocations, 0, "round {round}");
+    }
+}

@@ -34,7 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dnswire::{Name, WireError, WireResult};
+use dnswire::{Name, NameRef, WireError, WireResult};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -194,6 +194,23 @@ impl InternedName {
             }
         }
         InternedName(NameId(entry))
+    }
+
+    /// The handle for `name` if it was ever interned — a probe that neither
+    /// grows the table nor allocates (the twin of [`Sym::lookup`]).
+    pub fn lookup(name: NameRef<'_>) -> Option<Self> {
+        let t = name_table().read().expect("name table poisoned");
+        let mut lower = [0u8; MAX_LABEL_LEN];
+        let mut entry = 0u32;
+        for n in 1..=name.label_count() {
+            let label = name.suffix(n)?.labels().next()?;
+            let lower = &mut lower[..label.len()];
+            lower.copy_from_slice(label);
+            lower.make_ascii_lowercase();
+            let lid = *t.label_index.get(&*lower)?;
+            entry = *t.nodes.get(&(entry, lid))?;
+        }
+        Some(InternedName(NameId(entry)))
     }
 
     /// The raw table id.
