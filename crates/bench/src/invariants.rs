@@ -68,42 +68,37 @@ fn split_json<T: std::fmt::Display>(correct: T, protective: T, unknown: T, malic
     )
 }
 
-/// Run `config` through `run` at shards {1, 4} × workers {1, 2} ×
-/// `keep_raw_collected` {on, off} × hub {off, on}, hold every run to the
-/// first one and every hub run to one `sim_hash`, and render the fields
-/// they share. A reliable network answers every probe at the first attempt.
+/// Run `config` through `run` at shards {1, 4} × workers {1, 2} × hub
+/// {off, on}, hold every run to the first one and every hub run to one
+/// `sim_hash`, and render the fields they share. A reliable network
+/// answers every probe at the first attempt.
 fn eager_fields(config: &WorldConfig) -> (Pinned, String) {
     let mut reference: Option<Pinned> = None;
     let mut sim_hash: Option<u64> = None;
     for shards in [1, 4] {
         for workers in [1, 2] {
-            for keep_raw in [true, false] {
-                for with_hub in [false, true] {
-                    let axis = format!(
-                        "shards {shards} workers {workers} keep_raw {keep_raw} hub {with_hub}"
-                    );
-                    let hub = with_hub.then(obs::Obs::shared);
-                    let mut cfg = HunterConfig::fast()
-                        .with_shards(shards)
-                        .with_workers(workers)
-                        .with_keep_raw_collected(keep_raw);
-                    if let Some(hub) = &hub {
-                        cfg = cfg.with_obs(hub.clone());
-                    }
-                    let got = pinned(config, &cfg);
-                    if let Some(hub) = &hub {
-                        let h = hub.registry().sim_hash();
-                        assert_eq!(*sim_hash.get_or_insert(h), h, "sim_hash moved at {axis}");
-                    }
-                    match &reference {
-                        None => reference = Some(got),
-                        Some(first) => assert_eq!(first, &got, "the run moved at {axis}"),
-                    }
+            for with_hub in [false, true] {
+                let axis = format!("shards {shards} workers {workers} hub {with_hub}");
+                let hub = with_hub.then(obs::Obs::shared);
+                let mut cfg = HunterConfig::fast()
+                    .with_shards(shards)
+                    .with_workers(workers);
+                if let Some(hub) = &hub {
+                    cfg = cfg.with_obs(hub.clone());
+                }
+                let got = pinned(config, &cfg);
+                if let Some(hub) = &hub {
+                    let h = hub.registry().sim_hash();
+                    assert_eq!(*sim_hash.get_or_insert(h), h, "sim_hash moved at {axis}");
+                }
+                match &reference {
+                    None => reference = Some(got),
+                    Some(first) => assert_eq!(first, &got, "the run moved at {axis}"),
                 }
             }
         }
     }
-    let p = reference.expect("sixteen runs");
+    let p = reference.expect("eight runs");
     assert!(
         p.coverage.is_complete(),
         "buckets do not sum to scheduled probes"
@@ -119,7 +114,7 @@ fn eager_fields(config: &WorldConfig) -> (Pinned, String) {
         t.total,
         split_json(t.correct, t.protective, t.unknown, t.malicious),
         p.sequence_hash,
-        sim_hash.expect("eight hub runs"),
+        sim_hash.expect("four hub runs"),
         coverage_json(&p.coverage),
         p.scan_elapsed.as_micros(),
         p.net.delivered + p.net.dropped + p.net.no_route,
@@ -139,9 +134,7 @@ pub fn small() -> String {
 pub fn medium() -> String {
     let config = WorldConfig::medium();
     let (reference, fields) = eager_fields(&config);
-    let base = HunterConfig::fast()
-        .with_workers(1)
-        .with_keep_raw_collected(false);
+    let base = HunterConfig::fast().with_workers(1);
 
     // Under loss the fixed policy burns the whole plan timeout for every
     // lost first attempt; the adaptive one times out at `srtt + k·rttvar`,
@@ -192,7 +185,7 @@ pub fn xl() -> String {
     let config = WorldConfig::xl();
     let seed = config.seed;
     let world = StreamWorld::generate(config);
-    let cfg = HunterConfig::fast().with_keep_raw_collected(false);
+    let cfg = HunterConfig::fast();
     let seq = run_streamed(&world, &cfg.clone().with_workers(1), WORLD_SHARDS);
     let par = run_streamed(&world, &cfg.with_workers(4), WORLD_SHARDS);
     assert_eq!(

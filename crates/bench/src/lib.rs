@@ -43,16 +43,9 @@ pub mod paper {
 }
 
 /// Generate the default experiment world and run the full pipeline.
-///
-/// The regeneration binaries only read the classified set and the report,
-/// so the raw collected URs are not retained (each `ClassifiedUr` embeds
-/// its `CollectedUr` anyway).
 pub fn experiment_run() -> (World, RunOutput) {
     let mut world = World::generate(WorldConfig::default_scale());
-    let out = run(
-        &mut world,
-        &HunterConfig::fast().with_keep_raw_collected(false),
-    );
+    let out = run(&mut world, &HunterConfig::fast());
     (world, out)
 }
 

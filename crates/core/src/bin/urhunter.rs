@@ -297,7 +297,7 @@ fn run_world_preset(args: &Args, preset: &str) -> ExitCode {
         world.nameservers.len(),
         world.scan_targets().len()
     );
-    let mut hunter = HunterConfig::fast().with_keep_raw_collected(false);
+    let mut hunter = HunterConfig::fast();
     if let Some(workers) = args.workers {
         hunter = hunter.with_workers(workers);
     }

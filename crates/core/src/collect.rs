@@ -1033,7 +1033,7 @@ mod tests {
         );
         let mut resolved = 0;
         for d in &targets {
-            let p = db.profile_of_name(d);
+            let p = db.profile(&InternedName::intern(d));
             if !p.ips.is_empty() {
                 resolved += 1;
                 assert!(!p.asns.is_empty(), "{d}: enrichment missing ASNs");

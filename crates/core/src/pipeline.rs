@@ -58,11 +58,6 @@ pub struct HunterConfig {
     /// wall-clock time and peak RSS (bounded by `workers` resident shard
     /// fabrics) change.
     pub workers: usize,
-    /// Keep the raw [`CollectedUr`] set in [`RunOutput::collected`].
-    /// Defaults to `true` (tests and examples inspect it); bench binaries
-    /// turn it off so large-world runs don't hold every UR twice — each
-    /// [`ClassifiedUr`] already embeds its collected record.
-    pub keep_raw_collected: bool,
     /// Retry/backoff policy for every collection-stage probe (bulk scan,
     /// correct records, protective canaries, and the §4.2 replay). On a
     /// reliable network the first attempt always answers, so the default
@@ -105,7 +100,6 @@ impl HunterConfig {
             expand_targets_from_pdns: false,
             shards: 1,
             workers: 0,
-            keep_raw_collected: true,
             retry: QueryPlan::default(),
             scan_faults: None,
             rate_limit_interval: SimDuration::ZERO,
@@ -161,9 +155,9 @@ impl HunterConfig {
         self.with_workers(workers)
     }
 
-    /// Set raw-UR retention (see [`HunterConfig::keep_raw_collected`]).
-    pub fn with_keep_raw_collected(mut self, keep: bool) -> Self {
-        self.keep_raw_collected = keep;
+    /// Does nothing: a run keeps each collected UR once, inside its
+    /// [`ClassifiedUr`]. Kept because the benchmark calls it.
+    pub fn with_keep_raw_collected(self, _keep: bool) -> Self {
         self
     }
 
@@ -238,11 +232,8 @@ impl HunterConfig {
 pub struct RunOutput {
     /// The selected nameservers.
     pub nameservers: Vec<NsInfo>,
-    /// Raw collected URs — empty when
-    /// [`HunterConfig::keep_raw_collected`] is off (every classified UR
-    /// still embeds its collected record).
-    pub collected: Vec<CollectedUr>,
-    /// Classified URs (final categories).
+    /// Classified URs (final categories); `classified[i].ur` is the
+    /// collected UR, in scan order.
     pub classified: Vec<ClassifiedUr>,
     /// The analysis stage's outputs.
     pub analysis: Analysis,
@@ -385,13 +376,6 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     if let Some(hub) = obs {
         streamer = streamer.with_metrics(AttrCacheMetrics::register(hub.registry()));
     }
-    // Raw retention snapshots the store before the batches consume it; the
-    // classified set embeds every record either way.
-    let collected = if cfg.keep_raw_collected {
-        store.to_vec()
-    } else {
-        Vec::new()
-    };
     let mut classified = Vec::with_capacity(store.len());
     for batch in store.into_batches(STORE_CLASSIFY_BATCH) {
         classified.extend(streamer.classify_batch_owned(batch));
@@ -450,7 +434,6 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
 
     RunOutput {
         nameservers,
-        collected,
         classified,
         analysis,
         report,
@@ -792,7 +775,7 @@ mod tests {
             let out = run(&mut world, &HunterConfig::fast());
             (
                 out.report.totals,
-                out.collected.len(),
+                out.classified.len(),
                 out.analysis.evidence.len(),
                 classified_sequence_hash(&out.classified),
             )

@@ -11,13 +11,13 @@
 //! 4-byte [`Sym`]s — shares every name and provider string across the whole
 //! store.
 //!
-//! The store is *write-once, read-many*: the collector pushes URs in splice
-//! order, then the pipeline either materializes batch views for the
-//! stream classifier ([`UrStore::into_batches`], which moves records out
-//! of the arena without cloning) or snapshots the whole set
-//! ([`UrStore::to_vec`]) when raw retention is on. Materialized URs are
-//! field-for-field equal to what a plain `Vec<CollectedUr>` sink would have
-//! accumulated — pinned by `tests/store_equivalence.rs`.
+//! The store is *write-once, read-once*: the collector pushes URs in splice
+//! order, then the pipeline materializes batch views for the stream
+//! classifier ([`UrStore::into_batches`], which moves records out of the
+//! arena without cloning), and each UR lives on inside its `ClassifiedUr`.
+//! Materialized URs are field-for-field equal to what a plain
+//! `Vec<CollectedUr>` sink would have accumulated — pinned by
+//! `tests/store_equivalence.rs`.
 
 use crate::types::{CollectedUr, UrKey};
 use dnswire::{Record, RecordType};

@@ -7,11 +7,12 @@
 //! their text — never by id — so every pinned output digest is unchanged
 //! from the owned-representation era.
 
-use dnswire::{Name, Record, RecordType};
+use dnswire::{Record, RecordType};
 use intern::{InternedName, Sym};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
+use std::sync::LazyLock;
 
 /// The paper's definition of a *unique UR*: "a DNS record provided by a
 /// nameserver (IP address) for an undelegated domain" — identity is the
@@ -97,14 +98,10 @@ pub struct CorrectDb {
 }
 
 impl CorrectDb {
-    /// Profile for one domain (empty profile if never collected).
-    pub fn profile(&self, domain: &InternedName) -> DomainProfile {
-        self.domains.get(domain).cloned().unwrap_or_default()
-    }
-
-    /// Profile lookup by owned [`Name`] (interns the name first).
-    pub fn profile_of_name(&self, domain: &Name) -> DomainProfile {
-        self.profile(&InternedName::intern(domain))
+    /// Profile for one domain (a shared empty profile if never collected).
+    pub fn profile(&self, domain: &InternedName) -> &DomainProfile {
+        static EMPTY: LazyLock<DomainProfile> = LazyLock::new(DomainProfile::default);
+        self.domains.get(domain).unwrap_or(&EMPTY)
     }
 }
 
@@ -272,7 +269,7 @@ pub struct ClassifiedUr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnswire::RData;
+    use dnswire::{Name, RData};
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
@@ -401,7 +398,7 @@ mod tests {
     #[test]
     fn correct_db_default_profile_is_empty() {
         let db = CorrectDb::default();
-        let p = db.profile_of_name(&n("nothing.com"));
+        let p = db.profile(&InternedName::intern(&n("nothing.com")));
         assert!(p.ips.is_empty() && p.txts.is_empty());
     }
 }

@@ -49,10 +49,10 @@ proptest! {
     fn display_and_structure_agree(name in arb_name()) {
         let id = InternedName::intern(&name);
         prop_assert_eq!(id.to_string(), name.to_string());
-        prop_assert_eq!(id.label_count(), name.label_count());
-        prop_assert_eq!(id.wire_len(), name.wire_len());
+        prop_assert_eq!(id.name().label_count(), name.label_count());
+        prop_assert_eq!(id.to_name().wire_len(), name.wire_len());
         prop_assert_eq!(
-            id.labels().collect::<Vec<_>>(),
+            id.name().labels().collect::<Vec<_>>(),
             name.labels().collect::<Vec<_>>()
         );
     }
@@ -79,7 +79,7 @@ proptest! {
                 (None, i) => {
                     // Name::parent ends at None after the last label;
                     // InternedName::parent ends at the explicit root id.
-                    prop_assert!(i.is_none() || i.expect("checked").is_root());
+                    prop_assert!(i.is_none() || i == Some(InternedName::root()));
                     break;
                 }
                 (o, None) => {
@@ -124,8 +124,8 @@ proptest! {
         id.to_name().encode_uncompressed(&mut buf);
         let mut pos = 0;
         let decoded = Name::decode(&buf, &mut pos).expect("round trip");
+        prop_assert_eq!(pos, name.wire_len());
         prop_assert_eq!(decoded, name);
-        prop_assert_eq!(pos, id.wire_len());
     }
 
     #[test]

@@ -81,6 +81,23 @@ impl PassiveDns {
             });
     }
 
+    /// Is `r`'s lifetime inside `[today - window, today]`?
+    fn in_window(r: &HistoricalRecord, today: Day, window: u32) -> bool {
+        r.last_seen >= today.saturating_sub(window) && r.first_seen <= today
+    }
+
+    fn windowed(
+        &self,
+        domain: &InternedName,
+        today: Day,
+        window: u32,
+    ) -> impl Iterator<Item = &HistoricalRecord> {
+        let records = self.by_domain.get(domain).map_or(&[][..], Vec::as_slice);
+        records
+            .iter()
+            .filter(move |r| Self::in_window(r, today, window))
+    }
+
     /// All observations for `domain` whose lifetime intersects
     /// `[today - window, today]`.
     pub fn history(
@@ -89,15 +106,7 @@ impl PassiveDns {
         today: Day,
         window: u32,
     ) -> Vec<&HistoricalRecord> {
-        let horizon = today.saturating_sub(window);
-        self.by_domain
-            .get(domain)
-            .map(|v| {
-                v.iter()
-                    .filter(|r| r.last_seen >= horizon && r.first_seen <= today)
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.windowed(domain, today, window).collect()
     }
 
     /// Appendix-B condition 5: was `rdata` ever observed for `domain`
@@ -110,8 +119,7 @@ impl PassiveDns {
         today: Day,
         window: u32,
     ) -> bool {
-        self.history(domain, today, window)
-            .iter()
+        self.windowed(domain, today, window)
             .any(|r| r.rtype == rtype && &r.rdata == rdata)
     }
 
@@ -134,16 +142,15 @@ impl PassiveDns {
     /// paper's future-work extension: "we can recover legitimate
     /// subdomains from PDNS data and measure whether they appear in URs."
     pub fn subdomains_of(&self, apex: &Name, today: Day, window: u32) -> Vec<Name> {
-        let horizon = today.saturating_sub(window);
-        let apex = InternedName::intern(apex);
+        let apex = apex.borrowed();
         let mut out: Vec<Name> = self
             .by_domain
             .iter()
             .filter(|(name, recs)| {
-                name.is_strict_subdomain_of(&apex)
-                    && recs
-                        .iter()
-                        .any(|r| r.last_seen >= horizon && r.first_seen <= today)
+                let name = name.name();
+                name.label_count() > apex.label_count()
+                    && name.is_subdomain_of(apex)
+                    && recs.iter().any(|r| Self::in_window(r, today, window))
             })
             .map(|(name, _)| name.to_name())
             .collect();

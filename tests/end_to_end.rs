@@ -245,7 +245,7 @@ fn full_pipeline_is_deterministic_across_runs() {
     let (_w1, a) = small_run();
     let (_w2, b) = small_run();
     assert_eq!(a.report.totals, b.report.totals);
-    assert_eq!(a.collected.len(), b.collected.len());
+    assert_eq!(a.classified.len(), b.classified.len());
     assert_eq!(a.analysis.evidence.len(), b.analysis.evidence.len());
     assert_eq!(a.report.render_table1(), b.report.render_table1());
 }
@@ -265,23 +265,4 @@ fn different_seeds_produce_different_worlds_same_invariants() {
         &HunterConfig::fast(),
     );
     assert_eq!(fn_count, 0);
-}
-
-#[test]
-fn legacy_path_without_raw_retention_drops_collected() {
-    let (_world, retained) = small_run();
-    let mut world = World::generate(WorldConfig::small());
-    let out = run(
-        &mut world,
-        &HunterConfig::fast().with_keep_raw_collected(false),
-    );
-    assert!(out.collected.is_empty());
-    assert!(out.report.totals.total > 0);
-    // Retention is bookkeeping only: the classified set still embeds every
-    // collected record, in the same order with the same verdicts.
-    assert_eq!(out.classified.len(), retained.collected.len());
-    assert_eq!(
-        urhunter::classified_sequence_hash(&out.classified),
-        urhunter::classified_sequence_hash(&retained.classified)
-    );
 }

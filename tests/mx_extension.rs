@@ -18,8 +18,9 @@ fn extended_run() -> (World, urhunter::RunOutput) {
 fn mx_urs_are_collected_with_exchange_followups() {
     let (_world, out) = extended_run();
     let mx_urs: Vec<_> = out
-        .collected
+        .classified
         .iter()
+        .map(|c| &c.ur)
         .filter(|u| u.key.rtype == RecordType::Mx)
         .collect();
     assert!(!mx_urs.is_empty(), "no MX URs collected");

@@ -16,21 +16,21 @@ fn expansion_adds_subdomain_targets_and_urs() {
 
     // The expanded scan collects strictly more URs.
     assert!(
-        expanded.collected.len() > base.collected.len(),
+        expanded.classified.len() > base.classified.len(),
         "expansion found nothing extra ({} vs {})",
-        expanded.collected.len(),
-        base.collected.len()
+        expanded.classified.len(),
+        base.classified.len()
     );
     // Some collected URs are for third-level names now.
     let sub_urs = expanded
         .classified
         .iter()
-        .filter(|u| u.ur.key.domain.label_count() >= 3)
+        .filter(|u| u.ur.key.domain.name().label_count() >= 3)
         .count();
     let base_sub_urs = base
         .classified
         .iter()
-        .filter(|u| u.ur.key.domain.label_count() >= 3)
+        .filter(|u| u.ur.key.domain.name().label_count() >= 3)
         .count();
     assert!(sub_urs > base_sub_urs);
 }
@@ -104,10 +104,10 @@ fn legitimate_subdomain_urs_stay_correct() {
     // www/mail URs served by global-fixed providers hosting the legit zone
     // must be excluded, not suspicious.
     for u in &out.classified {
-        if u.ur.key.domain.label_count() < 3 || u.ur.key.rtype != RecordType::A {
+        if u.ur.key.domain.name().label_count() < 3 || u.ur.key.rtype != RecordType::A {
             continue;
         }
-        let labels: Vec<&[u8]> = u.ur.key.domain.labels().collect();
+        let labels: Vec<&[u8]> = u.ur.key.domain.name().labels().collect();
         if (labels[0] == b"www" || labels[0] == b"mail")
             && matches!(u.category, UrCategory::Unknown | UrCategory::Malicious)
         {
@@ -117,7 +117,7 @@ fn legitimate_subdomain_urs_stay_correct() {
                 .truth
                 .campaigns
                 .iter()
-                .any(|c| c.domain == u.ur.key.domain);
+                .any(|c| u.ur.key.domain == c.domain);
             assert!(
                 is_planted,
                 "legit subdomain {} wrongly suspicious",

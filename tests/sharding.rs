@@ -41,7 +41,6 @@ fn batch_path_is_bit_identical_across_shard_counts() {
             base_sig,
             "batch path diverges at shards={shards}"
         );
-        assert_eq!(out.collected.len(), baseline.collected.len());
     }
 }
 

@@ -45,7 +45,7 @@ fn parallel_fold_is_bit_identical_to_sequential() {
     for shards in [2usize, 4, 8] {
         for lossy in [false, true] {
             let cfg = || {
-                let base = HunterConfig::fast().with_keep_raw_collected(false);
+                let base = HunterConfig::fast();
                 if lossy {
                     base.with_retry_plan(QueryPlan::with_attempts(3))
                         .with_scan_faults(FaultPlan::lossy(0.01).scheduled_per_flow())
@@ -77,7 +77,6 @@ fn rate_limited_scan_composes_with_shards_and_workers() {
     let shards = 4;
     let cfg = |workers: usize| {
         HunterConfig::fast()
-            .with_keep_raw_collected(false)
             .with_rate_limit_per_sec(PER_SEC)
             .with_workers(workers)
     };

@@ -100,7 +100,7 @@ fn payload_matching_never_touches_benign_txt() {
                 .truth
                 .campaigns
                 .iter()
-                .any(|c| c.command_blob && c.domain == u.ur.key.domain);
+                .any(|c| c.command_blob && u.ur.key.domain == c.domain);
             assert!(
                 planted,
                 "{} matched family {family} but is not a planted blob",
