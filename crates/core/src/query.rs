@@ -32,7 +32,7 @@
 //!   are never sampled and keep the fixed plan timeout.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
@@ -249,15 +249,24 @@ impl RttEstimate {
     }
 }
 
+/// What the engine remembers about one server.
+#[derive(Debug, Clone, Copy, Default)]
+struct ServerHealth {
+    /// Consecutive fully failed probes.
+    streak: u32,
+    quarantined: bool,
+    /// Probes skipped since the quarantine began (or the last health probe).
+    skipped: u32,
+    rtt: Option<RttEstimate>,
+    recursive: bool,
+}
+
 /// Per-nameserver consecutive-failure circuit breaker, plus the per-server
-/// RTT estimates that drive adaptive timeouts and RTT-ordered selection.
+/// RTT estimates that drive adaptive timeouts and RTT-ordered selection:
+/// one record a server.
 #[derive(Debug, Clone, Default)]
 pub struct NsHealth {
-    consecutive_failures: HashMap<Ipv4Addr, u32>,
-    quarantined: BTreeSet<Ipv4Addr>,
-    skipped_since_quarantine: HashMap<Ipv4Addr, u32>,
-    rtt: HashMap<Ipv4Addr, RttEstimate>,
-    recursive: HashSet<Ipv4Addr>,
+    servers: HashMap<Ipv4Addr, ServerHealth>,
 }
 
 impl NsHealth {
@@ -266,58 +275,77 @@ impl NsHealth {
         NsHealth::default()
     }
 
+    fn get(&self, server: Ipv4Addr) -> ServerHealth {
+        self.servers.get(&server).copied().unwrap_or_default()
+    }
+
     /// Is this server quarantined (no further probes allowed)?
     pub fn is_quarantined(&self, server: Ipv4Addr) -> bool {
-        self.quarantined.contains(&server)
+        self.get(server).quarantined
     }
 
     /// Record a successful exchange: resets the failure streak.
     pub fn record_success(&mut self, server: Ipv4Addr) {
-        self.consecutive_failures.remove(&server);
+        if let Some(s) = self.servers.get_mut(&server) {
+            s.streak = 0;
+        }
     }
 
     /// Record a fully failed probe (all attempts exhausted). Returns `true`
     /// if this failure pushed the server over `threshold` into quarantine.
     pub fn record_failure(&mut self, server: Ipv4Addr, threshold: u32) -> bool {
-        let streak = self.consecutive_failures.entry(server).or_insert(0);
-        *streak += 1;
-        if threshold > 0 && *streak >= threshold && self.quarantined.insert(server) {
-            self.skipped_since_quarantine.remove(&server);
-            return true;
+        let s = self.servers.entry(server).or_default();
+        s.streak += 1;
+        let newly = threshold > 0 && s.streak >= threshold && !s.quarantined;
+        if newly {
+            s.quarantined = true;
+            s.skipped = 0;
         }
-        false
+        newly
     }
 
     /// Count one probe skipped because `server` is quarantined; returns the
     /// skip streak including this one. Drives the cooldown window.
     pub fn note_skipped(&mut self, server: Ipv4Addr) -> u32 {
-        let n = self.skipped_since_quarantine.entry(server).or_insert(0);
-        *n += 1;
-        *n
+        let s = self.servers.entry(server).or_default();
+        s.skipped += 1;
+        s.skipped
     }
 
     /// Restart the cooldown window for a still-quarantined server (a
     /// health probe just failed; wait a full cooldown before the next one).
     pub fn reset_skip_window(&mut self, server: Ipv4Addr) {
-        self.skipped_since_quarantine.remove(&server);
+        if let Some(s) = self.servers.get_mut(&server) {
+            s.skipped = 0;
+        }
     }
 
     /// Release a server from quarantine: it re-enters rotation with a clean
     /// failure streak. Returns `true` if the server was quarantined.
     pub fn release(&mut self, server: Ipv4Addr) -> bool {
-        self.consecutive_failures.remove(&server);
-        self.skipped_since_quarantine.remove(&server);
-        self.quarantined.remove(&server)
+        let Some(s) = self.servers.get_mut(&server) else {
+            return false;
+        };
+        s.streak = 0;
+        s.skipped = 0;
+        std::mem::take(&mut s.quarantined)
     }
 
     /// Servers currently quarantined, in address order.
     pub fn quarantined_servers(&self) -> Vec<Ipv4Addr> {
-        self.quarantined.iter().copied().collect()
+        let mut out: Vec<Ipv4Addr> = self
+            .servers
+            .iter()
+            .filter(|(_, s)| s.quarantined)
+            .map(|(ip, _)| *ip)
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     /// Current failure streak for a server (0 if healthy).
     pub fn failure_streak(&self, server: Ipv4Addr) -> u32 {
-        self.consecutive_failures.get(&server).copied().unwrap_or(0)
+        self.get(server).streak
     }
 
     /// Fold one RTT sample (measured on the virtual clock) into `server`'s
@@ -325,17 +353,15 @@ impl NsHealth {
     /// answers are sampled, so a late reply to an earlier transmission can
     /// never be mistaken for a fast response to the retry.
     pub fn observe_rtt(&mut self, server: Ipv4Addr, rtt: SimDuration) {
-        match self.rtt.get_mut(&server) {
+        match &mut self.servers.entry(server).or_default().rtt {
             Some(est) => est.update(rtt),
-            None => {
-                self.rtt.insert(server, RttEstimate::first(rtt));
-            }
+            none => *none = Some(RttEstimate::first(rtt)),
         }
     }
 
     /// Current smoothed estimate for a server, if any sample has landed.
     pub fn rtt_estimate(&self, server: Ipv4Addr) -> Option<RttEstimate> {
-        self.rtt.get(&server).copied()
+        self.get(server).rtt
     }
 
     /// Mark a server as answering recursively (`ra` set on a response).
@@ -346,13 +372,14 @@ impl NsHealth {
     /// own clock — internal retry timers included — so its service time is
     /// unbounded and no smoothed estimate is safe to enforce against it.
     pub fn note_recursive(&mut self, server: Ipv4Addr) {
-        self.recursive.insert(server);
-        self.rtt.remove(&server);
+        let s = self.servers.entry(server).or_default();
+        s.recursive = true;
+        s.rtt = None;
     }
 
     /// Has this server ever demonstrated recursion?
     pub fn is_recursive(&self, server: Ipv4Addr) -> bool {
-        self.recursive.contains(&server)
+        self.get(server).recursive
     }
 }
 
