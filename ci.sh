@@ -43,6 +43,29 @@ cargo test -q --manifest-path urbench/Cargo.toml
     exit 1
 }
 
+echo "== urbench: the counted run's allocation counts repeat exactly =="
+# urbench fails a traced run whose two counted children differ by more
+# than 1e-4 in these three counts, and the collect span is down to about
+# one allocation a probe: anything on the scan path that allocates by a
+# map's per-process iteration order flips that check. Six fresh processes
+# a seed must print one value each.
+COUNTED='^N span_(allocs\.core\.(collect|classify)|alloc_bytes\.core\.collect) '
+for seed in 1 7; do
+    COUNTS=$(for _ in 1 2 3 4 5 6; do
+        ./urbench/target/release/urbench child scan_eager "$seed" counted full 0
+    done | grep -E "$COUNTED" | sort -u)
+    if [ "$(printf '%s\n' "$COUNTS" | wc -l)" -ne 3 ]; then
+        echo "ci.sh: allocation counts differ between counted runs at seed $seed:" >&2
+        printf '%s\n' "$COUNTS" >&2
+        exit 1
+    fi
+done
+./urbench/target/release/urbench --workload scan_eager --seed 7 --seconds 25 --trace 1 |
+    tail -n 1 | grep -q '^{"correct": true,' || {
+    echo "ci.sh: the traced scan_eager run did not end in \"correct\": true" >&2
+    exit 1
+}
+
 echo "== smoke: cargo run -p bench --bin table1 =="
 cargo run --release -p bench --bin table1
 
@@ -154,8 +177,8 @@ fi
 
 echo "== invariants: every hash, count and simulated microsecond, byte for byte =="
 # One deterministic binary runs every execution axis (shards x workers x
-# hub x raw retention, fixed vs adaptive under loss, a rate cap, the xl
-# fold at 1 and 4 workers, three daemon epochs and their replay), asserts
+# hub, fixed vs adaptive under loss, a rate cap, the xl fold at 1 and 4
+# workers, three daemon epochs and their replay), asserts
 # the equalities between them and prints only values that repeat exactly
 # on any host. A value that moved shows as a diff line and fails the run;
 # refresh with `./target/release/invariants > BENCH_pipeline.json` and
@@ -164,5 +187,8 @@ echo "== invariants: every hash, count and simulated microsecond, byte for byte 
     echo "ci.sh: invariants differ from the committed BENCH_pipeline.json" >&2
     exit 1
 }
+
+# Building urbench rewrote its tracked (stale, frozen) lock file.
+git checkout urbench/Cargo.lock
 
 echo "ci.sh: all checks passed"
