@@ -2,16 +2,15 @@
 //!
 //! Wall-clock on a shared box drifts by 10–20 % in phases; the number of
 //! heap allocations a probe makes does not drift at all. This file counts
-//! them with its own global allocator, armed only around the measured
-//! region and only on the measuring thread, and holds the probe path —
+//! them with a global allocator of its own (`support/counting.rs`), armed
+//! only around the measured region and only on the measuring thread, and
+//! holds the probe path —
 //! query write → fabric → authoritative serve → fabric → reply parse — to
 //! what the scan keeps: the records of a UR. After one warm-up pass (pools
 //! filled, tables grown, names interned) a probe that yields nothing must
 //! allocate nothing — with the observability hub attached or without it,
 //! which makes this the exact tripwire on instrumentation cost too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::net::Ipv4Addr;
 
 use dnswire::{Name, Rcode, RecordType};
@@ -21,48 +20,9 @@ use urhunter::{
 };
 use worldgen::{World, WorldConfig};
 
-thread_local! {
-    /// Allocations made by this thread while armed.
-    static ARMED: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-struct Counting;
-
-fn note_allocation() {
-    // `try_with`: a thread tearing down may allocate past its locals.
-    let _ = ARMED.try_with(|c| c.set(c.get().map(|n| n + 1)));
-}
-
-// SAFETY: every operation is `System`'s; the bookkeeping beside it is a
-// const-initialised thread-local counter, which never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation();
-        // SAFETY: `ptr` was allocated by `System` with this layout.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// `f`'s result and the allocations (and reallocations) this thread made
-/// while it ran.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    ARMED.with(|c| c.set(Some(0)));
-    let out = f();
-    let n = ARMED.with(|c| c.replace(None)).expect("armed above");
-    (out, n)
-}
+#[path = "support/counting.rs"]
+mod counting;
+use counting::counted;
 
 /// One UR probe through the engine, keeping what `query_one_ur` keeps: the
 /// answers of exactly the asked name and type.
