@@ -22,9 +22,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
 echo "== stale names: the deleted executor, collectors, knobs and timers stay deleted =="
 # One scan path, one ordered-merge executor, two executor knobs, one
-# classification entry, one timer (urbench): none of the names of what was
-# removed may come back in code, tests or docs.
-if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench' \
+# classification entry, one timer (urbench), a daemon that never polls,
+# one scan-flag parser, one way to start the daemon: none of the names of
+# what was removed may come back in code, tests or docs.
+if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon' \
     crates tests examples README.md DESIGN.md EXPERIMENTS.md; then
     echo "ci.sh: a deleted name is back (see the matches above)" >&2
     exit 1
@@ -114,11 +115,13 @@ rm -f "$PROM_OUT"
 
 echo "== daemon smoke: urhunterd serves and shuts down cleanly =="
 # Start the daemon against the small world on a kernel-assigned port,
-# capped at one epoch; the quickstart client polls /healthz, queries
-# /deltas and /verdict, cross-checks /metrics against /coverage, and
-# requests shutdown. The daemon must then exit 0 on its own.
+# capped at one epoch, with scan flags that go through the parser shared
+# with urhunter; the quickstart client polls /healthz, queries /deltas and
+# /verdict, cross-checks /metrics against /coverage, and requests
+# shutdown. The daemon must then exit 0 on its own.
 DAEMON_LOG=$(mktemp /tmp/urhunterd.XXXXXX.log)
-./target/release/urhunterd --listen 127.0.0.1:0 --max-epochs 1 >"$DAEMON_LOG" 2>&1 &
+./target/release/urhunterd --listen 127.0.0.1:0 --max-epochs 1 --retries 2 --timeout 2000 --adaptive \
+    >"$DAEMON_LOG" 2>&1 &
 DAEMON_PID=$!
 DAEMON_ADDR=""
 for _ in $(seq 1 100); do

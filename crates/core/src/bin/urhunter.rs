@@ -14,46 +14,20 @@
 //! (the paper's 8,941-nameserver inventory) and `xl` (>= 1M URs) run the
 //! streamed path — lazy plan-backed shard fabrics, URs folded into
 //! category counters and a sequence digest as they arrive, nothing
-//! retained — and print the scan summary (only `--seed`, `--shards`,
-//! `--workers` and the probe/rate knobs apply there).
+//! retained — and print the scan summary (only `--seed` and the scan
+//! flags apply there).
 //!
-//! Two knobs size the execution, and neither changes a byte of output.
-//! `--shards N` splits the bulk scan across N replica fabrics partitioned
-//! by nameserver (default 1, or 8 world shards on the streamed path;
-//! ignored under `--ethics` and `--rate-limit` on the materialized
-//! pipeline, which pace a single scanner clock). `--workers N` is the
-//! number of scan workers claiming shards (at most `min(shards, N)` run at
-//! once; one worker scans on the calling thread, as does everything
-//! downstream of the scan; default: sized from the machine,
-//! `URHUNTER_PARALLELISM` override).
-//!
-//! `--retries N` gives every collection probe N attempts (default 3;
-//! 1 = single-shot), `--timeout MS` bounds each attempt, and
-//! `--fault-drop P` injects a drop probability P onto the fabric for the
-//! collection stages only (per-flow scheduled, so the loss pattern is
-//! independent of the retry policy). Probe accounting is printed after
-//! every run.
-//!
-//! `--adaptive` turns on RTT-aware probe scheduling: per-nameserver
-//! smoothed RTT estimates derive per-attempt timeouts (`srtt + k * rttvar`,
-//! clamped to the plan's fixed timeout) and order each scan round by
-//! estimated latency. `--rtt-k N` sets the variance multiplier k
-//! (default 4, minimum 1). `--rate-limit N` caps the whole scan at N
-//! probes per second through a global token bucket (the materialized
-//! pipeline clamps shards to 1 so one clock paces the fleet; the
-//! streamed path shares one bucket across all shards instead). All
-//! three change simulated elapsed time only — the classified output is
-//! bit-identical.
+//! The eight scan flags (`--shards`, `--workers`, `--retries`,
+//! `--timeout`, `--fault-drop`, `--adaptive`, `--rtt-k`, `--rate-limit`)
+//! are parsed, checked and applied by [`urhunter::cli`], the same code
+//! behind `urhunterd`'s; its `USAGE` block lists them. On the streamed
+//! path `--shards` is the world-shard count (default 8).
 //!
 //! `--metrics-out FILE` attaches the observability hub to the run, prints
 //! the metrics table, and writes every metric and traced event to FILE.
 //! The extension picks the format: `.prom`/`.txt` use the Prometheus
 //! exporter (the same one behind the daemon's `/metrics`), anything else
 //! JSON lines (see `crates/obs`).
-//!
-//! `urhunter daemon [FLAGS]` hands off to the resident scanning daemon
-//! `urhunterd` (see `crates/daemon`): re-scan epochs over a drifting
-//! world, an event-sourced verdict log, and an HTTP query API.
 //!
 //! Examples:
 //!   urhunter --report all
@@ -62,9 +36,9 @@
 //!   urhunter --fault-drop 0.05 --retries 5 --timeout 2000
 //!   urhunter --metrics-out metrics.jsonl
 //!   urhunter --extended --payload-match --pcap sandbox.pcap
-//!   urhunter daemon --listen 127.0.0.1:7353 --max-epochs 10
 
 use std::process::ExitCode;
+use urhunter::cli::ScanFlags;
 use urhunter::{audit_table2, evaluate_false_negatives, run, HunterConfig};
 use worldgen::{World, WorldConfig};
 
@@ -73,14 +47,7 @@ struct Args {
     world: Option<String>,
     seed: Option<u64>,
     report: String,
-    shards: Option<usize>,
-    workers: Option<usize>,
-    retries: Option<u32>,
-    timeout_ms: Option<u64>,
-    fault_drop: Option<f64>,
-    adaptive: bool,
-    rtt_k: Option<u32>,
-    rate_limit: Option<u64>,
+    scan: ScanFlags,
     extended: bool,
     expand_pdns: bool,
     payload_match: bool,
@@ -90,57 +57,21 @@ struct Args {
 }
 
 fn usage() -> ! {
-    eprintln!(
+    eprint!(
         "usage: urhunter [--scale small|default] [--world medium|paper|xl] [--seed N] \
          [--report summary|table1|figure2|figure3|table2|all]\n\
-         \u{20}               [--shards N] [--workers N]\n\
-         \u{20}               [--retries N] [--timeout MS] [--fault-drop P]\n\
-         \u{20}               [--adaptive] [--rtt-k N] [--rate-limit N]\n\
+         \u{20}               [SCAN FLAGS]\n\
          \u{20}               [--extended] [--expand-pdns] [--payload-match] [--ethics] [--pcap FILE]\n\
          \u{20}               [--metrics-out FILE]\n\
          \u{20} --world medium runs the materialized medium world through the full\n\
          \u{20} pipeline; --world paper|xl runs the paper-scale streamed path (lazy\n\
          \u{20} plan-backed fabrics, URs folded into counters as they arrive) and\n\
-         \u{20} prints the scan summary — only --seed, --shards, --workers and the\n\
-         \u{20} probe/rate knobs apply there;\n\
-         \u{20} --shards N runs the bulk scan on N replica fabrics partitioned by\n\
-         \u{20} nameserver (default 1, maximum 64; bit-identical output, clamped to 1\n\
-         \u{20} under --ethics);\n\
-         \u{20} --workers N is the number of scan workers claiming shards, so\n\
-         \u{20} min(shards, N) scan at once (minimum 1, maximum 64; default auto-sizes\n\
-         \u{20} from the machine; output is bit-identical for every worker count);\n\
-         \u{20} --retries N attempts per probe (default 3, minimum 1), --timeout MS per\n\
-         \u{20} attempt (positive), --fault-drop P injects drop probability P in [0,1]\n\
-         \u{20} for the collection stages; --adaptive derives per-attempt timeouts\n\
-         \u{20} from smoothed per-nameserver RTT and orders scan rounds by estimated\n\
-         \u{20} latency (output stays bit-identical), --rtt-k N sets the variance\n\
-         \u{20} multiplier (default 4, minimum 1), --rate-limit N caps the scan at N\n\
-         \u{20} probes per second globally (positive; the streamed path shares one\n\
-         \u{20} bucket across shards, the materialized pipeline clamps shards to 1);\n\
+         \u{20} prints the scan summary — only --seed and the scan flags apply there;\n\
          \u{20} --metrics-out FILE writes the observability registry and event\n\
-         \u{20} trace (.prom/.txt = Prometheus text, otherwise JSON lines);\n\
-         \u{20} `urhunter daemon [FLAGS]` runs the resident scanning daemon\n\
-         \u{20} (urhunterd --help lists its flags)."
+         \u{20} trace (.prom/.txt = Prometheus text, otherwise JSON lines).\n\n{}",
+        urhunter::cli::USAGE
     );
     std::process::exit(2)
-}
-
-/// Validate a `--workers` value. Zero is rejected (a scan needs at least
-/// one worker; omit the flag to auto-size from the machine) and the cap
-/// mirrors `--shards`: more scan workers than shards would idle anyway.
-fn validate_workers(v: &str) -> Result<usize, String> {
-    let n: usize = v
-        .parse()
-        .map_err(|_| format!("--workers must be a number (got {v})"))?;
-    if n == 0 {
-        return Err("--workers must be at least 1 (got 0): omit the flag to auto-size".to_string());
-    }
-    if n > 64 {
-        return Err(format!(
-            "--workers is capped at 64 (got {v}): each scan worker drives a whole shard fabric"
-        ));
-    }
-    Ok(n)
 }
 
 fn parse_args() -> Args {
@@ -149,14 +80,7 @@ fn parse_args() -> Args {
         world: None,
         seed: None,
         report: "summary".to_string(),
-        shards: None,
-        workers: None,
-        retries: None,
-        timeout_ms: None,
-        fault_drop: None,
-        adaptive: false,
-        rtt_k: None,
-        rate_limit: None,
+        scan: ScanFlags::default(),
         extended: false,
         expand_pdns: false,
         payload_match: false,
@@ -181,79 +105,6 @@ fn parse_args() -> Args {
                 args.seed = Some(v.parse().unwrap_or_else(|_| usage()));
             }
             "--report" => args.report = it.next().unwrap_or_else(|| usage()),
-            "--shards" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                let n: usize = v.parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    eprintln!("--shards must be at least 1 (got 0): the scan needs one fabric");
-                    usage()
-                }
-                if n > 64 {
-                    eprintln!(
-                        "--shards is capped at 64 (got {v}): each shard is a full replica fabric"
-                    );
-                    usage()
-                }
-                args.shards = Some(n);
-            }
-            "--workers" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                match validate_workers(&v) {
-                    Ok(n) => args.workers = Some(n),
-                    Err(msg) => {
-                        eprintln!("{msg}");
-                        usage()
-                    }
-                }
-            }
-            "--retries" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                let n: u32 = v.parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    eprintln!(
-                        "--retries must be at least 1 (got 0): every probe needs one attempt"
-                    );
-                    usage()
-                }
-                args.retries = Some(n);
-            }
-            "--timeout" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                let ms: u64 = v.parse().unwrap_or_else(|_| usage());
-                if ms == 0 {
-                    eprintln!("--timeout must be a positive number of milliseconds (got {v})");
-                    usage()
-                }
-                args.timeout_ms = Some(ms);
-            }
-            "--fault-drop" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                let p: f64 = v.parse().unwrap_or_else(|_| usage());
-                if !(0.0..=1.0).contains(&p) {
-                    eprintln!("--fault-drop must be a probability in [0, 1] (got {v})");
-                    usage()
-                }
-                args.fault_drop = Some(p);
-            }
-            "--adaptive" => args.adaptive = true,
-            "--rtt-k" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                let k: u32 = v.parse().unwrap_or_else(|_| usage());
-                if k == 0 {
-                    eprintln!("--rtt-k must be at least 1 (got 0): the variance term needs weight");
-                    usage()
-                }
-                args.rtt_k = Some(k);
-            }
-            "--rate-limit" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                let n: u64 = v.parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    eprintln!("--rate-limit must be a positive number of probes per second");
-                    usage()
-                }
-                args.rate_limit = Some(n);
-            }
             "--extended" => args.extended = true,
             "--expand-pdns" => args.expand_pdns = true,
             "--payload-match" => args.payload_match = true,
@@ -261,10 +112,17 @@ fn parse_args() -> Args {
             "--pcap" => args.pcap = Some(it.next().unwrap_or_else(|| usage())),
             "--metrics-out" => args.metrics_out = Some(it.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage()
-            }
+            other => match args.scan.parse_flag(other, &mut it) {
+                Ok(true) => {}
+                Ok(false) => {
+                    eprintln!("unknown argument: {other}");
+                    usage()
+                }
+                Err(msg) => {
+                    eprintln!("{msg}");
+                    usage()
+                }
+            },
         }
     }
     args
@@ -286,7 +144,7 @@ fn run_world_preset(args: &Args, preset: &str) -> ExitCode {
     // Under --rate-limit the streamed path shares one token bucket across
     // all shard scans (a concatenated global timeline), so the shard count
     // no longer needs clamping here.
-    let shards = args.shards.unwrap_or(8);
+    let shards = args.scan.shards.unwrap_or(8);
     eprintln!(
         "generating streamed world (preset={preset}, seed={})...",
         config.seed
@@ -297,19 +155,7 @@ fn run_world_preset(args: &Args, preset: &str) -> ExitCode {
         world.nameservers.len(),
         world.scan_targets().len()
     );
-    let mut hunter = HunterConfig::fast();
-    if let Some(workers) = args.workers {
-        hunter = hunter.with_workers(workers);
-    }
-    if args.adaptive {
-        hunter = hunter.with_adaptive();
-    }
-    if let Some(k) = args.rtt_k {
-        hunter = hunter.with_rtt_k(k);
-    }
-    if let Some(per_sec) = args.rate_limit {
-        hunter = hunter.with_rate_limit_per_sec(per_sec);
-    }
+    let hunter = args.scan.apply(HunterConfig::fast());
     let out = urhunter::run_streamed(&world, &hunter, shards);
     println!(
         "world {preset}: {} nameservers, {} targets, {} shard(s) on {} worker(s)\n\
@@ -331,38 +177,7 @@ fn run_world_preset(args: &Args, preset: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `urhunter daemon ...`: hand off to the sibling `urhunterd` binary.
-/// The daemon crate depends on this one, so it cannot be linked in
-/// directly; cargo installs both binaries side by side, so look next to
-/// the running executable first and fall back to `$PATH`.
-fn run_daemon(daemon_args: Vec<String>) -> ExitCode {
-    let sibling = std::env::current_exe()
-        .ok()
-        .and_then(|exe| Some(exe.parent()?.join("urhunterd")))
-        .filter(|p| p.is_file());
-    let program = sibling.unwrap_or_else(|| std::path::PathBuf::from("urhunterd"));
-    match std::process::Command::new(&program)
-        .args(&daemon_args)
-        .status()
-    {
-        Ok(status) => match status.code() {
-            Some(code) => ExitCode::from(code.clamp(0, 255) as u8),
-            None => ExitCode::FAILURE,
-        },
-        Err(e) => {
-            eprintln!(
-                "urhunter: cannot launch {} (build it with `cargo build -p urhunterd`): {e}",
-                program.display()
-            );
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
-    if std::env::args().nth(1).as_deref() == Some("daemon") {
-        return run_daemon(std::env::args().skip(2).collect());
-    }
     let args = parse_args();
     if let Some(world) = args.world.as_deref() {
         match world {
@@ -401,30 +216,7 @@ fn main() -> ExitCode {
     if args.payload_match {
         hunter = hunter.with_payload_matching();
     }
-    if let Some(workers) = args.workers {
-        hunter = hunter.with_workers(workers);
-    }
-    if let Some(shards) = args.shards {
-        hunter = hunter.with_shards(shards);
-    }
-    if let Some(retries) = args.retries {
-        hunter = hunter.with_retries(retries);
-    }
-    if let Some(ms) = args.timeout_ms {
-        hunter = hunter.with_timeout(simnet::SimDuration::from_millis(ms));
-    }
-    if let Some(p) = args.fault_drop {
-        hunter = hunter.with_scan_faults(simnet::FaultPlan::lossy(p).scheduled_per_flow());
-    }
-    if args.adaptive {
-        hunter = hunter.with_adaptive();
-    }
-    if let Some(k) = args.rtt_k {
-        hunter = hunter.with_rtt_k(k);
-    }
-    if let Some(per_sec) = args.rate_limit {
-        hunter = hunter.with_rate_limit_per_sec(per_sec);
-    }
+    hunter = args.scan.apply(hunter);
     let hub = args.metrics_out.as_ref().map(|_| obs::Obs::shared());
     if let Some(hub) = &hub {
         hunter = hunter.with_obs(hub.clone());
@@ -511,30 +303,4 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-#[cfg(test)]
-mod tests {
-    use super::validate_workers;
-
-    #[test]
-    fn stream_workers_accepts_the_valid_range() {
-        assert_eq!(validate_workers("1"), Ok(1));
-        assert_eq!(validate_workers("4"), Ok(4));
-        assert_eq!(validate_workers("64"), Ok(64));
-    }
-
-    #[test]
-    fn stream_workers_rejects_zero_with_a_clear_message() {
-        let err = validate_workers("0").unwrap_err();
-        assert!(err.contains("at least 1"), "got: {err}");
-        assert!(err.contains("auto-size"), "got: {err}");
-    }
-
-    #[test]
-    fn stream_workers_rejects_garbage_and_oversize() {
-        assert!(validate_workers("many").is_err());
-        assert!(validate_workers("-3").is_err());
-        assert!(validate_workers("65").unwrap_err().contains("64"));
-    }
 }

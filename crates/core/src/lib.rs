@@ -40,6 +40,7 @@
 pub mod analyze;
 pub mod audit;
 pub mod classify;
+pub mod cli;
 pub mod collect;
 pub mod defense;
 pub mod pipeline;

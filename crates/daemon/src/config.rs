@@ -3,18 +3,22 @@
 //! Mirrors the `urhunter` CLI's posture: every flag that can be
 //! nonsensical is rejected up front with a one-line error naming the flag
 //! and the accepted range, and the process exits 2 before binding a
-//! socket or generating a world.
+//! socket or generating a world. The scan flags are `urhunter`'s own
+//! parser, [`urhunter::cli`].
 
 use crate::driver::{DriverConfig, WorldScale};
 use crate::service::DaemonConfig;
 use std::time::Duration;
+use urhunter::cli::ScanFlags;
 
 /// The usage text printed on `--help` and flag errors.
-pub const USAGE: &str = "\
+pub fn usage() -> String {
+    format!(
+        "\
 urhunterd: resident UR scanning daemon
 
 USAGE:
-    urhunterd [OPTIONS]
+    urhunterd [OPTIONS] [SCAN FLAGS]
 
 OPTIONS:
     --listen ADDR          bind the HTTP control plane here
@@ -32,13 +36,12 @@ OPTIONS:
     --new-campaigns N      campaigns planted per drift step (default 25)
     --expire-fraction F    fraction of campaigns expiring per drift step,
                            0 <= F <= 1 (default 0.3)
-    --shards N             fabric shards, 1..=64 (default 1)
-    --workers N            scan workers claiming shards, N >= 1
-                           (default: sized from the machine)
-    --retries N            probe attempts per query, N >= 1
-    --timeout SECS         simulated probe timeout, > 0
     --help                 print this text
-";
+
+{}",
+        urhunter::cli::USAGE
+    )
+}
 
 fn need_value<'a>(
     flag: &str,
@@ -56,7 +59,7 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: &str, what: &str) -> Resul
 
 /// Parse daemon flags (everything after the program name). Returns the
 /// validated configuration or a one-line error message; `--help` is
-/// surfaced as `Err(USAGE)` so the binary can print-and-exit-0.
+/// surfaced as `Err(usage())` so the binary can print-and-exit-0.
 pub fn parse_flags(args: &[String]) -> Result<DaemonConfig, String> {
     let mut cfg = DaemonConfig {
         listen: DaemonConfig::default_listen(),
@@ -64,10 +67,11 @@ pub fn parse_flags(args: &[String]) -> Result<DaemonConfig, String> {
         wall_interval: Duration::ZERO,
         driver: DriverConfig::small(),
     };
+    let mut scan = ScanFlags::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
+            "--help" | "-h" => return Err(usage()),
             "--listen" => {
                 let v = need_value(arg, &mut iter)?;
                 cfg.listen = v.parse().map_err(|_| {
@@ -128,51 +132,17 @@ pub fn parse_flags(args: &[String]) -> Result<DaemonConfig, String> {
                 }
                 cfg.driver.expire_fraction = f;
             }
-            "--shards" => {
-                let v = need_value(arg, &mut iter)?;
-                let n: usize = parse_num(arg, v, "a shard count in 1..=64")?;
-                if !(1..=64).contains(&n) {
-                    return Err(format!(
-                        "urhunterd: --shards must be within 1..=64, got {v}"
-                    ));
-                }
-                cfg.driver.hunter = cfg.driver.hunter.with_shards(n);
-            }
-            "--workers" => {
-                let v = need_value(arg, &mut iter)?;
-                let n: usize = parse_num(arg, v, "a worker count >= 1")?;
-                if n == 0 {
-                    return Err("urhunterd: --workers must be >= 1".to_string());
-                }
-                cfg.driver.hunter = cfg.driver.hunter.with_workers(n);
-            }
-            "--retries" => {
-                let v = need_value(arg, &mut iter)?;
-                let n: u32 = parse_num(arg, v, "an attempt count >= 1")?;
-                if n == 0 {
-                    return Err(
-                        "urhunterd: --retries must be >= 1 (at least the initial attempt)"
-                            .to_string(),
-                    );
-                }
-                cfg.driver.hunter = cfg.driver.hunter.with_retries(n);
-            }
-            "--timeout" => {
-                let v = need_value(arg, &mut iter)?;
-                let secs: u64 = parse_num(arg, v, "a positive number of simulated seconds")?;
-                if secs == 0 {
-                    return Err("urhunterd: --timeout must be > 0 simulated seconds".to_string());
-                }
-                cfg.driver.hunter = cfg
-                    .driver
-                    .hunter
-                    .with_timeout(simnet::SimDuration::from_secs(secs));
-            }
             other => {
-                return Err(format!("urhunterd: unknown flag {other:?} (try --help)"));
+                if !scan
+                    .parse_flag(other, &mut iter)
+                    .map_err(|e| format!("urhunterd: {e}"))?
+                {
+                    return Err(format!("urhunterd: unknown flag {other:?} (try --help)"));
+                }
             }
         }
     }
+    cfg.driver.hunter = scan.apply(cfg.driver.hunter);
     Ok(cfg)
 }
 
@@ -215,6 +185,17 @@ mod tests {
             "4",
             "--workers",
             "2",
+            "--retries",
+            "5",
+            "--timeout",
+            "2000",
+            "--fault-drop",
+            "0.05",
+            "--adaptive",
+            "--rtt-k",
+            "6",
+            "--rate-limit",
+            "2",
         ]))
         .expect("valid flags");
         assert_eq!(cfg.listen.port(), 0);
@@ -230,6 +211,19 @@ mod tests {
         assert_eq!(cfg.driver.expire_fraction, 0.5);
         assert_eq!(cfg.driver.hunter.shards, 4);
         assert_eq!(cfg.driver.hunter.workers, 2);
+        let retry = cfg.driver.hunter.retry;
+        assert_eq!(retry.attempts, 5);
+        assert_eq!(retry.timeout, simnet::SimDuration::from_millis(2000));
+        assert!(retry.adaptive);
+        assert_eq!(retry.rtt_k, 6);
+        assert_eq!(
+            cfg.driver.hunter.scan_faults,
+            Some(simnet::FaultPlan::lossy(0.05).scheduled_per_flow())
+        );
+        assert_eq!(
+            cfg.driver.hunter.rate_limit_interval,
+            simnet::SimDuration::from_millis(500)
+        );
     }
 
     #[test]
@@ -243,6 +237,10 @@ mod tests {
             (vec!["--workers", "0"], "--workers"),
             (vec!["--retries", "0"], "--retries"),
             (vec!["--timeout", "0"], "--timeout"),
+            (vec!["--fault-drop", "1.5"], "--fault-drop"),
+            (vec!["--rtt-k", "0"], "--rtt-k"),
+            (vec!["--rate-limit", "0"], "--rate-limit"),
+            (vec!["--adaptive", "--wat"], "--wat"),
             (vec!["--scale", "galactic"], "--scale"),
             (vec!["--wat"], "--wat"),
             (vec!["--seed"], "--seed"),
@@ -260,5 +258,6 @@ mod tests {
         let err = parse_flags(&flags(&["--help"])).expect_err("help is not a config");
         assert!(err.contains("USAGE"));
         assert!(err.contains("--epoch-interval"));
+        assert!(err.contains(urhunter::cli::USAGE));
     }
 }

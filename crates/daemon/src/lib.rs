@@ -37,7 +37,7 @@ pub mod http;
 pub mod service;
 
 pub use client::{http_get, json_str_field, json_u64_field};
-pub use config::{parse_flags, USAGE};
+pub use config::{parse_flags, usage};
 pub use driver::{DriverConfig, EpochDriver, EpochScan, EpochSummary, LiveState, WorldScale};
 pub use events::{
     diff_epoch, Epoch, EpochRecord, EpochSeal, EventLog, Snapshot, UrEvent, UrState, VerdictStore,

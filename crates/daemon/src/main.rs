@@ -10,13 +10,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cfg = match urhunterd::parse_flags(&args) {
         Ok(cfg) => cfg,
-        Err(msg) if msg == urhunterd::USAGE => {
+        Err(msg) if msg == urhunterd::usage() => {
             print!("{msg}");
             return ExitCode::SUCCESS;
         }
         Err(msg) => {
             eprintln!("{msg}");
-            eprintln!("{}", urhunterd::USAGE);
+            eprint!("{}", urhunterd::usage());
             return ExitCode::from(2);
         }
     };

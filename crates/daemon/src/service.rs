@@ -5,7 +5,9 @@
 //! it outright and only ever locks the shared state for the brief
 //! [`EpochDriver::publish`] commit; HTTP handlers take the same lock to
 //! answer queries, so clients always see a whole epoch — never a scan in
-//! progress.
+//! progress. Neither thread polls: the HTTP thread blocks in `accept`, the
+//! scan thread waits out the wall interval on the stop signal and returns
+//! after its last epoch, and a shutdown request wakes both.
 //!
 //! Endpoints:
 //!
@@ -22,9 +24,8 @@ use crate::driver::{DriverConfig, EpochDriver, LiveState};
 use crate::events::{category_str, EpochRecord, UrEvent};
 use crate::http::{json_escape, read_request, write_response, Request, Response};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use urhunter::UrKey;
@@ -55,8 +56,32 @@ impl DaemonConfig {
 /// State shared between the scan thread and the HTTP handlers.
 struct Shared {
     state: Mutex<LiveState>,
-    shutdown: AtomicBool,
+    /// The one stop signal: set by `/shutdown` and
+    /// [`DaemonHandle::request_shutdown`], waited on between epochs.
+    stopping: Mutex<bool>,
+    stop_set: Condvar,
     max_epochs: Option<u64>,
+}
+
+impl Shared {
+    fn stop(&self) {
+        *self.stopping.lock().expect("stop lock") = true;
+        self.stop_set.notify_all();
+    }
+
+    fn is_stopping(&self) -> bool {
+        *self.stopping.lock().expect("stop lock")
+    }
+
+    /// Wait up to `timeout` for the stop signal; true once it is set.
+    fn wait_for_stop(&self, timeout: Duration) -> bool {
+        let stopping = self.stopping.lock().expect("stop lock");
+        let (stopping, _) = self
+            .stop_set
+            .wait_timeout_while(stopping, timeout, |stopping| !*stopping)
+            .expect("stop lock");
+        *stopping
+    }
 }
 
 /// A running daemon. Dropping the handle does not stop it; call
@@ -81,9 +106,19 @@ impl DaemonHandle {
     }
 
     /// Ask both threads to exit (the SIGTERM-equivalent `/shutdown`
-    /// endpoint does exactly this).
+    /// endpoint sets the same signal). The HTTP thread blocks in `accept`,
+    /// so this also opens one connection to wake it.
     pub fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.stop();
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // Refused once the HTTP thread has already exited: nothing to wake.
+        let _ = TcpStream::connect(wake);
     }
 
     /// Wait for both threads to exit and return the final state.
@@ -100,11 +135,11 @@ impl DaemonHandle {
 /// thread-bound); epoch 1 completes shortly after this returns.
 pub fn start(cfg: DaemonConfig) -> io::Result<DaemonHandle> {
     let listener = TcpListener::bind(cfg.listen)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
         state: Mutex::new(LiveState::default()),
-        shutdown: AtomicBool::new(false),
+        stopping: Mutex::new(false),
+        stop_set: Condvar::new(),
         max_epochs: cfg.max_epochs,
     });
 
@@ -117,9 +152,8 @@ pub fn start(cfg: DaemonConfig) -> io::Result<DaemonHandle> {
         .spawn(move || {
             let mut driver = EpochDriver::new(driver_cfg);
             let mut done = 0u64;
-            while !scan_shared.shutdown.load(Ordering::SeqCst)
-                && max_epochs.is_none_or(|m| done < m)
-            {
+            let mut pause = Duration::ZERO; // the first epoch starts at once
+            while max_epochs.is_none_or(|m| done < m) && !scan_shared.wait_for_stop(pause) {
                 let scan = driver.scan_epoch();
                 let mut state = scan_shared.state.lock().expect("state lock");
                 let summary = driver.publish(scan, &mut state);
@@ -134,30 +168,20 @@ pub fn start(cfg: DaemonConfig) -> io::Result<DaemonHandle> {
                     summary.gone,
                     summary.seal.present
                 );
-                interruptible_sleep(&scan_shared.shutdown, wall_interval);
-            }
-            // Resident: keep the state served until shutdown is requested.
-            while !scan_shared.shutdown.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(20));
+                pause = wall_interval;
             }
         })?;
 
     let http_shared = shared.clone();
     let http = std::thread::Builder::new()
         .name("urhunterd-http".into())
-        .spawn(move || loop {
-            match listener.accept() {
-                Ok((mut stream, _)) => handle_connection(&mut stream, &http_shared),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if http_shared.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
+        .spawn(move || {
+            for stream in listener.incoming() {
+                if let Ok(mut stream) = stream {
+                    handle_connection(&mut stream, &http_shared);
                 }
-                Err(_) => {
-                    if http_shared.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
+                if http_shared.is_stopping() {
+                    break;
                 }
             }
         })?;
@@ -168,15 +192,6 @@ pub fn start(cfg: DaemonConfig) -> io::Result<DaemonHandle> {
         scan,
         http,
     })
-}
-
-fn interruptible_sleep(flag: &AtomicBool, total: Duration) {
-    let mut remaining = total;
-    while remaining > Duration::ZERO && !flag.load(Ordering::SeqCst) {
-        let step = remaining.min(Duration::from_millis(20));
-        std::thread::sleep(step);
-        remaining = remaining.saturating_sub(step);
-    }
 }
 
 fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
@@ -195,7 +210,7 @@ fn route(request: &Request, shared: &Shared) -> Response {
         ("GET", "/deltas") => deltas(request, shared),
         ("GET", "/") => index(),
         ("GET" | "POST", "/shutdown") => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.stop();
             Response::json("{\"status\":\"shutting down\"}\n".to_string())
         }
         ("GET", path) if path.starts_with("/verdict/") => {
@@ -227,7 +242,7 @@ fn healthz(shared: &Shared) -> Response {
         state.sim_day,
         state.store.present_len(),
         state.store.len(),
-        shared.shutdown.load(Ordering::SeqCst)
+        shared.is_stopping()
     ))
 }
 

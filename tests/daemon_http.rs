@@ -182,3 +182,23 @@ fn daemon_answers_before_the_epoch_limit_and_shuts_down_mid_flight() {
     assert!(state.epochs_done >= 1);
     state.log.verify_replay().expect("log replays at shutdown");
 }
+
+#[test]
+fn request_shutdown_wakes_a_daemon_bound_to_an_unspecified_address() {
+    let mut cfg = daemon_config();
+    cfg.listen = "0.0.0.0:0".parse().unwrap();
+    cfg.max_epochs = Some(1);
+    let handle = urhunterd::start(cfg).expect("daemon starts");
+    let port = handle.addr().port();
+    wait_for_epochs(([127, 0, 0, 1], port).into(), 1);
+
+    // Its accept is blocked with no client left: only the wake-up
+    // connection to loopback can end it.
+    handle.request_shutdown();
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(handle.join()).unwrap());
+    let state = joined
+        .recv_timeout(Duration::from_secs(10))
+        .expect("join returns within 10 s of request_shutdown");
+    assert_eq!(state.epochs_done, 1);
+}
