@@ -3,8 +3,8 @@
 //! Mirrors the `urhunter` CLI's posture: every flag that can be
 //! nonsensical is rejected up front with a one-line error naming the flag
 //! and the accepted range, and the process exits 2 before binding a
-//! socket or generating a world. The scan flags are `urhunter`'s own
-//! parser, [`urhunter::cli`].
+//! socket or generating a world. The scan flags go through `urhunter`'s
+//! own parser, [`urhunter::cli`].
 
 use crate::driver::{DriverConfig, WorldScale};
 use crate::service::DaemonConfig;
