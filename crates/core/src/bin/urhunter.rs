@@ -304,3 +304,31 @@ fn main() -> ExitCode {
     }
     ExitCode::SUCCESS
 }
+
+#[cfg(test)]
+mod tests {
+    use urhunter::cli::ScanFlags;
+
+    /// `--workers v` as `parse_args` hands it to the shared parser.
+    fn workers(v: &str) -> Result<Option<usize>, String> {
+        let mut scan = ScanFlags::default();
+        assert!(scan.parse_flag("--workers", &mut std::iter::once(v))?);
+        Ok(scan.workers)
+    }
+
+    #[test]
+    fn stream_workers_rejects_zero_with_a_clear_message() {
+        let err = workers("0").unwrap_err();
+        assert!(err.contains("--workers"), "got: {err}");
+        assert!(err.contains("1..=64"), "got: {err}");
+        assert!(err.contains("\"0\""), "got: {err}");
+    }
+
+    #[test]
+    fn stream_workers_rejects_garbage_and_oversize() {
+        assert!(workers("many").is_err());
+        assert!(workers("-3").is_err());
+        assert!(workers("65").unwrap_err().contains("64"));
+        assert_eq!(workers("64"), Ok(Some(64)));
+    }
+}
