@@ -154,25 +154,30 @@ grep -q 'shut down after' "$DAEMON_LOG" || {
 }
 rm -f "$DAEMON_LOG"
 
-echo "== shard matrix: urhunter --shards 1 vs --shards 4 =="
+echo "== shard matrix: one shard vs the default vs --shards 4 =="
 # The sharded scan must be invisible in the output: the full table1
 # rendering (per-provider verdict counts) has to match bit for bit
-# between 1 and 4 shards on the small world.
-SHARD1_OUT=$(cargo run --release -q -p urhunter --bin urhunter -- --shards 1 --report table1 2>/dev/null)
-SHARD4_OUT=$(cargo run --release -q -p urhunter --bin urhunter -- --shards 4 --report table1 2>/dev/null)
-if [ "$SHARD1_OUT" != "$SHARD4_OUT" ]; then
-    echo "ci.sh: --shards 4 output diverges from --shards 1" >&2
-    exit 1
-fi
+# between one shard, the default (one shard per worker) and 4 shards on
+# the small world. --shards is a floor under the worker count, so the
+# one-shard reference needs one worker too.
+SHARD1_OUT=$(URHUNTER_PARALLELISM=1 ./target/release/urhunter --shards 1 --report table1 2>/dev/null)
 test -n "$SHARD1_OUT" || {
     echo "ci.sh: shard smoke run produced no table1 output" >&2
     exit 1
 }
+for SHARD_ARGS in "" "--shards 4"; do
+    # Unquoted: the empty entry expands to no argument at all.
+    SHARD_OUT=$(./target/release/urhunter $SHARD_ARGS --report table1 2>/dev/null)
+    if [ "$SHARD1_OUT" != "$SHARD_OUT" ]; then
+        echo "ci.sh: '$SHARD_ARGS' output diverges from the one-shard run" >&2
+        exit 1
+    fi
+done
 
 echo "== smoke: urhunter --adaptive vs fixed table1 =="
 # Adaptive scheduling may only move the simulated clock: the full table1
 # rendering must match the fixed-timeout run bit for bit.
-ADAPTIVE_OUT=$(cargo run --release -q -p urhunter --bin urhunter -- --adaptive --report table1 2>/dev/null)
+ADAPTIVE_OUT=$(./target/release/urhunter --adaptive --report table1 2>/dev/null)
 if [ "$SHARD1_OUT" != "$ADAPTIVE_OUT" ]; then
     echo "ci.sh: --adaptive output diverges from the fixed-timeout run" >&2
     exit 1
@@ -188,6 +193,12 @@ echo "== invariants: every hash, count and simulated microsecond, byte for byte 
 # give the reason in CHANGES.md. Wall time and RSS are urbench's.
 ./target/release/invariants | diff -u BENCH_pipeline.json - || {
     echo "ci.sh: invariants differ from the committed BENCH_pipeline.json" >&2
+    exit 1
+}
+# The daemon block runs at automatic workers, so on a multi-core host its
+# scan is sharded; on one worker it is not, and the file must not move.
+URHUNTER_PARALLELISM=1 ./target/release/invariants | diff -u BENCH_pipeline.json - || {
+    echo "ci.sh: invariants on one worker differ from the committed BENCH_pipeline.json" >&2
     exit 1
 }
 

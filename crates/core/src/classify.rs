@@ -523,11 +523,6 @@ impl<'a> StreamClassifier<'a> {
             })
             .collect()
     }
-
-    /// How many distinct addresses the incremental index has resolved.
-    pub fn distinct_ips(&self) -> usize {
-        self.attrs.read().expect("attr index lock").len()
-    }
 }
 
 #[cfg(test)]

@@ -15,9 +15,10 @@ use std::str::FromStr;
 pub const USAGE: &str = "\
 SCAN FLAGS (shared by urhunter and urhunterd):
     --shards N             bulk-scan shards: replica fabrics partitioned by
-                           nameserver, 1..=64 (default 1; 8 world shards on
-                           urhunter --world paper|xl; clamped to 1 under
-                           --ethics and, on a materialized world, --rate-limit)
+                           nameserver, 1..=64 (default: one per worker, and
+                           N is a floor on that; 8 world shards on urhunter
+                           --world paper|xl; 1 under --ethics and, on a
+                           materialized world, --rate-limit)
     --workers N            scan workers claiming shards, 1..=64
                            (default: sized from the machine)
     --retries N            attempts per probe, >= 1 (default 3)
@@ -30,8 +31,10 @@ SCAN FLAGS (shared by urhunter and urhunterd):
     --rtt-k N              variance multiplier of the derived timeout, >= 1
                            (default 4)
     --rate-limit N         cap the scan at N probes per simulated second, > 0
-    Shards, workers, --adaptive, --rtt-k and --rate-limit change wall or
-    simulated time only: the classified output is bit-identical.
+    Workers, --adaptive, --rtt-k and --rate-limit change wall or simulated
+    time only: the classified output is bit-identical. So does --shards,
+    except on --world paper|xl, where the world-shard count fixes the scan
+    order and so is part of the run's identity.
 ";
 
 /// The scan flags one command line set; an absent flag leaves the

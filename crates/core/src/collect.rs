@@ -677,13 +677,18 @@ pub fn collect_urs_sharded(
         shards,
         par::Parallelism::auto().get(),
         batch_size,
+        &|urs| urs,
         sink,
     )
 }
 
-/// [`collect_urs_sharded`] on a given number of shard workers.
+/// [`collect_urs_sharded`] on a given number of shard workers, with
+/// `transform` applied to each shard's URs **on the worker that scanned
+/// them** (this is where [`crate::run`] classifies). `transform` must map
+/// its batch one to one and in order: its outputs take the global indices
+/// of its inputs, and `sink` sees them in the unsharded order.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn collect_urs_sharded_on(
+pub(crate) fn collect_urs_sharded_on<T: Send>(
     blueprint: &worldgen::ScanBlueprint,
     plan: crate::query::QueryPlan,
     faults: simnet::FaultPlan,
@@ -696,7 +701,8 @@ pub(crate) fn collect_urs_sharded_on(
     shards: usize,
     workers: usize,
     batch_size: usize,
-    sink: &mut dyn FnMut(Vec<CollectedUr>),
+    transform: &(dyn Fn(Vec<CollectedUr>) -> Vec<T> + Sync),
+    sink: &mut dyn FnMut(Vec<T>),
 ) -> ShardedScanOutcome {
     let delegated_ips = delegated_ip_sets(world_registry, targets);
     let mut tasks = build_scan_tasks(&delegated_ips, nameservers, 0..nameservers.len(), cfg);
@@ -706,7 +712,7 @@ pub(crate) fn collect_urs_sharded_on(
         .into_iter()
         .map(|part| std::sync::Mutex::new(Some(part)))
         .collect();
-    let mut merged: Vec<(usize, CollectedUr)> = Vec::new();
+    let mut merged: Vec<(usize, T)> = Vec::new();
     // One batch per shard: a worker hands its URs over once, at shard end,
     // and never blocks on a full queue.
     let outcome = scan(
@@ -729,7 +735,12 @@ pub(crate) fn collect_urs_sharded_on(
                 .take()
                 .expect("each shard is scanned once")
         },
-        &|urs| urs,
+        &|tagged| {
+            let (gidx, urs): (Vec<usize>, Vec<CollectedUr>) = tagged.into_iter().unzip();
+            let out = transform(urs);
+            assert_eq!(out.len(), gidx.len(), "transform must map one to one");
+            gidx.into_iter().zip(out).collect::<Vec<_>>()
+        },
         &mut |urs| {
             if merged.is_empty() {
                 merged = urs;
@@ -739,15 +750,20 @@ pub(crate) fn collect_urs_sharded_on(
         },
     );
     merged.sort_unstable_by_key(|&(gidx, _)| gidx);
+    // Untagged in place; batches are cut from the back, so the first (for
+    // one batch, the only) batch keeps the buffer and no UR moves twice.
+    let mut urs: Vec<T> = merged.into_iter().map(|(_, ur)| ur).collect();
     let batch_size = batch_limit(batch_size);
-    let mut urs = merged.into_iter().map(|(_, ur)| ur);
-    loop {
-        let batch: Vec<CollectedUr> = urs.by_ref().take(batch_size).collect();
-        if batch.is_empty() {
-            break;
-        }
-        sink(batch);
+    let mut batches = Vec::new();
+    while urs.len() > batch_size {
+        batches.push(urs.split_off((urs.len() - 1) / batch_size * batch_size));
     }
+    batches.push(urs);
+    batches
+        .into_iter()
+        .rev()
+        .filter(|b| !b.is_empty())
+        .for_each(sink);
     outcome
 }
 

@@ -10,18 +10,16 @@ use crate::collect::{
 use crate::query::{CoverageReport, ProbeEngine, QueryPlan};
 use crate::report::{build_report, Report};
 use crate::schedule::QueryScheduler;
-use crate::store::UrStore;
 use crate::types::{ClassifiedUr, CollectedUr, CorrectDb, ProtectiveDb, UrCategory};
 use dnswire::RecordType;
 use simnet::{FaultPlan, SimDuration};
 use std::sync::Arc;
 use worldgen::{NsInfo, World};
 
-/// How many URs are classified at a time: the batch-view size when [`run`]
-/// drains the columnar [`UrStore`] into the classifier, and the batch a
-/// [`run_streamed`] worker fills before classifying it. Output is identical
-/// for any value; this only bounds how many URs are materialized at once.
-const STORE_CLASSIFY_BATCH: usize = 4096;
+/// How many URs a [`run_streamed`] worker collects before classifying them.
+/// Output is identical for any value; this only bounds how many URs are in
+/// flight at once.
+const CLASSIFY_BATCH: usize = 4096;
 
 /// Complete pipeline configuration.
 #[derive(Debug, Clone)]
@@ -39,19 +37,19 @@ pub struct HunterConfig {
     /// Recover legitimate subdomains from passive DNS and add them to the
     /// target list (§6 future work).
     pub expand_targets_from_pdns: bool,
-    /// Independent fabric shards for the bulk scan of [`run`]. The
-    /// selected nameservers are split into `shards` contiguous ranges, each
-    /// scanned on its own replica fabric. Output is bit-identical for every
-    /// value (pinned by `tests/sharding.rs`). Clamped to 1 under ethics
-    /// pacing or a rate cap, where the elapsed-time bookkeeping is only
-    /// meaningful on one clock. ([`run_streamed`] takes its world-shard
-    /// count as an argument: there it is part of the run's identity.)
+    /// Floor on the bulk-scan shards of [`run`], which scans on
+    /// `max(shards, workers)` replica fabrics, one per contiguous range of
+    /// the selected nameservers — or on one under ethics pacing or a rate
+    /// cap, where elapsed-time bookkeeping is only meaningful on one clock.
+    /// Output is bit-identical for every value (pinned by `tests/sharding.rs`).
+    /// ([`run_streamed`] takes its world-shard count as an argument: there
+    /// it is part of the run's identity.)
     pub shards: usize,
     /// Scan worker threads: workers claim shards (at most one each, so
-    /// `min(shards, workers)` run; one worker scans on the calling thread).
-    /// Nothing else is threaded: [`run`] classifies, analyzes and reports
-    /// on the calling thread, and in [`run_streamed`] a worker classifies
-    /// the batches it scanned. `0` is automatic (available parallelism,
+    /// `min(shards, workers)` run; one worker scans on the calling thread),
+    /// and a worker classifies the URs it scanned. Nothing else is
+    /// threaded: [`run`] analyzes and reports on the calling thread.
+    /// `0` is automatic (available parallelism,
     /// `URHUNTER_PARALLELISM` override), `1` is sequential, `n` fixed.
     /// Output is bit-identical for every value (pinned by
     /// `tests/sharding.rs` and `tests/streamed_parallel.rs`); only
@@ -136,8 +134,8 @@ impl HunterConfig {
         self
     }
 
-    /// Set the collection shard count (see [`HunterConfig::shards`];
-    /// `0` and `1` both mean unsharded).
+    /// Set the floor on the collection shard count (see
+    /// [`HunterConfig::shards`]; `0` and `1` both mean one per worker).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -255,6 +253,19 @@ pub struct RunOutput {
     pub bucket_wait: SimDuration,
 }
 
+/// [`run`]'s bulk-scan shard count: one per worker, or
+/// [`HunterConfig::shards`] if more. Ethics pacing and a global rate cap
+/// each budget one scanner clock, and sharding would make elapsed time
+/// depend on the shard layout, so a paced scan runs on one shard.
+fn bulk_scan_shards(cfg: &HunterConfig, workers: usize) -> usize {
+    if cfg.per_server_interval == SimDuration::ZERO && cfg.rate_limit_interval == SimDuration::ZERO
+    {
+        cfg.shards.max(workers).max(1)
+    } else {
+        1
+    }
+}
+
 /// Run the full URHunter pipeline against a world.
 pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     let nameservers = select_nameservers(world, cfg.collect.min_tail_sites);
@@ -320,52 +331,12 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     let mut scheduler = QueryScheduler::new(cfg.scheduler_seed, cfg.per_server_interval)
         .with_global_interval(cfg.rate_limit_interval);
     let classify_cfg = cfg.classify_cfg(world.config.today);
-    // Under ethics pacing the paper's single scanner interleaves probes
-    // across servers on one clock; sharding would make total elapsed time
-    // depend on the shard layout, so pacing runs unsharded. A global rate
-    // cap is one clock's budget for the same reason.
-    let shards = if cfg.per_server_interval == SimDuration::ZERO
-        && cfg.rate_limit_interval == SimDuration::ZERO
-    {
-        cfg.shards.max(1)
-    } else {
-        1
-    };
+    let workers = par::Parallelism::from_knob(cfg.workers).get();
     // The bulk scan runs on shard replica fabrics built from this snapshot
-    // (even at `shards = 1`, so the scan baseline doesn't depend on the
-    // knob): same fault seed and latency, per-shard RNG streams.
+    // (even on one shard, so the scan baseline doesn't depend on the knob):
+    // same fault seed and latency, per-shard RNG streams.
     let blueprint = world.scan_blueprint();
     let scan_faults = world.net.faults();
-    // The scan output accumulates in the columnar store (4-byte interned
-    // domains and providers, one shared record arena) instead of a
-    // `Vec<CollectedUr>`, then the classifier is fed materialized batch
-    // views in splice order.
-    let sp = obs.map(|h| h.span("collect", world.net.now().as_micros()));
-    let mut store = UrStore::new();
-    let scan = collect_urs_sharded_on(
-        &blueprint,
-        cfg.retry,
-        scan_faults,
-        cfg.obs.clone(),
-        &world.registry,
-        &nameservers,
-        &targets,
-        &cfg.collect,
-        &mut scheduler,
-        shards,
-        par::Parallelism::from_knob(cfg.workers).get(),
-        usize::MAX,
-        &mut |batch| store.extend(batch),
-    );
-    // The world clock advances by the shards' summed scan time and the
-    // fabric inherits their traffic accounting, exactly as if the scan had
-    // run here.
-    world.net.run_until(world.net.now() + scan.elapsed);
-    world.net.absorb_stats(scan.stats);
-    if let Some((s, h)) = sp.zip(obs) {
-        s.finish(h, world.net.now().as_micros());
-    }
-    let sp = obs.map(|h| h.span("classify", world.net.now().as_micros()));
     let mut streamer = StreamClassifier::new(
         &correct_db,
         &protective_db,
@@ -376,17 +347,42 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     if let Some(hub) = obs {
         streamer = streamer.with_metrics(AttrCacheMetrics::register(hub.registry()));
     }
-    let mut classified = Vec::with_capacity(store.len());
-    for batch in store.into_batches(STORE_CLASSIFY_BATCH) {
-        classified.extend(streamer.classify_batch_owned(batch));
+    // Each worker classifies the shard it scanned; the merge hands every
+    // verdict over as one batch, in the unsharded scan order.
+    let sp = obs.map(|h| h.span("collect", world.net.now().as_micros()));
+    let mut classified = Vec::new();
+    let scan = collect_urs_sharded_on(
+        &blueprint,
+        cfg.retry,
+        scan_faults,
+        cfg.obs.clone(),
+        &world.registry,
+        &nameservers,
+        &targets,
+        &cfg.collect,
+        &mut scheduler,
+        bulk_scan_shards(cfg, workers),
+        workers,
+        usize::MAX,
+        &|urs| streamer.classify_batch_owned(urs),
+        &mut |batch| classified = batch,
+    );
+    // The world clock advances by the shards' summed scan time and the
+    // fabric inherits their traffic accounting, exactly as if the scan had
+    // run here.
+    world.net.run_until(world.net.now() + scan.elapsed);
+    world.net.absorb_stats(scan.stats);
+    if let Some((s, h)) = sp.zip(obs) {
+        s.finish(h, world.net.now().as_micros());
     }
+    // The verdicts were reached inside the collect span; this one banks
+    // their funnel, off the network, so its sim delta is exactly zero.
+    let sp = obs.map(|h| h.span("classify", world.net.now().as_micros()));
     if let Some(hub) = obs {
         hub.registry()
             .merge_shard(obs::Class::Sim, &classify_shard(&classified));
     }
     if let Some((s, h)) = sp.zip(obs) {
-        // Classification never touches the simulated network, so the sim
-        // delta is exactly zero.
         s.finish(h, world.net.now().as_micros());
     }
     // Collection is done: restore the fabric's fault plan before the local
@@ -601,7 +597,7 @@ pub fn run_streamed(
         cfg.rate_limit_interval,
         world_shards,
         workers,
-        STORE_CLASSIFY_BATCH,
+        CLASSIFY_BATCH,
         &classify_batch,
         &mut |(cls, funnel): (Vec<ClassifiedUr>, Option<obs::MetricShard>)| {
             if let (Some(shard), Some(hub)) = (funnel, &cfg.obs) {
@@ -832,6 +828,18 @@ mod tests {
         assert_eq!(interval(2), SimDuration::from_micros(500_000));
         for n in [1_000_000, 1_000_001, u64::MAX] {
             assert_eq!(interval(n), SimDuration::from_micros(1), "--rate-limit {n}");
+        }
+    }
+
+    #[test]
+    fn the_bulk_scan_runs_one_shard_per_worker_unless_paced() {
+        for (shards, workers) in [(1, 1), (1, 2), (4, 2), (2, 4), (8, 8)] {
+            let cfg = HunterConfig::fast().with_shards(shards);
+            assert_eq!(bulk_scan_shards(&cfg, workers), shards.max(workers));
+            let paced = HunterConfig::paper_faithful().with_shards(shards);
+            assert_eq!(bulk_scan_shards(&paced, workers), 1, "ethics pacing");
+            let capped = cfg.with_rate_limit_per_sec(100);
+            assert_eq!(bulk_scan_shards(&capped, workers), 1, "rate cap");
         }
     }
 

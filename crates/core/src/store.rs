@@ -11,10 +11,12 @@
 //! 4-byte [`Sym`]s — shares every name and provider string across the whole
 //! store.
 //!
-//! The store is *write-once, read-once*: the collector pushes URs in splice
-//! order, then the pipeline materializes batch views for the stream
-//! classifier ([`UrStore::into_batches`], which moves records out of the
-//! arena without cloning), and each UR lives on inside its `ClassifiedUr`.
+//! The store is *write-once, read-once*: a sink pushes URs in splice order,
+//! then materializes batch views for the stream classifier
+//! ([`UrStore::into_batches`], which moves records out of the arena without
+//! cloning), and each UR lives on inside its `ClassifiedUr`. [`crate::run`]
+//! classifies on the scan workers and does not use it; it is the staged
+//! sink of the benchmark's decomposed run.
 //! Materialized URs are field-for-field equal to what a plain
 //! `Vec<CollectedUr>` sink would have accumulated — pinned by
 //! `tests/store_equivalence.rs`.
@@ -162,19 +164,6 @@ impl UrStore {
             arena: self.arena.into_iter(),
             batch: batch.max(1),
         }
-    }
-
-    /// Approximate heap footprint in bytes: the columns plus the record
-    /// arena headers (record payloads — names and rdata — are not walked;
-    /// interned labels are shared and counted once by the interner).
-    pub fn approx_heap_bytes(&self) -> usize {
-        self.ns_ips.capacity() * std::mem::size_of::<Ipv4Addr>()
-            + self.domains.capacity() * std::mem::size_of::<InternedName>()
-            + self.rtypes.capacity() * std::mem::size_of::<RecordType>()
-            + self.providers.capacity() * std::mem::size_of::<Sym>()
-            + self.flags.capacity()
-            + self.spans.capacity() * std::mem::size_of::<RecordSpan>()
-            + self.arena.capacity() * std::mem::size_of::<Record>()
     }
 }
 

@@ -26,7 +26,7 @@ fn signature(out: &RunOutput) -> (u64, urhunter::Totals, usize, CoverageReport, 
 
 #[test]
 fn batch_path_is_bit_identical_across_shard_counts() {
-    let baseline = run_with(HunterConfig::fast().with_shards(1));
+    let baseline = run_with(HunterConfig::fast().with_shards(1).with_workers(1));
     let base_sig = signature(&baseline);
     assert!(
         baseline.report.totals.total > 0,
@@ -44,6 +44,20 @@ fn batch_path_is_bit_identical_across_shard_counts() {
     }
 }
 
+/// A reliable config, or one under 5 % per-flow loss with the adaptive
+/// feed, and its label.
+fn reliable_and_lossy() -> [(&'static str, HunterConfig); 2] {
+    [
+        ("reliable", HunterConfig::fast()),
+        (
+            "lossy adaptive",
+            HunterConfig::fast()
+                .with_scan_faults(FaultPlan::lossy(0.05).scheduled_per_flow())
+                .with_adaptive(),
+        ),
+    ]
+}
+
 #[test]
 fn fewer_workers_than_shards_is_bit_identical_to_one_shard() {
     // Workers claim shards, so with fewer workers than shards a worker
@@ -51,30 +65,44 @@ fn fewer_workers_than_shards_is_bit_identical_to_one_shard() {
     // thread). Reliable, and per-flow lossy with the adaptive feed: the
     // sequence, the accounting and both simulated clocks must be the
     // one-shard run's.
-    let base = |lossy: bool| {
-        if lossy {
-            HunterConfig::fast()
-                .with_scan_faults(FaultPlan::lossy(0.05).scheduled_per_flow())
-                .with_adaptive()
-        } else {
-            HunterConfig::fast()
-        }
-    };
-    for lossy in [false, true] {
-        let label = if lossy { "lossy adaptive" } else { "reliable" };
-        let base = || base(lossy);
-        let baseline = run_with(base().with_shards(1));
+    for (label, cfg) in reliable_and_lossy() {
+        let baseline = run_with(cfg.clone().with_shards(1).with_workers(1));
         assert!(
             baseline.report.totals.total > 0,
             "{label}: nothing collected"
         );
+        let lossy = cfg.scan_faults.is_some();
         assert_eq!(baseline.coverage.retransmissions > 0, lossy, "{label}");
         for workers in [1usize, 2, 4] {
-            let out = run_with(base().with_shards(4).with_workers(workers));
+            let out = run_with(cfg.clone().with_shards(4).with_workers(workers));
             assert_eq!(
                 signature(&out),
                 signature(&baseline),
                 "{label}: diverges at shards=4 workers={workers}"
+            );
+            assert_eq!(out.scan_elapsed, baseline.scan_elapsed, "{label}");
+            assert_eq!(out.bucket_wait, baseline.bucket_wait, "{label}");
+        }
+    }
+}
+
+#[test]
+fn one_shard_per_worker_by_default_is_bit_identical_to_one_worker() {
+    // With no shard floor the scan runs on one shard per worker, each
+    // worker classifying the shard it scanned: the sequence, the
+    // accounting and both simulated clocks must be the one-worker run's.
+    for (label, cfg) in reliable_and_lossy() {
+        let baseline = run_with(cfg.clone().with_workers(1));
+        assert!(
+            baseline.report.totals.total > 0,
+            "{label}: nothing collected"
+        );
+        for workers in [2usize, 4] {
+            let out = run_with(cfg.clone().with_workers(workers));
+            assert_eq!(
+                signature(&out),
+                signature(&baseline),
+                "{label}: diverges at workers={workers}"
             );
             assert_eq!(out.scan_elapsed, baseline.scan_elapsed, "{label}");
             assert_eq!(out.bucket_wait, baseline.bucket_wait, "{label}");
@@ -92,7 +120,7 @@ fn sharding_is_invariant_under_injected_loss() {
         cfg.with_retry_plan(QueryPlan::with_attempts(3))
             .with_scan_faults(FaultPlan::lossy(0.01).scheduled_per_flow())
     };
-    let baseline = run_with(lossy(HunterConfig::fast().with_shards(1)));
+    let baseline = run_with(lossy(HunterConfig::fast().with_shards(1).with_workers(1)));
     let base_sig = signature(&baseline);
     assert!(
         baseline.coverage.retransmissions > 0,
@@ -120,6 +148,7 @@ fn sim_metrics_hash_is_identical_across_shard_counts() {
         let hub = obs::Obs::shared();
         let cfg = HunterConfig::fast()
             .with_shards(shards)
+            .with_workers(1)
             .with_obs(hub.clone());
         let out = run(&mut world, &cfg);
         (
