@@ -20,16 +20,30 @@ cargo clippy --all-targets -- -D warnings
 echo "== cargo doc --no-deps (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
-echo "== stale names: the deleted executor, collectors, knobs and timers stay deleted =="
+echo "== stale names: the deleted executor, collectors, knobs, timers and dead code stay deleted =="
 # One scan path, one ordered-merge executor, two executor knobs, one
 # classification entry, one timer (urbench), a daemon that never polls,
-# one scan-flag parser, one way to start the daemon: none of the names of
-# what was removed may come back in code, tests or docs.
-if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon' \
+# one scan-flag parser, one way to start the daemon, a UR store that is a
+# plain vector, and no method the compiler found unused: none of the names
+# of what was removed may come back in code, tests or docs.
+if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar' \
     crates tests examples README.md DESIGN.md EXPERIMENTS.md; then
     echo "ci.sh: a deleted name is back (see the matches above)" >&2
     exit 1
 fi
+
+echo "== every library crate lints its public surface =="
+# `unreachable_pub` keeps each crate's surface to what other crates use,
+# so `dead_code` can see the rest; the clippy step above turns both into
+# errors. It lives in each lib.rs, not in [workspace.lints], which would
+# also lint the frozen urbench sources that tests/urbench_surface.rs
+# includes.
+for lib in crates/*/src/lib.rs; do
+    grep -q '^#!\[warn(unreachable_pub)\]$' "$lib" || {
+        echo "ci.sh: $lib lacks #![warn(unreachable_pub)]" >&2
+        exit 1
+    }
+done
 
 echo "== urbench: build, unit tests, quick run =="
 # The benchmark is a package of its own that tier-1 never compiles; its

@@ -16,6 +16,7 @@
 //!    which domains are *actually* delegated.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod policy;
@@ -25,12 +26,10 @@ mod server;
 mod zone;
 
 pub use policy::{DomainClass, DuplicatePolicy, HostingPolicy, NsAllocation, VerificationPolicy};
-pub use provider::{
-    AccountId, HostError, HostedZone, HostingProvider, ProviderAnswer, ZoneId, PROTECTIVE_TTL,
-};
+pub use provider::{AccountId, HostError, HostedZone, HostingProvider, ProviderAnswer, ZoneId};
 pub use roots::DelegationRegistry;
 pub use server::{
-    dns_query, dns_query_with_timeout, exchange, AnswerMap, OracleRecursiveNs, ProviderNsNode,
-    SharedOracleNs, SharedProviderNs, StaticZoneNode, DNS_PORT,
+    dns_query, exchange, AnswerMap, OracleRecursiveNs, ProviderNsNode, SharedOracleNs,
+    SharedProviderNs, StaticZoneNode, DNS_PORT,
 };
 pub use zone::{AnswerRecords, Glue, Zone, ZoneAnswer};

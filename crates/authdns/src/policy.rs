@@ -79,9 +79,9 @@ pub struct HostingPolicy {
     /// Whether subdomains of SLDs may be hosted.
     pub allow_subdomain: bool,
     /// Whether registered SLDs may be hosted.
-    pub allow_sld: bool,
+    pub(crate) allow_sld: bool,
     /// Whether eTLDs / public suffixes may be hosted.
-    pub allow_etld: bool,
+    pub(crate) allow_etld: bool,
     /// Duplicate-hosting behaviour.
     pub duplicates: DuplicatePolicy,
     /// Names (and everything below them) the provider refuses to host —
@@ -97,7 +97,7 @@ pub struct HostingPolicy {
 
 impl HostingPolicy {
     /// Is this domain class accepted?
-    pub fn allows_class(&self, class: DomainClass) -> bool {
+    pub(crate) fn allows_class(&self, class: DomainClass) -> bool {
         match class {
             DomainClass::RegisteredSld => self.allow_sld,
             DomainClass::Unregistered => self.allow_unregistered,
@@ -216,19 +216,6 @@ impl HostingPolicy {
             ..Self::permissive(NsAllocation::AccountFixed { per_account: 2 })
         }
     }
-
-    /// The seven studied providers with their Table 2 names.
-    pub fn studied_providers() -> Vec<(&'static str, HostingPolicy)> {
-        vec![
-            ("Alibaba Cloud", Self::alibaba()),
-            ("Amazon", Self::amazon()),
-            ("Baidu Cloud", Self::baidu()),
-            ("ClouDNS", Self::cloudns()),
-            ("Cloudflare", Self::cloudflare()),
-            ("Godaddy", Self::godaddy()),
-            ("Tencent Cloud", Self::tencent()),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -239,9 +226,22 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// The seven studied providers with their Table 2 names.
+    fn studied_providers() -> Vec<(&'static str, HostingPolicy)> {
+        vec![
+            ("Alibaba Cloud", HostingPolicy::alibaba()),
+            ("Amazon", HostingPolicy::amazon()),
+            ("Baidu Cloud", HostingPolicy::baidu()),
+            ("ClouDNS", HostingPolicy::cloudns()),
+            ("Cloudflare", HostingPolicy::cloudflare()),
+            ("Godaddy", HostingPolicy::godaddy()),
+            ("Tencent Cloud", HostingPolicy::tencent()),
+        ]
+    }
+
     #[test]
     fn all_studied_providers_host_without_verification() {
-        for (name, p) in HostingPolicy::studied_providers() {
+        for (name, p) in studied_providers() {
             assert_eq!(p.verification, VerificationPolicy::None, "{name}");
             assert!(p.allow_sld, "{name}");
             assert!(p.allow_etld, "{name}");
@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn table2_unregistered_column() {
         // Only Amazon and ClouDNS support unregistered domains.
-        let support: Vec<&str> = HostingPolicy::studied_providers()
+        let support: Vec<&str> = studied_providers()
             .into_iter()
             .filter(|(_, p)| p.allow_unregistered)
             .map(|(n, _)| n)
@@ -261,7 +261,7 @@ mod tests {
 
     #[test]
     fn table2_subdomain_column() {
-        let support: Vec<&str> = HostingPolicy::studied_providers()
+        let support: Vec<&str> = studied_providers()
             .into_iter()
             .filter(|(_, p)| p.allow_subdomain)
             .map(|(n, _)| n)
@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn table2_duplicate_columns() {
-        let providers = HostingPolicy::studied_providers();
+        let providers = studied_providers();
         let by = |f: fn(&DuplicatePolicy) -> bool| -> Vec<&str> {
             providers
                 .iter()
@@ -316,7 +316,7 @@ mod tests {
 
     #[test]
     fn only_cloudns_serves_protective_records() {
-        let with: Vec<&str> = HostingPolicy::studied_providers()
+        let with: Vec<&str> = studied_providers()
             .into_iter()
             .filter(|(_, p)| p.protective_records)
             .map(|(n, _)| n)

@@ -63,21 +63,21 @@ pub struct HostedZone {
     /// Zone handle.
     pub id: ZoneId,
     /// Owning account.
-    pub owner: AccountId,
+    pub(crate) owner: AccountId,
     /// The zone contents.
     pub zone: Zone,
     /// Indices into the provider's nameserver list serving this zone
     /// (ignored when the allocation is global-fixed or the zone is synced).
     pub assigned_ns: Vec<usize>,
     /// Paid sync-to-every-nameserver flag.
-    pub synced_all: bool,
+    pub(crate) synced_all: bool,
     /// False once disabled by domain retrieval.
     pub active: bool,
     /// Monotone creation order (oldest zone wins answer selection ties).
-    pub created_seq: u64,
+    pub(crate) created_seq: u64,
     /// Whether ownership verification has passed (only relevant when the
     /// policy demands verification).
-    pub verified: bool,
+    pub(crate) verified: bool,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -86,7 +86,7 @@ struct Account {
 }
 
 /// TTL of protective records.
-pub const PROTECTIVE_TTL: u32 = 300;
+pub(crate) const PROTECTIVE_TTL: u32 = 300;
 
 /// How a provider's nameserver answers a question. Everything in it is
 /// borrowed from the provider.
@@ -95,7 +95,7 @@ pub enum ProviderAnswer<'p> {
     /// Answered from a hosted zone.
     FromZone(ZoneId, ZoneAnswer<'p>),
     /// For a domain nobody hosts here: the protective data to answer with
-    /// under the query's own name and [`PROTECTIVE_TTL`], or `None` when
+    /// under the query's own name and a fixed TTL, or `None` when
     /// the provider has none for the queried type (an empty NOERROR).
     Protective(Option<&'p RData>),
     /// Policy refusal (nameserver not serving that domain).
@@ -115,7 +115,6 @@ pub struct HostingProvider {
     accounts: Vec<Account>,
     zones: Vec<HostedZone>,
     by_domain: HashMap<Name, Vec<ZoneId>>,
-    protective_ip: Ipv4Addr,
     /// What an unhosted name's A and TXT queries are answered with.
     protective_a: RData,
     protective_txt: RData,
@@ -152,7 +151,6 @@ impl HostingProvider {
             accounts: Vec::new(),
             zones: Vec::new(),
             by_domain: HashMap::new(),
-            protective_ip,
             protective_a: RData::A(protective_ip),
             protective_txt: RData::txt_from_str(&format!(
                 "v=warning; domain not hosted on {name}; see status page"
@@ -190,11 +188,6 @@ impl HostingProvider {
     /// A zone by handle.
     pub fn zone(&self, id: ZoneId) -> Option<&HostedZone> {
         self.zones.get(id.0 as usize)
-    }
-
-    /// Mutable access to a zone's record contents.
-    pub fn zone_mut(&mut self, id: ZoneId) -> Option<&mut Zone> {
-        self.zones.get_mut(id.0 as usize).map(|z| &mut z.zone)
     }
 
     /// Open a new customer account, assigning fixed nameservers when the
@@ -431,11 +424,6 @@ impl HostingProvider {
         ProviderAnswer::Refused
     }
 
-    /// The protective-record target address.
-    pub fn protective_ip(&self) -> Ipv4Addr {
-        self.protective_ip
-    }
-
     /// Active zones hosting exactly `domain`.
     pub fn zones_for(&self, domain: &Name) -> Vec<&HostedZone> {
         self.by_domain
@@ -627,7 +615,7 @@ mod tests {
         let ip = p.nameservers()[0].1;
         match p.answer(ip, n("unhosted.net").borrowed(), RecordType::A) {
             ProviderAnswer::Protective(Some(rdata)) => {
-                assert_eq!(rdata.as_a().unwrap(), p.protective_ip());
+                assert_eq!(rdata.as_a().unwrap(), Ipv4Addr::new(198, 18, 200, 200));
             }
             other => panic!("unexpected: {other:?}"),
         }

@@ -273,7 +273,7 @@ impl AnswerMap {
     }
 
     /// The canonical records of `rtype` at `name`, empty if unknown.
-    pub fn get(&self, name: NameRef<'_>, rtype: RecordType) -> &[Record] {
+    pub(crate) fn get(&self, name: NameRef<'_>, rtype: RecordType) -> &[Record] {
         self.by_name
             .get(&name as &dyn NameKey)
             .map_or(&[], |sets| sets.get(rtype))
@@ -409,7 +409,7 @@ pub fn dns_query(
 /// callers that want to wait less than the stub default before giving the
 /// attempt up.
 #[allow(clippy::too_many_arguments)]
-pub fn dns_query_with_timeout(
+pub(crate) fn dns_query_with_timeout(
     net: &mut simnet::Network,
     client_ip: Ipv4Addr,
     server_ip: Ipv4Addr,
@@ -742,7 +742,7 @@ mod tests {
         want.flags.authoritative = true;
         want.answers.push(Record::new(
             n("Unhosted.Example.NET"),
-            crate::PROTECTIVE_TTL,
+            PROTECTIVE_TTL,
             RData::A(Ipv4Addr::new(198, 18, 0, 250)),
         ));
         assert_eq!(reply, want.encode().unwrap());

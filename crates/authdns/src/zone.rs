@@ -29,16 +29,6 @@ impl RrSets {
         };
         &mut self.0[i].1
     }
-
-    fn remove(&mut self, rtype: RecordType) -> Option<Vec<Record>> {
-        let i = self.0.binary_search_by_key(&rtype, |(t, _)| *t).ok()?;
-        Some(self.0.remove(i).1)
-    }
-
-    /// Every record at this name, type by type.
-    fn iter(&self) -> impl Iterator<Item = &Record> {
-        self.0.iter().flat_map(|(_, set)| set)
-    }
 }
 
 /// A DNS zone: an apex name and the records at or below it.
@@ -51,7 +41,6 @@ impl RrSets {
 pub struct Zone {
     apex: Name,
     records: BTreeMap<Name, RrSets>,
-    serial: u32,
 }
 
 /// Longest CNAME chain a zone follows before answering with what it has.
@@ -101,7 +90,7 @@ pub struct Glue<'z> {
 
 impl<'z> Glue<'z> {
     /// The glue records.
-    pub fn iter(&self) -> impl Iterator<Item = &'z Record> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &'z Record> {
         let zone = self.zone;
         self.ns
             .iter()
@@ -110,16 +99,6 @@ impl<'z> Glue<'z> {
                 _ => None,
             })
             .flat_map(move |target| zone.get(target, RecordType::A))
-    }
-
-    /// How many glue records there are.
-    pub fn len(&self) -> usize {
-        self.iter().count()
-    }
-
-    /// True when the zone holds no address for any NS target.
-    pub fn is_empty(&self) -> bool {
-        self.iter().next().is_none()
     }
 }
 
@@ -171,7 +150,6 @@ impl Zone {
         let mut zone = Zone {
             apex,
             records: BTreeMap::new(),
-            serial: 1,
         };
         zone.rrset_mut(&soa.name, RecordType::Soa).push(soa);
         zone
@@ -180,11 +158,6 @@ impl Zone {
     /// The zone apex.
     pub fn apex(&self) -> &Name {
         &self.apex
-    }
-
-    /// Current serial (bumped on every mutation).
-    pub fn serial(&self) -> u32 {
-        self.serial
     }
 
     fn rrset_mut(&mut self, owner: &Name, rtype: RecordType) -> &mut Vec<Record> {
@@ -208,24 +181,10 @@ impl Zone {
             record.name,
             self.apex
         );
-        self.serial = self.serial.wrapping_add(1);
         let set = self.rrset_mut(&record.name, record.rtype());
         if !set.contains(&record) {
             set.push(record);
         }
-    }
-
-    /// Remove all records of `rtype` at `owner`. Returns how many went away.
-    pub fn remove(&mut self, owner: &Name, rtype: RecordType) -> usize {
-        self.serial = self.serial.wrapping_add(1);
-        let Some(sets) = self.records.get_mut(owner) else {
-            return 0;
-        };
-        let removed = sets.remove(rtype).map_or(0, |set| set.len());
-        if sets.0.is_empty() {
-            self.records.remove(owner);
-        }
-        removed
     }
 
     /// Every RRset at `owner`.
@@ -253,10 +212,6 @@ impl Zone {
     ///
     /// Descendants of a name sort directly after it in canonical order, so
     /// the first key at or after `owner` settles it.
-    pub fn name_exists(&self, owner: &Name) -> bool {
-        self.exists(owner.borrowed())
-    }
-
     fn exists(&self, owner: NameRef<'_>) -> bool {
         let from: &dyn NameKey = &owner;
         self.records
@@ -265,23 +220,8 @@ impl Zone {
             .is_some_and(|(name, _)| name.borrowed().is_subdomain_of(owner))
     }
 
-    /// Iterate over every record in the zone.
-    pub fn iter(&self) -> impl Iterator<Item = &Record> {
-        self.records.values().flat_map(RrSets::iter)
-    }
-
-    /// Total record count.
-    pub fn len(&self) -> usize {
-        self.iter().count()
-    }
-
-    /// True when the zone holds only its SOA.
-    pub fn is_empty(&self) -> bool {
-        self.len() <= 1
-    }
-
     /// The zone's SOA record.
-    pub fn soa(&self) -> &Record {
+    pub(crate) fn soa(&self) -> &Record {
         &self.get(&self.apex, RecordType::Soa)[0]
     }
 
@@ -487,8 +427,9 @@ mod tests {
         // The definition the range probe replaced: some record is owned by
         // the name itself or by a name strictly below it.
         fn by_scan(z: &Zone, owner: &Name) -> bool {
-            z.iter()
-                .any(|r| r.name == *owner || r.name.is_strict_subdomain_of(owner))
+            z.records
+                .keys()
+                .any(|name| name == owner || name.is_strict_subdomain_of(owner))
         }
         let mut ent = Zone::new(n("example.com"));
         ent.add(a("a.b.example.com", [203, 0, 113, 9]));
@@ -511,9 +452,9 @@ mod tests {
                 "example.org",
             ] {
                 let owner = n(probe);
-                assert_eq!(z.name_exists(&owner), by_scan(&z, &owner), "{probe}");
+                assert_eq!(z.exists(owner.borrowed()), by_scan(&z, &owner), "{probe}");
             }
-            assert!(z.name_exists(&Name::root()));
+            assert!(z.exists(Name::root().borrowed()));
         }
     }
 
@@ -531,23 +472,11 @@ mod tests {
     }
 
     #[test]
-    fn add_dedupes_and_bumps_serial() {
+    fn add_dedupes() {
         let mut z = Zone::new(n("example.com"));
-        let s0 = z.serial();
         z.add(a("example.com", [1, 2, 3, 4]));
         z.add(a("example.com", [1, 2, 3, 4]));
         assert_eq!(z.get(&n("example.com"), RecordType::A).len(), 1);
-        assert!(z.serial() > s0);
-    }
-
-    #[test]
-    fn remove_records() {
-        let mut z = zone();
-        assert_eq!(z.remove(&n("www.example.com"), RecordType::A), 1);
-        assert_eq!(
-            ask(&z, "www.example.com", RecordType::A),
-            ZoneAnswer::NxDomain
-        );
     }
 
     #[test]

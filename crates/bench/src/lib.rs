@@ -2,6 +2,7 @@
 //! exact invariants behind `BENCH_pipeline.json` ([`invariants`]).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod invariants;
 

@@ -18,7 +18,7 @@ pub struct AnalyzeConfig {
     /// Match TXT URs lacking IP addresses against known malware payload
     /// signatures (the §6 future-work extension; off in the
     /// paper-faithful mode, where such URs stay unknown).
-    pub match_txt_payloads: bool,
+    pub(crate) match_txt_payloads: bool,
 }
 
 impl Default for AnalyzeConfig {
@@ -33,17 +33,15 @@ impl Default for AnalyzeConfig {
 /// Everything the analysis stage produces.
 #[derive(Debug)]
 pub struct Analysis {
-    /// Sandbox evaluation reports, one per sample.
-    pub reports: Vec<SandboxReport>,
     /// Addresses with IDS-confirmed malicious traffic (severity filtered).
-    pub ids_malicious: HashSet<Ipv4Addr>,
+    pub(crate) ids_malicious: HashSet<Ipv4Addr>,
     /// Addresses flagged by at least one vendor (among UR-relevant IPs).
-    pub vendor_malicious: HashSet<Ipv4Addr>,
+    pub(crate) vendor_malicious: HashSet<Ipv4Addr>,
     /// Evidence class per malicious address (Fig. 3a).
     pub evidence: HashMap<Ipv4Addr, MaliciousEvidence>,
     /// All alerts (severity-filtered) toward malicious UR addresses —
     /// the Fig. 3c input.
-    pub alerts_toward_malicious: Vec<Alert>,
+    pub(crate) alerts_toward_malicious: Vec<Alert>,
 }
 
 impl Analysis {
@@ -175,7 +173,6 @@ pub fn analyze(
         .collect();
 
     Analysis {
-        reports,
         ids_malicious: ids_relevant,
         vendor_malicious,
         evidence,

@@ -22,15 +22,15 @@ pub struct AuditRow {
     /// Accepted a subdomain of an SLD.
     pub subdomain: bool,
     /// Accepted a registered SLD.
-    pub sld: bool,
+    pub(crate) sld: bool,
     /// Accepted an eTLD (public suffix).
-    pub etld: bool,
+    pub(crate) etld: bool,
     /// One account could create duplicate zones for the same domain.
-    pub dup_single_user: bool,
+    pub(crate) dup_single_user: bool,
     /// Two accounts could host the same domain.
-    pub dup_cross_user: bool,
+    pub(crate) dup_cross_user: bool,
     /// No retrieval mechanism exists for the legitimate owner.
-    pub no_retrieval: bool,
+    pub(crate) no_retrieval: bool,
 }
 
 impl AuditRow {
@@ -72,7 +72,7 @@ fn probe_domains(world: &World, p_idx: usize, n: usize) -> Vec<Name> {
 /// attempt to claim each domain class, configure a harmless A record
 /// (127.0.0.1) and a TXT record declaring intent, verify over the wire,
 /// and deactivate every test zone afterwards.
-pub fn audit_provider(world: &mut World, p_idx: usize) -> AuditRow {
+pub(crate) fn audit_provider(world: &mut World, p_idx: usize) -> AuditRow {
     let name = world.provider_meta[p_idx].name.clone();
     let domains = probe_domains(world, p_idx, 6);
     assert!(

@@ -356,7 +356,7 @@ fn reason_metric(reason: CorrectReason) -> &'static str {
 /// path shards per batch on the scan worker and merges in fold order.
 /// Every counter is sim-class — verdicts are bit-identical across worker
 /// counts by the pipeline's core invariant.
-pub fn classify_shard(batch: &[ClassifiedUr]) -> obs::MetricShard {
+pub(crate) fn classify_shard(batch: &[ClassifiedUr]) -> obs::MetricShard {
     let mut shard = obs::MetricShard::new();
     for c in batch {
         shard.inc("classify_total");
@@ -383,14 +383,14 @@ pub fn classify_shard(batch: &[ClassifiedUr]) -> obs::MetricShard {
 /// keeps the first), so hit/resolve counts depend on thread timing even
 /// though classifications never do.
 #[derive(Debug, Clone)]
-pub struct AttrCacheMetrics {
+pub(crate) struct AttrCacheMetrics {
     hits: obs::Counter,
     resolved: obs::Counter,
 }
 
 impl AttrCacheMetrics {
     /// Register the `attr_cache_*` counters in `reg`. Idempotent.
-    pub fn register(reg: &obs::MetricsRegistry) -> Self {
+    pub(crate) fn register(reg: &obs::MetricsRegistry) -> Self {
         use obs::Class::Wall;
         AttrCacheMetrics {
             hits: reg.counter("attr_cache_hits", Wall),
@@ -401,16 +401,6 @@ impl AttrCacheMetrics {
     fn record(&self, hits: u64, resolved: u64) {
         self.hits.add(hits);
         self.resolved.add(resolved);
-    }
-
-    /// Address lookups served without a fresh resolution.
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Fresh attribute resolutions performed.
-    pub fn resolved(&self) -> u64 {
-        self.resolved.get()
     }
 }
 
@@ -460,7 +450,7 @@ impl<'a> StreamClassifier<'a> {
 
     /// Record index hit/resolve counts into `metrics` as batches flow
     /// through.
-    pub fn with_metrics(mut self, metrics: AttrCacheMetrics) -> Self {
+    pub(crate) fn with_metrics(mut self, metrics: AttrCacheMetrics) -> Self {
         self.cache_metrics = Some(metrics);
         self
     }
@@ -763,15 +753,15 @@ mod tests {
         let reg = obs::MetricsRegistry::new();
         let metrics = AttrCacheMetrics::register(&reg);
         let sc = StreamClassifier::new(&f.correct, &f.protective, &f.metadata, &f.history, &f.cfg)
-            .with_metrics(metrics.clone());
+            .with_metrics(metrics);
         let batch = vec![a_ur("site.com", "20.0.0.1", &["30.0.0.10", "30.0.0.11"])];
         sc.classify_batch_owned(batch.clone());
-        assert_eq!(metrics.resolved(), 2);
-        assert_eq!(metrics.hits(), 0);
+        assert_eq!(reg.counter_value("attr_cache_resolved"), Some(2));
+        assert_eq!(reg.counter_value("attr_cache_hits"), Some(0));
         // Same addresses again: all served from the index.
         sc.classify_batch_owned(batch);
-        assert_eq!(metrics.resolved(), 2);
-        assert_eq!(metrics.hits(), 2);
+        assert_eq!(reg.counter_value("attr_cache_resolved"), Some(2));
+        assert_eq!(reg.counter_value("attr_cache_hits"), Some(2));
     }
 
     #[test]

@@ -46,17 +46,17 @@ pub struct ScanFlags {
     /// `--workers N`.
     pub workers: Option<usize>,
     /// `--retries N`.
-    pub retries: Option<u32>,
+    pub(crate) retries: Option<u32>,
     /// `--timeout MS`.
-    pub timeout_ms: Option<u64>,
+    pub(crate) timeout_ms: Option<u64>,
     /// `--fault-drop P`.
-    pub fault_drop: Option<f64>,
+    pub(crate) fault_drop: Option<f64>,
     /// `--adaptive`.
-    pub adaptive: bool,
+    pub(crate) adaptive: bool,
     /// `--rtt-k N`.
-    pub rtt_k: Option<u32>,
+    pub(crate) rtt_k: Option<u32>,
     /// `--rate-limit N`.
-    pub rate_limit: Option<u64>,
+    pub(crate) rate_limit: Option<u64>,
 }
 
 /// Take `flag`'s value from `rest` and require it to parse into `range`;

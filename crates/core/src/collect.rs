@@ -14,7 +14,7 @@ use worldgen::{NsInfo, World};
 
 /// Selection threshold: nameservers hosting at least this many top-1M
 /// sites are targeted (paper: 50).
-pub const NS_SELECTION_THRESHOLD: u32 = 50;
+pub(crate) const NS_SELECTION_THRESHOLD: u32 = 50;
 
 /// Collection configuration.
 #[derive(Debug, Clone)]
@@ -369,12 +369,12 @@ impl<T> TaskFeed<T> {
 }
 
 /// One bulk-scan probe: (nameserver index, target index, record type).
-pub type ScanTask = (usize, usize, RecordType);
+pub(crate) type ScanTask = (usize, usize, RecordType);
 
 /// A shard's slice of the materialized scan: tasks tagged with their
 /// global index in the randomized order, so shard outputs can be sorted
 /// back.
-pub type ShardTasks = Vec<(usize, ScanTask)>;
+pub(crate) type ShardTasks = Vec<(usize, ScanTask)>;
 
 /// Partition a randomized task list across `shards` contiguous nameserver
 /// ranges (via [`par::chunk_ranges`]). Each shard's list keeps the global
@@ -421,10 +421,10 @@ pub struct ShardedScanOutcome {
     /// [`simnet::Network::absorb_stats`].
     pub stats: simnet::NetStats,
     /// How many shards actually ran.
-    pub shards: usize,
+    pub(crate) shards: usize,
     /// Total simulated time the shard schedulers spent blocked on pacing
     /// buckets (per-server interval and global rate cap combined).
-    pub bucket_wait: simnet::SimDuration,
+    pub(crate) bucket_wait: simnet::SimDuration,
 }
 
 /// A task as a shard's list carries it. The plan-backed order lists bare
@@ -895,7 +895,7 @@ pub fn collect_correct(
 /// the plan *is* what a resolver sweep would observe (each target's
 /// legitimate addresses and SPF TXT), enriched from the same metadata
 /// database the probed path uses.
-pub fn correct_db_from_stream(world: &worldgen::StreamWorld) -> CorrectDb {
+pub(crate) fn correct_db_from_stream(world: &worldgen::StreamWorld) -> CorrectDb {
     let mut db = CorrectDb::default();
     for site in &world.legit {
         let mut profile = DomainProfile::default();
@@ -923,7 +923,7 @@ pub fn correct_db_from_stream(world: &worldgen::StreamWorld) -> CorrectDb {
 /// Synthesize the protective-record database from a stream world's plan:
 /// exactly what probing every protective nameserver with an unhosted
 /// canary ([`collect_protective`]) would record.
-pub fn protective_db_from_stream(world: &worldgen::StreamWorld) -> ProtectiveDb {
+pub(crate) fn protective_db_from_stream(world: &worldgen::StreamWorld) -> ProtectiveDb {
     let mut db = ProtectiveDb::default();
     for (ns_ip, warn_ip, txt) in world.protective_servers() {
         let profile = db.servers.entry(ns_ip).or_default();
@@ -1041,7 +1041,7 @@ mod tests {
         let targets: Vec<Name> = world.tranco.top(10).to_vec();
         let db = collect_correct(
             &mut world.net,
-            &mut ProbeEngine::single_shot(),
+            &mut ProbeEngine::new(crate::query::QueryPlan::single_shot()),
             &world.resolvers,
             &world.db,
             &targets,
@@ -1070,7 +1070,7 @@ mod tests {
         let protective_ip = world.provider_meta[cloudns_idx].protective_ip;
         let db = collect_protective(
             &mut world.net,
-            &mut ProbeEngine::single_shot(),
+            &mut ProbeEngine::new(crate::query::QueryPlan::single_shot()),
             &nameservers,
             &cfg,
         );

@@ -17,7 +17,7 @@ use std::net::Ipv4Addr;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BypassAlert {
     /// When the query was seen.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// The internal client.
     pub client: Ipv4Addr,
     /// The contacted DNS server (not a sanctioned resolver).
@@ -25,7 +25,7 @@ pub struct BypassAlert {
     /// The queried name, when the payload parsed as DNS.
     pub qname: Option<dnswire::Name>,
     /// The queried type.
-    pub qtype: Option<dnswire::RecordType>,
+    pub(crate) qtype: Option<dnswire::RecordType>,
 }
 
 /// Egress monitor configuration: the network's sanctioned resolvers and
@@ -33,9 +33,9 @@ pub struct BypassAlert {
 #[derive(Debug, Clone)]
 pub struct EgressMonitor {
     /// Resolvers clients are expected to use.
-    pub sanctioned_resolvers: HashSet<Ipv4Addr>,
+    pub(crate) sanctioned_resolvers: HashSet<Ipv4Addr>,
     /// First octets considered "internal" (clients we protect).
-    pub internal_prefixes: Vec<u8>,
+    pub(crate) internal_prefixes: Vec<u8>,
 }
 
 impl EgressMonitor {

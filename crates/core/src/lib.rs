@@ -7,21 +7,22 @@
 //!
 //! The pipeline has the paper's three components:
 //!
-//! 1. **Response collection** ([`collect`]) — select nameservers hosting
+//! 1. **Response collection** ([`select_nameservers`],
+//!    [`collect_urs_sharded`]) — select nameservers hosting
 //!    ≥ 50 top-1M sites, probe them for every target domain (A + TXT) with
 //!    randomized, rate-limited scheduling ([`QueryScheduler`]); gather
 //!    *correct records* from stable open resolvers with AS/geo/cert
 //!    enrichment, and *protective records* via canary probes.
-//! 2. **Suspicious-record determination** ([`classify`]) — Appendix B's
+//! 2. **Suspicious-record determination** ([`StreamClassifier`]) — Appendix B's
 //!    five uniformity conditions (with non-empty-subset semantics), HTTP
 //!    parking/redirect keyword exclusion, exact protective matching, and
 //!    TXT categorization.
-//! 3. **Malicious-behaviour analysis** ([`mod@analyze`]) — threat-intel labels
+//! 3. **Malicious-behaviour analysis** ([`fn@analyze`]) — threat-intel labels
 //!    plus IDS alerts (severity ≥ medium) from malware-sandbox runs;
 //!    corresponding-IP resolution for TXT URs (embedded or sibling-A).
 //!
-//! [`report`] aggregates the outcome into the paper's Table 1, Figure 2
-//! and Figure 3 series; [`audit`] reconstructs Table 2 by actively probing
+//! [`build_report`] aggregates the outcome into the paper's Table 1, Figure 2
+//! and Figure 3 series; [`audit_table2`] reconstructs Table 2 by actively probing
 //! each provider with two test accounts.
 //!
 //! ```
@@ -35,40 +36,38 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod analyze;
-pub mod audit;
-pub mod classify;
+mod analyze;
+mod audit;
+mod classify;
 pub mod cli;
-pub mod collect;
-pub mod defense;
-pub mod pipeline;
-pub mod query;
-pub mod report;
-pub mod schedule;
-pub mod store;
-pub mod types;
+mod collect;
+mod defense;
+mod pipeline;
+mod query;
+mod report;
+mod schedule;
+mod store;
+mod types;
 
 pub use analyze::{analyze, evidence_histogram, run_sandboxes, Analysis, AnalyzeConfig};
-pub use audit::{audit_provider, audit_table2, AuditRow};
-pub use classify::{classify_shard, AttrCacheMetrics, ClassifyConfig, StreamClassifier};
+pub use audit::{audit_table2, AuditRow};
+pub use classify::{ClassifyConfig, StreamClassifier};
 pub use collect::{
     collect_correct, collect_protective, collect_urs_sharded, collect_urs_streamed,
-    correct_db_from_stream, partition_scan_tasks, protective_db_from_stream, scan_stream,
-    select_nameservers, CollectConfig, QidGen, RttSelector, ScanTask, ShardTasks,
-    ShardedScanOutcome, NS_SELECTION_THRESHOLD,
+    partition_scan_tasks, scan_stream, select_nameservers, CollectConfig, QidGen, RttSelector,
+    ShardedScanOutcome,
 };
 pub use defense::{BypassAlert, EgressMonitor};
 pub use pipeline::{
     classified_sequence_hash, evaluate_false_negatives, run, run_streamed, HunterConfig, RunOutput,
-    SequenceHasher, StreamRunOutput,
+    StreamRunOutput,
 };
-pub use query::{
-    CoverageReport, NsHealth, ProbeEngine, ProbeReply, QueryPlan, RttEstimate, DEFAULT_RTT_K,
-};
-pub use report::{build_report, ProviderRow, Report, ReportBuilder, Table1Row, Totals};
-pub use schedule::{QueryScheduler, SharedTokenBucket, TokenBucket, PAPER_PER_SERVER_INTERVAL};
+pub use query::{CoverageReport, NsHealth, ProbeEngine, ProbeReply, QueryPlan, RttEstimate};
+pub use report::{build_report, ProviderRow, Report, Table1Row, Totals};
+pub use schedule::{QueryScheduler, TokenBucket};
 pub use store::UrStore;
 pub use types::{
     ClassifiedUr, CollectedUr, CorrectDb, CorrectReason, DomainProfile, MaliciousEvidence,

@@ -36,7 +36,7 @@ pub struct HunterConfig {
     pub scheduler_seed: u64,
     /// Recover legitimate subdomains from passive DNS and add them to the
     /// target list (§6 future work).
-    pub expand_targets_from_pdns: bool,
+    pub(crate) expand_targets_from_pdns: bool,
     /// Floor on the bulk-scan shards of [`run`], which scans on
     /// `max(shards, workers)` replica fabrics, one per contiguous range of
     /// the selected nameservers — or on one under ethics pacing or a rate
@@ -71,7 +71,7 @@ pub struct HunterConfig {
     /// token bucket on the virtual clock. In the materialized pipeline it
     /// forces the scan onto one shard, like ethics pacing, because the
     /// materialized order is shard-count invariant only on one clock; the
-    /// streamed path threads one [`crate::SharedTokenBucket`] through
+    /// streamed path threads one shared token bucket through
     /// every shard scheduler, metering the concatenated shard timeline, so
     /// it composes with any `world_shards` / [`HunterConfig::workers`]
     /// setting.
@@ -82,7 +82,7 @@ pub struct HunterConfig {
     /// stage spans. `None` (the default) makes every
     /// instrumentation site a single branch: no atomics touched, no clocks
     /// read.
-    pub obs: Option<Arc<obs::Obs>>,
+    pub(crate) obs: Option<Arc<obs::Obs>>,
 }
 
 impl HunterConfig {
@@ -167,7 +167,7 @@ impl HunterConfig {
     }
 
     /// Set the per-attempt probe timeout.
-    pub fn with_timeout(mut self, timeout: SimDuration) -> Self {
+    pub(crate) fn with_timeout(mut self, timeout: SimDuration) -> Self {
         self.retry.timeout = timeout;
         self
     }
@@ -212,7 +212,9 @@ impl HunterConfig {
         self
     }
 
-    /// Attach an observability hub (see [`HunterConfig::obs`]).
+    /// Attach an observability hub: every layer then mirrors its
+    /// accounting (fabric datagram counters, the probe funnel,
+    /// classification verdicts, stage spans) into its registry and sink.
     pub fn with_obs(mut self, hub: Arc<obs::Obs>) -> Self {
         self.obs = Some(hub);
         self
@@ -448,7 +450,7 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
 /// millions of URs without retaining them;
 /// [`classified_sequence_hash`] is the slice convenience over it.
 #[derive(Debug, Default)]
-pub struct SequenceHasher {
+pub(crate) struct SequenceHasher {
     // DefaultHasher with fixed (default) keys: stable within a test binary,
     // which is all the equivalence assertions need.
     h: std::collections::hash_map::DefaultHasher,
@@ -456,12 +458,12 @@ pub struct SequenceHasher {
 
 impl SequenceHasher {
     /// A fresh digest.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SequenceHasher::default()
     }
 
     /// Fold one classified UR into the digest.
-    pub fn absorb(&mut self, c: &ClassifiedUr) {
+    pub(crate) fn absorb(&mut self, c: &ClassifiedUr) {
         use std::hash::Hash;
         c.ur.key.ns_ip.hash(&mut self.h);
         c.ur.key.domain.hash(&mut self.h);
@@ -472,14 +474,13 @@ impl SequenceHasher {
     }
 
     /// The digest of everything absorbed so far.
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         use std::hash::Hasher;
         self.h.finish()
     }
 }
 
-/// Order-sensitive digest of a classified sequence (see
-/// [`SequenceHasher`]): two runs (at any shard and worker counts) agree
+/// Order-sensitive digest of a classified sequence: two runs (at any shard and worker counts) agree
 /// iff they produced the same URs, in the same order, with the same
 /// categories.
 pub fn classified_sequence_hash(classified: &[ClassifiedUr]) -> u64 {

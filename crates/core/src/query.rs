@@ -44,7 +44,7 @@ use simnet::{Network, SimDuration};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeReply {
     /// Header flags of the response.
-    pub flags: Flags,
+    pub(crate) flags: Flags,
     /// Answer-section records that passed the caller's filter, owned.
     pub answers: Vec<Record>,
 }
@@ -74,8 +74,8 @@ pub struct QueryPlan {
     pub quarantine_threshold: u32,
     /// Recovery knob: after this many probes have been skipped for a
     /// quarantined server, the next probe is sent as a single-attempt
-    /// health probe — if it is answered the server re-enters rotation
-    /// ([`NsHealth::release`]). 0 (the default) keeps quarantine permanent
+    /// health probe — if it is answered the server re-enters rotation.
+    /// 0 (the default) keeps quarantine permanent
     /// for the run, the pre-recovery behavior.
     pub quarantine_cooldown: u32,
     /// Derive per-server timeouts from the smoothed RTT instead of using
@@ -110,10 +110,10 @@ impl Default for QueryPlan {
 }
 
 /// Default RTTVAR multiplier for derived timeouts.
-pub const DEFAULT_RTT_K: u32 = 4;
+pub(crate) const DEFAULT_RTT_K: u32 = 4;
 
 /// Default jitter seed; any fixed value works, callers override per run.
-pub const DEFAULT_BACKOFF_SEED: u64 = 0x5EED_BACC_0FF5_EED5;
+pub(crate) const DEFAULT_BACKOFF_SEED: u64 = 0x5EED_BACC_0FF5_EED5;
 
 impl QueryPlan {
     /// Single-shot plan: exactly today's pre-retry behavior (one attempt,
@@ -149,12 +149,6 @@ impl QueryPlan {
     /// Override the quarantine threshold (0 = breaker off).
     pub fn quarantine_after(mut self, threshold: u32) -> Self {
         self.quarantine_threshold = threshold;
-        self
-    }
-
-    /// Override the quarantine cooldown (0 = quarantine is permanent).
-    pub fn cooldown_after(mut self, skips: u32) -> Self {
-        self.quarantine_cooldown = skips;
         self
     }
 
@@ -280,12 +274,12 @@ impl NsHealth {
     }
 
     /// Is this server quarantined (no further probes allowed)?
-    pub fn is_quarantined(&self, server: Ipv4Addr) -> bool {
+    pub(crate) fn is_quarantined(&self, server: Ipv4Addr) -> bool {
         self.get(server).quarantined
     }
 
     /// Record a successful exchange: resets the failure streak.
-    pub fn record_success(&mut self, server: Ipv4Addr) {
+    pub(crate) fn record_success(&mut self, server: Ipv4Addr) {
         if let Some(s) = self.servers.get_mut(&server) {
             s.streak = 0;
         }
@@ -293,7 +287,7 @@ impl NsHealth {
 
     /// Record a fully failed probe (all attempts exhausted). Returns `true`
     /// if this failure pushed the server over `threshold` into quarantine.
-    pub fn record_failure(&mut self, server: Ipv4Addr, threshold: u32) -> bool {
+    pub(crate) fn record_failure(&mut self, server: Ipv4Addr, threshold: u32) -> bool {
         let s = self.servers.entry(server).or_default();
         s.streak += 1;
         let newly = threshold > 0 && s.streak >= threshold && !s.quarantined;
@@ -306,7 +300,7 @@ impl NsHealth {
 
     /// Count one probe skipped because `server` is quarantined; returns the
     /// skip streak including this one. Drives the cooldown window.
-    pub fn note_skipped(&mut self, server: Ipv4Addr) -> u32 {
+    pub(crate) fn note_skipped(&mut self, server: Ipv4Addr) -> u32 {
         let s = self.servers.entry(server).or_default();
         s.skipped += 1;
         s.skipped
@@ -314,7 +308,7 @@ impl NsHealth {
 
     /// Restart the cooldown window for a still-quarantined server (a
     /// health probe just failed; wait a full cooldown before the next one).
-    pub fn reset_skip_window(&mut self, server: Ipv4Addr) {
+    pub(crate) fn reset_skip_window(&mut self, server: Ipv4Addr) {
         if let Some(s) = self.servers.get_mut(&server) {
             s.skipped = 0;
         }
@@ -322,7 +316,7 @@ impl NsHealth {
 
     /// Release a server from quarantine: it re-enters rotation with a clean
     /// failure streak. Returns `true` if the server was quarantined.
-    pub fn release(&mut self, server: Ipv4Addr) -> bool {
+    pub(crate) fn release(&mut self, server: Ipv4Addr) -> bool {
         let Some(s) = self.servers.get_mut(&server) else {
             return false;
         };
@@ -331,20 +325,8 @@ impl NsHealth {
         std::mem::take(&mut s.quarantined)
     }
 
-    /// Servers currently quarantined, in address order.
-    pub fn quarantined_servers(&self) -> Vec<Ipv4Addr> {
-        let mut out: Vec<Ipv4Addr> = self
-            .servers
-            .iter()
-            .filter(|(_, s)| s.quarantined)
-            .map(|(ip, _)| *ip)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// Current failure streak for a server (0 if healthy).
-    pub fn failure_streak(&self, server: Ipv4Addr) -> u32 {
+    pub(crate) fn failure_streak(&self, server: Ipv4Addr) -> u32 {
         self.get(server).streak
     }
 
@@ -360,7 +342,7 @@ impl NsHealth {
     }
 
     /// Current smoothed estimate for a server, if any sample has landed.
-    pub fn rtt_estimate(&self, server: Ipv4Addr) -> Option<RttEstimate> {
+    pub(crate) fn rtt_estimate(&self, server: Ipv4Addr) -> Option<RttEstimate> {
         self.get(server).rtt
     }
 
@@ -371,15 +353,10 @@ impl NsHealth {
     /// delivered answer. A recursive responder resolves iteratively on its
     /// own clock — internal retry timers included — so its service time is
     /// unbounded and no smoothed estimate is safe to enforce against it.
-    pub fn note_recursive(&mut self, server: Ipv4Addr) {
+    pub(crate) fn note_recursive(&mut self, server: Ipv4Addr) {
         let s = self.servers.entry(server).or_default();
         s.recursive = true;
         s.rtt = None;
-    }
-
-    /// Has this server ever demonstrated recursion?
-    pub fn is_recursive(&self, server: Ipv4Addr) -> bool {
-        self.get(server).recursive
     }
 }
 
@@ -407,7 +384,7 @@ pub struct CoverageReport {
 
 impl CoverageReport {
     /// Probes that produced a usable response, via any number of attempts.
-    pub fn total_answered(&self) -> u64 {
+    pub(crate) fn total_answered(&self) -> u64 {
         self.answered + self.retried_answered
     }
 
@@ -490,9 +467,9 @@ impl EngineObs {
 #[derive(Debug)]
 pub struct ProbeEngine {
     /// Retry policy in force.
-    pub plan: QueryPlan,
+    pub(crate) plan: QueryPlan,
     /// Per-server breaker state.
-    pub health: NsHealth,
+    pub(crate) health: NsHealth,
     /// Accounting of everything scheduled so far.
     pub coverage: CoverageReport,
     obs: Option<EngineObs>,
@@ -515,12 +492,6 @@ impl ProbeEngine {
     pub fn with_obs(mut self, hub: std::sync::Arc<obs::Obs>) -> Self {
         self.obs = Some(EngineObs::register(hub));
         self
-    }
-
-    /// Engine that reproduces pre-retry behavior exactly: one attempt,
-    /// stub-default timeout, breaker off.
-    pub fn single_shot() -> Self {
-        ProbeEngine::new(QueryPlan::single_shot())
     }
 
     /// Timeout for the next attempt against `server`: the RTT-derived value
@@ -849,7 +820,13 @@ mod tests {
         assert!(h.is_quarantined(s));
         // Re-recording doesn't report "newly quarantined" again.
         assert!(!h.record_failure(s, 3));
-        assert_eq!(h.quarantined_servers(), vec![s]);
+        let quarantined: Vec<Ipv4Addr> = h
+            .servers
+            .iter()
+            .filter(|(_, state)| state.quarantined)
+            .map(|(ip, _)| *ip)
+            .collect();
+        assert_eq!(quarantined, vec![s]);
     }
 
     #[test]
@@ -1067,11 +1044,10 @@ mod tests {
     fn engine_cooldown_releases_recovered_server() {
         use simnet::FaultPlan;
         // Quarantine on the first failure; health-probe after 2 skips.
-        let mut engine = ProbeEngine::new(
-            QueryPlan::with_attempts(1)
-                .quarantine_after(1)
-                .cooldown_after(2),
-        );
+        let mut engine = ProbeEngine::new(QueryPlan {
+            quarantine_cooldown: 2,
+            ..QueryPlan::with_attempts(1).quarantine_after(1)
+        });
         let mut net = Network::new(5);
         let server = ip(9);
         net.add_node(server, Box::new(Responder));
@@ -1113,11 +1089,10 @@ mod tests {
 
     #[test]
     fn engine_cooldown_failure_restarts_window() {
-        let mut engine = ProbeEngine::new(
-            QueryPlan::with_attempts(1)
-                .quarantine_after(1)
-                .cooldown_after(2),
-        );
+        let mut engine = ProbeEngine::new(QueryPlan {
+            quarantine_cooldown: 2,
+            ..QueryPlan::with_attempts(1).quarantine_after(1)
+        });
         let mut net = Network::new(6);
         let server = ip(9); // unregistered: every transmission times out
         net.register_external(ip(8));
@@ -1212,10 +1187,11 @@ mod tests {
         // 5 s timeout: under heterogeneous latency a recovered server's
         // health probe must wait only the per-server derived timeout.
         let mut engine = ProbeEngine::new(
-            QueryPlan::with_attempts(1)
-                .quarantine_after(1)
-                .cooldown_after(1)
-                .adaptive(),
+            QueryPlan {
+                quarantine_cooldown: 1,
+                ..QueryPlan::with_attempts(1).quarantine_after(1)
+            }
+            .adaptive(),
         );
         let mut net = Network::new(7);
         let server = ip(9);
@@ -1236,7 +1212,7 @@ mod tests {
             .query(&mut net, ip(8), server, &qname, RecordType::A, 2)
             .is_none());
         assert!(engine.health.is_quarantined(server));
-        // cooldown_after(1): the next probe is already the health probe.
+        // A cooldown of 1 skip: the next probe is already the health probe.
         // It fails, and the virtual time it burns is exactly the derived
         // timeout — not the fixed 5 s.
         let before = net.now();

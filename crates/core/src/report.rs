@@ -15,25 +15,25 @@ pub struct Table1Row {
     /// Row label.
     pub label: &'static str,
     /// Distinct suspicious domains.
-    pub domains: usize,
+    pub(crate) domains: usize,
     /// …of which associated with malicious URs.
     pub domains_malicious: usize,
     /// Distinct nameservers serving suspicious URs.
-    pub nameservers: usize,
+    pub(crate) nameservers: usize,
     /// …of which serving malicious URs.
-    pub nameservers_malicious: usize,
+    pub(crate) nameservers_malicious: usize,
     /// Distinct providers.
-    pub providers: usize,
+    pub(crate) providers: usize,
     /// …with malicious URs.
-    pub providers_malicious: usize,
+    pub(crate) providers_malicious: usize,
     /// Suspicious unique URs.
-    pub urs: usize,
+    pub(crate) urs: usize,
     /// …malicious.
-    pub urs_malicious: usize,
+    pub(crate) urs_malicious: usize,
     /// Distinct corresponding IPs.
-    pub ips: usize,
+    pub(crate) ips: usize,
     /// …malicious.
-    pub ips_malicious: usize,
+    pub(crate) ips_malicious: usize,
 }
 
 /// One provider's category mix (Fig. 2).
@@ -44,7 +44,7 @@ pub struct ProviderRow {
     /// Total URs collected from its nameservers.
     pub total: usize,
     /// Correct URs.
-    pub correct: usize,
+    pub(crate) correct: usize,
     /// Protective URs.
     pub protective: usize,
     /// Unknown URs.
@@ -114,8 +114,7 @@ pub struct Report {
 
 /// Build the report from classified URs and the analysis.
 ///
-/// Thin wrapper over [`ReportBuilder`]: one absorb of the whole slice,
-/// then finish.
+/// One incremental fold over the whole slice, then finish.
 pub fn build_report(
     classified: &[ClassifiedUr],
     analysis: &Analysis,
@@ -185,7 +184,7 @@ impl Table1Acc {
 /// [`build_report`] over the concatenated batches (absorption is
 /// order-insensitive up to the input order itself).
 #[derive(Debug, Default)]
-pub struct ReportBuilder {
+pub(crate) struct ReportBuilder {
     totals: Totals,
     by_provider: BTreeMap<Sym, ProviderRow>,
     acc_a: Table1Acc,
@@ -199,19 +198,19 @@ pub struct ReportBuilder {
 
 impl ReportBuilder {
     /// An empty builder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ReportBuilder::default()
     }
 
     /// Absorb one batch of classified URs.
-    pub fn absorb(&mut self, batch: &[ClassifiedUr]) {
+    pub(crate) fn absorb(&mut self, batch: &[ClassifiedUr]) {
         for c in batch {
             self.absorb_one(c);
         }
     }
 
     /// Absorb a single classified UR.
-    pub fn absorb_one(&mut self, c: &ClassifiedUr) {
+    pub(crate) fn absorb_one(&mut self, c: &ClassifiedUr) {
         self.totals.total += 1;
         match c.category {
             UrCategory::Correct => self.totals.correct += 1,
@@ -264,13 +263,8 @@ impl ReportBuilder {
         // pass of `analyze` (which needs the classified set anyway).
     }
 
-    /// Number of URs absorbed so far.
-    pub fn absorbed(&self) -> usize {
-        self.totals.total
-    }
-
     /// Close the fold against the analysis outputs and produce the report.
-    pub fn finish(self, analysis: &Analysis, intel: &IntelAggregator) -> Report {
+    pub(crate) fn finish(self, analysis: &Analysis, intel: &IntelAggregator) -> Report {
         let mut table1 = vec![self.acc_a.row("A"), self.acc_txt.row("TXT")];
         if self.saw_mx {
             table1.push(self.acc_mx.row("MX"));

@@ -17,7 +17,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 /// Per-server pacing: the paper queried each server on average once every
 /// 130 seconds while interleaving across servers.
-pub const PAPER_PER_SERVER_INTERVAL: SimDuration = SimDuration(130_000_000);
+pub(crate) const PAPER_PER_SERVER_INTERVAL: SimDuration = SimDuration(130_000_000);
 
 /// Deterministic token bucket on the virtual clock.
 ///
@@ -43,11 +43,6 @@ impl TokenBucket {
             tokens: burst,
             last_refill: SimTime::ZERO,
         }
-    }
-
-    /// The refill interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
     }
 
     /// Accrue whole tokens earned up to `now`. `last_refill` only advances
@@ -107,7 +102,7 @@ impl TokenBucket {
 /// fabric construction), and the admission schedule, wait totals, and
 /// digests are bit-identical for every worker count.
 #[derive(Debug)]
-pub struct SharedTokenBucket {
+pub(crate) struct SharedTokenBucket {
     interval: SimDuration,
     state: Mutex<SharedBucketState>,
     turn: Condvar,
@@ -125,7 +120,7 @@ struct SharedBucketState {
 
 impl SharedTokenBucket {
     /// A shareable burst-1 global bucket with the given refill interval.
-    pub fn new(interval: SimDuration) -> Arc<Self> {
+    pub(crate) fn new(interval: SimDuration) -> Arc<Self> {
         Arc::new(SharedTokenBucket {
             interval,
             state: Mutex::new(SharedBucketState {
@@ -138,7 +133,7 @@ impl SharedTokenBucket {
     }
 
     /// The global refill interval.
-    pub fn interval(&self) -> SimDuration {
+    pub(crate) fn interval(&self) -> SimDuration {
         self.interval
     }
 
@@ -153,7 +148,7 @@ impl SharedTokenBucket {
 
     /// Earliest **local** time at or after `now` when `shard` may admit.
     /// Blocks until it is `shard`'s turn.
-    pub fn next_ready(&self, shard: usize, now: SimTime) -> SimTime {
+    pub(crate) fn next_ready(&self, shard: usize, now: SimTime) -> SimTime {
         let mut st = self.wait_turn(shard);
         let offset = st.offset;
         let ready = st.bucket.next_ready(now + offset);
@@ -161,7 +156,7 @@ impl SharedTokenBucket {
     }
 
     /// Spend one token at local time `now` on `shard`'s clock.
-    pub fn take(&self, shard: usize, now: SimTime) {
+    pub(crate) fn take(&self, shard: usize, now: SimTime) {
         let mut st = self.wait_turn(shard);
         let offset = st.offset;
         st.bucket.take(now + offset);
@@ -171,7 +166,7 @@ impl SharedTokenBucket {
     /// append it to the concatenated timeline and hand the bucket to the
     /// next shard. Must be called exactly once per shard, even for shards
     /// that never admitted anything.
-    pub fn finish_shard(&self, shard: usize, elapsed: SimDuration) {
+    pub(crate) fn finish_shard(&self, shard: usize, elapsed: SimDuration) {
         let mut st = self.wait_turn(shard);
         st.offset = st.offset + elapsed;
         st.cursor += 1;
@@ -188,7 +183,6 @@ pub struct QueryScheduler {
     /// The global cap and the shard this scheduler admits for.
     global: Option<(Arc<SharedTokenBucket>, usize)>,
     rng: StdRng,
-    waits: u64,
     wait_us: u64,
 }
 
@@ -200,14 +194,13 @@ impl QueryScheduler {
             buckets: HashMap::new(),
             global: None,
             rng: StdRng::seed_from_u64(seed),
-            waits: 0,
             wait_us: 0,
         }
     }
 
     /// Add a global rate cap: at most one probe (to any server) per
     /// `interval` of simulated time. `ZERO` removes the cap. The bucket is
-    /// private to this scheduler: a one-shard [`SharedTokenBucket`].
+    /// private to this scheduler: a one-shard shared bucket.
     pub fn with_global_interval(mut self, interval: SimDuration) -> Self {
         self.global =
             (interval != SimDuration::ZERO).then(|| (SharedTokenBucket::new(interval), 0));
@@ -221,7 +214,11 @@ impl QueryScheduler {
     /// until every earlier shard has called
     /// [`SharedTokenBucket::finish_shard`] — that hand-off is what makes a
     /// rate-limited multi-shard scan bit-identical for any worker count.
-    pub fn with_shared_global(mut self, bucket: Arc<SharedTokenBucket>, shard: usize) -> Self {
+    pub(crate) fn with_shared_global(
+        mut self,
+        bucket: Arc<SharedTokenBucket>,
+        shard: usize,
+    ) -> Self {
         self.global = Some((bucket, shard));
         self
     }
@@ -233,12 +230,12 @@ impl QueryScheduler {
 
     /// The per-server interval this scheduler enforces. Shard workers use
     /// it to build their own pacing state over the same policy.
-    pub fn interval(&self) -> SimDuration {
+    pub(crate) fn interval(&self) -> SimDuration {
         self.interval
     }
 
     /// The global rate-cap interval (`ZERO` when uncapped).
-    pub fn global_interval(&self) -> SimDuration {
+    pub(crate) fn global_interval(&self) -> SimDuration {
         self.global
             .as_ref()
             .map_or(SimDuration::ZERO, |(g, _)| g.interval())
@@ -259,7 +256,6 @@ impl QueryScheduler {
         }
         if ready > now {
             net.run_until(ready);
-            self.waits += 1;
             self.wait_us += ready.since(now).as_micros();
         }
         let t = net.now();
@@ -271,13 +267,8 @@ impl QueryScheduler {
         }
     }
 
-    /// How often the scheduler actually had to wait.
-    pub fn waits(&self) -> u64 {
-        self.waits
-    }
-
     /// Total simulated time spent waiting on bucket refills, in µs.
-    pub fn wait_us(&self) -> u64 {
+    pub(crate) fn wait_us(&self) -> u64 {
         self.wait_us
     }
 }
@@ -300,7 +291,6 @@ mod tests {
         // same server again: must advance at least 130s
         sched.admit(&mut net, a);
         assert!(net.now() >= t0 + SimDuration::from_secs(130));
-        assert_eq!(sched.waits(), 1);
         assert!(sched.wait_us() >= SimDuration::from_secs(130).as_micros());
     }
 
@@ -324,7 +314,6 @@ mod tests {
         for _ in 0..10 {
             sched.admit(&mut net, a);
         }
-        assert_eq!(sched.waits(), 0);
         assert_eq!(sched.wait_us(), 0);
     }
 
@@ -419,19 +408,18 @@ mod tests {
         let owned = {
             let mut net = Network::new(1);
             let mut bucket = TokenBucket::new(g, 1);
-            let (mut stamps, mut waits, mut wait_us) = (Vec::new(), 0u64, 0u64);
+            let (mut stamps, mut wait_us) = (Vec::new(), 0u64);
             for _ in 0..6 {
                 let now = net.now();
                 let ready = bucket.next_ready(now);
                 if ready > now {
                     net.run_until(ready);
-                    waits += 1;
                     wait_us += ready.since(now).as_micros();
                 }
                 bucket.take(net.now());
                 stamps.push(net.now());
             }
-            (stamps, waits, wait_us)
+            (stamps, wait_us)
         };
         let run = |mut sched: QueryScheduler| {
             let mut net = Network::new(1);
@@ -440,7 +428,7 @@ mod tests {
                 sched.admit(&mut net, Ipv4Addr::new(9, 9, 9, k));
                 stamps.push(net.now());
             }
-            (stamps, sched.waits(), sched.wait_us())
+            (stamps, sched.wait_us())
         };
         let private = run(QueryScheduler::new(1, SimDuration::ZERO).with_global_interval(g));
         let shared = run(QueryScheduler::new(1, SimDuration::ZERO)
@@ -464,6 +452,6 @@ mod tests {
             }
             last = Some(net.now());
         }
-        assert_eq!(sched.waits(), 5);
+        assert_eq!(sched.wait_us(), 5 * g.as_micros());
     }
 }

@@ -57,7 +57,7 @@ impl CollectedUr {
     /// The text of each TXT record, borrowing from the record data where
     /// possible (single-chunk UTF-8 TXT — the common case — copies
     /// nothing).
-    pub fn txt_strs(&self) -> Vec<Cow<'_, str>> {
+    pub(crate) fn txt_strs(&self) -> Vec<Cow<'_, str>> {
         self.records
             .iter()
             .filter_map(|r| r.rdata.txt_str())
@@ -65,7 +65,6 @@ impl CollectedUr {
     }
 
     /// The joined text of TXT records, one owned string per record.
-    /// Prefer [`CollectedUr::txt_strs`] on hot paths.
     pub fn txt_strings(&self) -> Vec<String> {
         self.txt_strs().into_iter().map(Cow::into_owned).collect()
     }
@@ -76,30 +75,30 @@ impl CollectedUr {
 #[derive(Debug, Clone, Default)]
 pub struct DomainProfile {
     /// Correct A addresses.
-    pub ips: HashSet<Ipv4Addr>,
+    pub(crate) ips: HashSet<Ipv4Addr>,
     /// ASNs of correct addresses.
-    pub asns: HashSet<u32>,
+    pub(crate) asns: HashSet<u32>,
     /// Geolocations of correct addresses (country + city).
-    pub geos: HashSet<([u8; 2], u16)>,
+    pub(crate) geos: HashSet<([u8; 2], u16)>,
     /// Certificate fingerprints served at correct addresses.
-    pub certs: HashSet<u64>,
+    pub(crate) certs: HashSet<u64>,
     /// Correct TXT strings (exact-match exclusion for TXT URs).
-    pub txts: HashSet<Sym>,
+    pub(crate) txts: HashSet<Sym>,
     /// Correct MX data, rendered (`"pref exchange"`), for exact-match
     /// exclusion of MX URs.
-    pub mxs: HashSet<Sym>,
+    pub(crate) mxs: HashSet<Sym>,
 }
 
 /// Correct-record database over all target domains.
 #[derive(Debug, Default)]
 pub struct CorrectDb {
     /// Per-domain profiles.
-    pub domains: HashMap<InternedName, DomainProfile>,
+    pub(crate) domains: HashMap<InternedName, DomainProfile>,
 }
 
 impl CorrectDb {
     /// Profile for one domain (a shared empty profile if never collected).
-    pub fn profile(&self, domain: &InternedName) -> &DomainProfile {
+    pub(crate) fn profile(&self, domain: &InternedName) -> &DomainProfile {
         static EMPTY: LazyLock<DomainProfile> = LazyLock::new(DomainProfile::default);
         self.domains.get(domain).unwrap_or(&EMPTY)
     }
@@ -110,21 +109,21 @@ impl CorrectDb {
 #[derive(Debug, Clone, Default)]
 pub struct ProtectiveProfile {
     /// Addresses protective A records point at.
-    pub a_ips: HashSet<Ipv4Addr>,
+    pub(crate) a_ips: HashSet<Ipv4Addr>,
     /// Protective TXT payloads.
-    pub txts: HashSet<Sym>,
+    pub(crate) txts: HashSet<Sym>,
 }
 
 /// Protective-record database keyed by nameserver address.
 #[derive(Debug, Default)]
 pub struct ProtectiveDb {
     /// Per-nameserver protective profiles.
-    pub servers: HashMap<Ipv4Addr, ProtectiveProfile>,
+    pub(crate) servers: HashMap<Ipv4Addr, ProtectiveProfile>,
 }
 
 impl ProtectiveDb {
     /// Does `ur` exactly match the nameserver's protective behaviour?
-    pub fn matches(&self, ur: &CollectedUr) -> bool {
+    pub(crate) fn matches(&self, ur: &CollectedUr) -> bool {
         let Some(p) = self.servers.get(&ur.key.ns_ip) else {
             return false;
         };
@@ -173,7 +172,7 @@ pub enum TxtCategory {
 
 impl TxtCategory {
     /// Classify one TXT payload.
-    pub fn classify(text: &str) -> TxtCategory {
+    pub(crate) fn classify(text: &str) -> TxtCategory {
         let t = text.trim_start();
         let lower = t.to_ascii_lowercase();
         if lower.starts_with("v=spf1") {
@@ -190,7 +189,7 @@ impl TxtCategory {
     }
 
     /// Is this an email-related category (SPF/DMARC/DKIM)?
-    pub fn is_email_related(self) -> bool {
+    pub(crate) fn is_email_related(self) -> bool {
         matches!(
             self,
             TxtCategory::Spf | TxtCategory::Dmarc | TxtCategory::Dkim

@@ -36,7 +36,7 @@ pub enum WorldScale {
 
 impl WorldScale {
     /// Parse the CLI spelling.
-    pub fn parse(s: &str) -> Option<WorldScale> {
+    pub(crate) fn parse(s: &str) -> Option<WorldScale> {
         match s {
             "small" => Some(WorldScale::Small),
             "default" => Some(WorldScale::Default),
@@ -66,7 +66,7 @@ pub struct DriverConfig {
     /// World seed override (`None` keeps the preset's seed).
     pub seed: Option<u64>,
     /// Minimum simulated time between epoch starts (must be non-zero).
-    pub epoch_interval: simnet::SimDuration,
+    pub(crate) epoch_interval: simnet::SimDuration,
     /// Calendar days the world drifts before each re-scan (epoch 1 scans
     /// the freshly generated world).
     pub drift_days: u32,
@@ -108,23 +108,23 @@ pub struct LiveState {
     /// Probe accounting of the newest epoch.
     pub coverage: CoverageReport,
     /// Observability hub of the newest epoch (serves `/metrics`).
-    pub hub: Option<Arc<obs::Obs>>,
+    pub(crate) hub: Option<Arc<obs::Obs>>,
     /// Completed epochs (equals `log.last_epoch()`).
     pub epochs_done: u64,
     /// The world's calendar day at the newest scan.
-    pub sim_day: u32,
+    pub(crate) sim_day: u32,
 }
 
 /// What one epoch's scan produced, before it is committed to the state.
 pub struct EpochScan {
     /// The epoch's full classified output, in pipeline order.
-    pub classified: Vec<ClassifiedUr>,
+    pub(crate) classified: Vec<ClassifiedUr>,
     /// Probe accounting for the scan.
-    pub coverage: CoverageReport,
+    pub(crate) coverage: CoverageReport,
     /// The scan's observability hub.
-    pub hub: Arc<obs::Obs>,
+    pub(crate) hub: Arc<obs::Obs>,
     /// Calendar day the scan ran on.
-    pub sim_day: u32,
+    pub(crate) sim_day: u32,
 }
 
 /// Summary of one committed epoch.
@@ -133,7 +133,7 @@ pub struct EpochSummary {
     /// The epoch number.
     pub epoch: u64,
     /// Calendar day of the scan.
-    pub sim_day: u32,
+    pub(crate) sim_day: u32,
     /// New URs observed.
     pub observed: usize,
     /// Verdict flips.
@@ -170,11 +170,6 @@ impl EpochDriver {
             scans_started: 0,
             evolve_seed,
         }
-    }
-
-    /// The driver's configuration.
-    pub fn config(&self) -> &DriverConfig {
-        &self.cfg
     }
 
     /// Run one epoch's scan: admit the epoch on the simulated clock,

@@ -53,17 +53,6 @@ pub enum UrEvent {
     },
 }
 
-impl UrEvent {
-    /// The identity triple the event is about.
-    pub fn key(&self) -> UrKey {
-        match *self {
-            UrEvent::Observed { key, .. }
-            | UrEvent::VerdictChanged { key, .. }
-            | UrEvent::Gone { key, .. } => key,
-        }
-    }
-}
-
 /// Stable lowercase label for a category (JSON payloads, metrics).
 pub fn category_str(c: UrCategory) -> &'static str {
     match c {
@@ -85,9 +74,9 @@ pub struct UrState {
     /// Epoch of first observation.
     pub first_seen: Epoch,
     /// Epoch of the most recent event touching this UR.
-    pub last_event: Epoch,
+    pub(crate) last_event: Epoch,
     /// How many events (including the first observation) touched this UR.
-    pub changes: u32,
+    pub(crate) changes: u32,
 }
 
 /// Hashes pinning one epoch's outcome. Sealed into the log next to the
@@ -115,10 +104,10 @@ pub struct EpochSeal {
 #[derive(Debug, Clone)]
 pub struct EpochRecord {
     /// The epoch number (1-based).
-    pub epoch: Epoch,
+    pub(crate) epoch: Epoch,
     /// The simulated world's calendar day (`WorldConfig::today`) at scan
     /// time — epochs drift the calendar, so deltas can be dated.
-    pub sim_day: u32,
+    pub(crate) sim_day: u32,
     /// The epoch's events: observations and verdict changes in classified
     /// sequence order, then disappearances in key order.
     pub events: Vec<UrEvent>,
@@ -128,7 +117,7 @@ pub struct EpochRecord {
 
 impl EpochRecord {
     /// Count of [`UrEvent::Observed`] events.
-    pub fn observed(&self) -> usize {
+    pub(crate) fn observed(&self) -> usize {
         self.events
             .iter()
             .filter(|e| matches!(e, UrEvent::Observed { .. }))
@@ -136,7 +125,7 @@ impl EpochRecord {
     }
 
     /// Count of [`UrEvent::VerdictChanged`] events.
-    pub fn changed(&self) -> usize {
+    pub(crate) fn changed(&self) -> usize {
         self.events
             .iter()
             .filter(|e| matches!(e, UrEvent::VerdictChanged { .. }))
@@ -144,7 +133,7 @@ impl EpochRecord {
     }
 
     /// Count of [`UrEvent::Gone`] events.
-    pub fn gone(&self) -> usize {
+    pub(crate) fn gone(&self) -> usize {
         self.events
             .iter()
             .filter(|e| matches!(e, UrEvent::Gone { .. }))
@@ -172,14 +161,14 @@ fn hash_one<T: Hash>(v: &T) -> u64 {
 
 impl VerdictStore {
     /// An empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         VerdictStore::default()
     }
 
     /// Apply one event at the given epoch. Events are produced by
     /// [`diff_epoch`] against this same store, so transitions are always
     /// consistent; replay applies the identical sequence.
-    pub fn apply(&mut self, epoch: Epoch, event: &UrEvent) {
+    pub(crate) fn apply(&mut self, epoch: Epoch, event: &UrEvent) {
         match *event {
             UrEvent::Observed { key, verdict } => {
                 let entry = self.states.entry(key);
@@ -289,7 +278,7 @@ impl VerdictStore {
 /// executors and shard counts), then disappearances sorted by key. The
 /// store is *not* mutated; callers apply the events when they commit the
 /// epoch (see [`EventLog::append`]).
-pub fn diff_epoch(store: &VerdictStore, classified: &[ClassifiedUr]) -> Vec<UrEvent> {
+pub(crate) fn diff_epoch(store: &VerdictStore, classified: &[ClassifiedUr]) -> Vec<UrEvent> {
     let mut events = Vec::new();
     let mut seen: HashMap<UrKey, UrCategory> = HashMap::with_capacity(classified.len());
     for c in classified {
@@ -336,9 +325,9 @@ pub fn diff_epoch(store: &VerdictStore, classified: &[ClassifiedUr]) -> Vec<UrEv
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// The last epoch folded into this snapshot.
-    pub epoch: Epoch,
+    pub(crate) epoch: Epoch,
     /// Full per-UR states, sorted by key.
-    pub entries: Vec<(UrKey, UrState)>,
+    pub(crate) entries: Vec<(UrKey, UrState)>,
 }
 
 /// The append-only epoch log: an optional snapshot (compaction point)
@@ -351,14 +340,9 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        EventLog::default()
-    }
-
     /// Append one epoch's record. Epochs must arrive in order, without
     /// gaps, starting right after the snapshot (or at 1).
-    pub fn append(&mut self, record: EpochRecord) {
+    pub(crate) fn append(&mut self, record: EpochRecord) {
         let expected = self.last_epoch() + 1;
         assert_eq!(
             record.epoch, expected,
@@ -530,7 +514,7 @@ mod tests {
         let b = key(1, "b.com", RecordType::Txt);
         let c = key(2, "c.com", RecordType::A);
         let mut store = VerdictStore::new();
-        let mut log = EventLog::new();
+        let mut log = EventLog::default();
         commit(
             &mut log,
             &mut store,
@@ -581,7 +565,7 @@ mod tests {
         let a = key(1, "a.com", RecordType::A);
         let b = key(3, "b.com", RecordType::Txt);
         let mut store = VerdictStore::new();
-        let mut log = EventLog::new();
+        let mut log = EventLog::default();
         commit(
             &mut log,
             &mut store,
@@ -614,7 +598,7 @@ mod tests {
         let a = key(1, "a.com", RecordType::A);
         let b = key(2, "b.com", RecordType::A);
         let mut store = VerdictStore::new();
-        let mut log = EventLog::new();
+        let mut log = EventLog::default();
         commit(
             &mut log,
             &mut store,

@@ -16,22 +16,22 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Per-connection socket timeout: a stalled client can never wedge the
 /// accept loop for longer than this.
-pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
+pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One parsed request: method, decoded path, and the raw query string.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// The HTTP method, uppercased (`GET`, `POST`, ...).
-    pub method: String,
+    pub(crate) method: String,
     /// The path component, without the query string.
-    pub path: String,
+    pub(crate) path: String,
     /// The query string after `?`, if any (undecoded).
-    pub query: Option<String>,
+    pub(crate) query: Option<String>,
 }
 
 impl Request {
     /// The value of `name` in the query string (`a=1&b=2`), if present.
-    pub fn query_param(&self, name: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<&str> {
         let q = self.query.as_deref()?;
         q.split('&').find_map(|pair| {
             let (k, v) = pair.split_once('=')?;
@@ -42,18 +42,18 @@ impl Request {
 
 /// A response ready to serialize.
 #[derive(Debug, Clone)]
-pub struct Response {
+pub(crate) struct Response {
     /// HTTP status code.
-    pub status: u16,
+    pub(crate) status: u16,
     /// `Content-Type` header value.
-    pub content_type: &'static str,
+    pub(crate) content_type: &'static str,
     /// The body.
-    pub body: String,
+    pub(crate) body: String,
 }
 
 impl Response {
     /// A 200 response with a JSON body.
-    pub fn json(body: String) -> Response {
+    pub(crate) fn json(body: String) -> Response {
         Response {
             status: 200,
             content_type: "application/json",
@@ -62,7 +62,7 @@ impl Response {
     }
 
     /// A 200 response with a plain-text body (Prometheus exposition).
-    pub fn text(body: String) -> Response {
+    pub(crate) fn text(body: String) -> Response {
         Response {
             status: 200,
             content_type: "text/plain; version=0.0.4",
@@ -71,7 +71,7 @@ impl Response {
     }
 
     /// An error response with a JSON `{"error": ...}` body.
-    pub fn error(status: u16, message: &str) -> Response {
+    pub(crate) fn error(status: u16, message: &str) -> Response {
         Response {
             status,
             content_type: "application/json",
@@ -94,7 +94,7 @@ fn status_text(status: u16) -> &'static str {
 /// Read and parse one request head from the stream. The body, if any, is
 /// ignored — every control-plane endpoint is parameterized by path and
 /// query string alone.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
+pub(crate) fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?).take(MAX_HEAD_BYTES as u64);
@@ -128,7 +128,7 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
 }
 
 /// Serialize a response and close the connection.
-pub fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
+pub(crate) fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
     let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         response.status,
@@ -142,7 +142,7 @@ pub fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result
 }
 
 /// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

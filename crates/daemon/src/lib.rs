@@ -12,14 +12,14 @@
 //!   / `Gone` deltas, sealed with deterministic hashes so replaying the
 //!   log provably reconstructs the live state. Snapshot + compaction
 //!   bound the log without losing replayability.
-//! * [`driver`] — the re-scan scheduler. Epoch admission is paced on the
-//!   simulated clock by the same token-bucket machinery that paces
+//! * [`EpochDriver`] — the re-scan scheduler. Epoch admission is paced on
+//!   the simulated clock by the same token-bucket machinery that paces
 //!   per-server probes, the world evolves deterministically between
 //!   epochs, and every scan runs the full existing pipeline.
-//! * [`service`] + [`http`] — a zero-dependency HTTP control plane
-//!   serving `/verdict/<domain>`, `/deltas?since=<epoch>`, `/coverage`,
+//! * [`start`] — a zero-dependency HTTP control plane serving
+//!   `/verdict/<domain>`, `/deltas?since=<epoch>`, `/coverage`,
 //!   `/healthz`, and `/metrics` (the same Prometheus exporter the CLI
-//!   uses) from a shared [`driver::LiveState`].
+//!   uses) from a shared [`LiveState`].
 //!
 //! Because the classified sequence is bit-identical across executors and
 //! shard counts, so are the event stream and every epoch seal — which is
@@ -27,19 +27,20 @@
 //! against an independent in-process run of the same configuration.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod client;
-pub mod config;
-pub mod driver;
+mod client;
+mod config;
+mod driver;
 pub mod events;
-pub mod http;
-pub mod service;
+mod http;
+mod service;
 
 pub use client::{http_get, json_str_field, json_u64_field};
 pub use config::{parse_flags, usage};
 pub use driver::{DriverConfig, EpochDriver, EpochScan, EpochSummary, LiveState, WorldScale};
 pub use events::{
-    diff_epoch, Epoch, EpochRecord, EpochSeal, EventLog, Snapshot, UrEvent, UrState, VerdictStore,
+    Epoch, EpochRecord, EpochSeal, EventLog, Snapshot, UrEvent, UrState, VerdictStore,
 };
 pub use service::{start, DaemonConfig, DaemonHandle};

@@ -48,7 +48,7 @@ pub struct DaemonConfig {
 
 impl DaemonConfig {
     /// Default posture: loopback listener, small world, unlimited epochs.
-    pub fn default_listen() -> SocketAddr {
+    pub(crate) fn default_listen() -> SocketAddr {
         "127.0.0.1:7353".parse().expect("static address")
     }
 }

@@ -48,13 +48,13 @@ pub struct PoolStats {
     /// Acquisitions that had to allocate.
     pub misses: u64,
     /// Buffers accepted back into the free list.
-    pub returned: u64,
+    pub(crate) returned: u64,
     /// Buffers dropped on release (pool full or capacity oversized).
-    pub discarded: u64,
+    pub(crate) discarded: u64,
 }
 
 /// Take a cleared buffer from this thread's pool, or allocate one.
-pub fn acquire() -> Vec<u8> {
+pub(crate) fn acquire() -> Vec<u8> {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         match p.free.pop() {
@@ -71,7 +71,7 @@ pub fn acquire() -> Vec<u8> {
 }
 
 /// Return a buffer to this thread's pool. The contents are cleared; the
-/// capacity is kept for the next [`acquire`] unless the pool is full or
+/// capacity is kept for the next encode unless the pool is full or
 /// the buffer outgrew the retained-capacity cap (4 KiB).
 pub fn release(mut buf: Vec<u8>) {
     buf.clear();

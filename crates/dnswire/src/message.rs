@@ -159,11 +159,6 @@ impl Message {
         self.questions.first()
     }
 
-    /// Answers of a specific record type.
-    pub fn answers_of(&self, rtype: RecordType) -> impl Iterator<Item = &Record> {
-        self.answers.iter().filter(move |r| r.rtype() == rtype)
-    }
-
     /// Serialize to wire format with name compression. The buffer comes
     /// from this thread's [`crate::bufpool`]; return it with
     /// [`crate::bufpool::release`] once the bytes are consumed to keep the
@@ -264,21 +259,6 @@ impl Message {
             .find(|r| r.rtype() == RecordType::Opt)
             .map(|r| r.class.code())
     }
-
-    /// All names appearing anywhere in the message (used by tests and by
-    /// traffic inspection in the IDS substrate).
-    pub fn all_names(&self) -> Vec<&Name> {
-        let mut v: Vec<&Name> = self.questions.iter().map(|q| &q.qname).collect();
-        for r in self
-            .answers
-            .iter()
-            .chain(&self.authorities)
-            .chain(&self.additionals)
-        {
-            v.push(&r.name);
-        }
-        v
-    }
 }
 
 /// The three record sections, in wire order.
@@ -329,7 +309,7 @@ pub struct MessageWriter {
 
 impl MessageWriter {
     /// Start a message in a buffer from this thread's [`crate::bufpool`].
-    pub fn new(id: u16, flags: Flags, limit: usize) -> Self {
+    pub(crate) fn new(id: u16, flags: Flags, limit: usize) -> Self {
         MessageWriter::over(crate::bufpool::acquire(), id, flags, limit)
     }
 
@@ -367,7 +347,7 @@ impl MessageWriter {
 
     /// Append a question. Questions come before any record and are never
     /// rolled back.
-    pub fn question(&mut self, qname: NameRef<'_>, qtype: RecordType, qclass: Class) {
+    pub(crate) fn question(&mut self, qname: NameRef<'_>, qtype: RecordType, qclass: Class) {
         debug_assert_eq!(self.counts[1..], [0; 3], "questions precede records");
         encode_question(qname, qtype, qclass, &mut self.buf, &mut self.map);
         self.counts[0] = self.counts[0].saturating_add(1);
@@ -714,7 +694,13 @@ mod tests {
         let back = Message::decode(&wire).unwrap();
         assert_eq!(back, r);
         assert!(back.flags.authoritative);
-        assert_eq!(back.answers_of(RecordType::A).count(), 1);
+        assert_eq!(
+            back.answers
+                .iter()
+                .filter(|r| r.rtype() == RecordType::A)
+                .count(),
+            1
+        );
     }
 
     #[test]

@@ -131,11 +131,6 @@ impl Name {
         self.labels as usize
     }
 
-    /// True for the root name.
-    pub fn is_root(&self) -> bool {
-        self.labels == 0
-    }
-
     /// Iterate over the labels, leftmost (most specific) first.
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
         self.borrowed().labels()
@@ -180,7 +175,7 @@ impl Name {
     }
 
     /// Encode with DNS name compression (see [`NameRef::encode_compressed`]).
-    pub fn encode_compressed(&self, buf: &mut Vec<u8>, map: &mut CompressionMap) {
+    pub(crate) fn encode_compressed(&self, buf: &mut Vec<u8>, map: &mut CompressionMap) {
         self.borrowed().encode_compressed(buf, map)
     }
 
@@ -202,7 +197,7 @@ impl<'a> NameRef<'a> {
     }
 
     /// True for the root name.
-    pub fn is_root(self) -> bool {
+    pub(crate) fn is_root(self) -> bool {
         self.labels == 0
     }
 
@@ -234,7 +229,7 @@ impl<'a> NameRef<'a> {
     }
 
     /// The parent name (one label stripped from the left), or `None` at root.
-    pub fn parent(self) -> Option<NameRef<'a>> {
+    pub(crate) fn parent(self) -> Option<NameRef<'a>> {
         self.suffix(self.label_count().checked_sub(1)?)
     }
 
@@ -245,7 +240,7 @@ impl<'a> NameRef<'a> {
     }
 
     /// Encode at `buf`'s end without compression.
-    pub fn encode_uncompressed(self, buf: &mut Vec<u8>) {
+    pub(crate) fn encode_uncompressed(self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(self.flat);
         buf.push(0);
     }
@@ -273,7 +268,7 @@ impl<'a> NameRef<'a> {
     /// offset is replaced with a 2-byte pointer, and newly written labels
     /// at offsets ≤ 0x3FFF become pointer targets for later names.
     /// Matching is case-insensitive (RFC 1035 §2.3.3).
-    pub fn encode_compressed(self, buf: &mut Vec<u8>, map: &mut CompressionMap) {
+    pub(crate) fn encode_compressed(self, buf: &mut Vec<u8>, map: &mut CompressionMap) {
         let n = self.label_count();
         let starts = self.label_starts();
         // Node ids for every suffix, built right-to-left so each node's
@@ -329,7 +324,7 @@ impl NameBuf {
 
 /// A validated name inside a message: where it starts, how many labels it
 /// has and how long it is once pointers are resolved. Reading it never
-/// fails and never allocates; [`WireName::to_name`] makes the owned copy.
+/// fails and never allocates.
 #[derive(Clone, Copy)]
 pub struct WireName<'a> {
     msg: &'a [u8],
@@ -346,7 +341,7 @@ impl<'a> WireName<'a> {
     /// `*pos` is advanced past the name as it appears at the original
     /// location (pointers count as two bytes). Pointers must point strictly
     /// backwards and at most 128 are followed.
-    pub fn parse(msg: &'a [u8], pos: &mut usize) -> WireResult<WireName<'a>> {
+    pub(crate) fn parse(msg: &'a [u8], pos: &mut usize) -> WireResult<WireName<'a>> {
         let start = *pos;
         let mut labels = 0usize;
         let mut wire_len = 1usize;
@@ -413,7 +408,7 @@ impl<'a> WireName<'a> {
     }
 
     /// Iterate over the labels, leftmost first, following pointers.
-    pub fn labels(&self) -> impl Iterator<Item = &'a [u8]> {
+    pub(crate) fn labels(&self) -> impl Iterator<Item = &'a [u8]> {
         WireLabels {
             msg: self.msg,
             cursor: self.start,
@@ -435,7 +430,7 @@ impl<'a> WireName<'a> {
     }
 
     /// An owned copy: the one allocation a decoded name costs.
-    pub fn to_name(self) -> Name {
+    pub(crate) fn to_name(self) -> Name {
         let mut flat = vec![0u8; self.flat_len as usize].into_boxed_slice();
         self.copy_flat(&mut flat);
         Name {
@@ -569,7 +564,7 @@ impl Ord for dyn NameKey + '_ {
 /// the next message without giving any memory back: a writer that keeps
 /// its map encodes without allocating once the map has warmed up.
 #[derive(Debug, Default)]
-pub struct CompressionMap {
+pub(crate) struct CompressionMap {
     nodes: Vec<CompressNode>,
     /// Lowercased label bytes of every node, back to back.
     arena: Vec<u8>,
@@ -602,14 +597,9 @@ impl CompressionMap {
     /// stay short at this size.
     const BUCKETS: usize = 256;
 
-    /// An empty map.
-    pub fn new() -> Self {
-        CompressionMap::default()
-    }
-
     /// Forget every suffix, keeping the memory: only the buckets the
     /// previous message touched are reset.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for n in &self.nodes {
             self.heads[n.bucket as usize] = Self::NONE;
         }
@@ -858,7 +848,7 @@ mod tests {
     #[test]
     fn root_parses() {
         let r: Name = ".".parse().unwrap();
-        assert!(r.is_root());
+        assert_eq!(r.label_count(), 0);
         assert_eq!(r.to_string(), ".");
         assert_eq!(r.wire_len(), 1);
     }
@@ -932,7 +922,7 @@ mod tests {
     #[test]
     fn compression_shares_suffixes() {
         let mut buf = Vec::new();
-        let mut offsets = CompressionMap::new();
+        let mut offsets = CompressionMap::default();
         n("www.example.com").encode_compressed(&mut buf, &mut offsets);
         let len_first = buf.len();
         n("mail.example.com").encode_compressed(&mut buf, &mut offsets);
@@ -948,7 +938,7 @@ mod tests {
     #[test]
     fn compression_is_case_insensitive() {
         let mut buf = Vec::new();
-        let mut offsets = CompressionMap::new();
+        let mut offsets = CompressionMap::default();
         n("EXAMPLE.COM").encode_compressed(&mut buf, &mut offsets);
         let first = buf.len();
         n("www.example.com").encode_compressed(&mut buf, &mut offsets);
@@ -1013,7 +1003,7 @@ mod tests {
 
     #[test]
     fn cleared_map_compresses_like_a_fresh_one() {
-        let mut map = CompressionMap::new();
+        let mut map = CompressionMap::default();
         let mut first = Vec::new();
         n("www.example.com").encode_compressed(&mut first, &mut map);
         n("mail.example.com").encode_compressed(&mut first, &mut map);
@@ -1052,7 +1042,7 @@ mod tests {
     #[test]
     fn wire_name_reads_without_owning() {
         let mut buf = Vec::new();
-        let mut map = CompressionMap::new();
+        let mut map = CompressionMap::default();
         n("www.Example.com").encode_compressed(&mut buf, &mut map);
         let second = buf.len();
         n("mail.example.COM").encode_compressed(&mut buf, &mut map);

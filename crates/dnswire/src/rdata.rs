@@ -62,7 +62,7 @@ pub enum RData {
 
 impl RData {
     /// The record type matching this data.
-    pub fn record_type(&self) -> RecordType {
+    pub(crate) fn record_type(&self) -> RecordType {
         match self {
             RData::A(_) => RecordType::A,
             RData::Aaaa(_) => RecordType::Aaaa,
@@ -124,7 +124,7 @@ impl RData {
     ///
     /// Names inside RDATA that RFC 1035 allows to be compressed (NS, CNAME,
     /// PTR, MX, SOA) participate in message compression via `offsets`.
-    pub fn encode(&self, buf: &mut Vec<u8>, offsets: &mut CompressionMap) {
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>, offsets: &mut CompressionMap) {
         match self {
             RData::A(ip) => buf.extend_from_slice(&ip.octets()),
             RData::Aaaa(ip) => buf.extend_from_slice(&ip.octets()),
@@ -161,21 +161,11 @@ impl RData {
             RData::Opt(raw) | RData::Unknown { data: raw, .. } => buf.extend_from_slice(raw),
         }
     }
-
-    /// Decode RDATA of `rtype` occupying `rdlength` bytes at `*pos` in `msg`.
-    pub fn decode(
-        msg: &[u8],
-        pos: &mut usize,
-        rtype: RecordType,
-        rdlength: usize,
-    ) -> WireResult<RData> {
-        RDataView::parse(msg, pos, rtype, rdlength).map(RDataView::to_rdata)
-    }
 }
 
 /// Validated RDATA still inside its message: [`RData`] with every name a
 /// [`WireName`] and every byte string a slice. Parsing one allocates
-/// nothing; [`RDataView::to_rdata`] makes the owned copy.
+/// nothing.
 #[derive(Debug, Clone, Copy)]
 pub enum RDataView<'a> {
     /// IPv4 address.
@@ -220,7 +210,7 @@ pub enum RDataView<'a> {
 impl<'a> RDataView<'a> {
     /// Validate RDATA of `rtype` occupying `rdlength` bytes at `*pos` in
     /// `msg`, advancing the cursor past it.
-    pub fn parse(
+    pub(crate) fn parse(
         msg: &'a [u8],
         pos: &mut usize,
         rtype: RecordType,
@@ -340,7 +330,7 @@ impl<'a> RDataView<'a> {
     }
 
     /// An owned copy.
-    pub fn to_rdata(self) -> RData {
+    pub(crate) fn to_rdata(self) -> RData {
         match self {
             RDataView::A(ip) => RData::A(ip),
             RDataView::Aaaa(ip) => RData::Aaaa(ip),
@@ -445,12 +435,16 @@ impl fmt::Display for RData {
 mod tests {
     use super::*;
 
+    fn decode(msg: &[u8], pos: &mut usize, rtype: RecordType, len: usize) -> WireResult<RData> {
+        RDataView::parse(msg, pos, rtype, len).map(RDataView::to_rdata)
+    }
+
     fn roundtrip(rd: &RData) -> RData {
         let mut buf = Vec::new();
-        let mut offsets = CompressionMap::new();
+        let mut offsets = CompressionMap::default();
         rd.encode(&mut buf, &mut offsets);
         let mut pos = 0;
-        let back = RData::decode(&buf, &mut pos, rd.record_type(), buf.len()).unwrap();
+        let back = decode(&buf, &mut pos, rd.record_type(), buf.len()).unwrap();
         assert_eq!(pos, buf.len());
         back
     }
@@ -543,14 +537,14 @@ mod tests {
     fn a_with_wrong_length_rejected() {
         let buf = [1, 2, 3];
         let mut pos = 0;
-        assert!(RData::decode(&buf, &mut pos, RecordType::A, 3).is_err());
+        assert!(decode(&buf, &mut pos, RecordType::A, 3).is_err());
     }
 
     #[test]
     fn truncated_txt_rejected() {
         let buf = [5, b'a', b'b'];
         let mut pos = 0;
-        assert!(RData::decode(&buf, &mut pos, RecordType::Txt, 3).is_err());
+        assert!(decode(&buf, &mut pos, RecordType::Txt, 3).is_err());
     }
 
     #[test]
@@ -559,7 +553,7 @@ mod tests {
         let buf = [1, b'a', 0, 0, 0];
         let mut pos = 0;
         assert!(matches!(
-            RData::decode(&buf, &mut pos, RecordType::Cname, 5),
+            decode(&buf, &mut pos, RecordType::Cname, 5),
             Err(WireError::RdataLength { .. })
         ));
     }

@@ -26,19 +26,9 @@ impl Question {
             qclass: Class::In,
         }
     }
-
-    /// Encode into `buf` using the shared compression map.
-    pub fn encode(&self, buf: &mut Vec<u8>, offsets: &mut CompressionMap) {
-        encode_question(self.qname.borrowed(), self.qtype, self.qclass, buf, offsets);
-    }
-
-    /// Decode from `msg` at `*pos`, advancing the cursor.
-    pub fn decode(msg: &[u8], pos: &mut usize) -> WireResult<Question> {
-        QuestionView::parse(msg, pos).map(QuestionView::to_question)
-    }
 }
 
-/// [`Question::encode`] for a question that exists only as its parts.
+/// Encode a question from its parts into `buf`, using the shared compression map.
 pub(crate) fn encode_question(
     qname: NameRef<'_>,
     qtype: RecordType,
@@ -59,12 +49,12 @@ pub struct QuestionView<'a> {
     /// The requested record type.
     pub qtype: RecordType,
     /// The requested class.
-    pub qclass: Class,
+    pub(crate) qclass: Class,
 }
 
 impl<'a> QuestionView<'a> {
     /// Validate a question in `msg` at `*pos`, advancing the cursor.
-    pub fn parse(msg: &'a [u8], pos: &mut usize) -> WireResult<QuestionView<'a>> {
+    pub(crate) fn parse(msg: &'a [u8], pos: &mut usize) -> WireResult<QuestionView<'a>> {
         let qname = WireName::parse(msg, pos)?;
         if *pos + 4 > msg.len() {
             return Err(WireError::Truncated {
@@ -126,29 +116,12 @@ impl Record {
     pub fn rtype(&self) -> RecordType {
         self.rdata.record_type()
     }
-
-    /// Encode into `buf` using the shared compression map. The RDLENGTH
-    /// field is computed from the bytes actually written (which may be
-    /// shortened by compression of embedded names).
-    pub fn encode(&self, buf: &mut Vec<u8>, offsets: &mut CompressionMap) {
-        encode_record(
-            self.name.borrowed(),
-            self.class,
-            self.ttl,
-            &self.rdata,
-            buf,
-            offsets,
-        );
-    }
-
-    /// Decode from `msg` at `*pos`, advancing the cursor.
-    pub fn decode(msg: &[u8], pos: &mut usize) -> WireResult<Record> {
-        RecordView::parse(msg, pos).map(RecordView::to_record)
-    }
 }
 
-/// [`Record::encode`] for a record that exists only as its parts (a stored
-/// RDATA answered under the query's own name).
+/// Encode a record from its parts into `buf`, using the shared compression
+/// map (a stored RDATA may be answered under the query's own name). The
+/// RDLENGTH field is computed from the bytes actually written, which
+/// compression of embedded names may shorten.
 pub(crate) fn encode_record(
     owner: NameRef<'_>,
     class: Class,
@@ -175,17 +148,17 @@ pub struct RecordView<'a> {
     /// Owner name the data is attached to.
     pub name: WireName<'a>,
     /// Record class.
-    pub class: Class,
+    pub(crate) class: Class,
     /// Time-to-live in seconds.
-    pub ttl: u32,
+    pub(crate) ttl: u32,
     /// The typed record data.
-    pub rdata: RDataView<'a>,
+    pub(crate) rdata: RDataView<'a>,
     rtype: RecordType,
 }
 
 impl<'a> RecordView<'a> {
     /// Validate a record in `msg` at `*pos`, advancing the cursor.
-    pub fn parse(msg: &'a [u8], pos: &mut usize) -> WireResult<RecordView<'a>> {
+    pub(crate) fn parse(msg: &'a [u8], pos: &mut usize) -> WireResult<RecordView<'a>> {
         let name = WireName::parse(msg, pos)?;
         if *pos + 10 > msg.len() {
             return Err(WireError::Truncated {
@@ -247,13 +220,28 @@ mod tests {
         s.parse().unwrap()
     }
 
+    fn encode(r: &Record, buf: &mut Vec<u8>, offsets: &mut CompressionMap) {
+        encode_record(r.name.borrowed(), r.class, r.ttl, &r.rdata, buf, offsets);
+    }
+
+    fn decode(msg: &[u8], pos: &mut usize) -> WireResult<Record> {
+        RecordView::parse(msg, pos).map(RecordView::to_record)
+    }
+
     #[test]
     fn question_roundtrip() {
         let q = Question::new(name("example.com"), RecordType::Txt);
         let mut buf = Vec::new();
-        q.encode(&mut buf, &mut CompressionMap::new());
+        encode_question(
+            q.qname.borrowed(),
+            q.qtype,
+            q.qclass,
+            &mut buf,
+            &mut CompressionMap::default(),
+        );
         let mut pos = 0;
-        assert_eq!(Question::decode(&buf, &mut pos).unwrap(), q);
+        let back = QuestionView::parse(&buf, &mut pos).map(QuestionView::to_question);
+        assert_eq!(back.unwrap(), q);
         assert_eq!(pos, buf.len());
     }
 
@@ -265,9 +253,9 @@ mod tests {
             RData::A(Ipv4Addr::new(203, 0, 113, 9)),
         );
         let mut buf = Vec::new();
-        r.encode(&mut buf, &mut CompressionMap::new());
+        encode(&r, &mut buf, &mut CompressionMap::default());
         let mut pos = 0;
-        assert_eq!(Record::decode(&buf, &mut pos).unwrap(), r);
+        assert_eq!(decode(&buf, &mut pos).unwrap(), r);
         assert_eq!(pos, buf.len());
     }
 
@@ -281,10 +269,10 @@ mod tests {
             RData::Ns(name("ns1.example.com")),
         );
         let mut buf = Vec::new();
-        let mut offsets = CompressionMap::new();
-        r.encode(&mut buf, &mut offsets);
+        let mut offsets = CompressionMap::default();
+        encode(&r, &mut buf, &mut offsets);
         let mut pos = 0;
-        let back = Record::decode(&buf, &mut pos).unwrap();
+        let back = decode(&buf, &mut pos).unwrap();
         assert_eq!(back, r);
         // compressed: rdata is "ns1" label (4 bytes) + pointer (2 bytes)
         let rdlen = u16::from_be_bytes([buf[buf.len() - 8], buf[buf.len() - 7]]);
@@ -295,11 +283,11 @@ mod tests {
     fn truncated_record_rejected() {
         let r = Record::new(name("x.y"), 60, RData::txt_from_str("hello"));
         let mut buf = Vec::new();
-        r.encode(&mut buf, &mut CompressionMap::new());
+        encode(&r, &mut buf, &mut CompressionMap::default());
         for cut in 1..buf.len() {
             let mut pos = 0;
             assert!(
-                Record::decode(&buf[..cut], &mut pos).is_err(),
+                decode(&buf[..cut], &mut pos).is_err(),
                 "decode should fail at cut {cut}"
             );
         }

@@ -153,7 +153,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// The 4-bit wire value.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             Opcode::Query => 0,
             Opcode::IQuery => 1,
@@ -165,7 +165,7 @@ impl Opcode {
     }
 
     /// Map a wire value back to an opcode.
-    pub fn from_code(code: u8) -> Self {
+    pub(crate) fn from_code(code: u8) -> Self {
         match code & 0x0F {
             0 => Opcode::Query,
             1 => Opcode::IQuery,
@@ -198,7 +198,7 @@ pub enum Rcode {
 
 impl Rcode {
     /// The 4-bit wire value.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             Rcode::NoError => 0,
             Rcode::FormErr => 1,
@@ -211,7 +211,7 @@ impl Rcode {
     }
 
     /// Map a wire value back to an rcode.
-    pub fn from_code(code: u8) -> Self {
+    pub(crate) fn from_code(code: u8) -> Self {
         match code & 0x0F {
             0 => Rcode::NoError,
             1 => Rcode::FormErr,

@@ -5,8 +5,6 @@
 //! decoder that builds owned records as it goes. Bodies are the replaced
 //! ones verbatim, re-pointed at the crate's public owned types.
 
-#![allow(dead_code)]
-
 use dnswire::{
     Class, Flags, Message, Name, Question, RData, Record, RecordType, WireError, WireResult,
     MAX_LABEL_LEN, MAX_MESSAGE_LEN, MAX_NAME_LEN,
@@ -25,10 +23,6 @@ pub struct RefName {
 }
 
 impl RefName {
-    pub fn root() -> Self {
-        RefName { labels: Vec::new() }
-    }
-
     pub fn from_labels<I, L>(labels: I) -> WireResult<Self>
     where
         I: IntoIterator<Item = L>,

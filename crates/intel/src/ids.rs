@@ -53,28 +53,28 @@ pub enum Severity {
 
 /// A detection rule.
 #[derive(Debug, Clone)]
-pub struct Rule {
+pub(crate) struct Rule {
     /// Snort-style rule id.
-    pub sid: u32,
+    pub(crate) sid: u32,
     /// Human-readable message.
-    pub msg: String,
+    pub(crate) msg: String,
     /// Category assigned to alerts from this rule.
-    pub category: AlertCategory,
+    pub(crate) category: AlertCategory,
     /// Severity assigned to alerts from this rule.
-    pub severity: Severity,
+    pub(crate) severity: Severity,
     /// Restrict to one transport protocol.
-    pub proto: Option<Proto>,
+    pub(crate) proto: Option<Proto>,
     /// Restrict to one destination port.
-    pub dst_port: Option<u16>,
+    pub(crate) dst_port: Option<u16>,
     /// Payload content that must appear (byte substring).
-    pub content: Option<Vec<u8>>,
+    pub(crate) content: Option<Vec<u8>>,
     /// Restrict to specific destination addresses (threat-feed-driven rules).
-    pub dst_ips: Option<HashSet<Ipv4Addr>>,
+    pub(crate) dst_ips: Option<HashSet<Ipv4Addr>>,
 }
 
 impl Rule {
     /// A content-match rule.
-    pub fn content_rule(
+    pub(crate) fn content_rule(
         sid: u32,
         msg: &str,
         category: AlertCategory,
@@ -94,19 +94,13 @@ impl Rule {
     }
 
     /// Restrict the rule to a destination port.
-    pub fn on_port(mut self, port: u16) -> Self {
+    pub(crate) fn on_port(mut self, port: u16) -> Self {
         self.dst_port = Some(port);
         self
     }
 
-    /// Restrict the rule to a protocol.
-    pub fn on_proto(mut self, proto: Proto) -> Self {
-        self.proto = Some(proto);
-        self
-    }
-
     /// Does this rule fire on `flow`?
-    pub fn matches(&self, flow: &FlowRecord) -> bool {
+    pub(crate) fn matches(&self, flow: &FlowRecord) -> bool {
         if flow.disposition == Disposition::Dropped {
             return false; // dropped packets never reached a sensor
         }
@@ -145,7 +139,7 @@ fn contains_subslice(haystack: &[u8], needle: &[u8]) -> bool {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Alert {
     /// Rule id that fired.
-    pub sid: u32,
+    pub(crate) sid: u32,
     /// Rule message.
     pub msg: String,
     /// Category.
@@ -153,11 +147,11 @@ pub struct Alert {
     /// Severity.
     pub severity: Severity,
     /// Flow source.
-    pub src: Endpoint,
+    pub(crate) src: Endpoint,
     /// Flow destination (the "malicious traffic toward" address).
     pub dst: Endpoint,
     /// When the matching flow was captured.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
 }
 
 /// A stateful threshold rule: fires when one source contacts one
@@ -165,19 +159,19 @@ pub struct Alert {
 /// within `window` — the classic port-scan signature that no single-packet
 /// content rule can express.
 #[derive(Debug, Clone)]
-pub struct ThresholdRule {
+pub(crate) struct ThresholdRule {
     /// Rule id.
-    pub sid: u32,
+    pub(crate) sid: u32,
     /// Alert message.
-    pub msg: String,
+    pub(crate) msg: String,
     /// Category assigned (scans land in `Other`, like Snort's sid 1:2000545).
-    pub category: AlertCategory,
+    pub(crate) category: AlertCategory,
     /// Severity assigned.
-    pub severity: Severity,
+    pub(crate) severity: Severity,
     /// Distinct destination ports required.
-    pub min_distinct_ports: usize,
+    pub(crate) min_distinct_ports: usize,
     /// Time window in microseconds.
-    pub window_us: u64,
+    pub(crate) window_us: u64,
 }
 
 /// The rule engine.
@@ -189,23 +183,18 @@ pub struct IdsEngine {
 
 impl IdsEngine {
     /// An engine with no rules.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         IdsEngine::default()
     }
 
     /// Add a rule.
-    pub fn add_rule(&mut self, rule: Rule) {
+    pub(crate) fn add_rule(&mut self, rule: Rule) {
         self.rules.push(rule);
     }
 
     /// Add a stateful threshold rule.
-    pub fn add_threshold_rule(&mut self, rule: ThresholdRule) {
+    pub(crate) fn add_threshold_rule(&mut self, rule: ThresholdRule) {
         self.threshold_rules.push(rule);
-    }
-
-    /// Number of loaded rules (content + threshold).
-    pub fn rule_count(&self) -> usize {
-        self.rules.len() + self.threshold_rules.len()
     }
 
     /// Scan flows; every (rule, flow) match yields one alert, and each
@@ -449,10 +438,10 @@ mod tests {
     #[test]
     fn proto_scoped_rule() {
         let mut ids = IdsEngine::new();
-        ids.add_rule(
-            Rule::content_rule(5, "udp only", AlertCategory::Other, Severity::Medium, b"X")
-                .on_proto(Proto::Udp),
-        );
+        let mut rule =
+            Rule::content_rule(5, "udp only", AlertCategory::Other, Severity::Medium, b"X");
+        rule.proto = Some(Proto::Udp);
+        ids.add_rule(rule);
         assert!(ids.scan(&[flow(b"X", 1, Proto::Tcp)]).is_empty());
         assert_eq!(ids.scan(&[flow(b"X", 1, Proto::Udp)]).len(), 1);
     }

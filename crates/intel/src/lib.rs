@@ -17,6 +17,7 @@
 //! it triggers alerts of at least medium severity.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod ids;
@@ -25,7 +26,7 @@ mod payloads;
 mod sandbox;
 mod vendors;
 
-pub use ids::{Alert, AlertCategory, IdsEngine, Rule, Severity};
+pub use ids::{Alert, AlertCategory, IdsEngine, Severity};
 pub use payloads::{PayloadSignature, PayloadSignatureDb};
 pub use sandbox::{
     extract_ipv4s, question, C2ServerNode, C2Target, MalwareOp, MalwareSample, Sandbox,

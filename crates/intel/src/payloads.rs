@@ -15,7 +15,7 @@ pub struct PayloadSignature {
     /// Family the pattern was extracted from.
     pub family: String,
     /// Byte pattern that must appear in the payload.
-    pub pattern: Vec<u8>,
+    pub(crate) pattern: Vec<u8>,
 }
 
 impl fmt::Display for PayloadSignature {
@@ -42,25 +42,15 @@ impl PayloadSignatureDb {
     }
 
     /// Add a signature.
-    pub fn add(&mut self, family: &str, pattern: &[u8]) {
+    pub(crate) fn add(&mut self, family: &str, pattern: &[u8]) {
         self.sigs.push(PayloadSignature {
             family: family.to_string(),
             pattern: pattern.to_vec(),
         });
     }
 
-    /// Number of signatures.
-    pub fn len(&self) -> usize {
-        self.sigs.len()
-    }
-
-    /// True when no signatures are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.sigs.is_empty()
-    }
-
     /// First signature matching `payload`, if any.
-    pub fn match_payload(&self, payload: &[u8]) -> Option<&PayloadSignature> {
+    pub(crate) fn match_payload(&self, payload: &[u8]) -> Option<&PayloadSignature> {
         self.sigs.iter().find(|s| {
             !s.pattern.is_empty()
                 && payload
@@ -109,7 +99,7 @@ mod tests {
     #[test]
     fn empty_db_matches_nothing() {
         let db = PayloadSignatureDb::new();
-        assert!(db.is_empty());
+        assert!(db.sigs.is_empty());
         assert!(db.match_text("cmd64=AAAA").is_none());
     }
 
@@ -117,7 +107,7 @@ mod tests {
     fn custom_signatures() {
         let mut db = PayloadSignatureDb::new();
         db.add("X", b"xyzzy");
-        assert_eq!(db.len(), 1);
+        assert_eq!(db.sigs.len(), 1);
         assert!(db.match_payload(b"prefix xyzzy suffix").is_some());
         assert!(db.match_payload(b"xyzz y").is_none());
     }

@@ -75,8 +75,6 @@ pub struct SandboxReport {
     pub flows: Vec<FlowRecord>,
     /// IDS alerts over those flows.
     pub alerts: Vec<Alert>,
-    /// Addresses learned through DNS during the run.
-    pub resolved_ips: Vec<Ipv4Addr>,
     /// Addresses the sample attempted to contact.
     pub contacted_ips: Vec<Ipv4Addr>,
     /// Domains the sample queried (directly or via resolver).
@@ -137,7 +135,6 @@ impl Sandbox {
         let trace_start = net.trace.len();
         let mut last_ips: Vec<Ipv4Addr> = Vec::new();
         let mut last_txt_ips: Vec<Ipv4Addr> = Vec::new();
-        let mut resolved_ips = Vec::new();
         let mut contacted_ips = Vec::new();
         let mut queried = Vec::new();
         let mut qid: u16 = 0x4000;
@@ -150,7 +147,7 @@ impl Sandbox {
                     if let Some(resp) =
                         authdns::dns_query(net, self.victim_ip, *ns, domain, *rtype, qid)
                     {
-                        self.absorb(&resp, &mut last_ips, &mut last_txt_ips, &mut resolved_ips);
+                        self.absorb(&resp, &mut last_ips, &mut last_txt_ips);
                     }
                 }
                 MalwareOp::ResolveDefault { domain, rtype } => {
@@ -164,7 +161,7 @@ impl Sandbox {
                         *rtype,
                         qid,
                     ) {
-                        self.absorb(&resp, &mut last_ips, &mut last_txt_ips, &mut resolved_ips);
+                        self.absorb(&resp, &mut last_ips, &mut last_txt_ips);
                     }
                 }
                 MalwareOp::Connect {
@@ -204,7 +201,6 @@ impl Sandbox {
             family: sample.family.clone(),
             flows,
             alerts,
-            resolved_ips,
             contacted_ips,
             queried_domains: queried,
         }
@@ -215,15 +211,13 @@ impl Sandbox {
         resp: &Message,
         last_ips: &mut Vec<Ipv4Addr>,
         last_txt_ips: &mut Vec<Ipv4Addr>,
-        resolved: &mut Vec<Ipv4Addr>,
     ) {
         if resp.rcode() != Rcode::NoError {
             return;
         }
         let ips: Vec<Ipv4Addr> = resp.answers.iter().filter_map(|r| r.rdata.as_a()).collect();
         if !ips.is_empty() {
-            *last_ips = ips.clone();
-            resolved.extend(ips);
+            *last_ips = ips;
         }
         let mut txt_ips = Vec::new();
         for r in &resp.answers {
@@ -232,8 +226,7 @@ impl Sandbox {
             }
         }
         if !txt_ips.is_empty() {
-            *last_txt_ips = txt_ips.clone();
-            resolved.extend(txt_ips);
+            *last_txt_ips = txt_ips;
         }
     }
 }
@@ -350,7 +343,6 @@ mod tests {
         let ids = IdsEngine::standard_ruleset();
         let report = sandbox.run(&mut net, &ids, &sample);
 
-        assert_eq!(report.resolved_ips, vec![c2_ip]);
         assert_eq!(report.contacted_ips, vec![c2_ip]);
         assert!(!report.alerts.is_empty());
         assert_eq!(report.alert_dst_ips(Severity::Medium), vec![c2_ip]);

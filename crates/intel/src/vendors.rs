@@ -45,7 +45,7 @@ impl fmt::Display for ThreatTag {
 #[derive(Debug, Clone, Default)]
 pub struct VendorFeed {
     /// Vendor display name.
-    pub name: String,
+    pub(crate) name: String,
     flagged: HashMap<Ipv4Addr, BTreeSet<ThreatTag>>,
 }
 
@@ -64,23 +64,13 @@ impl VendorFeed {
     }
 
     /// Does this vendor flag the IP?
-    pub fn is_flagged(&self, ip: Ipv4Addr) -> bool {
+    pub(crate) fn is_flagged(&self, ip: Ipv4Addr) -> bool {
         self.flagged.contains_key(&ip)
     }
 
     /// Tags this vendor attached to the IP.
-    pub fn tags(&self, ip: Ipv4Addr) -> BTreeSet<ThreatTag> {
+    pub(crate) fn tags(&self, ip: Ipv4Addr) -> BTreeSet<ThreatTag> {
         self.flagged.get(&ip).cloned().unwrap_or_default()
-    }
-
-    /// Number of IPs on this vendor's list.
-    pub fn len(&self) -> usize {
-        self.flagged.len()
-    }
-
-    /// True when the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.flagged.is_empty()
     }
 }
 
@@ -245,7 +235,7 @@ mod tests {
         let mut v = VendorFeed::new("X");
         v.flag(ip(9), ThreatTag::Botnet);
         v.flag(ip(9), ThreatTag::Botnet);
-        assert_eq!(v.len(), 1);
+        assert_eq!(v.flagged.len(), 1);
         assert_eq!(v.tags(ip(9)).len(), 1);
     }
 

@@ -19,6 +19,7 @@
 //! output; only `Eq` uses them (equal ids iff equal text).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 use dnswire::{Name, NameRef, WireError, WireResult};
@@ -325,12 +326,6 @@ impl fmt::Debug for Sym {
     }
 }
 
-/// Sizes of the global tables: `(names, symbols)`. Diagnostic only.
-pub fn table_sizes() -> (usize, usize) {
-    let symbols = sym_table().read().expect("sym table poisoned");
-    (names().names.len(), symbols.strings.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,7 +483,7 @@ mod tests {
     #[test]
     fn table_sizes_reported() {
         let _ = i("sizes-probe.example.com");
-        let (names, _) = table_sizes();
+        let names = names().names.len();
         assert!(names >= 4, "the root and three suffixes");
     }
 }

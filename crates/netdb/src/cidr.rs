@@ -56,7 +56,7 @@ impl Cidr {
     }
 
     /// Number of addresses covered (saturates for /0).
-    pub fn size(&self) -> u64 {
+    pub(crate) fn size(&self) -> u64 {
         1u64 << (32 - self.len as u64)
     }
 

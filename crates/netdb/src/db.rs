@@ -16,7 +16,7 @@ pub struct AsInfo {
     /// AS number.
     pub asn: u32,
     /// Organization operating the AS.
-    pub org: String,
+    pub(crate) org: String,
 }
 
 /// Geolocation of an address (country granularity plus a city id, which is
@@ -59,13 +59,13 @@ impl fmt::Display for GeoInfo {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CertInfo {
     /// Subject common name.
-    pub subject: String,
+    pub(crate) subject: String,
     /// Issuing CA, interned: the world has a handful of CAs shared by
     /// every certificate, so each cert carries a 4-byte symbol instead of
     /// its own heap copy of the CA name.
-    pub issuer: intern::Sym,
+    pub(crate) issuer: intern::Sym,
     /// Subject alternative names.
-    pub sans: Vec<String>,
+    pub(crate) sans: Vec<String>,
     /// Stable fingerprint for equality grouping.
     pub fingerprint: u64,
 }
@@ -85,26 +85,6 @@ impl CertInfo {
             sans: vec![domain.to_string(), format!("*.{domain}")],
             fingerprint: fp,
         }
-    }
-
-    /// Whether the certificate covers `host` (exact SAN or one-level
-    /// wildcard). Per RFC 6125 SAN matching, `*.example.com` covers exactly
-    /// one extra label and never the apex itself: apex coverage must come
-    /// from an explicit `example.com` SAN.
-    pub fn covers(&self, host: &str) -> bool {
-        self.sans.iter().any(|san| {
-            if let Some(suffix) = san.strip_prefix("*.") {
-                host.strip_suffix(suffix)
-                    .map(|rest| {
-                        rest.ends_with('.')
-                            && !rest[..rest.len() - 1].is_empty()
-                            && rest[..rest.len() - 1].find('.').is_none()
-                    })
-                    .unwrap_or(false)
-            } else {
-                san == host
-            }
-        })
     }
 }
 
@@ -128,13 +108,13 @@ pub enum PageKind {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HttpProfile {
     /// Response status code.
-    pub status: u16,
+    pub(crate) status: u16,
     /// Page title.
-    pub title: String,
+    pub(crate) title: String,
     /// Salient body keywords (the crawler's distillation).
-    pub keywords: Vec<String>,
+    pub(crate) keywords: Vec<String>,
     /// Classified page kind.
-    pub kind: PageKind,
+    pub(crate) kind: PageKind,
 }
 
 impl HttpProfile {
@@ -277,7 +257,7 @@ impl NetDb {
     }
 
     /// HTTP profile lookup.
-    pub fn http_of(&self, ip: Ipv4Addr) -> Option<&HttpProfile> {
+    pub(crate) fn http_of(&self, ip: Ipv4Addr) -> Option<&HttpProfile> {
         self.http.get(&ip)
     }
 
@@ -289,11 +269,6 @@ impl NetDb {
             cert: self.cert_of(ip).cloned(),
             http: self.http_of(ip).cloned(),
         }
-    }
-
-    /// Number of routed prefixes.
-    pub fn prefix_count(&self) -> usize {
-        self.prefixes.values().map(HashMap::len).sum()
     }
 }
 
@@ -356,16 +331,6 @@ impl AttrIndex {
             .copied()
             .unwrap_or_else(|| Self::resolve(db, ip))
     }
-
-    /// Number of distinct addresses resolved.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -386,7 +351,7 @@ mod tests {
         assert_eq!(db.asn_of(ip("10.1.9.9")).unwrap().asn, 200);
         assert_eq!(db.asn_of(ip("10.9.9.9")).unwrap().asn, 100);
         assert!(db.asn_of(ip("11.0.0.1")).is_none());
-        assert_eq!(db.prefix_count(), 3);
+        assert_eq!(db.prefixes.values().map(HashMap::len).sum::<usize>(), 3);
     }
 
     #[test]
@@ -407,42 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn cert_coverage() {
-        let c = CertInfo::for_domain("example.com", "SimCA");
-        assert!(c.covers("example.com"));
-        assert!(c.covers("www.example.com"));
-        assert!(!c.covers("a.b.example.com"));
-        assert!(!c.covers("badexample.com"));
-    }
-
-    #[test]
-    fn wildcard_san_does_not_cover_apex() {
-        // for_domain covers the apex only because it also carries the
-        // explicit apex SAN; a bare wildcard must not.
-        let wildcard_only = CertInfo {
-            subject: "*.example.com".into(),
-            issuer: intern::Sym::intern("SimCA"),
-            sans: vec!["*.example.com".into()],
-            fingerprint: 1,
-        };
-        assert!(!wildcard_only.covers("example.com"));
-        assert!(wildcard_only.covers("www.example.com"));
-        assert!(!wildcard_only.covers("a.b.example.com"));
-        assert!(!wildcard_only.covers(".example.com"));
-        assert!(!wildcard_only.covers("xexample.com"));
-    }
-
-    #[test]
-    fn apex_coverage_requires_explicit_apex_san() {
-        let both = CertInfo::for_domain("example.com", "SimCA");
-        assert!(both.sans.iter().any(|s| s == "example.com"));
-        let mut wildcard_only = both.clone();
-        wildcard_only.sans.retain(|s| s.starts_with("*."));
-        assert!(both.covers("example.com"));
-        assert!(!wildcard_only.covers("example.com"));
-    }
-
-    #[test]
     fn attr_index_matches_direct_lookups() {
         let mut db = NetDb::new();
         let a = ip("203.0.113.5");
@@ -453,7 +382,7 @@ mod tests {
         db.set_http(b, HttpProfile::parking());
         let mut idx = AttrIndex::default();
         idx.absorb([a, b, a, ip("8.8.8.8")].map(|ip| (ip, AttrIndex::resolve(&db, ip))));
-        assert_eq!(idx.len(), 3, "duplicates collapse");
+        assert_eq!(idx.map.len(), 3, "duplicates collapse");
         assert!(idx.contains(a) && idx.contains(b) && idx.contains(ip("8.8.8.8")));
         let got = idx.get_or_resolve(&db, a);
         assert_eq!(got.asn, Some(64500));
@@ -503,7 +432,7 @@ mod tests {
         let info = db.lookup(a);
         assert_eq!(info.asn.unwrap().asn, 64500);
         assert_eq!(info.geo.unwrap().country_str(), "DE");
-        assert!(info.cert.unwrap().covers("example.de"));
+        assert_eq!(info.cert, Some(CertInfo::for_domain("example.de", "SimCA")));
         assert_eq!(info.http.unwrap().kind, PageKind::Normal);
         let empty = db.lookup(ip("8.8.8.8"));
         assert!(empty.asn.is_none() && empty.geo.is_none());

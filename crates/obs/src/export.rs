@@ -35,7 +35,7 @@ fn json_u64_list(vals: &[u64]) -> String {
 /// object per line, metrics first (name order), then events (sequence
 /// order). Every line is a complete JSON object with a `"record"`
 /// discriminator of `"metric"` or `"event"`.
-pub fn render_jsonl(snapshot: &MetricsSnapshot, events: &[ObsEvent]) -> String {
+pub(crate) fn render_jsonl(snapshot: &MetricsSnapshot, events: &[ObsEvent]) -> String {
     let mut out = String::new();
     for m in &snapshot.entries {
         let head = format!(

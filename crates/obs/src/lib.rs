@@ -10,13 +10,14 @@
 //! - dual-clock [`StageSpan`]s that record a stage's simulated and
 //!   wall-clock durations into segregated metrics;
 //! - a bounded [`EventSink`] ring buffer for discrete events, exported as
-//!   JSONL ([`render_jsonl`]) or Prometheus text ([`render_prometheus`]).
+//!   JSONL ([`Obs::to_jsonl`]) or Prometheus text ([`render_prometheus`]).
 //!
 //! Observability is strictly opt-in: pipeline layers carry an
 //! `Option<Arc<Obs>>` and the disabled path is a branch on `None` — no
 //! registry, no atomics, no allocation.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod export;
@@ -24,7 +25,8 @@ mod metrics;
 mod sink;
 mod span;
 
-pub use export::{render_jsonl, render_prometheus};
+use export::render_jsonl;
+pub use export::render_prometheus;
 pub use metrics::{
     Class, Counter, Gauge, Histogram, HistogramData, MetricData, MetricShard, MetricValue,
     MetricsRegistry, MetricsSnapshot,
@@ -53,7 +55,7 @@ impl std::fmt::Debug for Obs {
 
 impl Obs {
     /// A fresh hub with a default-capacity sink.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Obs::default()
     }
 

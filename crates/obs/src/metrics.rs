@@ -30,7 +30,7 @@ use std::sync::{Arc, RwLock};
 pub enum Class {
     /// Derived from the simulated world only: bit-identical across worker
     /// counts, batch sizes, and executor strategies for the same
-    /// world/seed. Included in [`MetricsSnapshot::sim_hash`].
+    /// world/seed. Included in [`MetricsRegistry::sim_hash`].
     Sim,
     /// Wall-clock performance measurement: depends on the host machine and
     /// thread scheduling. Never part of the deterministic snapshot.
@@ -78,13 +78,8 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Add a (possibly negative) delta.
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -126,28 +121,18 @@ impl Histogram {
     }
 
     /// Number of observations so far.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all observed values.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.0.sum.load(Ordering::Relaxed)
     }
 
     /// Largest observed value (0 when empty).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.0.max.load(Ordering::Relaxed)
-    }
-
-    /// Mean observed value (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
     }
 }
 
@@ -327,7 +312,7 @@ impl MetricShard {
     }
 
     /// Add `n` to the shard counter `name`.
-    pub fn add(&mut self, name: &'static str, n: u64) {
+    pub(crate) fn add(&mut self, name: &'static str, n: u64) {
         *self.counters.entry(name).or_insert(0) += n;
     }
 
@@ -335,20 +320,15 @@ impl MetricShard {
     pub fn inc(&mut self, name: &'static str) {
         self.add(name, 1);
     }
-
-    /// Whether the shard holds no increments.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
 }
 
 /// Exported value of one histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramData {
     /// Finite bucket upper bounds (the `+Inf` bucket is implicit).
-    pub bounds: Vec<u64>,
+    pub(crate) bounds: Vec<u64>,
     /// Non-cumulative per-bucket counts; `len == bounds.len() + 1`.
-    pub buckets: Vec<u64>,
+    pub(crate) buckets: Vec<u64>,
     /// Total observations.
     pub count: u64,
     /// Sum of observed values.
@@ -398,7 +378,7 @@ impl MetricsSnapshot {
     /// Deterministic fingerprint of the sim-class metrics: identical for
     /// two runs iff they produced the same sim metrics, values, and
     /// histogram layouts. Wall-clock metrics never contribute.
-    pub fn sim_hash(&self) -> u64 {
+    pub(crate) fn sim_hash(&self) -> u64 {
         let mut h = DefaultHasher::new();
         for m in self.sim_only() {
             m.name.hash(&mut h);
@@ -425,7 +405,7 @@ impl MetricsSnapshot {
     }
 
     /// Look up a metric by name.
-    pub fn get(&self, name: &str) -> Option<&MetricValue> {
+    pub(crate) fn get(&self, name: &str) -> Option<&MetricValue> {
         self.entries
             .binary_search_by(|m| m.name.as_str().cmp(name))
             .ok()
@@ -436,14 +416,6 @@ impl MetricsSnapshot {
     pub fn counter(&self, name: &str) -> Option<u64> {
         match self.get(name)?.data {
             MetricData::Counter(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Histogram contents by name, if present and a histogram.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramData> {
-        match &self.get(name)?.data {
-            MetricData::Histogram(d) => Some(d),
             _ => None,
         }
     }
@@ -465,8 +437,7 @@ mod tests {
         assert_eq!(reg.counter_value("c"), Some(5));
         let g = reg.gauge("g", Class::Wall);
         g.set(7);
-        g.add(-2);
-        assert_eq!(g.get(), 5);
+        assert_eq!(g.get(), 7);
         assert_eq!(reg.counter_value("g"), None);
     }
 
@@ -481,7 +452,9 @@ mod tests {
         assert_eq!(h.sum(), 1022);
         assert_eq!(h.max(), 1000);
         let snap = reg.snapshot();
-        let d = snap.histogram("h").unwrap();
+        let Some(MetricData::Histogram(d)) = snap.get("h").map(|m| &m.data) else {
+            panic!("h is a histogram");
+        };
         assert_eq!(d.buckets, vec![2, 1, 1]); // <=10, <=100, +Inf
     }
 

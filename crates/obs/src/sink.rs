@@ -16,22 +16,21 @@ pub const DEFAULT_SINK_CAPACITY: usize = 4096;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsEvent {
     /// Monotonic sequence number (0-based, assigned by the sink).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Simulated timestamp in microseconds, when the event has one.
-    pub sim_us: Option<u64>,
+    pub(crate) sim_us: Option<u64>,
     /// Event kind, e.g. `"span"`, `"quarantine"`, `"release"`.
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
     /// Event subject, e.g. a span name or a nameserver address.
-    pub name: String,
+    pub(crate) name: String,
     /// Free-form detail (kind-specific).
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 #[derive(Debug, Default)]
 struct SinkState {
     events: VecDeque<ObsEvent>,
     next_seq: u64,
-    dropped: u64,
 }
 
 /// A bounded, thread-safe event buffer with evict-oldest overflow.
@@ -49,7 +48,7 @@ impl Default for EventSink {
 
 impl EventSink {
     /// A sink holding at most `capacity` events (minimum 1).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         EventSink {
             capacity: capacity.max(1),
             state: Mutex::new(SinkState::default()),
@@ -63,7 +62,6 @@ impl EventSink {
         st.next_seq += 1;
         if st.events.len() == self.capacity {
             st.events.pop_front();
-            st.dropped += 1;
         }
         st.events.push_back(ObsEvent {
             seq,
@@ -75,7 +73,7 @@ impl EventSink {
     }
 
     /// Copy of the buffered events, oldest first.
-    pub fn events(&self) -> Vec<ObsEvent> {
+    pub(crate) fn events(&self) -> Vec<ObsEvent> {
         self.state
             .lock()
             .expect("sink lock")
@@ -85,13 +83,8 @@ impl EventSink {
             .collect()
     }
 
-    /// Number of events evicted due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.state.lock().expect("sink lock").dropped
-    }
-
     /// Total events ever pushed (buffered + evicted).
-    pub fn total_pushed(&self) -> u64 {
+    pub(crate) fn total_pushed(&self) -> u64 {
         self.state.lock().expect("sink lock").next_seq
     }
 }
@@ -110,7 +103,7 @@ mod tests {
         assert_eq!(ev[0].seq, 0);
         assert_eq!(ev[0].sim_us, Some(42));
         assert_eq!(ev[1].kind, "quarantine");
-        assert_eq!(sink.dropped(), 0);
+        assert_eq!(sink.total_pushed(), 2);
     }
 
     #[test]
@@ -123,7 +116,6 @@ mod tests {
         assert_eq!(ev.len(), 3);
         // Oldest two evicted; survivors keep their original sequence.
         assert_eq!(ev.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![2, 3, 4]);
-        assert_eq!(sink.dropped(), 2);
         assert_eq!(sink.total_pushed(), 5);
     }
 }

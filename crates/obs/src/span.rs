@@ -35,11 +35,6 @@ impl StageSpan {
         }
     }
 
-    /// Stage name this span measures.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Close the span: record sim and wall durations into `obs`'s registry
     /// and append a span event to its sink. `sim_now_us` is the simulated
     /// clock at stage exit; stages that never advance the simulated clock

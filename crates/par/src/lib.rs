@@ -11,16 +11,17 @@
 //! argument trivial rather than probabilistic.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod stream;
 
-pub use stream::{sharded_ordered_fold, BatchChannel};
+pub use stream::sharded_ordered_fold;
 
 use std::num::NonZeroUsize;
 
 /// Environment variable overriding the automatic thread count.
-pub const PARALLELISM_ENV: &str = "URHUNTER_PARALLELISM";
+pub(crate) const PARALLELISM_ENV: &str = "URHUNTER_PARALLELISM";
 
 /// A resolved worker-thread count.
 ///
@@ -47,7 +48,7 @@ impl Parallelism {
     }
 
     /// Exactly `n` workers (clamped up to 1).
-    pub fn fixed(n: usize) -> Self {
+    pub(crate) fn fixed(n: usize) -> Self {
         Parallelism(NonZeroUsize::new(n.max(1)).expect("max(1) is nonzero"))
     }
 

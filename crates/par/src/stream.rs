@@ -28,7 +28,7 @@ use std::sync::{Condvar, Mutex};
 /// a receiver drains a slot, which is the backpressure that keeps the
 /// streaming pipeline's memory bounded.
 #[derive(Debug)]
-pub struct BatchChannel<T> {
+pub(crate) struct BatchChannel<T> {
     state: Mutex<ChannelState<T>>,
     not_full: Condvar,
     not_empty: Condvar,
@@ -43,7 +43,7 @@ struct ChannelState<T> {
 
 impl<T> BatchChannel<T> {
     /// A channel holding at most `capacity` batches (clamped up to 1).
-    pub fn bounded(capacity: usize) -> Self {
+    pub(crate) fn bounded(capacity: usize) -> Self {
         BatchChannel {
             state: Mutex::new(ChannelState {
                 queue: VecDeque::new(),
@@ -59,7 +59,7 @@ impl<T> BatchChannel<T> {
     ///
     /// Returns `false` when the channel was closed (the batch is dropped)
     /// — senders treat that as "the consumer is gone" and wind down.
-    pub fn send(&self, seq: u64, batch: T) -> bool {
+    pub(crate) fn send(&self, seq: u64, batch: T) -> bool {
         let mut st = self.state.lock().expect("channel lock");
         while st.queue.len() >= self.capacity && !st.closed {
             st = self.not_full.wait(st).expect("channel lock");
@@ -75,7 +75,7 @@ impl<T> BatchChannel<T> {
 
     /// Dequeue the oldest batch, blocking while the channel is empty and
     /// open. `None` means closed *and* drained: no batch will ever follow.
-    pub fn recv(&self) -> Option<(u64, T)> {
+    pub(crate) fn recv(&self) -> Option<(u64, T)> {
         let mut st = self.state.lock().expect("channel lock");
         loop {
             if let Some(pair) = st.queue.pop_front() {
@@ -92,7 +92,7 @@ impl<T> BatchChannel<T> {
 
     /// Close the channel and wake every blocked sender and receiver.
     /// Already-queued batches remain receivable; further sends are dropped.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut st = self.state.lock().expect("channel lock");
         st.closed = true;
         drop(st);

@@ -12,6 +12,7 @@
 //! correct record, not an abuse.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 use dnswire::{Name, RData, RecordType};
@@ -28,24 +29,23 @@ pub const SIX_YEARS_DAYS: u32 = 2_190;
 /// One historical observation: `domain` resolved to `rdata` (through the
 /// then-delegated infrastructure) between `first_seen` and `last_seen`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistoricalRecord {
+pub(crate) struct HistoricalRecord {
     /// The owner name observed.
-    pub domain: Name,
+    pub(crate) domain: Name,
     /// Record type observed.
-    pub rtype: RecordType,
+    pub(crate) rtype: RecordType,
     /// The observed data.
-    pub rdata: RData,
+    pub(crate) rdata: RData,
     /// First observation day.
-    pub first_seen: Day,
+    pub(crate) first_seen: Day,
     /// Last observation day.
-    pub last_seen: Day,
+    pub(crate) last_seen: Day,
 }
 
 /// The passive-DNS store.
 #[derive(Debug, Default)]
 pub struct PassiveDns {
     by_domain: HashMap<InternedName, Vec<HistoricalRecord>>,
-    total: usize,
 }
 
 impl PassiveDns {
@@ -68,7 +68,6 @@ impl PassiveDns {
         last_seen: Day,
     ) {
         assert!(first_seen <= last_seen, "inverted observation interval");
-        self.total += 1;
         self.by_domain
             .entry(InternedName::intern(&domain))
             .or_default()
@@ -98,17 +97,6 @@ impl PassiveDns {
             .filter(move |r| Self::in_window(r, today, window))
     }
 
-    /// All observations for `domain` whose lifetime intersects
-    /// `[today - window, today]`.
-    pub fn history(
-        &self,
-        domain: &InternedName,
-        today: Day,
-        window: u32,
-    ) -> Vec<&HistoricalRecord> {
-        self.windowed(domain, today, window).collect()
-    }
-
     /// Appendix-B condition 5: was `rdata` ever observed for `domain`
     /// (of the same type) within the window?
     pub fn contains(
@@ -121,21 +109,6 @@ impl PassiveDns {
     ) -> bool {
         self.windowed(domain, today, window)
             .any(|r| r.rtype == rtype && &r.rdata == rdata)
-    }
-
-    /// Number of observations stored.
-    pub fn len(&self) -> usize {
-        self.total
-    }
-
-    /// True when no observations exist.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Number of distinct domains with history.
-    pub fn domain_count(&self) -> usize {
-        self.by_domain.len()
     }
 
     /// Recover the subdomains of `apex` observed within the window — the
@@ -257,10 +230,9 @@ mod tests {
             250,
             400,
         );
-        let h = p.history(&i("d.com"), 300, 150);
-        assert_eq!(h.len(), 2);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.domain_count(), 1);
+        assert_eq!(p.windowed(&i("d.com"), 300, 150).count(), 2);
+        assert_eq!(p.by_domain.values().map(Vec::len).sum::<usize>(), 3);
+        assert_eq!(p.by_domain.len(), 1);
     }
 
     #[test]

@@ -6,11 +6,11 @@ use std::collections::HashMap;
 
 /// A cached resolution outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachedAnswer {
+pub(crate) struct CachedAnswer {
     /// The response code (NOERROR or NXDOMAIN).
-    pub rcode: Rcode,
+    pub(crate) rcode: Rcode,
     /// Answer records (empty for negative entries).
-    pub records: Vec<Record>,
+    pub(crate) records: Vec<Record>,
 }
 
 #[derive(Debug)]
@@ -21,10 +21,8 @@ struct Entry {
 
 /// Resolver cache keyed by `(qname, qtype)`.
 #[derive(Debug, Default)]
-pub struct Cache {
+pub(crate) struct Cache {
     entries: HashMap<(Name, RecordType), Entry>,
-    hits: u64,
-    misses: u64,
 }
 
 /// TTL floor applied to every entry so zero-TTL records do not thrash.
@@ -36,26 +34,25 @@ const DEFAULT_NEGATIVE_TTL: u64 = 300;
 
 impl Cache {
     /// An empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Cache::default()
     }
 
     /// Look up a fresh entry.
-    pub fn get(&mut self, now: SimTime, qname: &Name, qtype: RecordType) -> Option<CachedAnswer> {
+    pub(crate) fn get(
+        &self,
+        now: SimTime,
+        qname: &Name,
+        qtype: RecordType,
+    ) -> Option<CachedAnswer> {
         match self.entries.get(&(qname.clone(), qtype)) {
-            Some(e) if e.expires > now => {
-                self.hits += 1;
-                Some(e.answer.clone())
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
+            Some(e) if e.expires > now => Some(e.answer.clone()),
+            _ => None,
         }
     }
 
     /// Insert a positive answer; TTL is the minimum record TTL, clamped.
-    pub fn put_positive(
+    pub(crate) fn put_positive(
         &mut self,
         now: SimTime,
         qname: Name,
@@ -81,7 +78,7 @@ impl Cache {
     }
 
     /// Insert a negative answer (NXDOMAIN or NODATA).
-    pub fn put_negative(
+    pub(crate) fn put_negative(
         &mut self,
         now: SimTime,
         qname: Name,
@@ -100,26 +97,6 @@ impl Cache {
                 },
             },
         );
-    }
-
-    /// Hit/miss counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Entries currently stored (fresh or stale).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Evict expired entries.
-    pub fn sweep(&mut self, now: SimTime) {
-        self.entries.retain(|_, e| e.expires > now);
     }
 }
 
@@ -148,7 +125,6 @@ mod tests {
         assert!(c
             .get(t0 + SimDuration::from_secs(61), &n("a.com"), RecordType::A)
             .is_none());
-        assert_eq!(c.stats(), (1, 1));
     }
 
     #[test]
@@ -214,14 +190,5 @@ mod tests {
         let mut c = Cache::new();
         c.put_positive(SimTime::ZERO, n("a.com"), RecordType::A, vec![rec(60)]);
         assert!(c.get(SimTime::ZERO, &n("a.com"), RecordType::Txt).is_none());
-    }
-
-    #[test]
-    fn sweep_removes_stale() {
-        let mut c = Cache::new();
-        c.put_positive(SimTime::ZERO, n("a.com"), RecordType::A, vec![rec(10)]);
-        c.put_positive(SimTime::ZERO, n("b.com"), RecordType::A, vec![rec(1000)]);
-        c.sweep(SimTime::ZERO + SimDuration::from_secs(100));
-        assert_eq!(c.len(), 1);
     }
 }

@@ -16,10 +16,10 @@
 //! exclusion baseline for deciding which undelegated records are suspicious.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod cache;
 mod resolver;
 
-pub use cache::{Cache, CachedAnswer};
 pub use resolver::{Manipulation, RecursorNode};

@@ -75,7 +75,7 @@ pub struct RecursorNode {
     response_rate: f64,
     rng: StdRng,
     /// Count of answered client queries (stats for tests/reports).
-    pub answered: u64,
+    pub(crate) answered: u64,
 }
 
 impl RecursorNode {

@@ -34,14 +34,6 @@ impl Default for LatencyModel {
 }
 
 impl LatencyModel {
-    /// Zero-latency model (events still order deterministically by seq).
-    pub fn instant() -> Self {
-        LatencyModel {
-            base: SimDuration::ZERO,
-            per_pair_spread_us: 0,
-        }
-    }
-
     /// One-way delay for a (src, dst) pair.
     pub fn delay(&self, src: Ipv4Addr, dst: Ipv4Addr) -> SimDuration {
         if self.per_pair_spread_us == 0 {
@@ -64,11 +56,11 @@ pub struct NetStats {
     /// Datagrams dropped by fault injection or size limit.
     pub dropped: u64,
     /// Datagrams delivered with an injected corruption.
-    pub corrupted: u64,
+    pub(crate) corrupted: u64,
     /// Datagrams addressed to an IP with no node or external registration.
     pub no_route: u64,
     /// Total payload bytes delivered.
-    pub bytes_delivered: u64,
+    pub(crate) bytes_delivered: u64,
     /// Events processed by the run loop.
     pub events: u64,
 }
@@ -320,14 +312,6 @@ impl Network {
         self.external.entry(ip).or_default();
     }
 
-    /// Drain the inbox of an external endpoint.
-    pub fn take_inbox(&mut self, ip: Ipv4Addr) -> Vec<Datagram> {
-        self.external
-            .get_mut(&ip)
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
     /// Empty the inbox of `ip` in place (it keeps its capacity for the next
     /// delivery), returning the payload of the first datagram `wanted`
     /// accepts and recycling every other one.
@@ -345,7 +329,7 @@ impl Network {
     }
 
     /// Inject a datagram into the fabric (from an external sender).
-    pub fn send(&mut self, dgram: Datagram) {
+    pub(crate) fn send(&mut self, dgram: Datagram) {
         self.enqueue_send(SimDuration::ZERO, dgram);
     }
 
@@ -421,7 +405,7 @@ impl Network {
 
     /// Process events until the queue is empty or `max_events` is reached.
     /// Returns the number of events processed.
-    pub fn run_until_idle(&mut self, max_events: u64) -> u64 {
+    pub(crate) fn run_until_idle(&mut self, max_events: u64) -> u64 {
         let mut n = 0;
         while n < max_events {
             if !self.step() {
@@ -449,7 +433,7 @@ impl Network {
     }
 
     /// Process a single event. Returns false when the queue is empty.
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         let Some(Reverse(ev)) = self.queue.pop() else {
             return false;
         };
@@ -592,6 +576,14 @@ impl Network {
 mod tests {
     use super::*;
     use crate::node::Proto;
+
+    /// Drain the inbox of an external endpoint.
+    fn take_inbox(net: &mut Network, ip: Ipv4Addr) -> Vec<Datagram> {
+        net.external
+            .get_mut(&ip)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
 
     #[test]
     fn net_stats_sum_covers_every_field() {
@@ -751,7 +743,7 @@ mod tests {
             vec![b'x'],
         ));
         net.settle();
-        let got = net.take_inbox(ip(4));
+        let got = take_inbox(&mut net, ip(4));
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].payload, b"xhh");
     }
@@ -820,7 +812,7 @@ mod tests {
             vec![0u8; 8],
         ));
         net.settle();
-        let got = net.take_inbox(ip(4));
+        let got = take_inbox(&mut net, ip(4));
         assert_eq!(got.len(), 1);
         assert_ne!(got[0].payload, vec![0u8; 8]);
         assert_eq!(net.stats().corrupted, 1);
@@ -854,7 +846,7 @@ mod tests {
             vec![2],
         ));
         net.settle();
-        assert_eq!(net.take_inbox(ip(4)).len(), 1);
+        assert_eq!(take_inbox(&mut net, ip(4)).len(), 1);
     }
 
     /// In per-flow mode, one flow's fate sequence must not depend on how
@@ -879,11 +871,11 @@ mod tests {
                 vec![i],
             ));
             net.settle();
-            let now = net.take_inbox(ip(4)).len();
+            let now = take_inbox(&mut net, ip(4)).len();
             fates.push(now > delivered_before || now > 0);
             delivered_before = now;
-            net.take_inbox(ip(4));
-            net.take_inbox(ip(5));
+            take_inbox(&mut net, ip(4));
+            take_inbox(&mut net, ip(5));
         }
         fates
     }
@@ -909,7 +901,7 @@ mod tests {
             ));
         }
         net.settle();
-        let got = net.take_inbox(ip(4)).len();
+        let got = take_inbox(&mut net, ip(4)).len();
         assert!(got > 0 && got < 64, "delivered {got}/64");
         assert_eq!(net.stats().dropped as usize, 64 - got);
     }

@@ -12,20 +12,20 @@ use rand::RngExt;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Probability in `[0, 1]` that a datagram is silently dropped.
-    pub drop_chance: f64,
+    pub(crate) drop_chance: f64,
     /// Probability in `[0, 1]` that one payload octet is flipped.
-    pub corrupt_chance: f64,
+    pub(crate) corrupt_chance: f64,
     /// Probability in `[0, 1]` that a datagram is delivered twice.
-    pub duplicate_chance: f64,
+    pub(crate) duplicate_chance: f64,
     /// Datagrams with payloads larger than this are dropped (0 = no limit).
-    pub size_limit: usize,
+    pub(crate) size_limit: usize,
     /// Schedule faults per `(src, dst)` flow instead of from the fabric's
     /// global RNG stream: the n-th datagram of a flow always meets the same
     /// fate for a given fabric seed, no matter how traffic on *other* flows
     /// interleaves. This makes loss patterns comparable across runs that
     /// differ only in retry policy — a retransmission draws a fresh
     /// per-flow decision without shifting any other flow's lottery.
-    pub per_flow: bool,
+    pub(crate) per_flow: bool,
 }
 
 impl Default for FaultPlan {
@@ -54,8 +54,9 @@ impl FaultPlan {
         }
     }
 
-    /// Switch this plan to per-flow fault scheduling (see
-    /// [`FaultPlan::per_flow`]).
+    /// Switch this plan to per-flow fault scheduling: the n-th datagram of
+    /// a `(src, dst)` flow always meets the same fate for a given fabric
+    /// seed, however traffic on other flows interleaves.
     pub fn scheduled_per_flow(mut self) -> Self {
         self.per_flow = true;
         self

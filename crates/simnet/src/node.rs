@@ -110,11 +110,6 @@ impl Actions {
         self.sends.push((SimDuration::ZERO, dgram));
     }
 
-    /// Send a datagram after an additional local delay (e.g. think time).
-    pub fn send_after(&mut self, delay: SimDuration, dgram: Datagram) {
-        self.sends.push((delay, dgram));
-    }
-
     /// Arm a timer that fires back into this node after `delay` with `token`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.timers.push((delay, token));
@@ -168,10 +163,9 @@ mod tests {
         let b = Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 2);
         let mut acts = Actions::default();
         acts.send(Datagram::udp(a, b, vec![]));
-        acts.send_after(SimDuration::from_millis(5), Datagram::tcp(a, b, vec![]));
         acts.set_timer(SimDuration::from_secs(1), 42);
-        assert_eq!(acts.sends.len(), 2);
-        assert_eq!(acts.sends[1].0, SimDuration::from_millis(5));
+        assert_eq!(acts.sends.len(), 1);
+        assert_eq!(acts.sends[0].0, SimDuration::ZERO);
         assert_eq!(acts.timers, vec![(SimDuration::from_secs(1), 42)]);
     }
 

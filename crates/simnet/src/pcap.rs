@@ -22,7 +22,7 @@ fn push_u32_le(buf: &mut Vec<u8>, v: u32) {
 }
 
 /// Build the 24-byte pcap global header.
-pub fn global_header() -> Vec<u8> {
+pub(crate) fn global_header() -> Vec<u8> {
     let mut h = Vec::with_capacity(24);
     push_u32_le(&mut h, PCAP_MAGIC);
     h.extend_from_slice(&2u16.to_le_bytes()); // major
@@ -36,7 +36,7 @@ pub fn global_header() -> Vec<u8> {
 
 /// Synthesize an IPv4 packet (header + transport header + payload) for a
 /// captured flow. Checksums are zero (valid for offline inspection).
-pub fn synthesize_packet(flow: &FlowRecord) -> Vec<u8> {
+pub(crate) fn synthesize_packet(flow: &FlowRecord) -> Vec<u8> {
     let transport_len = match flow.proto {
         Proto::Udp => 8,
         Proto::Tcp => 20,

@@ -24,7 +24,7 @@ impl SimTime {
     }
 
     /// Seconds since the epoch, as a float (for reporting only).
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
@@ -58,19 +58,9 @@ impl SimDuration {
         self.0
     }
 
-    /// Milliseconds in this span (truncating).
-    pub fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds as a float (for reporting only).
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Scale by an integer factor, saturating.
-    pub fn saturating_mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(k))
     }
 }
 
@@ -132,7 +122,6 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert_eq!(SimDuration::from_secs(2).as_millis(), 2000);
         assert_eq!(SimDuration::from_millis(3).as_micros(), 3000);
         assert!((SimTime(2_500_000).as_secs_f64() - 2.5).abs() < 1e-9);
     }
@@ -147,10 +136,6 @@ mod tests {
     fn saturating_behaviour() {
         let max = SimTime(u64::MAX);
         assert_eq!(max + SimDuration::from_secs(1), max);
-        assert_eq!(
-            SimDuration(u64::MAX).saturating_mul(2),
-            SimDuration(u64::MAX)
-        );
     }
 
     #[test]

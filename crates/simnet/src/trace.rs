@@ -63,7 +63,7 @@ pub struct FlowLog {
 
 impl FlowLog {
     /// A capture that retains full payloads.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FlowLog {
             records: Vec::new(),
             enabled: true,
@@ -71,24 +71,10 @@ impl FlowLog {
         }
     }
 
-    /// A disabled capture (zero overhead beyond the branch).
-    pub fn disabled() -> Self {
-        FlowLog {
-            records: Vec::new(),
-            enabled: false,
-            payload_cap: 0,
-        }
-    }
-
     /// Limit retained payload bytes per record.
-    pub fn with_payload_cap(mut self, cap: usize) -> Self {
+    pub(crate) fn with_payload_cap(mut self, cap: usize) -> Self {
         self.payload_cap = cap;
         self
-    }
-
-    /// Whether capture is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Toggle capture. Large scans disable capture (nothing inspects their
@@ -98,7 +84,7 @@ impl FlowLog {
     }
 
     /// Record one datagram.
-    pub fn record(&mut self, at: SimTime, dgram: &Datagram, disposition: Disposition) {
+    pub(crate) fn record(&mut self, at: SimTime, dgram: &Datagram, disposition: Disposition) {
         if !self.enabled {
             return;
         }
@@ -136,11 +122,6 @@ impl FlowLog {
     pub fn clear(&mut self) {
         self.records.clear();
     }
-
-    /// Records sent to a given destination IP.
-    pub fn to_ip(&self, ip: std::net::Ipv4Addr) -> impl Iterator<Item = &FlowRecord> {
-        self.records.iter().filter(move |r| r.dst.ip == ip)
-    }
 }
 
 #[cfg(test)]
@@ -162,17 +143,18 @@ mod tests {
         log.record(SimTime(1), &dgram(10), Disposition::Delivered);
         log.record(SimTime(2), &dgram(20), Disposition::Dropped);
         assert_eq!(log.len(), 2);
-        assert_eq!(log.to_ip(Ipv4Addr::new(10, 0, 0, 2)).count(), 2);
-        assert_eq!(log.to_ip(Ipv4Addr::new(10, 0, 0, 9)).count(), 0);
+        let to = |ip: Ipv4Addr| log.records().iter().filter(|r| r.dst.ip == ip).count();
+        assert_eq!(to(Ipv4Addr::new(10, 0, 0, 2)), 2);
+        assert_eq!(to(Ipv4Addr::new(10, 0, 0, 9)), 0);
         assert_eq!(log.records()[0].len, 10);
     }
 
     #[test]
     fn disabled_log_records_nothing() {
-        let mut log = FlowLog::disabled();
+        let mut log = FlowLog::new();
+        log.set_enabled(false);
         log.record(SimTime(1), &dgram(10), Disposition::Delivered);
         assert!(log.is_empty());
-        assert!(!log.is_enabled());
     }
 
     #[test]

@@ -47,38 +47,38 @@ pub struct PlantedUr {
 }
 
 /// Parameters for one campaign-planting run.
-pub struct AttackerPlan<'a> {
+pub(crate) struct AttackerPlan<'a> {
     /// Seeded RNG (owned by the caller for global determinism).
-    pub rng: &'a mut StdRng,
+    pub(crate) rng: &'a mut StdRng,
     /// The ranked target list.
-    pub tranco: &'a TrancoList,
+    pub(crate) tranco: &'a TrancoList,
     /// Provider handles.
-    pub providers: &'a [Rc<RefCell<HostingProvider>>],
+    pub(crate) providers: &'a [Rc<RefCell<HostingProvider>>],
     /// Popularity weight per provider (hosted-site counts): attackers
     /// prefer reputable, widely-used providers.
-    pub provider_weights: &'a [u64],
+    pub(crate) provider_weights: &'a [u64],
     /// Metadata database to register C2 infrastructure in.
-    pub db: &'a mut NetDb,
+    pub(crate) db: &'a mut NetDb,
     /// Vendor feeds to flag C2s in.
-    pub vendors: &'a mut [VendorFeed],
+    pub(crate) vendors: &'a mut [VendorFeed],
     /// Sample sink.
-    pub samples: &'a mut Vec<MalwareSample>,
+    pub(crate) samples: &'a mut Vec<MalwareSample>,
     /// Campaign count.
-    pub campaigns: usize,
+    pub(crate) campaigns: usize,
     /// Offset added to campaign indices (keeps C2 address blocks and
     /// sample names unique across evolution epochs).
-    pub campaign_offset: usize,
+    pub(crate) campaign_offset: usize,
     /// Fraction of campaigns detectable at all.
-    pub malicious_fraction: f64,
+    pub(crate) malicious_fraction: f64,
     /// Of detectable: label-only fraction.
-    pub label_only_fraction: f64,
+    pub(crate) label_only_fraction: f64,
     /// Of detectable: IDS-only fraction.
-    pub ids_only_fraction: f64,
+    pub(crate) ids_only_fraction: f64,
 }
 
 /// Sample a per-IP vendor flag count following Fig. 3(b)'s shape
 /// (1-2: 77.9%, 3-4: 16.3%, 5-6: 2.0%, 7-11: 3.8%).
-pub fn sample_vendor_count(rng: &mut StdRng, max: usize) -> usize {
+pub(crate) fn sample_vendor_count(rng: &mut StdRng, max: usize) -> usize {
     let roll: f64 = rng.random_range(0.0..1.0);
     let count: usize = if roll < 0.779 {
         rng.random_range(1..=2)
@@ -94,7 +94,7 @@ pub fn sample_vendor_count(rng: &mut StdRng, max: usize) -> usize {
 
 /// Sample vendor tags following Fig. 3(d)'s marginal prevalences
 /// (Trojan 89%, Scanner 41%, Other 33%, Malware 19%, C&C 16%, Botnet 10%).
-pub fn sample_tags(rng: &mut StdRng) -> Vec<ThreatTag> {
+pub(crate) fn sample_tags(rng: &mut StdRng) -> Vec<ThreatTag> {
     let mut tags = Vec::new();
     for (tag, p) in [
         (ThreatTag::Trojan, 0.89),
@@ -137,7 +137,7 @@ fn pick_marker(rng: &mut StdRng) -> &'static [u8] {
 }
 
 /// Plant all campaigns. Returns the ground-truth list of planted URs.
-pub fn plant_campaigns(plan: &mut AttackerPlan<'_>) -> Vec<PlantedUr> {
+pub(crate) fn plant_campaigns(plan: &mut AttackerPlan<'_>) -> Vec<PlantedUr> {
     let mut planted = Vec::new();
     let top = plan.tranco.len();
     for c in 0..plan.campaigns {

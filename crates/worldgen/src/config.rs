@@ -17,34 +17,34 @@ pub struct WorldConfig {
     /// providers overall).
     pub synthetic_providers: usize,
     /// Nameservers per synthetic provider (inclusive range).
-    pub ns_per_synthetic: (usize, usize),
+    pub(crate) ns_per_synthetic: (usize, usize),
     /// Open resolvers world-wide (paper: 3K selected).
     pub open_resolvers: usize,
     /// Fraction of open resolvers that are unstable (sometimes silent).
-    pub unstable_resolver_fraction: f64,
+    pub(crate) unstable_resolver_fraction: f64,
     /// Fraction of open resolvers that manipulate A answers.
-    pub manipulated_resolver_fraction: f64,
+    pub(crate) manipulated_resolver_fraction: f64,
     /// Attacker campaigns planting URs.
     pub attack_campaigns: usize,
     /// Fraction of campaigns whose C2s are detectable as malicious (the
     /// paper finds 25.41% of suspicious URs malicious).
-    pub malicious_campaign_fraction: f64,
+    pub(crate) malicious_campaign_fraction: f64,
     /// Among detectable campaigns: fraction labeled by vendors only
     /// (Fig. 3a: 34.20%).
-    pub label_only_fraction: f64,
+    pub(crate) label_only_fraction: f64,
     /// Among detectable campaigns: fraction caught by IDS only
     /// (Fig. 3a: 36.62%); the remainder is "both".
-    pub ids_only_fraction: f64,
+    pub(crate) ids_only_fraction: f64,
     /// Benign misconfiguration URs (classified "unknown").
-    pub benign_misconfig_urs: usize,
+    pub(crate) benign_misconfig_urs: usize,
     /// Stale zones left from past delegations (excluded via passive DNS).
-    pub past_delegation_urs: usize,
+    pub(crate) past_delegation_urs: usize,
     /// URs pointing at parking pages (excluded via HTTP keywords).
-    pub parked_urs: usize,
+    pub(crate) parked_urs: usize,
     /// Misconfigured nameservers that answer any query by recursion.
-    pub misconfigured_recursive_ns: usize,
+    pub(crate) misconfigured_recursive_ns: usize,
     /// Fraction of top domains hosted at providers (vs. self-hosted).
-    pub provider_hosted_fraction: f64,
+    pub(crate) provider_hosted_fraction: f64,
     /// "Today" on the passive-DNS day axis.
     pub today: Day,
     /// Exact nameserver-inventory size for stream-generated worlds

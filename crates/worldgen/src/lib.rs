@@ -20,6 +20,7 @@
 //! * vendor feeds, the IDS ruleset and the sandbox configuration.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod attacker;
@@ -30,10 +31,11 @@ mod stream;
 mod tranco;
 mod world;
 
-pub use attacker::{sample_tags, sample_vendor_count, shuffle, DetectionClass, PlantedUr};
+pub use attacker::{shuffle, DetectionClass, PlantedUr};
 pub use config::WorldConfig;
-pub use providers::{named_providers, synthetic_providers, ProviderSpec};
-pub use psl::PublicSuffixList;
+pub use providers::{synthetic_providers, ProviderSpec};
 pub use stream::{LegitSite, StreamWorld};
-pub use tranco::{TrancoList, CASE_STUDY_DOMAINS};
+
+pub use psl::PublicSuffixList;
+pub use tranco::TrancoList;
 pub use world::{GroundTruth, NsInfo, OpenResolverInfo, ProviderMeta, ScanBlueprint, World};

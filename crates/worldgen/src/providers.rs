@@ -9,14 +9,14 @@ use rand::RngExt;
 #[derive(Debug, Clone)]
 pub struct ProviderSpec {
     /// Display name.
-    pub name: String,
+    pub(crate) name: String,
     /// Hosting policy (Table 2 axes).
-    pub policy: HostingPolicy,
+    pub(crate) policy: HostingPolicy,
     /// Nameserver fleet size.
-    pub ns_count: usize,
+    pub(crate) ns_count: usize,
     /// How many top-1M sites (outside the target list) this provider hosts —
     /// drives URHunter's "nameservers hosting ≥ 50 domains" selection.
-    pub tail_hosted_sites: u32,
+    pub(crate) tail_hosted_sites: u32,
 }
 
 /// Akamai-like policy: account-fixed nameservers, enterprise-only feature
@@ -52,7 +52,7 @@ fn csc_policy() -> HostingPolicy {
 /// The named provider population: the seven Table 2 providers, the two
 /// Fig. 2 vendors not in Table 2 (Akamai, NHN Cloud), and the two §5.3
 /// SPF-case providers (Namecheap, CSC).
-pub fn named_providers() -> Vec<ProviderSpec> {
+pub(crate) fn named_providers() -> Vec<ProviderSpec> {
     let spec = |name: &str, policy: HostingPolicy, ns_count: usize, tail: u32| ProviderSpec {
         name: name.to_string(),
         policy,

@@ -1,12 +1,10 @@
-//! Public-suffix list: effective TLDs, registrable domains and domain
-//! classification.
+//! Public-suffix list: the effective TLDs a world registers.
 //!
 //! The paper's Appendix C distinguishes unregistered domains, subdomains,
 //! SLDs and eTLDs (public suffixes such as `gov.cn`) as hosting targets.
-//! This module provides the eTLD table and the classification logic the
-//! provider-audit probe and the attacker generator both use.
+//! Both world generators read this table and register every suffix in it
+//! as a TLD zone.
 
-use authdns::{DelegationRegistry, DomainClass};
 use dnswire::Name;
 use std::collections::HashSet;
 
@@ -17,162 +15,25 @@ pub struct PublicSuffixList {
 }
 
 impl PublicSuffixList {
-    /// An empty list.
-    pub fn new() -> Self {
-        PublicSuffixList::default()
-    }
-
     /// The standard list used across the workspace: generic TLDs plus the
     /// government/education public suffixes the paper calls out (`gov.cn`,
     /// `edu.cn`, `gov.kp`, `edu.kp`, `gov.gd`, `edu.fm`, …).
-    pub fn standard() -> Self {
-        let mut psl = PublicSuffixList::new();
-        for s in [
+    pub(crate) fn standard() -> Self {
+        let suffixes = [
             "com", "net", "org", "io", "info", "biz", "xyz", "dev", "app", "de", "fr", "nl", "jp",
             "kr", "br", "in", "ru", "na", "gd", "fm", "kp", "cn", "uk", "us",
             // multi-label public suffixes
             "co.uk", "org.uk", "gov.uk", "com.cn", "gov.cn", "edu.cn", "co.jp", "gov.kp", "edu.kp",
             "gov.gd", "edu.fm", "info.na",
-        ] {
-            psl.add(s.parse().expect("static suffix parses"));
-        }
-        psl
+        ]
+        .into_iter()
+        .map(|s| s.parse().expect("static suffix parses"))
+        .collect();
+        PublicSuffixList { suffixes }
     }
 
-    /// Add a suffix.
-    pub fn add(&mut self, suffix: Name) {
-        self.suffixes.insert(suffix);
-    }
-
-    /// Is `name` exactly a public suffix?
-    pub fn is_public_suffix(&self, name: &Name) -> bool {
-        self.suffixes.contains(name)
-    }
-
-    /// The longest public suffix of `name`, if any.
-    pub fn public_suffix_of(&self, name: &Name) -> Option<Name> {
-        let mut best: Option<Name> = None;
-        for take in 1..=name.label_count() {
-            if let Some(s) = name.suffix(take) {
-                if self.suffixes.contains(&s) {
-                    best = Some(s);
-                }
-            }
-        }
-        best
-    }
-
-    /// The registrable domain (eTLD+1) of `name`, if `name` is below a
-    /// public suffix. A name that *is* a public suffix has none.
-    pub fn registrable_domain(&self, name: &Name) -> Option<Name> {
-        let suffix = self.public_suffix_of(name)?;
-        if name == &suffix {
-            return None;
-        }
-        name.suffix(suffix.label_count() + 1)
-    }
-
-    /// Every known suffix (for enumeration by the audit probe).
-    pub fn suffixes(&self) -> impl Iterator<Item = &Name> {
+    /// Every known suffix.
+    pub(crate) fn suffixes(&self) -> impl Iterator<Item = &Name> {
         self.suffixes.iter()
-    }
-
-    /// Classify `name` the way a provider-audit probe would, combining PSL
-    /// structure with registry facts:
-    ///
-    /// * a public suffix → [`DomainClass::Etld`]
-    /// * a registrable domain that is delegated → [`DomainClass::RegisteredSld`]
-    /// * a registrable domain that is not delegated → [`DomainClass::Unregistered`]
-    /// * anything below a registrable domain → [`DomainClass::Subdomain`]
-    pub fn classify(&self, name: &Name, registry: &DelegationRegistry) -> DomainClass {
-        if self.is_public_suffix(name) {
-            return DomainClass::Etld;
-        }
-        match self.registrable_domain(name) {
-            Some(reg) if &reg == name => {
-                if registry.is_delegated(name) {
-                    DomainClass::RegisteredSld
-                } else {
-                    DomainClass::Unregistered
-                }
-            }
-            Some(_) => DomainClass::Subdomain,
-            // Below no known suffix: treat like an unregistered SLD.
-            None => DomainClass::Unregistered,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::net::Ipv4Addr;
-
-    fn n(s: &str) -> Name {
-        s.parse().unwrap()
-    }
-
-    #[test]
-    fn suffix_lookup_prefers_longest() {
-        let psl = PublicSuffixList::standard();
-        assert_eq!(
-            psl.public_suffix_of(&n("shop.example.co.uk")).unwrap(),
-            n("co.uk")
-        );
-        assert_eq!(psl.public_suffix_of(&n("example.uk")).unwrap(), n("uk"));
-        assert_eq!(
-            psl.public_suffix_of(&n("ministry.gov.cn")).unwrap(),
-            n("gov.cn")
-        );
-        assert!(psl.public_suffix_of(&n("local.lan")).is_none());
-    }
-
-    #[test]
-    fn registrable_domain_is_etld_plus_one() {
-        let psl = PublicSuffixList::standard();
-        assert_eq!(
-            psl.registrable_domain(&n("www.example.com")).unwrap(),
-            n("example.com")
-        );
-        assert_eq!(
-            psl.registrable_domain(&n("a.b.site.gov.cn")).unwrap(),
-            n("site.gov.cn")
-        );
-        assert!(psl.registrable_domain(&n("gov.cn")).is_none());
-        assert!(psl.registrable_domain(&n("com")).is_none());
-    }
-
-    #[test]
-    fn classification() {
-        let psl = PublicSuffixList::standard();
-        let mut reg = DelegationRegistry::new();
-        reg.set_root(Ipv4Addr::new(198, 41, 0, 4));
-        reg.add_tld(n("com"), Ipv4Addr::new(192, 5, 6, 30));
-        reg.delegate(
-            &n("example.com"),
-            vec![(n("ns1.example.com"), Ipv4Addr::new(1, 1, 1, 1))],
-        );
-
-        assert_eq!(psl.classify(&n("gov.cn"), &reg), DomainClass::Etld);
-        assert_eq!(
-            psl.classify(&n("example.com"), &reg),
-            DomainClass::RegisteredSld
-        );
-        assert_eq!(
-            psl.classify(&n("ghost.com"), &reg),
-            DomainClass::Unregistered
-        );
-        assert_eq!(
-            psl.classify(&n("api.example.com"), &reg),
-            DomainClass::Subdomain
-        );
-    }
-
-    #[test]
-    fn etld_is_public_suffix() {
-        let psl = PublicSuffixList::standard();
-        assert!(psl.is_public_suffix(&n("gov.kp")));
-        assert!(psl.is_public_suffix(&n("edu.fm")));
-        assert!(!psl.is_public_suffix(&n("example.com")));
     }
 }

@@ -18,10 +18,9 @@
 use crate::config::WorldConfig;
 use crate::psl::PublicSuffixList;
 use crate::tranco::TrancoList;
-use crate::world::{NsInfo, ProviderMeta, ScanBlueprint};
+use crate::world::{NsInfo, ScanBlueprint};
 use authdns::{DelegationRegistry, DomainClass, HostingPolicy, HostingProvider, NsAllocation};
 use dnswire::{Name, RData, Record};
-use intern::InternedName;
 use netdb::{CertInfo, GeoInfo, NetDb};
 use pdns::PassiveDns;
 use simnet::{LatencyModel, Network, SimDuration};
@@ -96,11 +95,6 @@ pub(crate) struct StreamPlan {
 }
 
 impl StreamPlan {
-    /// Total nameserver nodes across every provider fleet.
-    pub(crate) fn nameserver_count(&self) -> usize {
-        self.node_provider.len()
-    }
-
     /// Materialize provider `p`'s full control plane: legitimate zones for
     /// the targets it hosts, then campaign zones, in fixed plan order.
     /// Pure in `p` — every call yields byte-identical zone tables.
@@ -220,14 +214,9 @@ pub struct StreamWorld {
     pub pdns: PassiveDns,
     /// Full nameserver inventory.
     pub nameservers: Vec<NsInfo>,
-    /// Per-provider metadata, index-aligned with the plan's providers.
-    pub provider_meta: Vec<ProviderMeta>,
     /// Ground truth of legitimate hosting, index-aligned with the targets
     /// — what the correct-record database is synthesized from.
     pub legit: Vec<LegitSite>,
-    /// Interned target apexes (pre-interned at generation so the scan's
-    /// per-UR interning always hits).
-    pub target_ids: Vec<InternedName>,
     latency: LatencyModel,
     plan: Arc<StreamPlan>,
 }
@@ -277,7 +266,6 @@ impl StreamWorld {
         let mut specs: Vec<StreamProviderSpec> = Vec::with_capacity(providers);
         let mut node_provider: HashMap<Ipv4Addr, u32> = HashMap::with_capacity(total_ns);
         let mut nameservers: Vec<NsInfo> = Vec::with_capacity(total_ns);
-        let mut provider_meta: Vec<ProviderMeta> = Vec::with_capacity(providers);
         let mut g = 0usize;
         for p in 0..providers {
             let fleet_len = total_ns / providers + usize::from(p < total_ns % providers);
@@ -303,20 +291,14 @@ impl StreamWorld {
             let protective_ip = Ipv4Addr::new(23, (p / 250) as u8, (p % 250) as u8, 1);
             let tail = 60 + (mix2(seed ^ 0x5441, p as u64, 1) % 2_000) as u32;
             let pname = format!("StreamDNS-{p:03}");
-            for (ns_name, ip) in &fleet {
+            for (_, ip) in &fleet {
                 nameservers.push(NsInfo {
                     ip: *ip,
-                    name: ns_name.clone(),
                     provider: pname.clone(),
                     provider_idx: Some(p),
                     tail_hosted_sites: tail,
                 });
             }
-            provider_meta.push(ProviderMeta {
-                name: pname.clone(),
-                tail_hosted_sites: tail,
-                protective_ip,
-            });
             specs.push(StreamProviderSpec {
                 name: pname,
                 policy,
@@ -331,7 +313,6 @@ impl StreamWorld {
         let mut legit_ips = Vec::with_capacity(targets.len());
         let mut spf = Vec::with_capacity(targets.len());
         let mut legit = Vec::with_capacity(targets.len());
-        let mut target_ids = Vec::with_capacity(targets.len());
         for (i, domain) in targets.iter().enumerate() {
             let host = (mix2(seed ^ 0x4C48, i as u64, 2) % providers as u64) as u32;
             let ip = Ipv4Addr::new(
@@ -357,7 +338,6 @@ impl StreamWorld {
                 ips: vec![ip],
                 spf: with_spf.then(|| spf_txt(ip)),
             });
-            target_ids.push(InternedName::intern(domain));
         }
 
         // Campaigns, grouped by provider so a provider build touches one
@@ -405,9 +385,7 @@ impl StreamWorld {
             db,
             pdns: PassiveDns::new(),
             nameservers,
-            provider_meta,
             legit,
-            target_ids,
             latency: LatencyModel {
                 base: SimDuration::from_millis(5),
                 per_pair_spread_us: 45_000,
@@ -446,13 +424,6 @@ impl StreamWorld {
             }
         }
         out
-    }
-
-    /// How many distinct campaign zones the plan will materialize (pairs
-    /// rejected by duplicate policy excluded) — ground truth for coverage
-    /// assertions.
-    pub fn planned_campaigns(&self) -> usize {
-        self.plan.campaigns.len()
     }
 }
 
@@ -493,7 +464,7 @@ mod tests {
         let distinct: std::collections::HashSet<Ipv4Addr> =
             w.nameservers.iter().map(|ns| ns.ip).collect();
         assert_eq!(distinct.len(), 30, "fleet addresses must be unique");
-        assert_eq!(w.scan_blueprint().node_count(), 30);
+        assert_eq!(w.plan.node_provider.len(), 30);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub struct TrancoList {
 
 /// Case-study SLDs and the Tranco ranks the paper reports for them.
 /// Positions are scaled into the generated list's size.
-pub const CASE_STUDY_DOMAINS: [(&str, usize); 5] = [
+pub(crate) const CASE_STUDY_DOMAINS: [(&str, usize); 5] = [
     ("github.com", 30),     // api.github.com SLD rank 30 (Specter)
     ("ibm.com", 125),       // Specter
     ("speedtest.net", 415), // masquerading SPF
@@ -35,7 +35,7 @@ impl TrancoList {
     ///
     /// The case-study domains are pinned at their (scaled) paper ranks; the
     /// rest are synthetic `<word><i>.<tld>` names over a weighted TLD mix.
-    pub fn generate(seed: u64, count: usize) -> Self {
+    pub(crate) fn generate(seed: u64, count: usize) -> Self {
         assert!(count >= 10, "list too small to be meaningful");
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7261_6e6b);
         let tlds: &[(&str, u32)] = &[

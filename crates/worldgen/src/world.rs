@@ -37,7 +37,7 @@ pub struct ProviderMeta {
     /// Display name.
     pub name: String,
     /// Long-tail hosted-site count (drives nameserver selection).
-    pub tail_hosted_sites: u32,
+    pub(crate) tail_hosted_sites: u32,
     /// Protective-record target address.
     pub protective_ip: Ipv4Addr,
 }
@@ -47,8 +47,6 @@ pub struct ProviderMeta {
 pub struct NsInfo {
     /// The server's address.
     pub ip: Ipv4Addr,
-    /// Its DNS name.
-    pub name: Name,
     /// Provider display name.
     pub provider: String,
     /// Index into `World::providers`, or `None` for standalone servers
@@ -75,7 +73,7 @@ pub struct GroundTruth {
     /// Attacker campaigns (including the case studies).
     pub campaigns: Vec<PlantedUr>,
     /// Domains with benign-misconfiguration URs: `(domain, provider_idx)`.
-    pub benign_unknown: Vec<(Name, usize)>,
+    pub(crate) benign_unknown: Vec<(Name, usize)>,
     /// Stale past-delegation zones: `(domain, provider_idx, old_ip)`.
     pub past_delegations: Vec<(Name, usize, Ipv4Addr)>,
     /// Parked-page URs: `(domain, provider_idx)`.
@@ -371,14 +369,6 @@ impl ScanBlueprint {
             }
         }
     }
-
-    /// Number of nameserver nodes in the snapshot.
-    pub fn node_count(&self) -> usize {
-        match &self.backing {
-            BlueprintBacking::Eager { nodes, .. } => nodes.len(),
-            BlueprintBacking::Lazy(plan) => plan.nameserver_count(),
-        }
-    }
 }
 
 struct Builder {
@@ -570,14 +560,13 @@ impl Builder {
                 64_600 + p_idx as u32,
                 &spec.name,
             );
-            for (i, (ns_name, ip)) in fleet.iter().enumerate() {
+            for (i, (_, ip)) in fleet.iter().enumerate() {
                 self.net
                     .add_node(*ip, Box::new(ProviderNsNode::new(provider.clone(), *ip)));
                 self.db
                     .set_geo(*ip, GeoInfo::new(COUNTRIES[i % COUNTRIES.len()], i as u16));
                 self.nameservers.push(NsInfo {
                     ip: *ip,
-                    name: ns_name.clone(),
                     provider: spec.name.clone(),
                     provider_idx: Some(p_idx),
                     tail_hosted_sites: spec.tail_hosted_sites,
@@ -908,12 +897,8 @@ impl Builder {
             self.db
                 .add_prefix("21.0.0.0/24".parse().expect("cidr"), 64_550, "MisconfDNS");
             self.db.set_geo(ip, GeoInfo::new("FR", 3));
-            let name: Name = format!("ns{}.misconf-dns.org", j + 1)
-                .parse()
-                .expect("parses");
             self.nameservers.push(NsInfo {
                 ip,
-                name,
                 provider: "MisconfDNS".to_string(),
                 provider_idx: None,
                 tail_hosted_sites: 150,
