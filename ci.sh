@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Tier-1 verification: build, test, lint, and smoke-run one regeneration
-# binary. Any failure aborts the script.
+# Tier-1 verification: build, test, lint, and diff the two committed
+# documents against the binaries that print them. Any failure aborts the
+# script.
 set -eu
 
 cd "$(dirname "$0")"
@@ -24,9 +25,11 @@ echo "== stale names: the deleted executor, collectors, knobs, timers and dead c
 # One scan path, one ordered-merge executor, two executor knobs, one
 # classification entry, one timer (urbench), a daemon that never polls,
 # one scan-flag parser, one way to start the daemon, a UR store that is a
-# plain vector, and no method the compiler found unused: none of the names
-# of what was removed may come back in code, tests or docs.
-if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar' \
+# plain vector, no method the compiler found unused, and one `paper`
+# binary in place of the nine regeneration binaries (`urhunter --report
+# table1` stays legal): none of the names of what was removed may come back
+# in code, tests or docs.
+if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b' \
     crates tests examples README.md DESIGN.md EXPERIMENTS.md; then
     echo "ci.sh: a deleted name is back (see the matches above)" >&2
     exit 1
@@ -81,8 +84,21 @@ done
     exit 1
 }
 
-echo "== smoke: cargo run -p bench --bin table1 =="
-cargo run --release -p bench --bin table1
+echo "== paper: every table and figure, byte for byte =="
+# One binary regenerates the paper's evaluation as the committed
+# RESULTS.md and exits non-zero when a measured value leaves its band; a
+# number that moved shows as a diff line. Refresh with
+# `./target/release/paper > RESULTS.md` and give the reason in CHANGES.md.
+# The sections are worker-count invariant, so one worker must print the
+# same file.
+./target/release/paper | diff -u RESULTS.md - || {
+    echo "ci.sh: paper differs from the committed RESULTS.md (or a band failed)" >&2
+    exit 1
+}
+URHUNTER_PARALLELISM=1 ./target/release/paper | diff -u RESULTS.md - || {
+    echo "ci.sh: paper on one worker differs from the committed RESULTS.md (or a band failed)" >&2
+    exit 1
+}
 
 echo "== fault matrix: cargo test --release --test fault_tolerance =="
 cargo test -q --release --test fault_tolerance

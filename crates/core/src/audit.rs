@@ -34,22 +34,40 @@ pub struct AuditRow {
 }
 
 impl AuditRow {
+    /// The eight yes/no cells in Table 2's column order, after the
+    /// allocation column: hosting without verification, unregistered,
+    /// subdomain, SLD, eTLD, duplicate single-user, duplicate cross-user,
+    /// no retrieval.
+    pub fn cells(&self) -> [bool; 8] {
+        [
+            self.hosting_without_verification,
+            self.unregistered,
+            self.subdomain,
+            self.sld,
+            self.etld,
+            self.dup_single_user,
+            self.dup_cross_user,
+            self.no_retrieval,
+        ]
+    }
+
     /// Render in Table 2's column order.
     pub fn render(&self) -> String {
-        let b = |v: bool| if v { "yes" } else { "no " };
-        format!(
-            "{:<16} {:<14} verif-less:{} unreg:{} subdom:{} sld:{} etld:{} dup-single:{} dup-cross:{} no-retrieval:{}",
-            self.provider,
-            self.allocation,
-            b(self.hosting_without_verification),
-            b(self.unregistered),
-            b(self.subdomain),
-            b(self.sld),
-            b(self.etld),
-            b(self.dup_single_user),
-            b(self.dup_cross_user),
-            b(self.no_retrieval),
-        )
+        let mut s = format!("{:<16} {:<14}", self.provider, self.allocation);
+        let labels = [
+            "verif-less",
+            "unreg",
+            "subdom",
+            "sld",
+            "etld",
+            "dup-single",
+            "dup-cross",
+            "no-retrieval",
+        ];
+        for (label, cell) in labels.into_iter().zip(self.cells()) {
+            s += &format!(" {label}:{}", if cell { "yes" } else { "no " });
+        }
+        s
     }
 }
 

@@ -15,21 +15,21 @@ pub struct Table1Row {
     /// Row label.
     pub label: &'static str,
     /// Distinct suspicious domains.
-    pub(crate) domains: usize,
+    pub domains: usize,
     /// …of which associated with malicious URs.
     pub domains_malicious: usize,
     /// Distinct nameservers serving suspicious URs.
-    pub(crate) nameservers: usize,
+    pub nameservers: usize,
     /// …of which serving malicious URs.
-    pub(crate) nameservers_malicious: usize,
+    pub nameservers_malicious: usize,
     /// Distinct providers.
-    pub(crate) providers: usize,
+    pub providers: usize,
     /// …with malicious URs.
-    pub(crate) providers_malicious: usize,
+    pub providers_malicious: usize,
     /// Suspicious unique URs.
-    pub(crate) urs: usize,
+    pub urs: usize,
     /// …malicious.
-    pub(crate) urs_malicious: usize,
+    pub urs_malicious: usize,
     /// Distinct corresponding IPs.
     pub(crate) ips: usize,
     /// …malicious.

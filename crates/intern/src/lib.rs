@@ -316,7 +316,7 @@ impl From<String> for Sym {
 
 impl fmt::Display for Sym {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
+        f.pad(self.as_str())
     }
 }
 
@@ -466,6 +466,13 @@ mod tests {
         assert_eq!(a.to_string(), "ClouDNS");
         assert_eq!(Sym::lookup("ClouDNS"), Some(a));
         assert_eq!(Sym::lookup("\u{1}never interned\u{2}"), None);
+    }
+
+    #[test]
+    fn sym_display_honours_width_and_alignment() {
+        let s = Sym::intern("Amazon");
+        assert_eq!(format!("{s:<8}|"), "Amazon  |");
+        assert_eq!(format!("{s:>8}|"), "  Amazon|");
     }
 
     #[test]

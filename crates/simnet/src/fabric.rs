@@ -330,7 +330,7 @@ impl Network {
 
     /// Inject a datagram into the fabric (from an external sender).
     pub(crate) fn send(&mut self, dgram: Datagram) {
-        self.enqueue_send(SimDuration::ZERO, dgram);
+        self.enqueue_send(dgram);
     }
 
     /// One fault decision. In per-flow mode the decision derives from the
@@ -359,7 +359,7 @@ impl Network {
         self.faults.decide(&mut rng, dgram.payload.len())
     }
 
-    fn enqueue_send(&mut self, extra_delay: SimDuration, dgram: Datagram) {
+    fn enqueue_send(&mut self, dgram: Datagram) {
         if let Some(m) = &self.obs {
             m.sent.inc();
         }
@@ -373,7 +373,7 @@ impl Network {
                 self.recycle(dgram.payload);
             }
             FaultDecision::Deliver { corrupt, duplicate } => {
-                let delay = extra_delay + self.latency.delay(dgram.src.ip, dgram.dst.ip);
+                let delay = self.latency.delay(dgram.src.ip, dgram.dst.ip);
                 if duplicate {
                     if let Some(m) = &self.obs {
                         m.duplicated.inc();
@@ -506,8 +506,8 @@ impl Network {
 
     /// Perform what a handler asked for, leaving `out` empty.
     fn apply_actions(&mut self, out: &mut Actions, origin: Ipv4Addr) {
-        for (delay, dgram) in out.sends.drain(..) {
-            self.enqueue_send(delay, dgram);
+        for dgram in out.sends.drain(..) {
+            self.enqueue_send(dgram);
         }
         for (delay, token) in out.timers.drain(..) {
             let at = self.now + delay;

@@ -100,14 +100,14 @@ impl Datagram {
 /// references into the fabric (no re-entrancy, no borrow gymnastics).
 #[derive(Debug, Default)]
 pub struct Actions {
-    pub(crate) sends: Vec<(SimDuration, Datagram)>,
+    pub(crate) sends: Vec<Datagram>,
     pub(crate) timers: Vec<(SimDuration, u64)>,
 }
 
 impl Actions {
     /// Send a datagram now (it still incurs network latency in transit).
     pub fn send(&mut self, dgram: Datagram) {
-        self.sends.push((SimDuration::ZERO, dgram));
+        self.sends.push(dgram);
     }
 
     /// Arm a timer that fires back into this node after `delay` with `token`.
@@ -165,7 +165,6 @@ mod tests {
         acts.send(Datagram::udp(a, b, vec![]));
         acts.set_timer(SimDuration::from_secs(1), 42);
         assert_eq!(acts.sends.len(), 1);
-        assert_eq!(acts.sends[0].0, SimDuration::ZERO);
         assert_eq!(acts.timers, vec![(SimDuration::from_secs(1), 42)]);
     }
 
