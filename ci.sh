@@ -99,6 +99,12 @@ URHUNTER_PARALLELISM=1 ./target/release/paper | diff -u RESULTS.md - || {
     echo "ci.sh: paper on one worker differs from the committed RESULTS.md (or a band failed)" >&2
     exit 1
 }
+# More workers than this box has cores: the default-scale run() sweeps for
+# support records on the calling thread beside four scan workers.
+URHUNTER_PARALLELISM=4 ./target/release/paper | diff -u RESULTS.md - || {
+    echo "ci.sh: paper on four workers differs from the committed RESULTS.md (or a band failed)" >&2
+    exit 1
+}
 
 echo "== fault matrix: cargo test --release --test fault_tolerance =="
 cargo test -q --release --test fault_tolerance
@@ -229,6 +235,10 @@ echo "== invariants: every hash, count and simulated microsecond, byte for byte 
 # scan is sharded; on one worker it is not, and the file must not move.
 URHUNTER_PARALLELISM=1 ./target/release/invariants | diff -u BENCH_pipeline.json - || {
     echo "ci.sh: invariants on one worker differ from the committed BENCH_pipeline.json" >&2
+    exit 1
+}
+URHUNTER_PARALLELISM=4 ./target/release/invariants | diff -u BENCH_pipeline.json - || {
+    echo "ci.sh: invariants on four workers differ from the committed BENCH_pipeline.json" >&2
     exit 1
 }
 

@@ -491,7 +491,9 @@ type ShardSummary = (
 /// (coverage, elapsed, fabric stats, bucket waits) is absorbed in shard
 /// order — so for every `workers` value the output is bit-identical to a
 /// `for shard in 0..shards` loop, and peak memory is bounded by `workers`
-/// resident shard fabrics plus the in-flight batches.
+/// resident shard fabrics plus the in-flight batches. `lead` runs once on
+/// the calling thread beside the workers, before the fold starts (first,
+/// when one worker scans on the calling thread).
 ///
 /// Batches never span a shard boundary (the final partial batch of a
 /// shard flushes when the shard ends); `batch_size` `0` or `usize::MAX`
@@ -519,6 +521,7 @@ fn scan<K: ShardTask, T: Send>(
     batch_size: usize,
     shard_tasks: &(dyn Fn(usize) -> Vec<K> + Sync),
     transform: &(dyn Fn(Vec<K::Ur>) -> T + Sync),
+    lead: impl FnOnce(),
     sink: &mut dyn FnMut(T),
 ) -> ShardedScanOutcome {
     let ranges = par::chunk_ranges(nameservers.len(), shards.max(1));
@@ -624,6 +627,7 @@ fn scan<K: ShardTask, T: Send>(
         ranges.len(),
         2,
         scan_shard,
+        lead,
         (),
         |_: &mut (), _shard, batch: T| sink(batch),
         |_: &mut (), _shard, (coverage, elapsed, stats, wait_us): ShardSummary| {
@@ -678,6 +682,7 @@ pub fn collect_urs_sharded(
         par::Parallelism::auto().get(),
         batch_size,
         &|urs| urs,
+        || {},
         sink,
     )
 }
@@ -686,7 +691,9 @@ pub fn collect_urs_sharded(
 /// `transform` applied to each shard's URs **on the worker that scanned
 /// them** (this is where [`crate::run`] classifies). `transform` must map
 /// its batch one to one and in order: its outputs take the global indices
-/// of its inputs, and `sink` sees them in the unsharded order.
+/// of its inputs, and `sink` sees them in the unsharded order. `lead` runs
+/// on the calling thread while the workers scan (this is where
+/// [`crate::run`] sweeps for support records; `transform` waits for them).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn collect_urs_sharded_on<T: Send>(
     blueprint: &worldgen::ScanBlueprint,
@@ -702,6 +709,7 @@ pub(crate) fn collect_urs_sharded_on<T: Send>(
     workers: usize,
     batch_size: usize,
     transform: &(dyn Fn(Vec<CollectedUr>) -> Vec<T> + Sync),
+    lead: impl FnOnce(),
     sink: &mut dyn FnMut(Vec<T>),
 ) -> ShardedScanOutcome {
     let delegated_ips = delegated_ip_sets(world_registry, targets);
@@ -741,6 +749,7 @@ pub(crate) fn collect_urs_sharded_on<T: Send>(
             assert_eq!(out.len(), gidx.len(), "transform must map one to one");
             gidx.into_iter().zip(out).collect::<Vec<_>>()
         },
+        lead,
         &mut |urs| {
             if merged.is_empty() {
                 merged = urs;
@@ -823,6 +832,7 @@ pub fn collect_urs_streamed<T: Send>(
             tasks
         },
         transform,
+        || {},
         sink,
     )
 }
@@ -874,15 +884,22 @@ pub fn collect_correct(
             }
         }
         // Metadata enrichment of every correct address.
-        for ip in profile.ips.clone() {
+        let DomainProfile {
+            ips,
+            asns,
+            geos,
+            certs,
+            ..
+        } = &mut profile;
+        for &ip in ips.iter() {
             if let Some(asn) = metadata.asn_of(ip) {
-                profile.asns.insert(asn.asn);
+                asns.insert(asn.asn);
             }
             if let Some(geo) = metadata.geo_of(ip) {
-                profile.geos.insert((geo.country, geo.city));
+                geos.insert((geo.country, geo.city));
             }
             if let Some(cert) = metadata.cert_of(ip) {
-                profile.certs.insert(cert.fingerprint);
+                certs.insert(cert.fingerprint);
             }
         }
         db.domains.insert(InternedName::intern(domain), profile);

@@ -13,7 +13,9 @@ use crate::schedule::QueryScheduler;
 use crate::types::{ClassifiedUr, CollectedUr, CorrectDb, ProtectiveDb, UrCategory};
 use dnswire::RecordType;
 use simnet::{FaultPlan, SimDuration};
-use std::sync::Arc;
+use std::cell::OnceCell;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 use worldgen::{NsInfo, World};
 
 /// How many URs a [`run_streamed`] worker collects before classifying them.
@@ -47,8 +49,9 @@ pub struct HunterConfig {
     pub shards: usize,
     /// Scan worker threads: workers claim shards (at most one each, so
     /// `min(shards, workers)` run; one worker scans on the calling thread),
-    /// and a worker classifies the URs it scanned. Nothing else is
-    /// threaded: [`run`] analyzes and reports on the calling thread.
+    /// and a worker classifies the URs it scanned. [`run`]'s calling thread
+    /// sweeps for correct and protective records while the workers scan,
+    /// then folds, analyzes and reports.
     /// `0` is automatic (available parallelism,
     /// `URHUNTER_PARALLELISM` override), `1` is sequential, `n` fixed.
     /// Output is bit-identical for every value (pinned by
@@ -268,7 +271,22 @@ fn bulk_scan_shards(cfg: &HunterConfig, workers: usize) -> usize {
     }
 }
 
+/// Publishes `None` into a set-once cell on drop unless a value is already
+/// there: when the step that should fill the cell unwinds, a worker waiting
+/// on it is released (and panics) instead of hanging.
+struct PublishOnExit<'c, T>(&'c OnceLock<Option<T>>);
+
+impl<T> Drop for PublishOnExit<'_, T> {
+    fn drop(&mut self) {
+        let _ = self.0.set(None);
+    }
+}
+
 /// Run the full URHunter pipeline against a world.
+///
+/// The calling thread sweeps for correct and protective records on
+/// `world.net` while the scan workers probe their replica fabrics (with
+/// one worker, first), then folds the verdicts, analyzes and reports.
 pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     let nameservers = select_nameservers(world, cfg.collect.min_tail_sites);
     let mut targets = world.scan_targets();
@@ -316,42 +334,73 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     if let Some(hub) = &cfg.obs {
         engine = engine.with_obs(hub.clone());
     }
-    let sp = obs.map(|h| h.span("collect_support", world.net.now().as_micros()));
-    let protective_db = collect_protective(&mut world.net, &mut engine, &nameservers, &cfg.collect);
-    let correct_db = collect_correct(
-        &mut world.net,
-        &mut engine,
-        &world.resolvers,
-        &world.db,
-        &targets,
-        &cfg.collect,
-    );
-    if let Some((s, h)) = sp.zip(obs) {
-        s.finish(h, world.net.now().as_micros());
-    }
-
     let mut scheduler = QueryScheduler::new(cfg.scheduler_seed, cfg.per_server_interval)
         .with_global_interval(cfg.rate_limit_interval);
     let classify_cfg = cfg.classify_cfg(world.config.today);
     let workers = par::Parallelism::from_knob(cfg.workers).get();
     // The bulk scan runs on shard replica fabrics built from this snapshot
     // (even on one shard, so the scan baseline doesn't depend on the knob):
-    // same fault seed and latency, per-shard RNG streams.
+    // same fault seed and latency, per-shard RNG streams. The support sweep
+    // below only reads the providers, so taking it first snapshots the same
+    // state.
     let blueprint = world.scan_blueprint();
     let scan_faults = world.net.faults();
-    let mut streamer = StreamClassifier::new(
-        &correct_db,
-        &protective_db,
-        &world.db,
-        &world.pdns,
-        &classify_cfg,
-    );
-    if let Some(hub) = obs {
-        streamer = streamer.with_metrics(AttrCacheMetrics::register(hub.registry()));
-    }
+    let cache_metrics = obs.map(|h| AttrCacheMetrics::register(h.registry()));
+    let classify_wait = obs.map(|h| h.registry().counter("classify_wait_us", obs::Class::Wall));
+
+    // The support sweep (correct and protective records) runs on the
+    // calling thread, the only one that may touch `world.net`, while the
+    // workers scan their replica fabrics. It publishes the classifier over
+    // its two databases once; each worker waits for it before its first
+    // verdict. `None` means the sweep unwound.
+    let support = OnceCell::new();
+    let streamer: OnceLock<Option<StreamClassifier<'_>>> = OnceLock::new();
+    let mut collect_span = None;
+    let sweep = || {
+        let _release = PublishOnExit(&streamer);
+        let sp = obs.map(|h| h.span("collect_support", world.net.now().as_micros()));
+        let protective =
+            collect_protective(&mut world.net, &mut engine, &nameservers, &cfg.collect);
+        let correct = collect_correct(
+            &mut world.net,
+            &mut engine,
+            &world.resolvers,
+            &world.db,
+            &targets,
+            &cfg.collect,
+        );
+        if let Some((s, h)) = sp.zip(obs) {
+            s.finish(h, world.net.now().as_micros());
+        }
+        let (correct_db, protective_db) = support.get_or_init(|| (correct, protective));
+        let mut cls = StreamClassifier::new(
+            correct_db,
+            protective_db,
+            &world.db,
+            &world.pdns,
+            &classify_cfg,
+        );
+        if let Some(m) = cache_metrics {
+            cls = cls.with_metrics(m);
+        }
+        let _ = streamer.set(Some(cls));
+        collect_span = obs.map(|h| h.span("collect", world.net.now().as_micros()));
+    };
+    let classify = |urs: Vec<CollectedUr>| {
+        let cls = streamer.get().unwrap_or_else(|| {
+            let waited = classify_wait.as_ref().map(|c| (c, Instant::now()));
+            let cls = streamer.wait();
+            if let Some((c, t)) = waited {
+                c.add(t.elapsed().as_micros() as u64);
+            }
+            cls
+        });
+        cls.as_ref()
+            .expect("the support sweep panicked")
+            .classify_batch_owned(urs)
+    };
     // Each worker classifies the shard it scanned; the merge hands every
     // verdict over as one batch, in the unsharded scan order.
-    let sp = obs.map(|h| h.span("collect", world.net.now().as_micros()));
     let mut classified = Vec::new();
     let scan = collect_urs_sharded_on(
         &blueprint,
@@ -366,15 +415,18 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         bulk_scan_shards(cfg, workers),
         workers,
         usize::MAX,
-        &|urs| streamer.classify_batch_owned(urs),
+        &classify,
+        sweep,
         &mut |batch| classified = batch,
     );
+    drop(streamer);
+    let (correct_db, protective_db) = support.into_inner().expect("the support sweep ran");
     // The world clock advances by the shards' summed scan time and the
     // fabric inherits their traffic accounting, exactly as if the scan had
-    // run here.
+    // run after the sweep, here.
     world.net.run_until(world.net.now() + scan.elapsed);
     world.net.absorb_stats(scan.stats);
-    if let Some((s, h)) = sp.zip(obs) {
+    if let Some((s, h)) = collect_span.zip(obs) {
         s.finish(h, world.net.now().as_micros());
     }
     // The verdicts were reached inside the collect span; this one banks

@@ -72,7 +72,7 @@ impl CollectedUr {
 
 /// The per-domain "correct record" profile assembled from open resolvers,
 /// enriched with metadata — the `database(d)` of Appendix B.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DomainProfile {
     /// Correct A addresses.
     pub(crate) ips: HashSet<Ipv4Addr>,
@@ -90,7 +90,7 @@ pub struct DomainProfile {
 }
 
 /// Correct-record database over all target domains.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct CorrectDb {
     /// Per-domain profiles.
     pub(crate) domains: HashMap<InternedName, DomainProfile>,
@@ -106,7 +106,7 @@ impl CorrectDb {
 
 /// Protective-record profile of one nameserver, learned by querying a
 /// canary domain nobody hosts.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProtectiveProfile {
     /// Addresses protective A records point at.
     pub(crate) a_ips: HashSet<Ipv4Addr>,
@@ -115,7 +115,7 @@ pub struct ProtectiveProfile {
 }
 
 /// Protective-record database keyed by nameserver address.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct ProtectiveDb {
     /// Per-nameserver protective profiles.
     pub(crate) servers: HashMap<Ipv4Addr, ProtectiveProfile>,

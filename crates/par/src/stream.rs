@@ -12,8 +12,9 @@
 //!   failing consumer never deadlocks the producer.
 //! * [`sharded_ordered_fold`] — the executor: worker threads claim whole
 //!   shards, each delivering through its own bounded queue, and the
-//!   calling thread folds everything in canonical shard-major order under
-//!   a window gate that bounds resident shards. Bit-identical to the
+//!   calling thread runs its own `lead` step beside them, then folds
+//!   everything in canonical shard-major order under a window gate that
+//!   bounds resident shards. Bit-identical to the
 //!   sequential shard loop for every worker count — and, with one worker,
 //!   *is* that loop, on the calling thread.
 
@@ -200,19 +201,29 @@ enum ShardItem<T, S> {
 ///   `O(workers × (shard fabric + capacity × batch))` regardless of
 ///   `shards`.
 ///
+/// * `lead()` runs exactly once, on the calling thread, after the workers
+///   are spawned and before the fold sees shard 0: work that must stay on
+///   the calling thread (because it owns `!Send` state) overlaps the
+///   scans instead of preceding them. A `scan` that needs what `lead`
+///   produces waits for it itself; the fold never does.
+///
 /// With one worker (one shard, or `workers <= 1`) no thread is spawned:
-/// the loop above runs as written on the calling thread. The default scan
-/// is one shard, and it keeps the thread, allocator arena and resident set
-/// it always had.
+/// `lead` runs first and then the loop above runs as written on the
+/// calling thread. The default scan is one shard, and it keeps the thread,
+/// allocator arena and resident set it always had.
 ///
 /// A panicking worker poisons the gate and closes every queue, so every
 /// other stage unblocks; the panic propagates when the thread scope
-/// joins. A panicking fold closes/poisons on unwind likewise.
+/// joins. A panicking `lead` or fold closes/poisons on unwind likewise (a
+/// worker waiting on `lead`'s product must be released by `lead`'s own
+/// unwind).
+#[allow(clippy::too_many_arguments)]
 pub fn sharded_ordered_fold<T, S, A>(
     workers: usize,
     shards: usize,
     capacity: usize,
     scan: impl Fn(usize, &mut dyn FnMut(T)) -> S + Sync,
+    lead: impl FnOnce(),
     init: A,
     mut fold_batch: impl FnMut(&mut A, usize, T),
     mut fold_done: impl FnMut(&mut A, usize, S),
@@ -224,6 +235,7 @@ where
     let workers = workers.max(1).min(shards.max(1));
     let mut acc = init;
     if workers == 1 {
+        lead();
         for shard in 0..shards {
             let summary = scan(shard, &mut |batch| fold_batch(&mut acc, shard, batch));
             fold_done(&mut acc, shard, summary);
@@ -286,8 +298,8 @@ where
             });
         }
 
-        // Fold runs here on the calling thread. If it panics, unblock the
-        // workers (gate + queues) before the scope joins them.
+        // Lead and fold run here on the calling thread. If either panics,
+        // unblock the workers (gate + queues) before the scope joins them.
         struct FoldExit<'a, T, S> {
             queues: &'a [BatchChannel<ShardItem<T, S>>],
             gate: &'a ShardGate,
@@ -304,6 +316,7 @@ where
             queues: &queues,
             gate: &gate,
         };
+        lead();
 
         // Canonical order for free: drain shard 0's queue to its summary,
         // then shard 1's, … Each queue is single-producer FIFO, so batches
@@ -405,6 +418,7 @@ mod tests {
                             }
                             shard * 23
                         },
+                        || {},
                         (Vec::new(), Vec::new()),
                         |acc: &mut (Vec<u64>, Vec<usize>), _shard, batch: Vec<u64>| {
                             acc.0.extend(batch)
@@ -430,6 +444,7 @@ mod tests {
             0,
             2,
             |_shard, _emit: &mut dyn FnMut(u32)| 0u32,
+            || {},
             0u32,
             |acc, _, b| *acc += b,
             |acc, _, s| *acc += s,
@@ -441,6 +456,7 @@ mod tests {
             6,
             2,
             |shard, _emit: &mut dyn FnMut(u32)| shard as u32,
+            || {},
             Vec::new(),
             |_acc: &mut Vec<u32>, _, _b: u32| unreachable!("no batches emitted"),
             |acc, _, s| acc.push(s),
@@ -462,6 +478,7 @@ mod tests {
                     emit(vec![shard as u64]);
                     shard
                 },
+                || {},
                 0usize,
                 |acc, _, b: Vec<u64>| *acc += b.len(),
                 |acc, _, _| *acc += 1,
@@ -483,6 +500,7 @@ mod tests {
                     }
                     shard
                 },
+                || {},
                 0usize,
                 |_acc, shard, _b: Vec<u64>| {
                     if shard == 3 {
@@ -493,5 +511,73 @@ mod tests {
             )
         }));
         assert!(result.is_err(), "fold panic must propagate");
+    }
+
+    /// Run `fold` on a fresh thread and report whether it panicked, failing
+    /// the test if it has not returned within ten seconds (a hang).
+    fn panics_within_ten_seconds(fold: impl FnOnce() + Send + 'static) -> bool {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(fold));
+            let _ = tx.send(result.is_err());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the sharded fold hung instead of propagating the panic")
+    }
+
+    #[test]
+    fn a_panicking_lead_propagates_without_deadlock() {
+        // Workers run ahead of the fold until their one-slot queues and the
+        // gate block them; the lead's unwind must release all of them.
+        for workers in [1usize, 4] {
+            let panicked = panics_within_ten_seconds(move || {
+                sharded_ordered_fold(
+                    workers,
+                    16,
+                    1,
+                    |shard, emit| {
+                        for i in 0..50u64 {
+                            emit(vec![i]);
+                        }
+                        shard
+                    },
+                    || panic!("the lead failed"),
+                    0usize,
+                    |acc, _, b: Vec<u64>| *acc += b.len(),
+                    |acc, _, _| *acc += 1,
+                );
+            });
+            assert!(panicked, "workers={workers}: lead panic must propagate");
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_while_the_lead_runs_propagates_without_deadlock() {
+        let panicked = panics_within_ten_seconds(|| {
+            let worker_died = std::sync::atomic::AtomicBool::new(false);
+            sharded_ordered_fold(
+                4,
+                16,
+                2,
+                |shard, emit| {
+                    if shard == 2 {
+                        worker_died.store(true, Ordering::SeqCst);
+                        panic!("unlucky shard");
+                    }
+                    emit(vec![shard as u64]);
+                    shard
+                },
+                // The lead is still running when the worker dies.
+                || {
+                    while !worker_died.load(Ordering::SeqCst) {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                },
+                0usize,
+                |acc, _, b: Vec<u64>| *acc += b.len(),
+                |acc, _, _| *acc += 1,
+            );
+        });
+        assert!(panicked, "worker panic must propagate");
     }
 }

@@ -3,10 +3,12 @@
 //! [`par::sharded_ordered_fold`] must be indistinguishable from the
 //! sequential shard loop its documentation defines it by. Worker count 1
 //! takes the executor's inline arm and every other count the threaded
-//! one, so the property also pins the two arms to each other.
+//! one, so the property also pins the two arms to each other. It also pins
+//! where and when the calling thread's `lead` step runs.
 
 use par::sharded_ordered_fold;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
 /// What the fold saw, in the order it saw it.
 #[derive(Debug, PartialEq)]
@@ -37,6 +39,11 @@ proptest! {
         workers in 1usize..9,
         capacity in 1usize..5,
     ) {
+        let caller = std::thread::current().id();
+        // With one effective worker nothing is spawned, and the lead must
+        // run before shard 0's scan, exactly as a sequential loop would.
+        let inline = workers.min(plan.len().max(1)) == 1;
+        let leads = AtomicUsize::new(0);
         let mut expect = Vec::new();
         for (shard, batches) in plan.iter().enumerate() {
             for batch in batches {
@@ -49,15 +56,29 @@ proptest! {
             plan.len(),
             capacity,
             |shard, emit| {
+                if inline {
+                    assert_eq!(leads.load(SeqCst), 1, "one worker: the lead precedes every scan");
+                }
                 for batch in &plan[shard] {
                     emit(batch.clone());
                 }
                 summary_of(shard, &plan[shard])
             },
+            || {
+                assert_eq!(std::thread::current().id(), caller, "the lead runs on the calling thread");
+                leads.fetch_add(1, SeqCst);
+            },
             Vec::new(),
-            |acc: &mut Vec<Folded>, shard, batch| acc.push(Folded::Batch(shard, batch)),
-            |acc: &mut Vec<Folded>, shard, summary| acc.push(Folded::Done(shard, summary)),
+            |acc: &mut Vec<Folded>, shard, batch| {
+                assert_eq!(leads.load(SeqCst), 1, "the fold saw a batch before the lead ran");
+                acc.push(Folded::Batch(shard, batch));
+            },
+            |acc: &mut Vec<Folded>, shard, summary| {
+                assert_eq!(leads.load(SeqCst), 1, "the fold saw a summary before the lead ran");
+                acc.push(Folded::Done(shard, summary));
+            },
         );
+        prop_assert_eq!(leads.load(SeqCst), 1);
         prop_assert_eq!(got, expect);
     }
 }

@@ -171,6 +171,15 @@ impl RecursorNode {
         job_id
     }
 
+    /// Move a job's CNAME chain out, for the [`RecursorNode::finish`] that
+    /// removes the job next.
+    fn take_chain(&mut self, job_id: u64) -> Vec<Record> {
+        self.jobs
+            .get_mut(&job_id)
+            .map(|j| std::mem::take(&mut j.chain))
+            .unwrap_or_default()
+    }
+
     fn finish(
         &mut self,
         job_id: u64,
@@ -304,13 +313,12 @@ impl RecursorNode {
         let matches = self
             .jobs
             .get(&job_id)
-            .and_then(|j| resp.question().map(|q| (j, q.clone())))
-            .map(|(j, q)| {
+            .zip(resp.question())
+            .is_some_and(|(j, q)| {
                 j.awaiting == Some(resp.id)
                     && q.qname == j.question.qname
                     && q.qtype == j.question.qtype
-            })
-            .unwrap_or(false);
+            });
         if !matches {
             return;
         }
@@ -333,11 +341,7 @@ impl RecursorNode {
         match resp.rcode() {
             Rcode::NoError => {}
             Rcode::NxDomain => {
-                let chain = self
-                    .jobs
-                    .get(&job_id)
-                    .map(|j| j.chain.clone())
-                    .unwrap_or_default();
+                let chain = self.take_chain(job_id);
                 let rcode = if chain.is_empty() {
                     Rcode::NxDomain
                 } else {
@@ -363,11 +367,7 @@ impl RecursorNode {
             .cloned()
             .collect();
         if !direct.is_empty() {
-            let mut full = self
-                .jobs
-                .get(&job_id)
-                .map(|j| j.chain.clone())
-                .unwrap_or_default();
+            let mut full = self.take_chain(job_id);
             full.extend(direct);
             self.finish(job_id, now, Rcode::NoError, full, out);
             return;
@@ -390,7 +390,7 @@ impl RecursorNode {
                 let job = self.jobs.get_mut(&job_id).expect("job");
                 job.chain.push(c);
                 if !tail.is_empty() {
-                    let mut full = job.chain.clone();
+                    let mut full = std::mem::take(&mut job.chain);
                     full.extend(tail);
                     self.finish(job_id, now, Rcode::NoError, full, out);
                     return;
@@ -458,11 +458,7 @@ impl RecursorNode {
             return;
         }
         // 4. NODATA.
-        let chain = self
-            .jobs
-            .get(&job_id)
-            .map(|j| j.chain.clone())
-            .unwrap_or_default();
+        let chain = self.take_chain(job_id);
         self.finish(job_id, now, Rcode::NoError, chain, out);
     }
 }

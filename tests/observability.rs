@@ -89,6 +89,9 @@ fn wall_metrics_exist_but_stay_out_of_the_sim_hash() {
     assert!(snap.counter("stage_collect_wall_us").is_some());
     assert!(snap.counter("bufpool_recycled").unwrap_or(0) > 0);
     assert!(snap.counter("bufpool_allocated").is_some());
+    // How long the workers waited for the support sweep's databases (zero
+    // when the sweep was fully hidden behind the scan).
+    assert!(snap.counter("classify_wait_us").is_some());
     // …none of which appears in the deterministic subset.
     for m in snap.sim_only() {
         assert_eq!(
@@ -98,6 +101,7 @@ fn wall_metrics_exist_but_stay_out_of_the_sim_hash() {
             m.name
         );
         assert!(!m.name.starts_with("bufpool_"), "{} is wall-class", m.name);
+        assert_ne!(m.name, "classify_wait_us", "classify_wait_us is wall-class");
     }
     let before = hub.registry().sim_hash();
     hub.registry()

@@ -111,6 +111,37 @@ fn one_shard_per_worker_by_default_is_bit_identical_to_one_worker() {
 }
 
 #[test]
+fn the_support_sweep_cannot_see_the_scan_beside_it() {
+    // With more than one worker the calling thread sweeps the resolvers and
+    // the protective canaries while the workers scan; with one it sweeps
+    // first. Both support databases and the world clock after the run must
+    // be the one-worker run's, reliable and under loss.
+    let run_on = |cfg: HunterConfig| {
+        let mut world = World::generate(WorldConfig::small());
+        let out = run(&mut world, &cfg);
+        (out, world.net.now())
+    };
+    for (label, cfg) in reliable_and_lossy() {
+        let (baseline, base_clock) = run_on(cfg.clone().with_workers(1));
+        for workers in [2usize, 4] {
+            let (out, clock) = run_on(cfg.clone().with_workers(workers));
+            assert_eq!(
+                out.correct_db, baseline.correct_db,
+                "{label}: correct records diverge at workers={workers}"
+            );
+            assert_eq!(
+                out.protective_db, baseline.protective_db,
+                "{label}: protective records diverge at workers={workers}"
+            );
+            assert_eq!(
+                clock, base_clock,
+                "{label}: world clock diverges at workers={workers}"
+            );
+        }
+    }
+}
+
+#[test]
 fn sharding_is_invariant_under_injected_loss() {
     // 1% per-flow drop with the default 3 attempts: retries, backoff waits
     // and quarantine streaks all fire, and every per-flow fate must stay
