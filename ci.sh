@@ -22,14 +22,14 @@ echo "== cargo doc --no-deps (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
 echo "== stale names: the deleted executor, collectors, knobs, timers and dead code stay deleted =="
-# One scan path, one ordered-merge executor, two executor knobs, one
-# classification entry, one timer (urbench), a daemon that never polls,
-# one scan-flag parser, one way to start the daemon, a UR store that is a
-# plain vector, no method the compiler found unused, and one `paper`
-# binary in place of the nine regeneration binaries (`urhunter --report
-# table1` stays legal): none of the names of what was removed may come back
-# in code, tests or docs.
-if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b' \
+# One scan path, one ordered-merge executor on std's channel, one
+# executor knob (workers), one classification entry, one timer (urbench),
+# a daemon that never polls, one scan-flag parser, one way to start the
+# daemon, a UR store that is a plain vector, no method the compiler found
+# unused, and one `paper` binary in place of the nine regeneration
+# binaries (`urhunter --report table1` stays legal): none of the names of
+# what was removed may come back in code, tests or docs.
+if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards' \
     crates tests examples README.md DESIGN.md EXPERIMENTS.md; then
     echo "ci.sh: a deleted name is back (see the matches above)" >&2
     exit 1
@@ -190,22 +190,33 @@ grep -q 'shut down after' "$DAEMON_LOG" || {
 }
 rm -f "$DAEMON_LOG"
 
-echo "== shard matrix: one shard vs the default vs --shards 4 =="
+echo "== worker matrix: one worker vs the default vs --workers 4 =="
 # The sharded scan must be invisible in the output: the full table1
 # rendering (per-provider verdict counts) has to match bit for bit
-# between one shard, the default (one shard per worker) and 4 shards on
-# the small world. --shards is a floor under the worker count, so the
-# one-shard reference needs one worker too.
-SHARD1_OUT=$(URHUNTER_PARALLELISM=1 ./target/release/urhunter --shards 1 --report table1 2>/dev/null)
-test -n "$SHARD1_OUT" || {
-    echo "ci.sh: shard smoke run produced no table1 output" >&2
+# between one worker (one shard, on the calling thread), the default
+# (one shard per worker) and four workers on the small world.
+ONE_WORKER_OUT=$(URHUNTER_PARALLELISM=1 ./target/release/urhunter --report table1 2>/dev/null)
+test -n "$ONE_WORKER_OUT" || {
+    echo "ci.sh: one-worker smoke run produced no table1 output" >&2
     exit 1
 }
-for SHARD_ARGS in "" "--shards 4"; do
+for WORKER_ARGS in "" "--workers 4"; do
     # Unquoted: the empty entry expands to no argument at all.
-    SHARD_OUT=$(./target/release/urhunter $SHARD_ARGS --report table1 2>/dev/null)
-    if [ "$SHARD1_OUT" != "$SHARD_OUT" ]; then
-        echo "ci.sh: '$SHARD_ARGS' output diverges from the one-shard run" >&2
+    WORKER_OUT=$(./target/release/urhunter $WORKER_ARGS --report table1 2>/dev/null)
+    if [ "$ONE_WORKER_OUT" != "$WORKER_OUT" ]; then
+        echo "ci.sh: '$WORKER_ARGS' output diverges from the one-worker run" >&2
+        exit 1
+    fi
+done
+
+echo "== smoke: --shards is refused where it cannot apply =="
+# --shards is the world-shard count of `urhunter --world paper|xl` only:
+# on a materialized world, and on urhunterd, it must exit 2.
+for BIN in urhunter urhunterd; do
+    STATUS=0
+    ./target/release/$BIN --shards 4 >/dev/null 2>&1 || STATUS=$?
+    if [ "$STATUS" -ne 2 ]; then
+        echo "ci.sh: $BIN --shards 4 exited $STATUS, not 2" >&2
         exit 1
     fi
 done
@@ -214,14 +225,14 @@ echo "== smoke: urhunter --adaptive vs fixed table1 =="
 # Adaptive scheduling may only move the simulated clock: the full table1
 # rendering must match the fixed-timeout run bit for bit.
 ADAPTIVE_OUT=$(./target/release/urhunter --adaptive --report table1 2>/dev/null)
-if [ "$SHARD1_OUT" != "$ADAPTIVE_OUT" ]; then
+if [ "$ONE_WORKER_OUT" != "$ADAPTIVE_OUT" ]; then
     echo "ci.sh: --adaptive output diverges from the fixed-timeout run" >&2
     exit 1
 fi
 
 echo "== invariants: every hash, count and simulated microsecond, byte for byte =="
-# One deterministic binary runs every execution axis (shards x workers x
-# hub, fixed vs adaptive under loss, a rate cap, the xl fold at 1 and 4
+# One deterministic binary runs every execution axis (workers x hub,
+# fixed vs adaptive under loss, a rate cap, the xl fold at 1 and 4
 # workers, three daemon epochs and their replay), asserts
 # the equalities between them and prints only values that repeat exactly
 # on any host. A value that moved shows as a diff line and fails the run;

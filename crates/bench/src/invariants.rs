@@ -68,37 +68,33 @@ fn split_json<T: std::fmt::Display>(correct: T, protective: T, unknown: T, malic
     )
 }
 
-/// Run `config` through `run` at shards {1, 4} × workers {1, 2} × hub
-/// {off, on}, hold every run to the first one and every hub run to one
-/// `sim_hash`, and render the fields they share. A reliable network
+/// Run `config` through `run` at workers {1, 2, 4} × hub {off, on} (one
+/// scan shard per worker), hold every run to the first one and every hub
+/// run to one `sim_hash`, and render the fields they share. A reliable network
 /// answers every probe at the first attempt.
 fn eager_fields(config: &WorldConfig) -> (Pinned, String) {
     let mut reference: Option<Pinned> = None;
     let mut sim_hash: Option<u64> = None;
-    for shards in [1, 4] {
-        for workers in [1, 2] {
-            for with_hub in [false, true] {
-                let axis = format!("shards {shards} workers {workers} hub {with_hub}");
-                let hub = with_hub.then(obs::Obs::shared);
-                let mut cfg = HunterConfig::fast()
-                    .with_shards(shards)
-                    .with_workers(workers);
-                if let Some(hub) = &hub {
-                    cfg = cfg.with_obs(hub.clone());
-                }
-                let got = pinned(config, &cfg);
-                if let Some(hub) = &hub {
-                    let h = hub.registry().sim_hash();
-                    assert_eq!(*sim_hash.get_or_insert(h), h, "sim_hash moved at {axis}");
-                }
-                match &reference {
-                    None => reference = Some(got),
-                    Some(first) => assert_eq!(first, &got, "the run moved at {axis}"),
-                }
+    for workers in [1, 2, 4] {
+        for with_hub in [false, true] {
+            let axis = format!("workers {workers} hub {with_hub}");
+            let hub = with_hub.then(obs::Obs::shared);
+            let mut cfg = HunterConfig::fast().with_workers(workers);
+            if let Some(hub) = &hub {
+                cfg = cfg.with_obs(hub.clone());
+            }
+            let got = pinned(config, &cfg);
+            if let Some(hub) = &hub {
+                let h = hub.registry().sim_hash();
+                assert_eq!(*sim_hash.get_or_insert(h), h, "sim_hash moved at {axis}");
+            }
+            match &reference {
+                None => reference = Some(got),
+                Some(first) => assert_eq!(first, &got, "the run moved at {axis}"),
             }
         }
     }
-    let p = reference.expect("eight runs");
+    let p = reference.expect("six runs");
     assert!(
         p.coverage.is_complete(),
         "buckets do not sum to scheduled probes"
@@ -114,7 +110,7 @@ fn eager_fields(config: &WorldConfig) -> (Pinned, String) {
         t.total,
         split_json(t.correct, t.protective, t.unknown, t.malicious),
         p.sequence_hash,
-        sim_hash.expect("four hub runs"),
+        sim_hash.expect("three hub runs"),
         coverage_json(&p.coverage),
         p.scan_elapsed.as_micros(),
         p.net.delivered + p.net.dropped + p.net.no_route,

@@ -14,14 +14,20 @@
 //! (the paper's 8,941-nameserver inventory) and `xl` (>= 1M URs) run the
 //! streamed path — lazy plan-backed shard fabrics, URs folded into
 //! category counters and a sequence digest as they arrive, nothing
-//! retained — and print the scan summary (only `--seed` and the scan
-//! flags apply there).
+//! retained — and print the scan summary. Only `--seed`, `--shards` and
+//! the scan flags apply there; `--shards N` (1..=64, default 8) is the
+//! world-shard count, which fixes the scan order and so is part of a
+//! streamed run's identity.
 //!
-//! The eight scan flags (`--shards`, `--workers`, `--retries`,
-//! `--timeout`, `--fault-drop`, `--adaptive`, `--rtt-k`, `--rate-limit`)
-//! are parsed, checked and applied by [`urhunter::cli`], the same code
-//! behind `urhunterd`'s; its `USAGE` block lists them. On the streamed
-//! path `--shards` is the world-shard count (default 8).
+//! A flag that cannot apply is an error (exit 2, naming the flag):
+//! `--shards` on a materialized world, which scans on one shard per
+//! worker, and `--ethics`, `--extended`, `--expand-pdns`,
+//! `--payload-match`, `--pcap` and `--metrics-out` on `--world paper|xl`.
+//!
+//! The seven scan flags (`--workers`, `--retries`, `--timeout`,
+//! `--fault-drop`, `--adaptive`, `--rtt-k`, `--rate-limit`) are parsed,
+//! checked and applied by [`urhunter::cli`], the same code behind
+//! `urhunterd`'s; its `USAGE` block lists them.
 //!
 //! `--metrics-out FILE` attaches the observability hub to the run, prints
 //! the metrics table, and writes every metric and traced event to FILE.
@@ -32,13 +38,14 @@
 //! Examples:
 //!   urhunter --report all
 //!   urhunter --scale default --seed 7 --report table1
-//!   urhunter --scale default --shards 4 --workers 2
+//!   urhunter --scale default --workers 2
+//!   urhunter --world xl --shards 16 --workers 4
 //!   urhunter --fault-drop 0.05 --retries 5 --timeout 2000
 //!   urhunter --metrics-out metrics.jsonl
 //!   urhunter --extended --payload-match --pcap sandbox.pcap
 
 use std::process::ExitCode;
-use urhunter::cli::ScanFlags;
+use urhunter::cli::{value, ScanFlags};
 use urhunter::{audit_table2, evaluate_false_negatives, run, HunterConfig};
 use worldgen::{World, WorldConfig};
 
@@ -47,6 +54,8 @@ struct Args {
     world: Option<String>,
     seed: Option<u64>,
     report: String,
+    /// World-shard count of `--world paper|xl`.
+    shards: Option<usize>,
     scan: ScanFlags,
     extended: bool,
     expand_pdns: bool,
@@ -60,13 +69,15 @@ fn usage() -> ! {
     eprint!(
         "usage: urhunter [--scale small|default] [--world medium|paper|xl] [--seed N] \
          [--report summary|table1|figure2|figure3|table2|all]\n\
-         \u{20}               [SCAN FLAGS]\n\
+         \u{20}               [--shards N] [SCAN FLAGS]\n\
          \u{20}               [--extended] [--expand-pdns] [--payload-match] [--ethics] [--pcap FILE]\n\
          \u{20}               [--metrics-out FILE]\n\
          \u{20} --world medium runs the materialized medium world through the full\n\
          \u{20} pipeline; --world paper|xl runs the paper-scale streamed path (lazy\n\
          \u{20} plan-backed fabrics, URs folded into counters as they arrive) and\n\
-         \u{20} prints the scan summary — only --seed and the scan flags apply there;\n\
+         \u{20} prints the scan summary — only --seed, the scan flags and --shards N\n\
+         \u{20} (world shards, 1..=64, default 8; part of the run's identity) apply\n\
+         \u{20} there, and --shards applies nowhere else;\n\
          \u{20} --metrics-out FILE writes the observability registry and event\n\
          \u{20} trace (.prom/.txt = Prometheus text, otherwise JSON lines).\n\n{}",
         urhunter::cli::USAGE
@@ -74,12 +85,21 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn parse_args() -> Args {
+/// Take `flag`'s value from `it`; the error names the flag.
+fn need(flag: &str, it: &mut impl Iterator<Item = String>) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} requires a value"))
+}
+
+/// Parse `urhunter`'s arguments (everything after the program name). A
+/// bad or inapplicable flag is an error naming it; `--help` prints the
+/// usage and exits.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         scale: "small".to_string(),
         world: None,
         seed: None,
         report: "summary".to_string(),
+        shards: None,
         scan: ScanFlags::default(),
         extended: false,
         expand_pdns: false,
@@ -88,44 +108,62 @@ fn parse_args() -> Args {
         pcap: None,
         metrics_out: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--scale" => args.scale = it.next().unwrap_or_else(|| usage()),
+            "--scale" => args.scale = need(&arg, &mut it)?,
             "--world" => {
-                let v = it.next().unwrap_or_else(|| usage());
+                let v = need(&arg, &mut it)?;
                 if !matches!(v.as_str(), "medium" | "paper" | "xl") {
-                    eprintln!("--world must be one of medium|paper|xl (got {v})");
-                    usage()
+                    return Err(format!("--world must be one of medium|paper|xl (got {v})"));
                 }
                 args.world = Some(v);
             }
-            "--seed" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                args.seed = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--report" => args.report = it.next().unwrap_or_else(|| usage()),
+            "--seed" => args.seed = Some(value(&arg, &mut it, .., "a number")?),
+            "--shards" => args.shards = Some(value(&arg, &mut it, 1..=64, "within 1..=64")?),
+            "--report" => args.report = need(&arg, &mut it)?,
             "--extended" => args.extended = true,
             "--expand-pdns" => args.expand_pdns = true,
             "--payload-match" => args.payload_match = true,
             "--ethics" => args.ethics = true,
-            "--pcap" => args.pcap = Some(it.next().unwrap_or_else(|| usage())),
-            "--metrics-out" => args.metrics_out = Some(it.next().unwrap_or_else(|| usage())),
+            "--pcap" => args.pcap = Some(need(&arg, &mut it)?),
+            "--metrics-out" => args.metrics_out = Some(need(&arg, &mut it)?),
             "--help" | "-h" => usage(),
-            other => match args.scan.parse_flag(other, &mut it) {
-                Ok(true) => {}
-                Ok(false) => {
-                    eprintln!("unknown argument: {other}");
-                    usage()
+            other => {
+                if !args.scan.parse_flag(other, &mut it)? {
+                    return Err(format!("unknown argument: {other}"));
                 }
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    usage()
-                }
-            },
+            }
         }
     }
-    args
+    match args.world.as_deref() {
+        Some(preset @ ("paper" | "xl")) => {
+            for (set, flag) in [
+                (args.ethics, "--ethics"),
+                (args.extended, "--extended"),
+                (args.expand_pdns, "--expand-pdns"),
+                (args.payload_match, "--payload-match"),
+                (args.pcap.is_some(), "--pcap"),
+                (args.metrics_out.is_some(), "--metrics-out"),
+            ] {
+                if set {
+                    return Err(format!(
+                        "{flag} does not apply to --world {preset}: the streamed path reads \
+                         only --seed, --shards and the scan flags"
+                    ));
+                }
+            }
+        }
+        _ if args.shards.is_some() => {
+            return Err(
+                "--shards applies only to --world paper|xl (the world-shard count); \
+                        a materialized world scans on one shard per worker"
+                    .to_string(),
+            );
+        }
+        _ => {}
+    }
+    Ok(args)
 }
 
 /// The streamed paper-scale path: a plan-backed [`worldgen::StreamWorld`]
@@ -143,8 +181,8 @@ fn run_world_preset(args: &Args, preset: &str) -> ExitCode {
     }
     // Under --rate-limit the streamed path shares one token bucket across
     // all shard scans (a concatenated global timeline), so the shard count
-    // no longer needs clamping here.
-    let shards = args.scan.shards.unwrap_or(8);
+    // needs no clamping here.
+    let shards = args.shards.unwrap_or(8);
     eprintln!(
         "generating streamed world (preset={preset}, seed={})...",
         config.seed
@@ -178,7 +216,10 @@ fn run_world_preset(args: &Args, preset: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        usage()
+    });
     if let Some(world) = args.world.as_deref() {
         match world {
             // `--world medium` is the materialized preset: it runs the
@@ -307,6 +348,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
+    use super::{parse_args, Args};
     use urhunter::cli::ScanFlags;
 
     /// `--workers v` as `parse_args` hands it to the shared parser.
@@ -314,6 +356,10 @@ mod tests {
         let mut scan = ScanFlags::default();
         assert!(scan.parse_flag("--workers", &mut std::iter::once(v))?);
         Ok(scan.workers)
+    }
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
     }
 
     #[test]
@@ -330,5 +376,62 @@ mod tests {
         assert!(workers("-3").is_err());
         assert!(workers("65").unwrap_err().contains("64"));
         assert_eq!(workers("64"), Ok(Some(64)));
+    }
+
+    #[test]
+    fn shards_is_the_world_shard_count_of_a_streamed_world_only() {
+        for world in ["paper", "xl"] {
+            let args = parse(&["--world", world, "--shards", "16"]).expect("streamed world");
+            assert_eq!(args.shards, Some(16));
+            for bad in ["0", "65", "many"] {
+                let err = parse(&["--world", world, "--shards", bad]).err();
+                assert!(err.expect("out of range").contains("--shards"));
+            }
+        }
+        // A materialized world scans on one shard per worker: --shards
+        // cannot apply there.
+        for args in [
+            &["--shards", "4"][..],
+            &["--scale", "default", "--shards", "4"],
+            &["--world", "medium", "--shards", "4"],
+        ] {
+            let err = parse(args).err().expect("--shards must be refused");
+            assert!(err.contains("--shards"), "error for {args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn materialized_only_flags_are_refused_on_a_streamed_world() {
+        let flags = [
+            &["--ethics"][..],
+            &["--extended"],
+            &["--expand-pdns"],
+            &["--payload-match"],
+            &["--pcap", "sandbox.pcap"],
+            &["--metrics-out", "metrics.jsonl"],
+        ];
+        for flag in flags {
+            assert!(
+                parse(flag).is_ok(),
+                "{flag:?} applies to a materialized world"
+            );
+            for world in ["paper", "xl"] {
+                let args = [&["--world", world][..], flag].concat();
+                let err = parse(&args).err().expect("must be refused");
+                assert!(err.contains(flag[0]), "error for {args:?}: {err}");
+            }
+        }
+        // --seed and the scan flags still apply there.
+        let args = parse(&[
+            "--world",
+            "xl",
+            "--seed",
+            "3",
+            "--workers",
+            "2",
+            "--adaptive",
+        ]);
+        let args = args.expect("scan flags apply to a streamed world");
+        assert_eq!((args.seed, args.scan.workers), (Some(3), Some(2)));
     }
 }

@@ -1,4 +1,4 @@
-//! The eight scan flags shared by `urhunter` and `urhunterd`.
+//! The seven scan flags shared by `urhunter` and `urhunterd`.
 //!
 //! Both binaries hand every argument their own parser does not know to
 //! [`ScanFlags::parse_flag`], which checks its range and names the flag in
@@ -14,13 +14,10 @@ use std::str::FromStr;
 /// The scan-flag block of both binaries' `--help` text.
 pub const USAGE: &str = "\
 SCAN FLAGS (shared by urhunter and urhunterd):
-    --shards N             bulk-scan shards: replica fabrics partitioned by
-                           nameserver, 1..=64 (default: one per worker, and
-                           N is a floor on that; 8 world shards on urhunter
-                           --world paper|xl; 1 under --ethics and, on a
-                           materialized world, --rate-limit)
-    --workers N            scan workers claiming shards, 1..=64
-                           (default: sized from the machine)
+    --workers N            scan workers, 1..=64 (default: sized from the
+                           machine); the scan runs on one replica fabric per
+                           worker, or on one under --ethics and, on a
+                           materialized world, --rate-limit
     --retries N            attempts per probe, >= 1 (default 3)
     --timeout MS           simulated per-attempt timeout in ms, > 0
                            (default 5000)
@@ -31,18 +28,14 @@ SCAN FLAGS (shared by urhunter and urhunterd):
     --rtt-k N              variance multiplier of the derived timeout, >= 1
                            (default 4)
     --rate-limit N         cap the scan at N probes per simulated second, > 0
-    Workers, --adaptive, --rtt-k and --rate-limit change wall or simulated
-    time only: the classified output is bit-identical. So does --shards,
-    except on --world paper|xl, where the world-shard count fixes the scan
-    order and so is part of the run's identity.
+    --workers, --adaptive, --rtt-k and --rate-limit change wall or
+    simulated time only: the classified output is bit-identical.
 ";
 
 /// The scan flags one command line set; an absent flag leaves the
 /// config's own value.
 #[derive(Debug, Clone, Default)]
 pub struct ScanFlags {
-    /// `--shards N`.
-    pub shards: Option<usize>,
     /// `--workers N`.
     pub workers: Option<usize>,
     /// `--retries N`.
@@ -60,8 +53,9 @@ pub struct ScanFlags {
 }
 
 /// Take `flag`'s value from `rest` and require it to parse into `range`;
-/// the error names the flag.
-fn value<T: FromStr + PartialOrd, S: AsRef<str>>(
+/// the error names the flag. `urhunter` parses its own numeric flags with
+/// it too.
+pub fn value<T: FromStr + PartialOrd, S: AsRef<str>>(
     flag: &str,
     rest: &mut impl Iterator<Item = S>,
     range: impl RangeBounds<T>,
@@ -78,7 +72,7 @@ fn value<T: FromStr + PartialOrd, S: AsRef<str>>(
 }
 
 impl ScanFlags {
-    /// Record `flag` if it is one of the eight scan flags, taking its value
+    /// Record `flag` if it is one of the seven scan flags, taking its value
     /// from `rest`: `Ok(true)` when it was, `Ok(false)` when it is some
     /// other flag, and an error naming the flag for a missing or
     /// out-of-range value.
@@ -88,7 +82,6 @@ impl ScanFlags {
         rest: &mut impl Iterator<Item = S>,
     ) -> Result<bool, String> {
         match flag {
-            "--shards" => self.shards = Some(value(flag, rest, 1..=64, "within 1..=64")?),
             "--workers" => self.workers = Some(value(flag, rest, 1..=64, "within 1..=64")?),
             "--retries" => self.retries = Some(value(flag, rest, 1.., "at least 1")?),
             "--timeout" => self.timeout_ms = Some(value(flag, rest, 1.., "a positive number")?),
@@ -103,9 +96,6 @@ impl ScanFlags {
 
     /// `cfg` with every flag that was given applied.
     pub fn apply(&self, mut cfg: HunterConfig) -> HunterConfig {
-        if let Some(n) = self.shards {
-            cfg = cfg.with_shards(n);
-        }
         if let Some(n) = self.workers {
             cfg = cfg.with_workers(n);
         }
@@ -153,8 +143,7 @@ mod tests {
             cfg
         };
         for (args, expected) in [
-            (&["--shards", "4"][..], with(|c| c.shards = 4)),
-            (&["--workers", "1"], with(|c| c.workers = 1)),
+            (&["--workers", "1"][..], with(|c| c.workers = 1)),
             (&["--workers", "64"], with(|c| c.workers = 64)),
             (&["--retries", "5"], with(|c| c.retry.attempts = 5)),
             (
@@ -185,9 +174,7 @@ mod tests {
     #[test]
     fn out_of_range_values_are_rejected_naming_the_flag() {
         for args in [
-            &["--shards", "0"][..],
-            &["--shards", "65"],
-            &["--workers", "0"],
+            &["--workers", "0"][..],
             &["--workers", "65"],
             &["--workers", "many"],
             &["--workers", "-3"],

@@ -619,18 +619,13 @@ fn scan<K: ShardTask, T: Send>(
         shards: ranges.len(),
         bucket_wait: simnet::SimDuration::ZERO,
     };
-    // Two in-flight batches per shard queue: enough to keep the fold fed,
-    // small enough that a worker running ahead of the fold blocks on its
-    // queue instead of accumulating a whole shard's URs in memory.
     par::sharded_ordered_fold(
         workers,
         ranges.len(),
-        2,
         scan_shard,
         lead,
-        (),
-        |_: &mut (), _shard, batch: T| sink(batch),
-        |_: &mut (), _shard, (coverage, elapsed, stats, wait_us): ShardSummary| {
+        sink,
+        |(coverage, elapsed, stats, wait_us): ShardSummary| {
             // absorb() merges quarantine lists in address order; summaries
             // arrive in shard order, so every sum below is the sequential
             // loop's sum.

@@ -39,19 +39,16 @@ pub struct HunterConfig {
     /// Recover legitimate subdomains from passive DNS and add them to the
     /// target list (§6 future work).
     pub(crate) expand_targets_from_pdns: bool,
-    /// Floor on the bulk-scan shards of [`run`], which scans on
-    /// `max(shards, workers)` replica fabrics, one per contiguous range of
-    /// the selected nameservers — or on one under ethics pacing or a rate
-    /// cap, where elapsed-time bookkeeping is only meaningful on one clock.
-    /// Output is bit-identical for every value (pinned by `tests/sharding.rs`).
-    /// ([`run_streamed`] takes its world-shard count as an argument: there
-    /// it is part of the run's identity.)
-    pub shards: usize,
-    /// Scan worker threads: workers claim shards (at most one each, so
-    /// `min(shards, workers)` run; one worker scans on the calling thread),
-    /// and a worker classifies the URs it scanned. [`run`]'s calling thread
-    /// sweeps for correct and protective records while the workers scan,
-    /// then folds, analyzes and reports.
+    /// Scan worker threads, the one width of the scan. [`run`] splits the
+    /// selected nameservers into one contiguous shard per worker, each
+    /// scanned on its own replica fabric — or into one shard under ethics
+    /// pacing or a rate cap, where elapsed-time bookkeeping is only
+    /// meaningful on one clock. [`run_streamed`] takes its world-shard
+    /// count as an argument (there it is part of the run's identity), and
+    /// its workers claim those shards. One worker scans on the calling
+    /// thread; a worker classifies the URs it scanned. [`run`]'s calling
+    /// thread sweeps for correct and protective records while the workers
+    /// scan, then folds, analyzes and reports.
     /// `0` is automatic (available parallelism,
     /// `URHUNTER_PARALLELISM` override), `1` is sequential, `n` fixed.
     /// Output is bit-identical for every value (pinned by
@@ -99,7 +96,6 @@ impl HunterConfig {
             per_server_interval: SimDuration::ZERO,
             scheduler_seed: 0x5545,
             expand_targets_from_pdns: false,
-            shards: 1,
             workers: 0,
             retry: QueryPlan::default(),
             scan_faults: None,
@@ -134,13 +130,6 @@ impl HunterConfig {
     /// Enable TXT payload-signature matching on top of this config.
     pub fn with_payload_matching(mut self) -> Self {
         self.analyze.match_txt_payloads = true;
-        self
-    }
-
-    /// Set the floor on the collection shard count (see
-    /// [`HunterConfig::shards`]; `0` and `1` both mean one per worker).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -258,19 +247,6 @@ pub struct RunOutput {
     pub bucket_wait: SimDuration,
 }
 
-/// [`run`]'s bulk-scan shard count: one per worker, or
-/// [`HunterConfig::shards`] if more. Ethics pacing and a global rate cap
-/// each budget one scanner clock, and sharding would make elapsed time
-/// depend on the shard layout, so a paced scan runs on one shard.
-fn bulk_scan_shards(cfg: &HunterConfig, workers: usize) -> usize {
-    if cfg.per_server_interval == SimDuration::ZERO && cfg.rate_limit_interval == SimDuration::ZERO
-    {
-        cfg.shards.max(workers).max(1)
-    } else {
-        1
-    }
-}
-
 /// Publishes `None` into a set-once cell on drop unless a value is already
 /// there: when the step that should fill the cell unwinds, a worker waiting
 /// on it is released (and panics) instead of hanging.
@@ -338,6 +314,12 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         .with_global_interval(cfg.rate_limit_interval);
     let classify_cfg = cfg.classify_cfg(world.config.today);
     let workers = par::Parallelism::from_knob(cfg.workers).get();
+    // One shard per worker, or one when paced: ethics pacing and a global
+    // rate cap each budget one scanner clock, and sharding would make
+    // elapsed time depend on the shard layout.
+    let paced = cfg.per_server_interval != SimDuration::ZERO
+        || cfg.rate_limit_interval != SimDuration::ZERO;
+    let shards = if paced { 1 } else { workers };
     // The bulk scan runs on shard replica fabrics built from this snapshot
     // (even on one shard, so the scan baseline doesn't depend on the knob):
     // same fault seed and latency, per-shard RNG streams. The support sweep
@@ -412,7 +394,7 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         &targets,
         &cfg.collect,
         &mut scheduler,
-        bulk_scan_shards(cfg, workers),
+        shards,
         workers,
         usize::MAX,
         &classify,
@@ -886,13 +868,33 @@ mod tests {
 
     #[test]
     fn the_bulk_scan_runs_one_shard_per_worker_unless_paced() {
-        for (shards, workers) in [(1, 1), (1, 2), (4, 2), (2, 4), (8, 8)] {
-            let cfg = HunterConfig::fast().with_shards(shards);
-            assert_eq!(bulk_scan_shards(&cfg, workers), shards.max(workers));
-            let paced = HunterConfig::paper_faithful().with_shards(shards);
-            assert_eq!(bulk_scan_shards(&paced, workers), 1, "ethics pacing");
-            let capped = cfg.with_rate_limit_per_sec(100);
-            assert_eq!(bulk_scan_shards(&capped, workers), 1, "rate cap");
+        // Ethics pacing and a rate cap each budget one scanner clock, so on
+        // four workers a paced scan still runs on one shard: its sequence,
+        // scan clock, bucket waits and world clock are the one-worker
+        // run's. (Sharded, the ethics run's summed scan clock doubles on
+        // the small world. The capped row holds on any shard count,
+        // because one shared bucket meters the concatenated shard
+        // timeline. Unpaced, one shard per worker is invisible in the
+        // output: see tests/sharding.rs.)
+        let run_on = |cfg: HunterConfig| {
+            let mut world = World::generate(WorldConfig::small());
+            let out = run(&mut world, &cfg);
+            (
+                classified_sequence_hash(&out.classified),
+                out.scan_elapsed,
+                out.bucket_wait,
+                world.net.now(),
+            )
+        };
+        for (label, paced) in [
+            ("ethics", HunterConfig::paper_faithful()),
+            (
+                "rate cap",
+                HunterConfig::fast().with_rate_limit_per_sec(100),
+            ),
+        ] {
+            let one = run_on(paced.clone().with_workers(1));
+            assert_eq!(run_on(paced.with_workers(4)), one, "{label}");
         }
     }
 

@@ -181,8 +181,6 @@ mod tests {
             "40",
             "--expire-fraction",
             "0.5",
-            "--shards",
-            "4",
             "--workers",
             "2",
             "--retries",
@@ -209,7 +207,6 @@ mod tests {
         assert_eq!(cfg.driver.drift_days, 240);
         assert_eq!(cfg.driver.new_campaigns, 40);
         assert_eq!(cfg.driver.expire_fraction, 0.5);
-        assert_eq!(cfg.driver.hunter.shards, 4);
         assert_eq!(cfg.driver.hunter.workers, 2);
         let retry = cfg.driver.hunter.retry;
         assert_eq!(retry.attempts, 5);
@@ -233,7 +230,8 @@ mod tests {
             (vec!["--max-epochs", "0"], "--max-epochs"),
             (vec!["--epoch-interval", "0"], "--epoch-interval"),
             (vec!["--expire-fraction", "1.5"], "--expire-fraction"),
-            (vec!["--shards", "65"], "--shards"),
+            // The world-shard count is `urhunter --world paper|xl`'s alone.
+            (vec!["--shards", "4"], "--shards"),
             (vec!["--workers", "0"], "--workers"),
             (vec!["--retries", "0"], "--retries"),
             (vec!["--timeout", "0"], "--timeout"),

@@ -1,114 +1,33 @@
-//! Deterministic sharded streaming: a bounded, sequence-numbered batch
-//! channel plus the one ordered-merge executor.
+//! Deterministic sharded streaming: the one ordered-merge executor.
 //!
 //! A bulk scan is parallel at the *source*: each shard drives its own
 //! replica of the simulated network (whose nodes are `!Sync` by design)
 //! and everything downstream must still see one canonical sequence — the
-//! crate's core invariant, output bit-identical to the sequential path:
-//!
-//! * [`BatchChannel`] — a bounded FIFO of `(sequence, batch)` pairs with
-//!   blocking send (backpressure on the producer) and blocking receive.
-//!   Closing wakes every waiter; sends after close are dropped, so a
-//!   failing consumer never deadlocks the producer.
-//! * [`sharded_ordered_fold`] — the executor: worker threads claim whole
-//!   shards, each delivering through its own bounded queue, and the
-//!   calling thread runs its own `lead` step beside them, then folds
-//!   everything in canonical shard-major order under a window gate that
-//!   bounds resident shards. Bit-identical to the
-//!   sequential shard loop for every worker count — and, with one worker,
-//!   *is* that loop, on the calling thread.
+//! crate's core invariant, output bit-identical to the sequential path.
+//! [`sharded_ordered_fold`] is that executor: worker threads claim whole
+//! shards, each delivering through its own bounded
+//! [`std::sync::mpsc::sync_channel`], and the calling thread runs its own
+//! `lead` step beside them, then folds everything in canonical
+//! shard-major order under a window gate that bounds resident shards.
+//! Bit-identical to the sequential shard loop for every worker count —
+//! and, with one worker, *is* that loop, on the calling thread.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Condvar, Mutex, PoisonError};
 
-/// A bounded FIFO of sequence-numbered batches (single producer in the
-/// pipeline use, but safe for any number of senders/receivers).
-///
-/// Capacity counts batches, not items; a full channel blocks `send` until
-/// a receiver drains a slot, which is the backpressure that keeps the
-/// streaming pipeline's memory bounded.
-#[derive(Debug)]
-pub(crate) struct BatchChannel<T> {
-    state: Mutex<ChannelState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct ChannelState<T> {
-    queue: VecDeque<(u64, T)>,
-    closed: bool,
-}
-
-impl<T> BatchChannel<T> {
-    /// A channel holding at most `capacity` batches (clamped up to 1).
-    pub(crate) fn bounded(capacity: usize) -> Self {
-        BatchChannel {
-            state: Mutex::new(ChannelState {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Enqueue `(seq, batch)`, blocking while the channel is full.
-    ///
-    /// Returns `false` when the channel was closed (the batch is dropped)
-    /// — senders treat that as "the consumer is gone" and wind down.
-    pub(crate) fn send(&self, seq: u64, batch: T) -> bool {
-        let mut st = self.state.lock().expect("channel lock");
-        while st.queue.len() >= self.capacity && !st.closed {
-            st = self.not_full.wait(st).expect("channel lock");
-        }
-        if st.closed {
-            return false;
-        }
-        st.queue.push_back((seq, batch));
-        drop(st);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Dequeue the oldest batch, blocking while the channel is empty and
-    /// open. `None` means closed *and* drained: no batch will ever follow.
-    pub(crate) fn recv(&self) -> Option<(u64, T)> {
-        let mut st = self.state.lock().expect("channel lock");
-        loop {
-            if let Some(pair) = st.queue.pop_front() {
-                drop(st);
-                self.not_full.notify_one();
-                return Some(pair);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).expect("channel lock");
-        }
-    }
-
-    /// Close the channel and wake every blocked sender and receiver.
-    /// Already-queued batches remain receivable; further sends are dropped.
-    pub(crate) fn close(&self) {
-        let mut st = self.state.lock().expect("channel lock");
-        st.closed = true;
-        drop(st);
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-    }
-}
+/// In-flight batches per shard queue: enough to keep the fold fed, small
+/// enough that a worker running ahead of the fold blocks on its queue
+/// instead of accumulating a whole shard's output in memory.
+const SHARD_QUEUE_BOUND: usize = 2;
 
 /// Admission gate bounding how many shards may be in flight at once.
 ///
 /// Workers claim shard indices monotonically but may not *start* shard
 /// `s` until `s < floor + window`, where `floor` is the next shard the
-/// fold still needs. Combined with the bounded batch channel this caps
-/// peak memory at `window` resident shard fabrics plus `capacity`
-/// in-flight batches, no matter how far ahead a fast worker could run.
+/// fold still needs. Combined with the bounded shard queues this caps
+/// peak memory at `window` resident shard fabrics plus
+/// [`SHARD_QUEUE_BOUND`] in-flight batches each, no matter how far ahead a
+/// fast worker could run.
 #[derive(Debug)]
 struct ShardGate {
     state: Mutex<GateState>,
@@ -180,118 +99,113 @@ enum ShardItem<T, S> {
     Done(S),
 }
 
+/// The shards no worker has claimed yet, in order, each with the sending
+/// end of its queue.
+type Claims<T, S> = std::iter::Enumerate<std::vec::IntoIter<SyncSender<ShardItem<T, S>>>>;
+
 /// Run `shards` independent scans on `workers` threads and fold their
 /// output on the **calling thread** in canonical shard-major order.
 ///
 /// * `scan(shard, emit)` runs on a worker thread. It must emit the
 ///   shard's batches through `emit` in order and return the shard's
-///   summary. Workers claim shard indices from a shared counter, so
+///   summary. Workers claim shard indices in order from a shared queue, so
 ///   shard→thread assignment is load-balanced and non-deterministic —
 ///   which is why the fold re-imposes order.
-/// * `fold_batch(acc, shard, batch)` and `fold_done(acc, shard, summary)`
-///   run on the calling thread and see every batch and summary exactly as
-///   a sequential `for shard in 0..shards` loop would have produced them:
-///   all of shard 0's batches, then its summary, then shard 1's, … For
-///   any worker count the accumulator is bit-identical to that loop.
-/// * Memory: every shard delivers through its own queue bounded at
-///   `capacity` batches, and the fold drains only the current (floor)
-///   shard's queue — a worker that runs ahead blocks on its full queue
-///   rather than parking unbounded batches at the fold. With the window
-///   gate holding claims to `workers` shards past the floor, peak RSS is
-///   `O(workers × (shard fabric + capacity × batch))` regardless of
-///   `shards`.
-///
+/// * `fold_batch(batch)` and `fold_done(summary)` run on the calling
+///   thread and see every batch and summary exactly as a sequential
+///   `for shard in 0..shards` loop would have produced them: all of shard
+///   0's batches, then its summary, then shard 1's, … For any worker count
+///   what they fold is bit-identical to that loop.
 /// * `lead()` runs exactly once, on the calling thread, after the workers
 ///   are spawned and before the fold sees shard 0: work that must stay on
 ///   the calling thread (because it owns `!Send` state) overlaps the
 ///   scans instead of preceding them. A `scan` that needs what `lead`
 ///   produces waits for it itself; the fold never does.
+/// * Memory: every shard delivers through its own queue bounded at
+///   `SHARD_QUEUE_BOUND` (two) batches, and the fold drains only the current
+///   (floor) shard's queue — a worker that runs ahead blocks on its full
+///   queue rather than parking unbounded batches at the fold. With the
+///   window gate holding claims to `workers` shards past the floor, peak
+///   RSS is `O(workers × (shard fabric + bound × batch))` regardless of
+///   `shards`.
 ///
 /// With one worker (one shard, or `workers <= 1`) no thread is spawned:
 /// `lead` runs first and then the loop above runs as written on the
-/// calling thread. The default scan is one shard, and it keeps the thread,
-/// allocator arena and resident set it always had.
+/// calling thread, which keeps its thread, allocator arena and resident
+/// set.
 ///
-/// A panicking worker poisons the gate and closes every queue, so every
-/// other stage unblocks; the panic propagates when the thread scope
-/// joins. A panicking `lead` or fold closes/poisons on unwind likewise (a
-/// worker waiting on `lead`'s product must be released by `lead`'s own
-/// unwind).
-#[allow(clippy::too_many_arguments)]
-pub fn sharded_ordered_fold<T, S, A>(
+/// A panicking worker poisons the gate and drops the senders of every
+/// shard no worker has claimed, so every other stage unblocks: a fold
+/// that reaches a dead or unclaimed shard sees its queue disconnect. A
+/// panicking `lead` or fold poisons the gate and drops every receiver, so
+/// a worker blocked on a full queue gets an error (a worker waiting on
+/// `lead`'s product must be released by `lead`'s own unwind). The panic
+/// propagates when the thread scope joins.
+pub fn sharded_ordered_fold<T, S>(
     workers: usize,
     shards: usize,
-    capacity: usize,
     scan: impl Fn(usize, &mut dyn FnMut(T)) -> S + Sync,
     lead: impl FnOnce(),
-    init: A,
-    mut fold_batch: impl FnMut(&mut A, usize, T),
-    mut fold_done: impl FnMut(&mut A, usize, S),
-) -> A
-where
+    mut fold_batch: impl FnMut(T),
+    mut fold_done: impl FnMut(S),
+) where
     T: Send,
     S: Send,
 {
     let workers = workers.max(1).min(shards.max(1));
-    let mut acc = init;
     if workers == 1 {
         lead();
         for shard in 0..shards {
-            let summary = scan(shard, &mut |batch| fold_batch(&mut acc, shard, batch));
-            fold_done(&mut acc, shard, summary);
+            let summary = scan(shard, &mut fold_batch);
+            fold_done(summary);
         }
-        return acc;
+        return;
     }
     let window = workers;
-    let queues: Vec<BatchChannel<ShardItem<T, S>>> = (0..shards)
-        .map(|_| BatchChannel::bounded(capacity.max(1)))
-        .collect();
+    let (senders, receivers): (Vec<_>, Vec<_>) =
+        (0..shards).map(|_| sync_channel(SHARD_QUEUE_BOUND)).unzip();
+    let claims: Mutex<Claims<T, S>> = Mutex::new(senders.into_iter().enumerate());
     let gate = ShardGate::new();
-    let next_shard = AtomicUsize::new(0);
 
-    fn close_all<T, S>(queues: &[BatchChannel<ShardItem<T, S>>]) {
-        for q in queues {
-            q.close();
-        }
+    // Claiming a shard takes its sender, which then drops with the worker
+    // that holds it: on `Done`'s delivery, or on the worker's unwind.
+    fn claim<T, S>(claims: &Mutex<Claims<T, S>>) -> Option<(usize, SyncSender<ShardItem<T, S>>)> {
+        claims.lock().unwrap_or_else(PoisonError::into_inner).next()
     }
 
-    let mut folded_shards = 0usize;
     std::thread::scope(|scope| {
+        // Owned by this closure, so they drop as soon as it unwinds.
+        let receivers = receivers;
         for _ in 0..workers {
-            let queues = &queues;
+            let claims = &claims;
             let gate = &gate;
-            let next_shard = &next_shard;
             let scan = &scan;
             scope.spawn(move || {
-                // A panicking worker would otherwise leave the fold blocked
-                // on a queue that never sees its Done, and siblings blocked
-                // on admission or on their own full queues.
+                // A panicking worker poisons the gate, so siblings waiting
+                // for admission give up on a floor that will never advance,
+                // and drops every unclaimed shard's sender, so the fold can
+                // never wait on a shard nobody will scan.
                 struct WorkerExit<'a, T, S> {
-                    queues: &'a [BatchChannel<ShardItem<T, S>>],
+                    claims: &'a Mutex<Claims<T, S>>,
                     gate: &'a ShardGate,
                 }
                 impl<T, S> Drop for WorkerExit<'_, T, S> {
                     fn drop(&mut self) {
                         if std::thread::panicking() {
                             self.gate.poison();
-                            close_all(self.queues);
+                            while claim(self.claims).is_some() {}
                         }
                     }
                 }
-                let _exit = WorkerExit { queues, gate };
-                loop {
-                    let shard = next_shard.fetch_add(1, Ordering::Relaxed);
-                    if shard >= shards {
-                        break;
-                    }
+                let _exit = WorkerExit { claims, gate };
+                while let Some((shard, queue)) = claim(claims) {
                     gate.wait_admitted(shard, window);
-                    let queue = &queues[shard];
-                    let mut seq = 0u64;
+                    // A send fails only once the fold is gone; the rest of
+                    // the shard is scanned and dropped.
                     let summary = scan(shard, &mut |batch: T| {
-                        queue.send(seq, ShardItem::Batch(batch));
-                        seq += 1;
+                        let _ = queue.send(ShardItem::Batch(batch));
                     });
-                    if !queue.send(seq, ShardItem::Done(summary)) {
+                    if queue.send(ShardItem::Done(summary)).is_err() {
                         break; // fold gone; nothing left to deliver to
                     }
                 }
@@ -299,86 +213,42 @@ where
         }
 
         // Lead and fold run here on the calling thread. If either panics,
-        // unblock the workers (gate + queues) before the scope joins them.
-        struct FoldExit<'a, T, S> {
-            queues: &'a [BatchChannel<ShardItem<T, S>>],
-            gate: &'a ShardGate,
-        }
-        impl<T, S> Drop for FoldExit<'_, T, S> {
+        // the gate is poisoned and `receivers` drop before the scope joins
+        // the workers.
+        struct FoldExit<'a>(&'a ShardGate);
+        impl Drop for FoldExit<'_> {
             fn drop(&mut self) {
                 if std::thread::panicking() {
-                    self.gate.poison();
+                    self.0.poison();
                 }
-                close_all(self.queues);
             }
         }
-        let _exit = FoldExit {
-            queues: &queues,
-            gate: &gate,
-        };
+        let _exit = FoldExit(&gate);
         lead();
 
         // Canonical order for free: drain shard 0's queue to its summary,
         // then shard 1's, … Each queue is single-producer FIFO, so batches
         // arrive already in emission order — nothing is ever parked.
-        for (floor, queue) in queues.iter().enumerate() {
-            let mut expect_seq = 0u64;
+        for (floor, queue) in receivers.iter().enumerate() {
             loop {
                 match queue.recv() {
-                    Some((seq, ShardItem::Batch(batch))) => {
-                        debug_assert_eq!(seq, expect_seq, "shard {floor} batch out of order");
-                        expect_seq += 1;
-                        fold_batch(&mut acc, floor, batch);
-                    }
-                    Some((_, ShardItem::Done(summary))) => {
-                        fold_done(&mut acc, floor, summary);
-                        folded_shards += 1;
+                    Ok(ShardItem::Batch(batch)) => fold_batch(batch),
+                    Ok(ShardItem::Done(summary)) => {
+                        fold_done(summary);
                         gate.advance(floor + 1);
                         break;
                     }
-                    None => panic!("sharded scan aborted: a peer stage panicked"),
+                    Err(_) => panic!("sharded scan aborted: a peer stage panicked"),
                 }
             }
         }
     });
-    assert_eq!(
-        folded_shards, shards,
-        "sharded fold ended before every shard was absorbed"
-    );
-    acc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn channel_delivers_fifo_and_drains_after_close() {
-        let ch: BatchChannel<u32> = BatchChannel::bounded(4);
-        assert!(ch.send(0, 10));
-        assert!(ch.send(1, 20));
-        ch.close();
-        assert!(!ch.send(2, 30), "send after close is dropped");
-        assert_eq!(ch.recv(), Some((0, 10)));
-        assert_eq!(ch.recv(), Some((1, 20)));
-        assert_eq!(ch.recv(), None);
-    }
-
-    #[test]
-    fn channel_blocks_producer_at_capacity() {
-        let ch: BatchChannel<u32> = BatchChannel::bounded(1);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                assert!(ch.send(0, 1));
-                assert!(ch.send(1, 2)); // blocks until the recv below
-                ch.close();
-            });
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            assert_eq!(ch.recv(), Some((0, 1)));
-            assert_eq!(ch.recv(), Some((1, 2)));
-            assert_eq!(ch.recv(), None);
-        });
-    }
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// Reference for the sharded fold: the sequential loop it must match.
     fn sharded_sequential(shards: usize, per_shard: usize) -> (Vec<u64>, Vec<usize>) {
@@ -398,70 +268,57 @@ mod tests {
         for shards in [1usize, 2, 5, 8] {
             let expect = sharded_sequential(shards, 23);
             for workers in [1usize, 2, 4, 8] {
-                for capacity in [1usize, 2, 8] {
-                    let got = sharded_ordered_fold(
-                        workers,
-                        shards,
-                        capacity,
-                        |shard, emit| {
-                            // Emit in small uneven batches to exercise the
-                            // per-shard queues.
-                            let mut batch = Vec::new();
-                            for i in 0..23u64 {
-                                batch.push((shard as u64) << 32 | i.wrapping_mul(31));
-                                if batch.len() == 1 + (shard + batch.len()) % 4 {
-                                    emit(std::mem::take(&mut batch));
-                                }
+                let (mut out, mut sums) = (Vec::new(), Vec::new());
+                sharded_ordered_fold(
+                    workers,
+                    shards,
+                    |shard, emit| {
+                        // Emit in small uneven batches to exercise the
+                        // per-shard queues.
+                        let mut batch = Vec::new();
+                        for i in 0..23u64 {
+                            batch.push((shard as u64) << 32 | i.wrapping_mul(31));
+                            if batch.len() == 1 + (shard + batch.len()) % 4 {
+                                emit(std::mem::take(&mut batch));
                             }
-                            if !batch.is_empty() {
-                                emit(batch);
-                            }
-                            shard * 23
-                        },
-                        || {},
-                        (Vec::new(), Vec::new()),
-                        |acc: &mut (Vec<u64>, Vec<usize>), _shard, batch: Vec<u64>| {
-                            acc.0.extend(batch)
-                        },
-                        |acc, shard, sum| {
-                            assert_eq!(shard, acc.1.len(), "summaries arrive in shard order");
-                            acc.1.push(sum);
-                        },
-                    );
-                    assert_eq!(
-                        got, expect,
-                        "shards={shards} workers={workers} cap={capacity}"
-                    );
-                }
+                        }
+                        if !batch.is_empty() {
+                            emit(batch);
+                        }
+                        shard * 23
+                    },
+                    || {},
+                    |batch: Vec<u64>| out.extend(batch),
+                    |sum| sums.push(sum),
+                );
+                assert_eq!((out, sums), expect, "shards={shards} workers={workers}");
             }
         }
     }
 
     #[test]
     fn sharded_fold_handles_zero_and_empty_shards() {
-        let got = sharded_ordered_fold(
+        let (mut batches, mut sums) = (0u32, 0u32);
+        sharded_ordered_fold(
             4,
             0,
-            2,
             |_shard, _emit: &mut dyn FnMut(u32)| 0u32,
             || {},
-            0u32,
-            |acc, _, b| *acc += b,
-            |acc, _, s| *acc += s,
+            |_| batches += 1,
+            |_| sums += 1,
         );
-        assert_eq!(got, 0);
+        assert_eq!((batches, sums), (0, 0));
         // Shards that emit nothing still deliver their summary in order.
-        let got = sharded_ordered_fold(
+        let mut sums = Vec::new();
+        sharded_ordered_fold(
             3,
             6,
-            2,
             |shard, _emit: &mut dyn FnMut(u32)| shard as u32,
             || {},
-            Vec::new(),
-            |_acc: &mut Vec<u32>, _, _b: u32| unreachable!("no batches emitted"),
-            |acc, _, s| acc.push(s),
+            |_b: u32| unreachable!("no batches emitted"),
+            |s| sums.push(s),
         );
-        assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(sums, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -470,7 +327,6 @@ mod tests {
             sharded_ordered_fold(
                 4,
                 16,
-                2,
                 |shard, emit| {
                     if shard == 7 {
                         panic!("unlucky shard");
@@ -479,9 +335,8 @@ mod tests {
                     shard
                 },
                 || {},
-                0usize,
-                |acc, _, b: Vec<u64>| *acc += b.len(),
-                |acc, _, _| *acc += 1,
+                |_: Vec<u64>| {},
+                |_| {},
             )
         }));
         assert!(result.is_err(), "worker panic must propagate");
@@ -493,21 +348,19 @@ mod tests {
             sharded_ordered_fold(
                 4,
                 16,
-                1,
                 |shard, emit| {
                     for i in 0..50u64 {
-                        emit(vec![i]);
+                        emit((shard, i));
                     }
                     shard
                 },
                 || {},
-                0usize,
-                |_acc, shard, _b: Vec<u64>| {
+                |(shard, _i): (usize, u64)| {
                     if shard == 3 {
                         panic!("fold rejects shard 3");
                     }
                 },
-                |_acc, _, _| {},
+                |_| {},
             )
         }));
         assert!(result.is_err(), "fold panic must propagate");
@@ -527,14 +380,13 @@ mod tests {
 
     #[test]
     fn a_panicking_lead_propagates_without_deadlock() {
-        // Workers run ahead of the fold until their one-slot queues and the
+        // Workers run ahead of the fold until their full queues and the
         // gate block them; the lead's unwind must release all of them.
         for workers in [1usize, 4] {
             let panicked = panics_within_ten_seconds(move || {
                 sharded_ordered_fold(
                     workers,
                     16,
-                    1,
                     |shard, emit| {
                         for i in 0..50u64 {
                             emit(vec![i]);
@@ -542,9 +394,8 @@ mod tests {
                         shard
                     },
                     || panic!("the lead failed"),
-                    0usize,
-                    |acc, _, b: Vec<u64>| *acc += b.len(),
-                    |acc, _, _| *acc += 1,
+                    |_: Vec<u64>| {},
+                    |_| {},
                 );
             });
             assert!(panicked, "workers={workers}: lead panic must propagate");
@@ -554,11 +405,10 @@ mod tests {
     #[test]
     fn a_worker_panic_while_the_lead_runs_propagates_without_deadlock() {
         let panicked = panics_within_ten_seconds(|| {
-            let worker_died = std::sync::atomic::AtomicBool::new(false);
+            let worker_died = AtomicBool::new(false);
             sharded_ordered_fold(
                 4,
                 16,
-                2,
                 |shard, emit| {
                     if shard == 2 {
                         worker_died.store(true, Ordering::SeqCst);
@@ -573,11 +423,28 @@ mod tests {
                         std::thread::sleep(std::time::Duration::from_millis(1));
                     }
                 },
-                0usize,
-                |acc, _, b: Vec<u64>| *acc += b.len(),
-                |acc, _, _| *acc += 1,
+                |_: Vec<u64>| {},
+                |_| {},
             );
         });
         assert!(panicked, "worker panic must propagate");
+    }
+
+    #[test]
+    fn every_worker_panicking_early_propagates_without_deadlock() {
+        // Both workers die on their first shard while six shards are still
+        // unclaimed: the fold must see every queue disconnect, not wait on
+        // a shard nobody will scan.
+        let panicked = panics_within_ten_seconds(|| {
+            sharded_ordered_fold(
+                2,
+                8,
+                |shard, _emit: &mut dyn FnMut(u64)| -> usize { panic!("shard {shard} failed") },
+                || {},
+                |_| {},
+                |_| {},
+            );
+        });
+        assert!(panicked, "worker panics must propagate");
     }
 }

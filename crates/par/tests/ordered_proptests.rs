@@ -1,5 +1,5 @@
 //! Property test for the one ordered-merge executor: for arbitrary shard
-//! counts, per-shard batch lists, worker counts and queue capacities,
+//! counts, per-shard batch lists and worker counts,
 //! [`par::sharded_ordered_fold`] must be indistinguishable from the
 //! sequential shard loop its documentation defines it by. Worker count 1
 //! takes the executor's inline arm and every other count the threaded
@@ -37,7 +37,6 @@ proptest! {
             0..13,
         ),
         workers in 1usize..9,
-        capacity in 1usize..5,
     ) {
         let caller = std::thread::current().id();
         // With one effective worker nothing is spawned, and the lead must
@@ -51,34 +50,35 @@ proptest! {
             }
             expect.push(Folded::Done(shard, summary_of(shard, batches)));
         }
-        let got = sharded_ordered_fold(
+        // Batches and summaries carry their shard, so the fold can record
+        // which shard it thinks it is folding.
+        let got = std::cell::RefCell::new(Vec::new());
+        sharded_ordered_fold(
             workers,
             plan.len(),
-            capacity,
             |shard, emit| {
                 if inline {
                     assert_eq!(leads.load(SeqCst), 1, "one worker: the lead precedes every scan");
                 }
                 for batch in &plan[shard] {
-                    emit(batch.clone());
+                    emit((shard, batch.clone()));
                 }
-                summary_of(shard, &plan[shard])
+                (shard, summary_of(shard, &plan[shard]))
             },
             || {
                 assert_eq!(std::thread::current().id(), caller, "the lead runs on the calling thread");
                 leads.fetch_add(1, SeqCst);
             },
-            Vec::new(),
-            |acc: &mut Vec<Folded>, shard, batch| {
+            |(shard, batch)| {
                 assert_eq!(leads.load(SeqCst), 1, "the fold saw a batch before the lead ran");
-                acc.push(Folded::Batch(shard, batch));
+                got.borrow_mut().push(Folded::Batch(shard, batch));
             },
-            |acc: &mut Vec<Folded>, shard, summary| {
+            |(shard, summary)| {
                 assert_eq!(leads.load(SeqCst), 1, "the fold saw a summary before the lead ran");
-                acc.push(Folded::Done(shard, summary));
+                got.borrow_mut().push(Folded::Done(shard, summary));
             },
         );
         prop_assert_eq!(leads.load(SeqCst), 1);
-        prop_assert_eq!(got, expect);
+        prop_assert_eq!(got.into_inner(), expect);
     }
 }

@@ -79,13 +79,13 @@ fn adaptive_runs_are_bit_identical_across_executors_shards_and_repeats() {
     );
     assert_eq!(repeat.scan_elapsed, reference.scan_elapsed);
 
-    // Sharded and not, with as many workers as shards and with fewer.
-    for (shards, workers) in [(4usize, 4usize), (1, 2), (4, 2)] {
-        let out = observe(adaptive().with_shards(shards).with_workers(workers));
+    // On one shard per worker: the reference ran at automatic workers.
+    for workers in [1usize, 2, 4] {
+        let out = observe(adaptive().with_workers(workers));
         assert_eq!(
             signature(&out),
             signature(&reference),
-            "adaptive run diverges at shards={shards} workers={workers}"
+            "adaptive run diverges at workers={workers}"
         );
         assert_eq!(out.scan_elapsed, reference.scan_elapsed);
     }

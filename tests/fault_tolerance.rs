@@ -172,7 +172,7 @@ fn batch_and_stream_see_identical_coverage_under_loss() {
     // policy: one worker on one shard and four workers on four shards must
     // agree probe for probe.
     let one = run_with(lossy_cfg(0.05, 3, 1));
-    let four = run_with(lossy_cfg(0.05, 3, 4).with_shards(4));
+    let four = run_with(lossy_cfg(0.05, 3, 4));
     assert_eq!(one.coverage, four.coverage);
     assert_eq!(signature(&one), signature(&four));
 }

@@ -1,7 +1,8 @@
 //! Integration contract for the observability subsystem (`crates/obs`):
 //! every sim-class metric is a pure function of the simulated world, so
 //! the deterministic snapshot hash must be bit-identical across worker
-//! and shard counts — with and without injected loss — while wall-class
+//! counts (one scan shard per worker) — with and without injected loss —
+//! while wall-class
 //! metrics (host timing, scheduling) stay out of the hash entirely. The
 //! exporters must round-trip the same registry.
 
@@ -18,20 +19,13 @@ fn observed_run(cfg: HunterConfig) -> (RunOutput, Arc<obs::Obs>) {
     (out, hub)
 }
 
-/// The execution matrix the determinism contract covers: one worker and
-/// four, on one shard and on four (with as many workers, and with fewer).
+/// The execution matrix the determinism contract covers: one, two and
+/// four workers, each scanning its own shard.
 fn matrix() -> Vec<(&'static str, HunterConfig)> {
     vec![
         ("workers=1", HunterConfig::fast().with_workers(1)),
+        ("workers=2", HunterConfig::fast().with_workers(2)),
         ("workers=4", HunterConfig::fast().with_workers(4)),
-        (
-            "shards=4 workers=4",
-            HunterConfig::fast().with_shards(4).with_workers(4),
-        ),
-        (
-            "shards=4 workers=2",
-            HunterConfig::fast().with_shards(4).with_workers(2),
-        ),
     ]
 }
 
@@ -58,7 +52,7 @@ fn sim_metrics_hash_is_identical_across_executors_and_parallelism() {
 fn sim_metrics_hash_is_identical_under_loss() {
     // 1% drop with the default 3 attempts: retries fire, backoff waits
     // accumulate, and all of it must still be a pure function of the
-    // simulated world — identical across every worker and shard count.
+    // simulated world — identical across every worker count.
     let mut reference: Option<u64> = None;
     let mut snapshots = Vec::new();
     for (label, cfg) in matrix() {

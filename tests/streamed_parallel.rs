@@ -71,7 +71,7 @@ fn parallel_fold_is_bit_identical_to_sequential() {
 }
 
 #[test]
-fn rate_limited_scan_composes_with_shards_and_workers() {
+fn rate_limited_scan_composes_with_world_shards_and_workers() {
     const PER_SEC: u64 = 50;
     let interval = SimDuration::from_micros(1_000_000 / PER_SEC);
     let shards = 4;
