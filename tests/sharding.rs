@@ -25,65 +25,101 @@ fn signature(out: &RunOutput) -> (u64, urhunter::Totals, usize, CoverageReport, 
     )
 }
 
-/// The networks every worker count is checked on, each with its label:
-/// reliable; 1 % per-flow drop with 3 attempts, where retries, backoff
-/// waits and quarantine streaks all fire; and 5 % per-flow drop with the
-/// adaptive feed.
+/// A reliable network, and its label.
+fn reliable() -> (&'static str, HunterConfig) {
+    ("reliable", HunterConfig::fast())
+}
+
+/// 1 % per-flow drop with 3 attempts, where retries, backoff waits and
+/// quarantine streaks all fire, and its label.
+fn lossy_1pct() -> (&'static str, HunterConfig) {
+    (
+        "1% lossy",
+        HunterConfig::fast()
+            .with_retry_plan(QueryPlan::with_attempts(3))
+            .with_scan_faults(FaultPlan::lossy(0.01).scheduled_per_flow()),
+    )
+}
+
+/// 5 % per-flow drop with the adaptive feed, and its label.
+fn lossy_5pct_adaptive() -> (&'static str, HunterConfig) {
+    (
+        "5% lossy adaptive",
+        HunterConfig::fast()
+            .with_scan_faults(FaultPlan::lossy(0.05).scheduled_per_flow())
+            .with_adaptive(),
+    )
+}
+
+/// The networks every worker count is checked on.
 fn networks() -> [(&'static str, HunterConfig); 3] {
-    [
-        ("reliable", HunterConfig::fast()),
-        (
-            "1% lossy",
-            HunterConfig::fast()
-                .with_retry_plan(QueryPlan::with_attempts(3))
-                .with_scan_faults(FaultPlan::lossy(0.01).scheduled_per_flow()),
-        ),
-        (
-            "5% lossy adaptive",
-            HunterConfig::fast()
-                .with_scan_faults(FaultPlan::lossy(0.05).scheduled_per_flow())
-                .with_adaptive(),
-        ),
-    ]
+    [reliable(), lossy_1pct(), lossy_5pct_adaptive()]
+}
+
+/// The scan runs on one shard per worker, each worker classifying the
+/// shard it scanned. At every worker count the sequence, the accounting
+/// and both simulated clocks must be the one-worker run's: a flow's loss
+/// lottery may not move because its nameserver landed in another shard.
+fn assert_workers_invisible(label: &str, cfg: HunterConfig) {
+    let baseline = run_with(cfg.clone().with_workers(1));
+    assert!(
+        baseline.report.totals.total > 0,
+        "{label}: nothing collected"
+    );
+    assert!(
+        baseline.coverage.is_complete(),
+        "{label}: coverage must balance"
+    );
+    let lossy = cfg.scan_faults.is_some();
+    assert_eq!(baseline.coverage.retransmissions > 0, lossy, "{label}");
+    for workers in [2usize, 4, 8] {
+        let out = run_with(cfg.clone().with_workers(workers));
+        assert_eq!(
+            signature(&out),
+            signature(&baseline),
+            "{label}: diverges at workers={workers}"
+        );
+        assert_eq!(out.scan_elapsed, baseline.scan_elapsed, "{label}");
+        assert_eq!(out.bucket_wait, baseline.bucket_wait, "{label}");
+    }
+}
+
+#[test]
+fn batch_path_is_bit_identical_across_shard_counts() {
+    let (label, cfg) = reliable();
+    assert_workers_invisible(label, cfg);
+}
+
+#[test]
+fn sharding_is_invariant_under_injected_loss() {
+    let (label, cfg) = lossy_1pct();
+    assert_workers_invisible(label, cfg);
 }
 
 #[test]
 fn one_shard_per_worker_by_default_is_bit_identical_to_one_worker() {
-    // The scan runs on one shard per worker, each worker classifying the
-    // shard it scanned. On every network the sequence, the accounting,
-    // both simulated clocks and the hub's deterministic metrics (probe
-    // funnel, fabric counters, verdict funnel, stage sim deltas) must be
-    // the one-worker run's: a flow's loss lottery may not move because its
-    // nameserver landed in another shard.
-    let observed = |cfg: HunterConfig| {
+    let (label, cfg) = lossy_5pct_adaptive();
+    assert_workers_invisible(label, cfg);
+}
+
+#[test]
+fn sim_metrics_hash_is_identical_across_shard_counts() {
+    // The obs registry's deterministic subset (probe funnel, fabric
+    // counters, verdict funnel, stage sim deltas) must not see the worker
+    // count either, on any network: shard engines and fabrics mirror into
+    // the same counter cells, and counter sums commute.
+    let sim_hash = |cfg: HunterConfig| {
         let hub = obs::Obs::shared();
-        let out = run_with(cfg.with_obs(hub.clone()));
-        let sim_hash = hub.registry().sim_hash();
-        (out, sim_hash)
+        run_with(cfg.with_obs(hub.clone()));
+        let hash = hub.registry().sim_hash();
+        hash
     };
     for (label, cfg) in networks() {
-        let (baseline, base_hash) = observed(cfg.clone().with_workers(1));
-        assert!(
-            baseline.report.totals.total > 0,
-            "{label}: nothing collected"
-        );
-        assert!(
-            baseline.coverage.is_complete(),
-            "{label}: coverage must balance"
-        );
-        let lossy = cfg.scan_faults.is_some();
-        assert_eq!(baseline.coverage.retransmissions > 0, lossy, "{label}");
+        let reference = sim_hash(cfg.clone().with_workers(1));
         for workers in [2usize, 4, 8] {
-            let (out, hash) = observed(cfg.clone().with_workers(workers));
             assert_eq!(
-                signature(&out),
-                signature(&baseline),
-                "{label}: diverges at workers={workers}"
-            );
-            assert_eq!(out.scan_elapsed, baseline.scan_elapsed, "{label}");
-            assert_eq!(out.bucket_wait, baseline.bucket_wait, "{label}");
-            assert_eq!(
-                hash, base_hash,
+                sim_hash(cfg.clone().with_workers(workers)),
+                reference,
                 "{label}: sim metrics diverge at workers={workers}"
             );
         }
