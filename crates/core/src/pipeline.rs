@@ -258,6 +258,20 @@ impl<T> Drop for PublishOnExit<'_, T> {
     }
 }
 
+/// How many shards [`run`]'s bulk scan splits into on `workers` workers:
+/// one per worker, or one when paced. Ethics pacing and a global rate cap
+/// each budget one scanner clock, and sharding would make elapsed time
+/// depend on the shard layout.
+fn scan_shards(cfg: &HunterConfig, workers: usize) -> usize {
+    let paced = cfg.per_server_interval != SimDuration::ZERO
+        || cfg.rate_limit_interval != SimDuration::ZERO;
+    if paced {
+        1
+    } else {
+        workers
+    }
+}
+
 /// Run the full URHunter pipeline against a world.
 ///
 /// The calling thread sweeps for correct and protective records on
@@ -314,12 +328,7 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         .with_global_interval(cfg.rate_limit_interval);
     let classify_cfg = cfg.classify_cfg(world.config.today);
     let workers = par::Parallelism::from_knob(cfg.workers).get();
-    // One shard per worker, or one when paced: ethics pacing and a global
-    // rate cap each budget one scanner clock, and sharding would make
-    // elapsed time depend on the shard layout.
-    let paced = cfg.per_server_interval != SimDuration::ZERO
-        || cfg.rate_limit_interval != SimDuration::ZERO;
-    let shards = if paced { 1 } else { workers };
+    let shards = scan_shards(cfg, workers);
     // The bulk scan runs on shard replica fabrics built from this snapshot
     // (even on one shard, so the scan baseline doesn't depend on the knob):
     // same fault seed and latency, per-shard RNG streams. The support sweep
@@ -868,14 +877,19 @@ mod tests {
 
     #[test]
     fn the_bulk_scan_runs_one_shard_per_worker_unless_paced() {
-        // Ethics pacing and a rate cap each budget one scanner clock, so on
-        // four workers a paced scan still runs on one shard: its sequence,
-        // scan clock, bucket waits and world clock are the one-worker
-        // run's. (Sharded, the ethics run's summed scan clock doubles on
-        // the small world. The capped row holds on any shard count,
-        // because one shared bucket meters the concatenated shard
-        // timeline. Unpaced, one shard per worker is invisible in the
-        // output: see tests/sharding.rs.)
+        for workers in [1, 2, 4, 8] {
+            assert_eq!(scan_shards(&HunterConfig::fast(), workers), workers);
+            assert_eq!(scan_shards(&HunterConfig::paper_faithful(), workers), 1);
+            let capped = HunterConfig::fast().with_rate_limit_per_sec(100);
+            assert_eq!(scan_shards(&capped, workers), 1, "rate cap");
+        }
+        // End to end, a paced scan on four workers is the one-worker run:
+        // its sequence, scan clock, bucket waits and world clock. (Sharded,
+        // the ethics run's summed scan clock doubles on the small world.
+        // The capped row holds on any shard count, because one shared
+        // bucket meters the concatenated shard timeline. Unpaced, one
+        // shard per worker is invisible in the output: see
+        // tests/sharding.rs.)
         let run_on = |cfg: HunterConfig| {
             let mut world = World::generate(WorldConfig::small());
             let out = run(&mut world, &cfg);

@@ -134,13 +134,14 @@ type Claims<T, S> = std::iter::Enumerate<std::vec::IntoIter<SyncSender<ShardItem
 /// calling thread, which keeps its thread, allocator arena and resident
 /// set.
 ///
-/// A panicking worker poisons the gate and drops the senders of every
-/// shard no worker has claimed, so every other stage unblocks: a fold
-/// that reaches a dead or unclaimed shard sees its queue disconnect. A
-/// panicking `lead` or fold poisons the gate and drops every receiver, so
-/// a worker blocked on a full queue gets an error (a worker waiting on
-/// `lead`'s product must be released by `lead`'s own unwind). The panic
-/// propagates when the thread scope joins.
+/// A panicking worker poisons the gate, so siblings waiting for admission
+/// give up, and drops the sender of the shard it claimed. Shards are
+/// claimed in order, so that shard comes before every unclaimed one and
+/// the fold sees its queue disconnect before it could wait on a shard
+/// nobody will scan. A panicking `lead` or fold poisons the gate and drops
+/// every receiver, so a worker blocked on a full queue gets an error (a
+/// worker waiting on `lead`'s product must be released by `lead`'s own
+/// unwind). The panic propagates when the thread scope joins.
 pub fn sharded_ordered_fold<T, S>(
     workers: usize,
     shards: usize,
@@ -182,9 +183,11 @@ pub fn sharded_ordered_fold<T, S>(
             let scan = &scan;
             scope.spawn(move || {
                 // A panicking worker poisons the gate, so siblings waiting
-                // for admission give up on a floor that will never advance,
-                // and drops every unclaimed shard's sender, so the fold can
-                // never wait on a shard nobody will scan.
+                // for admission give up on a floor that will never advance.
+                // It also drops every unclaimed shard's sender. The claim
+                // order already keeps the fold off unclaimed shards (the
+                // dead worker's own shard disconnects first), so this is
+                // defence for that ordering, not a path any test reaches.
                 struct WorkerExit<'a, T, S> {
                     claims: &'a Mutex<Claims<T, S>>,
                     gate: &'a ShardGate,
@@ -433,8 +436,9 @@ mod tests {
     #[test]
     fn every_worker_panicking_early_propagates_without_deadlock() {
         // Both workers die on their first shard while six shards are still
-        // unclaimed: the fold must see every queue disconnect, not wait on
-        // a shard nobody will scan.
+        // unclaimed: the fold must propagate the panic, not hang. Shard 0's
+        // sender drops with its worker, so the fold stops there, before any
+        // unclaimed shard.
         let panicked = panics_within_ten_seconds(|| {
             sharded_ordered_fold(
                 2,
