@@ -26,10 +26,11 @@ echo "== stale names: the deleted executor, collectors, knobs, timers and dead c
 # executor knob (workers), one classification entry, one timer (urbench),
 # a daemon that never polls, one scan-flag parser, one way to start the
 # daemon, a UR store that is a plain vector, no method the compiler found
-# unused, and one `paper` binary in place of the nine regeneration
+# unused, a classifier that reads the metadata directly (no attribute
+# cache), and one `paper` binary in place of the nine regeneration
 # binaries (`urhunter --report table1` stays legal): none of the names of
 # what was removed may come back in code, tests or docs.
-if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards' \
+if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing' \
     crates tests examples README.md DESIGN.md EXPERIMENTS.md; then
     echo "ci.sh: a deleted name is back (see the matches above)" >&2
     exit 1
@@ -217,6 +218,19 @@ for BIN in urhunter urhunterd; do
     ./target/release/$BIN --shards 4 >/dev/null 2>&1 || STATUS=$?
     if [ "$STATUS" -ne 2 ]; then
         echo "ci.sh: $BIN --shards 4 exited $STATUS, not 2" >&2
+        exit 1
+    fi
+done
+
+echo "== smoke: urhunter checks --report where it parses it =="
+# An unknown report, and a report on a streamed world (which renders
+# none), must exit 2 before any world is generated or scanned.
+for REPORT_ARGS in "--report nope" "--world xl --report table1"; do
+    STATUS=0
+    # Unquoted: each entry is two or four arguments.
+    ./target/release/urhunter $REPORT_ARGS >/dev/null 2>&1 || STATUS=$?
+    if [ "$STATUS" -ne 2 ]; then
+        echo "ci.sh: urhunter $REPORT_ARGS exited $STATUS, not 2" >&2
         exit 1
     fi
 done

@@ -19,10 +19,13 @@
 //! world-shard count, which fixes the scan order and so is part of a
 //! streamed run's identity.
 //!
-//! A flag that cannot apply is an error (exit 2, naming the flag):
-//! `--shards` on a materialized world, which scans on one shard per
-//! worker, and `--ethics`, `--extended`, `--expand-pdns`,
-//! `--payload-match`, `--pcap` and `--metrics-out` on `--world paper|xl`.
+//! An unknown `--scale`, `--world` or `--report` value is an error (exit 2,
+//! naming the flag), found before any world is built. So is a flag that
+//! cannot apply: `--scale` beside any `--world`, whose preset fixes the
+//! world's size; `--shards` on a materialized world, which scans on one
+//! shard per worker; and `--report`, `--ethics`, `--extended`,
+//! `--expand-pdns`, `--payload-match`, `--pcap` and `--metrics-out` on
+//! `--world paper|xl`.
 //!
 //! The seven scan flags (`--workers`, `--retries`, `--timeout`,
 //! `--fault-drop`, `--adaptive`, `--rtt-k`, `--rate-limit`) are parsed,
@@ -50,10 +53,10 @@ use urhunter::{audit_table2, evaluate_false_negatives, run, HunterConfig};
 use worldgen::{World, WorldConfig};
 
 struct Args {
-    scale: String,
-    world: Option<String>,
+    scale: Option<&'static str>,
+    world: Option<&'static str>,
     seed: Option<u64>,
-    report: String,
+    report: Option<&'static str>,
     /// World-shard count of `--world paper|xl`.
     shards: Option<usize>,
     scan: ScanFlags,
@@ -77,7 +80,8 @@ fn usage() -> ! {
          \u{20} plan-backed fabrics, URs folded into counters as they arrive) and\n\
          \u{20} prints the scan summary — only --seed, the scan flags and --shards N\n\
          \u{20} (world shards, 1..=64, default 8; part of the run's identity) apply\n\
-         \u{20} there, and --shards applies nowhere else;\n\
+         \u{20} there, --shards applies nowhere else, and --scale applies to no\n\
+         \u{20} --world;\n\
          \u{20} --metrics-out FILE writes the observability registry and event\n\
          \u{20} trace (.prom/.txt = Prometheus text, otherwise JSON lines).\n\n{}",
         urhunter::cli::USAGE
@@ -90,15 +94,29 @@ fn need(flag: &str, it: &mut impl Iterator<Item = String>) -> Result<String, Str
     it.next().ok_or_else(|| format!("{flag} requires a value"))
 }
 
+/// Take `flag`'s value from `it` and check it is one of `allowed`.
+fn one_of(
+    flag: &str,
+    it: &mut impl Iterator<Item = String>,
+    allowed: &[&'static str],
+) -> Result<&'static str, String> {
+    let v = need(flag, it)?;
+    allowed
+        .iter()
+        .copied()
+        .find(|a| *a == v)
+        .ok_or_else(|| format!("{flag} must be one of {} (got {v})", allowed.join("|")))
+}
+
 /// Parse `urhunter`'s arguments (everything after the program name). A
 /// bad or inapplicable flag is an error naming it; `--help` prints the
 /// usage and exits.
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
-        scale: "small".to_string(),
+        scale: None,
         world: None,
         seed: None,
-        report: "summary".to_string(),
+        report: None,
         shards: None,
         scan: ScanFlags::default(),
         extended: false,
@@ -111,17 +129,17 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--scale" => args.scale = need(&arg, &mut it)?,
-            "--world" => {
-                let v = need(&arg, &mut it)?;
-                if !matches!(v.as_str(), "medium" | "paper" | "xl") {
-                    return Err(format!("--world must be one of medium|paper|xl (got {v})"));
-                }
-                args.world = Some(v);
-            }
+            "--scale" => args.scale = Some(one_of(&arg, &mut it, &["small", "default"])?),
+            "--world" => args.world = Some(one_of(&arg, &mut it, &["medium", "paper", "xl"])?),
             "--seed" => args.seed = Some(value(&arg, &mut it, .., "a number")?),
             "--shards" => args.shards = Some(value(&arg, &mut it, 1..=64, "within 1..=64")?),
-            "--report" => args.report = need(&arg, &mut it)?,
+            "--report" => {
+                args.report = Some(one_of(
+                    &arg,
+                    &mut it,
+                    &["summary", "table1", "figure2", "figure3", "table2", "all"],
+                )?)
+            }
             "--extended" => args.extended = true,
             "--expand-pdns" => args.expand_pdns = true,
             "--payload-match" => args.payload_match = true,
@@ -136,9 +154,15 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
         }
     }
-    match args.world.as_deref() {
+    if let (Some(preset), Some(_)) = (args.world, args.scale) {
+        return Err(format!(
+            "--scale does not apply to --world {preset}: the preset fixes the world's size"
+        ));
+    }
+    match args.world {
         Some(preset @ ("paper" | "xl")) => {
             for (set, flag) in [
+                (args.report.is_some(), "--report"),
                 (args.ethics, "--ethics"),
                 (args.extended, "--extended"),
                 (args.expand_pdns, "--expand-pdns"),
@@ -220,25 +244,17 @@ fn main() -> ExitCode {
         eprintln!("{msg}");
         usage()
     });
-    if let Some(world) = args.world.as_deref() {
-        match world {
-            // `--world medium` is the materialized preset: it runs the
-            // normal pipeline below on the benchmark world.
-            "medium" => {}
-            preset => return run_world_preset(&args, preset),
-        }
-    }
-    let mut config = if args.world.as_deref() == Some("medium") {
-        WorldConfig::medium()
-    } else {
-        match args.scale.as_str() {
-            "small" => WorldConfig::small(),
-            "default" => WorldConfig::default_scale(),
-            other => {
-                eprintln!("unknown scale: {other}");
-                return ExitCode::from(2);
-            }
-        }
+    // `--world medium` is the materialized preset: it runs the normal
+    // pipeline below on the benchmark world.
+    let scale = match args.world {
+        Some(preset @ ("paper" | "xl")) => return run_world_preset(&args, preset),
+        Some(medium) => medium,
+        None => args.scale.unwrap_or("small"),
+    };
+    let mut config = match scale {
+        "medium" => WorldConfig::medium(),
+        "default" => WorldConfig::default_scale(),
+        _ => WorldConfig::small(),
     };
     if let Some(seed) = args.seed {
         config = config.with_seed(seed);
@@ -263,10 +279,7 @@ fn main() -> ExitCode {
         hunter = hunter.with_obs(hub.clone());
     }
 
-    eprintln!(
-        "generating world (scale={}, seed={})...",
-        args.scale, config.seed
-    );
+    eprintln!("generating world (scale={scale}, seed={})...", config.seed);
     let mut world = World::generate(config);
     eprintln!(
         "scanning {} nameservers x {} targets...",
@@ -293,7 +306,7 @@ fn main() -> ExitCode {
         );
     }
 
-    match args.report.as_str() {
+    match args.report.unwrap_or("summary") {
         "summary" => println!("{}", out.report.render_summary()),
         "table1" => print!("{}", out.report.render_table1()),
         "figure2" => print!("{}", out.report.render_figure2(5)),
@@ -312,10 +325,7 @@ fn main() -> ExitCode {
                 evaluate_false_negatives(&mut world, &out.correct_db, &out.protective_db, &hunter);
             println!("\nfalse negatives on delegated records: {fn_count}");
         }
-        other => {
-            eprintln!("unknown report: {other}");
-            return ExitCode::from(2);
-        }
+        other => unreachable!("--report {other} passed parse_args"),
     }
 
     if let (Some(path), Some(hub)) = (&args.metrics_out, &hub) {
@@ -402,8 +412,30 @@ mod tests {
 
     #[test]
     fn materialized_only_flags_are_refused_on_a_streamed_world() {
+        // An unknown value is refused while parsing, before any scan.
+        for args in [
+            &["--scale", "huge"][..],
+            &["--report", "nope"],
+            &["--world", "tiny"],
+            &["--world", "xl", "--report", "nope"],
+        ] {
+            let err = parse(args).err().expect("unknown value must be refused");
+            assert!(
+                err.contains(args[args.len() - 2]),
+                "error for {args:?}: {err}"
+            );
+        }
+        // A preset fixes the world's size: --scale applies to no --world.
+        for world in ["medium", "paper", "xl"] {
+            let args = ["--world", world, "--scale", "small"];
+            let err = parse(&args).err().expect("--scale must be refused");
+            assert!(err.contains("--scale"), "error for {args:?}: {err}");
+        }
+        assert!(parse(&["--world", "medium", "--report", "table1"]).is_ok());
         let flags = [
-            &["--ethics"][..],
+            &["--scale", "default"][..],
+            &["--report", "table1"],
+            &["--ethics"],
             &["--extended"],
             &["--expand-pdns"],
             &["--payload-match"],

@@ -11,7 +11,7 @@ use crate::types::{
     ClassifiedUr, CollectedUr, CorrectDb, CorrectReason, ProtectiveDb, TxtCategory, UrCategory,
 };
 use dnswire::RecordType;
-use netdb::{AttrIndex, NetDb, PageKind};
+use netdb::{NetDb, PageKind};
 use pdns::{Day, PassiveDns, SIX_YEARS_DAYS};
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
@@ -76,21 +76,11 @@ impl Verdict {
     }
 }
 
-/// Every address a UR's classification consults metadata for: its own A
-/// records plus MX follow-up (auxiliary) addresses.
-fn ur_ips(ur: &CollectedUr) -> impl Iterator<Item = Ipv4Addr> + '_ {
-    ur.records
-        .iter()
-        .chain(ur.aux_records.iter())
-        .filter_map(|r| r.rdata.as_a())
-}
-
 fn verdict_for(
     ur: &CollectedUr,
     correct: &CorrectDb,
     protective: &ProtectiveDb,
     metadata: &NetDb,
-    attrs: &AttrIndex,
     history: &PassiveDns,
     cfg: &ClassifyConfig,
 ) -> Verdict {
@@ -105,9 +95,9 @@ fn verdict_for(
         };
     }
     match ur.key.rtype {
-        RecordType::A => classify_a(ur, correct, metadata, attrs, history, cfg),
+        RecordType::A => classify_a(ur, correct, metadata, history, cfg),
         RecordType::Txt => classify_txt(ur, correct, history, cfg),
-        RecordType::Mx => classify_mx(ur, correct, metadata, attrs, history, cfg),
+        RecordType::Mx => classify_mx(ur, correct, metadata, history, cfg),
         _ => Verdict {
             category: UrCategory::Unknown,
             correct_reason: None,
@@ -133,7 +123,6 @@ fn classify_a(
     ur: &CollectedUr,
     correct: &CorrectDb,
     metadata: &NetDb,
-    attrs: &AttrIndex,
     history: &PassiveDns,
     cfg: &ClassifyConfig,
 ) -> Verdict {
@@ -144,16 +133,15 @@ fn classify_a(
     let mut asns = HashSet::new();
     let mut geos = HashSet::new();
     let mut certs = HashSet::new();
-    for ip in &ips {
-        let a = attrs.get_or_resolve(metadata, *ip);
-        if let Some(asn) = a.asn {
-            asns.insert(asn);
+    for &ip in &ips {
+        if let Some(a) = metadata.asn_of(ip) {
+            asns.insert(a.asn);
         }
-        if let Some(g) = a.geo {
+        if let Some(g) = metadata.geo_of(ip) {
             geos.insert((g.country, g.city));
         }
-        if let Some(fp) = a.cert_fp {
-            certs.insert(fp);
+        if let Some(c) = metadata.cert_of(ip) {
+            certs.insert(c.fingerprint);
         }
     }
 
@@ -184,7 +172,7 @@ fn classify_a(
         // UR's addresses.
         let kinds: Vec<PageKind> = ips
             .iter()
-            .filter_map(|ip| attrs.get_or_resolve(metadata, *ip).http_kind)
+            .filter_map(|&ip| metadata.page_kind_of(ip))
             .collect();
         if !kinds.is_empty() && kinds.iter().all(|k| *k == PageKind::Parking) {
             reason = Some(CorrectReason::Parked);
@@ -262,7 +250,6 @@ fn classify_mx(
     ur: &CollectedUr,
     correct: &CorrectDb,
     metadata: &NetDb,
-    attrs: &AttrIndex,
     history: &PassiveDns,
     cfg: &ClassifyConfig,
 ) -> Verdict {
@@ -301,12 +288,11 @@ fn classify_mx(
         let ip_set: HashSet<Ipv4Addr> = ips.iter().copied().collect();
         let mut asns = HashSet::new();
         let mut geos = HashSet::new();
-        for ip in &ips {
-            let a = attrs.get_or_resolve(metadata, *ip);
-            if let Some(asn) = a.asn {
-                asns.insert(asn);
+        for &ip in &ips {
+            if let Some(a) = metadata.asn_of(ip) {
+                asns.insert(a.asn);
             }
-            if let Some(g) = a.geo {
+            if let Some(g) = metadata.geo_of(ip) {
                 geos.insert((g.country, g.city));
             }
         }
@@ -376,56 +362,19 @@ pub(crate) fn classify_shard(batch: &[ClassifiedUr]) -> obs::MetricShard {
     shard
 }
 
-/// Wall-class instrumentation for the attribute index.
-///
-/// Wall, not sim: on the streamed path two scan workers can race to
-/// resolve the same address (both compute the same pure result; `absorb`
-/// keeps the first), so hit/resolve counts depend on thread timing even
-/// though classifications never do.
-#[derive(Debug, Clone)]
-pub(crate) struct AttrCacheMetrics {
-    hits: obs::Counter,
-    resolved: obs::Counter,
-}
-
-impl AttrCacheMetrics {
-    /// Register the `attr_cache_*` counters in `reg`. Idempotent.
-    pub(crate) fn register(reg: &obs::MetricsRegistry) -> Self {
-        use obs::Class::Wall;
-        AttrCacheMetrics {
-            hits: reg.counter("attr_cache_hits", Wall),
-            resolved: reg.counter("attr_cache_resolved", Wall),
-        }
-    }
-
-    fn record(&self, hits: u64, resolved: u64) {
-        self.hits.add(hits);
-        self.resolved.add(resolved);
-    }
-}
-
 /// The one entry point to suspicious-record determination.
 ///
 /// The classifier receives batches — on the streamed path while other
-/// shards are still being scanned. Its [`AttrIndex`] grows incrementally:
-/// each batch's distinct new addresses are resolved once and absorbed into
-/// the shared index under a [`std::sync::RwLock`], so addresses recurring
-/// across batches (shared C2s, CDN nodes, protective sinks) are still
-/// resolved exactly once per run.
-///
-/// Safe to call from several worker threads at once, and **bit-identical**
-/// for every batch partition and thread count: the index is a pure cache
-/// (resolution is a pure function of the read-only [`NetDb`]), so its fill
-/// level never changes a classification — only how much work the fallback
-/// [`AttrIndex::get_or_resolve`] has to redo.
+/// shards are still being scanned — and is safe to call from several worker
+/// threads at once. It is **bit-identical** for every batch partition and
+/// thread count because each verdict reads one UR and the read-only stage
+/// databases, nothing else.
 pub struct StreamClassifier<'a> {
     correct: &'a CorrectDb,
     protective: &'a ProtectiveDb,
     metadata: &'a NetDb,
     history: &'a PassiveDns,
     cfg: &'a ClassifyConfig,
-    attrs: std::sync::RwLock<AttrIndex>,
-    cache_metrics: Option<AttrCacheMetrics>,
 }
 
 impl<'a> StreamClassifier<'a> {
@@ -443,60 +392,12 @@ impl<'a> StreamClassifier<'a> {
             metadata,
             history,
             cfg,
-            attrs: std::sync::RwLock::new(AttrIndex::default()),
-            cache_metrics: None,
         }
     }
 
-    /// Record index hit/resolve counts into `metrics` as batches flow
-    /// through.
-    pub(crate) fn with_metrics(mut self, metrics: AttrCacheMetrics) -> Self {
-        self.cache_metrics = Some(metrics);
-        self
-    }
-
-    /// Resolve the batch's distinct new addresses outside any lock — two
-    /// workers racing on the same address compute the same pure result, and
-    /// `absorb` keeps the first — then fold them into the shared index.
-    fn absorb_missing(&self, batch: &[CollectedUr]) {
-        let (missing, present): (Vec<Ipv4Addr>, u64) = {
-            let attrs = self.attrs.read().expect("attr index lock");
-            let mut seen = HashSet::new();
-            let mut present = 0u64;
-            let missing = batch
-                .iter()
-                .flat_map(ur_ips)
-                .filter(|ip| {
-                    if attrs.contains(*ip) {
-                        present += 1;
-                        return false;
-                    }
-                    seen.insert(*ip)
-                })
-                .collect();
-            (missing, present)
-        };
-        if let Some(m) = &self.cache_metrics {
-            m.record(present, missing.len() as u64);
-        }
-        if !missing.is_empty() {
-            let resolved: Vec<(Ipv4Addr, netdb::IpAttrs)> = missing
-                .into_iter()
-                .map(|ip| (ip, AttrIndex::resolve(self.metadata, ip)))
-                .collect();
-            self.attrs
-                .write()
-                .expect("attr index lock")
-                .absorb(resolved);
-        }
-    }
-
-    /// Absorb the batch's distinct new addresses into the shared index,
-    /// then classify the batch in order, moving each UR into its
+    /// Classify the batch in order, moving each UR into its
     /// [`ClassifiedUr`] without a clone of its record vectors.
     pub fn classify_batch_owned(&self, batch: Vec<CollectedUr>) -> Vec<ClassifiedUr> {
-        self.absorb_missing(&batch);
-        let attrs = self.attrs.read().expect("attr index lock");
         batch
             .into_iter()
             .map(|ur| {
@@ -505,7 +406,6 @@ impl<'a> StreamClassifier<'a> {
                     self.correct,
                     self.protective,
                     self.metadata,
-                    &attrs,
                     self.history,
                     self.cfg,
                 )
@@ -565,6 +465,24 @@ mod tests {
         }
     }
 
+    fn mx_rdata(exchange: &str) -> RData {
+        RData::Mx {
+            preference: 10,
+            exchange: n(exchange),
+        }
+    }
+
+    /// An MX UR for `domain` naming `exchange`, with the collection
+    /// follow-up's exchange addresses as auxiliary records.
+    fn mx_ur(domain: &str, ns: &str, exchange: &str, addrs: &[&str]) -> CollectedUr {
+        let mut ur = a_ur(exchange, ns, addrs);
+        ur.aux_records = std::mem::take(&mut ur.records);
+        ur.key.domain = InternedName::intern(&n(domain));
+        ur.key.rtype = RecordType::Mx;
+        ur.records = vec![Record::new(n(domain), 60, mx_rdata(exchange))];
+        ur
+    }
+
     struct Fixture {
         correct: CorrectDb,
         protective: ProtectiveDb,
@@ -584,6 +502,9 @@ mod tests {
             .certs
             .insert(CertInfo::for_domain("site.com", "SimCA").fingerprint);
         profile.txts.insert("v=spf1 ip4:30.0.0.10 -all".into());
+        profile
+            .mxs
+            .insert(mx_rdata("mail.site.com").to_string().as_str().into());
         correct
             .domains
             .insert(InternedName::intern(&n("site.com")), profile);
@@ -596,6 +517,8 @@ mod tests {
             metadata.set_cert(ip(a), CertInfo::for_domain("site.com", "SimCA"));
         }
         metadata.set_geo(ip("40.0.0.10"), GeoInfo::new("RU", 7));
+        // Unrouted, but in the correct geo.
+        metadata.set_geo(ip("50.0.0.10"), GeoInfo::new("US", 1));
         metadata.set_http(ip("60.0.0.10"), HttpProfile::parking());
         metadata.set_http(ip("60.0.0.11"), HttpProfile::redirect("https://elsewhere"));
 
@@ -714,6 +637,43 @@ mod tests {
     }
 
     #[test]
+    fn mx_exact_match_is_correct() {
+        let f = fixture();
+        let c = run(&f, &mx_ur("site.com", "20.0.0.5", "mail.site.com", &[]));
+        assert_eq!(c.category, UrCategory::Correct);
+        assert_eq!(c.correct_reason, Some(CorrectReason::MxExact));
+    }
+
+    #[test]
+    fn mx_exchange_in_the_correct_as_is_correct_via_as() {
+        let f = fixture();
+        let c = run(
+            &f,
+            &mx_ur("site.com", "20.0.0.5", "mx.other.net", &["30.0.0.12"]),
+        );
+        assert_eq!(c.correct_reason, Some(CorrectReason::AsSubset));
+        assert_eq!(c.corresponding_ips, vec![ip("30.0.0.12")]);
+    }
+
+    #[test]
+    fn mx_exchange_in_the_correct_geo_is_correct_via_geo() {
+        let f = fixture();
+        let c = run(
+            &f,
+            &mx_ur("site.com", "20.0.0.5", "mx.other.net", &["50.0.0.10"]),
+        );
+        assert_eq!(c.correct_reason, Some(CorrectReason::GeoSubset));
+    }
+
+    #[test]
+    fn mx_without_exchange_addresses_or_match_stays_suspicious() {
+        let f = fixture();
+        let c = run(&f, &mx_ur("site.com", "20.0.0.5", "mx.evil.net", &[]));
+        assert_eq!(c.category, UrCategory::Unknown);
+        assert!(c.correct_reason.is_none() && c.corresponding_ips.is_empty());
+    }
+
+    #[test]
     fn disabling_conditions_changes_outcome() {
         let mut f = fixture();
         f.cfg.use_as_subset = false;
@@ -745,23 +705,6 @@ mod tests {
         assert_eq!(reg.counter_value("classify_correct_ip_subset"), Some(1));
         assert_eq!(reg.counter_value("classify_suspicious"), Some(1));
         assert_eq!(reg.counter_value("classify_protective"), Some(1));
-    }
-
-    #[test]
-    fn stream_cache_metrics_count_hits_and_resolves() {
-        let f = fixture();
-        let reg = obs::MetricsRegistry::new();
-        let metrics = AttrCacheMetrics::register(&reg);
-        let sc = StreamClassifier::new(&f.correct, &f.protective, &f.metadata, &f.history, &f.cfg)
-            .with_metrics(metrics);
-        let batch = vec![a_ur("site.com", "20.0.0.1", &["30.0.0.10", "30.0.0.11"])];
-        sc.classify_batch_owned(batch.clone());
-        assert_eq!(reg.counter_value("attr_cache_resolved"), Some(2));
-        assert_eq!(reg.counter_value("attr_cache_hits"), Some(0));
-        // Same addresses again: all served from the index.
-        sc.classify_batch_owned(batch);
-        assert_eq!(reg.counter_value("attr_cache_resolved"), Some(2));
-        assert_eq!(reg.counter_value("attr_cache_hits"), Some(2));
     }
 
     #[test]

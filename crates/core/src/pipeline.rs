@@ -2,7 +2,7 @@
 //! malicious-behaviour analysis → report.
 
 use crate::analyze::{analyze, run_sandboxes, Analysis, AnalyzeConfig};
-use crate::classify::{classify_shard, AttrCacheMetrics, ClassifyConfig, StreamClassifier};
+use crate::classify::{classify_shard, ClassifyConfig, StreamClassifier};
 use crate::collect::{
     collect_correct, collect_protective, collect_urs_sharded_on, query_one_ur, select_nameservers,
     CollectConfig, QidGen,
@@ -336,7 +336,6 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     // state.
     let blueprint = world.scan_blueprint();
     let scan_faults = world.net.faults();
-    let cache_metrics = obs.map(|h| AttrCacheMetrics::register(h.registry()));
     let classify_wait = obs.map(|h| h.registry().counter("classify_wait_us", obs::Class::Wall));
 
     // The support sweep (correct and protective records) runs on the
@@ -364,16 +363,13 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
             s.finish(h, world.net.now().as_micros());
         }
         let (correct_db, protective_db) = support.get_or_init(|| (correct, protective));
-        let mut cls = StreamClassifier::new(
+        let cls = StreamClassifier::new(
             correct_db,
             protective_db,
             &world.db,
             &world.pdns,
             &classify_cfg,
         );
-        if let Some(m) = cache_metrics {
-            cls = cls.with_metrics(m);
-        }
         let _ = streamer.set(Some(cls));
         collect_span = obs.map(|h| h.span("collect", world.net.now().as_micros()));
     };
@@ -494,8 +490,10 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
 /// [`classified_sequence_hash`] is the slice convenience over it.
 #[derive(Debug, Default)]
 pub(crate) struct SequenceHasher {
-    // DefaultHasher with fixed (default) keys: stable within a test binary,
-    // which is all the equivalence assertions need.
+    // DefaultHasher with fixed (default) keys. Its algorithm is unspecified
+    // by std, yet this digest is committed in BENCH_pipeline.json and
+    // compared across binaries: it rests on std keeping SipHash-1-3 until
+    // the pipeline owns its digest (ROADMAP item 1).
     h: std::collections::hash_map::DefaultHasher,
 }
 
@@ -600,27 +598,24 @@ pub fn run_streamed(
     let protective_db = crate::collect::protective_db_from_stream(world);
     let classify_cfg = cfg.classify_cfg(world.config.today);
     let blueprint = world.scan_blueprint();
-    let mut streamer = StreamClassifier::new(
+    let streamer = StreamClassifier::new(
         &correct_db,
         &protective_db,
         &world.db,
         &world.pdns,
         &classify_cfg,
     );
-    if let Some(hub) = &cfg.obs {
-        streamer = streamer.with_metrics(AttrCacheMetrics::register(hub.registry()));
-    }
     let mut seq = SequenceHasher::new();
     let mut total = 0u64;
     let mut by_category = [0u64; 4];
     let workers = par::Parallelism::from_knob(cfg.workers)
         .get()
         .min(world_shards.max(1));
-    // Runs on whichever worker scanned the batch's shard: the shared
-    // classifier's attribute cache is pure (PR 2's invariant), so verdicts
-    // never depend on which thread resolved an attribute first. The
-    // verdict funnel is sharded per batch and merged by the fold below in
-    // splice order — counters only, so the sums are order-free too.
+    // Runs on whichever worker scanned the batch's shard: each verdict reads
+    // one UR and the read-only databases, so no verdict depends on the
+    // thread that computed it. The verdict funnel is sharded per batch and
+    // merged by the fold below in splice order — counters only, so the sums
+    // are order-free too.
     let shard_funnel = cfg.obs.is_some();
     let classify_batch = |urs: Vec<CollectedUr>| {
         let cls = streamer.classify_batch_owned(urs);

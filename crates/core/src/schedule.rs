@@ -3,8 +3,8 @@
 //! than one probe per spacing window on average.
 //!
 //! Pacing is built on [`TokenBucket`]s running on the virtual clock: one
-//! bucket per server (burst 1, so admissions to a server are never closer
-//! than the interval) plus an optional global [`SharedTokenBucket`]
+//! bucket per server (admissions to a server are never closer than the
+//! interval) plus an optional global [`SharedTokenBucket`]
 //! capping the whole scanner's aggregate probe rate (`--rate-limit`),
 //! shared by every shard of a scan.
 
@@ -19,70 +19,34 @@ use std::sync::{Arc, Condvar, Mutex};
 /// 130 seconds while interleaving across servers.
 pub(crate) const PAPER_PER_SERVER_INTERVAL: SimDuration = SimDuration(130_000_000);
 
-/// Deterministic token bucket on the virtual clock.
+/// Deterministic pacing on the virtual clock: a token bucket of burst 1.
 ///
-/// Tokens accrue one per `interval`; an admission spends one. `burst`
-/// bounds how many may be banked, so an idle period can never be repaid
-/// with a flood larger than the burst. All arithmetic is integer
-/// microseconds: the refill schedule is exact, not drifting.
+/// An admission at `t` makes the next one ready at `t + interval`, and an
+/// idle period banks no credit. All arithmetic is integer microseconds.
 #[derive(Debug, Clone, Copy)]
 pub struct TokenBucket {
     interval: SimDuration,
-    burst: u64,
-    tokens: u64,
-    last_refill: SimTime,
+    next: SimTime,
 }
 
 impl TokenBucket {
-    /// A full bucket: `burst` tokens available immediately (minimum 1).
-    pub fn new(interval: SimDuration, burst: u64) -> Self {
-        let burst = burst.max(1);
+    /// A bucket that admits immediately.
+    pub fn new(interval: SimDuration) -> Self {
         TokenBucket {
             interval,
-            burst,
-            tokens: burst,
-            last_refill: SimTime::ZERO,
+            next: SimTime::ZERO,
         }
     }
 
-    /// Accrue whole tokens earned up to `now`. `last_refill` only advances
-    /// by whole intervals (or snaps to `now` when the bucket tops out), so
-    /// fractional credit is never lost or double-counted.
-    fn refill(&mut self, now: SimTime) {
-        if self.interval == SimDuration::ZERO {
-            self.tokens = self.burst;
-            self.last_refill = now;
-            return;
-        }
-        if now < self.last_refill {
-            return;
-        }
-        let earned = now.since(self.last_refill).as_micros() / self.interval.as_micros();
-        if self.tokens.saturating_add(earned) >= self.burst {
-            self.tokens = self.burst;
-            self.last_refill = now;
-        } else {
-            self.tokens += earned;
-            self.last_refill += SimDuration::from_micros(earned * self.interval.as_micros());
-        }
+    /// Earliest time at or after `now` when an admission is allowed.
+    pub fn next_ready(&self, now: SimTime) -> SimTime {
+        now.max(self.next)
     }
 
-    /// Earliest time at or after `now` when one token is available.
-    pub fn next_ready(&mut self, now: SimTime) -> SimTime {
-        self.refill(now);
-        if self.tokens > 0 {
-            now
-        } else {
-            self.last_refill + self.interval
-        }
-    }
-
-    /// Spend one token. Callers admit at a time returned by
-    /// [`TokenBucket::next_ready`], so a token is always available.
+    /// Admit at `now`, a time returned by [`TokenBucket::next_ready`].
     pub fn take(&mut self, now: SimTime) {
-        self.refill(now);
-        debug_assert!(self.tokens > 0, "take() before next_ready()");
-        self.tokens = self.tokens.saturating_sub(1);
+        debug_assert!(now >= self.next, "take() before next_ready()");
+        self.next = now + self.interval;
     }
 }
 
@@ -119,20 +83,20 @@ struct SharedBucketState {
 }
 
 impl SharedTokenBucket {
-    /// A shareable burst-1 global bucket with the given refill interval.
+    /// A shareable global bucket with the given interval.
     pub(crate) fn new(interval: SimDuration) -> Arc<Self> {
         Arc::new(SharedTokenBucket {
             interval,
             state: Mutex::new(SharedBucketState {
                 cursor: 0,
                 offset: SimDuration::ZERO,
-                bucket: TokenBucket::new(interval, 1),
+                bucket: TokenBucket::new(interval),
             }),
             turn: Condvar::new(),
         })
     }
 
-    /// The global refill interval.
+    /// The global interval.
     pub(crate) fn interval(&self) -> SimDuration {
         self.interval
     }
@@ -149,7 +113,7 @@ impl SharedTokenBucket {
     /// Earliest **local** time at or after `now` when `shard` may admit.
     /// Blocks until it is `shard`'s turn.
     pub(crate) fn next_ready(&self, shard: usize, now: SimTime) -> SimTime {
-        let mut st = self.wait_turn(shard);
+        let st = self.wait_turn(shard);
         let offset = st.offset;
         let ready = st.bucket.next_ready(now + offset);
         SimTime(ready.as_micros() - offset.as_micros())
@@ -249,7 +213,7 @@ impl QueryScheduler {
         let mut ready = self
             .buckets
             .entry(server)
-            .or_insert_with(|| TokenBucket::new(self.interval, 1))
+            .or_insert_with(|| TokenBucket::new(self.interval))
             .next_ready(now);
         if let Some((g, shard)) = &self.global {
             ready = ready.max(g.next_ready(*shard, now));
@@ -267,7 +231,7 @@ impl QueryScheduler {
         }
     }
 
-    /// Total simulated time spent waiting on bucket refills, in µs.
+    /// Total simulated time spent waiting for the buckets, in µs.
     pub(crate) fn wait_us(&self) -> u64 {
         self.wait_us
     }
@@ -323,7 +287,7 @@ mod tests {
         // (free), early arrival (wait to last + interval), late arrival
         // (free, next slot anchored at arrival).
         let i = SimDuration::from_micros(1_000);
-        let mut b = TokenBucket::new(i, 1);
+        let mut b = TokenBucket::new(i);
         let t0 = SimTime(5);
         assert_eq!(b.next_ready(t0), t0);
         b.take(t0);
@@ -331,23 +295,11 @@ mod tests {
         let t1 = SimTime(200);
         assert_eq!(b.next_ready(t1), t0 + i);
         b.take(t0 + i);
-        // Late: immediately ready, no banked credit beyond burst.
+        // Late: immediately ready, no banked credit.
         let t2 = SimTime(50_000);
         assert_eq!(b.next_ready(t2), t2);
         b.take(t2);
         assert_eq!(b.next_ready(t2), t2 + i);
-    }
-
-    #[test]
-    fn bucket_burst_caps_banked_tokens() {
-        let i = SimDuration::from_micros(100);
-        let mut b = TokenBucket::new(i, 3);
-        let t = SimTime(1_000_000); // long idle: still only 3 tokens
-        for _ in 0..3 {
-            assert_eq!(b.next_ready(t), t);
-            b.take(t);
-        }
-        assert_eq!(b.next_ready(t), t + i);
     }
 
     #[test]
@@ -362,7 +314,7 @@ mod tests {
         assert_eq!(shared.next_ready(0, SimTime::ZERO), SimTime::ZERO);
         shared.take(0, SimTime::ZERO);
         shared.finish_shard(0, SimDuration::from_millis(20));
-        // Shard 1 starts at concatenated t=20ms; the bucket refills at
+        // Shard 1 starts at concatenated t=20ms; the bucket is ready at
         // t=50ms, i.e. local 30ms on shard 1's clock.
         assert_eq!(
             shared.next_ready(1, SimTime::ZERO),
@@ -407,7 +359,7 @@ mod tests {
         let g = SimDuration::from_millis(50);
         let owned = {
             let mut net = Network::new(1);
-            let mut bucket = TokenBucket::new(g, 1);
+            let mut bucket = TokenBucket::new(g);
             let (mut stamps, mut wait_us) = (Vec::new(), 0u64);
             for _ in 0..6 {
                 let now = net.now();

@@ -162,7 +162,7 @@ impl EpochDriver {
         }
         let evolve_seed = wc.seed;
         let world = World::generate(wc);
-        let bucket = TokenBucket::new(cfg.epoch_interval, 1);
+        let bucket = TokenBucket::new(cfg.epoch_interval);
         EpochDriver {
             cfg,
             world,

@@ -256,9 +256,10 @@ impl NetDb {
         self.http.insert(ip, profile);
     }
 
-    /// HTTP profile lookup.
-    pub(crate) fn http_of(&self, ip: Ipv4Addr) -> Option<&HttpProfile> {
-        self.http.get(&ip)
+    /// Kind of page the address serves, if it serves HTTP at all (the
+    /// parking/redirect exclusion's input).
+    pub fn page_kind_of(&self, ip: Ipv4Addr) -> Option<PageKind> {
+        self.http.get(&ip).map(|h| h.kind)
     }
 
     /// Combined lookup of all attributes.
@@ -267,69 +268,8 @@ impl NetDb {
             asn: self.asn_of(ip).cloned(),
             geo: self.geo_of(ip),
             cert: self.cert_of(ip).cloned(),
-            http: self.http_of(ip).cloned(),
+            http: self.http.get(&ip).cloned(),
         }
-    }
-}
-
-/// The classification-relevant attributes of one address, resolved once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IpAttrs {
-    /// AS number from longest-prefix match, if routed.
-    pub asn: Option<u32>,
-    /// Geolocation, if known.
-    pub geo: Option<GeoInfo>,
-    /// Served-certificate fingerprint, if any.
-    pub cert_fp: Option<u64>,
-    /// HTTP page kind, if the host serves HTTP.
-    pub http_kind: Option<PageKind>,
-}
-
-/// A per-distinct-IP attribute table filled as classification proceeds.
-///
-/// The Appendix-B uniformity conditions consult ASN, geo, certificate and
-/// HTTP data for every address of every UR. The same addresses recur across
-/// thousands of URs (shared C2s, CDN nodes, protective sinks), so the
-/// pipeline resolves each distinct address exactly once instead of
-/// re-running longest-prefix matches and map probes per UR.
-#[derive(Debug, Default, Clone)]
-pub struct AttrIndex {
-    map: HashMap<Ipv4Addr, IpAttrs>,
-}
-
-impl AttrIndex {
-    /// Resolve one address directly (the slow path the index amortizes).
-    pub fn resolve(db: &NetDb, ip: Ipv4Addr) -> IpAttrs {
-        IpAttrs {
-            asn: db.asn_of(ip).map(|a| a.asn),
-            geo: db.geo_of(ip),
-            cert_fp: db.cert_of(ip).map(|c| c.fingerprint),
-            http_kind: db.http_of(ip).map(|h| h.kind),
-        }
-    }
-
-    /// Absorb already-resolved pairs into the index (each arriving batch
-    /// contributes its distinct new addresses). First resolution wins;
-    /// duplicates are ignored, which is sound because resolution is a pure
-    /// function of the database.
-    pub fn absorb(&mut self, pairs: impl IntoIterator<Item = (Ipv4Addr, IpAttrs)>) {
-        for (ip, attrs) in pairs {
-            self.map.entry(ip).or_insert(attrs);
-        }
-    }
-
-    /// Whether `ip` is already resolved in this index.
-    pub fn contains(&self, ip: Ipv4Addr) -> bool {
-        self.map.contains_key(&ip)
-    }
-
-    /// Attributes of `ip`, falling back to a direct resolve when the index
-    /// has not absorbed it.
-    pub fn get_or_resolve(&self, db: &NetDb, ip: Ipv4Addr) -> IpAttrs {
-        self.map
-            .get(&ip)
-            .copied()
-            .unwrap_or_else(|| Self::resolve(db, ip))
     }
 }
 
@@ -372,44 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn attr_index_matches_direct_lookups() {
-        let mut db = NetDb::new();
-        let a = ip("203.0.113.5");
-        let b = ip("203.0.113.6");
-        db.add_prefix("203.0.113.0/24".parse().unwrap(), 64500, "TestNet");
-        db.set_geo(a, GeoInfo::new("DE", 1));
-        db.set_cert(a, CertInfo::for_domain("example.de", "SimCA"));
-        db.set_http(b, HttpProfile::parking());
-        let mut idx = AttrIndex::default();
-        idx.absorb([a, b, a, ip("8.8.8.8")].map(|ip| (ip, AttrIndex::resolve(&db, ip))));
-        assert_eq!(idx.map.len(), 3, "duplicates collapse");
-        assert!(idx.contains(a) && idx.contains(b) && idx.contains(ip("8.8.8.8")));
-        let got = idx.get_or_resolve(&db, a);
-        assert_eq!(got.asn, Some(64500));
-        assert_eq!(got.geo, db.geo_of(a));
-        assert_eq!(got.cert_fp, db.cert_of(a).map(|c| c.fingerprint));
-        assert_eq!(got.http_kind, None);
-        assert_eq!(
-            idx.get_or_resolve(&db, b).http_kind,
-            Some(PageKind::Parking)
-        );
-        let missing = idx.get_or_resolve(&db, ip("8.8.8.8"));
-        assert_eq!(
-            missing,
-            IpAttrs {
-                asn: None,
-                geo: None,
-                cert_fp: None,
-                http_kind: None
-            }
-        );
-        // fall-back resolve for an address the index never absorbed
-        let c = ip("203.0.113.7");
-        assert!(!idx.contains(c));
-        assert_eq!(idx.get_or_resolve(&db, c).asn, Some(64500));
-    }
-
-    #[test]
     fn http_profiles_have_expected_keywords() {
         assert!(HttpProfile::parking()
             .keywords
@@ -434,8 +336,27 @@ mod tests {
         assert_eq!(info.geo.unwrap().country_str(), "DE");
         assert_eq!(info.cert, Some(CertInfo::for_domain("example.de", "SimCA")));
         assert_eq!(info.http.unwrap().kind, PageKind::Normal);
-        let empty = db.lookup(ip("8.8.8.8"));
-        assert!(empty.asn.is_none() && empty.geo.is_none());
+        assert_eq!(db.page_kind_of(a), Some(PageKind::Normal));
+        let b = ip("203.0.113.6");
+        db.set_http(b, HttpProfile::parking());
+        assert_eq!(db.page_kind_of(b), Some(PageKind::Parking));
+        assert_eq!(
+            db.asn_of(b).unwrap().asn,
+            64500,
+            "routed without geo or cert"
+        );
+        assert!(db.geo_of(b).is_none() && db.cert_of(b).is_none());
+        let unknown = ip("8.8.8.8");
+        assert_eq!(
+            db.lookup(unknown),
+            IpInfo {
+                asn: None,
+                geo: None,
+                cert: None,
+                http: None
+            }
+        );
+        assert_eq!(db.page_kind_of(unknown), None);
     }
 
     #[test]

@@ -34,4 +34,4 @@ mod cidr;
 mod db;
 
 pub use cidr::{Cidr, CidrParseError};
-pub use db::{AsInfo, AttrIndex, CertInfo, GeoInfo, HttpProfile, IpAttrs, IpInfo, NetDb, PageKind};
+pub use db::{AsInfo, CertInfo, GeoInfo, HttpProfile, IpInfo, NetDb, PageKind};

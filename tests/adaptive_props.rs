@@ -5,7 +5,7 @@
 //!   exactly the Jacobson/Karels integer recurrence;
 //! * the derived timeout is monotone in the variance estimate and always
 //!   clamped into `[min(min_timeout, timeout), timeout]`;
-//! * a token bucket with burst 1 never admits two probes to one server
+//! * a token bucket never admits two probes to one server
 //!   closer together than its interval, no matter how arrivals cluster;
 //! * RTT-ordered selection emits a permutation of its task list and never
 //!   reorders two tasks bound for the same server, no matter how the
@@ -90,7 +90,7 @@ proptest! {
         // bucket like `QueryScheduler::admit` does. No two admissions may
         // land closer together than the interval, and waiting never
         // reorders: each admission is at or after its arrival.
-        let mut bucket = TokenBucket::new(SimDuration::from_micros(interval_us), 1);
+        let mut bucket = TokenBucket::new(SimDuration::from_micros(interval_us));
         let mut now = SimTime::ZERO;
         let mut admitted: Vec<SimTime> = Vec::with_capacity(gaps.len());
         for gap in gaps {

@@ -77,9 +77,8 @@ fn sim_metrics_hash_is_identical_under_loss() {
 fn wall_metrics_exist_but_stay_out_of_the_sim_hash() {
     let (_, hub) = observed_run(HunterConfig::fast().with_workers(2));
     let snap = hub.registry().snapshot();
-    // The run registers cache, stage-span and buffer-pool instrumentation
-    // (the scan publishes its pool traffic whatever the world kind)…
-    assert!(snap.counter("attr_cache_resolved").unwrap_or(0) > 0);
+    // The run registers stage-span and buffer-pool instrumentation (the
+    // scan publishes its pool traffic whatever the world kind)…
     assert!(snap.counter("stage_collect_wall_us").is_some());
     assert!(snap.counter("bufpool_recycled").unwrap_or(0) > 0);
     assert!(snap.counter("bufpool_allocated").is_some());
