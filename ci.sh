@@ -49,6 +49,16 @@ for lib in crates/*/src/lib.rs; do
     }
 done
 
+echo "== every library crate forbids unsafe code =="
+# No crate needs `unsafe`: the interner's lock-free reads are std's
+# `OnceLock` slots, and the map hasher is plain arithmetic.
+for lib in crates/*/src/lib.rs; do
+    grep -q '^#!\[forbid(unsafe_code)\]$' "$lib" || {
+        echo "ci.sh: $lib lacks #![forbid(unsafe_code)]" >&2
+        exit 1
+    }
+done
+
 echo "== urbench: build, unit tests, quick run =="
 # The benchmark is a package of its own that tier-1 never compiles; its
 # one file of calls into the program (urbench/src/adapter.rs) is frozen,

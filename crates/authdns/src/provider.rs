@@ -10,10 +10,10 @@
 use crate::policy::{DomainClass, HostingPolicy, NsAllocation, VerificationPolicy};
 use crate::zone::{Zone, ZoneAnswer};
 use dnswire::{Name, NameKey, NameRef, RData, Record, RecordType};
+use fxhash::FxHashMap;
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom as _;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -111,10 +111,10 @@ pub struct HostingProvider {
     name: String,
     policy: HostingPolicy,
     nameservers: Vec<(Name, Ipv4Addr)>,
-    ns_by_ip: HashMap<Ipv4Addr, usize>,
+    ns_by_ip: FxHashMap<Ipv4Addr, usize>,
     accounts: Vec<Account>,
     zones: Vec<HostedZone>,
-    by_domain: HashMap<Name, Vec<ZoneId>>,
+    by_domain: FxHashMap<Name, Vec<ZoneId>>,
     /// What an unhosted name's A and TXT queries are answered with.
     protective_a: RData,
     protective_txt: RData,
@@ -138,7 +138,7 @@ impl HostingProvider {
         seed: u64,
     ) -> Self {
         assert!(!nameservers.is_empty(), "provider {name} needs nameservers");
-        let mut ns_by_ip = HashMap::new();
+        let mut ns_by_ip = FxHashMap::default();
         for (i, (_, ip)) in nameservers.iter().enumerate() {
             let prev = ns_by_ip.insert(*ip, i);
             assert!(prev.is_none(), "duplicate nameserver ip {ip}");
@@ -150,7 +150,7 @@ impl HostingProvider {
             ns_by_ip,
             accounts: Vec::new(),
             zones: Vec::new(),
-            by_domain: HashMap::new(),
+            by_domain: FxHashMap::default(),
             protective_a: RData::A(protective_ip),
             protective_txt: RData::txt_from_str(&format!(
                 "v=warning; domain not hosted on {name}; see status page"

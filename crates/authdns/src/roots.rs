@@ -7,8 +7,8 @@
 
 use crate::zone::Zone;
 use dnswire::{Name, NameKey, NameRef, RData, Record};
+use fxhash::FxHashMap;
 use intern::InternedName;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// TTL used for delegation NS records.
@@ -19,7 +19,7 @@ const DELEGATION_TTL: u32 = 86_400;
 #[derive(Debug, Default)]
 pub struct DelegationRegistry {
     root: Option<RootData>,
-    tlds: HashMap<Name, TldData>,
+    tlds: FxHashMap<Name, TldData>,
 }
 
 #[derive(Debug)]
@@ -32,7 +32,7 @@ struct TldData {
     ip: Ipv4Addr,
     /// domain -> (ns name, ns ip) delegation set, keyed by interned name.
     /// Inserts intern; probes go through [`InternedName::lookup`].
-    delegations: HashMap<InternedName, Vec<(Name, Ipv4Addr)>>,
+    delegations: FxHashMap<InternedName, Vec<(Name, Ipv4Addr)>>,
 }
 
 impl DelegationRegistry {
@@ -60,7 +60,7 @@ impl DelegationRegistry {
             tld,
             TldData {
                 ip,
-                delegations: HashMap::new(),
+                delegations: FxHashMap::default(),
             },
         );
     }

@@ -7,9 +7,9 @@ use dnswire::{
     Class, Message, MessageView, MessageWriter, Name, NameKey, NameRef, Rcode, Record, RecordType,
     Section,
 };
+use fxhash::FxHashMap;
 use simnet::{Actions, Datagram, Node, SimTime};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -254,7 +254,7 @@ impl Node for StaticZoneNode {
 /// of the delegated web by owner name and type.
 #[derive(Debug, Clone, Default)]
 pub struct AnswerMap {
-    by_name: HashMap<Name, RrSets>,
+    by_name: FxHashMap<Name, RrSets>,
 }
 
 impl AnswerMap {

@@ -26,7 +26,7 @@ fn n(s: &str) -> Name {
 fn lookups_under_a_two_label_tld_allocate_nothing() {
     let (uk, co_uk, target) = (n("uk"), n("co.uk"), n("a.co.uk"));
     for round in 0..32 {
-        // A fresh registry is a fresh `RandomState`: its own iteration order.
+        // A fresh registry has freshly seeded maps: its own iteration order.
         let mut registry = DelegationRegistry::new();
         registry.add_tld(uk.clone(), Ipv4Addr::new(192, 5, 6, 33));
         registry.add_tld(co_uk.clone(), Ipv4Addr::new(192, 5, 6, 32));

@@ -11,9 +11,9 @@ use crate::types::{
     ClassifiedUr, CollectedUr, CorrectDb, CorrectReason, ProtectiveDb, TxtCategory, UrCategory,
 };
 use dnswire::RecordType;
+use fxhash::FxHashSet;
 use netdb::{NetDb, PageKind};
 use pdns::{Day, PassiveDns, SIX_YEARS_DAYS};
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 /// Which exclusion conditions are active — ablations toggle these.
@@ -115,7 +115,7 @@ fn txt_category_of(ur: &CollectedUr) -> Option<TxtCategory> {
 }
 
 /// Non-empty-subset test.
-fn nonempty_subset<T: Eq + std::hash::Hash>(sub: &HashSet<T>, sup: &HashSet<T>) -> bool {
+fn nonempty_subset<T: Eq + std::hash::Hash>(sub: &FxHashSet<T>, sup: &FxHashSet<T>) -> bool {
     !sub.is_empty() && sub.is_subset(sup)
 }
 
@@ -129,10 +129,10 @@ fn classify_a(
     let ips = ur.a_ips();
     let profile = correct.profile(&ur.key.domain);
 
-    let ip_set: HashSet<Ipv4Addr> = ips.iter().copied().collect();
-    let mut asns = HashSet::new();
-    let mut geos = HashSet::new();
-    let mut certs = HashSet::new();
+    let ip_set: FxHashSet<Ipv4Addr> = ips.iter().copied().collect();
+    let mut asns = FxHashSet::default();
+    let mut geos = FxHashSet::default();
+    let mut certs = FxHashSet::default();
     for &ip in &ips {
         if let Some(a) = metadata.asn_of(ip) {
             asns.insert(a.asn);
@@ -285,9 +285,9 @@ fn classify_mx(
     } else if !ips.is_empty() {
         // Apply the A-style uniformity conditions to the exchange hosts'
         // addresses.
-        let ip_set: HashSet<Ipv4Addr> = ips.iter().copied().collect();
-        let mut asns = HashSet::new();
-        let mut geos = HashSet::new();
+        let ip_set: FxHashSet<Ipv4Addr> = ips.iter().copied().collect();
+        let mut asns = FxHashSet::default();
+        let mut geos = FxHashSet::default();
         for &ip in &ips {
             if let Some(a) = metadata.asn_of(ip) {
                 asns.insert(a.asn);

@@ -54,19 +54,21 @@ pub fn select_nameservers(world: &World, min_tail_sites: u32) -> Vec<NsInfo> {
 
 /// One UR probe: query `ns_ip` for `(domain, rtype)`, keep NOERROR
 /// responses whose answer section carries records of exactly that name and
-/// type, and assemble the [`CollectedUr`]. Shared by the bulk scan and the
-/// §4.2 false-negative evaluation (which replays *delegated* records
-/// through the identical path).
+/// type, and assemble the [`CollectedUr`] under the caller's handles for
+/// the domain (`key`, interned from `domain`) and the provider. Shared by
+/// the bulk scan and the §4.2 false-negative evaluation (which replays
+/// *delegated* records through the identical path); each interns its
+/// names once, not once a UR.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn query_one_ur(
     net: &mut Network,
     engine: &mut ProbeEngine,
     scanner_ip: Ipv4Addr,
     ns_ip: Ipv4Addr,
-    domain: &Name,
+    (domain, key): (&Name, InternedName),
     rtype: RecordType,
     qid: u16,
-    provider: &str,
+    provider: Sym,
 ) -> Option<CollectedUr> {
     // Only the records that make the UR are copied out of the reply.
     let resp = engine.query_keeping(net, scanner_ip, ns_ip, domain, rtype, qid, |r| {
@@ -78,12 +80,12 @@ pub(crate) fn query_one_ur(
     Some(CollectedUr {
         key: UrKey {
             ns_ip,
-            domain: InternedName::intern(domain),
+            domain: key,
             rtype,
         },
         records: resp.answers,
         aux_records: Vec::new(),
-        provider: Sym::intern(provider),
+        provider,
         authoritative: resp.flags.authoritative,
         recursion_available: resp.flags.recursion_available,
     })
@@ -199,12 +201,14 @@ fn build_scan_tasks(
 
 /// One scan task end to end: the UR probe plus MX follow-ups, drawing qids
 /// from `next_qid`.
+#[allow(clippy::too_many_arguments)]
 fn probe_task(
     net: &mut Network,
     engine: &mut ProbeEngine,
     mut next_qid: impl FnMut() -> u16,
-    ns: &NsInfo,
-    domain: &Name,
+    ns_ip: Ipv4Addr,
+    provider: Sym,
+    domain: (&Name, InternedName),
     rtype: RecordType,
     cfg: &CollectConfig,
 ) -> Option<CollectedUr> {
@@ -213,11 +217,11 @@ fn probe_task(
         net,
         engine,
         cfg.scanner_ip,
-        ns.ip,
+        ns_ip,
         domain,
         rtype,
         qid,
-        &ns.provider,
+        provider,
     )?;
     // MX follow-up: resolve each exchange host's address at the same
     // nameserver, so the analysis has corresponding IPs to judge.
@@ -235,7 +239,7 @@ fn probe_task(
             let aux = engine.query_keeping(
                 net,
                 cfg.scanner_ip,
-                ns.ip,
+                ns_ip,
                 &exchange,
                 RecordType::A,
                 qid,
@@ -268,10 +272,12 @@ fn probe_task(
 ///   unordered schedule (see DESIGN.md §11).
 #[derive(Debug)]
 pub struct RttSelector<T> {
-    seed: u64,
     queues: Vec<(Ipv4Addr, VecDeque<T>)>,
-    /// Current round, as a reversed stack of `queues` indices.
-    round: Vec<usize>,
+    /// Each queue's seeded tie-break, hashed once.
+    ties: Vec<u64>,
+    /// Current round as `(RTT key, tie-break, queue index)`, slowest
+    /// first: consumed by pop() from the back.
+    round: Vec<(u64, u64, usize)>,
     probed: Vec<bool>,
     remaining: usize,
 }
@@ -291,9 +297,13 @@ impl<T> RttSelector<T> {
             queues[idx].1.push_back(task);
         }
         let probed = vec![false; queues.len()];
+        let ties = queues
+            .iter()
+            .map(|&(ip, _)| Self::tie_break(seed, ip))
+            .collect();
         RttSelector {
-            seed,
             queues,
+            ties,
             round: Vec::new(),
             probed,
             remaining,
@@ -315,7 +325,7 @@ impl<T> RttSelector<T> {
             return None;
         }
         loop {
-            if let Some(si) = self.round.pop() {
+            if let Some((_, _, si)) = self.round.pop() {
                 if let Some(task) = self.queues[si].1.pop_front() {
                     self.probed[si] = true;
                     self.remaining -= 1;
@@ -325,21 +335,22 @@ impl<T> RttSelector<T> {
                 continue;
             }
             // Start a new round over every server that still has work,
-            // fastest estimate first.
-            let mut order: Vec<usize> = (0..self.queues.len())
-                .filter(|&i| !self.queues[i].1.is_empty())
-                .collect();
-            order.sort_by_key(|&i| {
-                let ip = self.queues[i].0;
-                let key = match health.rtt_estimate(ip) {
-                    Some(est) => est.srtt_us,
-                    None if self.probed[i] => u64::MAX,
-                    None => 0,
-                };
-                (key, Self::tie_break(self.seed, ip))
-            });
-            order.reverse(); // `round` is consumed by pop() from the back
-            self.round = order;
+            // fastest estimate first. The index makes every key distinct,
+            // so the order is the stable sort's of `(RTT key, tie-break)`.
+            let (queues, ties, probed) = (&self.queues, &self.ties, &self.probed);
+            self.round.extend(
+                (0..queues.len())
+                    .filter(|&i| !queues[i].1.is_empty())
+                    .map(|i| {
+                        let key = match health.rtt_estimate(queues[i].0) {
+                            Some(est) => est.srtt_us,
+                            None if probed[i] => u64::MAX,
+                            None => 0,
+                        };
+                        (key, ties[i], i)
+                    }),
+            );
+            self.round.sort_unstable_by(|a, b| b.cmp(a));
         }
     }
 }
@@ -528,6 +539,12 @@ fn scan<K: ShardTask, T: Send>(
     let batch_size = batch_limit(batch_size);
     let global = (global_pacing != simnet::SimDuration::ZERO)
         .then(|| crate::schedule::SharedTokenBucket::new(global_pacing));
+    // Every UR's handles, interned once before any shard starts.
+    let target_keys: Vec<InternedName> = targets.iter().map(InternedName::intern).collect();
+    let providers: Vec<Sym> = nameservers
+        .iter()
+        .map(|ns| Sym::intern(&ns.provider))
+        .collect();
 
     let scan_shard = |shard_idx: usize, emit: &mut dyn FnMut(T)| -> ShardSummary {
         let tasks = shard_tasks(shard_idx);
@@ -559,14 +576,15 @@ fn scan<K: ShardTask, T: Send>(
         });
         while let Some(k) = feed.next(&engine.health) {
             let (ni, di, rtype) = k.task();
-            let ns = &nameservers[ni];
-            sched.admit(&mut net, ns.ip);
+            let ns_ip = nameservers[ni].ip;
+            sched.admit(&mut net, ns_ip);
             if let Some(ur) = probe_task(
                 &mut net,
                 &mut engine,
                 task_qids(ni, di, rtype),
-                ns,
-                &targets[di],
+                ns_ip,
+                providers[ni],
+                (&targets[di], target_keys[di]),
                 rtype,
                 cfg,
             ) {

@@ -12,6 +12,7 @@ use crate::report::{build_report, Report};
 use crate::schedule::QueryScheduler;
 use crate::types::{ClassifiedUr, CollectedUr, CorrectDb, ProtectiveDb, UrCategory};
 use dnswire::RecordType;
+use intern::{InternedName, Sym};
 use simnet::{FaultPlan, SimDuration};
 use std::cell::OnceCell;
 use std::sync::{Arc, OnceLock};
@@ -695,10 +696,12 @@ pub fn evaluate_false_negatives(
         // same registry cells (registration is idempotent).
         engine = engine.with_obs(hub.clone());
     }
+    let provider = Sym::intern("delegated");
     for (ti, domain) in targets.iter().enumerate() {
         let Some(delegation) = world.registry.delegation_of(domain).map(|d| d.to_vec()) else {
             continue;
         };
+        let key = InternedName::intern(domain);
         for (_, ns_ip) in delegation.iter().take(1) {
             for &rtype in &cfg.collect.query_types {
                 // Each `(target, rtype)` stream is drawn exactly once here
@@ -711,10 +714,10 @@ pub fn evaluate_false_negatives(
                     &mut engine,
                     cfg.collect.scanner_ip,
                     *ns_ip,
-                    domain,
+                    (domain, key),
                     rtype,
                     qid,
-                    "delegated",
+                    provider,
                 ) {
                     delegated_inputs.push(ur);
                 }

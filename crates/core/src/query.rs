@@ -31,13 +31,25 @@
 //!   clock; their service time is unbounded by network distance, so they
 //!   are never sampled and keep the fixed plan timeout.
 
+use fxhash::FxHashMap;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
 use dnswire::{Flags, Name, Rcode, Record, RecordType, RecordView};
 use simnet::{Network, SimDuration};
+
+/// Feeds formatted text to a hasher as it is written.
+struct HashWriter<'a, H>(&'a mut H);
+
+impl<H: Hasher> fmt::Write for HashWriter<'_, H> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.write(s.as_bytes());
+        Ok(())
+    }
+}
 
 /// What a probe brings back: the response's header flags and the answer
 /// records the caller chose to keep.
@@ -260,7 +272,7 @@ struct ServerHealth {
 /// one record a server.
 #[derive(Debug, Clone, Default)]
 pub struct NsHealth {
-    servers: HashMap<Ipv4Addr, ServerHealth>,
+    servers: FxHashMap<Ipv4Addr, ServerHealth>,
 }
 
 impl NsHealth {
@@ -516,7 +528,11 @@ impl ProbeEngine {
     fn probe_key(server: Ipv4Addr, qname: &Name, qtype: RecordType, qid: u16) -> u64 {
         let mut h = DefaultHasher::new();
         u32::from(server).hash(&mut h);
-        qname.to_string().hash(&mut h);
+        // `qname.to_string().hash(..)` without the string: `str` hashes as
+        // its bytes then `0xff`, and SipHash's `write` does not depend on
+        // how its input is split.
+        write!(HashWriter(&mut h), "{qname}").expect("a hasher accepts every write");
+        h.write_u8(0xff);
         qtype.code().hash(&mut h);
         qid.hash(&mut h);
         h.finish()
@@ -771,6 +787,33 @@ mod tests {
 
     fn ip(last: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, last)
+    }
+
+    #[test]
+    fn probe_key_hashes_the_rendered_name() {
+        let escaped =
+            Name::from_labels([&b"a.b"[..], b"sp ace\\", b"\x07", b"Example", b"org"]).unwrap();
+        assert!(
+            escaped.to_string().contains('\\'),
+            "{escaped} renders escapes"
+        );
+        for qname in [
+            "www.Example.COM".parse().unwrap(),
+            "a.b.c.d.e.f.g.h.i.j.k.l.m.n.o.p".parse().unwrap(),
+            Name::root(),
+            escaped,
+        ] {
+            let mut h = DefaultHasher::new();
+            u32::from(ip(9)).hash(&mut h);
+            qname.to_string().hash(&mut h);
+            RecordType::Txt.code().hash(&mut h);
+            0x1234u16.hash(&mut h);
+            assert_eq!(
+                ProbeEngine::probe_key(ip(9), &qname, RecordType::Txt, 0x1234),
+                h.finish(),
+                "{qname}"
+            );
+        }
     }
 
     #[test]

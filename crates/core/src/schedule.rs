@@ -8,10 +8,10 @@
 //! capping the whole scanner's aggregate probe rate (`--rate-limit`),
 //! shared by every shard of a scan.
 
+use fxhash::FxHashMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simnet::{Network, SimDuration, SimTime};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -143,7 +143,7 @@ impl SharedTokenBucket {
 #[derive(Debug)]
 pub struct QueryScheduler {
     interval: SimDuration,
-    buckets: HashMap<Ipv4Addr, TokenBucket>,
+    buckets: FxHashMap<Ipv4Addr, TokenBucket>,
     /// The global cap and the shard this scheduler admits for.
     global: Option<(Arc<SharedTokenBucket>, usize)>,
     rng: StdRng,
@@ -155,7 +155,7 @@ impl QueryScheduler {
     pub fn new(seed: u64, interval: SimDuration) -> Self {
         QueryScheduler {
             interval,
-            buckets: HashMap::new(),
+            buckets: FxHashMap::default(),
             global: None,
             rng: StdRng::seed_from_u64(seed),
             wait_us: 0,

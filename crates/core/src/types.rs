@@ -8,9 +8,9 @@
 //! from the owned-representation era.
 
 use dnswire::{Record, RecordType};
+use fxhash::{FxHashMap, FxHashSet};
 use intern::{InternedName, Sym};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::LazyLock;
 
@@ -75,25 +75,25 @@ impl CollectedUr {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DomainProfile {
     /// Correct A addresses.
-    pub(crate) ips: HashSet<Ipv4Addr>,
+    pub(crate) ips: FxHashSet<Ipv4Addr>,
     /// ASNs of correct addresses.
-    pub(crate) asns: HashSet<u32>,
+    pub(crate) asns: FxHashSet<u32>,
     /// Geolocations of correct addresses (country + city).
-    pub(crate) geos: HashSet<([u8; 2], u16)>,
+    pub(crate) geos: FxHashSet<([u8; 2], u16)>,
     /// Certificate fingerprints served at correct addresses.
-    pub(crate) certs: HashSet<u64>,
+    pub(crate) certs: FxHashSet<u64>,
     /// Correct TXT strings (exact-match exclusion for TXT URs).
-    pub(crate) txts: HashSet<Sym>,
+    pub(crate) txts: FxHashSet<Sym>,
     /// Correct MX data, rendered (`"pref exchange"`), for exact-match
     /// exclusion of MX URs.
-    pub(crate) mxs: HashSet<Sym>,
+    pub(crate) mxs: FxHashSet<Sym>,
 }
 
 /// Correct-record database over all target domains.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct CorrectDb {
     /// Per-domain profiles.
-    pub(crate) domains: HashMap<InternedName, DomainProfile>,
+    pub(crate) domains: FxHashMap<InternedName, DomainProfile>,
 }
 
 impl CorrectDb {
@@ -109,16 +109,16 @@ impl CorrectDb {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProtectiveProfile {
     /// Addresses protective A records point at.
-    pub(crate) a_ips: HashSet<Ipv4Addr>,
+    pub(crate) a_ips: FxHashSet<Ipv4Addr>,
     /// Protective TXT payloads.
-    pub(crate) txts: HashSet<Sym>,
+    pub(crate) txts: FxHashSet<Sym>,
 }
 
 /// Protective-record database keyed by nameserver address.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct ProtectiveDb {
     /// Per-nameserver protective profiles.
-    pub(crate) servers: HashMap<Ipv4Addr, ProtectiveProfile>,
+    pub(crate) servers: FxHashMap<Ipv4Addr, ProtectiveProfile>,
 }
 
 impl ProtectiveDb {

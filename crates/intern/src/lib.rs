@@ -5,56 +5,109 @@
 //! working set grows with the number of *distinct* names and strings.
 //!
 //! * [`InternedName`] — a handle to one lowercased flat [`Name`] in a global
-//!   table: a map from the name to its id, and a vector of the names with
-//!   each one's parent id beside it (a name is interned with its suffixes).
-//!   Whatever reads the name — `Hash`, `Ord`, `Display`, `==` against a
-//!   [`Name`] — is [`NameRef`]'s own implementation over the stored bytes.
+//!   table: a map from the name to its id, and a slot per id holding the
+//!   name with its parent's id beside it (a name is interned with its
+//!   suffixes). Whatever reads the name — `Hash`, `Ord`, `Display`, `==`
+//!   against a [`Name`] — is [`NameRef`]'s own implementation over the
+//!   stored bytes.
 //! * [`Sym`] — a handle for short strings (provider names, TXT/MX profile
 //!   entries) with `O(1)` equality and no per-clone allocation.
 //!
 //! Both tables are process-global, thread-safe and append-only, and their
-//! storage is leaked: interned data lives as long as a measurement run. Ids
-//! follow first-intern order, which differs between runs and thread
-//! interleavings, so they must never reach hashed, ordered or rendered
-//! output; only `Eq` uses them (equal ids iff equal text).
+//! storage is leaked: interned data lives as long as a measurement run.
+//! Interning and [`InternedName::lookup`] / [`Sym::lookup`] go through each
+//! table's map behind an `RwLock`; reading an id's text goes to the id's
+//! slot in an append-only table of write-once slots and takes no lock, so
+//! scan workers reading names never contend. Ids follow first-intern
+//! order, which differs between runs and thread interleavings, so they
+//! must never reach hashed, ordered or rendered output; only `Eq` uses them
+//! (equal ids iff equal text).
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 use dnswire::{Name, NameRef, WireError, WireResult};
+use fxhash::FxHashMap;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{OnceLock, RwLock, RwLockReadGuard};
 
-struct NameTable {
-    /// Every interned name, lowercased, beside its parent's id (entry 0 is
-    /// the root, its own parent). Each borrows a leaked [`Name`]: its own,
-    /// or the longer one it was first interned as a suffix of.
-    names: Vec<(NameRef<'static>, u32)>,
-    /// The id of each entry of `names`. [`NameRef`] hashes and compares
-    /// case-insensitively, so the map is probed with a name as it came.
-    ids: HashMap<NameRef<'static>, u32>,
+/// Segments of a [`Slots`] table: `64 (2^27 - 1)` slots, more than there
+/// are `u32` ids.
+const SEGMENTS: usize = 27;
+
+/// Slots in segment 0; segment `k` holds `FIRST_SEGMENT << k`.
+const FIRST_SEGMENT: usize = 64;
+
+/// An append-only table of write-once slots, indexed by id, that readers
+/// reach without a lock. Segment `k` holds `64 << k` slots and is allocated
+/// when its first slot is written, so a slot never moves and the table
+/// never copies. Writers serialise on their table's lock; a reader only
+/// ever asks for an id a writer handed out after filling its slot.
+struct Slots<T> {
+    segments: [OnceLock<Box<[OnceLock<T>]>>; SEGMENTS],
 }
+
+impl<T> Slots<T> {
+    const fn new() -> Self {
+        Slots {
+            segments: [const { OnceLock::new() }; SEGMENTS],
+        }
+    }
+
+    /// `(segment, offset)` of `id`: segments before `k` hold `64 (2^k - 1)`
+    /// slots.
+    fn locate(id: u32) -> (usize, usize) {
+        let id = id as usize;
+        let k = (id / FIRST_SEGMENT + 1).ilog2() as usize;
+        (k, id - FIRST_SEGMENT * ((1 << k) - 1))
+    }
+
+    fn get(&self, id: u32) -> &T {
+        let (k, at) = Self::locate(id);
+        self.segments[k]
+            .get()
+            .and_then(|segment| segment[at].get())
+            .expect("an id is handed out only after its slot is written")
+    }
+
+    /// Fill `id`'s slot. Called once per id, under the table's write lock.
+    fn set(&self, id: u32, value: T) {
+        let (k, at) = Self::locate(id);
+        let segment = self.segments[k]
+            .get_or_init(|| (0..FIRST_SEGMENT << k).map(|_| OnceLock::new()).collect());
+        assert!(segment[at].set(value).is_ok(), "slot {id} written twice");
+    }
+}
+
+/// Every interned name, lowercased, beside its parent's id (entry 0 is the
+/// root, its own parent). Each borrows a leaked [`Name`]: its own, or the
+/// longer one it was first interned as a suffix of.
+static NAMES: Slots<(NameRef<'static>, u32)> = Slots::new();
+
+/// The id of each name in [`NAMES`]: one entry an id, so its length is the
+/// next id. [`NameRef`] hashes and compares case-insensitively, so the map
+/// is probed with a name as it came.
+type NameIds = FxHashMap<NameRef<'static>, u32>;
 
 fn leak(name: Name) -> NameRef<'static> {
     Box::leak(Box::new(name)).borrowed()
 }
 
-fn name_table() -> &'static RwLock<NameTable> {
-    static TABLE: OnceLock<RwLock<NameTable>> = OnceLock::new();
+/// The name map. Its first use also fills the root's slot (id 0), without
+/// taking the lock it creates.
+fn name_table() -> &'static RwLock<NameIds> {
+    static TABLE: OnceLock<RwLock<NameIds>> = OnceLock::new();
     TABLE.get_or_init(|| {
         let root = leak(Name::root());
-        RwLock::new(NameTable {
-            names: vec![(root, 0)],
-            ids: HashMap::from([(root, 0)]),
-        })
+        NAMES.set(0, (root, 0));
+        RwLock::new(NameIds::from_iter([(root, 0)]))
     })
 }
 
-fn names() -> RwLockReadGuard<'static, NameTable> {
+fn names() -> RwLockReadGuard<'static, NameIds> {
     name_table().read().expect("name table poisoned")
 }
 
@@ -81,6 +134,8 @@ pub struct InternedName(u32);
 impl InternedName {
     /// The root name.
     pub fn root() -> Self {
+        // The root's slot is written with the table.
+        name_table();
         InternedName(0)
     }
 
@@ -95,16 +150,16 @@ impl InternedName {
         // intern the same name finds them all and leaks its copy unused.)
         let lower = Name::from_labels(name.labels().map(<[u8]>::to_ascii_lowercase));
         let lower = leak(lower.expect("Name upheld wire limits"));
-        let mut t = name_table().write().expect("name table poisoned");
+        let mut ids = name_table().write().expect("name table poisoned");
         let mut id = 0;
         for labels in 1..=lower.label_count() {
             let suffix = lower.suffix(labels).expect("within the label count");
-            id = match t.ids.get(&suffix) {
+            id = match ids.get(&suffix) {
                 Some(&known) => known,
                 None => {
-                    let new = u32::try_from(t.names.len()).expect("name table exceeds u32 range");
-                    t.names.push((suffix, id));
-                    t.ids.insert(suffix, new);
+                    let new = u32::try_from(ids.len()).expect("name table exceeds u32 range");
+                    NAMES.set(new, (suffix, id));
+                    ids.insert(suffix, new);
                     new
                 }
             };
@@ -115,25 +170,19 @@ impl InternedName {
     /// The handle for `name` if it was ever interned — a probe that neither
     /// grows the table nor allocates (the twin of [`Sym::lookup`]).
     pub fn lookup(name: NameRef<'_>) -> Option<Self> {
-        names().ids.get(&name).map(|&id| InternedName(id))
+        names().get(&name).map(|&id| InternedName(id))
     }
 
     /// The interned name itself, lowercased. Its bytes are leaked, so the
-    /// borrow outlives the handle and holds no lock.
+    /// borrow outlives the handle; reading it takes no lock.
     pub fn name(self) -> NameRef<'static> {
-        names().names[self.0 as usize].0
-    }
-
-    /// Two names under one lock acquisition.
-    fn name_pair(self, other: Self) -> (NameRef<'static>, NameRef<'static>) {
-        let t = names();
-        (t.names[self.0 as usize].0, t.names[other.0 as usize].0)
+        NAMES.get(self.0).0
     }
 
     /// The parent name (one label stripped from the left), or `None` at
     /// the root. `O(1)`.
     pub fn parent(self) -> Option<InternedName> {
-        (self != Self::root()).then(|| InternedName(names().names[self.0 as usize].1))
+        (self.0 != 0).then(|| InternedName(NAMES.get(self.0).1))
     }
 
     /// Prepend a label, producing a child name.
@@ -143,8 +192,7 @@ impl InternedName {
 
     /// True if `self` equals `other` or descends from it.
     pub fn is_subdomain_of(self, other: &InternedName) -> bool {
-        let (name, ancestor) = self.name_pair(*other);
-        name.is_subdomain_of(ancestor)
+        self.name().is_subdomain_of(other.name())
     }
 
     /// True if `self` is strictly below `other`.
@@ -155,9 +203,8 @@ impl InternedName {
     /// The trailing `n` labels as a name, or `None` if `n` exceeds the
     /// label count. A walk up the parent ids.
     pub fn suffix(self, n: usize) -> Option<InternedName> {
-        let t = names();
-        let strip = t.names[self.0 as usize].0.label_count().checked_sub(n)?;
-        let id = (0..strip).fold(self.0, |id, _| t.names[id as usize].1);
+        let strip = self.name().label_count().checked_sub(n)?;
+        let id = (0..strip).fold(self.0, |id, _| NAMES.get(id).1);
         Some(InternedName(id))
     }
 
@@ -191,8 +238,7 @@ impl PartialOrd for InternedName {
 impl Ord for InternedName {
     /// Canonical DNS ordering (RFC 4034 §6.1), as `dnswire::Name::cmp`.
     fn cmp(&self, other: &Self) -> Ordering {
-        let (a, b) = self.name_pair(*other);
-        a.cmp(&b)
+        self.name().cmp(&other.name())
     }
 }
 
@@ -216,14 +262,15 @@ impl fmt::Debug for InternedName {
     }
 }
 
-#[derive(Default)]
-struct SymTable {
-    index: HashMap<Box<str>, u32>,
-    strings: Vec<&'static str>,
-}
+/// Every interned string, by id.
+static STRINGS: Slots<&'static str> = Slots::new();
 
-fn sym_table() -> &'static RwLock<SymTable> {
-    static TABLE: OnceLock<RwLock<SymTable>> = OnceLock::new();
+/// The id of each string in [`STRINGS`], keyed by the same leaked copy:
+/// one entry an id, so its length is the next id.
+type SymIds = FxHashMap<&'static str, u32>;
+
+fn sym_table() -> &'static RwLock<SymIds> {
+    static TABLE: OnceLock<RwLock<SymIds>> = OnceLock::new();
     TABLE.get_or_init(Default::default)
 }
 
@@ -246,34 +293,30 @@ pub struct Sym(u32);
 impl Sym {
     /// Intern a string, returning its handle.
     pub fn intern(s: &str) -> Sym {
-        {
-            let t = sym_table().read().expect("sym table poisoned");
-            if let Some(&id) = t.index.get(s) {
-                return Sym(id);
-            }
+        if let Some(known) = Self::lookup(s) {
+            return known;
         }
-        let mut t = sym_table().write().expect("sym table poisoned");
-        if let Some(&id) = t.index.get(s) {
+        let mut ids = sym_table().write().expect("sym table poisoned");
+        if let Some(&id) = ids.get(s) {
             return Sym(id);
         }
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let id = t.strings.len() as u32;
-        t.strings.push(leaked);
-        t.index.insert(Box::from(s), id);
+        let id = u32::try_from(ids.len()).expect("sym table exceeds u32 range");
+        STRINGS.set(id, leaked);
+        ids.insert(leaked, id);
         Sym(id)
     }
 
     /// The handle for `s` if it was ever interned — a set-membership probe
     /// that does not grow the table.
     pub fn lookup(s: &str) -> Option<Sym> {
-        let t = sym_table().read().expect("sym table poisoned");
-        t.index.get(s).map(|&id| Sym(id))
+        let ids = sym_table().read().expect("sym table poisoned");
+        ids.get(s).map(|&id| Sym(id))
     }
 
-    /// The interned string. Storage is `'static`.
+    /// The interned string. Storage is `'static`; reading it takes no lock.
     pub fn as_str(self) -> &'static str {
-        let t = sym_table().read().expect("sym table poisoned");
-        t.strings[self.0 as usize]
+        STRINGS.get(self.0)
     }
 }
 
@@ -297,8 +340,7 @@ impl PartialOrd for Sym {
 
 impl Ord for Sym {
     fn cmp(&self, other: &Self) -> Ordering {
-        let t = sym_table().read().expect("sym table poisoned");
-        t.strings[self.0 as usize].cmp(t.strings[other.0 as usize])
+        self.as_str().cmp(other.as_str())
     }
 }
 
@@ -490,7 +532,7 @@ mod tests {
     #[test]
     fn table_sizes_reported() {
         let _ = i("sizes-probe.example.com");
-        let names = names().names.len();
+        let names = names().len();
         assert!(names >= 4, "the root and three suffixes");
     }
 }

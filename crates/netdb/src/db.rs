@@ -6,7 +6,7 @@
 //! conditions consume.
 
 use crate::cidr::Cidr;
-use std::collections::HashMap;
+use fxhash::FxHashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -184,13 +184,13 @@ pub struct IpInfo {
 #[derive(Debug, Default)]
 pub struct NetDb {
     // prefixes bucketed by length for longest-prefix match
-    prefixes: HashMap<u8, HashMap<Cidr, AsInfo>>,
+    prefixes: FxHashMap<u8, FxHashMap<Cidr, AsInfo>>,
     // the bucket lengths that actually exist, sorted descending, so lookups
     // probe only populated lengths instead of all 33
     present_lens: Vec<u8>,
-    geo: HashMap<Ipv4Addr, GeoInfo>,
-    certs: HashMap<Ipv4Addr, CertInfo>,
-    http: HashMap<Ipv4Addr, HttpProfile>,
+    geo: FxHashMap<Ipv4Addr, GeoInfo>,
+    certs: FxHashMap<Ipv4Addr, CertInfo>,
+    http: FxHashMap<Ipv4Addr, HttpProfile>,
 }
 
 impl NetDb {
@@ -291,7 +291,7 @@ mod tests {
         assert_eq!(db.asn_of(ip("10.1.9.9")).unwrap().asn, 200);
         assert_eq!(db.asn_of(ip("10.9.9.9")).unwrap().asn, 100);
         assert!(db.asn_of(ip("11.0.0.1")).is_none());
-        assert_eq!(db.prefixes.values().map(HashMap::len).sum::<usize>(), 3);
+        assert_eq!(db.prefixes.values().map(FxHashMap::len).sum::<usize>(), 3);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 #![warn(missing_docs)]
 
 use dnswire::{Name, RData, RecordType};
+use fxhash::FxHashMap;
 use intern::InternedName;
-use std::collections::HashMap;
 
 /// A day index (days since an arbitrary epoch). The world generator decides
 /// what "today" is; six years is 2,190 days.
@@ -45,7 +45,7 @@ pub(crate) struct HistoricalRecord {
 /// The passive-DNS store.
 #[derive(Debug, Default)]
 pub struct PassiveDns {
-    by_domain: HashMap<InternedName, Vec<HistoricalRecord>>,
+    by_domain: FxHashMap<InternedName, Vec<HistoricalRecord>>,
 }
 
 impl PassiveDns {

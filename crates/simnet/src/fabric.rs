@@ -5,10 +5,12 @@ use crate::fault::{FaultDecision, FaultPlan};
 use crate::node::{Actions, Datagram, Endpoint, Node};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Disposition, FlowLog};
+use fxhash::FxHashMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 
 /// Deterministic propagation-delay model.
@@ -151,14 +153,21 @@ impl Ord for Event {
     }
 }
 
+/// What sits at an address: a node that handles what reaches it, or an
+/// external endpoint's inbox that queues it.
+enum Attached {
+    Node(Box<dyn Node>),
+    Inbox(Vec<Datagram>),
+}
+
 /// The simulated network.
 ///
 /// Single-threaded and fully deterministic: given the same seed, node set
 /// and injected traffic, every run produces identical event orderings,
 /// traces and statistics.
 pub struct Network {
-    nodes: HashMap<Ipv4Addr, Box<dyn Node>>,
-    external: HashMap<Ipv4Addr, Vec<Datagram>>,
+    /// Every address's node or external inbox.
+    attached: FxHashMap<Ipv4Addr, Attached>,
     queue: BinaryHeap<Reverse<Event>>,
     now: SimTime,
     latency: LatencyModel,
@@ -167,7 +176,7 @@ pub struct Network {
     /// Seed for per-flow fault scheduling (see [`FaultPlan::per_flow`]).
     fault_seed: u64,
     /// Per-`(src, dst)` datagram counters driving per-flow fault decisions.
-    flow_counters: HashMap<(Ipv4Addr, Ipv4Addr), u64>,
+    flow_counters: FxHashMap<(Ipv4Addr, Ipv4Addr), u64>,
     /// Traffic capture; enabled by default.
     pub trace: FlowLog,
     stats: NetStats,
@@ -186,15 +195,14 @@ impl Network {
     /// faults, and capture enabled.
     pub fn new(seed: u64) -> Self {
         Network {
-            nodes: HashMap::new(),
-            external: HashMap::new(),
+            attached: FxHashMap::default(),
             queue: BinaryHeap::new(),
             now: SimTime::ZERO,
             latency: LatencyModel::default(),
             faults: FaultPlan::reliable(),
             rng: StdRng::seed_from_u64(seed),
             fault_seed: seed,
-            flow_counters: HashMap::new(),
+            flow_counters: FxHashMap::default(),
             trace: FlowLog::new().with_payload_cap(2048),
             stats: NetStats::default(),
             obs: None,
@@ -292,24 +300,33 @@ impl Network {
     /// Panics if a node or external registration already occupies `ip` —
     /// address collisions are a world-construction bug.
     pub fn add_node(&mut self, ip: Ipv4Addr, node: Box<dyn Node>) {
-        assert!(
-            !self.external.contains_key(&ip),
-            "ip {ip} already registered as external"
-        );
-        let prev = self.nodes.insert(ip, node);
-        assert!(prev.is_none(), "duplicate node at {ip}");
+        match self.attached.entry(ip) {
+            Entry::Vacant(slot) => {
+                slot.insert(Attached::Node(node));
+            }
+            Entry::Occupied(slot) => match slot.get() {
+                Attached::Node(_) => panic!("duplicate node at {ip}"),
+                Attached::Inbox(_) => panic!("ip {ip} already registered as external"),
+            },
+        }
     }
 
     /// True if some node is attached at `ip`.
     pub fn has_node(&self, ip: Ipv4Addr) -> bool {
-        self.nodes.contains_key(&ip)
+        matches!(self.attached.get(&ip), Some(Attached::Node(_)))
     }
 
     /// Register an external endpoint: datagrams addressed to `ip` are
     /// queued in an inbox instead of requiring a node. Idempotent.
     pub fn register_external(&mut self, ip: Ipv4Addr) {
-        assert!(!self.nodes.contains_key(&ip), "ip {ip} already has a node");
-        self.external.entry(ip).or_default();
+        let at = self
+            .attached
+            .entry(ip)
+            .or_insert_with(|| Attached::Inbox(Vec::new()));
+        assert!(
+            matches!(at, Attached::Inbox(_)),
+            "ip {ip} already has a node"
+        );
     }
 
     /// Empty the inbox of `ip` in place (it keeps its capacity for the next
@@ -318,7 +335,10 @@ impl Network {
     fn drain_inbox(&mut self, ip: Ipv4Addr, wanted: impl Fn(&Datagram) -> bool) -> Option<Vec<u8>> {
         let recycler = self.payload_recycler;
         let mut found = None;
-        for d in self.external.get_mut(&ip)?.drain(..) {
+        let Some(Attached::Inbox(inbox)) = self.attached.get_mut(&ip) else {
+            return None;
+        };
+        for d in inbox.drain(..) {
             if found.is_none() && wanted(&d) {
                 found = Some(d.payload);
             } else if let Some(recycle) = recycler {
@@ -452,16 +472,11 @@ impl Network {
                         m.corrupted.inc();
                     }
                 }
-                let disposition = if self.nodes.contains_key(&dgram.dst.ip) {
-                    if corrupt {
-                        Disposition::Corrupted
-                    } else {
-                        Disposition::Delivered
-                    }
-                } else if self.external.contains_key(&dgram.dst.ip) {
-                    Disposition::Delivered
-                } else {
-                    Disposition::NoRoute
+                let attached = self.attached.get_mut(&dgram.dst.ip);
+                let disposition = match &attached {
+                    Some(Attached::Node(_)) if corrupt => Disposition::Corrupted,
+                    Some(_) => Disposition::Delivered,
+                    None => Disposition::NoRoute,
                 };
                 self.trace.record(self.now, &dgram, disposition);
                 match disposition {
@@ -480,20 +495,20 @@ impl Network {
                         }
                     }
                 }
-                if let Some(node) = self.nodes.get_mut(&dgram.dst.ip) {
-                    let mut out = std::mem::take(&mut self.scratch);
-                    node.handle(self.now, &dgram, &mut out);
-                    self.apply_actions(&mut out, dgram.dst.ip);
-                    self.scratch = out;
-                    self.recycle(dgram.payload);
-                } else if let Some(inbox) = self.external.get_mut(&dgram.dst.ip) {
-                    inbox.push(dgram);
-                } else {
-                    self.recycle(dgram.payload);
+                match attached {
+                    Some(Attached::Node(node)) => {
+                        let mut out = std::mem::take(&mut self.scratch);
+                        node.handle(self.now, &dgram, &mut out);
+                        self.apply_actions(&mut out, dgram.dst.ip);
+                        self.scratch = out;
+                        self.recycle(dgram.payload);
+                    }
+                    Some(Attached::Inbox(inbox)) => inbox.push(dgram),
+                    None => self.recycle(dgram.payload),
                 }
             }
             EventKind::Timer { node, token } => {
-                if let Some(n) = self.nodes.get_mut(&node) {
+                if let Some(Attached::Node(n)) = self.attached.get_mut(&node) {
                     let mut out = std::mem::take(&mut self.scratch);
                     n.on_timer(self.now, token, &mut out);
                     self.apply_actions(&mut out, node);
@@ -535,9 +550,7 @@ impl Network {
         payload: Vec<u8>,
         timeout: SimDuration,
     ) -> Option<Vec<u8>> {
-        if !self.external.contains_key(&src.ip) {
-            self.register_external(src.ip);
-        }
+        self.register_external(src.ip);
         // Drain any stale datagrams from previous exchanges.
         self.drain_inbox(src.ip, |_| false);
         let deadline = self.now + timeout;
@@ -548,14 +561,10 @@ impl Network {
             payload,
         });
         loop {
-            let next_at = match self.queue.peek() {
-                Some(Reverse(ev)) if ev.at <= deadline => ev.at,
-                _ => {
-                    self.now = deadline;
-                    return None;
-                }
-            };
-            let _ = next_at;
+            if !matches!(self.queue.peek(), Some(Reverse(ev)) if ev.at <= deadline) {
+                self.now = deadline;
+                return None;
+            }
             self.step();
             let reply = self.drain_inbox(src.ip, |d| d.dst == src);
             if reply.is_some() {
@@ -579,10 +588,10 @@ mod tests {
 
     /// Drain the inbox of an external endpoint.
     fn take_inbox(net: &mut Network, ip: Ipv4Addr) -> Vec<Datagram> {
-        net.external
-            .get_mut(&ip)
-            .map(std::mem::take)
-            .unwrap_or_default()
+        match net.attached.get_mut(&ip) {
+            Some(Attached::Inbox(inbox)) => std::mem::take(inbox),
+            _ => Vec::new(),
+        }
     }
 
     #[test]
