@@ -8,7 +8,7 @@ use crate::types::{CollectedUr, CorrectDb, DomainProfile, ProtectiveDb, UrKey};
 use dnswire::{Name, Rcode, RecordType};
 use intern::{InternedName, Sym};
 use simnet::Network;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use worldgen::{NsInfo, World};
 
@@ -152,20 +152,20 @@ fn distinct_query_types(cfg: &CollectConfig) -> &[RecordType] {
     types
 }
 
-/// Per-target delegated-server sets, resolved once: which addresses each
-/// target is exactly delegated to (delegation of an enclosing registered
-/// suffix covers subdomain targets).
-fn delegated_ip_sets(
-    world_registry: &authdns::DelegationRegistry,
+/// Per-target delegated servers, resolved once: the registry's own entry
+/// for each target (delegation of an enclosing registered suffix covers
+/// subdomain targets), empty when it has none. A delegation lists a few
+/// servers, so a linear scan is the membership test.
+fn delegated_servers<'r>(
+    world_registry: &'r authdns::DelegationRegistry,
     targets: &[Name],
-) -> Vec<HashSet<Ipv4Addr>> {
+) -> Vec<&'r [(Name, Ipv4Addr)]> {
     targets
         .iter()
         .map(|domain| {
             world_registry
                 .registered_suffix(domain)
                 .and_then(|suffix| world_registry.delegation_of(&suffix))
-                .map(|servers| servers.iter().map(|(_, ip)| *ip).collect())
                 .unwrap_or_default()
         })
         .collect()
@@ -176,7 +176,7 @@ fn delegated_ip_sets(
 /// exactly delegated to that server — its records there are authoritative,
 /// not undelegated.
 fn build_scan_tasks(
-    delegated_ips: &[HashSet<Ipv4Addr>],
+    delegated: &[&[(Name, Ipv4Addr)]],
     nameservers: &[NsInfo],
     range: std::ops::Range<usize>,
     cfg: &CollectConfig,
@@ -184,11 +184,11 @@ fn build_scan_tasks(
     // The cross product is an upper bound a few delegated pairs short of
     // exact: one allocation instead of a doubling series.
     let mut tasks: Vec<ScanTask> =
-        Vec::with_capacity(range.len() * delegated_ips.len() * cfg.query_types.len());
+        Vec::with_capacity(range.len() * delegated.len() * cfg.query_types.len());
     for ni in range {
         let ns_ip = nameservers[ni].ip;
-        for (di, delegated) in delegated_ips.iter().enumerate() {
-            if delegated.contains(&ns_ip) {
+        for (di, servers) in delegated.iter().enumerate() {
+            if servers.iter().any(|&(_, ip)| ip == ns_ip) {
                 continue;
             }
             for &rt in distinct_query_types(cfg) {
@@ -502,7 +502,9 @@ type ShardSummary = (
 /// (coverage, elapsed, fabric stats, bucket waits) is absorbed in shard
 /// order — so for every `workers` value the output is bit-identical to a
 /// `for shard in 0..shards` loop, and peak memory is bounded by `workers`
-/// resident shard fabrics plus the in-flight batches. `lead` runs once on
+/// in-flight shards: their fabrics and the transformed batches the fold
+/// has not yet taken (a whole shard's, for one still ahead of the fold —
+/// so `transform` should make them compact). `lead` runs once on
 /// the calling thread beside the workers, before the fold starts (first,
 /// when one worker scans on the calling thread).
 ///
@@ -725,8 +727,8 @@ pub(crate) fn collect_urs_sharded_on<T: Send>(
     lead: impl FnOnce(),
     sink: &mut dyn FnMut(Vec<T>),
 ) -> ShardedScanOutcome {
-    let delegated_ips = delegated_ip_sets(world_registry, targets);
-    let mut tasks = build_scan_tasks(&delegated_ips, nameservers, 0..nameservers.len(), cfg);
+    let delegated = delegated_servers(world_registry, targets);
+    let mut tasks = build_scan_tasks(&delegated, nameservers, 0..nameservers.len(), cfg);
     scheduler.randomize(&mut tasks);
     // Each part is taken by the one shard that scans it.
     let parts: Vec<_> = partition_scan_tasks(&tasks, nameservers.len(), shards.max(1))
@@ -735,7 +737,7 @@ pub(crate) fn collect_urs_sharded_on<T: Send>(
         .collect();
     let mut merged: Vec<(usize, T)> = Vec::new();
     // One batch per shard: a worker hands its URs over once, at shard end,
-    // and never blocks on a full queue.
+    // so a shard ahead of the fold parks exactly that one batch.
     let outcome = scan(
         blueprint,
         plan,
@@ -821,7 +823,7 @@ pub fn collect_urs_streamed<T: Send>(
     transform: &(dyn Fn(Vec<CollectedUr>) -> T + Sync),
     sink: &mut dyn FnMut(T),
 ) -> ShardedScanOutcome {
-    let delegated_ips = delegated_ip_sets(world_registry, targets);
+    let delegated = delegated_servers(world_registry, targets);
     let ranges = par::chunk_ranges(nameservers.len(), world_shards.max(1));
     scan(
         blueprint,
@@ -837,8 +839,7 @@ pub fn collect_urs_streamed<T: Send>(
         workers,
         batch_size,
         &|shard| {
-            let mut tasks =
-                build_scan_tasks(&delegated_ips, nameservers, ranges[shard].clone(), cfg);
+            let mut tasks = build_scan_tasks(&delegated, nameservers, ranges[shard].clone(), cfg);
             let shard_seed =
                 scheduler_seed ^ (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             QueryScheduler::new(shard_seed, pacing).randomize(&mut tasks);

@@ -10,11 +10,12 @@ use crate::collect::{
 use crate::query::{CoverageReport, ProbeEngine, QueryPlan};
 use crate::report::{build_report, Report};
 use crate::schedule::QueryScheduler;
-use crate::types::{ClassifiedUr, CollectedUr, CorrectDb, ProtectiveDb, UrCategory};
+use crate::types::{ClassifiedUr, CollectedUr, CorrectDb, CorrectReason, ProtectiveDb, UrCategory};
 use dnswire::RecordType;
 use intern::{InternedName, Sym};
 use simnet::{FaultPlan, SimDuration};
 use std::cell::OnceCell;
+use std::net::Ipv4Addr;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use worldgen::{NsInfo, World};
@@ -483,11 +484,74 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     }
 }
 
+/// The digested fields of one classified UR, less its corresponding
+/// addresses: its identity triple, category, correct reason and address
+/// count. [`SequenceHasher::absorb_row`] hashes a row with its addresses,
+/// and is the one definition of what the sequence digest reads.
+#[derive(Debug)]
+pub(crate) struct DigestRow {
+    ns_ip: Ipv4Addr,
+    domain: InternedName,
+    rtype: u16,
+    category: UrCategory,
+    correct_reason: Option<CorrectReason>,
+    ips: u32,
+}
+
+impl DigestRow {
+    fn of(c: &ClassifiedUr) -> Self {
+        DigestRow {
+            ns_ip: c.ur.key.ns_ip,
+            domain: c.ur.key.domain,
+            rtype: c.ur.key.rtype.code(),
+            category: c.category,
+            correct_reason: c.correct_reason,
+            ips: u32::try_from(c.corresponding_ips.len()).expect("address count fits u32"),
+        }
+    }
+}
+
+/// A classified batch reduced to what [`run_streamed`]'s fold reads: one
+/// [`DigestRow`] per UR and every UR's corresponding addresses,
+/// concatenated in row order. A streamed worker builds it and drops the
+/// [`ClassifiedUr`]s itself, so a shard that runs ahead of the fold parks
+/// about 16 bytes a UR plus its addresses.
+#[derive(Debug)]
+pub(crate) struct DigestBatch {
+    rows: Vec<DigestRow>,
+    ips: Vec<Ipv4Addr>,
+}
+
+impl DigestBatch {
+    fn of(classified: &[ClassifiedUr]) -> Self {
+        let addresses = classified.iter().map(|c| c.corresponding_ips.len()).sum();
+        let mut batch = DigestBatch {
+            rows: Vec::with_capacity(classified.len()),
+            ips: Vec::with_capacity(addresses),
+        };
+        for c in classified {
+            batch.rows.push(DigestRow::of(c));
+            batch.ips.extend_from_slice(&c.corresponding_ips);
+        }
+        batch
+    }
+
+    /// Every row with its own addresses, in order.
+    fn rows(&self) -> impl Iterator<Item = (&DigestRow, &[Ipv4Addr])> + '_ {
+        let mut rest = self.ips.as_slice();
+        self.rows.iter().map(move |row| {
+            let (ips, tail) = rest.split_at(row.ips as usize);
+            rest = tail;
+            (row, ips)
+        })
+    }
+}
+
 /// Incremental order-sensitive digest of a classified sequence: every UR's
 /// identity triple and final category feed the hash in absorb order, so two
 /// runs agree iff they produced the same URs, in the same order, with the
 /// same categories. The fold form lets the streamed paper-scale path digest
-/// millions of URs without retaining them;
+/// millions of URs from their [`DigestRow`]s without retaining them;
 /// [`classified_sequence_hash`] is the slice convenience over it.
 #[derive(Debug, Default)]
 pub(crate) struct SequenceHasher {
@@ -506,13 +570,20 @@ impl SequenceHasher {
 
     /// Fold one classified UR into the digest.
     pub(crate) fn absorb(&mut self, c: &ClassifiedUr) {
+        self.absorb_row(&DigestRow::of(c), &c.corresponding_ips);
+    }
+
+    /// Fold one UR's digest row and its corresponding addresses into the
+    /// digest. The address slice hashes as the `Vec` it was cut from.
+    pub(crate) fn absorb_row(&mut self, row: &DigestRow, ips: &[Ipv4Addr]) {
         use std::hash::Hash;
-        c.ur.key.ns_ip.hash(&mut self.h);
-        c.ur.key.domain.hash(&mut self.h);
-        c.ur.key.rtype.code().hash(&mut self.h);
-        (c.category as u8).hash(&mut self.h);
-        c.correct_reason.map(|r| r as u8).hash(&mut self.h);
-        c.corresponding_ips.hash(&mut self.h);
+        debug_assert_eq!(row.ips as usize, ips.len());
+        row.ns_ip.hash(&mut self.h);
+        row.domain.hash(&mut self.h);
+        row.rtype.hash(&mut self.h);
+        (row.category as u8).hash(&mut self.h);
+        row.correct_reason.map(|r| r as u8).hash(&mut self.h);
+        ips.hash(&mut self.h);
     }
 
     /// The digest of everything absorbed so far.
@@ -570,11 +641,12 @@ pub struct StreamRunOutput {
 /// Run the streamed paper-scale pipeline against a plan-backed world:
 /// scoped scan shards claimed by [`HunterConfig::workers`] worker
 /// threads ([`crate::collect::collect_urs_streamed`]), every UR classified
-/// on the worker that scanned it the moment its batch fills, and the
-/// classified batches folded into the [`StreamRunOutput`] aggregates on
-/// the calling thread in canonical shard-major order. Peak memory is
-/// `workers` shards' zone tables plus the in-flight classification
-/// batches, independent of world size.
+/// on the worker that scanned it the moment its batch fills and reduced
+/// there to one compact digest row per UR, and the rows folded into the
+/// [`StreamRunOutput`] aggregates on the calling thread in canonical
+/// shard-major order. Peak memory is `workers` shards' zone tables plus
+/// the digest rows of the shards ahead of the fold, independent of world
+/// size.
 ///
 /// Deterministic in `(world, cfg, world_shards)` — the canonical order is
 /// shard-major, so `world_shards` is part of a run's identity (unlike the
@@ -616,12 +688,13 @@ pub fn run_streamed(
     // one UR and the read-only databases, so no verdict depends on the
     // thread that computed it. The verdict funnel is sharded per batch and
     // merged by the fold below in splice order — counters only, so the sums
-    // are order-free too.
+    // are order-free too. The fold reads only the digest rows, so the
+    // classified URs drop here, on the worker.
     let shard_funnel = cfg.obs.is_some();
     let classify_batch = |urs: Vec<CollectedUr>| {
         let cls = streamer.classify_batch_owned(urs);
         let funnel = shard_funnel.then(|| classify_shard(&cls));
-        (cls, funnel)
+        (DigestBatch::of(&cls), funnel)
     };
     let outcome = crate::collect::collect_urs_streamed(
         &blueprint,
@@ -639,14 +712,14 @@ pub fn run_streamed(
         workers,
         CLASSIFY_BATCH,
         &classify_batch,
-        &mut |(cls, funnel): (Vec<ClassifiedUr>, Option<obs::MetricShard>)| {
+        &mut |(batch, funnel): (DigestBatch, Option<obs::MetricShard>)| {
             if let (Some(shard), Some(hub)) = (funnel, &cfg.obs) {
                 hub.registry().merge_shard(obs::Class::Sim, &shard);
             }
-            for c in cls {
-                seq.absorb(&c);
+            for (row, ips) in batch.rows() {
+                seq.absorb_row(row, ips);
                 total += 1;
-                by_category[match c.category {
+                by_category[match row.category {
                     UrCategory::Malicious => 0,
                     UrCategory::Correct => 1,
                     UrCategory::Protective => 2,
@@ -745,6 +818,7 @@ pub fn evaluate_false_negatives(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::UrKey;
     use worldgen::{DetectionClass, WorldConfig};
 
     #[test]
@@ -919,5 +993,106 @@ mod tests {
         assert_eq!(fast.report.totals, paced.report.totals);
         // pacing must actually advance simulated time substantially
         assert!(w2.net.now() > w1.net.now());
+    }
+
+    /// Every category, a correct reason present and absent, 0, 1 and many
+    /// addresses, mixed-case multi-label names.
+    fn classified_sequence() -> Vec<ClassifiedUr> {
+        use CorrectReason::*;
+        use RecordType::{Mx, Txt, A};
+        use UrCategory::*;
+        type Row = (
+            &'static str,
+            u8,
+            RecordType,
+            UrCategory,
+            Option<CorrectReason>,
+            &'static [[u8; 4]],
+        );
+        let rows: [Row; 7] = [
+            ("Www.Example.COM", 1, A, Malicious, None, &[[6, 6, 6, 6]]),
+            ("a.b.Shop.example.org", 2, Txt, Unknown, None, &[]),
+            (
+                "CDN.Example.com",
+                1,
+                A,
+                Correct,
+                Some(IpSubset),
+                &[[1, 2, 3, 4], [1, 2, 3, 5], [9, 9, 9, 9], [1, 2, 3, 4]],
+            ),
+            ("mail.EXAMPLE.net", 3, Mx, Correct, Some(MxExact), &[]),
+            ("parked.Test", 2, A, Protective, None, &[[10, 0, 0, 1]]),
+            (
+                "x.y.z.W.example",
+                4,
+                Txt,
+                Correct,
+                Some(PassiveDns),
+                &[[8, 8, 8, 8], [8, 8, 4, 4]],
+            ),
+            (
+                "Www.Example.COM",
+                2,
+                A,
+                Unknown,
+                None,
+                &[[6, 6, 6, 7], [6, 6, 6, 8]],
+            ),
+        ];
+        rows.into_iter()
+            .map(
+                |(domain, ns, rtype, category, correct_reason, ips)| ClassifiedUr {
+                    ur: CollectedUr {
+                        key: UrKey {
+                            ns_ip: Ipv4Addr::new(20, 0, 0, ns),
+                            domain: InternedName::intern(&domain.parse().unwrap()),
+                            rtype,
+                        },
+                        records: Vec::new(),
+                        aux_records: Vec::new(),
+                        provider: Sym::intern("P"),
+                        authoritative: true,
+                        recursion_available: false,
+                    },
+                    category,
+                    correct_reason,
+                    txt_category: None,
+                    corresponding_ips: ips.iter().map(|&o| Ipv4Addr::from(o)).collect(),
+                    payload_matched: None,
+                },
+            )
+            .collect()
+    }
+
+    #[test]
+    fn digest_rows_hash_exactly_as_absorb() {
+        let seq = classified_sequence();
+        let expect = classified_sequence_hash(&seq);
+        // What the digest read before rows existed, field by field.
+        let mut reference = std::collections::hash_map::DefaultHasher::default();
+        for c in &seq {
+            use std::hash::Hash;
+            c.ur.key.ns_ip.hash(&mut reference);
+            c.ur.key.domain.hash(&mut reference);
+            c.ur.key.rtype.code().hash(&mut reference);
+            (c.category as u8).hash(&mut reference);
+            c.correct_reason.map(|r| r as u8).hash(&mut reference);
+            c.corresponding_ips.hash(&mut reference);
+        }
+        assert_eq!(expect, std::hash::Hasher::finish(&reference));
+        assert_eq!(std::mem::size_of::<DigestRow>(), 16);
+        for cut in [1, 3, seq.len()] {
+            let mut h = SequenceHasher::new();
+            let mut rows = 0;
+            for chunk in seq.chunks(cut) {
+                let batch = DigestBatch::of(chunk);
+                for (row, ips) in batch.rows() {
+                    h.absorb_row(row, ips);
+                    rows += 1;
+                }
+            }
+            assert_eq!(rows, seq.len(), "cut={cut}");
+            assert_eq!(h.digest(), expect, "cut={cut}");
+        }
     }
 }

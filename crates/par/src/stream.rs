@@ -5,28 +5,24 @@
 //! and everything downstream must still see one canonical sequence — the
 //! crate's core invariant, output bit-identical to the sequential path.
 //! [`sharded_ordered_fold`] is that executor: worker threads claim whole
-//! shards, each delivering through its own bounded
-//! [`std::sync::mpsc::sync_channel`], and the calling thread runs its own
+//! shards, each delivering through its own unbounded
+//! [`std::sync::mpsc::channel`], and the calling thread runs its own
 //! `lead` step beside them, then folds everything in canonical
-//! shard-major order under a window gate that bounds resident shards.
+//! shard-major order under a window gate that bounds resident shards —
+//! and with them the queues, so a worker never waits for the fold.
 //! Bit-identical to the sequential shard loop for every worker count —
 //! and, with one worker, *is* that loop, on the calling thread.
 
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Condvar, Mutex, PoisonError};
-
-/// In-flight batches per shard queue: enough to keep the fold fed, small
-/// enough that a worker running ahead of the fold blocks on its queue
-/// instead of accumulating a whole shard's output in memory.
-const SHARD_QUEUE_BOUND: usize = 2;
 
 /// Admission gate bounding how many shards may be in flight at once.
 ///
 /// Workers claim shard indices monotonically but may not *start* shard
 /// `s` until `s < floor + window`, where `floor` is the next shard the
-/// fold still needs. Combined with the bounded shard queues this caps
-/// peak memory at `window` resident shard fabrics plus
-/// [`SHARD_QUEUE_BOUND`] in-flight batches each, no matter how far ahead a
+/// fold still needs. This is the executor's one memory bound: at most
+/// `window` shard fabrics are resident, and only those shards' queues can
+/// hold batches the fold has not yet taken, no matter how far ahead a
 /// fast worker could run.
 #[derive(Debug)]
 struct ShardGate {
@@ -101,7 +97,7 @@ enum ShardItem<T, S> {
 
 /// The shards no worker has claimed yet, in order, each with the sending
 /// end of its queue.
-type Claims<T, S> = std::iter::Enumerate<std::vec::IntoIter<SyncSender<ShardItem<T, S>>>>;
+type Claims<T, S> = std::iter::Enumerate<std::vec::IntoIter<Sender<ShardItem<T, S>>>>;
 
 /// Run `shards` independent scans on `workers` threads and fold their
 /// output on the **calling thread** in canonical shard-major order.
@@ -121,13 +117,14 @@ type Claims<T, S> = std::iter::Enumerate<std::vec::IntoIter<SyncSender<ShardItem
 ///   the calling thread (because it owns `!Send` state) overlaps the
 ///   scans instead of preceding them. A `scan` that needs what `lead`
 ///   produces waits for it itself; the fold never does.
-/// * Memory: every shard delivers through its own queue bounded at
-///   `SHARD_QUEUE_BOUND` (two) batches, and the fold drains only the current
-///   (floor) shard's queue — a worker that runs ahead blocks on its full
-///   queue rather than parking unbounded batches at the fold. With the
-///   window gate holding claims to `workers` shards past the floor, peak
-///   RSS is `O(workers × (shard fabric + bound × batch))` regardless of
-///   `shards`.
+/// * Memory: every shard delivers through its own unbounded queue and the
+///   fold drains only the current (floor) shard's queue, so a worker that
+///   runs ahead of the fold finishes its shard and parks what it emitted
+///   there instead of waiting. The window gate admits a worker to shard
+///   `s` only while `s < floor + workers`, so at most `workers` shards are
+///   in flight: peak RSS is `O(workers × (shard fabric + a shard's
+///   emitted batches))` regardless of `shards`. Emit compact batches — a
+///   queue may hold a whole shard's worth.
 ///
 /// With one worker (one shard, or `workers <= 1`) no thread is spawned:
 /// `lead` runs first and then the loop above runs as written on the
@@ -139,7 +136,8 @@ type Claims<T, S> = std::iter::Enumerate<std::vec::IntoIter<SyncSender<ShardItem
 /// claimed in order, so that shard comes before every unclaimed one and
 /// the fold sees its queue disconnect before it could wait on a shard
 /// nobody will scan. A panicking `lead` or fold poisons the gate and drops
-/// every receiver, so a worker blocked on a full queue gets an error (a
+/// every receiver, so a worker waiting for admission gives up and a
+/// scanning one finds its sends refused and stops at the shard's end (a
 /// worker waiting on `lead`'s product must be released by `lead`'s own
 /// unwind). The panic propagates when the thread scope joins.
 pub fn sharded_ordered_fold<T, S>(
@@ -163,14 +161,13 @@ pub fn sharded_ordered_fold<T, S>(
         return;
     }
     let window = workers;
-    let (senders, receivers): (Vec<_>, Vec<_>) =
-        (0..shards).map(|_| sync_channel(SHARD_QUEUE_BOUND)).unzip();
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..shards).map(|_| channel()).unzip();
     let claims: Mutex<Claims<T, S>> = Mutex::new(senders.into_iter().enumerate());
     let gate = ShardGate::new();
 
     // Claiming a shard takes its sender, which then drops with the worker
     // that holds it: on `Done`'s delivery, or on the worker's unwind.
-    fn claim<T, S>(claims: &Mutex<Claims<T, S>>) -> Option<(usize, SyncSender<ShardItem<T, S>>)> {
+    fn claim<T, S>(claims: &Mutex<Claims<T, S>>) -> Option<(usize, Sender<ShardItem<T, S>>)> {
         claims.lock().unwrap_or_else(PoisonError::into_inner).next()
     }
 
@@ -231,7 +228,7 @@ pub fn sharded_ordered_fold<T, S>(
 
         // Canonical order for free: drain shard 0's queue to its summary,
         // then shard 1's, … Each queue is single-producer FIFO, so batches
-        // arrive already in emission order — nothing is ever parked.
+        // arrive already in emission order — nothing is ever reordered.
         for (floor, queue) in receivers.iter().enumerate() {
             loop {
                 match queue.recv() {
@@ -383,8 +380,8 @@ mod tests {
 
     #[test]
     fn a_panicking_lead_propagates_without_deadlock() {
-        // Workers run ahead of the fold until their full queues and the
-        // gate block them; the lead's unwind must release all of them.
+        // Workers run ahead of the fold until the gate holds them; the
+        // lead's unwind must release all of them.
         for workers in [1usize, 4] {
             let panicked = panics_within_ten_seconds(move || {
                 sharded_ordered_fold(
@@ -403,6 +400,40 @@ mod tests {
             });
             assert!(panicked, "workers={workers}: lead panic must propagate");
         }
+    }
+
+    #[test]
+    fn a_worker_ahead_of_the_fold_finishes_its_shard_without_waiting() {
+        // Shard 0 cannot finish until shard 1's scan has returned, while
+        // the fold is still waiting on shard 0: shard 1's sixteen batches
+        // must all be accepted without the fold taking any of them.
+        let panicked = panics_within_ten_seconds(|| {
+            let shard_1_returned = AtomicBool::new(false);
+            let mut folded = 0usize;
+            sharded_ordered_fold(
+                2,
+                2,
+                |shard, emit| {
+                    if shard == 0 {
+                        while !shard_1_returned.load(Ordering::SeqCst) {
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                        }
+                    }
+                    for i in 0..16u64 {
+                        emit(vec![i]);
+                    }
+                    if shard == 1 {
+                        shard_1_returned.store(true, Ordering::SeqCst);
+                    }
+                    shard
+                },
+                || {},
+                |_: Vec<u64>| folded += 1,
+                |_| {},
+            );
+            assert_eq!(folded, 32);
+        });
+        assert!(!panicked, "the fold must take every batch of both shards");
     }
 
     #[test]
