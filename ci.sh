@@ -28,10 +28,12 @@ echo "== stale names: the deleted executor, collectors, knobs, timers and dead c
 # a daemon that never polls, one scan-flag parser, one way to start the
 # daemon, a UR store that is a plain vector, no method the compiler found
 # unused, a classifier that reads the metadata directly (no attribute
-# cache), and one `paper` binary in place of the nine regeneration
-# binaries (`urhunter --report table1` stays legal): none of the names of
+# cache), one `paper` binary in place of the nine regeneration
+# binaries (`urhunter --report table1` stays legal), and a metrics
+# registry of plain values that each layer publishes its own counts into
+# once (no per-event mirror, no atomic handles): none of the names of
 # what was removed may come back in code, tests or docs.
-if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND' \
+if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b' \
     crates tests examples README.md DESIGN.md EXPERIMENTS.md; then
     echo "ci.sh: a deleted name is back (see the matches above)" >&2
     exit 1
@@ -130,8 +132,7 @@ echo "== smoke: urhunter --metrics-out =="
 METRICS_OUT=$(mktemp /tmp/urhunter-metrics.XXXXXX.jsonl)
 cargo run --release -q -p urhunter --bin urhunter -- --metrics-out "$METRICS_OUT" >/dev/null
 # The export must be non-empty, valid JSONL (one object per line), and
-# carry the probe funnel; the binary itself exits non-zero if the
-# registry's probe_scheduled disagrees with the CoverageReport.
+# carry the probe funnel.
 test -s "$METRICS_OUT" || {
     echo "ci.sh: metrics export is empty" >&2
     exit 1
@@ -145,6 +146,25 @@ grep -q '"name":"probe_scheduled"' "$METRICS_OUT" || {
     exit 1
 }
 rm -f "$METRICS_OUT"
+
+echo "== determinism: the sim-class metrics export at one and four workers =="
+# Every sim-class metric is a pure function of the simulated world, and
+# each layer publishes its counts once whatever the worker count, so the
+# export's sim-class metric lines must match byte for byte.
+SIM_DIR=$(mktemp -d /tmp/urhunter-sim.XXXXXX)
+for P in 1 4; do
+    URHUNTER_PARALLELISM=$P ./target/release/urhunter --metrics-out "$SIM_DIR/m$P.jsonl" >/dev/null 2>&1
+    grep '"record":"metric"' "$SIM_DIR/m$P.jsonl" | grep '"class":"sim"' >"$SIM_DIR/sim$P"
+done
+test -s "$SIM_DIR/sim1" || {
+    echo "ci.sh: the one-worker export has no sim-class metric lines" >&2
+    exit 1
+}
+diff -u "$SIM_DIR/sim1" "$SIM_DIR/sim4" || {
+    echo "ci.sh: sim-class metrics differ between one and four workers" >&2
+    exit 1
+}
+rm -rf "$SIM_DIR"
 
 echo "== smoke: urhunter --metrics-out (Prometheus via .prom) =="
 # Same run, Prometheus extension: the CLI must route through the shared

@@ -289,17 +289,7 @@ fn main() -> ExitCode {
     let out = run(&mut world, &hunter);
     eprint!("{}", out.report.render_coverage());
     if let Some(hub) = &hub {
-        // Cross-check the two independent accounting paths before anything
-        // else (the §4.2 replay below adds probes to the registry): every
-        // probe the engine scheduled must appear in the registry funnel.
-        let scheduled = hub.registry().counter_value("probe_scheduled").unwrap_or(0);
-        if scheduled != out.coverage.scheduled {
-            eprintln!(
-                "metrics/coverage mismatch: probe_scheduled={scheduled} but coverage says {}",
-                out.coverage.scheduled
-            );
-            return ExitCode::FAILURE;
-        }
+        // Printed before the §4.2 replay below adds its probes.
         eprint!(
             "{}",
             urhunter::Report::render_metrics(&hub.registry().snapshot())

@@ -6,6 +6,7 @@ use crate::query::{NsHealth, ProbeEngine};
 use crate::schedule::QueryScheduler;
 use crate::types::{CollectedUr, CorrectDb, DomainProfile, ProtectiveDb, UrKey};
 use dnswire::{Name, Rcode, RecordType};
+use fxhash::FxHashMap;
 use intern::{InternedName, Sym};
 use simnet::Network;
 use std::collections::VecDeque;
@@ -286,7 +287,7 @@ impl<T> RttSelector<T> {
     /// Group `tasks` into per-server FIFO queues using `server_of`.
     pub fn new(seed: u64, tasks: Vec<T>, server_of: impl Fn(&T) -> Ipv4Addr) -> Self {
         let mut queues: Vec<(Ipv4Addr, VecDeque<T>)> = Vec::new();
-        let mut slot: std::collections::HashMap<Ipv4Addr, usize> = std::collections::HashMap::new();
+        let mut slot: FxHashMap<Ipv4Addr, usize> = FxHashMap::default();
         let remaining = tasks.len();
         for task in tasks {
             let ip = server_of(&task);
@@ -481,6 +482,7 @@ fn batch_limit(batch_size: usize) -> usize {
 /// What one shard reports back to the fold besides its batches.
 type ShardSummary = (
     crate::query::CoverageReport,
+    crate::query::ProbeTally,
     simnet::SimDuration,
     simnet::NetStats,
     u64,
@@ -565,9 +567,6 @@ fn scan<K: ShardTask, T: Send>(
         let mut net = blueprint.build_network_scoped(shard_idx as u64, &scope);
         net.set_faults(faults);
         net.set_payload_recycler(Some(dnswire::bufpool::release));
-        if let Some(hub) = &obs {
-            net.set_obs(Some(simnet::FabricMetrics::register(hub.registry())));
-        }
         let mut engine = ProbeEngine::new(plan);
         if let Some(hub) = &obs {
             engine = engine.with_obs(hub.clone());
@@ -617,15 +616,18 @@ fn scan<K: ShardTask, T: Send>(
             let pool_after = dnswire::bufpool::stats();
             use obs::Class::Wall;
             let reg = hub.registry();
-            reg.counter("bufpool_recycled", Wall)
-                .add(pool_after.hits - pool_before.hits);
-            reg.counter("bufpool_allocated", Wall)
-                .add(pool_after.misses - pool_before.misses);
+            reg.add("bufpool_recycled", Wall, pool_after.hits - pool_before.hits);
+            reg.add(
+                "bufpool_allocated",
+                Wall,
+                pool_after.misses - pool_before.misses,
+            );
         }
         // `net` (the shard's zones and nodes) drops on return, bounding
         // resident fabrics to the worker count.
         (
             engine.take_coverage(),
+            engine.tally,
             elapsed,
             net.stats(),
             sched.wait_us(),
@@ -645,10 +647,15 @@ fn scan<K: ShardTask, T: Send>(
         scan_shard,
         lead,
         sink,
-        |(coverage, elapsed, stats, wait_us): ShardSummary| {
+        |(coverage, tally, elapsed, stats, wait_us): ShardSummary| {
             // absorb() merges quarantine lists in address order; summaries
             // arrive in shard order, so every sum below is the sequential
-            // loop's sum.
+            // loop's sum. Each shard's fabric and engine counts reach the
+            // hub here, once.
+            if let Some(hub) = &obs {
+                simnet::FabricMetrics::publish(hub.registry(), stats);
+                crate::query::publish_probes(hub.registry(), &coverage, &tally);
+            }
             outcome.coverage.absorb(&coverage);
             outcome.elapsed = outcome.elapsed + elapsed;
             outcome.bucket_wait = outcome.bucket_wait + simnet::SimDuration::from_micros(wait_us);

@@ -7,7 +7,7 @@ use crate::collect::{
     collect_correct, collect_protective, collect_urs_sharded_on, query_one_ur, select_nameservers,
     CollectConfig, QidGen,
 };
-use crate::query::{CoverageReport, ProbeEngine, QueryPlan};
+use crate::query::{publish_probes, CoverageReport, ProbeEngine, QueryPlan};
 use crate::report::{build_report, Report};
 use crate::schedule::QueryScheduler;
 use crate::types::{ClassifiedUr, CollectedUr, CorrectDb, CorrectReason, ProtectiveDb, UrCategory};
@@ -78,12 +78,12 @@ pub struct HunterConfig {
     /// it composes with any `world_shards` / [`HunterConfig::workers`]
     /// setting.
     pub rate_limit_interval: SimDuration,
-    /// Observability hub (see `crates/obs`): when set, every layer mirrors
-    /// its accounting into the hub's registry and event sink — fabric
-    /// datagram counters, the probe-funnel, classification verdicts and
-    /// stage spans. `None` (the default) makes every
-    /// instrumentation site a single branch: no atomics touched, no clocks
-    /// read.
+    /// Observability hub (see `crates/obs`): when set, every layer
+    /// publishes its totals into the hub's registry when its stage ends —
+    /// fabric datagram counters, the probe funnel, classification verdicts
+    /// and stage spans — and the probe engine pushes quarantine and
+    /// release events into its sink. `None` (the default) skips those
+    /// publishes; the counting itself is the same either way.
     pub(crate) obs: Option<Arc<obs::Obs>>,
 }
 
@@ -206,7 +206,7 @@ impl HunterConfig {
         self
     }
 
-    /// Attach an observability hub: every layer then mirrors its
+    /// Attach an observability hub: every layer then publishes its
     /// accounting (fabric datagram counters, the probe funnel,
     /// classification verdicts, stage spans) into its registry and sink.
     pub fn with_obs(mut self, hub: Arc<obs::Obs>) -> Self {
@@ -313,15 +313,10 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     if let Some(faults) = cfg.scan_faults {
         world.net.set_faults(faults);
     }
-    // Observability: the fabric mirrors its datagram accounting into the
-    // hub (or stops, when this run carries none), and the probe engine
-    // banks its retry funnel there.
+    // Observability: the world fabric's own traffic reaches the hub at the
+    // end of the run, as the difference from this reading.
     let obs = cfg.obs.as_deref();
-    world.net.set_obs(
-        cfg.obs
-            .as_ref()
-            .map(|h| simnet::FabricMetrics::register(h.registry())),
-    );
+    let net_before = world.net.stats();
     let mut engine = ProbeEngine::new(cfg.retry);
     if let Some(hub) = &cfg.obs {
         engine = engine.with_obs(hub.clone());
@@ -338,7 +333,10 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     // state.
     let blueprint = world.scan_blueprint();
     let scan_faults = world.net.faults();
-    let classify_wait = obs.map(|h| h.registry().counter("classify_wait_us", obs::Class::Wall));
+    if let Some(hub) = obs {
+        // Registered up front: a run whose workers never wait exports a 0.
+        hub.registry().add("classify_wait_us", obs::Class::Wall, 0);
+    }
 
     // The support sweep (correct and protective records) runs on the
     // calling thread, the only one that may touch `world.net`, while the
@@ -377,10 +375,11 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     };
     let classify = |urs: Vec<CollectedUr>| {
         let cls = streamer.get().unwrap_or_else(|| {
-            let waited = classify_wait.as_ref().map(|c| (c, Instant::now()));
+            let waited = obs.map(|h| (h, Instant::now()));
             let cls = streamer.wait();
-            if let Some((c, t)) = waited {
-                c.add(t.elapsed().as_micros() as u64);
+            if let Some((h, t)) = waited {
+                let us = t.elapsed().as_micros() as u64;
+                h.registry().add("classify_wait_us", obs::Class::Wall, us);
             }
             cls
         });
@@ -433,15 +432,20 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     // support-stage funnel plus the shard engines' bulk-scan funnel.
     world.net.set_faults(pre_scan_faults);
     let mut coverage = engine.take_coverage();
-    coverage.absorb(&scan.coverage);
-    // Pacing accounting: the summed simulated time the shard schedulers
-    // spent blocked on their token buckets, mirrored into the registry so
-    // `--metrics-out` exports carry it.
     if let Some(hub) = obs {
-        hub.registry()
-            .gauge("bucket_wait_us", obs::Class::Sim)
-            .set(scan.bucket_wait.as_micros() as i64);
+        // The shard engines published in the scan's fold; this is the
+        // support engine's funnel.
+        publish_probes(hub.registry(), &coverage, &engine.tally);
+        // Pacing accounting: the summed simulated time the shard
+        // schedulers spent blocked on their token buckets, so
+        // `--metrics-out` exports carry it.
+        hub.registry().set(
+            "bucket_wait_us",
+            obs::Class::Sim,
+            scan.bucket_wait.as_micros() as i64,
+        );
     }
+    coverage.absorb(&scan.coverage);
     world.net.trace.set_enabled(true);
 
     let samples = world.samples.clone();
@@ -469,6 +473,12 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     report.coverage = coverage.clone();
     if let Some((s, h)) = sp.zip(obs) {
         s.finish(h, world.net.now().as_micros());
+    }
+    if let Some(hub) = obs {
+        // The world fabric's own traffic (support sweep, sandboxes); the
+        // shard traffic it absorbed was published by the scan's fold.
+        let own = world.net.stats() - net_before - scan.stats;
+        simnet::FabricMetrics::publish(hub.registry(), own);
     }
 
     RunOutput {
@@ -763,10 +773,9 @@ pub fn evaluate_false_negatives(
     if let Some(faults) = cfg.scan_faults {
         world.net.set_faults(faults);
     }
+    let net_before = world.net.stats();
     let mut engine = ProbeEngine::new(cfg.retry);
     if let Some(hub) = &cfg.obs {
-        // Same funnel as the bulk scan: the replay's probes land in the
-        // same registry cells (registration is idempotent).
         engine = engine.with_obs(hub.clone());
     }
     let provider = Sym::intern("delegated");
@@ -798,6 +807,12 @@ pub fn evaluate_false_negatives(
         }
     }
     world.net.set_faults(pre_scan_faults);
+    if let Some(hub) = &cfg.obs {
+        // Same families as the bulk scan: the replay's probes and
+        // datagrams add to the run's totals.
+        publish_probes(hub.registry(), &engine.coverage, &engine.tally);
+        simnet::FabricMetrics::publish(hub.registry(), world.net.stats() - net_before);
+    }
     assert!(
         !delegated_inputs.is_empty(),
         "false-negative evaluation needs delegated records as input"

@@ -425,54 +425,68 @@ impl CoverageReport {
     }
 }
 
-/// Handles into an [`obs`] registry mirroring every coverage bucket, plus
-/// the hub itself for quarantine/release sink events. All counters are
-/// [`obs::Class::Sim`]: collection drives the simulated network on one
-/// thread in every executor, so the probe funnel is part of the
-/// deterministic fingerprint.
-#[derive(Debug, Clone)]
-struct EngineObs {
-    hub: std::sync::Arc<obs::Obs>,
-    scheduled: obs::Counter,
-    answered_first: obs::Counter,
-    answered_retried: obs::Counter,
-    gave_up: obs::Counter,
-    skipped_quarantined: obs::Counter,
-    retransmissions: obs::Counter,
-    backoff_wait_us: obs::Counter,
-    ns_quarantined: obs::Counter,
-    ns_released: obs::Counter,
-    attempts: obs::Histogram,
-    rtt_us: obs::Histogram,
-    timeout_derived: obs::Counter,
-    timeout_fixed: obs::Counter,
+/// What the engine counts beyond the [`CoverageReport`] funnel, in plain
+/// integers, whether or not a hub is attached.
+#[derive(Debug)]
+pub(crate) struct ProbeTally {
+    /// Simulated time spent in retransmission backoff.
+    backoff_wait_us: u64,
+    /// Quarantine events (a released server quarantined again counts twice).
+    ns_quarantined: u64,
+    /// Servers released by an answered health probe.
+    ns_released: u64,
+    /// Probes whose timeout came from the server's RTT estimate.
+    timeout_derived: u64,
+    /// Probes on the fixed plan timeout.
+    timeout_fixed: u64,
+    /// Transmissions per answered or abandoned probe.
+    attempts: obs::HistogramData,
+    /// First-attempt round trips from authoritative servers.
+    rtt_us: obs::HistogramData,
 }
 
-impl EngineObs {
-    fn register(hub: std::sync::Arc<obs::Obs>) -> Self {
-        use obs::Class::Sim;
-        let reg = hub.registry();
-        EngineObs {
-            scheduled: reg.counter("probe_scheduled", Sim),
-            answered_first: reg.counter("probe_answered_first", Sim),
-            answered_retried: reg.counter("probe_answered_retried", Sim),
-            gave_up: reg.counter("probe_gave_up", Sim),
-            skipped_quarantined: reg.counter("probe_skipped_quarantined", Sim),
-            retransmissions: reg.counter("probe_retransmissions", Sim),
-            backoff_wait_us: reg.counter("probe_backoff_wait_us", Sim),
-            ns_quarantined: reg.counter("probe_ns_quarantined", Sim),
-            ns_released: reg.counter("probe_ns_released", Sim),
-            attempts: reg.histogram("probe_attempts", Sim, &[1, 2, 3, 4, 6, 8]),
-            rtt_us: reg.histogram(
-                "probe_rtt_us",
-                Sim,
-                &[25_000, 50_000, 100_000, 150_000, 200_000, 400_000],
-            ),
-            timeout_derived: reg.counter("probe_timeout_derived", Sim),
-            timeout_fixed: reg.counter("probe_timeout_fixed", Sim),
-            hub,
+impl Default for ProbeTally {
+    fn default() -> Self {
+        ProbeTally {
+            backoff_wait_us: 0,
+            ns_quarantined: 0,
+            ns_released: 0,
+            timeout_derived: 0,
+            timeout_fixed: 0,
+            attempts: obs::HistogramData::new(&[1, 2, 3, 4, 6, 8]),
+            rtt_us: obs::HistogramData::new(&[25_000, 50_000, 100_000, 150_000, 200_000, 400_000]),
         }
     }
+}
+
+/// Add one engine's counts to the 13 `probe_*` metrics of `reg`, each
+/// registered (a zero included) on first use. Every metric is
+/// [`obs::Class::Sim`]: collection drives the simulated network on one
+/// thread per fabric in every executor, so the probe funnel is part of the
+/// deterministic fingerprint. Callers publish each engine exactly once.
+pub(crate) fn publish_probes(
+    reg: &obs::MetricsRegistry,
+    coverage: &CoverageReport,
+    tally: &ProbeTally,
+) {
+    use obs::Class::Sim;
+    for (name, n) in [
+        ("probe_scheduled", coverage.scheduled),
+        ("probe_answered_first", coverage.answered),
+        ("probe_answered_retried", coverage.retried_answered),
+        ("probe_gave_up", coverage.gave_up),
+        ("probe_skipped_quarantined", coverage.skipped_quarantined),
+        ("probe_retransmissions", coverage.retransmissions),
+        ("probe_backoff_wait_us", tally.backoff_wait_us),
+        ("probe_ns_quarantined", tally.ns_quarantined),
+        ("probe_ns_released", tally.ns_released),
+        ("probe_timeout_derived", tally.timeout_derived),
+        ("probe_timeout_fixed", tally.timeout_fixed),
+    ] {
+        reg.add(name, Sim, n);
+    }
+    reg.merge_histogram("probe_attempts", Sim, &tally.attempts);
+    reg.merge_histogram("probe_rtt_us", Sim, &tally.rtt_us);
 }
 
 /// The retrying query engine: one instance per collection run.
@@ -484,7 +498,10 @@ pub struct ProbeEngine {
     pub(crate) health: NsHealth,
     /// Accounting of everything scheduled so far.
     pub coverage: CoverageReport,
-    obs: Option<EngineObs>,
+    /// Everything else the engine counts; never reset.
+    pub(crate) tally: ProbeTally,
+    /// Where quarantine and release events go, with their simulated time.
+    hub: Option<std::sync::Arc<obs::Obs>>,
 }
 
 impl ProbeEngine {
@@ -494,33 +511,30 @@ impl ProbeEngine {
             plan,
             health: NsHealth::new(),
             coverage: CoverageReport::default(),
-            obs: None,
+            tally: ProbeTally::default(),
+            hub: None,
         }
     }
 
-    /// Mirror every coverage bucket into `hub`'s registry (`probe_*`
-    /// family) and emit quarantine/release events into its sink. Without
-    /// this, observability costs one branch per bucket update.
+    /// Push quarantine and release events into `hub`'s sink as they
+    /// happen. The engine's counts reach the hub's registry only when its
+    /// owner publishes them, when its stage ends.
     pub fn with_obs(mut self, hub: std::sync::Arc<obs::Obs>) -> Self {
-        self.obs = Some(EngineObs::register(hub));
+        self.hub = Some(hub);
         self
     }
 
     /// Timeout for the next attempt against `server`: the RTT-derived value
     /// when the plan is adaptive and a sample exists, the fixed plan
-    /// timeout otherwise. Counts which branch fired into the obs registry.
-    fn attempt_timeout(&self, server: Ipv4Addr) -> SimDuration {
+    /// timeout otherwise. Counts which branch fired.
+    fn attempt_timeout(&mut self, server: Ipv4Addr) -> SimDuration {
         if self.plan.adaptive {
             if let Some(est) = self.health.rtt_estimate(server) {
-                if let Some(o) = &self.obs {
-                    o.timeout_derived.inc();
-                }
+                self.tally.timeout_derived += 1;
                 return self.plan.derived_timeout(&est);
             }
         }
-        if let Some(o) = &self.obs {
-            o.timeout_fixed.inc();
-        }
+        self.tally.timeout_fixed += 1;
         self.plan.timeout
     }
 
@@ -617,17 +631,11 @@ impl ProbeEngine {
         keep: impl Fn(&RecordView<'_>) -> bool,
     ) -> Option<ProbeReply> {
         self.coverage.scheduled += 1;
-        if let Some(o) = &self.obs {
-            o.scheduled.inc();
-        }
         if self.health.is_quarantined(server_ip) {
             let cooldown = self.plan.quarantine_cooldown;
             let probe_due = cooldown > 0 && self.health.note_skipped(server_ip) >= cooldown;
             if !probe_due {
                 self.coverage.skipped_quarantined += 1;
-                if let Some(o) = &self.obs {
-                    o.skipped_quarantined.inc();
-                }
                 return None;
             }
             return self.health_probe(net, client_ip, server_ip, qname, qtype, qid, &keep);
@@ -648,10 +656,7 @@ impl ProbeEngine {
                 let deadline = net.now() + wait;
                 net.run_until(deadline);
                 self.coverage.retransmissions += 1;
-                if let Some(o) = &self.obs {
-                    o.retransmissions.inc();
-                    o.backoff_wait_us.add(wait.as_micros());
-                }
+                self.tally.backoff_wait_us += wait.as_micros();
             }
             let sent_at = net.now();
             if let Some(resp) =
@@ -670,31 +675,19 @@ impl ProbeEngine {
                         // transmission is an unambiguous RTT sample.
                         let rtt = net.now().since(sent_at);
                         self.health.observe_rtt(server_ip, rtt);
-                        if let Some(o) = &self.obs {
-                            o.rtt_us.observe(rtt.as_micros());
-                        }
+                        self.tally.rtt_us.observe(rtt.as_micros());
                     }
                     self.coverage.answered += 1;
                 } else {
                     self.coverage.retried_answered += 1;
                 }
-                if let Some(o) = &self.obs {
-                    if attempt == 1 {
-                        o.answered_first.inc();
-                    } else {
-                        o.answered_retried.inc();
-                    }
-                    o.attempts.observe(u64::from(attempt));
-                }
+                self.tally.attempts.observe(u64::from(attempt));
                 self.health.record_success(server_ip);
                 return Some(resp);
             }
         }
         self.coverage.gave_up += 1;
-        if let Some(o) = &self.obs {
-            o.gave_up.inc();
-            o.attempts.observe(u64::from(attempts));
-        }
+        self.tally.attempts.observe(u64::from(attempts));
         if self
             .health
             .record_failure(server_ip, self.plan.quarantine_threshold)
@@ -704,9 +697,9 @@ impl ProbeEngine {
             if !self.coverage.quarantined_servers.contains(&server_ip) {
                 self.coverage.quarantined_servers.push(server_ip);
             }
-            if let Some(o) = &self.obs {
-                o.ns_quarantined.inc();
-                o.hub.sink().push(
+            self.tally.ns_quarantined += 1;
+            if let Some(hub) = &self.hub {
+                hub.sink().push(
                     Some(net.now().as_micros()),
                     "quarantine",
                     &server_ip.to_string(),
@@ -746,17 +739,14 @@ impl ProbeEngine {
             } else {
                 let rtt = net.now().since(sent_at);
                 self.health.observe_rtt(server_ip, rtt);
-                if let Some(o) = &self.obs {
-                    o.rtt_us.observe(rtt.as_micros());
-                }
+                self.tally.rtt_us.observe(rtt.as_micros());
             }
             self.coverage.answered += 1;
             self.health.release(server_ip);
-            if let Some(o) = &self.obs {
-                o.answered_first.inc();
-                o.attempts.observe(1);
-                o.ns_released.inc();
-                o.hub.sink().push(
+            self.tally.attempts.observe(1);
+            self.tally.ns_released += 1;
+            if let Some(hub) = &self.hub {
+                hub.sink().push(
                     Some(net.now().as_micros()),
                     "release",
                     &server_ip.to_string(),
@@ -767,10 +757,7 @@ impl ProbeEngine {
         }
         self.coverage.gave_up += 1;
         self.health.reset_skip_window(server_ip);
-        if let Some(o) = &self.obs {
-            o.gave_up.inc();
-            o.attempts.observe(1);
-        }
+        self.tally.attempts.observe(1);
         None
     }
 

@@ -230,17 +230,16 @@ impl EpochDriver {
         // delta counters too (they are pure functions of the pipeline
         // output, hence identical across executors and shard counts).
         let reg = scan.hub.registry();
-        reg.gauge("daemon_epoch", Class::Sim).set(epoch as i64);
-        reg.gauge("daemon_sim_day", Class::Sim)
-            .set(scan.sim_day as i64);
-        reg.counter("daemon_events_observed", Class::Sim)
-            .add(observed as u64);
-        reg.counter("daemon_events_verdict_changed", Class::Sim)
-            .add(changed as u64);
-        reg.counter("daemon_events_gone", Class::Sim)
-            .add(gone as u64);
-        reg.gauge("daemon_store_present", Class::Sim)
-            .set(state.store.present_len() as i64);
+        reg.set("daemon_epoch", Class::Sim, epoch as i64);
+        reg.set("daemon_sim_day", Class::Sim, scan.sim_day as i64);
+        reg.add("daemon_events_observed", Class::Sim, observed as u64);
+        reg.add("daemon_events_verdict_changed", Class::Sim, changed as u64);
+        reg.add("daemon_events_gone", Class::Sim, gone as u64);
+        reg.set(
+            "daemon_store_present",
+            Class::Sim,
+            state.store.present_len() as i64,
+        );
         let seal = EpochSeal {
             classified_hash: classified_sequence_hash(&scan.classified),
             verdict_hash: state.store.verdict_hash(),

@@ -140,18 +140,19 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Class, MetricsRegistry};
+    use crate::metrics::{Class, HistogramData, MetricsRegistry};
     use crate::sink::EventSink;
 
     fn sample() -> MetricsRegistry {
         let reg = MetricsRegistry::new();
-        reg.counter("probe_scheduled", Class::Sim).add(12);
-        reg.gauge("world_nameservers", Class::Sim).set(4);
-        let h = reg.histogram("probe_attempts", Class::Sim, &[1, 2, 3]);
+        reg.add("probe_scheduled", Class::Sim, 12);
+        reg.set("world_nameservers", Class::Sim, 4);
+        let mut h = HistogramData::new(&[1, 2, 3]);
         h.observe(1);
         h.observe(1);
         h.observe(3);
-        reg.counter("worker_idle_us", Class::Wall).add(999);
+        reg.merge_histogram("probe_attempts", Class::Sim, &h);
+        reg.add("worker_idle_us", Class::Wall, 999);
         reg
     }
 

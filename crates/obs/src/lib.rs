@@ -13,8 +13,11 @@
 //!   JSONL ([`Obs::to_jsonl`]) or Prometheus text ([`render_prometheus`]).
 //!
 //! Observability is strictly opt-in: pipeline layers carry an
-//! `Option<Arc<Obs>>` and the disabled path is a branch on `None` — no
-//! registry, no atomics, no allocation.
+//! `Option<Arc<Obs>>`. No layer writes to the hub per datagram or per
+//! probe: each counts its facts once, in plain integers of its own, and
+//! publishes the totals when a stage or a shard ends. So the registry
+//! keeps plain values under a lock, and the disabled path skips those
+//! publishes and nothing else.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -28,8 +31,7 @@ mod span;
 use export::render_jsonl;
 pub use export::render_prometheus;
 pub use metrics::{
-    Class, Counter, Gauge, Histogram, HistogramData, MetricData, MetricShard, MetricValue,
-    MetricsRegistry, MetricsSnapshot,
+    Class, HistogramData, MetricData, MetricShard, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
 pub use sink::{EventSink, ObsEvent, DEFAULT_SINK_CAPACITY};
 pub use span::StageSpan;
@@ -117,7 +119,7 @@ mod tests {
     #[test]
     fn hub_end_to_end() {
         let obs = Obs::shared();
-        obs.registry().counter("probe_scheduled", Class::Sim).add(3);
+        obs.registry().add("probe_scheduled", Class::Sim, 3);
         obs.span("analyze", 10).finish(&obs, 25);
         let jsonl = obs.to_jsonl();
         assert!(jsonl.contains("\"name\":\"probe_scheduled\""));
@@ -134,7 +136,7 @@ mod tests {
     #[test]
     fn path_extension_selects_the_export_format() {
         let obs = Obs::shared();
-        obs.registry().counter("probe_scheduled", Class::Sim).add(7);
+        obs.registry().add("probe_scheduled", Class::Sim, 7);
         for prom_path in ["m.prom", "out/scrape.TXT"] {
             assert_eq!(obs.render_for_path(prom_path), obs.to_prometheus());
         }

@@ -9,21 +9,22 @@
 //! idle time, queue depths, hidden classify time) are clearly segregated
 //! under [`Class::Wall`] and excluded from the deterministic snapshot.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc` clones
-//! over atomics, so hot paths pay one uncontended atomic RMW per update and
-//! registration cost is paid once at wiring time. Worker threads that want
-//! to stay allocation-light batch their updates in a [`MetricShard`] and
-//! merge it into the registry in a deterministic sequence order (the
-//! streamed scan's fold merges shards in shard-major order); since counter
-//! merges are sums, the totals are independent of the merge order anyway —
-//! the ordering guarantee is what makes the bit-identical argument a
+//! The registry is a reader of totals, not a per-event counter. Each layer
+//! counts its own facts in plain integers (the fabric in
+//! `simnet::NetStats`, the probe engine in its coverage report and tally,
+//! a histogram in a [`HistogramData`]) and publishes them when a stage or
+//! a shard ends, with [`MetricsRegistry::add`], [`MetricsRegistry::set`]
+//! and [`MetricsRegistry::merge_histogram`]. So the registry keeps plain
+//! values under one lock, taken a handful of times per shard. Every update
+//! is a sum (or a max, or a gauge set once), so the totals do not depend
+//! on the order shards publish in; the streamed scan's fold publishes in
+//! shard-major order anyway, which makes the bit-identical argument a
 //! one-liner instead of a scheduling proof.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Mutex;
 
 /// Determinism class of a metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,127 +48,23 @@ impl Class {
     }
 }
 
-/// A monotonically increasing counter handle.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Increment by `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge handle: a value that can move both ways.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Set to an absolute value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub(crate) fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-#[derive(Debug)]
-struct HistCell {
-    /// Inclusive upper bounds of the finite buckets; one implicit
-    /// `+Inf` bucket follows.
-    bounds: Vec<u64>,
-    /// Per-bucket (non-cumulative) observation counts;
-    /// `len == bounds.len() + 1`.
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-/// A fixed-bucket histogram handle.
-///
-/// Bounds are fixed at registration so that merging and hashing never
-/// depend on observation order — the layout is part of the metric's
-/// identity.
-#[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistCell>);
-
-impl Histogram {
-    /// Record one observation.
-    pub fn observe(&self, v: u64) {
-        let cell = &self.0;
-        let idx = cell
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(cell.bounds.len());
-        cell.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        cell.count.fetch_add(1, Ordering::Relaxed);
-        cell.sum.fetch_add(v, Ordering::Relaxed);
-        cell.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Number of observations so far.
-    pub(crate) fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observed values.
-    pub(crate) fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
-    }
-
-    /// Largest observed value (0 when empty).
-    pub(crate) fn max(&self) -> u64 {
-        self.0.max.load(Ordering::Relaxed)
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Cell {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-impl Cell {
-    fn kind(&self) -> &'static str {
-        match self {
-            Cell::Counter(_) => "counter",
-            Cell::Gauge(_) => "gauge",
-            Cell::Histogram(_) => "histogram",
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Entry {
     class: Class,
-    cell: Cell,
+    data: MetricData,
 }
 
 /// The registry: a named set of metrics with idempotent registration.
 ///
-/// Registering the same name twice returns a handle to the same cell;
-/// registering it with a different kind or class panics (a wiring bug, not
-/// a runtime condition). Interior mutability makes one registry shareable
-/// across the whole pipeline, including worker threads.
+/// The first publish under a name registers it, a zero included, so a
+/// metric exists (and joins [`MetricsRegistry::sim_hash`]) whether or not
+/// its count ever moved. Publishing under a registered name with a
+/// different kind, class or histogram layout panics (a wiring bug, not a
+/// runtime condition). One registry is shared across the whole pipeline,
+/// worker threads included.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    slots: RwLock<BTreeMap<String, Entry>>,
+    slots: Mutex<BTreeMap<String, Entry>>,
 }
 
 impl MetricsRegistry {
@@ -176,116 +73,104 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn register(&self, name: &str, class: Class, make: impl FnOnce() -> Cell) -> Cell {
-        if let Some(entry) = self.slots.read().expect("metrics lock").get(name) {
-            assert_eq!(
-                entry.class, class,
-                "metric {name} re-registered with a different class"
-            );
-            return entry.cell.clone();
-        }
-        let mut slots = self.slots.write().expect("metrics lock");
-        let entry = slots.entry(name.to_string()).or_insert_with(|| Entry {
-            class,
-            cell: make(),
-        });
+    /// Register `name` (with `fresh` as its empty value) if it is new,
+    /// check its class, and hand its value to `apply`.
+    fn update(
+        &self,
+        name: &str,
+        class: Class,
+        fresh: impl FnOnce() -> MetricData,
+        apply: impl FnOnce(&mut MetricData),
+    ) {
+        let mut slots = self.slots.lock().expect("metrics lock");
+        let entry = match slots.get_mut(name) {
+            Some(entry) => entry,
+            None => slots.entry(name.to_string()).or_insert(Entry {
+                class,
+                data: fresh(),
+            }),
+        };
         assert_eq!(
             entry.class, class,
             "metric {name} re-registered with a different class"
         );
-        entry.cell.clone()
+        apply(&mut entry.data);
     }
 
-    /// Register (or look up) a counter.
-    pub fn counter(&self, name: &str, class: Class) -> Counter {
-        match self.register(name, class, || Cell::Counter(Counter::default())) {
-            Cell::Counter(c) => c,
-            other => panic!("metric {name} is a {}, not a counter", other.kind()),
-        }
-    }
-
-    /// Register (or look up) a gauge.
-    pub fn gauge(&self, name: &str, class: Class) -> Gauge {
-        match self.register(name, class, || Cell::Gauge(Gauge::default())) {
-            Cell::Gauge(g) => g,
-            other => panic!("metric {name} is a {}, not a gauge", other.kind()),
-        }
-    }
-
-    /// Register (or look up) a histogram with the given finite bucket
-    /// bounds (an implicit `+Inf` bucket is appended). Bounds must be
-    /// strictly increasing.
-    pub fn histogram(&self, name: &str, class: Class, bounds: &[u64]) -> Histogram {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram {name}: bounds must be strictly increasing"
+    /// Add `n` to the counter `name`, registering it if it is new.
+    pub fn add(&self, name: &str, class: Class, n: u64) {
+        self.update(
+            name,
+            class,
+            || MetricData::Counter(0),
+            |data| match data {
+                MetricData::Counter(v) => *v += n,
+                other => panic!("metric {name} is a {}, not a counter", other.kind()),
+            },
         );
-        let made = self.register(name, class, || {
-            let mut buckets = Vec::with_capacity(bounds.len() + 1);
-            buckets.resize_with(bounds.len() + 1, AtomicU64::default);
-            Cell::Histogram(Histogram(Arc::new(HistCell {
-                bounds: bounds.to_vec(),
-                buckets,
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                max: AtomicU64::new(0),
-            })))
-        });
-        match made {
-            Cell::Histogram(h) => {
+    }
+
+    /// Set the gauge `name` to `v`, registering it if it is new.
+    pub fn set(&self, name: &str, class: Class, v: i64) {
+        self.update(
+            name,
+            class,
+            || MetricData::Gauge(0),
+            |data| match data {
+                MetricData::Gauge(g) => *g = v,
+                other => panic!("metric {name} is a {}, not a gauge", other.kind()),
+            },
+        );
+    }
+
+    /// Merge `hist` into the histogram `name`, registering it with `hist`'s
+    /// bounds if it is new: buckets, count and sum add, max takes the
+    /// larger. Bounds are part of a histogram's identity, so a merge with
+    /// other bounds panics.
+    pub fn merge_histogram(&self, name: &str, class: Class, hist: &HistogramData) {
+        let fresh = || MetricData::Histogram(HistogramData::new(&hist.bounds));
+        self.update(name, class, fresh, |data| match data {
+            MetricData::Histogram(d) => {
                 assert_eq!(
-                    h.0.bounds, bounds,
+                    d.bounds, hist.bounds,
                     "histogram {name} re-registered with different bounds"
                 );
-                h
+                for (b, n) in d.buckets.iter_mut().zip(&hist.buckets) {
+                    *b += n;
+                }
+                d.count += hist.count;
+                d.sum += hist.sum;
+                d.max = d.max.max(hist.max);
             }
             other => panic!("metric {name} is a {}, not a histogram", other.kind()),
-        }
+        });
     }
 
     /// Current value of a counter, if one is registered under `name`.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        match &self.slots.read().expect("metrics lock").get(name)?.cell {
-            Cell::Counter(c) => Some(c.get()),
+        match self.slots.lock().expect("metrics lock").get(name)?.data {
+            MetricData::Counter(v) => Some(v),
             _ => None,
         }
     }
 
     /// Merge a worker-local shard: every shard counter is added to the
-    /// registry counter of the same name under `class`. Callers that need
-    /// the determinism guarantee to be *structural* (not just "sums
-    /// commute") merge shards in a fixed sequence order — the streamed
-    /// scan's fold merges in shard-major order.
+    /// registry counter of the same name under `class`.
     pub fn merge_shard(&self, class: Class, shard: &MetricShard) {
         for (name, n) in &shard.counters {
-            self.counter(name, class).add(*n);
+            self.add(name, class, *n);
         }
     }
 
     /// A point-in-time copy of every metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let slots = self.slots.read().expect("metrics lock");
+        let slots = self.slots.lock().expect("metrics lock");
         let entries = slots
             .iter()
             .map(|(name, entry)| MetricValue {
                 name: name.clone(),
                 class: entry.class,
-                data: match &entry.cell {
-                    Cell::Counter(c) => MetricData::Counter(c.get()),
-                    Cell::Gauge(g) => MetricData::Gauge(g.get()),
-                    Cell::Histogram(h) => MetricData::Histogram(HistogramData {
-                        bounds: h.0.bounds.clone(),
-                        buckets: h
-                            .0
-                            .buckets
-                            .iter()
-                            .map(|b| b.load(Ordering::Relaxed))
-                            .collect(),
-                        count: h.count(),
-                        sum: h.sum(),
-                        max: h.max(),
-                    }),
-                },
+                data: entry.data.clone(),
             })
             .collect();
         MetricsSnapshot { entries }
@@ -298,8 +183,8 @@ impl MetricsRegistry {
     }
 }
 
-/// A worker-local, lock-free buffer of counter increments, merged into the
-/// registry with [`MetricsRegistry::merge_shard`].
+/// A worker-local buffer of counter increments, merged into the registry
+/// with [`MetricsRegistry::merge_shard`].
 #[derive(Debug, Clone, Default)]
 pub struct MetricShard {
     counters: BTreeMap<&'static str, u64>,
@@ -322,7 +207,11 @@ impl MetricShard {
     }
 }
 
-/// Exported value of one histogram.
+/// One fixed-bucket histogram's contents: what a layer observes into and
+/// what the registry merges and exports.
+///
+/// Bounds are fixed when it is made, so merging and hashing never depend
+/// on observation order — the layout is part of the metric's identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramData {
     /// Finite bucket upper bounds (the `+Inf` bucket is implicit).
@@ -337,6 +226,35 @@ pub struct HistogramData {
     pub max: u64,
 }
 
+impl HistogramData {
+    /// An empty histogram over the given finite bucket bounds (inclusive
+    /// upper bounds, strictly increasing; an implicit `+Inf` bucket
+    /// follows).
+    pub fn new(bounds: &[u64]) -> Self {
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "histogram bounds must be strictly increasing"
+        );
+        HistogramData {
+            bounds: bounds.to_vec(),
+            buckets: vec![0; bounds.len() + 1],
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
+
+    /// Record one observation in the first bucket whose bound is at least
+    /// `v` — the one bucket rule.
+    pub fn observe(&mut self, v: u64) {
+        let idx = self.bounds.partition_point(|&b| b < v);
+        self.buckets[idx] += 1;
+        self.count += 1;
+        self.sum += v;
+        self.max = self.max.max(v);
+    }
+}
+
 /// Exported value of one metric.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetricData {
@@ -346,6 +264,16 @@ pub enum MetricData {
     Gauge(i64),
     /// Histogram contents.
     Histogram(HistogramData),
+}
+
+impl MetricData {
+    fn kind(&self) -> &'static str {
+        match self {
+            MetricData::Counter(_) => "counter",
+            MetricData::Gauge(_) => "gauge",
+            MetricData::Histogram(_) => "histogram",
+        }
+    }
 }
 
 /// One named metric in a snapshot.
@@ -428,64 +356,117 @@ mod tests {
     #[test]
     fn counters_and_gauges_roundtrip() {
         let reg = MetricsRegistry::new();
-        let c = reg.counter("c", Class::Sim);
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        // Idempotent registration returns the same cell.
-        assert_eq!(reg.counter("c", Class::Sim).get(), 5);
+        reg.add("c", Class::Sim, 1);
+        reg.add("c", Class::Sim, 4);
         assert_eq!(reg.counter_value("c"), Some(5));
-        let g = reg.gauge("g", Class::Wall);
-        g.set(7);
-        assert_eq!(g.get(), 7);
+        // A zero publish registers the name and moves nothing.
+        reg.add("c", Class::Sim, 0);
+        assert_eq!(reg.counter_value("c"), Some(5));
+        reg.add("z", Class::Sim, 0);
+        assert_eq!(reg.counter_value("z"), Some(0));
+        reg.set("g", Class::Wall, 7);
+        reg.set("g", Class::Wall, -2);
+        assert_eq!(
+            reg.snapshot().get("g").map(|m| &m.data),
+            Some(&MetricData::Gauge(-2))
+        );
         assert_eq!(reg.counter_value("g"), None);
     }
 
     #[test]
     fn histogram_buckets_count_and_max() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("h", Class::Sim, &[10, 100]);
+        let mut h = HistogramData::new(&[10, 100]);
         for v in [1, 10, 11, 1000] {
             h.observe(v);
         }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 1022);
-        assert_eq!(h.max(), 1000);
+        assert_eq!(h.count, 4);
+        assert_eq!(h.sum, 1022);
+        assert_eq!(h.max, 1000);
+        assert_eq!(h.buckets, vec![2, 1, 1]); // <=10, <=100, +Inf
+        let reg = MetricsRegistry::new();
+        reg.merge_histogram("h", Class::Sim, &h);
         let snap = reg.snapshot();
-        let Some(MetricData::Histogram(d)) = snap.get("h").map(|m| &m.data) else {
-            panic!("h is a histogram");
+        assert_eq!(
+            snap.get("h").map(|m| &m.data),
+            Some(&MetricData::Histogram(h))
+        );
+    }
+
+    #[test]
+    fn histogram_merges_equal_observing_in_one_piece() {
+        let bounds = [1, 2, 4, 8, 100];
+        let values = [0, 1, 1, 2, 3, 5, 8, 9, 64, 100, 101, 7_000, 2, 4];
+        let observed = |vs: &[u64]| {
+            let mut h = HistogramData::new(&bounds);
+            vs.iter().for_each(|&v| h.observe(v));
+            h
         };
-        assert_eq!(d.buckets, vec![2, 1, 1]); // <=10, <=100, +Inf
+        let whole = observed(&values);
+        let merged = |parts: &[&[u64]]| {
+            let reg = MetricsRegistry::new();
+            for part in parts {
+                reg.merge_histogram("h", Class::Sim, &observed(part));
+            }
+            reg.snapshot()
+        };
+        let one = merged(&[&values]);
+        assert_eq!(
+            one.get("h").map(|m| &m.data),
+            Some(&MetricData::Histogram(whole.clone()))
+        );
+        for split in [3, 9] {
+            let (a, b) = values.split_at(split);
+            assert_eq!(merged(&[a, b]), one, "split at {split}");
+            assert_eq!(merged(&[b, a]), one, "split at {split}, reversed");
+        }
+        // An empty merge registers the layout and changes nothing.
+        let reg = MetricsRegistry::new();
+        reg.merge_histogram("h", Class::Sim, &HistogramData::new(&bounds));
+        reg.merge_histogram("h", Class::Sim, &whole);
+        assert_eq!(reg.snapshot(), one);
+        assert_eq!((whole.count, whole.sum, whole.max), (14, 7_300, 7_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "different bounds")]
+    fn histogram_bounds_mismatch_panics() {
+        let reg = MetricsRegistry::new();
+        reg.merge_histogram("h", Class::Sim, &HistogramData::new(&[1, 2]));
+        reg.merge_histogram("h", Class::Sim, &HistogramData::new(&[1, 3]));
     }
 
     #[test]
     #[should_panic(expected = "different class")]
     fn class_mismatch_panics() {
         let reg = MetricsRegistry::new();
-        reg.counter("x", Class::Sim);
-        reg.counter("x", Class::Wall);
+        reg.add("x", Class::Sim, 0);
+        reg.add("x", Class::Wall, 0);
     }
 
     #[test]
     #[should_panic(expected = "not a counter")]
     fn kind_mismatch_panics() {
         let reg = MetricsRegistry::new();
-        reg.gauge("x", Class::Sim);
-        reg.counter("x", Class::Sim);
+        reg.set("x", Class::Sim, 0);
+        reg.add("x", Class::Sim, 0);
     }
 
     #[test]
     fn sim_hash_excludes_wall_metrics() {
         let reg = MetricsRegistry::new();
-        reg.counter("sim_c", Class::Sim).add(3);
+        reg.add("sim_c", Class::Sim, 3);
         let h1 = reg.sim_hash();
         // Wall-class churn must not move the deterministic fingerprint.
-        reg.counter("wall_c", Class::Wall).add(999);
-        reg.gauge("wall_g", Class::Wall).set(-5);
+        reg.add("wall_c", Class::Wall, 999);
+        reg.set("wall_g", Class::Wall, -5);
         assert_eq!(reg.sim_hash(), h1);
         // Sim-class churn must.
-        reg.counter("sim_c", Class::Sim).inc();
+        reg.add("sim_c", Class::Sim, 1);
         assert_ne!(reg.sim_hash(), h1);
+        // So must a sim-class name that registers at zero.
+        let h2 = reg.sim_hash();
+        reg.add("sim_zero", Class::Sim, 0);
+        assert_ne!(reg.sim_hash(), h2);
     }
 
     #[test]
@@ -509,8 +490,8 @@ mod tests {
     #[test]
     fn snapshot_lookup_by_name() {
         let reg = MetricsRegistry::new();
-        reg.counter("b", Class::Sim).add(2);
-        reg.counter("a", Class::Sim).add(1);
+        reg.add("b", Class::Sim, 2);
+        reg.add("a", Class::Sim, 1);
         let snap = reg.snapshot();
         assert_eq!(snap.entries[0].name, "a");
         assert_eq!(snap.counter("b"), Some(2));

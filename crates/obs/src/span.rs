@@ -44,12 +44,13 @@ impl StageSpan {
         let sim_us = sim_now_us.saturating_sub(self.sim_start_us);
         let wall_us = self.wall_start.elapsed().as_micros() as u64;
         let reg = obs.registry();
-        reg.counter(&format!("stage_{}_sim_us", self.name), Class::Sim)
-            .add(sim_us);
-        reg.counter(&format!("stage_{}_wall_us", self.name), Class::Wall)
-            .add(wall_us);
-        reg.counter(&format!("stage_{}_runs", self.name), Class::Sim)
-            .inc();
+        reg.add(&format!("stage_{}_sim_us", self.name), Class::Sim, sim_us);
+        reg.add(
+            &format!("stage_{}_wall_us", self.name),
+            Class::Wall,
+            wall_us,
+        );
+        reg.add(&format!("stage_{}_runs", self.name), Class::Sim, 1);
         obs.sink().push(
             Some(sim_now_us),
             "span",

@@ -50,76 +50,110 @@ impl LatencyModel {
     }
 }
 
-/// Aggregate fabric counters.
+/// Aggregate fabric counters: the one count of every datagram's fate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
+    /// Datagrams handed to the fabric, one fault decision each.
+    pub sent: u64,
+    /// Extra copies injected by fault duplication (delivered without a
+    /// send of their own).
+    pub duplicated: u64,
     /// Datagrams delivered to a node or external inbox.
     pub delivered: u64,
     /// Datagrams dropped by fault injection or size limit.
     pub dropped: u64,
     /// Datagrams delivered with an injected corruption.
-    pub(crate) corrupted: u64,
+    pub corrupted: u64,
     /// Datagrams addressed to an IP with no node or external registration.
     pub no_route: u64,
     /// Total payload bytes delivered.
-    pub(crate) bytes_delivered: u64,
+    pub bytes_delivered: u64,
     /// Events processed by the run loop.
     pub events: u64,
 }
 
-impl std::ops::AddAssign for NetStats {
-    /// Field-by-field sum. `rhs` is destructured exhaustively, so a field
-    /// added to [`NetStats`] fails to compile here until it is summed.
-    fn add_assign(&mut self, rhs: NetStats) {
+impl NetStats {
+    /// Every counter beside its `net_*` metric name. `self` is destructured
+    /// exhaustively, so a field added to [`NetStats`] fails to compile here
+    /// until it is named — and the sum, the difference and the publish
+    /// below all go through this list.
+    fn fields(self) -> [(&'static str, u64); 8] {
         let NetStats {
+            sent,
+            duplicated,
             delivered,
             dropped,
             corrupted,
             no_route,
             bytes_delivered,
             events,
-        } = rhs;
-        self.delivered += delivered;
-        self.dropped += dropped;
-        self.corrupted += corrupted;
-        self.no_route += no_route;
-        self.bytes_delivered += bytes_delivered;
-        self.events += events;
+        } = self;
+        [
+            ("net_sent", sent),
+            ("net_duplicated", duplicated),
+            ("net_delivered", delivered),
+            ("net_dropped", dropped),
+            ("net_corrupted", corrupted),
+            ("net_no_route", no_route),
+            ("net_bytes_delivered", bytes_delivered),
+            ("net_events", events),
+        ]
+    }
+
+    /// Field-by-field combination of two stats.
+    fn zip_with(self, rhs: NetStats, f: impl Fn(u64, u64) -> u64) -> NetStats {
+        let (a, b) = (self.fields(), rhs.fields());
+        let [sent, duplicated, delivered, dropped, corrupted, no_route, bytes_delivered, events] =
+            std::array::from_fn(|i| f(a[i].1, b[i].1));
+        NetStats {
+            sent,
+            duplicated,
+            delivered,
+            dropped,
+            corrupted,
+            no_route,
+            bytes_delivered,
+            events,
+        }
     }
 }
 
-/// Live fabric counters mirrored into an [`obs`] registry, updated on the
-/// same code paths as [`NetStats`]. Every counter is [`obs::Class::Sim`]:
-/// the fabric is single-threaded and seeded, so datagram fates are part of
-/// the deterministic fingerprint of a run.
-#[derive(Debug, Clone)]
-pub struct FabricMetrics {
-    sent: obs::Counter,
-    delivered: obs::Counter,
-    dropped: obs::Counter,
-    corrupted: obs::Counter,
-    duplicated: obs::Counter,
-    no_route: obs::Counter,
-    bytes_delivered: obs::Counter,
-    events: obs::Counter,
+impl std::ops::AddAssign for NetStats {
+    /// Field-by-field sum.
+    fn add_assign(&mut self, rhs: NetStats) {
+        *self = self.zip_with(rhs, |a, b| a + b);
+    }
 }
 
+impl std::ops::Sub for NetStats {
+    type Output = NetStats;
+
+    /// Field-by-field difference: the traffic between two readings of one
+    /// fabric's [`Network::stats`].
+    fn sub(self, rhs: NetStats) -> NetStats {
+        self.zip_with(rhs, |a, b| a - b)
+    }
+}
+
+/// The `net_*` metric family: where a fabric's [`NetStats`] meet an
+/// [`obs`] registry. Every counter is [`obs::Class::Sim`]: the fabric is
+/// single-threaded and seeded, so datagram fates are part of the
+/// deterministic fingerprint of a run.
+///
+/// The type has no values. It names the family, and
+/// [`Network::set_obs`] still takes an `Option` of it, which can only be
+/// `None`.
+#[derive(Debug)]
+pub enum FabricMetrics {}
+
 impl FabricMetrics {
-    /// Register the `net_*` counter family in `reg` and return the handle
-    /// bundle to attach with [`Network::set_obs`]. Idempotent: a second
-    /// registration returns handles to the same counters, so engines that
-    /// are rebuilt mid-run keep accumulating into one family.
-    pub fn register(reg: &obs::MetricsRegistry) -> Self {
-        use obs::Class::Sim;
-        FabricMetrics {
-            sent: reg.counter("net_sent", Sim),
-            delivered: reg.counter("net_delivered", Sim),
-            dropped: reg.counter("net_dropped", Sim),
-            corrupted: reg.counter("net_corrupted", Sim),
-            duplicated: reg.counter("net_duplicated", Sim),
-            no_route: reg.counter("net_no_route", Sim),
-            bytes_delivered: reg.counter("net_bytes_delivered", Sim),
-            events: reg.counter("net_events", Sim),
+    /// Add `stats` to the eight `net_*` counters of `reg`, registering
+    /// each (a zero included) on first use. Callers publish each fabric's
+    /// traffic exactly once: a shard replica's when its shard ends, the
+    /// world fabric's as the difference across a run.
+    pub fn publish(reg: &obs::MetricsRegistry, stats: NetStats) {
+        for (name, n) in stats.fields() {
+            reg.add(name, obs::Class::Sim, n);
         }
     }
 }
@@ -180,7 +214,6 @@ pub struct Network {
     /// Traffic capture; enabled by default.
     pub trace: FlowLog,
     stats: NetStats,
-    obs: Option<FabricMetrics>,
     seq: u64,
     /// Hook returning consumed datagram payloads to the caller's buffer
     /// pool (see [`Network::set_payload_recycler`]).
@@ -205,7 +238,6 @@ impl Network {
             flow_counters: FxHashMap::default(),
             trace: FlowLog::new().with_payload_cap(2048),
             stats: NetStats::default(),
-            obs: None,
             seq: 0,
             payload_recycler: None,
             scratch: Actions::default(),
@@ -230,11 +262,11 @@ impl Network {
         }
     }
 
-    /// Attach (or detach, with `None`) a live metrics mirror. Disabled by
-    /// default; the cost when detached is one branch per counter update.
-    pub fn set_obs(&mut self, obs: Option<FabricMetrics>) {
-        self.obs = obs;
-    }
+    /// Does nothing. The fabric counts every datagram once, in
+    /// [`NetStats`], and holds no hub; callers publish those counts with
+    /// [`FabricMetrics::publish`]. Kept so existing callers compile; the
+    /// only argument it can take is `None`.
+    pub fn set_obs(&mut self, _obs: Option<FabricMetrics>) {}
 
     /// Replace the fault plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
@@ -380,24 +412,17 @@ impl Network {
     }
 
     fn enqueue_send(&mut self, dgram: Datagram) {
-        if let Some(m) = &self.obs {
-            m.sent.inc();
-        }
+        self.stats.sent += 1;
         match self.decide_fate(&dgram) {
             FaultDecision::Drop => {
                 self.trace.record(self.now, &dgram, Disposition::Dropped);
                 self.stats.dropped += 1;
-                if let Some(m) = &self.obs {
-                    m.dropped.inc();
-                }
                 self.recycle(dgram.payload);
             }
             FaultDecision::Deliver { corrupt, duplicate } => {
                 let delay = self.latency.delay(dgram.src.ip, dgram.dst.ip);
                 if duplicate {
-                    if let Some(m) = &self.obs {
-                        m.duplicated.inc();
-                    }
+                    self.stats.duplicated += 1;
                     let copy = dgram.clone();
                     let at = self.now + delay + SimDuration::from_micros(50);
                     self.push_event(
@@ -460,17 +485,11 @@ impl Network {
         debug_assert!(ev.at >= self.now, "time went backwards");
         self.now = ev.at;
         self.stats.events += 1;
-        if let Some(m) = &self.obs {
-            m.events.inc();
-        }
         match ev.kind {
             EventKind::Deliver { mut dgram, corrupt } => {
                 if corrupt {
                     FaultPlan::corrupt(&mut self.rng, &mut dgram.payload);
                     self.stats.corrupted += 1;
-                    if let Some(m) = &self.obs {
-                        m.corrupted.inc();
-                    }
                 }
                 let attached = self.attached.get_mut(&dgram.dst.ip);
                 let disposition = match &attached {
@@ -480,19 +499,10 @@ impl Network {
                 };
                 self.trace.record(self.now, &dgram, disposition);
                 match disposition {
-                    Disposition::NoRoute => {
-                        self.stats.no_route += 1;
-                        if let Some(m) = &self.obs {
-                            m.no_route.inc();
-                        }
-                    }
+                    Disposition::NoRoute => self.stats.no_route += 1,
                     _ => {
                         self.stats.delivered += 1;
                         self.stats.bytes_delivered += dgram.payload.len() as u64;
-                        if let Some(m) = &self.obs {
-                            m.delivered.inc();
-                            m.bytes_delivered.add(dgram.payload.len() as u64);
-                        }
                     }
                 }
                 match attached {
@@ -597,18 +607,22 @@ mod tests {
     #[test]
     fn net_stats_sum_covers_every_field() {
         let one = NetStats {
-            delivered: 1,
-            dropped: 2,
-            corrupted: 3,
-            no_route: 4,
-            bytes_delivered: 5,
-            events: 6,
+            sent: 1,
+            duplicated: 2,
+            delivered: 3,
+            dropped: 4,
+            corrupted: 5,
+            no_route: 6,
+            bytes_delivered: 7,
+            events: 8,
         };
         let mut sum = one;
         sum += one;
         // Exhaustive on purpose: a new field stops this compiling until the
         // sum and this check both know it.
         let NetStats {
+            sent,
+            duplicated,
             delivered,
             dropped,
             corrupted,
@@ -618,6 +632,8 @@ mod tests {
         } = sum;
         assert_eq!(
             [
+                sent,
+                duplicated,
                 delivered,
                 dropped,
                 corrupted,
@@ -625,11 +641,18 @@ mod tests {
                 bytes_delivered,
                 events
             ],
-            [2, 4, 6, 8, 10, 12]
+            [2, 4, 6, 8, 10, 12, 14, 16]
         );
+        assert_eq!(sum - one, one);
         let mut net = Network::new(1);
         net.absorb_stats(one);
         assert_eq!(net.stats(), one);
+        let reg = obs::MetricsRegistry::new();
+        FabricMetrics::publish(&reg, one);
+        FabricMetrics::publish(&reg, one);
+        for (name, n) in sum.fields() {
+            assert_eq!(reg.counter_value(name), Some(n), "{name}");
+        }
     }
 
     /// Echoes every datagram back to its sender with payload reversed.
@@ -916,41 +939,31 @@ mod tests {
     }
 
     #[test]
-    fn obs_mirror_matches_netstats() {
-        let reg = obs::MetricsRegistry::new();
+    fn net_stats_balance_every_fate() {
+        // Every datagram handed to the fabric, plus every injected copy,
+        // ends in exactly one of delivered, dropped or unroutable.
         let mut net = Network::new(42).with_faults(FaultPlan {
             drop_chance: 0.3,
             corrupt_chance: 0.2,
             duplicate_chance: 0.1,
             ..FaultPlan::default()
         });
-        net.set_obs(Some(FabricMetrics::register(&reg)));
         net.add_node(ip(2), Box::new(Echo));
         net.register_external(ip(1));
         for i in 0..40u8 {
             net.send(Datagram::udp(
                 Endpoint::new(ip(1), 1000 + i as u16),
-                Endpoint::new(ip(2), 53),
+                Endpoint::new(ip(i % 4 + 2), 53),
                 vec![i; 16],
             ));
         }
         net.settle();
         let s = net.stats();
-        assert_ne!(s.events, 0);
-        assert_eq!(reg.counter_value("net_delivered"), Some(s.delivered));
-        assert_eq!(reg.counter_value("net_dropped"), Some(s.dropped));
-        assert_eq!(reg.counter_value("net_corrupted"), Some(s.corrupted));
-        assert_eq!(reg.counter_value("net_no_route"), Some(s.no_route));
-        assert_eq!(
-            reg.counter_value("net_bytes_delivered"),
-            Some(s.bytes_delivered)
+        assert!(
+            s.dropped > 0 && s.duplicated > 0 && s.corrupted > 0 && s.no_route > 0,
+            "{s:?}"
         );
-        assert_eq!(reg.counter_value("net_events"), Some(s.events));
-        // sent counts every fate decision: delivered originals + drops,
-        // while duplicates add extra deliveries without a send.
-        let sent = reg.counter_value("net_sent").unwrap();
-        let dup = reg.counter_value("net_duplicated").unwrap();
-        assert_eq!(sent + dup, s.delivered + s.dropped + s.no_route);
+        assert_eq!(s.sent + s.duplicated, s.delivered + s.dropped + s.no_route);
     }
 
     #[test]

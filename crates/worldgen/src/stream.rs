@@ -21,10 +21,10 @@ use crate::tranco::TrancoList;
 use crate::world::{NsInfo, ScanBlueprint};
 use authdns::{DelegationRegistry, DomainClass, HostingPolicy, HostingProvider, NsAllocation};
 use dnswire::{Name, RData, Record};
+use fxhash::FxHashMap;
 use netdb::{CertInfo, GeoInfo, NetDb};
 use pdns::PassiveDns;
 use simnet::{LatencyModel, Network, SimDuration};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -91,7 +91,7 @@ pub(crate) struct StreamPlan {
     campaigns: Vec<StreamCampaign>,
     by_provider: Vec<(u32, u32)>,
     /// Nameserver address → owning provider.
-    node_provider: HashMap<Ipv4Addr, u32>,
+    node_provider: FxHashMap<Ipv4Addr, u32>,
 }
 
 impl StreamPlan {
@@ -156,9 +156,9 @@ impl StreamPlan {
     /// with at least one attached node is materialized once and shared
     /// across its nodes.
     pub(crate) fn attach_nodes(&self, net: &mut Network, scope: Option<&[Ipv4Addr]>) {
-        let mut built: HashMap<u32, Arc<HostingProvider>> = HashMap::new();
+        let mut built: FxHashMap<u32, Arc<HostingProvider>> = FxHashMap::default();
         let attach = |net: &mut Network,
-                      built: &mut HashMap<u32, Arc<HostingProvider>>,
+                      built: &mut FxHashMap<u32, Arc<HostingProvider>>,
                       plan: &StreamPlan,
                       ip: Ipv4Addr,
                       p: u32| {
@@ -264,7 +264,8 @@ impl StreamWorld {
         // count divides, every provider above the selection threshold so
         // the selected inventory is exactly the paper's server count.
         let mut specs: Vec<StreamProviderSpec> = Vec::with_capacity(providers);
-        let mut node_provider: HashMap<Ipv4Addr, u32> = HashMap::with_capacity(total_ns);
+        let mut node_provider: FxHashMap<Ipv4Addr, u32> =
+            FxHashMap::with_capacity_and_hasher(total_ns, Default::default());
         let mut nameservers: Vec<NsInfo> = Vec::with_capacity(total_ns);
         let mut g = 0usize;
         for p in 0..providers {

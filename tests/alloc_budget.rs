@@ -49,8 +49,8 @@ enum Kind {
 }
 
 /// Warm the probe path up, then hold one probe of each kind to its budget
-/// — on a bare engine and fabric, or with `hub` wired into both the way
-/// `run` wires it.
+/// — on a bare engine, or with `hub` attached to it the way `run` attaches
+/// it (the fabric holds no hub: counts reach one when a stage ends).
 fn hold_probes_to_their_budgets(hub: Option<std::sync::Arc<obs::Obs>>) {
     let world = World::generate(WorldConfig::small());
     let cfg = CollectConfig::default();
@@ -64,9 +64,8 @@ fn hold_probes_to_their_budgets(hub: Option<std::sync::Arc<obs::Obs>>) {
     let mut net = world.scan_blueprint().build_network(0);
     net.set_payload_recycler(Some(dnswire::bufpool::release));
     let mut engine = ProbeEngine::new(QueryPlan::default());
-    if let Some(hub) = hub {
-        net.set_obs(Some(simnet::FabricMetrics::register(hub.registry())));
-        engine = engine.with_obs(hub);
+    if let Some(hub) = &hub {
+        engine = engine.with_obs(hub.clone());
     }
 
     // Warm-up: the whole scan plan once, remembering one pair of each kind.

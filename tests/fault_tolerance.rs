@@ -11,9 +11,10 @@ use worldgen::{World, WorldConfig};
 
 fn run_with(cfg: HunterConfig) -> RunOutput {
     let mut world = World::generate(WorldConfig::small());
-    // Every run in this suite carries an observability hub, and the hub's
-    // probe funnel must agree with the engine's own CoverageReport — two
-    // independent accounting paths over the same probes.
+    // Every run in this suite carries an observability hub. The engines
+    // count each probe once, in their CoverageReports, and publish them to
+    // the hub when their stage ends: the hub's funnel must be the run's
+    // coverage, each engine published once, none missed.
     let hub = obs::Obs::shared();
     let out = run(&mut world, &cfg.with_obs(hub.clone()));
     let c = |name: &str| hub.registry().counter_value(name).unwrap_or(0);

@@ -97,17 +97,13 @@ fn wall_metrics_exist_but_stay_out_of_the_sim_hash() {
         assert_ne!(m.name, "classify_wait_us", "classify_wait_us is wall-class");
     }
     let before = hub.registry().sim_hash();
-    hub.registry()
-        .counter("bufpool_recycled", obs::Class::Wall)
-        .inc();
+    hub.registry().add("bufpool_recycled", obs::Class::Wall, 1);
     assert_eq!(
         before,
         hub.registry().sim_hash(),
         "bumping a wall counter changed the sim hash"
     );
-    hub.registry()
-        .counter("probe_scheduled", obs::Class::Sim)
-        .inc();
+    hub.registry().add("probe_scheduled", obs::Class::Sim, 1);
     assert_ne!(
         before,
         hub.registry().sim_hash(),
@@ -151,6 +147,69 @@ fn registry_funnels_match_the_run_output() {
         c("net_delivered") + c("net_dropped") + c("net_no_route"),
         "fabric datagram accounting does not balance"
     );
+}
+
+#[test]
+fn net_counters_are_the_world_fabric_traffic_of_the_run() {
+    // Each fabric publishes once: the shard replicas in the scan's fold,
+    // the world fabric its own traffic at the end of the run. Their sum is
+    // exactly what the world fabric reads after absorbing the shards.
+    let lossy = FaultPlan::lossy(0.01).scheduled_per_flow();
+    for (label, faults) in [("reliable", FaultPlan::reliable()), ("lossy", lossy)] {
+        for workers in [1, 4] {
+            let cfg = HunterConfig::fast()
+                .with_workers(workers)
+                .with_scan_faults(faults);
+            let mut world = World::generate(WorldConfig::small());
+            let before = world.net.stats();
+            let hub = obs::Obs::shared();
+            run(&mut world, &cfg.with_obs(hub.clone()));
+            let s = world.net.stats();
+            let c = |name: &str| hub.registry().counter_value(name);
+            let at = format!("{label}, workers {workers}");
+            assert_eq!(c("net_sent"), Some(s.sent - before.sent), "{at}");
+            assert_eq!(
+                c("net_duplicated"),
+                Some(s.duplicated - before.duplicated),
+                "{at}"
+            );
+            assert_eq!(
+                c("net_delivered"),
+                Some(s.delivered - before.delivered),
+                "{at}"
+            );
+            assert_eq!(c("net_dropped"), Some(s.dropped - before.dropped), "{at}");
+            assert_eq!(
+                c("net_corrupted"),
+                Some(s.corrupted - before.corrupted),
+                "{at}"
+            );
+            assert_eq!(
+                c("net_no_route"),
+                Some(s.no_route - before.no_route),
+                "{at}"
+            );
+            assert_eq!(
+                c("net_bytes_delivered"),
+                Some(s.bytes_delivered - before.bytes_delivered),
+                "{at}"
+            );
+            assert_eq!(c("net_events"), Some(s.events - before.events), "{at}");
+            assert!(s.delivered > before.delivered, "{at}: the run sent nothing");
+            if label == "lossy" {
+                assert!(s.dropped > before.dropped, "{at}: 1% loss dropped nothing");
+            }
+            // Every datagram handed to the fabric, plus every injected
+            // copy, has met exactly one fate once the fabric is settled.
+            world.net.settle();
+            let s = world.net.stats();
+            assert_eq!(
+                s.sent + s.duplicated,
+                s.delivered + s.dropped + s.no_route,
+                "{at}: fabric datagram accounting does not balance"
+            );
+        }
+    }
 }
 
 #[test]

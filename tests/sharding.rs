@@ -106,8 +106,8 @@ fn one_shard_per_worker_by_default_is_bit_identical_to_one_worker() {
 fn sim_metrics_hash_is_identical_across_shard_counts() {
     // The obs registry's deterministic subset (probe funnel, fabric
     // counters, verdict funnel, stage sim deltas) must not see the worker
-    // count either, on any network: shard engines and fabrics mirror into
-    // the same counter cells, and counter sums commute.
+    // count either, on any network: each shard engine and fabric publishes
+    // its counts once, in the scan's fold, and the sums commute.
     let sim_hash = |cfg: HunterConfig| {
         let hub = obs::Obs::shared();
         run_with(cfg.with_obs(hub.clone()));
