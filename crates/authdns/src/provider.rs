@@ -9,7 +9,7 @@
 
 use crate::policy::{DomainClass, HostingPolicy, NsAllocation, VerificationPolicy};
 use crate::zone::{Zone, ZoneAnswer};
-use dnswire::{Name, NameKey, NameRef, RData, Record, RecordType};
+use dnswire::{Folded, FoldedName, Name, RData, Record, RecordType};
 use fxhash::FxHashMap;
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom as _;
@@ -114,7 +114,10 @@ pub struct HostingProvider {
     ns_by_ip: FxHashMap<Ipv4Addr, usize>,
     accounts: Vec<Account>,
     zones: Vec<HostedZone>,
-    by_domain: FxHashMap<Name, Vec<ZoneId>>,
+    by_domain: FxHashMap<FoldedName, Vec<ZoneId>>,
+    /// Fewest and most labels of any apex ever hosted (`u8::MAX` and 0
+    /// while none is): the only suffix depths an answer probes.
+    apex_labels: (u8, u8),
     /// What an unhosted name's A and TXT queries are answered with.
     protective_a: RData,
     protective_txt: RData,
@@ -151,6 +154,7 @@ impl HostingProvider {
             accounts: Vec::new(),
             zones: Vec::new(),
             by_domain: FxHashMap::default(),
+            apex_labels: (u8::MAX, 0),
             protective_a: RData::A(protective_ip),
             protective_txt: RData::txt_from_str(&format!(
                 "v=warning; domain not hosted on {name}; see status page"
@@ -235,8 +239,7 @@ impl HostingProvider {
             return Err(HostError::ClassNotSupported(class));
         }
         let existing: Vec<ZoneId> = self
-            .by_domain
-            .get(domain)
+            .ids_for(domain)
             .map(|v| {
                 v.iter()
                     .copied()
@@ -307,7 +310,15 @@ impl HostingProvider {
             created_seq: self.seq,
             verified: false,
         });
-        self.by_domain.entry(domain.clone()).or_default().push(id);
+        self.by_domain
+            .entry(FoldedName::new(domain.borrowed()))
+            .or_default()
+            .push(id);
+        let labels = domain.label_count() as u8;
+        self.apex_labels = (
+            self.apex_labels.0.min(labels),
+            self.apex_labels.1.max(labels),
+        );
         Ok(id)
     }
 
@@ -353,12 +364,19 @@ impl HostingProvider {
         if self.policy.duplicates.no_retrieval {
             return Err(HostError::RetrievalUnsupported);
         }
-        if let Some(ids) = self.by_domain.get(domain).cloned() {
+        if let Some(ids) = self.ids_for(domain).cloned() {
             for id in ids {
                 self.zones[id.0 as usize].active = false;
             }
         }
         self.host_domain(new_owner, domain, class)
+    }
+
+    /// Every zone ever hosted for exactly `domain`, active or not.
+    fn ids_for(&self, domain: &Name) -> Option<&Vec<ZoneId>> {
+        let mut scratch = Vec::new();
+        self.by_domain
+            .get(domain.borrowed().fold(&mut scratch).key())
     }
 
     /// Whether nameserver index `ns` serves zone `z`.
@@ -391,7 +409,7 @@ impl HostingProvider {
     pub fn answer(
         &self,
         ns_ip: Ipv4Addr,
-        qname: NameRef<'_>,
+        qname: Folded<'_>,
         qtype: RecordType,
     ) -> ProviderAnswer<'_> {
         let Some(&ns_idx) = self.ns_by_ip.get(&ns_ip) else {
@@ -399,10 +417,13 @@ impl HostingProvider {
         };
         // Candidate zones: served by this NS, apex encloses qname. Walk the
         // qname's suffixes from most specific to least so the most specific
-        // apex wins; among duplicates the oldest zone answers.
-        for take in (1..=qname.label_count()).rev() {
+        // apex wins — only at depths some apex has; among duplicates the
+        // oldest zone answers.
+        let (fewest, most) = self.apex_labels;
+        let deepest = qname.label_count().min(most as usize);
+        for take in (fewest.max(1) as usize..=deepest).rev() {
             let suffix = qname.suffix(take).expect("take within the label count");
-            let Some(ids) = self.by_domain.get(&suffix as &dyn NameKey) else {
+            let Some(ids) = self.by_domain.get(suffix.key()) else {
                 continue;
             };
             let best = ids
@@ -426,8 +447,7 @@ impl HostingProvider {
 
     /// Active zones hosting exactly `domain`.
     pub fn zones_for(&self, domain: &Name) -> Vec<&HostedZone> {
-        self.by_domain
-            .get(domain)
+        self.ids_for(domain)
             .map(|v| {
                 v.iter()
                     .map(|id| &self.zones[id.0 as usize])
@@ -491,7 +511,11 @@ mod tests {
         );
         // global-fixed: every NS answers
         for (_, ip) in p.nameservers().to_vec() {
-            match p.answer(ip, n("trusted.com").borrowed(), RecordType::A) {
+            match p.answer(
+                ip,
+                n("trusted.com").borrowed().fold(&mut Vec::new()),
+                RecordType::A,
+            ) {
                 ProviderAnswer::FromZone(id, ZoneAnswer::Records(rs)) => {
                     assert_eq!(id, zid);
                     let first = rs.iter().next().unwrap();
@@ -593,7 +617,7 @@ mod tests {
         let mut answered = 0;
         let mut refused = 0;
         for (_, ip) in p.nameservers().to_vec() {
-            match p.answer(ip, q.borrowed(), RecordType::A) {
+            match p.answer(ip, q.borrowed().fold(&mut Vec::new()), RecordType::A) {
                 ProviderAnswer::FromZone(..) => answered += 1,
                 ProviderAnswer::Refused => refused += 1,
                 other => panic!("unexpected {other:?}"),
@@ -613,13 +637,21 @@ mod tests {
             p
         };
         let ip = p.nameservers()[0].1;
-        match p.answer(ip, n("unhosted.net").borrowed(), RecordType::A) {
+        match p.answer(
+            ip,
+            n("unhosted.net").borrowed().fold(&mut Vec::new()),
+            RecordType::A,
+        ) {
             ProviderAnswer::Protective(Some(rdata)) => {
                 assert_eq!(rdata.as_a().unwrap(), Ipv4Addr::new(198, 18, 200, 200));
             }
             other => panic!("unexpected: {other:?}"),
         }
-        match p.answer(ip, n("unhosted.net").borrowed(), RecordType::Txt) {
+        match p.answer(
+            ip,
+            n("unhosted.net").borrowed().fold(&mut Vec::new()),
+            RecordType::Txt,
+        ) {
             ProviderAnswer::Protective(Some(rdata)) => {
                 assert!(rdata.txt_joined().unwrap().contains("warning"));
             }
@@ -633,7 +665,11 @@ mod tests {
         let _ = p.create_account();
         let ip = p.nameservers()[0].1;
         assert_eq!(
-            p.answer(ip, n("nobody.com").borrowed(), RecordType::A),
+            p.answer(
+                ip,
+                n("nobody.com").borrowed().fold(&mut Vec::new()),
+                RecordType::A
+            ),
             ProviderAnswer::Refused
         );
     }
@@ -659,7 +695,7 @@ mod tests {
         let q = n("brand.com");
         for (_, ip) in p.nameservers().to_vec() {
             if let ProviderAnswer::FromZone(id, ZoneAnswer::Records(_)) =
-                p.answer(ip, q.borrowed(), RecordType::A)
+                p.answer(ip, q.borrowed().fold(&mut Vec::new()), RecordType::A)
             {
                 panic!("squatter zone {id:?} still answering");
             }
@@ -741,7 +777,9 @@ mod tests {
         // the per-NS answer maps to the zone assigned to it.
         let q = n("dup.com");
         for (_, ip) in p.nameservers().to_vec() {
-            if let ProviderAnswer::FromZone(id, _) = p.answer(ip, q.borrowed(), RecordType::A) {
+            if let ProviderAnswer::FromZone(id, _) =
+                p.answer(ip, q.borrowed().fold(&mut Vec::new()), RecordType::A)
+            {
                 let z = p.zone(id).unwrap();
                 let idx = p
                     .nameservers()
@@ -751,6 +789,45 @@ mod tests {
                 assert!(z.assigned_ns.contains(&idx));
             }
         }
+    }
+
+    #[test]
+    fn answers_walk_only_the_depths_an_apex_has() {
+        let mut p = provider(HostingPolicy::alibaba(), 2);
+        let ip = p.nameservers()[0].1;
+        let (squatter, owner) = (p.create_account(), p.create_account());
+        let ask = |p: &HostingProvider, q: &str| match p.answer(
+            ip,
+            n(q).borrowed().fold(&mut Vec::new()),
+            RecordType::A,
+        ) {
+            ProviderAnswer::FromZone(id, _) => Some(id),
+            ProviderAnswer::Refused => None,
+            other => panic!("unexpected: {other:?}"),
+        };
+        assert_eq!(ask(&p, "www.example.com"), None, "nothing hosted yet");
+        let shallow = p
+            .host_domain(squatter, &n("Example.COM"), DomainClass::RegisteredSld)
+            .unwrap();
+        let deep = p
+            .host_domain(squatter, &n("shop.example.co.uk"), DomainClass::Subdomain)
+            .unwrap();
+        assert_eq!(p.apex_labels, (2, 4));
+        assert_eq!(ask(&p, "example.com"), Some(shallow));
+        assert_eq!(ask(&p, "a.b.WWW.example.com"), Some(shallow));
+        assert_eq!(ask(&p, "shop.Example.co.uk"), Some(deep));
+        assert_eq!(ask(&p, "x.y.z.shop.example.co.uk"), Some(deep));
+        // Between, above and beside the two depths: nothing encloses.
+        for q in ["example.co.uk", "co.uk", "com", "other.shop.co.uk"] {
+            assert_eq!(ask(&p, q), None, "{q}");
+        }
+        // Retrieval hosts the domain again: the bound still covers it.
+        let reclaimed = p
+            .retrieve_domain(owner, &n("SHOP.example.co.uk"), DomainClass::Subdomain)
+            .unwrap();
+        assert_eq!(p.apex_labels, (2, 4));
+        assert_eq!(ask(&p, "www.shop.example.co.uk"), Some(reclaimed));
+        assert_eq!(ask(&p, "www.example.com"), Some(shallow));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! definition, undelegated — its records at the provider are URs.
 
 use crate::zone::Zone;
-use dnswire::{Name, NameKey, NameRef, RData, Record};
+use dnswire::{FoldedName, Name, NameRef, RData, Record};
 use fxhash::FxHashMap;
 use intern::InternedName;
 use std::net::Ipv4Addr;
@@ -19,7 +19,7 @@ const DELEGATION_TTL: u32 = 86_400;
 #[derive(Debug, Default)]
 pub struct DelegationRegistry {
     root: Option<RootData>,
-    tlds: FxHashMap<Name, TldData>,
+    tlds: FxHashMap<FoldedName, TldData>,
 }
 
 #[derive(Debug)]
@@ -29,6 +29,7 @@ struct RootData {
 
 #[derive(Debug)]
 struct TldData {
+    name: Name,
     ip: Ipv4Addr,
     /// domain -> (ns name, ns ip) delegation set, keyed by interned name.
     /// Inserts intern; probes go through [`InternedName::lookup`].
@@ -57,8 +58,9 @@ impl DelegationRegistry {
     /// Register a TLD served at `ip`.
     pub fn add_tld(&mut self, tld: Name, ip: Ipv4Addr) {
         self.tlds.insert(
-            tld,
+            FoldedName::new(tld.borrowed()),
             TldData {
+                name: tld,
                 ip,
                 delegations: FxHashMap::default(),
             },
@@ -67,7 +69,7 @@ impl DelegationRegistry {
 
     /// All registered TLDs.
     pub fn tlds(&self) -> impl Iterator<Item = (&Name, Ipv4Addr)> {
-        self.tlds.iter().map(|(n, d)| (n, d.ip))
+        self.tlds.values().map(|d| (&d.name, d.ip))
     }
 
     /// Delegate `domain` (which must end in a registered TLD) to the given
@@ -82,28 +84,30 @@ impl DelegationRegistry {
             .insert(InternedName::intern(domain), nameservers);
     }
 
-    /// The most specific registered TLD zone strictly enclosing `domain`,
-    /// key and data: the domain's own suffixes, longest first, each probed
-    /// as a borrowed key. Which zone wins is decided by the name, never by
-    /// the map's iteration order.
-    fn tld_of(&self, domain: NameRef<'_>) -> Option<(&Name, &TldData)> {
-        (0..domain.label_count()).rev().find_map(|labels| {
-            let suffix = domain.suffix(labels)?;
-            self.tlds.get_key_value(&suffix as &dyn NameKey)
-        })
+    /// The most specific registered TLD zone strictly enclosing `domain`:
+    /// the domain's own suffixes, longest first, each probed as a folded
+    /// key. Which zone wins is decided by the name, never by the map's
+    /// iteration order.
+    fn tld_of(&self, domain: NameRef<'_>) -> Option<&TldData> {
+        let mut scratch = Vec::new();
+        let domain = domain.fold(&mut scratch);
+        (0..domain.label_count())
+            .rev()
+            .find_map(|labels| self.tlds.get(domain.suffix(labels)?.key()))
     }
 
     fn tld_of_mut(&mut self, domain: &Name) -> Option<&mut TldData> {
         let labels = self.enclosing_tld(domain)?.label_count();
-        let suffix = domain.borrowed().suffix(labels)?;
-        self.tlds.get_mut(&suffix as &dyn NameKey)
+        let mut scratch = Vec::new();
+        let tld = domain.borrowed().fold(&mut scratch).suffix(labels)?;
+        self.tlds.get_mut(tld.key())
     }
 
     /// The most specific registered TLD enclosing `domain` (handles both
     /// `com` and multi-label public-suffix TLD zones like `co.uk` when they
     /// are registered as TLD zones).
     pub fn enclosing_tld(&self, domain: &Name) -> Option<&Name> {
-        self.tld_of(domain.borrowed()).map(|(tld, _)| tld)
+        self.tld_of(domain.borrowed()).map(|tld| &tld.name)
     }
 
     /// Is `domain` currently delegated (exactly)?
@@ -114,7 +118,7 @@ impl DelegationRegistry {
     /// The delegation set of `domain`, if any. A name that was never
     /// interned was never delegated, so a miss leaves the name table alone.
     pub fn delegation_of(&self, domain: &Name) -> Option<&[(Name, Ipv4Addr)]> {
-        Self::delegation_in(self.tld_of(domain.borrowed())?.1, domain.borrowed())
+        Self::delegation_in(self.tld_of(domain.borrowed())?, domain.borrowed())
     }
 
     fn delegation_in<'a>(tld: &'a TldData, domain: NameRef<'_>) -> Option<&'a [(Name, Ipv4Addr)]> {
@@ -126,8 +130,8 @@ impl DelegationRegistry {
     /// The registered domain (delegation point) enclosing `name`, if any:
     /// walks from `name` toward its TLD looking for a delegated suffix.
     pub fn registered_suffix(&self, name: &Name) -> Option<Name> {
-        let (tld, data) = self.tld_of(name.borrowed())?;
-        (tld.label_count() + 1..=name.label_count())
+        let data = self.tld_of(name.borrowed())?;
+        (data.name.label_count() + 1..=name.label_count())
             .rev()
             .filter_map(|labels| name.borrowed().suffix(labels))
             .find(|suffix| Self::delegation_in(data, *suffix).is_some())
@@ -137,7 +141,8 @@ impl DelegationRegistry {
     /// Build the root zone (NS + glue for every TLD).
     pub fn build_root_zone(&self) -> Zone {
         let mut zone = Zone::new(Name::root());
-        for (tld, data) in &self.tlds {
+        for data in self.tlds.values() {
+            let tld = &data.name;
             let ns_name = tld.child(b"a-ns").expect("valid tld child");
             zone.add(Record::new(
                 tld.clone(),
@@ -157,7 +162,7 @@ impl DelegationRegistry {
     pub fn build_tld_zone(&self, tld: &Name) -> Zone {
         let data = self
             .tlds
-            .get(tld)
+            .get(&FoldedName::new(tld.borrowed()))
             .unwrap_or_else(|| panic!("unknown TLD {tld}"));
         let mut zone = Zone::new(tld.clone());
         for (domain, nameservers) in &data.delegations {
@@ -243,7 +248,10 @@ mod tests {
     fn root_zone_refers_to_tlds() {
         let r = registry();
         let root = r.build_root_zone();
-        match root.answer(n("www.example.com").borrowed(), RecordType::A) {
+        match root.answer(
+            n("www.example.com").borrowed().fold(&mut Vec::new()),
+            RecordType::A,
+        ) {
             ZoneAnswer::Delegation { ns, glue } => {
                 assert!(!ns.is_empty());
                 assert!(glue.iter().next().is_some());
@@ -256,7 +264,10 @@ mod tests {
     fn tld_zone_refers_to_sld() {
         let r = registry();
         let com = r.build_tld_zone(&n("com"));
-        match com.answer(n("www.example.com").borrowed(), RecordType::A) {
+        match com.answer(
+            n("www.example.com").borrowed().fold(&mut Vec::new()),
+            RecordType::A,
+        ) {
             ZoneAnswer::Delegation { ns, glue } => {
                 assert_eq!(ns.len(), 1);
                 // ns1.example.com is in-bailiwick: glue present
@@ -266,7 +277,10 @@ mod tests {
         }
         // Unregistered name: NXDOMAIN from the TLD
         assert_eq!(
-            com.answer(n("ghost.com").borrowed(), RecordType::A),
+            com.answer(
+                n("ghost.com").borrowed().fold(&mut Vec::new()),
+                RecordType::A
+            ),
             ZoneAnswer::NxDomain
         );
     }
@@ -275,7 +289,10 @@ mod tests {
     fn out_of_bailiwick_ns_has_no_glue() {
         let r = registry();
         let org = r.build_tld_zone(&n("org"));
-        match org.answer(n("hosted.org").borrowed(), RecordType::A) {
+        match org.answer(
+            n("hosted.org").borrowed().fold(&mut Vec::new()),
+            RecordType::A,
+        ) {
             ZoneAnswer::Delegation { ns, glue } => {
                 assert_eq!(ns.len(), 1);
                 assert!(

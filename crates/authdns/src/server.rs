@@ -4,8 +4,8 @@
 use crate::provider::{HostingProvider, ProviderAnswer, PROTECTIVE_TTL};
 use crate::zone::{RrSets, Zone, ZoneAnswer};
 use dnswire::{
-    Class, Message, MessageView, MessageWriter, Name, NameKey, NameRef, Rcode, Record, RecordType,
-    Section,
+    Class, Folded, FoldedName, Message, MessageView, MessageWriter, Name, Rcode, Record,
+    RecordType, Section,
 };
 use fxhash::FxHashMap;
 use simnet::{Actions, Datagram, Node, SimTime};
@@ -36,15 +36,16 @@ fn size_limit(proto: simnet::Proto, query: &MessageView<'_>) -> usize {
 /// What every server node does with a datagram: parse it in place, let
 /// `answer` write the response to its first question, send that back.
 ///
-/// `answer` gets the question and a writer already holding the response
-/// header (NOERROR, question section echoed) and the transport's size
-/// limit; it sets flags and appends records, all of them borrowed from
-/// wherever the node keeps its data. Records that do not fit are cut and
-/// TC set by the writer.
+/// `answer` gets the question's name folded once (read where it lies when
+/// it is already lower case) for every lookup it makes, the question's
+/// type, and a writer already holding the response header (NOERROR,
+/// question section echoed) and the transport's size limit; it sets flags
+/// and appends records, all of them borrowed from wherever the node keeps
+/// its data. Records that do not fit are cut and TC set by the writer.
 fn serve(
     dgram: &Datagram,
     out: &mut Actions,
-    answer: impl FnOnce(NameRef<'_>, RecordType, &mut MessageWriter),
+    answer: impl FnOnce(Folded<'_>, RecordType, &mut MessageWriter),
 ) {
     // Garbage, or a response delivered to a server: silently dropped,
     // exactly like a defensive real-world server.
@@ -58,7 +59,8 @@ fn serve(
         Some(q) => {
             let limit = size_limit(dgram.proto, &query);
             let mut w = MessageWriter::response_to(&query, Rcode::NoError, limit);
-            answer(q.qname.to_buf().borrowed(), q.qtype, &mut w);
+            let mut scratch = Vec::new();
+            answer(q.qname.fold(&mut scratch), q.qtype, &mut w);
             w.finish()
         }
         // Parseable but question-less: answer FORMERR.
@@ -83,8 +85,9 @@ fn push_all<'r>(
     }
 }
 
-/// Write the authoritative response for a [`ZoneAnswer`].
-fn write_zone_answer(w: &mut MessageWriter, soa: Option<&Record>, ans: ZoneAnswer<'_>) {
+/// Write the authoritative response for a [`ZoneAnswer`] of `zone`, whose
+/// SOA is looked up only for a negative answer.
+fn write_zone_answer(w: &mut MessageWriter, zone: &Zone, ans: ZoneAnswer<'_>) {
     let flags = w.flags_mut();
     match ans {
         ZoneAnswer::Records(rs) => {
@@ -97,12 +100,12 @@ fn write_zone_answer(w: &mut MessageWriter, soa: Option<&Record>, ans: ZoneAnswe
         }
         ZoneAnswer::NoData => {
             flags.authoritative = true;
-            push_all(w, Section::Authority, soa);
+            w.push(Section::Authority, zone.soa());
         }
         ZoneAnswer::NxDomain => {
             flags.authoritative = true;
             flags.rcode = Rcode::NxDomain;
-            push_all(w, Section::Authority, soa);
+            w.push(Section::Authority, zone.soa());
         }
         ZoneAnswer::NotInZone => flags.rcode = Rcode::Refused,
     }
@@ -115,19 +118,30 @@ fn write_zone_answer(w: &mut MessageWriter, soa: Option<&Record>, ans: ZoneAnswe
 fn write_provider_answer(
     provider: &HostingProvider,
     ns_ip: Ipv4Addr,
-    qname: NameRef<'_>,
+    qname: Folded<'_>,
     qtype: RecordType,
     w: &mut MessageWriter,
 ) {
     match provider.answer(ns_ip, qname, qtype) {
         ProviderAnswer::FromZone(zid, ans) => {
-            let soa = provider.zone(zid).map(|z| z.zone.soa());
-            write_zone_answer(w, soa, ans);
+            let zone = &provider
+                .zone(zid)
+                .expect("answered from a hosted zone")
+                .zone;
+            write_zone_answer(w, zone, ans);
         }
         ProviderAnswer::Protective(rdata) => {
             w.flags_mut().authoritative = true;
             if let Some(rdata) = rdata {
-                w.record(Section::Answer, qname, Class::In, PROTECTIVE_TTL, rdata);
+                // Owned by the question: written as the pointer to it, in
+                // the case the question was asked in.
+                w.record(
+                    Section::Answer,
+                    qname.name(),
+                    Class::In,
+                    PROTECTIVE_TTL,
+                    rdata,
+                );
             }
         }
         ProviderAnswer::Refused => w.flags_mut().rcode = Rcode::Refused,
@@ -137,7 +151,7 @@ fn write_provider_answer(
 /// Write the response a misconfigured-recursive oracle gives.
 fn write_oracle_answer(
     truth: &AnswerMap,
-    qname: NameRef<'_>,
+    qname: Folded<'_>,
     qtype: RecordType,
     w: &mut MessageWriter,
 ) {
@@ -236,10 +250,10 @@ impl Node for StaticZoneNode {
             // Most specific enclosing zone wins.
             let best = zones
                 .iter()
-                .filter(|z| qname.is_subdomain_of(z.apex().borrowed()))
+                .filter(|z| qname.name().is_subdomain_of(z.apex().borrowed()))
                 .max_by_key(|z| z.apex().label_count());
             match best {
-                Some(zone) => write_zone_answer(w, Some(zone.soa()), zone.answer(qname, qtype)),
+                Some(zone) => write_zone_answer(w, zone, zone.answer(qname, qtype)),
                 None => w.flags_mut().rcode = Rcode::Refused,
             }
         });
@@ -254,7 +268,7 @@ impl Node for StaticZoneNode {
 /// of the delegated web by owner name and type.
 #[derive(Debug, Clone, Default)]
 pub struct AnswerMap {
-    by_name: FxHashMap<Name, RrSets>,
+    by_name: FxHashMap<FoldedName, RrSets>,
 }
 
 impl AnswerMap {
@@ -266,16 +280,16 @@ impl AnswerMap {
     /// Append `record` to the RRset of its owner and type.
     pub fn add(&mut self, record: Record) {
         self.by_name
-            .entry(record.name.clone())
+            .entry(FoldedName::new(record.name.borrowed()))
             .or_default()
             .entry(record.rtype())
             .push(record);
     }
 
     /// The canonical records of `rtype` at `name`, empty if unknown.
-    pub(crate) fn get(&self, name: NameRef<'_>, rtype: RecordType) -> &[Record] {
+    pub(crate) fn get(&self, name: Folded<'_>, rtype: RecordType) -> &[Record] {
         self.by_name
-            .get(&name as &dyn NameKey)
+            .get(name.key())
             .map_or(&[], |sets| sets.get(rtype))
     }
 }

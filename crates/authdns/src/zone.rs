@@ -1,8 +1,7 @@
 //! DNS zones: record storage and authoritative answer logic.
 
-use dnswire::{Name, NameKey, NameRef, RData, Record, RecordType};
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use dnswire::{Folded, FoldedName, Name, RData, Record, RecordType};
+use fxhash::FxHashMap;
 
 /// The RRsets at one owner name, in `RecordType` order. A handful of types
 /// at most, so a sorted vector beats a map per name.
@@ -33,14 +32,16 @@ impl RrSets {
 
 /// A DNS zone: an apex name and the records at or below it.
 ///
-/// Records are stored per owner name in canonical order, one RRset per
-/// type under each, so a lookup borrows the name it is given. The zone
-/// also carries its SOA so negative answers can include it in the
-/// authority section.
+/// Records are stored per owner name, keyed by the folded name, one RRset
+/// per type under each, so a lookup is one hash probe with the bytes of a
+/// name folded once. Every empty non-terminal between an owner and the
+/// apex has an entry too, with no RRsets, so whether a name exists is
+/// that same probe. The zone also carries its SOA so negative answers can
+/// include it in the authority section.
 #[derive(Debug, Clone)]
 pub struct Zone {
     apex: Name,
-    records: BTreeMap<Name, RrSets>,
+    records: FxHashMap<FoldedName, RrSets>,
 }
 
 /// Longest CNAME chain a zone follows before answering with what it has.
@@ -90,7 +91,7 @@ pub struct Glue<'z> {
 
 impl<'z> Glue<'z> {
     /// The glue records.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &'z Record> {
+    pub fn iter(&self) -> impl Iterator<Item = &'z Record> {
         let zone = self.zone;
         self.ns
             .iter()
@@ -149,7 +150,7 @@ impl Zone {
         );
         let mut zone = Zone {
             apex,
-            records: BTreeMap::new(),
+            records: FxHashMap::default(),
         };
         zone.rrset_mut(&soa.name, RecordType::Soa).push(soa);
         zone
@@ -160,12 +161,21 @@ impl Zone {
         &self.apex
     }
 
+    /// The RRset of `rtype` at `owner`, created empty if there is none;
+    /// `owner` and every name between it and the apex get an entry.
     fn rrset_mut(&mut self, owner: &Name, rtype: RecordType) -> &mut Vec<Record> {
-        if !self.records.contains_key(owner) {
-            self.records.insert(owner.clone(), RrSets::default());
+        let mut scratch = Vec::new();
+        let owner = owner.borrowed().fold(&mut scratch);
+        for labels in (self.apex.label_count()..=owner.label_count()).rev() {
+            let name = owner.suffix(labels).expect("within the label count");
+            if self.records.contains_key(name.key()) {
+                break;
+            }
+            self.records
+                .insert(FoldedName::new(name.name()), RrSets::default());
         }
         self.records
-            .get_mut(owner)
+            .get_mut(owner.key())
             .expect("present or just inserted")
             .entry(rtype)
     }
@@ -188,14 +198,12 @@ impl Zone {
     }
 
     /// Every RRset at `owner`.
-    fn sets_at(&self, owner: NameRef<'_>) -> &[(RecordType, Vec<Record>)] {
-        self.records
-            .get(&owner as &dyn NameKey)
-            .map_or(&[], |sets| &sets.0)
+    fn sets_at(&self, owner: Folded<'_>) -> &[(RecordType, Vec<Record>)] {
+        self.records.get(owner.key()).map_or(&[], |sets| &sets.0)
     }
 
-    /// [`Zone::get`] for a borrowed owner.
-    fn rrset(&self, owner: NameRef<'_>, rtype: RecordType) -> &[(RecordType, Vec<Record>)] {
+    /// [`Zone::get`] for a folded owner.
+    fn rrset(&self, owner: Folded<'_>, rtype: RecordType) -> &[(RecordType, Vec<Record>)] {
         let sets = self.sets_at(owner);
         match sets.binary_search_by_key(&rtype, |(t, _)| *t) {
             Ok(i) => &sets[i..=i],
@@ -205,19 +213,18 @@ impl Zone {
 
     /// The RRset of `rtype` at `owner`, if any.
     pub fn get(&self, owner: &Name, rtype: RecordType) -> &[Record] {
-        self.records.get(owner).map_or(&[], |sets| sets.get(rtype))
+        let mut scratch = Vec::new();
+        match self.rrset(owner.borrowed().fold(&mut scratch), rtype) {
+            [(_, set)] => set,
+            _ => &[],
+        }
     }
 
-    /// Whether any record exists at `owner` (of any type) or below it.
-    ///
-    /// Descendants of a name sort directly after it in canonical order, so
-    /// the first key at or after `owner` settles it.
-    fn exists(&self, owner: NameRef<'_>) -> bool {
-        let from: &dyn NameKey = &owner;
-        self.records
-            .range::<dyn NameKey, _>((Bound::Included(from), Bound::Unbounded))
-            .next()
-            .is_some_and(|(name, _)| name.borrowed().is_subdomain_of(owner))
+    /// Whether any record exists at `owner` (of any type) or below it: an
+    /// owner or an empty non-terminal of this zone, or an ancestor of the
+    /// apex (which always holds the SOA).
+    fn exists(&self, owner: Folded<'_>) -> bool {
+        self.records.contains_key(owner.key()) || self.apex.borrowed().is_subdomain_of(owner.name())
     }
 
     /// The zone's SOA record.
@@ -230,10 +237,11 @@ impl Zone {
     /// Implements the RFC 1034 §4.3.2 essentials: exact-match answers,
     /// CNAME chasing within the zone, delegation referrals at NS cuts below
     /// the apex, NODATA and NXDOMAIN distinctions. Nothing is copied: the
-    /// answer borrows the zone's records and the question's name.
-    pub fn answer(&self, qname: NameRef<'_>, qtype: RecordType) -> ZoneAnswer<'_> {
+    /// answer borrows the zone's records, and every lookup probes with the
+    /// folded question name or one of its suffixes.
+    pub fn answer(&self, qname: Folded<'_>, qtype: RecordType) -> ZoneAnswer<'_> {
         let apex = self.apex.borrowed();
-        if !qname.is_subdomain_of(apex) {
+        if !qname.name().is_subdomain_of(apex) {
             return ZoneAnswer::NotInZone;
         }
         // Check for a delegation cut strictly between apex and qname.
@@ -255,6 +263,7 @@ impl Zone {
         }
         // Exact match, following CNAMEs while they stay in the zone.
         let mut cnames = [None; MAX_CNAME_CHAIN];
+        let mut scratch = Vec::new();
         let mut owner = qname;
         for hop in 0..MAX_CNAME_CHAIN {
             let sets = match qtype {
@@ -271,7 +280,7 @@ impl Zone {
             cnames[hop] = Some(c);
             match &c.rdata {
                 RData::Cname(target) if target.is_subdomain_of(&self.apex) => {
-                    owner = target.borrowed();
+                    owner = target.borrowed().fold(&mut scratch);
                 }
                 // CNAME points outside the zone: return what we have.
                 _ => break,
@@ -298,7 +307,7 @@ mod tests {
     }
 
     fn ask<'z>(z: &'z Zone, qname: &str, qtype: RecordType) -> ZoneAnswer<'z> {
-        z.answer(n(qname).borrowed(), qtype)
+        z.answer(n(qname).borrowed().fold(&mut Vec::new()), qtype)
     }
 
     fn records<'z>(answer: ZoneAnswer<'z>) -> Vec<&'z Record> {
@@ -424,16 +433,19 @@ mod tests {
 
     #[test]
     fn name_exists_is_one_step_in_canonical_order() {
-        // The definition the range probe replaced: some record is owned by
-        // the name itself or by a name strictly below it.
+        // The definition the one probe replaced: some record is owned by
+        // the name itself or by a name strictly below it. The map's keys
+        // include empty non-terminals, so the oracle reads the records.
         fn by_scan(z: &Zone, owner: &Name) -> bool {
             z.records
-                .keys()
-                .any(|name| name == owner || name.is_strict_subdomain_of(owner))
+                .values()
+                .flat_map(|sets| sets.0.iter().flat_map(|(_, set)| set))
+                .any(|r| &r.name == owner || r.name.is_strict_subdomain_of(owner))
         }
         let mut ent = Zone::new(n("example.com"));
         ent.add(a("a.b.example.com", [203, 0, 113, 9]));
         ent.add(a("bb.example.com", [203, 0, 113, 10]));
+        let mut scratch = Vec::new();
         for z in [zone(), ent, Zone::new(n("example.com"))] {
             for probe in [
                 "example.com",
@@ -452,9 +464,10 @@ mod tests {
                 "example.org",
             ] {
                 let owner = n(probe);
-                assert_eq!(z.exists(owner.borrowed()), by_scan(&z, &owner), "{probe}");
+                let folded = owner.borrowed().fold(&mut scratch);
+                assert_eq!(z.exists(folded), by_scan(&z, &owner), "{probe}");
             }
-            assert!(z.exists(Name::root().borrowed()));
+            assert!(z.exists(Name::root().borrowed().fold(&mut scratch)));
         }
     }
 

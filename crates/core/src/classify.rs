@@ -8,7 +8,8 @@
 //! probe results. Everything left is *suspicious*.
 
 use crate::types::{
-    ClassifiedUr, CollectedUr, CorrectDb, CorrectReason, ProtectiveDb, TxtCategory, UrCategory,
+    ClassifiedUr, CollectedUr, CorrectDb, CorrectReason, DomainProfile, ProtectiveDb, TxtCategory,
+    UrCategory,
 };
 use dnswire::RecordType;
 use fxhash::FxHashSet;
@@ -119,6 +120,72 @@ fn nonempty_subset<T: Eq + std::hash::Hash>(sub: &FxHashSet<T>, sup: &FxHashSet<
     !sub.is_empty() && sub.is_subset(sup)
 }
 
+/// The first Appendix-B subset condition (IP, AS, geo, then certificate
+/// when `certs` is set) under which `ips` falls inside the correct
+/// profile. Each attribute set is built only once the condition before it
+/// has failed: the IP subset decides most exclusions, and an AS, geo or
+/// certificate set costs one `NetDb` lookup per address.
+fn subset_reason(
+    ips: &[Ipv4Addr],
+    profile: &DomainProfile,
+    metadata: &NetDb,
+    cfg: &ClassifyConfig,
+    certs: bool,
+) -> Option<CorrectReason> {
+    if ips.is_empty() {
+        return None;
+    }
+    fn set_of<T: Eq + std::hash::Hash>(
+        ips: &[Ipv4Addr],
+        attr: impl Fn(Ipv4Addr) -> Option<T>,
+    ) -> FxHashSet<T> {
+        ips.iter().filter_map(|&ip| attr(ip)).collect()
+    }
+    if cfg.use_ip_subset && nonempty_subset(&set_of(ips, Some), &profile.ips) {
+        Some(CorrectReason::IpSubset)
+    } else if cfg.use_as_subset
+        && nonempty_subset(
+            &set_of(ips, |ip| metadata.asn_of(ip).map(|a| a.asn)),
+            &profile.asns,
+        )
+    {
+        Some(CorrectReason::AsSubset)
+    } else if cfg.use_geo_subset
+        && nonempty_subset(
+            &set_of(ips, |ip| metadata.geo_of(ip).map(|g| (g.country, g.city))),
+            &profile.geos,
+        )
+    {
+        Some(CorrectReason::GeoSubset)
+    } else if certs
+        && cfg.use_cert_subset
+        && nonempty_subset(
+            &set_of(ips, |ip| metadata.cert_of(ip).map(|c| c.fingerprint)),
+            &profile.certs,
+        )
+    {
+        Some(CorrectReason::CertSubset)
+    } else {
+        None
+    }
+}
+
+/// Appendix-B condition 5: every record of the UR was seen at its domain
+/// in passive DNS within the window.
+fn in_history(ur: &CollectedUr, history: &PassiveDns, cfg: &ClassifyConfig) -> bool {
+    cfg.use_pdns
+        && !ur.records.is_empty()
+        && ur.records.iter().all(|r| {
+            history.contains(
+                &ur.key.domain,
+                ur.key.rtype,
+                &r.rdata,
+                cfg.today,
+                cfg.pdns_window,
+            )
+        })
+}
+
 fn classify_a(
     ur: &CollectedUr,
     correct: &CorrectDb,
@@ -129,57 +196,26 @@ fn classify_a(
     let ips = ur.a_ips();
     let profile = correct.profile(&ur.key.domain);
 
-    let ip_set: FxHashSet<Ipv4Addr> = ips.iter().copied().collect();
-    let mut asns = FxHashSet::default();
-    let mut geos = FxHashSet::default();
-    let mut certs = FxHashSet::default();
-    for &ip in &ips {
-        if let Some(a) = metadata.asn_of(ip) {
-            asns.insert(a.asn);
-        }
-        if let Some(g) = metadata.geo_of(ip) {
-            geos.insert((g.country, g.city));
-        }
-        if let Some(c) = metadata.cert_of(ip) {
-            certs.insert(c.fingerprint);
-        }
-    }
-
-    let mut reason = None;
-    if cfg.use_ip_subset && nonempty_subset(&ip_set, &profile.ips) {
-        reason = Some(CorrectReason::IpSubset);
-    } else if cfg.use_as_subset && nonempty_subset(&asns, &profile.asns) {
-        reason = Some(CorrectReason::AsSubset);
-    } else if cfg.use_geo_subset && nonempty_subset(&geos, &profile.geos) {
-        reason = Some(CorrectReason::GeoSubset);
-    } else if cfg.use_cert_subset && nonempty_subset(&certs, &profile.certs) {
-        reason = Some(CorrectReason::CertSubset);
-    } else if cfg.use_pdns
-        && !ur.records.is_empty()
-        && ur.records.iter().all(|r| {
-            history.contains(
-                &ur.key.domain,
-                RecordType::A,
-                &r.rdata,
-                cfg.today,
-                cfg.pdns_window,
-            )
-        })
-    {
-        reason = Some(CorrectReason::PassiveDns);
-    } else if cfg.use_http_exclusion {
-        // Parking/redirect keyword exclusion over the HTTP profiles of the
-        // UR's addresses.
-        let kinds: Vec<PageKind> = ips
-            .iter()
-            .filter_map(|&ip| metadata.page_kind_of(ip))
-            .collect();
-        if !kinds.is_empty() && kinds.iter().all(|k| *k == PageKind::Parking) {
-            reason = Some(CorrectReason::Parked);
-        } else if !kinds.is_empty() && kinds.iter().all(|k| *k == PageKind::Redirect) {
-            reason = Some(CorrectReason::Redirect);
-        }
-    }
+    let reason = subset_reason(&ips, profile, metadata, cfg, true)
+        .or_else(|| in_history(ur, history, cfg).then_some(CorrectReason::PassiveDns))
+        .or_else(|| {
+            // Parking/redirect keyword exclusion over the HTTP profiles of
+            // the UR's addresses.
+            if !cfg.use_http_exclusion {
+                return None;
+            }
+            let kinds: Vec<PageKind> = ips
+                .iter()
+                .filter_map(|&ip| metadata.page_kind_of(ip))
+                .collect();
+            if !kinds.is_empty() && kinds.iter().all(|k| *k == PageKind::Parking) {
+                Some(CorrectReason::Parked)
+            } else if !kinds.is_empty() && kinds.iter().all(|k| *k == PageKind::Redirect) {
+                Some(CorrectReason::Redirect)
+            } else {
+                None
+            }
+        });
 
     let category = if reason.is_some() {
         UrCategory::Correct
@@ -211,18 +247,7 @@ fn classify_txt(
             .all(|t| intern::Sym::lookup(t).is_some_and(|s| profile.txts.contains(&s)))
     {
         reason = Some(CorrectReason::TxtExact);
-    } else if cfg.use_pdns
-        && !ur.records.is_empty()
-        && ur.records.iter().all(|r| {
-            history.contains(
-                &ur.key.domain,
-                RecordType::Txt,
-                &r.rdata,
-                cfg.today,
-                cfg.pdns_window,
-            )
-        })
-    {
+    } else if in_history(ur, history, cfg) {
         reason = Some(CorrectReason::PassiveDns);
     }
     let category = if reason.is_some() {
@@ -262,48 +287,19 @@ fn classify_mx(
         .collect();
     let rendered: Vec<String> = ur.records.iter().map(|r| r.rdata.to_string()).collect();
 
-    let mut reason = None;
-    if !rendered.is_empty()
+    let reason = if !rendered.is_empty()
         && rendered
             .iter()
             .all(|m| intern::Sym::lookup(m).is_some_and(|s| profile.mxs.contains(&s)))
     {
-        reason = Some(CorrectReason::MxExact);
-    } else if cfg.use_pdns
-        && !ur.records.is_empty()
-        && ur.records.iter().all(|r| {
-            history.contains(
-                &ur.key.domain,
-                RecordType::Mx,
-                &r.rdata,
-                cfg.today,
-                cfg.pdns_window,
-            )
-        })
-    {
-        reason = Some(CorrectReason::PassiveDns);
-    } else if !ips.is_empty() {
-        // Apply the A-style uniformity conditions to the exchange hosts'
-        // addresses.
-        let ip_set: FxHashSet<Ipv4Addr> = ips.iter().copied().collect();
-        let mut asns = FxHashSet::default();
-        let mut geos = FxHashSet::default();
-        for &ip in &ips {
-            if let Some(a) = metadata.asn_of(ip) {
-                asns.insert(a.asn);
-            }
-            if let Some(g) = metadata.geo_of(ip) {
-                geos.insert((g.country, g.city));
-            }
-        }
-        if cfg.use_ip_subset && nonempty_subset(&ip_set, &profile.ips) {
-            reason = Some(CorrectReason::IpSubset);
-        } else if cfg.use_as_subset && nonempty_subset(&asns, &profile.asns) {
-            reason = Some(CorrectReason::AsSubset);
-        } else if cfg.use_geo_subset && nonempty_subset(&geos, &profile.geos) {
-            reason = Some(CorrectReason::GeoSubset);
-        }
-    }
+        Some(CorrectReason::MxExact)
+    } else if in_history(ur, history, cfg) {
+        Some(CorrectReason::PassiveDns)
+    } else {
+        // The A-style uniformity conditions, over the exchange hosts'
+        // addresses (there is no certificate on a mail exchange).
+        subset_reason(&ips, profile, metadata, cfg, false)
+    };
     let category = if reason.is_some() {
         UrCategory::Correct
     } else {
@@ -517,6 +513,8 @@ mod tests {
             metadata.set_cert(ip(a), CertInfo::for_domain("site.com", "SimCA"));
         }
         metadata.set_geo(ip("40.0.0.10"), GeoInfo::new("RU", 7));
+        // The correct certificate, served from a foreign AS and place.
+        metadata.set_cert(ip("40.0.0.20"), CertInfo::for_domain("site.com", "SimCA"));
         // Unrouted, but in the correct geo.
         metadata.set_geo(ip("50.0.0.10"), GeoInfo::new("US", 1));
         metadata.set_http(ip("60.0.0.10"), HttpProfile::parking());
@@ -603,6 +601,32 @@ mod tests {
         // the correct set, and the empty cert set must not subset-match.
         let c = run(&f, &a_ur("site.com", "20.0.0.5", &["40.0.0.99"]));
         assert_eq!(c.category, UrCategory::Unknown);
+    }
+
+    #[test]
+    fn classify_a_reaches_every_outcome() {
+        // One address per outcome, under the default configuration: each
+        // condition decides only once every condition before it failed.
+        let f = fixture();
+        for (addr, want) in [
+            ("30.0.0.10", Some(CorrectReason::IpSubset)),
+            ("30.0.0.12", Some(CorrectReason::AsSubset)),
+            ("50.0.0.10", Some(CorrectReason::GeoSubset)),
+            ("40.0.0.20", Some(CorrectReason::CertSubset)),
+            ("31.0.0.10", Some(CorrectReason::PassiveDns)),
+            ("60.0.0.10", Some(CorrectReason::Parked)),
+            ("60.0.0.11", Some(CorrectReason::Redirect)),
+            ("40.0.0.10", None),
+        ] {
+            let c = run(&f, &a_ur("site.com", "20.0.0.5", &[addr]));
+            assert_eq!(c.correct_reason, want, "{addr}");
+            let category = match want {
+                Some(_) => UrCategory::Correct,
+                None => UrCategory::Unknown,
+            };
+            assert_eq!(c.category, category, "{addr}");
+            assert_eq!(c.corresponding_ips, vec![ip(addr)], "{addr}");
+        }
     }
 
     #[test]

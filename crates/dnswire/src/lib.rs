@@ -51,7 +51,7 @@ pub use message::{
     encode_query, Flags, Message, MessageView, MessageWriter, Section, MAX_MESSAGE_LEN,
     MAX_UDP_PAYLOAD,
 };
-pub use name::{Name, NameBuf, NameKey, NameRef, WireName, MAX_LABEL_LEN, MAX_NAME_LEN};
+pub use name::{Folded, FoldedName, Name, NameRef, WireName, MAX_LABEL_LEN, MAX_NAME_LEN};
 pub use rdata::{RData, RDataView};
 pub use record::{Question, QuestionView, Record, RecordView};
 pub use types::{Class, Opcode, Rcode, RecordType};

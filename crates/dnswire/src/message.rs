@@ -3,7 +3,7 @@
 use crate::error::{WireError, WireResult};
 use crate::name::{CompressionMap, Name, NameRef};
 use crate::rdata::RData;
-use crate::record::{encode_question, encode_record, Question, QuestionView, Record, RecordView};
+use crate::record::{encode_record, Question, QuestionView, Record, RecordView};
 use crate::types::{Class, Opcode, Rcode, RecordType};
 use std::fmt;
 
@@ -331,11 +331,21 @@ impl MessageWriter {
     }
 
     /// Start the response to `query`: its id, opcode and RD bit, and its
-    /// question section echoed.
+    /// question section echoed. The first question is the one the view
+    /// kept, copied from where it lies; a question section is only read
+    /// again when there is more than one.
     pub fn response_to(query: &MessageView<'_>, rcode: Rcode, limit: usize) -> Self {
         let mut w = MessageWriter::new(query.id, response_flags(&query.flags, rcode), limit);
-        for q in query.questions() {
-            w.question(q.qname.to_buf().borrowed(), q.qtype, q.qclass);
+        let mut echo = |q: QuestionView<'_>| match q.qname.literal() {
+            Some(qname) => w.question(qname, q.qtype, q.qclass),
+            // Interrupted by a pointer: rare enough to own a copy.
+            None => w.question(q.qname.to_name().borrowed(), q.qtype, q.qclass),
+        };
+        if let Some(first) = query.first {
+            echo(first);
+        }
+        if query.counts[0] > 1 {
+            query.questions().skip(1).for_each(echo);
         }
         w
     }
@@ -349,7 +359,17 @@ impl MessageWriter {
     /// rolled back.
     pub(crate) fn question(&mut self, qname: NameRef<'_>, qtype: RecordType, qclass: Class) {
         debug_assert_eq!(self.counts[1..], [0; 3], "questions precede records");
-        encode_question(qname, qtype, qclass, &mut self.buf, &mut self.map);
+        if self.counts[0] == 0 {
+            // The first name of a message has nothing to point at: it is
+            // written literally, and enters the compression map only when
+            // a later name needs its suffixes.
+            self.map.defer_first(self.buf.len(), qname);
+            qname.encode_uncompressed(&mut self.buf);
+        } else {
+            qname.encode_compressed(&mut self.buf, &mut self.map);
+        }
+        self.buf.extend_from_slice(&qtype.code().to_be_bytes());
+        self.buf.extend_from_slice(&qclass.code().to_be_bytes());
         self.counts[0] = self.counts[0].saturating_add(1);
     }
 
@@ -483,6 +503,9 @@ pub struct MessageView<'a> {
     counts: [u16; 4],
     /// Where each record section starts.
     starts: [usize; 3],
+    /// The first question, as validated: a server reads it, sizes and
+    /// echoes its response by it without parsing it again.
+    first: Option<QuestionView<'a>>,
 }
 
 impl<'a> MessageView<'a> {
@@ -509,11 +532,12 @@ impl<'a> MessageView<'a> {
         let word = |i: usize| u16::from_be_bytes([msg[i], msg[i + 1]]);
         let counts = [word(4), word(6), word(8), word(10)];
         let mut pos = 12;
+        let mut first = None;
         for i in 0..counts[0] {
-            question(
-                QuestionView::parse(msg, &mut pos)
-                    .map_err(|e| short_section(e, "question", counts[0], i))?,
-            );
+            let q = QuestionView::parse(msg, &mut pos)
+                .map_err(|e| short_section(e, "question", counts[0], i))?;
+            first = first.or(Some(q));
+            question(q);
         }
         let mut starts = [0; 3];
         for (s, (section, label)) in [
@@ -542,6 +566,7 @@ impl<'a> MessageView<'a> {
             flags: Flags::from_u16(word(2)),
             counts,
             starts,
+            first,
         })
     }
 
@@ -553,7 +578,7 @@ impl<'a> MessageView<'a> {
 
     /// First question, if any.
     pub fn question(&self) -> Option<QuestionView<'a>> {
-        self.questions().next()
+        self.first
     }
 
     fn records(&self, section: Section) -> impl Iterator<Item = RecordView<'a>> {
@@ -841,7 +866,7 @@ mod tests {
         let mut w = MessageWriter::response_to(&view, Rcode::NoError, MAX_UDP_PAYLOAD);
         w.flags_mut().authoritative = true;
         let rdata = RData::A(Ipv4Addr::new(192, 0, 2, 1));
-        let owner = asked.qname.to_buf();
+        let owner = asked.qname.to_name();
         assert!(w.record(Section::Answer, owner.borrowed(), Class::In, 300, &rdata));
         let resp = w.finish().unwrap();
 
@@ -853,6 +878,147 @@ mod tests {
         // The owner is a pointer at the echoed question: header, question,
         // then 2 + 10 + 4 bytes of record.
         assert_eq!(resp.len(), 12 + 13 + 4 + 16);
+    }
+
+    /// The bytes after the header of `m`, encoded.
+    fn body(m: &Message) -> Vec<u8> {
+        m.encode().unwrap()[12..].to_vec()
+    }
+
+    /// `name`'s uncompressed wire form.
+    fn literal(name: &str) -> Vec<u8> {
+        let mut buf = Vec::new();
+        Name::encode_uncompressed(&name.parse().unwrap(), &mut buf);
+        buf
+    }
+
+    /// A record's fixed part: type, class IN, TTL 60 and RDLENGTH.
+    fn fixed(rtype: RecordType, rdlength: u16) -> Vec<u8> {
+        let mut f = rtype.code().to_be_bytes().to_vec();
+        f.extend_from_slice(&[0, 1, 0, 0, 0, 60]);
+        f.extend_from_slice(&rdlength.to_be_bytes());
+        f
+    }
+
+    #[test]
+    fn a_root_question_and_a_root_owner_are_each_the_byte_zero() {
+        let q = Message::query(1, Question::new(Name::root(), RecordType::Ns));
+        let mut r = Message::response_to(&q, Rcode::NoError);
+        r.answers.push(Record::new(
+            Name::root(),
+            60,
+            RData::Ns(name("a.root-servers.net")),
+        ));
+        let target = literal("a.root-servers.net");
+        let mut want = vec![0, 0, 2, 0, 1, 0];
+        want.extend(fixed(RecordType::Ns, target.len() as u16));
+        want.extend(target);
+        assert_eq!(body(&r), want);
+        assert_eq!(Message::decode(&r.encode().unwrap()).unwrap(), r);
+    }
+
+    #[test]
+    fn an_owner_equal_to_the_question_in_another_case_points_at_it() {
+        let q = Message::query(2, Question::new(name("Www.Example.COM"), RecordType::A));
+        let mut r = Message::response_to(&q, Rcode::NoError);
+        r.answers.push(Record::new(
+            name("wWW.example.com"),
+            60,
+            RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+        ));
+        let mut want = literal("Www.Example.COM");
+        want.extend_from_slice(&[0, 1, 0, 1, 0xC0, 0x0C]);
+        want.extend(fixed(RecordType::A, 4));
+        want.extend_from_slice(&[192, 0, 2, 1]);
+        assert_eq!(body(&r), want);
+        // The owner reads back in the question's case.
+        let back = Message::decode(&r.encode().unwrap()).unwrap();
+        assert_eq!(back.answers[0].name.to_string(), "Www.Example.COM");
+    }
+
+    #[test]
+    fn rdata_names_point_into_the_question() {
+        // www.example.com at 12: `example` at 16, `com` at 24.
+        let q = Message::query(3, Question::new(name("www.example.com"), RecordType::Any));
+        let mut r = Message::response_to(&q, Rcode::NoError);
+        r.answers.push(Record::new(
+            name("www.example.com"),
+            60,
+            RData::Cname(name("Example.com")),
+        ));
+        r.answers.push(Record::new(
+            name("example.com"),
+            60,
+            RData::Mx {
+                preference: 10,
+                exchange: name("mail.example.com"),
+            },
+        ));
+        r.authorities.push(Record::new(
+            name("example.com"),
+            60,
+            RData::Soa {
+                mname: name("ns1.example.com"),
+                rname: name("COM"),
+                serial: 1,
+                refresh: 2,
+                retry: 3,
+                expire: 4,
+                minimum: 5,
+            },
+        ));
+        let mut want = literal("www.example.com");
+        want.extend_from_slice(&[0, 255, 0, 1]);
+        want.extend_from_slice(&[0xC0, 12]);
+        want.extend(fixed(RecordType::Cname, 2));
+        want.extend_from_slice(&[0xC0, 16]);
+        want.extend_from_slice(&[0xC0, 16]);
+        want.extend(fixed(RecordType::Mx, 9));
+        want.extend_from_slice(&[0, 10, 4, b'm', b'a', b'i', b'l', 0xC0, 16]);
+        want.extend_from_slice(&[0xC0, 16]);
+        want.extend(fixed(RecordType::Soa, 6 + 2 + 20));
+        want.extend_from_slice(&[3, b'n', b's', b'1', 0xC0, 16, 0xC0, 24]);
+        for v in 1u32..=5 {
+            want.extend_from_slice(&v.to_be_bytes());
+        }
+        assert_eq!(body(&r), want);
+        assert_eq!(Message::decode(&r.encode().unwrap()).unwrap(), r);
+    }
+
+    #[test]
+    fn a_second_question_compresses_against_the_first() {
+        let mut q = Message::query(4, Question::new(name("a.example.com"), RecordType::A));
+        q.questions
+            .push(Question::new(name("A.EXAMPLE.com"), RecordType::Txt));
+        q.questions
+            .push(Question::new(name("b.example.com"), RecordType::Mx));
+        // `example` of the first question is at 14.
+        let mut want = literal("a.example.com");
+        want.extend_from_slice(&[0, 1, 0, 1]);
+        want.extend_from_slice(&[0xC0, 12, 0, 16, 0, 1]);
+        want.extend_from_slice(&[1, b'b', 0xC0, 14, 0, 15, 0, 1]);
+        assert_eq!(body(&q), want);
+        assert_eq!(Message::decode(&q.encode().unwrap()).unwrap(), q);
+    }
+
+    #[test]
+    fn a_cut_at_the_first_record_leaves_the_question_alone() {
+        let q = Message::query(5, Question::new(name("www.example.com"), RecordType::Txt));
+        let mut r = Message::response_to(&q, Rcode::NoError);
+        r.answers.push(Record::new(
+            name("www.example.com"),
+            60,
+            RData::txt_from_str(&"x".repeat(100)),
+        ));
+        let question_only = 12 + literal("www.example.com").len() + 4;
+        let wire = r.encode_truncated(question_only + 20).unwrap();
+        let mut want = Message::response_to(&q, Rcode::NoError);
+        want.flags.truncated = true;
+        assert_eq!(wire, want.encode().unwrap());
+        assert_eq!(wire.len(), question_only);
+        // With room for the record, the same writer points at the question.
+        let whole = r.encode_truncated(MAX_UDP_PAYLOAD).unwrap();
+        assert_eq!(&whole[question_only..question_only + 2], &[0xC0, 12]);
     }
 
     #[test]

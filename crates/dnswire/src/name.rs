@@ -52,9 +52,10 @@ pub struct Name {
     labels: u8,
 }
 
-/// A borrowed name: a whole [`Name`], a suffix of one, or a [`NameBuf`].
-/// `Copy`, allocation-free, and interchangeable with `&Name` wherever a
-/// name is only read — including as a map key through [`NameKey`].
+/// A borrowed name: a whole [`Name`], a suffix of one, or a name where it
+/// lies in a message. `Copy`, allocation-free, and interchangeable with
+/// `&Name` wherever a name is only read; [`NameRef::fold`] makes it a map
+/// key.
 #[derive(Clone, Copy)]
 pub struct NameRef<'a> {
     /// Well-formed flat form: every length byte is 1..=63 and the labels
@@ -214,6 +215,30 @@ impl<'a> NameRef<'a> {
         }
     }
 
+    /// This name folded for a map lookup: borrowed as it is when it has
+    /// no upper-case letter (a generated world's names never do), else
+    /// copied lowercased into `scratch`, which keeps its capacity for the
+    /// next fold.
+    pub fn fold<'s>(self, scratch: &'s mut Vec<u8>) -> Folded<'s>
+    where
+        'a: 's,
+    {
+        // No early exit: the whole name is one vectorized pass.
+        if !self
+            .flat
+            .iter()
+            .fold(false, |upper, b| upper | b.is_ascii_uppercase())
+        {
+            return Folded(self);
+        }
+        scratch.clear();
+        scratch.extend(self.flat.iter().map(u8::to_ascii_lowercase));
+        Folded(NameRef {
+            flat: scratch,
+            labels: self.labels,
+        })
+    }
+
     /// The trailing `n` labels, or `None` if `n` exceeds the label count.
     /// Borrows from the same buffer: no allocation.
     pub fn suffix(self, n: usize) -> Option<NameRef<'a>> {
@@ -267,19 +292,17 @@ impl<'a> NameRef<'a> {
     /// suffix trie); the longest suffix already written at a pointable
     /// offset is replaced with a 2-byte pointer, and newly written labels
     /// at offsets ≤ 0x3FFF become pointer targets for later names.
-    /// Matching is case-insensitive (RFC 1035 §2.3.3).
+    /// Matching is case-insensitive (RFC 1035 §2.3.3). A name equal to the
+    /// message's first name is the pointer to it without a trie walk (see
+    /// [`CompressionMap::defer_first`]).
     pub(crate) fn encode_compressed(self, buf: &mut Vec<u8>, map: &mut CompressionMap) {
+        if let Some(at) = map.pointer_to_first(self, buf) {
+            push_pointer(buf, at);
+            return;
+        }
         let n = self.label_count();
         let starts = self.label_starts();
-        // Node ids for every suffix, built right-to-left so each node's
-        // parent already exists.
-        let mut chain = [CompressionMap::ROOT; MAX_LABELS];
-        let mut parent = CompressionMap::ROOT;
-        for i in (0..n).rev() {
-            let node = map.node(parent, self.label_at(starts[i]));
-            chain[i] = node;
-            parent = node;
-        }
+        let chain = map.suffix_nodes(self, &starts);
         // The longest suffix already written at a pointable offset.
         let pointer = (0..n).find_map(|i| map.offset(chain[i]).map(|off| (i, off)));
         let literal_upto = pointer.map_or(n, |(i, _)| i);
@@ -293,33 +316,16 @@ impl<'a> NameRef<'a> {
             buf.extend_from_slice(l);
         }
         match pointer {
-            Some((_, off)) => {
-                buf.push(0xC0 | ((off >> 8) as u8));
-                buf.push((off & 0xFF) as u8);
-            }
+            Some((_, off)) => push_pointer(buf, off),
             None => buf.push(0),
         }
     }
 }
 
-/// A name held inline: 254 bytes on the stack, no heap. The place a
-/// [`WireName`] is flattened into when its labels are needed contiguously
-/// (a server looking its question up, echoing it back compressed).
-#[derive(Clone)]
-pub struct NameBuf {
-    flat: [u8; MAX_FLAT_LEN],
-    len: u8,
-    labels: u8,
-}
-
-impl NameBuf {
-    /// The held name, borrowed.
-    pub fn borrowed(&self) -> NameRef<'_> {
-        NameRef {
-            flat: &self.flat[..self.len as usize],
-            labels: self.labels,
-        }
-    }
+/// A compression pointer to message offset `off`.
+fn push_pointer(buf: &mut Vec<u8>, off: u16) {
+    buf.push(0xC0 | ((off >> 8) as u8));
+    buf.push((off & 0xFF) as u8);
 }
 
 /// A validated name inside a message: where it starts, how many labels it
@@ -415,39 +421,48 @@ impl<'a> WireName<'a> {
         }
     }
 
-    fn copy_flat(&self, flat: &mut [u8]) {
-        if self.literal {
-            let n = self.flat_len as usize;
-            flat[..n].copy_from_slice(&self.msg[self.start..self.start + n]);
-            return;
+    /// The name where it lies, when no pointer interrupts it: a message's
+    /// first name always, unless it points back into the header.
+    pub(crate) fn literal(&self) -> Option<NameRef<'a>> {
+        self.literal.then(|| NameRef {
+            flat: &self.msg[self.start..self.start + self.flat_len as usize],
+            labels: self.labels,
+        })
+    }
+
+    /// [`NameRef::fold`] of this name, read in place when it is literal.
+    pub fn fold<'s>(&self, scratch: &'s mut Vec<u8>) -> Folded<'s>
+    where
+        'a: 's,
+    {
+        if let Some(name) = self.literal() {
+            return name.fold(scratch);
         }
-        let mut at = 0;
+        scratch.clear();
         for l in self.labels() {
-            flat[at] = l.len() as u8;
-            flat[at + 1..at + 1 + l.len()].copy_from_slice(l);
-            at += 1 + l.len();
+            scratch.push(l.len() as u8);
+            scratch.extend(l.iter().map(u8::to_ascii_lowercase));
         }
+        Folded(NameRef {
+            flat: scratch,
+            labels: self.labels,
+        })
     }
 
     /// An owned copy: the one allocation a decoded name costs.
     pub(crate) fn to_name(self) -> Name {
-        let mut flat = vec![0u8; self.flat_len as usize].into_boxed_slice();
-        self.copy_flat(&mut flat);
+        if let Some(name) = self.literal() {
+            return name.to_name();
+        }
+        let mut flat = Vec::with_capacity(self.flat_len as usize);
+        for l in self.labels() {
+            flat.push(l.len() as u8);
+            flat.extend_from_slice(l);
+        }
         Name {
-            flat,
+            flat: flat.into_boxed_slice(),
             labels: self.labels,
         }
-    }
-
-    /// A flattened copy on the stack.
-    pub fn to_buf(self) -> NameBuf {
-        let mut buf = NameBuf {
-            flat: [0; MAX_FLAT_LEN],
-            len: self.flat_len,
-            labels: self.labels,
-        };
-        self.copy_flat(&mut buf.flat);
-        buf
     }
 
     /// Case-insensitive equality with an owned or borrowed name, in place.
@@ -489,68 +504,65 @@ impl<'a> Iterator for WireLabels<'a> {
     }
 }
 
-/// Anything that can stand in for a [`Name`] as a map key.
-///
-/// `HashMap<Name, _>` and `BTreeMap<Name, _>` can be probed with
-/// `&dyn NameKey` — a `&Name`, or a [`NameRef`] such as a suffix of the
-/// query name — without building an owned key: `Name: Borrow<dyn NameKey>`,
-/// and the trait object hashes, compares and orders exactly as `Name` does.
+/// A name folded for a map: its flat form with every ASCII letter
+/// lowercased. Two names are equal (RFC 1035 §2.3.3) exactly when their
+/// folded bytes are, so a map keyed by [`FoldedName`] hashes a probe's
+/// bytes in one pass and compares them with `==`, with no case-insensitive
+/// compare and no label walk.
 ///
 /// ```
-/// use dnswire::{Name, NameKey};
+/// use dnswire::{FoldedName, Name};
 /// use std::collections::HashMap;
-/// let mut zones: HashMap<Name, u32> = HashMap::new();
-/// zones.insert("Example.com".parse().unwrap(), 7);
-/// let q: Name = "www.example.com".parse().unwrap();
-/// let apex = q.borrowed().suffix(2).unwrap();
-/// assert_eq!(zones.get(&apex as &dyn NameKey), Some(&7));
+/// let mut zones: HashMap<FoldedName, u32> = HashMap::new();
+/// zones.insert(FoldedName::new("Example.com".parse::<Name>().unwrap().borrowed()), 7);
+/// let q: Name = "www.EXAMPLE.com".parse().unwrap();
+/// let mut scratch = Vec::new();
+/// let apex = q.borrowed().fold(&mut scratch).suffix(2).unwrap();
+/// assert_eq!(zones.get(apex.key()), Some(&7));
 /// ```
-pub trait NameKey {
-    /// The name to hash and compare by.
-    fn name_ref(&self) -> NameRef<'_>;
-}
+#[derive(Clone, Copy)]
+pub struct Folded<'a>(NameRef<'a>);
 
-impl NameKey for Name {
-    fn name_ref(&self) -> NameRef<'_> {
-        self.borrowed()
+impl<'a> Folded<'a> {
+    /// The folded flat bytes: what a [`FoldedName`]-keyed map is probed
+    /// with.
+    pub fn key(self) -> &'a [u8] {
+        self.0.flat
+    }
+
+    /// The folded name as a name (every letter lower case).
+    pub fn name(self) -> NameRef<'a> {
+        self.0
+    }
+
+    /// Number of labels, excluding the root.
+    pub fn label_count(self) -> usize {
+        self.0.label_count()
+    }
+
+    /// The trailing `n` labels, still folded; `None` if `n` exceeds the
+    /// label count.
+    pub fn suffix(self, n: usize) -> Option<Folded<'a>> {
+        self.0.suffix(n).map(Folded)
     }
 }
 
-impl NameKey for NameRef<'_> {
-    fn name_ref(&self) -> NameRef<'_> {
-        *self
+/// The owned key of a name-keyed map: a name's folded flat bytes (see
+/// [`Folded`]). It hashes and compares as those bytes do, so the map is
+/// probed with [`Folded::key`].
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct FoldedName(Box<[u8]>);
+
+impl FoldedName {
+    /// The key of `name`.
+    pub fn new(name: NameRef<'_>) -> Self {
+        FoldedName(name.flat.to_ascii_lowercase().into_boxed_slice())
     }
 }
 
-impl<'a> Borrow<dyn NameKey + 'a> for Name {
-    fn borrow(&self) -> &(dyn NameKey + 'a) {
-        self
-    }
-}
-
-impl PartialEq for dyn NameKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.name_ref() == other.name_ref()
-    }
-}
-
-impl Eq for dyn NameKey + '_ {}
-
-impl Hash for dyn NameKey + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.name_ref().hash(state)
-    }
-}
-
-impl PartialOrd for dyn NameKey + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for dyn NameKey + '_ {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.name_ref().cmp(&other.name_ref())
+impl Borrow<[u8]> for FoldedName {
+    fn borrow(&self) -> &[u8] {
+        &self.0
     }
 }
 
@@ -571,6 +583,18 @@ pub(crate) struct CompressionMap {
     /// First node of each hash bucket ([`CompressionMap::NONE`] when
     /// empty); allocated on first use.
     heads: Vec<u32>,
+    /// The message's first name, written literally ahead of the trie.
+    first: Option<FirstName>,
+}
+
+/// Where a message's first name lies, and whether its suffixes are in the
+/// trie yet.
+#[derive(Debug, Clone, Copy)]
+struct FirstName {
+    at: u16,
+    len: u8,
+    labels: u8,
+    registered: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -605,6 +629,63 @@ impl CompressionMap {
         }
         self.nodes.clear();
         self.arena.clear();
+        self.first = None;
+    }
+
+    /// `name` was just written literally at offset `at` as the message's
+    /// first name, with the map still empty. Its suffixes enter the trie
+    /// only when a later name that is not equal to it is encoded — the
+    /// state the trie would have held from the start, since nothing else
+    /// was registered in between — and a later name equal to it is the
+    /// pointer to `at` without a trie walk, the pointer the trie would
+    /// have found. A REFUSED reply, which writes nothing after its
+    /// question, never builds a node.
+    pub(crate) fn defer_first(&mut self, at: usize, name: NameRef<'_>) {
+        debug_assert!(self.nodes.is_empty() && at <= 0x3FFF);
+        self.first = Some(FirstName {
+            at: at as u16,
+            len: name.flat.len() as u8,
+            labels: name.labels,
+            registered: false,
+        });
+    }
+
+    /// The offset `name` points at when it equals the first name (the
+    /// root excepted: it is the single byte `0`). Any other name first
+    /// brings the first name's suffixes into the trie, once.
+    fn pointer_to_first(&mut self, name: NameRef<'_>, buf: &[u8]) -> Option<u16> {
+        let first = self.first.as_mut()?;
+        let at = first.at as usize;
+        let written = &buf[at..at + first.len as usize];
+        if name.labels > 0 && written.eq_ignore_ascii_case(name.flat) {
+            return Some(first.at);
+        }
+        if !first.registered {
+            first.registered = true;
+            let first = NameRef {
+                flat: written,
+                labels: first.labels,
+            };
+            let starts = first.label_starts();
+            let chain = self.suffix_nodes(first, &starts);
+            for (&node, &start) in chain.iter().zip(&starts).take(first.label_count()) {
+                self.record_offset(node, (at + start as usize) as u16);
+            }
+        }
+        None
+    }
+
+    /// Node ids for every suffix of `name` (`starts` are its label
+    /// offsets), built right-to-left so each node's parent already exists.
+    fn suffix_nodes(&mut self, name: NameRef<'_>, starts: &[u8; MAX_LABELS]) -> [u32; MAX_LABELS] {
+        let mut chain = [Self::ROOT; MAX_LABELS];
+        let mut parent = Self::ROOT;
+        for i in (0..name.label_count()).rev() {
+            let node = self.node(parent, name.label_at(starts[i]));
+            chain[i] = node;
+            parent = node;
+        }
+        chain
     }
 
     fn bucket_of(parent: u32, label: &[u8]) -> u16 {
@@ -816,7 +897,7 @@ impl fmt::Debug for Name {
 
 impl fmt::Debug for WireName<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.to_buf().borrowed().fmt(f)
+        self.to_name().fmt(f)
     }
 }
 
@@ -1021,22 +1102,48 @@ mod tests {
 
     #[test]
     fn borrowed_suffix_probes_maps_keyed_by_name() {
-        use std::collections::{BTreeMap, HashMap};
+        use std::collections::HashMap;
         let keys = ["example.com", "CO.uk", "a.b.example.com"];
-        let hashed: HashMap<Name, usize> = keys.iter().map(|k| n(k)).zip(0..).collect();
-        let ordered: BTreeMap<Name, usize> = keys.iter().map(|k| n(k)).zip(0..).collect();
+        let folded: HashMap<FoldedName, usize> = keys
+            .iter()
+            .map(|k| FoldedName::new(n(k).borrowed()))
+            .zip(0..)
+            .collect();
         let q = n("x.A.B.Example.COM");
+        let mut scratch = Vec::new();
+        let whole = q.borrowed().fold(&mut scratch);
+        assert_eq!(whole.name().to_string(), "x.a.b.example.com");
         let hits: Vec<Option<usize>> = (0..=q.label_count())
             .map(|take| {
-                let suffix = q.borrowed().suffix(take).unwrap();
-                let owned = q.suffix(take).unwrap();
-                let got = hashed.get(&suffix as &dyn NameKey).copied();
-                assert_eq!(got, hashed.get(&owned).copied());
-                assert_eq!(got, ordered.get(&suffix as &dyn NameKey).copied());
+                let suffix = whole.suffix(take).unwrap();
+                let got = folded.get(suffix.key()).copied();
+                let owned = FoldedName::new(q.suffix(take).unwrap().borrowed());
+                assert_eq!(got, folded.get(&owned).copied());
                 got
             })
             .collect();
         assert_eq!(hits, vec![None, None, Some(0), None, Some(2), None]);
+    }
+
+    #[test]
+    fn folding_borrows_a_lower_case_name() {
+        let mut scratch = Vec::new();
+        let lower = n("www.example.com");
+        let f = lower.borrowed().fold(&mut scratch);
+        assert_eq!(f.key(), &lower.flat[..]);
+        assert!(scratch.is_empty(), "nothing copied");
+        let mixed = n("WWW.Example.com");
+        assert_eq!(mixed.borrowed().fold(&mut scratch).key(), &lower.flat[..]);
+        assert_eq!(Name::root().borrowed().fold(&mut scratch).key(), b"");
+        // A wire name behind a pointer folds label by label.
+        let mut buf = Vec::new();
+        let mut map = CompressionMap::default();
+        n("Example.COM").encode_compressed(&mut buf, &mut map);
+        let second = buf.len();
+        n("WWW.example.com").encode_compressed(&mut buf, &mut map);
+        let wire = WireName::parse(&buf, &mut { second }).unwrap();
+        assert!(wire.literal().is_none());
+        assert_eq!(wire.fold(&mut scratch).key(), &lower.flat[..]);
     }
 
     #[test]
@@ -1054,7 +1161,6 @@ mod tests {
         assert!(!wire.matches(n("www.example.com").borrowed()));
         assert_eq!(wire.to_name(), n("mail.example.com"));
         // Case is carried from where the bytes were first written.
-        assert_eq!(wire.to_buf().borrowed().to_string(), "mail.Example.com");
-        assert_eq!(wire.to_buf().borrowed(), n("mail.example.com").borrowed());
+        assert_eq!(wire.to_name().to_string(), "mail.Example.com");
     }
 }

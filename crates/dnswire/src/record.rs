@@ -28,19 +28,6 @@ impl Question {
     }
 }
 
-/// Encode a question from its parts into `buf`, using the shared compression map.
-pub(crate) fn encode_question(
-    qname: NameRef<'_>,
-    qtype: RecordType,
-    qclass: Class,
-    buf: &mut Vec<u8>,
-    offsets: &mut CompressionMap,
-) {
-    qname.encode_compressed(buf, offsets);
-    buf.extend_from_slice(&qtype.code().to_be_bytes());
-    buf.extend_from_slice(&qclass.code().to_be_bytes());
-}
-
 /// A validated question still inside its message.
 #[derive(Debug, Clone, Copy)]
 pub struct QuestionView<'a> {
@@ -232,13 +219,9 @@ mod tests {
     fn question_roundtrip() {
         let q = Question::new(name("example.com"), RecordType::Txt);
         let mut buf = Vec::new();
-        encode_question(
-            q.qname.borrowed(),
-            q.qtype,
-            q.qclass,
-            &mut buf,
-            &mut CompressionMap::default(),
-        );
+        q.qname.encode_uncompressed(&mut buf);
+        buf.extend_from_slice(&q.qtype.code().to_be_bytes());
+        buf.extend_from_slice(&q.qclass.code().to_be_bytes());
         let mut pos = 0;
         let back = QuestionView::parse(&buf, &mut pos).map(QuestionView::to_question);
         assert_eq!(back.unwrap(), q);

@@ -507,8 +507,10 @@ mod tests {
         let target = &w.legit[0].domain;
         let p = w.plan.node_provider[&scope[0]] as usize;
         let (prov_full, prov_again) = (w.plan.build_provider(p), w.plan.build_provider(p));
-        let answer = prov_full.answer(scope[0], target.borrowed(), RecordType::A);
-        let again = prov_again.answer(scope[0], target.borrowed(), RecordType::A);
+        let mut scratch = Vec::new();
+        let target = target.borrowed().fold(&mut scratch);
+        let answer = prov_full.answer(scope[0], target, RecordType::A);
+        let again = prov_again.answer(scope[0], target, RecordType::A);
         assert_eq!(
             format!("{answer:?}"),
             format!("{again:?}"),

@@ -46,6 +46,28 @@ enum Kind {
     ProtectiveA,
     HostedA,
     Txt,
+    /// NOERROR with no answer and the zone's SOA in authority: the one
+    /// answer that reads the SOA.
+    NoData,
+}
+
+/// Whether `ns` answers `domain`/`rtype` with NODATA, asked once more
+/// through the owned-message client, which shows the authority section.
+fn is_nodata(
+    net: &mut simnet::Network,
+    scanner: Ipv4Addr,
+    ns: Ipv4Addr,
+    domain: &Name,
+    rtype: RecordType,
+) -> bool {
+    authdns::dns_query(net, scanner, ns, domain, rtype, 0xD47A).is_some_and(|resp| {
+        resp.rcode() == Rcode::NoError
+            && resp.answers.is_empty()
+            && resp
+                .authorities
+                .iter()
+                .any(|r| r.rtype() == RecordType::Soa)
+    })
 }
 
 /// Warm the probe path up, then hold one probe of each kind to its budget
@@ -93,6 +115,12 @@ fn hold_probes_to_their_budgets(hub: Option<std::sync::Arc<obs::Obs>>) {
                         _ => Kind::HostedA,
                     },
                     (Rcode::NoError, Some(_), RecordType::Txt) => Kind::Txt,
+                    (Rcode::NoError, None, _)
+                        if !examples.contains_key(&Kind::NoData)
+                            && is_nodata(&mut net, cfg.scanner_ip, ns.ip, domain, rtype) =>
+                    {
+                        Kind::NoData
+                    }
                     _ => continue,
                 };
                 examples.entry(kind).or_insert((ns.ip, domain, rtype));
@@ -105,6 +133,7 @@ fn hold_probes_to_their_budgets(hub: Option<std::sync::Arc<obs::Obs>>) {
         (Kind::ProtectiveA, 4),
         (Kind::HostedA, 4),
         (Kind::Txt, 6),
+        (Kind::NoData, 0),
     ] {
         let &(ns, domain, rtype) = examples
             .get(&kind)
@@ -123,7 +152,10 @@ fn hold_probes_to_their_budgets(hub: Option<std::sync::Arc<obs::Obs>>) {
                 )
             });
             let reply = reply.expect("answered in the warm-up, answered now");
-            assert_eq!(reply.answers.is_empty(), kind == Kind::Refused);
+            assert_eq!(
+                reply.answers.is_empty(),
+                matches!(kind, Kind::Refused | Kind::NoData)
+            );
             assert!(
                 allocations <= budget,
                 "{kind:?} probe of {domain} {rtype} at {ns}, round {round}: \
