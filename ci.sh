@@ -32,9 +32,11 @@ echo "== stale names: the deleted executor, collectors, knobs, timers and dead c
 # binaries (`urhunter --report table1` stays legal), and a metrics
 # registry of plain values that each layer publishes its own counts into
 # once (no per-event mirror, no atomic handles), and name-keyed maps
-# probed with folded bytes (no dynamic name-key trait): none of the names
-# of what was removed may come back in code, tests or docs.
-if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey' \
+# probed with folded bytes (no dynamic name-key trait), and one invariance
+# harness in place of the six equality test files and the golden test:
+# none of the names of what was removed may come back in code, tests or
+# docs.
+if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs' \
     crates tests examples README.md DESIGN.md EXPERIMENTS.md; then
     echo "ci.sh: a deleted name is back (see the matches above)" >&2
     exit 1
@@ -121,13 +123,16 @@ URHUNTER_PARALLELISM=4 ./target/release/paper | diff -u RESULTS.md - || {
     exit 1
 }
 
-echo "== fault matrix: cargo test --release --test fault_tolerance =="
-cargo test -q --release --test fault_tolerance
-cargo test -q --release --test fault_tolerance -- --ignored
+echo "== fault matrix: the invariance harness, its ignored 32-run matrix included =="
+# One table-driven binary holds every invariance claim: execution axes
+# (workers x hub), policies (adaptive, rate caps, ethics pacing, retry
+# plans), networks, the streamed fold and the daemon's epoch stream.
+cargo test -q --release -p bench --test invariance
+cargo test -q --release -p bench --test invariance -- --ignored
 
-echo "== adaptive battery: adaptive_props + adaptive_equivalence =="
+echo "== adaptive battery: adaptive_props + the invariance harness =="
 cargo test -q --release --test adaptive_props
-cargo test -q --release --test adaptive_equivalence
+cargo test -q --release -p bench --test invariance
 
 echo "== smoke: urhunter --metrics-out =="
 METRICS_OUT=$(mktemp /tmp/urhunter-metrics.XXXXXX.jsonl)
@@ -278,8 +283,8 @@ fi
 
 echo "== invariants: every hash, count and simulated microsecond, byte for byte =="
 # One deterministic binary runs every execution axis (workers x hub,
-# fixed vs adaptive under loss, a rate cap, the xl fold at 1 and 4
-# workers, three daemon epochs and their replay), asserts
+# fixed vs adaptive under loss, a rate cap on one worker and four, the xl
+# fold at 1, 2 and 4 workers, three daemon epochs and their replay), asserts
 # the equalities between them and prints only values that repeat exactly
 # on any host. A value that moved shows as a diff line and fails the run;
 # refresh with `./target/release/invariants > BENCH_pipeline.json` and

@@ -1,45 +1,381 @@
 //! The exact invariants of the pipeline — the whole of
-//! `BENCH_pipeline.json`.
+//! `BENCH_pipeline.json` — and the axis table they are checked on.
 //!
-//! Everything here repeats bit for bit on any host and at any thread
-//! count: sequence hashes, the registry's `sim_hash`, UR counts and
+//! Everything printed here repeats bit for bit on any host and at any
+//! thread count: sequence hashes, the registry's `sim_hash`, UR counts and
 //! splits, probe accounting, datagram counts, simulated microseconds
 //! (every duration is suffixed `_sim_us`), daemon event counts and seals.
 //! No clock and no procfs file is read; wall time and RSS are `urbench`'s
 //! to report. `ci.sh` regenerates the file with the `invariants` binary and
-//! `diff`s it against the committed copy, and `tests/golden.rs` holds the
-//! `small` block to it under `cargo test`.
+//! `diff`s it against the committed copy, and `tests/invariance.rs` (a test
+//! of this crate) drives the same axis table under `cargo test`, holding
+//! the `small` block to the file from its own runs.
 //!
-//! Each block is rendered once, after every configuration axis that must
-//! not move it has been run and compared.
+//! A run's identity is written once, as [`Pinned`] for [`run`],
+//! [`StreamPinned`] for [`run_streamed`] and [`DaemonPinned`] for the
+//! daemon's epoch stream. *Execution axes* ([`WORKERS`] × [`HUB`],
+//! [`STREAM_WORKERS`]) may move none of it; each *policy* in [`POLICIES`]
+//! moves only what its [`Moves`] names. Each block is rendered once, after
+//! every axis that must not move it has been run and compared.
 
-use simnet::{FaultPlan, NetStats, SimDuration};
-use urhunter::{classified_sequence_hash, run, run_streamed, CoverageReport, HunterConfig, Totals};
-use urhunterd::{DriverConfig, EpochDriver, LiveState, WorldScale};
+use simnet::{FaultPlan, NetStats, SimDuration, SimTime};
+use std::borrow::Borrow;
+use std::sync::Arc;
+use urhunter::{
+    classified_sequence_hash, run, run_streamed, CorrectDb, CoverageReport, HunterConfig,
+    ProtectiveDb, QueryPlan, Totals,
+};
+use urhunterd::{DriverConfig, EpochDriver, EpochSeal, LiveState, UrEvent, WorldScale};
 use worldgen::{StreamWorld, World, WorldConfig};
 
-/// What no execution axis may move on one materialized world.
-#[derive(Debug, PartialEq)]
-struct Pinned {
-    sequence_hash: u64,
-    totals: Totals,
-    coverage: CoverageReport,
-    scan_elapsed: SimDuration,
-    bucket_wait: SimDuration,
-    net: NetStats,
+/// Scan worker counts of [`run`]: an execution axis.
+pub const WORKERS: [usize; 4] = [1, 2, 4, 8];
+/// Whether an observability hub is attached: an execution axis.
+pub const HUB: [bool; 2] = [false, true];
+/// World-shard counts of [`run_streamed`], each part of a run's identity.
+pub const STREAM_SHARDS: [usize; 3] = [2, 4, 8];
+/// Scan worker counts of [`run_streamed`] and of the daemon's epoch scan:
+/// an execution axis.
+pub const STREAM_WORKERS: [usize; 3] = [1, 2, 4];
+
+/// The network a scan crosses, and the retry budget it meets it with.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Network {
+    /// Per-flow datagram loss, in percent (0 = no scan fault plan).
+    pub loss_pct: u32,
+    /// Attempts per probe (the default plan has 3).
+    pub attempts: u32,
+    /// RTT-derived timeouts (`--adaptive`).
+    pub adaptive: bool,
 }
 
-fn pinned(config: &WorldConfig, cfg: &HunterConfig) -> Pinned {
+impl Network {
+    /// No loss, the default retry plan.
+    pub const RELIABLE: Network = Network::lossy(0, 3);
+
+    /// `loss_pct` % per-flow loss met with `attempts` fixed-timeout tries.
+    pub const fn lossy(loss_pct: u32, attempts: u32) -> Network {
+        Network {
+            loss_pct,
+            attempts,
+            adaptive: false,
+        }
+    }
+
+    /// The same network, met with RTT-derived timeouts.
+    pub const fn adaptive(self) -> Network {
+        Network {
+            adaptive: true,
+            ..self
+        }
+    }
+
+    /// The fast pipeline config on this network.
+    pub fn config(self) -> HunterConfig {
+        let mut cfg = HunterConfig::fast().with_retries(self.attempts);
+        if self.loss_pct > 0 {
+            let drop = f64::from(self.loss_pct) / 100.0;
+            cfg = cfg.with_scan_faults(FaultPlan::lossy(drop).scheduled_per_flow());
+        }
+        if self.adaptive {
+            cfg = cfg.with_adaptive();
+        }
+        cfg
+    }
+}
+
+/// The networks every execution axis is held on: reliable, 1 % loss with
+/// 3 attempts (retries, backoff waits and quarantine streaks all fire), and
+/// 5 % loss met adaptively.
+pub const NETWORKS: [Network; 3] = [
+    Network::RELIABLE,
+    Network::lossy(1, 3),
+    Network::lossy(5, 3).adaptive(),
+];
+
+/// What a policy may move in a [`Pinned`] record, against the same
+/// network without it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Moves {
+    /// Nothing at all.
+    Nothing,
+    /// Only the simulated clocks and the stage sim deltas in `sim_hash`,
+    /// and the clocks only down.
+    ClockFalls,
+    /// Only the clocks, the pacing waits and `sim_hash`; both clocks rise.
+    ClockRises,
+    /// As [`Moves::ClockRises`], and the pacing waits rise too.
+    WaitRises,
+    /// Anything but the output: sequence, totals, evidence and Table 1.
+    OutputKept,
+}
+
+impl Moves {
+    /// Panic unless `got` differs from `base` only where `self` allows, in
+    /// the direction it allows.
+    pub fn check(self, base: &Pinned, got: &Pinned, row: &str) {
+        const CLOCKS: [&str; 4] = ["scan_elapsed", "bucket_wait", "clock", "sim_hash"];
+        const OUTPUT: [&str; 4] = ["sequence_hash", "totals", "evidence", "table1"];
+        let moved = base.moved(got);
+        let allowed = |field: &&str| match self {
+            Moves::Nothing => false,
+            Moves::ClockFalls => CLOCKS.contains(field) && *field != "bucket_wait",
+            Moves::ClockRises | Moves::WaitRises => CLOCKS.contains(field),
+            Moves::OutputKept => !OUTPUT.contains(field),
+        };
+        let stray: Vec<&str> = moved.iter().copied().filter(|f| !allowed(f)).collect();
+        assert!(stray.is_empty(), "{row} moved {stray:?}");
+        match self {
+            Moves::ClockFalls => assert!(
+                got.scan_elapsed <= base.scan_elapsed && got.clock <= base.clock,
+                "{row}: a clock rose"
+            ),
+            Moves::ClockRises | Moves::WaitRises => assert!(
+                got.scan_elapsed > base.scan_elapsed && got.clock > base.clock,
+                "{row}: a clock did not rise"
+            ),
+            Moves::Nothing | Moves::OutputKept => {}
+        }
+        if self == Moves::WaitRises {
+            assert!(
+                got.bucket_wait > base.bucket_wait,
+                "{row}: a cap below the probe rate waited for nothing"
+            );
+        }
+    }
+}
+
+/// A scheduling or retry policy applied on top of a [`Network`].
+pub struct Policy {
+    /// The row's name.
+    pub name: &'static str,
+    /// The config change.
+    pub apply: fn(HunterConfig) -> HunterConfig,
+    /// What it may move.
+    pub moves: Moves,
+}
+
+/// Every policy axis. On a reliable network the retry policies move
+/// nothing, since the first attempt always answers; the scheduling
+/// policies move only the simulated clock, never the answers. (`adaptive`
+/// is the config change of [`Network::adaptive`].)
+pub const POLICIES: [Policy; 8] = [
+    Policy {
+        name: "adaptive",
+        apply: HunterConfig::with_adaptive,
+        moves: Moves::ClockFalls,
+    },
+    Policy {
+        name: "rtt_k 8 without adaptive",
+        apply: |cfg| cfg.with_rtt_k(8),
+        moves: Moves::Nothing,
+    },
+    Policy {
+        name: "rate cap 2/s",
+        apply: |cfg| cfg.with_rate_limit_per_sec(2),
+        moves: Moves::WaitRises,
+    },
+    Policy {
+        name: "rate cap 20/s",
+        apply: |cfg| cfg.with_rate_limit_per_sec(20),
+        moves: Moves::WaitRises,
+    },
+    Policy {
+        name: "ethics pacing",
+        apply: ethics_pacing,
+        moves: Moves::ClockRises,
+    },
+    Policy {
+        name: "single-shot",
+        apply: |cfg| cfg.with_retry_plan(QueryPlan::single_shot()),
+        moves: Moves::Nothing,
+    },
+    Policy {
+        name: "5 attempts",
+        apply: |cfg| cfg.with_retries(5),
+        moves: Moves::Nothing,
+    },
+    Policy {
+        name: "explicit reliable fault plan",
+        apply: |cfg| cfg.with_scan_faults(FaultPlan::reliable()),
+        moves: Moves::Nothing,
+    },
+];
+
+/// The paper's per-server interval on top of `cfg`.
+fn ethics_pacing(mut cfg: HunterConfig) -> HunterConfig {
+    cfg.per_server_interval = HunterConfig::paper_faithful().per_server_interval;
+    cfg
+}
+
+/// The policy named `name` in [`POLICIES`].
+pub fn policy(name: &str) -> &'static Policy {
+    POLICIES
+        .iter()
+        .find(|p| p.name == name)
+        .unwrap_or_else(|| panic!("no policy named {name}"))
+}
+
+/// What no execution axis may move on one materialized world run through
+/// [`run`]. Compare two with [`Pinned::moved`], which reads `sim_hash`
+/// only where both runs carried a hub.
+#[derive(Debug)]
+pub struct Pinned {
+    /// Order-sensitive digest of the classified sequence.
+    pub sequence_hash: u64,
+    /// The verdict totals.
+    pub totals: Totals,
+    /// How many addresses carry malicious evidence.
+    pub evidence: usize,
+    /// The rendered Table 1.
+    pub table1: String,
+    /// Probe accounting.
+    pub coverage: CoverageReport,
+    /// Summed simulated scan time.
+    pub scan_elapsed: SimDuration,
+    /// Simulated time blocked on pacing buckets.
+    pub bucket_wait: SimDuration,
+    /// The world fabric's datagram counters after the run.
+    pub net: NetStats,
+    /// The world clock after the run.
+    pub clock: SimTime,
+    /// The correct-record database the run classified with.
+    pub correct_db: CorrectDb,
+    /// The protective-record database the run classified with.
+    pub protective_db: ProtectiveDb,
+    /// The hub registry's deterministic hash, when a hub was attached.
+    pub sim_hash: Option<u64>,
+}
+
+impl Pinned {
+    /// The fields on which `self` and `other` differ; `sim_hash` only when
+    /// both runs carried a hub.
+    pub fn moved(&self, other: &Pinned) -> Vec<&'static str> {
+        let sim_hash = match (self.sim_hash, other.sim_hash) {
+            (Some(a), Some(b)) => a != b,
+            _ => false,
+        };
+        [
+            ("sequence_hash", self.sequence_hash != other.sequence_hash),
+            ("totals", self.totals != other.totals),
+            ("evidence", self.evidence != other.evidence),
+            ("table1", self.table1 != other.table1),
+            ("coverage", self.coverage != other.coverage),
+            ("scan_elapsed", self.scan_elapsed != other.scan_elapsed),
+            ("bucket_wait", self.bucket_wait != other.bucket_wait),
+            ("net", self.net != other.net),
+            ("clock", self.clock != other.clock),
+            ("correct_db", self.correct_db != other.correct_db),
+            ("protective_db", self.protective_db != other.protective_db),
+            ("sim_hash", sim_hash),
+        ]
+        .into_iter()
+        .filter_map(|(name, moved)| moved.then_some(name))
+        .collect()
+    }
+}
+
+/// Run `cfg` on a fresh `config` world (with `hub` attached, if any) and
+/// pin the result. Every run is held to the accounting it must satisfy
+/// whatever the axis: the coverage buckets sum to the scheduled probes and
+/// the report embeds them; with a hub, its probe funnel is the coverage and
+/// its fabric counters are the world fabric's traffic of the run; and when
+/// the run returns, every datagram handed to the fabric, and every injected
+/// copy, has met exactly one fate.
+pub fn pinned(config: &WorldConfig, cfg: HunterConfig, hub: Option<Arc<obs::Obs>>) -> Pinned {
     let mut world = World::generate(config.clone());
-    let out = run(&mut world, cfg);
+    let before = world.net.stats();
+    let cfg = match &hub {
+        Some(hub) => cfg.with_obs(hub.clone()),
+        None => cfg,
+    };
+    let out = run(&mut world, &cfg);
+    let cov = &out.coverage;
+    assert!(cov.scheduled > 0, "nothing scheduled");
+    assert!(
+        cov.is_complete(),
+        "buckets do not sum to scheduled: {cov:?}"
+    );
+    assert_eq!(&out.report.coverage, cov, "the report's coverage diverges");
+    let net = world.net.stats();
+    assert_eq!(
+        net.sent + net.duplicated,
+        net.delivered + net.dropped + net.no_route,
+        "fabric datagram accounting does not balance"
+    );
+    if let Some(hub) = &hub {
+        let c = |name: &str| hub.registry().counter_value(name).unwrap_or(0);
+        let funnel = [
+            ("probe_scheduled", cov.scheduled),
+            ("probe_answered_first", cov.answered),
+            ("probe_answered_retried", cov.retried_answered),
+            ("probe_gave_up", cov.gave_up),
+            ("probe_skipped_quarantined", cov.skipped_quarantined),
+            ("probe_retransmissions", cov.retransmissions),
+            ("net_sent", net.sent - before.sent),
+            ("net_duplicated", net.duplicated - before.duplicated),
+            ("net_delivered", net.delivered - before.delivered),
+            ("net_dropped", net.dropped - before.dropped),
+            ("net_corrupted", net.corrupted - before.corrupted),
+            ("net_no_route", net.no_route - before.no_route),
+            (
+                "net_bytes_delivered",
+                net.bytes_delivered - before.bytes_delivered,
+            ),
+            ("net_events", net.events - before.events),
+        ];
+        for (name, want) in funnel {
+            assert_eq!(c(name), want, "the hub's {name} is not the run's");
+        }
+    }
     Pinned {
         sequence_hash: classified_sequence_hash(&out.classified),
         totals: out.report.totals,
+        evidence: out.analysis.evidence.len(),
+        table1: out.report.render_table1(),
         coverage: out.coverage,
         scan_elapsed: out.scan_elapsed,
         bucket_wait: out.bucket_wait,
-        net: world.net.stats(),
+        net,
+        clock: world.net.now(),
+        correct_db: out.correct_db,
+        protective_db: out.protective_db,
+        sim_hash: hub.map(|hub| hub.registry().sim_hash()),
     }
+}
+
+/// Hold the run at every execution axis, `runs(workers, hub)`, to the
+/// first one, and return the first run that carried a hub: every later
+/// run is compared with it, so its `sim_hash` is every hub run's.
+pub fn hold_execution_axes<P: Borrow<Pinned>>(mut runs: impl FnMut(usize, bool) -> P) -> P {
+    let mut reference: Option<P> = None;
+    for workers in WORKERS {
+        for hub in HUB {
+            let got = runs(workers, hub);
+            if let Some(reference) = &reference {
+                let moved = reference.borrow().moved(got.borrow());
+                assert!(
+                    moved.is_empty(),
+                    "workers {workers} hub {hub} moved {moved:?}"
+                );
+            }
+            if reference
+                .as_ref()
+                .is_none_or(|r| r.borrow().sim_hash.is_none())
+            {
+                reference = Some(got);
+            }
+        }
+    }
+    reference.expect("a hub run")
+}
+
+/// The execution axes of `config` on a reliable network, run here.
+fn reliable_axes(config: &WorldConfig) -> Pinned {
+    hold_execution_axes(|workers, hub| {
+        let cfg = Network::RELIABLE.config().with_workers(workers);
+        pinned(config, cfg, hub.then(obs::Obs::shared))
+    })
 }
 
 fn coverage_json(c: &CoverageReport) -> String {
@@ -68,41 +404,14 @@ fn split_json<T: std::fmt::Display>(correct: T, protective: T, unknown: T, malic
     )
 }
 
-/// Run `config` through `run` at workers {1, 2, 4} × hub {off, on} (one
-/// scan shard per worker), hold every run to the first one and every hub
-/// run to one `sim_hash`, and render the fields they share. A reliable network
+/// The fields an eager block shares, from the reliable run that every
+/// execution axis reproduced (one that carried a hub). A reliable network
 /// answers every probe at the first attempt.
-fn eager_fields(config: &WorldConfig) -> (Pinned, String) {
-    let mut reference: Option<Pinned> = None;
-    let mut sim_hash: Option<u64> = None;
-    for workers in [1, 2, 4] {
-        for with_hub in [false, true] {
-            let axis = format!("workers {workers} hub {with_hub}");
-            let hub = with_hub.then(obs::Obs::shared);
-            let mut cfg = HunterConfig::fast().with_workers(workers);
-            if let Some(hub) = &hub {
-                cfg = cfg.with_obs(hub.clone());
-            }
-            let got = pinned(config, &cfg);
-            if let Some(hub) = &hub {
-                let h = hub.registry().sim_hash();
-                assert_eq!(*sim_hash.get_or_insert(h), h, "sim_hash moved at {axis}");
-            }
-            match &reference {
-                None => reference = Some(got),
-                Some(first) => assert_eq!(first, &got, "the run moved at {axis}"),
-            }
-        }
-    }
-    let p = reference.expect("six runs");
-    assert!(
-        p.coverage.is_complete(),
-        "buckets do not sum to scheduled probes"
-    );
+fn eager_fields(config: &WorldConfig, p: &Pinned) -> String {
     assert_eq!(p.coverage.total_gave_up(), 0, "reliable run gave up probes");
     assert_eq!(p.coverage.retransmissions, 0, "reliable run retransmitted");
     let t = p.totals;
-    let fields = format!(
+    format!(
         "    \"world_seed\": {},\n    \"urs\": {},\n    \"split\": {},\n    \
          \"sequence_hash\": {},\n    \"sim_hash\": {},\n    \"coverage\": {},\n    \
          \"scan_sim_us\": {},\n    \"datagrams_sent\": {}",
@@ -110,57 +419,69 @@ fn eager_fields(config: &WorldConfig) -> (Pinned, String) {
         t.total,
         split_json(t.correct, t.protective, t.unknown, t.malicious),
         p.sequence_hash,
-        sim_hash.expect("three hub runs"),
+        p.sim_hash.expect("a hub run"),
         coverage_json(&p.coverage),
         p.scan_elapsed.as_micros(),
         p.net.delivered + p.net.dropped + p.net.no_route,
-    );
-    (p, fields)
+    )
+}
+
+/// The `small` block from the test-sized world's reliable run, once every
+/// execution axis reproduced it (see [`hold_execution_axes`]).
+pub fn small_block(reference: &Pinned) -> String {
+    let fields = eager_fields(&WorldConfig::small(), reference);
+    format!("  \"small\": {{\n{fields}\n  }}")
 }
 
 /// The `small` block: the test-sized world across every execution axis.
 pub fn small() -> String {
-    let (_, fields) = eager_fields(&WorldConfig::small());
-    format!("  \"small\": {{\n{fields}\n  }}")
+    small_block(&reliable_axes(&WorldConfig::small()))
 }
 
-/// The `medium` block: the same axes on the benchmark world, then the two
-/// scheduling policies that may move the simulated clock and nothing else —
-/// adaptive timeouts under 5 % per-flow loss, and a global rate cap.
+/// The `medium` block: the execution axes on the benchmark world, then the
+/// two scheduling policies that may move the simulated clock and nothing
+/// else — adaptive timeouts under 5 % per-flow loss, and a global rate cap
+/// on one worker and on four.
 pub fn medium() -> String {
     let config = WorldConfig::medium();
-    let (reference, fields) = eager_fields(&config);
-    let base = HunterConfig::fast().with_workers(1);
+    let reference = reliable_axes(&config);
+    let fields = eager_fields(&config, &reference);
+    let on = |network: Network, policy: Option<&Policy>, workers: usize| {
+        let cfg = network.config().with_workers(workers);
+        let cfg = match policy {
+            Some(p) => (p.apply)(cfg),
+            None => cfg,
+        };
+        pinned(&config, cfg, None)
+    };
 
     // Under loss the fixed policy burns the whole plan timeout for every
     // lost first attempt; the adaptive one times out at `srtt + k·rttvar`,
     // floored above the fabric's worst round trip, so the answers are the
     // same and only the simulated clock differs.
-    let lossy = base
-        .clone()
-        .with_scan_faults(FaultPlan::lossy(0.05).scheduled_per_flow());
-    let fixed = pinned(&config, &lossy);
-    let adaptive = pinned(&config, &lossy.with_adaptive());
-    assert_eq!(
-        (adaptive.sequence_hash, &adaptive.coverage),
-        (fixed.sequence_hash, &fixed.coverage),
-        "adaptive scheduling changed the output or the probe accounting under loss"
-    );
+    let lossy = Network::lossy(5, 3);
+    let adaptive_policy = policy("adaptive");
+    let fixed = on(lossy, None, 1);
+    let adaptive = on(lossy, Some(adaptive_policy), 1);
+    adaptive_policy
+        .moves
+        .check(&fixed, &adaptive, "medium adaptive at 5% loss");
     assert!(
         adaptive.scan_elapsed < fixed.scan_elapsed,
         "adaptive scheduling did not beat the fixed timeout in simulated time"
     );
 
     // A cap whose interval exceeds the fabric's worst round trip makes
-    // every probe wait: pacing moves the simulated clock, never the answers.
-    let paced = pinned(&config, &base.with_rate_limit_per_sec(2));
-    assert_eq!(
-        paced.sequence_hash, reference.sequence_hash,
-        "the rate cap changed the output"
-    );
+    // every probe wait. One shared bucket meters the concatenated shard
+    // timeline, so four workers pace exactly as one does.
+    let cap = policy("rate cap 2/s");
+    let paced = on(Network::RELIABLE, Some(cap), 1);
+    cap.moves.check(&reference, &paced, "medium rate cap 2/s");
+    let paced_four = on(Network::RELIABLE, Some(cap), 4);
+    let moved = paced.moved(&paced_four);
     assert!(
-        paced.bucket_wait > SimDuration::ZERO,
-        "a cap below the probe rate waited for nothing"
+        moved.is_empty(),
+        "the capped run moved {moved:?} at 4 workers"
     );
 
     format!(
@@ -174,31 +495,68 @@ pub fn medium() -> String {
     )
 }
 
-/// The `xl` block: the streamed paper-scale preset (≥ 1 M URs) folded by
-/// one scan worker and by four.
+/// What no execution axis may move on a streamed world run through
+/// [`run_streamed`] at one world-shard count.
+#[derive(Debug, PartialEq)]
+pub struct StreamPinned {
+    /// Order-sensitive digest of the classified sequence.
+    pub sequence_hash: u64,
+    /// Probe accounting across every shard engine.
+    pub coverage: CoverageReport,
+    /// Correct, protective, unknown and malicious counts.
+    pub split: [u64; 4],
+    /// Summed simulated scan time.
+    pub elapsed: SimDuration,
+    /// Simulated time blocked on pacing buckets.
+    pub bucket_wait: SimDuration,
+    /// The hub registry's deterministic hash, when a hub was attached.
+    pub sim_hash: Option<u64>,
+}
+
+/// Run `cfg` over `world` at `world_shards` (with `hub` attached, if any)
+/// and pin the result beside the whole output.
+pub fn stream_pinned(
+    world: &StreamWorld,
+    cfg: HunterConfig,
+    world_shards: usize,
+    hub: Option<Arc<obs::Obs>>,
+) -> (StreamPinned, urhunter::StreamRunOutput) {
+    let cfg = match &hub {
+        Some(hub) => cfg.with_obs(hub.clone()),
+        None => cfg,
+    };
+    let out = run_streamed(world, &cfg, world_shards);
+    assert!(out.coverage.is_complete(), "coverage must balance");
+    let pinned = StreamPinned {
+        sequence_hash: out.sequence_hash,
+        coverage: out.coverage.clone(),
+        split: [out.correct, out.protective, out.unknown, out.malicious],
+        elapsed: out.elapsed,
+        bucket_wait: out.bucket_wait,
+        sim_hash: hub.map(|hub| hub.registry().sim_hash()),
+    };
+    (pinned, out)
+}
+
+/// The `xl` block: the streamed paper-scale preset (≥ 1 M URs) folded at
+/// every streamed worker count.
 pub fn xl() -> String {
     const WORLD_SHARDS: usize = 8;
     let config = WorldConfig::xl();
     let seed = config.seed;
     let world = StreamWorld::generate(config);
-    let cfg = HunterConfig::fast();
-    let seq = run_streamed(&world, &cfg.clone().with_workers(1), WORLD_SHARDS);
-    let par = run_streamed(&world, &cfg.with_workers(4), WORLD_SHARDS);
-    assert_eq!(
-        (
-            seq.sequence_hash,
-            &seq.coverage,
-            seq.elapsed,
-            [seq.correct, seq.protective, seq.unknown, seq.malicious]
-        ),
-        (
-            par.sequence_hash,
-            &par.coverage,
-            par.elapsed,
-            [par.correct, par.protective, par.unknown, par.malicious]
-        ),
-        "the four-worker fold diverged from the one-worker fold"
-    );
+    let at = |workers| {
+        let cfg = HunterConfig::fast().with_workers(workers);
+        stream_pinned(&world, cfg, WORLD_SHARDS, None)
+    };
+    let (want, seq) = at(STREAM_WORKERS[0]);
+    for workers in &STREAM_WORKERS[1..] {
+        assert_eq!(
+            at(*workers).0,
+            want,
+            "the {workers}-worker fold diverged from the one-worker fold"
+        );
+    }
     assert!(
         seq.total_urs >= 1_000_000,
         "xl must produce at least 1M URs, got {}",
@@ -218,6 +576,30 @@ pub fn xl() -> String {
         coverage_json(&seq.coverage),
         seq.elapsed.as_micros(),
     )
+}
+
+/// What no execution axis may move in the daemon's epoch stream: every
+/// seal and every event body, in order.
+#[derive(Debug, PartialEq)]
+pub struct DaemonPinned {
+    /// One seal per epoch.
+    pub seals: Vec<EpochSeal>,
+    /// Every event of every epoch.
+    pub events: Vec<UrEvent>,
+}
+
+impl DaemonPinned {
+    /// The log of `state`, pinned.
+    pub fn of(state: &LiveState) -> DaemonPinned {
+        let records = state.log.records();
+        DaemonPinned {
+            seals: records.iter().map(|r| r.seal).collect(),
+            events: records
+                .iter()
+                .flat_map(|r| r.events.iter().copied())
+                .collect(),
+        }
+    }
 }
 
 /// The `daemon` block: three drifting epochs over the medium world through

@@ -16,8 +16,7 @@ pub const USAGE: &str = "\
 SCAN FLAGS (shared by urhunter and urhunterd):
     --workers N            scan workers, 1..=64 (default: sized from the
                            machine); the scan runs on one replica fabric per
-                           worker, or on one under --ethics and, on a
-                           materialized world, --rate-limit
+                           worker, or on one under --ethics
     --retries N            attempts per probe, >= 1 (default 3)
     --timeout MS           simulated per-attempt timeout in ms, > 0
                            (default 5000)

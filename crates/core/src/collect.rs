@@ -812,7 +812,7 @@ pub(crate) fn collect_urs_sharded_on<T: Send>(
 /// `world_shards`, which is part of a streamed run's configuration — and
 /// never on `workers`.
 #[allow(clippy::too_many_arguments)]
-pub fn collect_urs_streamed<T: Send>(
+pub(crate) fn collect_urs_streamed<T: Send>(
     blueprint: &worldgen::ScanBlueprint,
     plan: crate::query::QueryPlan,
     faults: simnet::FaultPlan,

@@ -44,19 +44,17 @@ pub struct HunterConfig {
     /// Scan worker threads, the one width of the scan. [`run`] splits the
     /// selected nameservers into one contiguous shard per worker, each
     /// scanned on its own replica fabric — or into one shard under ethics
-    /// pacing or a rate cap, where elapsed-time bookkeeping is only
-    /// meaningful on one clock. [`run_streamed`] takes its world-shard
-    /// count as an argument (there it is part of the run's identity), and
-    /// its workers claim those shards. One worker scans on the calling
-    /// thread; a worker classifies the URs it scanned. [`run`]'s calling
-    /// thread sweeps for correct and protective records while the workers
-    /// scan, then folds, analyzes and reports.
-    /// `0` is automatic (available parallelism,
+    /// pacing, whose per-server budget is only meaningful on one clock.
+    /// [`run_streamed`] takes its world-shard count as an argument (there
+    /// it is part of the run's identity), and its workers claim those
+    /// shards. One worker scans on the calling thread; a worker classifies
+    /// the URs it scanned. [`run`]'s calling thread sweeps for correct and
+    /// protective records while the workers scan, then folds, analyzes and
+    /// reports. `0` is automatic (available parallelism,
     /// `URHUNTER_PARALLELISM` override), `1` is sequential, `n` fixed.
-    /// Output is bit-identical for every value (pinned by
-    /// `tests/sharding.rs` and `tests/streamed_parallel.rs`); only
-    /// wall-clock time and peak RSS (bounded by `workers` resident shard
-    /// fabrics) change.
+    /// Output is bit-identical for every value (pinned by the execution
+    /// axes of `tests/invariance.rs`); only wall-clock time and peak RSS
+    /// (bounded by `workers` resident shard fabrics) change.
     pub workers: usize,
     /// Retry/backoff policy for every collection-stage probe (bulk scan,
     /// correct records, protective canaries, and the §4.2 replay). On a
@@ -70,13 +68,11 @@ pub struct HunterConfig {
     pub scan_faults: Option<FaultPlan>,
     /// Global scan rate cap: minimum spacing between *any* two bulk-scan
     /// probes, regardless of server (`ZERO` = uncapped). Enforced by a
-    /// token bucket on the virtual clock. In the materialized pipeline it
-    /// forces the scan onto one shard, like ethics pacing, because the
-    /// materialized order is shard-count invariant only on one clock; the
-    /// streamed path threads one shared token bucket through
-    /// every shard scheduler, metering the concatenated shard timeline, so
-    /// it composes with any `world_shards` / [`HunterConfig::workers`]
-    /// setting.
+    /// token bucket on the virtual clock. Both pipelines thread one shared
+    /// token bucket through every shard scheduler, metering the
+    /// concatenated shard timeline, so a capped scan is bit-identical — its
+    /// clocks and waits included — at any [`HunterConfig::workers`] (and,
+    /// streamed, composes with any `world_shards`).
     pub rate_limit_interval: SimDuration,
     /// Observability hub (see `crates/obs`): when set, every layer
     /// publishes its totals into the hub's registry when its stage ends —
@@ -261,13 +257,12 @@ impl<T> Drop for PublishOnExit<'_, T> {
 }
 
 /// How many shards [`run`]'s bulk scan splits into on `workers` workers:
-/// one per worker, or one when paced. Ethics pacing and a global rate cap
-/// each budget one scanner clock, and sharding would make elapsed time
-/// depend on the shard layout.
+/// one per worker, or one under ethics pacing, whose per-server budget is
+/// one scanner clock: sharded, its summed scan clock would depend on the
+/// shard layout. A global rate cap needs no clamp, because one shared
+/// bucket meters the concatenated shard timeline.
 fn scan_shards(cfg: &HunterConfig, workers: usize) -> usize {
-    let paced = cfg.per_server_interval != SimDuration::ZERO
-        || cfg.rate_limit_interval != SimDuration::ZERO;
-    if paced {
+    if cfg.per_server_interval != SimDuration::ZERO {
         1
     } else {
         workers
@@ -649,8 +644,8 @@ pub struct StreamRunOutput {
 }
 
 /// Run the streamed paper-scale pipeline against a plan-backed world:
-/// scoped scan shards claimed by [`HunterConfig::workers`] worker
-/// threads ([`crate::collect::collect_urs_streamed`]), every UR classified
+/// scoped scan shards, each building only its own slice of the task list,
+/// claimed by [`HunterConfig::workers`] worker threads, every UR classified
 /// on the worker that scanned it the moment its batch fills and reduced
 /// there to one compact digest row per UR, and the rows folded into the
 /// [`StreamRunOutput`] aggregates on the calling thread in canonical
@@ -664,7 +659,7 @@ pub struct StreamRunOutput {
 /// worker count is **not** part of the identity: every field of the
 /// output, including `sequence_hash` and the deterministic metrics
 /// snapshot, is bit-identical for every `workers` value (pinned by
-/// `tests/streamed_parallel.rs`).
+/// `tests/invariance.rs`).
 pub fn run_streamed(
     world: &worldgen::StreamWorld,
     cfg: &HunterConfig,
@@ -894,23 +889,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_is_deterministic() {
-        // Hash the complete per-UR classified sequence, not just coarse
-        // totals — a reordering or category flip anywhere must show up.
-        let run_once = || {
-            let mut world = World::generate(WorldConfig::small());
-            let out = run(&mut world, &HunterConfig::fast());
-            (
-                out.report.totals,
-                out.classified.len(),
-                out.analysis.evidence.len(),
-                classified_sequence_hash(&out.classified),
-            )
-        };
-        assert_eq!(run_once(), run_once());
-    }
-
-    #[test]
     fn streamed_run_is_deterministic_and_covers_categories() {
         let tiny = || {
             let mut cfg = WorldConfig::xl();
@@ -964,50 +942,15 @@ mod tests {
 
     #[test]
     fn the_bulk_scan_runs_one_shard_per_worker_unless_paced() {
+        // Only ethics pacing clamps: one shared bucket meters a rate cap on
+        // the concatenated shard timeline, so a capped scan on any shard
+        // count is the one-shard scan (held by tests/invariance.rs).
         for workers in [1, 2, 4, 8] {
             assert_eq!(scan_shards(&HunterConfig::fast(), workers), workers);
             assert_eq!(scan_shards(&HunterConfig::paper_faithful(), workers), 1);
             let capped = HunterConfig::fast().with_rate_limit_per_sec(100);
-            assert_eq!(scan_shards(&capped, workers), 1, "rate cap");
+            assert_eq!(scan_shards(&capped, workers), workers, "rate cap");
         }
-        // End to end, a paced scan on four workers is the one-worker run:
-        // its sequence, scan clock, bucket waits and world clock. (Sharded,
-        // the ethics run's summed scan clock doubles on the small world.
-        // The capped row holds on any shard count, because one shared
-        // bucket meters the concatenated shard timeline. Unpaced, one
-        // shard per worker is invisible in the output: see
-        // tests/sharding.rs.)
-        let run_on = |cfg: HunterConfig| {
-            let mut world = World::generate(WorldConfig::small());
-            let out = run(&mut world, &cfg);
-            (
-                classified_sequence_hash(&out.classified),
-                out.scan_elapsed,
-                out.bucket_wait,
-                world.net.now(),
-            )
-        };
-        for (label, paced) in [
-            ("ethics", HunterConfig::paper_faithful()),
-            (
-                "rate cap",
-                HunterConfig::fast().with_rate_limit_per_sec(100),
-            ),
-        ] {
-            let one = run_on(paced.clone().with_workers(1));
-            assert_eq!(run_on(paced.with_workers(4)), one, "{label}");
-        }
-    }
-
-    #[test]
-    fn ethics_pacing_produces_same_classification() {
-        let mut w1 = World::generate(WorldConfig::small());
-        let fast = run(&mut w1, &HunterConfig::fast());
-        let mut w2 = World::generate(WorldConfig::small());
-        let paced = run(&mut w2, &HunterConfig::paper_faithful());
-        assert_eq!(fast.report.totals, paced.report.totals);
-        // pacing must actually advance simulated time substantially
-        assert!(w2.net.now() > w1.net.now());
     }
 
     /// Every category, a correct reason present and absent, 0, 1 and many

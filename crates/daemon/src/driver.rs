@@ -56,9 +56,10 @@ impl WorldScale {
 }
 
 /// Everything that determines the daemon's measurement behaviour. Two
-/// drivers built from equal configs produce bit-identical epoch streams
-/// (pinned by `tests/daemon_log.rs`), which is what makes the event log
-/// replayable and the HTTP answers checkable.
+/// drivers built from equal configs produce bit-identical epoch streams,
+/// seals and event bodies, at any scan worker count (pinned by
+/// `tests/invariance.rs`), which is what makes the event log replayable
+/// and the HTTP answers checkable.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
     /// World preset to scan.

@@ -9,12 +9,19 @@
 //!   closer together than its interval, no matter how arrivals cluster;
 //! * RTT-ordered selection emits a permutation of its task list and never
 //!   reorders two tasks bound for the same server, no matter how the
-//!   health estimates shift mid-drain.
+//!   health estimates shift mid-drain;
+//!
+//! and, on the wire, that a global rate cap never lets the fabric's flow
+//! log show two scanner transmissions inside its interval.
 
 use proptest::prelude::*;
 use simnet::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
-use urhunter::{NsHealth, QueryPlan, RttEstimate, RttSelector, TokenBucket};
+use urhunter::{
+    select_nameservers, CollectConfig, NsHealth, ProbeEngine, QueryPlan, QueryScheduler,
+    RttEstimate, RttSelector, TokenBucket,
+};
+use worldgen::{World, WorldConfig};
 
 fn server(i: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 50, 0, i)
@@ -176,5 +183,101 @@ proptest! {
             out
         };
         prop_assert_eq!(drain(), drain());
+    }
+}
+
+/// The pacing contract on the wire itself: with a global token bucket, the
+/// fabric's flow log must never show two scanner UDP transmissions admitted
+/// closer together than the interval — globally (by reconstructed send
+/// time) and per server (delivery spacing, since per-pair latency is
+/// constant). Drives the two primitives the contract is about — the
+/// scheduler's `admit` and the engine's `query` — over every nameserver ×
+/// target pair on the world's own trace-enabled fabric.
+#[test]
+fn flow_log_never_shows_transmissions_inside_the_interval() {
+    for adaptive in [false, true] {
+        let interval = SimDuration::from_millis(250);
+        let mut world = World::generate(WorldConfig::small());
+        let collect_cfg = CollectConfig::default();
+        let nameservers = select_nameservers(&world, collect_cfg.min_tail_sites);
+        let targets = world.scan_targets();
+        let mut plan = QueryPlan::default();
+        if adaptive {
+            plan = plan.adaptive();
+        }
+        let mut engine = ProbeEngine::new(plan);
+        let mut scheduler =
+            QueryScheduler::new(0x5545, SimDuration::ZERO).with_global_interval(interval);
+        world.net.trace.set_enabled(true);
+        let mut answered = 0usize;
+        for (ni, ns) in nameservers.iter().enumerate() {
+            for (di, domain) in targets.iter().enumerate() {
+                scheduler.admit(&mut world.net, ns.ip);
+                let qid =
+                    urhunter::QidGen::nth(urhunter::scan_stream(ni, di), dnswire::RecordType::A, 0);
+                let reply = engine.query(
+                    &mut world.net,
+                    collect_cfg.scanner_ip,
+                    ns.ip,
+                    domain,
+                    dnswire::RecordType::A,
+                    qid,
+                );
+                answered += usize::from(reply.is_some());
+            }
+        }
+        assert!(answered > 0, "paced scan got no reply");
+
+        let latency = world.net.latency();
+        // Scanner→server UDP datagrams only: TCP fallback legs belong to an
+        // already-admitted probe, and replies are the servers' business.
+        let probes: Vec<_> = world
+            .net
+            .trace
+            .records()
+            .iter()
+            .filter(|r| {
+                r.src.ip == collect_cfg.scanner_ip
+                    && r.dst.port == 53
+                    && r.proto == simnet::Proto::Udp
+            })
+            .collect();
+        assert!(probes.len() > 100, "too few probes to exercise the cap");
+
+        // Globally: each record's capture time is its delivery; subtracting
+        // the (constant per-pair) one-way delay recovers the send instant.
+        let mut sends: Vec<u64> = probes
+            .iter()
+            .map(|r| r.at.as_micros() - latency.delay(r.src.ip, r.dst.ip).as_micros())
+            .collect();
+        sends.sort_unstable();
+        for pair in sends.windows(2) {
+            assert!(
+                pair[1] - pair[0] >= interval.as_micros(),
+                "two probes admitted {}us apart under a {}us global interval (adaptive={adaptive})",
+                pair[1] - pair[0],
+                interval.as_micros()
+            );
+        }
+
+        // Per server: constant latency means delivery spacing equals send
+        // spacing, so consecutive deliveries to one server obey the cap too.
+        let mut by_server: std::collections::HashMap<std::net::Ipv4Addr, Vec<u64>> =
+            std::collections::HashMap::new();
+        for r in &probes {
+            by_server
+                .entry(r.dst.ip)
+                .or_default()
+                .push(r.at.as_micros());
+        }
+        for (server, times) in by_server {
+            for pair in times.windows(2) {
+                assert!(
+                    pair[1] - pair[0] >= interval.as_micros(),
+                    "server {server} probed {}us apart (adaptive={adaptive})",
+                    pair[1] - pair[0]
+                );
+            }
+        }
     }
 }
