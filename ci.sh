@@ -33,10 +33,11 @@ echo "== stale names: the deleted executor, collectors, knobs, timers and dead c
 # registry of plain values that each layer publishes its own counts into
 # once (no per-event mirror, no atomic handles), and name-keyed maps
 # probed with folded bytes (no dynamic name-key trait), and one invariance
-# harness in place of the six equality test files and the golden test:
+# harness in place of the six equality test files and the golden test,
+# and scan tasks as 4-byte cross-product codes (no 24-byte task tuple):
 # none of the names of what was removed may come back in code, tests or
 # docs.
-if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs' \
+if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs|\(usize, usize, RecordType\)' \
     crates tests examples README.md DESIGN.md EXPERIMENTS.md; then
     echo "ci.sh: a deleted name is back (see the matches above)" >&2
     exit 1

@@ -172,6 +172,63 @@ fn delegated_servers<'r>(
         .collect()
 }
 
+/// The shape of a scan's cross product, nameservers × targets × record
+/// types, and the one encoding of a task as its index in it:
+/// `(nameserver × targets + target) × types + type`, where `type` indexes
+/// [`CollectConfig::query_types`], so a task is 4 bytes. Codes built in
+/// `(nameserver, target, type)` order are increasing, and a shuffle's
+/// permutation depends only on the list's length and the RNG, so a list
+/// of codes shuffles into exactly the probe order a list of
+/// `(nameserver, target, type)` tuples would.
+#[derive(Debug, Clone, Copy)]
+struct TaskCodec {
+    targets: usize,
+    types: usize,
+}
+
+impl TaskCodec {
+    /// The codec of `nameservers × targets × types`. Panics, naming the
+    /// three counts, when the product does not fit a `u32` (the paper's
+    /// 8,941 × 2,000 × 2 is 35.8 M).
+    fn new(nameservers: usize, targets: usize, types: usize) -> Self {
+        let len = nameservers
+            .checked_mul(targets)
+            .and_then(|n| n.checked_mul(types))
+            .and_then(|n| u32::try_from(n).ok());
+        assert!(
+            len.is_some(),
+            "scan cross product of {nameservers} nameservers × {targets} targets × \
+             {types} record types exceeds u32::MAX tasks"
+        );
+        TaskCodec { targets, types }
+    }
+
+    /// The codec of a scan of `targets` on `nameservers` for `cfg`'s types.
+    fn of(nameservers: &[NsInfo], targets: &[Name], cfg: &CollectConfig) -> Self {
+        TaskCodec::new(
+            nameservers.len(),
+            targets.len(),
+            distinct_query_types(cfg).len(),
+        )
+    }
+
+    fn encode(self, ni: usize, di: usize, ti: usize) -> ScanTask {
+        // In range: `new` checked the whole product.
+        ((ni * self.targets + di) * self.types + ti) as ScanTask
+    }
+
+    /// `(nameserver, target, type)` indices of a task.
+    fn decode(self, task: ScanTask) -> (usize, usize, usize) {
+        let code = task as usize;
+        let pair = code / self.types;
+        (pair / self.targets, pair % self.targets, code % self.types)
+    }
+
+    fn nameserver(self, task: ScanTask) -> usize {
+        task as usize / (self.targets * self.types)
+    }
+}
+
 /// The unrandomized scan tasks of the nameservers in `range`: their cross
 /// product with targets × record types, minus pairs where the domain is
 /// exactly delegated to that server — its records there are authoritative,
@@ -180,21 +237,19 @@ fn build_scan_tasks(
     delegated: &[&[(Name, Ipv4Addr)]],
     nameservers: &[NsInfo],
     range: std::ops::Range<usize>,
-    cfg: &CollectConfig,
+    codec: TaskCodec,
 ) -> Vec<ScanTask> {
     // The cross product is an upper bound a few delegated pairs short of
     // exact: one allocation instead of a doubling series.
-    let mut tasks: Vec<ScanTask> =
-        Vec::with_capacity(range.len() * delegated.len() * cfg.query_types.len());
+    let mut tasks: Vec<ScanTask> = Vec::with_capacity(range.len() * delegated.len() * codec.types);
     for ni in range {
         let ns_ip = nameservers[ni].ip;
         for (di, servers) in delegated.iter().enumerate() {
             if servers.iter().any(|&(_, ip)| ip == ns_ip) {
                 continue;
             }
-            for &rt in distinct_query_types(cfg) {
-                tasks.push((ni, di, rt));
-            }
+            let first = codec.encode(ni, di, 0);
+            tasks.extend(first..first + codec.types as ScanTask);
         }
     }
     tasks
@@ -380,26 +435,36 @@ impl<T> TaskFeed<T> {
     }
 }
 
-/// One bulk-scan probe: (nameserver index, target index, record type).
-pub(crate) type ScanTask = (usize, usize, RecordType);
+/// One bulk-scan probe, as its [`TaskCodec`] code.
+type ScanTask = u32;
 
 /// A shard's slice of the materialized scan: tasks tagged with their
 /// global index in the randomized order, so shard outputs can be sorted
 /// back.
-pub(crate) type ShardTasks = Vec<(usize, ScanTask)>;
+type ShardTasks = Vec<(u32, ScanTask)>;
+
+// What a shard's order costs a task: 4 bytes streamed, 8 materialized.
+const _: () = assert!(std::mem::size_of::<ScanTask>() == 4);
+const _: () = assert!(std::mem::size_of::<(u32, ScanTask)>() == 8);
 
 /// Partition a randomized task list across `shards` contiguous nameserver
-/// ranges (via [`par::chunk_ranges`]). Each shard's list keeps the global
-/// randomized order, and every task is tagged with its global index so the
-/// merge can splice shard outputs back into exactly the unsharded emission
-/// order.
+/// ranges (via [`par::chunk_ranges`]), consuming it: the global list is
+/// freed as soon as it is dealt. Each shard's list keeps the global
+/// randomized order, and every task is tagged with its global index (a
+/// `u32`, since the whole cross product fits one) so the merge can splice
+/// shard outputs back into exactly the unsharded emission order.
 ///
 /// Partitioning by *nameserver* (not by task) is what makes shard output
 /// invariant: every `(scanner, nameserver)` flow — probes, retries, MX
 /// follow-ups, TCP fallbacks — lives wholly inside one shard, so per-flow
 /// fault fates, per-server quarantine streaks and per-pair qid streams
 /// never depend on the shard count.
-pub fn partition_scan_tasks(tasks: &[ScanTask], ns_count: usize, shards: usize) -> Vec<ShardTasks> {
+fn partition_scan_tasks(
+    tasks: Vec<ScanTask>,
+    codec: TaskCodec,
+    ns_count: usize,
+    shards: usize,
+) -> Vec<ShardTasks> {
     let ranges = par::chunk_ranges(ns_count, shards);
     let mut shard_of = vec![0usize; ns_count];
     for (w, range) in ranges.iter().enumerate() {
@@ -408,12 +473,12 @@ pub fn partition_scan_tasks(tasks: &[ScanTask], ns_count: usize, shards: usize) 
         }
     }
     let mut sizes = vec![0usize; ranges.len()];
-    for task in tasks {
-        sizes[shard_of[task.0]] += 1;
+    for &task in &tasks {
+        sizes[shard_of[codec.nameserver(task)]] += 1;
     }
     let mut parts: Vec<ShardTasks> = sizes.into_iter().map(Vec::with_capacity).collect();
-    for (gidx, task) in tasks.iter().enumerate() {
-        parts[shard_of[task.0]].push((gidx, *task));
+    for (gidx, task) in (0..).zip(tasks) {
+        parts[shard_of[codec.nameserver(task)]].push((gidx, task));
     }
     parts
 }
@@ -460,12 +525,12 @@ impl ShardTask for ScanTask {
     }
 }
 
-impl ShardTask for (usize, ScanTask) {
-    type Ur = (usize, CollectedUr);
+impl ShardTask for (u32, ScanTask) {
+    type Ur = (u32, CollectedUr);
     fn task(self) -> ScanTask {
         self.1
     }
-    fn tag(self, ur: CollectedUr) -> (usize, CollectedUr) {
+    fn tag(self, ur: CollectedUr) -> (u32, CollectedUr) {
         (self.0, ur)
     }
 }
@@ -504,7 +569,9 @@ type ShardSummary = (
 /// (coverage, elapsed, fabric stats, bucket waits) is absorbed in shard
 /// order — so for every `workers` value the output is bit-identical to a
 /// `for shard in 0..shards` loop, and peak memory is bounded by `workers`
-/// in-flight shards: their fabrics and the transformed batches the fold
+/// in-flight shards: their fabrics, their task lists (4 bytes a task
+/// streamed, 8 materialized, and under an adaptive plan the
+/// [`RttSelector`]'s queues of them), and the transformed batches the fold
 /// has not yet taken (a whole shard's, for one still ahead of the fold —
 /// so `transform` should make them compact). `lead` runs once on
 /// the calling thread beside the workers, before the fold starts (first,
@@ -529,6 +596,7 @@ fn scan<K: ShardTask, T: Send>(
     nameservers: &[NsInfo],
     targets: &[Name],
     cfg: &CollectConfig,
+    codec: TaskCodec,
     pacing: simnet::SimDuration,
     global_pacing: simnet::SimDuration,
     shards: usize,
@@ -549,6 +617,7 @@ fn scan<K: ShardTask, T: Send>(
         .iter()
         .map(|ns| Sym::intern(&ns.provider))
         .collect();
+    let types = distinct_query_types(cfg);
 
     let scan_shard = |shard_idx: usize, emit: &mut dyn FnMut(T)| -> ShardSummary {
         let tasks = shard_tasks(shard_idx);
@@ -573,10 +642,11 @@ fn scan<K: ShardTask, T: Send>(
         }
         let mut pending: Vec<K::Ur> = Vec::new();
         let mut feed = TaskFeed::new(plan.adaptive, plan.backoff_seed, tasks, |k| {
-            nameservers[k.task().0].ip
+            nameservers[codec.nameserver(k.task())].ip
         });
         while let Some(k) = feed.next(&engine.health) {
-            let (ni, di, rtype) = k.task();
+            let (ni, di, ti) = codec.decode(k.task());
+            let rtype = types[ti];
             let ns_ip = nameservers[ni].ip;
             sched.admit(&mut net, ns_ip);
             if let Some(ur) = probe_task(
@@ -668,7 +738,7 @@ fn scan<K: ShardTask, T: Send>(
 /// Bulk scan in the **materialized** task order, for eager worlds: the
 /// whole cross product is shuffled once with the scheduler's seed and
 /// partitioned across `shards` nameserver ranges
-/// ([`partition_scan_tasks`]). Every UR carries the global index of the
+/// (`partition_scan_tasks`). Every UR carries the global index of the
 /// task that produced it, so sorting the shard outputs by it restores the
 /// unsharded emission order — URs reach `sink` in batches of `batch_size`
 /// (`0` or `usize::MAX` = one batch) in exactly the order and at the batch
@@ -735,14 +805,16 @@ pub(crate) fn collect_urs_sharded_on<T: Send>(
     sink: &mut dyn FnMut(Vec<T>),
 ) -> ShardedScanOutcome {
     let delegated = delegated_servers(world_registry, targets);
-    let mut tasks = build_scan_tasks(&delegated, nameservers, 0..nameservers.len(), cfg);
+    let codec = TaskCodec::of(nameservers, targets, cfg);
+    let mut tasks = build_scan_tasks(&delegated, nameservers, 0..nameservers.len(), codec);
     scheduler.randomize(&mut tasks);
-    // Each part is taken by the one shard that scans it.
-    let parts: Vec<_> = partition_scan_tasks(&tasks, nameservers.len(), shards.max(1))
+    // The global list goes once it is dealt; each part is taken by the one
+    // shard that scans it.
+    let parts: Vec<_> = partition_scan_tasks(tasks, codec, nameservers.len(), shards.max(1))
         .into_iter()
         .map(|part| std::sync::Mutex::new(Some(part)))
         .collect();
-    let mut merged: Vec<(usize, T)> = Vec::new();
+    let mut merged: Vec<(u32, T)> = Vec::new();
     // One batch per shard: a worker hands its URs over once, at shard end,
     // so a shard ahead of the fold parks exactly that one batch.
     let outcome = scan(
@@ -753,6 +825,7 @@ pub(crate) fn collect_urs_sharded_on<T: Send>(
         nameservers,
         targets,
         cfg,
+        codec,
         scheduler.interval(),
         scheduler.global_interval(),
         parts.len(),
@@ -766,7 +839,7 @@ pub(crate) fn collect_urs_sharded_on<T: Send>(
                 .expect("each shard is scanned once")
         },
         &|tagged| {
-            let (gidx, urs): (Vec<usize>, Vec<CollectedUr>) = tagged.into_iter().unzip();
+            let (gidx, urs): (Vec<u32>, Vec<CollectedUr>) = tagged.into_iter().unzip();
             let out = transform(urs);
             assert_eq!(out.len(), gidx.len(), "transform must map one to one");
             gidx.into_iter().zip(out).collect::<Vec<_>>()
@@ -801,11 +874,11 @@ pub(crate) fn collect_urs_sharded_on<T: Send>(
 /// Bulk scan in the **per-shard** task order, for plan-backed worlds (the
 /// `paper` and `xl` presets): each shard builds its own slice of the cross
 /// product and shuffles it with a seed derived from `scheduler_seed` and
-/// the shard index, so the task list is O(slice) instead of O(inventory) —
-/// on a paper-scale world the global list alone would be hundreds of
-/// megabytes. `transform` runs on the worker that scanned the batch (this
-/// is where classification parallelizes); `sink` sees the transformed
-/// batches in shard-major order.
+/// the shard index, so the task list is O(slice) instead of O(inventory):
+/// on a paper-scale world, 4.5 M codes (18 MB) for one of 8 shards against
+/// 35.8 M (143 MB) for the whole. `transform` runs on the worker that
+/// scanned the batch (this is where classification parallelizes); `sink`
+/// sees the transformed batches in shard-major order.
 ///
 /// Output is deterministic in `(world, scheduler_seed, world_shards)`;
 /// unlike the materialized order it intentionally *depends* on
@@ -831,6 +904,7 @@ pub(crate) fn collect_urs_streamed<T: Send>(
     sink: &mut dyn FnMut(T),
 ) -> ShardedScanOutcome {
     let delegated = delegated_servers(world_registry, targets);
+    let codec = TaskCodec::of(nameservers, targets, cfg);
     let ranges = par::chunk_ranges(nameservers.len(), world_shards.max(1));
     scan(
         blueprint,
@@ -840,13 +914,14 @@ pub(crate) fn collect_urs_streamed<T: Send>(
         nameservers,
         targets,
         cfg,
+        codec,
         pacing,
         global_pacing,
         ranges.len(),
         workers,
         batch_size,
         &|shard| {
-            let mut tasks = build_scan_tasks(&delegated, nameservers, ranges[shard].clone(), cfg);
+            let mut tasks = build_scan_tasks(&delegated, nameservers, ranges[shard].clone(), codec);
             let shard_seed =
                 scheduler_seed ^ (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             QueryScheduler::new(shard_seed, pacing).randomize(&mut tasks);
@@ -1013,8 +1088,148 @@ pub fn collect_protective(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simnet::SimDuration;
     use worldgen::WorldConfig;
+
+    #[test]
+    fn task_codes_decode_and_shuffle_to_the_tuple_order() {
+        let types = [RecordType::A, RecordType::Txt, RecordType::Mx];
+        let nameservers: Vec<NsInfo> = (0..5u8)
+            .map(|i| NsInfo {
+                ip: Ipv4Addr::new(10, 1, 0, i),
+                provider: format!("p{i}"),
+                provider_idx: None,
+                tail_hosted_sites: 50,
+            })
+            .collect();
+        // Every third target is delegated to one or two of the servers
+        // that would probe it, so those pairs leave the cross product.
+        let ns_name: Name = "ns.example".parse().unwrap();
+        let delegations: Vec<Vec<(Name, Ipv4Addr)>> = (0..7)
+            .map(|di| match di % 3 {
+                0 => vec![(ns_name.clone(), nameservers[di % 5].ip)],
+                1 if di > 1 => vec![
+                    (ns_name.clone(), nameservers[(di + 1) % 5].ip),
+                    (ns_name.clone(), nameservers[(di + 3) % 5].ip),
+                ],
+                _ => Vec::new(),
+            })
+            .collect();
+        let delegated: Vec<&[(Name, Ipv4Addr)]> = delegations.iter().map(Vec::as_slice).collect();
+        let codec = TaskCodec::new(nameservers.len(), delegated.len(), types.len());
+        for range in [0..5, 1..4, 3..3] {
+            let mut codes = build_scan_tasks(&delegated, &nameservers, range.clone(), codec);
+            // The reference: `(nameserver, target, type)` tuples, built
+            // the way the list used to be.
+            let (ns, del) = (&nameservers, &delegated);
+            let mut tuples: Vec<_> = range
+                .clone()
+                .flat_map(|ni| {
+                    del.iter()
+                        .enumerate()
+                        .filter(move |(_, servers)| servers.iter().all(|&(_, ip)| ip != ns[ni].ip))
+                        .flat_map(move |(di, _)| types.map(|rt| (ni, di, rt)))
+                })
+                .collect();
+            let decode = |codes: &[ScanTask]| -> Vec<_> {
+                codes
+                    .iter()
+                    .map(|&c| {
+                        let (ni, di, ti) = codec.decode(c);
+                        assert_eq!(codec.nameserver(c), ni);
+                        assert_eq!(codec.encode(ni, di, ti), c);
+                        (ni, di, types[ti])
+                    })
+                    .collect()
+            };
+            assert_eq!(decode(&codes), tuples);
+            if range.len() == 5 {
+                assert!(tuples.len() < 5 * 7 * 3, "no pair was delegated away");
+            }
+            for seed in [0, 7, 42, u64::MAX] {
+                QueryScheduler::new(seed, SimDuration::ZERO).randomize(&mut codes);
+                QueryScheduler::new(seed, SimDuration::ZERO).randomize(&mut tuples);
+                assert_eq!(decode(&codes), tuples, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_cross_product_is_sized_up_to_u32_max() {
+        // 65,535 × 65,537 is u32::MAX, the largest product that fits; its
+        // last code is u32::MAX − 1.
+        let codec = TaskCodec::new(65_535, 65_537, 1);
+        assert_eq!(codec.encode(65_534, 65_536, 0), u32::MAX - 1);
+        assert_eq!(codec.decode(u32::MAX - 1), (65_534, 65_536, 0));
+        assert_eq!(codec.nameserver(u32::MAX - 1), 65_534);
+        // The paper's inventory with MX (`--extended`): 53.6 M tasks.
+        let codec = TaskCodec::new(8_941, 2_000, 3);
+        assert_eq!(
+            codec.decode(codec.encode(8_940, 1_999, 2)),
+            (8_940, 1_999, 2)
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "65536 nameservers × 65536 targets × 1 record types exceeds u32::MAX"
+    )]
+    fn a_cross_product_past_u32_max_is_refused() {
+        TaskCodec::new(65_536, 65_536, 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn shard_partitioning_is_a_permutation(
+            ns_count in 1usize..48,
+            domains in 1usize..48,
+            shards in 1usize..12,
+            seed in any::<u64>(),
+        ) {
+            // Build a randomized task list like the collector does: the
+            // full (nameserver, domain) cross product, shuffled.
+            let codec = TaskCodec::new(ns_count, domains, 1);
+            let mut tasks: Vec<ScanTask> = (0..ns_count)
+                .flat_map(|ni| (0..domains).map(move |di| codec.encode(ni, di, 0)))
+                .collect();
+            QueryScheduler::new(seed, SimDuration::ZERO).randomize(&mut tasks);
+
+            let parts = partition_scan_tasks(tasks.clone(), codec, ns_count, shards);
+            prop_assert!(parts.len() <= shards.min(ns_count).max(1));
+
+            // Every global index appears exactly once, mapped to its own
+            // task: splicing by index reconstructs the unsharded order
+            // losslessly.
+            let mut seen = vec![false; tasks.len()];
+            for part in &parts {
+                let mut prev = None;
+                let mut shard_ns = std::collections::HashSet::new();
+                for &(gidx, task) in part {
+                    let gidx = gidx as usize;
+                    prop_assert!(!seen[gidx], "global index {} assigned twice", gidx);
+                    seen[gidx] = true;
+                    prop_assert_eq!(task, tasks[gidx]);
+                    // Within a shard the global randomized order is kept.
+                    prop_assert!(prev.is_none_or(|p| p < gidx));
+                    prev = Some(gidx);
+                    shard_ns.insert(codec.nameserver(task));
+                }
+                // A nameserver never straddles shards.
+                for other in &parts {
+                    if std::ptr::eq(part, other) {
+                        continue;
+                    }
+                    for &(_, task) in other {
+                        prop_assert!(!shard_ns.contains(&codec.nameserver(task)));
+                    }
+                }
+            }
+            prop_assert!(seen.iter().all(|&s| s), "some task was dropped");
+        }
+    }
 
     #[test]
     fn selection_filters_small_providers() {

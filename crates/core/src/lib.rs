@@ -56,8 +56,8 @@ pub use analyze::{analyze, evidence_histogram, run_sandboxes, Analysis, AnalyzeC
 pub use audit::{audit_table2, AuditRow};
 pub use classify::{ClassifyConfig, StreamClassifier};
 pub use collect::{
-    collect_correct, collect_protective, collect_urs_sharded, partition_scan_tasks, scan_stream,
-    select_nameservers, CollectConfig, QidGen, RttSelector, ShardedScanOutcome,
+    collect_correct, collect_protective, collect_urs_sharded, scan_stream, select_nameservers,
+    CollectConfig, QidGen, RttSelector, ShardedScanOutcome,
 };
 pub use defense::{BypassAlert, EgressMonitor};
 pub use pipeline::{

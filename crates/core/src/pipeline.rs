@@ -649,9 +649,10 @@ pub struct StreamRunOutput {
 /// on the worker that scanned it the moment its batch fills and reduced
 /// there to one compact digest row per UR, and the rows folded into the
 /// [`StreamRunOutput`] aggregates on the calling thread in canonical
-/// shard-major order. Peak memory is `workers` shards' zone tables plus
-/// the digest rows of the shards ahead of the fold, independent of world
-/// size.
+/// shard-major order. Peak memory is `workers` shards' zone tables and
+/// task orders (4 bytes for each of a shard's nameservers × targets ×
+/// query types) plus the digest rows of the shards ahead of the fold: it
+/// grows with a shard's share of the world, not with the world.
 ///
 /// Deterministic in `(world, cfg, world_shards)` — the canonical order is
 /// shard-major, so `world_shards` is part of a run's identity (unlike the

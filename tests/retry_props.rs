@@ -130,52 +130,6 @@ proptest! {
             prop_assert!(seen.insert(qid), "qid {} repeated within stream", qid);
         }
     }
-
-    #[test]
-    fn shard_partitioning_is_a_permutation(
-        ns_count in 1usize..48,
-        domains in 1usize..48,
-        shards in 1usize..12,
-        seed in any::<u64>(),
-    ) {
-        // Build a randomized pseudo task list like the collector does:
-        // the full (nameserver, domain) cross product, shuffled.
-        let mut tasks: Vec<(usize, usize, RecordType)> = (0..ns_count)
-            .flat_map(|ni| (0..domains).map(move |di| (ni, di, RecordType::A)))
-            .collect();
-        let mut sched = urhunter::QueryScheduler::new(seed, SimDuration::ZERO);
-        sched.randomize(&mut tasks);
-
-        let parts = urhunter::partition_scan_tasks(&tasks, ns_count, shards);
-        prop_assert!(parts.len() <= shards.min(ns_count).max(1));
-
-        // Every global index appears exactly once, mapped to its own task:
-        // splicing by index reconstructs the unsharded order losslessly.
-        let mut seen = vec![false; tasks.len()];
-        for part in &parts {
-            let mut prev = None;
-            let mut shard_ns = std::collections::HashSet::new();
-            for &(gidx, task) in part {
-                prop_assert!(!seen[gidx], "global index {} assigned twice", gidx);
-                seen[gidx] = true;
-                prop_assert_eq!(task, tasks[gidx]);
-                // Within a shard the global randomized order is preserved.
-                prop_assert!(prev.is_none_or(|p| p < gidx));
-                prev = Some(gidx);
-                shard_ns.insert(task.0);
-            }
-            // A nameserver never straddles shards.
-            for other in &parts {
-                if std::ptr::eq(part, other) {
-                    continue;
-                }
-                for &(_, task) in other {
-                    prop_assert!(!shard_ns.contains(&task.0));
-                }
-            }
-        }
-        prop_assert!(seen.iter().all(|&s| s), "some task was dropped");
-    }
 }
 
 /// A retransmitted probe must reuse its qid on the wire: every datagram the
