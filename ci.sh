@@ -34,10 +34,13 @@ echo "== stale names: the deleted executor, collectors, knobs, timers and dead c
 # once (no per-event mirror, no atomic handles), and name-keyed maps
 # probed with folded bytes (no dynamic name-key trait), and one invariance
 # harness in place of the six equality test files and the golden test,
-# and scan tasks as 4-byte cross-product codes (no 24-byte task tuple):
-# none of the names of what was removed may come back in code, tests or
-# docs.
-if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs|\(usize, usize, RecordType\)' \
+# scan tasks as 4-byte cross-product codes (no 24-byte task tuple), one
+# scan order (each shard's shuffled list over a fixed shard layout: no
+# global partition, tags or sort-merge, no per-worker layout or ethics
+# clamp), and a quarantine that lasts the run (no cooldown, health
+# probe or release metric): none of the names of what was removed may
+# come back in code, tests or docs.
+if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs|\(usize, usize, RecordType\)|partition_scan_tasks|ShardTask|collect_urs_sharded_on|scan_shards|quarantine_cooldown|health_probe|probe_ns_released' \
     crates tests examples README.md DESIGN.md EXPERIMENTS.md; then
     echo "ci.sh: a deleted name is back (see the matches above)" >&2
     exit 1
@@ -230,10 +233,10 @@ grep -q 'shut down after' "$DAEMON_LOG" || {
 rm -f "$DAEMON_LOG"
 
 echo "== worker matrix: one worker vs the default vs --workers 4 =="
-# The sharded scan must be invisible in the output: the full table1
+# The worker count must be invisible in the output: the full table1
 # rendering (per-provider verdict counts) has to match bit for bit
-# between one worker (one shard, on the calling thread), the default
-# (one shard per worker) and four workers on the small world.
+# between one worker (every shard on the calling thread), the default
+# and four workers claiming the same eight shards on the small world.
 ONE_WORKER_OUT=$(URHUNTER_PARALLELISM=1 ./target/release/urhunter --report table1 2>/dev/null)
 test -n "$ONE_WORKER_OUT" || {
     echo "ci.sh: one-worker smoke run produced no table1 output" >&2

@@ -541,7 +541,7 @@ pub fn stream_pinned(
 /// The `xl` block: the streamed paper-scale preset (≥ 1 M URs) folded at
 /// every streamed worker count.
 pub fn xl() -> String {
-    const WORLD_SHARDS: usize = 8;
+    const WORLD_SHARDS: usize = urhunter::SCAN_SHARDS;
     let config = WorldConfig::xl();
     let seed = config.seed;
     let world = StreamWorld::generate(config);

@@ -17,13 +17,14 @@
 //! retained — and print the scan summary. Only `--seed`, `--shards` and
 //! the scan flags apply there; `--shards N` (1..=64, default 8) is the
 //! world-shard count, which fixes the scan order and so is part of a
-//! streamed run's identity.
+//! streamed run's identity. A materialized world always scans on the
+//! same canonical 8 shards.
 //!
 //! An unknown `--scale`, `--world` or `--report` value is an error (exit 2,
 //! naming the flag), found before any world is built. So is a flag that
 //! cannot apply: `--scale` beside any `--world`, whose preset fixes the
-//! world's size; `--shards` on a materialized world, which scans on one
-//! shard per worker; and `--report`, `--ethics`, `--extended`,
+//! world's size; `--shards` on a materialized world, whose shard layout is
+//! fixed; and `--report`, `--ethics`, `--extended`,
 //! `--expand-pdns`, `--payload-match`, `--pcap` and `--metrics-out` on
 //! `--world paper|xl`.
 //!
@@ -79,12 +80,13 @@ fn usage() -> ! {
          \u{20} pipeline; --world paper|xl runs the paper-scale streamed path (lazy\n\
          \u{20} plan-backed fabrics, URs folded into counters as they arrive) and\n\
          \u{20} prints the scan summary — only --seed, the scan flags and --shards N\n\
-         \u{20} (world shards, 1..=64, default 8; part of the run's identity) apply\n\
-         \u{20} there, --shards applies nowhere else, and --scale applies to no\n\
-         \u{20} --world;\n\
+         \u{20} (world shards, 1..=64, default {shards}; part of the run's identity)\n\
+         \u{20} apply there, --shards applies nowhere else (a materialized world\n\
+         \u{20} always scans on {shards} shards), and --scale applies to no --world;\n\
          \u{20} --metrics-out FILE writes the observability registry and event\n\
          \u{20} trace (.prom/.txt = Prometheus text, otherwise JSON lines).\n\n{}",
-        urhunter::cli::USAGE
+        urhunter::cli::USAGE,
+        shards = urhunter::SCAN_SHARDS,
     );
     std::process::exit(2)
 }
@@ -179,11 +181,11 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
         }
         _ if args.shards.is_some() => {
-            return Err(
+            return Err(format!(
                 "--shards applies only to --world paper|xl (the world-shard count); \
-                        a materialized world scans on one shard per worker"
-                    .to_string(),
-            );
+                 a materialized world always scans on {} shards",
+                urhunter::SCAN_SHARDS
+            ));
         }
         _ => {}
     }
@@ -206,7 +208,7 @@ fn run_world_preset(args: &Args, preset: &str) -> ExitCode {
     // Under --rate-limit the streamed path shares one token bucket across
     // all shard scans (a concatenated global timeline), so the shard count
     // needs no clamping here.
-    let shards = args.shards.unwrap_or(8);
+    let shards = args.shards.unwrap_or(urhunter::SCAN_SHARDS);
     eprintln!(
         "generating streamed world (preset={preset}, seed={})...",
         config.seed
@@ -388,7 +390,7 @@ mod tests {
                 assert!(err.expect("out of range").contains("--shards"));
             }
         }
-        // A materialized world scans on one shard per worker: --shards
+        // A materialized world scans on the fixed shard layout: --shards
         // cannot apply there.
         for args in [
             &["--shards", "4"][..],

@@ -15,8 +15,8 @@ use std::str::FromStr;
 pub const USAGE: &str = "\
 SCAN FLAGS (shared by urhunter and urhunterd):
     --workers N            scan workers, 1..=64 (default: sized from the
-                           machine); the scan runs on one replica fabric per
-                           worker, or on one under --ethics
+                           machine); each claims shards of the scan and
+                           probes them on replica fabrics of its own
     --retries N            attempts per probe, >= 1 (default 3)
     --timeout MS           simulated per-attempt timeout in ms, > 0
                            (default 5000)

@@ -340,11 +340,16 @@ pub struct RttSelector<T> {
 
 impl<T> RttSelector<T> {
     /// Group `tasks` into per-server FIFO queues using `server_of`.
-    pub fn new(seed: u64, tasks: Vec<T>, server_of: impl Fn(&T) -> Ipv4Addr) -> Self {
+    pub fn new(
+        seed: u64,
+        tasks: impl IntoIterator<Item = T>,
+        server_of: impl Fn(&T) -> Ipv4Addr,
+    ) -> Self {
         let mut queues: Vec<(Ipv4Addr, VecDeque<T>)> = Vec::new();
         let mut slot: FxHashMap<Ipv4Addr, usize> = FxHashMap::default();
-        let remaining = tasks.len();
+        let mut remaining = 0;
         for task in tasks {
+            remaining += 1;
             let ip = server_of(&task);
             let idx = *slot.entry(ip).or_insert_with(|| {
                 queues.push((ip, VecDeque::new()));
@@ -411,77 +416,88 @@ impl<T> RttSelector<T> {
     }
 }
 
-/// How a scan walks its task list: the randomized FIFO order as-is, or
+/// How a scan walks a shard's task list, as positions in it: in order, or
 /// re-ordered by smoothed RTT when the plan is adaptive.
-enum TaskFeed<T> {
-    Fifo(std::vec::IntoIter<T>),
-    Rtt(RttSelector<T>),
+enum TaskFeed {
+    Fifo(std::ops::Range<u32>),
+    Rtt(RttSelector<u32>),
 }
 
-impl<T> TaskFeed<T> {
-    fn new(adaptive: bool, seed: u64, tasks: Vec<T>, server_of: impl Fn(&T) -> Ipv4Addr) -> Self {
+impl TaskFeed {
+    fn new(adaptive: bool, seed: u64, len: u32, server_of: impl Fn(u32) -> Ipv4Addr) -> Self {
         if adaptive {
-            TaskFeed::Rtt(RttSelector::new(seed, tasks, server_of))
+            TaskFeed::Rtt(RttSelector::new(seed, 0..len, |&pos| server_of(pos)))
         } else {
-            TaskFeed::Fifo(tasks.into_iter())
+            TaskFeed::Fifo(0..len)
         }
     }
 
-    fn next(&mut self, health: &NsHealth) -> Option<T> {
+    fn next(&mut self, health: &NsHealth) -> Option<u32> {
         match self {
-            TaskFeed::Fifo(it) => it.next(),
+            TaskFeed::Fifo(positions) => positions.next(),
             TaskFeed::Rtt(sel) => sel.next(health),
         }
+    }
+}
+
+/// Releases a shard's URs in task order whatever order the feed probes
+/// in: a UR waits until every earlier position of the shard's list has
+/// been probed. Under FIFO each probe is the next position and nothing
+/// waits; under an adaptive plan this restores the FIFO output.
+#[derive(Default)]
+struct InOrder {
+    /// Lowest position not yet probed.
+    next: u32,
+    /// Bit `p` is set when position `p` was probed ahead of `next`.
+    ahead: Vec<u64>,
+    /// The URs of those positions.
+    held: std::collections::BTreeMap<u32, CollectedUr>,
+}
+
+impl InOrder {
+    /// Position `pos` was probed and yielded `ur`: hand `emit` every UR
+    /// that is now in order.
+    fn probed(&mut self, pos: u32, ur: Option<CollectedUr>, emit: &mut impl FnMut(CollectedUr)) {
+        if pos != self.next {
+            let word = pos as usize / 64;
+            if self.ahead.len() <= word {
+                self.ahead.resize(word + 1, 0);
+            }
+            self.ahead[word] |= 1 << (pos % 64);
+            self.held.extend(ur.map(|ur| (pos, ur)));
+            return;
+        }
+        if let Some(ur) = ur {
+            emit(ur);
+        }
+        self.next += 1;
+        while self.was_ahead(self.next) {
+            if let Some(ur) = self.held.remove(&self.next) {
+                emit(ur);
+            }
+            self.next += 1;
+        }
+    }
+
+    fn was_ahead(&self, pos: u32) -> bool {
+        self.ahead
+            .get(pos as usize / 64)
+            .is_some_and(|word| word & (1 << (pos % 64)) != 0)
     }
 }
 
 /// One bulk-scan probe, as its [`TaskCodec`] code.
 type ScanTask = u32;
 
-/// A shard's slice of the materialized scan: tasks tagged with their
-/// global index in the randomized order, so shard outputs can be sorted
-/// back.
-type ShardTasks = Vec<(u32, ScanTask)>;
-
-// What a shard's order costs a task: 4 bytes streamed, 8 materialized.
+// What a shard's order costs a task.
 const _: () = assert!(std::mem::size_of::<ScanTask>() == 4);
-const _: () = assert!(std::mem::size_of::<(u32, ScanTask)>() == 8);
 
-/// Partition a randomized task list across `shards` contiguous nameserver
-/// ranges (via [`par::chunk_ranges`]), consuming it: the global list is
-/// freed as soon as it is dealt. Each shard's list keeps the global
-/// randomized order, and every task is tagged with its global index (a
-/// `u32`, since the whole cross product fits one) so the merge can splice
-/// shard outputs back into exactly the unsharded emission order.
-///
-/// Partitioning by *nameserver* (not by task) is what makes shard output
-/// invariant: every `(scanner, nameserver)` flow — probes, retries, MX
-/// follow-ups, TCP fallbacks — lives wholly inside one shard, so per-flow
-/// fault fates, per-server quarantine streaks and per-pair qid streams
-/// never depend on the shard count.
-fn partition_scan_tasks(
-    tasks: Vec<ScanTask>,
-    codec: TaskCodec,
-    ns_count: usize,
-    shards: usize,
-) -> Vec<ShardTasks> {
-    let ranges = par::chunk_ranges(ns_count, shards);
-    let mut shard_of = vec![0usize; ns_count];
-    for (w, range) in ranges.iter().enumerate() {
-        for ni in range.clone() {
-            shard_of[ni] = w;
-        }
-    }
-    let mut sizes = vec![0usize; ranges.len()];
-    for &task in &tasks {
-        sizes[shard_of[codec.nameserver(task)]] += 1;
-    }
-    let mut parts: Vec<ShardTasks> = sizes.into_iter().map(Vec::with_capacity).collect();
-    for (gidx, task) in (0..).zip(tasks) {
-        parts[shard_of[codec.nameserver(task)]].push((gidx, task));
-    }
-    parts
-}
+/// The canonical shard layout of the bulk scan: the selected nameservers
+/// split into this many contiguous ranges ([`par::chunk_ranges`]). It is
+/// part of a run's identity, so [`crate::run`] always scans on it, and it
+/// is the default world-shard count of [`crate::run_streamed`]; worker
+/// threads only claim shards.
+pub const SCAN_SHARDS: usize = 8;
 
 /// What a bulk scan produced besides the URs streamed to the sink.
 #[derive(Debug, Clone)]
@@ -490,9 +506,7 @@ pub struct ShardedScanOutcome {
     /// merged in address order).
     pub coverage: crate::query::CoverageReport,
     /// Total simulated time the shards spent scanning — the amount the
-    /// caller should advance the world clock by. At zero pacing interval
-    /// per-task durations are start-time independent, so this sum equals
-    /// the single-fabric elapsed time for every shard count.
+    /// caller should advance the world clock by.
     pub elapsed: simnet::SimDuration,
     /// Summed fabric counters across shard replicas, for
     /// [`simnet::Network::absorb_stats`].
@@ -504,46 +518,6 @@ pub struct ShardedScanOutcome {
     pub(crate) bucket_wait: simnet::SimDuration,
 }
 
-/// A task as a shard's list carries it. The plan-backed order lists bare
-/// [`ScanTask`]s; the materialized order tags each with its index in the
-/// global shuffle, and the tag rides with the UR the task yields so the
-/// caller can sort shard outputs back into that order.
-trait ShardTask: Copy + Send {
-    /// What the scan emits for a task of this kind that yields a UR.
-    type Ur: Send;
-    fn task(self) -> ScanTask;
-    fn tag(self, ur: CollectedUr) -> Self::Ur;
-}
-
-impl ShardTask for ScanTask {
-    type Ur = CollectedUr;
-    fn task(self) -> ScanTask {
-        self
-    }
-    fn tag(self, ur: CollectedUr) -> CollectedUr {
-        ur
-    }
-}
-
-impl ShardTask for (u32, ScanTask) {
-    type Ur = (u32, CollectedUr);
-    fn task(self) -> ScanTask {
-        self.1
-    }
-    fn tag(self, ur: CollectedUr) -> (u32, CollectedUr) {
-        (self.0, ur)
-    }
-}
-
-/// A caller's batch size as a length limit: `0` means one unbounded batch.
-fn batch_limit(batch_size: usize) -> usize {
-    if batch_size == 0 {
-        usize::MAX
-    } else {
-        batch_size
-    }
-}
-
 /// What one shard reports back to the fold besides its batches.
 type ShardSummary = (
     crate::query::CoverageReport,
@@ -553,62 +527,106 @@ type ShardSummary = (
     u64,
 );
 
-/// The bulk scan — the only one in the tree.
-///
-/// The selected nameservers are split into `shards` contiguous ranges.
-/// `workers` threads (clamped to the shard count; one worker scans on the
-/// calling thread) each claim the next shard index, take its task list
-/// from `shard_tasks` — already in probe order — build a replica fabric
-/// for it ([`worldgen::ScanBlueprint::build_network_scoped`]: every node
-/// on an eager blueprint, on a lazy one just the providers owning the
-/// shard's addresses), scan it with their own [`ProbeEngine`] and task
-/// feed, apply `transform` to each full batch **on the worker thread**,
-/// and drop the fabric before claiming the next shard. Transformed batches
-/// flow through [`par::sharded_ordered_fold`] to `sink` on the calling
-/// thread in canonical **shard-major** order, and each shard's summary
-/// (coverage, elapsed, fabric stats, bucket waits) is absorbed in shard
-/// order — so for every `workers` value the output is bit-identical to a
-/// `for shard in 0..shards` loop, and peak memory is bounded by `workers`
-/// in-flight shards: their fabrics, their task lists (4 bytes a task
-/// streamed, 8 materialized, and under an adaptive plan the
-/// [`RttSelector`]'s queues of them), and the transformed batches the fold
-/// has not yet taken (a whole shard's, for one still ahead of the fold —
-/// so `transform` should make them compact). `lead` runs once on
-/// the calling thread beside the workers, before the fold starts (first,
-/// when one worker scans on the calling thread).
-///
-/// Batches never span a shard boundary (the final partial batch of a
-/// shard flushes when the shard ends); `batch_size` `0` or `usize::MAX`
-/// hands a shard's URs over once, at shard end.
-///
-/// A non-zero `global_pacing` (`--rate-limit`) is enforced by a
-/// [`SharedTokenBucket`](crate::schedule::SharedTokenBucket) metering the
-/// scan-wide concatenated timeline: shard `s` may not admit until every
-/// earlier shard finished, so rate-limited shard scans serialize (they are
-/// throttle-bound by construction) while remaining bit-identical for any
-/// worker count.
+/// The bulk scan over the [`SCAN_SHARDS`] layout, in the order
+/// [`crate::run`] scans. `shards` keeps its old name but is the number of
+/// worker threads claiming those shards (`0` = automatic); the output is
+/// the same for every value. URs reach `sink` in batches of `batch_size`
+/// (`0` or `usize::MAX` = one batch a shard) that never span a shard
+/// boundary.
 #[allow(clippy::too_many_arguments)]
-fn scan<K: ShardTask, T: Send>(
+pub fn collect_urs_sharded(
     blueprint: &worldgen::ScanBlueprint,
     plan: crate::query::QueryPlan,
     faults: simnet::FaultPlan,
     obs: Option<std::sync::Arc<obs::Obs>>,
+    world_registry: &authdns::DelegationRegistry,
     nameservers: &[NsInfo],
     targets: &[Name],
     cfg: &CollectConfig,
-    codec: TaskCodec,
-    pacing: simnet::SimDuration,
-    global_pacing: simnet::SimDuration,
+    scheduler: &mut QueryScheduler,
     shards: usize,
+    batch_size: usize,
+    sink: &mut dyn FnMut(Vec<CollectedUr>),
+) -> ShardedScanOutcome {
+    collect_urs_streamed(
+        blueprint,
+        plan,
+        faults,
+        obs,
+        world_registry,
+        nameservers,
+        targets,
+        cfg,
+        scheduler,
+        SCAN_SHARDS,
+        par::Parallelism::from_knob(shards).get(),
+        batch_size,
+        &|urs| urs,
+        || {},
+        sink,
+    )
+}
+
+/// The bulk scan — the only one in the tree.
+///
+/// The selected nameservers are split into `world_shards` contiguous
+/// ranges. Shard `s` builds its own slice of the cross product (minus
+/// delegated pairs) and shuffles it with `QueryScheduler::for_shard`'s
+/// seed, so its order is O(slice): 4 bytes a task, 18 MB for one of a
+/// paper-scale world's 8 shards against 143 MB for the whole. `workers`
+/// threads (one scans on the calling thread) each claim the next shard,
+/// build a replica fabric for it
+/// ([`worldgen::ScanBlueprint::build_network_scoped`]: only the nodes of
+/// the shard's addresses), scan it with their own [`ProbeEngine`] and task
+/// feed, apply `transform` to each full batch **on the worker thread**,
+/// and drop the fabric before claiming the next shard. Each shard's URs
+/// leave in its task order (see `InOrder`), and transformed batches flow
+/// through [`par::sharded_ordered_fold`] to `sink` on the calling thread in
+/// canonical **shard-major** order, each shard's summary (coverage,
+/// elapsed, fabric stats, bucket waits) absorbed in shard order. So the
+/// output is deterministic in `(world, scheduler, world_shards)` and
+/// bit-identical for every `workers` value, and peak memory is bounded by
+/// `workers` in-flight shards: their fabrics, their task orders (4 bytes a
+/// task, and under an adaptive plan as much again for the
+/// [`RttSelector`]'s queues of positions), and the transformed batches the
+/// fold has not yet taken (a whole shard's, for one still ahead of the
+/// fold — so `transform` should make them compact). `lead` runs once on
+/// the calling thread beside the workers, before the fold starts (first,
+/// when one worker scans on the calling thread).
+///
+/// A non-zero global interval on `scheduler` (`--rate-limit`) is enforced
+/// by a [`SharedTokenBucket`](crate::schedule::SharedTokenBucket) metering
+/// the scan-wide concatenated timeline: shard `s` may not admit until
+/// every earlier shard finished, so rate-limited shard scans serialize
+/// (they are throttle-bound by construction) while remaining
+/// bit-identical for any worker count.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn collect_urs_streamed<T: Send>(
+    blueprint: &worldgen::ScanBlueprint,
+    plan: crate::query::QueryPlan,
+    faults: simnet::FaultPlan,
+    obs: Option<std::sync::Arc<obs::Obs>>,
+    world_registry: &authdns::DelegationRegistry,
+    nameservers: &[NsInfo],
+    targets: &[Name],
+    cfg: &CollectConfig,
+    scheduler: &QueryScheduler,
+    world_shards: usize,
     workers: usize,
     batch_size: usize,
-    shard_tasks: &(dyn Fn(usize) -> Vec<K> + Sync),
-    transform: &(dyn Fn(Vec<K::Ur>) -> T + Sync),
+    transform: &(dyn Fn(Vec<CollectedUr>) -> T + Sync),
     lead: impl FnOnce(),
     sink: &mut dyn FnMut(T),
 ) -> ShardedScanOutcome {
-    let ranges = par::chunk_ranges(nameservers.len(), shards.max(1));
-    let batch_size = batch_limit(batch_size);
+    let delegated = delegated_servers(world_registry, targets);
+    let codec = TaskCodec::of(nameservers, targets, cfg);
+    let ranges = par::chunk_ranges(nameservers.len(), world_shards.max(1));
+    let batch_size = if batch_size == 0 {
+        usize::MAX
+    } else {
+        batch_size
+    };
+    let global_pacing = scheduler.global_interval();
     let global = (global_pacing != simnet::SimDuration::ZERO)
         .then(|| crate::schedule::SharedTokenBucket::new(global_pacing));
     // Every UR's handles, interned once before any shard starts.
@@ -620,16 +638,15 @@ fn scan<K: ShardTask, T: Send>(
     let types = distinct_query_types(cfg);
 
     let scan_shard = |shard_idx: usize, emit: &mut dyn FnMut(T)| -> ShardSummary {
-        let tasks = shard_tasks(shard_idx);
-        // Pacing state is per shard; the order is the task list's.
-        let mut sched = QueryScheduler::new(0, pacing);
+        let range = ranges[shard_idx].clone();
+        // The shard's scheduler shuffles its order and paces its probes.
+        let mut sched = scheduler.for_shard(shard_idx);
         if let Some(g) = &global {
             sched = sched.with_shared_global(g.clone(), shard_idx);
         }
-        let scope: Vec<Ipv4Addr> = ranges[shard_idx]
-            .clone()
-            .map(|ni| nameservers[ni].ip)
-            .collect();
+        let mut tasks = build_scan_tasks(&delegated, nameservers, range.clone(), codec);
+        sched.randomize(&mut tasks);
+        let scope: Vec<Ipv4Addr> = range.map(|ni| nameservers[ni].ip).collect();
         let pool_before = dnswire::bufpool::stats();
         // `shard_idx` seeds the replica's general RNG stream; the per-flow
         // fault seed is the world's.
@@ -640,16 +657,18 @@ fn scan<K: ShardTask, T: Send>(
         if let Some(hub) = &obs {
             engine = engine.with_obs(hub.clone());
         }
-        let mut pending: Vec<K::Ur> = Vec::new();
-        let mut feed = TaskFeed::new(plan.adaptive, plan.backoff_seed, tasks, |k| {
-            nameservers[codec.nameserver(k.task())].ip
+        let mut pending: Vec<CollectedUr> = Vec::new();
+        let mut in_order = InOrder::default();
+        let len = u32::try_from(tasks.len()).expect("a shard's list is part of one u32 product");
+        let mut feed = TaskFeed::new(plan.adaptive, plan.backoff_seed, len, |pos| {
+            nameservers[codec.nameserver(tasks[pos as usize])].ip
         });
-        while let Some(k) = feed.next(&engine.health) {
-            let (ni, di, ti) = codec.decode(k.task());
+        while let Some(pos) = feed.next(&engine.health) {
+            let (ni, di, ti) = codec.decode(tasks[pos as usize]);
             let rtype = types[ti];
             let ns_ip = nameservers[ni].ip;
             sched.admit(&mut net, ns_ip);
-            if let Some(ur) = probe_task(
+            let ur = probe_task(
                 &mut net,
                 &mut engine,
                 task_qids(ni, di, rtype),
@@ -658,12 +677,13 @@ fn scan<K: ShardTask, T: Send>(
                 (&targets[di], target_keys[di]),
                 rtype,
                 cfg,
-            ) {
-                pending.push(k.tag(ur));
+            );
+            in_order.probed(pos, ur, &mut |ur| {
+                pending.push(ur);
                 if pending.len() >= batch_size {
                     emit(transform(std::mem::take(&mut pending)));
                 }
-            }
+            });
         }
         if !pending.is_empty() {
             emit(transform(pending));
@@ -733,204 +753,6 @@ fn scan<K: ShardTask, T: Send>(
         },
     );
     outcome
-}
-
-/// Bulk scan in the **materialized** task order, for eager worlds: the
-/// whole cross product is shuffled once with the scheduler's seed and
-/// partitioned across `shards` nameserver ranges
-/// (`partition_scan_tasks`). Every UR carries the global index of the
-/// task that produced it, so sorting the shard outputs by it restores the
-/// unsharded emission order — URs reach `sink` in batches of `batch_size`
-/// (`0` or `usize::MAX` = one batch) in exactly the order and at the batch
-/// boundaries of a one-shard scan, for every shard count, with and without
-/// per-flow fault injection. Shards are claimed by the automatic worker
-/// count.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_urs_sharded(
-    blueprint: &worldgen::ScanBlueprint,
-    plan: crate::query::QueryPlan,
-    faults: simnet::FaultPlan,
-    obs: Option<std::sync::Arc<obs::Obs>>,
-    world_registry: &authdns::DelegationRegistry,
-    nameservers: &[NsInfo],
-    targets: &[Name],
-    cfg: &CollectConfig,
-    scheduler: &mut QueryScheduler,
-    shards: usize,
-    batch_size: usize,
-    sink: &mut dyn FnMut(Vec<CollectedUr>),
-) -> ShardedScanOutcome {
-    collect_urs_sharded_on(
-        blueprint,
-        plan,
-        faults,
-        obs,
-        world_registry,
-        nameservers,
-        targets,
-        cfg,
-        scheduler,
-        shards,
-        par::Parallelism::auto().get(),
-        batch_size,
-        &|urs| urs,
-        || {},
-        sink,
-    )
-}
-
-/// [`collect_urs_sharded`] on a given number of shard workers, with
-/// `transform` applied to each shard's URs **on the worker that scanned
-/// them** (this is where [`crate::run`] classifies). `transform` must map
-/// its batch one to one and in order: its outputs take the global indices
-/// of its inputs, and `sink` sees them in the unsharded order. `lead` runs
-/// on the calling thread while the workers scan (this is where
-/// [`crate::run`] sweeps for support records; `transform` waits for them).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn collect_urs_sharded_on<T: Send>(
-    blueprint: &worldgen::ScanBlueprint,
-    plan: crate::query::QueryPlan,
-    faults: simnet::FaultPlan,
-    obs: Option<std::sync::Arc<obs::Obs>>,
-    world_registry: &authdns::DelegationRegistry,
-    nameservers: &[NsInfo],
-    targets: &[Name],
-    cfg: &CollectConfig,
-    scheduler: &mut QueryScheduler,
-    shards: usize,
-    workers: usize,
-    batch_size: usize,
-    transform: &(dyn Fn(Vec<CollectedUr>) -> Vec<T> + Sync),
-    lead: impl FnOnce(),
-    sink: &mut dyn FnMut(Vec<T>),
-) -> ShardedScanOutcome {
-    let delegated = delegated_servers(world_registry, targets);
-    let codec = TaskCodec::of(nameservers, targets, cfg);
-    let mut tasks = build_scan_tasks(&delegated, nameservers, 0..nameservers.len(), codec);
-    scheduler.randomize(&mut tasks);
-    // The global list goes once it is dealt; each part is taken by the one
-    // shard that scans it.
-    let parts: Vec<_> = partition_scan_tasks(tasks, codec, nameservers.len(), shards.max(1))
-        .into_iter()
-        .map(|part| std::sync::Mutex::new(Some(part)))
-        .collect();
-    let mut merged: Vec<(u32, T)> = Vec::new();
-    // One batch per shard: a worker hands its URs over once, at shard end,
-    // so a shard ahead of the fold parks exactly that one batch.
-    let outcome = scan(
-        blueprint,
-        plan,
-        faults,
-        obs,
-        nameservers,
-        targets,
-        cfg,
-        codec,
-        scheduler.interval(),
-        scheduler.global_interval(),
-        parts.len(),
-        workers,
-        usize::MAX,
-        &|shard| {
-            parts[shard]
-                .lock()
-                .expect("no scan runs under this lock")
-                .take()
-                .expect("each shard is scanned once")
-        },
-        &|tagged| {
-            let (gidx, urs): (Vec<u32>, Vec<CollectedUr>) = tagged.into_iter().unzip();
-            let out = transform(urs);
-            assert_eq!(out.len(), gidx.len(), "transform must map one to one");
-            gidx.into_iter().zip(out).collect::<Vec<_>>()
-        },
-        lead,
-        &mut |urs| {
-            if merged.is_empty() {
-                merged = urs;
-            } else {
-                merged.extend(urs);
-            }
-        },
-    );
-    merged.sort_unstable_by_key(|&(gidx, _)| gidx);
-    // Untagged in place; batches are cut from the back, so the first (for
-    // one batch, the only) batch keeps the buffer and no UR moves twice.
-    let mut urs: Vec<T> = merged.into_iter().map(|(_, ur)| ur).collect();
-    let batch_size = batch_limit(batch_size);
-    let mut batches = Vec::new();
-    while urs.len() > batch_size {
-        batches.push(urs.split_off((urs.len() - 1) / batch_size * batch_size));
-    }
-    batches.push(urs);
-    batches
-        .into_iter()
-        .rev()
-        .filter(|b| !b.is_empty())
-        .for_each(sink);
-    outcome
-}
-
-/// Bulk scan in the **per-shard** task order, for plan-backed worlds (the
-/// `paper` and `xl` presets): each shard builds its own slice of the cross
-/// product and shuffles it with a seed derived from `scheduler_seed` and
-/// the shard index, so the task list is O(slice) instead of O(inventory):
-/// on a paper-scale world, 4.5 M codes (18 MB) for one of 8 shards against
-/// 35.8 M (143 MB) for the whole. `transform` runs on the worker that
-/// scanned the batch (this is where classification parallelizes); `sink`
-/// sees the transformed batches in shard-major order.
-///
-/// Output is deterministic in `(world, scheduler_seed, world_shards)`;
-/// unlike the materialized order it intentionally *depends* on
-/// `world_shards`, which is part of a streamed run's configuration — and
-/// never on `workers`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn collect_urs_streamed<T: Send>(
-    blueprint: &worldgen::ScanBlueprint,
-    plan: crate::query::QueryPlan,
-    faults: simnet::FaultPlan,
-    obs: Option<std::sync::Arc<obs::Obs>>,
-    world_registry: &authdns::DelegationRegistry,
-    nameservers: &[NsInfo],
-    targets: &[Name],
-    cfg: &CollectConfig,
-    scheduler_seed: u64,
-    pacing: simnet::SimDuration,
-    global_pacing: simnet::SimDuration,
-    world_shards: usize,
-    workers: usize,
-    batch_size: usize,
-    transform: &(dyn Fn(Vec<CollectedUr>) -> T + Sync),
-    sink: &mut dyn FnMut(T),
-) -> ShardedScanOutcome {
-    let delegated = delegated_servers(world_registry, targets);
-    let codec = TaskCodec::of(nameservers, targets, cfg);
-    let ranges = par::chunk_ranges(nameservers.len(), world_shards.max(1));
-    scan(
-        blueprint,
-        plan,
-        faults,
-        obs,
-        nameservers,
-        targets,
-        cfg,
-        codec,
-        pacing,
-        global_pacing,
-        ranges.len(),
-        workers,
-        batch_size,
-        &|shard| {
-            let mut tasks = build_scan_tasks(&delegated, nameservers, ranges[shard].clone(), codec);
-            let shard_seed =
-                scheduler_seed ^ (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            QueryScheduler::new(shard_seed, pacing).randomize(&mut tasks);
-            tasks
-        },
-        transform,
-        || {},
-        sink,
-    )
 }
 
 /// Collect correct records: ask a sample of stable open resolvers for each
@@ -1189,45 +1011,55 @@ mod tests {
             shards in 1usize..12,
             seed in any::<u64>(),
         ) {
-            // Build a randomized task list like the collector does: the
-            // full (nameserver, domain) cross product, shuffled.
-            let codec = TaskCodec::new(ns_count, domains, 1);
-            let mut tasks: Vec<ScanTask> = (0..ns_count)
-                .flat_map(|ni| (0..domains).map(move |di| codec.encode(ni, di, 0)))
+            let nameservers: Vec<NsInfo> = (0..ns_count)
+                .map(|i| NsInfo {
+                    ip: Ipv4Addr::from(0x0a00_0000 + i as u32),
+                    provider: format!("p{i}"),
+                    provider_idx: None,
+                    tail_hosted_sites: 50,
+                })
                 .collect();
-            QueryScheduler::new(seed, SimDuration::ZERO).randomize(&mut tasks);
+            // Some targets are delegated to one of the servers, so those
+            // pairs leave the cross product.
+            let ns_name: Name = "ns.example".parse().unwrap();
+            let delegations: Vec<Vec<(Name, Ipv4Addr)>> = (0..domains)
+                .map(|di| match (seed as usize).wrapping_add(di) % 3 {
+                    0 => vec![(ns_name.clone(), nameservers[(di * 7) % ns_count].ip)],
+                    _ => Vec::new(),
+                })
+                .collect();
+            let delegated: Vec<&[(Name, Ipv4Addr)]> =
+                delegations.iter().map(Vec::as_slice).collect();
+            let codec = TaskCodec::new(ns_count, domains, 1);
+            let full = build_scan_tasks(&delegated, &nameservers, 0..ns_count, codec);
+            let scheduler = QueryScheduler::new(seed, SimDuration::ZERO);
 
-            let parts = partition_scan_tasks(tasks.clone(), codec, ns_count, shards);
-            prop_assert!(parts.len() <= shards.min(ns_count).max(1));
-
-            // Every global index appears exactly once, mapped to its own
-            // task: splicing by index reconstructs the unsharded order
-            // losslessly.
-            let mut seen = vec![false; tasks.len()];
-            for part in &parts {
-                let mut prev = None;
-                let mut shard_ns = std::collections::HashSet::new();
-                for &(gidx, task) in part {
-                    let gidx = gidx as usize;
-                    prop_assert!(!seen[gidx], "global index {} assigned twice", gidx);
-                    seen[gidx] = true;
-                    prop_assert_eq!(task, tasks[gidx]);
-                    // Within a shard the global randomized order is kept.
-                    prop_assert!(prev.is_none_or(|p| p < gidx));
-                    prev = Some(gidx);
-                    shard_ns.insert(codec.nameserver(task));
+            // Shard the scan the way the collector does: contiguous
+            // nameserver ranges, each building and shuffling its own slice.
+            let ranges = par::chunk_ranges(ns_count, shards);
+            prop_assert!(ranges.len() <= shards.min(ns_count));
+            let mut union = Vec::new();
+            let mut seen = vec![false; ns_count * domains];
+            for (s, range) in ranges.iter().enumerate() {
+                let built = build_scan_tasks(&delegated, &nameservers, range.clone(), codec);
+                let mut part = built.clone();
+                scheduler.for_shard(s).randomize(&mut part);
+                // The shuffle is a permutation of the shard's slice.
+                let mut sorted = part.clone();
+                sorted.sort_unstable();
+                prop_assert_eq!(&sorted, &built);
+                for &task in &part {
+                    // Each task is scanned once, and a nameserver never
+                    // straddles shards.
+                    prop_assert!(!seen[task as usize], "task {} assigned twice", task);
+                    seen[task as usize] = true;
+                    prop_assert!(range.contains(&codec.nameserver(task)));
                 }
-                // A nameserver never straddles shards.
-                for other in &parts {
-                    if std::ptr::eq(part, other) {
-                        continue;
-                    }
-                    for &(_, task) in other {
-                        prop_assert!(!shard_ns.contains(&codec.nameserver(task)));
-                    }
-                }
+                union.extend(built);
             }
-            prop_assert!(seen.iter().all(|&s| s), "some task was dropped");
+            // Splicing the shards' slices back reconstructs the unsharded
+            // build: nothing is dropped beyond the delegated pairs.
+            prop_assert_eq!(union, full);
         }
     }
 

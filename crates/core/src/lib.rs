@@ -57,7 +57,7 @@ pub use audit::{audit_table2, AuditRow};
 pub use classify::{ClassifyConfig, StreamClassifier};
 pub use collect::{
     collect_correct, collect_protective, collect_urs_sharded, scan_stream, select_nameservers,
-    CollectConfig, QidGen, RttSelector, ShardedScanOutcome,
+    CollectConfig, QidGen, RttSelector, ShardedScanOutcome, SCAN_SHARDS,
 };
 pub use defense::{BypassAlert, EgressMonitor};
 pub use pipeline::{

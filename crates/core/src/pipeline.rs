@@ -4,8 +4,8 @@
 use crate::analyze::{analyze, run_sandboxes, Analysis, AnalyzeConfig};
 use crate::classify::{classify_shard, ClassifyConfig, StreamClassifier};
 use crate::collect::{
-    collect_correct, collect_protective, collect_urs_sharded_on, query_one_ur, select_nameservers,
-    CollectConfig, QidGen,
+    collect_correct, collect_protective, collect_urs_streamed, query_one_ur, select_nameservers,
+    CollectConfig, QidGen, SCAN_SHARDS,
 };
 use crate::query::{publish_probes, CoverageReport, ProbeEngine, QueryPlan};
 use crate::report::{build_report, Report};
@@ -41,20 +41,18 @@ pub struct HunterConfig {
     /// Recover legitimate subdomains from passive DNS and add them to the
     /// target list (§6 future work).
     pub(crate) expand_targets_from_pdns: bool,
-    /// Scan worker threads, the one width of the scan. [`run`] splits the
-    /// selected nameservers into one contiguous shard per worker, each
-    /// scanned on its own replica fabric — or into one shard under ethics
-    /// pacing, whose per-server budget is only meaningful on one clock.
-    /// [`run_streamed`] takes its world-shard count as an argument (there
-    /// it is part of the run's identity), and its workers claim those
-    /// shards. One worker scans on the calling thread; a worker classifies
-    /// the URs it scanned. [`run`]'s calling thread sweeps for correct and
-    /// protective records while the workers scan, then folds, analyzes and
-    /// reports. `0` is automatic (available parallelism,
-    /// `URHUNTER_PARALLELISM` override), `1` is sequential, `n` fixed.
-    /// Output is bit-identical for every value (pinned by the execution
-    /// axes of `tests/invariance.rs`); only wall-clock time and peak RSS
-    /// (bounded by `workers` resident shard fabrics) change.
+    /// Scan worker threads. Workers only claim shards of the scan's layout
+    /// — [`SCAN_SHARDS`](crate::SCAN_SHARDS) contiguous nameserver ranges
+    /// for [`run`], the `world_shards` argument of [`run_streamed`] — and
+    /// each scans its shard on its own replica fabric and classifies the
+    /// URs it scanned. One worker scans on the calling thread. [`run`]'s
+    /// calling thread sweeps for correct and protective records while the
+    /// workers scan, then folds, analyzes and reports. `0` is automatic
+    /// (available parallelism, `URHUNTER_PARALLELISM` override), `1` is
+    /// sequential, `n` fixed. Output is bit-identical for every value
+    /// (pinned by the execution axes of `tests/invariance.rs`); only
+    /// wall-clock time and peak RSS (bounded by `workers` resident shard
+    /// fabrics) change.
     pub workers: usize,
     /// Retry/backoff policy for every collection-stage probe (bulk scan,
     /// correct records, protective canaries, and the §4.2 replay). On a
@@ -256,22 +254,12 @@ impl<T> Drop for PublishOnExit<'_, T> {
     }
 }
 
-/// How many shards [`run`]'s bulk scan splits into on `workers` workers:
-/// one per worker, or one under ethics pacing, whose per-server budget is
-/// one scanner clock: sharded, its summed scan clock would depend on the
-/// shard layout. A global rate cap needs no clamp, because one shared
-/// bucket meters the concatenated shard timeline.
-fn scan_shards(cfg: &HunterConfig, workers: usize) -> usize {
-    if cfg.per_server_interval != SimDuration::ZERO {
-        1
-    } else {
-        workers
-    }
-}
-
 /// Run the full URHunter pipeline against a world.
 ///
-/// The calling thread sweeps for correct and protective records on
+/// The bulk scan is [`run_streamed`]'s, over the fixed
+/// [`SCAN_SHARDS`](crate::SCAN_SHARDS) layout, and it keeps the verdicts:
+/// `classified` is shard-major, each shard in its shuffled task order. The
+/// calling thread sweeps for correct and protective records on
 /// `world.net` while the scan workers probe their replica fabrics (with
 /// one worker, first), then folds the verdicts, analyzes and reports.
 pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
@@ -316,13 +304,11 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     if let Some(hub) = &cfg.obs {
         engine = engine.with_obs(hub.clone());
     }
-    let mut scheduler = QueryScheduler::new(cfg.scheduler_seed, cfg.per_server_interval)
+    let scheduler = QueryScheduler::new(cfg.scheduler_seed, cfg.per_server_interval)
         .with_global_interval(cfg.rate_limit_interval);
     let classify_cfg = cfg.classify_cfg(world.config.today);
     let workers = par::Parallelism::from_knob(cfg.workers).get();
-    let shards = scan_shards(cfg, workers);
-    // The bulk scan runs on shard replica fabrics built from this snapshot
-    // (even on one shard, so the scan baseline doesn't depend on the knob):
+    // The bulk scan runs on shard replica fabrics built from this snapshot:
     // same fault seed and latency, per-shard RNG streams. The support sweep
     // below only reads the providers, so taking it first snapshots the same
     // state.
@@ -382,10 +368,10 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
             .expect("the support sweep panicked")
             .classify_batch_owned(urs)
     };
-    // Each worker classifies the shard it scanned; the merge hands every
-    // verdict over as one batch, in the unsharded scan order.
+    // Each worker classifies the shard it scanned and hands its verdicts
+    // over as one batch; the fold keeps them in shard order.
     let mut classified = Vec::new();
-    let scan = collect_urs_sharded_on(
+    let scan = collect_urs_streamed(
         &blueprint,
         cfg.retry,
         scan_faults,
@@ -394,13 +380,13 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         &nameservers,
         &targets,
         &cfg.collect,
-        &mut scheduler,
-        shards,
+        &scheduler,
+        SCAN_SHARDS,
         workers,
         usize::MAX,
         &classify,
         sweep,
-        &mut |batch| classified = batch,
+        &mut |batch| classified.extend(batch),
     );
     drop(streamer);
     let (correct_db, protective_db) = support.into_inner().expect("the support sweep ran");
@@ -644,10 +630,10 @@ pub struct StreamRunOutput {
 }
 
 /// Run the streamed paper-scale pipeline against a plan-backed world:
-/// scoped scan shards, each building only its own slice of the task list,
-/// claimed by [`HunterConfig::workers`] worker threads, every UR classified
-/// on the worker that scanned it the moment its batch fills and reduced
-/// there to one compact digest row per UR, and the rows folded into the
+/// [`run`]'s bulk scan over `world_shards` scoped shards, claimed by
+/// [`HunterConfig::workers`] worker threads, every UR classified on the
+/// worker that scanned it the moment its batch fills and reduced there to
+/// one compact digest row per UR, and the rows folded into the
 /// [`StreamRunOutput`] aggregates on the calling thread in canonical
 /// shard-major order. Peak memory is `workers` shards' zone tables and
 /// task orders (4 bytes for each of a shard's nameservers × targets ×
@@ -655,8 +641,8 @@ pub struct StreamRunOutput {
 /// grows with a shard's share of the world, not with the world.
 ///
 /// Deterministic in `(world, cfg, world_shards)` — the canonical order is
-/// shard-major, so `world_shards` is part of a run's identity (unlike the
-/// materialized pipeline, whose output is shard-count invariant). The
+/// shard-major, so `world_shards` is part of a run's identity, as the
+/// fixed [`SCAN_SHARDS`](crate::SCAN_SHARDS) layout is of [`run`]'s. The
 /// worker count is **not** part of the identity: every field of the
 /// output, including `sequence_hash` and the deterministic metrics
 /// snapshot, is bit-identical for every `workers` value (pinned by
@@ -702,7 +688,9 @@ pub fn run_streamed(
         let funnel = shard_funnel.then(|| classify_shard(&cls));
         (DigestBatch::of(&cls), funnel)
     };
-    let outcome = crate::collect::collect_urs_streamed(
+    let scheduler = QueryScheduler::new(cfg.scheduler_seed, cfg.per_server_interval)
+        .with_global_interval(cfg.rate_limit_interval);
+    let outcome = collect_urs_streamed(
         &blueprint,
         cfg.retry,
         cfg.scan_faults.unwrap_or_default(),
@@ -711,13 +699,12 @@ pub fn run_streamed(
         &nameservers,
         &targets,
         &cfg.collect,
-        cfg.scheduler_seed,
-        cfg.per_server_interval,
-        cfg.rate_limit_interval,
+        &scheduler,
         world_shards,
         workers,
         CLASSIFY_BATCH,
         &classify_batch,
+        || {},
         &mut |(batch, funnel): (DigestBatch, Option<obs::MetricShard>)| {
             if let (Some(shard), Some(hub)) = (funnel, &cfg.obs) {
                 hub.registry().merge_shard(obs::Class::Sim, &shard);
@@ -938,19 +925,6 @@ mod tests {
         assert_eq!(interval(2), SimDuration::from_micros(500_000));
         for n in [1_000_000, 1_000_001, u64::MAX] {
             assert_eq!(interval(n), SimDuration::from_micros(1), "--rate-limit {n}");
-        }
-    }
-
-    #[test]
-    fn the_bulk_scan_runs_one_shard_per_worker_unless_paced() {
-        // Only ethics pacing clamps: one shared bucket meters a rate cap on
-        // the concatenated shard timeline, so a capped scan on any shard
-        // count is the one-shard scan (held by tests/invariance.rs).
-        for workers in [1, 2, 4, 8] {
-            assert_eq!(scan_shards(&HunterConfig::fast(), workers), workers);
-            assert_eq!(scan_shards(&HunterConfig::paper_faithful(), workers), 1);
-            let capped = HunterConfig::fast().with_rate_limit_per_sec(100);
-            assert_eq!(scan_shards(&capped, workers), workers, "rate cap");
         }
     }
 

@@ -82,14 +82,9 @@ pub struct QueryPlan {
     /// Seed for the deterministic jitter mixed into each delay.
     pub backoff_seed: u64,
     /// Consecutive failures after which a nameserver is quarantined and no
-    /// further probes are sent to it (0 disables the circuit breaker).
+    /// further probes are sent to it for the rest of the run (0 disables
+    /// the circuit breaker).
     pub quarantine_threshold: u32,
-    /// Recovery knob: after this many probes have been skipped for a
-    /// quarantined server, the next probe is sent as a single-attempt
-    /// health probe — if it is answered the server re-enters rotation.
-    /// 0 (the default) keeps quarantine permanent
-    /// for the run, the pre-recovery behavior.
-    pub quarantine_cooldown: u32,
     /// Derive per-server timeouts from the smoothed RTT instead of using
     /// the fixed `timeout` for every attempt. Off by default: the fixed
     /// plan is the paper-faithful baseline.
@@ -113,7 +108,6 @@ impl Default for QueryPlan {
             backoff_max: SimDuration::from_secs(8),
             backoff_seed: DEFAULT_BACKOFF_SEED,
             quarantine_threshold: 8,
-            quarantine_cooldown: 0,
             adaptive: false,
             rtt_k: DEFAULT_RTT_K,
             min_timeout: SimDuration::from_millis(250),
@@ -261,8 +255,6 @@ struct ServerHealth {
     /// Consecutive fully failed probes.
     streak: u32,
     quarantined: bool,
-    /// Probes skipped since the quarantine began (or the last health probe).
-    skipped: u32,
     rtt: Option<RttEstimate>,
     recursive: bool,
 }
@@ -303,38 +295,8 @@ impl NsHealth {
         let s = self.servers.entry(server).or_default();
         s.streak += 1;
         let newly = threshold > 0 && s.streak >= threshold && !s.quarantined;
-        if newly {
-            s.quarantined = true;
-            s.skipped = 0;
-        }
+        s.quarantined |= newly;
         newly
-    }
-
-    /// Count one probe skipped because `server` is quarantined; returns the
-    /// skip streak including this one. Drives the cooldown window.
-    pub(crate) fn note_skipped(&mut self, server: Ipv4Addr) -> u32 {
-        let s = self.servers.entry(server).or_default();
-        s.skipped += 1;
-        s.skipped
-    }
-
-    /// Restart the cooldown window for a still-quarantined server (a
-    /// health probe just failed; wait a full cooldown before the next one).
-    pub(crate) fn reset_skip_window(&mut self, server: Ipv4Addr) {
-        if let Some(s) = self.servers.get_mut(&server) {
-            s.skipped = 0;
-        }
-    }
-
-    /// Release a server from quarantine: it re-enters rotation with a clean
-    /// failure streak. Returns `true` if the server was quarantined.
-    pub(crate) fn release(&mut self, server: Ipv4Addr) -> bool {
-        let Some(s) = self.servers.get_mut(&server) else {
-            return false;
-        };
-        s.streak = 0;
-        s.skipped = 0;
-        std::mem::take(&mut s.quarantined)
     }
 
     /// Current failure streak for a server (0 if healthy).
@@ -431,10 +393,8 @@ impl CoverageReport {
 pub(crate) struct ProbeTally {
     /// Simulated time spent in retransmission backoff.
     backoff_wait_us: u64,
-    /// Quarantine events (a released server quarantined again counts twice).
+    /// Quarantine events.
     ns_quarantined: u64,
-    /// Servers released by an answered health probe.
-    ns_released: u64,
     /// Probes whose timeout came from the server's RTT estimate.
     timeout_derived: u64,
     /// Probes on the fixed plan timeout.
@@ -450,7 +410,6 @@ impl Default for ProbeTally {
         ProbeTally {
             backoff_wait_us: 0,
             ns_quarantined: 0,
-            ns_released: 0,
             timeout_derived: 0,
             timeout_fixed: 0,
             attempts: obs::HistogramData::new(&[1, 2, 3, 4, 6, 8]),
@@ -459,7 +418,7 @@ impl Default for ProbeTally {
     }
 }
 
-/// Add one engine's counts to the 13 `probe_*` metrics of `reg`, each
+/// Add one engine's counts to the 12 `probe_*` metrics of `reg`, each
 /// registered (a zero included) on first use. Every metric is
 /// [`obs::Class::Sim`]: collection drives the simulated network on one
 /// thread per fabric in every executor, so the probe funnel is part of the
@@ -479,7 +438,6 @@ pub(crate) fn publish_probes(
         ("probe_retransmissions", coverage.retransmissions),
         ("probe_backoff_wait_us", tally.backoff_wait_us),
         ("probe_ns_quarantined", tally.ns_quarantined),
-        ("probe_ns_released", tally.ns_released),
         ("probe_timeout_derived", tally.timeout_derived),
         ("probe_timeout_fixed", tally.timeout_fixed),
     ] {
@@ -500,7 +458,7 @@ pub struct ProbeEngine {
     pub coverage: CoverageReport,
     /// Everything else the engine counts; never reset.
     pub(crate) tally: ProbeTally,
-    /// Where quarantine and release events go, with their simulated time.
+    /// Where quarantine events go, with their simulated time.
     hub: Option<std::sync::Arc<obs::Obs>>,
 }
 
@@ -516,7 +474,7 @@ impl ProbeEngine {
         }
     }
 
-    /// Push quarantine and release events into `hub`'s sink as they
+    /// Push quarantine events into `hub`'s sink as they
     /// happen. The engine's counts reach the hub's registry only when its
     /// owner publishes them, when its stage ends.
     pub fn with_obs(mut self, hub: std::sync::Arc<obs::Obs>) -> Self {
@@ -614,11 +572,7 @@ impl ProbeEngine {
     /// [`CoverageReport`] bucket. Of the response, the flags and the answer
     /// records `keep` accepts come back.
     ///
-    /// For a quarantined server the probe is normally skipped; with a
-    /// non-zero [`QueryPlan::quarantine_cooldown`], every `cooldown`-th
-    /// skipped probe is instead sent as a single-attempt health probe. An
-    /// answer releases the server back into rotation; a timeout restarts
-    /// the cooldown window.
+    /// A probe to a quarantined server is skipped without sending.
     #[allow(clippy::too_many_arguments)]
     pub fn query_keeping(
         &mut self,
@@ -632,13 +586,8 @@ impl ProbeEngine {
     ) -> Option<ProbeReply> {
         self.coverage.scheduled += 1;
         if self.health.is_quarantined(server_ip) {
-            let cooldown = self.plan.quarantine_cooldown;
-            let probe_due = cooldown > 0 && self.health.note_skipped(server_ip) >= cooldown;
-            if !probe_due {
-                self.coverage.skipped_quarantined += 1;
-                return None;
-            }
-            return self.health_probe(net, client_ip, server_ip, qname, qtype, qid, &keep);
+            self.coverage.skipped_quarantined += 1;
+            return None;
         }
         // Only a retransmission needs the jitter key.
         let mut key = None;
@@ -692,11 +641,7 @@ impl ProbeEngine {
             .health
             .record_failure(server_ip, self.plan.quarantine_threshold)
         {
-            // A released-then-requarantined server must not appear twice in
-            // the historical list.
-            if !self.coverage.quarantined_servers.contains(&server_ip) {
-                self.coverage.quarantined_servers.push(server_ip);
-            }
+            self.coverage.quarantined_servers.push(server_ip);
             self.tally.ns_quarantined += 1;
             if let Some(hub) = &self.hub {
                 hub.sink().push(
@@ -707,57 +652,6 @@ impl ProbeEngine {
                 );
             }
         }
-        None
-    }
-
-    /// Single-attempt health probe against a quarantined server: an answer
-    /// releases it, a timeout restarts the cooldown window. Lands in the
-    /// `answered` or `gave_up` bucket like any other probe.
-    ///
-    /// Uses the per-server derived timeout, not the fixed plan timeout: a
-    /// quarantined-but-recovered fast server should be released after one
-    /// short wait, and a dead one should cost the scan milliseconds, not
-    /// the full 5 s, per cooldown window.
-    #[allow(clippy::too_many_arguments)]
-    fn health_probe(
-        &mut self,
-        net: &mut Network,
-        client_ip: Ipv4Addr,
-        server_ip: Ipv4Addr,
-        qname: &Name,
-        qtype: RecordType,
-        qid: u16,
-        keep: &impl Fn(&RecordView<'_>) -> bool,
-    ) -> Option<ProbeReply> {
-        let timeout = self.attempt_timeout(server_ip);
-        let sent_at = net.now();
-        if let Some(resp) =
-            Self::attempt(net, client_ip, server_ip, qname, qtype, qid, timeout, keep)
-        {
-            if resp.flags.recursion_available {
-                self.health.note_recursive(server_ip);
-            } else {
-                let rtt = net.now().since(sent_at);
-                self.health.observe_rtt(server_ip, rtt);
-                self.tally.rtt_us.observe(rtt.as_micros());
-            }
-            self.coverage.answered += 1;
-            self.health.release(server_ip);
-            self.tally.attempts.observe(1);
-            self.tally.ns_released += 1;
-            if let Some(hub) = &self.hub {
-                hub.sink().push(
-                    Some(net.now().as_micros()),
-                    "release",
-                    &server_ip.to_string(),
-                    "health probe answered".to_string(),
-                );
-            }
-            return Some(resp);
-        }
-        self.coverage.gave_up += 1;
-        self.health.reset_skip_window(server_ip);
-        self.tally.attempts.observe(1);
         None
     }
 
@@ -881,26 +775,21 @@ mod tests {
     }
 
     #[test]
-    fn health_quarantine_release_requarantine() {
+    fn health_quarantine_lasts_for_the_run() {
         let mut h = NsHealth::new();
         let s = ip(4);
         // Quarantine after 2 consecutive failures.
         assert!(!h.record_failure(s, 2));
         assert!(h.record_failure(s, 2));
         assert!(h.is_quarantined(s));
-        assert_eq!(h.note_skipped(s), 1);
-        assert_eq!(h.note_skipped(s), 2);
-        // Release: back in rotation, streaks clean.
-        assert!(h.release(s));
-        assert!(!h.is_quarantined(s));
+        // A success resets the streak but releases nothing, and further
+        // failures are never reported as a new quarantine.
+        h.record_success(s);
         assert_eq!(h.failure_streak(s), 0);
-        assert!(!h.release(s), "double release reports not-quarantined");
-        // Skip window restarted: the counter begins at 1 again.
-        // Re-quarantine requires a full fresh streak and is reported as new.
-        assert!(!h.record_failure(s, 2));
-        assert!(h.record_failure(s, 2));
         assert!(h.is_quarantined(s));
-        assert_eq!(h.note_skipped(s), 1, "skip window reset by release");
+        assert!(!h.record_failure(s, 2));
+        assert!(!h.record_failure(s, 2));
+        assert!(h.is_quarantined(s));
     }
 
     #[test]
@@ -1071,86 +960,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_cooldown_releases_recovered_server() {
-        use simnet::FaultPlan;
-        // Quarantine on the first failure; health-probe after 2 skips.
-        let mut engine = ProbeEngine::new(QueryPlan {
-            quarantine_cooldown: 2,
-            ..QueryPlan::with_attempts(1).quarantine_after(1)
-        });
-        let mut net = Network::new(5);
-        let server = ip(9);
-        net.add_node(server, Box::new(Responder));
-        let qname: Name = "probe.example".parse().unwrap();
-        let probe = |engine: &mut ProbeEngine, net: &mut Network, qid| {
-            engine.query(net, ip(8), server, &qname, RecordType::A, qid)
-        };
-
-        // Outage: full loss -> the probe times out and trips the breaker.
-        net.set_faults(FaultPlan::lossy(1.0));
-        assert!(probe(&mut engine, &mut net, 1).is_none());
-        assert!(engine.health.is_quarantined(server));
-
-        // Server recovers, but the engine must sit out the cooldown first.
-        net.set_faults(FaultPlan::reliable());
-        assert!(probe(&mut engine, &mut net, 2).is_none(), "skip 1");
-        assert_eq!(engine.coverage.skipped_quarantined, 1);
-        // Second quarantined probe reaches the cooldown: sent as a health
-        // probe, answered, and the server re-enters rotation.
-        assert!(probe(&mut engine, &mut net, 3).is_some());
-        assert!(!engine.health.is_quarantined(server));
-        // Normal service resumes.
-        assert!(probe(&mut engine, &mut net, 4).is_some());
-
-        // Re-quarantine on a fresh outage; the server appears only once in
-        // the historical quarantine list.
-        net.set_faults(FaultPlan::lossy(1.0));
-        assert!(probe(&mut engine, &mut net, 5).is_none());
-        assert!(engine.health.is_quarantined(server));
-        assert_eq!(engine.coverage.quarantined_servers, vec![server]);
-
-        let cov = &engine.coverage;
-        assert_eq!(cov.scheduled, 5);
-        assert_eq!(cov.answered, 2);
-        assert_eq!(cov.gave_up, 2);
-        assert_eq!(cov.skipped_quarantined, 1);
-        assert!(cov.is_complete());
-    }
-
-    #[test]
-    fn engine_cooldown_failure_restarts_window() {
-        let mut engine = ProbeEngine::new(QueryPlan {
-            quarantine_cooldown: 2,
-            ..QueryPlan::with_attempts(1).quarantine_after(1)
-        });
-        let mut net = Network::new(6);
-        let server = ip(9); // unregistered: every transmission times out
-        net.register_external(ip(8));
-        let qname: Name = "probe.example".parse().unwrap();
-        let probe = |engine: &mut ProbeEngine, net: &mut Network, qid| {
-            engine.query(net, ip(8), server, &qname, RecordType::A, qid)
-        };
-        assert!(probe(&mut engine, &mut net, 1).is_none()); // quarantined
-        let traffic =
-            |net: &Network| net.stats().delivered + net.stats().dropped + net.stats().no_route;
-        assert!(probe(&mut engine, &mut net, 2).is_none()); // skip 1
-        let before = traffic(&net);
-        assert!(probe(&mut engine, &mut net, 3).is_none()); // health probe, fails
-        assert!(traffic(&net) > before, "health probe must hit the wire");
-        assert!(
-            engine.health.is_quarantined(server),
-            "failed health probe keeps quarantine"
-        );
-        // Window restarted: the very next probe is a silent skip again.
-        let before = traffic(&net);
-        assert!(probe(&mut engine, &mut net, 4).is_none());
-        assert_eq!(traffic(&net), before, "skip sends nothing");
-        assert_eq!(engine.coverage.skipped_quarantined, 2);
-        assert_eq!(engine.coverage.gave_up, 2);
-        assert!(engine.coverage.is_complete());
-    }
-
-    #[test]
     fn rtt_estimator_follows_jacobson() {
         let mut e = RttEstimate::first(SimDuration::from_micros(100_000));
         assert_eq!(e.srtt_us, 100_000);
@@ -1208,55 +1017,6 @@ mod tests {
         let est = engine.health.rtt_estimate(server).expect("one sample");
         assert_eq!(est.samples, 1);
         assert!(est.srtt_us > 0, "virtual clock advanced during the rpc");
-    }
-
-    #[test]
-    fn adaptive_health_probe_uses_derived_timeout() {
-        use simnet::FaultPlan;
-        // Regression for the quarantine-release probe inheriting the fixed
-        // 5 s timeout: under heterogeneous latency a recovered server's
-        // health probe must wait only the per-server derived timeout.
-        let mut engine = ProbeEngine::new(
-            QueryPlan {
-                quarantine_cooldown: 1,
-                ..QueryPlan::with_attempts(1).quarantine_after(1)
-            }
-            .adaptive(),
-        );
-        let mut net = Network::new(7);
-        let server = ip(9);
-        net.add_node(server, Box::new(Responder));
-        let qname: Name = "probe.example".parse().unwrap();
-        // Warm-up success seeds the estimate for this (heterogeneous,
-        // per-pair) latency.
-        assert!(engine
-            .query(&mut net, ip(8), server, &qname, RecordType::A, 1)
-            .is_some());
-        let est = engine.health.rtt_estimate(server).expect("sampled");
-        let derived = engine.plan.derived_timeout(&est);
-        assert!(derived < engine.plan.timeout);
-        // Outage trips the breaker (a failure adds no RTT sample, so the
-        // derived timeout is unchanged).
-        net.set_faults(FaultPlan::lossy(1.0));
-        assert!(engine
-            .query(&mut net, ip(8), server, &qname, RecordType::A, 2)
-            .is_none());
-        assert!(engine.health.is_quarantined(server));
-        // A cooldown of 1 skip: the next probe is already the health probe.
-        // It fails, and the virtual time it burns is exactly the derived
-        // timeout — not the fixed 5 s.
-        let before = net.now();
-        assert!(engine
-            .query(&mut net, ip(8), server, &qname, RecordType::A, 3)
-            .is_none());
-        assert_eq!(net.now().since(before), derived);
-        // Server recovers; the next health probe releases it.
-        net.set_faults(FaultPlan::reliable());
-        assert!(engine
-            .query(&mut net, ip(8), server, &qname, RecordType::A, 4)
-            .is_some());
-        assert!(!engine.health.is_quarantined(server));
-        assert!(engine.coverage.is_complete());
     }
 
     #[test]

@@ -142,6 +142,7 @@ impl SharedTokenBucket {
 /// Randomizes task order and enforces per-server spacing in simulated time.
 #[derive(Debug)]
 pub struct QueryScheduler {
+    seed: u64,
     interval: SimDuration,
     buckets: FxHashMap<Ipv4Addr, TokenBucket>,
     /// The global cap and the shard this scheduler admits for.
@@ -154,6 +155,7 @@ impl QueryScheduler {
     /// A scheduler with the given per-server interval and no global cap.
     pub fn new(seed: u64, interval: SimDuration) -> Self {
         QueryScheduler {
+            seed,
             interval,
             buckets: FxHashMap::default(),
             global: None,
@@ -192,10 +194,12 @@ impl QueryScheduler {
         worldgen::shuffle(&mut self.rng, tasks);
     }
 
-    /// The per-server interval this scheduler enforces. Shard workers use
-    /// it to build their own pacing state over the same policy.
-    pub(crate) fn interval(&self) -> SimDuration {
-        self.interval
+    /// Scan shard `shard`'s scheduler: the same per-server interval with
+    /// pacing state of its own, and an order seed derived from this one's
+    /// and the shard index. Its global cap is the caller's to attach.
+    pub(crate) fn for_shard(&self, shard: usize) -> QueryScheduler {
+        let seed = self.seed ^ (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        QueryScheduler::new(seed, self.interval)
     }
 
     /// The global rate-cap interval (`ZERO` when uncapped).

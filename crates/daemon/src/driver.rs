@@ -229,7 +229,7 @@ impl EpochDriver {
         // Epoch accounting joins the hub's deterministic metrics *before*
         // the seal hashes the sim class, so the sealed hash covers the
         // delta counters too (they are pure functions of the pipeline
-        // output, hence identical across executors and shard counts).
+        // output, hence identical across worker counts).
         let reg = scan.hub.registry();
         reg.set("daemon_epoch", Class::Sim, epoch as i64);
         reg.set("daemon_sim_day", Class::Sim, scan.sim_day as i64);

@@ -11,7 +11,7 @@
 //!
 //! Everything here is deterministic in the pipeline output: events within
 //! an epoch are ordered by the classified sequence (itself pinned
-//! bit-identical across executors and shard counts) followed by
+//! bit-identical across worker counts) followed by
 //! disappearances in key order.
 
 use std::collections::hash_map::DefaultHasher;
@@ -275,7 +275,7 @@ impl VerdictStore {
 /// Returns the epoch's event list in deterministic order: first the
 /// classified sequence (observations and verdict changes as they stream
 /// out of the pipeline — an order already pinned bit-identical across
-/// executors and shard counts), then disappearances sorted by key. The
+/// worker counts), then disappearances sorted by key. The
 /// store is *not* mutated; callers apply the events when they commit the
 /// epoch (see [`EventLog::append`]).
 pub(crate) fn diff_epoch(store: &VerdictStore, classified: &[ClassifiedUr]) -> Vec<UrEvent> {

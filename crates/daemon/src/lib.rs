@@ -21,8 +21,8 @@
 //!   `/healthz`, and `/metrics` (the same Prometheus exporter the CLI
 //!   uses) from a shared [`LiveState`].
 //!
-//! Because the classified sequence is bit-identical across executors and
-//! shard counts, so are the event stream and every epoch seal — which is
+//! Because the classified sequence is bit-identical across worker counts,
+//! so are the event stream and every epoch seal — which is
 //! what lets `tests/daemon_http.rs` check a live daemon's HTTP answers
 //! against an independent in-process run of the same configuration.
 

@@ -19,7 +19,7 @@ pub struct ObsEvent {
     pub(crate) seq: u64,
     /// Simulated timestamp in microseconds, when the event has one.
     pub(crate) sim_us: Option<u64>,
-    /// Event kind, e.g. `"span"`, `"quarantine"`, `"release"`.
+    /// Event kind, e.g. `"span"`, `"quarantine"`.
     pub(crate) kind: &'static str,
     /// Event subject, e.g. a span name or a nameserver address.
     pub(crate) name: String,

@@ -12,6 +12,7 @@ use authdns::{
     SharedOracleNs, SharedProviderNs, StaticZoneNode, Zone, ZoneId,
 };
 use dnswire::{Name, RData, Record, RecordType};
+use fxhash::FxHashSet;
 use intel::{
     malware, IdsEngine, IntelAggregator, MalwareSample, PayloadSignatureDb, Sandbox, ThreatTag,
     VendorFeed,
@@ -328,6 +329,19 @@ impl ScanBlueprint {
     /// Traffic capture is off: shard probes are accounted via stats and
     /// metrics, not the packet log.
     pub fn build_network(&self, shard: u64) -> Network {
+        self.build(shard, None)
+    }
+
+    /// Build shard `shard`'s replica with only the nameserver nodes in
+    /// `scope`, the addresses the shard probes. An eager blueprint attaches
+    /// their snapshots; a lazy one generates accounts and zones for exactly
+    /// the providers that own a scoped address, so peak memory is one
+    /// shard's slice of the zone tables.
+    pub fn build_network_scoped(&self, shard: u64, scope: &[Ipv4Addr]) -> Network {
+        self.build(shard, Some(scope))
+    }
+
+    fn build(&self, shard: u64, scope: Option<&[Ipv4Addr]>) -> Network {
         let mut net = self.empty_replica(shard);
         match &self.backing {
             BlueprintBacking::Eager {
@@ -335,7 +349,12 @@ impl ScanBlueprint {
                 answers,
                 nodes,
             } => {
+                let scope: Option<FxHashSet<Ipv4Addr>> =
+                    scope.map(|ips| ips.iter().copied().collect());
                 for (ip, spec) in nodes {
+                    if scope.as_ref().is_some_and(|scope| !scope.contains(ip)) {
+                        continue;
+                    }
                     let node: Box<dyn simnet::Node> = match spec {
                         ScanNodeSpec::Provider(p) => {
                             Box::new(SharedProviderNs::new(providers[*p].clone(), *ip))
@@ -345,29 +364,9 @@ impl ScanBlueprint {
                     net.add_node(*ip, node);
                 }
             }
-            BlueprintBacking::Lazy(plan) => {
-                plan.attach_nodes(&mut net, None);
-            }
+            BlueprintBacking::Lazy(plan) => plan.attach_nodes(&mut net, scope),
         }
         net
-    }
-
-    /// Build shard `shard`'s replica with only the nameserver nodes in
-    /// `scope` — the scan's memory lever on plan-backed worlds. An eager
-    /// blueprint ignores the scope and builds the full replica (identical
-    /// fabrics keep the sharded scan bit-identical for every shard count);
-    /// a lazy blueprint generates accounts and zones for exactly the
-    /// providers that own a scoped address, so peak memory is one world
-    /// shard's slice of the zone tables.
-    pub fn build_network_scoped(&self, shard: u64, scope: &[Ipv4Addr]) -> Network {
-        match &self.backing {
-            BlueprintBacking::Eager { .. } => self.build_network(shard),
-            BlueprintBacking::Lazy(plan) => {
-                let mut net = self.empty_replica(shard);
-                plan.attach_nodes(&mut net, Some(scope));
-                net
-            }
-        }
     }
 }
 

@@ -247,7 +247,7 @@ fn adaptive_holds_at_every_worker_count_on_a_reliable_network() {
 #[test]
 fn adaptive_moves_only_the_clock_on_a_reliable_network() {
     // On a reliable fabric nothing times out, so derived timeouts can only
-    // leave the clock alone or shrink health-probe waits.
+    // leave the clock alone.
     let fixed = at(Network::RELIABLE, None, 1);
     let adaptive = at(Network::RELIABLE.adaptive(), None, 1);
     policy("adaptive")
@@ -667,6 +667,26 @@ fn stream_workers_move_nothing() {
     for world_shards in STREAM_SHARDS {
         for network in [Network::RELIABLE, Network::lossy(1, 3)] {
             hold_stream_workers(network, None, world_shards);
+        }
+    }
+}
+
+#[test]
+fn adaptive_moves_only_the_clock_on_the_stream() {
+    // The adaptive feed probes a shard's servers fastest first, but each
+    // shard releases its URs in task order, so the streamed sequence is
+    // the fixed run's at every world-shard count and worker count.
+    assert_eq!(policy("adaptive").moves, Moves::ClockFalls);
+    for world_shards in STREAM_SHARDS {
+        for network in [Network::RELIABLE, Network::lossy(1, 3)] {
+            let fixed = &hold_stream_workers(network, None, world_shards).pinned;
+            let adaptive = &hold_stream_workers(network.adaptive(), None, world_shards).pinned;
+            let label = format!("adaptive on {network:?} at {world_shards} world shards");
+            assert_eq!(adaptive.sequence_hash, fixed.sequence_hash, "{label}");
+            assert_eq!(adaptive.coverage, fixed.coverage, "{label}");
+            assert_eq!(adaptive.split, fixed.split, "{label}");
+            assert_eq!(adaptive.bucket_wait, fixed.bucket_wait, "{label}");
+            assert!(adaptive.elapsed <= fixed.elapsed, "{label}: the clock rose");
         }
     }
 }
