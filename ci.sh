@@ -37,10 +37,12 @@ echo "== stale names: the deleted executor, collectors, knobs, timers and dead c
 # scan tasks as 4-byte cross-product codes (no 24-byte task tuple), one
 # scan order (each shard's shuffled list over a fixed shard layout: no
 # global partition, tags or sort-merge, no per-worker layout or ethics
-# clamp), and a quarantine that lasts the run (no cooldown, health
-# probe or release metric): none of the names of what was removed may
+# clamp), a quarantine that lasts the run (no cooldown, health
+# probe or release metric), and a kept answer that is one buffer of
+# record data (no owned records in a UR, no copied TXT strings, no owned
+# family name in a verdict): none of the names of what was removed may
 # come back in code, tests or docs.
-if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs|\(usize, usize, RecordType\)|partition_scan_tasks|ShardTask|collect_urs_sharded_on|scan_shards|quarantine_cooldown|health_probe|probe_ns_released' \
+if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs|\(usize, usize, RecordType\)|partition_scan_tasks|ShardTask|collect_urs_sharded_on|scan_shards|quarantine_cooldown|health_probe|probe_ns_released|txt_strings|aux_records: Vec|payload_matched: Option<String>' \
     crates tests examples README.md DESIGN.md EXPERIMENTS.md; then
     echo "ci.sh: a deleted name is back (see the matches above)" >&2
     exit 1
@@ -74,7 +76,9 @@ echo "== urbench: build, unit tests, quick run =="
 # one file of calls into the program (urbench/src/adapter.rs) is frozen,
 # so a change that breaks that surface has to be caught here. The quick
 # run scans small worlds through all four workloads and exits non-zero
-# when one of its checks fails.
+# when one of its checks fails. Building it rewrites its tracked (stale,
+# frozen) lock file, which is put back however the script ends.
+trap 'git checkout -q urbench/Cargo.lock' EXIT
 cargo build --release --manifest-path urbench/Cargo.toml
 cargo test -q --manifest-path urbench/Cargo.toml
 ./urbench/target/release/urbench run --quick || {
@@ -85,8 +89,9 @@ cargo test -q --manifest-path urbench/Cargo.toml
 echo "== urbench: the counted run's allocation counts repeat exactly =="
 # urbench fails a traced run whose two counted children differ by more
 # than 1e-4 in these three counts, and the collect span is down to about
-# one allocation a probe: anything on the scan path that allocates by a
-# map's per-process iteration order flips that check. Six fresh processes
+# one allocation in five probes (0.20 at seed 7): anything on the scan
+# path that allocates by a map's per-process iteration order flips that
+# check. Six fresh processes
 # a seed must print one value each.
 COUNTED='^N span_(allocs\.core\.(collect|classify)|alloc_bytes\.core\.collect) '
 for seed in 1 7; do
@@ -307,8 +312,5 @@ URHUNTER_PARALLELISM=4 ./target/release/invariants | diff -u BENCH_pipeline.json
     echo "ci.sh: invariants on four workers differ from the committed BENCH_pipeline.json" >&2
     exit 1
 }
-
-# Building urbench rewrote its tracked (stale, frozen) lock file.
-git checkout urbench/Cargo.lock
 
 echo "ci.sh: all checks passed"

@@ -16,7 +16,7 @@ use std::net::Ipv4Addr;
 
 #[path = "../../../tests/support/counting.rs"]
 mod counting;
-use counting::counted;
+use counting::{counted, Tally};
 
 fn n(s: &str) -> Name {
     s.parse().unwrap()
@@ -39,9 +39,9 @@ fn lookups_under_a_two_label_tld_allocate_nothing() {
         };
         // The process's first lookup creates the (empty) name table.
         lookups();
-        let ((tld, delegated, registered), allocations) = counted(lookups);
+        let ((tld, delegated, registered), tally) = counted(lookups);
         assert!(tld, "round {round}: co.uk is the most specific zone");
         assert!(!delegated && !registered, "round {round}: never delegated");
-        assert_eq!(allocations, 0, "round {round}");
+        assert_eq!(tally, Tally::default(), "round {round}");
     }
 }

@@ -153,12 +153,13 @@ pub fn analyze(
                 && c.corresponding_ips.is_empty()
             {
                 if let Some(sig) =
-                    c.ur.txt_strings()
+                    c.ur.records
                         .iter()
-                        .find_map(|t| payload_sigs.match_text(t))
+                        .filter_map(|r| r.txt_str())
+                        .find_map(|t| payload_sigs.match_text(&t))
                 {
                     c.category = UrCategory::Malicious;
-                    c.payload_matched = Some(sig.family.clone());
+                    c.payload_matched = Some(intern::Sym::intern(&sig.family));
                 }
             }
         }
@@ -198,7 +199,7 @@ pub fn evidence_histogram(analysis: &Analysis) -> BTreeMap<&'static str, usize> 
 mod tests {
     use super::*;
     use crate::types::{CollectedUr, UrKey};
-    use dnswire::{Name, RData, Record};
+    use dnswire::{Name, RData, RDataSet};
     use intel::{ThreatTag, VendorFeed};
 
     use intern::InternedName;
@@ -218,15 +219,10 @@ mod tests {
         corresponding: Vec<Ipv4Addr>,
     ) -> ClassifiedUr {
         let records = match rtype {
-            RecordType::A => corresponding
-                .iter()
-                .map(|a| Record::new(n(domain), 60, RData::A(*a)))
+            RecordType::A => corresponding.iter().map(|a| RData::A(*a)).collect(),
+            _ => [RData::txt_from_str("opaque-command-blob")]
+                .into_iter()
                 .collect(),
-            _ => vec![Record::new(
-                n(domain),
-                60,
-                RData::txt_from_str("opaque-command-blob"),
-            )],
         };
         ClassifiedUr {
             ur: CollectedUr {
@@ -236,7 +232,7 @@ mod tests {
                     rtype,
                 },
                 records,
-                aux_records: Vec::new(),
+                aux_records: RDataSet::default(),
                 provider: "P".into(),
                 authoritative: true,
                 recursion_available: false,

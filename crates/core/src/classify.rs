@@ -112,7 +112,10 @@ fn txt_category_of(ur: &CollectedUr) -> Option<TxtCategory> {
     if ur.key.rtype != RecordType::Txt {
         return None;
     }
-    ur.txt_strings().first().map(|t| TxtCategory::classify(t))
+    ur.records
+        .iter()
+        .find_map(|r| r.txt_str())
+        .map(|t| TxtCategory::classify(&t))
 }
 
 /// Non-empty-subset test.
@@ -175,15 +178,10 @@ fn subset_reason(
 fn in_history(ur: &CollectedUr, history: &PassiveDns, cfg: &ClassifyConfig) -> bool {
     cfg.use_pdns
         && !ur.records.is_empty()
-        && ur.records.iter().all(|r| {
-            history.contains(
-                &ur.key.domain,
-                ur.key.rtype,
-                &r.rdata,
-                cfg.today,
-                cfg.pdns_window,
-            )
-        })
+        && ur
+            .records
+            .iter()
+            .all(|r| history.contains(&ur.key.domain, ur.key.rtype, &r, cfg.today, cfg.pdns_window))
 }
 
 fn classify_a(
@@ -280,12 +278,10 @@ fn classify_mx(
 ) -> Verdict {
     let profile = correct.profile(&ur.key.domain);
     // Exchange addresses gathered by the collection follow-up.
-    let ips: Vec<Ipv4Addr> = ur
-        .aux_records
-        .iter()
-        .filter_map(|r| r.rdata.as_a())
-        .collect();
-    let rendered: Vec<String> = ur.records.iter().map(|r| r.rdata.to_string()).collect();
+    let ips: Vec<Ipv4Addr> = ur.aux_records.iter().filter_map(|r| r.as_a()).collect();
+    // Rendered as `RData`'s `Display` renders, which is how the correct
+    // MX set was interned.
+    let rendered: Vec<String> = ur.records.iter().map(|r| r.to_string()).collect();
 
     let reason = if !rendered.is_empty()
         && rendered
@@ -415,7 +411,7 @@ impl<'a> StreamClassifier<'a> {
 mod tests {
     use super::*;
     use crate::types::{ProtectiveProfile, UrKey};
-    use dnswire::{Name, RData, Record};
+    use dnswire::{Name, RData, RDataSet};
     use netdb::{CertInfo, GeoInfo, HttpProfile};
 
     use intern::InternedName;
@@ -435,11 +431,8 @@ mod tests {
                 domain: InternedName::intern(&n(domain)),
                 rtype: RecordType::A,
             },
-            records: addrs
-                .iter()
-                .map(|a| Record::new(n(domain), 60, RData::A(ip(a))))
-                .collect(),
-            aux_records: Vec::new(),
+            records: addrs.iter().map(|a| RData::A(ip(a))).collect(),
+            aux_records: RDataSet::default(),
             provider: "P".into(),
             authoritative: true,
             recursion_available: false,
@@ -453,8 +446,8 @@ mod tests {
                 domain: InternedName::intern(&n(domain)),
                 rtype: RecordType::Txt,
             },
-            records: vec![Record::new(n(domain), 60, RData::txt_from_str(text))],
-            aux_records: Vec::new(),
+            records: [RData::txt_from_str(text)].into_iter().collect(),
+            aux_records: RDataSet::default(),
             provider: "P".into(),
             authoritative: true,
             recursion_available: false,
@@ -475,7 +468,7 @@ mod tests {
         ur.aux_records = std::mem::take(&mut ur.records);
         ur.key.domain = InternedName::intern(&n(domain));
         ur.key.rtype = RecordType::Mx;
-        ur.records = vec![Record::new(n(domain), 60, mx_rdata(exchange))];
+        ur.records = [mx_rdata(exchange)].into_iter().collect();
         ur
     }
 

@@ -5,7 +5,7 @@
 use crate::query::{NsHealth, ProbeEngine};
 use crate::schedule::QueryScheduler;
 use crate::types::{CollectedUr, CorrectDb, DomainProfile, ProtectiveDb, UrKey};
-use dnswire::{Name, Rcode, RecordType};
+use dnswire::{Name, RDataSet, RDataView, Rcode, RecordType};
 use fxhash::FxHashMap;
 use intern::{InternedName, Sym};
 use simnet::Network;
@@ -85,7 +85,7 @@ pub(crate) fn query_one_ur(
             rtype,
         },
         records: resp.answers,
-        aux_records: Vec::new(),
+        aux_records: RDataSet::default(),
         provider,
         authoritative: resp.flags.authoritative,
         recursion_available: resp.flags.recursion_available,
@@ -280,16 +280,14 @@ fn probe_task(
         provider,
     )?;
     // MX follow-up: resolve each exchange host's address at the same
-    // nameserver, so the analysis has corresponding IPs to judge.
+    // nameserver, so the analysis has corresponding IPs to judge. Only the
+    // exchange's own A records are kept: the set keeps no owner names, so
+    // the filter is the one place a stray record for another name is seen.
     if rtype == RecordType::Mx {
-        let exchanges: Vec<dnswire::Name> = ur
-            .records
-            .iter()
-            .filter_map(|r| match &r.rdata {
-                dnswire::RData::Mx { exchange, .. } => Some(exchange.clone()),
-                _ => None,
-            })
-            .collect();
+        let exchanges = ur.records.iter().filter_map(|r| match r {
+            RDataView::Mx { exchange, .. } => Some(exchange.to_name()),
+            _ => None,
+        });
         for exchange in exchanges {
             let qid = next_qid();
             let aux = engine.query_keeping(
@@ -299,10 +297,10 @@ fn probe_task(
                 &exchange,
                 RecordType::A,
                 qid,
-                |r| r.rtype() == RecordType::A,
+                |r| r.rtype() == RecordType::A && r.name.matches(exchange.borrowed()),
             );
             if let Some(aux) = aux.filter(|aux| aux.rcode() == Rcode::NoError) {
-                ur.aux_records.extend(aux.answers);
+                ur.aux_records.append(aux.answers);
             }
         }
     }
@@ -790,13 +788,13 @@ pub fn collect_correct(
                 if resp.rcode() != Rcode::NoError {
                     continue;
                 }
-                for r in &resp.answers {
-                    if let Some(ip) = r.rdata.as_a() {
+                for r in resp.answers.iter() {
+                    if let Some(ip) = r.as_a() {
                         profile.ips.insert(ip);
-                    } else if let Some(t) = r.rdata.txt_str() {
+                    } else if let Some(t) = r.txt_str() {
                         profile.txts.insert(Sym::intern(&t));
-                    } else if matches!(r.rdata, dnswire::RData::Mx { .. }) {
-                        profile.mxs.insert(Sym::intern(&r.rdata.to_string()));
+                    } else if matches!(r, RDataView::Mx { .. }) {
+                        profile.mxs.insert(Sym::intern(&r.to_string()));
                     }
                 }
             }
@@ -891,11 +889,11 @@ pub fn collect_protective(
             if resp.rcode() != Rcode::NoError {
                 continue;
             }
-            for r in &resp.answers {
-                if let Some(ip) = r.rdata.as_a() {
+            for r in resp.answers.iter() {
+                if let Some(ip) = r.as_a() {
                     profile.a_ips.insert(ip);
                 }
-                if let Some(t) = r.rdata.txt_str() {
+                if let Some(t) = r.txt_str() {
                     profile.txts.insert(Sym::intern(&t));
                 }
             }
@@ -1061,6 +1059,73 @@ mod tests {
             // build: nothing is dropped beyond the delegated pairs.
             prop_assert_eq!(union, full);
         }
+    }
+
+    /// A nameserver that answers an MX query with one exchange, and the
+    /// exchange's A query with its record plus a stray A record of another
+    /// name in the same answer section.
+    struct StrayAnswers;
+
+    impl simnet::Node for StrayAnswers {
+        fn handle(
+            &mut self,
+            _now: simnet::SimTime,
+            dgram: &simnet::Datagram,
+            out: &mut simnet::Actions,
+        ) {
+            use dnswire::{Message, RData, Record};
+            let Ok(q) = Message::decode(&dgram.payload) else {
+                return;
+            };
+            let question = q.question().expect("one question").clone();
+            let mut resp = Message::response_to(&q, Rcode::NoError);
+            let a = |name: &str, ip: [u8; 4]| {
+                Record::new(name.parse().unwrap(), 60, RData::A(ip.into()))
+            };
+            match question.qtype {
+                RecordType::Mx => resp.answers.push(Record::new(
+                    question.qname,
+                    60,
+                    RData::Mx {
+                        preference: 10,
+                        exchange: "mx.mail.example".parse().unwrap(),
+                    },
+                )),
+                RecordType::A => {
+                    resp.answers.push(a("mx.mail.example", [192, 0, 2, 10]));
+                    resp.answers.push(a("stray.example", [198, 51, 100, 66]));
+                }
+                _ => {}
+            }
+            out.send(dgram.reply(resp.encode().unwrap()));
+        }
+    }
+
+    #[test]
+    fn the_mx_follow_up_keeps_only_the_exchange_s_own_records() {
+        let (scanner, ns_ip) = (Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(10, 9, 0, 1));
+        let mut net = Network::new(3);
+        net.register_external(scanner);
+        net.add_node(ns_ip, Box::new(StrayAnswers));
+        let mut engine = ProbeEngine::new(crate::query::QueryPlan::single_shot());
+        let domain: Name = "victim.example".parse().unwrap();
+        let mut qid = 0u16;
+        let ur = probe_task(
+            &mut net,
+            &mut engine,
+            || {
+                qid += 1;
+                qid
+            },
+            ns_ip,
+            Sym::intern("P"),
+            (&domain, InternedName::intern(&domain)),
+            RecordType::Mx,
+            &CollectConfig::default(),
+        )
+        .expect("the MX probe is answered");
+        let exchange_ips: Vec<Ipv4Addr> = ur.aux_records.iter().filter_map(|r| r.as_a()).collect();
+        assert_eq!(exchange_ips, [Ipv4Addr::new(192, 0, 2, 10)]);
     }
 
     #[test]

@@ -369,7 +369,8 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
             .classify_batch_owned(urs)
     };
     // Each worker classifies the shard it scanned and hands its verdicts
-    // over as one batch; the fold keeps them in shard order.
+    // over as one batch; the fold keeps them in shard order, growing the
+    // vector by exactly each batch, so the output carries no spare slots.
     let mut classified = Vec::new();
     let scan = collect_urs_streamed(
         &blueprint,
@@ -386,7 +387,10 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         usize::MAX,
         &classify,
         sweep,
-        &mut |batch| classified.extend(batch),
+        &mut |batch| {
+            classified.reserve_exact(batch.len());
+            classified.extend(batch);
+        },
     );
     drop(streamer);
     let (correct_db, protective_db) = support.into_inner().expect("the support sweep ran");
@@ -981,8 +985,8 @@ mod tests {
                             domain: InternedName::intern(&domain.parse().unwrap()),
                             rtype,
                         },
-                        records: Vec::new(),
-                        aux_records: Vec::new(),
+                        records: dnswire::RDataSet::default(),
+                        aux_records: dnswire::RDataSet::default(),
                         provider: Sym::intern("P"),
                         authoritative: true,
                         recursion_available: false,

@@ -18,8 +18,8 @@
 //! * [`ProbeEngine`] — glues the three together around
 //!   [`authdns::exchange`]; a retransmission reuses the same qid (the
 //!   original may still be in flight — a late reply must match). Replies
-//!   are read in place: a probe keeps the answer records its caller asks
-//!   for and builds nothing else.
+//!   are read in place: a probe keeps the data of the answer records its
+//!   caller asks for, in one buffer, and builds nothing else.
 //! * [`RttEstimate`] — per-nameserver smoothed RTT (Jacobson SRTT/RTTVAR,
 //!   integer microseconds on the virtual clock). With
 //!   [`QueryPlan::adaptive`] the engine derives each attempt's timeout as
@@ -38,7 +38,7 @@ use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
-use dnswire::{Flags, Name, Rcode, Record, RecordType, RecordView};
+use dnswire::{Flags, Name, RDataSet, Rcode, RecordType, RecordView};
 use simnet::{Network, SimDuration};
 
 /// Feeds formatted text to a hasher as it is written.
@@ -51,14 +51,16 @@ impl<H: Hasher> fmt::Write for HashWriter<'_, H> {
     }
 }
 
-/// What a probe brings back: the response's header flags and the answer
-/// records the caller chose to keep.
+/// What a probe brings back: the response's header flags and the data of
+/// the answer records the caller chose to keep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeReply {
     /// Header flags of the response.
     pub(crate) flags: Flags,
-    /// Answer-section records that passed the caller's filter, owned.
-    pub answers: Vec<Record>,
+    /// The data of the answer-section records that passed the caller's
+    /// filter, in one owned buffer (their owner names are not kept: the
+    /// filter is where a caller checks them).
+    pub answers: RDataSet,
 }
 
 impl ProbeReply {
@@ -532,23 +534,11 @@ impl ProbeEngine {
             qtype,
             qid,
             timeout,
-            |resp| {
-                // Sized by what is left of the section at the first record
-                // kept: one exact allocation for the usual one-RRset answer,
-                // none for a reply nothing is kept of.
-                let mut answers = Vec::new();
-                for (i, r) in resp.answers().enumerate() {
-                    if keep(&r) {
-                        if answers.is_empty() {
-                            answers.reserve_exact(resp.answer_count() - i);
-                        }
-                        answers.push(r.to_record());
-                    }
-                }
-                ProbeReply {
-                    flags: resp.flags,
-                    answers,
-                }
+            // One exact allocation for what is kept, none for a reply
+            // nothing is kept of.
+            |resp| ProbeReply {
+                flags: resp.flags,
+                answers: RDataSet::from_records(resp.answers().filter(|r| keep(r))),
             },
         )
     }

@@ -538,7 +538,7 @@ mod tests {
     use super::*;
     use crate::analyze::{analyze, AnalyzeConfig};
     use crate::types::{CollectedUr, UrKey};
-    use dnswire::{Name, RData, Record};
+    use dnswire::{Name, RData, RDataSet};
     use intel::{ThreatTag, VendorFeed};
     use std::collections::HashSet as StdHashSet;
 
@@ -567,8 +567,8 @@ mod tests {
                     domain: InternedName::intern(&n(domain)),
                     rtype,
                 },
-                records: vec![Record::new(n(domain), 60, RData::A(ip("1.1.1.1")))],
-                aux_records: Vec::new(),
+                records: [RData::A(ip("1.1.1.1"))].into_iter().collect(),
+                aux_records: RDataSet::default(),
                 provider: provider.into(),
                 authoritative: true,
                 recursion_available: false,

@@ -56,7 +56,7 @@ impl FromIterator<CollectedUr> for UrStore {
 mod tests {
     use super::*;
     use crate::types::UrKey;
-    use dnswire::{RData, Record, RecordType};
+    use dnswire::{RData, RDataSet, RecordType};
     use intern::{InternedName, Sym};
     use std::net::Ipv4Addr;
 
@@ -69,15 +69,9 @@ mod tests {
                 rtype: RecordType::A,
             },
             records: (0..recs)
-                .map(|i| {
-                    Record::new(
-                        name.clone(),
-                        300,
-                        RData::A(Ipv4Addr::new(203, 0, 113, i as u8)),
-                    )
-                })
+                .map(|i| RData::A(Ipv4Addr::new(203, 0, 113, i as u8)))
                 .collect(),
-            aux_records: Vec::new(),
+            aux_records: RDataSet::default(),
             provider: Sym::intern("StoreTestDNS"),
             authoritative: ns.is_multiple_of(2),
             recursion_available: ns.is_multiple_of(3),

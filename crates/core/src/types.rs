@@ -7,7 +7,7 @@
 //! their text — never by id — so every pinned output digest is unchanged
 //! from the owned-representation era.
 
-use dnswire::{Record, RecordType};
+use dnswire::{RDataSet, RecordType};
 use fxhash::{FxHashMap, FxHashSet};
 use intern::{InternedName, Sym};
 use std::borrow::Cow;
@@ -29,16 +29,22 @@ pub struct UrKey {
 }
 
 /// One collected undelegated record (an RRset, per the unique-UR identity).
+///
+/// A scan keeps every UR it collects until the run returns, so only what
+/// a verdict reads is kept of the answer: the data of each record, in one
+/// [`RDataSet`] buffer. Owner names, classes and TTLs are dropped (the
+/// probe kept only records of the asked name and type).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollectedUr {
     /// Identity triple.
     pub key: UrKey,
-    /// The records in the answer.
-    pub records: Vec<Record>,
-    /// Auxiliary records gathered by follow-up probes at the same
-    /// nameserver — e.g. A records of the exchange hosts named by MX URs
-    /// (the MX extension of §6's future work).
-    pub aux_records: Vec<Record>,
+    /// The data of the answer's records, in answer order.
+    pub records: RDataSet,
+    /// Auxiliary record data gathered by follow-up probes at the same
+    /// nameserver — the A records of the exchange hosts named by MX URs
+    /// (the MX extension of §6's future work). Empty, and unallocated,
+    /// for every other UR.
+    pub aux_records: RDataSet,
     /// Provider operating the nameserver (from the NS inventory).
     pub provider: Sym,
     /// AA flag of the response (authoritative data).
@@ -51,22 +57,14 @@ pub struct CollectedUr {
 impl CollectedUr {
     /// The IPv4 addresses contained in A records of this UR.
     pub fn a_ips(&self) -> Vec<Ipv4Addr> {
-        self.records.iter().filter_map(|r| r.rdata.as_a()).collect()
+        self.records.iter().filter_map(|r| r.as_a()).collect()
     }
 
     /// The text of each TXT record, borrowing from the record data where
     /// possible (single-chunk UTF-8 TXT — the common case — copies
     /// nothing).
-    pub(crate) fn txt_strs(&self) -> Vec<Cow<'_, str>> {
-        self.records
-            .iter()
-            .filter_map(|r| r.rdata.txt_str())
-            .collect()
-    }
-
-    /// The joined text of TXT records, one owned string per record.
-    pub fn txt_strings(&self) -> Vec<String> {
-        self.txt_strs().into_iter().map(Cow::into_owned).collect()
+    pub fn txt_strs(&self) -> Vec<Cow<'_, str>> {
+        self.records.iter().filter_map(|r| r.txt_str()).collect()
     }
 }
 
@@ -247,6 +245,10 @@ pub enum MaliciousEvidence {
 }
 
 /// A classified UR after the full pipeline.
+///
+/// `run` returns one a UR, so the struct stays small: the collected
+/// record's data is one buffer each for answer and auxiliary records, and
+/// a payload match names its family by interned handle.
 #[derive(Debug, Clone)]
 pub struct ClassifiedUr {
     /// The collected record.
@@ -262,8 +264,13 @@ pub struct ClassifiedUr {
     pub corresponding_ips: Vec<Ipv4Addr>,
     /// Malware family whose payload signature matched this UR's TXT data
     /// (the payload-matching extension; `None` in the paper-faithful mode).
-    pub payload_matched: Option<String>,
+    /// Family names come from the world's signature list, never from scan
+    /// data.
+    pub payload_matched: Option<Sym>,
 }
+
+// What a verdict costs inline; `run` keeps one for every UR.
+const _: () = assert!(std::mem::size_of::<ClassifiedUr>() <= 96);
 
 #[cfg(test)]
 mod tests {
@@ -274,15 +281,15 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn ur(rtype: RecordType, records: Vec<Record>) -> CollectedUr {
+    fn ur(rtype: RecordType, records: Vec<RData>) -> CollectedUr {
         CollectedUr {
             key: UrKey {
                 ns_ip: Ipv4Addr::new(20, 0, 0, 1),
                 domain: InternedName::intern(&n("x.com")),
                 rtype,
             },
-            records,
-            aux_records: Vec::new(),
+            records: records.into_iter().collect(),
+            aux_records: RDataSet::default(),
             provider: "P".into(),
             authoritative: true,
             recursion_available: false,
@@ -318,12 +325,12 @@ mod tests {
         let u = ur(
             RecordType::A,
             vec![
-                Record::new(n("x.com"), 60, RData::A(Ipv4Addr::new(1, 2, 3, 4))),
-                Record::new(n("x.com"), 60, RData::txt_from_str("v=spf1 -all")),
+                RData::A(Ipv4Addr::new(1, 2, 3, 4)),
+                RData::txt_from_str("v=spf1 -all"),
             ],
         );
         assert_eq!(u.a_ips(), vec![Ipv4Addr::new(1, 2, 3, 4)]);
-        assert_eq!(u.txt_strings(), vec!["v=spf1 -all".to_string()]);
+        assert_eq!(u.txt_strs(), ["v=spf1 -all"]);
     }
 
     #[test]
@@ -332,23 +339,9 @@ mod tests {
         let mut profile = ProtectiveProfile::default();
         profile.a_ips.insert(Ipv4Addr::new(20, 0, 255, 1));
         db.servers.insert(Ipv4Addr::new(20, 0, 0, 1), profile);
-        let hit = ur(
-            RecordType::A,
-            vec![Record::new(
-                n("x.com"),
-                60,
-                RData::A(Ipv4Addr::new(20, 0, 255, 1)),
-            )],
-        );
+        let hit = ur(RecordType::A, vec![RData::A(Ipv4Addr::new(20, 0, 255, 1))]);
         assert!(db.matches(&hit));
-        let miss = ur(
-            RecordType::A,
-            vec![Record::new(
-                n("x.com"),
-                60,
-                RData::A(Ipv4Addr::new(6, 6, 6, 6)),
-            )],
-        );
+        let miss = ur(RecordType::A, vec![RData::A(Ipv4Addr::new(6, 6, 6, 6))]);
         assert!(!db.matches(&miss));
     }
 
@@ -362,20 +355,14 @@ mod tests {
         db.servers.insert(Ipv4Addr::new(20, 0, 0, 1), profile);
         let hit = ur(
             RecordType::Txt,
-            vec![Record::new(
-                n("x.com"),
-                60,
-                RData::txt_from_str("v=warning; domain not hosted on P; see status page"),
+            vec![RData::txt_from_str(
+                "v=warning; domain not hosted on P; see status page",
             )],
         );
         assert!(db.matches(&hit));
         let miss = ur(
             RecordType::Txt,
-            vec![Record::new(
-                n("x.com"),
-                60,
-                RData::txt_from_str("v=spf1 ip4:6.6.6.6 -all"),
-            )],
+            vec![RData::txt_from_str("v=spf1 ip4:6.6.6.6 -all")],
         );
         assert!(!db.matches(&miss));
     }
@@ -383,14 +370,7 @@ mod tests {
     #[test]
     fn unknown_server_never_protective() {
         let db = ProtectiveDb::default();
-        let u = ur(
-            RecordType::A,
-            vec![Record::new(
-                n("x.com"),
-                60,
-                RData::A(Ipv4Addr::new(1, 1, 1, 1)),
-            )],
-        );
+        let u = ur(RecordType::A, vec![RData::A(Ipv4Addr::new(1, 1, 1, 1))]);
         assert!(!db.matches(&u));
     }
 

@@ -475,8 +475,8 @@ mod tests {
         ClassifiedUr {
             ur: urhunter::CollectedUr {
                 key,
-                records: Vec::new(),
-                aux_records: Vec::new(),
+                records: dnswire::RDataSet::default(),
+                aux_records: dnswire::RDataSet::default(),
                 provider: "P".into(),
                 authoritative: true,
                 recursion_available: false,

@@ -43,6 +43,7 @@ mod error;
 mod message;
 mod name;
 mod rdata;
+mod rdataset;
 mod record;
 mod types;
 
@@ -53,5 +54,6 @@ pub use message::{
 };
 pub use name::{Folded, FoldedName, Name, NameRef, WireName, MAX_LABEL_LEN, MAX_NAME_LEN};
 pub use rdata::{RData, RDataView};
+pub use rdataset::RDataSet;
 pub use record::{Question, QuestionView, Record, RecordView};
 pub use types::{Class, Opcode, Rcode, RecordType};

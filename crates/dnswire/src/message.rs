@@ -581,18 +581,13 @@ impl<'a> MessageView<'a> {
         self.first
     }
 
-    fn records(&self, section: Section) -> impl Iterator<Item = RecordView<'a>> {
+    fn records(&self, section: Section) -> impl Iterator<Item = RecordView<'a>> + Clone {
         let (msg, mut pos) = (self.msg, self.starts[section as usize - 1]);
         (0..self.counts[section as usize]).map_while(move |_| RecordView::parse(msg, &mut pos).ok())
     }
 
-    /// Records in the answer section.
-    pub fn answer_count(&self) -> usize {
-        self.counts[Section::Answer as usize] as usize
-    }
-
     /// The answer section.
-    pub fn answers(&self) -> impl Iterator<Item = RecordView<'a>> {
+    pub fn answers(&self) -> impl Iterator<Item = RecordView<'a>> + Clone {
         self.records(Section::Answer)
     }
 

@@ -449,8 +449,28 @@ impl<'a> WireName<'a> {
         })
     }
 
+    /// Length of the uncompressed wire form, root byte included.
+    pub(crate) fn wire_len(&self) -> usize {
+        self.flat_len as usize + 1
+    }
+
+    /// Encode at `buf`'s end without compression: the name written out in
+    /// full wherever its labels lie.
+    pub(crate) fn encode_uncompressed(&self, buf: &mut Vec<u8>) {
+        match self.literal() {
+            Some(name) => name.encode_uncompressed(buf),
+            None => {
+                for l in self.labels() {
+                    buf.push(l.len() as u8);
+                    buf.extend_from_slice(l);
+                }
+                buf.push(0);
+            }
+        }
+    }
+
     /// An owned copy: the one allocation a decoded name costs.
-    pub(crate) fn to_name(self) -> Name {
+    pub fn to_name(self) -> Name {
         if let Some(name) = self.literal() {
             return name.to_name();
         }
@@ -892,6 +912,15 @@ impl fmt::Debug for NameRef<'_> {
 impl fmt::Debug for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.borrowed().fmt(f)
+    }
+}
+
+impl fmt::Display for WireName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.literal() {
+            Some(name) => name.fmt(f),
+            None => self.to_name().fmt(f),
+        }
     }
 }
 

@@ -3,6 +3,7 @@
 use crate::error::{WireError, WireResult};
 use crate::name::{CompressionMap, Name, WireName};
 use crate::types::RecordType;
+use std::borrow::Cow;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -97,15 +98,13 @@ impl RData {
     /// TXT (the overwhelmingly common shape — one character string per
     /// record, ≤ 255 octets) borrows straight from the record data. Only
     /// multi-chunk or non-UTF8 payloads allocate.
-    pub fn txt_str(&self) -> Option<std::borrow::Cow<'_, str>> {
+    pub fn txt_str(&self) -> Option<Cow<'_, str>> {
         match self {
             RData::Txt(chunks) => match chunks.as_slice() {
                 [one] => Some(String::from_utf8_lossy(one)),
                 many => {
                     let all: Vec<u8> = many.iter().flatten().copied().collect();
-                    Some(std::borrow::Cow::Owned(
-                        String::from_utf8_lossy(&all).into_owned(),
-                    ))
+                    Some(Cow::Owned(String::from_utf8_lossy(&all).into_owned()))
                 }
             },
             _ => None,
@@ -125,16 +124,26 @@ impl RData {
     /// Names inside RDATA that RFC 1035 allows to be compressed (NS, CNAME,
     /// PTR, MX, SOA) participate in message compression via `offsets`.
     pub(crate) fn encode(&self, buf: &mut Vec<u8>, offsets: &mut CompressionMap) {
+        self.encode_with(buf, |name, buf| name.encode_compressed(buf, offsets));
+    }
+
+    /// Encode RDATA with every name written out in full: the form an
+    /// [`RDataSet`](crate::RDataSet) keeps.
+    pub(crate) fn encode_uncompressed(&self, buf: &mut Vec<u8>) {
+        self.encode_with(buf, |name, buf| name.encode_uncompressed(buf));
+    }
+
+    fn encode_with(&self, buf: &mut Vec<u8>, mut name: impl FnMut(&Name, &mut Vec<u8>)) {
         match self {
             RData::A(ip) => buf.extend_from_slice(&ip.octets()),
             RData::Aaaa(ip) => buf.extend_from_slice(&ip.octets()),
-            RData::Ns(n) | RData::Cname(n) | RData::Ptr(n) => n.encode_compressed(buf, offsets),
+            RData::Ns(n) | RData::Cname(n) | RData::Ptr(n) => name(n, buf),
             RData::Mx {
                 preference,
                 exchange,
             } => {
                 buf.extend_from_slice(&preference.to_be_bytes());
-                exchange.encode_compressed(buf, offsets);
+                name(exchange, buf);
             }
             RData::Txt(chunks) => {
                 for c in chunks {
@@ -152,8 +161,8 @@ impl RData {
                 expire,
                 minimum,
             } => {
-                mname.encode_compressed(buf, offsets);
-                rname.encode_compressed(buf, offsets);
+                name(mname, buf);
+                name(rname, buf);
                 for v in [serial, refresh, retry, expire, minimum] {
                     buf.extend_from_slice(&v.to_be_bytes());
                 }
@@ -344,19 +353,7 @@ impl<'a> RDataView<'a> {
                 preference,
                 exchange: exchange.to_name(),
             },
-            RDataView::Txt(mut raw) => {
-                let mut chunks = Vec::new();
-                while let Some((&l, tail)) = raw.split_first() {
-                    let (chunk, rest) = tail.split_at(l as usize);
-                    chunks.push(chunk.to_vec());
-                    raw = rest;
-                }
-                if chunks.is_empty() {
-                    // RFC 1035 requires at least one (possibly empty) string.
-                    chunks.push(Vec::new());
-                }
-                RData::Txt(chunks)
-            }
+            RDataView::Txt(raw) => RData::Txt(txt_chunks(raw).map(<[u8]>::to_vec).collect()),
             RDataView::Soa {
                 mname,
                 rname,
@@ -377,6 +374,172 @@ impl<'a> RDataView<'a> {
             },
         }
     }
+
+    /// The record type matching this data.
+    pub fn record_type(&self) -> RecordType {
+        match self {
+            RDataView::A(_) => RecordType::A,
+            RDataView::Aaaa(_) => RecordType::Aaaa,
+            RDataView::Ns(_) => RecordType::Ns,
+            RDataView::Cname(_) => RecordType::Cname,
+            RDataView::Ptr(_) => RecordType::Ptr,
+            RDataView::Mx { .. } => RecordType::Mx,
+            RDataView::Txt(_) => RecordType::Txt,
+            RDataView::Soa { .. } => RecordType::Soa,
+            RDataView::Opt(_) => RecordType::Opt,
+            RDataView::Unknown { rtype, .. } => RecordType::from_code(*rtype),
+        }
+    }
+
+    /// The IPv4 address if this is an A record.
+    pub fn as_a(&self) -> Option<Ipv4Addr> {
+        match self {
+            RDataView::A(ip) => Some(*ip),
+            _ => None,
+        }
+    }
+
+    /// [`RData::txt_str`] in place: a single-chunk TXT borrows from the
+    /// bytes behind the view, and only a multi-chunk or non-UTF8 payload
+    /// allocates. `None` for non-TXT data.
+    pub fn txt_str(self) -> Option<Cow<'a, str>> {
+        let RDataView::Txt(raw) = self else {
+            return None;
+        };
+        match raw.split_first() {
+            Some((&l, one)) if l as usize == one.len() => Some(String::from_utf8_lossy(one)),
+            None => Some(Cow::Borrowed("")),
+            Some(_) => {
+                let all: Vec<u8> = txt_chunks(raw).flatten().copied().collect();
+                Some(Cow::Owned(String::from_utf8_lossy(&all).into_owned()))
+            }
+        }
+    }
+
+    /// Length of the data with every name written out in full.
+    pub(crate) fn uncompressed_len(&self) -> usize {
+        match self {
+            RDataView::A(_) => 4,
+            RDataView::Aaaa(_) => 16,
+            RDataView::Ns(n) | RDataView::Cname(n) | RDataView::Ptr(n) => n.wire_len(),
+            RDataView::Mx { exchange, .. } => 2 + exchange.wire_len(),
+            RDataView::Soa { mname, rname, .. } => mname.wire_len() + rname.wire_len() + 20,
+            RDataView::Txt(raw) | RDataView::Opt(raw) | RDataView::Unknown { data: raw, .. } => {
+                raw.len()
+            }
+        }
+    }
+
+    /// Encode at `buf`'s end with every name written out in full
+    /// ([`Self::uncompressed_len`] bytes).
+    pub(crate) fn encode_uncompressed(&self, buf: &mut Vec<u8>) {
+        match self {
+            RDataView::A(ip) => buf.extend_from_slice(&ip.octets()),
+            RDataView::Aaaa(ip) => buf.extend_from_slice(&ip.octets()),
+            RDataView::Ns(n) | RDataView::Cname(n) | RDataView::Ptr(n) => {
+                n.encode_uncompressed(buf)
+            }
+            RDataView::Mx {
+                preference,
+                exchange,
+            } => {
+                buf.extend_from_slice(&preference.to_be_bytes());
+                exchange.encode_uncompressed(buf);
+            }
+            RDataView::Soa {
+                mname,
+                rname,
+                words,
+            } => {
+                mname.encode_uncompressed(buf);
+                rname.encode_uncompressed(buf);
+                for w in words {
+                    buf.extend_from_slice(&w.to_be_bytes());
+                }
+            }
+            RDataView::Txt(raw) | RDataView::Opt(raw) | RDataView::Unknown { data: raw, .. } => {
+                buf.extend_from_slice(raw)
+            }
+        }
+    }
+}
+
+/// The character strings of TXT data behind their length bytes, as
+/// `RDataView::to_rdata` owns them: empty data is one empty string
+/// (RFC 1035 requires at least one, possibly empty).
+fn txt_chunks(raw: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut rest = raw;
+    let lone_empty = raw.is_empty().then_some(&raw[..0]);
+    std::iter::from_fn(move || {
+        let (&l, tail) = rest.split_first()?;
+        let (chunk, after) = tail.split_at(l as usize);
+        rest = after;
+        Some(chunk)
+    })
+    .chain(lone_empty)
+}
+
+/// Equality as between the view's owned [`RData`] and `other`, without
+/// the copy: names compare case-insensitively, TXT data chunk by chunk
+/// (empty TXT data is one empty string).
+impl PartialEq<RData> for RDataView<'_> {
+    fn eq(&self, other: &RData) -> bool {
+        match (self, other) {
+            (RDataView::A(a), RData::A(b)) => a == b,
+            (RDataView::Aaaa(a), RData::Aaaa(b)) => a == b,
+            (RDataView::Ns(a), RData::Ns(b))
+            | (RDataView::Cname(a), RData::Cname(b))
+            | (RDataView::Ptr(a), RData::Ptr(b)) => a.matches(b.borrowed()),
+            (
+                RDataView::Mx {
+                    preference: pa,
+                    exchange: ea,
+                },
+                RData::Mx {
+                    preference: pb,
+                    exchange: eb,
+                },
+            ) => pa == pb && ea.matches(eb.borrowed()),
+            (RDataView::Txt(raw), RData::Txt(chunks)) => {
+                txt_chunks(raw).eq(chunks.iter().map(Vec::as_slice))
+            }
+            (
+                RDataView::Soa {
+                    mname,
+                    rname,
+                    words,
+                },
+                RData::Soa {
+                    mname: mb,
+                    rname: rb,
+                    serial,
+                    refresh,
+                    retry,
+                    expire,
+                    minimum,
+                },
+            ) => {
+                mname.matches(mb.borrowed())
+                    && rname.matches(rb.borrowed())
+                    && *words == [*serial, *refresh, *retry, *expire, *minimum]
+            }
+            (RDataView::Opt(a), RData::Opt(b)) => a == b,
+            (
+                RDataView::Unknown { rtype, data },
+                RData::Unknown {
+                    rtype: rb,
+                    data: db,
+                },
+            ) => rtype == rb && data == db,
+            _ => false,
+        }
+    }
+}
+
+impl PartialEq<RDataView<'_>> for RData {
+    fn eq(&self, other: &RDataView<'_>) -> bool {
+        other == self
+    }
 }
 
 fn check_consumed(start: usize, pos: usize, rdlength: usize) -> WireResult<()> {
@@ -387,6 +550,14 @@ fn check_consumed(start: usize, pos: usize, rdlength: usize) -> WireResult<()> {
         })
     } else {
         Ok(())
+    }
+}
+
+/// [`RData`]'s presentation form, rendered from the owned copy so the
+/// two cannot differ (a view is rendered only off the hot path).
+impl fmt::Display for RDataView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.to_rdata().fmt(f)
     }
 }
 

@@ -1,7 +1,9 @@
 //! Property-based tests for the DNS wire format: arbitrary messages
 //! round-trip, and arbitrary bytes never panic the decoder.
 
-use dnswire::{Flags, Message, Name, Opcode, Question, RData, Rcode, Record, RecordType};
+use dnswire::{
+    Flags, Message, MessageView, Name, Opcode, Question, RData, RDataSet, Rcode, Record, RecordType,
+};
 use proptest::prelude::*;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -105,6 +107,29 @@ proptest! {
         let wire = m.encode().unwrap();
         let back = Message::decode(&wire).unwrap();
         prop_assert_eq!(back, m);
+    }
+
+    #[test]
+    fn a_data_set_keeps_every_answer_as_decoded(m in arb_message()) {
+        // Compressed on the wire, written out in full in the set: read
+        // back, each record equals, renders as and owns what the owned
+        // decoder makes of it.
+        let wire = m.encode().unwrap();
+        let view = MessageView::parse(&wire).unwrap();
+        let set = RDataSet::from_records(view.answers());
+        prop_assert_eq!(set.is_empty(), m.answers.is_empty());
+        let decoded = Message::decode(&wire).unwrap().answers;
+        let kept: Vec<_> = set.iter().collect();
+        prop_assert_eq!(kept.len(), decoded.len());
+        for (kept, r) in kept.into_iter().zip(&decoded) {
+            prop_assert!(kept == r.rdata, "{} vs {}", kept, r.rdata);
+            prop_assert_eq!(kept.to_string(), r.rdata.to_string());
+            prop_assert_eq!(kept.record_type(), r.rtype());
+            prop_assert_eq!(kept.as_a(), r.rdata.as_a());
+            prop_assert_eq!(kept.txt_str(), r.rdata.txt_str());
+        }
+        let owned: RDataSet = decoded.into_iter().map(|r| r.rdata).collect();
+        prop_assert_eq!(owned, set);
     }
 
     #[test]

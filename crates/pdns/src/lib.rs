@@ -98,17 +98,22 @@ impl PassiveDns {
     }
 
     /// Appendix-B condition 5: was `rdata` ever observed for `domain`
-    /// (of the same type) within the window?
-    pub fn contains(
+    /// (of the same type) within the window? `rdata` is an owned
+    /// [`RData`] or data read in place, such as a
+    /// [`dnswire::RDataView`] of a kept answer.
+    pub fn contains<R: ?Sized>(
         &self,
         domain: &InternedName,
         rtype: RecordType,
-        rdata: &RData,
+        rdata: &R,
         today: Day,
         window: u32,
-    ) -> bool {
+    ) -> bool
+    where
+        RData: PartialEq<R>,
+    {
         self.windowed(domain, today, window)
-            .any(|r| r.rtype == rtype && &r.rdata == rdata)
+            .any(|r| r.rtype == rtype && r.rdata == *rdata)
     }
 
     /// Recover the subdomains of `apex` observed within the window — the
@@ -203,6 +208,22 @@ mod tests {
             400,
             SIX_YEARS_DAYS
         ));
+    }
+
+    #[test]
+    fn kept_data_is_looked_up_in_place() {
+        let mut p = PassiveDns::new();
+        let spf = RData::Txt(vec![b"v=spf1 ".to_vec(), b"-all".to_vec()]);
+        p.observe(n("t.com"), RecordType::Txt, spf.clone(), 100, 200);
+        let kept: dnswire::RDataSet = [spf, RData::txt_from_str("v=spf1 -all")]
+            .into_iter()
+            .collect();
+        let found: Vec<bool> = kept
+            .iter()
+            .map(|r| p.contains(&i("t.com"), RecordType::Txt, &r, 200, SIX_YEARS_DAYS))
+            .collect();
+        // The same text in one chunk is other data.
+        assert_eq!(found, [true, false]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! legitimate MX records are excluded, and malicious mail-exchange URs
 //! surface.
 
-use dnswire::{RData, RecordType};
+use dnswire::{RDataView, RecordType};
 use urhunter::{evaluate_false_negatives, run, HunterConfig, UrCategory};
 use worldgen::{DetectionClass, World, WorldConfig};
 
@@ -28,11 +28,11 @@ fn mx_urs_are_collected_with_exchange_followups() {
     let with_aux = mx_urs.iter().filter(|u| !u.aux_records.is_empty()).count();
     assert!(with_aux > 0, "no MX UR has exchange follow-up records");
     for u in &mx_urs {
-        for r in &u.records {
-            assert!(matches!(r.rdata, RData::Mx { .. }));
+        for r in u.records.iter() {
+            assert!(matches!(r, RDataView::Mx { .. }));
         }
-        for r in &u.aux_records {
-            assert_eq!(r.rtype(), RecordType::A);
+        for r in u.aux_records.iter() {
+            assert_eq!(r.record_type(), RecordType::A);
         }
     }
 }

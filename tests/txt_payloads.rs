@@ -15,7 +15,7 @@ fn blob_world() -> World {
 }
 
 fn is_blob_text(u: &urhunter::ClassifiedUr) -> bool {
-    u.ur.txt_strings()
+    u.ur.txt_strs()
         .iter()
         .any(|t| t.starts_with("dkt;") || t.starts_with("sp3c;") || t.starts_with("cmd64="))
 }
