@@ -16,6 +16,7 @@ use rand::seq::IndexedRandom as _;
 use rand::SeedableRng;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Handle to a customer account.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,17 +105,22 @@ pub enum ProviderAnswer<'p> {
 
 /// A DNS hosting provider.
 ///
-/// `Clone` snapshots the full control plane (accounts, zones, RNG state);
-/// sharded scans use such snapshots as immutable read-only replicas.
+/// `Clone` is a copy-on-write snapshot of the control plane: the tables
+/// that grow with the customers (accounts, hosted zones, the by-domain
+/// index) sit behind [`Arc`]s the clone shares, so it costs a few
+/// reference counts plus the nameserver fleet, policy and RNG state. A
+/// write to either side copies the one table it touches, once, so the
+/// clone keeps answering exactly as the original did when it was taken.
+/// Sharded scans use such snapshots as immutable read-only replicas.
 #[derive(Clone)]
 pub struct HostingProvider {
     name: String,
     policy: HostingPolicy,
     nameservers: Vec<(Name, Ipv4Addr)>,
     ns_by_ip: FxHashMap<Ipv4Addr, usize>,
-    accounts: Vec<Account>,
-    zones: Vec<HostedZone>,
-    by_domain: FxHashMap<FoldedName, Vec<ZoneId>>,
+    accounts: Arc<Vec<Account>>,
+    zones: Arc<Vec<HostedZone>>,
+    by_domain: Arc<FxHashMap<FoldedName, Vec<ZoneId>>>,
     /// Fewest and most labels of any apex ever hosted (`u8::MAX` and 0
     /// while none is): the only suffix depths an answer probes.
     apex_labels: (u8, u8),
@@ -151,9 +157,9 @@ impl HostingProvider {
             policy,
             nameservers,
             ns_by_ip,
-            accounts: Vec::new(),
-            zones: Vec::new(),
-            by_domain: FxHashMap::default(),
+            accounts: Arc::default(),
+            zones: Arc::default(),
+            by_domain: Arc::default(),
             apex_labels: (u8::MAX, 0),
             protective_a: RData::A(protective_ip),
             protective_txt: RData::txt_from_str(&format!(
@@ -201,7 +207,7 @@ impl HostingProvider {
             NsAllocation::AccountFixed { per_account } => self.pick_ns(per_account, &[]),
             _ => Vec::new(),
         };
-        self.accounts.push(Account { fixed_ns });
+        Arc::make_mut(&mut self.accounts).push(Account { fixed_ns });
         AccountId(self.accounts.len() as u32 - 1)
     }
 
@@ -300,7 +306,7 @@ impl HostingProvider {
         };
         let id = ZoneId(self.zones.len() as u32);
         self.seq += 1;
-        self.zones.push(HostedZone {
+        Arc::make_mut(&mut self.zones).push(HostedZone {
             id,
             owner: account,
             zone: Zone::new(domain.clone()),
@@ -310,7 +316,7 @@ impl HostingProvider {
             created_seq: self.seq,
             verified: false,
         });
-        self.by_domain
+        Arc::make_mut(&mut self.by_domain)
             .entry(FoldedName::new(domain.borrowed()))
             .or_default()
             .push(id);
@@ -327,7 +333,7 @@ impl HostingProvider {
     /// # Panics
     /// Panics on a dangling handle — that is a caller bug.
     pub fn add_record(&mut self, id: ZoneId, record: Record) {
-        self.zones[id.0 as usize].zone.add(record);
+        self.hosted_mut(id).zone.add(record);
     }
 
     /// Enable paid sync-to-all-nameservers for a zone (Cloudflare paid).
@@ -336,20 +342,20 @@ impl HostingProvider {
         if !self.policy.sync_to_all_ns {
             return false;
         }
-        self.zones[id.0 as usize].synced_all = true;
+        self.hosted_mut(id).synced_all = true;
         true
     }
 
     /// Mark a zone's ownership verification as passed.
     pub fn set_verified(&mut self, id: ZoneId) {
-        self.zones[id.0 as usize].verified = true;
+        self.hosted_mut(id).verified = true;
     }
 
     /// Deactivate a zone (customer deletes it — e.g. an audit probe
     /// removing its test records after the experiment, per the paper's
     /// ethics appendix).
     pub fn deactivate_zone(&mut self, id: ZoneId) {
-        self.zones[id.0 as usize].active = false;
+        self.hosted_mut(id).active = false;
     }
 
     /// The legitimate owner reclaims `domain` after proving control:
@@ -366,10 +372,16 @@ impl HostingProvider {
         }
         if let Some(ids) = self.ids_for(domain).cloned() {
             for id in ids {
-                self.zones[id.0 as usize].active = false;
+                self.hosted_mut(id).active = false;
             }
         }
         self.host_domain(new_owner, domain, class)
+    }
+
+    /// A hosted zone to write, copying the zone table first if a snapshot
+    /// still shares it.
+    fn hosted_mut(&mut self, id: ZoneId) -> &mut HostedZone {
+        &mut Arc::make_mut(&mut self.zones)[id.0 as usize]
     }
 
     /// Every zone ever hosted for exactly `domain`, active or not.
@@ -844,5 +856,94 @@ mod tests {
             cf.host_domain(a, &n("never-registered.xyz"), DomainClass::Unregistered),
             Err(HostError::ClassNotSupported(_))
         ));
+    }
+
+    /// Everything a provider shows: its summary and policy, every zone as
+    /// hosted and the nameservers serving it, and how each nameserver
+    /// answers the A and TXT questions for `probes`.
+    fn observe(p: &HostingProvider, probes: &[Name]) -> String {
+        let mut out = format!("{p:?}\n{:?}\n{:?}\n", p.policy(), p.zones());
+        for z in p.zones() {
+            out += &format!("{:?}\n", p.serving_nameservers(z.id));
+        }
+        for (_, ip) in p.nameservers() {
+            for name in probes {
+                let mut scratch = Vec::new();
+                let qname = name.borrowed().fold(&mut scratch);
+                for qtype in [RecordType::A, RecordType::Txt] {
+                    out += &format!("{:?}\n", p.answer(*ip, qname, qtype));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_snapshot_keeps_answering_as_the_provider_did_when_taken() {
+        type Step = Box<dyn Fn(&mut HostingProvider)>;
+        let probes = [n("victim.com"), n("www.victim.com"), n("other.org")];
+        let mut p = provider(HostingPolicy::cloudflare(), 8);
+        let first = p.create_account();
+        p.host_domain(first, &n("other.org"), DomainClass::RegisteredSld)
+            .unwrap();
+        // The handle `host_domain` will give victim.com.
+        let victim = ZoneId(p.zones().len() as u32);
+        let a = |ip| Record::new(n("victim.com"), 60, RData::A(ip));
+        // Each step writes one table or the policy, and changes what the
+        // provider shows; a snapshot taken before it must not see it.
+        let steps: Vec<(&str, Step)> = vec![
+            (
+                "create_account",
+                Box::new(|p| {
+                    p.create_account();
+                }),
+            ),
+            (
+                "host_domain",
+                Box::new(move |p| {
+                    let id = p.host_domain(first, &n("victim.com"), DomainClass::RegisteredSld);
+                    assert_eq!(id, Ok(victim));
+                }),
+            ),
+            (
+                "add_record",
+                Box::new(move |p| p.add_record(victim, a(Ipv4Addr::new(6, 6, 6, 6)))),
+            ),
+            ("sync_all", Box::new(move |p| assert!(p.sync_all(victim)))),
+            (
+                "policy_mut",
+                Box::new(|p| p.policy_mut().verification = VerificationPolicy::NsDelegation),
+            ),
+            ("set_verified", Box::new(move |p| p.set_verified(victim))),
+            (
+                "deactivate_zone",
+                Box::new(move |p| p.deactivate_zone(victim)),
+            ),
+            (
+                "retrieve_domain",
+                Box::new(|p| {
+                    let owner = p.create_account();
+                    p.retrieve_domain(owner, &n("victim.com"), DomainClass::RegisteredSld)
+                        .unwrap();
+                    p.set_verified(ZoneId(p.zones().len() as u32 - 1));
+                }),
+            ),
+        ];
+        for (name, step) in &steps {
+            let mut snapshot = p.clone();
+            let before = observe(&snapshot, &probes);
+            assert_eq!(observe(&p, &probes), before, "{name}: the clone is a copy");
+            step(&mut p);
+            assert_eq!(
+                observe(&snapshot, &probes),
+                before,
+                "{name} reached the snapshot"
+            );
+            assert_ne!(observe(&p, &probes), before, "{name} changed nothing");
+            // Writing the snapshot in turn leaves the provider alone.
+            let after = observe(&p, &probes);
+            step(&mut snapshot);
+            assert_eq!(observe(&p, &probes), after, "{name} on the snapshot leaked");
+        }
     }
 }

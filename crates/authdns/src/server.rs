@@ -266,9 +266,13 @@ impl Node for StaticZoneNode {
 
 /// Ground-truth answer table shared by oracle nodes: the canonical records
 /// of the delegated web by owner name and type.
+///
+/// `Clone` is a copy-on-write snapshot: the clone shares the table behind
+/// an [`Arc`], and the first [`AnswerMap::add`] to either side after it
+/// copies the table, once.
 #[derive(Debug, Clone, Default)]
 pub struct AnswerMap {
-    by_name: FxHashMap<FoldedName, RrSets>,
+    by_name: Arc<FxHashMap<FoldedName, RrSets>>,
 }
 
 impl AnswerMap {
@@ -279,7 +283,7 @@ impl AnswerMap {
 
     /// Append `record` to the RRset of its owner and type.
     pub fn add(&mut self, record: Record) {
-        self.by_name
+        Arc::make_mut(&mut self.by_name)
             .entry(FoldedName::new(record.name.borrowed()))
             .or_default()
             .entry(record.rtype())
@@ -600,6 +604,35 @@ mod tests {
             resp.answers[0].rdata.as_a().unwrap(),
             Ipv4Addr::new(203, 0, 113, 7)
         );
+    }
+
+    #[test]
+    fn an_answer_map_snapshot_keeps_its_answers() {
+        let a = |last| {
+            Record::new(
+                n("popular.com"),
+                60,
+                RData::A(Ipv4Addr::new(203, 0, 113, last)),
+            )
+        };
+        let txt = Record::new(n("new.example"), 60, RData::txt_from_str("v=spf1 -all"));
+        let (popular, new) = (n("popular.com"), n("new.example"));
+        let (mut popular_key, mut new_key) = (Vec::new(), Vec::new());
+        let popular = popular.borrowed().fold(&mut popular_key);
+        let new = new.borrowed().fold(&mut new_key);
+        let mut truth = AnswerMap::new();
+        truth.add(a(7));
+        let mut snapshot = truth.clone();
+        truth.add(a(8));
+        truth.add(txt.clone());
+        assert_eq!(snapshot.get(popular, RecordType::A), [a(7)]);
+        assert_eq!(snapshot.get(new, RecordType::Txt), []);
+        assert_eq!(truth.get(popular, RecordType::A), [a(7), a(8)]);
+        assert_eq!(truth.get(new, RecordType::Txt), [txt]);
+        // And the other way round: the snapshot's writes stay its own.
+        snapshot.add(a(9));
+        assert_eq!(snapshot.get(popular, RecordType::A), [a(7), a(9)]);
+        assert_eq!(truth.get(popular, RecordType::A), [a(7), a(8)]);
     }
 
     #[test]

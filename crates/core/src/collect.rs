@@ -590,7 +590,8 @@ pub fn collect_urs_sharded(
 /// fold has not yet taken (a whole shard's, for one still ahead of the
 /// fold — so `transform` should make them compact). `lead` runs once on
 /// the calling thread beside the workers, before the fold starts (first,
-/// when one worker scans on the calling thread).
+/// when one worker scans on the calling thread); while it runs no shard is
+/// held back, so the bound applies from its return.
 ///
 /// A non-zero global interval on `scheduler` (`--rate-limit`) is enforced
 /// by a [`SharedTokenBucket`](crate::schedule::SharedTokenBucket) metering

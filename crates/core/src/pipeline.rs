@@ -17,7 +17,6 @@ use simnet::{FaultPlan, SimDuration};
 use std::cell::OnceCell;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 use worldgen::{NsInfo, World};
 
 /// How many URs a [`run_streamed`] worker collects before classifying them.
@@ -243,15 +242,12 @@ pub struct RunOutput {
     pub bucket_wait: SimDuration,
 }
 
-/// Publishes `None` into a set-once cell on drop unless a value is already
-/// there: when the step that should fill the cell unwinds, a worker waiting
-/// on it is released (and panics) instead of hanging.
-struct PublishOnExit<'c, T>(&'c OnceLock<Option<T>>);
-
-impl<T> Drop for PublishOnExit<'_, T> {
-    fn drop(&mut self) {
-        let _ = self.0.set(None);
-    }
+/// A shard's URs as its worker hands them to `run`'s fold: classified on
+/// the worker when the support sweep had published the classifier, or
+/// still to classify, on the calling thread, once the sweep is done.
+enum ShardUrs {
+    Classified(Vec<ClassifiedUr>),
+    Unclassified(Vec<CollectedUr>),
 }
 
 /// Run the full URHunter pipeline against a world.
@@ -261,7 +257,8 @@ impl<T> Drop for PublishOnExit<'_, T> {
 /// `classified` is shard-major, each shard in its shuffled task order. The
 /// calling thread sweeps for correct and protective records on
 /// `world.net` while the scan workers probe their replica fabrics (with
-/// one worker, first), then folds the verdicts, analyzes and reports.
+/// one worker, first), then folds the verdicts, classifying any shard
+/// that ended before the sweep did, analyzes and reports.
 pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     let nameservers = select_nameservers(world, cfg.collect.min_tail_sites);
     let mut targets = world.scan_targets();
@@ -309,26 +306,23 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     let classify_cfg = cfg.classify_cfg(world.config.today);
     let workers = par::Parallelism::from_knob(cfg.workers).get();
     // The bulk scan runs on shard replica fabrics built from this snapshot:
-    // same fault seed and latency, per-shard RNG streams. The support sweep
+    // same fault seed and latency, per-shard RNG streams. The snapshot
+    // shares the world's zone tables copy-on-write, and the support sweep
     // below only reads the providers, so taking it first snapshots the same
-    // state.
+    // state and copies nothing.
     let blueprint = world.scan_blueprint();
     let scan_faults = world.net.faults();
-    if let Some(hub) = obs {
-        // Registered up front: a run whose workers never wait exports a 0.
-        hub.registry().add("classify_wait_us", obs::Class::Wall, 0);
-    }
 
     // The support sweep (correct and protective records) runs on the
     // calling thread, the only one that may touch `world.net`, while the
     // workers scan their replica fabrics. It publishes the classifier over
-    // its two databases once; each worker waits for it before its first
-    // verdict. `None` means the sweep unwound.
+    // its two databases once. No worker waits for it: a shard that ends
+    // before it is published is handed over unclassified, and the fold,
+    // which starts only after the sweep, classifies it.
     let support = OnceCell::new();
-    let streamer: OnceLock<Option<StreamClassifier<'_>>> = OnceLock::new();
+    let streamer: OnceLock<StreamClassifier<'_>> = OnceLock::new();
     let mut collect_span = None;
     let sweep = || {
-        let _release = PublishOnExit(&streamer);
         let sp = obs.map(|h| h.span("collect_support", world.net.now().as_micros()));
         let protective =
             collect_protective(&mut world.net, &mut engine, &nameservers, &cfg.collect);
@@ -351,26 +345,17 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
             &world.pdns,
             &classify_cfg,
         );
-        let _ = streamer.set(Some(cls));
+        let _ = streamer.set(cls);
         collect_span = obs.map(|h| h.span("collect", world.net.now().as_micros()));
     };
-    let classify = |urs: Vec<CollectedUr>| {
-        let cls = streamer.get().unwrap_or_else(|| {
-            let waited = obs.map(|h| (h, Instant::now()));
-            let cls = streamer.wait();
-            if let Some((h, t)) = waited {
-                let us = t.elapsed().as_micros() as u64;
-                h.registry().add("classify_wait_us", obs::Class::Wall, us);
-            }
-            cls
-        });
-        cls.as_ref()
-            .expect("the support sweep panicked")
-            .classify_batch_owned(urs)
+    let classify = |urs: Vec<CollectedUr>| match streamer.get() {
+        Some(cls) => ShardUrs::Classified(cls.classify_batch_owned(urs)),
+        None => ShardUrs::Unclassified(urs),
     };
-    // Each worker classifies the shard it scanned and hands its verdicts
-    // over as one batch; the fold keeps them in shard order, growing the
-    // vector by exactly each batch, so the output carries no spare slots.
+    // Each worker hands its shard over as one batch; the fold keeps them in
+    // shard order, growing the vector by exactly each batch, so the output
+    // carries no spare slots. Verdicts are the same wherever they are
+    // reached: the classifier is a pure function of the UR.
     let mut classified = Vec::new();
     let scan = collect_urs_streamed(
         &blueprint,
@@ -388,10 +373,20 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         &classify,
         sweep,
         &mut |batch| {
+            let batch = match batch {
+                ShardUrs::Classified(verdicts) => verdicts,
+                ShardUrs::Unclassified(urs) => streamer
+                    .get()
+                    .expect("the sweep publishes before the fold starts")
+                    .classify_batch_owned(urs),
+            };
             classified.reserve_exact(batch.len());
             classified.extend(batch);
         },
     );
+    // A later write to the world (the sandbox phase, a daemon's drift)
+    // would copy every table the snapshot still shared.
+    drop(blueprint);
     drop(streamer);
     let (correct_db, protective_db) = support.into_inner().expect("the support sweep ran");
     // The world clock advances by the shards' summed scan time and the

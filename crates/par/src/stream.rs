@@ -23,7 +23,8 @@ use std::sync::{Condvar, Mutex, PoisonError};
 /// fold still needs. This is the executor's one memory bound: at most
 /// `window` shard fabrics are resident, and only those shards' queues can
 /// hold batches the fold has not yet taken, no matter how far ahead a
-/// fast worker could run.
+/// fast worker could run. The window closes only once the fold can
+/// drain: until [`ShardGate::close_to`] the gate admits every shard.
 #[derive(Debug)]
 struct ShardGate {
     state: Mutex<GateState>,
@@ -33,6 +34,7 @@ struct ShardGate {
 #[derive(Debug)]
 struct GateState {
     floor: usize,
+    window: usize,
     poisoned: bool,
 }
 
@@ -41,6 +43,7 @@ impl ShardGate {
         ShardGate {
             state: Mutex::new(GateState {
                 floor: 0,
+                window: usize::MAX,
                 poisoned: false,
             }),
             admitted: Condvar::new(),
@@ -56,9 +59,9 @@ impl ShardGate {
     }
 
     /// Block until shard `shard` falls inside the in-flight window.
-    fn wait_admitted(&self, shard: usize, window: usize) {
+    fn wait_admitted(&self, shard: usize) {
         let mut st = self.lock();
-        while !st.poisoned && shard >= st.floor.saturating_add(window) {
+        while !st.poisoned && shard >= st.floor.saturating_add(st.window) {
             st = self.admitted.wait(st).unwrap_or_else(|e| e.into_inner());
         }
         let aborted = st.poisoned;
@@ -66,6 +69,12 @@ impl ShardGate {
         if aborted {
             panic!("sharded scan aborted: a peer stage panicked");
         }
+    }
+
+    /// The fold is about to drain: from now on at most `window` shards
+    /// from the floor on are admitted. Narrowing wakes no waiter.
+    fn close_to(&self, window: usize) {
+        self.lock().window = window;
     }
 
     /// The fold finished shard `floor - 1`; admit the next waiter.
@@ -115,16 +124,22 @@ type Claims<T, S> = std::iter::Enumerate<std::vec::IntoIter<Sender<ShardItem<T, 
 /// * `lead()` runs exactly once, on the calling thread, after the workers
 ///   are spawned and before the fold sees shard 0: work that must stay on
 ///   the calling thread (because it owns `!Send` state) overlaps the
-///   scans instead of preceding them. A `scan` that needs what `lead`
-///   produces waits for it itself; the fold never does.
+///   scans instead of preceding them. The fold starts after `lead`
+///   returns, so it never waits for `lead`'s product; a `scan` that needs
+///   that product should not wait for it either, but hand its work to the
+///   fold to finish.
 /// * Memory: every shard delivers through its own unbounded queue and the
 ///   fold drains only the current (floor) shard's queue, so a worker that
 ///   runs ahead of the fold finishes its shard and parks what it emitted
-///   there instead of waiting. The window gate admits a worker to shard
-///   `s` only while `s < floor + workers`, so at most `workers` shards are
-///   in flight: peak RSS is `O(workers × (shard fabric + a shard's
-///   emitted batches))` regardless of `shards`. Emit compact batches — a
-///   queue may hold a whole shard's worth.
+///   there instead of waiting. Once `lead` has returned, the window gate
+///   admits a worker to shard `s` only while `s < floor + workers`, so at
+///   most `workers` shards are in flight: peak RSS is `O(workers × (shard
+///   fabric + a shard's emitted batches))` regardless of `shards`. While
+///   `lead` runs the fold cannot drain anyway, so the gate holds no worker:
+///   a shard scanned then parks its whole output until the fold reaches
+///   it. An empty `lead` keeps the bound; a long one trades it for workers
+///   that never idle. Emit compact batches — a queue may hold a whole
+///   shard's worth.
 ///
 /// With one worker (one shard, or `workers <= 1`) no thread is spawned:
 /// `lead` runs first and then the loop above runs as written on the
@@ -160,7 +175,6 @@ pub fn sharded_ordered_fold<T, S>(
         }
         return;
     }
-    let window = workers;
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..shards).map(|_| channel()).unzip();
     let claims: Mutex<Claims<T, S>> = Mutex::new(senders.into_iter().enumerate());
     let gate = ShardGate::new();
@@ -199,7 +213,7 @@ pub fn sharded_ordered_fold<T, S>(
                 }
                 let _exit = WorkerExit { claims, gate };
                 while let Some((shard, queue)) = claim(claims) {
-                    gate.wait_admitted(shard, window);
+                    gate.wait_admitted(shard);
                     // A send fails only once the fold is gone; the rest of
                     // the shard is scanned and dropped.
                     let summary = scan(shard, &mut |batch: T| {
@@ -225,6 +239,7 @@ pub fn sharded_ordered_fold<T, S>(
         }
         let _exit = FoldExit(&gate);
         lead();
+        gate.close_to(workers);
 
         // Canonical order for free: drain shard 0's queue to its summary,
         // then shard 1's, … Each queue is single-producer FIFO, so batches
@@ -380,8 +395,8 @@ mod tests {
 
     #[test]
     fn a_panicking_lead_propagates_without_deadlock() {
-        // Workers run ahead of the fold until the gate holds them; the
-        // lead's unwind must release all of them.
+        // Workers run ahead of the fold, which never starts; the lead's
+        // unwind must stop all of them.
         for workers in [1usize, 4] {
             let panicked = panics_within_ten_seconds(move || {
                 sharded_ordered_fold(
@@ -434,6 +449,36 @@ mod tests {
             assert_eq!(folded, 32);
         });
         assert!(!panicked, "the fold must take every batch of both shards");
+    }
+
+    #[test]
+    fn the_window_holds_no_shard_while_the_lead_runs() {
+        // The fold cannot drain before the lead returns, so holding shards
+        // at the window then would only idle the workers: shard `workers`,
+        // past the first window, must start while the lead still runs.
+        let workers = 2;
+        let (started, starts) = std::sync::mpsc::channel();
+        let mut folded = Vec::new();
+        sharded_ordered_fold(
+            workers,
+            2 * workers,
+            |shard, emit| {
+                let _ = started.send(shard);
+                emit(shard);
+                shard
+            },
+            || loop {
+                let shard = starts
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .expect("the gate held shard `workers` while the lead ran");
+                if shard == workers {
+                    break;
+                }
+            },
+            |batch| folded.push(batch),
+            |_| {},
+        );
+        assert_eq!(folded, [0, 1, 2, 3]);
     }
 
     #[test]

@@ -221,8 +221,12 @@ impl World {
     ///
     /// Each provider's control plane is cloned once into an [`Arc`] (the
     /// scan only reads it — [`HostingProvider::answer`] takes `&self`), as
-    /// is the oracle ground-truth table; per-shard fabrics then share the
-    /// snapshots instead of duplicating zone tables.
+    /// is the oracle ground-truth table. Both clones are copy-on-write, so
+    /// the snapshot shares the world's accounts, zones and answer table
+    /// rather than copying them: it costs each provider's nameserver fleet
+    /// and a few reference counts. The world's next write to a shared
+    /// table copies that table while the blueprint lives, so drop it once
+    /// the scan is done. Per-shard fabrics share the snapshots in turn.
     pub fn scan_blueprint(&self) -> ScanBlueprint {
         let providers: Vec<Arc<HostingProvider>> = self
             .providers
@@ -259,8 +263,9 @@ impl World {
 /// The blueprint is `Send + Sync`; shard workers borrow it and call
 /// [`ScanBlueprint::build_network`] to get their own single-threaded
 /// replica. Replicas answer bit-identically to the live world because the
-/// node snapshots are immutable and the fabric seed, latency model and
-/// per-flow fault seed are copied from the world fabric.
+/// node snapshots are immutable — an eager blueprint reads the world's own
+/// zone tables, shared copy-on-write — and the fabric seed, latency model
+/// and per-flow fault seed are copied from the world fabric.
 pub struct ScanBlueprint {
     fabric_seed: u64,
     latency: LatencyModel,
