@@ -15,17 +15,12 @@ pub struct AnalyzeConfig {
     /// Minimum alert severity that counts as malicious traffic (paper:
     /// at least medium, excluding connectivity checks).
     pub severity_threshold: Severity,
-    /// Match TXT URs lacking IP addresses against known malware payload
-    /// signatures (the §6 future-work extension; off in the
-    /// paper-faithful mode, where such URs stay unknown).
-    pub(crate) match_txt_payloads: bool,
 }
 
 impl Default for AnalyzeConfig {
     fn default() -> Self {
         AnalyzeConfig {
             severity_threshold: Severity::Medium,
-            match_txt_payloads: false,
         }
     }
 }
@@ -76,12 +71,16 @@ pub fn run_sandboxes(
 /// 2. mark an address malicious if a vendor flags it or IDS-confirmed
 ///    traffic targets it,
 /// 3. promote suspicious URs whose corresponding addresses are malicious.
+///
+/// A TXT UR with no corresponding address stays unknown, as in the paper.
+/// Nothing reads `_payload_sigs`; the parameter keeps existing callers
+/// compiling.
 pub fn analyze(
     classified: &mut [ClassifiedUr],
     intel: &IntelAggregator,
     reports: Vec<SandboxReport>,
     ids_malicious: HashSet<Ipv4Addr>,
-    payload_sigs: &intel::PayloadSignatureDb,
+    _payload_sigs: &intel::PayloadSignatureDb,
     cfg: &AnalyzeConfig,
 ) -> Analysis {
     // Sibling-A index over suspicious URs.
@@ -140,28 +139,6 @@ pub fn analyze(
                 .any(|ip| evidence.contains_key(ip))
         {
             c.category = UrCategory::Malicious;
-        }
-    }
-
-    // Payload-signature extension: TXT URs without corresponding IPs are
-    // unjudgeable in the paper-faithful mode; the extension matches their
-    // payloads against known malware command-blob signatures.
-    if cfg.match_txt_payloads {
-        for c in classified.iter_mut() {
-            if c.category == UrCategory::Unknown
-                && c.ur.key.rtype == RecordType::Txt
-                && c.corresponding_ips.is_empty()
-            {
-                if let Some(sig) =
-                    c.ur.records
-                        .iter()
-                        .filter_map(|r| r.txt_str())
-                        .find_map(|t| payload_sigs.match_text(&t))
-                {
-                    c.category = UrCategory::Malicious;
-                    c.payload_matched = Some(intern::Sym::intern(&sig.family));
-                }
-            }
         }
     }
 
@@ -245,7 +222,6 @@ mod tests {
             } else {
                 Vec::new()
             },
-            payload_matched: None,
         }
     }
 

@@ -72,7 +72,6 @@ impl Verdict {
             correct_reason: self.correct_reason,
             txt_category: self.txt_category,
             corresponding_ips: self.corresponding_ips,
-            payload_matched: None,
         }
     }
 }

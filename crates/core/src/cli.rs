@@ -171,6 +171,15 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_timeout_saturates_instead_of_wrapping() {
+        // 18446744073709552 ms is one past u64::MAX µs / 1000.
+        let cfg = parse(&["--timeout", "18446744073709552"])
+            .expect("a positive number")
+            .apply(HunterConfig::fast());
+        assert!(cfg.retry.timeout.as_micros() >= u64::MAX / 1_000 * 1_000);
+    }
+
+    #[test]
     fn out_of_range_values_are_rejected_naming_the_flag() {
         for args in [
             &["--workers", "0"][..],

@@ -44,7 +44,6 @@ mod audit;
 mod classify;
 pub mod cli;
 mod collect;
-mod defense;
 mod pipeline;
 mod query;
 mod report;
@@ -59,7 +58,6 @@ pub use collect::{
     collect_correct, collect_protective, collect_urs_sharded, scan_stream, select_nameservers,
     CollectConfig, QidGen, RttSelector, ShardedScanOutcome, SCAN_SHARDS,
 };
-pub use defense::{BypassAlert, EgressMonitor};
 pub use pipeline::{
     classified_sequence_hash, evaluate_false_negatives, run, run_streamed, HunterConfig, RunOutput,
     StreamRunOutput,

@@ -37,9 +37,6 @@ pub struct HunterConfig {
     pub per_server_interval: SimDuration,
     /// Seed for probe-order randomization.
     pub scheduler_seed: u64,
-    /// Recover legitimate subdomains from passive DNS and add them to the
-    /// target list (§6 future work).
-    pub(crate) expand_targets_from_pdns: bool,
     /// Scan worker threads. Workers only claim shards of the scan's layout
     /// — [`SCAN_SHARDS`](crate::SCAN_SHARDS) contiguous nameserver ranges
     /// for [`run`], the `world_shards` argument of [`run_streamed`] — and
@@ -90,7 +87,6 @@ impl HunterConfig {
             analyze: AnalyzeConfig::default(),
             per_server_interval: SimDuration::ZERO,
             scheduler_seed: 0x5545,
-            expand_targets_from_pdns: false,
             workers: 0,
             retry: QueryPlan::default(),
             scan_faults: None,
@@ -114,18 +110,6 @@ impl HunterConfig {
         let mut cfg = HunterConfig::fast();
         cfg.collect.query_types = vec![RecordType::A, RecordType::Txt, RecordType::Mx];
         cfg
-    }
-
-    /// Enable passive-DNS target expansion on top of this config.
-    pub fn with_pdns_expansion(mut self) -> Self {
-        self.expand_targets_from_pdns = true;
-        self
-    }
-
-    /// Enable TXT payload-signature matching on top of this config.
-    pub fn with_payload_matching(mut self) -> Self {
-        self.analyze.match_txt_payloads = true;
-        self
     }
 
     /// Set the worker-thread count (see [`HunterConfig::workers`]; `0` =
@@ -261,27 +245,7 @@ enum ShardUrs {
 /// that ended before the sweep did, analyzes and reports.
 pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     let nameservers = select_nameservers(world, cfg.collect.min_tail_sites);
-    let mut targets = world.scan_targets();
-    if cfg.expand_targets_from_pdns {
-        // §6 future work: legitimate subdomains recovered from passive DNS
-        // become additional scan targets, catching subdomain URs (e.g. an
-        // attacker hosting `mail.<popular>` where a real `mail.<popular>`
-        // exists).
-        let mut expanded = Vec::new();
-        for apex in world.tranco.domains() {
-            expanded.extend(world.pdns.subdomains_of(
-                apex,
-                world.config.today,
-                cfg.classify.pdns_window,
-            ));
-        }
-        let existing: std::collections::HashSet<_> = targets.iter().cloned().collect();
-        for name in expanded {
-            if !existing.contains(&name) {
-                targets.push(name);
-            }
-        }
-    }
+    let targets = world.scan_targets();
 
     // The scanner's own traffic is not sandbox evidence; capture is off for
     // the bulk scan and re-enabled for the sandbox phase the IDS inspects.
@@ -990,7 +954,6 @@ mod tests {
                     correct_reason,
                     txt_category: None,
                     corresponding_ips: ips.iter().map(|&o| Ipv4Addr::from(o)).collect(),
-                    payload_matched: None,
                 },
             )
             .collect()

@@ -581,7 +581,6 @@ mod tests {
                 None
             },
             corresponding_ips: ips,
-            payload_matched: None,
         }
     }
 

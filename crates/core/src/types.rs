@@ -247,8 +247,7 @@ pub enum MaliciousEvidence {
 /// A classified UR after the full pipeline.
 ///
 /// `run` returns one a UR, so the struct stays small: the collected
-/// record's data is one buffer each for answer and auxiliary records, and
-/// a payload match names its family by interned handle.
+/// record's data is one buffer each for answer and auxiliary records.
 #[derive(Debug, Clone)]
 pub struct ClassifiedUr {
     /// The collected record.
@@ -262,15 +261,11 @@ pub struct ClassifiedUr {
     /// Corresponding IP addresses (§4.3: A-record IPs, or TXT-embedded
     /// IPs, or the sibling A UR's IPs).
     pub corresponding_ips: Vec<Ipv4Addr>,
-    /// Malware family whose payload signature matched this UR's TXT data
-    /// (the payload-matching extension; `None` in the paper-faithful mode).
-    /// Family names come from the world's signature list, never from scan
-    /// data.
-    pub payload_matched: Option<Sym>,
 }
 
-// What a verdict costs inline; `run` keeps one for every UR.
-const _: () = assert!(std::mem::size_of::<ClassifiedUr>() <= 96);
+// What a verdict costs inline (88 B on a 64-bit target); `run` keeps one
+// for every UR.
+const _: () = assert!(std::mem::size_of::<ClassifiedUr>() <= 88);
 
 #[cfg(test)]
 mod tests {

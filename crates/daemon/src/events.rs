@@ -485,7 +485,6 @@ mod tests {
             correct_reason: None,
             txt_category: None,
             corresponding_ips: Vec::new(),
-            payload_matched: None,
         }
     }
 

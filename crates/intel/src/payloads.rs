@@ -4,8 +4,10 @@
 //! addresses since we cannot identify whether they were malicious (e.g.,
 //! encrypted TXT URs) … matching the TXT URs without IP addresses with
 //! existing malware payloads is a valuable direction for future work."
-//! This module is that direction: a corpus of byte patterns extracted from
-//! known malware command channels, matched against TXT payloads.
+//! This module holds a corpus of byte patterns extracted from known
+//! malware command channels. No pipeline stage matches TXT payloads
+//! against it: the corpus only fills `World::payload_sigs`, which callers
+//! of `urhunter::analyze` still pass and nothing reads.
 
 use std::fmt;
 

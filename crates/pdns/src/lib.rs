@@ -115,26 +115,6 @@ impl PassiveDns {
         self.windowed(domain, today, window)
             .any(|r| r.rtype == rtype && r.rdata == *rdata)
     }
-
-    /// Recover the subdomains of `apex` observed within the window — the
-    /// paper's future-work extension: "we can recover legitimate
-    /// subdomains from PDNS data and measure whether they appear in URs."
-    pub fn subdomains_of(&self, apex: &Name, today: Day, window: u32) -> Vec<Name> {
-        let apex = apex.borrowed();
-        let mut out: Vec<Name> = self
-            .by_domain
-            .iter()
-            .filter(|(name, recs)| {
-                let name = name.name();
-                name.label_count() > apex.label_count()
-                    && name.is_subdomain_of(apex)
-                    && recs.iter().any(|r| Self::in_window(r, today, window))
-            })
-            .map(|(name, _)| name.to_name())
-            .collect();
-        out.sort();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -254,43 +234,6 @@ mod tests {
         assert_eq!(p.windowed(&i("d.com"), 300, 150).count(), 2);
         assert_eq!(p.by_domain.values().map(Vec::len).sum::<usize>(), 3);
         assert_eq!(p.by_domain.len(), 1);
-    }
-
-    #[test]
-    fn subdomain_recovery() {
-        let mut p = PassiveDns::new();
-        p.observe(n("example.com"), RecordType::A, a([1, 1, 1, 1]), 100, 2_400);
-        p.observe(
-            n("mail.example.com"),
-            RecordType::A,
-            a([1, 1, 1, 2]),
-            100,
-            2_400,
-        );
-        p.observe(
-            n("www.example.com"),
-            RecordType::A,
-            a([1, 1, 1, 3]),
-            100,
-            2_400,
-        );
-        p.observe(n("old.example.com"), RecordType::A, a([1, 1, 1, 4]), 0, 10);
-        p.observe(n("other.net"), RecordType::A, a([2, 2, 2, 2]), 100, 2_400);
-        // full lookback sees all three subdomains
-        let subs = p.subdomains_of(&n("example.com"), 2_500, 2_500);
-        assert_eq!(
-            subs,
-            vec![
-                n("mail.example.com"),
-                n("old.example.com"),
-                n("www.example.com")
-            ]
-        );
-        // the six-year window (horizon day 310) drops the stale one
-        let recent = p.subdomains_of(&n("example.com"), 2_500, SIX_YEARS_DAYS);
-        assert_eq!(recent.len(), 2);
-        // the apex itself is never its own subdomain
-        assert!(!subs.contains(&n("example.com")));
     }
 
     #[test]

@@ -26,24 +26,4 @@ proptest! {
         let di = InternedName::intern(&d);
         prop_assert_eq!(p.contains(&di, RecordType::A, &rdata, today, window), expected);
     }
-
-    #[test]
-    fn subdomain_recovery_never_includes_apex_or_foreign_names(
-        subs in proptest::collection::vec("[a-z]{1,6}", 0..6),
-        today in 100u32..5_000,
-    ) {
-        let apex: Name = "apex.example".parse().unwrap();
-        let mut p = PassiveDns::new();
-        p.observe(apex.clone(), RecordType::A, RData::A(Ipv4Addr::new(1, 1, 1, 1)), 0, today);
-        p.observe("other.net".parse().unwrap(), RecordType::A, RData::A(Ipv4Addr::new(2, 2, 2, 2)), 0, today);
-        for l in &subs {
-            let child = apex.child(l.as_bytes()).unwrap();
-            p.observe(child, RecordType::A, RData::A(Ipv4Addr::new(3, 3, 3, 3)), 0, today);
-        }
-        let found = p.subdomains_of(&apex, today, today);
-        prop_assert!(!found.contains(&apex));
-        prop_assert!(found.iter().all(|n| n.is_strict_subdomain_of(&apex)));
-        let distinct: std::collections::HashSet<_> = subs.iter().collect();
-        prop_assert_eq!(found.len(), distinct.len());
-    }
 }

@@ -46,7 +46,6 @@
 mod fabric;
 mod fault;
 mod node;
-pub mod pcap;
 mod time;
 mod trace;
 

@@ -43,14 +43,14 @@ impl SimDuration {
         SimDuration(us)
     }
 
-    /// Build from milliseconds.
+    /// Build from milliseconds; saturates at the longest span.
     pub fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000)
+        SimDuration(ms.saturating_mul(1_000))
     }
 
-    /// Build from seconds.
+    /// Build from seconds; saturates at the longest span.
     pub fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000)
+        SimDuration(s.saturating_mul(1_000_000))
     }
 
     /// Microseconds in this span.
@@ -136,6 +136,14 @@ mod tests {
     fn saturating_behaviour() {
         let max = SimTime(u64::MAX);
         assert_eq!(max + SimDuration::from_secs(1), max);
+        // Unit conversions saturate too, instead of wrapping.
+        let longest = SimDuration(u64::MAX);
+        assert_eq!(SimDuration::from_millis(u64::MAX / 1_000 + 1), longest);
+        assert_eq!(SimDuration::from_secs(u64::MAX), longest);
+        assert_eq!(
+            SimDuration::from_millis(u64::MAX / 1_000).as_micros(),
+            u64::MAX / 1_000 * 1_000
+        );
     }
 
     #[test]

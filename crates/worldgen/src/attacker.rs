@@ -41,8 +41,8 @@ pub struct PlantedUr {
     pub c2_ips: Vec<Ipv4Addr>,
     /// Visibility class.
     pub detection: DetectionClass,
-    /// The TXT record is an opaque command blob with no embedded address
-    /// (only payload-signature matching can judge it).
+    /// The TXT record is an opaque command blob with no embedded address,
+    /// so the pipeline leaves it unknown.
     pub command_blob: bool,
 }
 

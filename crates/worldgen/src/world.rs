@@ -122,7 +122,7 @@ pub struct World {
     pub intel: IntelAggregator,
     /// IDS engine.
     pub ids: IdsEngine,
-    /// Known malware payload signatures (TXT command-blob matching).
+    /// Known malware payload signatures; no pipeline stage reads them.
     pub payload_sigs: PayloadSignatureDb,
     /// The sandbox's malware corpus.
     pub samples: Vec<MalwareSample>,

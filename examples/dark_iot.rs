@@ -95,27 +95,7 @@ fn main() {
         }
     }
 
-    // 4. The operator-side defense (§6): direct-to-authoritative DNS from
-    //    an internal client is the UR retrieval path, and it is visible
-    //    regardless of the provider's reputation.
-    let monitor =
-        urhunter::EgressMonitor::new([world.sandbox.resolver_ip].into_iter().collect(), vec![10]);
-    let bypasses = monitor.scan(world.net.trace.records());
-    println!("\n== egress monitor (network operator's view) ==");
-    for b in bypasses.iter().take(5) {
-        println!(
-            "  {} -> {}:53 {} (bypasses sanctioned resolver)",
-            b.client,
-            b.server,
-            b.qname
-                .as_ref()
-                .map(|n| n.to_string())
-                .unwrap_or_else(|| "<unparsed>".into())
-        );
-    }
-    println!("  {} bypass flows flagged in total", bypasses.len());
-
-    // 5. The Specter twist: zero vendor flags, IDS-only detection.
+    // 4. The Specter twist: zero vendor flags, IDS-only detection.
     let specter = &world.truth.campaigns[world.truth.case_studies["specter_ibm"]];
     for ip in &specter.c2_ips {
         println!(
