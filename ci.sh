@@ -44,16 +44,38 @@ echo "== stale names: the deleted executor, collectors, knobs, timers and dead c
 # sweep (a shard that ends first is classified by the fold, so there is
 # no release guard and no wait metric), and no extension that no committed
 # number reads (no pcap export, egress monitor, passive-DNS target
-# expansion or TXT payload matching, nor their flags, fields and tests):
-# none of the names of what was removed may come back in code, tests or
-# docs.
-if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs|\(usize, usize, RecordType\)|partition_scan_tasks|ShardTask|collect_urs_sharded_on|scan_shards|quarantine_cooldown|health_probe|probe_ns_released|txt_strings|aux_records: Vec|PublishOnExit|classify_wait_us|EgressMonitor|BypassAlert|simnet::pcap|to_pcap|--pcap|--expand-pdns|expand_targets_from_pdns|with_pdns_expansion|subdomains_of|--payload-match|match_txt_payloads|with_payload_matching|payload_matched|tests/(pdns_expansion|txt_payloads)\.rs' \
+# expansion or TXT payload matching, nor their flags, fields and tests,
+# nor the payload corpus), no derived-timeout multiplier knob (it is
+# TCP's constant 4), and one digest written byte by byte (no adapter
+# from `fmt` to a std hasher, no generic `Hash`-fed helper): none of the
+# names of what was removed may come back in code, tests or docs. (`fn
+# hash_one` is the deleted helper; std's `BuildHasher::hash_one`, which
+# the map hasher's tests call, stays legal.)
+if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs|\(usize, usize, RecordType\)|partition_scan_tasks|ShardTask|collect_urs_sharded_on|scan_shards|quarantine_cooldown|health_probe|probe_ns_released|txt_strings|aux_records: Vec|PublishOnExit|classify_wait_us|EgressMonitor|BypassAlert|simnet::pcap|to_pcap|--pcap|--expand-pdns|expand_targets_from_pdns|with_pdns_expansion|subdomains_of|--payload-match|match_txt_payloads|with_payload_matching|payload_matched|tests/(pdns_expansion|txt_payloads)\.rs|with_rtt_k|--rtt-k|PayloadSignature\b|match_text|match_payload|HashWriter|fn hash_one\b' \
     crates tests examples README.md DESIGN.md EXPERIMENTS.md; then
     echo "ci.sh: a deleted name is back (see the matches above)" >&2
     exit 1
 fi
 
+echo "== digests: no std DefaultHasher in product code =="
+# Every committed hash, and every hash that decides scan behaviour, is
+# fxhash::Digest over bytes its caller writes; std leaves DefaultHasher's
+# algorithm, and the bytes a `Hash` impl feeds it, free to change. Each
+# file counts up to its first `#[cfg(test)]`: tests may still compare
+# against std.
+STD_HASHER=$(find crates/*/src -name '*.rs' -exec awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /DefaultHasher/ { print FILENAME ":" FNR ": " $0 }
+' {} +)
+if [ -n "$STD_HASHER" ]; then
+    printf '%s\n' "$STD_HASHER" >&2
+    echo "ci.sh: std's DefaultHasher is back in product code (use fxhash::Digest)" >&2
+    exit 1
+fi
+
 echo "== every library crate lints its public surface =="
+
 # `unreachable_pub` keeps each crate's surface to what other crates use,
 # so `dead_code` can see the rest; the clippy step above turns both into
 # errors. It lives in each lib.rs, not in [workspace.lints], which would

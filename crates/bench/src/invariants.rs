@@ -159,16 +159,11 @@ pub struct Policy {
 /// nothing, since the first attempt always answers; the scheduling
 /// policies move only the simulated clock, never the answers. (`adaptive`
 /// is the config change of [`Network::adaptive`].)
-pub const POLICIES: [Policy; 8] = [
+pub const POLICIES: [Policy; 7] = [
     Policy {
         name: "adaptive",
         apply: HunterConfig::with_adaptive,
         moves: Moves::ClockFalls,
-    },
-    Policy {
-        name: "rtt_k 8 without adaptive",
-        apply: |cfg| cfg.with_rtt_k(8),
-        moves: Moves::Nothing,
     },
     Policy {
         name: "rate cap 2/s",

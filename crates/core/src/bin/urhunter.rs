@@ -5,7 +5,7 @@
 //!          [--report summary|table1|figure2|figure3|table2|all]
 //!          [--shards N] [--workers N]
 //!          [--retries N] [--timeout MS] [--fault-drop P]
-//!          [--adaptive] [--rtt-k N] [--rate-limit N]
+//!          [--adaptive] [--rate-limit N]
 //!          [--extended] [--ethics] [--metrics-out FILE]
 //! ```
 //!
@@ -27,8 +27,8 @@
 //! fixed; and `--report`, `--ethics`, `--extended` and `--metrics-out`
 //! on `--world paper|xl`.
 //!
-//! The seven scan flags (`--workers`, `--retries`, `--timeout`,
-//! `--fault-drop`, `--adaptive`, `--rtt-k`, `--rate-limit`) are parsed,
+//! The six scan flags (`--workers`, `--retries`, `--timeout`,
+//! `--fault-drop`, `--adaptive`, `--rate-limit`) are parsed,
 //! checked and applied by [`urhunter::cli`], the same code behind
 //! `urhunterd`'s; its `USAGE` block lists them.
 //!
@@ -437,5 +437,16 @@ mod tests {
                 .expect("a removed flag must be refused");
             assert_eq!(err, format!("unknown argument: {flag}"));
         }
+    }
+
+    #[test]
+    fn the_removed_variance_multiplier_is_an_unknown_argument() {
+        // Spelled in parts, as above: the derived timeout's multiplier is
+        // fixed at 4 and no longer a scan flag.
+        let flag = format!("--{}", "rtt-k");
+        let err = parse(&[&flag, "4"])
+            .err()
+            .expect("a removed flag must be refused");
+        assert_eq!(err, format!("unknown argument: {flag}"));
     }
 }

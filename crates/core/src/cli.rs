@@ -1,4 +1,4 @@
-//! The seven scan flags shared by `urhunter` and `urhunterd`.
+//! The six scan flags shared by `urhunter` and `urhunterd`.
 //!
 //! Both binaries hand every argument their own parser does not know to
 //! [`ScanFlags::parse_flag`], which checks its range and names the flag in
@@ -24,11 +24,9 @@ SCAN FLAGS (shared by urhunter and urhunterd):
                            stages
     --adaptive             RTT-derived per-attempt timeouts and RTT-ordered
                            scan rounds
-    --rtt-k N              variance multiplier of the derived timeout, >= 1
-                           (default 4)
     --rate-limit N         cap the scan at N probes per simulated second, > 0
-    --workers, --adaptive, --rtt-k and --rate-limit change wall or
-    simulated time only: the classified output is bit-identical.
+    --workers, --adaptive and --rate-limit change wall or simulated
+    time only: the classified output is bit-identical.
 ";
 
 /// The scan flags one command line set; an absent flag leaves the
@@ -45,8 +43,6 @@ pub struct ScanFlags {
     pub(crate) fault_drop: Option<f64>,
     /// `--adaptive`.
     pub(crate) adaptive: bool,
-    /// `--rtt-k N`.
-    pub(crate) rtt_k: Option<u32>,
     /// `--rate-limit N`.
     pub(crate) rate_limit: Option<u64>,
 }
@@ -71,7 +67,7 @@ pub fn value<T: FromStr + PartialOrd, S: AsRef<str>>(
 }
 
 impl ScanFlags {
-    /// Record `flag` if it is one of the seven scan flags, taking its value
+    /// Record `flag` if it is one of the six scan flags, taking its value
     /// from `rest`: `Ok(true)` when it was, `Ok(false)` when it is some
     /// other flag, and an error naming the flag for a missing or
     /// out-of-range value.
@@ -86,7 +82,6 @@ impl ScanFlags {
             "--timeout" => self.timeout_ms = Some(value(flag, rest, 1.., "a positive number")?),
             "--fault-drop" => self.fault_drop = Some(value(flag, rest, 0.0..=1.0, "in [0, 1]")?),
             "--adaptive" => self.adaptive = true,
-            "--rtt-k" => self.rtt_k = Some(value(flag, rest, 1.., "at least 1")?),
             "--rate-limit" => self.rate_limit = Some(value(flag, rest, 1.., "a positive number")?),
             _ => return Ok(false),
         }
@@ -109,9 +104,6 @@ impl ScanFlags {
         }
         if self.adaptive {
             cfg = cfg.with_adaptive();
-        }
-        if let Some(k) = self.rtt_k {
-            cfg = cfg.with_rtt_k(k);
         }
         if let Some(n) = self.rate_limit {
             cfg = cfg.with_rate_limit_per_sec(n);
@@ -154,7 +146,6 @@ mod tests {
                 with(|c| c.scan_faults = Some(FaultPlan::lossy(0.1).scheduled_per_flow())),
             ),
             (&["--adaptive"], with(|c| c.retry.adaptive = true)),
-            (&["--rtt-k", "6"], with(|c| c.retry.rtt_k = 6)),
             (
                 &["--rate-limit", "2"],
                 with(|c| c.rate_limit_interval = SimDuration::from_millis(500)),
@@ -191,7 +182,6 @@ mod tests {
             &["--timeout", "1.5"],
             &["--fault-drop", "1.5"],
             &["--fault-drop", "NaN"],
-            &["--rtt-k", "0"],
             &["--rate-limit", "0"],
             &["--rate-limit"],
         ] {

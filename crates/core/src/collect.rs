@@ -370,12 +370,10 @@ impl<T> RttSelector<T> {
     }
 
     fn tie_break(seed: u64, ip: Ipv4Addr) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        seed.hash(&mut h);
-        u32::from(ip).hash(&mut h);
-        h.finish()
+        let mut d = fxhash::Digest::new();
+        d.u64(seed);
+        d.u32(u32::from(ip));
+        d.finish()
     }
 
     /// Yield the next task under the current RTT estimates in `health`.

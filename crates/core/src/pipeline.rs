@@ -12,6 +12,7 @@ use crate::report::{build_report, Report};
 use crate::schedule::QueryScheduler;
 use crate::types::{ClassifiedUr, CollectedUr, CorrectDb, CorrectReason, ProtectiveDb, UrCategory};
 use dnswire::RecordType;
+use fxhash::Digest;
 use intern::{InternedName, Sym};
 use simnet::{FaultPlan, SimDuration};
 use std::cell::OnceCell;
@@ -160,13 +161,6 @@ impl HunterConfig {
     /// selection for every collection-stage probe (the `--adaptive` flag).
     pub fn with_adaptive(mut self) -> Self {
         self.retry = self.retry.adaptive();
-        self
-    }
-
-    /// Set the RTTVAR multiplier of the derived timeout (the `--rtt-k`
-    /// flag; only meaningful together with [`HunterConfig::with_adaptive`]).
-    pub fn with_rtt_k(mut self, k: u32) -> Self {
-        self.retry = self.retry.rtt_k(k);
         self
     }
 
@@ -440,8 +434,8 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
 
 /// The digested fields of one classified UR, less its corresponding
 /// addresses: its identity triple, category, correct reason and address
-/// count. [`SequenceHasher::absorb_row`] hashes a row with its addresses,
-/// and is the one definition of what the sequence digest reads.
+/// count. [`DigestRow::digest_into`] writes a row with its addresses, and
+/// is the one definition of what the sequence digest reads.
 #[derive(Debug)]
 pub(crate) struct DigestRow {
     ns_ip: Ipv4Addr,
@@ -461,6 +455,23 @@ impl DigestRow {
             category: c.category,
             correct_reason: c.correct_reason,
             ips: u32::try_from(c.corresponding_ips.len()).expect("address count fits u32"),
+        }
+    }
+
+    /// Write the row and its UR's corresponding addresses into the
+    /// sequence digest (the layout is in DESIGN.md §6, "Digests").
+    fn digest_into(&self, ips: &[Ipv4Addr], d: &mut Digest) {
+        d.bytes(&self.ns_ip.octets());
+        self.domain.digest_into(d);
+        d.u16(self.rtype);
+        d.u8(self.category as u8);
+        d.len(usize::from(self.correct_reason.is_some()));
+        if let Some(r) = self.correct_reason {
+            d.u8(r as u8);
+        }
+        d.len(ips.len());
+        for ip in ips {
+            d.bytes(&ip.octets());
         }
     }
 }
@@ -501,61 +512,16 @@ impl DigestBatch {
     }
 }
 
-/// Incremental order-sensitive digest of a classified sequence: every UR's
-/// identity triple and final category feed the hash in absorb order, so two
-/// runs agree iff they produced the same URs, in the same order, with the
-/// same categories. The fold form lets the streamed paper-scale path digest
-/// millions of URs from their [`DigestRow`]s without retaining them;
-/// [`classified_sequence_hash`] is the slice convenience over it.
-#[derive(Debug, Default)]
-pub(crate) struct SequenceHasher {
-    // DefaultHasher with fixed (default) keys. Its algorithm is unspecified
-    // by std, yet this digest is committed in BENCH_pipeline.json and
-    // compared across binaries: it rests on std keeping SipHash-1-3 until
-    // the pipeline owns its digest (ROADMAP item 1).
-    h: std::collections::hash_map::DefaultHasher,
-}
-
-impl SequenceHasher {
-    /// A fresh digest.
-    pub(crate) fn new() -> Self {
-        SequenceHasher::default()
-    }
-
-    /// Fold one classified UR into the digest.
-    pub(crate) fn absorb(&mut self, c: &ClassifiedUr) {
-        self.absorb_row(&DigestRow::of(c), &c.corresponding_ips);
-    }
-
-    /// Fold one UR's digest row and its corresponding addresses into the
-    /// digest. The address slice hashes as the `Vec` it was cut from.
-    pub(crate) fn absorb_row(&mut self, row: &DigestRow, ips: &[Ipv4Addr]) {
-        use std::hash::Hash;
-        debug_assert_eq!(row.ips as usize, ips.len());
-        row.ns_ip.hash(&mut self.h);
-        row.domain.hash(&mut self.h);
-        row.rtype.hash(&mut self.h);
-        (row.category as u8).hash(&mut self.h);
-        row.correct_reason.map(|r| r as u8).hash(&mut self.h);
-        ips.hash(&mut self.h);
-    }
-
-    /// The digest of everything absorbed so far.
-    pub(crate) fn digest(&self) -> u64 {
-        use std::hash::Hasher;
-        self.h.finish()
-    }
-}
-
 /// Order-sensitive digest of a classified sequence: two runs (at any shard and worker counts) agree
 /// iff they produced the same URs, in the same order, with the same
-/// categories.
+/// categories. [`run_streamed`] folds the same digest from its
+/// digest rows without retaining the URs.
 pub fn classified_sequence_hash(classified: &[ClassifiedUr]) -> u64 {
-    let mut h = SequenceHasher::new();
+    let mut d = Digest::new();
     for c in classified {
-        h.absorb(c);
+        DigestRow::of(c).digest_into(&c.corresponding_ips, &mut d);
     }
-    h.digest()
+    d.finish()
 }
 
 /// What a streamed paper-scale run produces: aggregate accounting only —
@@ -633,7 +599,7 @@ pub fn run_streamed(
         &world.pdns,
         &classify_cfg,
     );
-    let mut seq = SequenceHasher::new();
+    let mut seq = Digest::new();
     let mut total = 0u64;
     let mut by_category = [0u64; 4];
     let workers = par::Parallelism::from_knob(cfg.workers)
@@ -673,7 +639,7 @@ pub fn run_streamed(
                 hub.registry().merge_shard(obs::Class::Sim, &shard);
             }
             for (row, ips) in batch.rows() {
-                seq.absorb_row(row, ips);
+                row.digest_into(ips, &mut seq);
                 total += 1;
                 by_category[match row.category {
                     UrCategory::Malicious => 0,
@@ -694,7 +660,7 @@ pub fn run_streamed(
         unknown: by_category[3],
         coverage: outcome.coverage,
         elapsed: outcome.elapsed,
-        sequence_hash: seq.digest(),
+        sequence_hash: seq.finish(),
         shards: outcome.shards,
         workers,
         bucket_wait: outcome.bucket_wait,
@@ -963,31 +929,19 @@ mod tests {
     fn digest_rows_hash_exactly_as_absorb() {
         let seq = classified_sequence();
         let expect = classified_sequence_hash(&seq);
-        // What the digest read before rows existed, field by field.
-        let mut reference = std::collections::hash_map::DefaultHasher::default();
-        for c in &seq {
-            use std::hash::Hash;
-            c.ur.key.ns_ip.hash(&mut reference);
-            c.ur.key.domain.hash(&mut reference);
-            c.ur.key.rtype.code().hash(&mut reference);
-            (c.category as u8).hash(&mut reference);
-            c.correct_reason.map(|r| r as u8).hash(&mut reference);
-            c.corresponding_ips.hash(&mut reference);
-        }
-        assert_eq!(expect, std::hash::Hasher::finish(&reference));
         assert_eq!(std::mem::size_of::<DigestRow>(), 16);
         for cut in [1, 3, seq.len()] {
-            let mut h = SequenceHasher::new();
+            let mut d = Digest::new();
             let mut rows = 0;
             for chunk in seq.chunks(cut) {
                 let batch = DigestBatch::of(chunk);
                 for (row, ips) in batch.rows() {
-                    h.absorb_row(row, ips);
+                    row.digest_into(ips, &mut d);
                     rows += 1;
                 }
             }
             assert_eq!(rows, seq.len(), "cut={cut}");
-            assert_eq!(h.digest(), expect, "cut={cut}");
+            assert_eq!(d.finish(), expect, "cut={cut}");
         }
     }
 }

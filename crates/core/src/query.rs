@@ -31,25 +31,13 @@
 //!   clock; their service time is unbounded by network distance, so they
 //!   are never sampled and keep the fixed plan timeout.
 
-use fxhash::FxHashMap;
-use std::collections::hash_map::DefaultHasher;
+use fxhash::{Digest, FxHashMap};
 use std::collections::BTreeSet;
-use std::fmt::{self, Write as _};
-use std::hash::{Hash, Hasher};
+use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
 use dnswire::{Flags, Name, RDataSet, Rcode, RecordType, RecordView};
 use simnet::{Network, SimDuration};
-
-/// Feeds formatted text to a hasher as it is written.
-struct HashWriter<'a, H>(&'a mut H);
-
-impl<H: Hasher> fmt::Write for HashWriter<'_, H> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0.write(s.as_bytes());
-        Ok(())
-    }
-}
 
 /// What a probe brings back: the response's header flags and the data of
 /// the answer records the caller chose to keep.
@@ -91,9 +79,6 @@ pub struct QueryPlan {
     /// the fixed `timeout` for every attempt. Off by default: the fixed
     /// plan is the paper-faithful baseline.
     pub adaptive: bool,
-    /// RTTVAR multiplier in the derived timeout `srtt + rtt_k·rttvar`
-    /// (TCP's RTO uses 4; larger is more conservative).
-    pub rtt_k: u32,
     /// Floor for any derived timeout. Must exceed the fabric's worst-case
     /// round trip or adaptivity would convert slow answers into losses;
     /// the default (250 ms) clears [`simnet::LatencyModel`]'s ~200 ms
@@ -111,14 +96,13 @@ impl Default for QueryPlan {
             backoff_seed: DEFAULT_BACKOFF_SEED,
             quarantine_threshold: 8,
             adaptive: false,
-            rtt_k: DEFAULT_RTT_K,
             min_timeout: SimDuration::from_millis(250),
         }
     }
 }
 
-/// Default RTTVAR multiplier for derived timeouts.
-pub(crate) const DEFAULT_RTT_K: u32 = 4;
+/// The derived timeout's RTTVAR multiplier (`srtt + RTT_K·rttvar`), as in TCP's RTO.
+const RTT_K: u32 = 4;
 
 /// Default jitter seed; any fixed value works, callers override per run.
 pub(crate) const DEFAULT_BACKOFF_SEED: u64 = 0x5EED_BACC_0FF5_EED5;
@@ -166,12 +150,6 @@ impl QueryPlan {
         self
     }
 
-    /// Override the RTTVAR multiplier used by [`QueryPlan::derived_timeout`].
-    pub fn rtt_k(mut self, k: u32) -> Self {
-        self.rtt_k = k.max(1);
-        self
-    }
-
     /// Override the derived-timeout floor.
     pub fn min_timeout(mut self, floor: SimDuration) -> Self {
         self.min_timeout = floor;
@@ -179,13 +157,13 @@ impl QueryPlan {
     }
 
     /// Per-server timeout derived from an RTT estimate:
-    /// `srtt + rtt_k·rttvar` clamped to `[min_timeout, timeout]`. Monotone
+    /// `srtt + RTT_K·rttvar` clamped to `[min_timeout, timeout]`. Monotone
     /// non-decreasing in both SRTT and RTTVAR; never exceeds the fixed
     /// timeout, never dips below the floor.
     pub fn derived_timeout(&self, est: &RttEstimate) -> SimDuration {
         let raw = est
             .srtt_us
-            .saturating_add(u64::from(self.rtt_k).saturating_mul(est.rttvar_us));
+            .saturating_add(u64::from(RTT_K).saturating_mul(est.rttvar_us));
         let floor = self.min_timeout.as_micros().min(self.timeout.as_micros());
         SimDuration::from_micros(raw.max(floor).min(self.timeout.as_micros()))
     }
@@ -205,13 +183,13 @@ impl QueryPlan {
         }
         let exp = attempt.saturating_sub(1).min(32);
         let scaled = base.saturating_mul(1u64 << exp);
-        let mut h = DefaultHasher::new();
-        self.backoff_seed.hash(&mut h);
-        probe_key.hash(&mut h);
-        attempt.hash(&mut h);
+        let mut d = Digest::new();
+        d.u64(self.backoff_seed);
+        d.u64(probe_key);
+        d.u32(attempt);
         // Jitter < base/2 ≤ the growth step, so the schedule stays monotone:
         // scaled doubles each attempt while jitter is bounded by a constant.
-        let jitter = h.finish() % (base / 2 + 1);
+        let jitter = d.finish() % (base / 2 + 1);
         SimDuration::from_micros(scaled.saturating_add(jitter).min(max))
     }
 }
@@ -500,16 +478,15 @@ impl ProbeEngine {
 
     /// Key identifying a probe for backoff jitter purposes.
     fn probe_key(server: Ipv4Addr, qname: &Name, qtype: RecordType, qid: u16) -> u64 {
-        let mut h = DefaultHasher::new();
-        u32::from(server).hash(&mut h);
-        // `qname.to_string().hash(..)` without the string: `str` hashes as
-        // its bytes then `0xff`, and SipHash's `write` does not depend on
-        // how its input is split.
-        write!(HashWriter(&mut h), "{qname}").expect("a hasher accepts every write");
-        h.write_u8(0xff);
-        qtype.code().hash(&mut h);
-        qid.hash(&mut h);
-        h.finish()
+        let mut d = Digest::new();
+        d.u32(u32::from(server));
+        // `d.str(&qname.to_string())` without the string: the digest does
+        // not depend on how its input is split.
+        write!(d, "{qname}").expect("a digest accepts every write");
+        d.u8(0xff);
+        d.u16(qtype.code());
+        d.u16(qid);
+        d.finish()
     }
 
     /// One transmission and its wait, over [`authdns::exchange`]: the reply
@@ -674,14 +651,14 @@ mod tests {
             Name::root(),
             escaped,
         ] {
-            let mut h = DefaultHasher::new();
-            u32::from(ip(9)).hash(&mut h);
-            qname.to_string().hash(&mut h);
-            RecordType::Txt.code().hash(&mut h);
-            0x1234u16.hash(&mut h);
+            let mut d = Digest::new();
+            d.u32(u32::from(ip(9)));
+            d.str(&qname.to_string());
+            d.u16(RecordType::Txt.code());
+            d.u16(0x1234);
             assert_eq!(
                 ProbeEngine::probe_key(ip(9), &qname, RecordType::Txt, 0x1234),
-                h.finish(),
+                d.finish(),
                 "{qname}"
             );
         }

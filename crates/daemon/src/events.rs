@@ -14,9 +14,8 @@
 //! bit-identical across worker counts) followed by
 //! disappearances in key order.
 
-use std::collections::hash_map::DefaultHasher;
+use fxhash::Digest;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use urhunter::{ClassifiedUr, UrCategory, UrKey};
 
 /// Logical epoch clock: epoch 1 is the first completed scan.
@@ -153,12 +152,6 @@ pub struct VerdictStore {
     present: u64,
 }
 
-fn hash_one<T: Hash>(v: &T) -> u64 {
-    let mut h = DefaultHasher::new();
-    v.hash(&mut h);
-    h.finish()
-}
-
 impl VerdictStore {
     /// An empty store.
     pub(crate) fn new() -> Self {
@@ -250,16 +243,16 @@ impl VerdictStore {
     pub fn verdict_hash(&self) -> u64 {
         let mut acc = 0u64;
         for (key, s) in &self.states {
-            acc ^= hash_one(&(
-                key.ns_ip,
-                key.domain,
-                key.rtype.code(),
-                s.category as u8,
-                s.present,
-                s.first_seen,
-                s.last_event,
-                s.changes,
-            ));
+            let mut d = Digest::new();
+            d.bytes(&key.ns_ip.octets());
+            key.domain.digest_into(&mut d);
+            d.u16(key.rtype.code());
+            d.u8(s.category as u8);
+            d.u8(u8::from(s.present));
+            d.u64(s.first_seen);
+            d.u64(s.last_event);
+            d.u32(s.changes);
+            acc ^= d.finish();
         }
         acc
     }

@@ -1,4 +1,4 @@
-//! # fxhash — the workspace's one map hasher
+//! # fxhash — the workspace's one map hasher and its one digest
 //!
 //! The scan path probes its maps with small keys (addresses, interned ids,
 //! short names) millions of times; std's SipHash costs more per probe than
@@ -14,12 +14,14 @@
 //!
 //! This is a map hasher, not a digest: its values differ between map
 //! instances and between processes, and its input is the program's own
-//! data (simulated worlds), not adversarial keys. Committed digests keep
-//! their own hashers.
+//! data (simulated worlds), not adversarial keys. Digests are [`Digest`]s.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 #![warn(missing_docs)]
+
+mod digest;
+pub use digest::Digest;
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};

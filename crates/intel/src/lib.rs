@@ -22,14 +22,24 @@
 
 mod ids;
 pub mod malware;
-mod payloads;
 mod sandbox;
 mod vendors;
 
 pub use ids::{Alert, AlertCategory, IdsEngine, Severity};
-pub use payloads::{PayloadSignature, PayloadSignatureDb};
 pub use sandbox::{
     extract_ipv4s, question, C2ServerNode, C2Target, MalwareOp, MalwareSample, Sandbox,
     SandboxReport,
 };
 pub use vendors::{IntelAggregator, ThreatTag, VendorFeed};
+
+/// A world's payload-signature slot, empty: TXT payload matching is the
+/// paper's future work (§6). `World::payload_sigs` keeps the type; nothing reads it.
+#[derive(Debug, Clone, Default)]
+pub struct PayloadSignatureDb;
+
+impl PayloadSignatureDb {
+    /// The empty corpus.
+    pub fn new() -> Self {
+        PayloadSignatureDb
+    }
+}

@@ -1,7 +1,7 @@
-//! Property tests: IP extraction and payload matching never panic and obey
-//! their contracts on arbitrary input.
+//! Property tests: IP extraction never panics and obeys its contract on
+//! arbitrary input.
 
-use intel::{extract_ipv4s, PayloadSignatureDb};
+use intel::extract_ipv4s;
 use proptest::prelude::*;
 
 proptest! {
@@ -25,17 +25,5 @@ proptest! {
         prop_assert!(got.contains(&ia));
         // the /24 form yields the network-side address as written
         prop_assert_eq!(got.len(), 2);
-    }
-
-    #[test]
-    fn payload_db_matches_exactly_when_pattern_present(
-        prefix in "[a-z ]{0,20}",
-        suffix in "[a-z ]{0,20}",
-    ) {
-        let db = PayloadSignatureDb::standard();
-        let hit = format!("{prefix}cmd64={suffix}");
-        prop_assert!(db.match_text(&hit).is_some());
-        let miss = format!("{prefix}cmd63={suffix}");
-        prop_assert!(db.match_text(&miss).map(|s| s.family.as_str()) != Some("GenericTrojan"));
     }
 }

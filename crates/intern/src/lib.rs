@@ -28,7 +28,7 @@
 #![warn(missing_docs)]
 
 use dnswire::{Name, NameRef, WireError, WireResult};
-use fxhash::FxHashMap;
+use fxhash::{Digest, FxHashMap};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -179,6 +179,15 @@ impl InternedName {
         NAMES.get(self.0).0
     }
 
+    /// Write the name into a digest: each label, leftmost first, as its
+    /// length in eight bytes then its (already lowercase) bytes.
+    pub fn digest_into(self, d: &mut Digest) {
+        for label in self.name().labels() {
+            d.len(label.len());
+            d.bytes(label);
+        }
+    }
+
     /// The parent name (one label stripped from the left), or `None` at
     /// the root. `O(1)`.
     pub fn parent(self) -> Option<InternedName> {
@@ -221,9 +230,8 @@ impl PartialEq<Name> for InternedName {
 }
 
 impl Hash for InternedName {
-    /// [`NameRef`]'s hash, which is `dnswire::Name`'s: derived hashes of
-    /// key structs (and the pipeline's pinned sequence hashes) are the same
-    /// over the owned and the interned representation.
+    /// [`NameRef`]'s hash, which is `dnswire::Name`'s: a map keyed by
+    /// interned names can be probed with owned or borrowed ones.
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.name().hash(state)
     }
@@ -416,6 +424,18 @@ mod tests {
             let name = n(s);
             assert_eq!(hash_of(&name), hash_of(&InternedName::intern(&name)));
         }
+    }
+
+    #[test]
+    fn a_name_digests_as_length_prefixed_lowercase_labels() {
+        let mut d = Digest::new();
+        i("WWW.Example.COM").digest_into(&mut d);
+        let mut want = Digest::new();
+        for label in ["www", "example", "com"] {
+            want.u64(label.len() as u64);
+            want.bytes(label.as_bytes());
+        }
+        assert_eq!(d.finish(), want.finish());
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Property tests pinning the `InternedName` ↔ `dnswire::Name`
 //! equivalence contract: every observable operation on an interned name —
 //! ordering, hashing, display, structure walks, wire round-trips — must
-//! agree with the owned representation it stands in for. The pipeline's
-//! pinned sequence hashes depend on this (interned domains feed the same
-//! hasher bytes the owned names used to).
+//! agree with the owned representation it stands in for.
 
 use dnswire::Name;
 use intern::{InternedName, Sym};

@@ -21,9 +21,8 @@
 //! shard-major order anyway, which makes the bit-identical argument a
 //! one-liner instead of a scheduling proof.
 
-use std::collections::hash_map::DefaultHasher;
+use fxhash::Digest;
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
 /// Determinism class of a metric.
@@ -307,29 +306,29 @@ impl MetricsSnapshot {
     /// two runs iff they produced the same sim metrics, values, and
     /// histogram layouts. Wall-clock metrics never contribute.
     pub(crate) fn sim_hash(&self) -> u64 {
-        let mut h = DefaultHasher::new();
+        let mut d = Digest::new();
         for m in self.sim_only() {
-            m.name.hash(&mut h);
+            d.str(&m.name);
             match &m.data {
                 MetricData::Counter(v) => {
-                    0u8.hash(&mut h);
-                    v.hash(&mut h);
+                    d.u8(0);
+                    d.u64(*v);
                 }
                 MetricData::Gauge(v) => {
-                    1u8.hash(&mut h);
-                    v.hash(&mut h);
+                    d.u8(1);
+                    d.u64(*v as u64);
                 }
-                MetricData::Histogram(d) => {
-                    2u8.hash(&mut h);
-                    d.bounds.hash(&mut h);
-                    d.buckets.hash(&mut h);
-                    d.count.hash(&mut h);
-                    d.sum.hash(&mut h);
-                    d.max.hash(&mut h);
+                MetricData::Histogram(h) => {
+                    d.u8(2);
+                    for words in [&h.bounds, &h.buckets] {
+                        d.len(words.len());
+                        words.iter().for_each(|&x| d.u64(x));
+                    }
+                    [h.count, h.sum, h.max].iter().for_each(|&x| d.u64(x));
                 }
             }
         }
-        h.finish()
+        d.finish()
     }
 
     /// Look up a metric by name.

@@ -166,13 +166,13 @@ impl World {
 
     /// Advance the world by `days`: a fraction of existing campaigns
     /// expire (attackers abandon their zones), new campaigns appear, and
-    /// the passive-DNS clock moves forward. Deterministic in `seed`.
+    /// the passive-DNS clock moves forward, saturating. Deterministic in `seed`.
     ///
     /// Models the longitudinal reality the paper observed between its
     /// April and December 2022 measurements and in the Dark.IoT
     /// variants' infrastructure churn.
     pub fn evolve(&mut self, days: u32, new_campaigns: usize, expire_fraction: f64, seed: u64) {
-        self.config.today += days;
+        self.config.today = self.config.today.saturating_add(days);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x45564F);
         // Expire campaigns (case studies stay, matching §5.3's "the
         // masquerading records can still be resolved at the time of
@@ -466,7 +466,7 @@ impl Builder {
             pdns: self.pdns,
             intel,
             ids: IdsEngine::standard_ruleset(),
-            payload_sigs: PayloadSignatureDb::standard(),
+            payload_sigs: PayloadSignatureDb::new(),
             samples: self.samples,
             providers: self.providers,
             provider_meta: self.provider_meta,
@@ -1216,6 +1216,14 @@ mod tests {
             assert_eq!(x.detection, y.detection);
         }
         assert_eq!(a.samples.len(), b.samples.len());
+    }
+
+    #[test]
+    fn the_calendar_stops_at_its_last_day() {
+        let mut w = World::generate(WorldConfig::small());
+        w.evolve(u32::MAX, 0, 0.0, 1);
+        w.evolve(u32::MAX, 0, 0.0, 2);
+        assert_eq!(w.config.today, u32::MAX);
     }
 
     #[test]

@@ -67,11 +67,9 @@ proptest! {
         var_step in 0u64..10_000_000,
         timeout_ms in 1u64..30_000,
         min_timeout_ms in 0u64..40_000,
-        k in 1u32..16,
     ) {
         let plan = QueryPlan::default()
             .adaptive()
-            .rtt_k(k)
             .timeout(SimDuration::from_millis(timeout_ms))
             .min_timeout(SimDuration::from_millis(min_timeout_ms));
         let floor = plan.min_timeout.min(plan.timeout);

@@ -295,19 +295,6 @@ fn adaptive_never_trades_recall_for_speed() {
 }
 
 #[test]
-fn rtt_k_without_adaptive_moves_nothing() {
-    // `rtt_k` tunes a timeout that only exists under `--adaptive`.
-    let name = "rtt_k 8 without adaptive";
-    let p = policy(name);
-    assert_eq!(p.moves, Moves::Nothing);
-    p.moves.check(
-        at(Network::RELIABLE, None, 1),
-        at(Network::RELIABLE, Some(name), 1),
-        name,
-    );
-}
-
-#[test]
 fn retry_policies_move_nothing_on_a_reliable_network() {
     // On a reliable network the first attempt always answers, whatever the
     // retry plan or an explicitly empty fault plan.
