@@ -323,8 +323,13 @@ pub fn pinned(config: &WorldConfig, cfg: HunterConfig, hub: Option<Arc<obs::Obs>
             assert_eq!(c(name), want, "the hub's {name} is not the run's");
         }
     }
+    assert_eq!(
+        out.sequence_hash,
+        classified_sequence_hash(&out.classified),
+        "the run's folded digest is not its classified sequence's"
+    );
     Pinned {
-        sequence_hash: classified_sequence_hash(&out.classified),
+        sequence_hash: out.sequence_hash,
         totals: out.report.totals,
         evidence: out.analysis.evidence.len(),
         table1: out.report.render_table1(),
@@ -530,6 +535,15 @@ pub fn stream_pinned(
         bucket_wait: out.bucket_wait,
         sim_hash: hub.map(|hub| hub.registry().sim_hash()),
     };
+    let (report, t) = (&out.report, out.report.totals);
+    let split = [t.correct, t.protective, t.unknown, t.malicious].map(|n| n as u64);
+    let counters = (out.total_urs, pinned.split);
+    assert_eq!((t.total as u64, split), counters, "the report's totals");
+    let by_provider: usize = report.providers.iter().map(|p| p.total).sum();
+    assert_eq!(by_provider, t.total, "Figure 2 misses URs");
+    let last = report.table1.last().map(|r| (r.label, r.urs));
+    assert_eq!(last, Some(("Total", t.suspicious())), "Table 1's Total row");
+    assert_eq!(report.coverage, out.coverage, "the report's coverage");
     (pinned, out)
 }
 

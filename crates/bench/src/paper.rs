@@ -17,8 +17,8 @@ use simnet::FaultPlan;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::{self, Display, Write as _};
 use urhunter::{
-    audit_table2, classified_sequence_hash, evaluate_false_negatives, run, ClassifiedUr,
-    ClassifyConfig, HunterConfig, QueryPlan, RunOutput, UrCategory,
+    audit_table2, evaluate_false_negatives, run, ClassifiedUr, ClassifyConfig, HunterConfig,
+    QueryPlan, RunOutput, UrCategory,
 };
 use worldgen::{World, WorldConfig};
 
@@ -382,7 +382,7 @@ fn lossy_scan() -> Section {
     let small = |cfg: &HunterConfig| run(&mut World::generate(WorldConfig::small()), cfg);
     let reliable = small(&HunterConfig::fast());
     let reliable_urs = reliable.report.totals.total;
-    let reliable_hash = classified_sequence_hash(&reliable.classified);
+    let reliable_hash = reliable.sequence_hash;
     let mut rows = Vec::new();
     for drop in [0.0, 0.01, 0.05, 0.2] {
         // Hash, gave up and simulated time of the fixed default budget.
@@ -394,7 +394,7 @@ fn lossy_scan() -> Section {
             let out = small(&cfg.with_scan_faults(FaultPlan::lossy(drop).scheduled_per_flow()));
             let c = &out.coverage;
             assert!(c.is_complete(), "coverage must account for every probe");
-            let (hash, gave_up) = (classified_sequence_hash(&out.classified), c.total_gave_up());
+            let (hash, gave_up) = (out.sequence_hash, c.total_gave_up());
             let ms = out.scan_elapsed.as_micros() as f64 / 1e3;
             if adaptive {
                 // Same loss lottery: never trade recall for speed, and be

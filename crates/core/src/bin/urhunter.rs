@@ -13,8 +13,8 @@
 //! materialized benchmark world through the full pipeline, while `paper`
 //! (the paper's 8,941-nameserver inventory) and `xl` (>= 1M URs) run the
 //! streamed path — lazy plan-backed shard fabrics, URs folded into
-//! category counters and a sequence digest as they arrive, nothing
-//! retained — and print the scan summary. Only `--seed`, `--shards` and
+//! the report and a sequence digest as they arrive, nothing retained —
+//! and print the coverage, the scan summary, Table 1 and Figure 2. Only `--seed`, `--shards` and
 //! the scan flags apply there; `--shards N` (1..=64, default 8) is the
 //! world-shard count, which fixes the scan order and so is part of a
 //! streamed run's identity. A materialized world always scans on the
@@ -73,11 +73,12 @@ fn usage() -> ! {
          \u{20}               [--extended] [--ethics] [--metrics-out FILE]\n\
          \u{20} --world medium runs the materialized medium world through the full\n\
          \u{20} pipeline; --world paper|xl runs the paper-scale streamed path (lazy\n\
-         \u{20} plan-backed fabrics, URs folded into counters as they arrive) and\n\
-         \u{20} prints the scan summary — only --seed, the scan flags and --shards N\n\
-         \u{20} (world shards, 1..=64, default {shards}; part of the run's identity)\n\
-         \u{20} apply there, --shards applies nowhere else (a materialized world\n\
-         \u{20} always scans on {shards} shards), and --scale applies to no --world;\n\
+         \u{20} plan-backed fabrics, URs folded as they arrive) and prints the\n\
+         \u{20} coverage, scan summary, Table 1 and Figure 2 — only --seed, the\n\
+         \u{20} scan flags and --shards N (world shards, 1..=64, default {shards};\n\
+         \u{20} part of the run's identity) apply there, --shards applies nowhere\n\
+         \u{20} else (a materialized world always scans on {shards} shards), and\n\
+         \u{20} --scale applies to no --world;\n\
          \u{20} --metrics-out FILE writes the observability registry and event\n\
          \u{20} trace (.prom/.txt = Prometheus text, otherwise JSON lines).\n\n{}",
         urhunter::cli::USAGE,
@@ -179,9 +180,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
 }
 
 /// The streamed paper-scale path: a plan-backed [`worldgen::StreamWorld`]
-/// scanned shard-by-shard with URs folded into counters as they arrive.
-/// None of the report renderers apply (the stream never materializes the
-/// classified set), so this prints the scan summary and returns.
+/// scanned shard-by-shard with URs folded into the report as they arrive.
+/// Prints the coverage to stderr, then the scan summary, Table 1 (its
+/// malicious columns zero: the stream runs no analysis) and Figure 2.
 fn run_world_preset(args: &Args, preset: &str) -> ExitCode {
     let mut config = match preset {
         "paper" => WorldConfig::paper(),
@@ -207,23 +208,23 @@ fn run_world_preset(args: &Args, preset: &str) -> ExitCode {
     );
     let hunter = args.scan.apply(HunterConfig::fast());
     let out = urhunter::run_streamed(&world, &hunter, shards);
+    eprint!("{}", out.report.render_coverage());
     println!(
         "world {preset}: {} nameservers, {} targets, {} shard(s) on {} worker(s)\n\
-         probes: {} scheduled, {} answered\n\
          undelegated records: {} total ({} correct, {} protective, {} unknown)\n\
          sequence hash: {:#018x}",
         out.nameserver_count,
         out.target_count,
         out.shards,
         out.workers,
-        out.coverage.scheduled,
-        out.coverage.answered,
         out.total_urs,
         out.correct,
         out.protective,
         out.unknown,
         out.sequence_hash,
     );
+    println!("{}", out.report.render_table1());
+    print!("{}", out.report.render_figure2(5));
     ExitCode::SUCCESS
 }
 

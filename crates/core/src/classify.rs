@@ -53,59 +53,12 @@ impl Default for ClassifyConfig {
     }
 }
 
-/// The decision part of a classification into Correct / Protective /
-/// (pre-analysis) Unknown — the malicious promotion happens later in
-/// [`mod@crate::analyze`]. Separate from UR ownership so the decision borrows
-/// the UR and [`Verdict::into_classified`] then moves it in without a clone.
-struct Verdict {
-    category: UrCategory,
-    correct_reason: Option<CorrectReason>,
-    txt_category: Option<TxtCategory>,
-    corresponding_ips: Vec<Ipv4Addr>,
-}
-
-impl Verdict {
-    fn into_classified(self, ur: CollectedUr) -> ClassifiedUr {
-        ClassifiedUr {
-            ur,
-            category: self.category,
-            correct_reason: self.correct_reason,
-            txt_category: self.txt_category,
-            corresponding_ips: self.corresponding_ips,
-        }
-    }
-}
-
-fn verdict_for(
-    ur: &CollectedUr,
-    correct: &CorrectDb,
-    protective: &ProtectiveDb,
-    metadata: &NetDb,
-    history: &PassiveDns,
-    cfg: &ClassifyConfig,
-) -> Verdict {
-    // Protective records first: they are the provider's own answers and
-    // must not be confused with customer data.
-    if protective.matches(ur) {
-        return Verdict {
-            category: UrCategory::Protective,
-            correct_reason: None,
-            txt_category: txt_category_of(ur),
-            corresponding_ips: Vec::new(),
-        };
-    }
-    match ur.key.rtype {
-        RecordType::A => classify_a(ur, correct, metadata, history, cfg),
-        RecordType::Txt => classify_txt(ur, correct, history, cfg),
-        RecordType::Mx => classify_mx(ur, correct, metadata, history, cfg),
-        _ => Verdict {
-            category: UrCategory::Unknown,
-            correct_reason: None,
-            txt_category: None,
-            corresponding_ips: Vec::new(),
-        },
-    }
-}
+/// What the exclusion conditions decide about one UR: the reason it is
+/// correct, if one is, its TXT category and its corresponding addresses.
+/// Separate from UR ownership, so the decision borrows the UR and
+/// [`StreamClassifier::classify`] then moves it into its [`ClassifiedUr`]
+/// without a clone.
+type Decision = (Option<CorrectReason>, Option<TxtCategory>, Vec<Ipv4Addr>);
 
 fn txt_category_of(ur: &CollectedUr) -> Option<TxtCategory> {
     if ur.key.rtype != RecordType::Txt {
@@ -189,7 +142,7 @@ fn classify_a(
     metadata: &NetDb,
     history: &PassiveDns,
     cfg: &ClassifyConfig,
-) -> Verdict {
+) -> Decision {
     let ips = ur.a_ips();
     let profile = correct.profile(&ur.key.domain);
 
@@ -213,18 +166,7 @@ fn classify_a(
                 None
             }
         });
-
-    let category = if reason.is_some() {
-        UrCategory::Correct
-    } else {
-        UrCategory::Unknown
-    };
-    Verdict {
-        category,
-        correct_reason: reason,
-        txt_category: None,
-        corresponding_ips: ips,
-    }
+    (reason, None, ips)
 }
 
 fn classify_txt(
@@ -232,7 +174,7 @@ fn classify_txt(
     correct: &CorrectDb,
     history: &PassiveDns,
     cfg: &ClassifyConfig,
-) -> Verdict {
+) -> Decision {
     let texts = ur.txt_strs();
     let profile = correct.profile(&ur.key.domain);
     // Exact match against correct TXT records. `Sym::lookup` probes the
@@ -247,11 +189,6 @@ fn classify_txt(
     } else if in_history(ur, history, cfg) {
         reason = Some(CorrectReason::PassiveDns);
     }
-    let category = if reason.is_some() {
-        UrCategory::Correct
-    } else {
-        UrCategory::Unknown
-    };
     // Corresponding IPs: addresses embedded in the TXT body (the sibling-A
     // fallback is resolved at analysis time, when all URs are visible).
     let mut embedded: Vec<Ipv4Addr> = Vec::new();
@@ -260,12 +197,8 @@ fn classify_txt(
     }
     embedded.sort_unstable();
     embedded.dedup();
-    Verdict {
-        category,
-        correct_reason: reason,
-        txt_category: texts.first().map(|t| TxtCategory::classify(t)),
-        corresponding_ips: embedded,
-    }
+    let txt_category = texts.first().map(|t| TxtCategory::classify(t));
+    (reason, txt_category, embedded)
 }
 
 fn classify_mx(
@@ -274,7 +207,7 @@ fn classify_mx(
     metadata: &NetDb,
     history: &PassiveDns,
     cfg: &ClassifyConfig,
-) -> Verdict {
+) -> Decision {
     let profile = correct.profile(&ur.key.domain);
     // Exchange addresses gathered by the collection follow-up.
     let ips: Vec<Ipv4Addr> = ur.aux_records.iter().filter_map(|r| r.as_a()).collect();
@@ -295,63 +228,33 @@ fn classify_mx(
         // addresses (there is no certificate on a mail exchange).
         subset_reason(&ips, profile, metadata, cfg, false)
     };
-    let category = if reason.is_some() {
-        UrCategory::Correct
-    } else {
-        UrCategory::Unknown
-    };
-    Verdict {
-        category,
-        correct_reason: reason,
-        txt_category: None,
-        corresponding_ips: ips,
-    }
+    (reason, None, ips)
 }
 
-/// Metric name of the Appendix-B exclusion condition behind a correct
-/// verdict.
-fn reason_metric(reason: CorrectReason) -> &'static str {
-    match reason {
-        CorrectReason::IpSubset => "classify_correct_ip_subset",
-        CorrectReason::AsSubset => "classify_correct_as_subset",
-        CorrectReason::GeoSubset => "classify_correct_geo_subset",
-        CorrectReason::CertSubset => "classify_correct_cert_subset",
-        CorrectReason::PassiveDns => "classify_correct_pdns",
-        CorrectReason::Parked => "classify_correct_parked",
-        CorrectReason::Redirect => "classify_correct_redirect",
-        CorrectReason::TxtExact => "classify_correct_txt_exact",
-        CorrectReason::MxExact => "classify_correct_mx_exact",
-    }
-}
+/// Every Appendix-B exclusion condition (and auxiliary exclusion) in
+/// declaration order, with the name of the verdict-funnel counter of the
+/// correct verdicts it decided.
+pub(crate) const REASON_METRICS: [(CorrectReason, &str); 9] = [
+    (CorrectReason::IpSubset, "classify_correct_ip_subset"),
+    (CorrectReason::AsSubset, "classify_correct_as_subset"),
+    (CorrectReason::GeoSubset, "classify_correct_geo_subset"),
+    (CorrectReason::CertSubset, "classify_correct_cert_subset"),
+    (CorrectReason::PassiveDns, "classify_correct_pdns"),
+    (CorrectReason::Parked, "classify_correct_parked"),
+    (CorrectReason::Redirect, "classify_correct_redirect"),
+    (CorrectReason::TxtExact, "classify_correct_txt_exact"),
+    (CorrectReason::MxExact, "classify_correct_mx_exact"),
+];
 
-/// Build the exclusion-rule funnel for one classified batch as a
-/// counters-only shard: verdict totals plus, for every correct verdict,
-/// the Appendix-B condition that excluded it.
-///
-/// A pure function of the batch, so both entry points feed the same
-/// registry the same way: `run` shards its whole output once, the streamed
-/// path shards per batch on the scan worker and merges in fold order.
-/// Every counter is sim-class — verdicts are bit-identical across worker
-/// counts by the pipeline's core invariant.
-pub(crate) fn classify_shard(batch: &[ClassifiedUr]) -> obs::MetricShard {
-    let mut shard = obs::MetricShard::new();
-    for c in batch {
-        shard.inc("classify_total");
-        match c.category {
-            UrCategory::Correct => {
-                shard.inc("classify_correct");
-                if let Some(reason) = c.correct_reason {
-                    shard.inc(reason_metric(reason));
-                }
-            }
-            UrCategory::Protective => shard.inc("classify_protective"),
-            // At this stage "suspicious" covers both: malicious promotion
-            // happens in analysis, after the funnel is recorded.
-            UrCategory::Unknown | UrCategory::Malicious => shard.inc("classify_suspicious"),
-        }
+// A fold counts a reason at `reason as usize`, so the table is in
+// declaration order.
+const _: () = {
+    let mut i = 0;
+    while i < REASON_METRICS.len() {
+        assert!(REASON_METRICS[i].0 as usize == i);
+        i += 1;
     }
-    shard
-}
+};
 
 /// The one entry point to suspicious-record determination.
 ///
@@ -389,20 +292,36 @@ impl<'a> StreamClassifier<'a> {
     /// Classify the batch in order, moving each UR into its
     /// [`ClassifiedUr`] without a clone of its record vectors.
     pub fn classify_batch_owned(&self, batch: Vec<CollectedUr>) -> Vec<ClassifiedUr> {
-        batch
-            .into_iter()
-            .map(|ur| {
-                verdict_for(
-                    &ur,
-                    self.correct,
-                    self.protective,
-                    self.metadata,
-                    self.history,
-                    self.cfg,
-                )
-                .into_classified(ur)
-            })
-            .collect()
+        batch.into_iter().map(|ur| self.classify(ur)).collect()
+    }
+
+    /// Classify one UR into Correct / Protective / (pre-analysis) Unknown
+    /// — the malicious promotion happens later in [`mod@crate::analyze`].
+    fn classify(&self, ur: CollectedUr) -> ClassifiedUr {
+        let (correct, metadata, history, cfg) =
+            (self.correct, self.metadata, self.history, self.cfg);
+        // Protective records first: they are the provider's own answers
+        // and must not be confused with customer data.
+        let protective = self.protective.matches(&ur);
+        let (correct_reason, txt_category, corresponding_ips) = match ur.key.rtype {
+            _ if protective => (None, txt_category_of(&ur), Vec::new()),
+            RecordType::A => classify_a(&ur, correct, metadata, history, cfg),
+            RecordType::Txt => classify_txt(&ur, correct, history, cfg),
+            RecordType::Mx => classify_mx(&ur, correct, metadata, history, cfg),
+            _ => (None, None, Vec::new()),
+        };
+        let category = match correct_reason {
+            _ if protective => UrCategory::Protective,
+            Some(_) => UrCategory::Correct,
+            None => UrCategory::Unknown,
+        };
+        ClassifiedUr {
+            ur,
+            category,
+            correct_reason,
+            txt_category,
+            corresponding_ips,
+        }
     }
 }
 
@@ -715,7 +634,7 @@ mod tests {
         ];
         let out = run_batch(&f, urs);
         let reg = obs::MetricsRegistry::new();
-        reg.merge_shard(obs::Class::Sim, &classify_shard(&out));
+        crate::report::RunFold::of(&out).publish(&reg);
         assert_eq!(reg.counter_value("classify_total"), Some(3));
         assert_eq!(reg.counter_value("classify_correct"), Some(1));
         assert_eq!(reg.counter_value("classify_correct_ip_subset"), Some(1));

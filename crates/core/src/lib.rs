@@ -59,11 +59,10 @@ pub use collect::{
     CollectConfig, QidGen, RttSelector, ShardedScanOutcome, SCAN_SHARDS,
 };
 pub use pipeline::{
-    classified_sequence_hash, evaluate_false_negatives, run, run_streamed, HunterConfig, RunOutput,
-    StreamRunOutput,
+    evaluate_false_negatives, run, run_streamed, HunterConfig, RunOutput, StreamRunOutput,
 };
 pub use query::{CoverageReport, NsHealth, ProbeEngine, ProbeReply, QueryPlan, RttEstimate};
-pub use report::{build_report, ProviderRow, Report, Table1Row, Totals};
+pub use report::{build_report, classified_sequence_hash, ProviderRow, Report, Table1Row, Totals};
 pub use schedule::{QueryScheduler, TokenBucket};
 pub use store::UrStore;
 pub use types::{

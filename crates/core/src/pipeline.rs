@@ -2,21 +2,19 @@
 //! malicious-behaviour analysis → report.
 
 use crate::analyze::{analyze, run_sandboxes, Analysis, AnalyzeConfig};
-use crate::classify::{classify_shard, ClassifyConfig, StreamClassifier};
+use crate::classify::{ClassifyConfig, StreamClassifier};
 use crate::collect::{
     collect_correct, collect_protective, collect_urs_streamed, query_one_ur, select_nameservers,
     CollectConfig, QidGen, SCAN_SHARDS,
 };
 use crate::query::{publish_probes, CoverageReport, ProbeEngine, QueryPlan};
-use crate::report::{build_report, Report};
+use crate::report::{DigestBatch, Report, RunFold};
 use crate::schedule::QueryScheduler;
-use crate::types::{ClassifiedUr, CollectedUr, CorrectDb, CorrectReason, ProtectiveDb, UrCategory};
+use crate::types::{ClassifiedUr, CollectedUr, CorrectDb, ProtectiveDb, UrCategory};
 use dnswire::RecordType;
-use fxhash::Digest;
 use intern::{InternedName, Sym};
 use simnet::{FaultPlan, SimDuration};
 use std::cell::OnceCell;
-use std::net::Ipv4Addr;
 use std::sync::{Arc, OnceLock};
 use worldgen::{NsInfo, World};
 
@@ -204,6 +202,10 @@ pub struct RunOutput {
     pub analysis: Analysis,
     /// Aggregated tables and figures.
     pub report: Report,
+    /// Order-sensitive digest of `classified`
+    /// ([`classified_sequence_hash`](crate::classified_sequence_hash)'s
+    /// value), folded beside the report.
+    pub sequence_hash: u64,
     /// The correct-record database used.
     pub correct_db: CorrectDb,
     /// The protective-record database used.
@@ -235,8 +237,10 @@ enum ShardUrs {
 /// `classified` is shard-major, each shard in its shuffled task order. The
 /// calling thread sweeps for correct and protective records on
 /// `world.net` while the scan workers probe their replica fabrics (with
-/// one worker, first), then folds the verdicts, classifying any shard
-/// that ended before the sweep did, analyzes and reports.
+/// one worker, first), then gathers the verdicts, classifying any shard
+/// that ended before the sweep did, analyzes, and reduces the final
+/// verdicts through one fold into the report, the sequence digest and the
+/// verdict funnel.
 pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     let nameservers = select_nameservers(world, cfg.collect.min_tail_sites);
     let targets = world.scan_targets();
@@ -355,13 +359,10 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     if let Some((s, h)) = collect_span.zip(obs) {
         s.finish(h, world.net.now().as_micros());
     }
-    // The verdicts were reached inside the collect span; this one banks
-    // their funnel, off the network, so its sim delta is exactly zero.
+    // The verdicts were reached inside the collect span, and their funnel
+    // is published by the fold after analysis; the stage keeps its span,
+    // off the network, so its sim delta is exactly zero.
     let sp = obs.map(|h| h.span("classify", world.net.now().as_micros()));
-    if let Some(hub) = obs {
-        hub.registry()
-            .merge_shard(obs::Class::Sim, &classify_shard(&classified));
-    }
     if let Some((s, h)) = sp.zip(obs) {
         s.finish(h, world.net.now().as_micros());
     }
@@ -406,9 +407,16 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     if let Some((s, h)) = sp.zip(obs) {
         s.finish(h, world.net.now().as_micros());
     }
+    // One fold over the final verdicts: analysis promoted Unknown to
+    // Malicious and filled TXT addresses from sibling A records.
     let sp = obs.map(|h| h.span("report", world.net.now().as_micros()));
-    let mut report = build_report(&classified, &analysis, &world.intel);
+    let fold = RunFold::of(&classified);
+    if let Some(hub) = obs {
+        fold.publish(hub.registry());
+    }
+    let (mut report, sequence_hash) = fold.finish();
     report.coverage = coverage.clone();
+    report.set_figure3(&analysis, &world.intel);
     if let Some((s, h)) = sp.zip(obs) {
         s.finish(h, world.net.now().as_micros());
     }
@@ -424,6 +432,7 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         classified,
         analysis,
         report,
+        sequence_hash,
         correct_db,
         protective_db,
         coverage,
@@ -432,101 +441,9 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     }
 }
 
-/// The digested fields of one classified UR, less its corresponding
-/// addresses: its identity triple, category, correct reason and address
-/// count. [`DigestRow::digest_into`] writes a row with its addresses, and
-/// is the one definition of what the sequence digest reads.
-#[derive(Debug)]
-pub(crate) struct DigestRow {
-    ns_ip: Ipv4Addr,
-    domain: InternedName,
-    rtype: u16,
-    category: UrCategory,
-    correct_reason: Option<CorrectReason>,
-    ips: u32,
-}
-
-impl DigestRow {
-    fn of(c: &ClassifiedUr) -> Self {
-        DigestRow {
-            ns_ip: c.ur.key.ns_ip,
-            domain: c.ur.key.domain,
-            rtype: c.ur.key.rtype.code(),
-            category: c.category,
-            correct_reason: c.correct_reason,
-            ips: u32::try_from(c.corresponding_ips.len()).expect("address count fits u32"),
-        }
-    }
-
-    /// Write the row and its UR's corresponding addresses into the
-    /// sequence digest (the layout is in DESIGN.md §6, "Digests").
-    fn digest_into(&self, ips: &[Ipv4Addr], d: &mut Digest) {
-        d.bytes(&self.ns_ip.octets());
-        self.domain.digest_into(d);
-        d.u16(self.rtype);
-        d.u8(self.category as u8);
-        d.len(usize::from(self.correct_reason.is_some()));
-        if let Some(r) = self.correct_reason {
-            d.u8(r as u8);
-        }
-        d.len(ips.len());
-        for ip in ips {
-            d.bytes(&ip.octets());
-        }
-    }
-}
-
-/// A classified batch reduced to what [`run_streamed`]'s fold reads: one
-/// [`DigestRow`] per UR and every UR's corresponding addresses,
-/// concatenated in row order. A streamed worker builds it and drops the
-/// [`ClassifiedUr`]s itself, so a shard that runs ahead of the fold parks
-/// about 16 bytes a UR plus its addresses.
-#[derive(Debug)]
-pub(crate) struct DigestBatch {
-    rows: Vec<DigestRow>,
-    ips: Vec<Ipv4Addr>,
-}
-
-impl DigestBatch {
-    fn of(classified: &[ClassifiedUr]) -> Self {
-        let addresses = classified.iter().map(|c| c.corresponding_ips.len()).sum();
-        let mut batch = DigestBatch {
-            rows: Vec::with_capacity(classified.len()),
-            ips: Vec::with_capacity(addresses),
-        };
-        for c in classified {
-            batch.rows.push(DigestRow::of(c));
-            batch.ips.extend_from_slice(&c.corresponding_ips);
-        }
-        batch
-    }
-
-    /// Every row with its own addresses, in order.
-    fn rows(&self) -> impl Iterator<Item = (&DigestRow, &[Ipv4Addr])> + '_ {
-        let mut rest = self.ips.as_slice();
-        self.rows.iter().map(move |row| {
-            let (ips, tail) = rest.split_at(row.ips as usize);
-            rest = tail;
-            (row, ips)
-        })
-    }
-}
-
-/// Order-sensitive digest of a classified sequence: two runs (at any shard and worker counts) agree
-/// iff they produced the same URs, in the same order, with the same
-/// categories. [`run_streamed`] folds the same digest from its
-/// digest rows without retaining the URs.
-pub fn classified_sequence_hash(classified: &[ClassifiedUr]) -> u64 {
-    let mut d = Digest::new();
-    for c in classified {
-        DigestRow::of(c).digest_into(&c.corresponding_ips, &mut d);
-    }
-    d.finish()
-}
-
 /// What a streamed paper-scale run produces: aggregate accounting only —
-/// classified URs are folded into counters and the sequence digest as they
-/// stream out of the scan, never retained.
+/// classified URs are folded into the report and the sequence digest as
+/// they stream out of the scan, never retained.
 #[derive(Debug, Clone)]
 pub struct StreamRunOutput {
     /// Selected nameservers scanned.
@@ -556,17 +473,22 @@ pub struct StreamRunOutput {
     pub workers: usize,
     /// Simulated time the shard schedulers spent blocked on pacing buckets.
     pub bucket_wait: SimDuration,
+    /// The fold's report: totals, Table 1 (its malicious columns zero),
+    /// Figure 2 and the coverage. Figure 3's panels are empty: the streamed
+    /// path has no analysis stage.
+    pub report: Report,
 }
 
 /// Run the streamed paper-scale pipeline against a plan-backed world:
 /// [`run`]'s bulk scan over `world_shards` scoped shards, claimed by
 /// [`HunterConfig::workers`] worker threads, every UR classified on the
 /// worker that scanned it the moment its batch fills and reduced there to
-/// one compact digest row per UR, and the rows folded into the
+/// one compact verdict row per UR, and the rows folded into the
 /// [`StreamRunOutput`] aggregates on the calling thread in canonical
 /// shard-major order. Peak memory is `workers` shards' zone tables and
 /// task orders (4 bytes for each of a shard's nameservers × targets ×
-/// query types) plus the digest rows of the shards ahead of the fold: it
+/// query types) plus the verdict rows of the shards ahead of the fold,
+/// plus the fold's distinct suspicious entities and provider tally: it
 /// grows with a shard's share of the world, not with the world.
 ///
 /// Deterministic in `(world, cfg, world_shards)` — the canonical order is
@@ -599,24 +521,16 @@ pub fn run_streamed(
         &world.pdns,
         &classify_cfg,
     );
-    let mut seq = Digest::new();
-    let mut total = 0u64;
-    let mut by_category = [0u64; 4];
+    let mut fold = RunFold::default();
     let workers = par::Parallelism::from_knob(cfg.workers)
         .get()
         .min(world_shards.max(1));
     // Runs on whichever worker scanned the batch's shard: each verdict reads
     // one UR and the read-only databases, so no verdict depends on the
-    // thread that computed it. The verdict funnel is sharded per batch and
-    // merged by the fold below in splice order — counters only, so the sums
-    // are order-free too. The fold reads only the digest rows, so the
+    // thread that computed it. The fold reads only the verdict rows, so the
     // classified URs drop here, on the worker.
-    let shard_funnel = cfg.obs.is_some();
-    let classify_batch = |urs: Vec<CollectedUr>| {
-        let cls = streamer.classify_batch_owned(urs);
-        let funnel = shard_funnel.then(|| classify_shard(&cls));
-        (DigestBatch::of(&cls), funnel)
-    };
+    let classify_batch =
+        |urs: Vec<CollectedUr>| DigestBatch::of(&streamer.classify_batch_owned(urs));
     let scheduler = QueryScheduler::new(cfg.scheduler_seed, cfg.per_server_interval)
         .with_global_interval(cfg.rate_limit_interval);
     let outcome = collect_urs_streamed(
@@ -634,36 +548,33 @@ pub fn run_streamed(
         CLASSIFY_BATCH,
         &classify_batch,
         || {},
-        &mut |(batch, funnel): (DigestBatch, Option<obs::MetricShard>)| {
-            if let (Some(shard), Some(hub)) = (funnel, &cfg.obs) {
-                hub.registry().merge_shard(obs::Class::Sim, &shard);
-            }
+        &mut |batch: DigestBatch| {
             for (row, ips) in batch.rows() {
-                row.digest_into(ips, &mut seq);
-                total += 1;
-                by_category[match row.category {
-                    UrCategory::Malicious => 0,
-                    UrCategory::Correct => 1,
-                    UrCategory::Protective => 2,
-                    UrCategory::Unknown => 3,
-                }] += 1;
+                fold.absorb(row, ips);
             }
         },
     );
+    if let Some(hub) = &cfg.obs {
+        fold.publish(hub.registry());
+    }
+    let (mut report, sequence_hash) = fold.finish();
+    report.coverage = outcome.coverage.clone();
+    let t = report.totals;
     StreamRunOutput {
         nameserver_count: nameservers.len(),
         target_count: targets.len(),
-        total_urs: total,
-        malicious: by_category[0],
-        correct: by_category[1],
-        protective: by_category[2],
-        unknown: by_category[3],
+        total_urs: t.total as u64,
+        correct: t.correct as u64,
+        protective: t.protective as u64,
+        unknown: t.unknown as u64,
+        malicious: t.malicious as u64,
         coverage: outcome.coverage,
         elapsed: outcome.elapsed,
-        sequence_hash: seq.finish(),
+        sequence_hash,
         shards: outcome.shards,
         workers,
         bucket_wait: outcome.bucket_wait,
+        report,
     }
 }
 
@@ -745,7 +656,6 @@ pub fn evaluate_false_negatives(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::UrKey;
     use worldgen::{DetectionClass, WorldConfig};
 
     #[test]
@@ -854,94 +764,6 @@ mod tests {
         assert_eq!(interval(2), SimDuration::from_micros(500_000));
         for n in [1_000_000, 1_000_001, u64::MAX] {
             assert_eq!(interval(n), SimDuration::from_micros(1), "--rate-limit {n}");
-        }
-    }
-
-    /// Every category, a correct reason present and absent, 0, 1 and many
-    /// addresses, mixed-case multi-label names.
-    fn classified_sequence() -> Vec<ClassifiedUr> {
-        use CorrectReason::*;
-        use RecordType::{Mx, Txt, A};
-        use UrCategory::*;
-        type Row = (
-            &'static str,
-            u8,
-            RecordType,
-            UrCategory,
-            Option<CorrectReason>,
-            &'static [[u8; 4]],
-        );
-        let rows: [Row; 7] = [
-            ("Www.Example.COM", 1, A, Malicious, None, &[[6, 6, 6, 6]]),
-            ("a.b.Shop.example.org", 2, Txt, Unknown, None, &[]),
-            (
-                "CDN.Example.com",
-                1,
-                A,
-                Correct,
-                Some(IpSubset),
-                &[[1, 2, 3, 4], [1, 2, 3, 5], [9, 9, 9, 9], [1, 2, 3, 4]],
-            ),
-            ("mail.EXAMPLE.net", 3, Mx, Correct, Some(MxExact), &[]),
-            ("parked.Test", 2, A, Protective, None, &[[10, 0, 0, 1]]),
-            (
-                "x.y.z.W.example",
-                4,
-                Txt,
-                Correct,
-                Some(PassiveDns),
-                &[[8, 8, 8, 8], [8, 8, 4, 4]],
-            ),
-            (
-                "Www.Example.COM",
-                2,
-                A,
-                Unknown,
-                None,
-                &[[6, 6, 6, 7], [6, 6, 6, 8]],
-            ),
-        ];
-        rows.into_iter()
-            .map(
-                |(domain, ns, rtype, category, correct_reason, ips)| ClassifiedUr {
-                    ur: CollectedUr {
-                        key: UrKey {
-                            ns_ip: Ipv4Addr::new(20, 0, 0, ns),
-                            domain: InternedName::intern(&domain.parse().unwrap()),
-                            rtype,
-                        },
-                        records: dnswire::RDataSet::default(),
-                        aux_records: dnswire::RDataSet::default(),
-                        provider: Sym::intern("P"),
-                        authoritative: true,
-                        recursion_available: false,
-                    },
-                    category,
-                    correct_reason,
-                    txt_category: None,
-                    corresponding_ips: ips.iter().map(|&o| Ipv4Addr::from(o)).collect(),
-                },
-            )
-            .collect()
-    }
-
-    #[test]
-    fn digest_rows_hash_exactly_as_absorb() {
-        let seq = classified_sequence();
-        let expect = classified_sequence_hash(&seq);
-        assert_eq!(std::mem::size_of::<DigestRow>(), 16);
-        for cut in [1, 3, seq.len()] {
-            let mut d = Digest::new();
-            let mut rows = 0;
-            for chunk in seq.chunks(cut) {
-                let batch = DigestBatch::of(chunk);
-                for (row, ips) in batch.rows() {
-                    row.digest_into(ips, &mut d);
-                    rows += 1;
-                }
-            }
-            assert_eq!(rows, seq.len(), "cut={cut}");
-            assert_eq!(d.finish(), expect, "cut={cut}");
         }
     }
 }

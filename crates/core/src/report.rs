@@ -1,11 +1,14 @@
 //! Aggregation of classified URs into the paper's tables and figures.
 
 use crate::analyze::Analysis;
-use crate::types::{ClassifiedUr, MaliciousEvidence, UrCategory};
+use crate::classify::REASON_METRICS;
+use crate::query::CoverageReport;
+use crate::types::{ClassifiedUr, CorrectReason, MaliciousEvidence, UrCategory};
 use dnswire::RecordType;
+use fxhash::{Digest, FxHashMap, FxHashSet};
 use intel::{AlertCategory, IntelAggregator, ThreatTag};
 use intern::{InternedName, Sym};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
@@ -69,6 +72,17 @@ pub struct Totals {
 }
 
 impl Totals {
+    /// Count one UR of `category`.
+    fn count(&mut self, category: UrCategory) {
+        self.total += 1;
+        *match category {
+            UrCategory::Correct => &mut self.correct,
+            UrCategory::Protective => &mut self.protective,
+            UrCategory::Unknown => &mut self.unknown,
+            UrCategory::Malicious => &mut self.malicious,
+        } += 1;
+    }
+
     /// Suspicious = unknown + malicious.
     pub fn suspicious(&self) -> usize {
         self.unknown + self.malicious
@@ -85,7 +99,7 @@ impl Totals {
 }
 
 /// The full result bundle.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
     /// Category totals.
     pub totals: Totals,
@@ -109,84 +123,181 @@ pub struct Report {
     /// up, or skipped against quarantined servers. Defaults to an empty
     /// report for callers that aggregate classified URs without a
     /// collection run (e.g. unit fixtures).
-    pub coverage: crate::query::CoverageReport,
+    pub coverage: CoverageReport,
 }
 
-/// Build the report from classified URs and the analysis.
-///
-/// One incremental fold over the whole slice, then finish.
+/// Build the report from classified URs and the analysis: one `RunFold`
+/// over the slice, then Figure 3 from the analysis.
 pub fn build_report(
     classified: &[ClassifiedUr],
     analysis: &Analysis,
     intel: &IntelAggregator,
 ) -> Report {
-    let mut builder = ReportBuilder::new();
-    builder.absorb(classified);
-    builder.finish(analysis, intel)
+    let (mut report, _) = RunFold::of(classified).finish();
+    report.set_figure3(analysis, intel);
+    report
 }
 
-/// Distinct-entity accumulator behind one Table 1 row.
+/// Order-sensitive digest of a classified sequence: two runs (at any shard
+/// and worker counts) agree iff they produced the same URs, in the same
+/// order, with the same categories. [`run`](crate::run) and
+/// [`run_streamed`](crate::run_streamed) fold the same digest beside their
+/// reports.
+pub fn classified_sequence_hash(classified: &[ClassifiedUr]) -> u64 {
+    let mut d = Digest::new();
+    for c in classified {
+        VerdictRow::of(c).digest_into(&c.corresponding_ips, &mut d);
+    }
+    d.finish()
+}
+
+/// What [`RunFold`] reads of one classified UR, less its corresponding
+/// addresses: its identity triple, category, correct reason, address
+/// count, provider, and whether it is an email-related TXT record.
+/// [`VerdictRow::digest_into`] writes a row with its addresses, and is the
+/// one definition of what the sequence digest reads.
+#[derive(Debug)]
+pub(crate) struct VerdictRow {
+    ns_ip: Ipv4Addr,
+    domain: InternedName,
+    rtype: RecordType,
+    category: UrCategory,
+    correct_reason: Option<CorrectReason>,
+    ips: u32,
+    provider: Sym,
+    email_txt: bool,
+}
+
+impl VerdictRow {
+    pub(crate) fn of(c: &ClassifiedUr) -> Self {
+        VerdictRow {
+            ns_ip: c.ur.key.ns_ip,
+            domain: c.ur.key.domain,
+            rtype: c.ur.key.rtype,
+            category: c.category,
+            correct_reason: c.correct_reason,
+            ips: u32::try_from(c.corresponding_ips.len()).expect("address count fits u32"),
+            provider: c.ur.provider,
+            email_txt: c.ur.key.rtype == RecordType::Txt
+                && c.txt_category.is_some_and(|t| t.is_email_related()),
+        }
+    }
+
+    /// Write the row and its UR's corresponding addresses into the
+    /// sequence digest (the layout is in DESIGN.md §6, "Digests"). The
+    /// provider and the email bit are not digested.
+    fn digest_into(&self, ips: &[Ipv4Addr], d: &mut Digest) {
+        d.bytes(&self.ns_ip.octets());
+        self.domain.digest_into(d);
+        d.u16(self.rtype.code());
+        d.u8(self.category as u8);
+        d.len(usize::from(self.correct_reason.is_some()));
+        if let Some(r) = self.correct_reason {
+            d.u8(r as u8);
+        }
+        d.len(ips.len());
+        for ip in ips {
+            d.bytes(&ip.octets());
+        }
+    }
+}
+
+// What a streamed shard parks a UR while it runs ahead of the fold.
+const _: () = assert!(std::mem::size_of::<VerdictRow>() == 24);
+
+/// A classified batch reduced to what [`RunFold`] reads: one
+/// [`VerdictRow`] per UR and every UR's corresponding addresses,
+/// concatenated in row order. A streamed worker builds it and drops the
+/// [`ClassifiedUr`]s itself, so a shard that runs ahead of the fold parks
+/// 24 bytes a UR plus its addresses.
+#[derive(Debug)]
+pub(crate) struct DigestBatch {
+    rows: Vec<VerdictRow>,
+    ips: Vec<Ipv4Addr>,
+}
+
+impl DigestBatch {
+    pub(crate) fn of(classified: &[ClassifiedUr]) -> Self {
+        let addresses = classified.iter().map(|c| c.corresponding_ips.len()).sum();
+        let mut batch = DigestBatch {
+            rows: Vec::with_capacity(classified.len()),
+            ips: Vec::with_capacity(addresses),
+        };
+        for c in classified {
+            batch.rows.push(VerdictRow::of(c));
+            batch.ips.extend_from_slice(&c.corresponding_ips);
+        }
+        batch
+    }
+
+    /// Every row with its own addresses, in order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (&VerdictRow, &[Ipv4Addr])> + '_ {
+        let mut rest = self.ips.as_slice();
+        self.rows.iter().map(move |row| {
+            let (ips, tail) = rest.split_at(row.ips as usize);
+            rest = tail;
+            (row, ips)
+        })
+    }
+}
+
+/// Distinct-entity accumulator behind one Table 1 row: each column's
+/// values (`[0]`) and those of malicious URs (`[1]`). Only the sets'
+/// lengths are read, never their order.
 #[derive(Debug, Default)]
 struct Table1Acc {
-    domains: HashSet<InternedName>,
-    domains_mal: HashSet<InternedName>,
-    nameservers: HashSet<Ipv4Addr>,
-    nameservers_mal: HashSet<Ipv4Addr>,
-    providers: HashSet<Sym>,
-    providers_mal: HashSet<Sym>,
-    urs: usize,
-    urs_mal: usize,
-    ips: HashSet<Ipv4Addr>,
-    ips_mal: HashSet<Ipv4Addr>,
+    urs: [usize; 2],
+    domains: [FxHashSet<InternedName>; 2],
+    nameservers: [FxHashSet<Ipv4Addr>; 2],
+    providers: [FxHashSet<Sym>; 2],
+    ips: [FxHashSet<Ipv4Addr>; 2],
 }
 
 impl Table1Acc {
     /// Absorb one suspicious (unknown or malicious) UR.
-    fn absorb(&mut self, c: &ClassifiedUr) {
-        let malicious = c.category == UrCategory::Malicious;
-        self.urs += 1;
-        self.domains.insert(c.ur.key.domain);
-        self.nameservers.insert(c.ur.key.ns_ip);
-        self.providers.insert(c.ur.provider);
-        self.ips.extend(c.corresponding_ips.iter().copied());
-        if malicious {
-            self.urs_mal += 1;
-            self.domains_mal.insert(c.ur.key.domain);
-            self.nameservers_mal.insert(c.ur.key.ns_ip);
-            self.providers_mal.insert(c.ur.provider);
-            self.ips_mal.extend(c.corresponding_ips.iter().copied());
+    fn absorb(&mut self, row: &VerdictRow, ips: &[Ipv4Addr]) {
+        for k in 0..=usize::from(row.category == UrCategory::Malicious) {
+            self.urs[k] += 1;
+            self.domains[k].insert(row.domain);
+            self.nameservers[k].insert(row.ns_ip);
+            self.providers[k].insert(row.provider);
+            self.ips[k].extend(ips);
         }
     }
 
     fn row(&self, label: &'static str) -> Table1Row {
         Table1Row {
             label,
-            domains: self.domains.len(),
-            domains_malicious: self.domains_mal.len(),
-            nameservers: self.nameservers.len(),
-            nameservers_malicious: self.nameservers_mal.len(),
-            providers: self.providers.len(),
-            providers_malicious: self.providers_mal.len(),
-            urs: self.urs,
-            urs_malicious: self.urs_mal,
-            ips: self.ips.len(),
-            ips_malicious: self.ips_mal.len(),
+            domains: self.domains[0].len(),
+            domains_malicious: self.domains[1].len(),
+            nameservers: self.nameservers[0].len(),
+            nameservers_malicious: self.nameservers[1].len(),
+            providers: self.providers[0].len(),
+            providers_malicious: self.providers[1].len(),
+            urs: self.urs[0],
+            urs_malicious: self.urs[1],
+            ips: self.ips[0].len(),
+            ips_malicious: self.ips[1].len(),
         }
     }
 }
 
-/// Incremental report aggregation: absorb classified URs batch by batch,
-/// then [`finish`](ReportBuilder::finish) against the analysis.
+/// The one reduction of classified URs. It absorbs [`VerdictRow`]s in
+/// sequence order and keeps the sequence digest, the category totals, the
+/// Appendix-B reason of every correct verdict, Table 1's suspicious
+/// accumulators per record type, each provider's category tally (Fig. 2)
+/// and the malicious-TXT email share: memory grows with the distinct
+/// suspicious entities and the providers, never with the URs.
 ///
-/// Per-UR state is reduced into counters and distinct-entity sets as each
-/// batch arrives, so the aggregation never needs the whole classified set
-/// resident at once and the result is identical to a one-shot
-/// [`build_report`] over the concatenated batches (absorption is
-/// order-insensitive up to the input order itself).
+/// The categories it reads must be final: `run` folds after `analyze`
+/// promotes Unknown to Malicious and fills TXT addresses from sibling A
+/// records.
 #[derive(Debug, Default)]
-pub(crate) struct ReportBuilder {
+pub(crate) struct RunFold {
+    digest: Digest,
     totals: Totals,
-    by_provider: BTreeMap<Sym, ProviderRow>,
+    reasons: [usize; REASON_METRICS.len()],
+    providers: FxHashMap<Sym, Totals>,
     acc_a: Table1Acc,
     acc_txt: Table1Acc,
     acc_mx: Table1Acc,
@@ -196,115 +307,90 @@ pub(crate) struct ReportBuilder {
     txt_malicious: usize,
 }
 
-impl ReportBuilder {
-    /// An empty builder.
-    pub(crate) fn new() -> Self {
-        ReportBuilder::default()
+impl RunFold {
+    /// The fold over a classified slice, in order.
+    pub(crate) fn of(classified: &[ClassifiedUr]) -> Self {
+        let mut fold = RunFold::default();
+        for c in classified {
+            fold.absorb(&VerdictRow::of(c), &c.corresponding_ips);
+        }
+        fold
     }
 
-    /// Absorb one batch of classified URs.
-    pub(crate) fn absorb(&mut self, batch: &[ClassifiedUr]) {
-        for c in batch {
-            self.absorb_one(c);
+    /// Absorb one row with its corresponding addresses.
+    pub(crate) fn absorb(&mut self, row: &VerdictRow, ips: &[Ipv4Addr]) {
+        row.digest_into(ips, &mut self.digest);
+        self.totals.count(row.category);
+        self.providers
+            .entry(row.provider)
+            .or_default()
+            .count(row.category);
+        if let Some(reason) = row.correct_reason {
+            self.reasons[reason as usize] += 1;
         }
-    }
-
-    /// Absorb a single classified UR.
-    pub(crate) fn absorb_one(&mut self, c: &ClassifiedUr) {
-        self.totals.total += 1;
-        match c.category {
-            UrCategory::Correct => self.totals.correct += 1,
-            UrCategory::Protective => self.totals.protective += 1,
-            UrCategory::Unknown => self.totals.unknown += 1,
-            UrCategory::Malicious => self.totals.malicious += 1,
-        }
-
-        let row = self
-            .by_provider
-            .entry(c.ur.provider)
-            .or_insert_with(|| ProviderRow {
-                provider: c.ur.provider,
-                total: 0,
-                correct: 0,
-                protective: 0,
-                unknown: 0,
-                malicious: 0,
-            });
-        row.total += 1;
-        match c.category {
-            UrCategory::Correct => row.correct += 1,
-            UrCategory::Protective => row.protective += 1,
-            UrCategory::Unknown => row.unknown += 1,
-            UrCategory::Malicious => row.malicious += 1,
-        }
-
-        self.saw_mx |= c.ur.key.rtype == RecordType::Mx;
-        if matches!(c.category, UrCategory::Unknown | UrCategory::Malicious) {
-            match c.ur.key.rtype {
-                RecordType::A => self.acc_a.absorb(c),
-                RecordType::Txt => self.acc_txt.absorb(c),
-                RecordType::Mx => self.acc_mx.absorb(c),
+        self.saw_mx |= row.rtype == RecordType::Mx;
+        if matches!(row.category, UrCategory::Unknown | UrCategory::Malicious) {
+            match row.rtype {
+                RecordType::A => self.acc_a.absorb(row, ips),
+                RecordType::Txt => self.acc_txt.absorb(row, ips),
+                RecordType::Mx => self.acc_mx.absorb(row, ips),
                 _ => {}
             }
-            self.acc_total.absorb(c);
+            self.acc_total.absorb(row, ips);
         }
-        if c.category == UrCategory::Malicious && c.ur.key.rtype == RecordType::Txt {
+        if row.category == UrCategory::Malicious && row.rtype == RecordType::Txt {
             self.txt_malicious += 1;
-            if c.txt_category
-                .map(|t| t.is_email_related())
-                .unwrap_or(false)
-            {
-                self.txt_email += 1;
-            }
+            self.txt_email += usize::from(row.email_txt);
         }
-
-        // Note for the memory budget: the categories this fold sees must
-        // be final, i.e. absorption happens after the malicious-promotion
-        // pass of `analyze` (which needs the classified set anyway).
     }
 
-    /// Close the fold against the analysis outputs and produce the report.
-    pub(crate) fn finish(self, analysis: &Analysis, intel: &IntelAggregator) -> Report {
+    /// Publish the verdict funnel into `registry`, every counter sim-class
+    /// and only the non-zero ones: the verdict totals (suspicious is
+    /// unknown + malicious) and, per Appendix-B condition, the correct
+    /// verdicts it decided.
+    pub(crate) fn publish(&self, registry: &obs::MetricsRegistry) {
+        let t = &self.totals;
+        let verdicts = [
+            ("classify_total", t.total),
+            ("classify_correct", t.correct),
+            ("classify_protective", t.protective),
+            ("classify_suspicious", t.suspicious()),
+        ];
+        let reasons = REASON_METRICS.map(|(r, name)| (name, self.reasons[r as usize]));
+        for (name, n) in verdicts.into_iter().chain(reasons).filter(|&(_, n)| n > 0) {
+            registry.add(name, obs::Class::Sim, n as u64);
+        }
+    }
+
+    /// Close the fold: the report, with empty Figure 3 panels and an empty
+    /// coverage, and the sequence digest.
+    pub(crate) fn finish(self) -> (Report, u64) {
         let mut table1 = vec![self.acc_a.row("A"), self.acc_txt.row("TXT")];
         if self.saw_mx {
             table1.push(self.acc_mx.row("MX"));
         }
         table1.push(self.acc_total.row("Total"));
-
-        let mut providers: Vec<ProviderRow> = self.by_provider.into_values().collect();
-        providers.sort_by(|a, b| b.total.cmp(&a.total).then(a.provider.cmp(&b.provider)));
-
-        // Fig. 3 series.
-        let fig3a = crate::analyze::evidence_histogram(analysis);
-        let malicious_ips: Vec<Ipv4Addr> = analysis.evidence.keys().copied().collect();
-        let vendor_flagged: Vec<Ipv4Addr> = malicious_ips
-            .iter()
-            .copied()
-            .filter(|ip| {
-                matches!(
-                    analysis.evidence.get(ip),
-                    Some(MaliciousEvidence::VendorOnly | MaliciousEvidence::Both)
-                )
+        let mut providers: Vec<ProviderRow> = self
+            .providers
+            .into_iter()
+            .map(|(provider, t)| ProviderRow {
+                provider,
+                total: t.total,
+                correct: t.correct,
+                protective: t.protective,
+                unknown: t.unknown,
+                malicious: t.malicious,
             })
             .collect();
-        let fig3b = intel.flag_count_histogram(vendor_flagged.iter());
-        let mut fig3c: BTreeMap<AlertCategory, usize> = BTreeMap::new();
-        for a in &analysis.alerts_toward_malicious {
-            *fig3c.entry(a.category).or_insert(0) += 1;
-        }
-        let fig3d = intel.tag_prevalence(vendor_flagged.iter());
-
-        Report {
+        providers.sort_by(|a, b| b.total.cmp(&a.total).then(a.provider.cmp(&b.provider)));
+        let report = Report {
             totals: self.totals,
             table1,
             providers,
-            fig3a,
-            fig3b,
-            fig3c,
-            fig3d,
             txt_email_related: (self.txt_email, self.txt_malicious),
-            coverage: crate::query::CoverageReport::default(),
-        }
+            ..Report::default()
+        };
+        (report, self.digest.finish())
     }
 }
 
@@ -317,6 +403,23 @@ fn pct(part: usize, whole: usize) -> f64 {
 }
 
 impl Report {
+    /// Fill the four Figure 3 panels from the analysis: they are per
+    /// malicious address, not per UR, so no fold makes them.
+    pub(crate) fn set_figure3(&mut self, analysis: &Analysis, intel: &IntelAggregator) {
+        let vendor_flagged: Vec<Ipv4Addr> = analysis
+            .evidence
+            .iter()
+            .filter(|(_, e)| matches!(e, MaliciousEvidence::VendorOnly | MaliciousEvidence::Both))
+            .map(|(&ip, _)| ip)
+            .collect();
+        self.fig3a = crate::analyze::evidence_histogram(analysis);
+        self.fig3b = intel.flag_count_histogram(vendor_flagged.iter());
+        for a in &analysis.alerts_toward_malicious {
+            *self.fig3c.entry(a.category).or_insert(0) += 1;
+        }
+        self.fig3d = intel.tag_prevalence(vendor_flagged.iter());
+    }
+
     /// Render Table 1 in the paper's layout.
     pub fn render_table1(&self) -> String {
         let mut s = String::new();
@@ -709,5 +812,232 @@ mod tests {
         assert!(f3.contains("3(a)"));
         let s = r.render_summary();
         assert!(s.contains("malicious"));
+    }
+
+    /// Every category, a correct reason present and absent, 0, 1 and many
+    /// addresses, mixed-case multi-label names, two providers, and a
+    /// suspicious row of each record type, one of them an email-related
+    /// malicious TXT record: each accumulator of the fold is reached.
+    fn classified_sequence() -> Vec<ClassifiedUr> {
+        use crate::types::TxtCategory::{Spf, Verification};
+        use CorrectReason::*;
+        use RecordType::{Mx, Txt, A};
+        use UrCategory::*;
+        type Row = (
+            &'static str,
+            u8,
+            &'static str,
+            RecordType,
+            UrCategory,
+            Option<CorrectReason>,
+            Option<crate::types::TxtCategory>,
+            &'static [[u8; 4]],
+        );
+        let rows: [Row; 9] = [
+            (
+                "Www.Example.COM",
+                1,
+                "P",
+                A,
+                Malicious,
+                None,
+                None,
+                &[[6, 6, 6, 6]],
+            ),
+            (
+                "a.b.Shop.example.org",
+                2,
+                "Q",
+                Txt,
+                Unknown,
+                None,
+                Some(Verification),
+                &[],
+            ),
+            (
+                "CDN.Example.com",
+                1,
+                "P",
+                A,
+                Correct,
+                Some(IpSubset),
+                None,
+                &[[1, 2, 3, 4], [1, 2, 3, 5], [9, 9, 9, 9], [1, 2, 3, 4]],
+            ),
+            (
+                "mail.EXAMPLE.net",
+                3,
+                "Q",
+                Mx,
+                Correct,
+                Some(MxExact),
+                None,
+                &[],
+            ),
+            (
+                "parked.Test",
+                2,
+                "Q",
+                A,
+                Protective,
+                None,
+                None,
+                &[[10, 0, 0, 1]],
+            ),
+            (
+                "x.y.z.W.example",
+                4,
+                "P",
+                Txt,
+                Correct,
+                Some(PassiveDns),
+                Some(Spf),
+                &[[8, 8, 8, 8], [8, 8, 4, 4]],
+            ),
+            (
+                "Www.Example.COM",
+                2,
+                "Q",
+                A,
+                Unknown,
+                None,
+                None,
+                &[[6, 6, 6, 7], [6, 6, 6, 8]],
+            ),
+            (
+                "spf.example.org",
+                3,
+                "P",
+                Txt,
+                Malicious,
+                None,
+                Some(Spf),
+                &[[6, 6, 6, 6]],
+            ),
+            (
+                "mx.example.org",
+                4,
+                "Q",
+                Mx,
+                Unknown,
+                None,
+                None,
+                &[[7, 7, 7, 7]],
+            ),
+        ];
+        rows.into_iter()
+            .map(
+                |(domain, ns, provider, rtype, category, correct_reason, txt_category, ips)| {
+                    ClassifiedUr {
+                        ur: CollectedUr {
+                            key: UrKey {
+                                ns_ip: Ipv4Addr::new(20, 0, 0, ns),
+                                domain: InternedName::intern(&n(domain)),
+                                rtype,
+                            },
+                            records: RDataSet::default(),
+                            aux_records: RDataSet::default(),
+                            provider: Sym::intern(provider),
+                            authoritative: true,
+                            recursion_available: false,
+                        },
+                        category,
+                        correct_reason,
+                        txt_category,
+                        corresponding_ips: ips.iter().map(|&o| Ipv4Addr::from(o)).collect(),
+                    }
+                },
+            )
+            .collect()
+    }
+
+    /// The verdict funnel `fold` publishes into a fresh registry.
+    fn funnel(fold: &RunFold) -> Vec<(String, u64)> {
+        let reg = obs::MetricsRegistry::new();
+        fold.publish(&reg);
+        let counter = |m: obs::MetricValue| match (m.class, m.data) {
+            (obs::Class::Sim, obs::MetricData::Counter(v)) => (m.name, v),
+            other => panic!("{} is not a sim counter: {other:?}", m.name),
+        };
+        reg.snapshot().entries.into_iter().map(counter).collect()
+    }
+
+    #[test]
+    fn rows_and_classified_urs_fold_alike() {
+        let seq = classified_sequence();
+        let reference = RunFold::of(&seq);
+        let want_funnel = funnel(&reference);
+        let (want, want_hash) = reference.finish();
+        assert_eq!(want_hash, classified_sequence_hash(&seq));
+        for cut in [1, 3, seq.len()] {
+            let mut fold = RunFold::default();
+            for chunk in seq.chunks(cut) {
+                let batch = DigestBatch::of(chunk);
+                for (row, ips) in batch.rows() {
+                    fold.absorb(row, ips);
+                }
+            }
+            assert_eq!(funnel(&fold), want_funnel, "cut={cut}");
+            assert_eq!(fold.finish(), (want.clone(), want_hash), "cut={cut}");
+        }
+
+        let pinned: Vec<(String, u64)> = [
+            ("classify_correct", 3),
+            ("classify_correct_ip_subset", 1),
+            ("classify_correct_mx_exact", 1),
+            ("classify_correct_pdns", 1),
+            ("classify_protective", 1),
+            ("classify_suspicious", 5),
+            ("classify_total", 9),
+        ]
+        .map(|(name, n)| (name.to_string(), n))
+        .to_vec();
+        assert_eq!(want_funnel, pinned, "only the non-zero counters");
+        let totals = Totals {
+            total: 9,
+            correct: 3,
+            protective: 1,
+            unknown: 3,
+            malicious: 2,
+        };
+        assert_eq!(want.totals, totals);
+        // Distinct domains, nameservers, providers and addresses, each
+        // (all, malicious), then URs (all, malicious).
+        let t1 = |label, [d, dm, ns, nsm, p, pm, u, um, i, im]: [usize; 10]| Table1Row {
+            label,
+            domains: d,
+            domains_malicious: dm,
+            nameservers: ns,
+            nameservers_malicious: nsm,
+            providers: p,
+            providers_malicious: pm,
+            urs: u,
+            urs_malicious: um,
+            ips: i,
+            ips_malicious: im,
+        };
+        assert_eq!(
+            want.table1,
+            [
+                t1("A", [1, 1, 2, 1, 2, 1, 2, 1, 3, 1]),
+                t1("TXT", [2, 1, 2, 1, 2, 1, 2, 1, 1, 1]),
+                t1("MX", [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]),
+                t1("Total", [4, 2, 4, 2, 2, 1, 5, 2, 4, 1]),
+            ]
+        );
+        let mix =
+            |name, [total, correct, protective, unknown, malicious]: [usize; 5]| ProviderRow {
+                provider: Sym::intern(name),
+                total,
+                correct,
+                protective,
+                unknown,
+                malicious,
+            };
+        assert_eq!(
+            want.providers,
+            [mix("Q", [5, 1, 1, 3, 0]), mix("P", [4, 2, 0, 0, 2])]
+        );
+        assert_eq!(want.txt_email_related, (1, 1));
     }
 }

@@ -18,9 +18,7 @@
 use crate::events::{diff_epoch, EpochRecord, EpochSeal, EventLog, VerdictStore};
 use obs::Class;
 use std::sync::Arc;
-use urhunter::{
-    classified_sequence_hash, run, ClassifiedUr, CoverageReport, HunterConfig, TokenBucket,
-};
+use urhunter::{run, ClassifiedUr, CoverageReport, HunterConfig, TokenBucket};
 use worldgen::{World, WorldConfig};
 
 /// Which world preset the daemon scans.
@@ -120,6 +118,8 @@ pub struct LiveState {
 pub struct EpochScan {
     /// The epoch's full classified output, in pipeline order.
     pub(crate) classified: Vec<ClassifiedUr>,
+    /// Order-sensitive digest of `classified`, folded by the run.
+    pub(crate) sequence_hash: u64,
     /// Probe accounting for the scan.
     pub(crate) coverage: CoverageReport,
     /// The scan's observability hub.
@@ -202,6 +202,7 @@ impl EpochDriver {
         let out = run(&mut self.world, &hunter);
         EpochScan {
             classified: out.classified,
+            sequence_hash: out.sequence_hash,
             coverage: out.coverage,
             hub,
             sim_day: self.world.config.today,
@@ -242,7 +243,7 @@ impl EpochDriver {
             state.store.present_len() as i64,
         );
         let seal = EpochSeal {
-            classified_hash: classified_sequence_hash(&scan.classified),
+            classified_hash: scan.sequence_hash,
             verdict_hash: state.store.verdict_hash(),
             sim_hash: reg.sim_hash(),
             total_urs: scan.classified.len() as u64,
