@@ -350,6 +350,20 @@ impl MessageWriter {
         w
     }
 
+    /// Start the response to the standard query for `question` that
+    /// [`encode_query`] writes (RD set, opcode QUERY) under `id`: the
+    /// message `Message::response_to(&Message::query(id, q), rcode)`
+    /// starts, for a server that answers after the query's bytes are gone.
+    pub fn response(id: u16, question: &Question, rcode: Rcode, limit: usize) -> Self {
+        let query = Flags {
+            recursion_desired: true,
+            ..Flags::default()
+        };
+        let mut w = MessageWriter::new(id, response_flags(&query, rcode), limit);
+        w.question(question.qname.borrowed(), question.qtype, question.qclass);
+        w
+    }
+
     /// The header flags the finished message will carry.
     pub fn flags_mut(&mut self) -> &mut Flags {
         &mut self.flags
@@ -873,6 +887,31 @@ mod tests {
         // The owner is a pointer at the echoed question: header, question,
         // then 2 + 10 + 4 bytes of record.
         assert_eq!(resp.len(), 12 + 13 + 4 + 16);
+    }
+
+    #[test]
+    fn writer_answers_a_stored_question_as_the_owned_response() {
+        let asked = Question::new(name("Fat.Example"), RecordType::A);
+        let records: Vec<Record> = (0..40u8)
+            .map(|i| {
+                Record::new(
+                    name("fat.example"),
+                    60,
+                    RData::A(Ipv4Addr::new(10, 0, 0, i)),
+                )
+            })
+            .collect();
+        for limit in [MAX_UDP_PAYLOAD, MAX_MESSAGE_LEN] {
+            let mut w = MessageWriter::response(31, &asked, Rcode::NoError, limit);
+            w.flags_mut().recursion_available = true;
+            for r in &records {
+                w.push(Section::Answer, r);
+            }
+            let mut want = Message::response_to(&Message::query(31, asked.clone()), Rcode::NoError);
+            want.flags.recursion_available = true;
+            want.answers = records.clone();
+            assert_eq!(w.finish().unwrap(), want.encode_truncated(limit).unwrap());
+        }
     }
 
     /// The bytes after the header of `m`, encoded.

@@ -1,8 +1,8 @@
 //! A TTL-honoring resolver cache with positive and negative entries.
 
-use dnswire::{Name, Rcode, Record, RecordType};
+use dnswire::{Folded, FoldedName, NameRef, Rcode, Record, RecordType};
+use fxhash::FxHashMap;
 use simnet::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// A cached resolution outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,10 +19,12 @@ struct Entry {
     answer: CachedAnswer,
 }
 
-/// Resolver cache keyed by `(qname, qtype)`.
+/// Resolver cache keyed by `(qname, qtype)`: the folded name, then each of
+/// the few types cached under it. A lookup probes with the question's
+/// folded bytes, so it copies no name.
 #[derive(Debug, Default)]
 pub(crate) struct Cache {
-    entries: HashMap<(Name, RecordType), Entry>,
+    entries: FxHashMap<FoldedName, Vec<(RecordType, Entry)>>,
 }
 
 /// TTL floor applied to every entry so zero-TTL records do not thrash.
@@ -31,6 +33,12 @@ const MIN_TTL: u64 = 1;
 const MAX_TTL: u64 = 86_400;
 /// Negative-entry TTL when no SOA minimum is available.
 const DEFAULT_NEGATIVE_TTL: u64 = 300;
+
+/// When an entry learned at `now` with `ttl` seconds expires, the TTL
+/// clamped to `[MIN_TTL, MAX_TTL]`.
+pub(crate) fn expiry(now: SimTime, ttl: u64) -> SimTime {
+    now + SimDuration::from_secs(ttl.clamp(MIN_TTL, MAX_TTL))
+}
 
 impl Cache {
     /// An empty cache.
@@ -42,68 +50,80 @@ impl Cache {
     pub(crate) fn get(
         &self,
         now: SimTime,
-        qname: &Name,
+        qname: Folded<'_>,
         qtype: RecordType,
-    ) -> Option<CachedAnswer> {
-        match self.entries.get(&(qname.clone(), qtype)) {
-            Some(e) if e.expires > now => Some(e.answer.clone()),
-            _ => None,
+    ) -> Option<&CachedAnswer> {
+        self.entries
+            .get(qname.key())?
+            .iter()
+            .find(|(t, e)| *t == qtype && e.expires > now)
+            .map(|(_, e)| &e.answer)
+    }
+
+    fn insert(&mut self, qname: NameRef<'_>, qtype: RecordType, entry: Entry) {
+        let mut scratch = Vec::new();
+        match self.entries.get_mut(qname.fold(&mut scratch).key()) {
+            Some(types) => match types.iter_mut().find(|(t, _)| *t == qtype) {
+                Some(slot) => slot.1 = entry,
+                None => types.push((qtype, entry)),
+            },
+            None => {
+                self.entries
+                    .insert(FoldedName::new(qname), vec![(qtype, entry)]);
+            }
         }
     }
 
     /// Insert a positive answer; TTL is the minimum record TTL, clamped.
+    /// The records move in, their vector cut to its length: it was
+    /// collected from a filter, with room to spare, and is kept for hours.
     pub(crate) fn put_positive(
         &mut self,
         now: SimTime,
-        qname: Name,
+        qname: NameRef<'_>,
         qtype: RecordType,
-        records: Vec<Record>,
+        mut records: Vec<Record>,
     ) {
+        records.shrink_to_fit();
         let ttl = records
             .iter()
             .map(|r| r.ttl as u64)
             .min()
             .unwrap_or(DEFAULT_NEGATIVE_TTL);
-        let ttl = ttl.clamp(MIN_TTL, MAX_TTL);
-        self.entries.insert(
-            (qname, qtype),
-            Entry {
-                expires: now + SimDuration::from_secs(ttl),
-                answer: CachedAnswer {
-                    rcode: Rcode::NoError,
-                    records,
-                },
+        let entry = Entry {
+            expires: expiry(now, ttl),
+            answer: CachedAnswer {
+                rcode: Rcode::NoError,
+                records,
             },
-        );
+        };
+        self.insert(qname, qtype, entry);
     }
 
     /// Insert a negative answer (NXDOMAIN or NODATA).
     pub(crate) fn put_negative(
         &mut self,
         now: SimTime,
-        qname: Name,
+        qname: NameRef<'_>,
         qtype: RecordType,
         rcode: Rcode,
         ttl: Option<u64>,
     ) {
-        let ttl = ttl.unwrap_or(DEFAULT_NEGATIVE_TTL).clamp(MIN_TTL, MAX_TTL);
-        self.entries.insert(
-            (qname, qtype),
-            Entry {
-                expires: now + SimDuration::from_secs(ttl),
-                answer: CachedAnswer {
-                    rcode,
-                    records: Vec::new(),
-                },
+        let entry = Entry {
+            expires: expiry(now, ttl.unwrap_or(DEFAULT_NEGATIVE_TTL)),
+            answer: CachedAnswer {
+                rcode,
+                records: Vec::new(),
             },
-        );
+        };
+        self.insert(qname, qtype, entry);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnswire::RData;
+    use dnswire::{Name, RData};
     use std::net::Ipv4Addr;
 
     fn n(s: &str) -> Name {
@@ -114,17 +134,21 @@ mod tests {
         Record::new(n("a.com"), ttl, RData::A(Ipv4Addr::new(1, 2, 3, 4)))
     }
 
+    fn get(c: &Cache, secs: u64, name: &str, qtype: RecordType) -> Option<CachedAnswer> {
+        let name = n(name);
+        let mut scratch = Vec::new();
+        let now = SimTime::ZERO + SimDuration::from_secs(secs);
+        c.get(now, name.borrowed().fold(&mut scratch), qtype)
+            .cloned()
+    }
+
     #[test]
     fn positive_hit_until_expiry() {
         let mut c = Cache::new();
         let t0 = SimTime::ZERO;
-        c.put_positive(t0, n("a.com"), RecordType::A, vec![rec(60)]);
-        assert!(c
-            .get(t0 + SimDuration::from_secs(59), &n("a.com"), RecordType::A)
-            .is_some());
-        assert!(c
-            .get(t0 + SimDuration::from_secs(61), &n("a.com"), RecordType::A)
-            .is_none());
+        c.put_positive(t0, n("a.com").borrowed(), RecordType::A, vec![rec(60)]);
+        assert!(get(&c, 59, "a.com", RecordType::A).is_some());
+        assert!(get(&c, 61, "a.com", RecordType::A).is_none());
     }
 
     #[test]
@@ -132,17 +156,11 @@ mod tests {
         let mut c = Cache::new();
         c.put_positive(
             SimTime::ZERO,
-            n("a.com"),
+            n("a.com").borrowed(),
             RecordType::A,
             vec![rec(300), rec(30)],
         );
-        assert!(c
-            .get(
-                SimTime::ZERO + SimDuration::from_secs(31),
-                &n("a.com"),
-                RecordType::A
-            )
-            .is_none());
+        assert!(get(&c, 31, "a.com", RecordType::A).is_none());
     }
 
     #[test]
@@ -150,12 +168,12 @@ mod tests {
         let mut c = Cache::new();
         c.put_negative(
             SimTime::ZERO,
-            n("gone.com"),
+            n("gone.com").borrowed(),
             RecordType::A,
             Rcode::NxDomain,
             Some(60),
         );
-        let hit = c.get(SimTime::ZERO, &n("gone.com"), RecordType::A).unwrap();
+        let hit = get(&c, 0, "gone.com", RecordType::A).unwrap();
         assert_eq!(hit.rcode, Rcode::NxDomain);
         assert!(hit.records.is_empty());
     }
@@ -165,30 +183,34 @@ mod tests {
         let mut c = Cache::new();
         c.put_positive(
             SimTime::ZERO,
-            n("z.com"),
+            n("z.com").borrowed(),
             RecordType::A,
             vec![rec(10_000_000)],
         );
-        assert!(c
-            .get(
-                SimTime::ZERO + SimDuration::from_secs(MAX_TTL - 1),
-                &n("z.com"),
-                RecordType::A
-            )
-            .is_some());
-        assert!(c
-            .get(
-                SimTime::ZERO + SimDuration::from_secs(MAX_TTL + 1),
-                &n("z.com"),
-                RecordType::A
-            )
-            .is_none());
+        assert!(get(&c, MAX_TTL - 1, "z.com", RecordType::A).is_some());
+        assert!(get(&c, MAX_TTL + 1, "z.com", RecordType::A).is_none());
     }
 
     #[test]
     fn types_are_separate_keys() {
         let mut c = Cache::new();
-        c.put_positive(SimTime::ZERO, n("a.com"), RecordType::A, vec![rec(60)]);
-        assert!(c.get(SimTime::ZERO, &n("a.com"), RecordType::Txt).is_none());
+        c.put_positive(
+            SimTime::ZERO,
+            n("a.com").borrowed(),
+            RecordType::A,
+            vec![rec(60)],
+        );
+        assert!(get(&c, 0, "a.com", RecordType::Txt).is_none());
+        // A second type under the same name, and a name asked in another
+        // case, reach the same entries.
+        c.put_negative(
+            SimTime::ZERO,
+            n("A.Com").borrowed(),
+            RecordType::Txt,
+            Rcode::NoError,
+            None,
+        );
+        assert!(get(&c, 0, "a.COM", RecordType::Txt).is_some());
+        assert!(get(&c, 0, "a.com", RecordType::A).is_some());
     }
 }

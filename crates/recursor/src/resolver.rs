@@ -1,13 +1,22 @@
 //! The iterative resolver node: walks root → TLD → authoritative over the
 //! simulated fabric, with caching, retry, CNAME chasing and out-of-bailiwick
 //! nameserver resolution.
+//!
+//! Every datagram is read in place ([`MessageView`]); upstream queries are
+//! written by [`dnswire::encode_query`] and client responses by a
+//! [`MessageWriter`], so the node builds no owned message. What it keeps —
+//! cached answers, a CNAME chain, referral targets — it copies out of the
+//! view as records.
 
 use crate::cache::Cache;
-use dnswire::{Message, Name, Question, RData, Rcode, Record, RecordType};
+use dnswire::{
+    FoldedName, MessageView, MessageWriter, Name, Question, RData, Rcode, Record, RecordType,
+    RecordView, Section,
+};
+use fxhash::FxHashMap;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use simnet::{Actions, Datagram, Endpoint, Node, SimDuration, SimTime};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Upstream query timeout before retry.
@@ -56,6 +65,14 @@ struct Job {
     use_tcp: bool,
 }
 
+/// The size a client response is cut to on `proto`.
+fn client_limit(proto: simnet::Proto) -> usize {
+    match proto {
+        simnet::Proto::Udp => dnswire::MAX_UDP_PAYLOAD,
+        simnet::Proto::Tcp => dnswire::MAX_MESSAGE_LEN,
+    }
+}
+
 /// A caching iterative resolver attached to the fabric.
 ///
 /// One node serves both roles in the paper's methodology: the *open
@@ -65,9 +82,9 @@ pub struct RecursorNode {
     ip: Ipv4Addr,
     root_ip: Ipv4Addr,
     cache: Cache,
-    ns_hints: HashMap<Name, Ipv4Addr>,
-    jobs: HashMap<u64, Job>,
-    pending: HashMap<u16, u64>,
+    ns_hints: FxHashMap<FoldedName, Ipv4Addr>,
+    jobs: FxHashMap<u64, Job>,
+    pending: FxHashMap<u16, u64>,
     next_job: u64,
     next_id: u16,
     manipulation: Manipulation,
@@ -76,6 +93,8 @@ pub struct RecursorNode {
     rng: StdRng,
     /// Count of answered client queries (stats for tests/reports).
     pub(crate) answered: u64,
+    /// Where a name with an upper-case letter is folded for a lookup.
+    scratch: Vec<u8>,
 }
 
 impl RecursorNode {
@@ -85,15 +104,16 @@ impl RecursorNode {
             ip,
             root_ip,
             cache: Cache::new(),
-            ns_hints: HashMap::new(),
-            jobs: HashMap::new(),
-            pending: HashMap::new(),
+            ns_hints: FxHashMap::default(),
+            jobs: FxHashMap::default(),
+            pending: FxHashMap::default(),
             next_job: 1,
             next_id: 1,
             manipulation: Manipulation::None,
             response_rate: 1.0,
             rng: StdRng::seed_from_u64(seed),
             answered: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -126,19 +146,15 @@ impl RecursorNode {
         job.generation = job.generation.wrapping_add(1);
         job.attempts += 1;
         let generation = job.generation;
-        let query = Message::query(id, job.question.clone());
-        let server = job.server;
-        let use_tcp = job.use_tcp;
+        let bytes = dnswire::encode_query(id, job.question.qname.borrowed(), job.question.qtype);
+        let src = Endpoint::new(self.ip, 5353);
+        let dst = Endpoint::new(job.server, 53);
+        out.send(if job.use_tcp {
+            Datagram::tcp(src, dst, bytes)
+        } else {
+            Datagram::udp(src, dst, bytes)
+        });
         self.pending.insert(id, job_id);
-        if let Ok(bytes) = query.encode() {
-            let src = Endpoint::new(self.ip, 5353);
-            let dst = Endpoint::new(server, 53);
-            out.send(if use_tcp {
-                Datagram::tcp(src, dst, bytes)
-            } else {
-                Datagram::udp(src, dst, bytes)
-            });
-        }
         out.set_timer(UPSTREAM_TIMEOUT, (job_id << 16) | generation as u64);
     }
 
@@ -180,6 +196,26 @@ impl RecursorNode {
             .unwrap_or_default()
     }
 
+    /// Set RA and write `records` as the answer section of a client
+    /// response to a `qtype` question, each A record's address replaced
+    /// when this resolver injects one.
+    fn write_answers(&self, w: &mut MessageWriter, qtype: RecordType, records: &[Record]) {
+        w.flags_mut().recursion_available = true;
+        let injected = match self.manipulation {
+            Manipulation::InjectA(ip) if qtype == RecordType::A => Some(RData::A(ip)),
+            _ => None,
+        };
+        for r in records {
+            let rdata = match &injected {
+                Some(a) if matches!(r.rdata, RData::A(_)) => a,
+                _ => &r.rdata,
+            };
+            if !w.record(Section::Answer, r.name.borrowed(), r.class, r.ttl, rdata) {
+                return;
+            }
+        }
+    }
+
     fn finish(
         &mut self,
         job_id: u64,
@@ -194,29 +230,34 @@ impl RecursorNode {
         if let Some(id) = job.awaiting {
             self.pending.remove(&id);
         }
-        // Cache under the original question.
+        let original = &job.original;
+        if let Some((client, client_id, client_proto)) = job.client {
+            self.answered += 1;
+            let mut w =
+                MessageWriter::response(client_id, original, rcode, client_limit(client_proto));
+            self.write_answers(&mut w, original.qtype, &records);
+            if let Ok(bytes) = w.finish() {
+                let src = Endpoint::new(self.ip, 53);
+                out.send(match client_proto {
+                    simnet::Proto::Udp => Datagram::udp(src, client, bytes),
+                    simnet::Proto::Tcp => Datagram::tcp(src, client, bytes),
+                });
+            }
+        }
+        let addr = records.iter().find_map(|r| r.rdata.as_a());
+        // Cache under the original question: the records move in.
+        let qname = original.qname.borrowed();
         if rcode == Rcode::NoError && !records.is_empty() {
-            self.cache.put_positive(
-                now,
-                job.original.qname.clone(),
-                job.original.qtype,
-                records.clone(),
-            );
+            self.cache.put_positive(now, qname, original.qtype, records);
         } else if rcode == Rcode::NxDomain || (rcode == Rcode::NoError && records.is_empty()) {
-            self.cache.put_negative(
-                now,
-                job.original.qname.clone(),
-                job.original.qtype,
-                rcode,
-                None,
-            );
+            self.cache
+                .put_negative(now, qname, original.qtype, rcode, None);
         }
         if let Some(parent_id) = job.parent {
             // Internal NS lookup complete: resume or fail the parent.
-            let addr = records.iter().find_map(|r| r.rdata.as_a());
             match addr {
                 Some(ip) if rcode == Rcode::NoError => {
-                    self.ns_hints.insert(job.original.qname.clone(), ip);
+                    self.ns_hints.insert(FoldedName::new(qname), ip);
                     if let Some(parent) = self.jobs.get_mut(&parent_id) {
                         parent.server = ip;
                         self.send_upstream(parent_id, out);
@@ -226,35 +267,6 @@ impl RecursorNode {
                     self.finish(parent_id, now, Rcode::ServFail, Vec::new(), out);
                 }
             }
-            return;
-        }
-        if let Some((client, client_id, client_proto)) = job.client {
-            self.answered += 1;
-            let mut answers = records;
-            if let Manipulation::InjectA(ip) = self.manipulation {
-                if job.original.qtype == RecordType::A {
-                    for r in answers.iter_mut() {
-                        if matches!(r.rdata, RData::A(_)) {
-                            r.rdata = RData::A(ip);
-                        }
-                    }
-                }
-            }
-            let query = Message::query(client_id, job.original.clone());
-            let mut resp = Message::response_to(&query, rcode);
-            resp.flags.recursion_available = true;
-            resp.answers = answers;
-            let limit = match client_proto {
-                simnet::Proto::Udp => dnswire::MAX_UDP_PAYLOAD,
-                simnet::Proto::Tcp => dnswire::MAX_MESSAGE_LEN,
-            };
-            if let Ok(bytes) = resp.encode_truncated(limit) {
-                let src = Endpoint::new(self.ip, 53);
-                out.send(match client_proto {
-                    simnet::Proto::Udp => Datagram::udp(src, client, bytes),
-                    simnet::Proto::Tcp => Datagram::tcp(src, client, bytes),
-                });
-            }
         }
     }
 
@@ -262,50 +274,42 @@ impl RecursorNode {
         &mut self,
         now: SimTime,
         dgram: &Datagram,
-        query: Message,
+        query: &MessageView<'_>,
         out: &mut Actions,
     ) {
         if self.response_rate < 1.0 && !self.rng.random_bool(self.response_rate) {
             return; // unstable resolver: silence
         }
-        let Some(q) = query.question().cloned() else {
+        let Some(q) = query.question() else {
             return;
         };
         if !query.flags.recursion_desired {
-            let resp = Message::response_to(&query, Rcode::Refused);
-            if let Ok(bytes) = resp.encode() {
+            let resp = MessageWriter::response_to(query, Rcode::Refused, usize::MAX);
+            if let Ok(bytes) = resp.finish() {
                 out.send(dgram.reply(bytes));
             }
             return;
         }
-        if let Some(hit) = self.cache.get(now, &q.qname, q.qtype) {
+        let folded = q.qname.fold(&mut self.scratch);
+        if let Some(hit) = self.cache.get(now, folded, q.qtype) {
             self.answered += 1;
-            let mut answers = hit.records;
-            if let Manipulation::InjectA(ip) = self.manipulation {
-                if q.qtype == RecordType::A {
-                    for r in answers.iter_mut() {
-                        if matches!(r.rdata, RData::A(_)) {
-                            r.rdata = RData::A(ip);
-                        }
-                    }
-                }
-            }
-            let mut resp = Message::response_to(&query, hit.rcode);
-            resp.flags.recursion_available = true;
-            resp.answers = answers;
-            let limit = match dgram.proto {
-                simnet::Proto::Udp => dnswire::MAX_UDP_PAYLOAD,
-                simnet::Proto::Tcp => dnswire::MAX_MESSAGE_LEN,
-            };
-            if let Ok(bytes) = resp.encode_truncated(limit) {
+            let mut w = MessageWriter::response_to(query, hit.rcode, client_limit(dgram.proto));
+            self.write_answers(&mut w, q.qtype, &hit.records);
+            if let Ok(bytes) = w.finish() {
                 out.send(dgram.reply(bytes));
             }
             return;
         }
-        self.start_job(Some((dgram.src, query.id, dgram.proto)), None, q, out);
+        let client = (dgram.src, query.id, dgram.proto);
+        self.start_job(Some(client), None, q.to_question(), out);
     }
 
-    fn handle_upstream_response(&mut self, now: SimTime, resp: Message, out: &mut Actions) {
+    fn handle_upstream_response(
+        &mut self,
+        now: SimTime,
+        resp: &MessageView<'_>,
+        out: &mut Actions,
+    ) {
         let Some(&job_id) = self.pending.get(&resp.id) else {
             return;
         };
@@ -316,7 +320,7 @@ impl RecursorNode {
             .zip(resp.question())
             .is_some_and(|(j, q)| {
                 j.awaiting == Some(resp.id)
-                    && q.qname == j.question.qname
+                    && q.qname.matches(j.question.qname.borrowed())
                     && q.qtype == j.question.qtype
             });
         if !matches {
@@ -338,7 +342,7 @@ impl RecursorNode {
             }
             j.use_tcp = false;
         }
-        match resp.rcode() {
+        match resp.flags.rcode {
             Rcode::NoError => {}
             Rcode::NxDomain => {
                 let chain = self.take_chain(job_id);
@@ -356,15 +360,14 @@ impl RecursorNode {
                 return;
             }
         }
-        let job = self.jobs.get(&job_id).expect("validated above");
-        let qname = job.question.qname.clone();
-        let qtype = job.question.qtype;
+        let asked = &self.jobs.get(&job_id).expect("validated above").question;
+        let qtype = asked.qtype;
+        let at_qname = |r: &RecordView<'_>| r.name.matches(asked.qname.borrowed());
         // 1. Terminal answers at the current name?
         let direct: Vec<Record> = resp
-            .answers
-            .iter()
-            .filter(|r| r.name == qname && (r.rtype() == qtype || qtype == RecordType::Any))
-            .cloned()
+            .answers()
+            .filter(|r| at_qname(r) && (r.rtype() == qtype || qtype == RecordType::Any))
+            .map(RecordView::to_record)
             .collect();
         if !direct.is_empty() {
             let mut full = self.take_chain(job_id);
@@ -374,19 +377,18 @@ impl RecursorNode {
         }
         // 2. CNAME at the current name?
         let cname = resp
-            .answers
-            .iter()
-            .find(|r| r.name == qname && r.rtype() == RecordType::Cname)
-            .cloned();
+            .answers()
+            .find(|r| at_qname(r) && r.rtype() == RecordType::Cname)
+            .map(RecordView::to_record);
         if let Some(c) = cname {
-            if let RData::Cname(target) = c.rdata.clone() {
+            if let RData::Cname(target) = &c.rdata {
                 // Absorb any in-response records for the target as well.
                 let tail: Vec<Record> = resp
-                    .answers
-                    .iter()
-                    .filter(|r| r.name == target && r.rtype() == qtype)
-                    .cloned()
+                    .answers()
+                    .filter(|r| r.name.matches(target.borrowed()) && r.rtype() == qtype)
+                    .map(RecordView::to_record)
                     .collect();
+                let target = target.clone();
                 let job = self.jobs.get_mut(&job_id).expect("job");
                 job.chain.push(c);
                 if !tail.is_empty() {
@@ -404,33 +406,31 @@ impl RecursorNode {
         }
         // 3. Delegation referral?
         let mut referrals: Vec<(Name, Option<Ipv4Addr>)> = Vec::new();
-        for r in &resp.authorities {
-            if let RData::Ns(ns_name) = &r.rdata {
+        for r in resp.authorities().filter(|r| r.rtype() == RecordType::Ns) {
+            if let RData::Ns(ns_name) = r.to_record().rdata {
                 let glue = resp
-                    .additionals
-                    .iter()
-                    .find(|g| g.name == *ns_name)
-                    .and_then(|g| g.rdata.as_a());
-                referrals.push((ns_name.clone(), glue));
+                    .additionals()
+                    .find(|g| g.name.matches(ns_name.borrowed()))
+                    .and_then(|g| g.to_record().rdata.as_a());
+                referrals.push((ns_name, glue));
             }
         }
         if !referrals.is_empty() {
             referrals.sort_by(|a, b| a.0.cmp(&b.0));
             for (ns_name, glue) in &referrals {
                 if let Some(ip) = glue {
-                    self.ns_hints.insert(ns_name.clone(), *ip);
+                    self.ns_hints
+                        .insert(FoldedName::new(ns_name.borrowed()), *ip);
                 }
             }
             // Prefer a referral with a known address.
-            if let Some((_, ip)) = referrals
-                .iter()
-                .find_map(|(n, g)| g.map(|ip| (n.clone(), ip)))
-                .or_else(|| {
-                    referrals
-                        .iter()
-                        .find_map(|(n, _)| self.ns_hints.get(n).map(|ip| (n.clone(), *ip)))
+            let known = referrals.iter().find_map(|(_, g)| *g).or_else(|| {
+                referrals.iter().find_map(|(n, _)| {
+                    let key = n.borrowed().fold(&mut self.scratch);
+                    self.ns_hints.get(key.key()).copied()
                 })
-            {
+            });
+            if let Some(ip) = known {
                 let job = self.jobs.get_mut(&job_id).expect("job");
                 job.server = ip;
                 job.attempts = 0;
@@ -448,7 +448,7 @@ impl RecursorNode {
                 self.finish(job_id, now, Rcode::ServFail, Vec::new(), out);
                 return;
             }
-            let ns_name = referrals[0].0.clone();
+            let ns_name = referrals.swap_remove(0).0;
             self.start_job(
                 None,
                 Some(job_id),
@@ -465,13 +465,13 @@ impl RecursorNode {
 
 impl Node for RecursorNode {
     fn handle(&mut self, now: SimTime, dgram: &Datagram, out: &mut Actions) {
-        let Ok(msg) = Message::decode(&dgram.payload) else {
+        let Ok(msg) = MessageView::parse(&dgram.payload) else {
             return;
         };
         if msg.flags.response {
-            self.handle_upstream_response(now, msg, out);
+            self.handle_upstream_response(now, &msg, out);
         } else {
-            self.handle_client_query(now, dgram, msg, out);
+            self.handle_client_query(now, dgram, &msg, out);
         }
     }
 
@@ -504,6 +504,7 @@ impl Node for RecursorNode {
 mod tests {
     use super::*;
     use authdns::{DelegationRegistry, StaticZoneNode, Zone, DNS_PORT};
+    use dnswire::Message;
     use simnet::{FaultPlan, Network};
     use std::cell::RefCell;
     use std::rc::Rc;
