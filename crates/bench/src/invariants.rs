@@ -22,8 +22,9 @@ use simnet::{FaultPlan, NetStats, SimDuration, SimTime};
 use std::borrow::Borrow;
 use std::sync::Arc;
 use urhunter::{
-    classified_sequence_hash, run, run_streamed, CorrectDb, CoverageReport, HunterConfig,
-    ProtectiveDb, QueryPlan, Totals,
+    classified_sequence_hash, collect_correct, collect_protective, run, run_streamed,
+    select_nameservers, CorrectDb, CoverageReport, HunterConfig, ProbeEngine, ProtectiveDb,
+    QueryPlan, Totals,
 };
 use urhunterd::{DriverConfig, EpochDriver, EpochSeal, LiveState, UrEvent, WorldScale};
 use worldgen::{StreamWorld, World, WorldConfig};
@@ -404,6 +405,39 @@ fn split_json<T: std::fmt::Display>(correct: T, protective: T, unknown: T, malic
     )
 }
 
+/// What `run`'s support sweep costs on a fresh `config` world: protective
+/// records at the selected nameservers, then correct records through the
+/// open-resolver fleet, on the world's own fabric with the reliable
+/// network's engine, as `run` sweeps before any other traffic crosses it.
+/// The probes the engine scheduled, and the datagrams and events the
+/// fabric carried for them.
+fn support_json(config: &WorldConfig) -> String {
+    let mut world = World::generate(config.clone());
+    world.net.trace.set_enabled(false);
+    let cfg = Network::RELIABLE.config();
+    let nameservers = select_nameservers(&world, cfg.collect.min_tail_sites);
+    let targets = world.scan_targets();
+    let mut engine = ProbeEngine::new(cfg.retry);
+    let before = world.net.stats();
+    let world = &mut world;
+    collect_protective(&mut world.net, &mut engine, &nameservers, &cfg.collect);
+    collect_correct(
+        &mut world.net,
+        &mut engine,
+        &world.resolvers,
+        &world.db,
+        &targets,
+        &cfg.collect,
+    );
+    let net = world.net.stats() - before;
+    format!(
+        "{{ \"probes\": {}, \"datagrams\": {}, \"events\": {} }}",
+        engine.take_coverage().scheduled,
+        net.sent,
+        net.events,
+    )
+}
+
 /// The fields an eager block shares, from the reliable run that every
 /// execution axis reproduced (one that carried a hub). A reliable network
 /// answers every probe at the first attempt.
@@ -414,7 +448,7 @@ fn eager_fields(config: &WorldConfig, p: &Pinned) -> String {
     format!(
         "    \"world_seed\": {},\n    \"urs\": {},\n    \"split\": {},\n    \
          \"sequence_hash\": {},\n    \"sim_hash\": {},\n    \"coverage\": {},\n    \
-         \"scan_sim_us\": {},\n    \"datagrams_sent\": {}",
+         \"scan_sim_us\": {},\n    \"datagrams_sent\": {},\n    \"support\": {}",
         config.seed,
         t.total,
         split_json(t.correct, t.protective, t.unknown, t.malicious),
@@ -423,6 +457,7 @@ fn eager_fields(config: &WorldConfig, p: &Pinned) -> String {
         coverage_json(&p.coverage),
         p.scan_elapsed.as_micros(),
         p.net.delivered + p.net.dropped + p.net.no_route,
+        support_json(config),
     )
 }
 

@@ -752,6 +752,20 @@ pub(crate) fn collect_urs_streamed<T: Send>(
     outcome
 }
 
+/// The `j`-th of the `k` stable resolvers (of `len`) asked about the
+/// `di`-th target: a deterministic spread across targets, distinct for
+/// every `j < k ≤ len`. The stride is 7, coprime to `len` unless `7 | len`;
+/// then 7 still gives distinct picks while `7·k ≤ len`, and past that the
+/// stride is 1.
+pub(crate) fn resolver_pick(di: usize, j: usize, k: usize, len: usize) -> usize {
+    let stride = if !len.is_multiple_of(7) || 7 * k <= len {
+        7
+    } else {
+        1
+    };
+    (di * 31 + j * stride) % len
+}
+
 /// Collect correct records: ask a sample of stable open resolvers for each
 /// target's A and TXT records, then enrich addresses with AS / geo / cert
 /// metadata. (Unstable resolvers are excluded up front, per the ethics
@@ -774,10 +788,9 @@ pub fn collect_correct(
     let mut qid: u16 = 0x2000;
     for (di, domain) in targets.iter().enumerate() {
         let mut profile = DomainProfile::default();
-        // Deterministic spread of resolvers across domains.
         let k = cfg.resolvers_per_domain.max(1).min(stable.len());
         for j in 0..k {
-            let resolver = stable[(di * 31 + j * 7) % stable.len()];
+            let resolver = stable[resolver_pick(di, j, k, stable.len())];
             for rt in [RecordType::A, RecordType::Txt, RecordType::Mx] {
                 qid = qid.wrapping_add(1).max(1);
                 let Some(resp) = engine.query(net, cfg.scanner_ip, resolver, domain, rt, qid)
@@ -910,6 +923,59 @@ mod tests {
     use proptest::prelude::*;
     use simnet::SimDuration;
     use worldgen::WorldConfig;
+
+    #[test]
+    fn resolver_picks_are_distinct_whenever_there_are_enough() {
+        for len in 1..=300 {
+            for k in [1, 2, 5, 10].map(|k: usize| k.min(len)) {
+                for di in 0..40 {
+                    let picks: std::collections::BTreeSet<usize> =
+                        (0..k).map(|j| resolver_pick(di, j, k, len)).collect();
+                    assert_eq!(picks.len(), k, "len {len}, k {k}, target {di}");
+                    assert!(picks.iter().all(|&p| p < len));
+                }
+            }
+        }
+        // Where stride 7 was already distinct, the pick is the old one.
+        assert_eq!(resolver_pick(3, 4, 5, 20), (3 * 31 + 4 * 7) % 20);
+        assert_eq!(resolver_pick(3, 4, 5, 70), (3 * 31 + 4 * 7) % 70);
+    }
+
+    /// Small seed 9001 has 14 stable resolvers, and stride 7 asked every
+    /// target at two of them, not five: read off the fabric's capture of
+    /// the sweep's queries.
+    #[test]
+    fn every_target_of_small_seed_9001_is_asked_at_five_resolvers() {
+        let mut world = worldgen::World::generate(WorldConfig::small().with_seed(9001));
+        assert_eq!(world.resolvers.iter().filter(|r| r.stable).count(), 14);
+        let cfg = CollectConfig::default();
+        let targets = world.scan_targets();
+        world.net.trace.clear();
+        world.net.trace.set_enabled(true);
+        let mut engine = ProbeEngine::new(crate::query::QueryPlan::default());
+        let world = &mut world;
+        collect_correct(
+            &mut world.net,
+            &mut engine,
+            &world.resolvers,
+            &world.db,
+            &targets,
+            &cfg,
+        );
+        let mut asked: std::collections::HashMap<Name, std::collections::HashSet<Ipv4Addr>> =
+            Default::default();
+        for flow in world.net.trace.records() {
+            let query = dnswire::Message::decode(&flow.payload).ok();
+            if let Some(q) = query.filter(|m| !m.flags.response && flow.src.ip == cfg.scanner_ip) {
+                let qname = q.questions[0].qname.clone();
+                asked.entry(qname).or_default().insert(flow.dst.ip);
+            }
+        }
+        assert_eq!(cfg.resolvers_per_domain, 5);
+        for target in &targets {
+            assert_eq!(asked[target].len(), 5, "{target}");
+        }
+    }
 
     #[test]
     fn task_codes_decode_and_shuffle_to_the_tuple_order() {

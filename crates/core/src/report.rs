@@ -265,27 +265,54 @@ impl Table1Acc {
         }
     }
 
-    fn row(&self, label: &'static str) -> Table1Row {
+    /// The row of the union of `parts`: URs summed, each column's values
+    /// counted once however many parts hold them.
+    fn row(label: &'static str, parts: &[&Table1Acc]) -> Table1Row {
+        let urs = |k: usize| parts.iter().map(|p| p.urs[k]).sum();
+        let domains = |k: usize| union_len(parts, |p| &p.domains[k]);
+        let nameservers = |k: usize| union_len(parts, |p| &p.nameservers[k]);
+        let providers = |k: usize| union_len(parts, |p| &p.providers[k]);
+        let ips = |k: usize| union_len(parts, |p| &p.ips[k]);
         Table1Row {
             label,
-            domains: self.domains[0].len(),
-            domains_malicious: self.domains[1].len(),
-            nameservers: self.nameservers[0].len(),
-            nameservers_malicious: self.nameservers[1].len(),
-            providers: self.providers[0].len(),
-            providers_malicious: self.providers[1].len(),
-            urs: self.urs[0],
-            urs_malicious: self.urs[1],
-            ips: self.ips[0].len(),
-            ips_malicious: self.ips[1].len(),
+            domains: domains(0),
+            domains_malicious: domains(1),
+            nameservers: nameservers(0),
+            nameservers_malicious: nameservers(1),
+            providers: providers(0),
+            providers_malicious: providers(1),
+            urs: urs(0),
+            urs_malicious: urs(1),
+            ips: ips(0),
+            ips_malicious: ips(1),
         }
     }
+}
+
+/// How many distinct values the parts' `set`s hold together: each part
+/// counts what no part before it holds, so nothing is copied and no order
+/// is read.
+fn union_len<T: std::hash::Hash + Eq>(
+    parts: &[&Table1Acc],
+    set: impl Fn(&Table1Acc) -> &FxHashSet<T>,
+) -> usize {
+    parts
+        .iter()
+        .enumerate()
+        .map(|(i, part)| {
+            set(part)
+                .iter()
+                .filter(|v| !parts[..i].iter().any(|earlier| set(earlier).contains(*v)))
+                .count()
+        })
+        .sum()
 }
 
 /// The one reduction of classified URs. It absorbs [`VerdictRow`]s in
 /// sequence order and keeps the sequence digest, the category totals, the
 /// Appendix-B reason of every correct verdict, Table 1's suspicious
-/// accumulators per record type, each provider's category tally (Fig. 2)
+/// accumulators per record type (the Total row is their union, counted at
+/// [`RunFold::finish`]), each provider's category tally (Fig. 2)
 /// and the malicious-TXT email share: memory grows with the distinct
 /// suspicious entities and the providers, never with the URs.
 ///
@@ -298,10 +325,9 @@ pub(crate) struct RunFold {
     totals: Totals,
     reasons: [usize; REASON_METRICS.len()],
     providers: FxHashMap<Sym, Totals>,
-    acc_a: Table1Acc,
-    acc_txt: Table1Acc,
-    acc_mx: Table1Acc,
-    acc_total: Table1Acc,
+    /// Table 1's accumulators: A, TXT, MX, and any other type (no row of
+    /// its own, but in the Total row).
+    by_type: [Table1Acc; 4],
     saw_mx: bool,
     txt_email: usize,
     txt_malicious: usize,
@@ -330,13 +356,13 @@ impl RunFold {
         }
         self.saw_mx |= row.rtype == RecordType::Mx;
         if matches!(row.category, UrCategory::Unknown | UrCategory::Malicious) {
-            match row.rtype {
-                RecordType::A => self.acc_a.absorb(row, ips),
-                RecordType::Txt => self.acc_txt.absorb(row, ips),
-                RecordType::Mx => self.acc_mx.absorb(row, ips),
-                _ => {}
-            }
-            self.acc_total.absorb(row, ips);
+            let slot = match row.rtype {
+                RecordType::A => 0,
+                RecordType::Txt => 1,
+                RecordType::Mx => 2,
+                _ => 3,
+            };
+            self.by_type[slot].absorb(row, ips);
         }
         if row.category == UrCategory::Malicious && row.rtype == RecordType::Txt {
             self.txt_malicious += 1;
@@ -365,11 +391,12 @@ impl RunFold {
     /// Close the fold: the report, with empty Figure 3 panels and an empty
     /// coverage, and the sequence digest.
     pub(crate) fn finish(self) -> (Report, u64) {
-        let mut table1 = vec![self.acc_a.row("A"), self.acc_txt.row("TXT")];
+        let [a, txt, mx, other] = &self.by_type;
+        let mut table1 = vec![Table1Acc::row("A", &[a]), Table1Acc::row("TXT", &[txt])];
         if self.saw_mx {
-            table1.push(self.acc_mx.row("MX"));
+            table1.push(Table1Acc::row("MX", &[mx]));
         }
-        table1.push(self.acc_total.row("Total"));
+        table1.push(Table1Acc::row("Total", &[a, txt, mx, other]));
         let mut providers: Vec<ProviderRow> = self
             .providers
             .into_iter()
@@ -833,7 +860,7 @@ mod tests {
             Option<crate::types::TxtCategory>,
             &'static [[u8; 4]],
         );
-        let rows: [Row; 9] = [
+        let rows: [Row; 10] = [
             (
                 "Www.Example.COM",
                 1,
@@ -924,6 +951,18 @@ mod tests {
                 None,
                 &[[7, 7, 7, 7]],
             ),
+            // The domain's A UR above holds this address too: the Total
+            // row counts both once, the sum of its parts twice.
+            (
+                "www.example.com",
+                2,
+                "Q",
+                Txt,
+                Unknown,
+                None,
+                Some(Verification),
+                &[[6, 6, 6, 7]],
+            ),
         ];
         rows.into_iter()
             .map(
@@ -987,17 +1026,17 @@ mod tests {
             ("classify_correct_mx_exact", 1),
             ("classify_correct_pdns", 1),
             ("classify_protective", 1),
-            ("classify_suspicious", 5),
-            ("classify_total", 9),
+            ("classify_suspicious", 6),
+            ("classify_total", 10),
         ]
         .map(|(name, n)| (name.to_string(), n))
         .to_vec();
         assert_eq!(want_funnel, pinned, "only the non-zero counters");
         let totals = Totals {
-            total: 9,
+            total: 10,
             correct: 3,
             protective: 1,
-            unknown: 3,
+            unknown: 4,
             malicious: 2,
         };
         assert_eq!(want.totals, totals);
@@ -1020,9 +1059,10 @@ mod tests {
             want.table1,
             [
                 t1("A", [1, 1, 2, 1, 2, 1, 2, 1, 3, 1]),
-                t1("TXT", [2, 1, 2, 1, 2, 1, 2, 1, 1, 1]),
+                t1("TXT", [3, 1, 2, 1, 2, 1, 3, 1, 2, 1]),
                 t1("MX", [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]),
-                t1("Total", [4, 2, 4, 2, 2, 1, 5, 2, 4, 1]),
+                // Domains 1 + 3 + 1 and addresses 3 + 2 + 1 in the parts.
+                t1("Total", [4, 2, 4, 2, 2, 1, 6, 2, 4, 1]),
             ]
         );
         let mix =
@@ -1036,7 +1076,7 @@ mod tests {
             };
         assert_eq!(
             want.providers,
-            [mix("Q", [5, 1, 1, 3, 0]), mix("P", [4, 2, 0, 0, 2])]
+            [mix("Q", [6, 1, 1, 4, 0]), mix("P", [4, 2, 0, 0, 2])]
         );
         assert_eq!(want.txt_email_related, (1, 1));
     }

@@ -4,8 +4,9 @@
 //!
 //! * [`RecursorNode`] — a caching iterative resolver that walks the
 //!   delegation hierarchy (root → TLD → authoritative) over the simnet
-//!   fabric, chases CNAMEs, resolves out-of-bailiwick nameservers, retries
-//!   lost packets and honors TTLs.
+//!   fabric from the closest zone cut it has cached, chases CNAMEs,
+//!   resolves out-of-bailiwick nameservers, retries lost packets and
+//!   honors TTLs.
 //! * [`Manipulation`] — models the minority of open resolvers that tamper
 //!   with answers, which URHunter's correct-record collection must tolerate
 //!   (the paper selects stable resolvers and notes most vantage points are

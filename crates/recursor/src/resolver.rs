@@ -2,13 +2,21 @@
 //! simulated fabric, with caching, retry, CNAME chasing and out-of-bailiwick
 //! nameserver resolution.
 //!
+//! The node caches zone cuts as well as answers: a job starts at the
+//! closest fresh cut that encloses its question (a CNAME restart too), not
+//! at the root. A referral becomes a cut only in bailiwick — its zone
+//! strictly below the zone of the server that sent it and enclosing the
+//! name being chased, on a chain of referrals that never left bailiwick —
+//! and it lasts its NS TTL, clamped like an answer's. Any other referral is
+//! followed but not kept.
+//!
 //! Every datagram is read in place ([`MessageView`]); upstream queries are
 //! written by [`dnswire::encode_query`] and client responses by a
 //! [`MessageWriter`], so the node builds no owned message. What it keeps —
 //! cached answers, a CNAME chain, referral targets — it copies out of the
 //! view as records.
 
-use crate::cache::Cache;
+use crate::cache::{expiry, Cache};
 use dnswire::{
     FoldedName, MessageView, MessageWriter, Name, Question, RData, Rcode, Record, RecordType,
     RecordView, Section,
@@ -63,6 +71,20 @@ struct Job {
     /// Retry the current server over TCP (set when a UDP answer came back
     /// truncated).
     use_tcp: bool,
+    /// Label count of the zone the current server was reached as the
+    /// delegate of (0: the root), or `None` once the job followed a
+    /// referral out of bailiwick: nothing it learns then is cached as a cut.
+    zone: Option<u8>,
+    /// An in-bailiwick cut (zone, NS TTL) whose server address an internal
+    /// lookup is still resolving: cached when this job resumes.
+    pending_cut: Option<(Name, u32)>,
+}
+
+/// A cached zone cut: the server a job for a name in the zone starts at.
+#[derive(Debug, Clone, Copy)]
+struct Cut {
+    server: Ipv4Addr,
+    expires: SimTime,
 }
 
 /// The size a client response is cut to on `proto`.
@@ -83,6 +105,8 @@ pub struct RecursorNode {
     root_ip: Ipv4Addr,
     cache: Cache,
     ns_hints: FxHashMap<FoldedName, Ipv4Addr>,
+    /// Zone cuts by folded zone name.
+    cuts: FxHashMap<FoldedName, Cut>,
     jobs: FxHashMap<u64, Job>,
     pending: FxHashMap<u16, u64>,
     next_job: u64,
@@ -105,6 +129,7 @@ impl RecursorNode {
             root_ip,
             cache: Cache::new(),
             ns_hints: FxHashMap::default(),
+            cuts: FxHashMap::default(),
             jobs: FxHashMap::default(),
             pending: FxHashMap::default(),
             next_job: 1,
@@ -158,8 +183,31 @@ impl RecursorNode {
         out.set_timer(UPSTREAM_TIMEOUT, (job_id << 16) | generation as u64);
     }
 
+    /// The server and zone label count a job for `qname` starts at: the
+    /// closest fresh cut that encloses it, else the root.
+    fn closest_cut(&mut self, now: SimTime, qname: &Name) -> (Ipv4Addr, u8) {
+        let folded = qname.borrowed().fold(&mut self.scratch);
+        for labels in (1..=folded.label_count()).rev() {
+            let zone = folded.suffix(labels).expect("a suffix of the name");
+            if let Some(cut) = self.cuts.get(zone.key()).filter(|c| c.expires > now) {
+                return (cut.server, labels as u8);
+            }
+        }
+        (self.root_ip, 0)
+    }
+
+    /// Cache `zone`'s cut at `server` for its NS `ttl`, clamped.
+    fn learn_cut(&mut self, now: SimTime, (zone, ttl): &(Name, u32), server: Ipv4Addr) {
+        let cut = Cut {
+            server,
+            expires: expiry(now, u64::from(*ttl)),
+        };
+        self.cuts.insert(FoldedName::new(zone.borrowed()), cut);
+    }
+
     fn start_job(
         &mut self,
+        now: SimTime,
         client: Option<(Endpoint, u16, simnet::Proto)>,
         parent: Option<u64>,
         question: Question,
@@ -167,6 +215,7 @@ impl RecursorNode {
     ) -> u64 {
         let job_id = self.next_job;
         self.next_job += 1;
+        let (server, zone) = self.closest_cut(now, &question.qname);
         self.jobs.insert(
             job_id,
             Job {
@@ -175,12 +224,14 @@ impl RecursorNode {
                 question: question.clone(),
                 original: question,
                 chain: Vec::new(),
-                server: self.root_ip,
+                server,
                 awaiting: None,
                 generation: 0,
                 attempts: 0,
                 steps: 0,
                 use_tcp: false,
+                zone: Some(zone),
+                pending_cut: None,
             },
         );
         self.send_upstream(job_id, out);
@@ -260,6 +311,9 @@ impl RecursorNode {
                     self.ns_hints.insert(FoldedName::new(qname), ip);
                     if let Some(parent) = self.jobs.get_mut(&parent_id) {
                         parent.server = ip;
+                        if let Some(cut) = parent.pending_cut.take() {
+                            self.learn_cut(now, &cut, ip);
+                        }
                         self.send_upstream(parent_id, out);
                     }
                 }
@@ -301,7 +355,7 @@ impl RecursorNode {
             return;
         }
         let client = (dgram.src, query.id, dgram.proto);
-        self.start_job(Some(client), None, q.to_question(), out);
+        self.start_job(now, Some(client), None, q.to_question(), out);
     }
 
     fn handle_upstream_response(
@@ -397,17 +451,37 @@ impl RecursorNode {
                     self.finish(job_id, now, Rcode::NoError, full, out);
                     return;
                 }
+                let (server, zone) = self.closest_cut(now, &target);
+                let job = self.jobs.get_mut(&job_id).expect("job");
                 job.question.qname = target;
-                job.server = self.root_ip;
                 job.attempts = 0;
+                job.server = server;
+                job.zone = Some(zone);
                 self.send_upstream(job_id, out);
                 return;
             }
         }
         // 3. Delegation referral?
         let mut referrals: Vec<(Name, Option<Ipv4Addr>)> = Vec::new();
+        // The zone the NS records delegate, while they all name one, and
+        // their least TTL.
+        let mut delegated: Option<(Name, u32)> = None;
+        let mut one_zone = true;
         for r in resp.authorities().filter(|r| r.rtype() == RecordType::Ns) {
-            if let RData::Ns(ns_name) = r.to_record().rdata {
+            let Record {
+                name: owner,
+                ttl,
+                rdata,
+                ..
+            } = r.to_record();
+            if let RData::Ns(ns_name) = rdata {
+                match &mut delegated {
+                    None => delegated = Some((owner, ttl)),
+                    Some((zone, least)) => {
+                        one_zone &= *zone == owner;
+                        *least = (*least).min(ttl);
+                    }
+                }
                 let glue = resp
                     .additionals()
                     .find(|g| g.name.matches(ns_name.borrowed()))
@@ -416,6 +490,15 @@ impl RecursorNode {
             }
         }
         if !referrals.is_empty() {
+            let job = self.jobs.get_mut(&job_id).expect("job");
+            let cut = delegated.filter(|(zone, _)| {
+                one_zone
+                    && job
+                        .zone
+                        .is_some_and(|labels| zone.label_count() > usize::from(labels))
+                    && job.question.qname.is_subdomain_of(zone)
+            });
+            job.zone = cut.as_ref().map(|(zone, _)| zone.label_count() as u8);
             referrals.sort_by(|a, b| a.0.cmp(&b.0));
             for (ns_name, glue) in &referrals {
                 if let Some(ip) = glue {
@@ -431,6 +514,9 @@ impl RecursorNode {
                 })
             });
             if let Some(ip) = known {
+                if let Some(cut) = &cut {
+                    self.learn_cut(now, cut, ip);
+                }
                 let job = self.jobs.get_mut(&job_id).expect("job");
                 job.server = ip;
                 job.attempts = 0;
@@ -448,8 +534,12 @@ impl RecursorNode {
                 self.finish(job_id, now, Rcode::ServFail, Vec::new(), out);
                 return;
             }
+            if let Some(job) = self.jobs.get_mut(&job_id) {
+                job.pending_cut = cut;
+            }
             let ns_name = referrals.swap_remove(0).0;
             self.start_job(
+                now,
                 None,
                 Some(job_id),
                 Question::new(ns_name, RecordType::A),
@@ -506,7 +596,7 @@ mod tests {
     use authdns::{DelegationRegistry, StaticZoneNode, Zone, DNS_PORT};
     use dnswire::Message;
     use simnet::{FaultPlan, Network};
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     fn n(s: &str) -> Name {
@@ -518,6 +608,49 @@ mod tests {
     ///      -> org -> hosted.org  @ ns.provider.com (out-of-bailiwick)
     /// provider.com itself delegated with glue.
     fn build_world() -> (Network, Ipv4Addr) {
+        let (net, resolver, _) = counted_world();
+        (net, resolver)
+    }
+
+    /// Queries a wrapped server was sent.
+    #[derive(Clone, Default)]
+    struct Hits(Rc<Cell<u32>>);
+
+    impl Hits {
+        fn get(&self) -> u32 {
+            self.0.get()
+        }
+    }
+
+    /// A server node that counts the datagrams it is sent.
+    struct Counted(Box<dyn Node>, Hits);
+
+    impl Node for Counted {
+        fn handle(&mut self, now: SimTime, dgram: &Datagram, out: &mut Actions) {
+            self.1 .0.set(self.1 .0.get() + 1);
+            self.0.handle(now, dgram, out);
+        }
+
+        fn role(&self) -> &'static str {
+            self.0.role()
+        }
+    }
+
+    fn counted(node: impl Node + 'static) -> (Box<dyn Node>, Hits) {
+        let hits = Hits::default();
+        (Box::new(Counted(Box::new(node), hits.clone())), hits)
+    }
+
+    /// What the root, the `com` and the `org` servers of
+    /// [`counted_world`] were sent.
+    struct WorldHits {
+        root: Hits,
+        com: Hits,
+        org: Hits,
+    }
+
+    /// [`build_world`], with the root and both TLD servers counted.
+    fn counted_world() -> (Network, Ipv4Addr, WorldHits) {
         let root_ip = Ipv4Addr::new(198, 41, 0, 4);
         let com_ip = Ipv4Addr::new(192, 5, 6, 30);
         let org_ip = Ipv4Addr::new(192, 5, 6, 31);
@@ -536,18 +669,12 @@ mod tests {
         reg.delegate(&n("hosted.org"), vec![(n("ns.provider.com"), provider_ns)]);
 
         let mut net = Network::new(99);
-        net.add_node(
-            root_ip,
-            Box::new(StaticZoneNode::single(reg.build_root_zone())),
-        );
-        net.add_node(
-            com_ip,
-            Box::new(StaticZoneNode::single(reg.build_tld_zone(&n("com")))),
-        );
-        net.add_node(
-            org_ip,
-            Box::new(StaticZoneNode::single(reg.build_tld_zone(&n("org")))),
-        );
+        let (root, root_hits) = counted(StaticZoneNode::single(reg.build_root_zone()));
+        net.add_node(root_ip, root);
+        let (com, com_hits) = counted(StaticZoneNode::single(reg.build_tld_zone(&n("com"))));
+        net.add_node(com_ip, com);
+        let (org, org_hits) = counted(StaticZoneNode::single(reg.build_tld_zone(&n("org"))));
+        net.add_node(org_ip, org);
 
         let mut example_zone = Zone::new(n("example.com"));
         example_zone.add(Record::new(
@@ -559,6 +686,11 @@ mod tests {
             n("www.example.com"),
             300,
             RData::Cname(n("example.com")),
+        ));
+        example_zone.add(Record::new(
+            n("away.example.com"),
+            300,
+            RData::Cname(n("hosted.org")),
         ));
         net.add_node(example_ns, Box::new(StaticZoneNode::single(example_zone)));
 
@@ -593,7 +725,12 @@ mod tests {
             resolver_ip,
             Box::new(RecursorNode::new(resolver_ip, root_ip, 1)),
         );
-        (net, resolver_ip)
+        let hits = WorldHits {
+            root: root_hits,
+            com: com_hits,
+            org: org_hits,
+        };
+        (net, resolver_ip, hits)
     }
 
     fn resolve(
@@ -766,6 +903,155 @@ mod tests {
         let resp = resolve(&mut net, resolver, "example.com", RecordType::Txt, 11).unwrap();
         assert_eq!(resp.rcode(), Rcode::NoError);
     }
+
+    #[test]
+    fn a_second_name_under_a_cached_tld_sends_nothing_to_the_root() {
+        let (mut net, resolver, hits) = counted_world();
+        resolve(&mut net, resolver, "example.com", RecordType::A, 1).unwrap();
+        assert_eq!((hits.root.get(), hits.com.get()), (1, 1));
+        // provider.com is another zone under com: the walk starts at com.
+        let resp = resolve(&mut net, resolver, "ns1.provider.com", RecordType::A, 2).unwrap();
+        assert_eq!(
+            resp.answers[0].rdata.as_a(),
+            Some(Ipv4Addr::new(198, 18, 0, 1))
+        );
+        assert_eq!((hits.root.get(), hits.com.get()), (1, 2));
+        // A new name in a cached zone goes straight to the zone's server.
+        let resp = resolve(&mut net, resolver, "www.example.com", RecordType::A, 3).unwrap();
+        assert_eq!(resp.answers.len(), 2);
+        assert_eq!((hits.root.get(), hits.com.get()), (1, 2));
+    }
+
+    #[test]
+    fn a_cname_into_another_zone_restarts_at_the_closest_cut() {
+        let (mut net, resolver, hits) = counted_world();
+        // Learn the cuts of com, example.com, org and hosted.org (the last
+        // through the internal lookup of its glueless nameserver), and no
+        // answer the CNAME's target could be served from.
+        resolve(&mut net, resolver, "example.com", RecordType::A, 1).unwrap();
+        let resp = resolve(&mut net, resolver, "hosted.org", RecordType::Txt, 2).unwrap();
+        assert_eq!(resp.rcode(), Rcode::NoError);
+        let before = (hits.root.get(), hits.com.get(), hits.org.get());
+        let resp = resolve(&mut net, resolver, "away.example.com", RecordType::A, 3).unwrap();
+        assert_eq!(resp.rcode(), Rcode::NoError);
+        assert!(matches!(resp.answers[0].rdata, RData::Cname(_)));
+        assert_eq!(
+            resp.answers[1].rdata.as_a(),
+            Some(Ipv4Addr::new(203, 0, 113, 90))
+        );
+        let after = (hits.root.get(), hits.com.get(), hits.org.get());
+        assert_eq!(after, before, "the restart walked from above hosted.org");
+    }
+
+    #[test]
+    fn a_cut_expires_at_its_clamped_ttl() {
+        let root_ip = Ipv4Addr::new(198, 41, 0, 4);
+        let com_ip = Ipv4Addr::new(192, 5, 6, 30);
+        // A root that hands com out for far longer than a resolver keeps
+        // anything; com itself is empty, so every name under it is
+        // NXDOMAIN and no answer is cached twice.
+        let mut root = Zone::new(Name::root());
+        root.add(Record::new(n("com"), 10_000_000, RData::Ns(n("a-ns.com"))));
+        root.add(Record::new(n("a-ns.com"), 10_000_000, RData::A(com_ip)));
+        let mut net = Network::new(7);
+        let (root, root_hits) = counted(StaticZoneNode::single(root));
+        net.add_node(root_ip, root);
+        net.add_node(
+            com_ip,
+            Box::new(StaticZoneNode::single(Zone::new(n("com")))),
+        );
+        let resolver = Ipv4Addr::new(9, 9, 9, 9);
+        net.add_node(resolver, Box::new(RecursorNode::new(resolver, root_ip, 1)));
+
+        let resp = resolve(&mut net, resolver, "a.com", RecordType::A, 1).unwrap();
+        assert_eq!(resp.rcode(), Rcode::NxDomain);
+        assert_eq!(root_hits.get(), 1);
+        // The cut was learned less than a second before this.
+        let learned = net.now();
+        net.run_until(learned + SimDuration::from_secs(86_399));
+        resolve(&mut net, resolver, "b.com", RecordType::A, 2).unwrap();
+        assert_eq!(root_hits.get(), 1, "the cut expired early");
+        net.run_until(learned + SimDuration::from_secs(86_401));
+        resolve(&mut net, resolver, "c.com", RecordType::A, 3).unwrap();
+        assert_eq!(root_hits.get(), 2, "the cut outlived the one-day clamp");
+    }
+
+    /// A server that answers every query with a referral of `zone` to
+    /// `ns.target.org` at `target`, whatever it was asked.
+    struct Liar {
+        zone: Name,
+        target: Ipv4Addr,
+    }
+
+    impl Node for Liar {
+        fn handle(&mut self, _now: SimTime, dgram: &Datagram, out: &mut Actions) {
+            let Ok(query) = Message::decode(&dgram.payload) else {
+                return;
+            };
+            let ns = n("ns.target.org");
+            let mut resp = Message::response_to(&query, Rcode::NoError);
+            resp.authorities
+                .push(Record::new(self.zone.clone(), 3600, RData::Ns(ns.clone())));
+            resp.additionals
+                .push(Record::new(ns, 3600, RData::A(self.target)));
+            out.send(dgram.reply(resp.encode().unwrap()));
+        }
+    }
+
+    #[test]
+    fn an_out_of_bailiwick_referral_is_followed_but_not_cached() {
+        // victim.com's server refers its own names to `zone`: org, which
+        // does not enclose them, or com, which is not below victim.com.
+        for (zone, later) in [("org", "x.org"), ("com", "other.com")] {
+            let root_ip = Ipv4Addr::new(198, 41, 0, 4);
+            let com_ip = Ipv4Addr::new(192, 5, 6, 30);
+            let org_ip = Ipv4Addr::new(192, 5, 6, 31);
+            let liar_ip = Ipv4Addr::new(203, 0, 113, 66);
+            let target_ip = Ipv4Addr::new(203, 0, 113, 77);
+            let mut reg = DelegationRegistry::new();
+            reg.set_root(root_ip);
+            reg.add_tld(n("com"), com_ip);
+            reg.add_tld(n("org"), org_ip);
+            reg.delegate(&n("victim.com"), vec![(n("ns.victim.com"), liar_ip)]);
+            let mut net = Network::new(3);
+            let (root, root_hits) = counted(StaticZoneNode::single(reg.build_root_zone()));
+            net.add_node(root_ip, root);
+            let (com, com_hits) = counted(StaticZoneNode::single(reg.build_tld_zone(&n("com"))));
+            net.add_node(com_ip, com);
+            let org = StaticZoneNode::single(reg.build_tld_zone(&n("org")));
+            net.add_node(org_ip, Box::new(org));
+            let zone_name = n(zone);
+            let liar = Liar {
+                zone: zone_name,
+                target: target_ip,
+            };
+            net.add_node(liar_ip, Box::new(liar));
+            let mut victim = Zone::new(n("victim.com"));
+            let www = Ipv4Addr::new(203, 0, 113, 7);
+            victim.add(Record::new(n("www.victim.com"), 300, RData::A(www)));
+            net.add_node(target_ip, Box::new(StaticZoneNode::single(victim)));
+            let resolver = Ipv4Addr::new(9, 9, 9, 9);
+            net.add_node(resolver, Box::new(RecursorNode::new(resolver, root_ip, 1)));
+
+            let resp = resolve(&mut net, resolver, "www.victim.com", RecordType::A, 1).unwrap();
+            assert_eq!(
+                resp.answers[0].rdata.as_a(),
+                Some(www),
+                "{zone}: not followed"
+            );
+            let before = (root_hits.get(), com_hits.get());
+            // Had the referral been cached, this would go to the target,
+            // which refuses it.
+            let resp = resolve(&mut net, resolver, later, RecordType::A, 2).unwrap();
+            assert_eq!(resp.rcode(), Rcode::NxDomain, "{zone}: the lie was cached");
+            let after = (root_hits.get(), com_hits.get());
+            let want = match zone {
+                "org" => (before.0 + 1, before.1),
+                _ => (before.0, before.1 + 1),
+            };
+            assert_eq!(after, want, "{zone}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -778,10 +1064,8 @@ mod tcp_fallback_tests {
         s.parse().unwrap()
     }
 
-    /// A delegated zone with 40 A records: the UDP leg truncates, the
-    /// recursor retries over TCP and returns the complete RRset.
-    #[test]
-    fn recursor_fetches_fat_rrset_over_tcp() {
+    /// A delegated zone with 40 A records, and a resolver in front of it.
+    fn fat_world() -> (Network, Ipv4Addr) {
         let root_ip = Ipv4Addr::new(198, 41, 0, 4);
         let com_ip = Ipv4Addr::new(192, 5, 6, 30);
         let auth_ip = Ipv4Addr::new(203, 0, 113, 53);
@@ -813,7 +1097,14 @@ mod tcp_fallback_tests {
             resolver_ip,
             Box::new(RecursorNode::new(resolver_ip, root_ip, 5)),
         );
+        (net, resolver_ip)
+    }
 
+    /// The UDP leg truncates, the recursor retries over TCP and returns
+    /// the complete RRset.
+    #[test]
+    fn recursor_fetches_fat_rrset_over_tcp() {
+        let (mut net, resolver_ip) = fat_world();
         let resp = authdns::dns_query(
             &mut net,
             Ipv4Addr::new(10, 0, 0, 6),
@@ -829,5 +1120,34 @@ mod tcp_fallback_tests {
             40,
             "full RRset must arrive via TCP fallback"
         );
+    }
+
+    /// A client asking over UDP gets the bytes the owned encoder cuts at
+    /// 512, whether the job answers it or the cache does.
+    #[test]
+    fn a_fat_rrset_over_udp_is_the_owned_truncation() {
+        let (mut net, resolver_ip) = fat_world();
+        let client = Endpoint::new(Ipv4Addr::new(10, 0, 0, 6), 4444);
+        let server = Endpoint::new(resolver_ip, 53);
+        let mut ask = |proto, id| {
+            let query = dnswire::encode_query(id, n("fat.com").borrowed(), RecordType::A);
+            let timeout = SimDuration::from_secs(10);
+            net.rpc(client, server, proto, query, timeout)
+                .expect("answered")
+        };
+        let by_job = ask(simnet::Proto::Udp, 41);
+        let full = dnswire::Message::decode(&ask(simnet::Proto::Tcp, 42)).unwrap();
+        assert_eq!(full.answers.len(), 40);
+        let from_cache = ask(simnet::Proto::Udp, 43);
+        for (id, got) in [(41, by_job), (43, from_cache)] {
+            let asked = Question::new(n("fat.com"), RecordType::A);
+            let mut want =
+                dnswire::Message::response_to(&dnswire::Message::query(id, asked), Rcode::NoError);
+            want.flags.recursion_available = true;
+            want.answers = full.answers.clone();
+            let want = want.encode_truncated(dnswire::MAX_UDP_PAYLOAD).unwrap();
+            assert_eq!(got, want, "reply {id}");
+            assert!(dnswire::Message::decode(&got).unwrap().flags.truncated);
+        }
     }
 }
