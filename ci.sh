@@ -53,11 +53,14 @@ echo "== stale names: the deleted executor, collectors, knobs, timers and dead c
 # type), and a resolver that keeps its caches in folded-name maps (no
 # `(Name, RecordType)` key cloned per lookup) and a fold that counts
 # Table 1's Total row as the union of its per-type rows (no set of its
-# own): none of the names of what was removed may come back in code,
-# tests or docs. (`fn
+# own), and a scan of the paper's two record types (no MX extension: no
+# flag, config, follow-up probe, auxiliary record set, MX exclusion,
+# reason, Table 1 slot or test file), and a metrics registry that layers
+# publish into directly (no worker-local counter shard to merge): none of
+# the names of what was removed may come back in code, tests or docs. (`fn
 # hash_one` is the deleted helper; std's `BuildHasher::hash_one`, which
 # the map hasher's tests call, stays legal.)
-if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs|\(usize, usize, RecordType\)|partition_scan_tasks|ShardTask|collect_urs_sharded_on|scan_shards|quarantine_cooldown|health_probe|probe_ns_released|txt_strings|aux_records: Vec|PublishOnExit|classify_wait_us|EgressMonitor|BypassAlert|simnet::pcap|to_pcap|--pcap|--expand-pdns|expand_targets_from_pdns|with_pdns_expansion|subdomains_of|--payload-match|match_txt_payloads|with_payload_matching|payload_matched|tests/(pdns_expansion|txt_payloads)\.rs|with_rtt_k|--rtt-k|PayloadSignature\b|match_text|match_payload|HashWriter|fn hash_one\b|ReportBuilder|classify_shard|absorb_one|DigestRow|HashMap<\(Name, RecordType\)|acc_total' \
+if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs|\(usize, usize, RecordType\)|partition_scan_tasks|ShardTask|collect_urs_sharded_on|scan_shards|quarantine_cooldown|health_probe|probe_ns_released|txt_strings|aux_records|PublishOnExit|classify_wait_us|EgressMonitor|BypassAlert|simnet::pcap|to_pcap|--pcap|--expand-pdns|expand_targets_from_pdns|with_pdns_expansion|subdomains_of|--payload-match|match_txt_payloads|with_payload_matching|payload_matched|tests/(pdns_expansion|txt_payloads)\.rs|with_rtt_k|--rtt-k|PayloadSignature\b|match_text|match_payload|HashWriter|fn hash_one\b|ReportBuilder|classify_shard|absorb_one|DigestRow|HashMap<\(Name, RecordType\)|acc_total|--extended|HunterConfig::extended|classify_mx|MxExact|mx_exact|saw_mx|mx_extension|MetricShard|merge_shard' \
     crates tests examples README.md DESIGN.md EXPERIMENTS.md; then
     echo "ci.sh: a deleted name is back (see the matches above)" >&2
     exit 1

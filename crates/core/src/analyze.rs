@@ -176,7 +176,7 @@ pub fn evidence_histogram(analysis: &Analysis) -> BTreeMap<&'static str, usize> 
 mod tests {
     use super::*;
     use crate::types::{CollectedUr, UrKey};
-    use dnswire::{Name, RData, RDataSet};
+    use dnswire::{Name, RData};
     use intel::{ThreatTag, VendorFeed};
 
     use intern::InternedName;
@@ -209,7 +209,6 @@ mod tests {
                     rtype,
                 },
                 records,
-                aux_records: RDataSet::default(),
                 provider: "P".into(),
                 authoritative: true,
                 recursion_available: false,

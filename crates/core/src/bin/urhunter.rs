@@ -6,7 +6,7 @@
 //!          [--shards N] [--workers N]
 //!          [--retries N] [--timeout MS] [--fault-drop P]
 //!          [--adaptive] [--rate-limit N]
-//!          [--extended] [--ethics] [--metrics-out FILE]
+//!          [--ethics] [--metrics-out FILE]
 //! ```
 //!
 //! `--world` selects a memory-profile preset: `medium` runs the
@@ -24,8 +24,8 @@
 //! naming the flag), found before any world is built. So is a flag that
 //! cannot apply: `--scale` beside any `--world`, whose preset fixes the
 //! world's size; `--shards` on a materialized world, whose shard layout is
-//! fixed; and `--report`, `--ethics`, `--extended` and `--metrics-out`
-//! on `--world paper|xl`.
+//! fixed; and `--report`, `--ethics` and `--metrics-out` on
+//! `--world paper|xl`.
 //!
 //! The six scan flags (`--workers`, `--retries`, `--timeout`,
 //! `--fault-drop`, `--adaptive`, `--rate-limit`) are parsed,
@@ -45,7 +45,6 @@
 //!   urhunter --world xl --shards 16 --workers 4
 //!   urhunter --fault-drop 0.05 --retries 5 --timeout 2000
 //!   urhunter --metrics-out metrics.jsonl
-//!   urhunter --extended --report table1
 
 use std::process::ExitCode;
 use urhunter::cli::{value, ScanFlags};
@@ -60,7 +59,6 @@ struct Args {
     /// World-shard count of `--world paper|xl`.
     shards: Option<usize>,
     scan: ScanFlags,
-    extended: bool,
     ethics: bool,
     metrics_out: Option<String>,
 }
@@ -70,7 +68,7 @@ fn usage() -> ! {
         "usage: urhunter [--scale small|default] [--world medium|paper|xl] [--seed N] \
          [--report summary|table1|figure2|figure3|table2|all]\n\
          \u{20}               [--shards N] [SCAN FLAGS]\n\
-         \u{20}               [--extended] [--ethics] [--metrics-out FILE]\n\
+         \u{20}               [--ethics] [--metrics-out FILE]\n\
          \u{20} --world medium runs the materialized medium world through the full\n\
          \u{20} pipeline; --world paper|xl runs the paper-scale streamed path (lazy\n\
          \u{20} plan-backed fabrics, URs folded as they arrive) and prints the\n\
@@ -117,7 +115,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         report: None,
         shards: None,
         scan: ScanFlags::default(),
-        extended: false,
         ethics: false,
         metrics_out: None,
     };
@@ -135,7 +132,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     &["summary", "table1", "figure2", "figure3", "table2", "all"],
                 )?)
             }
-            "--extended" => args.extended = true,
             "--ethics" => args.ethics = true,
             "--metrics-out" => args.metrics_out = Some(need(&arg, &mut it)?),
             "--help" | "-h" => usage(),
@@ -156,7 +152,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             for (set, flag) in [
                 (args.report.is_some(), "--report"),
                 (args.ethics, "--ethics"),
-                (args.extended, "--extended"),
                 (args.metrics_out.is_some(), "--metrics-out"),
             ] {
                 if set {
@@ -248,15 +243,11 @@ fn main() -> ExitCode {
     if let Some(seed) = args.seed {
         config = config.with_seed(seed);
     }
-    let mut hunter = if args.ethics {
+    let mut hunter = args.scan.apply(if args.ethics {
         HunterConfig::paper_faithful()
     } else {
         HunterConfig::fast()
-    };
-    if args.extended {
-        hunter.collect.query_types = HunterConfig::extended().collect.query_types;
-    }
-    hunter = args.scan.apply(hunter);
+    });
     let hub = args.metrics_out.as_ref().map(|_| obs::Obs::shared());
     if let Some(hub) = &hub {
         hunter = hunter.with_obs(hub.clone());
@@ -398,7 +389,6 @@ mod tests {
             &["--scale", "default"][..],
             &["--report", "table1"],
             &["--ethics"],
-            &["--extended"],
             &["--metrics-out", "metrics.jsonl"],
         ];
         for flag in flags {
@@ -431,7 +421,7 @@ mod tests {
         // Spelled in parts: ci.sh's stale-name gate keeps the whole flag
         // names out of the tree. `main` answers an unknown argument with
         // the usage and exit 2.
-        for name in ["expand-pdns", "payload-match", "pcap"] {
+        for name in ["expand-pdns", "payload-match", "pcap", "extended"] {
             let flag = format!("--{name}");
             let err = parse(&[&flag, "x"])
                 .err()

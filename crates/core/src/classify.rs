@@ -75,17 +75,16 @@ fn nonempty_subset<T: Eq + std::hash::Hash>(sub: &FxHashSet<T>, sup: &FxHashSet<
     !sub.is_empty() && sub.is_subset(sup)
 }
 
-/// The first Appendix-B subset condition (IP, AS, geo, then certificate
-/// when `certs` is set) under which `ips` falls inside the correct
-/// profile. Each attribute set is built only once the condition before it
-/// has failed: the IP subset decides most exclusions, and an AS, geo or
-/// certificate set costs one `NetDb` lookup per address.
+/// The first Appendix-B subset condition (IP, AS, geo, then certificate)
+/// under which `ips` falls inside the correct profile. Each attribute set
+/// is built only once the condition before it has failed: the IP subset
+/// decides most exclusions, and an AS, geo or certificate set costs one
+/// `NetDb` lookup per address.
 fn subset_reason(
     ips: &[Ipv4Addr],
     profile: &DomainProfile,
     metadata: &NetDb,
     cfg: &ClassifyConfig,
-    certs: bool,
 ) -> Option<CorrectReason> {
     if ips.is_empty() {
         return None;
@@ -112,8 +111,7 @@ fn subset_reason(
         )
     {
         Some(CorrectReason::GeoSubset)
-    } else if certs
-        && cfg.use_cert_subset
+    } else if cfg.use_cert_subset
         && nonempty_subset(
             &set_of(ips, |ip| metadata.cert_of(ip).map(|c| c.fingerprint)),
             &profile.certs,
@@ -146,7 +144,7 @@ fn classify_a(
     let ips = ur.a_ips();
     let profile = correct.profile(&ur.key.domain);
 
-    let reason = subset_reason(&ips, profile, metadata, cfg, true)
+    let reason = subset_reason(&ips, profile, metadata, cfg)
         .or_else(|| in_history(ur, history, cfg).then_some(CorrectReason::PassiveDns))
         .or_else(|| {
             // Parking/redirect keyword exclusion over the HTTP profiles of
@@ -201,40 +199,10 @@ fn classify_txt(
     (reason, txt_category, embedded)
 }
 
-fn classify_mx(
-    ur: &CollectedUr,
-    correct: &CorrectDb,
-    metadata: &NetDb,
-    history: &PassiveDns,
-    cfg: &ClassifyConfig,
-) -> Decision {
-    let profile = correct.profile(&ur.key.domain);
-    // Exchange addresses gathered by the collection follow-up.
-    let ips: Vec<Ipv4Addr> = ur.aux_records.iter().filter_map(|r| r.as_a()).collect();
-    // Rendered as `RData`'s `Display` renders, which is how the correct
-    // MX set was interned.
-    let rendered: Vec<String> = ur.records.iter().map(|r| r.to_string()).collect();
-
-    let reason = if !rendered.is_empty()
-        && rendered
-            .iter()
-            .all(|m| intern::Sym::lookup(m).is_some_and(|s| profile.mxs.contains(&s)))
-    {
-        Some(CorrectReason::MxExact)
-    } else if in_history(ur, history, cfg) {
-        Some(CorrectReason::PassiveDns)
-    } else {
-        // The A-style uniformity conditions, over the exchange hosts'
-        // addresses (there is no certificate on a mail exchange).
-        subset_reason(&ips, profile, metadata, cfg, false)
-    };
-    (reason, None, ips)
-}
-
 /// Every Appendix-B exclusion condition (and auxiliary exclusion) in
 /// declaration order, with the name of the verdict-funnel counter of the
 /// correct verdicts it decided.
-pub(crate) const REASON_METRICS: [(CorrectReason, &str); 9] = [
+pub(crate) const REASON_METRICS: [(CorrectReason, &str); 8] = [
     (CorrectReason::IpSubset, "classify_correct_ip_subset"),
     (CorrectReason::AsSubset, "classify_correct_as_subset"),
     (CorrectReason::GeoSubset, "classify_correct_geo_subset"),
@@ -243,7 +211,6 @@ pub(crate) const REASON_METRICS: [(CorrectReason, &str); 9] = [
     (CorrectReason::Parked, "classify_correct_parked"),
     (CorrectReason::Redirect, "classify_correct_redirect"),
     (CorrectReason::TxtExact, "classify_correct_txt_exact"),
-    (CorrectReason::MxExact, "classify_correct_mx_exact"),
 ];
 
 // A fold counts a reason at `reason as usize`, so the table is in
@@ -307,7 +274,6 @@ impl<'a> StreamClassifier<'a> {
             _ if protective => (None, txt_category_of(&ur), Vec::new()),
             RecordType::A => classify_a(&ur, correct, metadata, history, cfg),
             RecordType::Txt => classify_txt(&ur, correct, history, cfg),
-            RecordType::Mx => classify_mx(&ur, correct, metadata, history, cfg),
             _ => (None, None, Vec::new()),
         };
         let category = match correct_reason {
@@ -329,7 +295,7 @@ impl<'a> StreamClassifier<'a> {
 mod tests {
     use super::*;
     use crate::types::{ProtectiveProfile, UrKey};
-    use dnswire::{Name, RData, RDataSet};
+    use dnswire::{Name, RData};
     use netdb::{CertInfo, GeoInfo, HttpProfile};
 
     use intern::InternedName;
@@ -350,7 +316,6 @@ mod tests {
                 rtype: RecordType::A,
             },
             records: addrs.iter().map(|a| RData::A(ip(a))).collect(),
-            aux_records: RDataSet::default(),
             provider: "P".into(),
             authoritative: true,
             recursion_available: false,
@@ -365,28 +330,23 @@ mod tests {
                 rtype: RecordType::Txt,
             },
             records: [RData::txt_from_str(text)].into_iter().collect(),
-            aux_records: RDataSet::default(),
             provider: "P".into(),
             authoritative: true,
             recursion_available: false,
         }
     }
 
-    fn mx_rdata(exchange: &str) -> RData {
-        RData::Mx {
+    /// An MX UR for `domain` naming `exchange`: a type the paper does
+    /// not scan, so no condition reads it.
+    fn mx_ur(domain: &str, ns: &str, exchange: &str) -> CollectedUr {
+        let mut ur = a_ur(domain, ns, &[]);
+        ur.key.rtype = RecordType::Mx;
+        ur.records = [RData::Mx {
             preference: 10,
             exchange: n(exchange),
-        }
-    }
-
-    /// An MX UR for `domain` naming `exchange`, with the collection
-    /// follow-up's exchange addresses as auxiliary records.
-    fn mx_ur(domain: &str, ns: &str, exchange: &str, addrs: &[&str]) -> CollectedUr {
-        let mut ur = a_ur(exchange, ns, addrs);
-        ur.aux_records = std::mem::take(&mut ur.records);
-        ur.key.domain = InternedName::intern(&n(domain));
-        ur.key.rtype = RecordType::Mx;
-        ur.records = [mx_rdata(exchange)].into_iter().collect();
+        }]
+        .into_iter()
+        .collect();
         ur
     }
 
@@ -409,9 +369,6 @@ mod tests {
             .certs
             .insert(CertInfo::for_domain("site.com", "SimCA").fingerprint);
         profile.txts.insert("v=spf1 ip4:30.0.0.10 -all".into());
-        profile
-            .mxs
-            .insert(mx_rdata("mail.site.com").to_string().as_str().into());
         correct
             .domains
             .insert(InternedName::intern(&n("site.com")), profile);
@@ -572,38 +529,9 @@ mod tests {
     }
 
     #[test]
-    fn mx_exact_match_is_correct() {
-        let f = fixture();
-        let c = run(&f, &mx_ur("site.com", "20.0.0.5", "mail.site.com", &[]));
-        assert_eq!(c.category, UrCategory::Correct);
-        assert_eq!(c.correct_reason, Some(CorrectReason::MxExact));
-    }
-
-    #[test]
-    fn mx_exchange_in_the_correct_as_is_correct_via_as() {
-        let f = fixture();
-        let c = run(
-            &f,
-            &mx_ur("site.com", "20.0.0.5", "mx.other.net", &["30.0.0.12"]),
-        );
-        assert_eq!(c.correct_reason, Some(CorrectReason::AsSubset));
-        assert_eq!(c.corresponding_ips, vec![ip("30.0.0.12")]);
-    }
-
-    #[test]
-    fn mx_exchange_in_the_correct_geo_is_correct_via_geo() {
-        let f = fixture();
-        let c = run(
-            &f,
-            &mx_ur("site.com", "20.0.0.5", "mx.other.net", &["50.0.0.10"]),
-        );
-        assert_eq!(c.correct_reason, Some(CorrectReason::GeoSubset));
-    }
-
-    #[test]
     fn mx_without_exchange_addresses_or_match_stays_suspicious() {
         let f = fixture();
-        let c = run(&f, &mx_ur("site.com", "20.0.0.5", "mx.evil.net", &[]));
+        let c = run(&f, &mx_ur("site.com", "20.0.0.5", "mx.evil.net"));
         assert_eq!(c.category, UrCategory::Unknown);
         assert!(c.correct_reason.is_none() && c.corresponding_ips.is_empty());
     }

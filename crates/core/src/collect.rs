@@ -5,7 +5,7 @@
 use crate::query::{NsHealth, ProbeEngine};
 use crate::schedule::QueryScheduler;
 use crate::types::{CollectedUr, CorrectDb, DomainProfile, ProtectiveDb, UrKey};
-use dnswire::{Name, RDataSet, RDataView, Rcode, RecordType};
+use dnswire::{Name, Rcode, RecordType};
 use fxhash::FxHashMap;
 use intern::{InternedName, Sym};
 use simnet::Network;
@@ -85,7 +85,6 @@ pub(crate) fn query_one_ur(
             rtype,
         },
         records: resp.answers,
-        aux_records: RDataSet::default(),
         provider,
         authoritative: resp.flags.authoritative,
         recursion_available: resp.flags.recursion_available,
@@ -119,28 +118,15 @@ impl QidGen {
     }
 }
 
-/// The qid stream for one `(nameserver, target)` scan pair. MX follow-ups
-/// continue the same stream, so within a shard ids collide only after
-/// 65,535 probes of one pair.
+/// The qid stream for one `(nameserver, target)` scan pair. A scan task
+/// draws exactly one id, the first of its `(pair, rtype)` stream.
 pub fn scan_stream(ni: usize, di: usize) -> u64 {
     ((ni as u64) << 32) | di as u64
 }
 
-/// The ids of one scan task, first probe then MX follow-ups. A
-/// `(pair, rtype)` stream belongs to exactly one task, so the task counts
-/// its own draws.
-fn task_qids(ni: usize, di: usize, rtype: RecordType) -> impl FnMut() -> u16 {
-    let mut drawn = 0u32;
-    move || {
-        let id = QidGen::nth(scan_stream(ni, di), rtype, drawn);
-        drawn = drawn.wrapping_add(1);
-        id
-    }
-}
-
-/// The record types every scan pair is probed for. [`task_qids`] restarts
-/// the count per task, which equals one stream per `(pair, rtype)` only
-/// while no type is listed twice.
+/// The record types every scan pair is probed for. A task's id is the
+/// first of its `(pair, rtype)` stream, which is its own only while no
+/// type is listed twice.
 fn distinct_query_types(cfg: &CollectConfig) -> &[RecordType] {
     let types = &cfg.query_types;
     debug_assert!(
@@ -253,58 +239,6 @@ fn build_scan_tasks(
         }
     }
     tasks
-}
-
-/// One scan task end to end: the UR probe plus MX follow-ups, drawing qids
-/// from `next_qid`.
-#[allow(clippy::too_many_arguments)]
-fn probe_task(
-    net: &mut Network,
-    engine: &mut ProbeEngine,
-    mut next_qid: impl FnMut() -> u16,
-    ns_ip: Ipv4Addr,
-    provider: Sym,
-    domain: (&Name, InternedName),
-    rtype: RecordType,
-    cfg: &CollectConfig,
-) -> Option<CollectedUr> {
-    let qid = next_qid();
-    let mut ur = query_one_ur(
-        net,
-        engine,
-        cfg.scanner_ip,
-        ns_ip,
-        domain,
-        rtype,
-        qid,
-        provider,
-    )?;
-    // MX follow-up: resolve each exchange host's address at the same
-    // nameserver, so the analysis has corresponding IPs to judge. Only the
-    // exchange's own A records are kept: the set keeps no owner names, so
-    // the filter is the one place a stray record for another name is seen.
-    if rtype == RecordType::Mx {
-        let exchanges = ur.records.iter().filter_map(|r| match r {
-            RDataView::Mx { exchange, .. } => Some(exchange.to_name()),
-            _ => None,
-        });
-        for exchange in exchanges {
-            let qid = next_qid();
-            let aux = engine.query_keeping(
-                net,
-                cfg.scanner_ip,
-                ns_ip,
-                &exchange,
-                RecordType::A,
-                qid,
-                |r| r.rtype() == RecordType::A && r.name.matches(exchange.borrowed()),
-            );
-            if let Some(aux) = aux.filter(|aux| aux.rcode() == Rcode::NoError) {
-                ur.aux_records.append(aux.answers);
-            }
-        }
-    }
-    Some(ur)
 }
 
 /// RTT-ordered task selection for adaptive scans.
@@ -665,15 +599,15 @@ pub(crate) fn collect_urs_streamed<T: Send>(
             let rtype = types[ti];
             let ns_ip = nameservers[ni].ip;
             sched.admit(&mut net, ns_ip);
-            let ur = probe_task(
+            let ur = query_one_ur(
                 &mut net,
                 &mut engine,
-                task_qids(ni, di, rtype),
+                cfg.scanner_ip,
                 ns_ip,
-                providers[ni],
                 (&targets[di], target_keys[di]),
                 rtype,
-                cfg,
+                QidGen::nth(scan_stream(ni, di), rtype, 0),
+                providers[ni],
             );
             in_order.probed(pos, ur, &mut |ur| {
                 pending.push(ur);
@@ -791,7 +725,7 @@ pub fn collect_correct(
         let k = cfg.resolvers_per_domain.max(1).min(stable.len());
         for j in 0..k {
             let resolver = stable[resolver_pick(di, j, k, stable.len())];
-            for rt in [RecordType::A, RecordType::Txt, RecordType::Mx] {
+            for rt in [RecordType::A, RecordType::Txt] {
                 qid = qid.wrapping_add(1).max(1);
                 let Some(resp) = engine.query(net, cfg.scanner_ip, resolver, domain, rt, qid)
                 else {
@@ -805,8 +739,6 @@ pub fn collect_correct(
                         profile.ips.insert(ip);
                     } else if let Some(t) = r.txt_str() {
                         profile.txts.insert(Sym::intern(&t));
-                    } else if matches!(r, RDataView::Mx { .. }) {
-                        profile.mxs.insert(Sym::intern(&r.to_string()));
                     }
                 }
             }
@@ -977,6 +909,29 @@ mod tests {
         }
     }
 
+    /// The sweep asks each chosen resolver for the paper's two types, A
+    /// and TXT, and for nothing else.
+    #[test]
+    fn the_correct_record_sweep_probes_a_and_txt_only() {
+        let mut world = World::generate(WorldConfig::small());
+        let cfg = CollectConfig::default();
+        let targets = world.scan_targets();
+        let stable = world.resolvers.iter().filter(|r| r.stable).count();
+        let mut engine = ProbeEngine::new(crate::query::QueryPlan::default());
+        let world = &mut world;
+        collect_correct(
+            &mut world.net,
+            &mut engine,
+            &world.resolvers,
+            &world.db,
+            &targets,
+            &cfg,
+        );
+        let k = cfg.resolvers_per_domain.min(stable);
+        let scheduled = engine.take_coverage().scheduled;
+        assert_eq!(scheduled, (targets.len() * k * 2) as u64);
+    }
+
     #[test]
     fn task_codes_decode_and_shuffle_to_the_tuple_order() {
         let types = [RecordType::A, RecordType::Txt, RecordType::Mx];
@@ -1048,11 +1003,11 @@ mod tests {
         assert_eq!(codec.encode(65_534, 65_536, 0), u32::MAX - 1);
         assert_eq!(codec.decode(u32::MAX - 1), (65_534, 65_536, 0));
         assert_eq!(codec.nameserver(u32::MAX - 1), 65_534);
-        // The paper's inventory with MX (`--extended`): 53.6 M tasks.
-        let codec = TaskCodec::new(8_941, 2_000, 3);
+        // The paper's inventory: 35.8 M tasks.
+        let codec = TaskCodec::new(8_941, 2_000, 2);
         assert_eq!(
-            codec.decode(codec.encode(8_940, 1_999, 2)),
-            (8_940, 1_999, 2)
+            codec.decode(codec.encode(8_940, 1_999, 1)),
+            (8_940, 1_999, 1)
         );
     }
 
@@ -1126,9 +1081,9 @@ mod tests {
         }
     }
 
-    /// A nameserver that answers an MX query with one exchange, and the
-    /// exchange's A query with its record plus a stray A record of another
-    /// name in the same answer section.
+    /// A nameserver that answers every query with an A record of the asked
+    /// name, a stray A record of another name and a TXT record of the
+    /// asked name, all in one answer section.
     struct StrayAnswers;
 
     impl simnet::Node for StrayAnswers {
@@ -1142,55 +1097,41 @@ mod tests {
             let Ok(q) = Message::decode(&dgram.payload) else {
                 return;
             };
-            let question = q.question().expect("one question").clone();
+            let qname = q.question().expect("one question").qname.clone();
             let mut resp = Message::response_to(&q, Rcode::NoError);
-            let a = |name: &str, ip: [u8; 4]| {
-                Record::new(name.parse().unwrap(), 60, RData::A(ip.into()))
-            };
-            match question.qtype {
-                RecordType::Mx => resp.answers.push(Record::new(
-                    question.qname,
-                    60,
-                    RData::Mx {
-                        preference: 10,
-                        exchange: "mx.mail.example".parse().unwrap(),
-                    },
-                )),
-                RecordType::A => {
-                    resp.answers.push(a("mx.mail.example", [192, 0, 2, 10]));
-                    resp.answers.push(a("stray.example", [198, 51, 100, 66]));
-                }
-                _ => {}
-            }
+            let a = |name: Name, ip: [u8; 4]| Record::new(name, 60, RData::A(ip.into()));
+            resp.answers.push(a(qname.clone(), [192, 0, 2, 10]));
+            resp.answers
+                .push(a("stray.example".parse().unwrap(), [198, 51, 100, 66]));
+            resp.answers
+                .push(Record::new(qname, 60, RData::txt_from_str("v=spf1 -all")));
             out.send(dgram.reply(resp.encode().unwrap()));
         }
     }
 
+    /// A UR keeps no owner names or types, so the probe's filter is the one
+    /// place a record of another name or type is seen.
     #[test]
-    fn the_mx_follow_up_keeps_only_the_exchange_s_own_records() {
+    fn a_ur_keeps_only_the_asked_name_and_type() {
         let (scanner, ns_ip) = (Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(10, 9, 0, 1));
         let mut net = Network::new(3);
         net.register_external(scanner);
         net.add_node(ns_ip, Box::new(StrayAnswers));
         let mut engine = ProbeEngine::new(crate::query::QueryPlan::single_shot());
         let domain: Name = "victim.example".parse().unwrap();
-        let mut qid = 0u16;
-        let ur = probe_task(
+        let ur = query_one_ur(
             &mut net,
             &mut engine,
-            || {
-                qid += 1;
-                qid
-            },
+            scanner,
             ns_ip,
-            Sym::intern("P"),
             (&domain, InternedName::intern(&domain)),
-            RecordType::Mx,
-            &CollectConfig::default(),
+            RecordType::A,
+            1,
+            Sym::intern("P"),
         )
-        .expect("the MX probe is answered");
-        let exchange_ips: Vec<Ipv4Addr> = ur.aux_records.iter().filter_map(|r| r.as_a()).collect();
-        assert_eq!(exchange_ips, [Ipv4Addr::new(192, 0, 2, 10)]);
+        .expect("the probe is answered");
+        assert_eq!(ur.records.iter().count(), 1);
+        assert_eq!(ur.a_ips(), [Ipv4Addr::new(192, 0, 2, 10)]);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::query::{publish_probes, CoverageReport, ProbeEngine, QueryPlan};
 use crate::report::{DigestBatch, Report, RunFold};
 use crate::schedule::QueryScheduler;
 use crate::types::{ClassifiedUr, CollectedUr, CorrectDb, ProtectiveDb, UrCategory};
-use dnswire::RecordType;
 use intern::{InternedName, Sym};
 use simnet::{FaultPlan, SimDuration};
 use std::cell::OnceCell;
@@ -101,14 +100,6 @@ impl HunterConfig {
             per_server_interval: crate::schedule::PAPER_PER_SERVER_INTERVAL,
             ..HunterConfig::fast()
         }
-    }
-
-    /// The MX extension (§6 future work): probe MX records alongside A and
-    /// TXT, with exchange-address follow-ups.
-    pub fn extended() -> Self {
-        let mut cfg = HunterConfig::fast();
-        cfg.collect.query_types = vec![RecordType::A, RecordType::Txt, RecordType::Mx];
-        cfg
     }
 
     /// Set the worker-thread count (see [`HunterConfig::workers`]; `0` =

@@ -325,10 +325,9 @@ pub(crate) struct RunFold {
     totals: Totals,
     reasons: [usize; REASON_METRICS.len()],
     providers: FxHashMap<Sym, Totals>,
-    /// Table 1's accumulators: A, TXT, MX, and any other type (no row of
-    /// its own, but in the Total row).
-    by_type: [Table1Acc; 4],
-    saw_mx: bool,
+    /// Table 1's accumulators: A, TXT, and any other type (no row of its
+    /// own, but in the Total row).
+    by_type: [Table1Acc; 3],
     txt_email: usize,
     txt_malicious: usize,
 }
@@ -354,13 +353,11 @@ impl RunFold {
         if let Some(reason) = row.correct_reason {
             self.reasons[reason as usize] += 1;
         }
-        self.saw_mx |= row.rtype == RecordType::Mx;
         if matches!(row.category, UrCategory::Unknown | UrCategory::Malicious) {
             let slot = match row.rtype {
                 RecordType::A => 0,
                 RecordType::Txt => 1,
-                RecordType::Mx => 2,
-                _ => 3,
+                _ => 2,
             };
             self.by_type[slot].absorb(row, ips);
         }
@@ -391,12 +388,12 @@ impl RunFold {
     /// Close the fold: the report, with empty Figure 3 panels and an empty
     /// coverage, and the sequence digest.
     pub(crate) fn finish(self) -> (Report, u64) {
-        let [a, txt, mx, other] = &self.by_type;
-        let mut table1 = vec![Table1Acc::row("A", &[a]), Table1Acc::row("TXT", &[txt])];
-        if self.saw_mx {
-            table1.push(Table1Acc::row("MX", &[mx]));
-        }
-        table1.push(Table1Acc::row("Total", &[a, txt, mx, other]));
+        let [a, txt, other] = &self.by_type;
+        let table1 = vec![
+            Table1Acc::row("A", &[a]),
+            Table1Acc::row("TXT", &[txt]),
+            Table1Acc::row("Total", &[a, txt, other]),
+        ];
         let mut providers: Vec<ProviderRow> = self
             .providers
             .into_iter()
@@ -698,7 +695,6 @@ mod tests {
                     rtype,
                 },
                 records: [RData::A(ip("1.1.1.1"))].into_iter().collect(),
-                aux_records: RDataSet::default(),
                 provider: provider.into(),
                 authoritative: true,
                 recursion_available: false,
@@ -842,13 +838,14 @@ mod tests {
     }
 
     /// Every category, a correct reason present and absent, 0, 1 and many
-    /// addresses, mixed-case multi-label names, two providers, and a
-    /// suspicious row of each record type, one of them an email-related
-    /// malicious TXT record: each accumulator of the fold is reached.
+    /// addresses, mixed-case multi-label names, two providers, and
+    /// suspicious rows of A, of TXT (one of them an email-related malicious
+    /// record) and of two types with no row of their own: each accumulator
+    /// of the fold is reached.
     fn classified_sequence() -> Vec<ClassifiedUr> {
         use crate::types::TxtCategory::{Spf, Verification};
         use CorrectReason::*;
-        use RecordType::{Mx, Txt, A};
+        use RecordType::{Aaaa, Mx, Txt, A};
         use UrCategory::*;
         type Row = (
             &'static str,
@@ -891,16 +888,9 @@ mod tests {
                 None,
                 &[[1, 2, 3, 4], [1, 2, 3, 5], [9, 9, 9, 9], [1, 2, 3, 4]],
             ),
-            (
-                "mail.EXAMPLE.net",
-                3,
-                "Q",
-                Mx,
-                Correct,
-                Some(MxExact),
-                None,
-                &[],
-            ),
+            // Types with no Table 1 row of their own, MX among them: only
+            // the Total row counts them.
+            ("mail.EXAMPLE.net", 3, "Q", Mx, Unknown, None, None, &[]),
             (
                 "parked.Test",
                 2,
@@ -942,10 +932,10 @@ mod tests {
                 &[[6, 6, 6, 6]],
             ),
             (
-                "mx.example.org",
+                "v6.example.org",
                 4,
                 "Q",
-                Mx,
+                Aaaa,
                 Unknown,
                 None,
                 None,
@@ -975,7 +965,6 @@ mod tests {
                                 rtype,
                             },
                             records: RDataSet::default(),
-                            aux_records: RDataSet::default(),
                             provider: Sym::intern(provider),
                             authoritative: true,
                             recursion_available: false,
@@ -1021,12 +1010,11 @@ mod tests {
         }
 
         let pinned: Vec<(String, u64)> = [
-            ("classify_correct", 3),
+            ("classify_correct", 2),
             ("classify_correct_ip_subset", 1),
-            ("classify_correct_mx_exact", 1),
             ("classify_correct_pdns", 1),
             ("classify_protective", 1),
-            ("classify_suspicious", 6),
+            ("classify_suspicious", 7),
             ("classify_total", 10),
         ]
         .map(|(name, n)| (name.to_string(), n))
@@ -1034,9 +1022,9 @@ mod tests {
         assert_eq!(want_funnel, pinned, "only the non-zero counters");
         let totals = Totals {
             total: 10,
-            correct: 3,
+            correct: 2,
             protective: 1,
-            unknown: 4,
+            unknown: 5,
             malicious: 2,
         };
         assert_eq!(want.totals, totals);
@@ -1060,9 +1048,9 @@ mod tests {
             [
                 t1("A", [1, 1, 2, 1, 2, 1, 2, 1, 3, 1]),
                 t1("TXT", [3, 1, 2, 1, 2, 1, 3, 1, 2, 1]),
-                t1("MX", [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]),
-                // Domains 1 + 3 + 1 and addresses 3 + 2 + 1 in the parts.
-                t1("Total", [4, 2, 4, 2, 2, 1, 6, 2, 4, 1]),
+                // Domains 1 + 3 and addresses 3 + 2 in the parts, and the
+                // MX and AAAA rows' two domains and one address beside them.
+                t1("Total", [5, 2, 4, 2, 2, 1, 7, 2, 4, 1]),
             ]
         );
         let mix =
@@ -1076,7 +1064,7 @@ mod tests {
             };
         assert_eq!(
             want.providers,
-            [mix("Q", [6, 1, 1, 4, 0]), mix("P", [4, 2, 0, 0, 2])]
+            [mix("Q", [6, 0, 1, 5, 0]), mix("P", [4, 2, 0, 0, 2])]
         );
         assert_eq!(want.txt_email_related, (1, 1));
     }

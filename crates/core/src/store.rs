@@ -56,7 +56,7 @@ impl FromIterator<CollectedUr> for UrStore {
 mod tests {
     use super::*;
     use crate::types::UrKey;
-    use dnswire::{RData, RDataSet, RecordType};
+    use dnswire::{RData, RecordType};
     use intern::{InternedName, Sym};
     use std::net::Ipv4Addr;
 
@@ -71,7 +71,6 @@ mod tests {
             records: (0..recs)
                 .map(|i| RData::A(Ipv4Addr::new(203, 0, 113, i as u8)))
                 .collect(),
-            aux_records: RDataSet::default(),
             provider: Sym::intern("StoreTestDNS"),
             authoritative: ns.is_multiple_of(2),
             recursion_available: ns.is_multiple_of(3),

@@ -40,11 +40,6 @@ pub struct CollectedUr {
     pub key: UrKey,
     /// The data of the answer's records, in answer order.
     pub records: RDataSet,
-    /// Auxiliary record data gathered by follow-up probes at the same
-    /// nameserver — the A records of the exchange hosts named by MX URs
-    /// (the MX extension of §6's future work). Empty, and unallocated,
-    /// for every other UR.
-    pub aux_records: RDataSet,
     /// Provider operating the nameserver (from the NS inventory).
     pub provider: Sym,
     /// AA flag of the response (authoritative data).
@@ -82,9 +77,6 @@ pub struct DomainProfile {
     pub(crate) certs: FxHashSet<u64>,
     /// Correct TXT strings (exact-match exclusion for TXT URs).
     pub(crate) txts: FxHashSet<Sym>,
-    /// Correct MX data, rendered (`"pref exchange"`), for exact-match
-    /// exclusion of MX URs.
-    pub(crate) mxs: FxHashSet<Sym>,
 }
 
 /// Correct-record database over all target domains.
@@ -229,8 +221,6 @@ pub enum CorrectReason {
     Redirect,
     /// TXT exact match against correct TXT records.
     TxtExact,
-    /// MX exact match against correct MX records.
-    MxExact,
 }
 
 /// Why an address was deemed malicious (drives Fig. 3a).
@@ -247,7 +237,7 @@ pub enum MaliciousEvidence {
 /// A classified UR after the full pipeline.
 ///
 /// `run` returns one a UR, so the struct stays small: the collected
-/// record's data is one buffer each for answer and auxiliary records.
+/// record's data is one buffer.
 #[derive(Debug, Clone)]
 pub struct ClassifiedUr {
     /// The collected record.
@@ -263,9 +253,9 @@ pub struct ClassifiedUr {
     pub corresponding_ips: Vec<Ipv4Addr>,
 }
 
-// What a verdict costs inline (88 B on a 64-bit target); `run` keeps one
+// What a verdict costs inline (72 B on a 64-bit target); `run` keeps one
 // for every UR.
-const _: () = assert!(std::mem::size_of::<ClassifiedUr>() <= 88);
+const _: () = assert!(std::mem::size_of::<ClassifiedUr>() <= 72);
 
 #[cfg(test)]
 mod tests {
@@ -284,7 +274,6 @@ mod tests {
                 rtype,
             },
             records: records.into_iter().collect(),
-            aux_records: RDataSet::default(),
             provider: "P".into(),
             authoritative: true,
             recursion_available: false,

@@ -469,7 +469,6 @@ mod tests {
             ur: urhunter::CollectedUr {
                 key,
                 records: dnswire::RDataSet::default(),
-                aux_records: dnswire::RDataSet::default(),
                 provider: "P".into(),
                 authoritative: true,
                 recursion_available: false,

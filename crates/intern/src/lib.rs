@@ -10,7 +10,7 @@
 //!   suffixes). Whatever reads the name — `Hash`, `Ord`, `Display`, `==`
 //!   against a [`Name`] — is [`NameRef`]'s own implementation over the
 //!   stored bytes.
-//! * [`Sym`] — a handle for short strings (provider names, TXT/MX profile
+//! * [`Sym`] — a handle for short strings (provider names, TXT profile
 //!   entries) with `O(1)` equality and no per-clone allocation.
 //!
 //! Both tables are process-global, thread-safe and append-only, and their
@@ -285,7 +285,7 @@ fn sym_table() -> &'static RwLock<SymIds> {
 /// An interned string: a 4-byte `Copy` handle with `O(1)` equality.
 ///
 /// Unlike [`InternedName`], `Sym` is case-sensitive — it interns provider
-/// names and TXT/MX profile strings verbatim. `Ord` and `Display` observe
+/// names and TXT profile strings verbatim. `Ord` and `Display` observe
 /// the string so handles never leak insertion order into sorted output.
 ///
 /// ```

@@ -31,7 +31,7 @@ mod span;
 use export::render_jsonl;
 pub use export::render_prometheus;
 pub use metrics::{
-    Class, HistogramData, MetricData, MetricShard, MetricValue, MetricsRegistry, MetricsSnapshot,
+    Class, HistogramData, MetricData, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
 pub use sink::{EventSink, ObsEvent, DEFAULT_SINK_CAPACITY};
 pub use span::StageSpan;

@@ -153,14 +153,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Merge a worker-local shard: every shard counter is added to the
-    /// registry counter of the same name under `class`.
-    pub fn merge_shard(&self, class: Class, shard: &MetricShard) {
-        for (name, n) in &shard.counters {
-            self.add(name, class, *n);
-        }
-    }
-
     /// A point-in-time copy of every metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let slots = self.slots.lock().expect("metrics lock");
@@ -179,30 +171,6 @@ impl MetricsRegistry {
     /// deterministic fingerprint of a run's metrics.
     pub fn sim_hash(&self) -> u64 {
         self.snapshot().sim_hash()
-    }
-}
-
-/// A worker-local buffer of counter increments, merged into the registry
-/// with [`MetricsRegistry::merge_shard`].
-#[derive(Debug, Clone, Default)]
-pub struct MetricShard {
-    counters: BTreeMap<&'static str, u64>,
-}
-
-impl MetricShard {
-    /// An empty shard.
-    pub fn new() -> Self {
-        MetricShard::default()
-    }
-
-    /// Add `n` to the shard counter `name`.
-    pub(crate) fn add(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
-    }
-
-    /// Increment the shard counter `name` by one.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
     }
 }
 
@@ -466,24 +434,6 @@ mod tests {
         let h2 = reg.sim_hash();
         reg.add("sim_zero", Class::Sim, 0);
         assert_ne!(reg.sim_hash(), h2);
-    }
-
-    #[test]
-    fn shard_merge_is_order_independent() {
-        let mut a = MetricShard::new();
-        a.inc("x");
-        a.add("y", 2);
-        let mut b = MetricShard::new();
-        b.add("x", 10);
-        let r1 = MetricsRegistry::new();
-        r1.merge_shard(Class::Sim, &a);
-        r1.merge_shard(Class::Sim, &b);
-        let r2 = MetricsRegistry::new();
-        r2.merge_shard(Class::Sim, &b);
-        r2.merge_shard(Class::Sim, &a);
-        assert_eq!(r1.sim_hash(), r2.sim_hash());
-        assert_eq!(r1.counter_value("x"), Some(11));
-        assert_eq!(r1.counter_value("y"), Some(2));
     }
 
     #[test]

@@ -401,12 +401,16 @@ impl Builder {
     fn new(config: WorldConfig) -> Self {
         let rng = StdRng::seed_from_u64(config.seed);
         let tranco = TrancoList::generate(config.seed ^ 0x5452, config.top_domains);
+        let mut net = Network::new(config.seed ^ 0x4E45).with_latency(LatencyModel {
+            base: simnet::SimDuration::from_millis(5),
+            per_pair_spread_us: 45_000,
+        });
+        // Spent payloads go back to the codec's pool, so the support sweep
+        // and the sandboxes write their next datagram into a used buffer.
+        net.set_payload_recycler(Some(dnswire::bufpool::release));
         Builder {
             rng,
-            net: Network::new(config.seed ^ 0x4E45).with_latency(LatencyModel {
-                base: simnet::SimDuration::from_millis(5),
-                per_pair_spread_us: 45_000,
-            }),
+            net,
             db: NetDb::new(),
             registry: DelegationRegistry::new(),
             psl: PublicSuffixList::standard(),

