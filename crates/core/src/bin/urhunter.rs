@@ -5,7 +5,7 @@
 //!          [--report summary|table1|figure2|figure3|table2|all]
 //!          [--shards N] [--workers N]
 //!          [--retries N] [--timeout MS] [--fault-drop P]
-//!          [--adaptive] [--rate-limit N]
+//!          [--adaptive]
 //!          [--ethics] [--metrics-out FILE]
 //! ```
 //!
@@ -27,9 +27,8 @@
 //! fixed; and `--report`, `--ethics` and `--metrics-out` on
 //! `--world paper|xl`.
 //!
-//! The six scan flags (`--workers`, `--retries`, `--timeout`,
-//! `--fault-drop`, `--adaptive`, `--rate-limit`) are parsed,
-//! checked and applied by [`urhunter::cli`], the same code behind
+//! The five scan flags (`--workers`, `--retries`, `--timeout`,
+//! `--fault-drop`, `--adaptive`) are parsed, checked and applied by [`urhunter::cli`], the same code behind
 //! `urhunterd`'s; its `USAGE` block lists them.
 //!
 //! `--metrics-out FILE` attaches the observability hub to the run, prints
@@ -187,9 +186,8 @@ fn run_world_preset(args: &Args, preset: &str) -> ExitCode {
     if let Some(seed) = args.seed {
         config = config.with_seed(seed);
     }
-    // Under --rate-limit the streamed path shares one token bucket across
-    // all shard scans (a concatenated global timeline), so the shard count
-    // needs no clamping here.
+    // Pacing is per server, and a server belongs to one shard, so the
+    // shard count needs no clamping here.
     let shards = args.shards.unwrap_or(urhunter::SCAN_SHARDS);
     eprintln!(
         "generating streamed world (preset={preset}, seed={})...",
@@ -421,7 +419,13 @@ mod tests {
         // Spelled in parts: ci.sh's stale-name gate keeps the whole flag
         // names out of the tree. `main` answers an unknown argument with
         // the usage and exit 2.
-        for name in ["expand-pdns", "payload-match", "pcap", "extended"] {
+        for name in [
+            "expand-pdns",
+            "payload-match",
+            "pcap",
+            "extended",
+            "rate-limit",
+        ] {
             let flag = format!("--{name}");
             let err = parse(&[&flag, "x"])
                 .err()

@@ -1,4 +1,4 @@
-//! The six scan flags shared by `urhunter` and `urhunterd`.
+//! The five scan flags shared by `urhunter` and `urhunterd`.
 //!
 //! Both binaries hand every argument their own parser does not know to
 //! [`ScanFlags::parse_flag`], which checks its range and names the flag in
@@ -24,9 +24,8 @@ SCAN FLAGS (shared by urhunter and urhunterd):
                            stages
     --adaptive             RTT-derived per-attempt timeouts and RTT-ordered
                            scan rounds
-    --rate-limit N         cap the scan at N probes per simulated second, > 0
-    --workers, --adaptive and --rate-limit change wall or simulated
-    time only: the classified output is bit-identical.
+    --workers and --adaptive change wall or simulated time only: the
+    classified output is bit-identical.
 ";
 
 /// The scan flags one command line set; an absent flag leaves the
@@ -43,8 +42,6 @@ pub struct ScanFlags {
     pub(crate) fault_drop: Option<f64>,
     /// `--adaptive`.
     pub(crate) adaptive: bool,
-    /// `--rate-limit N`.
-    pub(crate) rate_limit: Option<u64>,
 }
 
 /// Take `flag`'s value from `rest` and require it to parse into `range`;
@@ -67,7 +64,7 @@ pub fn value<T: FromStr + PartialOrd, S: AsRef<str>>(
 }
 
 impl ScanFlags {
-    /// Record `flag` if it is one of the six scan flags, taking its value
+    /// Record `flag` if it is one of the five scan flags, taking its value
     /// from `rest`: `Ok(true)` when it was, `Ok(false)` when it is some
     /// other flag, and an error naming the flag for a missing or
     /// out-of-range value.
@@ -82,7 +79,6 @@ impl ScanFlags {
             "--timeout" => self.timeout_ms = Some(value(flag, rest, 1.., "a positive number")?),
             "--fault-drop" => self.fault_drop = Some(value(flag, rest, 0.0..=1.0, "in [0, 1]")?),
             "--adaptive" => self.adaptive = true,
-            "--rate-limit" => self.rate_limit = Some(value(flag, rest, 1.., "a positive number")?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -104,9 +100,6 @@ impl ScanFlags {
         }
         if self.adaptive {
             cfg = cfg.with_adaptive();
-        }
-        if let Some(n) = self.rate_limit {
-            cfg = cfg.with_rate_limit_per_sec(n);
         }
         cfg
     }
@@ -146,10 +139,6 @@ mod tests {
                 with(|c| c.scan_faults = Some(FaultPlan::lossy(0.1).scheduled_per_flow())),
             ),
             (&["--adaptive"], with(|c| c.retry.adaptive = true)),
-            (
-                &["--rate-limit", "2"],
-                with(|c| c.rate_limit_interval = SimDuration::from_millis(500)),
-            ),
         ] {
             let got = parse(args).expect("valid flag").apply(base());
             assert_eq!(format!("{got:?}"), format!("{expected:?}"), "{args:?}");
@@ -182,8 +171,6 @@ mod tests {
             &["--timeout", "1.5"],
             &["--fault-drop", "1.5"],
             &["--fault-drop", "NaN"],
-            &["--rate-limit", "0"],
-            &["--rate-limit"],
         ] {
             let err = parse(args).expect_err("must be rejected");
             assert!(err.contains(args[0]), "error for {args:?}: {err}");

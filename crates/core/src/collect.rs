@@ -26,7 +26,8 @@ pub struct CollectConfig {
     pub min_tail_sites: u32,
     /// How many stable open resolvers to consult per domain.
     pub resolvers_per_domain: usize,
-    /// Record types probed (paper: A and TXT).
+    /// Record types probed (paper: A and TXT), each listed once. The scan
+    /// panics on any other type: the classifier decides only these two.
     pub query_types: Vec<RecordType>,
 }
 
@@ -96,46 +97,46 @@ pub(crate) fn query_one_ur(
 ///
 /// A single global counter (`qid.wrapping_add(1).max(1)`) reuses ids after
 /// 65,535 probes *in total*, so on large worlds unrelated probes collide.
-/// Ids here are drawn per probe stream: each stream walks the nonzero
-/// 16-bit space from its own hash-derived offset, so an id repeats only
-/// after 65,535 probes of the *same* stream. Every stream has exactly one
-/// user, which counts its own draws — there is no generator state.
+/// Here a probe stream — a `(nameserver, target)` pair of the scan (see
+/// [`scan_stream`]), a target of the evaluation — sends exactly one probe
+/// per record type, so its id is a hash of the stream and the type, with
+/// no generator state.
 #[derive(Debug)]
 pub struct QidGen;
 
 impl QidGen {
-    /// The `n`-th id (from 0) of a probe stream: never zero, never repeated
-    /// within 65,535 consecutive draws of the stream. The bulk scan keys
-    /// streams by `(nameserver, target)` (see [`scan_stream`]) so a probe's
-    /// id depends only on its own stream's history — independent of how
-    /// probes to *other* nameservers interleave, and therefore of the
-    /// shard count.
-    pub fn nth(stream: u64, rtype: RecordType, n: u32) -> u16 {
+    /// The id of `stream`'s probe for `rtype`: never zero, and independent
+    /// of how probes to *other* nameservers interleave, and therefore of
+    /// the shard count.
+    pub fn of(stream: u64, rtype: RecordType) -> u16 {
         let base = stream
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(u64::from(rtype.code()).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        (((base as u32).wrapping_add(n) % 0xFFFF) + 1) as u16
+        (((base as u32) % 0xFFFF) + 1) as u16
     }
 }
 
-/// The qid stream for one `(nameserver, target)` scan pair. A scan task
-/// draws exactly one id, the first of its `(pair, rtype)` stream.
+/// The qid stream for one `(nameserver, target)` scan pair.
 pub fn scan_stream(ni: usize, di: usize) -> u64 {
     ((ni as u64) << 32) | di as u64
 }
 
-/// The record types every scan pair is probed for. A task's id is the
-/// first of its `(pair, rtype)` stream, which is its own only while no
-/// type is listed twice.
-fn distinct_query_types(cfg: &CollectConfig) -> &[RecordType] {
+/// The record types every scan pair is probed for, checked: each must be
+/// one the classifier decides (A or TXT; any other would come out Unknown,
+/// and so suspicious, whatever it held), and none may be listed twice (two
+/// tasks would share a qid). Panics naming the offending type.
+pub(crate) fn distinct_query_types(cfg: &CollectConfig) -> &[RecordType] {
     let types = &cfg.query_types;
-    debug_assert!(
-        types
-            .iter()
-            .enumerate()
-            .all(|(i, t)| !types[..i].contains(t)),
-        "query_types lists a type twice: two tasks would share a qid stream"
-    );
+    for (i, t) in types.iter().enumerate() {
+        assert!(
+            matches!(t, RecordType::A | RecordType::Txt),
+            "query_types lists {t}: the classifier decides A and TXT records only"
+        );
+        assert!(
+            !types[..i].contains(t),
+            "query_types lists {t} twice: two tasks would share a qid"
+        );
+    }
     types
 }
 
@@ -187,15 +188,6 @@ impl TaskCodec {
              {types} record types exceeds u32::MAX tasks"
         );
         TaskCodec { targets, types }
-    }
-
-    /// The codec of a scan of `targets` on `nameservers` for `cfg`'s types.
-    fn of(nameservers: &[NsInfo], targets: &[Name], cfg: &CollectConfig) -> Self {
-        TaskCodec::new(
-            nameservers.len(),
-            targets.len(),
-            distinct_query_types(cfg).len(),
-        )
     }
 
     fn encode(self, ni: usize, di: usize, ti: usize) -> ScanTask {
@@ -444,7 +436,7 @@ pub struct ShardedScanOutcome {
     /// How many shards actually ran.
     pub(crate) shards: usize,
     /// Total simulated time the shard schedulers spent blocked on pacing
-    /// buckets (per-server interval and global rate cap combined).
+    /// buckets.
     pub(crate) bucket_wait: simnet::SimDuration,
 }
 
@@ -524,13 +516,6 @@ pub fn collect_urs_sharded(
 /// the calling thread beside the workers, before the fold starts (first,
 /// when one worker scans on the calling thread); while it runs no shard is
 /// held back, so the bound applies from its return.
-///
-/// A non-zero global interval on `scheduler` (`--rate-limit`) is enforced
-/// by a [`SharedTokenBucket`](crate::schedule::SharedTokenBucket) metering
-/// the scan-wide concatenated timeline: shard `s` may not admit until
-/// every earlier shard finished, so rate-limited shard scans serialize
-/// (they are throttle-bound by construction) while remaining
-/// bit-identical for any worker count.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn collect_urs_streamed<T: Send>(
     blueprint: &worldgen::ScanBlueprint,
@@ -549,32 +534,26 @@ pub(crate) fn collect_urs_streamed<T: Send>(
     lead: impl FnOnce(),
     sink: &mut dyn FnMut(T),
 ) -> ShardedScanOutcome {
+    let types = distinct_query_types(cfg);
     let delegated = delegated_servers(world_registry, targets);
-    let codec = TaskCodec::of(nameservers, targets, cfg);
+    let codec = TaskCodec::new(nameservers.len(), targets.len(), types.len());
     let ranges = par::chunk_ranges(nameservers.len(), world_shards.max(1));
     let batch_size = if batch_size == 0 {
         usize::MAX
     } else {
         batch_size
     };
-    let global_pacing = scheduler.global_interval();
-    let global = (global_pacing != simnet::SimDuration::ZERO)
-        .then(|| crate::schedule::SharedTokenBucket::new(global_pacing));
     // Every UR's handles, interned once before any shard starts.
     let target_keys: Vec<InternedName> = targets.iter().map(InternedName::intern).collect();
     let providers: Vec<Sym> = nameservers
         .iter()
         .map(|ns| Sym::intern(&ns.provider))
         .collect();
-    let types = distinct_query_types(cfg);
 
     let scan_shard = |shard_idx: usize, emit: &mut dyn FnMut(T)| -> ShardSummary {
         let range = ranges[shard_idx].clone();
         // The shard's scheduler shuffles its order and paces its probes.
         let mut sched = scheduler.for_shard(shard_idx);
-        if let Some(g) = &global {
-            sched = sched.with_shared_global(g.clone(), shard_idx);
-        }
         let mut tasks = build_scan_tasks(&delegated, nameservers, range.clone(), codec);
         sched.randomize(&mut tasks);
         let scope: Vec<Ipv4Addr> = range.map(|ni| nameservers[ni].ip).collect();
@@ -606,7 +585,7 @@ pub(crate) fn collect_urs_streamed<T: Send>(
                 ns_ip,
                 (&targets[di], target_keys[di]),
                 rtype,
-                QidGen::nth(scan_stream(ni, di), rtype, 0),
+                QidGen::of(scan_stream(ni, di), rtype),
                 providers[ni],
             );
             in_order.probed(pos, ur, &mut |ur| {
@@ -624,11 +603,6 @@ pub(crate) fn collect_urs_streamed<T: Send>(
         // but don't extend the scan clock.
         let elapsed = net.now() - simnet::SimTime::ZERO;
         net.settle();
-        if let Some(g) = &global {
-            // Hand the global bucket to the next shard on the concatenated
-            // timeline — exactly once per shard, even an empty one.
-            g.finish_shard(shard_idx, elapsed);
-        }
         if let Some(hub) = &obs {
             // Pool traffic is thread-local; the deltas observed here are
             // exactly this shard's recycling (plus nothing else, because a
@@ -855,6 +829,26 @@ mod tests {
     use proptest::prelude::*;
     use simnet::SimDuration;
     use worldgen::WorldConfig;
+
+    fn check_types(types: &[RecordType]) {
+        let cfg = CollectConfig {
+            query_types: types.to_vec(),
+            ..CollectConfig::default()
+        };
+        distinct_query_types(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "query_types lists MX: the classifier decides A and TXT")]
+    fn a_type_the_classifier_cannot_decide_is_refused() {
+        check_types(&[RecordType::A, RecordType::Mx]);
+    }
+
+    #[test]
+    #[should_panic(expected = "query_types lists A twice")]
+    fn a_type_listed_twice_is_refused() {
+        check_types(&[RecordType::A, RecordType::A]);
+    }
 
     #[test]
     fn resolver_picks_are_distinct_whenever_there_are_enough() {

@@ -10,7 +10,7 @@
 //! 1. **Response collection** ([`select_nameservers`],
 //!    [`collect_urs_sharded`]) — select nameservers hosting
 //!    ≥ 50 top-1M sites, probe them for every target domain (A + TXT) with
-//!    randomized, rate-limited scheduling ([`QueryScheduler`]); gather
+//!    randomized, per-server paced scheduling ([`QueryScheduler`]); gather
 //!    *correct records* from stable open resolvers with AS/geo/cert
 //!    enrichment, and *protective records* via canary probes.
 //! 2. **Suspicious-record determination** ([`StreamClassifier`]) — Appendix B's

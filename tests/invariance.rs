@@ -341,17 +341,18 @@ fn ethics_pacing_on_four_workers_is_the_one_worker_run() {
     );
 }
 
-/// A capped run on `network` waits and is slower than the uncapped one,
-/// and every worker count reproduces its whole record: one shared bucket
-/// meters the concatenated shard timeline.
-fn assert_rate_cap_holds(network: Network, cap: &'static str) {
-    let label = format!("{cap} on {network:?}");
-    let capped = at(network, Some(cap), WORKERS[0]);
-    policy(cap)
+/// The paper's per-server pacing on `network` moves only the clocks and
+/// the waits, both up, and every worker count reproduces its whole record:
+/// each shard paces its own servers on its own clock.
+fn assert_ethics_pacing_holds(network: Network) {
+    let name = "ethics pacing";
+    let label = format!("{name} on {network:?}");
+    let paced = at(network, Some(name), WORKERS[0]);
+    policy(name)
         .moves
-        .check(at(network, None, 1), capped, &label);
+        .check(at(network, None, 1), paced, &label);
     for workers in &WORKERS[1..] {
-        let moved = capped.moved(at(network, Some(cap), *workers));
+        let moved = paced.moved(at(network, Some(name), *workers));
         assert!(
             moved.is_empty(),
             "{label} moved {moved:?} at {workers} workers"
@@ -360,19 +361,18 @@ fn assert_rate_cap_holds(network: Network, cap: &'static str) {
 }
 
 #[test]
-fn rate_caps_hold_the_whole_record_at_every_worker_count() {
+fn ethics_pacing_holds_the_whole_record_at_every_worker_count() {
     assert_eq!(
         at(Network::RELIABLE, None, 1).bucket_wait,
         Default::default()
     );
-    assert_rate_cap_holds(Network::RELIABLE, "rate cap 2/s");
-    assert_rate_cap_holds(Network::RELIABLE, "rate cap 20/s");
+    assert_ethics_pacing_holds(Network::RELIABLE);
 }
 
 #[test]
-fn rate_caps_hold_the_whole_record_under_loss() {
-    assert_rate_cap_holds(Network::lossy(5, 3), "rate cap 20/s");
-    assert_rate_cap_holds(Network::lossy(5, 3).adaptive(), "rate cap 20/s");
+fn ethics_pacing_holds_the_whole_record_under_loss() {
+    assert_ethics_pacing_holds(Network::lossy(5, 3));
+    assert_ethics_pacing_holds(Network::lossy(5, 3).adaptive());
 }
 
 #[test]
@@ -676,23 +676,33 @@ fn adaptive_moves_only_the_clock_on_the_stream() {
 }
 
 #[test]
-fn a_rate_capped_stream_meters_the_concatenated_shard_timeline() {
-    let cap = "rate cap 20/s";
-    let first = &hold_stream_workers(Network::RELIABLE, Some(cap), 4).pinned;
-    assert!(
-        first.bucket_wait > Default::default(),
-        "the cap never blocked"
-    );
-    // Every admission lands one interval after the previous one on the
-    // concatenated shard timeline, even across shard boundaries.
-    let interval = HunterConfig::fast()
-        .with_rate_limit_per_sec(20)
-        .rate_limit_interval;
-    let floor = (first.coverage.scheduled - 1) * interval.as_micros();
-    assert!(
-        first.elapsed.as_micros() >= floor,
-        "under the spacing floor"
-    );
+fn ethics_pacing_holds_on_the_stream() {
+    // At every world-shard count, every worker count reproduces the paced
+    // fold, whose sequence, coverage and split are the unpaced fold's:
+    // only the clock and the waits move, both up, and the waits are part
+    // of the clock.
+    let name = "ethics pacing";
+    assert_eq!(policy(name).moves, Moves::ClockRises);
+    for world_shards in STREAM_SHARDS {
+        let unpaced = &hold_stream_workers(Network::RELIABLE, None, world_shards).pinned;
+        let paced = &hold_stream_workers(Network::RELIABLE, Some(name), world_shards).pinned;
+        let label = format!("{name} at {world_shards} world shards");
+        assert_eq!(paced.sequence_hash, unpaced.sequence_hash, "{label}");
+        assert_eq!(paced.coverage, unpaced.coverage, "{label}");
+        assert_eq!(paced.split, unpaced.split, "{label}");
+        assert!(
+            paced.elapsed > unpaced.elapsed,
+            "{label}: the clock did not rise"
+        );
+        assert!(
+            paced.bucket_wait > unpaced.bucket_wait,
+            "{label}: the pacing waited for nothing"
+        );
+        assert!(
+            paced.bucket_wait <= paced.elapsed,
+            "{label}: waits outside the clock"
+        );
+    }
 }
 
 #[test]
