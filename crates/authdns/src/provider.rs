@@ -86,6 +86,18 @@ struct Account {
     fixed_ns: Vec<usize>,
 }
 
+/// `ALL_NS[i] == i`: the candidate list of a nameserver draw that
+/// excludes none, for fleets up to its length.
+const ALL_NS: [usize; 64] = {
+    let mut all = [0; 64];
+    let mut i = 0;
+    while i < all.len() {
+        all[i] = i;
+        i += 1;
+    }
+    all
+};
+
 /// TTL of protective records.
 pub(crate) const PROTECTIVE_TTL: u32 = 300;
 
@@ -212,9 +224,15 @@ impl HostingProvider {
     }
 
     fn pick_ns(&mut self, count: usize, exclude: &[usize]) -> Vec<usize> {
-        let candidates: Vec<usize> = (0..self.nameservers.len())
-            .filter(|i| !exclude.contains(i))
-            .collect();
+        let n = self.nameservers.len();
+        let filtered: Vec<usize>;
+        let candidates = match ALL_NS.get(..n) {
+            Some(all) if exclude.is_empty() => all,
+            _ => {
+                filtered = (0..n).filter(|i| !exclude.contains(i)).collect();
+                &filtered
+            }
+        };
         let mut picked: Vec<usize> = candidates
             .sample(&mut self.rng, count.min(candidates.len()))
             .copied()
@@ -244,59 +262,44 @@ impl HostingProvider {
         if !self.policy.allows_class(class) {
             return Err(HostError::ClassNotSupported(class));
         }
-        let existing: Vec<ZoneId> = self
+        // The active zones already hosting `domain`.
+        let existing = self
             .ids_for(domain)
-            .map(|v| {
-                v.iter()
-                    .copied()
-                    .filter(|id| self.zones[id.0 as usize].active)
-                    .collect()
-            })
-            .unwrap_or_default();
-        if !existing.is_empty() {
-            let same_user = existing
-                .iter()
-                .any(|id| self.zones[id.0 as usize].owner == account);
-            let cross_user = existing
-                .iter()
-                .any(|id| self.zones[id.0 as usize].owner != account);
-            if same_user && !self.policy.duplicates.same_user {
-                return Err(HostError::Duplicate);
-            }
-            if cross_user && !self.policy.duplicates.cross_user {
-                return Err(HostError::Duplicate);
-            }
+            .map_or(&[][..], Vec::as_slice)
+            .iter()
+            .map(|id| &self.zones[id.0 as usize])
+            .filter(|z| z.active);
+        let same_user = existing.clone().any(|z| z.owner == account);
+        let cross_user = existing.clone().any(|z| z.owner != account);
+        if (same_user && !self.policy.duplicates.same_user)
+            || (cross_user && !self.policy.duplicates.cross_user)
+        {
+            return Err(HostError::Duplicate);
         }
+        // Empty, and so never allocated, unless the domain is hosted here.
+        let taken: Vec<usize> = existing
+            .clone()
+            .flat_map(|z| z.assigned_ns.iter().copied())
+            .collect();
         let assigned_ns = match self.policy.allocation {
             NsAllocation::GlobalFixed => Vec::new(), // all nameservers serve
             NsAllocation::AccountFixed { per_account } => {
                 // Ensure distinct sets across accounts hosting the same
                 // domain (observed Cloudflare behaviour).
-                let account_set = self.accounts[account.0 as usize].fixed_ns.clone();
-                let collides = existing
-                    .iter()
-                    .any(|id| self.zones[id.0 as usize].assigned_ns == account_set);
-                if collides {
-                    let taken: Vec<usize> = existing
-                        .iter()
-                        .flat_map(|id| self.zones[id.0 as usize].assigned_ns.clone())
-                        .collect();
+                let account_set = &self.accounts[account.0 as usize].fixed_ns;
+                if existing.clone().any(|z| z.assigned_ns == *account_set) {
                     let fresh = self.pick_ns(per_account, &taken);
                     if fresh.len() < per_account {
                         return Err(HostError::NameserversExhausted);
                     }
                     fresh
                 } else {
-                    account_set
+                    account_set.clone()
                 }
             }
             NsAllocation::RandomPool { per_zone } => {
                 // Route 53: each zone for the same domain consumes a disjoint
                 // nameserver set; when the pool runs dry, hosting fails.
-                let taken: Vec<usize> = existing
-                    .iter()
-                    .flat_map(|id| self.zones[id.0 as usize].assigned_ns.clone())
-                    .collect();
                 let fresh = self.pick_ns(per_zone, &taken);
                 if fresh.len() < per_zone {
                     return Err(HostError::NameserversExhausted);

@@ -148,12 +148,10 @@ impl Zone {
                 minimum: 300,
             },
         );
-        let mut zone = Zone {
-            apex,
-            records: FxHashMap::default(),
-        };
-        zone.rrset_mut(&soa.name, RecordType::Soa).push(soa);
-        zone
+        let mut records = FxHashMap::default();
+        let soa_set = RrSets(vec![(RecordType::Soa, vec![soa])]);
+        records.insert(FoldedName::new(apex.borrowed()), soa_set);
+        Zone { apex, records }
     }
 
     /// The zone apex.

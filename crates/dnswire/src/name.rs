@@ -147,9 +147,22 @@ impl Name {
         self.borrowed().parent().map(NameRef::to_name)
     }
 
-    /// Prepend a label, producing a child name.
+    /// Prepend a label, producing a child name in one allocation.
     pub fn child<L: AsRef<[u8]>>(&self, label: L) -> WireResult<Name> {
-        Name::from_labels(std::iter::once(label.as_ref()).chain(self.labels()))
+        let label = label.as_ref();
+        if label.is_empty()
+            || label.len() > MAX_LABEL_LEN
+            || 1 + label.len() + self.flat.len() > MAX_FLAT_LEN
+        {
+            // The error the general constructor reports.
+            return Name::from_labels(std::iter::once(label).chain(self.labels()));
+        }
+        Ok(Name {
+            flat: [&[label.len() as u8][..], label, &self.flat]
+                .concat()
+                .into_boxed_slice(),
+            labels: self.labels + 1,
+        })
     }
 
     /// True if `self` is equal to `other` or is a descendant of it.
@@ -879,17 +892,23 @@ impl FromStr for Name {
 impl fmt::Display for NameRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_root() {
-            return write!(f, ".");
+            return f.write_str(".");
         }
+        let plain = |b: u8| b.is_ascii_graphic() && b != b'.';
         for (i, l) in self.labels().enumerate() {
             if i > 0 {
-                write!(f, ".")?;
+                f.write_str(".")?;
             }
-            for &b in l.iter() {
-                if b.is_ascii_graphic() && b != b'.' {
-                    write!(f, "{}", b as char)?;
-                } else {
-                    write!(f, "\\{:03}", b)?;
+            // Each run of plain bytes in one write, each other byte as a
+            // decimal escape.
+            for chunk in l.split_inclusive(|&b| !plain(b)) {
+                let (run, escaped) = match chunk.split_last() {
+                    Some((&b, run)) if !plain(b) => (run, Some(b)),
+                    _ => (chunk, None),
+                };
+                f.write_str(std::str::from_utf8(run).expect("plain bytes are ASCII"))?;
+                if let Some(b) = escaped {
+                    write!(f, "\\{b:03}")?;
                 }
             }
         }
@@ -999,6 +1018,77 @@ mod tests {
         assert!(n("www.example.com").is_strict_subdomain_of(&n("com")));
         assert!(!n("badexample.com").is_subdomain_of(&n("example.com")));
         assert!(n("anything.org").is_subdomain_of(&Name::root()));
+    }
+
+    /// The display text built one byte at a time: plain bytes as
+    /// themselves, every other byte (and `.`) as a three-digit escape.
+    fn bytewise_text(name: &Name) -> String {
+        if name.label_count() == 0 {
+            return ".".to_string();
+        }
+        let mut labels = Vec::new();
+        for l in name.labels() {
+            let mut text = String::new();
+            for &b in l {
+                if b.is_ascii_graphic() && b != b'.' {
+                    text.push(b as char);
+                } else {
+                    text.push_str(&format!("\\{b:03}"));
+                }
+            }
+            labels.push(text);
+        }
+        labels.join(".")
+    }
+
+    #[test]
+    fn display_writes_what_a_bytewise_rendering_writes() {
+        let odd: [&[u8]; 9] = [
+            b"a.b",
+            b"back\\slash",
+            b"sp ace",
+            b"\x00nul",
+            b"high\xff",
+            b"MiXeD",
+            b"..",
+            b"\x00\xff \\.",
+            b"plain",
+        ];
+        let mut names = vec![Name::root(), n("www.Example.COM")];
+        for l in odd {
+            names.push(Name::from_labels([l]).unwrap());
+            names.push(Name::from_labels([l, b"Example", b"ORG"]).unwrap());
+        }
+        names.push(Name::from_labels(odd).unwrap());
+        for b in 0..=u8::MAX {
+            names.push(Name::from_labels([&[b][..], b"x"]).unwrap());
+        }
+        for name in &names {
+            assert_eq!(name.to_string(), bytewise_text(name));
+            assert_eq!(name.borrowed().to_string(), bytewise_text(name));
+        }
+    }
+
+    #[test]
+    fn child_builds_what_from_labels_builds() {
+        let long = Name::from_labels([[b'x'; 63]; 3]).unwrap();
+        for (parent, label) in [
+            (n("b.c"), &b"a"[..]),
+            (Name::root(), b"com"),
+            (n("Example.com"), b"WWW"),
+            (long.clone(), &[b'y'; 61][..]),
+            (long.clone(), &[b'y'; 62][..]),
+            (n("b.c"), b""),
+            (n("b.c"), &[b'z'; 64][..]),
+        ] {
+            let whole = Name::from_labels(std::iter::once(label).chain(parent.labels()));
+            let child = parent.child(label);
+            assert_eq!(child, whole, "{parent} + {label:?}");
+            if let (Ok(child), Ok(whole)) = (&child, &whole) {
+                assert_eq!(child.flat, whole.flat);
+                assert_eq!(child.label_count(), whole.label_count());
+            }
+        }
     }
 
     #[test]

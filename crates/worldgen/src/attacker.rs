@@ -136,10 +136,30 @@ fn pick_marker(rng: &mut StdRng) -> &'static [u8] {
     MARKERS[0].0
 }
 
+/// The provider with the highest key not yet taken, the lower index first
+/// among equal keys; `None` once all are taken. Keys lie in (0, 1), so a
+/// taken one is marked -1. Repeated calls yield the order of a stable
+/// descending sort of the keys.
+fn take_highest(keys: &mut [f64]) -> Option<usize> {
+    let (i, _) = keys
+        .iter()
+        .enumerate()
+        .filter(|(_, k)| **k >= 0.0)
+        .min_by(|a, b| b.1.partial_cmp(a.1).expect("keys are finite"))?;
+    keys[i] = -1.0;
+    Some(i)
+}
+
 /// Plant all campaigns. Returns the ground-truth list of planted URs.
 pub(crate) fn plant_campaigns(plan: &mut AttackerPlan<'_>) -> Vec<PlantedUr> {
     let mut planted = Vec::new();
     let top = plan.tranco.len();
+    // The key exponent `1 / w` of each provider, and one key buffer for
+    // every campaign.
+    let exponents: Vec<f64> = (0..plan.providers.len())
+        .map(|i| 1.0 / plan.provider_weights.get(i).copied().unwrap_or(1).max(1) as f64)
+        .collect();
+    let mut keys: Vec<f64> = Vec::with_capacity(exponents.len());
     for c in 0..plan.campaigns {
         let c = plan.campaign_offset + c;
         // Target pick: a head-biased minority (popular domains are more
@@ -200,18 +220,15 @@ pub(crate) fn plant_campaigns(plan: &mut AttackerPlan<'_>) -> Vec<PlantedUr> {
         };
         // Try providers in popularity-weighted random order until one
         // accepts (Efraimidis-Spirakis weighted sampling: attackers abuse
-        // the reputation of major providers first).
-        let mut keyed: Vec<(f64, usize)> = (0..plan.providers.len())
-            .map(|i| {
-                let w = plan.provider_weights.get(i).copied().unwrap_or(1).max(1) as f64;
-                let u: f64 = plan.rng.random_range(f64::EPSILON..1.0);
-                (u.powf(1.0 / w), i)
-            })
-            .collect();
-        keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("keys are finite"));
-        let order: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
+        // the reputation of major providers first). One key per provider
+        // in index order; providers are taken lazily, highest key first.
+        keys.clear();
+        for &e in &exponents {
+            let u: f64 = plan.rng.random_range(f64::EPSILON..1.0);
+            keys.push(u.powf(e));
+        }
         let mut hosted = None;
-        for p_idx in order {
+        while let Some(p_idx) = take_highest(&mut keys) {
             let mut p = plan.providers[p_idx].borrow_mut();
             let acct = p.create_account();
             match p.host_domain(acct, &domain, class) {
@@ -317,9 +334,7 @@ pub(crate) fn plant_campaigns(plan: &mut AttackerPlan<'_>) -> Vec<PlantedUr> {
         }
         // Register C2 infrastructure in the metadata DB.
         plan.db.add_prefix(
-            format!("{}.{}.{}.0/24", block.0, block.1, block.2)
-                .parse()
-                .expect("cidr"),
+            netdb::Cidr::new(Ipv4Addr::new(block.0, block.1, block.2, 0), 24),
             64_900 + (c as u32 % 9),
             &format!("BulletProof-{}", c % 9),
         );
@@ -492,6 +507,26 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
+    }
+
+    proptest::proptest! {
+        /// Taking providers one at a time yields the stable descending
+        /// sort's order of the whole key list, so a provider that refuses
+        /// falls through to the one the sort put next. Keys come from a
+        /// handful of values, so ties are common.
+        #[test]
+        fn lazy_pick_order_is_the_stable_descending_sort(
+            picks in proptest::collection::vec(0..6usize, 1..=80)
+        ) {
+            const VALUES: [f64; 6] = [1e-9, 0.25, 0.5, 0.5 + f64::EPSILON, 0.75, 0.999];
+            let mut keyed: Vec<(f64, usize)> =
+                picks.iter().enumerate().map(|(i, &v)| (VALUES[v], i)).collect();
+            let mut keys: Vec<f64> = keyed.iter().map(|&(k, _)| k).collect();
+            keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+            let sorted: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
+            let lazy: Vec<usize> = std::iter::from_fn(|| take_highest(&mut keys)).collect();
+            proptest::prop_assert_eq!(lazy, sorted);
+        }
     }
 
     #[test]

@@ -564,7 +564,7 @@ impl Builder {
             )));
             // Fabric nodes + metadata.
             self.db.add_prefix(
-                format!("20.{p_idx}.0.0/16").parse().expect("cidr"),
+                netdb::Cidr::new(Ipv4Addr::new(20, p_idx as u8, 0, 0), 16),
                 64_600 + p_idx as u32,
                 &spec.name,
             );
@@ -636,9 +636,7 @@ impl Builder {
         let domains: Vec<Name> = self.tranco.domains().to_vec();
         for (i, domain) in domains.iter().enumerate() {
             let block = ((i / 250) as u8, (i % 250) as u8);
-            let prefix: netdb::Cidr = format!("30.{}.{}.0/24", block.0, block.1)
-                .parse()
-                .expect("cidr");
+            let prefix = netdb::Cidr::new(Ipv4Addr::new(30, block.0, block.1, 0), 24);
             let asn = 65_000 + (i as u32 % 17);
             self.db
                 .add_prefix(prefix, asn, &format!("Hosting-AS{}", i % 17));
@@ -650,15 +648,15 @@ impl Builder {
             let ips: Vec<Ipv4Addr> = (0..ip_count)
                 .map(|k| Ipv4Addr::new(30, block.0, block.1, 10 + k as u8))
                 .collect();
+            let text = domain.to_string();
+            let home = format!("{text} home");
             for (k, ip) in ips.iter().enumerate() {
                 self.db.set_geo(
                     *ip,
                     GeoInfo::new(COUNTRIES[(i + k) % COUNTRIES.len()], k as u16),
                 );
-                self.db
-                    .set_cert(*ip, CertInfo::for_domain(&domain.to_string(), "SimCA"));
-                self.db
-                    .set_http(*ip, HttpProfile::normal(&format!("{domain} home")));
+                self.db.set_cert(*ip, CertInfo::for_domain(&text, "SimCA"));
+                self.db.set_http(*ip, HttpProfile::normal(&home));
             }
             // Zone records.
             let mut records: Vec<Record> = ips
@@ -767,22 +765,24 @@ impl Builder {
         }
     }
 
-    /// Is this one of the pinned case-study domains? Those are left to the
-    /// dedicated case-study planting so their provider placement matches
-    /// §5.3 exactly.
-    fn is_case_study(domain: &Name) -> bool {
+    /// The pinned case-study domains. Those are left to the dedicated
+    /// case-study planting so their provider placement matches §5.3
+    /// exactly.
+    fn case_study_names() -> Vec<Name> {
         crate::tranco::CASE_STUDY_DOMAINS
             .iter()
-            .any(|(d, _)| d.parse::<Name>().expect("static") == *domain)
+            .map(|(d, _)| d.parse().expect("static"))
+            .collect()
     }
 
     /// Stale zones at previously-used providers; excluded via passive DNS.
     fn plant_past_delegations(&mut self) {
         let count = self.config.past_delegation_urs.min(self.tranco.len());
+        let case_studies = Self::case_study_names();
         for j in 0..count {
             let idx = (j * 7 + 3) % self.tranco.len();
             let domain = self.tranco.domains()[idx].clone();
-            if Self::is_case_study(&domain) {
+            if case_studies.contains(&domain) {
                 continue;
             }
             let current = self.legit_host.get(&domain).copied();
@@ -791,13 +791,8 @@ impl Builder {
             });
             let Some(p_idx) = old_provider else { continue };
             let old_ip = Ipv4Addr::new(31, (j / 250) as u8, (j % 250) as u8, 10);
-            self.db.add_prefix(
-                format!("31.{}.{}.0/24", j / 250, j % 250)
-                    .parse()
-                    .expect("cidr"),
-                65_300,
-                "LegacyHost",
-            );
+            self.db
+                .add_prefix(netdb::Cidr::new(old_ip, 24), 65_300, "LegacyHost");
             self.db.set_geo(old_ip, GeoInfo::new("US", 9));
             let mut p = self.providers[p_idx].borrow_mut();
             let acct = p.create_account();
@@ -826,9 +821,10 @@ impl Builder {
         self.db.set_http(parking_ip, HttpProfile::parking());
 
         let top = self.tranco.len();
+        let case_studies = Self::case_study_names();
         for j in 0..self.config.parked_urs {
             let domain = self.tranco.domains()[(j * 11 + 5) % top].clone();
-            if Self::is_case_study(&domain) {
+            if case_studies.contains(&domain) {
                 continue;
             }
             if let Some((p_idx, _zid)) = self.host_anywhere(&domain, |p, zid| {
@@ -840,14 +836,12 @@ impl Builder {
 
         for j in 0..self.config.benign_misconfig_urs {
             let domain = self.tranco.domains()[(j * 13 + 1) % top].clone();
-            if Self::is_case_study(&domain) {
+            if case_studies.contains(&domain) {
                 continue;
             }
             let ip = Ipv4Addr::new(45, (j / 250) as u8, (j % 250) as u8, 10);
             self.db.add_prefix(
-                format!("45.{}.{}.0/24", j / 250, j % 250)
-                    .parse()
-                    .expect("cidr"),
+                netdb::Cidr::new(ip, 24),
                 65_320 + (j as u32 % 5),
                 &format!("SmallBiz-{}", j % 5),
             );
