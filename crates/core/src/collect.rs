@@ -421,7 +421,7 @@ const _: () = assert!(std::mem::size_of::<ScanTask>() == 4);
 /// threads only claim shards.
 pub const SCAN_SHARDS: usize = 8;
 
-/// What a bulk scan produced besides the URs streamed to the sink.
+/// What a bulk scan produced besides the URs it handed over.
 #[derive(Debug, Clone)]
 pub struct ShardedScanOutcome {
     /// Summed probe accounting across every shard engine (quarantine lists
@@ -440,7 +440,7 @@ pub struct ShardedScanOutcome {
     pub(crate) bucket_wait: simnet::SimDuration,
 }
 
-/// What one shard reports back to the fold besides its batches.
+/// What one shard reports back to the merge besides its URs.
 type ShardSummary = (
     crate::query::CoverageReport,
     crate::query::ProbeTally,
@@ -454,7 +454,7 @@ type ShardSummary = (
 /// worker threads claiming those shards (`0` = automatic); the output is
 /// the same for every value. URs reach `sink` in batches of `batch_size`
 /// (`0` or `usize::MAX` = one batch a shard) that never span a shard
-/// boundary.
+/// boundary, on the calling thread, once their shard is scanned.
 #[allow(clippy::too_many_arguments)]
 pub fn collect_urs_sharded(
     blueprint: &worldgen::ScanBlueprint,
@@ -483,9 +483,9 @@ pub fn collect_urs_sharded(
         SCAN_SHARDS,
         par::Parallelism::from_knob(shards).get(),
         batch_size,
-        &|urs| urs,
+        &|batches: &mut Vec<Vec<CollectedUr>>, urs| batches.push(urs),
         || {},
-        sink,
+        &mut |batches| batches.into_iter().for_each(&mut *sink),
     )
 }
 
@@ -500,24 +500,23 @@ pub fn collect_urs_sharded(
 /// build a replica fabric for it
 /// ([`worldgen::ScanBlueprint::build_network_scoped`]: only the nodes of
 /// the shard's addresses), scan it with their own [`ProbeEngine`] and task
-/// feed, apply `transform` to each full batch **on the worker thread**,
-/// and drop the fabric before claiming the next shard. Each shard's URs
-/// leave in its task order (see `InOrder`), and transformed batches flow
-/// through [`par::sharded_ordered_fold`] to `sink` on the calling thread in
-/// canonical **shard-major** order, each shard's summary (coverage,
-/// elapsed, fabric stats, bucket waits) absorbed in shard order. So the
-/// output is deterministic in `(world, scheduler, world_shards)` and
-/// bit-identical for every `workers` value, and peak memory is bounded by
-/// `workers` in-flight shards: their fabrics, their task orders (4 bytes a
+/// feed, `absorb` each full batch into the shard's own `A` **on the worker
+/// thread**, and drop the fabric before claiming the next shard. Each
+/// shard's URs leave in its task order (see `InOrder`), and through
+/// [`par::sharded_ordered_fold`] every shard's `A` reaches `merge` on the
+/// calling thread in canonical **shard-major** order, its summary
+/// (coverage, elapsed, fabric stats, bucket waits) absorbed beside it. So
+/// the output is deterministic in `(world, scheduler, world_shards)` and
+/// bit-identical for every `workers` value, and peak memory is `workers`
+/// shards being scanned — their fabrics, their task orders (4 bytes a
 /// task, and under an adaptive plan as much again for the
-/// [`RttSelector`]'s queues of positions), and the transformed batches the
-/// fold has not yet taken (a whole shard's, for one still ahead of the
-/// fold — so `transform` should make them compact). `lead` runs once on
-/// the calling thread beside the workers, before the fold starts (first,
-/// when one worker scans on the calling thread); while it runs no shard is
-/// held back, so the bound applies from its return.
+/// [`RttSelector`]'s queues of positions) and their `A`s — plus the `A`s
+/// of shards finished ahead of the merge (so `A` should be compact: a
+/// shard's fold, not its URs). `lead` runs once on the calling thread
+/// beside the workers, before the merge starts (first, when one worker
+/// scans on the calling thread).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn collect_urs_streamed<T: Send>(
+pub(crate) fn collect_urs_streamed<A: Default + Send>(
     blueprint: &worldgen::ScanBlueprint,
     plan: crate::query::QueryPlan,
     faults: simnet::FaultPlan,
@@ -530,9 +529,9 @@ pub(crate) fn collect_urs_streamed<T: Send>(
     world_shards: usize,
     workers: usize,
     batch_size: usize,
-    transform: &(dyn Fn(Vec<CollectedUr>) -> T + Sync),
+    absorb: &(dyn Fn(&mut A, Vec<CollectedUr>) + Sync),
     lead: impl FnOnce(),
-    sink: &mut dyn FnMut(T),
+    merge: &mut dyn FnMut(A),
 ) -> ShardedScanOutcome {
     let types = distinct_query_types(cfg);
     let delegated = delegated_servers(world_registry, targets);
@@ -550,7 +549,7 @@ pub(crate) fn collect_urs_streamed<T: Send>(
         .map(|ns| Sym::intern(&ns.provider))
         .collect();
 
-    let scan_shard = |shard_idx: usize, emit: &mut dyn FnMut(T)| -> ShardSummary {
+    let scan_shard = |shard_idx: usize| -> (A, ShardSummary) {
         let range = ranges[shard_idx].clone();
         // The shard's scheduler shuffles its order and paces its probes.
         let mut sched = scheduler.for_shard(shard_idx);
@@ -567,6 +566,7 @@ pub(crate) fn collect_urs_streamed<T: Send>(
         if let Some(hub) = &obs {
             engine = engine.with_obs(hub.clone());
         }
+        let mut shard = A::default();
         let mut pending: Vec<CollectedUr> = Vec::new();
         let mut in_order = InOrder::default();
         let len = u32::try_from(tasks.len()).expect("a shard's list is part of one u32 product");
@@ -591,12 +591,12 @@ pub(crate) fn collect_urs_streamed<T: Send>(
             in_order.probed(pos, ur, &mut |ur| {
                 pending.push(ur);
                 if pending.len() >= batch_size {
-                    emit(transform(std::mem::take(&mut pending)));
+                    absorb(&mut shard, std::mem::take(&mut pending));
                 }
             });
         }
         if !pending.is_empty() {
-            emit(transform(pending));
+            absorb(&mut shard, pending);
         }
         // Elapsed is read before settling: stragglers (replies landing
         // after their probe's deadline) are flushed into the shard's stats
@@ -620,13 +620,14 @@ pub(crate) fn collect_urs_streamed<T: Send>(
         }
         // `net` (the shard's zones and nodes) drops on return, bounding
         // resident fabrics to the worker count.
-        (
+        let summary = (
             engine.take_coverage(),
             engine.tally,
             elapsed,
             net.stats(),
             sched.wait_us(),
-        )
+        );
+        (shard, summary)
     };
 
     let mut outcome = ShardedScanOutcome {
@@ -641,8 +642,8 @@ pub(crate) fn collect_urs_streamed<T: Send>(
         ranges.len(),
         scan_shard,
         lead,
-        sink,
-        |(coverage, tally, elapsed, stats, wait_us): ShardSummary| {
+        |(shard, (coverage, tally, elapsed, stats, wait_us))| {
+            merge(shard);
             // absorb() merges quarantine lists in address order; summaries
             // arrive in shard order, so every sum below is the sequential
             // loop's sum. Each shard's fabric and engine counts reach the

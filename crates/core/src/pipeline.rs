@@ -8,7 +8,7 @@ use crate::collect::{
     select_nameservers, CollectConfig, QidGen, SCAN_SHARDS,
 };
 use crate::query::{publish_probes, CoverageReport, ProbeEngine, QueryPlan};
-use crate::report::{DigestBatch, Report, RunFold};
+use crate::report::{Report, RunFold};
 use crate::schedule::QueryScheduler;
 use crate::types::{ClassifiedUr, CollectedUr, CorrectDb, ProtectiveDb, UrCategory};
 use intern::{InternedName, Sym};
@@ -45,8 +45,8 @@ pub struct HunterConfig {
     /// (available parallelism, `URHUNTER_PARALLELISM` override), `1` is
     /// sequential, `n` fixed. Output is bit-identical for every value
     /// (pinned by the execution axes of `tests/invariance.rs`); only
-    /// wall-clock time and peak RSS (bounded by `workers` resident shard
-    /// fabrics) change.
+    /// wall-clock time and peak RSS (`workers` resident shard fabrics, a
+    /// worker holding one at a time) change.
     pub workers: usize,
     /// Retry/backoff policy for every collection-stage probe (bulk scan,
     /// correct records, protective canaries, and the §4.2 replay). On a
@@ -197,7 +197,7 @@ pub struct RunOutput {
     pub bucket_wait: SimDuration,
 }
 
-/// A shard's URs as its worker hands them to `run`'s fold: classified on
+/// A shard's URs as its worker hands them to `run`'s merge: classified on
 /// the worker when the support sweep had published the classifier, or
 /// still to classify, on the calling thread, once the sweep is done.
 enum ShardUrs {
@@ -254,7 +254,7 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     // calling thread, the only one that may touch `world.net`, while the
     // workers scan their replica fabrics. It publishes the classifier over
     // its two databases once. No worker waits for it: a shard that ends
-    // before it is published is handed over unclassified, and the fold,
+    // before it is published is handed over unclassified, and the merge,
     // which starts only after the sweep, classifies it.
     let support = OnceCell::new();
     let streamer: OnceLock<StreamClassifier<'_>> = OnceLock::new();
@@ -285,14 +285,16 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         let _ = streamer.set(cls);
         collect_span = obs.map(|h| h.span("collect", world.net.now().as_micros()));
     };
-    let classify = |urs: Vec<CollectedUr>| match streamer.get() {
-        Some(cls) => ShardUrs::Classified(cls.classify_batch_owned(urs)),
-        None => ShardUrs::Unclassified(urs),
+    let classify = |shard: &mut Vec<ShardUrs>, urs: Vec<CollectedUr>| {
+        shard.push(match streamer.get() {
+            Some(cls) => ShardUrs::Classified(cls.classify_batch_owned(urs)),
+            None => ShardUrs::Unclassified(urs),
+        })
     };
-    // Each worker hands its shard over as one batch; the fold keeps them in
-    // shard order, growing the vector by exactly each batch, so the output
-    // carries no spare slots. Verdicts are the same wherever they are
-    // reached: the classifier is a pure function of the UR.
+    // Each worker hands its shard over as one batch; the merge keeps them
+    // in shard order, growing the vector by exactly each batch, so the
+    // output carries no spare slots. Verdicts are the same wherever they
+    // are reached: the classifier is a pure function of the UR.
     let mut classified = Vec::new();
     let scan = collect_urs_streamed(
         &blueprint,
@@ -309,16 +311,18 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         usize::MAX,
         &classify,
         sweep,
-        &mut |batch| {
-            let batch = match batch {
-                ShardUrs::Classified(verdicts) => verdicts,
-                ShardUrs::Unclassified(urs) => streamer
-                    .get()
-                    .expect("the sweep publishes before the fold starts")
-                    .classify_batch_owned(urs),
-            };
-            classified.reserve_exact(batch.len());
-            classified.extend(batch);
+        &mut |shard| {
+            for batch in shard {
+                let batch = match batch {
+                    ShardUrs::Classified(verdicts) => verdicts,
+                    ShardUrs::Unclassified(urs) => streamer
+                        .get()
+                        .expect("the sweep publishes before the merge starts")
+                        .classify_batch_owned(urs),
+                };
+                classified.reserve_exact(batch.len());
+                classified.extend(batch);
+            }
         },
     );
     // A later write to the world (the sandbox phase, a daemon's drift)
@@ -347,7 +351,7 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     world.net.set_faults(pre_scan_faults);
     let mut coverage = engine.take_coverage();
     if let Some(hub) = obs {
-        // The shard engines published in the scan's fold; this is the
+        // The shard engines published in the scan's merge; this is the
         // support engine's funnel.
         publish_probes(hub.registry(), &coverage, &engine.tally);
         // Pacing accounting: the summed simulated time the shard
@@ -397,7 +401,7 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
     }
     if let Some(hub) = obs {
         // The world fabric's own traffic (support sweep, sandboxes); the
-        // shard traffic it absorbed was published by the scan's fold.
+        // shard traffic it absorbed was published by the scan's merge.
         let own = world.net.stats() - net_before - scan.stats;
         simnet::FabricMetrics::publish(hub.registry(), own);
     }
@@ -417,8 +421,8 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
 }
 
 /// What a streamed paper-scale run produces: aggregate accounting only —
-/// classified URs are folded into the report and the sequence digest as
-/// they stream out of the scan, never retained.
+/// classified URs are folded into the report and the sequence digest on
+/// the worker that scanned them, never retained.
 #[derive(Debug, Clone)]
 pub struct StreamRunOutput {
     /// Selected nameservers scanned.
@@ -457,14 +461,14 @@ pub struct StreamRunOutput {
 /// Run the streamed paper-scale pipeline against a plan-backed world:
 /// [`run`]'s bulk scan over `world_shards` scoped shards, claimed by
 /// [`HunterConfig::workers`] worker threads, every UR classified on the
-/// worker that scanned it the moment its batch fills and reduced there to
-/// one compact verdict row per UR, and the rows folded into the
+/// worker that scanned it the moment its batch fills and folded there into
+/// its shard's own `RunFold`, and the shard folds merged into the
 /// [`StreamRunOutput`] aggregates on the calling thread in canonical
 /// shard-major order. Peak memory is `workers` shards' zone tables and
 /// task orders (4 bytes for each of a shard's nameservers × targets ×
-/// query types) plus the verdict rows of the shards ahead of the fold,
-/// plus the fold's distinct suspicious entities and provider tally: it
-/// grows with a shard's share of the world, not with the world.
+/// query types) plus the shard folds, each its shard's distinct suspicious
+/// entities and provider tally: it grows with a shard's share of the
+/// world, not with the world.
 ///
 /// Deterministic in `(world, cfg, world_shards)` — the canonical order is
 /// shard-major, so `world_shards` is part of a run's identity, as the
@@ -502,10 +506,13 @@ pub fn run_streamed(
         .min(world_shards.max(1));
     // Runs on whichever worker scanned the batch's shard: each verdict reads
     // one UR and the read-only databases, so no verdict depends on the
-    // thread that computed it. The fold reads only the verdict rows, so the
+    // thread that computed it. The shard's fold keeps no UR, so the
     // classified URs drop here, on the worker.
-    let classify_batch =
-        |urs: Vec<CollectedUr>| DigestBatch::of(&streamer.classify_batch_owned(urs));
+    let classify_batch = |shard: &mut RunFold, urs: Vec<CollectedUr>| {
+        for c in streamer.classify_batch_owned(urs) {
+            shard.absorb(&c);
+        }
+    };
     let scheduler = QueryScheduler::new(cfg.scheduler_seed, cfg.per_server_interval)
         .with_global_interval(cfg.rate_limit_interval);
     let outcome = collect_urs_streamed(
@@ -523,11 +530,7 @@ pub fn run_streamed(
         CLASSIFY_BATCH,
         &classify_batch,
         || {},
-        &mut |batch: DigestBatch| {
-            for (row, ips) in batch.rows() {
-                fold.absorb(row, ips);
-            }
-        },
+        &mut |shard: RunFold| fold = std::mem::take(&mut fold).merge(shard),
     );
     if let Some(hub) = &cfg.obs {
         fold.publish(hub.registry());

@@ -3,9 +3,9 @@
 use crate::analyze::Analysis;
 use crate::classify::REASON_METRICS;
 use crate::query::CoverageReport;
-use crate::types::{ClassifiedUr, CorrectReason, MaliciousEvidence, UrCategory};
+use crate::types::{ClassifiedUr, MaliciousEvidence, UrCategory};
 use dnswire::RecordType;
-use fxhash::{Digest, FxHashMap, FxHashSet};
+use fxhash::{Digest, FxHashMap, FxHashSet, SeqDigest};
 use intel::{AlertCategory, IntelAggregator, ThreatTag};
 use intern::{InternedName, Sym};
 use std::collections::BTreeMap;
@@ -83,6 +83,15 @@ impl Totals {
         } += 1;
     }
 
+    /// Add `other`'s counts to these.
+    fn add(&mut self, other: Totals) {
+        self.total += other.total;
+        self.correct += other.correct;
+        self.protective += other.protective;
+        self.unknown += other.unknown;
+        self.malicious += other.malicious;
+    }
+
     /// Suspicious = unknown + malicious.
     pub fn suspicious(&self) -> usize {
         self.unknown + self.malicious
@@ -140,105 +149,37 @@ pub fn build_report(
 
 /// Order-sensitive digest of a classified sequence: two runs (at any shard
 /// and worker counts) agree iff they produced the same URs, in the same
-/// order, with the same categories. [`run`](crate::run) and
-/// [`run_streamed`](crate::run_streamed) fold the same digest beside their
-/// reports.
+/// order, with the same categories. Each UR is a row of its own
+/// (`row_digest`) and the rows combine as an [`fxhash::SeqDigest`], so
+/// [`run`](crate::run) and [`run_streamed`](crate::run_streamed), whose
+/// folds digest each shard apart and append the shards, reach this value.
 pub fn classified_sequence_hash(classified: &[ClassifiedUr]) -> u64 {
-    let mut d = Digest::new();
+    let mut d = SeqDigest::default();
     for c in classified {
-        VerdictRow::of(c).digest_into(&c.corresponding_ips, &mut d);
+        d.push(row_digest(c));
+    }
+    d.value()
+}
+
+/// One UR's row of the sequence digest: its identity triple, category,
+/// correct reason and corresponding addresses (the layout is in DESIGN.md
+/// §6, "Digests"), finished. The provider and the TXT category are not
+/// digested.
+fn row_digest(c: &ClassifiedUr) -> u64 {
+    let mut d = Digest::new();
+    d.bytes(&c.ur.key.ns_ip.octets());
+    c.ur.key.domain.digest_into(&mut d);
+    d.u16(c.ur.key.rtype.code());
+    d.u8(c.category as u8);
+    d.len(usize::from(c.correct_reason.is_some()));
+    if let Some(r) = c.correct_reason {
+        d.u8(r as u8);
+    }
+    d.len(c.corresponding_ips.len());
+    for ip in &c.corresponding_ips {
+        d.bytes(&ip.octets());
     }
     d.finish()
-}
-
-/// What [`RunFold`] reads of one classified UR, less its corresponding
-/// addresses: its identity triple, category, correct reason, address
-/// count, provider, and whether it is an email-related TXT record.
-/// [`VerdictRow::digest_into`] writes a row with its addresses, and is the
-/// one definition of what the sequence digest reads.
-#[derive(Debug)]
-pub(crate) struct VerdictRow {
-    ns_ip: Ipv4Addr,
-    domain: InternedName,
-    rtype: RecordType,
-    category: UrCategory,
-    correct_reason: Option<CorrectReason>,
-    ips: u32,
-    provider: Sym,
-    email_txt: bool,
-}
-
-impl VerdictRow {
-    pub(crate) fn of(c: &ClassifiedUr) -> Self {
-        VerdictRow {
-            ns_ip: c.ur.key.ns_ip,
-            domain: c.ur.key.domain,
-            rtype: c.ur.key.rtype,
-            category: c.category,
-            correct_reason: c.correct_reason,
-            ips: u32::try_from(c.corresponding_ips.len()).expect("address count fits u32"),
-            provider: c.ur.provider,
-            email_txt: c.ur.key.rtype == RecordType::Txt
-                && c.txt_category.is_some_and(|t| t.is_email_related()),
-        }
-    }
-
-    /// Write the row and its UR's corresponding addresses into the
-    /// sequence digest (the layout is in DESIGN.md §6, "Digests"). The
-    /// provider and the email bit are not digested.
-    fn digest_into(&self, ips: &[Ipv4Addr], d: &mut Digest) {
-        d.bytes(&self.ns_ip.octets());
-        self.domain.digest_into(d);
-        d.u16(self.rtype.code());
-        d.u8(self.category as u8);
-        d.len(usize::from(self.correct_reason.is_some()));
-        if let Some(r) = self.correct_reason {
-            d.u8(r as u8);
-        }
-        d.len(ips.len());
-        for ip in ips {
-            d.bytes(&ip.octets());
-        }
-    }
-}
-
-// What a streamed shard parks a UR while it runs ahead of the fold.
-const _: () = assert!(std::mem::size_of::<VerdictRow>() == 24);
-
-/// A classified batch reduced to what [`RunFold`] reads: one
-/// [`VerdictRow`] per UR and every UR's corresponding addresses,
-/// concatenated in row order. A streamed worker builds it and drops the
-/// [`ClassifiedUr`]s itself, so a shard that runs ahead of the fold parks
-/// 24 bytes a UR plus its addresses.
-#[derive(Debug)]
-pub(crate) struct DigestBatch {
-    rows: Vec<VerdictRow>,
-    ips: Vec<Ipv4Addr>,
-}
-
-impl DigestBatch {
-    pub(crate) fn of(classified: &[ClassifiedUr]) -> Self {
-        let addresses = classified.iter().map(|c| c.corresponding_ips.len()).sum();
-        let mut batch = DigestBatch {
-            rows: Vec::with_capacity(classified.len()),
-            ips: Vec::with_capacity(addresses),
-        };
-        for c in classified {
-            batch.rows.push(VerdictRow::of(c));
-            batch.ips.extend_from_slice(&c.corresponding_ips);
-        }
-        batch
-    }
-
-    /// Every row with its own addresses, in order.
-    pub(crate) fn rows(&self) -> impl Iterator<Item = (&VerdictRow, &[Ipv4Addr])> + '_ {
-        let mut rest = self.ips.as_slice();
-        self.rows.iter().map(move |row| {
-            let (ips, tail) = rest.split_at(row.ips as usize);
-            rest = tail;
-            (row, ips)
-        })
-    }
 }
 
 /// Distinct-entity accumulator behind one Table 1 row: each column's
@@ -255,14 +196,32 @@ struct Table1Acc {
 
 impl Table1Acc {
     /// Absorb one suspicious (unknown or malicious) UR.
-    fn absorb(&mut self, row: &VerdictRow, ips: &[Ipv4Addr]) {
-        for k in 0..=usize::from(row.category == UrCategory::Malicious) {
+    fn absorb(&mut self, c: &ClassifiedUr) {
+        for k in 0..=usize::from(c.category == UrCategory::Malicious) {
             self.urs[k] += 1;
-            self.domains[k].insert(row.domain);
-            self.nameservers[k].insert(row.ns_ip);
-            self.providers[k].insert(row.provider);
-            self.ips[k].extend(ips);
+            self.domains[k].insert(c.ur.key.domain);
+            self.nameservers[k].insert(c.ur.key.ns_ip);
+            self.providers[k].insert(c.ur.provider);
+            self.ips[k].extend(&c.corresponding_ips);
         }
+    }
+
+    /// Add `later`'s URs and union its sets into these.
+    fn merge(&mut self, later: Table1Acc) {
+        let Table1Acc {
+            urs,
+            domains,
+            nameservers,
+            providers,
+            ips,
+        } = later;
+        for (mine, theirs) in self.urs.iter_mut().zip(urs) {
+            *mine += theirs;
+        }
+        union_into(&mut self.domains, domains);
+        union_into(&mut self.nameservers, nameservers);
+        union_into(&mut self.providers, providers);
+        union_into(&mut self.ips, ips);
     }
 
     /// The row of the union of `parts`: URs summed, each column's values
@@ -289,6 +248,17 @@ impl Table1Acc {
     }
 }
 
+/// Union each of `from`'s sets into `into`'s, inserting the smaller set's
+/// values into the larger.
+fn union_into<T: std::hash::Hash + Eq>(into: &mut [FxHashSet<T>; 2], from: [FxHashSet<T>; 2]) {
+    for (into, mut from) in into.iter_mut().zip(from) {
+        if from.len() > into.len() {
+            std::mem::swap(into, &mut from);
+        }
+        into.extend(from);
+    }
+}
+
 /// How many distinct values the parts' `set`s hold together: each part
 /// counts what no part before it holds, so nothing is copied and no order
 /// is read.
@@ -308,20 +278,22 @@ fn union_len<T: std::hash::Hash + Eq>(
         .sum()
 }
 
-/// The one reduction of classified URs. It absorbs [`VerdictRow`]s in
+/// The one reduction of classified URs. It absorbs classified URs in
 /// sequence order and keeps the sequence digest, the category totals, the
 /// Appendix-B reason of every correct verdict, Table 1's suspicious
 /// accumulators per record type (the Total row is their union, counted at
 /// [`RunFold::finish`]), each provider's category tally (Fig. 2)
 /// and the malicious-TXT email share: memory grows with the distinct
-/// suspicious entities and the providers, never with the URs.
+/// suspicious entities and the providers, never with the URs. Two folds
+/// of consecutive runs of URs [`merge`](RunFold::merge) into the fold of
+/// both, so each shard can be folded where it was scanned.
 ///
 /// The categories it reads must be final: `run` folds after `analyze`
 /// promotes Unknown to Malicious and fills TXT addresses from sibling A
 /// records.
 #[derive(Debug, Default)]
 pub(crate) struct RunFold {
-    digest: Digest,
+    digest: SeqDigest,
     totals: Totals,
     reasons: [usize; REASON_METRICS.len()],
     providers: FxHashMap<Sym, Totals>,
@@ -337,34 +309,54 @@ impl RunFold {
     pub(crate) fn of(classified: &[ClassifiedUr]) -> Self {
         let mut fold = RunFold::default();
         for c in classified {
-            fold.absorb(&VerdictRow::of(c), &c.corresponding_ips);
+            fold.absorb(c);
         }
         fold
     }
 
-    /// Absorb one row with its corresponding addresses.
-    pub(crate) fn absorb(&mut self, row: &VerdictRow, ips: &[Ipv4Addr]) {
-        row.digest_into(ips, &mut self.digest);
-        self.totals.count(row.category);
+    /// Absorb the next UR of the sequence.
+    pub(crate) fn absorb(&mut self, c: &ClassifiedUr) {
+        self.digest.push(row_digest(c));
+        self.totals.count(c.category);
         self.providers
-            .entry(row.provider)
+            .entry(c.ur.provider)
             .or_default()
-            .count(row.category);
-        if let Some(reason) = row.correct_reason {
+            .count(c.category);
+        if let Some(reason) = c.correct_reason {
             self.reasons[reason as usize] += 1;
         }
-        if matches!(row.category, UrCategory::Unknown | UrCategory::Malicious) {
-            let slot = match row.rtype {
+        let rtype = c.ur.key.rtype;
+        if matches!(c.category, UrCategory::Unknown | UrCategory::Malicious) {
+            let slot = match rtype {
                 RecordType::A => 0,
                 RecordType::Txt => 1,
                 _ => 2,
             };
-            self.by_type[slot].absorb(row, ips);
+            self.by_type[slot].absorb(c);
         }
-        if row.category == UrCategory::Malicious && row.rtype == RecordType::Txt {
+        if c.category == UrCategory::Malicious && rtype == RecordType::Txt {
             self.txt_malicious += 1;
-            self.txt_email += usize::from(row.email_txt);
+            self.txt_email += usize::from(c.txt_category.is_some_and(|t| t.is_email_related()));
         }
+    }
+
+    /// The fold of `self`'s URs followed by `later`'s: the digests
+    /// concatenate, the counts add and Table 1's sets union.
+    pub(crate) fn merge(mut self, later: RunFold) -> RunFold {
+        self.digest = self.digest.append(later.digest);
+        self.totals.add(later.totals);
+        for (mine, theirs) in self.reasons.iter_mut().zip(later.reasons) {
+            *mine += theirs;
+        }
+        for (provider, totals) in later.providers {
+            self.providers.entry(provider).or_default().add(totals);
+        }
+        for (mine, theirs) in self.by_type.iter_mut().zip(later.by_type) {
+            mine.merge(theirs);
+        }
+        self.txt_email += later.txt_email;
+        self.txt_malicious += later.txt_malicious;
+        self
     }
 
     /// Publish the verdict funnel into `registry`, every counter sim-class
@@ -414,7 +406,7 @@ impl RunFold {
             txt_email_related: (self.txt_email, self.txt_malicious),
             ..Report::default()
         };
-        (report, self.digest.finish())
+        (report, self.digest.value())
     }
 }
 
@@ -664,7 +656,7 @@ impl Report {
 mod tests {
     use super::*;
     use crate::analyze::{analyze, AnalyzeConfig};
-    use crate::types::{CollectedUr, UrKey};
+    use crate::types::{CollectedUr, CorrectReason, UrKey};
     use dnswire::{Name, RData, RDataSet};
     use intel::{ThreatTag, VendorFeed};
     use std::collections::HashSet as StdHashSet;
@@ -997,14 +989,13 @@ mod tests {
         let want_funnel = funnel(&reference);
         let (want, want_hash) = reference.finish();
         assert_eq!(want_hash, classified_sequence_hash(&seq));
+        // Each chunk folded apart, as a shard is on its worker, then the
+        // partials merged in order.
         for cut in [1, 3, seq.len()] {
-            let mut fold = RunFold::default();
-            for chunk in seq.chunks(cut) {
-                let batch = DigestBatch::of(chunk);
-                for (row, ips) in batch.rows() {
-                    fold.absorb(row, ips);
-                }
-            }
+            let fold = seq
+                .chunks(cut)
+                .map(RunFold::of)
+                .fold(RunFold::default(), RunFold::merge);
             assert_eq!(funnel(&fold), want_funnel, "cut={cut}");
             assert_eq!(fold.finish(), (want.clone(), want_hash), "cut={cut}");
         }

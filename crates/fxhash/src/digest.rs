@@ -201,8 +201,9 @@ mod tests {
 
     proptest! {
         /// `probe_key` writes a name's rendered text in whatever pieces
-        /// `fmt` hands over, and `VerdictRow::digest_into` mixes integer and
-        /// slice writes: the digest must read one byte stream either way.
+        /// `fmt` hands over, and the sequence digest's `row_digest` mixes
+        /// integer and slice writes: the digest must read one byte stream
+        /// either way.
         #[test]
         fn a_split_write_digests_as_one_write(
             bytes in proptest::collection::vec(any::<u8>(), 0..80),

@@ -14,14 +14,18 @@
 //!
 //! This is a map hasher, not a digest: its values differ between map
 //! instances and between processes, and its input is the program's own
-//! data (simulated worlds), not adversarial keys. Digests are [`Digest`]s.
+//! data (simulated worlds), not adversarial keys. Digests are [`Digest`]s,
+//! and a sequence of rows digests as a [`SeqDigest`] over each row's
+//! finished [`Digest`].
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod digest;
+mod seq;
 pub use digest::Digest;
+pub use seq::SeqDigest;
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};

@@ -2,9 +2,10 @@
 //!
 //! The bulk scan is parallel at the source — whole shards, each on its own
 //! replica fabric, claimed by scan workers over [`std::thread::scope`] —
-//! and [`sharded_ordered_fold`] is the one executor that merges shard
-//! output back into canonical order: **bit-identical to the sequential
-//! shard loop for every worker count** (DESIGN.md §6, §9).
+//! and [`sharded_ordered_fold`] is the one executor: a map over shards
+//! whose values the calling thread merges in canonical order,
+//! **bit-identical to the sequential shard loop for every worker count**
+//! (DESIGN.md §6, §9).
 //!
 //! No dependencies, no unsafe, no work stealing: [`chunk_ranges`] gives
 //! each shard a contiguous range, which makes the equality-with-sequential
