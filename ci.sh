@@ -62,11 +62,14 @@ echo "== stale names: the deleted executor, collectors, knobs, timers and dead c
 # flag, setter, shared bucket or cross-shard turn hand-off, no policy row
 # whose waits alone must rise, no pinned cap figure), and a sequence
 # digest that concatenates, so each worker folds its own shard (no
-# compact row format parked for the calling thread to digest): none of the names of
+# compact row format parked for the calling thread to digest), and one
+# probe-order rule set by pacing alone (an unpaced shard walks its list,
+# a paced one probes in rounds: no RTT-ordered selector, feed variant,
+# tie-break digest or test of its order): none of the names of
 # what was removed may come back in code, tests or docs. (`fn
 # hash_one` is the deleted helper; std's `BuildHasher::hash_one`, which
 # the map hasher's tests call, stays legal.)
-if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs|\(usize, usize, RecordType\)|partition_scan_tasks|ShardTask|collect_urs_sharded_on|scan_shards|quarantine_cooldown|health_probe|probe_ns_released|txt_strings|aux_records|PublishOnExit|classify_wait_us|EgressMonitor|BypassAlert|simnet::pcap|to_pcap|--pcap|--expand-pdns|expand_targets_from_pdns|with_pdns_expansion|subdomains_of|--payload-match|match_txt_payloads|with_payload_matching|payload_matched|tests/(pdns_expansion|txt_payloads)\.rs|with_rtt_k|--rtt-k|PayloadSignature\b|match_text|match_payload|HashWriter|fn hash_one\b|ReportBuilder|classify_shard|absorb_one|DigestRow|HashMap<\(Name, RecordType\)|acc_total|--extended|HunterConfig::extended|classify_mx|MxExact|mx_exact|saw_mx|mx_extension|MetricShard|merge_shard|SharedTokenBucket|with_shared_global|finish_shard|with_rate_limit_per_sec|WaitRises|rate_limit_2_per_s|--rate-limit|ShardGate|GateState|ShardItem|wait_admitted|DigestBatch|VerdictRow' \
+if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs|\(usize, usize, RecordType\)|partition_scan_tasks|ShardTask|collect_urs_sharded_on|scan_shards|quarantine_cooldown|health_probe|probe_ns_released|txt_strings|aux_records|PublishOnExit|classify_wait_us|EgressMonitor|BypassAlert|simnet::pcap|to_pcap|--pcap|--expand-pdns|expand_targets_from_pdns|with_pdns_expansion|subdomains_of|--payload-match|match_txt_payloads|with_payload_matching|payload_matched|tests/(pdns_expansion|txt_payloads)\.rs|with_rtt_k|--rtt-k|PayloadSignature\b|match_text|match_payload|HashWriter|fn hash_one\b|ReportBuilder|classify_shard|absorb_one|DigestRow|HashMap<\(Name, RecordType\)|acc_total|--extended|HunterConfig::extended|classify_mx|MxExact|mx_exact|saw_mx|mx_extension|MetricShard|merge_shard|SharedTokenBucket|with_shared_global|finish_shard|with_rate_limit_per_sec|WaitRises|rate_limit_2_per_s|--rate-limit|ShardGate|GateState|ShardItem|wait_admitted|DigestBatch|VerdictRow|RttSelector|RTT-ordered|TaskFeed::Rtt|rtt_selection' \
     crates tests examples README.md DESIGN.md EXPERIMENTS.md; then
     echo "ci.sh: a deleted name is back (see the matches above)" >&2
     exit 1
@@ -349,8 +352,9 @@ fi
 
 echo "== invariants: every hash, count and simulated microsecond, byte for byte =="
 # One deterministic binary runs every execution axis (workers x hub,
-# fixed vs adaptive under loss, a rate cap on one worker and four, the xl
-# fold at 1, 2 and 4 workers, three daemon epochs and their replay), asserts
+# fixed vs adaptive under loss, the paper's pacing on one worker and four,
+# the xl fold at 1, 2 and 4 workers and paced at automatic workers, three
+# daemon epochs and their replay), asserts
 # the equalities between them and prints only values that repeat exactly
 # on any host. A value that moved shows as a diff line and fails the run;
 # refresh with `./target/release/invariants > BENCH_pipeline.json` and

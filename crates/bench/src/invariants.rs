@@ -20,6 +20,7 @@
 
 use simnet::{FaultPlan, NetStats, SimDuration, SimTime};
 use std::borrow::Borrow;
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 use urhunter::{
     classified_sequence_hash, collect_correct, collect_protective, run, run_streamed,
@@ -27,7 +28,7 @@ use urhunter::{
     QueryPlan, Totals,
 };
 use urhunterd::{DriverConfig, EpochDriver, EpochSeal, LiveState, UrEvent, WorldScale};
-use worldgen::{StreamWorld, World, WorldConfig};
+use worldgen::{NsInfo, StreamWorld, World, WorldConfig};
 
 /// Scan worker counts of [`run`]: an execution axis.
 pub const WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -199,6 +200,41 @@ pub fn policy(name: &str) -> &'static Policy {
         .iter()
         .find(|p| p.name == name)
         .unwrap_or_else(|| panic!("no policy named {name}"))
+}
+
+/// The per-server bound of `cfg`'s paced scan of a world's `nameservers`
+/// × `targets` on `shards` world shards: a paced shard probes in rounds,
+/// one probe a server a round, so on a reliable network its clock is at
+/// most its busiest server's probe count (targets not delegated to it ×
+/// record types) times the interval. Summed over the scan's shards.
+pub fn paced_bound(
+    registry: &authdns::DelegationRegistry,
+    nameservers: &[NsInfo],
+    targets: &[dnswire::Name],
+    cfg: &HunterConfig,
+    shards: usize,
+) -> SimDuration {
+    let delegations: Vec<&[(dnswire::Name, Ipv4Addr)]> = (targets.iter())
+        .map(|target| {
+            let suffix = registry.registered_suffix(target);
+            let delegation = suffix.and_then(|suffix| registry.delegation_of(&suffix));
+            delegation.unwrap_or_default()
+        })
+        .collect();
+    let probes = |ns: &&NsInfo| {
+        let delegated = (delegations.iter())
+            .filter(|servers| servers.iter().any(|&(_, ip)| ip == ns.ip))
+            .count();
+        cfg.collect.query_types.len() * (targets.len() - delegated)
+    };
+    let selected: Vec<&NsInfo> = (nameservers.iter())
+        .filter(|ns| ns.tail_hosted_sites >= cfg.collect.min_tail_sites)
+        .collect();
+    let rounds: usize = par::chunk_ranges(selected.len(), shards)
+        .into_iter()
+        .map(|range| selected[range].iter().map(probes).max().unwrap_or(0))
+        .sum();
+    SimDuration::from_micros(rounds as u64 * cfg.per_server_interval.as_micros())
 }
 
 /// What no execution axis may move on one materialized world run through
@@ -497,12 +533,21 @@ pub fn medium() -> String {
 
     // The paper's 130 s per-server interval makes every probe to a server
     // after its first wait. Each shard paces its own servers on its own
-    // clock, so four workers pace exactly as one does.
+    // clock, in rounds, so four workers pace exactly as one does.
     let ethics = policy("ethics pacing");
     let paced = on(Network::RELIABLE, Some(ethics), 1);
     ethics
         .moves
         .check(&reference, &paced, "medium ethics pacing");
+    let world = World::generate(config.clone());
+    let cfg = (ethics.apply)(Network::RELIABLE.config());
+    let (targets, shards) = (world.scan_targets(), urhunter::SCAN_SHARDS);
+    let bound = paced_bound(&world.registry, &world.nameservers, &targets, &cfg, shards);
+    assert!(
+        paced.scan_elapsed <= bound,
+        "the medium paced clock {:?} exceeds its per-server bound {bound:?}",
+        paced.scan_elapsed
+    );
     let paced_four = on(Network::RELIABLE, Some(ethics), 4);
     let moved = paced.moved(&paced_four);
     assert!(
@@ -575,7 +620,7 @@ pub fn stream_pinned(
 }
 
 /// The `xl` block: the streamed paper-scale preset (≥ 1 M URs) folded at
-/// every streamed worker count.
+/// every streamed worker count, then paced once, at automatic workers.
 pub fn xl() -> String {
     const WORLD_SHARDS: usize = urhunter::SCAN_SHARDS;
     let config = WorldConfig::xl();
@@ -600,10 +645,29 @@ pub fn xl() -> String {
     );
     assert_eq!(seq.coverage.scheduled, seq.coverage.answered);
     assert!(seq.correct > 0 && seq.protective > 0 && seq.unknown > 0);
+
+    // Paced, the output is the unpaced fold's; only the clock and the
+    // waits rise, and the clock stays within the per-server bound.
+    let cfg = (policy("ethics pacing").apply)(HunterConfig::fast());
+    let (paced, _) = stream_pinned(&world, cfg.clone(), WORLD_SHARDS, None);
+    assert_eq!(
+        (paced.sequence_hash, &paced.coverage, paced.split),
+        (want.sequence_hash, &want.coverage, want.split),
+        "the paced xl fold moved the output"
+    );
+    assert!(paced.elapsed > want.elapsed && paced.bucket_wait > want.bucket_wait);
+    let (targets, shards) = (world.scan_targets(), WORLD_SHARDS);
+    let bound = paced_bound(&world.registry, &world.nameservers, &targets, &cfg, shards);
+    assert!(
+        paced.elapsed <= bound,
+        "the xl paced clock {:?} exceeds its per-server bound {bound:?}",
+        paced.elapsed
+    );
     format!(
         "  \"xl\": {{\n    \"world_seed\": {seed},\n    \"world_shards\": {WORLD_SHARDS},\n    \
          \"nameservers\": {},\n    \"targets\": {},\n    \"urs\": {},\n    \"split\": {},\n    \
-         \"sequence_hash\": {},\n    \"coverage\": {},\n    \"scan_sim_us\": {}\n  }}",
+         \"sequence_hash\": {},\n    \"coverage\": {},\n    \"scan_sim_us\": {},\n    \
+         \"ethics_130s\": {{ \"scan_sim_us\": {}, \"bucket_wait_sim_us\": {} }}\n  }}",
         seq.nameserver_count,
         seq.target_count,
         seq.total_urs,
@@ -611,6 +675,8 @@ pub fn xl() -> String {
         seq.sequence_hash,
         coverage_json(&seq.coverage),
         seq.elapsed.as_micros(),
+        paced.elapsed.as_micros(),
+        paced.bucket_wait.as_micros(),
     )
 }
 

@@ -14,8 +14,8 @@
 //! (the paper's 8,941-nameserver inventory) and `xl` (>= 1M URs) run the
 //! streamed path — lazy plan-backed shard fabrics, URs folded into
 //! the report and a sequence digest as they arrive, nothing retained —
-//! and print the coverage, the scan summary, Table 1 and Figure 2. Only `--seed`, `--shards` and
-//! the scan flags apply there; `--shards N` (1..=64, default 8) is the
+//! and print the coverage, the scan summary, Table 1 and Figure 2. Only `--seed`, `--shards`,
+//! `--ethics` and the scan flags apply there; `--shards N` (1..=64, default 8) is the
 //! world-shard count, which fixes the scan order and so is part of a
 //! streamed run's identity. A materialized world always scans on the
 //! same canonical 8 shards.
@@ -24,8 +24,7 @@
 //! naming the flag), found before any world is built. So is a flag that
 //! cannot apply: `--scale` beside any `--world`, whose preset fixes the
 //! world's size; `--shards` on a materialized world, whose shard layout is
-//! fixed; and `--report`, `--ethics` and `--metrics-out` on
-//! `--world paper|xl`.
+//! fixed; and `--report` and `--metrics-out` on `--world paper|xl`.
 //!
 //! The five scan flags (`--workers`, `--retries`, `--timeout`,
 //! `--fault-drop`, `--adaptive`) are parsed, checked and applied by [`urhunter::cli`], the same code behind
@@ -72,10 +71,10 @@ fn usage() -> ! {
          \u{20} pipeline; --world paper|xl runs the paper-scale streamed path (lazy\n\
          \u{20} plan-backed fabrics, URs folded as they arrive) and prints the\n\
          \u{20} coverage, scan summary, Table 1 and Figure 2 — only --seed, the\n\
-         \u{20} scan flags and --shards N (world shards, 1..=64, default {shards};\n\
-         \u{20} part of the run's identity) apply there, --shards applies nowhere\n\
-         \u{20} else (a materialized world always scans on {shards} shards), and\n\
-         \u{20} --scale applies to no --world;\n\
+         \u{20} scan flags, --ethics and --shards N (world shards, 1..=64,\n\
+         \u{20} default {shards}; part of the run's identity) apply there, --shards\n\
+         \u{20} applies nowhere else (a materialized world always scans on\n\
+         \u{20} {shards} shards), and --scale applies to no --world;\n\
          \u{20} --metrics-out FILE writes the observability registry and event\n\
          \u{20} trace (.prom/.txt = Prometheus text, otherwise JSON lines).\n\n{}",
         urhunter::cli::USAGE,
@@ -150,13 +149,12 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         Some(preset @ ("paper" | "xl")) => {
             for (set, flag) in [
                 (args.report.is_some(), "--report"),
-                (args.ethics, "--ethics"),
                 (args.metrics_out.is_some(), "--metrics-out"),
             ] {
                 if set {
                     return Err(format!(
                         "{flag} does not apply to --world {preset}: the streamed path reads \
-                         only --seed, --shards and the scan flags"
+                         only --seed, --shards, --ethics and the scan flags"
                     ));
                 }
             }
@@ -175,8 +173,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
 
 /// The streamed paper-scale path: a plan-backed [`worldgen::StreamWorld`]
 /// scanned shard-by-shard with URs folded into the report as they arrive.
-/// Prints the coverage to stderr, then the scan summary, Table 1 (its
-/// malicious columns zero: the stream runs no analysis) and Figure 2.
+/// Prints the coverage to stderr, then the scan summary (with the summed
+/// simulated scan clock and its pacing waits), Table 1 (its malicious
+/// columns zero: the stream runs no analysis) and Figure 2.
 fn run_world_preset(args: &Args, preset: &str) -> ExitCode {
     let mut config = match preset {
         "paper" => WorldConfig::paper(),
@@ -199,13 +198,14 @@ fn run_world_preset(args: &Args, preset: &str) -> ExitCode {
         world.nameservers.len(),
         world.scan_targets().len()
     );
-    let hunter = args.scan.apply(HunterConfig::fast());
+    let hunter = args.scan.apply(hunter_config(args.ethics));
     let out = urhunter::run_streamed(&world, &hunter, shards);
     eprint!("{}", out.report.render_coverage());
     println!(
         "world {preset}: {} nameservers, {} targets, {} shard(s) on {} worker(s)\n\
          undelegated records: {} total ({} correct, {} protective, {} unknown)\n\
-         sequence hash: {:#018x}",
+         sequence hash: {:#018x}\n\
+         simulated scan time: {} us summed over shards, {} us of it pacing waits",
         out.nameserver_count,
         out.target_count,
         out.shards,
@@ -215,10 +215,21 @@ fn run_world_preset(args: &Args, preset: &str) -> ExitCode {
         out.protective,
         out.unknown,
         out.sequence_hash,
+        out.elapsed.as_micros(),
+        out.bucket_wait.as_micros(),
     );
     println!("{}", out.report.render_table1());
     print!("{}", out.report.render_figure2(5));
     ExitCode::SUCCESS
+}
+
+/// The paper's 130 s per-server pacing under `--ethics`, none otherwise.
+fn hunter_config(ethics: bool) -> HunterConfig {
+    if ethics {
+        HunterConfig::paper_faithful()
+    } else {
+        HunterConfig::fast()
+    }
 }
 
 fn main() -> ExitCode {
@@ -241,11 +252,7 @@ fn main() -> ExitCode {
     if let Some(seed) = args.seed {
         config = config.with_seed(seed);
     }
-    let mut hunter = args.scan.apply(if args.ethics {
-        HunterConfig::paper_faithful()
-    } else {
-        HunterConfig::fast()
-    });
+    let mut hunter = args.scan.apply(hunter_config(args.ethics));
     let hub = args.metrics_out.as_ref().map(|_| obs::Obs::shared());
     if let Some(hub) = &hub {
         hunter = hunter.with_obs(hub.clone());
@@ -386,7 +393,6 @@ mod tests {
         let flags = [
             &["--scale", "default"][..],
             &["--report", "table1"],
-            &["--ethics"],
             &["--metrics-out", "metrics.jsonl"],
         ];
         for flag in flags {
@@ -400,18 +406,22 @@ mod tests {
                 assert!(err.contains(flag[0]), "error for {args:?}: {err}");
             }
         }
-        // --seed and the scan flags still apply there.
-        let args = parse(&[
-            "--world",
-            "xl",
-            "--seed",
-            "3",
-            "--workers",
-            "2",
-            "--adaptive",
-        ]);
-        let args = args.expect("scan flags apply to a streamed world");
-        assert_eq!((args.seed, args.scan.workers), (Some(3), Some(2)));
+        // --seed, --ethics and the scan flags still apply there.
+        for world in ["paper", "xl"] {
+            let args = parse(&[
+                "--world",
+                world,
+                "--seed",
+                "3",
+                "--ethics",
+                "--workers",
+                "2",
+                "--adaptive",
+            ]);
+            let args = args.expect("--ethics and the scan flags apply to a streamed world");
+            assert_eq!((args.seed, args.scan.workers), (Some(3), Some(2)));
+            assert!(args.ethics);
+        }
     }
 
     #[test]

@@ -22,8 +22,7 @@ SCAN FLAGS (shared by urhunter and urhunterd):
                            (default 5000)
     --fault-drop P         drop probability P in [0, 1] on the collection
                            stages
-    --adaptive             RTT-derived per-attempt timeouts and RTT-ordered
-                           scan rounds
+    --adaptive             RTT-derived per-attempt timeouts
     --workers and --adaptive change wall or simulated time only: the
     classified output is bit-identical.
 ";

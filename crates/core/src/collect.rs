@@ -2,14 +2,12 @@
 //! nameservers, correct records from open resolvers and passive DNS, and
 //! protective records from canary probes.
 
-use crate::query::{NsHealth, ProbeEngine};
+use crate::query::ProbeEngine;
 use crate::schedule::QueryScheduler;
 use crate::types::{CollectedUr, CorrectDb, DomainProfile, ProtectiveDb, UrKey};
 use dnswire::{Name, Rcode, RecordType};
-use fxhash::FxHashMap;
 use intern::{InternedName, Sym};
 use simnet::Network;
-use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use worldgen::{NsInfo, World};
 
@@ -233,139 +231,41 @@ fn build_scan_tasks(
     tasks
 }
 
-/// RTT-ordered task selection for adaptive scans.
+/// The order a paced shard probes its list in, as positions in it:
+/// round-robin over per-server FIFO queues. Round `r` takes the `r`-th
+/// task of every server that has one, servers in the order their first
+/// tasks appear, so while one server's bucket refills the shard probes the
+/// others. One sort by (rank among the server's tasks, position of the
+/// server's first task) gives it, with no per-step state. `server_of` maps
+/// a position to its server, an index below `servers`.
 ///
-/// Tasks are grouped into per-server FIFO queues (first-appearance order).
-/// Selection proceeds in rounds: each round visits every server that still
-/// has work, ordered by its current smoothed RTT — fastest first, with a
-/// seeded hash as the tie-break — and takes one task from each queue.
-/// Servers with no estimate yet sort first (their probe *is* the warm-up
-/// measurement); servers that have been probed but never answered sort
-/// last (they cost a full timeout each visit).
-///
-/// Two properties matter for determinism and the test battery:
-/// * **Permutation** — every task is yielded exactly once; reordering
-///   never drops or duplicates work.
-/// * **Per-server FIFO** — tasks for one server keep their relative order,
-///   so per-flow fault fates, per-pair qid streams and quarantine streaks
-///   are untouched and the scan's output stays bit-identical to the
-///   unordered schedule (see DESIGN.md §11).
-#[derive(Debug)]
-pub struct RttSelector<T> {
-    queues: Vec<(Ipv4Addr, VecDeque<T>)>,
-    /// Each queue's seeded tie-break, hashed once.
-    ties: Vec<u64>,
-    /// Current round as `(RTT key, tie-break, queue index)`, slowest
-    /// first: consumed by pop() from the back.
-    round: Vec<(u64, u64, usize)>,
-    probed: Vec<bool>,
-    remaining: usize,
-}
-
-impl<T> RttSelector<T> {
-    /// Group `tasks` into per-server FIFO queues using `server_of`.
-    pub fn new(
-        seed: u64,
-        tasks: impl IntoIterator<Item = T>,
-        server_of: impl Fn(&T) -> Ipv4Addr,
-    ) -> Self {
-        let mut queues: Vec<(Ipv4Addr, VecDeque<T>)> = Vec::new();
-        let mut slot: FxHashMap<Ipv4Addr, usize> = FxHashMap::default();
-        let mut remaining = 0;
-        for task in tasks {
-            remaining += 1;
-            let ip = server_of(&task);
-            let idx = *slot.entry(ip).or_insert_with(|| {
-                queues.push((ip, VecDeque::new()));
-                queues.len() - 1
-            });
-            queues[idx].1.push_back(task);
-        }
-        let probed = vec![false; queues.len()];
-        let ties = queues
-            .iter()
-            .map(|&(ip, _)| Self::tie_break(seed, ip))
-            .collect();
-        RttSelector {
-            queues,
-            ties,
-            round: Vec::new(),
-            probed,
-            remaining,
-        }
-    }
-
-    fn tie_break(seed: u64, ip: Ipv4Addr) -> u64 {
-        let mut d = fxhash::Digest::new();
-        d.u64(seed);
-        d.u32(u32::from(ip));
-        d.finish()
-    }
-
-    /// Yield the next task under the current RTT estimates in `health`.
-    pub fn next(&mut self, health: &NsHealth) -> Option<T> {
-        if self.remaining == 0 {
-            return None;
-        }
-        loop {
-            if let Some((_, _, si)) = self.round.pop() {
-                if let Some(task) = self.queues[si].1.pop_front() {
-                    self.probed[si] = true;
-                    self.remaining -= 1;
-                    return Some(task);
-                }
-                // Queue drained during an earlier round; skip the slot.
-                continue;
+/// Each server's positions keep their list order, so its per-flow fault
+/// fates, qids and quarantine streak are those of the list walk (see
+/// DESIGN.md §11).
+fn paced_rounds(len: u32, servers: usize, server_of: impl Fn(u32) -> usize) -> Vec<u32> {
+    // Per server: the position of its first task, and how many it has had.
+    let mut seen = vec![(0u32, 0u32); servers];
+    let keys: Vec<u64> = (0..len)
+        .map(|pos| {
+            let (first, rank) = &mut seen[server_of(pos)];
+            if *rank == 0 {
+                *first = pos;
             }
-            // Start a new round over every server that still has work,
-            // fastest estimate first. The index makes every key distinct,
-            // so the order is the stable sort's of `(RTT key, tie-break)`.
-            let (queues, ties, probed) = (&self.queues, &self.ties, &self.probed);
-            self.round.extend(
-                (0..queues.len())
-                    .filter(|&i| !queues[i].1.is_empty())
-                    .map(|i| {
-                        let key = match health.rtt_estimate(queues[i].0) {
-                            Some(est) => est.srtt_us,
-                            None if probed[i] => u64::MAX,
-                            None => 0,
-                        };
-                        (key, ties[i], i)
-                    }),
-            );
-            self.round.sort_unstable_by(|a, b| b.cmp(a));
-        }
-    }
+            *rank += 1;
+            u64::from(*rank - 1) << 32 | u64::from(*first)
+        })
+        .collect();
+    // Keys are distinct: a server has one task of each rank.
+    let mut order: Vec<u32> = (0..len).collect();
+    order.sort_unstable_by_key(|&pos| keys[pos as usize]);
+    order
 }
 
-/// How a scan walks a shard's task list, as positions in it: in order, or
-/// re-ordered by smoothed RTT when the plan is adaptive.
-enum TaskFeed {
-    Fifo(std::ops::Range<u32>),
-    Rtt(RttSelector<u32>),
-}
-
-impl TaskFeed {
-    fn new(adaptive: bool, seed: u64, len: u32, server_of: impl Fn(u32) -> Ipv4Addr) -> Self {
-        if adaptive {
-            TaskFeed::Rtt(RttSelector::new(seed, 0..len, |&pos| server_of(pos)))
-        } else {
-            TaskFeed::Fifo(0..len)
-        }
-    }
-
-    fn next(&mut self, health: &NsHealth) -> Option<u32> {
-        match self {
-            TaskFeed::Fifo(positions) => positions.next(),
-            TaskFeed::Rtt(sel) => sel.next(health),
-        }
-    }
-}
-
-/// Releases a shard's URs in task order whatever order the feed probes
+/// Releases a shard's URs in task order whatever order the shard probes
 /// in: a UR waits until every earlier position of the shard's list has
-/// been probed. Under FIFO each probe is the next position and nothing
-/// waits; under an adaptive plan this restores the FIFO output.
+/// been probed. An unpaced shard walks its list, so each probe is the next
+/// position and nothing waits; a paced shard probes in rounds
+/// ([`paced_rounds`]), and this restores the list order.
 #[derive(Default)]
 struct InOrder {
     /// Lowest position not yet probed.
@@ -500,7 +400,8 @@ pub fn collect_urs_sharded(
 /// build a replica fabric for it
 /// ([`worldgen::ScanBlueprint::build_network_scoped`]: only the nodes of
 /// the shard's addresses), scan it with their own [`ProbeEngine`] and task
-/// feed, `absorb` each full batch into the shard's own `A` **on the worker
+/// probe order (its list, or [`paced_rounds`] when the scheduler paces),
+/// `absorb` each full batch into the shard's own `A` **on the worker
 /// thread**, and drop the fabric before claiming the next shard. Each
 /// shard's URs leave in its task order (see `InOrder`), and through
 /// [`par::sharded_ordered_fold`] every shard's `A` reaches `merge` on the
@@ -509,8 +410,8 @@ pub fn collect_urs_sharded(
 /// the output is deterministic in `(world, scheduler, world_shards)` and
 /// bit-identical for every `workers` value, and peak memory is `workers`
 /// shards being scanned — their fabrics, their task orders (4 bytes a
-/// task, and under an adaptive plan as much again for the
-/// [`RttSelector`]'s queues of positions) and their `A`s — plus the `A`s
+/// task, and when paced 12 more while the rounds are sorted, then 4) and
+/// their `A`s — plus the `A`s
 /// of shards finished ahead of the merge (so `A` should be compact: a
 /// shard's fold, not its URs). `lead` runs once on the calling thread
 /// beside the workers, before the merge starts (first, when one worker
@@ -555,7 +456,7 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
         let mut sched = scheduler.for_shard(shard_idx);
         let mut tasks = build_scan_tasks(&delegated, nameservers, range.clone(), codec);
         sched.randomize(&mut tasks);
-        let scope: Vec<Ipv4Addr> = range.map(|ni| nameservers[ni].ip).collect();
+        let scope: Vec<Ipv4Addr> = range.clone().map(|ni| nameservers[ni].ip).collect();
         let pool_before = dnswire::bufpool::stats();
         // `shard_idx` seeds the replica's general RNG stream; the per-flow
         // fault seed is the world's.
@@ -570,10 +471,16 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
         let mut pending: Vec<CollectedUr> = Vec::new();
         let mut in_order = InOrder::default();
         let len = u32::try_from(tasks.len()).expect("a shard's list is part of one u32 product");
-        let mut feed = TaskFeed::new(plan.adaptive, plan.backoff_seed, len, |pos| {
-            nameservers[codec.nameserver(tasks[pos as usize])].ip
+        // An unpaced shard's clock is a sum of exchange times, each set by
+        // its own server's earlier probes, so the list walk is as fast as
+        // any order; a paced one probes in rounds.
+        let rounds = (sched.interval() > simnet::SimDuration::ZERO).then(|| {
+            paced_rounds(len, range.len(), |pos| {
+                codec.nameserver(tasks[pos as usize]) - range.start
+            })
         });
-        while let Some(pos) = feed.next(&engine.health) {
+        for i in 0..len {
+            let pos = rounds.as_ref().map_or(i, |order| order[i as usize]);
             let (ni, di, ti) = codec.decode(tasks[pos as usize]);
             let rtype = types[ti];
             let ns_ip = nameservers[ni].ip;
@@ -1073,6 +980,59 @@ mod tests {
             // Splicing the shards' slices back reconstructs the unsharded
             // build: nothing is dropped beyond the delegated pairs.
             prop_assert_eq!(union, full);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn paced_rounds_is_a_per_server_order_preserving_permutation(
+            server_of_pos in proptest::collection::vec(0usize..12, 0..256),
+        ) {
+            let len = server_of_pos.len() as u32;
+            let order = paced_rounds(len, 12, |pos| server_of_pos[pos as usize]);
+            // Every position exactly once.
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(sorted, (0..len).collect::<Vec<u32>>());
+            // Each server's positions in list order.
+            for server in 0..12 {
+                let mine: Vec<u32> = order
+                    .iter()
+                    .copied()
+                    .filter(|&pos| server_of_pos[pos as usize] == server)
+                    .collect();
+                prop_assert!(
+                    mine.windows(2).all(|w| w[0] < w[1]),
+                    "server {} saw its probes reordered: {:?}",
+                    server,
+                    mine
+                );
+            }
+            // Round-robin over per-server FIFO queues, queues in the order
+            // their servers first appear, one task a queue a round.
+            let mut queues: Vec<(usize, std::collections::VecDeque<u32>)> = Vec::new();
+            for (pos, &server) in server_of_pos.iter().enumerate() {
+                match queues.iter_mut().find(|(s, _)| *s == server) {
+                    Some((_, queue)) => queue.push_back(pos as u32),
+                    None => queues.push((server, [pos as u32].into())),
+                }
+            }
+            let mut rounds = Vec::new();
+            while queues.iter().any(|(_, queue)| !queue.is_empty()) {
+                rounds.extend(queues.iter_mut().filter_map(|(_, queue)| queue.pop_front()));
+            }
+            prop_assert_eq!(order, rounds);
+        }
+
+        #[test]
+        fn paced_rounds_is_the_same_on_every_call(
+            server_of_pos in proptest::collection::vec(0usize..8, 0..128),
+        ) {
+            let len = server_of_pos.len() as u32;
+            let order = || paced_rounds(len, 8, |pos| server_of_pos[pos as usize]);
+            prop_assert_eq!(order(), order());
         }
     }
 

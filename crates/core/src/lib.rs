@@ -56,12 +56,12 @@ pub use audit::{audit_table2, AuditRow};
 pub use classify::{ClassifyConfig, StreamClassifier};
 pub use collect::{
     collect_correct, collect_protective, collect_urs_sharded, scan_stream, select_nameservers,
-    CollectConfig, QidGen, RttSelector, ShardedScanOutcome, SCAN_SHARDS,
+    CollectConfig, QidGen, ShardedScanOutcome, SCAN_SHARDS,
 };
 pub use pipeline::{
     evaluate_false_negatives, run, run_streamed, HunterConfig, RunOutput, StreamRunOutput,
 };
-pub use query::{CoverageReport, NsHealth, ProbeEngine, ProbeReply, QueryPlan, RttEstimate};
+pub use query::{CoverageReport, ProbeEngine, ProbeReply, QueryPlan, RttEstimate};
 pub use report::{build_report, classified_sequence_hash, ProviderRow, Report, Table1Row, Totals};
 pub use schedule::{QueryScheduler, TokenBucket};
 pub use store::UrStore;

@@ -143,8 +143,8 @@ impl HunterConfig {
         self
     }
 
-    /// Enable RTT-derived per-server timeouts and RTT-ordered nameserver
-    /// selection for every collection-stage probe (the `--adaptive` flag).
+    /// Enable RTT-derived per-server timeouts for every collection-stage
+    /// probe (the `--adaptive` flag).
     pub fn with_adaptive(mut self) -> Self {
         self.retry = self.retry.adaptive();
         self

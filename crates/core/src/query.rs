@@ -144,7 +144,7 @@ impl QueryPlan {
         self
     }
 
-    /// Turn on RTT-derived per-server timeouts and RTT-ordered selection.
+    /// Turn on RTT-derived per-server timeouts.
     pub fn adaptive(mut self) -> Self {
         self.adaptive = true;
         self
@@ -240,19 +240,13 @@ struct ServerHealth {
 }
 
 /// Per-nameserver consecutive-failure circuit breaker, plus the per-server
-/// RTT estimates that drive adaptive timeouts and RTT-ordered selection:
-/// one record a server.
+/// RTT estimates that drive adaptive timeouts: one record a server.
 #[derive(Debug, Clone, Default)]
-pub struct NsHealth {
+pub(crate) struct NsHealth {
     servers: FxHashMap<Ipv4Addr, ServerHealth>,
 }
 
 impl NsHealth {
-    /// A tracker with no history.
-    pub fn new() -> Self {
-        NsHealth::default()
-    }
-
     fn get(&self, server: Ipv4Addr) -> ServerHealth {
         self.servers.get(&server).copied().unwrap_or_default()
     }
@@ -288,7 +282,7 @@ impl NsHealth {
     /// smoothed estimate. Callers follow Karn's rule: only first-attempt
     /// answers are sampled, so a late reply to an earlier transmission can
     /// never be mistaken for a fast response to the retry.
-    pub fn observe_rtt(&mut self, server: Ipv4Addr, rtt: SimDuration) {
+    pub(crate) fn observe_rtt(&mut self, server: Ipv4Addr, rtt: SimDuration) {
         match &mut self.servers.entry(server).or_default().rtt {
             Some(est) => est.update(rtt),
             none => *none = Some(RttEstimate::first(rtt)),
@@ -433,7 +427,7 @@ pub struct ProbeEngine {
     /// Retry policy in force.
     pub(crate) plan: QueryPlan,
     /// Per-server breaker state.
-    pub(crate) health: NsHealth,
+    health: NsHealth,
     /// Accounting of everything scheduled so far.
     pub coverage: CoverageReport,
     /// Everything else the engine counts; never reset.
@@ -447,7 +441,7 @@ impl ProbeEngine {
     pub fn new(plan: QueryPlan) -> Self {
         ProbeEngine {
             plan,
-            health: NsHealth::new(),
+            health: NsHealth::default(),
             coverage: CoverageReport::default(),
             tally: ProbeTally::default(),
             hub: None,
@@ -701,7 +695,7 @@ mod tests {
 
     #[test]
     fn health_breaker_quarantines_after_threshold() {
-        let mut h = NsHealth::new();
+        let mut h = NsHealth::default();
         let s = ip(1);
         for i in 1..3 {
             assert!(!h.record_failure(s, 3), "tripped early at {i}");
@@ -722,7 +716,7 @@ mod tests {
 
     #[test]
     fn health_success_resets_streak() {
-        let mut h = NsHealth::new();
+        let mut h = NsHealth::default();
         let s = ip(2);
         h.record_failure(s, 5);
         h.record_failure(s, 5);
@@ -733,7 +727,7 @@ mod tests {
 
     #[test]
     fn health_threshold_zero_never_quarantines() {
-        let mut h = NsHealth::new();
+        let mut h = NsHealth::default();
         let s = ip(3);
         for _ in 0..100 {
             assert!(!h.record_failure(s, 0));
@@ -743,7 +737,7 @@ mod tests {
 
     #[test]
     fn health_quarantine_lasts_for_the_run() {
-        let mut h = NsHealth::new();
+        let mut h = NsHealth::default();
         let s = ip(4);
         // Quarantine after 2 consecutive failures.
         assert!(!h.record_failure(s, 2));

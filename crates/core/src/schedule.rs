@@ -116,6 +116,11 @@ impl QueryScheduler {
         bucket.take(net.now());
     }
 
+    /// The per-server interval (`ZERO` = unpaced).
+    pub(crate) fn interval(&self) -> SimDuration {
+        self.interval
+    }
+
     /// Total simulated time spent waiting for the buckets, in µs.
     pub(crate) fn wait_us(&self) -> u64 {
         self.wait_us

@@ -10,7 +10,7 @@
 //! then merges the values in shard order. With one worker it *is* the
 //! sequential shard loop, on the calling thread.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
 
 /// Map `shards` independent shards to one value each on `workers` threads
@@ -38,8 +38,9 @@ use std::sync::mpsc::channel;
 /// calling thread, which keeps its thread, allocator arena and resident
 /// set.
 ///
-/// Panics propagate without deadlock. A panicking worker drops its sender;
-/// its peers go on claiming shards, and once all of them have stopped the
+/// Panics propagate without deadlock. A panicking worker raises a shared
+/// stop flag as it unwinds, and drops its sender; each peer stops once it
+/// has mapped the shard in hand, and once all of them have stopped the
 /// merge finds the channel closed short of the dead worker's shard. A
 /// panicking `lead` or `merge` drops the receiver, so each worker stops
 /// once it has mapped the shard in hand. The thread scope joins every
@@ -58,15 +59,19 @@ pub fn sharded_ordered_fold<V: Send>(
         return;
     }
     let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
     let (sender, receiver) = channel();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let (sender, next, map) = (sender.clone(), &next, &map);
-            // The counter hands out indices and publishes no other data.
-            scope.spawn(move || loop {
-                let shard = next.fetch_add(1, Ordering::Relaxed);
-                if shard >= shards || sender.send((shard, map(shard))).is_err() {
-                    break;
+            let (sender, next, stop, map) = (sender.clone(), &next, &stop, &map);
+            // The counter and the stop flag publish no other data.
+            scope.spawn(move || {
+                let _stop_on_unwind = StopOnUnwind(stop);
+                while !stop.load(Ordering::Relaxed) {
+                    let shard = next.fetch_add(1, Ordering::Relaxed);
+                    if shard >= shards || sender.send((shard, map(shard))).is_err() {
+                        break;
+                    }
                 }
             });
         }
@@ -88,10 +93,20 @@ pub fn sharded_ordered_fold<V: Send>(
     });
 }
 
+/// Raises its flag when dropped by a panic's unwind.
+struct StopOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for StopOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     /// A shard's value: its index in the top half of every word.
     fn shard_words(shard: usize) -> Vec<u64> {
@@ -288,16 +303,32 @@ mod tests {
 
     #[test]
     fn a_worker_panic_while_the_lead_runs_propagates_without_deadlock() {
-        let panicked = panics_within_ten_seconds(|| {
+        // The worker on shard 2 dies while its peers hold shards 0, 1 and
+        // (at most) 3. They finish those only once the dead worker's thread
+        // has exited, which is after its unwind, and must claim no other.
+        static DEAD_WORKER_EXITED: AtomicBool = AtomicBool::new(false);
+        struct OnThreadExit;
+        impl Drop for OnThreadExit {
+            fn drop(&mut self) {
+                DEAD_WORKER_EXITED.store(true, Ordering::SeqCst);
+            }
+        }
+        thread_local!(static EXIT: OnThreadExit = const { OnThreadExit });
+        let claimed = std::sync::Arc::new(AtomicUsize::new(0));
+        let counter = claimed.clone();
+        let panicked = panics_within_ten_seconds(move || {
             let worker_died = AtomicBool::new(false);
             sharded_ordered_fold(
                 4,
                 16,
                 |shard| {
+                    counter.fetch_add(1, Ordering::SeqCst);
                     if shard == 2 {
+                        EXIT.with(|_| {});
                         worker_died.store(true, Ordering::SeqCst);
                         panic!("unlucky shard");
                     }
+                    wait_for(&DEAD_WORKER_EXITED);
                     shard
                 },
                 // The lead is still running when the worker dies.
@@ -306,6 +337,11 @@ mod tests {
             );
         });
         assert!(panicked, "worker panic must propagate");
+        let claimed = claimed.load(Ordering::SeqCst);
+        assert!(
+            claimed <= 4,
+            "live workers claimed {claimed} shards, not only those in hand when a peer panicked"
+        );
     }
 
     #[test]

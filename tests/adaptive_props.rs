@@ -1,4 +1,4 @@
-//! Property tests for the adaptive scheduling layer's four contracts:
+//! Property tests for the adaptive scheduling layer's three contracts:
 //!
 //! * the RTT estimator is a pure function of its sample sequence — two
 //!   estimators fed the same samples agree bit for bit, and the update is
@@ -7,9 +7,6 @@
 //!   clamped into `[min(min_timeout, timeout), timeout]`;
 //! * a token bucket never admits two probes to one server
 //!   closer together than its interval, no matter how arrivals cluster;
-//! * RTT-ordered selection emits a permutation of its task list and never
-//!   reorders two tasks bound for the same server, no matter how the
-//!   health estimates shift mid-drain;
 //!
 //! and, on the wire, that the scheduler's per-server pacing never lets the
 //! fabric's flow log show two transmissions to one server inside its
@@ -17,16 +14,11 @@
 
 use proptest::prelude::*;
 use simnet::{SimDuration, SimTime};
-use std::net::Ipv4Addr;
 use urhunter::{
-    select_nameservers, CollectConfig, NsHealth, ProbeEngine, QueryPlan, QueryScheduler,
-    RttEstimate, RttSelector, TokenBucket,
+    select_nameservers, CollectConfig, ProbeEngine, QueryPlan, QueryScheduler, RttEstimate,
+    TokenBucket,
 };
 use worldgen::{World, WorldConfig};
-
-fn server(i: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 50, 0, i)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -115,73 +107,6 @@ proptest! {
                 interval_us
             );
         }
-    }
-
-    #[test]
-    fn rtt_selection_is_a_per_server_order_preserving_permutation(
-        server_of_task in proptest::collection::vec(0u8..12, 1..256),
-        seed in any::<u64>(),
-        rtt_updates in proptest::collection::vec((0u8..12, 1u64..1_000_000), 0..64),
-    ) {
-        // Tasks carry their global index so the multiset check is exact.
-        let tasks: Vec<(usize, Ipv4Addr)> = server_of_task
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (i, server(s)))
-            .collect();
-        let mut sel = RttSelector::new(seed, tasks.clone(), |t: &(usize, Ipv4Addr)| t.1);
-        let mut health = NsHealth::new();
-        let mut updates = rtt_updates.into_iter();
-        let mut drained: Vec<(usize, Ipv4Addr)> = Vec::with_capacity(tasks.len());
-        while let Some(task) = sel.next(&health) {
-            drained.push(task);
-            // Shift the estimates mid-drain the way live probing would;
-            // the permutation and per-server FIFO contracts must survive
-            // any interleaving of estimate updates.
-            if let Some((s, us)) = updates.next() {
-                health.observe_rtt(server(s), SimDuration::from_micros(us));
-            }
-        }
-        prop_assert_eq!(drained.len(), tasks.len());
-        let mut sorted = drained.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(&sorted, &tasks);
-        // Same-server tasks come out in their submission order.
-        for srv in server_of_task.iter().map(|&s| server(s)) {
-            let order: Vec<usize> = drained
-                .iter()
-                .filter(|t| t.1 == srv)
-                .map(|t| t.0)
-                .collect();
-            prop_assert!(
-                order.windows(2).all(|w| w[0] < w[1]),
-                "server {} saw its probes reordered: {:?}",
-                srv,
-                order
-            );
-        }
-    }
-
-    #[test]
-    fn rtt_selection_is_deterministic_for_a_seed(
-        server_of_task in proptest::collection::vec(0u8..8, 1..128),
-        seed in any::<u64>(),
-    ) {
-        let tasks: Vec<(usize, Ipv4Addr)> = server_of_task
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (i, server(s)))
-            .collect();
-        let drain = || -> Vec<(usize, Ipv4Addr)> {
-            let mut sel = RttSelector::new(seed, tasks.clone(), |t: &(usize, Ipv4Addr)| t.1);
-            let health = NsHealth::new();
-            let mut out = Vec::with_capacity(tasks.len());
-            while let Some(task) = sel.next(&health) {
-                out.push(task);
-            }
-            out
-        };
-        prop_assert_eq!(drain(), drain());
     }
 }
 

@@ -11,15 +11,15 @@
 //! replay) read the rows' runs as well.
 
 use bench::invariants::{
-    hold_execution_axes, pinned, policy, small_block, stream_pinned, DaemonPinned, Moves, Network,
-    Pinned, StreamPinned, NETWORKS, STREAM_SHARDS, STREAM_WORKERS, WORKERS,
+    hold_execution_axes, paced_bound, pinned, policy, small_block, stream_pinned, DaemonPinned,
+    Moves, Network, Pinned, StreamPinned, NETWORKS, STREAM_SHARDS, STREAM_WORKERS, WORKERS,
 };
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
-use urhunter::HunterConfig;
+use urhunter::{HunterConfig, SCAN_SHARDS};
 use urhunterd::{DriverConfig, EpochDriver, LiveState, UrEvent};
-use worldgen::{StreamWorld, WorldConfig};
+use worldgen::{StreamWorld, World, WorldConfig};
 
 /// Results by row, each computed once however many tests read it.
 struct Memo<K, V: 'static>(OnceLock<Mutex<HashMap<K, &'static OnceLock<V>>>>);
@@ -330,9 +330,9 @@ fn ethics_pacing_moves_only_the_clock() {
 
 #[test]
 fn ethics_pacing_on_four_workers_is_the_one_worker_run() {
-    // The paper's single scanner interleaves probes across servers on one
-    // clock, so a paced run on four workers is the paced run on one, down
-    // to the world clock; sharded, its summed scan clock would double.
+    // Each shard paces its own servers on its own clock, in rounds, so a
+    // paced run on four workers is the paced run on one, down to the
+    // world clock.
     let name = "ethics pacing";
     let moved = at(Network::RELIABLE, Some(name), 1).moved(at(Network::RELIABLE, Some(name), 4));
     assert!(
@@ -341,9 +341,29 @@ fn ethics_pacing_on_four_workers_is_the_one_worker_run() {
     );
 }
 
+/// A paced clock within its per-server bound (see
+/// `bench::invariants::paced_bound`): the bound itself on a reliable
+/// network, and 1.25 times it under loss, whose retries lengthen a round.
+fn assert_within_the_per_server_bound(
+    elapsed: simnet::SimDuration,
+    bound: simnet::SimDuration,
+    network: Network,
+    label: &str,
+) {
+    let limit = match network.loss_pct {
+        0 => bound.as_micros(),
+        _ => bound.as_micros() * 5 / 4,
+    };
+    assert!(
+        elapsed.as_micros() <= limit,
+        "{label}: the paced clock {elapsed:?} exceeds {limit} us (per-server bound {bound:?})"
+    );
+}
+
 /// The paper's per-server pacing on `network` moves only the clocks and
 /// the waits, both up, and every worker count reproduces its whole record:
-/// each shard paces its own servers on its own clock.
+/// each shard paces its own servers on its own clock, in rounds, within
+/// the per-server bound.
 fn assert_ethics_pacing_holds(network: Network) {
     let name = "ethics pacing";
     let label = format!("{name} on {network:?}");
@@ -351,6 +371,16 @@ fn assert_ethics_pacing_holds(network: Network) {
     policy(name)
         .moves
         .check(at(network, None, 1), paced, &label);
+    let world = World::generate(WorldConfig::small());
+    let (cfg, targets) = (config(network, Some(name)), world.scan_targets());
+    let bound = paced_bound(
+        &world.registry,
+        &world.nameservers,
+        &targets,
+        &cfg,
+        SCAN_SHARDS,
+    );
+    assert_within_the_per_server_bound(paced.scan_elapsed, bound, network, &label);
     for workers in &WORKERS[1..] {
         let moved = paced.moved(at(network, Some(name), *workers));
         assert!(
@@ -657,9 +687,9 @@ fn stream_workers_move_nothing() {
 
 #[test]
 fn adaptive_moves_only_the_clock_on_the_stream() {
-    // The adaptive feed probes a shard's servers fastest first, but each
-    // shard releases its URs in task order, so the streamed sequence is
-    // the fixed run's at every world-shard count and worker count.
+    // RTT-derived timeouts change how long a lost attempt costs, never
+    // what is probed in what order, so the streamed sequence is the fixed
+    // run's at every world-shard count and worker count.
     assert_eq!(policy("adaptive").moves, Moves::ClockFalls);
     for world_shards in STREAM_SHARDS {
         for network in [Network::RELIABLE, Network::lossy(1, 3)] {
@@ -679,8 +709,8 @@ fn adaptive_moves_only_the_clock_on_the_stream() {
 fn ethics_pacing_holds_on_the_stream() {
     // At every world-shard count, every worker count reproduces the paced
     // fold, whose sequence, coverage and split are the unpaced fold's:
-    // only the clock and the waits move, both up, and the waits are part
-    // of the clock.
+    // only the clock and the waits move, both up, the waits are part of
+    // the clock, and the clock is within the per-server bound.
     let name = "ethics pacing";
     assert_eq!(policy(name).moves, Moves::ClockRises);
     for world_shards in STREAM_SHARDS {
@@ -702,6 +732,16 @@ fn ethics_pacing_holds_on_the_stream() {
             paced.bucket_wait <= paced.elapsed,
             "{label}: waits outside the clock"
         );
+        let (world, cfg) = (tiny_world(), config(Network::RELIABLE, Some(name)));
+        let targets = world.scan_targets();
+        let bound = paced_bound(
+            &world.registry,
+            &world.nameservers,
+            &targets,
+            &cfg,
+            world_shards,
+        );
+        assert_within_the_per_server_bound(paced.elapsed, bound, Network::RELIABLE, &label);
     }
 }
 
