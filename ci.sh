@@ -199,6 +199,9 @@ echo "== fault matrix: the invariance harness, its ignored 32-run matrix include
 # plans), networks, the streamed fold and the daemon's epoch stream.
 cargo test -q --release -p bench --test invariance
 cargo test -q --release -p bench --test invariance -- --ignored
+# The direct exchange against the event loop under every fault kind: the
+# property runs 96 cases in the debug build tier-1 uses, 16,384 here.
+cargo test -q --release -p simnet --lib a_direct_exchange_is_the_event_loops
 
 echo "== adaptive battery: adaptive_props =="
 cargo test -q --release --test adaptive_props

@@ -4,8 +4,8 @@
 use crate::provider::{HostingProvider, ProviderAnswer, PROTECTIVE_TTL};
 use crate::zone::{RrSets, Zone, ZoneAnswer};
 use dnswire::{
-    Class, Folded, FoldedName, Message, MessageView, MessageWriter, Name, Rcode, Record,
-    RecordType, Section,
+    Class, Folded, FoldedName, Message, MessageView, MessageWriter, Name, RDataSet, Rcode, Record,
+    RecordType, RecordView, Section,
 };
 use fxhash::FxHashMap;
 use simnet::{Actions, Datagram, Node, SimTime};
@@ -92,7 +92,16 @@ fn write_zone_answer(w: &mut MessageWriter, zone: &Zone, ans: ZoneAnswer<'_>) {
     match ans {
         ZoneAnswer::Records(rs) => {
             flags.authoritative = true;
-            push_all(w, Section::Answer, rs.iter());
+            if !rs.at_question() {
+                push_all(w, Section::Answer, rs.iter());
+                return;
+            }
+            // Each owned by the question: written as the pointer to it.
+            for r in rs.iter() {
+                if !w.record_at_question(Section::Answer, r.class, r.ttl, &r.rdata) {
+                    return;
+                }
+            }
         }
         ZoneAnswer::Delegation { ns, glue } => {
             push_all(w, Section::Authority, ns);
@@ -133,15 +142,8 @@ fn write_provider_answer(
         ProviderAnswer::Protective(rdata) => {
             w.flags_mut().authoritative = true;
             if let Some(rdata) = rdata {
-                // Owned by the question: written as the pointer to it, in
-                // the case the question was asked in.
-                w.record(
-                    Section::Answer,
-                    qname.name(),
-                    Class::In,
-                    PROTECTIVE_TTL,
-                    rdata,
-                );
+                // Owned by the question: written as the pointer to it.
+                w.record_at_question(Section::Answer, Class::In, PROTECTIVE_TTL, rdata);
             }
         }
         ProviderAnswer::Refused => w.flags_mut().rcode = Rcode::Refused,
@@ -353,14 +355,17 @@ impl Node for SharedOracleNs {
 }
 
 /// One DNS exchange over the fabric, read in place: `read` is handed the
-/// validated response and its result returned; `None` on timeout, garbage
-/// or a mismatched id. A truncated UDP answer (TC bit) is transparently
-/// retried over TCP, as real stub resolvers and scanners do. The timeout
-/// applies to the UDP exchange and again to the TCP fallback.
+/// validated response with the data of the answer records `keep`
+/// accepted, kept as the response was validated, and its result returned;
+/// `None` on timeout, garbage or a mismatched id. A truncated UDP answer
+/// (TC bit) is transparently retried over TCP, as real stub resolvers and
+/// scanners do. The timeout applies to the UDP exchange and again to the
+/// TCP fallback.
 ///
 /// Nothing is built on the way: the query is written into a pooled buffer
 /// the fabric consumes, the reply is parsed where it lies and its buffer
-/// returned to the pool, so the exchange allocates only what `read` does.
+/// returned to the pool, so the exchange allocates only what `read` does
+/// and the one buffer of what `keep` accepted.
 #[allow(clippy::too_many_arguments)]
 pub fn exchange<T>(
     net: &mut simnet::Network,
@@ -370,7 +375,8 @@ pub fn exchange<T>(
     qtype: RecordType,
     id: u16,
     timeout: simnet::SimDuration,
-    read: impl FnOnce(&MessageView<'_>) -> T,
+    keep: impl Fn(&RecordView<'_>) -> bool,
+    read: impl FnOnce(&MessageView<'_>, RDataSet) -> T,
 ) -> Option<T> {
     let src = simnet::Endpoint::new(client_ip, 30000 + (id % 30000));
     let dst = simnet::Endpoint::new(server_ip, DNS_PORT);
@@ -379,22 +385,25 @@ pub fn exchange<T>(
     // which is cheaper than cloning every query on the hot path.
     let query = || dnswire::encode_query(id, qname.borrowed(), qtype);
     let udp = net.rpc(src, dst, simnet::Proto::Udp, query(), timeout)?;
-    let out = match MessageView::parse(&udp) {
-        Ok(resp) if resp.id == id && resp.flags.truncated => {
+    let out = match MessageView::parse_keeping(&udp, &keep) {
+        Ok((resp, kept)) if resp.id == id && resp.flags.truncated => {
             // TCP fallback for the complete answer. TCP blocked, lost or
             // mangled: the truncated answer is all we have.
             let tcp = net.rpc(src, dst, simnet::Proto::Tcp, query(), timeout);
             let full = tcp
                 .as_deref()
-                .and_then(|raw| MessageView::parse(raw).ok())
-                .filter(|full| full.id == id);
-            let out = read(full.as_ref().unwrap_or(&resp));
+                .and_then(|raw| MessageView::parse_keeping(raw, &keep).ok())
+                .filter(|(full, _)| full.id == id);
+            let out = match full {
+                Some((full, full_kept)) => read(&full, full_kept),
+                None => read(&resp, kept),
+            };
             if let Some(raw) = tcp {
                 dnswire::bufpool::release(raw);
             }
             Some(out)
         }
-        Ok(resp) if resp.id == id => Some(read(&resp)),
+        Ok((resp, kept)) if resp.id == id => Some(read(&resp, kept)),
         _ => None,
     };
     dnswire::bufpool::release(udp);
@@ -444,7 +453,8 @@ pub(crate) fn dns_query_with_timeout(
         qtype,
         id,
         timeout,
-        |resp| resp.to_message(),
+        |_| false,
+        |resp, _| resp.to_message(),
     )
 }
 

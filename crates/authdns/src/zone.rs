@@ -32,15 +32,20 @@ impl RrSets {
 
 /// A DNS zone: an apex name and the records at or below it.
 ///
-/// Records are stored per owner name, keyed by the folded name, one RRset
-/// per type under each, so a lookup is one hash probe with the bytes of a
-/// name folded once. Every empty non-terminal between an owner and the
-/// apex has an entry too, with no RRsets, so whether a name exists is
-/// that same probe. The zone also carries its SOA so negative answers can
-/// include it in the authority section.
+/// Records are stored per owner name, one RRset per type under each: the
+/// apex's beside the map, every name below it keyed by the folded name,
+/// so a lookup is one hash probe with the bytes of a name folded once,
+/// and none at the apex, the name a zone is asked about most. Every empty
+/// non-terminal between an owner and the apex has an entry too, with no
+/// RRsets, so whether a name exists is that same probe. The zone also
+/// carries its SOA so negative answers can include it in the authority
+/// section.
 #[derive(Debug, Clone)]
 pub struct Zone {
     apex: Name,
+    /// The RRsets at the apex.
+    at_apex: RrSets,
+    /// The RRsets of every name strictly below the apex.
     records: FxHashMap<FoldedName, RrSets>,
 }
 
@@ -58,6 +63,12 @@ pub struct AnswerRecords<'z> {
 }
 
 impl<'z> AnswerRecords<'z> {
+    /// True when every record is owned by the question's name: no CNAME
+    /// was followed.
+    pub fn at_question(&self) -> bool {
+        self.cnames[0].is_none()
+    }
+
     /// The records in answer-section order.
     pub fn iter(&self) -> impl Iterator<Item = &'z Record> {
         let sets = self.sets;
@@ -148,10 +159,11 @@ impl Zone {
                 minimum: 300,
             },
         );
-        let mut records = FxHashMap::default();
-        let soa_set = RrSets(vec![(RecordType::Soa, vec![soa])]);
-        records.insert(FoldedName::new(apex.borrowed()), soa_set);
-        Zone { apex, records }
+        Zone {
+            apex,
+            at_apex: RrSets(vec![(RecordType::Soa, vec![soa])]),
+            records: FxHashMap::default(),
+        }
     }
 
     /// The zone apex.
@@ -159,12 +171,16 @@ impl Zone {
         &self.apex
     }
 
-    /// The RRset of `rtype` at `owner`, created empty if there is none;
-    /// `owner` and every name between it and the apex get an entry.
+    /// The RRset of `rtype` at `owner`, at or below the apex, created empty
+    /// if there is none; `owner` and every name between it and the apex
+    /// get an entry.
     fn rrset_mut(&mut self, owner: &Name, rtype: RecordType) -> &mut Vec<Record> {
+        if owner.label_count() == self.apex.label_count() {
+            return self.at_apex.entry(rtype);
+        }
         let mut scratch = Vec::new();
         let owner = owner.borrowed().fold(&mut scratch);
-        for labels in (self.apex.label_count()..=owner.label_count()).rev() {
+        for labels in (self.apex.label_count() + 1..=owner.label_count()).rev() {
             let name = owner.suffix(labels).expect("within the label count");
             if self.records.contains_key(name.key()) {
                 break;
@@ -195,12 +211,18 @@ impl Zone {
         }
     }
 
-    /// Every RRset at `owner`.
+    /// Every RRset at `owner`, a name at or below the apex: at the apex
+    /// itself, read without hashing the name.
     fn sets_at(&self, owner: Folded<'_>) -> &[(RecordType, Vec<Record>)] {
-        self.records.get(owner.key()).map_or(&[], |sets| &sets.0)
+        let sets = if owner.label_count() == self.apex.label_count() {
+            Some(&self.at_apex)
+        } else {
+            self.records.get(owner.key())
+        };
+        sets.map_or(&[], |sets| &sets.0)
     }
 
-    /// [`Zone::get`] for a folded owner.
+    /// [`Zone::get`] for a folded owner at or below the apex.
     fn rrset(&self, owner: Folded<'_>, rtype: RecordType) -> &[(RecordType, Vec<Record>)] {
         let sets = self.sets_at(owner);
         match sets.binary_search_by_key(&rtype, |(t, _)| *t) {
@@ -211,6 +233,9 @@ impl Zone {
 
     /// The RRset of `rtype` at `owner`, if any.
     pub fn get(&self, owner: &Name, rtype: RecordType) -> &[Record] {
+        if !owner.is_subdomain_of(&self.apex) {
+            return &[];
+        }
         let mut scratch = Vec::new();
         match self.rrset(owner.borrowed().fold(&mut scratch), rtype) {
             [(_, set)] => set,
@@ -227,7 +252,7 @@ impl Zone {
 
     /// The zone's SOA record.
     pub(crate) fn soa(&self) -> &Record {
-        &self.get(&self.apex, RecordType::Soa)[0]
+        &self.at_apex.get(RecordType::Soa)[0]
     }
 
     /// Answer a question authoritatively from this zone.
@@ -437,6 +462,7 @@ mod tests {
         fn by_scan(z: &Zone, owner: &Name) -> bool {
             z.records
                 .values()
+                .chain([&z.at_apex])
                 .flat_map(|sets| sets.0.iter().flat_map(|(_, set)| set))
                 .any(|r| &r.name == owner || r.name.is_strict_subdomain_of(owner))
         }

@@ -8,8 +8,8 @@
 //! probe results. Everything left is *suspicious*.
 
 use crate::types::{
-    ClassifiedUr, CollectedUr, CorrectDb, CorrectReason, DomainProfile, ProtectiveDb, TxtCategory,
-    UrCategory,
+    nonempty_all, ClassifiedUr, CollectedUr, CorrectDb, CorrectReason, DomainProfile, ProtectiveDb,
+    TxtCategory, UrCategory,
 };
 use dnswire::RecordType;
 use fxhash::FxHashSet;
@@ -70,15 +70,23 @@ fn txt_category_of(ur: &CollectedUr) -> Option<TxtCategory> {
         .map(|t| TxtCategory::classify(&t))
 }
 
-/// Non-empty-subset test.
-fn nonempty_subset<T: Eq + std::hash::Hash>(sub: &FxHashSet<T>, sup: &FxHashSet<T>) -> bool {
-    !sub.is_empty() && sub.is_subset(sup)
+/// Appendix B's subset test, read in place: the values `attr` finds for
+/// `ips` are a non-empty subset of `known`.
+fn attrs_within<T: Eq + std::hash::Hash>(
+    ips: &[Ipv4Addr],
+    attr: impl Fn(Ipv4Addr) -> Option<T>,
+    known: &FxHashSet<T>,
+) -> bool {
+    nonempty_all(ips.iter().filter_map(|&ip| attr(ip)), |a| {
+        known.contains(&a)
+    })
 }
 
 /// The first Appendix-B subset condition (IP, AS, geo, then certificate)
-/// under which `ips` falls inside the correct profile. Each attribute set
-/// is built only once the condition before it has failed: the IP subset
-/// decides most exclusions, and an AS, geo or certificate set costs one
+/// under which `ips` falls inside the correct profile. Each condition
+/// looks its attribute up only once the condition before it has failed,
+/// and stops at the first address outside the profile: the IP subset
+/// decides most exclusions, and an AS, geo or certificate value costs one
 /// `NetDb` lookup per address.
 fn subset_reason(
     ips: &[Ipv4Addr],
@@ -86,34 +94,24 @@ fn subset_reason(
     metadata: &NetDb,
     cfg: &ClassifyConfig,
 ) -> Option<CorrectReason> {
-    if ips.is_empty() {
-        return None;
-    }
-    fn set_of<T: Eq + std::hash::Hash>(
-        ips: &[Ipv4Addr],
-        attr: impl Fn(Ipv4Addr) -> Option<T>,
-    ) -> FxHashSet<T> {
-        ips.iter().filter_map(|&ip| attr(ip)).collect()
-    }
-    if cfg.use_ip_subset && nonempty_subset(&set_of(ips, Some), &profile.ips) {
+    if cfg.use_ip_subset && attrs_within(ips, Some, &profile.ips) {
         Some(CorrectReason::IpSubset)
     } else if cfg.use_as_subset
-        && nonempty_subset(
-            &set_of(ips, |ip| metadata.asn_of(ip).map(|a| a.asn)),
-            &profile.asns,
-        )
+        && attrs_within(ips, |ip| metadata.asn_of(ip).map(|a| a.asn), &profile.asns)
     {
         Some(CorrectReason::AsSubset)
     } else if cfg.use_geo_subset
-        && nonempty_subset(
-            &set_of(ips, |ip| metadata.geo_of(ip).map(|g| (g.country, g.city))),
+        && attrs_within(
+            ips,
+            |ip| metadata.geo_of(ip).map(|g| (g.country, g.city)),
             &profile.geos,
         )
     {
         Some(CorrectReason::GeoSubset)
     } else if cfg.use_cert_subset
-        && nonempty_subset(
-            &set_of(ips, |ip| metadata.cert_of(ip).map(|c| c.fingerprint)),
+        && attrs_within(
+            ips,
+            |ip| metadata.cert_of(ip).map(|c| c.fingerprint),
             &profile.certs,
         )
     {
@@ -127,11 +125,9 @@ fn subset_reason(
 /// in passive DNS within the window.
 fn in_history(ur: &CollectedUr, history: &PassiveDns, cfg: &ClassifyConfig) -> bool {
     cfg.use_pdns
-        && !ur.records.is_empty()
-        && ur
-            .records
-            .iter()
-            .all(|r| history.contains(&ur.key.domain, ur.key.rtype, &r, cfg.today, cfg.pdns_window))
+        && nonempty_all(ur.records.iter(), |r| {
+            history.contains(&ur.key.domain, ur.key.rtype, &r, cfg.today, cfg.pdns_window)
+        })
 }
 
 fn classify_a(
@@ -141,27 +137,27 @@ fn classify_a(
     history: &PassiveDns,
     cfg: &ClassifyConfig,
 ) -> Decision {
+    // The verdict keeps these.
     let ips = ur.a_ips();
     let profile = correct.profile(&ur.key.domain);
 
     let reason = subset_reason(&ips, profile, metadata, cfg)
         .or_else(|| in_history(ur, history, cfg).then_some(CorrectReason::PassiveDns))
         .or_else(|| {
-            // Parking/redirect keyword exclusion over the HTTP profiles of
-            // the UR's addresses.
+            // Parking/redirect keyword exclusion: every address with an
+            // HTTP profile serves a parking page, or every one a redirect.
             if !cfg.use_http_exclusion {
                 return None;
             }
-            let kinds: Vec<PageKind> = ips
-                .iter()
-                .filter_map(|&ip| metadata.page_kind_of(ip))
-                .collect();
-            if !kinds.is_empty() && kinds.iter().all(|k| *k == PageKind::Parking) {
-                Some(CorrectReason::Parked)
-            } else if !kinds.is_empty() && kinds.iter().all(|k| *k == PageKind::Redirect) {
-                Some(CorrectReason::Redirect)
-            } else {
-                None
+            let mut kinds = ips.iter().filter_map(|&ip| metadata.page_kind_of(ip));
+            let first = kinds.next()?;
+            if !kinds.all(|k| k == first) {
+                return None;
+            }
+            match first {
+                PageKind::Parking => Some(CorrectReason::Parked),
+                PageKind::Redirect => Some(CorrectReason::Redirect),
+                _ => None,
             }
         });
     (reason, None, ips)
@@ -173,29 +169,32 @@ fn classify_txt(
     history: &PassiveDns,
     cfg: &ClassifyConfig,
 ) -> Decision {
-    let texts = ur.txt_strs();
     let profile = correct.profile(&ur.key.domain);
-    // Exact match against correct TXT records. `Sym::lookup` probes the
-    // profile set without interning (attacker-controlled) scan data.
-    let mut reason = None;
-    if !texts.is_empty()
-        && texts
-            .iter()
-            .all(|t| intern::Sym::lookup(t).is_some_and(|s| profile.txts.contains(&s)))
-    {
-        reason = Some(CorrectReason::TxtExact);
-    } else if in_history(ur, history, cfg) {
-        reason = Some(CorrectReason::PassiveDns);
-    }
-    // Corresponding IPs: addresses embedded in the TXT body (the sibling-A
-    // fallback is resolved at analysis time, when all URs are visible).
+    // One pass over the texts: the category of the first, whether each so
+    // far matches a correct TXT record exactly (`Sym::lookup` probes the
+    // profile set without interning attacker-controlled scan data), and
+    // the addresses embedded in each body, which the verdict keeps as its
+    // corresponding IPs (the sibling-A fallback is resolved at analysis
+    // time, when all URs are visible).
+    let mut txt_category = None;
+    let mut exact = None;
     let mut embedded: Vec<Ipv4Addr> = Vec::new();
-    for t in &texts {
-        embedded.extend(intel::extract_ipv4s(t));
+    for t in ur.records.iter().filter_map(|r| r.txt_str()) {
+        txt_category.get_or_insert_with(|| TxtCategory::classify(&t));
+        if exact != Some(false) {
+            exact = Some(intern::Sym::lookup(&t).is_some_and(|s| profile.txts.contains(&s)));
+        }
+        embedded.extend(intel::extract_ipv4s(&t));
     }
     embedded.sort_unstable();
     embedded.dedup();
-    let txt_category = texts.first().map(|t| TxtCategory::classify(t));
+    let reason = if exact == Some(true) {
+        Some(CorrectReason::TxtExact)
+    } else if in_history(ur, history, cfg) {
+        Some(CorrectReason::PassiveDns)
+    } else {
+        None
+    };
     (reason, txt_category, embedded)
 }
 

@@ -235,30 +235,46 @@ fn build_scan_tasks(
 /// round-robin over per-server FIFO queues. Round `r` takes the `r`-th
 /// task of every server that has one, servers in the order their first
 /// tasks appear, so while one server's bucket refills the shard probes the
-/// others. One sort by (rank among the server's tasks, position of the
-/// server's first task) gives it, with no per-step state. `server_of` maps
-/// a position to its server, an index below `servers`.
+/// others. One linear pass links each position to the next position of
+/// the same server and notes each server's first, in order of appearance;
+/// the rounds then walk those links, 4 bytes a task. `server_of` maps a
+/// position to its server, an index below `servers`.
 ///
 /// Each server's positions keep their list order, so its per-flow fault
 /// fates, qids and quarantine streak are those of the list walk (see
 /// DESIGN.md §11).
-fn paced_rounds(len: u32, servers: usize, server_of: impl Fn(u32) -> usize) -> Vec<u32> {
-    // Per server: the position of its first task, and how many it has had.
-    let mut seen = vec![(0u32, 0u32); servers];
-    let keys: Vec<u64> = (0..len)
-        .map(|pos| {
-            let (first, rank) = &mut seen[server_of(pos)];
-            if *rank == 0 {
-                *first = pos;
-            }
-            *rank += 1;
-            u64::from(*rank - 1) << 32 | u64::from(*first)
-        })
-        .collect();
-    // Keys are distinct: a server has one task of each rank.
-    let mut order: Vec<u32> = (0..len).collect();
-    order.sort_unstable_by_key(|&pos| keys[pos as usize]);
-    order
+fn paced_rounds(
+    len: u32,
+    servers: usize,
+    server_of: impl Fn(u32) -> usize,
+) -> impl Iterator<Item = u32> {
+    // No position: `len` fits a `u32`, so a position is below `u32::MAX`.
+    const END: u32 = u32::MAX;
+    let mut next = vec![END; len as usize];
+    let mut last = vec![END; servers];
+    // Each server's queue, as the position at its front.
+    let mut fronts = Vec::new();
+    for pos in 0..len {
+        let server = server_of(pos);
+        match last[server] {
+            END => fronts.push(pos),
+            prev => next[prev as usize] = pos,
+        }
+        last[server] = pos;
+    }
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        if at == fronts.len() {
+            // A round is over: the queues it emptied leave.
+            fronts.retain(|&pos| pos != END);
+            at = 0;
+        }
+        let front = fronts.get_mut(at)?;
+        let pos = *front;
+        *front = next[pos as usize];
+        at += 1;
+        Some(pos)
+    })
 }
 
 /// Releases a shard's URs in task order whatever order the shard probes
@@ -396,8 +412,8 @@ pub fn collect_urs_sharded(
 /// delegated pairs) and shuffles it with `QueryScheduler::for_shard`'s
 /// seed, so its order is O(slice): 4 bytes a task, 18 MB for one of a
 /// paper-scale world's 8 shards against 143 MB for the whole. `workers`
-/// threads (one scans on the calling thread) each claim the next shard,
-/// build a replica fabric for it
+/// spawned threads each claim the next shard (one worker is the calling
+/// thread itself, and no thread is spawned), build a replica fabric for it
 /// ([`worldgen::ScanBlueprint::build_network_scoped`]: only the nodes of
 /// the shard's addresses), scan it with their own [`ProbeEngine`] and task
 /// probe order (its list, or [`paced_rounds`] when the scheduler paces),
@@ -410,12 +426,12 @@ pub fn collect_urs_sharded(
 /// the output is deterministic in `(world, scheduler, world_shards)` and
 /// bit-identical for every `workers` value, and peak memory is `workers`
 /// shards being scanned — their fabrics, their task orders (4 bytes a
-/// task, and when paced 12 more while the rounds are sorted, then 4) and
+/// task, and 4 more when paced, for the rounds' links) and
 /// their `A`s — plus the `A`s
 /// of shards finished ahead of the merge (so `A` should be compact: a
 /// shard's fold, not its URs). `lead` runs once on the calling thread
-/// beside the workers, before the merge starts (first, when one worker
-/// scans on the calling thread).
+/// beside the workers, before the merge starts (first, when the calling
+/// thread is the one worker).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn collect_urs_streamed<A: Default + Send>(
     blueprint: &worldgen::ScanBlueprint,
@@ -474,13 +490,16 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
         // An unpaced shard's clock is a sum of exchange times, each set by
         // its own server's earlier probes, so the list walk is as fast as
         // any order; a paced one probes in rounds.
-        let rounds = (sched.interval() > simnet::SimDuration::ZERO).then(|| {
+        let mut rounds = (sched.interval() > simnet::SimDuration::ZERO).then(|| {
             paced_rounds(len, range.len(), |pos| {
                 codec.nameserver(tasks[pos as usize]) - range.start
             })
         });
         for i in 0..len {
-            let pos = rounds.as_ref().map_or(i, |order| order[i as usize]);
+            let pos = match &mut rounds {
+                Some(order) => order.next().expect("the rounds hold every position"),
+                None => i,
+            };
             let (ni, di, ti) = codec.decode(tasks[pos as usize]);
             let rtype = types[ti];
             let ns_ip = nameservers[ni].ip;
@@ -991,7 +1010,8 @@ mod tests {
             server_of_pos in proptest::collection::vec(0usize..12, 0..256),
         ) {
             let len = server_of_pos.len() as u32;
-            let order = paced_rounds(len, 12, |pos| server_of_pos[pos as usize]);
+            let order: Vec<u32> =
+                paced_rounds(len, 12, |pos| server_of_pos[pos as usize]).collect();
             // Every position exactly once.
             let mut sorted = order.clone();
             sorted.sort_unstable();
@@ -1031,7 +1051,7 @@ mod tests {
             server_of_pos in proptest::collection::vec(0usize..8, 0..128),
         ) {
             let len = server_of_pos.len() as u32;
-            let order = || paced_rounds(len, 8, |pos| server_of_pos[pos as usize]);
+            let order = || paced_rounds(len, 8, |pos| server_of_pos[pos as usize]).collect::<Vec<u32>>();
             prop_assert_eq!(order(), order());
         }
     }

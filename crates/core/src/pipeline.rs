@@ -39,9 +39,12 @@ pub struct HunterConfig {
     /// — [`SCAN_SHARDS`](crate::SCAN_SHARDS) contiguous nameserver ranges
     /// for [`run`], the `world_shards` argument of [`run_streamed`] — and
     /// each scans its shard on its own replica fabric and classifies the
-    /// URs it scanned. One worker scans on the calling thread. [`run`]'s
-    /// calling thread sweeps for correct and protective records while the
-    /// workers scan, then folds, analyzes and reports. `0` is automatic
+    /// URs it scanned. Two or more workers are threads of their own, and
+    /// [`run`]'s calling thread sweeps for correct and protective records
+    /// beside them (two workers keep three threads busy during the
+    /// sweep), then merges their folds, analyzes and reports; one worker
+    /// is the calling thread itself, which sweeps first and then scans
+    /// every shard. `0` is automatic
     /// (available parallelism, `URHUNTER_PARALLELISM` override), `1` is
     /// sequential, `n` fixed. Output is bit-identical for every value
     /// (pinned by the execution axes of `tests/invariance.rs`); only

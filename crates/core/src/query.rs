@@ -33,7 +33,6 @@
 
 use fxhash::{Digest, FxHashMap};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
 use dnswire::{Flags, Name, RDataSet, Rcode, RecordType, RecordView};
@@ -231,80 +230,67 @@ impl RttEstimate {
 
 /// What the engine remembers about one server.
 #[derive(Debug, Clone, Copy, Default)]
-struct ServerHealth {
+pub(crate) struct ServerHealth {
     /// Consecutive fully failed probes.
     streak: u32,
+    /// No further probes are sent to it.
     quarantined: bool,
+    /// Smoothed round trip, once a sample has landed.
     rtt: Option<RttEstimate>,
     recursive: bool,
 }
 
-/// Per-nameserver consecutive-failure circuit breaker, plus the per-server
-/// RTT estimates that drive adaptive timeouts: one record a server.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct NsHealth {
-    servers: FxHashMap<Ipv4Addr, ServerHealth>,
-}
-
-impl NsHealth {
-    fn get(&self, server: Ipv4Addr) -> ServerHealth {
-        self.servers.get(&server).copied().unwrap_or_default()
-    }
-
-    /// Is this server quarantined (no further probes allowed)?
-    pub(crate) fn is_quarantined(&self, server: Ipv4Addr) -> bool {
-        self.get(server).quarantined
-    }
-
+impl ServerHealth {
     /// Record a successful exchange: resets the failure streak.
-    pub(crate) fn record_success(&mut self, server: Ipv4Addr) {
-        if let Some(s) = self.servers.get_mut(&server) {
-            s.streak = 0;
-        }
+    fn record_success(&mut self) {
+        self.streak = 0;
     }
 
     /// Record a fully failed probe (all attempts exhausted). Returns `true`
     /// if this failure pushed the server over `threshold` into quarantine.
-    pub(crate) fn record_failure(&mut self, server: Ipv4Addr, threshold: u32) -> bool {
-        let s = self.servers.entry(server).or_default();
-        s.streak += 1;
-        let newly = threshold > 0 && s.streak >= threshold && !s.quarantined;
-        s.quarantined |= newly;
+    fn record_failure(&mut self, threshold: u32) -> bool {
+        self.streak += 1;
+        let newly = threshold > 0 && self.streak >= threshold && !self.quarantined;
+        self.quarantined |= newly;
         newly
     }
 
-    /// Current failure streak for a server (0 if healthy).
-    pub(crate) fn failure_streak(&self, server: Ipv4Addr) -> u32 {
-        self.get(server).streak
-    }
-
-    /// Fold one RTT sample (measured on the virtual clock) into `server`'s
+    /// Fold one RTT sample (measured on the virtual clock) into the
     /// smoothed estimate. Callers follow Karn's rule: only first-attempt
     /// answers are sampled, so a late reply to an earlier transmission can
     /// never be mistaken for a fast response to the retry.
-    pub(crate) fn observe_rtt(&mut self, server: Ipv4Addr, rtt: SimDuration) {
-        match &mut self.servers.entry(server).or_default().rtt {
+    fn observe_rtt(&mut self, rtt: SimDuration) {
+        match &mut self.rtt {
             Some(est) => est.update(rtt),
             none => *none = Some(RttEstimate::first(rtt)),
         }
     }
 
-    /// Current smoothed estimate for a server, if any sample has landed.
-    pub(crate) fn rtt_estimate(&self, server: Ipv4Addr) -> Option<RttEstimate> {
-        self.get(server).rtt
-    }
-
-    /// Mark a server as answering recursively (`ra` set on a response).
+    /// Mark the server as answering recursively (`ra` set on a response).
     ///
     /// An authoritative server's service time is one fabric round trip per
     /// transport leg, so a floored RTT-derived timeout can never cut off a
     /// delivered answer. A recursive responder resolves iteratively on its
     /// own clock — internal retry timers included — so its service time is
     /// unbounded and no smoothed estimate is safe to enforce against it.
-    pub(crate) fn note_recursive(&mut self, server: Ipv4Addr) {
-        let s = self.servers.entry(server).or_default();
-        s.recursive = true;
-        s.rtt = None;
+    fn note_recursive(&mut self) {
+        self.recursive = true;
+        self.rtt = None;
+    }
+}
+
+/// Per-nameserver consecutive-failure circuit breaker, plus the per-server
+/// RTT estimates that drive adaptive timeouts: one record a server, found
+/// once a probe.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NsHealth {
+    servers: FxHashMap<Ipv4Addr, ServerHealth>,
+}
+
+impl NsHealth {
+    /// The record of `server`, fresh on first sight.
+    pub(crate) fn server(&mut self, server: Ipv4Addr) -> &mut ServerHealth {
+        self.servers.entry(server).or_default()
     }
 }
 
@@ -456,27 +442,13 @@ impl ProbeEngine {
         self
     }
 
-    /// Timeout for the next attempt against `server`: the RTT-derived value
-    /// when the plan is adaptive and a sample exists, the fixed plan
-    /// timeout otherwise. Counts which branch fired.
-    fn attempt_timeout(&mut self, server: Ipv4Addr) -> SimDuration {
-        if self.plan.adaptive {
-            if let Some(est) = self.health.rtt_estimate(server) {
-                self.tally.timeout_derived += 1;
-                return self.plan.derived_timeout(&est);
-            }
-        }
-        self.tally.timeout_fixed += 1;
-        self.plan.timeout
-    }
-
     /// Key identifying a probe for backoff jitter purposes.
     fn probe_key(server: Ipv4Addr, qname: &Name, qtype: RecordType, qid: u16) -> u64 {
         let mut d = Digest::new();
         d.u32(u32::from(server));
         // `d.str(&qname.to_string())` without the string: the digest does
         // not depend on how its input is split.
-        write!(d, "{qname}").expect("a digest accepts every write");
+        qname.borrowed().render(|piece| d.bytes(piece));
         d.u8(0xff);
         d.u16(qtype.code());
         d.u16(qid);
@@ -505,11 +477,10 @@ impl ProbeEngine {
             qtype,
             qid,
             timeout,
-            // One exact allocation for what is kept, none for a reply
-            // nothing is kept of.
-            |resp| ProbeReply {
+            keep,
+            |resp, answers| ProbeReply {
                 flags: resp.flags,
-                answers: RDataSet::from_records(resp.answers().filter(|r| keep(r))),
+                answers,
             },
         )
     }
@@ -546,7 +517,8 @@ impl ProbeEngine {
         keep: impl Fn(&RecordView<'_>) -> bool,
     ) -> Option<ProbeReply> {
         self.coverage.scheduled += 1;
-        if self.health.is_quarantined(server_ip) {
+        let health = self.health.server(server_ip);
+        if health.quarantined {
             self.coverage.skipped_quarantined += 1;
             return None;
         }
@@ -554,8 +526,19 @@ impl ProbeEngine {
         let mut key = None;
         let attempts = self.plan.attempts.max(1);
         // The estimate cannot change mid-probe (a success returns at once),
-        // so one derivation covers every attempt of this probe.
-        let timeout = self.attempt_timeout(server_ip);
+        // so one derivation covers every attempt of this probe: the
+        // RTT-derived value when the plan is adaptive and a sample exists,
+        // the fixed plan timeout otherwise.
+        let timeout = match health.rtt {
+            Some(est) if self.plan.adaptive => {
+                self.tally.timeout_derived += 1;
+                self.plan.derived_timeout(&est)
+            }
+            _ => {
+                self.tally.timeout_fixed += 1;
+                self.plan.timeout
+            }
+        };
         for attempt in 1..=attempts {
             if attempt > 1 {
                 // Deterministic backoff on the virtual clock; a late reply
@@ -577,14 +560,14 @@ impl ProbeEngine {
                     // their service times poison the estimator (and a
                     // derived timeout would cut off slow-but-coming
                     // answers), so they stay on the fixed plan timeout.
-                    self.health.note_recursive(server_ip);
+                    health.note_recursive();
                 }
                 if attempt == 1 {
                     if !resp.flags.recursion_available {
                         // Karn's rule: only an answer to the first
                         // transmission is an unambiguous RTT sample.
                         let rtt = net.now().since(sent_at);
-                        self.health.observe_rtt(server_ip, rtt);
+                        health.observe_rtt(rtt);
                         self.tally.rtt_us.observe(rtt.as_micros());
                     }
                     self.coverage.answered += 1;
@@ -592,16 +575,13 @@ impl ProbeEngine {
                     self.coverage.retried_answered += 1;
                 }
                 self.tally.attempts.observe(u64::from(attempt));
-                self.health.record_success(server_ip);
+                health.record_success();
                 return Some(resp);
             }
         }
         self.coverage.gave_up += 1;
         self.tally.attempts.observe(u64::from(attempts));
-        if self
-            .health
-            .record_failure(server_ip, self.plan.quarantine_threshold)
-        {
+        if health.record_failure(self.plan.quarantine_threshold) {
             self.coverage.quarantined_servers.push(server_ip);
             self.tally.ns_quarantined += 1;
             if let Some(hub) = &self.hub {
@@ -609,7 +589,7 @@ impl ProbeEngine {
                     Some(net.now().as_micros()),
                     "quarantine",
                     &server_ip.to_string(),
-                    format!("streak={}", self.health.failure_streak(server_ip)),
+                    format!("streak={}", health.streak),
                 );
             }
         }
@@ -633,8 +613,15 @@ mod tests {
 
     #[test]
     fn probe_key_hashes_the_rendered_name() {
-        let escaped =
-            Name::from_labels([&b"a.b"[..], b"sp ace\\", b"\x07", b"Example", b"org"]).unwrap();
+        let escaped = Name::from_labels([
+            &b"a.b"[..],
+            b"sp ace\\",
+            b"\x07",
+            b"\xc8",
+            b"Example",
+            b"org",
+        ])
+        .unwrap();
         assert!(
             escaped.to_string().contains('\\'),
             "{escaped} renders escapes"
@@ -698,13 +685,13 @@ mod tests {
         let mut h = NsHealth::default();
         let s = ip(1);
         for i in 1..3 {
-            assert!(!h.record_failure(s, 3), "tripped early at {i}");
+            assert!(!h.server(s).record_failure(3), "tripped early at {i}");
         }
-        assert!(!h.is_quarantined(s));
-        assert!(h.record_failure(s, 3));
-        assert!(h.is_quarantined(s));
+        assert!(!h.server(s).quarantined);
+        assert!(h.server(s).record_failure(3));
+        assert!(h.server(s).quarantined);
         // Re-recording doesn't report "newly quarantined" again.
-        assert!(!h.record_failure(s, 3));
+        assert!(!h.server(s).record_failure(3));
         let quarantined: Vec<Ipv4Addr> = h
             .servers
             .iter()
@@ -718,11 +705,11 @@ mod tests {
     fn health_success_resets_streak() {
         let mut h = NsHealth::default();
         let s = ip(2);
-        h.record_failure(s, 5);
-        h.record_failure(s, 5);
-        assert_eq!(h.failure_streak(s), 2);
-        h.record_success(s);
-        assert_eq!(h.failure_streak(s), 0);
+        h.server(s).record_failure(5);
+        h.server(s).record_failure(5);
+        assert_eq!(h.server(s).streak, 2);
+        h.server(s).record_success();
+        assert_eq!(h.server(s).streak, 0);
     }
 
     #[test]
@@ -730,9 +717,9 @@ mod tests {
         let mut h = NsHealth::default();
         let s = ip(3);
         for _ in 0..100 {
-            assert!(!h.record_failure(s, 0));
+            assert!(!h.server(s).record_failure(0));
         }
-        assert!(!h.is_quarantined(s));
+        assert!(!h.server(s).quarantined);
     }
 
     #[test]
@@ -740,17 +727,17 @@ mod tests {
         let mut h = NsHealth::default();
         let s = ip(4);
         // Quarantine after 2 consecutive failures.
-        assert!(!h.record_failure(s, 2));
-        assert!(h.record_failure(s, 2));
-        assert!(h.is_quarantined(s));
+        assert!(!h.server(s).record_failure(2));
+        assert!(h.server(s).record_failure(2));
+        assert!(h.server(s).quarantined);
         // A success resets the streak but releases nothing, and further
         // failures are never reported as a new quarantine.
-        h.record_success(s);
-        assert_eq!(h.failure_streak(s), 0);
-        assert!(h.is_quarantined(s));
-        assert!(!h.record_failure(s, 2));
-        assert!(!h.record_failure(s, 2));
-        assert!(h.is_quarantined(s));
+        h.server(s).record_success();
+        assert_eq!(h.server(s).streak, 0);
+        assert!(h.server(s).quarantined);
+        assert!(!h.server(s).record_failure(2));
+        assert!(!h.server(s).record_failure(2));
+        assert!(h.server(s).quarantined);
     }
 
     #[test]
@@ -877,7 +864,7 @@ mod tests {
         assert!(engine
             .query(&mut net, ip(8), server, &qname, RecordType::A, 77)
             .is_none());
-        assert!(engine.health.is_quarantined(server));
+        assert!(engine.health.server(server).quarantined);
         let sent_after_first = net.stats().delivered + net.stats().dropped;
         // Second probe is skipped entirely — no new traffic.
         assert!(engine
@@ -971,11 +958,11 @@ mod tests {
         let server = ip(9);
         net.add_node(server, Box::new(Responder));
         let qname: Name = "probe.example".parse().unwrap();
-        assert!(engine.health.rtt_estimate(server).is_none());
+        assert!(engine.health.server(server).rtt.is_none());
         assert!(engine
             .query(&mut net, ip(8), server, &qname, RecordType::A, 1)
             .is_some());
-        let est = engine.health.rtt_estimate(server).expect("one sample");
+        let est = engine.health.server(server).rtt.expect("one sample");
         assert_eq!(est.samples, 1);
         assert!(est.srtt_us > 0, "virtual clock advanced during the rpc");
     }
@@ -990,6 +977,6 @@ mod tests {
         let cov = engine.take_coverage();
         assert_eq!(cov.scheduled, 1);
         assert_eq!(engine.coverage, CoverageReport::default());
-        assert!(engine.health.is_quarantined(ip(9)));
+        assert!(engine.health.server(ip(9)).quarantined);
     }
 }

@@ -117,27 +117,37 @@ impl ProtectiveDb {
         let Some(p) = self.servers.get(&ur.key.ns_ip) else {
             return false;
         };
+        let records = ur.records.iter();
         match ur.key.rtype {
             RecordType::A => {
-                let ips = ur.a_ips();
-                !ips.is_empty() && ips.iter().all(|ip| p.a_ips.contains(ip))
+                nonempty_all(records.filter_map(|r| r.as_a()), |ip| p.a_ips.contains(&ip))
             }
-            RecordType::Txt => {
-                let txts = ur.txt_strs();
-                // Protective TXT bodies embed the queried name/provider, so
-                // match on the stable prefix rather than full equality.
-                // `Sym::lookup` probes the set without interning scan data.
-                !txts.is_empty()
-                    && txts.iter().all(|t| {
-                        Sym::lookup(t).is_some_and(|s| p.txts.contains(&s))
-                            || p.txts
-                                .iter()
-                                .any(|known| common_prefix_len(known.as_str(), t) >= 12)
-                    })
-            }
+            // Protective TXT bodies embed the queried name/provider, so
+            // match on the stable prefix rather than full equality.
+            // `Sym::lookup` probes the set without interning scan data.
+            RecordType::Txt => nonempty_all(records.filter_map(|r| r.txt_str()), |t| {
+                Sym::lookup(&t).is_some_and(|s| p.txts.contains(&s))
+                    || p.txts
+                        .iter()
+                        .any(|known| common_prefix_len(known.as_str(), &t) >= 12)
+            }),
             _ => false,
         }
     }
+}
+
+/// Whether `items` yields at least one item and `holds` for every one,
+/// stopping at the first it fails: a non-empty subset test read in place,
+/// with nothing collected.
+pub(crate) fn nonempty_all<T>(
+    items: impl IntoIterator<Item = T>,
+    mut holds: impl FnMut(T) -> bool,
+) -> bool {
+    let mut any = false;
+    items.into_iter().all(|item| {
+        any = true;
+        holds(item)
+    }) && any
 }
 
 fn common_prefix_len(a: &str, b: &str) -> usize {
@@ -161,17 +171,24 @@ pub enum TxtCategory {
 }
 
 impl TxtCategory {
-    /// Classify one TXT payload.
+    /// Classify one TXT payload, matching ASCII letters in either case.
     pub(crate) fn classify(text: &str) -> TxtCategory {
-        let t = text.trim_start();
-        let lower = t.to_ascii_lowercase();
-        if lower.starts_with("v=spf1") {
+        let t = text.trim_start().as_bytes();
+        let starts = |prefix: &str| {
+            t.get(..prefix.len())
+                .is_some_and(|head| head.eq_ignore_ascii_case(prefix.as_bytes()))
+        };
+        let contains = |needle: &str| {
+            t.windows(needle.len())
+                .any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
+        };
+        if starts("v=spf1") {
             TxtCategory::Spf
-        } else if lower.starts_with("v=dmarc1") {
+        } else if starts("v=dmarc1") {
             TxtCategory::Dmarc
-        } else if lower.starts_with("v=dkim1") || lower.starts_with("k=rsa") {
+        } else if starts("v=dkim1") || starts("k=rsa") {
             TxtCategory::Dkim
-        } else if lower.contains("site-verification") || lower.contains("verification=") {
+        } else if contains("site-verification") || contains("verification=") {
             TxtCategory::Verification
         } else {
             TxtCategory::Other

@@ -3,7 +3,10 @@
 use crate::error::{WireError, WireResult};
 use crate::name::{CompressionMap, Name, NameRef};
 use crate::rdata::RData;
-use crate::record::{encode_record, Question, QuestionView, Record, RecordView};
+use crate::rdataset::{push_record, RDataSet};
+use crate::record::{
+    encode_record, encode_record_body, Question, QuestionView, Record, RecordView,
+};
 use crate::types::{Class, Opcode, Rcode, RecordType};
 use std::fmt;
 
@@ -273,6 +276,10 @@ pub enum Section {
 }
 
 thread_local! {
+    /// The buffer [`MessageView::parse_keeping`] writes kept data in
+    /// before copying it out.
+    static KEPT: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
+
     /// Compression maps between writers: taken when a writer starts,
     /// handed back cleared when the writer is consumed, so a thread that
     /// writes message after message builds its map's tables once.
@@ -408,6 +415,33 @@ impl MessageWriter {
         ttl: u32,
         rdata: &RData,
     ) -> bool {
+        self.append(section, |buf, map| {
+            encode_record(owner, class, ttl, rdata, buf, map)
+        })
+    }
+
+    /// [`MessageWriter::record`] for a record owned by the name of the
+    /// first question: its owner is written as the pointer to that name,
+    /// the pointer `record` would emit for it, without comparing the two.
+    pub fn record_at_question(
+        &mut self,
+        section: Section,
+        class: Class,
+        ttl: u32,
+        rdata: &RData,
+    ) -> bool {
+        self.append(section, |buf, map| {
+            map.write_first(buf);
+            encode_record_body(class, ttl, rdata, buf, map)
+        })
+    }
+
+    /// Append the record `encode` writes to `section`, or roll it back.
+    fn append(
+        &mut self,
+        section: Section,
+        encode: impl FnOnce(&mut Vec<u8>, &mut CompressionMap),
+    ) -> bool {
         let s = section as usize;
         debug_assert_eq!(
             self.counts[s + 1..],
@@ -419,7 +453,7 @@ impl MessageWriter {
             return false;
         }
         let mark = self.buf.len();
-        encode_record(owner, class, ttl, rdata, &mut self.buf, &mut self.map);
+        encode(&mut self.buf, &mut self.map);
         if self.buf.len() > self.limit {
             // Suffixes this record registered stay in the map with
             // offsets past `mark`; nothing is written after a cut, so
@@ -527,6 +561,31 @@ impl<'a> MessageView<'a> {
     /// mismatches.
     pub fn parse(msg: &'a [u8]) -> WireResult<MessageView<'a>> {
         MessageView::walk(msg, |_| (), |_, _| ())
+    }
+
+    /// [`MessageView::parse`], keeping the data of each answer record
+    /// `keep` accepts as the walk validates it, in answer order: a reader
+    /// that wants nothing else of the answers reads the message once. The
+    /// set is one exact allocation, none when nothing is kept.
+    pub fn parse_keeping(
+        msg: &'a [u8],
+        keep: impl Fn(&RecordView<'a>) -> bool,
+    ) -> WireResult<(MessageView<'a>, RDataSet)> {
+        // Written in this thread's scratch, then copied out at its size.
+        let mut kept = KEPT.take();
+        kept.clear();
+        let walked = MessageView::walk(
+            msg,
+            |_| (),
+            |section, r| {
+                if section == Section::Answer && keep(&r) {
+                    push_record(&mut kept, &r);
+                }
+            },
+        )
+        .map(|view| (view, RDataSet::copy_of(&kept)));
+        KEPT.set(kept);
+        walked
     }
 
     /// [`MessageView::parse`], handing each question and record over as it
@@ -1053,6 +1112,38 @@ mod tests {
         // With room for the record, the same writer points at the question.
         let whole = r.encode_truncated(MAX_UDP_PAYLOAD).unwrap();
         assert_eq!(&whole[question_only..question_only + 2], &[0xC0, 12]);
+    }
+
+    #[test]
+    fn a_record_at_the_question_is_written_as_a_record_under_its_name() {
+        for (asked, owner) in [
+            (name("www.Example.com"), name("WWW.example.COM")),
+            (Name::root(), Name::root()),
+        ] {
+            let question = Question::new(asked, RecordType::Ns);
+            let write = |at_question: bool| {
+                let mut w = MessageWriter::response(9, &question, Rcode::NoError, MAX_UDP_PAYLOAD);
+                let soa = RData::Soa {
+                    mname: name("ns1.example.com"),
+                    rname: name("hostmaster.example.com"),
+                    serial: 1,
+                    refresh: 2,
+                    retry: 3,
+                    expire: 4,
+                    minimum: 5,
+                };
+                for rdata in [RData::Ns(name("ns1.example.com")), soa] {
+                    let written = if at_question {
+                        w.record_at_question(Section::Answer, Class::In, 60, &rdata)
+                    } else {
+                        w.record(Section::Answer, owner.borrowed(), Class::In, 60, &rdata)
+                    };
+                    assert!(written);
+                }
+                w.finish().unwrap()
+            };
+            assert_eq!(write(true), write(false), "{owner}");
+        }
     }
 
     #[test]

@@ -283,6 +283,31 @@ impl<'a> NameRef<'a> {
         buf.push(0);
     }
 
+    /// The presentation form `Display` writes, handed to `out` piece by
+    /// piece: labels joined by dots, each byte that is not printable ASCII
+    /// or is a dot as a three-digit decimal escape, the root as `.`. Each
+    /// run of plain bytes is one piece.
+    pub fn render(self, mut out: impl FnMut(&[u8])) {
+        if self.is_root() {
+            return out(b".");
+        }
+        let plain = |b: u8| b.is_ascii_graphic() && b != b'.';
+        for (i, l) in self.labels().enumerate() {
+            if i > 0 {
+                out(b".");
+            }
+            for chunk in l.split_inclusive(|&b| !plain(b)) {
+                match chunk.split_last() {
+                    Some((&b, run)) if !plain(b) => {
+                        out(run);
+                        out(&[b'\\', b'0' + b / 100, b'0' + b / 10 % 10, b'0' + b % 10]);
+                    }
+                    _ => out(chunk),
+                }
+            }
+        }
+    }
+
     /// Offset of every label's length byte within the flat form.
     fn label_starts(self) -> [u8; MAX_LABELS] {
         let mut starts = [0u8; MAX_LABELS];
@@ -460,11 +485,6 @@ impl<'a> WireName<'a> {
             flat: scratch,
             labels: self.labels,
         })
-    }
-
-    /// Length of the uncompressed wire form, root byte included.
-    pub(crate) fn wire_len(&self) -> usize {
-        self.flat_len as usize + 1
     }
 
     /// Encode at `buf`'s end without compression: the name written out in
@@ -683,6 +703,18 @@ impl CompressionMap {
         });
     }
 
+    /// Write, where a name equal to the first name goes, what
+    /// [`NameRef::encode_compressed`] writes for it: the pointer to the
+    /// first name, or the root's one byte.
+    pub(crate) fn write_first(&self, buf: &mut Vec<u8>) {
+        let first = self.first.expect("the first name was written");
+        if first.labels == 0 {
+            buf.push(0);
+        } else {
+            push_pointer(buf, first.at);
+        }
+    }
+
     /// The offset `name` points at when it equals the first name (the
     /// root excepted: it is the single byte `0`). Any other name first
     /// brings the first name's suffixes into the trie, once.
@@ -891,28 +923,14 @@ impl FromStr for Name {
 
 impl fmt::Display for NameRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_root() {
-            return f.write_str(".");
-        }
-        let plain = |b: u8| b.is_ascii_graphic() && b != b'.';
-        for (i, l) in self.labels().enumerate() {
-            if i > 0 {
-                f.write_str(".")?;
+        let mut written = Ok(());
+        self.render(|piece| {
+            if written.is_ok() {
+                written =
+                    f.write_str(std::str::from_utf8(piece).expect("rendered bytes are ASCII"));
             }
-            // Each run of plain bytes in one write, each other byte as a
-            // decimal escape.
-            for chunk in l.split_inclusive(|&b| !plain(b)) {
-                let (run, escaped) = match chunk.split_last() {
-                    Some((&b, run)) if !plain(b) => (run, Some(b)),
-                    _ => (chunk, None),
-                };
-                f.write_str(std::str::from_utf8(run).expect("plain bytes are ASCII"))?;
-                if let Some(b) = escaped {
-                    write!(f, "\\{b:03}")?;
-                }
-            }
-        }
-        Ok(())
+        });
+        written
     }
 }
 

@@ -416,22 +416,7 @@ impl<'a> RDataView<'a> {
         }
     }
 
-    /// Length of the data with every name written out in full.
-    pub(crate) fn uncompressed_len(&self) -> usize {
-        match self {
-            RDataView::A(_) => 4,
-            RDataView::Aaaa(_) => 16,
-            RDataView::Ns(n) | RDataView::Cname(n) | RDataView::Ptr(n) => n.wire_len(),
-            RDataView::Mx { exchange, .. } => 2 + exchange.wire_len(),
-            RDataView::Soa { mname, rname, .. } => mname.wire_len() + rname.wire_len() + 20,
-            RDataView::Txt(raw) | RDataView::Opt(raw) | RDataView::Unknown { data: raw, .. } => {
-                raw.len()
-            }
-        }
-    }
-
-    /// Encode at `buf`'s end with every name written out in full
-    /// ([`Self::uncompressed_len`] bytes).
+    /// Encode at `buf`'s end with every name written out in full.
     pub(crate) fn encode_uncompressed(&self, buf: &mut Vec<u8>) {
         match self {
             RDataView::A(ip) => buf.extend_from_slice(&ip.octets()),

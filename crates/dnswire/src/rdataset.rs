@@ -34,23 +34,13 @@ const HEADER: usize = 4;
 pub struct RDataSet(Box<[u8]>);
 
 impl RDataSet {
-    /// The data of `records`, in order. A first walk sizes the buffer and a
-    /// second fills it, so the set is exactly one allocation (none when
-    /// `records` is empty).
-    pub fn from_records<'a>(records: impl Iterator<Item = RecordView<'a>> + Clone) -> RDataSet {
-        let len: usize = records
-            .clone()
-            .map(|r| HEADER + r.rdata.uncompressed_len())
-            .sum();
-        if len == 0 {
+    /// The set written in `buf` by [`push_record`]: one exact
+    /// allocation, none for an empty buffer.
+    pub(crate) fn copy_of(buf: &[u8]) -> RDataSet {
+        if buf.is_empty() {
             return RDataSet::default();
         }
-        let mut buf = Vec::with_capacity(len);
-        for r in records {
-            push(&mut buf, r.rtype(), |buf| r.rdata.encode_uncompressed(buf));
-        }
-        debug_assert_eq!(buf.len(), len);
-        RDataSet(buf.into_boxed_slice())
+        RDataSet(buf.into())
     }
 
     /// Whether the set holds no record.
@@ -83,6 +73,13 @@ impl RDataSet {
             self.0 = [&self.0[..], &other.0[..]].concat().into_boxed_slice();
         }
     }
+}
+
+/// Write the data of `record` at `buf`'s end, in a set's layout.
+pub(crate) fn push_record(buf: &mut Vec<u8>, record: &RecordView<'_>) {
+    push(buf, record.rtype(), |buf| {
+        record.rdata.encode_uncompressed(buf)
+    });
 }
 
 /// Write one record: its header, then the data `write` puts after it.
@@ -164,8 +161,7 @@ mod tests {
     fn a_set_reads_back_what_the_wire_carried() {
         let rdata = sample();
         let bytes = wire(&rdata);
-        let view = MessageView::parse(&bytes).unwrap();
-        let set = RDataSet::from_records(view.answers());
+        let (view, set) = MessageView::parse_keeping(&bytes, |_| true).unwrap();
         let back: Vec<RDataView<'_>> = set.iter().collect();
         assert_eq!(back.len(), rdata.len());
         for ((kept, on_wire), owned) in back.iter().zip(view.answers()).zip(&rdata) {

@@ -118,6 +118,18 @@ pub(crate) fn encode_record(
     offsets: &mut CompressionMap,
 ) {
     owner.encode_compressed(buf, offsets);
+    encode_record_body(class, ttl, rdata, buf, offsets);
+}
+
+/// Everything of a record after its owner name: type, class, TTL, and the
+/// data behind its length.
+pub(crate) fn encode_record_body(
+    class: Class,
+    ttl: u32,
+    rdata: &RData,
+    buf: &mut Vec<u8>,
+    offsets: &mut CompressionMap,
+) {
     buf.extend_from_slice(&rdata.record_type().code().to_be_bytes());
     buf.extend_from_slice(&class.code().to_be_bytes());
     buf.extend_from_slice(&ttl.to_be_bytes());

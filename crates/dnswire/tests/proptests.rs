@@ -115,8 +115,8 @@ proptest! {
         // back, each record equals, renders as and owns what the owned
         // decoder makes of it.
         let wire = m.encode().unwrap();
-        let view = MessageView::parse(&wire).unwrap();
-        let set = RDataSet::from_records(view.answers());
+        let (view, set) = MessageView::parse_keeping(&wire, |_| true).unwrap();
+        prop_assert_eq!(view.id, m.id);
         prop_assert_eq!(set.is_empty(), m.answers.is_empty());
         let decoded = Message::decode(&wire).unwrap().answers;
         let kept: Vec<_> = set.iter().collect();
@@ -128,6 +128,15 @@ proptest! {
             prop_assert_eq!(kept.as_a(), r.rdata.as_a());
             prop_assert_eq!(kept.txt_str(), r.rdata.txt_str());
         }
+        // A filter keeps exactly the answers it accepts, in order.
+        let (_, a_only) =
+            MessageView::parse_keeping(&wire, |r| r.rtype() == RecordType::A).unwrap();
+        let owned_a: RDataSet = decoded
+            .iter()
+            .filter(|r| r.rtype() == RecordType::A)
+            .map(|r| r.rdata.clone())
+            .collect();
+        prop_assert_eq!(a_only, owned_a);
         let owned: RDataSet = decoded.into_iter().map(|r| r.rdata).collect();
         prop_assert_eq!(owned, set);
     }

@@ -99,16 +99,13 @@ impl SandboxReport {
 
 /// Extract IPv4 addresses embedded in free text — SPF mechanisms
 /// (`ip4:203.0.113.5`, `ip4:203.0.113.0/24`) and bare dotted quads.
-pub fn extract_ipv4s(text: &str) -> Vec<Ipv4Addr> {
-    let mut out = Vec::new();
-    for token in text.split(|c: char| c.is_whitespace() || c == ';' || c == ',' || c == '"') {
-        let token = token.strip_prefix("ip4:").unwrap_or(token);
-        let token = token.split('/').next().unwrap_or(token);
-        if let Ok(ip) = token.parse::<Ipv4Addr>() {
-            out.push(ip);
-        }
-    }
-    out
+pub fn extract_ipv4s(text: &str) -> impl Iterator<Item = Ipv4Addr> + '_ {
+    text.split(|c: char| c.is_whitespace() || c == ';' || c == ',' || c == '"')
+        .filter_map(|token| {
+            let token = token.strip_prefix("ip4:").unwrap_or(token);
+            let token = token.split('/').next().unwrap_or(token);
+            token.parse::<Ipv4Addr>().ok()
+        })
 }
 
 /// The sandbox: a victim vantage point plus a default resolver.
@@ -279,7 +276,9 @@ mod tests {
 
     #[test]
     fn extract_ipv4s_variants() {
-        let ips = extract_ipv4s("v=spf1 ip4:203.0.113.5 ip4:198.51.100.0/24 include:x.com -all");
+        let ips: Vec<Ipv4Addr> =
+            extract_ipv4s("v=spf1 ip4:203.0.113.5 ip4:198.51.100.0/24 include:x.com -all")
+                .collect();
         assert_eq!(
             ips,
             vec![
@@ -287,12 +286,9 @@ mod tests {
                 Ipv4Addr::new(198, 51, 100, 0)
             ]
         );
+        assert_eq!(extract_ipv4s("no ips here 300.1.2.3").next(), None);
         assert_eq!(
-            extract_ipv4s("no ips here 300.1.2.3"),
-            Vec::<Ipv4Addr>::new()
-        );
-        assert_eq!(
-            extract_ipv4s("cmd;9.9.9.9,8.8.8.8"),
+            extract_ipv4s("cmd;9.9.9.9,8.8.8.8").collect::<Vec<_>>(),
             vec![Ipv4Addr::new(9, 9, 9, 9), Ipv4Addr::new(8, 8, 8, 8)]
         );
     }

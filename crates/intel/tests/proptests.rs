@@ -21,7 +21,7 @@ proptest! {
         let ia = std::net::Ipv4Addr::from(a);
         let ib = std::net::Ipv4Addr::from(b);
         let text = format!("v=spf1 ip4:{ia} ip4:{ib}/24 -all");
-        let got = extract_ipv4s(&text);
+        let got: Vec<_> = extract_ipv4s(&text).collect();
         prop_assert!(got.contains(&ia));
         // the /24 form yields the network-side address as written
         prop_assert_eq!(got.len(), 2);

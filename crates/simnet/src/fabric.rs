@@ -12,6 +12,7 @@ use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
+use std::ops::ControlFlow;
 
 /// Deterministic propagation-delay model.
 ///
@@ -187,6 +188,12 @@ impl Ord for Event {
     }
 }
 
+/// The fate of a datagram that arrives as it was sent, once.
+const CLEAN: FaultDecision = FaultDecision::Deliver {
+    corrupt: false,
+    duplicate: false,
+};
+
 /// What sits at an address: a node that handles what reaches it, or an
 /// external endpoint's inbox that queues it.
 enum Attached {
@@ -351,14 +358,19 @@ impl Network {
     /// Register an external endpoint: datagrams addressed to `ip` are
     /// queued in an inbox instead of requiring a node. Idempotent.
     pub fn register_external(&mut self, ip: Ipv4Addr) {
-        let at = self
+        self.inbox(ip);
+    }
+
+    /// The inbox of `ip`, registered on first use.
+    fn inbox(&mut self, ip: Ipv4Addr) -> &mut Vec<Datagram> {
+        match self
             .attached
             .entry(ip)
-            .or_insert_with(|| Attached::Inbox(Vec::new()));
-        assert!(
-            matches!(at, Attached::Inbox(_)),
-            "ip {ip} already has a node"
-        );
+            .or_insert_with(|| Attached::Inbox(Vec::new()))
+        {
+            Attached::Inbox(inbox) => inbox,
+            Attached::Node(_) => panic!("ip {ip} already has a node"),
+        }
     }
 
     /// Empty the inbox of `ip` in place (it keeps its capacity for the next
@@ -412,28 +424,41 @@ impl Network {
     }
 
     fn enqueue_send(&mut self, dgram: Datagram) {
+        let (fate, at) = self.launch(&dgram);
+        self.enqueue_decided(dgram, fate, at);
+    }
+
+    /// Count `dgram` as sent and decide its fate: the fate, and when it
+    /// arrives if it is delivered.
+    fn launch(&mut self, dgram: &Datagram) -> (FaultDecision, SimTime) {
         self.stats.sent += 1;
-        match self.decide_fate(&dgram) {
+        let fate = self.decide_fate(dgram);
+        (
+            fate,
+            self.now + self.latency.delay(dgram.src.ip, dgram.dst.ip),
+        )
+    }
+
+    /// Queue (or drop) a datagram whose fate is decided, arriving `at`.
+    fn enqueue_decided(&mut self, dgram: Datagram, fate: FaultDecision, at: SimTime) {
+        match fate {
             FaultDecision::Drop => {
                 self.trace.record(self.now, &dgram, Disposition::Dropped);
                 self.stats.dropped += 1;
                 self.recycle(dgram.payload);
             }
             FaultDecision::Deliver { corrupt, duplicate } => {
-                let delay = self.latency.delay(dgram.src.ip, dgram.dst.ip);
                 if duplicate {
                     self.stats.duplicated += 1;
                     let copy = dgram.clone();
-                    let at = self.now + delay + SimDuration::from_micros(50);
                     self.push_event(
-                        at,
+                        at + SimDuration::from_micros(50),
                         EventKind::Deliver {
                             dgram: copy,
                             corrupt: false,
                         },
                     );
                 }
-                let at = self.now + delay;
                 self.push_event(at, EventKind::Deliver { dgram, corrupt });
             }
         }
@@ -552,6 +577,10 @@ impl Network {
     ///
     /// This is the path the measurement scanner uses for every probe: real
     /// wire bytes, real latency, real fault injection.
+    ///
+    /// On a fabric with nothing queued the exchange runs in place, without
+    /// the event heap; either way its outcome, clock, counts and capture
+    /// are those of the event loop.
     pub fn rpc(
         &mut self,
         src: Endpoint,
@@ -560,16 +589,27 @@ impl Network {
         payload: Vec<u8>,
         timeout: SimDuration,
     ) -> Option<Vec<u8>> {
-        self.register_external(src.ip);
         // Drain any stale datagrams from previous exchanges.
-        self.drain_inbox(src.ip, |_| false);
+        let recycler = self.payload_recycler;
+        for stale in self.inbox(src.ip).drain(..) {
+            if let Some(recycle) = recycler {
+                recycle(stale.payload);
+            }
+        }
         let deadline = self.now + timeout;
-        self.send(Datagram {
+        let query = Datagram {
             src,
             dst,
             proto,
             payload,
-        });
+        };
+        if self.queue.is_empty() {
+            if let ControlFlow::Break(reply) = self.exchange_direct(query, deadline) {
+                return reply;
+            }
+        } else {
+            self.send(query);
+        }
         loop {
             if !matches!(self.queue.peek(), Some(Reverse(ev)) if ev.at <= deadline) {
                 self.now = deadline;
@@ -581,6 +621,70 @@ impl Network {
                 return reply;
             }
         }
+    }
+
+    /// An exchange on a fabric with nothing queued, without the event
+    /// heap: the query's delivery, the node's `handle` and the reply's
+    /// delivery into the asker run in place, with the event loop's fault
+    /// decisions, sequence numbers, counts, capture and clock.
+    ///
+    /// `Break` carries the reply. `Continue` hands the rest to the event
+    /// loop, with everything queued (or dropped) that the loop would have
+    /// queued by then: a query to an address with no node, a fate other
+    /// than a clean delivery, an arrival past `deadline` (which stays
+    /// queued as a stale reply), or a handler that arms a timer or sends
+    /// anything but one datagram back to the asker.
+    fn exchange_direct(
+        &mut self,
+        query: Datagram,
+        deadline: SimTime,
+    ) -> ControlFlow<Option<Vec<u8>>> {
+        let asker = query.src;
+        let (fate, at) = self.launch(&query);
+        let node = match self.attached.get_mut(&query.dst.ip) {
+            Some(Attached::Node(node)) if fate == CLEAN && at <= deadline => node,
+            _ => {
+                self.enqueue_decided(query, fate, at);
+                return ControlFlow::Continue(());
+            }
+        };
+        // A node reads nothing of the fabric, so its arrival is counted
+        // once it has handled the query.
+        let mut out = std::mem::take(&mut self.scratch);
+        node.handle(at, &query, &mut out);
+        self.arrive(at, &query);
+        let flow = match (out.sends.as_slice(), out.timers.as_slice()) {
+            ([only], []) if only.dst == asker => {
+                let reply = out.sends.pop().expect("one reply");
+                let (fate, at) = self.launch(&reply);
+                if fate == CLEAN && at <= deadline {
+                    // The asker's address holds its inbox.
+                    self.arrive(at, &reply);
+                    ControlFlow::Break(Some(reply.payload))
+                } else {
+                    self.enqueue_decided(reply, fate, at);
+                    ControlFlow::Continue(())
+                }
+            }
+            _ => {
+                self.apply_actions(&mut out, query.dst.ip);
+                ControlFlow::Continue(())
+            }
+        };
+        self.scratch = out;
+        self.recycle(query.payload);
+        flow
+    }
+
+    /// The delivery of `dgram` at `at`, counted and captured as
+    /// [`Network::step`] counts and captures the event it would have been.
+    fn arrive(&mut self, at: SimTime, dgram: &Datagram) {
+        self.seq += 1;
+        self.now = at;
+        self.stats.events += 1;
+        self.trace.record(at, dgram, Disposition::Delivered);
+        self.stats.delivered += 1;
+        self.stats.bytes_delivered += dgram.payload.len() as u64;
     }
 
     /// Run every queued event (bounded), then assert quiescence. Useful in
@@ -595,6 +699,8 @@ impl Network {
 mod tests {
     use super::*;
     use crate::node::Proto;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     /// Drain the inbox of an external endpoint.
     fn take_inbox(net: &mut Network, ip: Ipv4Addr) -> Vec<Datagram> {
@@ -979,5 +1085,116 @@ mod tests {
         net.run_until(SimTime::ZERO + SimDuration::from_millis(1200));
         assert!(net.stats().events <= 2);
         assert_eq!(net.now(), SimTime::ZERO + SimDuration::from_millis(1200));
+    }
+
+    /// Answers each datagram with the next step of its script: reply,
+    /// stay silent, reply twice, reply to another port of the asker, or
+    /// reply and arm a timer that sends the reply once more when it fires.
+    struct Scripted {
+        script: Vec<u8>,
+        next: usize,
+        last: Option<Datagram>,
+    }
+
+    impl Scripted {
+        fn new(script: &[u8]) -> Box<Self> {
+            Box::new(Scripted {
+                script: script.to_vec(),
+                next: 0,
+                last: None,
+            })
+        }
+    }
+
+    impl Node for Scripted {
+        fn handle(&mut self, _now: SimTime, dgram: &Datagram, out: &mut Actions) {
+            let step = self.script[self.next % self.script.len()];
+            self.next += 1;
+            let mut payload = dgram.payload.clone();
+            payload.reverse();
+            let reply = dgram.reply(payload);
+            match step % 5 {
+                0 => out.send(reply),
+                1 => {}
+                2 => {
+                    out.send(reply.clone());
+                    out.send(reply);
+                }
+                3 => out.send(Datagram {
+                    dst: Endpoint::new(reply.dst.ip, reply.dst.port ^ 1),
+                    ..reply
+                }),
+                _ => {
+                    out.set_timer(SimDuration::from_millis(u64::from(step)), 0);
+                    out.send(reply.clone());
+                    self.last = Some(reply);
+                }
+            }
+        }
+
+        fn on_timer(&mut self, _now: SimTime, _token: u64, out: &mut Actions) {
+            out.send(self.last.clone().expect("armed beside a reply"));
+        }
+    }
+
+    /// Cases of the exchange property: more in release, where `ci.sh`
+    /// runs it beside the invariance fault matrix.
+    const DIRECT_CASES: u32 = if cfg!(debug_assertions) { 96 } else { 16_384 };
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(DIRECT_CASES))]
+
+        /// An exchange on an idle fabric runs in place, and the same
+        /// exchange on a fabric holding one far-future event runs through
+        /// the heap: the two give the same reply, clock, counts and
+        /// capture, exchange after exchange, stale replies included.
+        #[test]
+        fn a_direct_exchange_is_the_event_loops(
+            seed in any::<u64>(),
+            fates in (0usize..4, 0usize..3, 0usize..3, 0usize..3, any::<bool>()),
+            scripts in (
+                vec(any::<u8>(), 1..6),
+                vec(any::<u8>(), 1..6),
+            ),
+            exchanges in vec(
+                (0u8..4, 1u64..400, vec(any::<u8>(), 0..48)),
+                1..16,
+            ),
+        ) {
+            let (drop, corrupt, duplicate, size, per_flow) = fates;
+            let plan = FaultPlan {
+                drop_chance: [0.0, 0.1, 0.3, 1.0][drop],
+                corrupt_chance: [0.0, 0.2, 1.0][corrupt],
+                duplicate_chance: [0.0, 0.2, 1.0][duplicate],
+                size_limit: [0, 0, 32][size],
+                per_flow,
+            };
+            let fabric = || {
+                let mut net = Network::new(seed).with_faults(plan);
+                net.add_node(ip(2), Scripted::new(&scripts.0));
+                net.add_node(ip(3), Scripted::new(&scripts.1));
+                net.register_external(ip(4));
+                net
+            };
+            let (mut direct, mut queued) = (fabric(), fabric());
+            // Never due within the exchanges below: every one of them
+            // runs through the heap.
+            queued.push_event(
+                SimTime::ZERO + SimDuration::from_secs(1 << 32),
+                EventKind::Timer { node: ip(9), token: 0 },
+            );
+            for (k, (to, timeout_ms, payload)) in exchanges.into_iter().enumerate() {
+                // Two nodes, an external inbox, an address with nothing.
+                let dst = Endpoint::new(ip(2 + to), 53);
+                let asker = Endpoint::new(ip(1), 40_000 + (k % 2) as u16);
+                let timeout = SimDuration::from_millis(timeout_ms);
+                let a = direct.rpc(asker, dst, Proto::Udp, payload.clone(), timeout);
+                let b = queued.rpc(asker, dst, Proto::Udp, payload, timeout);
+                prop_assert!(a == b, "exchange {k}: {a:?} != {b:?}");
+                prop_assert_eq!(direct.now(), queued.now());
+                prop_assert_eq!(direct.stats(), queued.stats());
+                prop_assert!(direct.trace.records() == queued.trace.records(), "exchange {k}: capture");
+            }
+        }
     }
 }

@@ -50,7 +50,7 @@ fn main() {
     )
     .expect("provider answers");
     let text = resp.answers[0].rdata.txt_joined().unwrap();
-    let ips = extract_ipv4s(&text);
+    let ips: Vec<_> = extract_ipv4s(&text).collect();
     println!("TXT UR: \"{text}\"");
     println!("embedded SMTP C2 addresses: {ips:?}");
     assert_eq!(ips.len(), 3, "three addresses in the same /24");
