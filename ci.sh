@@ -202,6 +202,10 @@ cargo test -q --release -p bench --test invariance -- --ignored
 # The direct exchange against the event loop under every fault kind: the
 # property runs 96 cases in the debug build tier-1 uses, 16,384 here.
 cargo test -q --release -p simnet --lib a_direct_exchange_is_the_event_loops
+# The compact zone, its SOA derived from the apex, against the stored-SOA
+# zone it replaced, through the static and the provider node: 128 cases
+# in the debug build, 16,384 here.
+cargo test -q --release -p authdns --test differential
 
 echo "== adaptive battery: adaptive_props =="
 cargo test -q --release --test adaptive_props

@@ -14,6 +14,7 @@ use fxhash::FxHashMap;
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom as _;
 use rand::SeedableRng;
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -58,33 +59,51 @@ impl fmt::Display for HostError {
 
 impl std::error::Error for HostError {}
 
-/// A customer's zone as hosted by the provider.
+/// A customer's zone as hosted by the provider. How it is served is the
+/// provider's: see [`HostingProvider::is_active`] and
+/// [`HostingProvider::assigned_ns`].
 #[derive(Debug, Clone)]
 pub struct HostedZone {
-    /// Zone handle.
+    /// Zone handle. Handles rise in creation order.
     pub id: ZoneId,
     /// Owning account.
     pub(crate) owner: AccountId,
     /// The zone contents.
     pub zone: Zone,
+}
+
+/// How one hosted zone is served: every fact an answer reads of a zone
+/// before its records. One entry a zone, in a dense table indexed by
+/// [`ZoneId`], so a probe that passes over a zone it does not serve reads
+/// 24 bytes, not the zone.
+#[derive(Debug, Clone)]
+struct Serving {
     /// Indices into the provider's nameserver list serving this zone
-    /// (ignored when the allocation is global-fixed or the zone is synced).
-    pub assigned_ns: Vec<usize>,
-    /// Paid sync-to-every-nameserver flag.
-    pub(crate) synced_all: bool,
+    /// (empty when the allocation is global-fixed; ignored when the zone
+    /// is synced).
+    assigned_ns: Box<[usize]>,
+    /// The next zone hosted for the same domain, or this zone's own
+    /// handle when it is the last; `by_domain` holds the first. Handles
+    /// rise along the chain, so its order is the creation order, and the
+    /// oldest zone wins answer selection ties.
+    next: ZoneId,
     /// False once disabled by domain retrieval.
-    pub active: bool,
-    /// Monotone creation order (oldest zone wins answer selection ties).
-    pub(crate) created_seq: u64,
+    active: bool,
     /// Whether ownership verification has passed (only relevant when the
     /// policy demands verification).
-    pub(crate) verified: bool,
+    verified: bool,
+    /// Paid sync-to-every-nameserver flag.
+    synced_all: bool,
 }
 
 #[derive(Debug, Clone, Default)]
 struct Account {
     fixed_ns: Vec<usize>,
 }
+
+// A serving entry stays 24 bytes: the table is read for every zone of a
+// queried domain.
+const _: () = assert!(std::mem::size_of::<Serving>() == 24);
 
 /// `ALL_NS[i] == i`: the candidate list of a nameserver draw that
 /// excludes none, for fleets up to its length.
@@ -118,8 +137,9 @@ pub enum ProviderAnswer<'p> {
 /// A DNS hosting provider.
 ///
 /// `Clone` is a copy-on-write snapshot of the control plane: the tables
-/// that grow with the customers (accounts, hosted zones, the by-domain
-/// index) sit behind [`Arc`]s the clone shares, so it costs a few
+/// that grow with the customers (accounts, hosted zones, their serving
+/// facts, the by-domain index) sit behind [`Arc`]s the clone shares, so it
+/// costs a few
 /// reference counts plus the nameserver fleet, policy and RNG state. A
 /// write to either side copies the one table it touches, once, so the
 /// clone keeps answering exactly as the original did when it was taken.
@@ -132,7 +152,11 @@ pub struct HostingProvider {
     ns_by_ip: FxHashMap<Ipv4Addr, usize>,
     accounts: Arc<Vec<Account>>,
     zones: Arc<Vec<HostedZone>>,
-    by_domain: Arc<FxHashMap<FoldedName, Vec<ZoneId>>>,
+    /// What serves each zone, indexed as `zones`.
+    serving: Arc<Vec<Serving>>,
+    /// The first zone ever hosted for each domain; the rest follow it in
+    /// `serving`'s chain.
+    by_domain: Arc<FxHashMap<FoldedName, ZoneId>>,
     /// Fewest and most labels of any apex ever hosted (`u8::MAX` and 0
     /// while none is): the only suffix depths an answer probes.
     apex_labels: (u8, u8),
@@ -140,7 +164,6 @@ pub struct HostingProvider {
     protective_a: RData,
     protective_txt: RData,
     rng: StdRng,
-    seq: u64,
 }
 
 impl HostingProvider {
@@ -171,6 +194,7 @@ impl HostingProvider {
             ns_by_ip,
             accounts: Arc::default(),
             zones: Arc::default(),
+            serving: Arc::default(),
             by_domain: Arc::default(),
             apex_labels: (u8::MAX, 0),
             protective_a: RData::A(protective_ip),
@@ -178,7 +202,6 @@ impl HostingProvider {
                 "v=warning; domain not hosted on {name}; see status page"
             )),
             rng: StdRng::seed_from_u64(seed),
-            seq: 0,
         }
     }
 
@@ -210,6 +233,29 @@ impl HostingProvider {
     /// A zone by handle.
     pub fn zone(&self, id: ZoneId) -> Option<&HostedZone> {
         self.zones.get(id.0 as usize)
+    }
+
+    /// Whether a zone is still hosted (retrieval and deletion disable it).
+    ///
+    /// # Panics
+    /// Panics on a dangling handle.
+    pub fn is_active(&self, id: ZoneId) -> bool {
+        self.facts(id).active
+    }
+
+    /// Indices into [`HostingProvider::nameservers`] assigned to a zone:
+    /// empty when the allocation is global-fixed.
+    ///
+    /// # Panics
+    /// Panics on a dangling handle.
+    pub fn assigned_ns(&self, id: ZoneId) -> &[usize] {
+        &self.facts(id).assigned_ns
+    }
+
+    /// The fleet index of the nameserver at `ip`, if it is one of this
+    /// provider's.
+    pub(crate) fn ns_index(&self, ip: Ipv4Addr) -> Option<usize> {
+        self.ns_by_ip.get(&ip).copied()
     }
 
     /// Open a new customer account, assigning fixed nameservers when the
@@ -262,39 +308,47 @@ impl HostingProvider {
         if !self.policy.allows_class(class) {
             return Err(HostError::ClassNotSupported(class));
         }
-        // The active zones already hosting `domain`.
-        let existing = self
-            .ids_for(domain)
-            .map_or(&[][..], Vec::as_slice)
-            .iter()
-            .map(|id| &self.zones[id.0 as usize])
-            .filter(|z| z.active);
-        let same_user = existing.clone().any(|z| z.owner == account);
-        let cross_user = existing.clone().any(|z| z.owner != account);
+        // What the active zones already hosting `domain` decide: whether
+        // the same or another account holds one, the nameservers they
+        // take (empty, and so never allocated, unless the domain is hosted
+        // here), and whether one has the account's fixed set.
+        let (same_user, cross_user, taken, account_set_taken) = {
+            let existing = self.ids_for(domain).filter(|&id| self.facts(id).active);
+            let account_set = self.accounts[account.0 as usize].fixed_ns.as_slice();
+            (
+                existing
+                    .clone()
+                    .any(|id| self.zones[id.0 as usize].owner == account),
+                existing
+                    .clone()
+                    .any(|id| self.zones[id.0 as usize].owner != account),
+                existing
+                    .clone()
+                    .flat_map(|id| self.facts(id).assigned_ns.iter().copied())
+                    .collect::<Vec<usize>>(),
+                existing
+                    .clone()
+                    .any(|id| *self.facts(id).assigned_ns == *account_set),
+            )
+        };
         if (same_user && !self.policy.duplicates.same_user)
             || (cross_user && !self.policy.duplicates.cross_user)
         {
             return Err(HostError::Duplicate);
         }
-        // Empty, and so never allocated, unless the domain is hosted here.
-        let taken: Vec<usize> = existing
-            .clone()
-            .flat_map(|z| z.assigned_ns.iter().copied())
-            .collect();
         let assigned_ns = match self.policy.allocation {
             NsAllocation::GlobalFixed => Vec::new(), // all nameservers serve
             NsAllocation::AccountFixed { per_account } => {
                 // Ensure distinct sets across accounts hosting the same
                 // domain (observed Cloudflare behaviour).
-                let account_set = &self.accounts[account.0 as usize].fixed_ns;
-                if existing.clone().any(|z| z.assigned_ns == *account_set) {
+                if account_set_taken {
                     let fresh = self.pick_ns(per_account, &taken);
                     if fresh.len() < per_account {
                         return Err(HostError::NameserversExhausted);
                     }
                     fresh
                 } else {
-                    account_set.clone()
+                    self.accounts[account.0 as usize].fixed_ns.clone()
                 }
             }
             NsAllocation::RandomPool { per_zone } => {
@@ -308,21 +362,31 @@ impl HostingProvider {
             }
         };
         let id = ZoneId(self.zones.len() as u32);
-        self.seq += 1;
         Arc::make_mut(&mut self.zones).push(HostedZone {
             id,
             owner: account,
             zone: Zone::new(domain.clone()),
-            assigned_ns,
-            synced_all: false,
-            active: true,
-            created_seq: self.seq,
-            verified: false,
         });
-        Arc::make_mut(&mut self.by_domain)
-            .entry(FoldedName::new(domain.borrowed()))
-            .or_default()
-            .push(id);
+        let serving = Arc::make_mut(&mut self.serving);
+        serving.push(Serving {
+            assigned_ns: assigned_ns.into_boxed_slice(),
+            next: id,
+            active: true,
+            verified: false,
+            synced_all: false,
+        });
+        match Arc::make_mut(&mut self.by_domain).entry(FoldedName::new(domain.borrowed())) {
+            Entry::Vacant(first) => {
+                first.insert(id);
+            }
+            Entry::Occupied(first) => {
+                let mut last = *first.get();
+                while serving[last.0 as usize].next != last {
+                    last = serving[last.0 as usize].next;
+                }
+                serving[last.0 as usize].next = id;
+            }
+        }
         let labels = domain.label_count() as u8;
         self.apex_labels = (
             self.apex_labels.0.min(labels),
@@ -336,7 +400,9 @@ impl HostingProvider {
     /// # Panics
     /// Panics on a dangling handle — that is a caller bug.
     pub fn add_record(&mut self, id: ZoneId, record: Record) {
-        self.hosted_mut(id).zone.add(record);
+        Arc::make_mut(&mut self.zones)[id.0 as usize]
+            .zone
+            .add(record);
     }
 
     /// Enable paid sync-to-all-nameservers for a zone (Cloudflare paid).
@@ -345,20 +411,20 @@ impl HostingProvider {
         if !self.policy.sync_to_all_ns {
             return false;
         }
-        self.hosted_mut(id).synced_all = true;
+        self.facts_mut(id).synced_all = true;
         true
     }
 
     /// Mark a zone's ownership verification as passed.
     pub fn set_verified(&mut self, id: ZoneId) {
-        self.hosted_mut(id).verified = true;
+        self.facts_mut(id).verified = true;
     }
 
     /// Deactivate a zone (customer deletes it — e.g. an audit probe
     /// removing its test records after the experiment, per the paper's
     /// ethics appendix).
     pub fn deactivate_zone(&mut self, id: ZoneId) {
-        self.hosted_mut(id).active = false;
+        self.facts_mut(id).active = false;
     }
 
     /// The legitimate owner reclaims `domain` after proving control:
@@ -373,29 +439,45 @@ impl HostingProvider {
         if self.policy.duplicates.no_retrieval {
             return Err(HostError::RetrievalUnsupported);
         }
-        if let Some(ids) = self.ids_for(domain).cloned() {
-            for id in ids {
-                self.hosted_mut(id).active = false;
-            }
+        let ids: Vec<ZoneId> = self.ids_for(domain).collect();
+        for id in ids {
+            self.deactivate_zone(id);
         }
         self.host_domain(new_owner, domain, class)
     }
 
-    /// A hosted zone to write, copying the zone table first if a snapshot
-    /// still shares it.
-    fn hosted_mut(&mut self, id: ZoneId) -> &mut HostedZone {
-        &mut Arc::make_mut(&mut self.zones)[id.0 as usize]
+    /// What serves a zone.
+    fn facts(&self, id: ZoneId) -> &Serving {
+        &self.serving[id.0 as usize]
     }
 
-    /// Every zone ever hosted for exactly `domain`, active or not.
-    fn ids_for(&self, domain: &Name) -> Option<&Vec<ZoneId>> {
+    /// What serves a zone, to write, copying the serving table first if a
+    /// snapshot still shares it.
+    fn facts_mut(&mut self, id: ZoneId) -> &mut Serving {
+        &mut Arc::make_mut(&mut self.serving)[id.0 as usize]
+    }
+
+    /// The zones hosted for one domain from `first` on, oldest first.
+    fn chain(&self, first: Option<ZoneId>) -> impl Iterator<Item = ZoneId> + Clone + '_ {
+        std::iter::successors(first, |&id| {
+            let next = self.facts(id).next;
+            (next != id).then_some(next)
+        })
+    }
+
+    /// Every zone ever hosted for exactly `domain`, active or not, oldest
+    /// first.
+    fn ids_for(&self, domain: &Name) -> impl Iterator<Item = ZoneId> + Clone + '_ {
         let mut scratch = Vec::new();
-        self.by_domain
+        let first = self
+            .by_domain
             .get(domain.borrowed().fold(&mut scratch).key())
+            .copied();
+        self.chain(first)
     }
 
-    /// Whether nameserver index `ns` serves zone `z`.
-    fn serves(&self, z: &HostedZone, ns: usize) -> bool {
+    /// Whether nameserver index `ns` serves the zone `z` describes.
+    fn serves(&self, z: &Serving, ns: usize) -> bool {
         if !z.active {
             return false;
         }
@@ -413,7 +495,7 @@ impl HostingProvider {
     /// The nameservers currently serving a zone, as `(name, ip)` pairs —
     /// what the customer portal displays after hosting.
     pub fn serving_nameservers(&self, id: ZoneId) -> Vec<(Name, Ipv4Addr)> {
-        let z = &self.zones[id.0 as usize];
+        let z = self.facts(id);
         (0..self.nameservers.len())
             .filter(|&i| self.serves(z, i))
             .map(|i| self.nameservers[i].clone())
@@ -427,9 +509,19 @@ impl HostingProvider {
         qname: Folded<'_>,
         qtype: RecordType,
     ) -> ProviderAnswer<'_> {
-        let Some(&ns_idx) = self.ns_by_ip.get(&ns_ip) else {
-            return ProviderAnswer::Refused;
-        };
+        match self.ns_index(ns_ip) {
+            Some(ns) => self.answer_at(ns, qname, qtype),
+            None => ProviderAnswer::Refused,
+        }
+    }
+
+    /// Answer a question as the nameserver at fleet index `ns` would.
+    pub(crate) fn answer_at(
+        &self,
+        ns: usize,
+        qname: Folded<'_>,
+        qtype: RecordType,
+    ) -> ProviderAnswer<'_> {
         // Candidate zones: served by this NS, apex encloses qname. Walk the
         // qname's suffixes from most specific to least so the most specific
         // apex wins — only at depths some apex has; among duplicates the
@@ -438,16 +530,16 @@ impl HostingProvider {
         let deepest = qname.label_count().min(most as usize);
         for take in (fewest.max(1) as usize..=deepest).rev() {
             let suffix = qname.suffix(take).expect("take within the label count");
-            let Some(ids) = self.by_domain.get(suffix.key()) else {
+            let Some(&first) = self.by_domain.get(suffix.key()) else {
                 continue;
             };
-            let best = ids
-                .iter()
-                .map(|id| &self.zones[id.0 as usize])
-                .filter(|z| self.serves(z, ns_idx))
-                .min_by_key(|z| z.created_seq);
-            if let Some(z) = best {
-                return ProviderAnswer::FromZone(z.id, z.zone.answer(qname, qtype));
+            let best = self
+                .chain(Some(first))
+                .find(|&id| self.serves(self.facts(id), ns));
+            if let Some(id) = best {
+                // The walk matched the apex: the zone need not check it.
+                let zone = &self.zones[id.0 as usize].zone;
+                return ProviderAnswer::FromZone(id, zone.answer_within(qname, qtype));
             }
         }
         if self.policy.protective_records {
@@ -463,13 +555,9 @@ impl HostingProvider {
     /// Active zones hosting exactly `domain`.
     pub fn zones_for(&self, domain: &Name) -> Vec<&HostedZone> {
         self.ids_for(domain)
-            .map(|v| {
-                v.iter()
-                    .map(|id| &self.zones[id.0 as usize])
-                    .filter(|z| z.active)
-                    .collect()
-            })
-            .unwrap_or_default()
+            .filter(|&id| self.facts(id).active)
+            .map(|id| &self.zones[id.0 as usize])
+            .collect()
     }
 }
 
@@ -578,8 +666,8 @@ mod tests {
         let z2 = p
             .host_domain(a2, &n("popular.com"), DomainClass::RegisteredSld)
             .unwrap();
-        let s1 = p.zone(z1).unwrap().assigned_ns.clone();
-        let s2 = p.zone(z2).unwrap().assigned_ns.clone();
+        let s1 = p.assigned_ns(z1).to_vec();
+        let s2 = p.assigned_ns(z2).to_vec();
         assert_ne!(s1, s2, "same-domain zones must not share NS sets");
     }
 
@@ -704,8 +792,8 @@ mod tests {
         let reclaimed = p
             .retrieve_domain(owner, &n("brand.com"), DomainClass::RegisteredSld)
             .unwrap();
-        assert!(!p.zone(squat).unwrap().active);
-        assert!(p.zone(reclaimed).unwrap().active);
+        assert!(!p.is_active(squat));
+        assert!(p.is_active(reclaimed));
         // squatter's NS no longer serve the UR
         let q = n("brand.com");
         for (_, ip) in p.nameservers().to_vec() {
@@ -795,13 +883,12 @@ mod tests {
             if let ProviderAnswer::FromZone(id, _) =
                 p.answer(ip, q.borrowed().fold(&mut Vec::new()), RecordType::A)
             {
-                let z = p.zone(id).unwrap();
                 let idx = p
                     .nameservers()
                     .iter()
                     .position(|(_, nip)| *nip == ip)
                     .unwrap();
-                assert!(z.assigned_ns.contains(&idx));
+                assert!(p.assigned_ns(id).contains(&idx));
             }
         }
     }
@@ -867,7 +954,12 @@ mod tests {
     fn observe(p: &HostingProvider, probes: &[Name]) -> String {
         let mut out = format!("{p:?}\n{:?}\n{:?}\n", p.policy(), p.zones());
         for z in p.zones() {
-            out += &format!("{:?}\n", p.serving_nameservers(z.id));
+            out += &format!(
+                "{} {:?} {:?}\n",
+                p.is_active(z.id),
+                p.assigned_ns(z.id),
+                p.serving_nameservers(z.id)
+            );
         }
         for (_, ip) in p.nameservers() {
             for name in probes {

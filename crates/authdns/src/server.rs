@@ -2,7 +2,7 @@
 //! DNS over the simulated fabric.
 
 use crate::provider::{HostingProvider, ProviderAnswer, PROTECTIVE_TTL};
-use crate::zone::{RrSets, Zone, ZoneAnswer};
+use crate::zone::{write_soa, AnswerRecord, RrSets, Zone, ZoneAnswer};
 use dnswire::{
     Class, Folded, FoldedName, Message, MessageView, MessageWriter, Name, RDataSet, Rcode, Record,
     RecordType, RecordView, Section,
@@ -85,20 +85,30 @@ fn push_all<'r>(
     }
 }
 
-/// Write the authoritative response for a [`ZoneAnswer`] of `zone`, whose
-/// SOA is looked up only for a negative answer.
-fn write_zone_answer(w: &mut MessageWriter, zone: &Zone, ans: ZoneAnswer<'_>) {
+/// Write the authoritative response for a [`ZoneAnswer`] of `zone` to the
+/// question `qname`.
+///
+/// A negative answer carries the zone's SOA, derived from the apex as the
+/// question's suffix of the apex's length: the apex's own bytes are not
+/// read, and since the apex is a suffix of the question already written,
+/// every name of the SOA is compressed against it exactly as the zone's
+/// own apex would be.
+fn write_zone_answer(w: &mut MessageWriter, zone: &Zone, qname: Folded<'_>, ans: ZoneAnswer<'_>) {
     let flags = w.flags_mut();
     match ans {
         ZoneAnswer::Records(rs) => {
             flags.authoritative = true;
-            if !rs.at_question() {
-                push_all(w, Section::Answer, rs.iter());
-                return;
-            }
-            // Each owned by the question: written as the pointer to it.
-            for r in rs.iter() {
-                if !w.record_at_question(Section::Answer, r.class, r.ttl, &r.rdata) {
+            let at_question = rs.at_question();
+            for part in rs.parts() {
+                let written = match part {
+                    // Owned by the question: written as the pointer to it.
+                    AnswerRecord::Stored(r) if at_question => {
+                        w.record_at_question(Section::Answer, r.class, r.ttl, &r.rdata)
+                    }
+                    AnswerRecord::Stored(r) => w.push(Section::Answer, r),
+                    AnswerRecord::Soa(apex) => write_soa(w, Section::Answer, apex.borrowed()),
+                };
+                if !written {
                     return;
                 }
             }
@@ -107,37 +117,44 @@ fn write_zone_answer(w: &mut MessageWriter, zone: &Zone, ans: ZoneAnswer<'_>) {
             push_all(w, Section::Authority, ns);
             push_all(w, Section::Additional, glue.iter());
         }
-        ZoneAnswer::NoData => {
+        ZoneAnswer::NoData | ZoneAnswer::NxDomain => {
             flags.authoritative = true;
-            w.push(Section::Authority, zone.soa());
-        }
-        ZoneAnswer::NxDomain => {
-            flags.authoritative = true;
-            flags.rcode = Rcode::NxDomain;
-            w.push(Section::Authority, zone.soa());
+            if matches!(ans, ZoneAnswer::NxDomain) {
+                flags.rcode = Rcode::NxDomain;
+            }
+            let apex = qname
+                .name()
+                .suffix(zone.apex().label_count())
+                .expect("a zone answers only at or below its apex");
+            write_soa(w, Section::Authority, apex);
         }
         ZoneAnswer::NotInZone => flags.rcode = Rcode::Refused,
     }
 }
 
-/// Write the response a provider nameserver at `ns_ip` gives.
+/// Write the response a provider nameserver gives: the one at fleet index
+/// `ns`, or an address outside the fleet (`None`), which refuses.
 ///
 /// Shared by the `Rc`-backed single-fabric node and the `Arc`-backed shard
 /// replica so both answer bit-identically.
 fn write_provider_answer(
     provider: &HostingProvider,
-    ns_ip: Ipv4Addr,
+    ns: Option<usize>,
     qname: Folded<'_>,
     qtype: RecordType,
     w: &mut MessageWriter,
 ) {
-    match provider.answer(ns_ip, qname, qtype) {
+    let answer = match ns {
+        Some(ns) => provider.answer_at(ns, qname, qtype),
+        None => ProviderAnswer::Refused,
+    };
+    match answer {
         ProviderAnswer::FromZone(zid, ans) => {
             let zone = &provider
                 .zone(zid)
                 .expect("answered from a hosted zone")
                 .zone;
-            write_zone_answer(w, zone, ans);
+            write_zone_answer(w, zone, qname, ans);
         }
         ProviderAnswer::Protective(rdata) => {
             w.flags_mut().authoritative = true;
@@ -171,20 +188,23 @@ fn write_oracle_answer(
 /// what makes per-nameserver allocation policies observable on the wire.
 pub struct ProviderNsNode {
     provider: Rc<RefCell<HostingProvider>>,
-    ip: Ipv4Addr,
+    /// The node's index in the provider's fleet, found once: `None` for
+    /// an address outside it.
+    ns: Option<usize>,
 }
 
 impl ProviderNsNode {
     /// Attach a node for the provider nameserver at `ip`.
     pub fn new(provider: Rc<RefCell<HostingProvider>>, ip: Ipv4Addr) -> Self {
-        ProviderNsNode { provider, ip }
+        let ns = provider.borrow().ns_index(ip);
+        ProviderNsNode { provider, ns }
     }
 }
 
 impl Node for ProviderNsNode {
     fn handle(&mut self, _now: SimTime, dgram: &Datagram, out: &mut Actions) {
         serve(dgram, out, |qname, qtype, w| {
-            write_provider_answer(&self.provider.borrow(), self.ip, qname, qtype, w)
+            write_provider_answer(&self.provider.borrow(), self.ns, qname, qtype, w)
         });
     }
 
@@ -203,20 +223,23 @@ impl Node for ProviderNsNode {
 /// read-only query.
 pub struct SharedProviderNs {
     provider: Arc<HostingProvider>,
-    ip: Ipv4Addr,
+    /// The node's index in the provider's fleet, found once: `None` for
+    /// an address outside it.
+    ns: Option<usize>,
 }
 
 impl SharedProviderNs {
     /// Attach a snapshot-backed node for the provider nameserver at `ip`.
     pub fn new(provider: Arc<HostingProvider>, ip: Ipv4Addr) -> Self {
-        SharedProviderNs { provider, ip }
+        let ns = provider.ns_index(ip);
+        SharedProviderNs { provider, ns }
     }
 }
 
 impl Node for SharedProviderNs {
     fn handle(&mut self, _now: SimTime, dgram: &Datagram, out: &mut Actions) {
         serve(dgram, out, |qname, qtype, w| {
-            write_provider_answer(&self.provider, self.ip, qname, qtype, w)
+            write_provider_answer(&self.provider, self.ns, qname, qtype, w)
         });
     }
 
@@ -255,7 +278,7 @@ impl Node for StaticZoneNode {
                 .filter(|z| qname.name().is_subdomain_of(z.apex().borrowed()))
                 .max_by_key(|z| z.apex().label_count());
             match best {
-                Some(zone) => write_zone_answer(w, zone, zone.answer(qname, qtype)),
+                Some(zone) => write_zone_answer(w, zone, qname, zone.answer(qname, qtype)),
                 None => w.flags_mut().rcode = Rcode::Refused,
             }
         });
@@ -288,8 +311,7 @@ impl AnswerMap {
         Arc::make_mut(&mut self.by_name)
             .entry(FoldedName::new(record.name.borrowed()))
             .or_default()
-            .entry(record.rtype())
-            .push(record);
+            .add(record, false);
     }
 
     /// The canonical records of `rtype` at `name`, empty if unknown.
@@ -385,26 +407,40 @@ pub fn exchange<T>(
     // which is cheaper than cloning every query on the hot path.
     let query = || dnswire::encode_query(id, qname.borrowed(), qtype);
     let udp = net.rpc(src, dst, simnet::Proto::Udp, query(), timeout)?;
-    let out = match MessageView::parse_keeping(&udp, &keep) {
-        Ok((resp, kept)) if resp.id == id && resp.flags.truncated => {
-            // TCP fallback for the complete answer. TCP blocked, lost or
-            // mangled: the truncated answer is all we have.
-            let tcp = net.rpc(src, dst, simnet::Proto::Tcp, query(), timeout);
-            let full = tcp
-                .as_deref()
-                .and_then(|raw| MessageView::parse_keeping(raw, &keep).ok())
-                .filter(|(full, _)| full.id == id);
-            let out = match full {
-                Some((full, full_kept)) => read(&full, full_kept),
-                None => read(&resp, kept),
-            };
-            if let Some(raw) = tcp {
-                dnswire::bufpool::release(raw);
+    // TC is read from the header before any walk: a truncated reply is
+    // walked keeping nothing, since the TCP retry's answers replace its
+    // own, and walked again keeping them only when that retry fails.
+    let truncated = udp.get(2).is_some_and(|flags| flags & 0x02 != 0);
+    let out = if truncated {
+        match MessageView::parse(&udp) {
+            Ok(resp) if resp.id == id && resp.flags.truncated => {
+                // TCP fallback for the complete answer. TCP blocked, lost
+                // or mangled: the truncated answer is all we have.
+                let tcp = net.rpc(src, dst, simnet::Proto::Tcp, query(), timeout);
+                let full = tcp
+                    .as_deref()
+                    .and_then(|raw| MessageView::parse_keeping(raw, &keep).ok())
+                    .filter(|(full, _)| full.id == id);
+                let out = match full {
+                    Some((full, full_kept)) => read(&full, full_kept),
+                    None => {
+                        let (resp, kept) =
+                            MessageView::parse_keeping(&udp, &keep).expect("walked once already");
+                        read(&resp, kept)
+                    }
+                };
+                if let Some(raw) = tcp {
+                    dnswire::bufpool::release(raw);
+                }
+                Some(out)
             }
-            Some(out)
+            _ => None,
         }
-        Ok((resp, kept)) if resp.id == id => Some(read(&resp, kept)),
-        _ => None,
+    } else {
+        match MessageView::parse_keeping(&udp, &keep) {
+            Ok((resp, kept)) if resp.id == id => Some(read(&resp, kept)),
+            _ => None,
+        }
     };
     dnswire::bufpool::release(udp);
     out

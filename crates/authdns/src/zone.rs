@@ -1,10 +1,15 @@
 //! DNS zones: record storage and authoritative answer logic.
 
-use dnswire::{Folded, FoldedName, Name, RData, Record, RecordType};
+use dnswire::{
+    Folded, FoldedName, MessageWriter, Name, NameBuf, NameRef, RData, Record, RecordType, Section,
+};
 use fxhash::FxHashMap;
+use std::borrow::Cow;
 
 /// The RRsets at one owner name, in `RecordType` order. A handful of types
-/// at most, so a sorted vector beats a map per name.
+/// at most, so a sorted vector beats a map per name. The list and every
+/// RRset in it are kept at their length: a zone holds many owners of one
+/// record each, and a first push would reserve four slots.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RrSets(Vec<(RecordType, Vec<Record>)>);
 
@@ -17,17 +22,66 @@ impl RrSets {
         }
     }
 
-    /// The RRset of `rtype`, created empty if there is none.
-    pub(crate) fn entry(&mut self, rtype: RecordType) -> &mut Vec<Record> {
+    /// Append `record` to the RRset of its type, created if there is none.
+    /// With `dedupe`, a record the set holds already is dropped.
+    pub(crate) fn add(&mut self, record: Record, dedupe: bool) {
+        let rtype = record.rtype();
         let i = match self.0.binary_search_by_key(&rtype, |(t, _)| *t) {
             Ok(i) => i,
             Err(i) => {
+                self.0.reserve_exact(1);
                 self.0.insert(i, (rtype, Vec::new()));
                 i
             }
         };
-        &mut self.0[i].1
+        let set = &mut self.0[i].1;
+        if !(dedupe && set.contains(&record)) {
+            set.reserve_exact(1);
+            set.push(record);
+        }
     }
+}
+
+/// TTL of the SOA every zone derives from its apex.
+const SOA_TTL: u32 = 3600;
+
+/// Serial, refresh, retry, expire and minimum of the derived SOA.
+const SOA_WORDS: [u32; 5] = [1, 7200, 3600, 1_209_600, 300];
+
+/// The SOA a zone at `apex` answers with: primary `ns1.<apex>`, mailbox
+/// `hostmaster.<apex>` (the apex itself where either name would be too
+/// long), owned.
+fn soa_record(apex: &Name) -> Record {
+    let [serial, refresh, retry, expire, minimum] = SOA_WORDS;
+    Record::new(
+        apex.clone(),
+        SOA_TTL,
+        RData::Soa {
+            mname: apex.child(b"ns1").unwrap_or_else(|_| apex.clone()),
+            rname: apex.child(b"hostmaster").unwrap_or_else(|_| apex.clone()),
+            serial,
+            refresh,
+            retry,
+            expire,
+            minimum,
+        },
+    )
+}
+
+/// Write the SOA of the zone at `apex` to `section`: the bytes of
+/// [`soa_record`]'s record, its two names built on the stack, so a
+/// negative answer allocates nothing.
+pub(crate) fn write_soa(w: &mut MessageWriter, section: Section, apex: NameRef<'_>) -> bool {
+    let mname = NameBuf::child(b"ns1", apex);
+    let rname = NameBuf::child(b"hostmaster", apex);
+    w.soa(
+        section,
+        apex,
+        SOA_TTL,
+        mname.as_ref().map_or(apex, NameBuf::borrowed),
+        rname.as_ref().map_or(apex, NameBuf::borrowed),
+        SOA_WORDS,
+    )
 }
 
 /// A DNS zone: an apex name and the records at or below it.
@@ -37,9 +91,11 @@ impl RrSets {
 /// so a lookup is one hash probe with the bytes of a name folded once,
 /// and none at the apex, the name a zone is asked about most. Every empty
 /// non-terminal between an owner and the apex has an entry too, with no
-/// RRsets, so whether a name exists is that same probe. The zone also
-/// carries its SOA so negative answers can include it in the authority
-/// section.
+/// RRsets, so whether a name exists is that same probe.
+///
+/// The zone's SOA is not stored: it is derived from the apex wherever it
+/// is answered ([`Zone::soa`]), ahead of any SOA record added at the
+/// apex, which the zone keeps as it keeps any record.
 #[derive(Debug, Clone)]
 pub struct Zone {
     apex: Name,
@@ -60,6 +116,18 @@ pub struct AnswerRecords<'z> {
     cnames: [Option<&'z Record>; MAX_CNAME_CHAIN],
     /// One RRset for a typed question, every RRset at the name for `ANY`.
     sets: &'z [(RecordType, Vec<Record>)],
+    /// The apex, when the answer holds the zone's derived SOA (an SOA or
+    /// `ANY` question at the apex): it goes in the SOA type's position.
+    soa: Option<&'z Name>,
+}
+
+/// One record of an answer, as the zone holds it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum AnswerRecord<'z> {
+    /// A record stored in the zone.
+    Stored(&'z Record),
+    /// The SOA derived from this apex.
+    Soa(&'z Name),
 }
 
 impl<'z> AnswerRecords<'z> {
@@ -69,18 +137,39 @@ impl<'z> AnswerRecords<'z> {
         self.cnames[0].is_none()
     }
 
-    /// The records in answer-section order.
-    pub fn iter(&self) -> impl Iterator<Item = &'z Record> {
+    /// The records in answer-section order, the derived SOA as its apex.
+    pub(crate) fn parts(&self) -> impl Iterator<Item = AnswerRecord<'z>> {
         let sets = self.sets;
+        let split = match self.soa {
+            Some(_) => sets.partition_point(|(t, _)| *t < RecordType::Soa),
+            None => sets.len(),
+        };
+        let stored = |sets: &'z [(RecordType, Vec<Record>)]| {
+            sets.iter()
+                .flat_map(|(_, set)| set)
+                .map(AnswerRecord::Stored)
+        };
         self.cnames
             .into_iter()
             .flatten()
-            .chain(sets.iter().flat_map(|(_, set)| set))
+            .map(AnswerRecord::Stored)
+            .chain(stored(&sets[..split]))
+            .chain(self.soa.map(AnswerRecord::Soa))
+            .chain(stored(&sets[split..]))
+    }
+
+    /// The records in answer-section order: borrowed from the zone, the
+    /// derived SOA built owned.
+    pub fn iter(&self) -> impl Iterator<Item = Cow<'z, Record>> {
+        self.parts().map(|part| match part {
+            AnswerRecord::Stored(r) => Cow::Borrowed(r),
+            AnswerRecord::Soa(apex) => Cow::Owned(soa_record(apex)),
+        })
     }
 
     /// True when there are none (never the case inside a [`ZoneAnswer`]).
     pub fn is_empty(&self) -> bool {
-        self.iter().next().is_none()
+        self.parts().next().is_none()
     }
 }
 
@@ -123,7 +212,7 @@ impl PartialEq for Glue<'_> {
 impl Eq for Glue<'_> {}
 
 /// The outcome of resolving a question against a single zone. Every record
-/// in it is borrowed from the zone.
+/// in it is borrowed from the zone, or derived from its apex.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ZoneAnswer<'z> {
     /// Authoritative data for the question (may be a CNAME chain).
@@ -144,24 +233,11 @@ pub enum ZoneAnswer<'z> {
 }
 
 impl Zone {
-    /// Create an empty zone with a synthesized SOA.
+    /// Create an empty zone: it holds only the SOA derived from its apex.
     pub fn new(apex: Name) -> Self {
-        let soa = Record::new(
-            apex.clone(),
-            3600,
-            RData::Soa {
-                mname: apex.child(b"ns1").unwrap_or_else(|_| apex.clone()),
-                rname: apex.child(b"hostmaster").unwrap_or_else(|_| apex.clone()),
-                serial: 1,
-                refresh: 7200,
-                retry: 3600,
-                expire: 1_209_600,
-                minimum: 300,
-            },
-        );
         Zone {
             apex,
-            at_apex: RrSets(vec![(RecordType::Soa, vec![soa])]),
+            at_apex: RrSets::default(),
             records: FxHashMap::default(),
         }
     }
@@ -171,12 +247,19 @@ impl Zone {
         &self.apex
     }
 
-    /// The RRset of `rtype` at `owner`, at or below the apex, created empty
-    /// if there is none; `owner` and every name between it and the apex
-    /// get an entry.
-    fn rrset_mut(&mut self, owner: &Name, rtype: RecordType) -> &mut Vec<Record> {
+    /// The zone's SOA, derived from its apex: what its negative answers
+    /// carry, built owned. SOA records added at the apex come after it in
+    /// an answer, and are what [`Zone::get`] returns for the type.
+    pub fn soa(&self) -> Record {
+        soa_record(&self.apex)
+    }
+
+    /// The RRsets at `owner`, at or below the apex, created empty if there
+    /// are none; `owner` and every name between it and the apex get an
+    /// entry.
+    fn sets_mut(&mut self, owner: &Name) -> &mut RrSets {
         if owner.label_count() == self.apex.label_count() {
-            return self.at_apex.entry(rtype);
+            return &mut self.at_apex;
         }
         let mut scratch = Vec::new();
         let owner = owner.borrowed().fold(&mut scratch);
@@ -191,10 +274,10 @@ impl Zone {
         self.records
             .get_mut(owner.key())
             .expect("present or just inserted")
-            .entry(rtype)
     }
 
-    /// Add a record. The owner must be at or below the apex.
+    /// Add a record. The owner must be at or below the apex. A record the
+    /// zone holds already, the derived SOA included, is dropped.
     ///
     /// # Panics
     /// Panics if the owner is outside the zone — that is a construction bug.
@@ -205,10 +288,13 @@ impl Zone {
             record.name,
             self.apex
         );
-        let set = self.rrset_mut(&record.name, record.rtype());
-        if !set.contains(&record) {
-            set.push(record);
+        if record.rtype() == RecordType::Soa
+            && record.name.label_count() == self.apex.label_count()
+            && record == self.soa()
+        {
+            return;
         }
+        self.sets_mut(&record.name).add(record, true);
     }
 
     /// Every RRset at `owner`, a name at or below the apex: at the apex
@@ -231,7 +317,8 @@ impl Zone {
         }
     }
 
-    /// The RRset of `rtype` at `owner`, if any.
+    /// The stored RRset of `rtype` at `owner`, if any (the derived SOA is
+    /// [`Zone::soa`]).
     pub fn get(&self, owner: &Name, rtype: RecordType) -> &[Record] {
         if !owner.is_subdomain_of(&self.apex) {
             return &[];
@@ -243,16 +330,10 @@ impl Zone {
         }
     }
 
-    /// Whether any record exists at `owner` (of any type) or below it: an
-    /// owner or an empty non-terminal of this zone, or an ancestor of the
-    /// apex (which always holds the SOA).
+    /// Whether `owner`, a name at or below the apex, exists: the apex
+    /// (which always holds the SOA), an owner, or an empty non-terminal.
     fn exists(&self, owner: Folded<'_>) -> bool {
-        self.records.contains_key(owner.key()) || self.apex.borrowed().is_subdomain_of(owner.name())
-    }
-
-    /// The zone's SOA record.
-    pub(crate) fn soa(&self) -> &Record {
-        &self.at_apex.get(RecordType::Soa)[0]
+        owner.label_count() == self.apex.label_count() || self.records.contains_key(owner.key())
     }
 
     /// Answer a question authoritatively from this zone.
@@ -263,14 +344,21 @@ impl Zone {
     /// answer borrows the zone's records, and every lookup probes with the
     /// folded question name or one of its suffixes.
     pub fn answer(&self, qname: Folded<'_>, qtype: RecordType) -> ZoneAnswer<'_> {
-        let apex = self.apex.borrowed();
-        if !qname.name().is_subdomain_of(apex) {
+        if !qname.name().is_subdomain_of(self.apex.borrowed()) {
             return ZoneAnswer::NotInZone;
         }
+        self.answer_within(qname, qtype)
+    }
+
+    /// [`Zone::answer`] for a question the caller already found at or
+    /// below the apex (a provider's suffix walk matched the apex's key),
+    /// so the apex's own bytes are not read.
+    pub(crate) fn answer_within(&self, qname: Folded<'_>, qtype: RecordType) -> ZoneAnswer<'_> {
+        let apex_labels = self.apex.label_count();
         // Check for a delegation cut strictly between apex and qname.
         // Walk from just below the apex toward the qname so the delegation
         // cut closest to the apex wins (RFC 1034 top-down matching).
-        for take in apex.label_count() + 1..=qname.label_count() {
+        for take in apex_labels + 1..=qname.label_count() {
             // The apex itself holding NS is not a delegation; and NS at the
             // qname for an NS query is an answer, not a referral.
             if take == qname.label_count() && qtype == RecordType::Ns {
@@ -293,8 +381,11 @@ impl Zone {
                 RecordType::Any => self.sets_at(owner),
                 _ => self.rrset(owner, qtype),
             };
-            if !sets.is_empty() {
-                return ZoneAnswer::Records(AnswerRecords { cnames, sets });
+            let soa = (owner.label_count() == apex_labels
+                && matches!(qtype, RecordType::Soa | RecordType::Any))
+            .then_some(&self.apex);
+            if !sets.is_empty() || soa.is_some() {
+                return ZoneAnswer::Records(AnswerRecords { cnames, sets, soa });
             }
             let [(_, cname)] = self.rrset(owner, RecordType::Cname) else {
                 break;
@@ -310,7 +401,11 @@ impl Zone {
             }
         }
         if cnames[0].is_some() {
-            return ZoneAnswer::Records(AnswerRecords { cnames, sets: &[] });
+            return ZoneAnswer::Records(AnswerRecords {
+                cnames,
+                sets: &[],
+                soa: None,
+            });
         }
         if self.exists(qname) {
             ZoneAnswer::NoData
@@ -333,9 +428,9 @@ mod tests {
         z.answer(n(qname).borrowed().fold(&mut Vec::new()), qtype)
     }
 
-    fn records<'z>(answer: ZoneAnswer<'z>) -> Vec<&'z Record> {
+    fn records(answer: ZoneAnswer<'_>) -> Vec<Record> {
         match answer {
-            ZoneAnswer::Records(rs) => rs.iter().collect(),
+            ZoneAnswer::Records(rs) => rs.iter().map(Cow::into_owned).collect(),
             other => panic!("unexpected: {other:?}"),
         }
     }
@@ -457,14 +552,16 @@ mod tests {
     #[test]
     fn name_exists_is_one_step_in_canonical_order() {
         // The definition the one probe replaced: some record is owned by
-        // the name itself or by a name strictly below it. The map's keys
-        // include empty non-terminals, so the oracle reads the records.
+        // the name itself or by a name strictly below it, the apex's SOA
+        // included. The map's keys include empty non-terminals, so the
+        // oracle reads the records.
         fn by_scan(z: &Zone, owner: &Name) -> bool {
             z.records
                 .values()
                 .chain([&z.at_apex])
                 .flat_map(|sets| sets.0.iter().flat_map(|(_, set)| set))
                 .any(|r| &r.name == owner || r.name.is_strict_subdomain_of(owner))
+                || z.apex() == owner
         }
         let mut ent = Zone::new(n("example.com"));
         ent.add(a("a.b.example.com", [203, 0, 113, 9]));
@@ -488,10 +585,13 @@ mod tests {
                 "example.org",
             ] {
                 let owner = n(probe);
+                if !owner.is_subdomain_of(z.apex()) {
+                    // Asked only of names at or below the apex.
+                    continue;
+                }
                 let folded = owner.borrowed().fold(&mut scratch);
                 assert_eq!(z.exists(folded), by_scan(&z, &owner), "{probe}");
             }
-            assert!(z.exists(Name::root().borrowed().fold(&mut scratch)));
         }
     }
 
@@ -504,8 +604,49 @@ mod tests {
     #[test]
     fn any_query_returns_all_types() {
         let z = zone();
-        // SOA + A + TXT
-        assert!(records(ask(&z, "example.com", RecordType::Any)).len() >= 3);
+        // A, then the derived SOA in its type's position, then TXT.
+        let types: Vec<RecordType> = records(ask(&z, "example.com", RecordType::Any))
+            .iter()
+            .map(Record::rtype)
+            .collect();
+        assert_eq!(types, [RecordType::A, RecordType::Soa, RecordType::Txt]);
+    }
+
+    #[test]
+    fn the_derived_soa_leads_the_soa_records_added_at_the_apex() {
+        let mut z = zone();
+        let explicit = Record::new(
+            n("example.com"),
+            60,
+            RData::Soa {
+                mname: n("primary.example.net"),
+                rname: n("admin.example.net"),
+                serial: 9,
+                refresh: 1,
+                retry: 2,
+                expire: 3,
+                minimum: 4,
+            },
+        );
+        z.add(explicit.clone());
+        // The derived SOA, added again in another case, is not a record
+        // of its own.
+        let mut again = z.soa();
+        again.name = n("EXAMPLE.com");
+        z.add(again);
+        assert_eq!(
+            z.get(&n("example.com"), RecordType::Soa),
+            std::slice::from_ref(&explicit)
+        );
+        assert_eq!(
+            records(ask(&z, "example.com", RecordType::Soa)),
+            [z.soa(), explicit]
+        );
+        // Negative answers carry the derived SOA alone.
+        assert_eq!(
+            ask(&z, "www.example.com", RecordType::Txt),
+            ZoneAnswer::NoData
+        );
     }
 
     #[test]
@@ -526,6 +667,27 @@ mod tests {
     #[test]
     fn soa_accessible() {
         let z = zone();
-        assert!(matches!(z.soa().rdata, RData::Soa { .. }));
+        assert_eq!(z.soa().name, n("example.com"));
+        match z.soa().rdata {
+            RData::Soa { mname, rname, .. } => {
+                assert_eq!(mname, n("ns1.example.com"));
+                assert_eq!(rname, n("hostmaster.example.com"));
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sets_are_kept_at_their_length() {
+        let mut z = Zone::new(n("example.com"));
+        for i in 0..36 {
+            z.add(a("example.com", [198, 51, 100, i]));
+        }
+        z.add(a("www.example.com", [203, 0, 113, 2]));
+        assert_eq!(z.at_apex.0.capacity(), 1);
+        let set = &z.at_apex.0[0].1;
+        assert_eq!((set.len(), set.capacity()), (36, 36));
+        let www = &z.records.values().next().expect("www").0;
+        assert_eq!((www.capacity(), www[0].1.capacity()), (1, 1));
     }
 }

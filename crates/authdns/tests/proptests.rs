@@ -4,6 +4,7 @@
 use authdns::{DomainClass, HostingPolicy, HostingProvider, Zone, ZoneAnswer};
 use dnswire::{Name, RData, Record, RecordType};
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::net::Ipv4Addr;
 
 fn arb_label() -> impl Strategy<Value = String> {
@@ -122,7 +123,7 @@ proptest! {
         let qtype = RecordType::from_code(qtype_code);
         let mut scratch = Vec::new();
         let got = match zone.answer(qname.borrowed().fold(&mut scratch), qtype) {
-            ZoneAnswer::Records(rs) => Scanned::Records(rs.iter().cloned().collect()),
+            ZoneAnswer::Records(rs) => Scanned::Records(rs.iter().map(Cow::into_owned).collect()),
             ZoneAnswer::Delegation { ns, glue } => {
                 Scanned::Delegation(ns.to_vec(), glue.iter().cloned().collect())
             }
@@ -182,9 +183,10 @@ enum Scanned {
 struct ScanZone(Vec<Record>);
 
 impl ScanZone {
-    /// Start from the records a new zone holds (its SOA).
+    /// Start from the record a new zone holds: its SOA, derived from the
+    /// apex.
     fn new(zone: &Zone) -> Self {
-        ScanZone(zone.get(zone.apex(), RecordType::Soa).to_vec())
+        ScanZone(vec![zone.soa()])
     }
 
     fn add(&mut self, record: Record) {

@@ -169,11 +169,9 @@ pub(crate) fn audit_provider(world: &mut World, p_idx: usize) -> AuditRow {
             .map(|zid| {
                 cleanup.push(zid);
                 let mut ips: Vec<Ipv4Addr> = p
-                    .zone(zid)
-                    .map(|z| z.assigned_ns.clone())
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(|i| p.nameservers()[i].1)
+                    .assigned_ns(zid)
+                    .iter()
+                    .map(|&i| p.nameservers()[i].1)
                     .collect();
                 if ips.is_empty() {
                     // global-fixed providers serve from the whole fleet
@@ -359,13 +357,19 @@ mod tests {
         let before: Vec<usize> = world
             .providers
             .iter()
-            .map(|p| p.borrow().zones().iter().filter(|z| z.active).count())
+            .map(|p| {
+                let p = p.borrow();
+                p.zones().iter().filter(|z| p.is_active(z.id)).count()
+            })
             .collect();
         let _ = audit_table2(&mut world);
         let after: Vec<usize> = world
             .providers
             .iter()
-            .map(|p| p.borrow().zones().iter().filter(|z| z.active).count())
+            .map(|p| {
+                let p = p.borrow();
+                p.zones().iter().filter(|z| p.is_active(z.id)).count()
+            })
             .collect();
         assert_eq!(before, after, "audit must deactivate all probe zones");
     }

@@ -19,8 +19,12 @@ use worldgen::{NsInfo, World};
 
 /// How many URs a [`run_streamed`] worker collects before classifying them.
 /// Output is identical for any value; this only bounds how many URs are in
-/// flight at once.
-const CLASSIFY_BATCH: usize = 4096;
+/// flight at once. It is 1,024 because each worker holds its batch —
+/// every UR's record data, then the batch's verdicts — beside its shard's
+/// fabric, and with hosted zones compact (about a megabyte a
+/// `scan_stream` shard) 4,096 URs in flight were a sizeable part of a
+/// worker's peak. A smaller batch costs only more classifier calls.
+const CLASSIFY_BATCH: usize = 1024;
 
 /// Complete pipeline configuration.
 #[derive(Debug, Clone)]

@@ -52,7 +52,7 @@ pub use message::{
     encode_query, Flags, Message, MessageView, MessageWriter, Section, MAX_MESSAGE_LEN,
     MAX_UDP_PAYLOAD,
 };
-pub use name::{Folded, FoldedName, Name, NameRef, WireName, MAX_LABEL_LEN, MAX_NAME_LEN};
+pub use name::{Folded, FoldedName, Name, NameBuf, NameRef, WireName, MAX_LABEL_LEN, MAX_NAME_LEN};
 pub use rdata::{RData, RDataView};
 pub use rdataset::RDataSet;
 pub use record::{Question, QuestionView, Record, RecordView};

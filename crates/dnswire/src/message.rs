@@ -5,7 +5,7 @@ use crate::name::{CompressionMap, Name, NameRef};
 use crate::rdata::RData;
 use crate::rdataset::{push_record, RDataSet};
 use crate::record::{
-    encode_record, encode_record_body, Question, QuestionView, Record, RecordView,
+    encode_body, encode_record, encode_record_body, Question, QuestionView, Record, RecordView,
 };
 use crate::types::{Class, Opcode, Rcode, RecordType};
 use std::fmt;
@@ -436,6 +436,33 @@ impl MessageWriter {
         })
     }
 
+    /// An SOA record given as its parts, names borrowed (built on the
+    /// stack with [`NameBuf`](crate::NameBuf) where no zone stores them):
+    /// the bytes [`MessageWriter::push`] writes for the `IN` record of
+    /// `RData::Soa` at `owner`, `words` being its serial, refresh, retry,
+    /// expire and minimum. Allocates nothing.
+    #[allow(clippy::too_many_arguments)]
+    pub fn soa(
+        &mut self,
+        section: Section,
+        owner: NameRef<'_>,
+        ttl: u32,
+        mname: NameRef<'_>,
+        rname: NameRef<'_>,
+        words: [u32; 5],
+    ) -> bool {
+        self.append(section, |buf, map| {
+            owner.encode_compressed(buf, map);
+            encode_body(RecordType::Soa, Class::In, ttl, buf, |buf| {
+                mname.encode_compressed(buf, map);
+                rname.encode_compressed(buf, map);
+                for word in words {
+                    buf.extend_from_slice(&word.to_be_bytes());
+                }
+            })
+        })
+    }
+
     /// Append the record `encode` writes to `section`, or roll it back.
     fn append(
         &mut self,
@@ -735,6 +762,7 @@ impl fmt::Display for Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::name::NameBuf;
     use crate::rdata::RData;
     use std::net::Ipv4Addr;
 
@@ -1143,6 +1171,64 @@ mod tests {
                 w.finish().unwrap()
             };
             assert_eq!(write(true), write(false), "{owner}");
+        }
+    }
+
+    #[test]
+    fn an_soa_from_parts_is_the_pushed_record() {
+        // Owners at, below, above and beside the question, the root
+        // included, under a second question that names `ns1.` of the
+        // owner: every name compresses as the owned record's would.
+        for (qname, owner) in [
+            ("Example.com", "example.COM"),
+            ("www.example.com", "Example.com"),
+            ("example.com", "sub.example.com"),
+            ("other.net", "example.com"),
+            ("example.com", "."),
+            (".", "."),
+        ] {
+            let (qname, owner) = (name(qname), name(owner));
+            let mname = NameBuf::child(b"ns1", owner.borrowed()).unwrap();
+            let rname = NameBuf::child(b"hostmaster", owner.borrowed()).unwrap();
+            let record = Record::new(
+                owner.clone(),
+                3600,
+                RData::Soa {
+                    mname: mname.borrowed().to_name(),
+                    rname: rname.borrowed().to_name(),
+                    serial: 1,
+                    refresh: 7200,
+                    retry: 3600,
+                    expire: 1_209_600,
+                    minimum: 300,
+                },
+            );
+            let write = |from_parts: bool| {
+                let mut q = Message::query(9, Question::new(qname.clone(), RecordType::Txt));
+                q.questions
+                    .push(Question::new(mname.borrowed().to_name(), RecordType::A));
+                let mut w = MessageWriter::new(9, q.flags, MAX_MESSAGE_LEN);
+                for q in &q.questions {
+                    w.question(q.qname.borrowed(), q.qtype, q.qclass);
+                }
+                for section in [Section::Answer, Section::Authority] {
+                    let written = if from_parts {
+                        w.soa(
+                            section,
+                            owner.borrowed(),
+                            3600,
+                            mname.borrowed(),
+                            rname.borrowed(),
+                            [1, 7200, 3600, 1_209_600, 300],
+                        )
+                    } else {
+                        w.push(section, &record)
+                    };
+                    assert!(written);
+                }
+                w.finish().unwrap()
+            };
+            assert_eq!(write(true), write(false), "{qname} / {owner}");
         }
     }
 

@@ -619,6 +619,52 @@ impl Borrow<[u8]> for FoldedName {
     }
 }
 
+/// A name built on the stack: one label in front of a borrowed name, for
+/// a writer that needs a name no zone stores (a synthesized SOA's
+/// `ns1.<apex>`) without allocating it.
+///
+/// ```
+/// use dnswire::{Name, NameBuf};
+/// let apex: Name = "Example.com".parse().unwrap();
+/// let ns1 = NameBuf::child(b"ns1", apex.borrowed()).unwrap();
+/// assert_eq!(ns1.borrowed().to_name(), apex.child(b"ns1").unwrap());
+/// assert!(NameBuf::child(b"", apex.borrowed()).is_none());
+/// ```
+#[derive(Clone, Copy)]
+pub struct NameBuf {
+    flat: [u8; MAX_FLAT_LEN],
+    len: u8,
+    labels: u8,
+}
+
+impl NameBuf {
+    /// `label.parent`, or `None` where [`Name::child`] fails: an empty or
+    /// overlong label, or a name past [`MAX_NAME_LEN`].
+    pub fn child(label: &[u8], parent: NameRef<'_>) -> Option<NameBuf> {
+        let len = 1 + label.len() + parent.flat.len();
+        if label.is_empty() || label.len() > MAX_LABEL_LEN || len > MAX_FLAT_LEN {
+            return None;
+        }
+        let mut flat = [0; MAX_FLAT_LEN];
+        flat[0] = label.len() as u8;
+        flat[1..=label.len()].copy_from_slice(label);
+        flat[1 + label.len()..len].copy_from_slice(parent.flat);
+        Some(NameBuf {
+            flat,
+            len: len as u8,
+            labels: parent.labels + 1,
+        })
+    }
+
+    /// This name, borrowed.
+    pub fn borrowed(&self) -> NameRef<'_> {
+        NameRef {
+            flat: &self.flat[..self.len as usize],
+            labels: self.labels,
+        }
+    }
+}
+
 /// DNS name-compression state of one message being written.
 ///
 /// A trie of `(parent node, label)` edges whose lowercased label bytes live
@@ -1102,9 +1148,14 @@ mod tests {
             let whole = Name::from_labels(std::iter::once(label).chain(parent.labels()));
             let child = parent.child(label);
             assert_eq!(child, whole, "{parent} + {label:?}");
+            let on_stack = NameBuf::child(label, parent.borrowed());
+            assert_eq!(on_stack.is_some(), whole.is_ok(), "{parent} + {label:?}");
             if let (Ok(child), Ok(whole)) = (&child, &whole) {
                 assert_eq!(child.flat, whole.flat);
                 assert_eq!(child.label_count(), whole.label_count());
+                let on_stack = on_stack.expect("valid where the owned child is");
+                assert_eq!(on_stack.borrowed().flat, &whole.flat[..]);
+                assert_eq!(on_stack.borrowed().label_count(), whole.label_count());
             }
         }
     }

@@ -130,13 +130,26 @@ pub(crate) fn encode_record_body(
     buf: &mut Vec<u8>,
     offsets: &mut CompressionMap,
 ) {
-    buf.extend_from_slice(&rdata.record_type().code().to_be_bytes());
+    encode_body(rdata.record_type(), class, ttl, buf, |buf| {
+        rdata.encode(buf, offsets)
+    });
+}
+
+/// Type, class and TTL, then the data `data` writes behind its length.
+pub(crate) fn encode_body(
+    rtype: RecordType,
+    class: Class,
+    ttl: u32,
+    buf: &mut Vec<u8>,
+    data: impl FnOnce(&mut Vec<u8>),
+) {
+    buf.extend_from_slice(&rtype.code().to_be_bytes());
     buf.extend_from_slice(&class.code().to_be_bytes());
     buf.extend_from_slice(&ttl.to_be_bytes());
     let len_at = buf.len();
     buf.extend_from_slice(&[0, 0]);
     let data_start = buf.len();
-    rdata.encode(buf, offsets);
+    data(buf);
     let rdlen = (buf.len() - data_start) as u16;
     buf[len_at..len_at + 2].copy_from_slice(&rdlen.to_be_bytes());
 }

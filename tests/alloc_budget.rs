@@ -179,6 +179,53 @@ fn the_hub_adds_no_allocation_to_a_probe() {
     hold_probes_to_their_budgets(Some(obs::Obs::shared()));
 }
 
+/// A truncated UDP answer is retried over TCP, and the retry's answers are
+/// the ones kept: the exchange keeps one set of record data, not the
+/// truncated reply's as well.
+#[test]
+fn a_truncated_reply_keeps_nothing_the_retry_replaces() {
+    let fat: Name = "fat.example".parse().unwrap();
+    let mut zone = authdns::Zone::new(fat.clone());
+    for o in 0..40 {
+        zone.add(dnswire::Record::new(
+            fat.clone(),
+            60,
+            dnswire::RData::A(Ipv4Addr::new(203, 0, 113, o)),
+        ));
+    }
+    let server = Ipv4Addr::new(192, 0, 2, 60);
+    let mut net = simnet::Network::new(2);
+    net.trace.set_enabled(false);
+    net.set_payload_recycler(Some(dnswire::bufpool::release));
+    net.add_node(server, Box::new(authdns::StaticZoneNode::single(zone)));
+    let mut exchange = |id| {
+        authdns::exchange(
+            &mut net,
+            Ipv4Addr::new(10, 0, 0, 4),
+            server,
+            &fat,
+            RecordType::A,
+            id,
+            simnet::SimDuration::from_secs(2),
+            |r| r.rtype() == RecordType::A,
+            |resp, kept| (resp.flags.truncated, kept),
+        )
+        .expect("answered")
+    };
+    // Warm-up: pools filled, the fabric's tables grown.
+    for id in 1..=3 {
+        exchange(id);
+    }
+    for id in 4..=6 {
+        let ((truncated, kept), tally) = counted(|| exchange(id));
+        assert!(!truncated, "the TCP retry's answer is the one read");
+        assert_eq!(kept.iter().count(), 40);
+        // One allocation: the kept set of the TCP answer. Keeping the
+        // truncated answer's first took two.
+        assert_eq!(tally.allocations, 1, "{tally:?}");
+    }
+}
+
 /// One warm and one counted bulk scan of a freshly generated small world:
 /// `(probes, URs, tally)` of the counted one. Seed 7 puts three of the
 /// targets under `co.uk`, a zone registered beside its parent `uk`.
