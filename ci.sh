@@ -65,15 +65,59 @@ echo "== stale names: the deleted executor, collectors, knobs, timers and dead c
 # compact row format parked for the calling thread to digest), and one
 # probe-order rule set by pacing alone (an unpaced shard walks its list,
 # a paced one probes in rounds: no RTT-ordered selector, feed variant,
-# tie-break digest or test of its order): none of the names of
+# tie-break digest or test of its order), and a sequence digest that
+# does not care about order (each row hashes its UR's position, its
+# shard and its index in the shard's list, and the rows add), so shards
+# merge as they end: no ordered-merge executor, no parked shard value, no
+# buffer that releases a paced shard's URs in list order, no digest base
+# and no appending of one digest to another: none of the names of
 # what was removed may come back in code, tests or docs. (`fn
 # hash_one` is the deleted helper; std's `BuildHasher::hash_one`, which
 # the map hasher's tests call, stays legal.)
-if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs|\(usize, usize, RecordType\)|partition_scan_tasks|ShardTask|collect_urs_sharded_on|scan_shards|quarantine_cooldown|health_probe|probe_ns_released|txt_strings|aux_records|PublishOnExit|classify_wait_us|EgressMonitor|BypassAlert|simnet::pcap|to_pcap|--pcap|--expand-pdns|expand_targets_from_pdns|with_pdns_expansion|subdomains_of|--payload-match|match_txt_payloads|with_payload_matching|payload_matched|tests/(pdns_expansion|txt_payloads)\.rs|with_rtt_k|--rtt-k|PayloadSignature\b|match_text|match_payload|HashWriter|fn hash_one\b|ReportBuilder|classify_shard|absorb_one|DigestRow|HashMap<\(Name, RecordType\)|acc_total|--extended|HunterConfig::extended|classify_mx|MxExact|mx_exact|saw_mx|mx_extension|MetricShard|merge_shard|SharedTokenBucket|with_shared_global|finish_shard|with_rate_limit_per_sec|WaitRises|rate_limit_2_per_s|--rate-limit|ShardGate|GateState|ShardItem|wait_admitted|DigestBatch|VerdictRow|RttSelector|RTT-ordered|TaskFeed::Rtt|rtt_selection' \
+if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs|\(usize, usize, RecordType\)|partition_scan_tasks|ShardTask|collect_urs_sharded_on|scan_shards|quarantine_cooldown|health_probe|probe_ns_released|txt_strings|aux_records|PublishOnExit|classify_wait_us|EgressMonitor|BypassAlert|simnet::pcap|to_pcap|--pcap|--expand-pdns|expand_targets_from_pdns|with_pdns_expansion|subdomains_of|--payload-match|match_txt_payloads|with_payload_matching|payload_matched|tests/(pdns_expansion|txt_payloads)\.rs|with_rtt_k|--rtt-k|PayloadSignature\b|match_text|match_payload|HashWriter|fn hash_one\b|ReportBuilder|classify_shard|absorb_one|DigestRow|HashMap<\(Name, RecordType\)|acc_total|--extended|HunterConfig::extended|classify_mx|MxExact|mx_exact|saw_mx|mx_extension|MetricShard|merge_shard|SharedTokenBucket|with_shared_global|finish_shard|with_rate_limit_per_sec|WaitRises|rate_limit_2_per_s|--rate-limit|ShardGate|GateState|ShardItem|wait_admitted|DigestBatch|VerdictRow|RttSelector|RTT-ordered|TaskFeed::Rtt|rtt_selection|InOrder\b|sharded_ordered_fold|SeqDigest::append|digest\.append\(|0x1f3d_5b79_7a5c_3e1f' \
     crates tests examples README.md DESIGN.md EXPERIMENTS.md; then
     echo "ci.sh: a deleted name is back (see the matches above)" >&2
     exit 1
 fi
+
+echo "== size: every count at or under its SIZE row, and within 2 % of it =="
+# Aim 2 is the same behaviour from less code; SIZE is its budget. It has
+# one row for each crate (the non-test lines of `crates/NAME/src`, each
+# file counted up to its first `#[cfg(test)]`), one for the integration
+# tests in `tests/*.rs` and one for each of three documents. A count
+# above its row fails, and so does one more than 2 % below it, so the
+# change that earns a lower budget lowers the row. A raise is a refresh
+# of the row in the same diff, with its reason in CHANGES.md.
+size_of() {
+    case "$1" in
+    crates/*)
+        find "$1/src" -name '*.rs' -exec awk '
+            FNR == 1 { in_tests = 0 }
+            /#\[cfg\(test\)\]/ { in_tests = 1 }
+            !in_tests { n++ }
+            END { print n + 0 }
+        ' {} + | awk '{ n += $1 } END { print n + 0 }'
+        ;;
+    tests) cat tests/*.rs | wc -l | tr -d ' ' ;;
+    *) wc -l <"$1" | tr -d ' ' ;;
+    esac
+}
+SIZE_FAILED=0
+for crate in crates/*; do
+    grep -q "^$crate " SIZE || {
+        echo "ci.sh: $crate has no row in SIZE" >&2
+        SIZE_FAILED=1
+    }
+done
+while read -r path budget; do
+    case "$path" in '' | '#'*) continue ;; esac
+    count=$(size_of "$path")
+    if [ "$count" -gt "$budget" ] || [ $((count * 100)) -lt $((budget * 98)) ]; then
+        echo "ci.sh: $path counts $count lines against its SIZE row of $budget" >&2
+        SIZE_FAILED=1
+    fi
+done <SIZE
+[ "$SIZE_FAILED" -eq 0 ] || exit 1
 
 echo "== digests: no std DefaultHasher in product code =="
 # Every committed hash, and every hash that decides scan behaviour, is

@@ -242,8 +242,11 @@ pub fn paced_bound(
 /// only where both runs carried a hub.
 #[derive(Debug)]
 pub struct Pinned {
-    /// Order-sensitive digest of the classified sequence.
+    /// Digest of the classified sequence, each UR at its position.
     pub sequence_hash: u64,
+    /// Whether `classified` came back in `(shard, index)` order, which the
+    /// digest does not read.
+    pub in_task_order: bool,
     /// The verdict totals.
     pub totals: Totals,
     /// How many addresses carry malicious evidence.
@@ -354,8 +357,10 @@ pub fn pinned(config: &WorldConfig, cfg: HunterConfig, hub: Option<Arc<obs::Obs>
         classified_sequence_hash(&out.classified),
         "the run's folded digest is not its classified sequence's"
     );
+    let position = |c: &urhunter::ClassifiedUr| (c.ur.shard, c.ur.index);
     Pinned {
         sequence_hash: out.sequence_hash,
+        in_task_order: (out.classified.windows(2)).all(|w| position(&w[0]) < position(&w[1])),
         totals: out.report.totals,
         evidence: out.analysis.evidence.len(),
         table1: out.report.render_table1(),
@@ -571,7 +576,7 @@ pub fn medium() -> String {
 /// [`run_streamed`] at one world-shard count.
 #[derive(Debug, PartialEq)]
 pub struct StreamPinned {
-    /// Order-sensitive digest of the classified sequence.
+    /// Digest of the classified sequence, each UR at its position.
     pub sequence_hash: u64,
     /// Probe accounting across every shard engine.
     pub coverage: CoverageReport,

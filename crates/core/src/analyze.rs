@@ -212,6 +212,8 @@ mod tests {
                 provider: "P".into(),
                 authoritative: true,
                 recursion_available: false,
+                shard: 0,
+                index: 0,
             },
             category: UrCategory::Unknown,
             correct_reason: None,

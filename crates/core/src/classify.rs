@@ -318,6 +318,8 @@ mod tests {
             provider: "P".into(),
             authoritative: true,
             recursion_available: false,
+            shard: 0,
+            index: 0,
         }
     }
 
@@ -332,6 +334,8 @@ mod tests {
             provider: "P".into(),
             authoritative: true,
             recursion_available: false,
+            shard: 0,
+            index: 0,
         }
     }
 

@@ -55,7 +55,8 @@ pub fn select_nameservers(world: &World, min_tail_sites: u32) -> Vec<NsInfo> {
 /// One UR probe: query `ns_ip` for `(domain, rtype)`, keep NOERROR
 /// responses whose answer section carries records of exactly that name and
 /// type, and assemble the [`CollectedUr`] under the caller's handles for
-/// the domain (`key`, interned from `domain`) and the provider. Shared by
+/// the domain (`key`, interned from `domain`) and the provider, at the
+/// caller's `(shard, index)` position. Shared by
 /// the bulk scan and the §4.2 false-negative evaluation (which replays
 /// *delegated* records through the identical path); each interns its
 /// names once, not once a UR.
@@ -69,6 +70,7 @@ pub(crate) fn query_one_ur(
     rtype: RecordType,
     qid: u16,
     provider: Sym,
+    (shard, index): (u16, u32),
 ) -> Option<CollectedUr> {
     // Only the records that make the UR are copied out of the reply.
     let resp = engine.query_keeping(net, scanner_ip, ns_ip, domain, rtype, qid, |r| {
@@ -87,6 +89,8 @@ pub(crate) fn query_one_ur(
         provider,
         authoritative: resp.flags.authoritative,
         recursion_available: resp.flags.recursion_available,
+        shard,
+        index,
     })
 }
 
@@ -277,53 +281,6 @@ fn paced_rounds(
     })
 }
 
-/// Releases a shard's URs in task order whatever order the shard probes
-/// in: a UR waits until every earlier position of the shard's list has
-/// been probed. An unpaced shard walks its list, so each probe is the next
-/// position and nothing waits; a paced shard probes in rounds
-/// ([`paced_rounds`]), and this restores the list order.
-#[derive(Default)]
-struct InOrder {
-    /// Lowest position not yet probed.
-    next: u32,
-    /// Bit `p` is set when position `p` was probed ahead of `next`.
-    ahead: Vec<u64>,
-    /// The URs of those positions.
-    held: std::collections::BTreeMap<u32, CollectedUr>,
-}
-
-impl InOrder {
-    /// Position `pos` was probed and yielded `ur`: hand `emit` every UR
-    /// that is now in order.
-    fn probed(&mut self, pos: u32, ur: Option<CollectedUr>, emit: &mut impl FnMut(CollectedUr)) {
-        if pos != self.next {
-            let word = pos as usize / 64;
-            if self.ahead.len() <= word {
-                self.ahead.resize(word + 1, 0);
-            }
-            self.ahead[word] |= 1 << (pos % 64);
-            self.held.extend(ur.map(|ur| (pos, ur)));
-            return;
-        }
-        if let Some(ur) = ur {
-            emit(ur);
-        }
-        self.next += 1;
-        while self.was_ahead(self.next) {
-            if let Some(ur) = self.held.remove(&self.next) {
-                emit(ur);
-            }
-            self.next += 1;
-        }
-    }
-
-    fn was_ahead(&self, pos: u32) -> bool {
-        self.ahead
-            .get(pos as usize / 64)
-            .is_some_and(|word| word & (1 << (pos % 64)) != 0)
-    }
-}
-
 /// One bulk-scan probe, as its [`TaskCodec`] code.
 type ScanTask = u32;
 
@@ -370,7 +327,9 @@ type ShardSummary = (
 /// worker threads claiming those shards (`0` = automatic); the output is
 /// the same for every value. URs reach `sink` in batches of `batch_size`
 /// (`0` or `usize::MAX` = one batch a shard) that never span a shard
-/// boundary, on the calling thread, once their shard is scanned.
+/// boundary, on the calling thread, once their shard is scanned: shards in
+/// the order they finish (shard order on one worker), each shard's URs in
+/// the order it probed them (see [`CollectedUr::index`] for task order).
 #[allow(clippy::too_many_arguments)]
 pub fn collect_urs_sharded(
     blueprint: &worldgen::ScanBlueprint,
@@ -401,7 +360,7 @@ pub fn collect_urs_sharded(
         batch_size,
         &|batches: &mut Vec<Vec<CollectedUr>>, urs| batches.push(urs),
         || {},
-        &mut |batches| batches.into_iter().for_each(&mut *sink),
+        &mut |_, batches| batches.into_iter().for_each(&mut *sink),
     )
 }
 
@@ -417,21 +376,20 @@ pub fn collect_urs_sharded(
 /// ([`worldgen::ScanBlueprint::build_network_scoped`]: only the nodes of
 /// the shard's addresses), scan it with their own [`ProbeEngine`] and task
 /// probe order (its list, or [`paced_rounds`] when the scheduler paces),
-/// `absorb` each full batch into the shard's own `A` **on the worker
-/// thread**, and drop the fabric before claiming the next shard. Each
-/// shard's URs leave in its task order (see `InOrder`), and through
-/// [`par::sharded_ordered_fold`] every shard's `A` reaches `merge` on the
-/// calling thread in canonical **shard-major** order, its summary
-/// (coverage, elapsed, fabric stats, bucket waits) absorbed beside it. So
-/// the output is deterministic in `(world, scheduler, world_shards)` and
-/// bit-identical for every `workers` value, and peak memory is `workers`
-/// shards being scanned — their fabrics, their task orders (4 bytes a
-/// task, and 4 more when paced, for the rounds' links) and
-/// their `A`s — plus the `A`s
-/// of shards finished ahead of the merge (so `A` should be compact: a
-/// shard's fold, not its URs). `lead` runs once on the calling thread
-/// beside the workers, before the merge starts (first, when the calling
-/// thread is the one worker).
+/// `absorb` each full batch of URs, in probe order and each carrying its
+/// `(shard, index)` position, into the shard's own `A` **on the worker
+/// thread**, and drop the fabric before claiming the next shard. Through
+/// [`par::sharded_fold`] every shard's `A` reaches `merge` on the calling
+/// thread beside its shard index, in the order shards finish, its summary
+/// (coverage, elapsed, fabric stats, bucket waits) absorbed beside it;
+/// every one of those is a sum. So a `merge` that commutes (a fold, or
+/// values kept by shard index) makes the output deterministic in
+/// `(world, scheduler, world_shards)` and bit-identical for every
+/// `workers` value, and peak memory is `workers` shards being scanned —
+/// their fabrics, their task orders (4 bytes a task, and 4 more when
+/// paced, for the rounds' links) and their `A`s — plus what `merge` keeps.
+/// `lead` runs once on the calling thread beside the workers, before the
+/// merge starts (first, when the calling thread is the one worker).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn collect_urs_streamed<A: Default + Send>(
     blueprint: &worldgen::ScanBlueprint,
@@ -448,7 +406,7 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
     batch_size: usize,
     absorb: &(dyn Fn(&mut A, Vec<CollectedUr>) + Sync),
     lead: impl FnOnce(),
-    merge: &mut dyn FnMut(A),
+    merge: &mut dyn FnMut(usize, A),
 ) -> ShardedScanOutcome {
     let types = distinct_query_types(cfg);
     let delegated = delegated_servers(world_registry, targets);
@@ -468,6 +426,7 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
 
     let scan_shard = |shard_idx: usize| -> (A, ShardSummary) {
         let range = ranges[shard_idx].clone();
+        let shard_id = u16::try_from(shard_idx).expect("a scan has at most 65,536 shards");
         // The shard's scheduler shuffles its order and paces its probes.
         let mut sched = scheduler.for_shard(shard_idx);
         let mut tasks = build_scan_tasks(&delegated, nameservers, range.clone(), codec);
@@ -485,7 +444,6 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
         }
         let mut shard = A::default();
         let mut pending: Vec<CollectedUr> = Vec::new();
-        let mut in_order = InOrder::default();
         let len = u32::try_from(tasks.len()).expect("a shard's list is part of one u32 product");
         // An unpaced shard's clock is a sum of exchange times, each set by
         // its own server's earlier probes, so the list walk is as fast as
@@ -513,13 +471,14 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
                 rtype,
                 QidGen::of(scan_stream(ni, di), rtype),
                 providers[ni],
+                (shard_id, pos),
             );
-            in_order.probed(pos, ur, &mut |ur| {
+            if let Some(ur) = ur {
                 pending.push(ur);
                 if pending.len() >= batch_size {
                     absorb(&mut shard, std::mem::take(&mut pending));
                 }
-            });
+            }
         }
         if !pending.is_empty() {
             absorb(&mut shard, pending);
@@ -563,17 +522,17 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
         shards: ranges.len(),
         bucket_wait: simnet::SimDuration::ZERO,
     };
-    par::sharded_ordered_fold(
+    par::sharded_fold(
         workers,
         ranges.len(),
         scan_shard,
         lead,
-        |(shard, (coverage, tally, elapsed, stats, wait_us))| {
-            merge(shard);
-            // absorb() merges quarantine lists in address order; summaries
-            // arrive in shard order, so every sum below is the sequential
-            // loop's sum. Each shard's fabric and engine counts reach the
-            // hub here, once.
+        |shard_idx, (shard, (coverage, tally, elapsed, stats, wait_us))| {
+            merge(shard_idx, shard);
+            // absorb() merges quarantine lists in address order, and every
+            // other field is a sum, so in whatever order summaries arrive
+            // the totals below are the sequential loop's. Each shard's
+            // fabric and engine counts reach the hub here, once.
             if let Some(hub) = &obs {
                 simnet::FabricMetrics::publish(hub.registry(), stats);
                 crate::query::publish_probes(hub.registry(), &coverage, &tally);
@@ -1085,7 +1044,8 @@ mod tests {
     }
 
     /// A UR keeps no owner names or types, so the probe's filter is the one
-    /// place a record of another name or type is seen.
+    /// place a record of another name or type is seen; it keeps the
+    /// position it was asked at.
     #[test]
     fn a_ur_keeps_only_the_asked_name_and_type() {
         let (scanner, ns_ip) = (Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(10, 9, 0, 1));
@@ -1103,8 +1063,10 @@ mod tests {
             RecordType::A,
             1,
             Sym::intern("P"),
+            (3, 7),
         )
         .expect("the probe is answered");
+        assert_eq!((ur.shard, ur.index), (3, 7));
         assert_eq!(ur.records.iter().count(), 1);
         assert_eq!(ur.a_ips(), [Ipv4Addr::new(192, 0, 2, 10)]);
     }

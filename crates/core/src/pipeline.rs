@@ -184,7 +184,7 @@ pub struct RunOutput {
     pub analysis: Analysis,
     /// Aggregated tables and figures.
     pub report: Report,
-    /// Order-sensitive digest of `classified`
+    /// Digest of `classified`, each UR at its position in the run
     /// ([`classified_sequence_hash`](crate::classified_sequence_hash)'s
     /// value), folded beside the report.
     pub sequence_hash: u64,
@@ -204,9 +204,10 @@ pub struct RunOutput {
     pub bucket_wait: SimDuration,
 }
 
-/// A shard's URs as its worker hands them to `run`'s merge: classified on
-/// the worker when the support sweep had published the classifier, or
-/// still to classify, on the calling thread, once the sweep is done.
+/// A shard's URs, in task order, as its worker hands them to `run`'s merge:
+/// classified on the worker when the support sweep had published the
+/// classifier, or still to classify, on the calling thread, once the sweep
+/// is done.
 enum ShardUrs {
     Classified(Vec<ClassifiedUr>),
     Unclassified(Vec<CollectedUr>),
@@ -216,7 +217,8 @@ enum ShardUrs {
 ///
 /// The bulk scan is [`run_streamed`]'s, over the fixed
 /// [`SCAN_SHARDS`](crate::SCAN_SHARDS) layout, and it keeps the verdicts:
-/// `classified` is shard-major, each shard in its shuffled task order. The
+/// `classified` is in `(shard, index)` order: shard-major, each shard in
+/// its shuffled task order. The
 /// calling thread sweeps for correct and protective records on
 /// `world.net` while the scan workers probe their replica fabrics (with
 /// one worker, first), then gathers the verdicts, classifying any shard
@@ -292,17 +294,22 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         let _ = streamer.set(cls);
         collect_span = obs.map(|h| h.span("collect", world.net.now().as_micros()));
     };
-    let classify = |shard: &mut Vec<ShardUrs>, urs: Vec<CollectedUr>| {
-        shard.push(match streamer.get() {
+    // The batch size is unbounded, so a shard's URs come as one batch, in
+    // the order they were probed; sorted by index they are in task order,
+    // which a paced shard's rounds do not keep (an unpaced shard's batch is
+    // sorted already, and the sort sees that in one pass).
+    let classify = |shard: &mut Option<ShardUrs>, mut urs: Vec<CollectedUr>| {
+        urs.sort_unstable_by_key(|ur| ur.index);
+        let previous = shard.replace(match streamer.get() {
             Some(cls) => ShardUrs::Classified(cls.classify_batch_owned(urs)),
             None => ShardUrs::Unclassified(urs),
-        })
+        });
+        debug_assert!(previous.is_none(), "a shard is one batch");
     };
-    // Each worker hands its shard over as one batch; the merge keeps them
-    // in shard order, growing the vector by exactly each batch, so the
-    // output carries no spare slots. Verdicts are the same wherever they
-    // are reached: the classifier is a pure function of the UR.
-    let mut classified = Vec::new();
+    // The merge keeps each shard's verdicts by its index, in whatever order
+    // the shards end. Verdicts are the same wherever they are reached: the
+    // classifier is a pure function of the UR.
+    let mut blocks: Vec<Vec<ClassifiedUr>> = vec![Vec::new(); SCAN_SHARDS];
     let scan = collect_urs_streamed(
         &blueprint,
         cfg.retry,
@@ -318,20 +325,25 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         usize::MAX,
         &classify,
         sweep,
-        &mut |shard| {
-            for batch in shard {
-                let batch = match batch {
-                    ShardUrs::Classified(verdicts) => verdicts,
-                    ShardUrs::Unclassified(urs) => streamer
-                        .get()
-                        .expect("the sweep publishes before the merge starts")
-                        .classify_batch_owned(urs),
-                };
-                classified.reserve_exact(batch.len());
-                classified.extend(batch);
-            }
+        &mut |shard, urs| {
+            blocks[shard] = match urs {
+                None => Vec::new(),
+                Some(ShardUrs::Classified(verdicts)) => verdicts,
+                Some(ShardUrs::Unclassified(urs)) => streamer
+                    .get()
+                    .expect("the sweep publishes before the merge starts")
+                    .classify_batch_owned(urs),
+            };
         },
     );
+    // Shard-major: the vector grows by exactly each block, so it carries no
+    // spare slot, and each block is freed once it is copied (reserving the
+    // whole length first would hold every verdict twice).
+    let mut classified = Vec::new();
+    for block in blocks {
+        classified.reserve_exact(block.len());
+        classified.extend(block);
+    }
     // A later write to the world (the sandbox phase, a daemon's drift)
     // would copy every table the snapshot still shared.
     drop(blueprint);
@@ -451,7 +463,8 @@ pub struct StreamRunOutput {
     pub coverage: CoverageReport,
     /// Summed simulated scan time across shards.
     pub elapsed: SimDuration,
-    /// Order-sensitive digest of the full classified sequence.
+    /// Digest of the full classified sequence, each UR at its position in
+    /// the run.
     pub sequence_hash: u64,
     /// How many world shards ran.
     pub shards: usize,
@@ -470,15 +483,16 @@ pub struct StreamRunOutput {
 /// [`HunterConfig::workers`] worker threads, every UR classified on the
 /// worker that scanned it the moment its batch fills and folded there into
 /// its shard's own `RunFold`, and the shard folds merged into the
-/// [`StreamRunOutput`] aggregates on the calling thread in canonical
-/// shard-major order. Peak memory is `workers` shards' zone tables and
+/// [`StreamRunOutput`] aggregates on the calling thread as the shards end
+/// (the merge commutes). Peak memory is `workers` shards' zone tables and
 /// task orders (4 bytes for each of a shard's nameservers × targets ×
 /// query types) plus the shard folds, each its shard's distinct suspicious
 /// entities and provider tally: it grows with a shard's share of the
 /// world, not with the world.
 ///
-/// Deterministic in `(world, cfg, world_shards)` — the canonical order is
-/// shard-major, so `world_shards` is part of a run's identity, as the
+/// Deterministic in `(world, cfg, world_shards)` — a UR's position is its
+/// shard and its index in that shard's shuffled task list, so
+/// `world_shards` is part of a run's identity, as the
 /// fixed [`SCAN_SHARDS`](crate::SCAN_SHARDS) layout is of [`run`]'s. The
 /// worker count is **not** part of the identity: every field of the
 /// output, including `sequence_hash` and the deterministic metrics
@@ -537,7 +551,7 @@ pub fn run_streamed(
         CLASSIFY_BATCH,
         &classify_batch,
         || {},
-        &mut |shard: RunFold| fold = std::mem::take(&mut fold).merge(shard),
+        &mut |_, shard: RunFold| fold = std::mem::take(&mut fold).merge(shard),
     );
     if let Some(hub) = &cfg.obs {
         fold.publish(hub.registry());
@@ -609,6 +623,8 @@ pub fn evaluate_false_negatives(
                     rtype,
                     qid,
                     provider,
+                    // Each kept UR at its index in the list.
+                    (0, delegated_inputs.len() as u32),
                 ) {
                     delegated_inputs.push(ur);
                 }
@@ -729,8 +745,8 @@ mod tests {
             a.correct + a.protective + a.unknown + a.malicious
         );
         assert_eq!(a.shards, 4);
-        // Shard-major order: a different world-shard count is a different
-        // (still deterministic) canonical order, same UR population.
+        // A different world-shard count gives every UR a different (still
+        // deterministic) position, over the same UR population.
         let c = run_once(2);
         assert_eq!(c.total_urs, a.total_urs);
         assert_eq!(

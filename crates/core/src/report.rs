@@ -147,12 +147,14 @@ pub fn build_report(
     report
 }
 
-/// Order-sensitive digest of a classified sequence: two runs (at any shard
-/// and worker counts) agree iff they produced the same URs, in the same
-/// order, with the same categories. Each UR is a row of its own
-/// (`row_digest`) and the rows combine as an [`fxhash::SeqDigest`], so
+/// Digest of a classified sequence: two runs agree iff they produced the
+/// same URs, each at the same position (its shard and its index in the
+/// shard's task list), with the same categories. Each UR is a row of its
+/// own (`row_digest`), its position first, and the rows add as an
+/// [`fxhash::SeqDigest`], which reads no order: so
 /// [`run`](crate::run) and [`run_streamed`](crate::run_streamed), whose
-/// folds digest each shard apart and append the shards, reach this value.
+/// folds digest each shard apart and add the shards as they end, reach
+/// this value. The order of `classified` is not digested.
 pub fn classified_sequence_hash(classified: &[ClassifiedUr]) -> u64 {
     let mut d = SeqDigest::default();
     for c in classified {
@@ -161,12 +163,14 @@ pub fn classified_sequence_hash(classified: &[ClassifiedUr]) -> u64 {
     d.value()
 }
 
-/// One UR's row of the sequence digest: its identity triple, category,
-/// correct reason and corresponding addresses (the layout is in DESIGN.md
-/// §6, "Digests"), finished. The provider and the TXT category are not
-/// digested.
+/// One UR's row of the sequence digest: its position, identity triple,
+/// category, correct reason and corresponding addresses (the layout is in
+/// DESIGN.md §6, "Digests"), finished. The provider and the TXT category
+/// are not digested.
 fn row_digest(c: &ClassifiedUr) -> u64 {
     let mut d = Digest::new();
+    d.u16(c.ur.shard);
+    d.u32(c.ur.index);
     d.bytes(&c.ur.key.ns_ip.octets());
     c.ur.key.domain.digest_into(&mut d);
     d.u16(c.ur.key.rtype.code());
@@ -278,15 +282,15 @@ fn union_len<T: std::hash::Hash + Eq>(
         .sum()
 }
 
-/// The one reduction of classified URs. It absorbs classified URs in
-/// sequence order and keeps the sequence digest, the category totals, the
+/// The one reduction of classified URs. It absorbs classified URs in any
+/// order and keeps the sequence digest, the category totals, the
 /// Appendix-B reason of every correct verdict, Table 1's suspicious
 /// accumulators per record type (the Total row is their union, counted at
 /// [`RunFold::finish`]), each provider's category tally (Fig. 2)
 /// and the malicious-TXT email share: memory grows with the distinct
 /// suspicious entities and the providers, never with the URs. Two folds
-/// of consecutive runs of URs [`merge`](RunFold::merge) into the fold of
-/// both, so each shard can be folded where it was scanned.
+/// of any two sets of URs [`merge`](RunFold::merge), in either order, into
+/// the fold of both, so each shard can be folded where it was scanned.
 ///
 /// The categories it reads must be final: `run` folds after `analyze`
 /// promotes Unknown to Malicious and fills TXT addresses from sibling A
@@ -305,7 +309,7 @@ pub(crate) struct RunFold {
 }
 
 impl RunFold {
-    /// The fold over a classified slice, in order.
+    /// The fold over a classified slice.
     pub(crate) fn of(classified: &[ClassifiedUr]) -> Self {
         let mut fold = RunFold::default();
         for c in classified {
@@ -314,7 +318,7 @@ impl RunFold {
         fold
     }
 
-    /// Absorb the next UR of the sequence.
+    /// Absorb one more UR.
     pub(crate) fn absorb(&mut self, c: &ClassifiedUr) {
         self.digest.push(row_digest(c));
         self.totals.count(c.category);
@@ -340,22 +344,22 @@ impl RunFold {
         }
     }
 
-    /// The fold of `self`'s URs followed by `later`'s: the digests
-    /// concatenate, the counts add and Table 1's sets union.
-    pub(crate) fn merge(mut self, later: RunFold) -> RunFold {
-        self.digest = self.digest.append(later.digest);
-        self.totals.add(later.totals);
-        for (mine, theirs) in self.reasons.iter_mut().zip(later.reasons) {
+    /// The fold of `self`'s URs and `other`'s: the digests and the counts
+    /// add and Table 1's sets union, so the merge commutes.
+    pub(crate) fn merge(mut self, other: RunFold) -> RunFold {
+        self.digest += other.digest;
+        self.totals.add(other.totals);
+        for (mine, theirs) in self.reasons.iter_mut().zip(other.reasons) {
             *mine += theirs;
         }
-        for (provider, totals) in later.providers {
+        for (provider, totals) in other.providers {
             self.providers.entry(provider).or_default().add(totals);
         }
-        for (mine, theirs) in self.by_type.iter_mut().zip(later.by_type) {
+        for (mine, theirs) in self.by_type.iter_mut().zip(other.by_type) {
             mine.merge(theirs);
         }
-        self.txt_email += later.txt_email;
-        self.txt_malicious += later.txt_malicious;
+        self.txt_email += other.txt_email;
+        self.txt_malicious += other.txt_malicious;
         self
     }
 
@@ -690,6 +694,8 @@ mod tests {
                 provider: provider.into(),
                 authoritative: true,
                 recursion_available: false,
+                shard: 0,
+                index: 0,
             },
             category,
             correct_reason: None,
@@ -947,8 +953,12 @@ mod tests {
             ),
         ];
         rows.into_iter()
+            .enumerate()
             .map(
-                |(domain, ns, provider, rtype, category, correct_reason, txt_category, ips)| {
+                |(
+                    i,
+                    (domain, ns, provider, rtype, category, correct_reason, txt_category, ips),
+                )| {
                     ClassifiedUr {
                         ur: CollectedUr {
                             key: UrKey {
@@ -960,6 +970,8 @@ mod tests {
                             provider: Sym::intern(provider),
                             authoritative: true,
                             recursion_available: false,
+                            shard: 0,
+                            index: i as u32,
                         },
                         category,
                         correct_reason,

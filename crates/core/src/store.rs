@@ -74,6 +74,8 @@ mod tests {
             provider: Sym::intern("StoreTestDNS"),
             authoritative: ns.is_multiple_of(2),
             recursion_available: ns.is_multiple_of(3),
+            shard: 0,
+            index: 0,
         }
     }
 

@@ -47,7 +47,16 @@ pub struct CollectedUr {
     /// RA flag of the response (the server offered recursion — the
     /// misconfigured-recursive signature).
     pub recursion_available: bool,
+    /// The scan shard that probed it.
+    pub shard: u16,
+    /// Its task's index in that shard's shuffled task list. With `shard`,
+    /// where the UR sits in its run: the sequence digest hashes both into
+    /// the UR's row, so no two URs of a run share a row's position.
+    pub index: u32,
 }
+
+// The position fills what was padding: a UR stays 40 B on a 64-bit target.
+const _: () = assert!(std::mem::size_of::<CollectedUr>() <= 40);
 
 impl CollectedUr {
     /// The IPv4 addresses contained in A records of this UR.
@@ -294,6 +303,8 @@ mod tests {
             provider: "P".into(),
             authoritative: true,
             recursion_available: false,
+            shard: 0,
+            index: 0,
         }
     }
 

@@ -118,7 +118,8 @@ pub struct LiveState {
 pub struct EpochScan {
     /// The epoch's full classified output, in pipeline order.
     pub(crate) classified: Vec<ClassifiedUr>,
-    /// Order-sensitive digest of `classified`, folded by the run.
+    /// Digest of `classified`, each UR at its position in the run, folded
+    /// by the run.
     pub(crate) sequence_hash: u64,
     /// Probe accounting for the scan.
     pub(crate) coverage: CoverageReport,

@@ -83,7 +83,8 @@ pub struct UrState {
 /// state the live run published.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochSeal {
-    /// Order-sensitive digest of the epoch's full classified sequence
+    /// Digest of the epoch's full classified sequence, each UR at its
+    /// position in the run
     /// ([`urhunter::classified_sequence_hash`]).
     pub classified_hash: u64,
     /// Order-independent digest of the verdict store *after* this epoch's
@@ -472,6 +473,8 @@ mod tests {
                 provider: "P".into(),
                 authoritative: true,
                 recursion_available: false,
+                shard: 0,
+                index: 0,
             },
             category,
             correct_reason: None,

@@ -1,6 +1,64 @@
 //! Differential tests: the flat `Name`, the streaming `MessageWriter` and
 //! the borrowing `MessageView` against the implementation they replaced
 //! (`reference/`), on generated and on hostile input.
+//!
+//! Three choices of the writer keep the reference encoder's bytes; the
+//! arguments follow, and the proptests below check them.
+//!
+//! Why truncation by rollback equals pop-and-re-encode. The replaced
+//! `encode_truncated` encoded the whole message, and while it was over the
+//! limit popped the last record (additionals, then authorities, then
+//! answers) and encoded again. A compression pointer only ever points
+//! backwards, at bytes already written, so what a record encodes to depends
+//! on the records before it and never on the ones after: the encoding of a
+//! prefix of the record list is a prefix of the encoding of the whole list.
+//! Lengths are therefore monotone in the prefix, the loop's result is the
+//! longest prefix that fits, and the longest prefix that fits is what
+//! streaming finds when the first record to overshoot is rolled back
+//! (`buf.truncate(mark)`, counts as they were, TC set) and writing stops.
+//! Suffixes the rolled-back record registered stay in the map, with offsets
+//! past the cut; nothing is written after a cut, so nothing can point at
+//! them. The differential proptests compare the two on arbitrary messages
+//! at 512 / 1,232 / 4,096 and odd limits. The one deliberate difference:
+//! the old loop started with `self.encode()?`, which fails above
+//! `MAX_MESSAGE_LEN`, so an answer of ~260 A records was never truncated —
+//! the server sent nothing and a healthy nameserver got quarantined. With
+//! rollback that is the ordinary path.
+//!
+//! Why the lazy first question writes the same bytes. The writer puts the
+//! first question at offset 12 literally and enters its suffixes into the
+//! compression trie only when a later name needs them; a later name equal
+//! to it (with at least one label) is written as `C0 0C` without a trie
+//! walk. Both give what registering it up front gave. The first name of a
+//! message has nothing before it to point at, so the trie would have
+//! written it literally too. Deferring its registration changes no state
+//! anything reads: the first name not equal to it registers it before its
+//! own lookup, into a trie still empty, exactly as the eager writer had
+//! left it, offsets `12 + label start` included. And a name equal to it
+//! finds the whole question in the trie, recorded at 12 by the first-write
+//! rule, so the eager writer points it at 12 whatever its case. The root is
+//! the one exception: it has no labels and no node, and stays the single
+//! byte `0`. A REFUSED reply, which writes nothing after its question,
+//! builds no node at all. A server that knows a record is owned by the
+//! question (a protective answer, or a zone's answer with no CNAME
+//! followed) writes it with `record_at_question`, which emits that pointer
+//! (or the root's byte) without the name compare: the same bytes, and the
+//! same map state, since a name equal to the first registers nothing.
+//! This file holds the writer to the reference encoder on arbitrary
+//! messages (`encode_equals_reference`, `truncation_equals_reference`), and
+//! `dnswire`'s unit tests pin a root question and owner, an owner in
+//! another case, RDATA naming suffixes of the question, a second question
+//! and a cut at the first record.
+//!
+//! Why the compression state may be reused. The map is a function of the
+//! names written so far in *this* message: a trie of `(parent suffix,
+//! label)` edges with the offset each suffix was first written at. Nothing
+//! in it is sized by the message, so `clear()` — reset the bucket heads the
+//! previous message touched, truncate the node table and the label arena —
+//! leaves exactly the state `new()` does, minus the allocations. A unit
+//! test encodes, clears and re-encodes to the same bytes; the differential
+//! tests run thousands of messages through one thread's map against a
+//! reference that builds a fresh one per message.
 
 mod reference;
 

@@ -1,86 +1,35 @@
-//! The sequence digest: a digest of rows that concatenates. Each row is a
-//! finished [`Digest`](crate::Digest) of its own bytes; rows combine as a
-//! polynomial in a fixed base `R` modulo the Mersenne prime 2^61 − 1, so
-//! H(A‖B) = H(A)·R^|B| + H(B). A digest of any run of rows can be appended
-//! to the digest of the run before it: however a sequence is cut into
-//! parts, the parts digest as the whole.
+//! The sequence digest: a digest of rows that does not care how they are
+//! grouped or ordered. Each row is a finished [`Digest`](crate::Digest) of
+//! its own bytes, and the caller writes the row's position in the sequence
+//! among them; the rows add modulo 2^64. So however a sequence is cut into
+//! parts, and in whatever order the parts' digests are added, they digest
+//! as the whole, while a row moved to another position, dropped or repeated
+//! still moves the digest.
 
-/// The modulus, the Mersenne prime 2^61 − 1.
-const P: u64 = (1 << 61) - 1;
-
-/// The base, fixed so that digests repeat on every host. Its multiplicative
-/// order modulo P is (P − 1)/2, so R^i ≠ R^j for any two positions of a
-/// sequence shorter than that: swapping two rows whose digests differ
-/// modulo P moves the digest.
-const R: u64 = 0x1f3d_5b79_7a5c_3e1f;
-
-/// A sequence digest over the rows appended so far; the default holds no
-/// row.
+/// A sequence digest over the rows pushed or added so far; the default
+/// holds no row.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SeqDigest {
-    /// Σ rowᵢ·R^(n−1−i) mod P over the n rows.
-    value: u64,
-    /// n, the number of rows.
-    rows: u64,
-}
+pub struct SeqDigest(u64);
 
 impl SeqDigest {
-    /// Append one row, given its finished [`Digest`](crate::Digest).
+    /// Add one row, given its finished [`Digest`](crate::Digest), which
+    /// must cover the row's position.
     #[inline]
     pub fn push(&mut self, row: u64) {
-        self.value = add(mul(self.value, R), reduce(u128::from(row)));
-        self.rows += 1;
+        self.0 = self.0.wrapping_add(row);
     }
 
-    /// The digest of `self`'s rows followed by `later`'s.
-    pub fn append(self, later: SeqDigest) -> SeqDigest {
-        SeqDigest {
-            value: add(mul(self.value, pow(R, later.rows)), later.value),
-            rows: self.rows + later.rows,
-        }
-    }
-
-    /// The digest's value, below 2^61 − 1.
+    /// The digest's value.
     pub fn value(self) -> u64 {
-        self.value
+        self.0
     }
 }
 
-/// `x mod P`, from 2^61 ≡ 1: two folds of the high bits onto the low ones
-/// leave less than P + 2^7, and one subtraction finishes.
-#[inline]
-fn reduce(x: u128) -> u64 {
-    let p = u128::from(P);
-    let x = (x & p) + (x >> 61);
-    let x = ((x & p) + (x >> 61)) as u64;
-    if x >= P {
-        x - P
-    } else {
-        x
+impl std::ops::AddAssign for SeqDigest {
+    /// Add another part's rows to these.
+    fn add_assign(&mut self, part: SeqDigest) {
+        self.0 = self.0.wrapping_add(part.0);
     }
-}
-
-#[inline]
-fn mul(a: u64, b: u64) -> u64 {
-    reduce(u128::from(a) * u128::from(b))
-}
-
-#[inline]
-fn add(a: u64, b: u64) -> u64 {
-    reduce(u128::from(a) + u128::from(b))
-}
-
-/// `base^exp mod P`, by squaring.
-fn pow(mut base: u64, mut exp: u64) -> u64 {
-    let mut acc = 1;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            acc = mul(acc, base);
-        }
-        base = mul(base, base);
-        exp >>= 1;
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -89,22 +38,39 @@ mod tests {
     use crate::Digest;
     use proptest::prelude::*;
 
-    fn row(bytes: &[u8]) -> u64 {
+    /// The row of `bytes` at `position`: the position first, as four
+    /// little-endian bytes, then the bytes.
+    fn row(position: u32, bytes: &[u8]) -> u64 {
         let mut d = Digest::new();
+        d.u32(position);
         d.bytes(bytes);
         d.finish()
     }
 
+    /// The digest of `rows`, each at its index.
     fn flat(rows: &[Vec<u8>]) -> SeqDigest {
+        at(rows
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (i as u32, r.as_slice())))
+    }
+
+    fn at<'a>(rows: impl IntoIterator<Item = (u32, &'a [u8])>) -> SeqDigest {
         let mut d = SeqDigest::default();
-        for r in rows {
-            d.push(row(r));
+        for (position, bytes) in rows {
+            d.push(row(position, bytes));
         }
         d
     }
 
-    /// Three rows, pinned: the row digests are SipHash-1-3 (see
-    /// `digest::tests::known_answers`), combined as ((a·R + b)·R + c) mod P.
+    fn rows() -> impl Strategy<Value = Vec<Vec<u8>>> {
+        proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 1..24)
+    }
+
+    /// Three rows at positions 0, 1 and 2, pinned: the row digests are
+    /// SipHash-1-3 (see `digest::tests::known_answers`) of the position's
+    /// four bytes and the row's, summed modulo 2^64; worked out from the
+    /// definition, not read off this code.
     #[test]
     fn known_answer() {
         let rows = [
@@ -112,46 +78,55 @@ mod tests {
             b"01234567".to_vec(),
             b"0123456789abcde".to_vec(),
         ];
-        assert_eq!(flat(&rows).value(), 0x1d3f_df31_ac13_d914);
+        assert_eq!(flat(&rows).value(), 0x0e20_a5fe_4141_8c19);
         assert_eq!(SeqDigest::default().value(), 0);
     }
 
-    #[test]
-    fn reduction_is_mod_p() {
-        assert_eq!(reduce(0), 0);
-        assert_eq!(reduce(u128::from(P)), 0);
-        assert_eq!(reduce(u128::from(u64::MAX)), u64::MAX % P);
-        assert_eq!(mul(P - 1, P - 1), 1);
-        assert_eq!(pow(R, 0), 1);
-        assert_eq!(pow(R, 3), mul(mul(R, R), R));
-    }
-
     proptest! {
-        /// However the rows are cut into parts, appending the parts'
-        /// digests in order gives the flat digest.
+        /// However the rows are cut into parts, the parts' digests added
+        /// in order, in reverse or shuffled give the flat digest.
         #[test]
-        fn appended_parts_digest_as_the_whole(
-            rows in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 0..24),
+        fn parts_added_in_any_order_digest_as_the_whole(
+            rows in rows(),
             cuts in proptest::collection::vec(0usize..24, 0..6),
+            keys in proptest::collection::vec(any::<u64>(), 1..8),
         ) {
             let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(rows.len())).collect();
             cuts.push(rows.len());
             cuts.sort_unstable();
-            let mut at = 0;
-            let mut whole = SeqDigest::default();
+            let mut start = 0;
+            let mut parts = Vec::new();
             for cut in cuts {
-                whole = whole.append(flat(&rows[at..cut]));
-                at = cut;
+                parts.push(at((start..cut).map(|i| (i as u32, rows[i].as_slice()))));
+                start = cut;
             }
-            prop_assert_eq!(whole, flat(&rows));
+            let sum = |parts: &[SeqDigest]| {
+                let mut whole = SeqDigest::default();
+                for &part in parts {
+                    whole += part;
+                }
+                whole
+            };
+            let whole = flat(&rows);
+            prop_assert_eq!(sum(&parts), whole);
+            parts.reverse();
+            prop_assert_eq!(sum(&parts), whole);
+            let mut shuffled: Vec<(u64, SeqDigest)> = parts
+                .iter()
+                .enumerate()
+                .map(|(i, &part)| (keys[i % keys.len()], part))
+                .collect();
+            shuffled.sort_by_key(|&(key, _)| key);
+            let shuffled: Vec<SeqDigest> = shuffled.into_iter().map(|(_, part)| part).collect();
+            prop_assert_eq!(sum(&shuffled), whole);
         }
 
-        /// Swapping two distinct rows moves the digest.
+        /// Swapping two distinct rows' positions moves the digest.
         #[test]
         fn swapping_two_distinct_rows_moves_the_digest(
-            rows in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 2..16),
-            i in 0usize..16,
-            j in 0usize..16,
+            rows in rows(),
+            i in 0usize..24,
+            j in 0usize..24,
         ) {
             let (i, j) = (i % rows.len(), j % rows.len());
             if rows[i] == rows[j] {
@@ -160,6 +135,36 @@ mod tests {
             let mut swapped = rows.clone();
             swapped.swap(i, j);
             prop_assert_ne!(flat(&swapped), flat(&rows));
+        }
+
+        /// One row moved to a position no row holds moves the digest.
+        #[test]
+        fn the_same_row_at_another_position_moves_the_digest(
+            rows in rows(),
+            i in 0usize..24,
+            to in 24u32..1_000_000,
+        ) {
+            let i = i % rows.len();
+            let moved = rows.iter().enumerate().map(|(j, r)| {
+                (if j == i { to } else { j as u32 }, r.as_slice())
+            });
+            prop_assert_ne!(at(moved), flat(&rows));
+        }
+
+        /// Dropping a row moves the digest, and so does a row's copy at the
+        /// same position.
+        #[test]
+        fn a_dropped_or_duplicated_row_moves_the_digest(
+            rows in rows(),
+            i in 0usize..24,
+        ) {
+            let i = i % rows.len();
+            let whole = flat(&rows);
+            let indexed = || rows.iter().enumerate().map(|(j, r)| (j as u32, r.as_slice()));
+            let dropped = indexed().filter(|&(j, _)| j as usize != i);
+            prop_assert_ne!(at(dropped), whole);
+            let duplicated = indexed().chain(std::iter::once((i as u32, rows[i].as_slice())));
+            prop_assert_ne!(at(duplicated), whole);
         }
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! The bulk scan is parallel at the source — whole shards, each on its own
 //! replica fabric, claimed by scan workers over [`std::thread::scope`] —
-//! and [`sharded_ordered_fold`] is the one executor: a map over shards
-//! whose values the calling thread merges in canonical order,
-//! **bit-identical to the sequential shard loop for every worker count**
-//! (DESIGN.md §6, §9).
+//! and [`sharded_fold`] is the one executor: a map over shards whose
+//! values the calling thread merges as they arrive, each beside its shard
+//! index, so a commutative merge is **bit-identical to the sequential shard
+//! loop for every worker count** (DESIGN.md §6, §9).
 //!
 //! No dependencies, no unsafe, no work stealing: [`chunk_ranges`] gives
 //! each shard a contiguous range, which makes the equality-with-sequential
@@ -17,7 +17,7 @@
 
 mod stream;
 
-pub use stream::sharded_ordered_fold;
+pub use stream::sharded_fold;
 
 use std::num::NonZeroUsize;
 

@@ -1,37 +1,36 @@
-//! Deterministic sharded work: the one ordered-merge executor.
+//! Sharded work: the one fold executor.
 //!
 //! A bulk scan is parallel at the *source*: each shard drives its own
-//! replica of the simulated network (whose nodes are `!Sync` by design),
-//! and everything downstream must still see one canonical sequence — the
-//! crate's core invariant, output bit-identical to the sequential path.
-//! [`sharded_ordered_fold`] is that executor: a scoped map over shards.
-//! Worker threads claim whole shards from an atomic counter and turn each
-//! into one value; the calling thread runs its own `lead` step beside them,
-//! then merges the values in shard order. With one worker it *is* the
-//! sequential shard loop, on the calling thread.
+//! replica of the simulated network (whose nodes are `!Sync` by design).
+//! [`sharded_fold`] is that executor: a scoped map over shards. Worker
+//! threads claim whole shards from an atomic counter and turn each into
+//! one value; the calling thread runs its own `lead` step beside them,
+//! then merges the values as they arrive, each with its shard index. A
+//! merge that is commutative (sums, unions, values kept by shard index)
+//! is therefore bit-identical to the sequential shard loop for every
+//! worker count. With one worker it *is* that loop, on the calling thread.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
 
 /// Map `shards` independent shards to one value each on `workers` threads
-/// and merge the values on the **calling thread** in shard order.
+/// and merge the values on the **calling thread** as they arrive.
 ///
 /// * `map(shard)` runs on a worker thread. Workers claim shard indices in
-///   order from a shared counter, so shard→thread assignment is
-///   load-balanced and non-deterministic — which is why the merge
-///   re-imposes order.
-/// * `merge(value)` runs on the calling thread and sees shard 0's value,
-///   then shard 1's, … exactly as `for shard in 0..shards {
-///   merge(map(shard)) }` would: for any worker count what it merges is
-///   bit-identical to that loop.
+///   order from a shared counter, so shard→thread assignment, and the
+///   order values arrive in, are load-balanced and non-deterministic.
+/// * `merge(shard, value)` runs on the calling thread, exactly once a
+///   shard, in arrival order: when it commutes, what it builds is
+///   bit-identical to `for shard in 0..shards { merge(shard, map(shard)) }`
+///   for any worker count.
 /// * `lead()` runs exactly once, on the calling thread, after the workers
-///   are spawned and before the merge sees shard 0: work that must stay on
-///   the calling thread (because it owns `!Send` state) overlaps the maps
+///   are spawned and before the first merge: work that must stay on the
+///   calling thread (because it owns `!Send` state) overlaps the maps
 ///   instead of preceding them. No worker waits for it.
 /// * Memory: a worker maps one shard at a time, and every value goes over
-///   one unbounded channel, so no worker waits for the merge either. A
-///   value that arrives before its turn is parked until then: make values
-///   compact (a shard's fold, not its rows).
+///   one unbounded channel, so no worker waits for the merge either; a
+///   value waits in the channel only while `lead` or an earlier merge
+///   runs.
 ///
 /// With one worker (one shard, or `workers <= 1`) no thread is spawned:
 /// `lead` runs first and then the loop above runs as written on the
@@ -41,21 +40,21 @@ use std::sync::mpsc::channel;
 /// Panics propagate without deadlock. A panicking worker raises a shared
 /// stop flag as it unwinds, and drops its sender; each peer stops once it
 /// has mapped the shard in hand, and once all of them have stopped the
-/// merge finds the channel closed short of the dead worker's shard. A
-/// panicking `lead` or `merge` drops the receiver, so each worker stops
-/// once it has mapped the shard in hand. The thread scope joins every
-/// worker before the panic leaves.
-pub fn sharded_ordered_fold<V: Send>(
+/// merge finds the channel closed short of `shards` values. A panicking
+/// `lead` or `merge` drops the receiver, so each worker stops once it has
+/// mapped the shard in hand. The thread scope joins every worker before
+/// the panic leaves.
+pub fn sharded_fold<V: Send>(
     workers: usize,
     shards: usize,
     map: impl Fn(usize) -> V + Sync,
     lead: impl FnOnce(),
-    mut merge: impl FnMut(V),
+    mut merge: impl FnMut(usize, V),
 ) {
     let workers = workers.max(1).min(shards.max(1));
     if workers == 1 {
         lead();
-        (0..shards).for_each(|shard| merge(map(shard)));
+        (0..shards).for_each(|shard| merge(shard, map(shard)));
         return;
     }
     let next = AtomicUsize::new(0);
@@ -80,15 +79,11 @@ pub fn sharded_ordered_fold<V: Send>(
         // unwinds.
         let receiver = receiver;
         lead();
-        let mut parked: Vec<Option<V>> = (0..shards).map(|_| None).collect();
-        for turn in 0..shards {
-            while parked[turn].is_none() {
-                let (shard, value) = receiver
-                    .recv()
-                    .expect("sharded scan aborted: a worker panicked");
-                parked[shard] = Some(value);
-            }
-            merge(parked[turn].take().expect("parked above"));
+        for _ in 0..shards {
+            let (shard, value) = receiver
+                .recv()
+                .expect("sharded scan aborted: a worker panicked");
+            merge(shard, value);
         }
     });
 }
@@ -115,14 +110,21 @@ mod tests {
             .collect()
     }
 
+    /// A merge that keeps each value in its shard's slot is the loop's.
     #[test]
     fn sharded_fold_is_bit_identical_for_every_worker_count() {
         for shards in [1usize, 2, 5, 8] {
             let expect: Vec<u64> = (0..shards).flat_map(shard_words).collect();
             for workers in [1usize, 2, 4, 8] {
-                let mut out = Vec::new();
-                sharded_ordered_fold(workers, shards, shard_words, || {}, |v| out.extend(v));
-                assert_eq!(out, expect, "shards={shards} workers={workers}");
+                let mut slots = vec![Vec::new(); shards];
+                sharded_fold(
+                    workers,
+                    shards,
+                    shard_words,
+                    || {},
+                    |shard, v| slots[shard] = v,
+                );
+                assert_eq!(slots.concat(), expect, "shards={shards} workers={workers}");
             }
         }
     }
@@ -130,24 +132,26 @@ mod tests {
     #[test]
     fn sharded_fold_handles_zero_and_empty_shards() {
         let mut merged = 0u32;
-        sharded_ordered_fold(4, 0, |_shard| 0u32, || {}, |_| merged += 1);
+        sharded_fold(4, 0, |_shard| 0u32, || {}, |_, _| merged += 1);
         assert_eq!(merged, 0);
-        // Empty values still arrive, one a shard, in order.
+        // Empty values still arrive, one a shard, beside their index.
         let mut out = Vec::new();
-        sharded_ordered_fold(
+        sharded_fold(
             3,
             6,
             |shard| (shard, Vec::<u32>::new()),
             || {},
-            |v| out.push(v),
+            |shard, v| out.push((shard, v)),
         );
-        assert_eq!(out, (0..6).map(|s| (s, Vec::new())).collect::<Vec<_>>());
+        out.sort_unstable();
+        let each = |s| (s, (s, Vec::new()));
+        assert_eq!(out, (0..6).map(each).collect::<Vec<_>>());
     }
 
     #[test]
     fn sharded_fold_worker_panic_propagates_without_deadlock() {
         let result = std::panic::catch_unwind(|| {
-            sharded_ordered_fold(
+            sharded_fold(
                 4,
                 16,
                 |shard| {
@@ -157,7 +161,7 @@ mod tests {
                     shard
                 },
                 || {},
-                |_| {},
+                |_, _| {},
             )
         });
         assert!(result.is_err(), "worker panic must propagate");
@@ -166,12 +170,12 @@ mod tests {
     #[test]
     fn sharded_fold_consumer_panic_propagates_without_deadlock() {
         let result = std::panic::catch_unwind(|| {
-            sharded_ordered_fold(
+            sharded_fold(
                 4,
                 16,
                 |shard| shard,
                 || {},
-                |shard| {
+                |shard, _| {
                     if shard == 3 {
                         panic!("the merge rejects shard 3");
                     }
@@ -206,12 +210,12 @@ mod tests {
         // unwind must stop all of them.
         for workers in [1usize, 4] {
             let panicked = panics_within_ten_seconds(move || {
-                sharded_ordered_fold(
+                sharded_fold(
                     workers,
                     16,
                     |shard| shard,
                     || panic!("the lead failed"),
-                    |_| {},
+                    |_, _| {},
                 );
             });
             assert!(panicked, "workers={workers}: lead panic must propagate");
@@ -220,14 +224,14 @@ mod tests {
 
     #[test]
     fn a_worker_ahead_of_the_fold_finishes_its_shard_without_waiting() {
-        // Shard 0 cannot finish until shards 1 to 3 have been mapped, while
-        // the merge is still waiting on shard 0: the other worker must hand
-        // over each of them and claim the next without the merge taking any.
+        // Shard 0 cannot finish until shards 1 to 3 have been mapped: the
+        // other worker must hand over each of them and claim the next, and
+        // the merge takes shard 1 before shard 0 is done.
         let panicked = panics_within_ten_seconds(|| {
             let later = AtomicUsize::new(0);
             let all_later_mapped = AtomicBool::new(false);
             let mut merged = Vec::new();
-            sharded_ordered_fold(
+            sharded_fold(
                 2,
                 4,
                 |shard| {
@@ -239,37 +243,44 @@ mod tests {
                     shard
                 },
                 || {},
-                |shard| merged.push(shard),
+                |shard, _| merged.push(shard),
             );
+            assert_eq!(merged[0], 1);
+            merged.sort_unstable();
             assert_eq!(merged, [0, 1, 2, 3]);
         });
         assert!(!panicked, "the merge must take every shard's value");
     }
 
     #[test]
-    fn a_slow_first_shard_is_still_merged_first_and_once() {
-        // Every other shard finishes before shard 0 does; the merge must
-        // still see each shard exactly once, in order.
+    fn a_slow_first_shard_is_merged_last_and_once() {
+        // Shard 0 finishes only once every other shard has been merged: the
+        // merge must take each of them as it arrives, and see each shard
+        // exactly once.
         for workers in [2usize, 4, 8] {
             let panicked = panics_within_ten_seconds(move || {
                 let shards = 12;
-                let done = AtomicUsize::new(0);
-                let others_done = AtomicBool::new(false);
+                let others_merged = AtomicBool::new(false);
                 let mut merged = Vec::new();
-                sharded_ordered_fold(
+                sharded_fold(
                     workers,
                     shards,
                     |shard| {
                         if shard == 0 {
-                            wait_for(&others_done);
-                        } else if done.fetch_add(1, Ordering::SeqCst) == shards - 2 {
-                            others_done.store(true, Ordering::SeqCst);
+                            wait_for(&others_merged);
                         }
                         shard
                     },
                     || {},
-                    |shard| merged.push(shard),
+                    |shard, _| {
+                        merged.push(shard);
+                        if merged.len() == shards - 1 {
+                            others_merged.store(true, Ordering::SeqCst);
+                        }
+                    },
                 );
+                assert_eq!(merged.last(), Some(&0));
+                merged.sort_unstable();
                 assert_eq!(merged, (0..shards).collect::<Vec<_>>());
             });
             assert!(!panicked, "workers={workers}");
@@ -282,7 +293,7 @@ mod tests {
         let panicked = panics_within_ten_seconds(|| {
             let mapped = AtomicUsize::new(0);
             let mut merged = Vec::new();
-            sharded_ordered_fold(
+            sharded_fold(
                 2,
                 6,
                 |shard| {
@@ -294,8 +305,9 @@ mod tests {
                         std::thread::sleep(std::time::Duration::from_millis(1));
                     }
                 },
-                |shard| merged.push(shard),
+                |shard, _| merged.push(shard),
             );
+            merged.sort_unstable();
             assert_eq!(merged, [0, 1, 2, 3, 4, 5]);
         });
         assert!(!panicked, "a worker waited for the lead");
@@ -318,7 +330,7 @@ mod tests {
         let counter = claimed.clone();
         let panicked = panics_within_ten_seconds(move || {
             let worker_died = AtomicBool::new(false);
-            sharded_ordered_fold(
+            sharded_fold(
                 4,
                 16,
                 |shard| {
@@ -333,7 +345,7 @@ mod tests {
                 },
                 // The lead is still running when the worker dies.
                 || wait_for(&worker_died),
-                |_| {},
+                |_, _| {},
             );
         });
         assert!(panicked, "worker panic must propagate");
@@ -349,12 +361,12 @@ mod tests {
         // Both workers die on their first shard while six shards are still
         // unclaimed: the merge must propagate the panic, not hang.
         let panicked = panics_within_ten_seconds(|| {
-            sharded_ordered_fold(
+            sharded_fold(
                 2,
                 8,
                 |shard| -> usize { panic!("shard {shard} failed") },
                 || {},
-                |_| {},
+                |_, _| {},
             );
         });
         assert!(panicked, "worker panics must propagate");

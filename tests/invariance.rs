@@ -341,6 +341,21 @@ fn ethics_pacing_on_four_workers_is_the_one_worker_run() {
     );
 }
 
+#[test]
+fn classified_comes_back_in_shard_and_index_order_paced_and_unpaced() {
+    // The sequence digest reads positions, not order, so this is what
+    // holds `run`'s output order: shard-major, each shard in its task
+    // order, however the shards end and however a paced shard probes.
+    for policy in [None, Some("ethics pacing")] {
+        for workers in [1, 4] {
+            assert!(
+                at(Network::RELIABLE, policy, workers).in_task_order,
+                "{policy:?} on {workers} worker(s): classified is out of (shard, index) order"
+            );
+        }
+    }
+}
+
 /// A paced clock within its per-server bound (see
 /// `bench::invariants::paced_bound`): the bound itself on a reliable
 /// network, and 1.25 times it under loss, whose retries lengthen a round.
