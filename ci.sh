@@ -70,11 +70,15 @@ echo "== stale names: the deleted executor, collectors, knobs, timers and dead c
 # shard and its index in the shard's list, and the rows add), so shards
 # merge as they end: no ordered-merge executor, no parked shard value, no
 # buffer that releases a paced shard's URs in list order, no digest base
-# and no appending of one digest to another: none of the names of
-# what was removed may come back in code, tests or docs. (`fn
+# and no appending of one digest to another, and streamed verdicts
+# folded while their reply is read (no classify batch, no probe entry that
+# keeps its answers apart from the one that reads them, no stub query
+# with a timeout of its own), and names compressed by reading the message
+# back (no compression trie, no deferred first name): none of the names
+# of what was removed may come back in code, tests or docs. (`fn
 # hash_one` is the deleted helper; std's `BuildHasher::hash_one`, which
 # the map hasher's tests call, stays legal.)
-if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs|\(usize, usize, RecordType\)|partition_scan_tasks|ShardTask|collect_urs_sharded_on|scan_shards|quarantine_cooldown|health_probe|probe_ns_released|txt_strings|aux_records|PublishOnExit|classify_wait_us|EgressMonitor|BypassAlert|simnet::pcap|to_pcap|--pcap|--expand-pdns|expand_targets_from_pdns|with_pdns_expansion|subdomains_of|--payload-match|match_txt_payloads|with_payload_matching|payload_matched|tests/(pdns_expansion|txt_payloads)\.rs|with_rtt_k|--rtt-k|PayloadSignature\b|match_text|match_payload|HashWriter|fn hash_one\b|ReportBuilder|classify_shard|absorb_one|DigestRow|HashMap<\(Name, RecordType\)|acc_total|--extended|HunterConfig::extended|classify_mx|MxExact|mx_exact|saw_mx|mx_extension|MetricShard|merge_shard|SharedTokenBucket|with_shared_global|finish_shard|with_rate_limit_per_sec|WaitRises|rate_limit_2_per_s|--rate-limit|ShardGate|GateState|ShardItem|wait_admitted|DigestBatch|VerdictRow|RttSelector|RTT-ordered|TaskFeed::Rtt|rtt_selection|InOrder\b|sharded_ordered_fold|SeqDigest::append|digest\.append\(|0x1f3d_5b79_7a5c_3e1f' \
+if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream\b|--batch-size|classify_all|classify_ur\b|par_map|perf_snapshot|xl_stream|daemon_bench|pipeline_hash|metrics_overhead_ratio|URHUNTER_BENCH_XL|criterion_group|cargo bench|interruptible_sleep|set_nonblocking|validate_workers|urhunter daemon|all_names|credential_stealer|generic_trojan|scanner_bot|planned_campaigns|zone_mut|rule_count|is_recursive|registrable_domain|public_suffix_of|record_count|IntoBatches|RecordSpan|store_equivalence|columnar|experiment_run|--bin (table1|figure2|figure3|table2|zero_fn|ablation|lossy_scan|longitudinal|mitigation)\b|with_shards|BatchChannel|bulk_scan_shards|AttrIndex|IpAttrs|get_or_resolve|AttrCacheMetrics|attr_cache_|absorb_missing|SHARD_QUEUE_BOUND|EngineObs|HistCell|obs::(Counter|Gauge|Histogram)\b|NameKey|tests/(sharding|adaptive_equivalence|streamed_parallel|observability|fault_tolerance|daemon_log|golden)\.rs|\(usize, usize, RecordType\)|partition_scan_tasks|ShardTask|collect_urs_sharded_on|scan_shards|quarantine_cooldown|health_probe|probe_ns_released|txt_strings|aux_records|PublishOnExit|classify_wait_us|EgressMonitor|BypassAlert|simnet::pcap|to_pcap|--pcap|--expand-pdns|expand_targets_from_pdns|with_pdns_expansion|subdomains_of|--payload-match|match_txt_payloads|with_payload_matching|payload_matched|tests/(pdns_expansion|txt_payloads)\.rs|with_rtt_k|--rtt-k|PayloadSignature\b|match_text|match_payload|HashWriter|fn hash_one\b|ReportBuilder|classify_shard|absorb_one|DigestRow|HashMap<\(Name, RecordType\)|acc_total|--extended|HunterConfig::extended|classify_mx|MxExact|mx_exact|saw_mx|mx_extension|MetricShard|merge_shard|SharedTokenBucket|with_shared_global|finish_shard|with_rate_limit_per_sec|WaitRises|rate_limit_2_per_s|--rate-limit|ShardGate|GateState|ShardItem|wait_admitted|DigestBatch|VerdictRow|RttSelector|RTT-ordered|TaskFeed::Rtt|rtt_selection|InOrder\b|sharded_ordered_fold|SeqDigest::append|digest\.append\(|0x1f3d_5b79_7a5c_3e1f|CLASSIFY_BATCH|query_keeping|dns_query_with_timeout|defer_first|suffix_nodes|pointer_to_first|txt_category_of|SPARE_MAPS' \
     crates tests examples README.md DESIGN.md EXPERIMENTS.md; then
     echo "ci.sh: a deleted name is back (see the matches above)" >&2
     exit 1

@@ -81,7 +81,7 @@ struct Serving {
     /// Indices into the provider's nameserver list serving this zone
     /// (empty when the allocation is global-fixed; ignored when the zone
     /// is synced).
-    assigned_ns: Box<[usize]>,
+    assigned_ns: NsList,
     /// The next zone hosted for the same domain, or this zone's own
     /// handle when it is the last; `by_domain` holds the first. Handles
     /// rise along the chain, so its order is the creation order, and the
@@ -96,9 +96,38 @@ struct Serving {
     synced_all: bool,
 }
 
+/// A zone's assigned nameservers as fleet indices: up to seven in place,
+/// read from the zone's serving entry itself, more behind a thin box.
+#[derive(Debug, Clone)]
+enum NsList {
+    Short(u8, [u16; 7]),
+    #[allow(clippy::box_collection)]
+    Long(Box<Vec<u16>>),
+}
+
+impl NsList {
+    fn new(ids: Vec<u16>) -> Self {
+        let mut short = [0; 7];
+        match short.get_mut(..ids.len()) {
+            Some(slots) => {
+                slots.copy_from_slice(&ids);
+                NsList::Short(ids.len() as u8, short)
+            }
+            None => NsList::Long(Box::new(ids)),
+        }
+    }
+
+    fn as_slice(&self) -> &[u16] {
+        match self {
+            NsList::Short(len, ids) => &ids[..*len as usize],
+            NsList::Long(ids) => ids,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct Account {
-    fixed_ns: Vec<usize>,
+    fixed_ns: Vec<u16>,
 }
 
 // A serving entry stays 24 bytes: the table is read for every zone of a
@@ -107,11 +136,11 @@ const _: () = assert!(std::mem::size_of::<Serving>() == 24);
 
 /// `ALL_NS[i] == i`: the candidate list of a nameserver draw that
 /// excludes none, for fleets up to its length.
-const ALL_NS: [usize; 64] = {
+const ALL_NS: [u16; 64] = {
     let mut all = [0; 64];
     let mut i = 0;
     while i < all.len() {
-        all[i] = i;
+        all[i] = i as u16;
         i += 1;
     }
     all
@@ -173,7 +202,8 @@ impl HostingProvider {
     /// warning page), used only when the policy enables them.
     ///
     /// # Panics
-    /// Panics if `nameservers` is empty or contains duplicate addresses.
+    /// Panics if `nameservers` is empty, longer than 65,536 or contains
+    /// duplicate addresses.
     pub fn new(
         name: &str,
         policy: HostingPolicy,
@@ -182,6 +212,10 @@ impl HostingProvider {
         seed: u64,
     ) -> Self {
         assert!(!nameservers.is_empty(), "provider {name} needs nameservers");
+        assert!(
+            nameservers.len() <= 1 << 16,
+            "provider {name}: fleet past u16"
+        );
         let mut ns_by_ip = FxHashMap::default();
         for (i, (_, ip)) in nameservers.iter().enumerate() {
             let prev = ns_by_ip.insert(*ip, i);
@@ -248,8 +282,8 @@ impl HostingProvider {
     ///
     /// # Panics
     /// Panics on a dangling handle.
-    pub fn assigned_ns(&self, id: ZoneId) -> &[usize] {
-        &self.facts(id).assigned_ns
+    pub fn assigned_ns(&self, id: ZoneId) -> &[u16] {
+        self.facts(id).assigned_ns.as_slice()
     }
 
     /// The fleet index of the nameserver at `ip`, if it is one of this
@@ -269,17 +303,18 @@ impl HostingProvider {
         AccountId(self.accounts.len() as u32 - 1)
     }
 
-    fn pick_ns(&mut self, count: usize, exclude: &[usize]) -> Vec<usize> {
+    fn pick_ns(&mut self, count: usize, exclude: &[u16]) -> Vec<u16> {
         let n = self.nameservers.len();
-        let filtered: Vec<usize>;
+        let filtered: Vec<u16>;
         let candidates = match ALL_NS.get(..n) {
             Some(all) if exclude.is_empty() => all,
             _ => {
-                filtered = (0..n).filter(|i| !exclude.contains(i)).collect();
+                let fleet = (0..n).map(|i| i as u16);
+                filtered = fleet.filter(|i| !exclude.contains(i)).collect();
                 &filtered
             }
         };
-        let mut picked: Vec<usize> = candidates
+        let mut picked: Vec<u16> = candidates
             .sample(&mut self.rng, count.min(candidates.len()))
             .copied()
             .collect();
@@ -324,11 +359,11 @@ impl HostingProvider {
                     .any(|id| self.zones[id.0 as usize].owner != account),
                 existing
                     .clone()
-                    .flat_map(|id| self.facts(id).assigned_ns.iter().copied())
-                    .collect::<Vec<usize>>(),
+                    .flat_map(|id| self.assigned_ns(id).iter().copied())
+                    .collect::<Vec<u16>>(),
                 existing
                     .clone()
-                    .any(|id| *self.facts(id).assigned_ns == *account_set),
+                    .any(|id| self.assigned_ns(id) == account_set),
             )
         };
         if (same_user && !self.policy.duplicates.same_user)
@@ -369,7 +404,7 @@ impl HostingProvider {
         });
         let serving = Arc::make_mut(&mut self.serving);
         serving.push(Serving {
-            assigned_ns: assigned_ns.into_boxed_slice(),
+            assigned_ns: NsList::new(assigned_ns),
             next: id,
             active: true,
             verified: false,
@@ -403,6 +438,16 @@ impl HostingProvider {
         Arc::make_mut(&mut self.zones)[id.0 as usize]
             .zone
             .add(record);
+    }
+
+    /// Add records to a hosted zone at once (see [`Zone::add_all`]).
+    ///
+    /// # Panics
+    /// Panics on a dangling handle.
+    pub fn add_records(&mut self, id: ZoneId, records: Vec<Record>) {
+        Arc::make_mut(&mut self.zones)[id.0 as usize]
+            .zone
+            .add_all(records);
     }
 
     /// Enable paid sync-to-all-nameservers for a zone (Cloudflare paid).
@@ -488,7 +533,7 @@ impl HostingProvider {
         }
         match self.policy.allocation {
             NsAllocation::GlobalFixed => true,
-            _ => z.synced_all || z.assigned_ns.contains(&ns),
+            _ => z.synced_all || z.assigned_ns.as_slice().contains(&(ns as u16)),
         }
     }
 
@@ -888,7 +933,7 @@ mod tests {
                     .iter()
                     .position(|(_, nip)| *nip == ip)
                     .unwrap();
-                assert!(p.assigned_ns(id).contains(&idx));
+                assert!(p.assigned_ns(id).contains(&(idx as u16)));
             }
         }
     }

@@ -4,8 +4,8 @@
 use crate::provider::{HostingProvider, ProviderAnswer, PROTECTIVE_TTL};
 use crate::zone::{write_soa, AnswerRecord, RrSets, Zone, ZoneAnswer};
 use dnswire::{
-    Class, Folded, FoldedName, Message, MessageView, MessageWriter, Name, RDataSet, Rcode, Record,
-    RecordType, RecordView, Section,
+    Class, Folded, FoldedName, Message, MessageView, MessageWriter, Name, RDataSetRef, Rcode,
+    Record, RecordType, RecordView, Section,
 };
 use fxhash::FxHashMap;
 use simnet::{Actions, Datagram, Node, SimTime};
@@ -378,16 +378,15 @@ impl Node for SharedOracleNs {
 
 /// One DNS exchange over the fabric, read in place: `read` is handed the
 /// validated response with the data of the answer records `keep`
-/// accepted, kept as the response was validated, and its result returned;
-/// `None` on timeout, garbage or a mismatched id. A truncated UDP answer
-/// (TC bit) is transparently retried over TCP, as real stub resolvers and
-/// scanners do. The timeout applies to the UDP exchange and again to the
-/// TCP fallback.
+/// accepted, kept as the response was validated and borrowed, and its
+/// result returned; `None` on timeout, garbage or a mismatched id. A
+/// truncated UDP answer (TC bit) is transparently retried over TCP, as
+/// real stub resolvers and scanners do. The timeout applies to the UDP
+/// exchange and again to the TCP fallback.
 ///
 /// Nothing is built on the way: the query is written into a pooled buffer
 /// the fabric consumes, the reply is parsed where it lies and its buffer
-/// returned to the pool, so the exchange allocates only what `read` does
-/// and the one buffer of what `keep` accepted.
+/// returned to the pool, so the exchange allocates only what `read` does.
 #[allow(clippy::too_many_arguments)]
 pub fn exchange<T>(
     net: &mut simnet::Network,
@@ -398,7 +397,7 @@ pub fn exchange<T>(
     id: u16,
     timeout: simnet::SimDuration,
     keep: impl Fn(&RecordView<'_>) -> bool,
-    read: impl FnOnce(&MessageView<'_>, RDataSet) -> T,
+    read: impl FnOnce(&MessageView<'_>, RDataSetRef<'_>) -> T,
 ) -> Option<T> {
     let src = simnet::Endpoint::new(client_ip, 30000 + (id % 30000));
     let dst = simnet::Endpoint::new(server_ip, DNS_PORT);
@@ -417,18 +416,11 @@ pub fn exchange<T>(
                 // TCP fallback for the complete answer. TCP blocked, lost
                 // or mangled: the truncated answer is all we have.
                 let tcp = net.rpc(src, dst, simnet::Proto::Tcp, query(), timeout);
-                let full = tcp
+                let whole = tcp
                     .as_deref()
-                    .and_then(|raw| MessageView::parse_keeping(raw, &keep).ok())
-                    .filter(|(full, _)| full.id == id);
-                let out = match full {
-                    Some((full, full_kept)) => read(&full, full_kept),
-                    None => {
-                        let (resp, kept) =
-                            MessageView::parse_keeping(&udp, &keep).expect("walked once already");
-                        read(&resp, kept)
-                    }
-                };
+                    .filter(|raw| MessageView::parse(raw).is_ok_and(|full| full.id == id));
+                let out = MessageView::parse_keeping(whole.unwrap_or(&udp), &keep, read)
+                    .expect("walked once already");
                 if let Some(raw) = tcp {
                     dnswire::bufpool::release(raw);
                 }
@@ -437,10 +429,11 @@ pub fn exchange<T>(
             _ => None,
         }
     } else {
-        match MessageView::parse_keeping(&udp, &keep) {
-            Ok((resp, kept)) if resp.id == id => Some(read(&resp, kept)),
-            _ => None,
-        }
+        MessageView::parse_keeping(&udp, &keep, |resp, kept| {
+            (resp.id == id).then(|| read(resp, kept))
+        })
+        .ok()
+        .flatten()
     };
     dnswire::bufpool::release(udp);
     out
@@ -457,30 +450,6 @@ pub fn dns_query(
     qtype: RecordType,
     id: u16,
 ) -> Option<Message> {
-    dns_query_with_timeout(
-        net,
-        client_ip,
-        server_ip,
-        qname,
-        qtype,
-        id,
-        simnet::SimDuration::from_secs(5),
-    )
-}
-
-/// [`dns_query`] with an explicit per-attempt timeout, used by retrying
-/// callers that want to wait less than the stub default before giving the
-/// attempt up.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dns_query_with_timeout(
-    net: &mut simnet::Network,
-    client_ip: Ipv4Addr,
-    server_ip: Ipv4Addr,
-    qname: &Name,
-    qtype: RecordType,
-    id: u16,
-    timeout: simnet::SimDuration,
-) -> Option<Message> {
     exchange(
         net,
         client_ip,
@@ -488,7 +457,7 @@ pub(crate) fn dns_query_with_timeout(
         qname,
         qtype,
         id,
-        timeout,
+        simnet::SimDuration::from_secs(5),
         |_| false,
         |resp, _| resp.to_message(),
     )

@@ -3,8 +3,9 @@
 use dnswire::{
     Folded, FoldedName, MessageWriter, Name, NameBuf, NameRef, RData, Record, RecordType, Section,
 };
-use fxhash::FxHashMap;
+use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 use std::borrow::Cow;
+use std::hash::BuildHasher;
 
 /// The RRsets at one owner name, in `RecordType` order. A handful of types
 /// at most, so a sorted vector beats a map per name. The list and every
@@ -26,6 +27,21 @@ impl RrSets {
     /// With `dedupe`, a record the set holds already is dropped.
     pub(crate) fn add(&mut self, record: Record, dedupe: bool) {
         let rtype = record.rtype();
+        self.extend(rtype, [record], 1, dedupe);
+    }
+
+    /// Append `records`, `count` records of type `rtype`, to the RRset of
+    /// that type, created if there is none, growing it once. With
+    /// `dedupe`, a record the set holds already or one earlier in the
+    /// batch is dropped (the first seen stays): one record is compared
+    /// with the set, more are found by hash in one pass.
+    fn extend(
+        &mut self,
+        rtype: RecordType,
+        records: impl IntoIterator<Item = Record>,
+        count: usize,
+        dedupe: bool,
+    ) {
         let i = match self.0.binary_search_by_key(&rtype, |(t, _)| *t) {
             Ok(i) => i,
             Err(i) => {
@@ -35,10 +51,19 @@ impl RrSets {
             }
         };
         let set = &mut self.0[i].1;
-        if !(dedupe && set.contains(&record)) {
-            set.reserve_exact(1);
-            set.push(record);
+        set.reserve_exact(count);
+        let hash = |r: &Record| FxBuildHasher::default().hash_one(r);
+        let mut seen = FxHashSet::default();
+        if dedupe && count > 1 {
+            seen.extend(set.iter().map(hash));
         }
+        for record in records {
+            // A new hash is a new record; a seen one is compared.
+            if !dedupe || (count > 1 && seen.insert(hash(&record))) || !set.contains(&record) {
+                set.push(record);
+            }
+        }
+        set.shrink_to_fit();
     }
 }
 
@@ -101,8 +126,9 @@ pub struct Zone {
     apex: Name,
     /// The RRsets at the apex.
     at_apex: RrSets,
-    /// The RRsets of every name strictly below the apex.
-    records: FxHashMap<FoldedName, RrSets>,
+    /// The RRsets of every name strictly below the apex; most zones have
+    /// none, and hold one pointer instead of an empty map.
+    records: Option<Box<FxHashMap<FoldedName, RrSets>>>,
 }
 
 /// Longest CNAME chain a zone follows before answering with what it has.
@@ -238,7 +264,7 @@ impl Zone {
         Zone {
             apex,
             at_apex: RrSets::default(),
-            records: FxHashMap::default(),
+            records: None,
         }
     }
 
@@ -263,15 +289,15 @@ impl Zone {
         }
         let mut scratch = Vec::new();
         let owner = owner.borrowed().fold(&mut scratch);
+        let records = self.records.get_or_insert_with(Box::default);
         for labels in (self.apex.label_count() + 1..=owner.label_count()).rev() {
             let name = owner.suffix(labels).expect("within the label count");
-            if self.records.contains_key(name.key()) {
+            if records.contains_key(name.key()) {
                 break;
             }
-            self.records
-                .insert(FoldedName::new(name.name()), RrSets::default());
+            records.insert(FoldedName::new(name.name()), RrSets::default());
         }
-        self.records
+        records
             .get_mut(owner.key())
             .expect("present or just inserted")
     }
@@ -282,19 +308,47 @@ impl Zone {
     /// # Panics
     /// Panics if the owner is outside the zone — that is a construction bug.
     pub fn add(&mut self, record: Record) {
+        if self.keeps(&record) {
+            self.sets_mut(&record.name).add(record, true);
+        }
+    }
+
+    /// Add records as [`Zone::add`] adds each, a run of records with one
+    /// owner and type at a time: its RRset grows once, by the run's
+    /// length, and its duplicates are found in one pass.
+    ///
+    /// # Panics
+    /// Panics if an owner is outside the zone.
+    pub fn add_all(&mut self, mut records: Vec<Record>) {
+        records.retain(|r| self.keeps(r));
+        let mut rest = records.into_iter();
+        while let Some(first) = rest.as_slice().first() {
+            let rtype = first.rtype();
+            let run = rest
+                .as_slice()
+                .iter()
+                .take_while(|r| r.rtype() == rtype && r.name == first.name)
+                .count();
+            let sets = self.sets_mut(&first.name);
+            sets.extend(rtype, rest.by_ref().take(run), run, true);
+        }
+    }
+
+    /// Whether `record` is stored by [`Zone::add`]: not when it is the
+    /// derived SOA.
+    ///
+    /// # Panics
+    /// Panics if the owner is outside the zone.
+    fn keeps(&self, record: &Record) -> bool {
         assert!(
             record.name.is_subdomain_of(&self.apex),
             "record owner {} outside zone {}",
             record.name,
             self.apex
         );
-        if record.rtype() == RecordType::Soa
+        !(record.rtype() == RecordType::Soa
             && record.name.label_count() == self.apex.label_count()
-            && record == self.soa()
-        {
-            return;
-        }
-        self.sets_mut(&record.name).add(record, true);
+            && *record == self.soa())
     }
 
     /// Every RRset at `owner`, a name at or below the apex: at the apex
@@ -303,7 +357,7 @@ impl Zone {
         let sets = if owner.label_count() == self.apex.label_count() {
             Some(&self.at_apex)
         } else {
-            self.records.get(owner.key())
+            self.records.as_ref().and_then(|r| r.get(owner.key()))
         };
         sets.map_or(&[], |sets| &sets.0)
     }
@@ -333,7 +387,11 @@ impl Zone {
     /// Whether `owner`, a name at or below the apex, exists: the apex
     /// (which always holds the SOA), an owner, or an empty non-terminal.
     fn exists(&self, owner: Folded<'_>) -> bool {
-        owner.label_count() == self.apex.label_count() || self.records.contains_key(owner.key())
+        owner.label_count() == self.apex.label_count()
+            || self
+                .records
+                .as_ref()
+                .is_some_and(|r| r.contains_key(owner.key()))
     }
 
     /// Answer a question authoritatively from this zone.
@@ -557,7 +615,8 @@ mod tests {
         // oracle reads the records.
         fn by_scan(z: &Zone, owner: &Name) -> bool {
             z.records
-                .values()
+                .iter()
+                .flat_map(|r| r.values())
                 .chain([&z.at_apex])
                 .flat_map(|sets| sets.0.iter().flat_map(|(_, set)| set))
                 .any(|r| &r.name == owner || r.name.is_strict_subdomain_of(owner))
@@ -687,7 +746,12 @@ mod tests {
         assert_eq!(z.at_apex.0.capacity(), 1);
         let set = &z.at_apex.0[0].1;
         assert_eq!((set.len(), set.capacity()), (36, 36));
-        let www = &z.records.values().next().expect("www").0;
+        let www = &z
+            .records
+            .as_ref()
+            .and_then(|r| r.values().next())
+            .expect("www")
+            .0;
         assert_eq!((www.capacity(), www[0].1.capacity()), (1, 1));
     }
 }

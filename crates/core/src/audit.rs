@@ -171,7 +171,7 @@ pub(crate) fn audit_provider(world: &mut World, p_idx: usize) -> AuditRow {
                 let mut ips: Vec<Ipv4Addr> = p
                     .assigned_ns(zid)
                     .iter()
-                    .map(|&i| p.nameservers()[i].1)
+                    .map(|&i| p.nameservers()[usize::from(i)].1)
                     .collect();
                 if ips.is_empty() {
                     // global-fixed providers serve from the whole fleet

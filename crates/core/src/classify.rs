@@ -9,9 +9,9 @@
 
 use crate::types::{
     nonempty_all, ClassifiedUr, CollectedUr, CorrectDb, CorrectReason, DomainProfile, ProtectiveDb,
-    TxtCategory, UrCategory,
+    ProtectiveProfile, TxtCategory, UrCategory, Verdict,
 };
-use dnswire::RecordType;
+use dnswire::{RDataSetRef, RecordType};
 use fxhash::FxHashSet;
 use netdb::{NetDb, PageKind};
 use pdns::{Day, PassiveDns, SIX_YEARS_DAYS};
@@ -51,23 +51,6 @@ impl Default for ClassifyConfig {
             pdns_window: SIX_YEARS_DAYS,
         }
     }
-}
-
-/// What the exclusion conditions decide about one UR: the reason it is
-/// correct, if one is, its TXT category and its corresponding addresses.
-/// Separate from UR ownership, so the decision borrows the UR and
-/// [`StreamClassifier::classify`] then moves it into its [`ClassifiedUr`]
-/// without a clone.
-type Decision = (Option<CorrectReason>, Option<TxtCategory>, Vec<Ipv4Addr>);
-
-fn txt_category_of(ur: &CollectedUr) -> Option<TxtCategory> {
-    if ur.key.rtype != RecordType::Txt {
-        return None;
-    }
-    ur.records
-        .iter()
-        .find_map(|r| r.txt_str())
-        .map(|t| TxtCategory::classify(&t))
 }
 
 /// Appendix B's subset test, read in place: the values `attr` finds for
@@ -123,25 +106,28 @@ fn subset_reason(
 
 /// Appendix-B condition 5: every record of the UR was seen at its domain
 /// in passive DNS within the window.
-fn in_history(ur: &CollectedUr, history: &PassiveDns, cfg: &ClassifyConfig) -> bool {
+fn in_history(
+    ur: &CollectedUr<RDataSetRef<'_>>,
+    history: &PassiveDns,
+    cfg: &ClassifyConfig,
+) -> bool {
     cfg.use_pdns
         && nonempty_all(ur.records.iter(), |r| {
             history.contains(&ur.key.domain, ur.key.rtype, &r, cfg.today, cfg.pdns_window)
         })
 }
 
+/// Why an A UR whose addresses are `ips` is correct, if it is.
 fn classify_a(
-    ur: &CollectedUr,
+    ur: &CollectedUr<RDataSetRef<'_>>,
+    ips: &[Ipv4Addr],
     correct: &CorrectDb,
     metadata: &NetDb,
     history: &PassiveDns,
     cfg: &ClassifyConfig,
-) -> Decision {
-    // The verdict keeps these.
-    let ips = ur.a_ips();
+) -> Option<CorrectReason> {
     let profile = correct.profile(&ur.key.domain);
-
-    let reason = subset_reason(&ips, profile, metadata, cfg)
+    subset_reason(ips, profile, metadata, cfg)
         .or_else(|| in_history(ur, history, cfg).then_some(CorrectReason::PassiveDns))
         .or_else(|| {
             // Parking/redirect keyword exclusion: every address with an
@@ -159,43 +145,62 @@ fn classify_a(
                 PageKind::Redirect => Some(CorrectReason::Redirect),
                 _ => None,
             }
-        });
-    (reason, None, ips)
+        })
 }
 
+/// A TXT UR, each record's text decoded once: whether it is the server's
+/// protective answer (`server`'s profile), why it is correct if it is,
+/// and the category of its first text. Its corresponding addresses, those
+/// embedded in its texts, go to `ips` unless it is protective (the
+/// sibling-A fallback is resolved at analysis time, when all URs are
+/// visible). A text is matched against the domain's correct ones and
+/// searched for addresses only once the UR cannot be protective; the
+/// texts before that point are decoded again for it, the one case where a
+/// record is read twice.
 fn classify_txt(
-    ur: &CollectedUr,
+    ur: &CollectedUr<RDataSetRef<'_>>,
+    server: Option<&ProtectiveProfile>,
     correct: &CorrectDb,
     history: &PassiveDns,
     cfg: &ClassifyConfig,
-) -> Decision {
-    let profile = correct.profile(&ur.key.domain);
-    // One pass over the texts: the category of the first, whether each so
-    // far matches a correct TXT record exactly (`Sym::lookup` probes the
-    // profile set without interning attacker-controlled scan data), and
-    // the addresses embedded in each body, which the verdict keeps as its
-    // corresponding IPs (the sibling-A fallback is resolved at analysis
-    // time, when all URs are visible).
-    let mut txt_category = None;
-    let mut exact = None;
-    let mut embedded: Vec<Ipv4Addr> = Vec::new();
-    for t in ur.records.iter().filter_map(|r| r.txt_str()) {
-        txt_category.get_or_insert_with(|| TxtCategory::classify(&t));
-        if exact != Some(false) {
-            exact = Some(intern::Sym::lookup(&t).is_some_and(|s| profile.txts.contains(&s)));
+    ips: &mut Vec<Ipv4Addr>,
+) -> (bool, Option<CorrectReason>, Option<TxtCategory>) {
+    let texts = || ur.records.iter().filter_map(|r| r.txt_str());
+    let (mut protective, mut exact, mut category) = (server.is_some(), true, None);
+    let mut profile = None;
+    let mut read = |t: &str, profile: &DomainProfile, ips: &mut Vec<Ipv4Addr>| {
+        exact = exact && profile.has_txt(t);
+        ips.extend(intel::extract_ipv4s(t));
+    };
+    for (i, t) in texts().enumerate() {
+        category.get_or_insert_with(|| TxtCategory::classify(&t));
+        if protective && server.is_some_and(|p| p.has_txt(&t)) {
+            continue;
         }
-        embedded.extend(intel::extract_ipv4s(&t));
+        let profile = *profile.get_or_insert_with(|| correct.profile(&ur.key.domain));
+        if protective {
+            protective = false;
+            for earlier in texts().take(i) {
+                read(&earlier, profile, ips);
+            }
+        }
+        read(&t, profile, ips);
     }
-    embedded.sort_unstable();
-    embedded.dedup();
-    let reason = if exact == Some(true) {
+    // With no text, neither protective nor an exact match.
+    let any = category.is_some();
+    if protective && any {
+        return (true, None, category);
+    }
+    ips.sort_unstable();
+    ips.dedup();
+    let reason = if exact && any {
         Some(CorrectReason::TxtExact)
     } else if in_history(ur, history, cfg) {
         Some(CorrectReason::PassiveDns)
     } else {
         None
     };
-    (reason, txt_category, embedded)
+    (false, reason, category)
 }
 
 /// Every Appendix-B exclusion condition (and auxiliary exclusion) in
@@ -256,36 +261,74 @@ impl<'a> StreamClassifier<'a> {
     }
 
     /// Classify the batch in order, moving each UR into its
-    /// [`ClassifiedUr`] without a clone of its record vectors.
+    /// [`ClassifiedUr`] without a clone of its record data.
     pub fn classify_batch_owned(&self, batch: Vec<CollectedUr>) -> Vec<ClassifiedUr> {
-        batch.into_iter().map(|ur| self.classify(ur)).collect()
+        let mut ips = Vec::new();
+        batch
+            .into_iter()
+            .map(|ur| self.classify(ur, &mut ips))
+            .collect()
     }
 
-    /// Classify one UR into Correct / Protective / (pre-analysis) Unknown
-    /// — the malicious promotion happens later in [`mod@crate::analyze`].
-    fn classify(&self, ur: CollectedUr) -> ClassifiedUr {
+    /// [`StreamClassifier::decide`] for a UR that is kept: the verdict
+    /// owns the UR and an exact copy of its corresponding addresses
+    /// (`ips` is scratch).
+    pub(crate) fn classify(&self, ur: CollectedUr, ips: &mut Vec<Ipv4Addr>) -> ClassifiedUr {
+        let verdict = self.decide(&ur.borrowed(), ips);
+        ClassifiedUr {
+            ur,
+            category: verdict.category,
+            correct_reason: verdict.correct_reason,
+            txt_category: verdict.txt_category,
+            corresponding_ips: ips.clone(),
+        }
+    }
+
+    /// Decide one UR, its records read in place: Correct, Protective or
+    /// (pre-analysis) Unknown — the malicious promotion happens later in
+    /// [`mod@crate::analyze`]. `ips` is cleared and left holding the UR's
+    /// corresponding addresses: its A records' addresses in answer order,
+    /// or the addresses its TXT records embed, sorted, none when it is
+    /// protective.
+    pub(crate) fn decide(
+        &self,
+        ur: &CollectedUr<RDataSetRef<'_>>,
+        ips: &mut Vec<Ipv4Addr>,
+    ) -> Verdict {
         let (correct, metadata, history, cfg) =
             (self.correct, self.metadata, self.history, self.cfg);
+        ips.clear();
         // Protective records first: they are the provider's own answers
-        // and must not be confused with customer data.
-        let protective = self.protective.matches(&ur);
-        let (correct_reason, txt_category, corresponding_ips) = match ur.key.rtype {
-            _ if protective => (None, txt_category_of(&ur), Vec::new()),
-            RecordType::A => classify_a(&ur, correct, metadata, history, cfg),
-            RecordType::Txt => classify_txt(&ur, correct, history, cfg),
-            _ => (None, None, Vec::new()),
+        // and must not be confused with customer data. A UR is protective
+        // when every one of its records is, and it has one.
+        let server = self.protective.servers.get(&ur.key.ns_ip);
+        let (protective, correct_reason, txt_category) = match ur.key.rtype {
+            RecordType::A => {
+                let mut protective = server.is_some();
+                for ip in ur.records.iter().filter_map(|r| r.as_a()) {
+                    protective = protective && server.is_some_and(|p| p.a_ips.contains(&ip));
+                    ips.push(ip);
+                }
+                if protective && !ips.is_empty() {
+                    ips.clear();
+                    (true, None, None)
+                } else {
+                    let reason = classify_a(ur, ips, correct, metadata, history, cfg);
+                    (false, reason, None)
+                }
+            }
+            RecordType::Txt => classify_txt(ur, server, correct, history, cfg, ips),
+            _ => (false, None, None),
         };
         let category = match correct_reason {
             _ if protective => UrCategory::Protective,
             Some(_) => UrCategory::Correct,
             None => UrCategory::Unknown,
         };
-        ClassifiedUr {
-            ur,
+        Verdict {
             category,
             correct_reason,
             txt_category,
-            corresponding_ips,
         }
     }
 }
@@ -293,9 +336,11 @@ impl<'a> StreamClassifier<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{ProtectiveProfile, UrKey};
+    use crate::report::RunFold;
+    use crate::types::UrKey;
     use dnswire::{Name, RData};
     use netdb::{CertInfo, GeoInfo, HttpProfile};
+    use proptest::prelude::*;
 
     use intern::InternedName;
 
@@ -372,9 +417,10 @@ mod tests {
             .certs
             .insert(CertInfo::for_domain("site.com", "SimCA").fingerprint);
         profile.txts.insert("v=spf1 ip4:30.0.0.10 -all".into());
-        correct
-            .domains
-            .insert(InternedName::intern(&n("site.com")), profile);
+        correct.domains.insert(
+            crate::types::NameId(InternedName::intern(&n("site.com"))),
+            profile,
+        );
 
         let mut metadata = NetDb::new();
         metadata.add_prefix("30.0.0.0/24".parse().unwrap(), 65_000, "Hosting");
@@ -571,6 +617,96 @@ mod tests {
         assert_eq!(reg.counter_value("classify_correct_ip_subset"), Some(1));
         assert_eq!(reg.counter_value("classify_suspicious"), Some(1));
         assert_eq!(reg.counter_value("classify_protective"), Some(1));
+    }
+
+    /// Addresses a UR may answer with: correct, same-AS, protective,
+    /// foreign, parked, seen in passive DNS.
+    const ADDRS: [&str; 6] = [
+        "30.0.0.10",
+        "30.0.0.12",
+        "20.0.255.1",
+        "40.0.0.10",
+        "60.0.0.10",
+        "31.0.0.10",
+    ];
+
+    /// Texts a UR may answer with: the correct SPF, the protective text
+    /// exactly and by its prefix, a spoofed SPF, addresses in free text,
+    /// and neither.
+    const TEXTS: [&str; 6] = [
+        "v=spf1 ip4:30.0.0.10 -all",
+        "v=warning; domain not hosted on P; see status page",
+        "v=warning; domain not hosted on Q",
+        "v=spf1 ip4:40.0.0.10 ip4:6.6.6.6 -all",
+        "google-site-verification=abc 1.2.3.4",
+        "hello",
+    ];
+
+    /// URs drawn from the pools above, at the servers and domains the
+    /// fixture knows and one it does not, each at its index.
+    fn arb_urs() -> impl Strategy<Value = Vec<CollectedUr>> {
+        let ur = (
+            any::<bool>(),
+            0usize..3,
+            0usize..2,
+            proptest::collection::vec(0usize..6, 0..4),
+        );
+        proptest::collection::vec(ur, 0..24).prop_map(|urs| {
+            urs.into_iter()
+                .enumerate()
+                .map(|(i, (txt, ns, domain, picks))| {
+                    let ns = ["20.0.0.1", "20.0.0.5", "20.0.0.9"][ns];
+                    let domain = ["site.com", "other.org"][domain];
+                    let mut ur = if txt {
+                        let mut ur = txt_ur(domain, ns, "");
+                        ur.records = picks
+                            .iter()
+                            .map(|&k| RData::txt_from_str(TEXTS[k]))
+                            .collect();
+                        ur
+                    } else {
+                        let addrs: Vec<&str> = picks.iter().map(|&k| ADDRS[k]).collect();
+                        a_ur(domain, ns, &addrs)
+                    };
+                    ur.index = i as u32;
+                    ur
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        /// The streamed path decides and folds each UR while its records
+        /// are borrowed, with one address buffer; `run` keeps the verdicts
+        /// and folds them after. Both reach one fold: totals, Table 1,
+        /// Figure 2, the reasons' funnel and the digest.
+        #[test]
+        fn folding_borrowed_verdicts_is_folding_kept_ones(urs in arb_urs()) {
+            let mut f = fixture();
+            f.protective
+                .servers
+                .get_mut(&ip("20.0.0.1"))
+                .expect("the fixture's protective server")
+                .txts
+                .insert(TEXTS[1].into());
+            let classifier =
+                StreamClassifier::new(&f.correct, &f.protective, &f.metadata, &f.history, &f.cfg);
+            let mut streamed = RunFold::default();
+            let mut ips = vec![ip("9.9.9.9")];
+            for ur in &urs {
+                let ur = ur.borrowed();
+                let verdict = classifier.decide(&ur, &mut ips);
+                streamed.absorb(&ur, verdict, &ips);
+            }
+            let kept = RunFold::of(&classifier.classify_batch_owned(urs));
+            let funnel = |fold: &RunFold| {
+                let reg = obs::MetricsRegistry::new();
+                fold.publish(&reg);
+                format!("{:?}", reg.snapshot().entries)
+            };
+            prop_assert_eq!(funnel(&streamed), funnel(&kept));
+            prop_assert_eq!(streamed.finish(), kept.finish());
+        }
     }
 
     #[test]

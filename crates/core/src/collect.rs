@@ -4,8 +4,8 @@
 
 use crate::query::ProbeEngine;
 use crate::schedule::QueryScheduler;
-use crate::types::{CollectedUr, CorrectDb, DomainProfile, ProtectiveDb, UrKey};
-use dnswire::{Name, Rcode, RecordType};
+use crate::types::{CollectedUr, CorrectDb, DomainProfile, NameId, ProtectiveDb, UrKey};
+use dnswire::{Name, RDataSetRef, Rcode, RecordType};
 use intern::{InternedName, Sym};
 use simnet::Network;
 use std::net::Ipv4Addr;
@@ -52,46 +52,59 @@ pub fn select_nameservers(world: &World, min_tail_sites: u32) -> Vec<NsInfo> {
         .collect()
 }
 
-/// One UR probe: query `ns_ip` for `(domain, rtype)`, keep NOERROR
+/// One UR probe: query `ns_ip` (the engine's server in `slot`, when the
+/// caller addresses servers by slot) for `(domain, rtype)`, keep NOERROR
 /// responses whose answer section carries records of exactly that name and
-/// type, and assemble the [`CollectedUr`] under the caller's handles for
-/// the domain (`key`, interned from `domain`) and the provider, at the
-/// caller's `(shard, index)` position. Shared by
-/// the bulk scan and the §4.2 false-negative evaluation (which replays
-/// *delegated* records through the identical path); each interns its
-/// names once, not once a UR.
+/// type, and hand the [`CollectedUr`] to `read` under the caller's handles
+/// for the domain (`key`, interned from `domain`) and the provider, at the
+/// caller's `(shard, index)` position, its records still in the reply.
+/// Shared by the bulk scan and the §4.2 false-negative evaluation (which
+/// replays *delegated* records through the identical path); each interns
+/// its names once, not once a UR.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn query_one_ur(
+pub(crate) fn query_one_ur<T>(
     net: &mut Network,
     engine: &mut ProbeEngine,
     scanner_ip: Ipv4Addr,
-    ns_ip: Ipv4Addr,
+    (ns_ip, slot): (Ipv4Addr, Option<usize>),
     (domain, key): (&Name, InternedName),
     rtype: RecordType,
     qid: u16,
     provider: Sym,
     (shard, index): (u16, u32),
-) -> Option<CollectedUr> {
-    // Only the records that make the UR are copied out of the reply.
-    let resp = engine.query_keeping(net, scanner_ip, ns_ip, domain, rtype, qid, |r| {
-        r.rtype() == rtype && r.name.matches(domain.borrowed())
-    })?;
-    if resp.rcode() != Rcode::NoError || resp.answers.is_empty() {
-        return None;
-    }
-    Some(CollectedUr {
-        key: UrKey {
-            ns_ip,
-            domain: key,
+    mut read: impl FnMut(CollectedUr<RDataSetRef<'_>>) -> T,
+) -> Option<T> {
+    // Only the records that make the UR are kept of the reply.
+    let keep =
+        |r: &dnswire::RecordView<'_>| r.rtype() == rtype && r.name.matches(domain.borrowed());
+    engine
+        .probe(
+            net,
+            scanner_ip,
+            (ns_ip, slot),
+            domain,
             rtype,
-        },
-        records: resp.answers,
-        provider,
-        authoritative: resp.flags.authoritative,
-        recursion_available: resp.flags.recursion_available,
-        shard,
-        index,
-    })
+            qid,
+            keep,
+            |flags, records| {
+                (flags.rcode == Rcode::NoError && !records.is_empty()).then(|| {
+                    read(CollectedUr {
+                        key: UrKey {
+                            ns_ip,
+                            domain: key,
+                            rtype,
+                        },
+                        records,
+                        provider,
+                        authoritative: flags.authoritative,
+                        recursion_available: flags.recursion_available,
+                        shard,
+                        index,
+                    })
+                })
+            },
+        )
+        .flatten()
 }
 
 /// Deterministic query ids for the bulk scan and the §4.2 false-negative
@@ -345,6 +358,10 @@ pub fn collect_urs_sharded(
     batch_size: usize,
     sink: &mut dyn FnMut(Vec<CollectedUr>),
 ) -> ShardedScanOutcome {
+    let batch_size = match batch_size {
+        0 => usize::MAX,
+        n => n,
+    };
     collect_urs_streamed(
         blueprint,
         plan,
@@ -357,8 +374,10 @@ pub fn collect_urs_sharded(
         scheduler,
         SCAN_SHARDS,
         par::Parallelism::from_knob(shards).get(),
-        batch_size,
-        &|batches: &mut Vec<Vec<CollectedUr>>, urs| batches.push(urs),
+        &|batches: &mut Vec<Vec<CollectedUr>>, ur| match batches.last_mut() {
+            Some(batch) if batch.len() < batch_size => batch.push(ur.to_kept()),
+            _ => batches.push(vec![ur.to_kept()]),
+        },
         || {},
         &mut |_, batches| batches.into_iter().for_each(&mut *sink),
     )
@@ -376,9 +395,10 @@ pub fn collect_urs_sharded(
 /// ([`worldgen::ScanBlueprint::build_network_scoped`]: only the nodes of
 /// the shard's addresses), scan it with their own [`ProbeEngine`] and task
 /// probe order (its list, or [`paced_rounds`] when the scheduler paces),
-/// `absorb` each full batch of URs, in probe order and each carrying its
-/// `(shard, index)` position, into the shard's own `A` **on the worker
-/// thread**, and drop the fabric before claiming the next shard. Through
+/// `absorb` each UR, in probe order and carrying its `(shard, index)`
+/// position, into the shard's own `A` **on the worker thread** while its
+/// reply is read (its records are borrowed from it), and drop the fabric
+/// before claiming the next shard. Through
 /// [`par::sharded_fold`] every shard's `A` reaches `merge` on the calling
 /// thread beside its shard index, in the order shards finish, its summary
 /// (coverage, elapsed, fabric stats, bucket waits) absorbed beside it;
@@ -403,8 +423,7 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
     scheduler: &QueryScheduler,
     world_shards: usize,
     workers: usize,
-    batch_size: usize,
-    absorb: &(dyn Fn(&mut A, Vec<CollectedUr>) + Sync),
+    absorb: &(dyn Fn(&mut A, CollectedUr<RDataSetRef<'_>>) + Sync),
     lead: impl FnOnce(),
     merge: &mut dyn FnMut(usize, A),
 ) -> ShardedScanOutcome {
@@ -412,11 +431,6 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
     let delegated = delegated_servers(world_registry, targets);
     let codec = TaskCodec::new(nameservers.len(), targets.len(), types.len());
     let ranges = par::chunk_ranges(nameservers.len(), world_shards.max(1));
-    let batch_size = if batch_size == 0 {
-        usize::MAX
-    } else {
-        batch_size
-    };
     // Every UR's handles, interned once before any shard starts.
     let target_keys: Vec<InternedName> = targets.iter().map(InternedName::intern).collect();
     let providers: Vec<Sym> = nameservers
@@ -443,7 +457,6 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
             engine = engine.with_obs(hub.clone());
         }
         let mut shard = A::default();
-        let mut pending: Vec<CollectedUr> = Vec::new();
         let len = u32::try_from(tasks.len()).expect("a shard's list is part of one u32 product");
         // An unpaced shard's clock is a sum of exchange times, each set by
         // its own server's earlier probes, so the list walk is as fast as
@@ -462,26 +475,19 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
             let rtype = types[ti];
             let ns_ip = nameservers[ni].ip;
             sched.admit(&mut net, ns_ip);
-            let ur = query_one_ur(
+            // The engine's servers are the shard's range, by slot.
+            query_one_ur(
                 &mut net,
                 &mut engine,
                 cfg.scanner_ip,
-                ns_ip,
+                (ns_ip, Some(ni - range.start)),
                 (&targets[di], target_keys[di]),
                 rtype,
                 QidGen::of(scan_stream(ni, di), rtype),
                 providers[ni],
                 (shard_id, pos),
+                |ur| absorb(&mut shard, ur),
             );
-            if let Some(ur) = ur {
-                pending.push(ur);
-                if pending.len() >= batch_size {
-                    absorb(&mut shard, std::mem::take(&mut pending));
-                }
-            }
-        }
-        if !pending.is_empty() {
-            absorb(&mut shard, pending);
         }
         // Elapsed is read before settling: stragglers (replies landing
         // after their probe's deadline) are flushed into the shard's stats
@@ -622,7 +628,8 @@ pub fn collect_correct(
                 certs.insert(cert.fingerprint);
             }
         }
-        db.domains.insert(InternedName::intern(domain), profile);
+        db.domains
+            .insert(NameId(InternedName::intern(domain)), profile);
     }
     db
 }
@@ -652,7 +659,7 @@ pub(crate) fn correct_db_from_stream(world: &worldgen::StreamWorld) -> CorrectDb
             profile.txts.insert(Sym::intern(spf));
         }
         db.domains
-            .insert(InternedName::intern(&site.domain), profile);
+            .insert(NameId(InternedName::intern(&site.domain)), profile);
     }
     db
 }
@@ -1058,12 +1065,13 @@ mod tests {
             &mut net,
             &mut engine,
             scanner,
-            ns_ip,
+            (ns_ip, None),
             (&domain, InternedName::intern(&domain)),
             RecordType::A,
             1,
             Sym::intern("P"),
             (3, 7),
+            |ur| ur.to_kept(),
         )
         .expect("the probe is answered");
         assert_eq!((ur.shard, ur.index), (3, 7));

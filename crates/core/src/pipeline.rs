@@ -11,20 +11,12 @@ use crate::query::{publish_probes, CoverageReport, ProbeEngine, QueryPlan};
 use crate::report::{Report, RunFold};
 use crate::schedule::QueryScheduler;
 use crate::types::{ClassifiedUr, CollectedUr, CorrectDb, ProtectiveDb, UrCategory};
+use dnswire::RDataSetRef;
 use intern::{InternedName, Sym};
 use simnet::{FaultPlan, SimDuration};
 use std::cell::OnceCell;
 use std::sync::{Arc, OnceLock};
 use worldgen::{NsInfo, World};
-
-/// How many URs a [`run_streamed`] worker collects before classifying them.
-/// Output is identical for any value; this only bounds how many URs are in
-/// flight at once. It is 1,024 because each worker holds its batch —
-/// every UR's record data, then the batch's verdicts — beside its shard's
-/// fabric, and with hosted zones compact (about a megabyte a
-/// `scan_stream` shard) 4,096 URs in flight were a sizeable part of a
-/// worker's peak. A smaller batch costs only more classifier calls.
-const CLASSIFY_BATCH: usize = 1024;
 
 /// Complete pipeline configuration.
 #[derive(Debug, Clone)]
@@ -204,13 +196,16 @@ pub struct RunOutput {
     pub bucket_wait: SimDuration,
 }
 
-/// A shard's URs, in task order, as its worker hands them to `run`'s merge:
-/// classified on the worker when the support sweep had published the
-/// classifier, or still to classify, on the calling thread, once the sweep
-/// is done.
-enum ShardUrs {
-    Classified(Vec<ClassifiedUr>),
-    Unclassified(Vec<CollectedUr>),
+/// A shard's URs as its worker hands them to `run`'s merge, in the order
+/// they were probed: those reached before the support sweep had published
+/// the classifier, kept to classify on the calling thread once the sweep
+/// is done, then those classified on the worker as they were probed.
+#[derive(Default)]
+struct ShardUrs {
+    unclassified: Vec<CollectedUr>,
+    classified: Vec<ClassifiedUr>,
+    /// The worker's scratch for corresponding addresses.
+    ips: Vec<std::net::Ipv4Addr>,
 }
 
 /// Run the full URHunter pipeline against a world.
@@ -294,21 +289,20 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         let _ = streamer.set(cls);
         collect_span = obs.map(|h| h.span("collect", world.net.now().as_micros()));
     };
-    // The batch size is unbounded, so a shard's URs come as one batch, in
-    // the order they were probed; sorted by index they are in task order,
-    // which a paced shard's rounds do not keep (an unpaced shard's batch is
-    // sorted already, and the sort sees that in one pass).
-    let classify = |shard: &mut Option<ShardUrs>, mut urs: Vec<CollectedUr>| {
-        urs.sort_unstable_by_key(|ur| ur.index);
-        let previous = shard.replace(match streamer.get() {
-            Some(cls) => ShardUrs::Classified(cls.classify_batch_owned(urs)),
-            None => ShardUrs::Unclassified(urs),
-        });
-        debug_assert!(previous.is_none(), "a shard is one batch");
+    // Each UR is kept as it is probed, classified at once when the sweep
+    // has published the classifier.
+    let absorb = |shard: &mut ShardUrs, ur: CollectedUr<RDataSetRef<'_>>| {
+        let ur = ur.to_kept();
+        match streamer.get() {
+            Some(cls) => shard.classified.push(cls.classify(ur, &mut shard.ips)),
+            None => shard.unclassified.push(ur),
+        }
     };
     // The merge keeps each shard's verdicts by its index, in whatever order
-    // the shards end. Verdicts are the same wherever they are reached: the
-    // classifier is a pure function of the UR.
+    // the shards end, sorted by index into task order, which a paced
+    // shard's rounds do not keep (an unpaced shard's are sorted already,
+    // and the sort sees that in one pass). Verdicts are the same wherever
+    // they are reached: the classifier is a pure function of the UR.
     let mut blocks: Vec<Vec<ClassifiedUr>> = vec![Vec::new(); SCAN_SHARDS];
     let scan = collect_urs_streamed(
         &blueprint,
@@ -322,18 +316,19 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         &scheduler,
         SCAN_SHARDS,
         workers,
-        usize::MAX,
-        &classify,
+        &absorb,
         sweep,
-        &mut |shard, urs| {
-            blocks[shard] = match urs {
-                None => Vec::new(),
-                Some(ShardUrs::Classified(verdicts)) => verdicts,
-                Some(ShardUrs::Unclassified(urs)) => streamer
-                    .get()
-                    .expect("the sweep publishes before the merge starts")
-                    .classify_batch_owned(urs),
-            };
+        &mut |shard, mut urs: ShardUrs| {
+            let cls = streamer
+                .get()
+                .expect("the sweep publishes before the merge starts");
+            let block = &mut blocks[shard];
+            block.reserve_exact(urs.unclassified.len() + urs.classified.len());
+            for ur in urs.unclassified {
+                block.push(cls.classify(ur, &mut urs.ips));
+            }
+            block.append(&mut urs.classified);
+            block.sort_unstable_by_key(|c| c.ur.index);
         },
     );
     // Shard-major: the vector grows by exactly each block, so it carries no
@@ -525,14 +520,14 @@ pub fn run_streamed(
     let workers = par::Parallelism::from_knob(cfg.workers)
         .get()
         .min(world_shards.max(1));
-    // Runs on whichever worker scanned the batch's shard: each verdict reads
-    // one UR and the read-only databases, so no verdict depends on the
-    // thread that computed it. The shard's fold keeps no UR, so the
-    // classified URs drop here, on the worker.
-    let classify_batch = |shard: &mut RunFold, urs: Vec<CollectedUr>| {
-        for c in streamer.classify_batch_owned(urs) {
-            shard.absorb(&c);
-        }
+    // Runs on whichever worker scanned the UR's shard, while its reply is
+    // read: each verdict reads one UR and the read-only databases, so no
+    // verdict depends on the thread that computed it. The shard's fold
+    // keeps no UR, and the worker's address buffer is reused UR to UR.
+    let absorb = |(shard, ips): &mut (RunFold, Vec<std::net::Ipv4Addr>),
+                  ur: CollectedUr<RDataSetRef<'_>>| {
+        let verdict = streamer.decide(&ur, ips);
+        shard.absorb(&ur, verdict, ips);
     };
     let scheduler = QueryScheduler::new(cfg.scheduler_seed, cfg.per_server_interval)
         .with_global_interval(cfg.rate_limit_interval);
@@ -548,10 +543,9 @@ pub fn run_streamed(
         &scheduler,
         world_shards,
         workers,
-        CLASSIFY_BATCH,
-        &classify_batch,
+        &absorb,
         || {},
-        &mut |_, shard: RunFold| fold = std::mem::take(&mut fold).merge(shard),
+        &mut |_, (shard, _)| fold = std::mem::take(&mut fold).merge(shard),
     );
     if let Some(hub) = &cfg.obs {
         fold.publish(hub.registry());
@@ -614,20 +608,20 @@ pub fn evaluate_false_negatives(
                 let qid = QidGen::of(ti as u64, rtype);
                 // Same probe + assembly path as the bulk scan, so the
                 // evaluation exercises the exact production logic.
-                if let Some(ur) = query_one_ur(
+                let index = delegated_inputs.len() as u32;
+                query_one_ur(
                     &mut world.net,
                     &mut engine,
                     cfg.collect.scanner_ip,
-                    *ns_ip,
+                    (*ns_ip, None),
                     (domain, key),
                     rtype,
                     qid,
                     provider,
                     // Each kept UR at its index in the list.
-                    (0, delegated_inputs.len() as u32),
-                ) {
-                    delegated_inputs.push(ur);
-                }
+                    (0, index),
+                    |ur| delegated_inputs.push(ur.to_kept()),
+                );
             }
         }
     }

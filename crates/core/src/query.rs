@@ -35,7 +35,7 @@ use fxhash::{Digest, FxHashMap};
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
-use dnswire::{Flags, Name, RDataSet, Rcode, RecordType, RecordView};
+use dnswire::{Flags, Name, RDataSet, RDataSetRef, Rcode, RecordType, RecordView};
 use simnet::{Network, SimDuration};
 
 /// What a probe brings back: the response's header flags and the data of
@@ -280,17 +280,31 @@ impl ServerHealth {
 }
 
 /// Per-nameserver consecutive-failure circuit breaker, plus the per-server
-/// RTT estimates that drive adaptive timeouts: one record a server, found
-/// once a probe.
+/// RTT estimates that drive adaptive timeouts: one record a server, in a
+/// dense table. The shard scan finds a server by its slot, its index in
+/// the shard's nameserver range; every other probe by its address,
+/// through the one map that gives it a slot. An engine uses one or the
+/// other.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NsHealth {
-    servers: FxHashMap<Ipv4Addr, ServerHealth>,
+    servers: Vec<ServerHealth>,
+    slots: FxHashMap<Ipv4Addr, usize>,
 }
 
 impl NsHealth {
+    /// The record in `slot`, fresh on first sight.
+    pub(crate) fn at(&mut self, slot: usize) -> &mut ServerHealth {
+        if slot >= self.servers.len() {
+            self.servers.resize_with(slot + 1, ServerHealth::default);
+        }
+        &mut self.servers[slot]
+    }
+
     /// The record of `server`, fresh on first sight.
     pub(crate) fn server(&mut self, server: Ipv4Addr) -> &mut ServerHealth {
-        self.servers.entry(server).or_default()
+        let next = self.slots.len();
+        let slot = *self.slots.entry(server).or_insert(next);
+        self.at(slot)
     }
 }
 
@@ -455,37 +469,8 @@ impl ProbeEngine {
         d.finish()
     }
 
-    /// One transmission and its wait, over [`authdns::exchange`]: the reply
-    /// is parsed where it lies and only the answers `keep` accepts are
-    /// copied out of it.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt(
-        net: &mut Network,
-        client_ip: Ipv4Addr,
-        server_ip: Ipv4Addr,
-        qname: &Name,
-        qtype: RecordType,
-        qid: u16,
-        timeout: SimDuration,
-        keep: &impl Fn(&RecordView<'_>) -> bool,
-    ) -> Option<ProbeReply> {
-        authdns::exchange(
-            net,
-            client_ip,
-            server_ip,
-            qname,
-            qtype,
-            qid,
-            timeout,
-            keep,
-            |resp, answers| ProbeReply {
-                flags: resp.flags,
-                answers,
-            },
-        )
-    }
-
-    /// [`ProbeEngine::query_keeping`] every answer record.
+    /// [`ProbeEngine::probe`] of the server at `server_ip`, found by its
+    /// address: the flags and every answer record, copied into one buffer.
     pub fn query(
         &mut self,
         net: &mut Network,
@@ -495,29 +480,49 @@ impl ProbeEngine {
         qtype: RecordType,
         qid: u16,
     ) -> Option<ProbeReply> {
-        self.query_keeping(net, client_ip, server_ip, qname, qtype, qid, |_| true)
+        let server = (server_ip, None);
+        self.probe(
+            net,
+            client_ip,
+            server,
+            qname,
+            qtype,
+            qid,
+            |_| true,
+            |flags, answers| ProbeReply {
+                flags,
+                answers: answers.to_set(),
+            },
+        )
     }
 
     /// One resilient DNS probe: transmit, wait, retransmit with backoff up
     /// to `plan.attempts` times, reusing `qid` so a late reply to an earlier
     /// transmission still matches. Every call lands in exactly one
-    /// [`CoverageReport`] bucket. Of the response, the flags and the answer
-    /// records `keep` accepts come back.
+    /// [`CoverageReport`] bucket. `read` is handed the flags of the
+    /// response that answers and the answer records `keep` accepted, read
+    /// where the reply lies, and its result comes back; it runs once at
+    /// most. `server` is the server's address and, when the caller
+    /// addresses its servers by slot (the shard scan), its slot.
     ///
     /// A probe to a quarantined server is skipped without sending.
     #[allow(clippy::too_many_arguments)]
-    pub fn query_keeping(
+    pub fn probe<T>(
         &mut self,
         net: &mut Network,
         client_ip: Ipv4Addr,
-        server_ip: Ipv4Addr,
+        (server_ip, slot): (Ipv4Addr, Option<usize>),
         qname: &Name,
         qtype: RecordType,
         qid: u16,
         keep: impl Fn(&RecordView<'_>) -> bool,
-    ) -> Option<ProbeReply> {
+        mut read: impl FnMut(Flags, RDataSetRef<'_>) -> T,
+    ) -> Option<T> {
         self.coverage.scheduled += 1;
-        let health = self.health.server(server_ip);
+        let health = match slot {
+            Some(slot) => self.health.at(slot),
+            None => self.health.server(server_ip),
+        };
         if health.quarantined {
             self.coverage.skipped_quarantined += 1;
             return None;
@@ -552,10 +557,21 @@ impl ProbeEngine {
                 self.tally.backoff_wait_us += wait.as_micros();
             }
             let sent_at = net.now();
-            if let Some(resp) =
-                Self::attempt(net, client_ip, server_ip, qname, qtype, qid, timeout, &keep)
-            {
-                if resp.flags.recursion_available {
+            // One transmission and its wait: the reply is parsed where it
+            // lies and read there.
+            let answered = authdns::exchange(
+                net,
+                client_ip,
+                server_ip,
+                qname,
+                qtype,
+                qid,
+                timeout,
+                &keep,
+                |resp, answers| (resp.flags, read(resp.flags, answers)),
+            );
+            if let Some((flags, out)) = answered {
+                if flags.recursion_available {
                     // Recursive responders resolve on their own clock;
                     // their service times poison the estimator (and a
                     // derived timeout would cut off slow-but-coming
@@ -563,7 +579,7 @@ impl ProbeEngine {
                     health.note_recursive();
                 }
                 if attempt == 1 {
-                    if !resp.flags.recursion_available {
+                    if !flags.recursion_available {
                         // Karn's rule: only an answer to the first
                         // transmission is an unambiguous RTT sample.
                         let rtt = net.now().since(sent_at);
@@ -576,7 +592,7 @@ impl ProbeEngine {
                 }
                 self.tally.attempts.observe(u64::from(attempt));
                 health.record_success();
-                return Some(resp);
+                return Some(out);
             }
         }
         self.coverage.gave_up += 1;
@@ -693,9 +709,9 @@ mod tests {
         // Re-recording doesn't report "newly quarantined" again.
         assert!(!h.server(s).record_failure(3));
         let quarantined: Vec<Ipv4Addr> = h
-            .servers
+            .slots
             .iter()
-            .filter(|(_, state)| state.quarantined)
+            .filter(|&(_, &slot)| h.servers[slot].quarantined)
             .map(|(ip, _)| *ip)
             .collect();
         assert_eq!(quarantined, vec![s]);

@@ -3,11 +3,11 @@
 use crate::analyze::Analysis;
 use crate::classify::REASON_METRICS;
 use crate::query::CoverageReport;
-use crate::types::{ClassifiedUr, MaliciousEvidence, UrCategory};
+use crate::types::{ClassifiedUr, CollectedUr, MaliciousEvidence, NameId, UrCategory, Verdict};
 use dnswire::RecordType;
 use fxhash::{Digest, FxHashMap, FxHashSet, SeqDigest};
 use intel::{AlertCategory, IntelAggregator, ThreatTag};
-use intern::{InternedName, Sym};
+use intern::Sym;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
@@ -158,29 +158,29 @@ pub fn build_report(
 pub fn classified_sequence_hash(classified: &[ClassifiedUr]) -> u64 {
     let mut d = SeqDigest::default();
     for c in classified {
-        d.push(row_digest(c));
+        d.push(row_digest(&c.ur, c.verdict(), &c.corresponding_ips));
     }
     d.value()
 }
 
 /// One UR's row of the sequence digest: its position, identity triple,
-/// category, correct reason and corresponding addresses (the layout is in
-/// DESIGN.md §6, "Digests"), finished. The provider and the TXT category
-/// are not digested.
-fn row_digest(c: &ClassifiedUr) -> u64 {
+/// category, correct reason and corresponding addresses `ips` (the layout
+/// is in DESIGN.md §6, "Digests"), finished. The provider, the TXT
+/// category and the records are not digested.
+fn row_digest<R>(ur: &CollectedUr<R>, verdict: Verdict, ips: &[Ipv4Addr]) -> u64 {
     let mut d = Digest::new();
-    d.u16(c.ur.shard);
-    d.u32(c.ur.index);
-    d.bytes(&c.ur.key.ns_ip.octets());
-    c.ur.key.domain.digest_into(&mut d);
-    d.u16(c.ur.key.rtype.code());
-    d.u8(c.category as u8);
-    d.len(usize::from(c.correct_reason.is_some()));
-    if let Some(r) = c.correct_reason {
+    d.u16(ur.shard);
+    d.u32(ur.index);
+    d.bytes(&ur.key.ns_ip.octets());
+    ur.key.domain.digest_into(&mut d);
+    d.u16(ur.key.rtype.code());
+    d.u8(verdict.category as u8);
+    d.len(usize::from(verdict.correct_reason.is_some()));
+    if let Some(r) = verdict.correct_reason {
         d.u8(r as u8);
     }
-    d.len(c.corresponding_ips.len());
-    for ip in &c.corresponding_ips {
+    d.len(ips.len());
+    for ip in ips {
         d.bytes(&ip.octets());
     }
     d.finish()
@@ -192,21 +192,22 @@ fn row_digest(c: &ClassifiedUr) -> u64 {
 #[derive(Debug, Default)]
 struct Table1Acc {
     urs: [usize; 2],
-    domains: [FxHashSet<InternedName>; 2],
+    domains: [FxHashSet<NameId>; 2],
     nameservers: [FxHashSet<Ipv4Addr>; 2],
     providers: [FxHashSet<Sym>; 2],
     ips: [FxHashSet<Ipv4Addr>; 2],
 }
 
 impl Table1Acc {
-    /// Absorb one suspicious (unknown or malicious) UR.
-    fn absorb(&mut self, c: &ClassifiedUr) {
-        for k in 0..=usize::from(c.category == UrCategory::Malicious) {
+    /// Absorb one suspicious (unknown or malicious) UR, its corresponding
+    /// addresses `ips`.
+    fn absorb<R>(&mut self, ur: &CollectedUr<R>, malicious: bool, ips: &[Ipv4Addr]) {
+        for k in 0..=usize::from(malicious) {
             self.urs[k] += 1;
-            self.domains[k].insert(c.ur.key.domain);
-            self.nameservers[k].insert(c.ur.key.ns_ip);
-            self.providers[k].insert(c.ur.provider);
-            self.ips[k].extend(&c.corresponding_ips);
+            self.domains[k].insert(NameId(ur.key.domain));
+            self.nameservers[k].insert(ur.key.ns_ip);
+            self.providers[k].insert(ur.provider);
+            self.ips[k].extend(ips);
         }
     }
 
@@ -313,34 +314,39 @@ impl RunFold {
     pub(crate) fn of(classified: &[ClassifiedUr]) -> Self {
         let mut fold = RunFold::default();
         for c in classified {
-            fold.absorb(c);
+            fold.absorb(&c.ur, c.verdict(), &c.corresponding_ips);
         }
         fold
     }
 
-    /// Absorb one more UR.
-    pub(crate) fn absorb(&mut self, c: &ClassifiedUr) {
-        self.digest.push(row_digest(c));
-        self.totals.count(c.category);
+    /// Absorb one more UR, decided as `verdict`, its corresponding
+    /// addresses `ips`: kept in a [`ClassifiedUr`], or read off its reply
+    /// on the streamed path (its records are not read).
+    pub(crate) fn absorb<R>(&mut self, ur: &CollectedUr<R>, verdict: Verdict, ips: &[Ipv4Addr]) {
+        let category = verdict.category;
+        self.digest.push(row_digest(ur, verdict, ips));
+        self.totals.count(category);
         self.providers
-            .entry(c.ur.provider)
+            .entry(ur.provider)
             .or_default()
-            .count(c.category);
-        if let Some(reason) = c.correct_reason {
+            .count(category);
+        if let Some(reason) = verdict.correct_reason {
             self.reasons[reason as usize] += 1;
         }
-        let rtype = c.ur.key.rtype;
-        if matches!(c.category, UrCategory::Unknown | UrCategory::Malicious) {
+        let rtype = ur.key.rtype;
+        let malicious = category == UrCategory::Malicious;
+        if malicious || category == UrCategory::Unknown {
             let slot = match rtype {
                 RecordType::A => 0,
                 RecordType::Txt => 1,
                 _ => 2,
             };
-            self.by_type[slot].absorb(c);
+            self.by_type[slot].absorb(ur, malicious, ips);
         }
-        if c.category == UrCategory::Malicious && rtype == RecordType::Txt {
+        if malicious && rtype == RecordType::Txt {
             self.txt_malicious += 1;
-            self.txt_email += usize::from(c.txt_category.is_some_and(|t| t.is_email_related()));
+            self.txt_email +=
+                usize::from(verdict.txt_category.is_some_and(|t| t.is_email_related()));
         }
     }
 

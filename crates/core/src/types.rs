@@ -7,7 +7,7 @@
 //! their text — never by id — so every pinned output digest is unchanged
 //! from the owned-representation era.
 
-use dnswire::{RDataSet, RecordType};
+use dnswire::{RDataSet, RDataSetRef, RecordType};
 use fxhash::{FxHashMap, FxHashSet};
 use intern::{InternedName, Sym};
 use std::borrow::Cow;
@@ -33,13 +33,15 @@ pub struct UrKey {
 /// A scan keeps every UR it collects until the run returns, so only what
 /// a verdict reads is kept of the answer: the data of each record, in one
 /// [`RDataSet`] buffer. Owner names, classes and TTLs are dropped (the
-/// probe kept only records of the asked name and type).
+/// probe kept only records of the asked name and type). On the streamed
+/// path nothing is kept: the UR is classified while its reply is read,
+/// its records borrowed (`R` = [`RDataSetRef`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CollectedUr {
+pub struct CollectedUr<R = RDataSet> {
     /// Identity triple.
     pub key: UrKey,
     /// The data of the answer's records, in answer order.
-    pub records: RDataSet,
+    pub records: R,
     /// Provider operating the nameserver (from the NS inventory).
     pub provider: Sym,
     /// AA flag of the response (authoritative data).
@@ -58,6 +60,21 @@ pub struct CollectedUr {
 // The position fills what was padding: a UR stays 40 B on a 64-bit target.
 const _: () = assert!(std::mem::size_of::<CollectedUr>() <= 40);
 
+impl<R> CollectedUr<R> {
+    /// The same UR over other records.
+    fn with<S>(&self, records: S) -> CollectedUr<S> {
+        CollectedUr {
+            key: self.key,
+            records,
+            provider: self.provider,
+            authoritative: self.authoritative,
+            recursion_available: self.recursion_available,
+            shard: self.shard,
+            index: self.index,
+        }
+    }
+}
+
 impl CollectedUr {
     /// The IPv4 addresses contained in A records of this UR.
     pub fn a_ips(&self) -> Vec<Ipv4Addr> {
@@ -69,6 +86,19 @@ impl CollectedUr {
     /// nothing).
     pub fn txt_strs(&self) -> Vec<Cow<'_, str>> {
         self.records.iter().filter_map(|r| r.txt_str()).collect()
+    }
+
+    /// This UR, its records borrowed.
+    pub(crate) fn borrowed(&self) -> CollectedUr<RDataSetRef<'_>> {
+        self.with(self.records.borrowed())
+    }
+}
+
+impl CollectedUr<RDataSetRef<'_>> {
+    /// This UR with its records copied out: what a run that keeps its
+    /// URs keeps.
+    pub(crate) fn to_kept(&self) -> CollectedUr {
+        self.with(self.records.to_set())
     }
 }
 
@@ -92,14 +122,37 @@ pub struct DomainProfile {
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct CorrectDb {
     /// Per-domain profiles.
-    pub(crate) domains: FxHashMap<InternedName, DomainProfile>,
+    pub(crate) domains: FxHashMap<NameId, DomainProfile>,
 }
 
 impl CorrectDb {
     /// Profile for one domain (a shared empty profile if never collected).
     pub(crate) fn profile(&self, domain: &InternedName) -> &DomainProfile {
         static EMPTY: LazyLock<DomainProfile> = LazyLock::new(DomainProfile::default);
-        self.domains.get(domain).unwrap_or(&EMPTY)
+        self.domains.get(&NameId(*domain)).unwrap_or(&EMPTY)
+    }
+}
+
+/// An interned name as the key of a map that is only probed or counted,
+/// never iterated in order: it hashes the name's id
+/// ([`InternedName::id`]), one word, where the name's own hash reads
+/// every byte of it. Ids follow interning order, so nothing keyed by one
+/// may reach ordered output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct NameId(pub(crate) InternedName);
+
+impl std::hash::Hash for NameId {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u32(self.0.id());
+    }
+}
+
+impl DomainProfile {
+    /// Whether `text` is one of the domain's correct TXT records: compared
+    /// with the profile's own few strings, so scan data is never looked up
+    /// in the global interner.
+    pub(crate) fn has_txt(&self, text: &str) -> bool {
+        self.txts.iter().any(|known| known.as_str() == text)
     }
 }
 
@@ -113,36 +166,25 @@ pub struct ProtectiveProfile {
     pub(crate) txts: FxHashSet<Sym>,
 }
 
-/// Protective-record database keyed by nameserver address.
+impl ProtectiveProfile {
+    /// Whether `text` is the server's protective TXT. Protective bodies
+    /// embed the queried name or provider, so a text matches a known one
+    /// exactly or on a stable prefix of at least 12 bytes.
+    pub(crate) fn has_txt(&self, text: &str) -> bool {
+        self.txts.iter().any(|known| {
+            let known = known.as_str();
+            known == text || common_prefix_len(known, text) >= 12
+        })
+    }
+}
+
+/// Protective-record database keyed by nameserver address: a UR is
+/// protective when it is non-empty and every record of it is the
+/// server's protective A address or TXT ([`ProtectiveProfile`]).
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct ProtectiveDb {
     /// Per-nameserver protective profiles.
     pub(crate) servers: FxHashMap<Ipv4Addr, ProtectiveProfile>,
-}
-
-impl ProtectiveDb {
-    /// Does `ur` exactly match the nameserver's protective behaviour?
-    pub(crate) fn matches(&self, ur: &CollectedUr) -> bool {
-        let Some(p) = self.servers.get(&ur.key.ns_ip) else {
-            return false;
-        };
-        let records = ur.records.iter();
-        match ur.key.rtype {
-            RecordType::A => {
-                nonempty_all(records.filter_map(|r| r.as_a()), |ip| p.a_ips.contains(&ip))
-            }
-            // Protective TXT bodies embed the queried name/provider, so
-            // match on the stable prefix rather than full equality.
-            // `Sym::lookup` probes the set without interning scan data.
-            RecordType::Txt => nonempty_all(records.filter_map(|r| r.txt_str()), |t| {
-                Sym::lookup(&t).is_some_and(|s| p.txts.contains(&s))
-                    || p.txts
-                        .iter()
-                        .any(|known| common_prefix_len(known.as_str(), &t) >= 12)
-            }),
-            _ => false,
-        }
-    }
 }
 
 /// Whether `items` yields at least one item and `holds` for every one,
@@ -283,6 +325,30 @@ pub struct ClassifiedUr {
 // for every UR.
 const _: () = assert!(std::mem::size_of::<ClassifiedUr>() <= 72);
 
+impl ClassifiedUr {
+    /// What was decided about the UR, its addresses aside.
+    pub(crate) fn verdict(&self) -> Verdict {
+        Verdict {
+            category: self.category,
+            correct_reason: self.correct_reason,
+            txt_category: self.txt_category,
+        }
+    }
+}
+
+/// What the classifier decides about one UR besides its corresponding
+/// addresses: what a [`ClassifiedUr`] holds of it, or what the streamed
+/// scan folds while the UR's reply is still being read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Verdict {
+    /// Category.
+    pub(crate) category: UrCategory,
+    /// Why it was excluded as correct, if it was.
+    pub(crate) correct_reason: Option<CorrectReason>,
+    /// TXT category, for TXT URs.
+    pub(crate) txt_category: Option<TxtCategory>,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,6 +411,19 @@ mod tests {
         assert_eq!(u.txt_strs(), ["v=spf1 -all"]);
     }
 
+    /// Whether the classifier finds `ur` protective under `db` alone.
+    fn is_protective(db: &ProtectiveDb, ur: &CollectedUr) -> bool {
+        let (correct, metadata, history) = (
+            CorrectDb::default(),
+            netdb::NetDb::new(),
+            pdns::PassiveDns::new(),
+        );
+        let cfg = crate::ClassifyConfig::default();
+        let classifier = crate::StreamClassifier::new(&correct, db, &metadata, &history, &cfg);
+        let verdict = classifier.decide(&ur.borrowed(), &mut Vec::new());
+        verdict.category == UrCategory::Protective
+    }
+
     #[test]
     fn protective_matching_a() {
         let mut db = ProtectiveDb::default();
@@ -352,9 +431,9 @@ mod tests {
         profile.a_ips.insert(Ipv4Addr::new(20, 0, 255, 1));
         db.servers.insert(Ipv4Addr::new(20, 0, 0, 1), profile);
         let hit = ur(RecordType::A, vec![RData::A(Ipv4Addr::new(20, 0, 255, 1))]);
-        assert!(db.matches(&hit));
+        assert!(is_protective(&db, &hit));
         let miss = ur(RecordType::A, vec![RData::A(Ipv4Addr::new(6, 6, 6, 6))]);
-        assert!(!db.matches(&miss));
+        assert!(!is_protective(&db, &miss));
     }
 
     #[test]
@@ -371,19 +450,25 @@ mod tests {
                 "v=warning; domain not hosted on P; see status page",
             )],
         );
-        assert!(db.matches(&hit));
+        assert!(is_protective(&db, &hit));
+        // The body names the provider: a shared 12-byte prefix is enough.
+        let named = ur(
+            RecordType::Txt,
+            vec![RData::txt_from_str("v=warning; domain not hosted on Q")],
+        );
+        assert!(is_protective(&db, &named));
         let miss = ur(
             RecordType::Txt,
             vec![RData::txt_from_str("v=spf1 ip4:6.6.6.6 -all")],
         );
-        assert!(!db.matches(&miss));
+        assert!(!is_protective(&db, &miss));
     }
 
     #[test]
     fn unknown_server_never_protective() {
         let db = ProtectiveDb::default();
         let u = ur(RecordType::A, vec![RData::A(Ipv4Addr::new(1, 1, 1, 1))]);
-        assert!(!db.matches(&u));
+        assert!(!is_protective(&db, &u));
     }
 
     #[test]

@@ -54,6 +54,6 @@ pub use message::{
 };
 pub use name::{Folded, FoldedName, Name, NameBuf, NameRef, WireName, MAX_LABEL_LEN, MAX_NAME_LEN};
 pub use rdata::{RData, RDataView};
-pub use rdataset::RDataSet;
+pub use rdataset::{RDataSet, RDataSetRef};
 pub use record::{Question, QuestionView, Record, RecordView};
 pub use types::{Class, Opcode, Rcode, RecordType};

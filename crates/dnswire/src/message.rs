@@ -3,7 +3,7 @@
 use crate::error::{WireError, WireResult};
 use crate::name::{CompressionMap, Name, NameRef};
 use crate::rdata::RData;
-use crate::rdataset::{push_record, RDataSet};
+use crate::rdataset::{push_record, RDataSetRef};
 use crate::record::{
     encode_body, encode_record, encode_record_body, Question, QuestionView, Record, RecordView,
 };
@@ -276,15 +276,16 @@ pub enum Section {
 }
 
 thread_local! {
-    /// The buffer [`MessageView::parse_keeping`] writes kept data in
-    /// before copying it out.
+    /// The buffer [`MessageView::parse_keeping`] writes kept data in, for
+    /// its reader to read in place.
     static KEPT: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
 
-    /// Compression maps between writers: taken when a writer starts,
+    /// The compression map between writers: taken when a writer starts,
     /// handed back cleared when the writer is consumed, so a thread that
-    /// writes message after message builds its map's tables once.
-    static SPARE_MAPS: std::cell::RefCell<Vec<CompressionMap>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    /// writes message after message builds its map's tables once. A
+    /// writer started while another is open gets a map of its own.
+    static SPARE_MAP: std::cell::Cell<Option<Box<CompressionMap>>> =
+        const { std::cell::Cell::new(None) };
 }
 
 /// The one encoder: a DNS message written front to back.
@@ -305,7 +306,8 @@ thread_local! {
 #[derive(Debug)]
 pub struct MessageWriter {
     buf: Vec<u8>,
-    map: CompressionMap,
+    /// Boxed, so a writer takes and hands back a pointer, not the map.
+    map: Box<CompressionMap>,
     limit: usize,
     id: u16,
     flags: Flags,
@@ -326,9 +328,7 @@ impl MessageWriter {
         buf.extend_from_slice(&[0; 12]);
         MessageWriter {
             buf,
-            map: SPARE_MAPS
-                .with(|m| m.borrow_mut().pop())
-                .unwrap_or_default(),
+            map: SPARE_MAP.take().unwrap_or_default(),
             limit,
             id,
             flags,
@@ -382,9 +382,8 @@ impl MessageWriter {
         debug_assert_eq!(self.counts[1..], [0; 3], "questions precede records");
         if self.counts[0] == 0 {
             // The first name of a message has nothing to point at: it is
-            // written literally, and enters the compression map only when
-            // a later name needs its suffixes.
-            self.map.defer_first(self.buf.len(), qname);
+            // written literally, without a look at the map.
+            self.map.set_first(self.buf.len(), qname);
             qname.encode_uncompressed(&mut self.buf);
         } else {
             qname.encode_compressed(&mut self.buf, &mut self.map);
@@ -494,7 +493,7 @@ impl MessageWriter {
     }
 
     /// Patch the header in and hand the buffer out with the verdict on its
-    /// size; the compression map goes back to the thread's spares.
+    /// size; the compression map goes back to the thread's spare.
     fn into_bytes(mut self) -> (Vec<u8>, WireResult<()>) {
         // Questions are never rolled back, so they alone can overshoot.
         self.flags.truncated |= self.cut || self.buf.len() > self.limit;
@@ -504,7 +503,7 @@ impl MessageWriter {
             self.buf[4 + 2 * i..6 + 2 * i].copy_from_slice(&count.to_be_bytes());
         }
         self.map.clear();
-        SPARE_MAPS.with(|m| m.borrow_mut().push(self.map));
+        SPARE_MAP.set(Some(self.map));
         let result = if self.buf.len() > MAX_MESSAGE_LEN {
             Err(WireError::MessageTooLong(self.buf.len()))
         } else {
@@ -591,14 +590,17 @@ impl<'a> MessageView<'a> {
     }
 
     /// [`MessageView::parse`], keeping the data of each answer record
-    /// `keep` accepts as the walk validates it, in answer order: a reader
-    /// that wants nothing else of the answers reads the message once. The
-    /// set is one exact allocation, none when nothing is kept.
-    pub fn parse_keeping(
+    /// `keep` accepts as the walk validates it, in answer order, and
+    /// handing the view and the kept records to `read`: a reader that
+    /// wants nothing else of the answers reads the message once. The
+    /// records are read where the walk wrote them, in this thread's
+    /// scratch, so nothing is allocated unless `read` copies them
+    /// ([`RDataSetRef::to_set`](crate::RDataSetRef::to_set)).
+    pub fn parse_keeping<T>(
         msg: &'a [u8],
         keep: impl Fn(&RecordView<'a>) -> bool,
-    ) -> WireResult<(MessageView<'a>, RDataSet)> {
-        // Written in this thread's scratch, then copied out at its size.
+        read: impl FnOnce(&MessageView<'a>, RDataSetRef<'_>) -> T,
+    ) -> WireResult<T> {
         let mut kept = KEPT.take();
         kept.clear();
         let walked = MessageView::walk(
@@ -610,7 +612,7 @@ impl<'a> MessageView<'a> {
                 }
             },
         )
-        .map(|view| (view, RDataSet::copy_of(&kept)));
+        .map(|view| read(&view, RDataSetRef::of(&kept)));
         KEPT.set(kept);
         walked
     }
@@ -1229,6 +1231,68 @@ mod tests {
                 w.finish().unwrap()
             };
             assert_eq!(write(true), write(false), "{qname} / {owner}");
+        }
+    }
+
+    #[test]
+    fn a_negative_answers_soa_points_into_the_question_where_it_can() {
+        // The SOA of `example.com` in authority, after questions that hold
+        // its owner, `ns1.<apex>` or `hostmaster.<apex>`, or hold either
+        // one above the apex, and after a second question that does.
+        // Offsets count from the header's start; the first question is at
+        // 12.
+        let hm = |at: u8| [&[10][..], b"hostmaster", &[0xC0, at]].concat();
+        let ns1 = |at: u8| vec![3, b'n', b's', b'1', 0xC0, at];
+        for (questions, owner, mname, rname) in [
+            (&["www.example.com"][..], 16, ns1(16), hm(16)),
+            (&["ns1.example.com"], 16, vec![0xC0, 12], hm(16)),
+            (&["HOSTMASTER.example.com"], 23, ns1(23), vec![0xC0, 12]),
+            (&["x.ns1.Example.COM"], 18, vec![0xC0, 14], hm(18)),
+            (
+                &["example.com", "ns1.example.com"],
+                12,
+                vec![0xC0, 29],
+                hm(12),
+            ),
+            (
+                &["a.example.com", "hostmaster.example.com"],
+                14,
+                ns1(14),
+                vec![0xC0, 31],
+            ),
+        ] {
+            let mut q = Message::query(3, Question::new(name(questions[0]), RecordType::Txt));
+            for &more in &questions[1..] {
+                q.questions.push(Question::new(name(more), RecordType::A));
+            }
+            let mut w = MessageWriter::new(3, q.flags, MAX_MESSAGE_LEN);
+            for q in &q.questions {
+                w.question(q.qname.borrowed(), q.qtype, q.qclass);
+            }
+            let apex = name("example.com");
+            let (m, r) = (
+                NameBuf::child(b"ns1", apex.borrowed()).unwrap(),
+                NameBuf::child(b"hostmaster", apex.borrowed()).unwrap(),
+            );
+            assert!(w.soa(
+                Section::Authority,
+                apex.borrowed(),
+                60,
+                m.borrowed(),
+                r.borrowed(),
+                [0; 5]
+            ));
+            let wire = w.finish().unwrap();
+            let mut want = body(&q);
+            want.extend_from_slice(&[0xC0, owner]);
+            want.extend(fixed(
+                RecordType::Soa,
+                (mname.len() + rname.len() + 20) as u16,
+            ));
+            want.extend(mname);
+            want.extend(rname);
+            want.extend_from_slice(&[0; 20]);
+            assert_eq!(wire[12..], want, "{questions:?}");
         }
     }
 

@@ -324,37 +324,30 @@ impl<'a> NameRef<'a> {
         &self.flat[start + 1..start + 1 + self.flat[start] as usize]
     }
 
-    /// Encode with DNS name compression.
-    ///
-    /// Every suffix of the name is registered in `map` (a per-message
-    /// suffix trie); the longest suffix already written at a pointable
-    /// offset is replaced with a 2-byte pointer, and newly written labels
-    /// at offsets ≤ 0x3FFF become pointer targets for later names.
-    /// Matching is case-insensitive (RFC 1035 §2.3.3). A name equal to the
-    /// message's first name is the pointer to it without a trie walk (see
-    /// [`CompressionMap::defer_first`]).
+    /// Encode with DNS name compression: the longest suffix of the name
+    /// already written at a pointable offset is replaced with a 2-byte
+    /// pointer to where it was first written, and the labels written
+    /// before it become pointer targets for later names (see
+    /// [`CompressionMap`]).
     pub(crate) fn encode_compressed(self, buf: &mut Vec<u8>, map: &mut CompressionMap) {
-        if let Some(at) = map.pointer_to_first(self, buf) {
-            push_pointer(buf, at);
-            return;
-        }
-        let n = self.label_count();
-        let starts = self.label_starts();
-        let chain = map.suffix_nodes(self, &starts);
-        // The longest suffix already written at a pointable offset.
-        let pointer = (0..n).find_map(|i| map.offset(chain[i]).map(|off| (i, off)));
-        let literal_upto = pointer.map_or(n, |(i, _)| i);
-        for (&node, &start) in chain.iter().zip(&starts).take(literal_upto) {
-            let here = buf.len();
-            if here <= 0x3FFF {
-                map.record_offset(node, here as u16);
+        let mut rest = self;
+        let pointer = loop {
+            if rest.is_root() {
+                break None;
             }
-            let l = self.label_at(start);
-            buf.push(l.len() as u8);
-            buf.extend_from_slice(l);
+            if let Some(at) = map.find(rest, buf) {
+                break Some(at);
+            }
+            rest = rest.parent().expect("a name with a label has a parent");
+        };
+        let literal = self.label_count() - rest.label_count();
+        for label in self.labels().take(literal) {
+            map.record(buf.len());
+            buf.push(label.len() as u8);
+            buf.extend_from_slice(label);
         }
         match pointer {
-            Some((_, off)) => push_pointer(buf, off),
+            Some(at) => push_pointer(buf, at),
             None => buf.push(0),
         }
     }
@@ -601,21 +594,48 @@ impl<'a> Folded<'a> {
 }
 
 /// The owned key of a name-keyed map: a name's folded flat bytes (see
-/// [`Folded`]). It hashes and compares as those bytes do, so the map is
-/// probed with [`Folded::key`].
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct FoldedName(Box<[u8]>);
+/// [`Folded`]). It hashes as those bytes do, so the map is probed with
+/// [`Folded::key`]. A key of up to 22 bytes (most domains) lies in the
+/// map's own slot, so a hit reads no second block; a longer one is boxed.
+/// Each length has one form, so the derived `==` compares the bytes.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct FoldedName(Key);
+
+#[derive(Clone, PartialEq, Eq, Debug)]
+enum Key {
+    Inline(u8, [u8; 22]),
+    Boxed(Box<[u8]>),
+}
+
+const _: () = assert!(std::mem::size_of::<FoldedName>() == 24);
 
 impl FoldedName {
     /// The key of `name`.
     pub fn new(name: NameRef<'_>) -> Self {
-        FoldedName(name.flat.to_ascii_lowercase().into_boxed_slice())
+        let mut bytes = [0; 22];
+        match bytes.get_mut(..name.flat.len()) {
+            Some(inline) => {
+                inline.copy_from_slice(name.flat);
+                bytes.make_ascii_lowercase();
+                FoldedName(Key::Inline(name.flat.len() as u8, bytes))
+            }
+            None => FoldedName(Key::Boxed(name.flat.to_ascii_lowercase().into())),
+        }
+    }
+}
+
+impl Hash for FoldedName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        <Self as Borrow<[u8]>>::borrow(self).hash(state)
     }
 }
 
 impl Borrow<[u8]> for FoldedName {
     fn borrow(&self) -> &[u8] {
-        &self.0
+        match &self.0 {
+            Key::Inline(len, bytes) => &bytes[..*len as usize],
+            Key::Boxed(bytes) => bytes,
+        }
     }
 }
 
@@ -665,201 +685,89 @@ impl NameBuf {
     }
 }
 
-/// DNS name-compression state of one message being written.
-///
-/// A trie of `(parent node, label)` edges whose lowercased label bytes live
-/// in one shared arena, found through a fixed table of bucket heads with
-/// the collision chain threaded through the nodes themselves. Lookups hash
-/// in place and verify with a case-insensitive byte compare. Nothing in
-/// here is sized per message, so [`CompressionMap::clear`] resets it for
-/// the next message without giving any memory back: a writer that keeps
-/// its map encodes without allocating once the map has warmed up.
+/// DNS name-compression state of one message being written: the offset
+/// of every label written literally at a pointable offset (≤ 0x3FFF), in
+/// the order written. The suffix a name points at is found by reading the
+/// message at those offsets: the first one whose labels, read on through
+/// any pointer, equal the suffix (case-insensitively, RFC 1035 §2.3.3) is
+/// where it was first written. A negative answer compares its SOA's three
+/// names with a handful of offsets, and nothing is hashed or built. The
+/// map holds nothing sized by the message beyond the offsets, so
+/// [`CompressionMap::clear`] resets it for the next message keeping their
+/// memory.
 #[derive(Debug, Default)]
 pub(crate) struct CompressionMap {
-    nodes: Vec<CompressNode>,
-    /// Lowercased label bytes of every node, back to back.
-    arena: Vec<u8>,
-    /// First node of each hash bucket ([`CompressionMap::NONE`] when
-    /// empty); allocated on first use.
-    heads: Vec<u32>,
-    /// The message's first name, written literally ahead of the trie.
-    first: Option<FirstName>,
-}
-
-/// Where a message's first name lies, and whether its suffixes are in the
-/// trie yet.
-#[derive(Debug, Clone, Copy)]
-struct FirstName {
-    at: u16,
-    len: u8,
-    labels: u8,
-    registered: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct CompressNode {
-    parent: u32,
-    /// Next node in the same hash bucket.
-    next: u32,
-    label_start: u32,
-    bucket: u16,
-    label_len: u8,
-    /// Message offset of this suffix, or [`CompressionMap::NO_OFFSET`] when
-    /// the suffix was written beyond the pointable range (or not yet).
-    offset: u16,
+    labels: Vec<u16>,
+    /// Where the message's first name lies, when it has a label.
+    first: Option<u16>,
 }
 
 impl CompressionMap {
-    /// Sentinel parent id of top-level labels (the root has no node).
-    const ROOT: u32 = u32::MAX;
-    /// Sentinel for "no node" in bucket heads and chains.
-    const NONE: u32 = u32::MAX;
-    /// Sentinel for "no recorded offset" (real offsets are ≤ 0x3FFF).
-    const NO_OFFSET: u16 = u16::MAX;
-    /// Hash buckets. A 4 KiB message holds at most ~2 K labels, so chains
-    /// stay short at this size.
-    const BUCKETS: usize = 256;
-
-    /// Forget every suffix, keeping the memory: only the buckets the
-    /// previous message touched are reset.
+    /// Forget every offset, keeping the memory.
     pub(crate) fn clear(&mut self) {
-        for n in &self.nodes {
-            self.heads[n.bucket as usize] = Self::NONE;
-        }
-        self.nodes.clear();
-        self.arena.clear();
+        self.labels.clear();
         self.first = None;
     }
 
     /// `name` was just written literally at offset `at` as the message's
-    /// first name, with the map still empty. Its suffixes enter the trie
-    /// only when a later name that is not equal to it is encoded — the
-    /// state the trie would have held from the start, since nothing else
-    /// was registered in between — and a later name equal to it is the
-    /// pointer to `at` without a trie walk, the pointer the trie would
-    /// have found. A REFUSED reply, which writes nothing after its
-    /// question, never builds a node.
-    pub(crate) fn defer_first(&mut self, at: usize, name: NameRef<'_>) {
-        debug_assert!(self.nodes.is_empty() && at <= 0x3FFF);
-        self.first = Some(FirstName {
-            at: at as u16,
-            len: name.flat.len() as u8,
-            labels: name.labels,
-            registered: false,
-        });
+    /// first name: the map is empty, so it has nothing to point at.
+    pub(crate) fn set_first(&mut self, at: usize, name: NameRef<'_>) {
+        debug_assert!(self.labels.is_empty() && at <= 0x3FFF);
+        self.first = (!name.is_root()).then_some(at as u16);
+        let mut start = at;
+        for label in name.labels() {
+            self.record(start);
+            start += 1 + label.len();
+        }
     }
 
     /// Write, where a name equal to the first name goes, what
     /// [`NameRef::encode_compressed`] writes for it: the pointer to the
-    /// first name, or the root's one byte.
+    /// first name, or the root's one byte, without comparing the two.
     pub(crate) fn write_first(&self, buf: &mut Vec<u8>) {
-        let first = self.first.expect("the first name was written");
-        if first.labels == 0 {
-            buf.push(0);
-        } else {
-            push_pointer(buf, first.at);
+        match self.first {
+            Some(at) => push_pointer(buf, at),
+            None => buf.push(0),
         }
     }
 
-    /// The offset `name` points at when it equals the first name (the
-    /// root excepted: it is the single byte `0`). Any other name first
-    /// brings the first name's suffixes into the trie, once.
-    fn pointer_to_first(&mut self, name: NameRef<'_>, buf: &[u8]) -> Option<u16> {
-        let first = self.first.as_mut()?;
-        let at = first.at as usize;
-        let written = &buf[at..at + first.len as usize];
-        if name.labels > 0 && written.eq_ignore_ascii_case(name.flat) {
-            return Some(first.at);
+    /// A label is written at `at`: a pointer target from now on, if it is
+    /// pointable.
+    fn record(&mut self, at: usize) {
+        if let Ok(at @ ..=0x3FFF) = u16::try_from(at) {
+            self.labels.push(at);
         }
-        if !first.registered {
-            first.registered = true;
-            let first = NameRef {
-                flat: written,
-                labels: first.labels,
-            };
-            let starts = first.label_starts();
-            let chain = self.suffix_nodes(first, &starts);
-            for (&node, &start) in chain.iter().zip(&starts).take(first.label_count()) {
-                self.record_offset(node, (at + start as usize) as u16);
+    }
+
+    /// Where `suffix` (not the root) was first written, if it was.
+    fn find(&self, suffix: NameRef<'_>, buf: &[u8]) -> Option<u16> {
+        self.labels
+            .iter()
+            .copied()
+            .find(|&at| written_at(buf, at as usize, suffix))
+    }
+}
+
+/// Whether the name written in `buf` at `at`, its labels read on through
+/// any pointer to the root byte, is `name`. A label rolled back with its
+/// record lies past `buf`'s end and is no name.
+fn written_at(buf: &[u8], mut at: usize, name: NameRef<'_>) -> bool {
+    let next = |at: &mut usize| loop {
+        match buf.get(*at..*at + 2) {
+            Some(&[hi, lo]) if hi & 0xC0 == 0xC0 => {
+                *at = usize::from(hi & 0x3F) << 8 | usize::from(lo)
             }
+            _ => return buf.get(*at).copied(),
         }
-        None
-    }
-
-    /// Node ids for every suffix of `name` (`starts` are its label
-    /// offsets), built right-to-left so each node's parent already exists.
-    fn suffix_nodes(&mut self, name: NameRef<'_>, starts: &[u8; MAX_LABELS]) -> [u32; MAX_LABELS] {
-        let mut chain = [Self::ROOT; MAX_LABELS];
-        let mut parent = Self::ROOT;
-        for i in (0..name.label_count()).rev() {
-            let node = self.node(parent, name.label_at(starts[i]));
-            chain[i] = node;
-            parent = node;
-        }
-        chain
-    }
-
-    fn bucket_of(parent: u32, label: &[u8]) -> u16 {
-        // FNV-1a over the parent id and the lowercased label bytes.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in parent.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        for &b in label {
-            h = (h ^ b.to_ascii_lowercase() as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        ((h ^ (h >> 32)) as usize % Self::BUCKETS) as u16
-    }
-
-    fn node_label(&self, n: &CompressNode) -> &[u8] {
-        &self.arena[n.label_start as usize..n.label_start as usize + n.label_len as usize]
-    }
-
-    /// The node for the suffix `label.<parent's suffix>`, created on first
-    /// sight (without an offset).
-    fn node(&mut self, parent: u32, label: &[u8]) -> u32 {
-        if self.heads.is_empty() {
-            self.heads = vec![Self::NONE; Self::BUCKETS];
-        }
-        let bucket = Self::bucket_of(parent, label);
-        let mut id = self.heads[bucket as usize];
-        while id != Self::NONE {
-            let n = &self.nodes[id as usize];
-            if n.parent == parent && self.node_label(n).eq_ignore_ascii_case(label) {
-                return id;
-            }
-            id = n.next;
-        }
-        let label_start = self.arena.len() as u32;
-        self.arena
-            .extend(label.iter().map(|b| b.to_ascii_lowercase()));
-        let id = self.nodes.len() as u32;
-        self.nodes.push(CompressNode {
-            parent,
-            next: self.heads[bucket as usize],
-            label_start,
-            bucket,
-            label_len: label.len() as u8,
-            offset: Self::NO_OFFSET,
-        });
-        self.heads[bucket as usize] = id;
-        id
-    }
-
-    /// The recorded message offset of this suffix, if pointable.
-    fn offset(&self, id: u32) -> Option<u16> {
-        let off = self.nodes[id as usize].offset;
-        (off != Self::NO_OFFSET).then_some(off)
-    }
-
-    /// Record where this suffix was first written (first write wins, as
-    /// RFC 1035 pointers must point strictly backwards).
-    fn record_offset(&mut self, id: u32, offset: u16) {
-        let n = &mut self.nodes[id as usize];
-        if n.offset == Self::NO_OFFSET {
-            n.offset = offset;
-        }
-    }
+    };
+    name.labels().all(|label| {
+        let matched = next(&mut at) == Some(label.len() as u8)
+            && buf
+                .get(at + 1..at + 1 + label.len())
+                .is_some_and(|l| l.eq_ignore_ascii_case(label));
+        at += 1 + label.len();
+        matched
+    }) && next(&mut at) == Some(0)
 }
 
 impl PartialEq for NameRef<'_> {

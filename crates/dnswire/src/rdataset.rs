@@ -33,24 +33,26 @@ const HEADER: usize = 4;
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct RDataSet(Box<[u8]>);
 
-impl RDataSet {
-    /// The set written in `buf` by [`push_record`]: one exact
-    /// allocation, none for an empty buffer.
-    pub(crate) fn copy_of(buf: &[u8]) -> RDataSet {
-        if buf.is_empty() {
-            return RDataSet::default();
-        }
-        RDataSet(buf.into())
+/// A set's records borrowed where they lie: a whole [`RDataSet`], or the
+/// records [`MessageView::parse_keeping`](crate::MessageView::parse_keeping)
+/// kept of a reply, read before anything is copied out.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct RDataSetRef<'a>(&'a [u8]);
+
+impl<'a> RDataSetRef<'a> {
+    /// The records written in `buf` by [`push_record`].
+    pub(crate) fn of(buf: &'a [u8]) -> Self {
+        RDataSetRef(buf)
     }
 
     /// Whether the set holds no record.
-    pub fn is_empty(&self) -> bool {
+    pub fn is_empty(self) -> bool {
         self.0.is_empty()
     }
 
     /// The records' data, in order, read in place.
-    pub fn iter(&self) -> impl Iterator<Item = RDataView<'_>> + '_ {
-        let buf = &self.0[..];
+    pub fn iter(self) -> impl Iterator<Item = RDataView<'a>> + 'a {
+        let buf = self.0;
         let mut pos = 0;
         std::iter::from_fn(move || {
             let header = buf.get(pos..pos + HEADER)?;
@@ -64,14 +66,29 @@ impl RDataSet {
         })
     }
 
-    /// Append `other`'s records after this set's: a move when this set is
-    /// empty, else one allocation for the two.
-    pub fn append(&mut self, other: RDataSet) {
+    /// An owned copy: one exact allocation, none for an empty set.
+    pub fn to_set(self) -> RDataSet {
         if self.is_empty() {
-            *self = other;
-        } else if !other.is_empty() {
-            self.0 = [&self.0[..], &other.0[..]].concat().into_boxed_slice();
+            return RDataSet::default();
         }
+        RDataSet(self.0.into())
+    }
+}
+
+impl RDataSet {
+    /// This set, borrowed.
+    pub fn borrowed(&self) -> RDataSetRef<'_> {
+        RDataSetRef(&self.0)
+    }
+
+    /// Whether the set holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The records' data, in order, read in place.
+    pub fn iter(&self) -> impl Iterator<Item = RDataView<'_>> + '_ {
+        self.borrowed().iter()
     }
 }
 
@@ -109,6 +126,12 @@ impl FromIterator<RData> for RDataSet {
 }
 
 impl fmt::Debug for RDataSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.borrowed().fmt(f)
+    }
+}
+
+impl fmt::Debug for RDataSetRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
@@ -161,7 +184,8 @@ mod tests {
     fn a_set_reads_back_what_the_wire_carried() {
         let rdata = sample();
         let bytes = wire(&rdata);
-        let (view, set) = MessageView::parse_keeping(&bytes, |_| true).unwrap();
+        let set = MessageView::parse_keeping(&bytes, |_| true, |_, set| set.to_set()).unwrap();
+        let view = MessageView::parse(&bytes).unwrap();
         let back: Vec<RDataView<'_>> = set.iter().collect();
         assert_eq!(back.len(), rdata.len());
         for ((kept, on_wire), owned) in back.iter().zip(view.answers()).zip(&rdata) {
@@ -201,23 +225,5 @@ mod tests {
         assert!(view == RData::Cname(name("target.example")));
         assert!(view != RData::Ptr(name("target.example")));
         assert_eq!(view.to_string(), "Target.Example");
-    }
-
-    #[test]
-    fn appending_moves_into_an_empty_set() {
-        let a: RDataSet = [RData::A("192.0.2.1".parse().unwrap())]
-            .into_iter()
-            .collect();
-        let b: RDataSet = [RData::A("192.0.2.2".parse().unwrap())]
-            .into_iter()
-            .collect();
-        let mut set = RDataSet::default();
-        set.append(RDataSet::default());
-        assert!(set.is_empty());
-        set.append(a.clone());
-        assert_eq!(set, a);
-        set.append(b);
-        let ips: Vec<String> = set.iter().map(|r| r.to_string()).collect();
-        assert_eq!(ips, ["192.0.2.1", "192.0.2.2"]);
     }
 }

@@ -25,40 +25,33 @@
 //! the server sent nothing and a healthy nameserver got quarantined. With
 //! rollback that is the ordinary path.
 //!
-//! Why the lazy first question writes the same bytes. The writer puts the
-//! first question at offset 12 literally and enters its suffixes into the
-//! compression trie only when a later name needs them; a later name equal
-//! to it (with at least one label) is written as `C0 0C` without a trie
-//! walk. Both give what registering it up front gave. The first name of a
-//! message has nothing before it to point at, so the trie would have
-//! written it literally too. Deferring its registration changes no state
-//! anything reads: the first name not equal to it registers it before its
-//! own lookup, into a trie still empty, exactly as the eager writer had
-//! left it, offsets `12 + label start` included. And a name equal to it
-//! finds the whole question in the trie, recorded at 12 by the first-write
-//! rule, so the eager writer points it at 12 whatever its case. The root is
-//! the one exception: it has no labels and no node, and stays the single
-//! byte `0`. A REFUSED reply, which writes nothing after its question,
-//! builds no node at all. A server that knows a record is owned by the
-//! question (a protective answer, or a zone's answer with no CNAME
-//! followed) writes it with `record_at_question`, which emits that pointer
-//! (or the root's byte) without the name compare: the same bytes, and the
-//! same map state, since a name equal to the first registers nothing.
-//! This file holds the writer to the reference encoder on arbitrary
-//! messages (`encode_equals_reference`, `truncation_equals_reference`), and
+//! Why reading the message back finds the trie's pointer. The replaced
+//! encoder kept a trie of `(parent suffix, label)` edges and recorded,
+//! for each suffix, the offset it was first written literally at (at
+//! most 0x3FFF); a name pointed at its longest recorded suffix. The
+//! writer instead records the offset of every label written literally at
+//! a pointable offset, and finds a suffix at the earliest of them whose
+//! labels, read on through any pointer, equal it case-insensitively. The
+//! suffix written at a recorded offset is exactly the suffix the trie
+//! recorded there, and earlier offsets were recorded first, so the first
+//! match is the trie's first write; suffixes past a cut were recorded
+//! by both and never read, since nothing is written after a cut. The
+//! first question is written literally (it has nothing to point at) and
+//! its labels recorded; a server that knows a record is owned by the
+//! question writes it with `record_at_question`, the pointer to offset
+//! 12 (or the root's byte) the lookup would find. This file holds the
+//! writer to the reference encoder on arbitrary messages
+//! (`encode_equals_reference`, `truncation_equals_reference`), and
 //! `dnswire`'s unit tests pin a root question and owner, an owner in
-//! another case, RDATA naming suffixes of the question, a second question
-//! and a cut at the first record.
+//! another case, RDATA naming suffixes of the question, a second
+//! question, a cut at the first record, and a negative answer's SOA
+//! under questions that hold `ns1.` or `hostmaster.` of its apex.
 //!
-//! Why the compression state may be reused. The map is a function of the
-//! names written so far in *this* message: a trie of `(parent suffix,
-//! label)` edges with the offset each suffix was first written at. Nothing
-//! in it is sized by the message, so `clear()` — reset the bucket heads the
-//! previous message touched, truncate the node table and the label arena —
-//! leaves exactly the state `new()` does, minus the allocations. A unit
-//! test encodes, clears and re-encodes to the same bytes; the differential
-//! tests run thousands of messages through one thread's map against a
-//! reference that builds a fresh one per message.
+//! Why the compression state may be reused. The map is the offsets of
+//! the labels written so far in *this* message, so `clear()` leaves
+//! exactly the state `new()` does, minus the allocation. The
+//! differential tests run thousands of messages through one thread's
+//! map against a reference that builds a fresh one per message.
 
 mod reference;
 

@@ -115,8 +115,9 @@ proptest! {
         // back, each record equals, renders as and owns what the owned
         // decoder makes of it.
         let wire = m.encode().unwrap();
-        let (view, set) = MessageView::parse_keeping(&wire, |_| true).unwrap();
-        prop_assert_eq!(view.id, m.id);
+        let (id, set) =
+            MessageView::parse_keeping(&wire, |_| true, |view, set| (view.id, set.to_set())).unwrap();
+        prop_assert_eq!(id, m.id);
         prop_assert_eq!(set.is_empty(), m.answers.is_empty());
         let decoded = Message::decode(&wire).unwrap().answers;
         let kept: Vec<_> = set.iter().collect();
@@ -129,8 +130,12 @@ proptest! {
             prop_assert_eq!(kept.txt_str(), r.rdata.txt_str());
         }
         // A filter keeps exactly the answers it accepts, in order.
-        let (_, a_only) =
-            MessageView::parse_keeping(&wire, |r| r.rtype() == RecordType::A).unwrap();
+        let a_only = MessageView::parse_keeping(
+            &wire,
+            |r| r.rtype() == RecordType::A,
+            |_, kept| kept.to_set(),
+        )
+        .unwrap();
         let owned_a: RDataSet = decoded
             .iter()
             .filter(|r| r.rtype() == RecordType::A)

@@ -21,7 +21,8 @@
 //! scan workers reading names never contend. Ids follow first-intern
 //! order, which differs between runs and thread interleavings, so they
 //! must never reach hashed, ordered or rendered output; only `Eq` uses them
-//! (equal ids iff equal text).
+//! (equal ids iff equal text), and a map that is only probed, never
+//! iterated, may be keyed by [`InternedName::id`] to skip reading the name.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -171,6 +172,13 @@ impl InternedName {
     /// grows the table nor allocates (the twin of [`Sym::lookup`]).
     pub fn lookup(name: NameRef<'_>) -> Option<Self> {
         names().get(&name).map(|&id| InternedName(id))
+    }
+
+    /// The handle's id: equal for equal names, and hashed without reading
+    /// the name. It follows interning order, so it keys only maps that are
+    /// probed, never iterated.
+    pub fn id(self) -> u32 {
+        self.0
     }
 
     /// The interned name itself, lowercased. Its bytes are leaked, so the

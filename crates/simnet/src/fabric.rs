@@ -1,7 +1,7 @@
 //! The event-driven network fabric: owns nodes, the event queue, the
 //! latency model, fault injection and the traffic capture.
 
-use crate::fault::{FaultDecision, FaultPlan};
+use crate::fault::{FaultDecision, FaultPlan, FlowDraws};
 use crate::node::{Actions, Datagram, Endpoint, Node};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Disposition, FlowLog};
@@ -419,8 +419,12 @@ impl Network {
             .wrapping_mul(0x94D0_49BB_1331_11EB);
         h = h.wrapping_add(nth).wrapping_mul(0xD6E8_FEB8_6659_FD93);
         h ^= h >> 32;
-        let mut rng = StdRng::seed_from_u64(h);
-        self.faults.decide(&mut rng, dgram.payload.len())
+        let mut draws = FlowDraws {
+            seed: h,
+            drawn: false,
+            rng: None,
+        };
+        self.faults.decide(&mut draws, dgram.payload.len())
     }
 
     fn enqueue_send(&mut self, dgram: Datagram) {

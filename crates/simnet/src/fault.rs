@@ -6,7 +6,7 @@
 //! under loss and noise, not just the happy path.
 
 use rand::rngs::StdRng;
-use rand::RngExt;
+use rand::{RngCore, RngExt, SeedableRng};
 
 /// Fault-injection configuration applied to every datagram in transit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,7 +63,7 @@ impl FaultPlan {
     }
 
     /// What should happen to one datagram.
-    pub(crate) fn decide(&self, rng: &mut StdRng, payload_len: usize) -> FaultDecision {
+    pub(crate) fn decide(&self, rng: &mut impl RngCore, payload_len: usize) -> FaultDecision {
         if self.size_limit != 0 && payload_len > self.size_limit {
             return FaultDecision::Drop;
         }
@@ -89,6 +89,46 @@ impl FaultPlan {
     }
 }
 
+/// `StdRng::seed_from_u64(seed)`'s draws, for one per-flow decision. Its
+/// first output reads only SplitMix64 words 0 and 3 of the seed, so a
+/// decision that draws once (most do) mixes two words and builds no
+/// generator; a second draw expands the full state.
+pub(crate) struct FlowDraws {
+    pub(crate) seed: u64,
+    pub(crate) drawn: bool,
+    pub(crate) rng: Option<StdRng>,
+}
+
+impl RngCore for FlowDraws {
+    fn next_u64(&mut self) -> u64 {
+        let word = |k: u64| {
+            let mut z = self
+                .seed
+                .wrapping_add(k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        if !self.drawn && self.rng.is_none() {
+            let (s0, s3) = (word(1), word(4));
+            // An all-zero state is replaced on expansion: words 1 and 2 tell.
+            if s0 | s3 != 0 {
+                self.drawn = true;
+                return s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
+            }
+        }
+        let (seed, skip) = (self.seed, self.drawn);
+        let mut expand = || {
+            let mut rng = StdRng::seed_from_u64(seed);
+            if skip {
+                rng.next_u64();
+            }
+            rng
+        };
+        self.rng.get_or_insert_with(&mut expand).next_u64()
+    }
+}
+
 /// Outcome of fault evaluation for one datagram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FaultDecision {
@@ -106,7 +146,6 @@ pub(crate) enum FaultDecision {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn reliable_always_delivers() {
@@ -176,6 +215,52 @@ mod tests {
         let mut empty: Vec<u8> = Vec::new();
         FaultPlan::corrupt(&mut rng, &mut empty);
         assert!(empty.is_empty());
+    }
+
+    fn draws(seed: u64) -> FlowDraws {
+        FlowDraws {
+            seed,
+            drawn: false,
+            rng: None,
+        }
+    }
+
+    #[test]
+    fn flow_draws_are_the_generators_draws() {
+        // Every chance non-zero in some plan, so first, second and third
+        // draws all occur; each flow seed is a fresh generator, as a
+        // per-flow decision is.
+        let plans = [
+            FaultPlan::lossy(0.2),
+            FaultPlan::reliable(),
+            FaultPlan {
+                drop_chance: 0.3,
+                corrupt_chance: 0.4,
+                duplicate_chance: 0.5,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                corrupt_chance: 0.5,
+                duplicate_chance: 0.05,
+                ..FaultPlan::default()
+            },
+        ];
+        let mut seed = 0x0123_4567_89ab_cdefu64;
+        for flow in 0..100_000u64 {
+            seed = seed.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(flow);
+            let plan = &plans[flow as usize % plans.len()];
+            let len = (flow % 3) as usize * 40;
+            assert_eq!(
+                plan.decide(&mut draws(seed), len),
+                plan.decide(&mut StdRng::seed_from_u64(seed), len),
+                "flow {flow}, seed {seed:#x}"
+            );
+        }
+        // Past the decision, the draws go on as the generator's.
+        let (mut fast, mut full) = (draws(seed), StdRng::seed_from_u64(seed));
+        for _ in 0..8 {
+            assert_eq!(fast.next_u64(), full.next_u64());
+        }
     }
 
     #[test]

@@ -254,84 +254,69 @@ pub(crate) fn plant_campaigns(plan: &mut AttackerPlan<'_>) -> Vec<PlantedUr> {
                 p.sync_all(zid);
             }
         }
-        // Plant the records.
-        {
-            let mut p = plan.providers[p_idx].borrow_mut();
-            for rt in &rtypes {
-                match rt {
-                    RecordType::A => {
-                        for ip in &c2_ips {
-                            p.add_record(zid, Record::new(domain.clone(), 120, RData::A(*ip)));
-                        }
-                        // A few campaigns pad the RRset far past the UDP
-                        // limit (fast-flux style), exercising the TC bit
-                        // and the scanner's TCP fallback.
-                        if plan.rng.random_bool(0.04) {
-                            for k in 0..35u8 {
-                                p.add_record(
-                                    zid,
-                                    Record::new(
-                                        domain.clone(),
-                                        120,
-                                        RData::A(Ipv4Addr::new(block.0, block.1, block.2, 100 + k)),
-                                    ),
-                                );
-                            }
-                        }
+        // Plant the records: the campaign's records go in at once, so a
+        // fast-flux RRset is sized once.
+        let mut records = Vec::new();
+        for rt in &rtypes {
+            match rt {
+                RecordType::A => {
+                    for ip in &c2_ips {
+                        records.push(Record::new(domain.clone(), 120, RData::A(*ip)));
                     }
-                    RecordType::Txt if command_blob => {
-                        // Opaque command blob: the C2 address is inside the
-                        // encoded payload, invisible to IP extraction.
-                        let marker = ["dkt;", "sp3c;", "cmd64="][c % 3];
-                        p.add_record(
-                            zid,
-                            Record::new(
+                    // A few campaigns pad the RRset far past the UDP
+                    // limit (fast-flux style), exercising the TC bit
+                    // and the scanner's TCP fallback.
+                    if plan.rng.random_bool(0.04) {
+                        for k in 0..35u8 {
+                            records.push(Record::new(
                                 domain.clone(),
                                 120,
-                                RData::txt_from_str(&format!(
-                                    "{marker}Q0M9e3tjMn19O3Rhc2s9cnVuO2lkPX: c{c}"
-                                )),
-                            ),
-                        );
-                    }
-                    RecordType::Txt => {
-                        let mechanisms: Vec<String> =
-                            c2_ips.iter().map(|ip| format!("ip4:{ip}")).collect();
-                        p.add_record(
-                            zid,
-                            Record::new(
-                                domain.clone(),
-                                120,
-                                RData::txt_from_str(&format!(
-                                    "v=spf1 {} -all",
-                                    mechanisms.join(" ")
-                                )),
-                            ),
-                        );
-                    }
-                    RecordType::Mx => {
-                        // The exchange host lives inside the attacker zone
-                        // and resolves to the C2 fleet.
-                        let exchange = domain.child(b"mx").expect("mx child fits");
-                        p.add_record(
-                            zid,
-                            Record::new(
-                                domain.clone(),
-                                120,
-                                RData::Mx {
-                                    preference: 10,
-                                    exchange: exchange.clone(),
-                                },
-                            ),
-                        );
-                        for ip in &c2_ips {
-                            p.add_record(zid, Record::new(exchange.clone(), 120, RData::A(*ip)));
+                                RData::A(Ipv4Addr::new(block.0, block.1, block.2, 100 + k)),
+                            ));
                         }
                     }
-                    _ => unreachable!("campaigns plant only A/TXT/MX"),
                 }
+                RecordType::Txt if command_blob => {
+                    // Opaque command blob: the C2 address is inside the
+                    // encoded payload, invisible to IP extraction.
+                    let marker = ["dkt;", "sp3c;", "cmd64="][c % 3];
+                    records.push(Record::new(
+                        domain.clone(),
+                        120,
+                        RData::txt_from_str(&format!(
+                            "{marker}Q0M9e3tjMn19O3Rhc2s9cnVuO2lkPX: c{c}"
+                        )),
+                    ));
+                }
+                RecordType::Txt => {
+                    let mechanisms: Vec<String> =
+                        c2_ips.iter().map(|ip| format!("ip4:{ip}")).collect();
+                    records.push(Record::new(
+                        domain.clone(),
+                        120,
+                        RData::txt_from_str(&format!("v=spf1 {} -all", mechanisms.join(" "))),
+                    ));
+                }
+                RecordType::Mx => {
+                    // The exchange host lives inside the attacker zone
+                    // and resolves to the C2 fleet.
+                    let exchange = domain.child(b"mx").expect("mx child fits");
+                    records.push(Record::new(
+                        domain.clone(),
+                        120,
+                        RData::Mx {
+                            preference: 10,
+                            exchange: exchange.clone(),
+                        },
+                    ));
+                    for ip in &c2_ips {
+                        records.push(Record::new(exchange.clone(), 120, RData::A(*ip)));
+                    }
+                }
+                _ => unreachable!("campaigns plant only A/TXT/MX"),
             }
         }
+        plan.providers[p_idx].borrow_mut().add_records(zid, records);
         // Register C2 infrastructure in the metadata DB.
         plan.db.add_prefix(
             netdb::Cidr::new(Ipv4Addr::new(block.0, block.1, block.2, 0), 24),
