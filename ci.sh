@@ -254,6 +254,10 @@ cargo test -q --release -p simnet --lib a_direct_exchange_is_the_event_loops
 # zone it replaced, through the static and the provider node: 128 cases
 # in the debug build, 16,384 here.
 cargo test -q --release -p authdns --test differential
+# The daemon's control plane over a real socket, in the build the
+# benchmark runs: a scan thread in release can pass an epoch between two
+# polls that a debug build would catch.
+cargo test -q --release -p urhunterd --test daemon_http
 
 echo "== adaptive battery: adaptive_props =="
 cargo test -q --release --test adaptive_props

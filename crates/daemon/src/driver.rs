@@ -15,7 +15,7 @@
 //! in [`LiveState`] so a daemon can keep it behind a lock shared with the
 //! HTTP threads while scans run unlocked.
 
-use crate::events::{diff_epoch, EpochRecord, EpochSeal, EventLog, VerdictStore};
+use crate::events::{diff_epoch, event_counts, EpochRecord, EpochSeal, EventLog, VerdictStore};
 use obs::Class;
 use std::sync::Arc;
 use urhunter::{run, ClassifiedUr, CoverageReport, HunterConfig, TokenBucket};
@@ -220,14 +220,7 @@ impl EpochDriver {
         for event in &events {
             state.store.apply(epoch, event);
         }
-        let (mut observed, mut changed, mut gone) = (0usize, 0usize, 0usize);
-        for event in &events {
-            match event {
-                crate::events::UrEvent::Observed { .. } => observed += 1,
-                crate::events::UrEvent::VerdictChanged { .. } => changed += 1,
-                crate::events::UrEvent::Gone { .. } => gone += 1,
-            }
-        }
+        let (observed, changed, gone) = event_counts(&events);
         // Epoch accounting joins the hub's deterministic metrics *before*
         // the seal hashes the sim class, so the sealed hash covers the
         // delta counters too (they are pure functions of the pipeline

@@ -14,7 +14,7 @@
 //! bit-identical across worker counts) followed by
 //! disappearances in key order.
 
-use fxhash::Digest;
+use fxhash::{Digest, FxHashMap, FxHashSet};
 use std::collections::HashMap;
 use urhunter::{ClassifiedUr, UrCategory, UrKey};
 
@@ -73,9 +73,9 @@ pub struct UrState {
     /// Epoch of first observation.
     pub first_seen: Epoch,
     /// Epoch of the most recent event touching this UR.
-    pub(crate) last_event: Epoch,
+    pub last_event: Epoch,
     /// How many events (including the first observation) touched this UR.
-    pub(crate) changes: u32,
+    pub changes: u32,
 }
 
 /// Hashes pinning one epoch's outcome. Sealed into the log next to the
@@ -104,10 +104,10 @@ pub struct EpochSeal {
 #[derive(Debug, Clone)]
 pub struct EpochRecord {
     /// The epoch number (1-based).
-    pub(crate) epoch: Epoch,
+    pub epoch: Epoch,
     /// The simulated world's calendar day (`WorldConfig::today`) at scan
     /// time — epochs drift the calendar, so deltas can be dated.
-    pub(crate) sim_day: u32,
+    pub sim_day: u32,
     /// The epoch's events: observations and verdict changes in classified
     /// sequence order, then disappearances in key order.
     pub events: Vec<UrEvent>,
@@ -115,48 +115,59 @@ pub struct EpochRecord {
     pub seal: EpochSeal,
 }
 
-impl EpochRecord {
-    /// Count of [`UrEvent::Observed`] events.
-    pub(crate) fn observed(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, UrEvent::Observed { .. }))
-            .count()
-    }
-
-    /// Count of [`UrEvent::VerdictChanged`] events.
-    pub(crate) fn changed(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, UrEvent::VerdictChanged { .. }))
-            .count()
-    }
-
-    /// Count of [`UrEvent::Gone`] events.
-    pub(crate) fn gone(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, UrEvent::Gone { .. }))
-            .count()
-    }
+/// How many observations, verdict changes and disappearances `events` holds.
+pub(crate) fn event_counts(events: &[UrEvent]) -> (usize, usize, usize) {
+    events.iter().fold((0, 0, 0), |(o, c, g), e| match e {
+        UrEvent::Observed { .. } => (o + 1, c, g),
+        UrEvent::VerdictChanged { .. } => (o, c + 1, g),
+        UrEvent::Gone { .. } => (o, c, g + 1),
+    })
 }
 
 /// The materialized view over the event stream: current category and
-/// presence per UR, plus a domain index for the query API.
+/// presence per UR. Each domain's URs lie side by side in one run, its
+/// keys at `keys[run]` sorted by (nameserver, type) as they are inserted
+/// and their states at the same index of `states[run]`.
 #[derive(Debug, Clone, Default)]
 pub struct VerdictStore {
-    states: HashMap<UrKey, UrState>,
-    // Keyed by the domain's display text (lowercase, no trailing dot), so
-    // serving an arbitrary query string never interns attacker-controlled
-    // names into the global arena.
-    by_domain: HashMap<String, Vec<UrKey>>,
+    keys: Vec<Vec<UrKey>>,
+    states: Vec<Vec<UrState>>,
+    // The daemon finds a run by the domain's handle, the query API by its
+    // display text (with std's keyed hasher: network input probes it), so
+    // a query string is never interned.
+    by_id: FxHashMap<u32, u32>,
+    by_text: HashMap<Box<str>, u32>,
     present: u64,
 }
 
+/// Where `key` sits in its domain's run, or where it would be inserted.
+fn position(run: &[UrKey], key: &UrKey) -> Result<usize, usize> {
+    let ns = key.ns_ip.to_bits();
+    let by_type = |k: &UrKey| k.rtype.code().cmp(&key.rtype.code());
+    run.binary_search_by(|k| k.ns_ip.to_bits().cmp(&ns).then_with(|| by_type(k)))
+}
+
 impl VerdictStore {
-    /// An empty store.
-    pub(crate) fn new() -> Self {
-        VerdictStore::default()
+    /// Insert a UR the store has never held, opening its domain's run
+    /// (with the one copy of its text) if the domain is new.
+    fn insert(&mut self, key: UrKey, state: UrState) {
+        let run = *self.by_id.entry(key.domain.id()).or_insert_with(|| {
+            self.keys.push(Vec::new());
+            self.states.push(Vec::new());
+            let run = self.keys.len() as u32 - 1;
+            self.by_text.insert(key.domain.to_string().into(), run);
+            run
+        }) as usize;
+        let at = position(&self.keys[run], &key).expect_err("inserted UR already held");
+        self.keys[run].insert(at, key);
+        self.states[run].insert(at, state);
+        self.present += u64::from(state.present);
+    }
+
+    fn get_mut(&mut self, key: &UrKey) -> Option<&mut UrState> {
+        let run = *self.by_id.get(&key.domain.id())? as usize;
+        let at = position(&self.keys[run], key).ok()?;
+        Some(&mut self.states[run][at])
     }
 
     /// Apply one event at the given epoch. Events are produced by
@@ -164,45 +175,35 @@ impl VerdictStore {
     /// consistent; replay applies the identical sequence.
     pub(crate) fn apply(&mut self, epoch: Epoch, event: &UrEvent) {
         match *event {
-            UrEvent::Observed { key, verdict } => {
-                let entry = self.states.entry(key);
-                match entry {
-                    std::collections::hash_map::Entry::Occupied(mut o) => {
-                        // Reappearance after Gone: keep first_seen history.
-                        let s = o.get_mut();
-                        debug_assert!(!s.present, "Observed for a present UR");
-                        s.present = true;
-                        s.category = verdict;
-                        s.last_event = epoch;
-                        s.changes += 1;
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(UrState {
-                            category: verdict,
-                            present: true,
-                            first_seen: epoch,
-                            last_event: epoch,
-                            changes: 1,
-                        });
-                        self.by_domain
-                            .entry(key.domain.to_string())
-                            .or_default()
-                            .push(key);
-                    }
+            UrEvent::Observed { key, verdict } => match self.get_mut(&key) {
+                Some(s) => {
+                    // Reappearance after Gone: keep first_seen history.
+                    debug_assert!(!s.present, "Observed for a present UR");
+                    s.present = true;
+                    s.category = verdict;
+                    s.last_event = epoch;
+                    s.changes += 1;
+                    self.present += 1;
                 }
-                self.present += 1;
-            }
+                None => self.insert(
+                    key,
+                    UrState {
+                        category: verdict,
+                        present: true,
+                        first_seen: epoch,
+                        last_event: epoch,
+                        changes: 1,
+                    },
+                ),
+            },
             UrEvent::VerdictChanged { key, to, .. } => {
-                let s = self
-                    .states
-                    .get_mut(&key)
-                    .expect("VerdictChanged for unknown UR");
+                let s = self.get_mut(&key).expect("VerdictChanged for unknown UR");
                 s.category = to;
                 s.last_event = epoch;
                 s.changes += 1;
             }
             UrEvent::Gone { key, .. } => {
-                let s = self.states.get_mut(&key).expect("Gone for unknown UR");
+                let s = self.get_mut(&key).expect("Gone for unknown UR");
                 debug_assert!(s.present, "Gone for an absent UR");
                 s.present = false;
                 s.last_event = epoch;
@@ -214,13 +215,21 @@ impl VerdictStore {
 
     /// The state of one UR, if ever observed.
     pub fn get(&self, key: &UrKey) -> Option<&UrState> {
-        self.states.get(key)
+        let run = *self.by_id.get(&key.domain.id())? as usize;
+        self.states[run].get(position(&self.keys[run], key).ok()?)
     }
 
     /// Every UR ever observed for `domain` (display text, lowercase, no
-    /// trailing dot), in first-observation order.
+    /// trailing dot), sorted by (nameserver, type).
     pub fn domain_keys(&self, domain: &str) -> Option<&[UrKey]> {
-        self.by_domain.get(domain).map(Vec::as_slice)
+        self.domain(domain).map(|(keys, _)| keys)
+    }
+
+    /// [`VerdictStore::domain_keys`] and, at the same index, each key's
+    /// state.
+    pub(crate) fn domain(&self, domain: &str) -> Option<(&[UrKey], &[UrState])> {
+        let run = *self.by_text.get(domain)? as usize;
+        Some((&self.keys[run], &self.states[run]))
     }
 
     /// URs currently present (served by the last epoch).
@@ -230,12 +239,12 @@ impl VerdictStore {
 
     /// URs ever observed (present or gone).
     pub fn len(&self) -> usize {
-        self.states.len()
+        self.keys.iter().map(Vec::len).sum()
     }
 
     /// Is the store empty?
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        self.keys.is_empty()
     }
 
     /// Order-independent digest of the full store state: XOR of per-entry
@@ -243,7 +252,7 @@ impl VerdictStore {
     /// every UR carries the same state.
     pub fn verdict_hash(&self) -> u64 {
         let mut acc = 0u64;
-        for (key, s) in &self.states {
+        for (key, s) in self.iter() {
             let mut d = Digest::new();
             d.bytes(&key.ns_ip.octets());
             key.domain.digest_into(&mut d);
@@ -260,7 +269,8 @@ impl VerdictStore {
 
     /// Iterate all states (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = (&UrKey, &UrState)> {
-        self.states.iter()
+        let runs = self.keys.iter().zip(&self.states);
+        runs.flat_map(|(keys, states)| keys.iter().zip(states))
     }
 }
 
@@ -274,16 +284,17 @@ impl VerdictStore {
 /// epoch (see [`EventLog::append`]).
 pub(crate) fn diff_epoch(store: &VerdictStore, classified: &[ClassifiedUr]) -> Vec<UrEvent> {
     let mut events = Vec::new();
-    let mut seen: HashMap<UrKey, UrCategory> = HashMap::with_capacity(classified.len());
+    // Keyed by handle: hashing a `UrKey` would read the domain's text.
+    let handle = |k: &UrKey| (k.ns_ip.to_bits(), k.domain.id(), k.rtype.code());
+    let mut seen = FxHashSet::with_capacity_and_hasher(classified.len(), Default::default());
     for c in classified {
         let key = c.ur.key;
         // The unique-UR identity makes keys distinct within a scan; if a
         // duplicate ever slipped through, the first occurrence wins so
         // replay stays unambiguous.
-        if seen.contains_key(&key) {
+        if !seen.insert(handle(&key)) {
             continue;
         }
-        seen.insert(key, c.category);
         match store.get(&key) {
             Some(s) if s.present => {
                 if s.category != c.category {
@@ -302,7 +313,7 @@ pub(crate) fn diff_epoch(store: &VerdictStore, classified: &[ClassifiedUr]) -> V
     }
     let mut gone: Vec<(UrKey, UrCategory)> = store
         .iter()
-        .filter(|(k, s)| s.present && !seen.contains_key(k))
+        .filter(|(k, s)| s.present && !seen.contains(&handle(k)))
         .map(|(k, s)| (*k, s.category))
         .collect();
     gone.sort_by_key(|(k, _)| (k.ns_ip, k.domain, k.rtype));
@@ -382,18 +393,10 @@ impl EventLog {
     /// Rebuild the store by replaying the snapshot and every retained
     /// event in order.
     pub fn replay(&self) -> VerdictStore {
-        let mut store = VerdictStore::new();
+        let mut store = VerdictStore::default();
         if let Some(snap) = &self.snapshot {
             for (key, state) in &snap.entries {
-                store.states.insert(*key, *state);
-                store
-                    .by_domain
-                    .entry(key.domain.to_string())
-                    .or_default()
-                    .push(*key);
-                if state.present {
-                    store.present += 1;
-                }
+                store.insert(*key, *state);
             }
         }
         for record in &self.epochs {
@@ -507,7 +510,7 @@ mod tests {
         let a = key(1, "a.com", RecordType::A);
         let b = key(1, "b.com", RecordType::Txt);
         let c = key(2, "c.com", RecordType::A);
-        let mut store = VerdictStore::new();
+        let mut store = VerdictStore::default();
         let mut log = EventLog::default();
         commit(
             &mut log,
@@ -518,7 +521,7 @@ mod tests {
                 classified(b, UrCategory::Correct),
             ],
         );
-        assert_eq!(log.records()[0].observed(), 2);
+        assert_eq!(event_counts(&log.records()[0].events).0, 2);
         assert_eq!(store.present_len(), 2);
 
         // Epoch 2: a flips to malicious, b disappears, c appears.
@@ -532,7 +535,7 @@ mod tests {
             ],
         );
         let r = &log.records()[1];
-        assert_eq!((r.observed(), r.changed(), r.gone()), (1, 1, 1));
+        assert_eq!(event_counts(&r.events), (1, 1, 1));
         assert_eq!(store.get(&a).unwrap().category, UrCategory::Malicious);
         assert!(!store.get(&b).unwrap().present);
         assert_eq!(store.present_len(), 2);
@@ -558,7 +561,7 @@ mod tests {
     fn replay_matches_live_and_seals_verify() {
         let a = key(1, "a.com", RecordType::A);
         let b = key(3, "b.com", RecordType::Txt);
-        let mut store = VerdictStore::new();
+        let mut store = VerdictStore::default();
         let mut log = EventLog::default();
         commit(
             &mut log,
@@ -591,7 +594,7 @@ mod tests {
     fn compaction_is_replay_equivalent_and_flags_pre_snapshot_deltas() {
         let a = key(1, "a.com", RecordType::A);
         let b = key(2, "b.com", RecordType::A);
-        let mut store = VerdictStore::new();
+        let mut store = VerdictStore::default();
         let mut log = EventLog::default();
         commit(
             &mut log,
@@ -658,7 +661,7 @@ mod tests {
     fn domain_index_serves_all_keys_for_a_domain() {
         let a1 = key(1, "dual.com", RecordType::A);
         let a2 = key(2, "dual.com", RecordType::Txt);
-        let mut store = VerdictStore::new();
+        let mut store = VerdictStore::default();
         store.apply(
             1,
             &UrEvent::Observed {

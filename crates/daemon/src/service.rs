@@ -21,14 +21,14 @@
 //! | `POST /shutdown` | SIGTERM-equivalent: finish and exit cleanly |
 
 use crate::driver::{DriverConfig, EpochDriver, LiveState};
-use crate::events::{category_str, EpochRecord, UrEvent};
-use crate::http::{json_escape, read_request, write_response, Request, Response};
-use std::io;
+use crate::events::{category_str, event_counts, Epoch, UrEvent};
+use crate::http::{read_request, write_error, Json, Request, Response, MAX_HEAD_BYTES};
+use std::fmt;
+use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use urhunter::UrKey;
 
 /// Everything a daemon instance needs.
 #[derive(Debug, Clone)]
@@ -176,9 +176,10 @@ pub fn start(cfg: DaemonConfig) -> io::Result<DaemonHandle> {
     let http = std::thread::Builder::new()
         .name("urhunterd-http".into())
         .spawn(move || {
+            let mut head = [0u8; MAX_HEAD_BYTES];
             for stream in listener.incoming() {
                 if let Ok(mut stream) = stream {
-                    handle_connection(&mut stream, &http_shared);
+                    handle_connection(&mut stream, &http_shared, &mut head);
                 }
                 if http_shared.is_stopping() {
                     break;
@@ -194,71 +195,81 @@ pub fn start(cfg: DaemonConfig) -> io::Result<DaemonHandle> {
     })
 }
 
-fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
-    let response = match read_request(stream) {
-        Ok(request) => route(&request, shared),
-        Err(_) => Response::error(400, "malformed request"),
-    };
-    let _ = write_response(stream, &response);
+fn handle_connection(stream: &mut TcpStream, shared: &Shared, head: &mut [u8]) {
+    let mut response = Response::json();
+    match read_request(stream, head) {
+        Ok(request) => route(&request, shared, &mut response),
+        Err(_) => response.error(400, "malformed request"),
+    }
+    let _ = response.send(stream);
 }
 
-fn route(request: &Request, shared: &Shared) -> Response {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => healthz(shared),
-        ("GET", "/coverage") => coverage(shared),
-        ("GET", "/metrics") => metrics(shared),
-        ("GET", "/deltas") => deltas(request, shared),
-        ("GET", "/") => index(),
+// Every answer is written onto its response's one buffer; a write onto a
+// `Vec` cannot fail, so its result is dropped.
+fn route(request: &Request, shared: &Shared, res: &mut Response) {
+    let state = || shared.state.lock().expect("state lock");
+    match (request.method.as_str(), request.path) {
+        ("GET", "/healthz") => healthz(shared, &mut res.body),
+        ("GET", "/coverage") => coverage(&state(), &mut res.body),
+        ("GET", "/metrics") => {
+            // One exporter for the whole system: `Obs::to_prometheus` also
+            // backs the CLI's file export.
+            if let Some(hub) = &state().hub {
+                res.body.extend_from_slice(hub.to_prometheus().as_bytes());
+            }
+            res.content_type = "text/plain; version=0.0.4";
+        }
+        ("GET", "/deltas") => match request.query_param("since").unwrap_or("0").parse() {
+            // `events=0` trims the payload to per-epoch counts and seals.
+            Ok(since) => {
+                let with_events = request.query_param("events") != Some("0");
+                state().write_deltas(since, with_events, &mut res.body);
+            }
+            Err(_) => res.error(400, "since must be a non-negative epoch number"),
+        },
+        ("GET", "/") => res.body.extend_from_slice(
+            b"{\"service\":\"urhunterd\",\"endpoints\":[\"/healthz\",\"/verdict/<domain>\",\
+              \"/deltas?since=<epoch>\",\"/coverage\",\"/metrics\",\"/shutdown\"]}\n",
+        ),
         ("GET" | "POST", "/shutdown") => {
             shared.stop();
-            Response::json("{\"status\":\"shutting down\"}\n".to_string())
+            res.body
+                .extend_from_slice(b"{\"status\":\"shutting down\"}\n");
         }
-        ("GET", path) if path.starts_with("/verdict/") => {
-            verdict(shared, &path["/verdict/".len()..])
-        }
-        ("GET", _) => Response::error(404, "no such endpoint"),
-        _ => Response::error(405, "method not allowed"),
+        ("GET", path) => match path.strip_prefix("/verdict/") {
+            Some(raw) => match normalize_domain(raw) {
+                Some(domain) => res.status = state().write_verdict(&domain, &mut res.body),
+                None => res.error(400, format_args!("not a valid domain name: {raw}")),
+            },
+            None => res.error(404, "no such endpoint"),
+        },
+        _ => res.error(405, "method not allowed"),
     }
 }
 
-fn index() -> Response {
-    Response::json(
-        "{\"service\":\"urhunterd\",\"endpoints\":[\"/healthz\",\"/verdict/<domain>\",\
-         \"/deltas?since=<epoch>\",\"/coverage\",\"/metrics\",\"/shutdown\"]}\n"
-            .to_string(),
-    )
-}
-
-fn healthz(shared: &Shared) -> Response {
+fn healthz(shared: &Shared, out: &mut Vec<u8>) {
     let state = shared.state.lock().expect("state lock");
-    let max = match shared.max_epochs {
-        Some(m) => m.to_string(),
-        None => "null".to_string(),
-    };
-    Response::json(format!(
+    let null: &dyn fmt::Display = &"null";
+    let max = shared.max_epochs.as_ref().map_or(null, |m| m);
+    let _ = writeln!(
+        out,
         "{{\"status\":\"ok\",\"epochs_done\":{},\"max_epochs\":{max},\"sim_day\":{},\
-         \"store_present\":{},\"store_total\":{},\"shutting_down\":{}}}\n",
+         \"store_present\":{},\"store_total\":{},\"shutting_down\":{}}}",
         state.epochs_done,
         state.sim_day,
         state.store.present_len(),
         state.store.len(),
         shared.is_stopping()
-    ))
+    );
 }
 
-fn coverage(shared: &Shared) -> Response {
-    let state = shared.state.lock().expect("state lock");
+fn coverage(state: &LiveState, out: &mut Vec<u8>) {
     let cov = &state.coverage;
-    let servers: Vec<String> = cov
-        .quarantined_servers
-        .iter()
-        .map(|ip| format!("\"{ip}\""))
-        .collect();
-    Response::json(format!(
+    let _ = write!(
+        out,
         "{{\"epoch\":{},\"sim_day\":{},\"scheduled\":{},\"answered\":{},\
          \"retried_answered\":{},\"gave_up\":{},\"skipped_quarantined\":{},\
-         \"retransmissions\":{},\"quarantined_servers\":[{}],\
-         \"store\":{{\"present\":{},\"total\":{}}},\"events_retained\":{}}}\n",
+         \"retransmissions\":{},\"quarantined_servers\":[",
         state.epochs_done,
         state.sim_day,
         cov.scheduled,
@@ -267,23 +278,22 @@ fn coverage(shared: &Shared) -> Response {
         cov.gave_up,
         cov.skipped_quarantined,
         cov.retransmissions,
-        servers.join(","),
+    );
+    for (i, ip) in cov.quarantined_servers.iter().enumerate() {
+        let _ = write!(out, "{}\"{ip}\"", comma(i));
+    }
+    let _ = writeln!(
+        out,
+        "],\"store\":{{\"present\":{},\"total\":{}}},\"events_retained\":{}}}",
         state.store.present_len(),
         state.store.len(),
         state.log.event_count(),
-    ))
+    );
 }
 
-fn metrics(shared: &Shared) -> Response {
-    let state = shared.state.lock().expect("state lock");
-    // One exporter for the whole system: the same `render_prometheus`
-    // behind `Obs::to_prometheus` also backs the CLI's file export.
-    let body = state
-        .hub
-        .as_ref()
-        .map(|hub| hub.to_prometheus())
-        .unwrap_or_default();
-    Response::text(body)
+/// The separator in front of the `i`th item of a JSON array.
+fn comma(i: usize) -> &'static str {
+    [",", ""][usize::from(i == 0)]
 }
 
 /// Normalize a domain path segment for store lookup: lowercase, no
@@ -300,111 +310,120 @@ fn normalize_domain(raw: &str) -> Option<String> {
     Some(name.to_string())
 }
 
-fn verdict(shared: &Shared, raw_domain: &str) -> Response {
-    let Some(domain) = normalize_domain(raw_domain) else {
-        return Response::error(400, &format!("not a valid domain name: {raw_domain}"));
-    };
-    let state = shared.state.lock().expect("state lock");
-    let Some(keys) = state.store.domain_keys(&domain) else {
-        return Response::error(404, &format!("no UR ever observed for {domain}"));
-    };
-    let mut keys: Vec<UrKey> = keys.to_vec();
-    keys.sort_by_key(|k| (k.ns_ip, k.rtype.code()));
-    let mut records = Vec::with_capacity(keys.len());
-    for key in &keys {
-        let s = state.store.get(key).expect("indexed key has state");
-        records.push(format!(
-            "{{\"ns\":\"{}\",\"rtype\":\"{}\",\"category\":\"{}\",\"present\":{},\
-             \"first_seen\":{},\"last_event\":{},\"changes\":{}}}",
-            key.ns_ip,
-            key.rtype,
-            category_str(s.category),
-            s.present,
-            s.first_seen,
-            s.last_event,
-            s.changes
-        ));
+impl LiveState {
+    /// Write the body of `GET /verdict/<domain>` onto `out` (reserved in
+    /// one piece: one block at most, whatever the record count) and return
+    /// its status: 200 with every UR ever observed for `domain`, a store
+    /// display text, sorted by (nameserver, type); 404 for one never seen.
+    pub fn write_verdict(&self, domain: &str, out: &mut Vec<u8>) -> u16 {
+        let Some((keys, states)) = self.store.domain(domain) else {
+            write_error(out, format_args!("no UR ever observed for {domain}"));
+            return 404;
+        };
+        // 176 bytes: a record with the longest fields and 20-digit epochs.
+        out.reserve(64 + 2 * domain.len() + 176 * keys.len());
+        let _ = write!(
+            out,
+            "{{\"domain\":\"{}\",\"epoch\":{},\"records\":[",
+            Json(&domain),
+            self.epochs_done
+        );
+        // By hand: `write!` a record took three times as long.
+        for (i, (key, s)) in keys.iter().zip(states).enumerate() {
+            out.extend_from_slice(&b",{\"ns\":\""[usize::from(i == 0)..]);
+            for (j, octet) in key.ns_ip.octets().into_iter().enumerate() {
+                out.extend_from_slice(&b"."[usize::from(j == 0)..]);
+                push_decimal(out, octet.into());
+            }
+            let _ = write!(out, "\",\"rtype\":\"{}\",\"category\":\"", key.rtype);
+            out.extend_from_slice(category_str(s.category).as_bytes());
+            out.extend_from_slice(b"\",\"present\":");
+            out.extend_from_slice(if s.present { b"true" } else { b"false" });
+            out.extend_from_slice(b",\"first_seen\":");
+            push_decimal(out, s.first_seen);
+            out.extend_from_slice(b",\"last_event\":");
+            push_decimal(out, s.last_event);
+            out.extend_from_slice(b",\"changes\":");
+            push_decimal(out, s.changes.into());
+            out.push(b'}');
+        }
+        out.extend_from_slice(b"]}\n");
+        200
     }
-    Response::json(format!(
-        "{{\"domain\":\"{}\",\"epoch\":{},\"records\":[{}]}}\n",
-        json_escape(&domain),
-        state.epochs_done,
-        records.join(",")
-    ))
+
+    /// Write the body of `GET /deltas?since=<since>` onto `out`: each epoch
+    /// after `since`, its seal, and its events unless `events=0` asks not.
+    pub fn write_deltas(&self, since: Epoch, with_events: bool, out: &mut Vec<u8>) {
+        let (records, compacted) = self.log.records_since(since);
+        let _ = write!(
+            out,
+            "{{\"since\":{since},\"epochs_done\":{},\"compacted_before\":{compacted},\"epochs\":[",
+            self.epochs_done
+        );
+        for (i, record) in records.iter().enumerate() {
+            let seal = &record.seal;
+            let (observed, changed, gone) = event_counts(&record.events);
+            let _ = write!(
+                out,
+                "{}{{\"epoch\":{},\"sim_day\":{},\"observed\":{observed},\"verdict_changed\":{changed},\
+                 \"gone\":{gone},\
+                 \"seal\":{{\"classified_hash\":\"{:#018x}\",\"verdict_hash\":\"{:#018x}\",\
+                 \"sim_hash\":\"{:#018x}\",\"total_urs\":{},\"present\":{}}}",
+                comma(i),
+                record.epoch,
+                record.sim_day,
+                seal.classified_hash,
+                seal.verdict_hash,
+                seal.sim_hash,
+                seal.total_urs,
+                seal.present,
+            );
+            if with_events {
+                out.extend_from_slice(b",\"events\":[");
+                for (j, event) in record.events.iter().enumerate() {
+                    write_event(out, comma(j), event);
+                }
+                out.push(b']');
+            }
+            out.push(b'}');
+        }
+        out.extend_from_slice(b"]}\n");
+    }
 }
 
-fn render_event(event: &UrEvent) -> String {
-    let (kind, key, extra) = match event {
-        UrEvent::Observed { key, verdict } => (
-            "observed",
-            key,
-            format!(",\"category\":\"{}\"", category_str(*verdict)),
-        ),
-        UrEvent::VerdictChanged { key, from, to } => (
-            "verdict_changed",
-            key,
-            format!(
-                ",\"from\":\"{}\",\"to\":\"{}\"",
-                category_str(*from),
-                category_str(*to)
-            ),
-        ),
-        UrEvent::Gone { key, last } => (
-            "gone",
-            key,
-            format!(",\"last\":\"{}\"", category_str(*last)),
-        ),
+/// Append `n` in decimal.
+fn push_decimal(out: &mut Vec<u8>, n: u64) {
+    if n >= 10 {
+        push_decimal(out, n / 10);
+    }
+    out.push(b'0' + (n % 10) as u8);
+}
+
+fn write_event(out: &mut Vec<u8>, comma: &str, event: &UrEvent) {
+    let (kind, key) = match event {
+        UrEvent::Observed { key, .. } => ("observed", key),
+        UrEvent::VerdictChanged { key, .. } => ("verdict_changed", key),
+        UrEvent::Gone { key, .. } => ("gone", key),
     };
-    format!(
-        "{{\"kind\":\"{kind}\",\"ns\":\"{}\",\"domain\":\"{}\",\"rtype\":\"{}\"{extra}}}",
+    let _ = write!(
+        out,
+        "{comma}{{\"kind\":\"{kind}\",\"ns\":\"{}\",\"domain\":\"{}\",\"rtype\":\"{}\"",
         key.ns_ip,
-        json_escape(&key.domain.to_string()),
+        Json(key.domain),
         key.rtype
-    )
-}
-
-fn render_epoch_record(record: &EpochRecord, with_events: bool) -> String {
-    let events = if with_events {
-        let items: Vec<String> = record.events.iter().map(render_event).collect();
-        format!(",\"events\":[{}]", items.join(","))
-    } else {
-        String::new()
+    );
+    let _ = match *event {
+        UrEvent::Observed { verdict, .. } => {
+            write!(out, ",\"category\":\"{}\"}}", category_str(verdict))
+        }
+        UrEvent::VerdictChanged { from, to, .. } => write!(
+            out,
+            ",\"from\":\"{}\",\"to\":\"{}\"}}",
+            category_str(from),
+            category_str(to)
+        ),
+        UrEvent::Gone { last, .. } => write!(out, ",\"last\":\"{}\"}}", category_str(last)),
     };
-    format!(
-        "{{\"epoch\":{},\"sim_day\":{},\"observed\":{},\"verdict_changed\":{},\"gone\":{},\
-         \"seal\":{{\"classified_hash\":\"{:#018x}\",\"verdict_hash\":\"{:#018x}\",\
-         \"sim_hash\":\"{:#018x}\",\"total_urs\":{},\"present\":{}}}{events}}}",
-        record.epoch,
-        record.sim_day,
-        record.observed(),
-        record.changed(),
-        record.gone(),
-        record.seal.classified_hash,
-        record.seal.verdict_hash,
-        record.seal.sim_hash,
-        record.seal.total_urs,
-        record.seal.present,
-    )
-}
-
-fn deltas(request: &Request, shared: &Shared) -> Response {
-    let since: u64 = match request.query_param("since").unwrap_or("0").parse() {
-        Ok(n) => n,
-        Err(_) => return Response::error(400, "since must be a non-negative epoch number"),
-    };
-    // `events=0` trims the payload to per-epoch counts and seals.
-    let with_events = request.query_param("events") != Some("0");
-    let state = shared.state.lock().expect("state lock");
-    let (records, compacted) = state.log.records_since(since);
-    let epochs: Vec<String> = records
-        .iter()
-        .map(|r| render_epoch_record(r, with_events))
-        .collect();
-    Response::json(format!(
-        "{{\"since\":{since},\"epochs_done\":{},\"compacted_before\":{compacted},\"epochs\":[{}]}}\n",
-        state.epochs_done,
-        epochs.join(",")
-    ))
 }
 
 #[cfg(test)]

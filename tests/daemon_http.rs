@@ -5,6 +5,7 @@
 //! against an *independent* in-process run of the identical driver
 //! configuration — determinism is what makes that comparison valid.
 
+use std::ops::RangeInclusive;
 use std::time::{Duration, Instant};
 use urhunterd::{
     http_get, json_str_field, json_u64_field, DaemonConfig, DriverConfig, EpochDriver, LiveState,
@@ -27,18 +28,20 @@ fn daemon_config() -> DaemonConfig {
     }
 }
 
-/// Poll `/healthz` until the daemon reports `epochs` completed epochs.
-fn wait_for_epochs(addr: std::net::SocketAddr, epochs: u64) {
+/// Poll `/healthz` until the daemon reports a count of completed epochs
+/// in `epochs`. A daemon with no epoch limit may pass any count between
+/// two polls, so it is waited for with an open range.
+fn wait_for_epochs(addr: std::net::SocketAddr, epochs: RangeInclusive<u64>) {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         if let Ok((200, body)) = http_get(addr, "/healthz") {
-            if json_u64_field(&body, "epochs_done") == Some(epochs) {
+            if json_u64_field(&body, "epochs_done").is_some_and(|done| epochs.contains(&done)) {
                 return;
             }
         }
         assert!(
             Instant::now() < deadline,
-            "daemon never reached epoch {epochs}"
+            "daemon never reached epochs {epochs:?}"
         );
         std::thread::sleep(Duration::from_millis(25));
     }
@@ -63,7 +66,7 @@ fn daemon_serves_verdicts_deltas_coverage_and_metrics() {
 
     let handle = urhunterd::start(daemon_config()).expect("daemon starts");
     let addr = handle.addr();
-    wait_for_epochs(addr, 3);
+    wait_for_epochs(addr, 3..=3);
 
     // /healthz reflects progress and limits.
     let (status, health) = http_get(addr, "/healthz").unwrap();
@@ -170,7 +173,7 @@ fn daemon_answers_before_the_epoch_limit_and_shuts_down_mid_flight() {
     cfg.max_epochs = None; // resident: scans until told to stop
     let handle = urhunterd::start(cfg).expect("daemon starts");
     let addr = handle.addr();
-    wait_for_epochs(addr, 1);
+    wait_for_epochs(addr, 1..=u64::MAX);
 
     let (status, health) = http_get(addr, "/healthz").unwrap();
     assert_eq!(status, 200);
@@ -190,7 +193,7 @@ fn request_shutdown_wakes_a_daemon_bound_to_an_unspecified_address() {
     cfg.max_epochs = Some(1);
     let handle = urhunterd::start(cfg).expect("daemon starts");
     let port = handle.addr().port();
-    wait_for_epochs(([127, 0, 0, 1], port).into(), 1);
+    wait_for_epochs(([127, 0, 0, 1], port).into(), 1..=1);
 
     // Its accept is blocked with no client left: only the wake-up
     // connection to loopback can end it.
