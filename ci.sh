@@ -84,6 +84,17 @@ if grep -rnE 'ordered_pipeline|stream_batch_size|OverlapStats|collect_urs_stream
     exit 1
 fi
 
+echo "== stale names: one world plan =="
+# One plan describes a world, and World::generate and StreamWorld::generate
+# materialize it: no second provider spec or campaign type, no sequential
+# planters, no Rc-shared oracle node, no weighted-key provider sort, and
+# no MX record planted anywhere.
+if grep -rnE 'StreamProviderSpec|StreamCampaign|OracleRecursiveNs|plant_generic_campaigns|host_anywhere|take_highest|RecordType::Mx' \
+    crates/worldgen/src; then
+    echo "ci.sh: a name of the second world generator is back (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== size: every count at or under its SIZE row, and within 2 % of it =="
 # Aim 2 is the same behaviour from less code; SIZE is its budget. It has
 # one row for each crate (the non-test lines of `crates/NAME/src`, each
@@ -430,6 +441,16 @@ URHUNTER_PARALLELISM=1 ./target/release/invariants | diff -u BENCH_pipeline.json
 }
 URHUNTER_PARALLELISM=4 ./target/release/invariants | diff -u BENCH_pipeline.json - || {
     echo "ci.sh: invariants on four workers differ from the committed BENCH_pipeline.json" >&2
+    exit 1
+}
+
+echo "== the paper-scale run, byte for byte =="
+# WorldConfig::paper() at seed 9, streamed at automatic workers: its UR
+# counts, digest, clock, Table 1's Total row and Figure 2's top five.
+# Refresh with `./target/release/invariants --paper > BENCH_paper.json`
+# and give the reason in CHANGES.md.
+./target/release/invariants --paper | diff -u BENCH_paper.json - || {
+    echo "ci.sh: the paper-scale run differs from the committed BENCH_paper.json" >&2
     exit 1
 }
 

@@ -11,7 +11,7 @@
 //!    ownership of — which is exactly what makes undelegated records
 //!    possible.
 //! 3. simnet nodes ([`ProviderNsNode`], [`StaticZoneNode`],
-//!    [`OracleRecursiveNs`]) speaking wire-format DNS over the fabric, plus
+//!    [`SharedOracleNs`]) speaking wire-format DNS over the fabric, plus
 //!    [`DelegationRegistry`] building the root/TLD hierarchy that defines
 //!    which domains are *actually* delegated.
 
@@ -26,10 +26,13 @@ mod server;
 mod zone;
 
 pub use policy::{DomainClass, DuplicatePolicy, HostingPolicy, NsAllocation, VerificationPolicy};
-pub use provider::{AccountId, HostError, HostedZone, HostingProvider, ProviderAnswer, ZoneId};
+pub use provider::{
+    draw_nameservers, zone_draw, AccountId, HostError, HostedZone, HostingProvider, ProviderAnswer,
+    ZoneId,
+};
 pub use roots::DelegationRegistry;
 pub use server::{
-    dns_query, exchange, AnswerMap, OracleRecursiveNs, ProviderNsNode, SharedOracleNs,
-    SharedProviderNs, StaticZoneNode, DNS_PORT,
+    dns_query, exchange, AnswerMap, ProviderNsNode, SharedOracleNs, SharedProviderNs,
+    StaticZoneNode, DNS_PORT,
 };
 pub use zone::{AnswerRecords, Glue, Zone, ZoneAnswer};

@@ -97,7 +97,7 @@ pub struct HostingPolicy {
 
 impl HostingPolicy {
     /// Is this domain class accepted?
-    pub(crate) fn allows_class(&self, class: DomainClass) -> bool {
+    pub fn allows_class(&self, class: DomainClass) -> bool {
         match class {
             DomainClass::RegisteredSld => self.allow_sld,
             DomainClass::Unregistered => self.allow_unregistered,

@@ -12,8 +12,7 @@ use crate::zone::{Zone, ZoneAnswer};
 use dnswire::{Folded, FoldedName, Name, RData, Record, RecordType};
 use fxhash::FxHashMap;
 use rand::rngs::StdRng;
-use rand::seq::IndexedRandom as _;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use std::collections::hash_map::Entry;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -106,14 +105,14 @@ enum NsList {
 }
 
 impl NsList {
-    fn new(ids: Vec<u16>) -> Self {
+    fn new(ids: &[u16]) -> Self {
         let mut short = [0; 7];
         match short.get_mut(..ids.len()) {
             Some(slots) => {
-                slots.copy_from_slice(&ids);
+                slots.copy_from_slice(ids);
                 NsList::Short(ids.len() as u8, short)
             }
-            None => NsList::Long(Box::new(ids)),
+            None => NsList::Long(Box::new(ids.to_vec())),
         }
     }
 
@@ -125,26 +124,58 @@ impl NsList {
     }
 }
 
-#[derive(Debug, Clone, Default)]
+/// An account: the nameservers an account-fixed policy assigns it, in
+/// place (empty under any other policy).
+#[derive(Debug, Clone)]
 struct Account {
-    fixed_ns: Vec<u16>,
+    fixed_ns: NsList,
 }
 
 // A serving entry stays 24 bytes: the table is read for every zone of a
 // queried domain.
 const _: () = assert!(std::mem::size_of::<Serving>() == 24);
 
-/// `ALL_NS[i] == i`: the candidate list of a nameserver draw that
-/// excludes none, for fleets up to its length.
-const ALL_NS: [u16; 64] = {
-    let mut all = [0; 64];
-    let mut i = 0;
-    while i < all.len() {
-        all[i] = i as u16;
-        i += 1;
+/// The key of the nameserver draw of the zone hosted as the `index`th.
+pub fn zone_draw(index: usize) -> u64 {
+    1 << 32 | index as u64
+}
+
+/// `count` indices of a fleet of `len` nameservers (fewer when fewer are
+/// left), none of them in `exclude`, sorted. A pure function: a provider
+/// seeded `seed` draws by `key` (an account's index for its fixed set,
+/// [`zone_draw`] for a zone's own), so what a zone is served by is known
+/// without building the provider.
+pub fn draw_nameservers(
+    seed: u64,
+    key: u64,
+    len: usize,
+    count: usize,
+    exclude: &[u16],
+) -> Vec<u16> {
+    let mut rng = StdRng::seed_from_u64(seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    // The candidates, on the stack for any fleet the worlds build.
+    let (mut stack, mut heap) = ([0u16; 64], Vec::new());
+    let pool: &mut [u16] = match stack.get_mut(..len) {
+        Some(pool) => pool,
+        None => {
+            heap.resize(len, 0);
+            &mut heap
+        }
+    };
+    let mut n = 0;
+    for i in (0..len as u16).filter(|i| !exclude.contains(i)) {
+        pool[n] = i;
+        n += 1;
     }
-    all
-};
+    // A partial Fisher-Yates shuffle picks the first `count`.
+    let count = count.min(n);
+    for i in 0..count {
+        pool.swap(i, rng.random_range(i..n));
+    }
+    let mut picked = pool[..count].to_vec();
+    picked.sort_unstable();
+    picked
+}
 
 /// TTL of protective records.
 pub(crate) const PROTECTIVE_TTL: u32 = 300;
@@ -192,7 +223,8 @@ pub struct HostingProvider {
     /// What an unhosted name's A and TXT queries are answered with.
     protective_a: RData,
     protective_txt: RData,
-    rng: StdRng,
+    /// What every nameserver draw is keyed from (see [`draw_nameservers`]).
+    seed: u64,
 }
 
 impl HostingProvider {
@@ -235,7 +267,7 @@ impl HostingProvider {
             protective_txt: RData::txt_from_str(&format!(
                 "v=warning; domain not hosted on {name}; see status page"
             )),
-            rng: StdRng::seed_from_u64(seed),
+            seed,
         }
     }
 
@@ -295,31 +327,19 @@ impl HostingProvider {
     /// Open a new customer account, assigning fixed nameservers when the
     /// allocation policy is account-fixed.
     pub fn create_account(&mut self) -> AccountId {
+        let id = self.accounts.len() as u64;
         let fixed_ns = match self.policy.allocation {
-            NsAllocation::AccountFixed { per_account } => self.pick_ns(per_account, &[]),
-            _ => Vec::new(),
+            NsAllocation::AccountFixed { per_account } => {
+                NsList::new(&self.draw(id, per_account, &[]))
+            }
+            _ => NsList::new(&[]),
         };
         Arc::make_mut(&mut self.accounts).push(Account { fixed_ns });
-        AccountId(self.accounts.len() as u32 - 1)
+        AccountId(id as u32)
     }
 
-    fn pick_ns(&mut self, count: usize, exclude: &[u16]) -> Vec<u16> {
-        let n = self.nameservers.len();
-        let filtered: Vec<u16>;
-        let candidates = match ALL_NS.get(..n) {
-            Some(all) if exclude.is_empty() => all,
-            _ => {
-                let fleet = (0..n).map(|i| i as u16);
-                filtered = fleet.filter(|i| !exclude.contains(i)).collect();
-                &filtered
-            }
-        };
-        let mut picked: Vec<u16> = candidates
-            .sample(&mut self.rng, count.min(candidates.len()))
-            .copied()
-            .collect();
-        picked.sort_unstable();
-        picked
+    fn draw(&self, key: u64, count: usize, exclude: &[u16]) -> Vec<u16> {
+        draw_nameservers(self.seed, key, self.nameservers.len(), count, exclude)
     }
 
     /// Request to host `domain`. `class` describes what kind of name it is
@@ -371,30 +391,21 @@ impl HostingProvider {
         {
             return Err(HostError::Duplicate);
         }
+        let fresh = |count: usize| {
+            let fresh = self.draw(zone_draw(self.zones.len()), count, &taken);
+            (fresh.len() == count)
+                .then(|| NsList::new(&fresh))
+                .ok_or(HostError::NameserversExhausted)
+        };
         let assigned_ns = match self.policy.allocation {
-            NsAllocation::GlobalFixed => Vec::new(), // all nameservers serve
-            NsAllocation::AccountFixed { per_account } => {
-                // Ensure distinct sets across accounts hosting the same
-                // domain (observed Cloudflare behaviour).
-                if account_set_taken {
-                    let fresh = self.pick_ns(per_account, &taken);
-                    if fresh.len() < per_account {
-                        return Err(HostError::NameserversExhausted);
-                    }
-                    fresh
-                } else {
-                    self.accounts[account.0 as usize].fixed_ns.clone()
-                }
-            }
-            NsAllocation::RandomPool { per_zone } => {
-                // Route 53: each zone for the same domain consumes a disjoint
-                // nameserver set; when the pool runs dry, hosting fails.
-                let fresh = self.pick_ns(per_zone, &taken);
-                if fresh.len() < per_zone {
-                    return Err(HostError::NameserversExhausted);
-                }
-                fresh
-            }
+            NsAllocation::GlobalFixed => NsList::new(&[]), // all nameservers serve
+            // Distinct sets across accounts hosting the same domain
+            // (observed Cloudflare behaviour).
+            NsAllocation::AccountFixed { per_account } if account_set_taken => fresh(per_account)?,
+            NsAllocation::AccountFixed { .. } => self.accounts[account.0 as usize].fixed_ns.clone(),
+            // Route 53: each zone for the same domain consumes a disjoint
+            // nameserver set; when the pool runs dry, hosting fails.
+            NsAllocation::RandomPool { per_zone } => fresh(per_zone)?,
         };
         let id = ZoneId(self.zones.len() as u32);
         Arc::make_mut(&mut self.zones).push(HostedZone {
@@ -404,7 +415,7 @@ impl HostingProvider {
         });
         let serving = Arc::make_mut(&mut self.serving);
         serving.push(Serving {
-            assigned_ns: NsList::new(assigned_ns),
+            assigned_ns,
             next: id,
             active: true,
             verified: false,

@@ -323,36 +323,11 @@ impl AnswerMap {
 }
 
 /// A *misconfigured* nameserver that performs recursion for names it does
-/// not host and returns the correct global answer (RA set, AA clear).
+/// not host and returns the correct global answer (RA set, AA clear), from
+/// a ground-truth table every such node of a world shares.
 ///
 /// The paper (§4) calls out such servers as a source of URs that must be
 /// excluded: their "undelegated" answers are simply the correct records.
-pub struct OracleRecursiveNs {
-    truth: Rc<RefCell<AnswerMap>>,
-}
-
-impl OracleRecursiveNs {
-    /// Create an oracle node over the shared ground-truth table.
-    pub fn new(truth: Rc<RefCell<AnswerMap>>) -> Self {
-        OracleRecursiveNs { truth }
-    }
-}
-
-impl Node for OracleRecursiveNs {
-    fn handle(&mut self, _now: SimTime, dgram: &Datagram, out: &mut Actions) {
-        serve(dgram, out, |qname, qtype, w| {
-            write_oracle_answer(&self.truth.borrow(), qname, qtype, w)
-        });
-    }
-
-    fn role(&self) -> &'static str {
-        "misconfigured-recursive-ns"
-    }
-}
-
-/// A misconfigured-recursive oracle backed by an immutable [`Arc`] snapshot
-/// of the ground-truth table — the `Send` counterpart of
-/// [`OracleRecursiveNs`] for shard worker fabrics.
 pub struct SharedOracleNs {
     truth: Arc<AnswerMap>,
 }
@@ -599,10 +574,7 @@ mod tests {
         ));
         let mut net = Network::new(1);
         let ns_ip = Ipv4Addr::new(192, 0, 2, 99);
-        net.add_node(
-            ns_ip,
-            Box::new(OracleRecursiveNs::new(Rc::new(RefCell::new(truth)))),
-        );
+        net.add_node(ns_ip, Box::new(SharedOracleNs::new(Arc::new(truth))));
         let resp = dns_query(
             &mut net,
             Ipv4Addr::new(10, 0, 0, 3),

@@ -33,7 +33,7 @@ impl RrSets {
     /// Append `records`, `count` records of type `rtype`, to the RRset of
     /// that type, created if there is none, growing it once. With
     /// `dedupe`, a record the set holds already or one earlier in the
-    /// batch is dropped (the first seen stays): one record is compared
+    /// batch is dropped (the first seen stays): a few records are compared
     /// with the set, more are found by hash in one pass.
     fn extend(
         &mut self,
@@ -54,12 +54,13 @@ impl RrSets {
         set.reserve_exact(count);
         let hash = |r: &Record| FxBuildHasher::default().hash_one(r);
         let mut seen = FxHashSet::default();
-        if dedupe && count > 1 {
+        let hashed = dedupe && count > 4;
+        if hashed {
             seen.extend(set.iter().map(hash));
         }
         for record in records {
             // A new hash is a new record; a seen one is compared.
-            if !dedupe || (count > 1 && seen.insert(hash(&record))) || !set.contains(&record) {
+            if !dedupe || (hashed && seen.insert(hash(&record))) || !set.contains(&record) {
                 set.push(record);
             }
         }

@@ -23,9 +23,9 @@ use std::borrow::Borrow;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use urhunter::{
-    classified_sequence_hash, collect_correct, collect_protective, run, run_streamed,
-    select_nameservers, CorrectDb, CoverageReport, HunterConfig, ProbeEngine, ProtectiveDb,
-    QueryPlan, Totals,
+    classified_sequence_hash, collect_correct, collect_protective, collect_urs_sharded, run,
+    run_streamed, select_nameservers, CollectedUr, CorrectDb, CoverageReport, HunterConfig,
+    ProbeEngine, ProtectiveDb, QueryPlan, QueryScheduler, Totals,
 };
 use urhunterd::{DriverConfig, EpochDriver, EpochSeal, LiveState, UrEvent, WorldScale};
 use worldgen::{NsInfo, StreamWorld, World, WorldConfig};
@@ -560,6 +560,8 @@ pub fn medium() -> String {
         "the paced run moved {moved:?} at 4 workers"
     );
 
+    hold_one_plan(&config);
+
     format!(
         "  \"medium\": {{\n{fields},\n    \"lossy_5pct\": {{ \"gave_up\": {}, \
          \"fixed_scan_sim_us\": {}, \"adaptive_scan_sim_us\": {} }},\n    \
@@ -570,6 +572,92 @@ pub fn medium() -> String {
         paced.scan_elapsed.as_micros(),
         paced.bucket_wait.as_micros(),
     )
+}
+
+/// The bulk scan of a world's blueprint over its selected nameservers and
+/// targets on `workers` workers: every UR in `(shard, index)` order, the
+/// scan's coverage and its simulated clock.
+fn bulk_scan(
+    blueprint: &worldgen::ScanBlueprint,
+    registry: &authdns::DelegationRegistry,
+    nameservers: &[NsInfo],
+    targets: &[dnswire::Name],
+    workers: usize,
+) -> (Vec<CollectedUr>, CoverageReport, SimDuration) {
+    let cfg = HunterConfig::fast();
+    let selected: Vec<NsInfo> = nameservers
+        .iter()
+        .filter(|ns| ns.tail_hosted_sites >= cfg.collect.min_tail_sites)
+        .cloned()
+        .collect();
+    let mut urs = Vec::new();
+    let out = collect_urs_sharded(
+        blueprint,
+        cfg.retry,
+        FaultPlan::reliable(),
+        None,
+        registry,
+        &selected,
+        targets,
+        &cfg.collect,
+        &mut QueryScheduler::new(cfg.scheduler_seed, SimDuration::ZERO),
+        workers,
+        usize::MAX,
+        &mut |batch| urs.extend(batch),
+    );
+    urs.sort_unstable_by_key(|ur| (ur.shard, ur.index));
+    (urs, out.coverage, out.elapsed)
+}
+
+/// The one-plan axis: `config`'s eager world ([`World::generate`]) and its
+/// lazy one ([`StreamWorld::generate`]) are one world. At every worker
+/// count of [`STREAM_WORKERS`] the bulk scan collects the same URs, at the
+/// same `(shard, index)` positions, over either world's blueprint,
+/// inventory and registry; [`run`] keeps exactly those URs, and
+/// [`run_streamed`] at [`urhunter::SCAN_SHARDS`] counts as many, with the
+/// scan's coverage and simulated clock. Classification may differ: the
+/// streamed path synthesizes its databases from the plan. Returns the UR
+/// count.
+pub fn hold_one_plan(config: &WorldConfig) -> usize {
+    let mut eager = World::generate(config.clone());
+    let lazy = StreamWorld::generate(config.clone());
+    let targets = eager.scan_targets();
+    assert_eq!(targets, lazy.scan_targets(), "the two worlds' targets");
+    let (eager_bp, lazy_bp) = (eager.scan_blueprint(), lazy.scan_blueprint());
+    let (urs, coverage, elapsed) =
+        bulk_scan(&eager_bp, &eager.registry, &eager.nameservers, &targets, 1);
+    for workers in STREAM_WORKERS {
+        let got = bulk_scan(
+            &lazy_bp,
+            &lazy.registry,
+            &lazy.nameservers,
+            &targets,
+            workers,
+        );
+        assert!(
+            got.0 == urs && got.1 == coverage && got.2 == elapsed,
+            "the lazy world's scan at {workers} workers left the eager world's"
+        );
+    }
+    drop((eager_bp, lazy_bp));
+    let cfg = HunterConfig::fast();
+    let out = run(&mut eager, &cfg);
+    let kept: Vec<(u16, u32, urhunter::UrKey)> = out
+        .classified
+        .iter()
+        .map(|c| (c.ur.shard, c.ur.index, c.ur.key))
+        .collect();
+    let collected: Vec<(u16, u32, urhunter::UrKey)> =
+        urs.iter().map(|ur| (ur.shard, ur.index, ur.key)).collect();
+    assert_eq!(kept, collected, "run keeps the bulk scan's URs");
+    assert_eq!(out.scan_elapsed, elapsed, "run's scan clock");
+    let streamed = run_streamed(&lazy, &cfg, urhunter::SCAN_SHARDS);
+    assert_eq!(
+        (streamed.total_urs, &streamed.coverage, streamed.elapsed),
+        (urs.len() as u64, &coverage, elapsed),
+        "run_streamed scans the eager world's URs"
+    );
+    urs.len()
 }
 
 /// What no execution axis may move on a streamed world run through
@@ -682,6 +770,58 @@ pub fn xl() -> String {
         seq.elapsed.as_micros(),
         paced.elapsed.as_micros(),
         paced.bucket_wait.as_micros(),
+    )
+}
+
+/// The paper-scale run, `BENCH_paper.json`: [`WorldConfig::paper`] at
+/// seed 9 folded at automatic workers. The scan's counts, digest and
+/// clock, Table 1's Total row and Figure 2's top five providers, each with
+/// its share of every UR in per mille.
+pub fn paper() -> String {
+    let config = WorldConfig::paper().with_seed(9);
+    let seed = config.seed;
+    let world = StreamWorld::generate(config);
+    let cfg = HunterConfig::fast();
+    let (_, out) = stream_pinned(&world, cfg, urhunter::SCAN_SHARDS, None);
+    let total = out.report.table1.last().expect("Table 1 has a Total row");
+    let top: Vec<String> = out
+        .report
+        .providers
+        .iter()
+        .take(5)
+        .map(|p| {
+            format!(
+                "      {{ \"provider\": \"{}\", \"urs\": {}, \"share_permille\": {}, \
+                 \"protective\": {}, \"unknown\": {}, \"malicious\": {} }}",
+                p.provider,
+                p.total,
+                p.total as u64 * 1000 / out.total_urs.max(1),
+                p.protective,
+                p.unknown,
+                p.malicious,
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"paper\": {{\n    \"world_seed\": {seed},\n    \"world_shards\": {},\n    \
+         \"nameservers\": {},\n    \"targets\": {},\n    \"urs\": {},\n    \"split\": {},\n    \
+         \"sequence_hash\": {},\n    \"coverage\": {},\n    \"scan_sim_us\": {},\n    \
+         \"table1_total\": {{ \"domains\": {}, \"nameservers\": {}, \"providers\": {}, \
+         \"urs\": {}, \"urs_malicious\": {} }},\n    \"figure2_top5\": [\n{}\n    ]\n  }}\n}}\n",
+        out.shards,
+        out.nameserver_count,
+        out.target_count,
+        out.total_urs,
+        split_json(out.correct, out.protective, out.unknown, out.malicious),
+        out.sequence_hash,
+        coverage_json(&out.coverage),
+        out.elapsed.as_micros(),
+        total.domains,
+        total.nameservers,
+        total.providers,
+        total.urs,
+        total.urs_malicious,
+        top.join(",\n"),
     )
 }
 

@@ -248,6 +248,26 @@ fn build_scan_tasks(
     tasks
 }
 
+/// The runs of `range` whose servers share a provider, each beside the run
+/// of the ns-major `tasks` they own.
+fn provider_runs(
+    providers: &[Sym],
+    range: std::ops::Range<usize>,
+    tasks: &[ScanTask],
+    codec: TaskCodec,
+) -> Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> {
+    let mut runs = Vec::new();
+    let (mut servers, mut first) = (range.start, 0);
+    for ni in range.clone() {
+        if ni + 1 == range.end || providers[ni + 1] != providers[ni] {
+            let end = tasks.partition_point(|&t| codec.nameserver(t) <= ni);
+            runs.push((servers..ni + 1, first..end));
+            (servers, first) = (ni + 1, end);
+        }
+    }
+    runs
+}
+
 /// The order a paced shard probes its list in, as positions in it:
 /// round-robin over per-server FIFO queues. Round `r` takes the `r`-th
 /// task of every server that has one, servers in the order their first
@@ -387,14 +407,16 @@ pub fn collect_urs_sharded(
 ///
 /// The selected nameservers are split into `world_shards` contiguous
 /// ranges. Shard `s` builds its own slice of the cross product (minus
-/// delegated pairs) and shuffles it with `QueryScheduler::for_shard`'s
-/// seed, so its order is O(slice): 4 bytes a task, 18 MB for one of a
-/// paper-scale world's 8 shards against 143 MB for the whole. `workers`
-/// spawned threads each claim the next shard (one worker is the calling
-/// thread itself, and no thread is spawned), build a replica fabric for it
-/// ([`worldgen::ScanBlueprint::build_network_scoped`]: only the nodes of
-/// the shard's addresses), scan it with their own [`ProbeEngine`] and task
-/// probe order (its list, or [`paced_rounds`] when the scheduler paces),
+/// delegated pairs), nameserver by nameserver, and shuffles each
+/// provider's run of it with `QueryScheduler::for_shard`'s seed, so its
+/// order is O(slice): 4 bytes a task, 18 MB for one of a paper-scale
+/// world's 8 shards against 143 MB for the whole. `workers` spawned
+/// threads each claim the next shard (one worker is the calling thread
+/// itself, and no thread is spawned), build a replica fabric for it, scan
+/// it with their own [`ProbeEngine`] and task probe order (its list, one
+/// provider's servers attached at a time through
+/// [`worldgen::ScanBlueprint::attach`], or [`paced_rounds`] over all of
+/// them when the scheduler paces),
 /// `absorb` each UR, in probe order and carrying its `(shard, index)`
 /// position, into the shard's own `A` **on the worker thread** while its
 /// reply is read (its records are borrowed from it), and drop the fabric
@@ -442,58 +464,80 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
         let range = ranges[shard_idx].clone();
         let shard_id = u16::try_from(shard_idx).expect("a scan has at most 65,536 shards");
         // The shard's scheduler shuffles its order and paces its probes.
+        // Each provider's servers are a run of the range, so their tasks
+        // are a run of the ns-major list, shuffled on its own.
         let mut sched = scheduler.for_shard(shard_idx);
         let mut tasks = build_scan_tasks(&delegated, nameservers, range.clone(), codec);
-        sched.randomize(&mut tasks);
-        let scope: Vec<Ipv4Addr> = range.clone().map(|ni| nameservers[ni].ip).collect();
+        let runs = provider_runs(&providers, range.clone(), &tasks, codec);
+        for (_, run) in &runs {
+            sched.randomize(&mut tasks[run.clone()]);
+        }
         let pool_before = dnswire::bufpool::stats();
-        // `shard_idx` seeds the replica's general RNG stream; the per-flow
-        // fault seed is the world's.
-        let mut net = blueprint.build_network_scoped(shard_idx as u64, &scope);
+        // The shard's replica: `shard_idx` seeds its general RNG stream;
+        // the per-flow fault seed is the world's. Servers are attached as
+        // they are scanned.
+        let mut net = blueprint.build_network_scoped(shard_idx as u64, &[]);
         net.set_faults(faults);
         net.set_payload_recycler(Some(dnswire::bufpool::release));
+        let ips = |servers: std::ops::Range<usize>| -> Vec<Ipv4Addr> {
+            servers.map(|ni| nameservers[ni].ip).collect()
+        };
         let mut engine = ProbeEngine::new(plan);
         if let Some(hub) = &obs {
             engine = engine.with_obs(hub.clone());
         }
         let mut shard = A::default();
         let len = u32::try_from(tasks.len()).expect("a shard's list is part of one u32 product");
-        // An unpaced shard's clock is a sum of exchange times, each set by
-        // its own server's earlier probes, so the list walk is as fast as
-        // any order; a paced one probes in rounds.
-        let mut rounds = (sched.interval() > simnet::SimDuration::ZERO).then(|| {
-            paced_rounds(len, range.len(), |pos| {
-                codec.nameserver(tasks[pos as usize]) - range.start
-            })
-        });
-        for i in 0..len {
-            let pos = match &mut rounds {
-                Some(order) => order.next().expect("the rounds hold every position"),
-                None => i,
-            };
+        let mut probe = |net: &mut Network, pos: u32| {
             let (ni, di, ti) = codec.decode(tasks[pos as usize]);
-            let rtype = types[ti];
-            let ns_ip = nameservers[ni].ip;
-            sched.admit(&mut net, ns_ip);
             // The engine's servers are the shard's range, by slot.
             query_one_ur(
-                &mut net,
+                net,
                 &mut engine,
                 cfg.scanner_ip,
-                (ns_ip, Some(ni - range.start)),
+                (nameservers[ni].ip, Some(ni - range.start)),
                 (&targets[di], target_keys[di]),
-                rtype,
-                QidGen::of(scan_stream(ni, di), rtype),
+                types[ti],
+                QidGen::of(scan_stream(ni, di), types[ti]),
                 providers[ni],
                 (shard_id, pos),
                 |ur| absorb(&mut shard, ur),
             );
+        };
+        // A paced shard probes in rounds over all its servers, so it
+        // attaches every provider of the shard at once. An unpaced shard's
+        // clock is a sum of exchange times, each set by its own server's
+        // earlier probes, so it walks its list one provider at a time, that
+        // provider's servers (and zones) alone attached, settled and
+        // detached before the next's. Elapsed is read before settling:
+        // stragglers (replies landing after their probe's deadline) are
+        // flushed into the fabric's stats but don't extend the scan clock.
+        let paced = sched.interval() > simnet::SimDuration::ZERO;
+        let walks = if paced {
+            vec![(range.clone(), 0..tasks.len())]
+        } else {
+            runs
+        };
+        let mut elapsed = simnet::SimDuration::ZERO;
+        for (servers, run) in walks {
+            let scope = ips(servers);
+            blueprint.attach(&mut net, Some(&scope));
+            let start = net.now();
+            let server_of = |pos| codec.nameserver(tasks[pos as usize]) - range.start;
+            let mut rounds = paced.then(|| paced_rounds(len, range.len(), server_of));
+            for i in run {
+                let pos = match &mut rounds {
+                    Some(order) => order.next().expect("the rounds hold every position"),
+                    None => i as u32,
+                };
+                let ni = codec.nameserver(tasks[pos as usize]);
+                sched.admit(&mut net, nameservers[ni].ip);
+                probe(&mut net, pos);
+            }
+            elapsed = elapsed + (net.now() - start);
+            net.settle();
+            scope.iter().for_each(|&ip| net.remove_node(ip));
         }
-        // Elapsed is read before settling: stragglers (replies landing
-        // after their probe's deadline) are flushed into the shard's stats
-        // but don't extend the scan clock.
-        let elapsed = net.now() - simnet::SimTime::ZERO;
-        net.settle();
         if let Some(hub) = &obs {
             // Pool traffic is thread-local; the deltas observed here are
             // exactly this shard's recycling (plus nothing else, because a
@@ -509,8 +553,6 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
                 pool_after.misses - pool_before.misses,
             );
         }
-        // `net` (the shard's zones and nodes) drops on return, bounding
-        // resident fabrics to the worker count.
         let summary = (
             engine.take_coverage(),
             engine.tally,
@@ -637,11 +679,11 @@ pub fn collect_correct(
 /// Synthesize the correct-record database from a stream world's hosting
 /// ground truth. Plan-backed worlds have no open-resolver fleet to probe;
 /// the plan *is* what a resolver sweep would observe (each target's
-/// legitimate addresses and SPF TXT), enriched from the same metadata
+/// legitimate addresses and TXT bodies), enriched from the same metadata
 /// database the probed path uses.
 pub(crate) fn correct_db_from_stream(world: &worldgen::StreamWorld) -> CorrectDb {
     let mut db = CorrectDb::default();
-    for site in &world.legit {
+    for site in world.legit_sites() {
         let mut profile = DomainProfile::default();
         for &ip in &site.ips {
             profile.ips.insert(ip);
@@ -655,8 +697,8 @@ pub(crate) fn correct_db_from_stream(world: &worldgen::StreamWorld) -> CorrectDb
                 profile.certs.insert(cert.fingerprint);
             }
         }
-        if let Some(spf) = &site.spf {
-            profile.txts.insert(Sym::intern(spf));
+        for txt in &site.txts {
+            profile.txts.insert(Sym::intern(txt));
         }
         db.domains
             .insert(NameId(InternedName::intern(&site.domain)), profile);
@@ -760,12 +802,12 @@ mod tests {
         assert_eq!(resolver_pick(3, 4, 5, 70), (3 * 31 + 4 * 7) % 70);
     }
 
-    /// Small seed 9001 has 14 stable resolvers, and stride 7 asked every
-    /// target at two of them, not five: read off the fabric's capture of
-    /// the sweep's queries.
+    /// Small seed 9002 has 14 stable resolvers, where stride 7 would ask
+    /// every target at two of them, not five: read off the fabric's
+    /// capture of the sweep's queries.
     #[test]
-    fn every_target_of_small_seed_9001_is_asked_at_five_resolvers() {
-        let mut world = worldgen::World::generate(WorldConfig::small().with_seed(9001));
+    fn every_target_of_small_seed_9002_is_asked_at_five_resolvers() {
+        let mut world = worldgen::World::generate(WorldConfig::small().with_seed(9002));
         assert_eq!(world.resolvers.iter().filter(|r| r.stable).count(), 14);
         let cfg = CollectConfig::default();
         let targets = world.scan_targets();

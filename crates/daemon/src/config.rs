@@ -43,18 +43,14 @@ OPTIONS:
     )
 }
 
-fn need_value<'a>(
+/// [`urhunter::cli::value`], its error prefixed with the program name.
+fn value<T: std::str::FromStr + PartialOrd>(
     flag: &str,
-    iter: &mut std::slice::Iter<'a, String>,
-) -> Result<&'a String, String> {
-    iter.next()
-        .ok_or_else(|| format!("urhunterd: {flag} requires a value"))
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, value: &str, what: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("urhunterd: {flag} must be {what}, got {value:?}"))
+    rest: &mut std::slice::Iter<'_, String>,
+    range: impl std::ops::RangeBounds<T>,
+    what: &str,
+) -> Result<T, String> {
+    urhunter::cli::value(flag, rest, range, what).map_err(|e| format!("urhunterd: {e}"))
 }
 
 /// Parse daemon flags (everything after the program name). Returns the
@@ -73,64 +69,47 @@ pub fn parse_flags(args: &[String]) -> Result<DaemonConfig, String> {
         match arg.as_str() {
             "--help" | "-h" => return Err(usage()),
             "--listen" => {
-                let v = need_value(arg, &mut iter)?;
+                let v = iter
+                    .next()
+                    .ok_or_else(|| format!("urhunterd: {arg} requires a value"))?;
                 cfg.listen = v.parse().map_err(|_| {
                     format!("urhunterd: --listen must be an IP:PORT socket address, got {v:?}")
                 })?;
             }
             "--max-epochs" => {
-                let v = need_value(arg, &mut iter)?;
-                let n: u64 = parse_num(arg, v, "an integer >= 1")?;
-                if n == 0 {
-                    return Err(
-                        "urhunterd: --max-epochs must be >= 1 (omit the flag to scan forever)"
-                            .to_string(),
-                    );
-                }
-                cfg.max_epochs = Some(n);
+                cfg.max_epochs = Some(value(arg, &mut iter, 1.., "an integer >= 1")?);
             }
             "--epoch-interval" => {
-                let v = need_value(arg, &mut iter)?;
-                let secs: u64 = parse_num(arg, v, "a positive number of simulated seconds")?;
-                if secs == 0 {
-                    return Err(
-                        "urhunterd: --epoch-interval must be > 0 simulated seconds".to_string()
-                    );
-                }
+                let secs = value(
+                    arg,
+                    &mut iter,
+                    1..,
+                    "a positive number of simulated seconds",
+                )?;
                 cfg.driver.epoch_interval = simnet::SimDuration::from_secs(secs);
             }
             "--wall-interval-ms" => {
-                let v = need_value(arg, &mut iter)?;
-                let ms: u64 = parse_num(arg, v, "a number of milliseconds")?;
+                let ms = value(arg, &mut iter, .., "a number of milliseconds")?;
                 cfg.wall_interval = Duration::from_millis(ms);
             }
             "--scale" => {
-                let v = need_value(arg, &mut iter)?;
+                let v = iter
+                    .next()
+                    .ok_or_else(|| format!("urhunterd: {arg} requires a value"))?;
                 cfg.driver.scale = WorldScale::parse(v).ok_or_else(|| {
                     format!("urhunterd: --scale must be small, default, or medium, got {v:?}")
                 })?;
             }
-            "--seed" => {
-                let v = need_value(arg, &mut iter)?;
-                cfg.driver.seed = Some(parse_num(arg, v, "an integer seed")?);
-            }
+            "--seed" => cfg.driver.seed = Some(value(arg, &mut iter, .., "an integer seed")?),
             "--drift-days" => {
-                let v = need_value(arg, &mut iter)?;
-                cfg.driver.drift_days = parse_num(arg, v, "a number of days")?;
+                cfg.driver.drift_days = value(arg, &mut iter, .., "a number of days")?;
             }
             "--new-campaigns" => {
-                let v = need_value(arg, &mut iter)?;
-                cfg.driver.new_campaigns = parse_num(arg, v, "a campaign count")?;
+                cfg.driver.new_campaigns = value(arg, &mut iter, .., "a campaign count")?;
             }
             "--expire-fraction" => {
-                let v = need_value(arg, &mut iter)?;
-                let f: f64 = parse_num(arg, v, "a fraction in [0, 1]")?;
-                if !(0.0..=1.0).contains(&f) {
-                    return Err(format!(
-                        "urhunterd: --expire-fraction must be within [0, 1], got {v}"
-                    ));
-                }
-                cfg.driver.expire_fraction = f;
+                cfg.driver.expire_fraction =
+                    value(arg, &mut iter, 0.0..=1.0, "a fraction within [0, 1]")?;
             }
             other => {
                 if !scan

@@ -350,6 +350,14 @@ impl Network {
         }
     }
 
+    /// Detach the node at `ip`, if one is attached. Datagrams still in
+    /// flight to it find no route: settle first.
+    pub fn remove_node(&mut self, ip: Ipv4Addr) {
+        if let Some(Attached::Node(_)) = self.attached.get(&ip) {
+            self.attached.remove(&ip);
+        }
+    }
+
     /// True if some node is attached at `ip`.
     pub fn has_node(&self, ip: Ipv4Addr) -> bool {
         matches!(self.attached.get(&ip), Some(Attached::Node(_)))

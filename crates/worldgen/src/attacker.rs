@@ -1,16 +1,16 @@
 //! Attacker population: campaigns that plant undelegated records, their C2
 //! infrastructure, threat-intel visibility and sandbox malware samples.
 
-use crate::tranco::TrancoList;
-use authdns::{DomainClass, HostError, HostingProvider, ZoneId};
+use crate::config::WorldConfig;
+use crate::plan::mix2;
+use authdns::ZoneId;
 use dnswire::{Name, RData, Record, RecordType};
 use intel::{malware, C2Target, MalwareOp, MalwareSample, ThreatTag, VendorFeed};
 use netdb::{GeoInfo, HttpProfile, NetDb};
 use rand::rngs::StdRng;
-use rand::RngExt;
-use std::cell::RefCell;
+use rand::{RngExt, SeedableRng};
+use std::fmt::Write as _;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
 
 /// How a campaign's C2 infrastructure is visible to the analysis pipeline
 /// (drives Fig. 3a's three-way split).
@@ -44,36 +44,6 @@ pub struct PlantedUr {
     /// The TXT record is an opaque command blob with no embedded address,
     /// so the pipeline leaves it unknown.
     pub command_blob: bool,
-}
-
-/// Parameters for one campaign-planting run.
-pub(crate) struct AttackerPlan<'a> {
-    /// Seeded RNG (owned by the caller for global determinism).
-    pub(crate) rng: &'a mut StdRng,
-    /// The ranked target list.
-    pub(crate) tranco: &'a TrancoList,
-    /// Provider handles.
-    pub(crate) providers: &'a [Rc<RefCell<HostingProvider>>],
-    /// Popularity weight per provider (hosted-site counts): attackers
-    /// prefer reputable, widely-used providers.
-    pub(crate) provider_weights: &'a [u64],
-    /// Metadata database to register C2 infrastructure in.
-    pub(crate) db: &'a mut NetDb,
-    /// Vendor feeds to flag C2s in.
-    pub(crate) vendors: &'a mut [VendorFeed],
-    /// Sample sink.
-    pub(crate) samples: &'a mut Vec<MalwareSample>,
-    /// Campaign count.
-    pub(crate) campaigns: usize,
-    /// Offset added to campaign indices (keeps C2 address blocks and
-    /// sample names unique across evolution epochs).
-    pub(crate) campaign_offset: usize,
-    /// Fraction of campaigns detectable at all.
-    pub(crate) malicious_fraction: f64,
-    /// Of detectable: label-only fraction.
-    pub(crate) label_only_fraction: f64,
-    /// Of detectable: IDS-only fraction.
-    pub(crate) ids_only_fraction: f64,
 }
 
 /// Sample a per-IP vendor flag count following Fig. 3(b)'s shape
@@ -136,303 +106,214 @@ fn pick_marker(rng: &mut StdRng) -> &'static [u8] {
     MARKERS[0].0
 }
 
-/// The provider with the highest key not yet taken, the lower index first
-/// among equal keys; `None` once all are taken. Keys lie in (0, 1), so a
-/// taken one is marked -1. Repeated calls yield the order of a stable
-/// descending sort of the keys.
-fn take_highest(keys: &mut [f64]) -> Option<usize> {
-    let (i, _) = keys
-        .iter()
-        .enumerate()
-        .filter(|(_, k)| **k >= 0.0)
-        .min_by(|a, b| b.1.partial_cmp(a.1).expect("keys are finite"))?;
-    keys[i] = -1.0;
-    Some(i)
+/// What campaign `c`'s zone holds, drawn from the campaign's own seeded
+/// generator: its record mix (mostly A, a fifth TXT masquerading as SPF,
+/// some both), whether a TXT-only campaign's body is an opaque command
+/// blob, how many C2 addresses it exposes, whether it pads its A RRset
+/// past the UDP limit, and whether a paid attacker syncs it to the whole
+/// fleet where the provider sells that.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CampaignDraw {
+    a: bool,
+    txt: bool,
+    command_blob: bool,
+    c2: u8,
+    fast_flux: bool,
+    pub(crate) sync: bool,
 }
 
-/// Plant all campaigns. Returns the ground-truth list of planted URs.
-pub(crate) fn plant_campaigns(plan: &mut AttackerPlan<'_>) -> Vec<PlantedUr> {
-    let mut planted = Vec::new();
-    let top = plan.tranco.len();
-    // The key exponent `1 / w` of each provider, and one key buffer for
-    // every campaign.
-    let exponents: Vec<f64> = (0..plan.providers.len())
-        .map(|i| 1.0 / plan.provider_weights.get(i).copied().unwrap_or(1).max(1) as f64)
-        .collect();
-    let mut keys: Vec<f64> = Vec::with_capacity(exponents.len());
-    for c in 0..plan.campaigns {
-        let c = plan.campaign_offset + c;
-        // Target pick: a head-biased minority (popular domains are more
-        // valuable to abuse) over a uniform majority (the paper finds URs
-        // for 99.95% of the top 2K, so coverage is broad).
-        let idx = if plan.rng.random_bool(0.3) {
-            let r1: f64 = plan.rng.random_range(0.0..1.0);
-            let r2: f64 = plan.rng.random_range(0.0..1.0);
-            ((r1 * r2 * top as f64) as usize).min(top - 1)
-        } else {
-            plan.rng.random_range(0..top)
-        };
-        let apex = plan.tranco.domains()[idx].clone();
-        // 15% target a subdomain of the apex instead.
-        let (domain, class) = if plan.rng.random_bool(0.15) {
-            let label: &[u8] =
-                [&b"api"[..], b"cdn", b"raw", b"mail"][plan.rng.random_range(0..4usize)];
-            (
-                apex.child(label).expect("child fits"),
-                DomainClass::Subdomain,
-            )
-        } else {
-            (apex, DomainClass::RegisteredSld)
-        };
-        // Record mix: mostly A, a fifth TXT (SPF masquerade), some both,
-        // and a small MX slice (the §6 future-work record type).
-        let mix: f64 = plan.rng.random_range(0.0..1.0);
-        let rtypes: Vec<RecordType> = if mix < 0.62 {
-            vec![RecordType::A]
-        } else if mix < 0.82 {
-            vec![RecordType::Txt]
-        } else if mix < 0.92 {
-            vec![RecordType::A, RecordType::Txt]
-        } else {
-            vec![RecordType::Mx]
-        };
-        // A fifth of TXT-only campaigns carry opaque command blobs
-        // instead of SPF text (the paper's acknowledged blind spot).
-        let command_blob = rtypes == vec![RecordType::Txt] && plan.rng.random_bool(0.2);
-        // C2 block 40.x.y.0/24 for campaign c.
-        let block = (40u8, (c / 250) as u8, (c % 250) as u8);
-        let n_c2 = plan.rng.random_range(1..=3usize);
-        let c2_ips: Vec<Ipv4Addr> = (0..n_c2)
-            .map(|k| Ipv4Addr::new(block.0, block.1, block.2, 10 + k as u8))
-            .collect();
-        // Detection class.
-        let detection = if plan.rng.random_bool(plan.malicious_fraction) {
-            let roll: f64 = plan.rng.random_range(0.0..1.0);
-            if roll < plan.label_only_fraction {
-                DetectionClass::LabelOnly
-            } else if roll < plan.label_only_fraction + plan.ids_only_fraction {
-                DetectionClass::IdsOnly
-            } else {
-                DetectionClass::Both
-            }
-        } else {
-            DetectionClass::Undetected
-        };
-        // Try providers in popularity-weighted random order until one
-        // accepts (Efraimidis-Spirakis weighted sampling: attackers abuse
-        // the reputation of major providers first). One key per provider
-        // in index order; providers are taken lazily, highest key first.
-        keys.clear();
-        for &e in &exponents {
-            let u: f64 = plan.rng.random_range(f64::EPSILON..1.0);
-            keys.push(u.powf(e));
+impl CampaignDraw {
+    /// Campaign `c` of wave `wave`.
+    pub(crate) fn of(wave: u64, c: u32) -> CampaignDraw {
+        let mut rng = StdRng::seed_from_u64(mix2(wave ^ 0x5245_4353, c as u64, 0));
+        let mix: f64 = rng.random_range(0.0..0.92);
+        let (a, txt) = (!(0.62..0.82).contains(&mix), mix >= 0.62);
+        CampaignDraw {
+            a,
+            txt,
+            // A fifth of TXT-only campaigns carry opaque command blobs
+            // instead of SPF text (the paper's acknowledged blind spot).
+            command_blob: !a && rng.random_bool(0.2),
+            c2: rng.random_range(1..=3u8),
+            fast_flux: a && rng.random_bool(0.04),
+            sync: rng.random_bool(0.5),
         }
-        let mut hosted = None;
-        while let Some(p_idx) = take_highest(&mut keys) {
-            let mut p = plan.providers[p_idx].borrow_mut();
-            let acct = p.create_account();
-            match p.host_domain(acct, &domain, class) {
-                Ok(zid) => {
-                    hosted = Some((p_idx, zid));
-                    break;
-                }
-                Err(
-                    HostError::Reserved
-                    | HostError::ClassNotSupported(_)
-                    | HostError::Duplicate
-                    | HostError::NameserversExhausted,
-                ) => continue,
-                Err(e) => panic!("unexpected hosting error: {e}"),
-            }
-        }
-        let Some((p_idx, zid)) = hosted else { continue };
-        // Paid attackers on sync-capable providers (Cloudflare tier) push
-        // the UR to the entire nameserver fleet.
-        if plan.rng.random_bool(0.5) {
-            let mut p = plan.providers[p_idx].borrow_mut();
-            if p.policy().sync_to_all_ns {
-                p.sync_all(zid);
-            }
-        }
-        // Plant the records: the campaign's records go in at once, so a
-        // fast-flux RRset is sized once.
-        let mut records = Vec::new();
-        for rt in &rtypes {
-            match rt {
-                RecordType::A => {
-                    for ip in &c2_ips {
-                        records.push(Record::new(domain.clone(), 120, RData::A(*ip)));
-                    }
-                    // A few campaigns pad the RRset far past the UDP
-                    // limit (fast-flux style), exercising the TC bit
-                    // and the scanner's TCP fallback.
-                    if plan.rng.random_bool(0.04) {
-                        for k in 0..35u8 {
-                            records.push(Record::new(
-                                domain.clone(),
-                                120,
-                                RData::A(Ipv4Addr::new(block.0, block.1, block.2, 100 + k)),
-                            ));
-                        }
-                    }
-                }
-                RecordType::Txt if command_blob => {
-                    // Opaque command blob: the C2 address is inside the
-                    // encoded payload, invisible to IP extraction.
-                    let marker = ["dkt;", "sp3c;", "cmd64="][c % 3];
-                    records.push(Record::new(
-                        domain.clone(),
-                        120,
-                        RData::txt_from_str(&format!(
-                            "{marker}Q0M9e3tjMn19O3Rhc2s9cnVuO2lkPX: c{c}"
-                        )),
-                    ));
-                }
-                RecordType::Txt => {
-                    let mechanisms: Vec<String> =
-                        c2_ips.iter().map(|ip| format!("ip4:{ip}")).collect();
-                    records.push(Record::new(
-                        domain.clone(),
-                        120,
-                        RData::txt_from_str(&format!("v=spf1 {} -all", mechanisms.join(" "))),
-                    ));
-                }
-                RecordType::Mx => {
-                    // The exchange host lives inside the attacker zone
-                    // and resolves to the C2 fleet.
-                    let exchange = domain.child(b"mx").expect("mx child fits");
-                    records.push(Record::new(
-                        domain.clone(),
-                        120,
-                        RData::Mx {
-                            preference: 10,
-                            exchange: exchange.clone(),
-                        },
-                    ));
-                    for ip in &c2_ips {
-                        records.push(Record::new(exchange.clone(), 120, RData::A(*ip)));
-                    }
-                }
-                _ => unreachable!("campaigns plant only A/TXT/MX"),
-            }
-        }
-        plan.providers[p_idx].borrow_mut().add_records(zid, records);
-        // Register C2 infrastructure in the metadata DB.
-        plan.db.add_prefix(
-            netdb::Cidr::new(Ipv4Addr::new(block.0, block.1, block.2, 0), 24),
-            64_900 + (c as u32 % 9),
-            &format!("BulletProof-{}", c % 9),
-        );
-        for (k, ip) in c2_ips.iter().enumerate() {
-            let country = ["RU", "CN", "MD", "US", "VN"][(c + k) % 5];
-            plan.db.set_geo(*ip, GeoInfo::new(country, (c % 90) as u16));
-            if plan.rng.random_bool(0.5) {
-                plan.db.set_http(*ip, HttpProfile::normal("login"));
-            }
-        }
-        // Vendor flags.
-        if matches!(detection, DetectionClass::LabelOnly | DetectionClass::Both) {
-            for ip in &c2_ips {
-                let count = sample_vendor_count(plan.rng, plan.vendors.len());
-                let tags = sample_tags(plan.rng);
-                let mut vendor_order: Vec<usize> = (0..plan.vendors.len()).collect();
-                shuffle(plan.rng, &mut vendor_order);
-                for &v in vendor_order.iter().take(count) {
-                    for t in &tags {
-                        plan.vendors[v].flag(*ip, *t);
-                    }
-                }
-            }
-        }
-        // Sandbox samples.
-        if matches!(detection, DetectionClass::IdsOnly | DetectionClass::Both) {
-            let serving = plan.providers[p_idx].borrow().serving_nameservers(zid);
-            if let Some((_, ns_ip)) = serving.first() {
-                let n_samples = plan.rng.random_range(1..=2usize);
-                for s in 0..n_samples {
-                    let rtype = if rtypes.contains(&RecordType::A) {
-                        RecordType::A
-                    } else if rtypes.contains(&RecordType::Txt) {
-                        RecordType::Txt
-                    } else {
-                        RecordType::Mx
-                    };
-                    let target = if command_blob {
-                        // The sample decodes the blob offline; on the wire
-                        // it connects straight to the embedded address.
-                        C2Target::Fixed(c2_ips[0])
-                    } else if rtype == RecordType::Txt {
-                        C2Target::FromTxt
-                    } else {
-                        C2Target::FromLastResolution
-                    };
-                    let mut ops = vec![MalwareOp::ResolveDirect {
-                        ns: *ns_ip,
-                        domain: domain.clone(),
-                        rtype,
-                    }];
-                    if rtype == RecordType::Mx {
-                        // The MX answer names the exchange; resolve its
-                        // address at the same server before connecting.
-                        ops.push(MalwareOp::ResolveDirect {
-                            ns: *ns_ip,
-                            domain: domain.child(b"mx").expect("mx child fits"),
-                            rtype: RecordType::A,
-                        });
-                    }
-                    let n_connects = plan.rng.random_range(1..=2usize);
-                    for _ in 0..n_connects {
-                        let marker = pick_marker(plan.rng);
-                        let mut payload = marker.to_vec();
-                        payload.extend_from_slice(format!(" c={c} s={s}").as_bytes());
-                        ops.push(MalwareOp::Connect {
-                            target: target.clone(),
-                            port: 4000 + (c % 1000) as u16,
-                            payload,
-                        });
-                    }
-                    // Fallback C2s baked into the sample: the remaining
-                    // addresses get contacted (and IDS-flagged) too.
-                    for ip in c2_ips.iter().skip(1) {
-                        let marker = pick_marker(plan.rng);
-                        let mut payload = marker.to_vec();
-                        payload.extend_from_slice(format!(" c={c} s={s} fb").as_bytes());
-                        ops.push(MalwareOp::Connect {
-                            target: C2Target::Fixed(*ip),
-                            port: 4000 + (c % 1000) as u16,
-                            payload,
-                        });
-                    }
-                    plan.samples.push(MalwareSample {
-                        name: format!("campaign{c}.sample{s}"),
-                        family: "GenericTrojan".to_string(),
-                        ops,
-                    });
-                }
-            }
-        }
-        // Some undetected campaigns still run connectivity-only samples —
-        // the severity filter must not promote them to malicious.
-        if detection == DetectionClass::Undetected && plan.rng.random_bool(0.2) {
-            let serving = plan.providers[p_idx].borrow().serving_nameservers(zid);
-            if let Some((_, ns_ip)) = serving.first() {
-                if rtypes.contains(&RecordType::A) {
-                    plan.samples
-                        .push(malware::connectivity_checker(c as u32, *ns_ip, &domain));
-                }
-            }
-        }
-        planted.push(PlantedUr {
-            domain,
-            provider: p_idx,
-            zone: zid,
-            rtypes,
-            c2_ips,
-            detection,
-            command_blob,
-        });
     }
-    planted
+
+    /// The campaign's C2 addresses, in its own 40.x.y.0/24.
+    pub(crate) fn c2_ips(&self, c: u32) -> Vec<Ipv4Addr> {
+        (0..self.c2).map(|k| c2_block(c, 10 + k)).collect()
+    }
+
+    /// The record types it plants.
+    fn rtypes(&self) -> Vec<RecordType> {
+        let types = [(self.a, RecordType::A), (self.txt, RecordType::Txt)];
+        types
+            .into_iter()
+            .filter(|(on, _)| *on)
+            .map(|(_, t)| t)
+            .collect()
+    }
+
+    /// The zone's records at `domain`, added to the zone at once, so a
+    /// fast-flux RRset is sized once.
+    pub(crate) fn records(&self, domain: &Name, c: u32) -> Vec<Record> {
+        let record = |rdata| Record::new(domain.clone(), 120, rdata);
+        let c2 = (0..self.c2).map(|k| c2_block(c, 10 + k));
+        let mut records = Vec::with_capacity(
+            usize::from(self.a) * (self.c2 as usize + 35 * usize::from(self.fast_flux))
+                + usize::from(self.txt),
+        );
+        if self.a {
+            records.extend(c2.clone().map(|ip| record(RData::A(ip))));
+            // Fast-flux padding exercises the TC bit and the scanner's TCP
+            // fallback.
+            if self.fast_flux {
+                records.extend((0..35).map(|k| record(RData::A(c2_block(c, 100 + k)))));
+            }
+        }
+        if self.command_blob {
+            // The C2 address is inside the encoded payload, invisible to
+            // IP extraction.
+            let marker = ["dkt;", "sp3c;", "cmd64="][c as usize % 3];
+            let blob = format!("{marker}Q0M9e3tjMn19O3Rhc2s9cnVuO2lkPX: c{c}");
+            records.push(record(RData::txt_from_str(&blob)));
+        } else if self.txt {
+            let mut spf = String::from("v=spf1");
+            for ip in c2 {
+                let _ = write!(spf, " ip4:{ip}");
+            }
+            spf.push_str(" -all");
+            records.push(record(RData::txt_from_str(&spf)));
+        }
+        records
+    }
+}
+
+/// Address `last` of campaign `c`'s C2 block.
+fn c2_block(c: u32, last: u8) -> Ipv4Addr {
+    Ipv4Addr::new(40, (c / 250) as u8, (c % 250) as u8, last)
+}
+
+/// Where the eager world's support data goes.
+pub(crate) struct Support<'a> {
+    pub(crate) db: &'a mut NetDb,
+    pub(crate) vendors: &'a mut [VendorFeed],
+    pub(crate) samples: &'a mut Vec<MalwareSample>,
+    pub(crate) config: &'a WorldConfig,
+}
+
+/// Campaign `c` of wave `wave`, hosted at provider `provider` as `zone`
+/// and served first by `first_ns()`: register its C2 infrastructure, flag it
+/// at the vendors and write its sandbox samples as its detection class
+/// says, all drawn from the campaign's own generator, and return its
+/// ground truth.
+pub(crate) fn support_campaign(
+    out: &mut Support<'_>,
+    (wave, c): (u64, u32),
+    domain: Name,
+    (provider, zone): (usize, ZoneId),
+    first_ns: impl Fn() -> Ipv4Addr,
+) -> PlantedUr {
+    let draw = CampaignDraw::of(wave, c);
+    let c2_ips = draw.c2_ips(c);
+    let rtypes = draw.rtypes();
+    let rng = &mut StdRng::seed_from_u64(mix2(wave ^ 0x5355_5050, c as u64, 0));
+    let cfg = out.config;
+    let detection = if rng.random_bool(cfg.malicious_campaign_fraction) {
+        let roll: f64 = rng.random_range(0.0..1.0);
+        if roll < cfg.label_only_fraction {
+            DetectionClass::LabelOnly
+        } else if roll < cfg.label_only_fraction + cfg.ids_only_fraction {
+            DetectionClass::IdsOnly
+        } else {
+            DetectionClass::Both
+        }
+    } else {
+        DetectionClass::Undetected
+    };
+    out.db.add_prefix(
+        netdb::Cidr::new(c2_block(c, 0), 24),
+        64_900 + (c % 9),
+        &format!("BulletProof-{}", c % 9),
+    );
+    for (k, ip) in c2_ips.iter().enumerate() {
+        let country = ["RU", "CN", "MD", "US", "VN"][(c as usize + k) % 5];
+        out.db.set_geo(*ip, GeoInfo::new(country, (c % 90) as u16));
+        if rng.random_bool(0.5) {
+            out.db.set_http(*ip, HttpProfile::normal("login"));
+        }
+    }
+    if matches!(detection, DetectionClass::LabelOnly | DetectionClass::Both) {
+        for ip in &c2_ips {
+            let count = sample_vendor_count(rng, out.vendors.len());
+            let tags = sample_tags(rng);
+            let mut vendor_order: Vec<usize> = (0..out.vendors.len()).collect();
+            shuffle(rng, &mut vendor_order);
+            for &v in vendor_order.iter().take(count) {
+                for t in &tags {
+                    out.vendors[v].flag(*ip, *t);
+                }
+            }
+        }
+    }
+    if matches!(detection, DetectionClass::IdsOnly | DetectionClass::Both) {
+        let rtype = rtypes[0];
+        let target = if draw.command_blob {
+            // The sample decodes the blob offline; on the wire it
+            // connects straight to the embedded address.
+            C2Target::Fixed(c2_ips[0])
+        } else if rtype == RecordType::Txt {
+            C2Target::FromTxt
+        } else {
+            C2Target::FromLastResolution
+        };
+        let ns_ip = first_ns();
+        for s in 0..rng.random_range(1..=2usize) {
+            let mut ops = vec![MalwareOp::ResolveDirect {
+                ns: ns_ip,
+                domain: domain.clone(),
+                rtype,
+            }];
+            let mut connect = |target: C2Target, tag: &str, rng: &mut StdRng| {
+                let mut payload = pick_marker(rng).to_vec();
+                payload.extend_from_slice(format!(" c={c} s={s}{tag}").as_bytes());
+                ops.push(MalwareOp::Connect {
+                    target,
+                    port: 4000 + (c % 1000) as u16,
+                    payload,
+                });
+            };
+            for _ in 0..rng.random_range(1..=2usize) {
+                connect(target.clone(), "", rng);
+            }
+            // Fallback C2s baked into the sample: the remaining addresses
+            // get contacted (and IDS-flagged) too.
+            for ip in c2_ips.iter().skip(1) {
+                connect(C2Target::Fixed(*ip), " fb", rng);
+            }
+            out.samples.push(MalwareSample {
+                name: format!("campaign{c}.sample{s}"),
+                family: "GenericTrojan".to_string(),
+                ops,
+            });
+        }
+    }
+    // Some undetected campaigns still run connectivity-only samples — the
+    // severity filter must not promote them to malicious.
+    if detection == DetectionClass::Undetected && rng.random_bool(0.2) && draw.a {
+        out.samples
+            .push(malware::connectivity_checker(c, first_ns(), &domain));
+    }
+    PlantedUr {
+        domain,
+        provider,
+        zone,
+        rtypes,
+        c2_ips,
+        detection,
+        command_blob: draw.command_blob,
+    }
 }
 
 /// Fisher-Yates shuffle driven by the world RNG (keeps rand's `shuffle`
@@ -450,7 +331,6 @@ pub fn shuffle<T>(rng: &mut StdRng, v: &mut [T]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn vendor_count_distribution_shape() {
@@ -492,26 +372,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
-    }
-
-    proptest::proptest! {
-        /// Taking providers one at a time yields the stable descending
-        /// sort's order of the whole key list, so a provider that refuses
-        /// falls through to the one the sort put next. Keys come from a
-        /// handful of values, so ties are common.
-        #[test]
-        fn lazy_pick_order_is_the_stable_descending_sort(
-            picks in proptest::collection::vec(0..6usize, 1..=80)
-        ) {
-            const VALUES: [f64; 6] = [1e-9, 0.25, 0.5, 0.5 + f64::EPSILON, 0.75, 0.999];
-            let mut keyed: Vec<(f64, usize)> =
-                picks.iter().enumerate().map(|(i, &v)| (VALUES[v], i)).collect();
-            let mut keys: Vec<f64> = keyed.iter().map(|&(k, _)| k).collect();
-            keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-            let sorted: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
-            let lazy: Vec<usize> = std::iter::from_fn(|| take_highest(&mut keys)).collect();
-            proptest::prop_assert_eq!(lazy, sorted);
-        }
     }
 
     #[test]

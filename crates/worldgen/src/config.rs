@@ -3,7 +3,8 @@
 
 use pdns::Day;
 
-/// Configuration for [`crate::World::generate`].
+/// Configuration of a world, for [`crate::World::generate`] and
+/// [`crate::StreamWorld::generate`] alike.
 ///
 /// Every experiment is a pure function of this struct; two generations with
 /// equal configs are identical down to the wire bytes.
@@ -47,10 +48,10 @@ pub struct WorldConfig {
     pub(crate) provider_hosted_fraction: f64,
     /// "Today" on the passive-DNS day axis.
     pub today: Day,
-    /// Exact nameserver-inventory size for stream-generated worlds
-    /// ([`crate::StreamWorld`]): the synthetic fleets are sized so the
-    /// named + synthetic total lands exactly here. `None` (every eager
-    /// preset) derives fleet sizes from `ns_per_synthetic` instead.
+    /// Exact nameserver-inventory size (the paper-scale presets): the
+    /// synthetic fleets are sized so the named + synthetic fleets and the
+    /// misconfigured recursive nameservers land exactly here. `None` (every eager preset) derives fleet sizes from
+    /// `ns_per_synthetic` instead.
     pub total_nameservers: Option<usize>,
 }
 
@@ -93,15 +94,12 @@ impl WorldConfig {
             manipulated_resolver_fraction: 0.03,
             attack_campaigns: 5_500,
             malicious_campaign_fraction: 0.24,
-            label_only_fraction: 0.342,
-            ids_only_fraction: 0.366,
             benign_misconfig_urs: 400,
             past_delegation_urs: 120,
             parked_urs: 120,
             misconfigured_recursive_ns: 6,
             provider_hosted_fraction: 0.72,
-            today: 2_500,
-            total_nameservers: None,
+            ..Self::small()
         }
     }
 
@@ -120,24 +118,23 @@ impl WorldConfig {
             manipulated_resolver_fraction: 0.04,
             attack_campaigns: 900,
             malicious_campaign_fraction: 0.30,
-            label_only_fraction: 0.342,
-            ids_only_fraction: 0.366,
             benign_misconfig_urs: 90,
             past_delegation_urs: 30,
             parked_urs: 30,
             misconfigured_recursive_ns: 3,
             provider_hosted_fraction: 0.71,
-            today: 2_500,
-            total_nameservers: None,
+            ..Self::small()
         }
     }
 
     /// The paper's measurement scale, for the streaming generator
-    /// ([`crate::StreamWorld`]): 8,941 selected nameservers across 400+
-    /// providers, scanning the top-2K domains of a top-1M ranking (tail
-    /// hosted-site counts are drawn against that depth). Zones and
-    /// accounts are generated lazily per scan shard — [`crate::World`]
-    /// never materializes this preset.
+    /// ([`crate::StreamWorld`]): 8,941 nameservers across 400+ providers
+    /// (those of the tail providers below the 50-site threshold are not
+    /// selected), scanning the top-2K domains of a top-1M ranking (tail
+    /// hosted-site counts are drawn against that depth), with no open
+    /// resolver and, of the confusables, only two misconfigured recursive
+    /// nameservers. Zones and accounts are generated lazily per scan
+    /// shard.
     pub fn paper() -> Self {
         WorldConfig {
             seed: 0x1A2C_2023,
@@ -149,42 +146,30 @@ impl WorldConfig {
             manipulated_resolver_fraction: 0.0,
             attack_campaigns: 40_000,
             malicious_campaign_fraction: 0.2541,
-            label_only_fraction: 0.342,
-            ids_only_fraction: 0.366,
             benign_misconfig_urs: 0,
             past_delegation_urs: 0,
             parked_urs: 0,
-            misconfigured_recursive_ns: 0,
+            misconfigured_recursive_ns: 2,
             provider_hosted_fraction: 0.72,
-            today: 2_500,
             total_nameservers: Some(8_941),
+            ..Self::small()
         }
     }
 
-    /// The memory-stress scale: a nameserver fleet and campaign density
-    /// tuned so a full collect + classify pass crosses one million URs.
-    /// Only runnable through the streaming generator / fold pipeline,
-    /// where peak RSS stays bounded by one world shard plus one batch.
+    /// The memory-stress scale: a nameserver fleet, target list and
+    /// campaign density tuned so a full collect + classify pass crosses one
+    /// million URs. Only runnable through the streaming generator / fold
+    /// pipeline, where peak RSS stays bounded by one world shard plus one
+    /// batch.
     pub fn xl() -> Self {
         WorldConfig {
             seed: 0x5852_2023,
-            top_domains: 1_500,
+            top_domains: 3_500,
             synthetic_providers: 120,
             ns_per_synthetic: (2, 16),
-            open_resolvers: 0,
-            unstable_resolver_fraction: 0.0,
-            manipulated_resolver_fraction: 0.0,
             attack_campaigns: 60_000,
-            malicious_campaign_fraction: 0.2541,
-            label_only_fraction: 0.342,
-            ids_only_fraction: 0.366,
-            benign_misconfig_urs: 0,
-            past_delegation_urs: 0,
-            parked_urs: 0,
-            misconfigured_recursive_ns: 0,
-            provider_hosted_fraction: 0.72,
-            today: 2_500,
             total_nameservers: Some(1_100),
+            ..Self::paper()
         }
     }
 

@@ -1,7 +1,9 @@
 //! # worldgen — the synthetic internet scenario generator
 //!
 //! Builds the complete measurement environment the URHunter reproduction
-//! runs against, as a pure function of a [`WorldConfig`]:
+//! runs against, as a pure function of a [`WorldConfig`]: one plan of the
+//! world, materialized whole ([`World`]) or provider by provider as a scan
+//! shard needs it ([`StreamWorld`]). It holds
 //!
 //! * a delegation hierarchy (root, TLD zones, public-suffix children),
 //! * a [`TrancoList`] popularity ranking with the paper's case-study
@@ -25,17 +27,15 @@
 
 mod attacker;
 mod config;
+mod plan;
 mod providers;
-mod psl;
 mod stream;
 mod tranco;
 mod world;
 
 pub use attacker::{shuffle, DetectionClass, PlantedUr};
 pub use config::WorldConfig;
-pub use providers::{synthetic_providers, ProviderSpec};
 pub use stream::{LegitSite, StreamWorld};
 
-pub use psl::PublicSuffixList;
 pub use tranco::TrancoList;
 pub use world::{GroundTruth, NsInfo, OpenResolverInfo, ProviderMeta, ScanBlueprint, World};

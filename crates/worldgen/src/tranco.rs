@@ -11,13 +11,11 @@
 use dnswire::Name;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
 
 /// A ranked list of domains (rank 1 = most popular).
 #[derive(Debug, Clone, Default)]
 pub struct TrancoList {
     domains: Vec<Name>,
-    rank_of: HashMap<Name, usize>,
 }
 
 /// Case-study SLDs and the Tranco ranks the paper reports for them.
@@ -93,16 +91,10 @@ impl TrancoList {
                 .expect("generated name parses");
             *slot = Some(name);
         }
-        let domains: Vec<Name> = domains
-            .into_iter()
-            .map(|d| d.expect("all slots filled"))
-            .collect();
-        let rank_of = domains
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.clone(), i + 1))
-            .collect();
-        TrancoList { domains, rank_of }
+        let domains = domains.into_iter().map(|d| d.expect("all slots filled"));
+        TrancoList {
+            domains: domains.collect(),
+        }
     }
 
     /// The list in rank order.
@@ -122,7 +114,7 @@ impl TrancoList {
 
     /// 1-based rank of a domain.
     pub fn rank(&self, domain: &Name) -> Option<usize> {
-        self.rank_of.get(domain).copied()
+        self.domains.iter().position(|d| d == domain).map(|i| i + 1)
     }
 
     /// The top `k` domains.

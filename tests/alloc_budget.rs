@@ -374,16 +374,18 @@ fn the_classifier_allocates_only_what_a_verdict_keeps() {
     let (urs, tally) = counted_classification();
     assert_eq!(counted_classification(), (urs, tally), "one count");
     assert!(urs > 1_000, "{urs} URs");
-    // Measured 518 blocks and 123,552 B over 1,676 URs, 0.31 and 73.7 B a
+    // Measured 602 blocks and 130,280 B over 1,736 URs, 0.35 and 75.0 B a
     // UR: the batch's output vector, one scratch buffer of addresses and
-    // an exact copy of it for each verdict that has any. A vector or set
-    // built per condition, a lowercased copy per TXT category and a vector
-    // per TXT body's addresses took 3,620 blocks and 278,063 B (2.16 and
-    // 165.9 B a UR). The budget is the measurement plus a tenth.
+    // an exact copy of it for each verdict that has any (600 of them). The
+    // world before the one plan had fewer verdicts with addresses, 516 of
+    // 1,676 URs: 0.31 and 73.7 B a UR. A vector or set built per
+    // condition, a lowercased copy per TXT category and a vector per TXT
+    // body's addresses took 2.16 blocks and 165.9 B a UR on that world.
+    // The budget is the measurement plus a tenth.
     let allocations = tally.allocations as f64 / urs as f64;
     let bytes = tally.allocated_bytes as f64 / urs as f64;
     assert!(
-        allocations <= 0.34 && bytes <= 81.1,
+        allocations <= 0.38 && bytes <= 82.5,
         "{tally:?} over {urs} URs: {allocations:.2} allocations and {bytes:.1} B a UR"
     );
 }
@@ -468,12 +470,13 @@ fn the_world_generator_allocates_within_its_budget() {
     let _ = counted_generation();
     let tally = counted_generation();
     assert_eq!(counted_generation(), tally, "one count");
-    // Measured 73,325 blocks and 6,949,618 B in a debug build (72,425 and
-    // 6,946,018 B in release). Sorting every provider by its key for each
-    // campaign, hosting through per-call candidate and zone lists, and
-    // building prefixes and SOA names through strings took 91,098 blocks
-    // and 8,436,084 B (90,198 and 8,432,484 B). The budget is the debug
-    // measurement plus a tenth.
+    // Measured 55,009 blocks and 4,730,237 B, in a debug build and in
+    // release: one plan, each provider materialized from it once. The
+    // sequential planters it replaced took 73,325 blocks and 6,949,618 B
+    // in a debug build, and the budget is that measurement plus a tenth.
+    // Sorting every provider by its key for each campaign, hosting through
+    // per-call candidate and zone lists, and building prefixes and SOA
+    // names through strings took 91,098 blocks and 8,436,084 B.
     assert!(
         tally.allocations <= 80_657 && tally.allocated_bytes <= 7_644_580,
         "the generator allocated {tally:?}"
@@ -499,13 +502,18 @@ fn counted_streamed_run() -> (u64, u64, Tally) {
 #[test]
 fn a_streamed_verdict_is_folded_off_its_reply() {
     let (probes, urs, tally) = counted_streamed_run();
-    assert_eq!((probes, urs), (9_200, 4_276));
-    // Measured 5,571 allocations: the shard fabrics, task lists and folds.
-    // Copying each UR's records out of its reply, collecting its addresses
-    // and batching its verdict took 12,764. The budget is the measurement
-    // plus a tenth.
+    assert_eq!((probes, urs), (7_858, 2_517));
+    // Measured 11,249 allocations: the shard fabrics, task lists and
+    // folds. The fabrics build each provider from the world plan, its
+    // campaign zones in the eager world's record mix; the streamed world
+    // before the one plan held one record a zone on global-fixed fleets,
+    // and measured 5,571 here (budget 6,128). Copying each UR's records
+    // out of its reply, collecting its addresses and batching its verdict
+    // took 12,764 on that world, 7,193 more for its 4,276 URs: on this
+    // one's 2,517 that is some 4,200 over the measurement. The budget is
+    // the measurement plus a tenth.
     assert!(
-        tally.allocations <= 6_128,
+        tally.allocations <= 12_374,
         "{tally:?} over {probes} probes and {urs} URs"
     );
 }
@@ -527,7 +535,7 @@ fn publish_allocates_no_string_per_observed_key() {
     let (driver, scan) = unpublished_daemon();
     let mut state = urhunterd::LiveState::default();
     let (summary, tally) = counted(|| driver.publish(scan, &mut state));
-    assert_eq!(summary.observed, 1_645);
+    assert_eq!(summary.observed, 2_042);
     // Measured 792 allocations for 1,645 new URs of 63 domains: the
     // events, the seen set, the indexes, and each new domain's text and
     // run. A store keyed by `UrKey`, with a domain index that built each
@@ -558,7 +566,7 @@ fn a_verdict_body_is_one_block_for_any_number_of_records() {
             "/verdict/{domain}, {records} records: {tally:?}"
         );
     }
-    // Up to 68 records a domain; the `format!` renderer this replaced
+    // Up to 62 records a domain; the `format!` renderer this replaced
     // allocated at least one block a record and joined them into another.
-    assert_eq!(most, 68);
+    assert_eq!(most, 62);
 }

@@ -80,14 +80,23 @@ fn detectable_campaign_urs_are_found_malicious() {
             continue;
         }
         // Command-blob TXT campaigns are the paper's acknowledged blind
-        // spot (no IP to judge), and the world's MX campaigns are never
-        // probed: the scan asks for A and TXT, as the paper's did.
-        if c.command_blob || c.rtypes.contains(&RecordType::Mx) {
+        // spot (no IP to judge).
+        if c.command_blob {
             continue;
         }
+        // Reachable: a selected server answers from the campaign's zone,
+        // not from an older zone for the domain that shadows it there.
         let provider = world.providers[c.provider].borrow();
+        let mut scratch = Vec::new();
+        let domain = c.domain.borrowed().fold(&mut scratch);
+        let answers_from_it = |ip: &std::net::Ipv4Addr| {
+            let answer = provider.answer(*ip, domain, RecordType::A);
+            matches!(answer, authdns::ProviderAnswer::FromZone(id, _) if id == c.zone)
+        };
         let serving = provider.serving_nameservers(c.zone);
-        let visible = serving.iter().any(|(_, ip)| selected.contains(ip));
+        let visible = serving
+            .iter()
+            .any(|(_, ip)| selected.contains(ip) && answers_from_it(ip));
         if !visible {
             continue;
         }

@@ -11,8 +11,9 @@
 //! replay) read the rows' runs as well.
 
 use bench::invariants::{
-    hold_execution_axes, paced_bound, pinned, policy, small_block, stream_pinned, DaemonPinned,
-    Moves, Network, Pinned, StreamPinned, NETWORKS, STREAM_SHARDS, STREAM_WORKERS, WORKERS,
+    hold_execution_axes, hold_one_plan, paced_bound, pinned, policy, small_block, stream_pinned,
+    DaemonPinned, Moves, Network, Pinned, StreamPinned, NETWORKS, STREAM_SHARDS, STREAM_WORKERS,
+    WORKERS,
 };
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -618,6 +619,14 @@ fn the_committed_results_file_holds_the_table2_section() {
          cargo build --release && ./target/release/paper > RESULTS.md\n\
          and give the reason in CHANGES.md."
     );
+}
+
+/// `run` on the eager small world and `run_streamed` on the lazy one scan
+/// one world: the same URs at the same positions, at every streamed worker
+/// count, with the same coverage and simulated clock.
+#[test]
+fn the_eager_and_the_lazy_world_are_one_world() {
+    assert!(hold_one_plan(&WorldConfig::small()) > 1_000);
 }
 
 /// The smallest world that still exercises the streamed path end to end:
