@@ -35,8 +35,8 @@ echo "== stale names: the deleted executor, collectors, knobs, timers and dead c
 # once (no per-event mirror, no atomic handles), and name-keyed maps
 # probed with folded bytes (no dynamic name-key trait), and one invariance
 # harness in place of the six equality test files and the golden test,
-# scan tasks as 4-byte cross-product codes (no 24-byte task tuple), one
-# scan order (each shard's shuffled list over a fixed shard layout: no
+# scan tasks as codes (no 24-byte task tuple), one scan order (each
+# shard's computed order over a fixed shard layout: no
 # global partition, tags or sort-merge, no per-worker layout or ethics
 # clamp), a quarantine that lasts the run (no cooldown, health
 # probe or release metric), a kept answer that is one buffer of
@@ -63,11 +63,12 @@ echo "== stale names: the deleted executor, collectors, knobs, timers and dead c
 # whose waits alone must rise, no pinned cap figure), and a sequence
 # digest that concatenates, so each worker folds its own shard (no
 # compact row format parked for the calling thread to digest), and one
-# probe-order rule set by pacing alone (an unpaced shard walks its list,
-# a paced one probes in rounds: no RTT-ordered selector, feed variant,
-# tie-break digest or test of its order), and a sequence digest that
+# probe-order rule set by pacing alone (an unpaced shard walks one
+# provider's servers at a time, a paced one all of them: no RTT-ordered
+# selector, feed variant, tie-break digest or test of its order), and a
+# sequence digest that
 # does not care about order (each row hashes its UR's position, its
-# shard and its index in the shard's list, and the rows add), so shards
+# shard and its index in the shard's order, and the rows add), so shards
 # merge as they end: no ordered-merge executor, no parked shard value, no
 # buffer that releases a paced shard's URs in list order, no digest base
 # and no appending of one digest to another, and streamed verdicts
@@ -92,6 +93,16 @@ echo "== stale names: one world plan =="
 if grep -rnE 'StreamProviderSpec|StreamCampaign|OracleRecursiveNs|plant_generic_campaigns|host_anywhere|take_highest|RecordType::Mx' \
     crates/worldgen/src; then
     echo "ci.sh: a name of the second world generator is back (see the matches above)" >&2
+    exit 1
+fi
+
+echo "== stale names: a scan order that is computed, not stored =="
+# A shard shuffles one server's codes once and computes each task's
+# position from its run, round and slot: no task list, no search of it
+# for a provider's run, no links for the paced rounds. Whole words only:
+# the proptest `paced_rounds_is_the_same_on_every_call` keeps its name.
+if grep -rnwE 'build_scan_tasks|provider_runs|paced_rounds|ScanTask' crates/core/src; then
+    echo "ci.sh: a name of the stored scan order is back (see the matches above)" >&2
     exit 1
 fi
 
@@ -446,7 +457,9 @@ URHUNTER_PARALLELISM=4 ./target/release/invariants | diff -u BENCH_pipeline.json
 
 echo "== the paper-scale run, byte for byte =="
 # WorldConfig::paper() at seed 9, streamed at automatic workers: its UR
-# counts, digest, clock, Table 1's Total row and Figure 2's top five.
+# counts, digest, clock, its clock and waits paced at the paper's 130 s
+# (within the per-server bound), Table 1's Total row and Figure 2's top
+# five.
 # Refresh with `./target/release/invariants --paper > BENCH_paper.json`
 # and give the reason in CHANGES.md.
 ./target/release/invariants --paper | diff -u BENCH_paper.json - || {

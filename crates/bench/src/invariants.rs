@@ -739,23 +739,7 @@ pub fn xl() -> String {
     assert_eq!(seq.coverage.scheduled, seq.coverage.answered);
     assert!(seq.correct > 0 && seq.protective > 0 && seq.unknown > 0);
 
-    // Paced, the output is the unpaced fold's; only the clock and the
-    // waits rise, and the clock stays within the per-server bound.
-    let cfg = (policy("ethics pacing").apply)(HunterConfig::fast());
-    let (paced, _) = stream_pinned(&world, cfg.clone(), WORLD_SHARDS, None);
-    assert_eq!(
-        (paced.sequence_hash, &paced.coverage, paced.split),
-        (want.sequence_hash, &want.coverage, want.split),
-        "the paced xl fold moved the output"
-    );
-    assert!(paced.elapsed > want.elapsed && paced.bucket_wait > want.bucket_wait);
-    let (targets, shards) = (world.scan_targets(), WORLD_SHARDS);
-    let bound = paced_bound(&world.registry, &world.nameservers, &targets, &cfg, shards);
-    assert!(
-        paced.elapsed <= bound,
-        "the xl paced clock {:?} exceeds its per-server bound {bound:?}",
-        paced.elapsed
-    );
+    let paced = paced_stream(&world, &want, WORLD_SHARDS, "xl");
     format!(
         "  \"xl\": {{\n    \"world_seed\": {seed},\n    \"world_shards\": {WORLD_SHARDS},\n    \
          \"nameservers\": {},\n    \"targets\": {},\n    \"urs\": {},\n    \"split\": {},\n    \
@@ -773,16 +757,45 @@ pub fn xl() -> String {
     )
 }
 
+/// `world` streamed at automatic workers with the paper's pacing, on the
+/// `world_shards` of its unpaced fold `want`: the output is the unpaced
+/// fold's, only the clock and the waits rise, and the clock stays within
+/// the per-server bound.
+fn paced_stream(
+    world: &StreamWorld,
+    want: &StreamPinned,
+    shards: usize,
+    name: &str,
+) -> StreamPinned {
+    let cfg = (policy("ethics pacing").apply)(HunterConfig::fast());
+    let (paced, _) = stream_pinned(world, cfg.clone(), shards, None);
+    assert_eq!(
+        (paced.sequence_hash, &paced.coverage, paced.split),
+        (want.sequence_hash, &want.coverage, want.split),
+        "the paced {name} fold moved the output"
+    );
+    assert!(paced.elapsed > want.elapsed && paced.bucket_wait > want.bucket_wait);
+    let targets = world.scan_targets();
+    let bound = paced_bound(&world.registry, &world.nameservers, &targets, &cfg, shards);
+    assert!(
+        paced.elapsed <= bound,
+        "the {name} paced clock {:?} exceeds its per-server bound {bound:?}",
+        paced.elapsed
+    );
+    paced
+}
+
 /// The paper-scale run, `BENCH_paper.json`: [`WorldConfig::paper`] at
-/// seed 9 folded at automatic workers. The scan's counts, digest and
-/// clock, Table 1's Total row and Figure 2's top five providers, each with
-/// its share of every UR in per mille.
+/// seed 9 folded at automatic workers, unpaced and then paced. The scan's
+/// counts, digest and clocks, Table 1's Total row and Figure 2's top five
+/// providers, each with its share of every UR in per mille.
 pub fn paper() -> String {
     let config = WorldConfig::paper().with_seed(9);
     let seed = config.seed;
     let world = StreamWorld::generate(config);
     let cfg = HunterConfig::fast();
-    let (_, out) = stream_pinned(&world, cfg, urhunter::SCAN_SHARDS, None);
+    let (want, out) = stream_pinned(&world, cfg, urhunter::SCAN_SHARDS, None);
+    let paced = paced_stream(&world, &want, urhunter::SCAN_SHARDS, "paper");
     let total = out.report.table1.last().expect("Table 1 has a Total row");
     let top: Vec<String> = out
         .report
@@ -806,6 +819,7 @@ pub fn paper() -> String {
         "{{\n  \"paper\": {{\n    \"world_seed\": {seed},\n    \"world_shards\": {},\n    \
          \"nameservers\": {},\n    \"targets\": {},\n    \"urs\": {},\n    \"split\": {},\n    \
          \"sequence_hash\": {},\n    \"coverage\": {},\n    \"scan_sim_us\": {},\n    \
+         \"ethics_130s\": {{ \"scan_sim_us\": {}, \"bucket_wait_sim_us\": {} }},\n    \
          \"table1_total\": {{ \"domains\": {}, \"nameservers\": {}, \"providers\": {}, \
          \"urs\": {}, \"urs_malicious\": {} }},\n    \"figure2_top5\": [\n{}\n    ]\n  }}\n}}\n",
         out.shards,
@@ -816,6 +830,8 @@ pub fn paper() -> String {
         out.sequence_hash,
         coverage_json(&out.coverage),
         out.elapsed.as_micros(),
+        paced.elapsed.as_micros(),
+        paced.bucket_wait.as_micros(),
         total.domains,
         total.nameservers,
         total.providers,

@@ -9,6 +9,7 @@ use dnswire::{Name, RDataSetRef, Rcode, RecordType};
 use intern::{InternedName, Sym};
 use simnet::Network;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use worldgen::{NsInfo, World};
 
 /// Selection threshold: nameservers hosting at least this many top-1M
@@ -175,13 +176,10 @@ fn delegated_servers<'r>(
 }
 
 /// The shape of a scan's cross product, nameservers × targets × record
-/// types, and the one encoding of a task as its index in it:
-/// `(nameserver × targets + target) × types + type`, where `type` indexes
-/// [`CollectConfig::query_types`], so a task is 4 bytes. Codes built in
-/// `(nameserver, target, type)` order are increasing, and a shuffle's
-/// permutation depends only on the list's length and the RNG, so a list
-/// of codes shuffles into exactly the probe order a list of
-/// `(nameserver, target, type)` tuples would.
+/// types. Each server has `M = targets × types` tasks, a task's *code*
+/// being `target × types + type` (`type` indexes
+/// [`CollectConfig::query_types`]), and a task's position in its shard is
+/// computed from its server's run and round ([`TaskCodec::position`]).
 #[derive(Debug, Clone, Copy)]
 struct TaskCodec {
     targets: usize,
@@ -191,7 +189,7 @@ struct TaskCodec {
 impl TaskCodec {
     /// The codec of `nameservers × targets × types`. Panics, naming the
     /// three counts, when the product does not fit a `u32` (the paper's
-    /// 8,941 × 2,000 × 2 is 35.8 M).
+    /// 8,941 × 2,000 × 2 is 35.8 M), so no position overflows one.
     fn new(nameservers: usize, targets: usize, types: usize) -> Self {
         let len = nameservers
             .checked_mul(targets)
@@ -205,120 +203,122 @@ impl TaskCodec {
         TaskCodec { targets, types }
     }
 
-    fn encode(self, ni: usize, di: usize, ti: usize) -> ScanTask {
+    /// `M`, the tasks of one server.
+    fn per_server(self) -> usize {
+        self.targets * self.types
+    }
+
+    /// `(target, type)` indices of a code.
+    fn decode(self, code: u32) -> (usize, usize) {
+        let code = code as usize;
+        (code / self.types, code % self.types)
+    }
+
+    /// The position of slot `k`'s `round`-th task in `run`, a run of the
+    /// servers of a shard whose first server is `first`: the servers
+    /// before the run hold `M` positions each, and the run's hold its
+    /// rounds, `run.len()` positions a round.
+    fn position(self, first: usize, run: &Range<usize>, round: usize, k: usize) -> u32 {
         // In range: `new` checked the whole product.
-        ((ni * self.targets + di) * self.types + ti) as ScanTask
-    }
-
-    /// `(nameserver, target, type)` indices of a task.
-    fn decode(self, task: ScanTask) -> (usize, usize, usize) {
-        let code = task as usize;
-        let pair = code / self.types;
-        (pair / self.targets, pair % self.targets, code % self.types)
-    }
-
-    fn nameserver(self, task: ScanTask) -> usize {
-        task as usize / (self.targets * self.types)
+        ((run.start - first) * self.per_server() + round * run.len() + k) as u32
     }
 }
 
-/// The unrandomized scan tasks of the nameservers in `range`: their cross
-/// product with targets × record types, minus pairs where the domain is
-/// exactly delegated to that server — its records there are authoritative,
-/// not undelegated.
-fn build_scan_tasks(
-    delegated: &[&[(Name, Ipv4Addr)]],
-    nameservers: &[NsInfo],
-    range: std::ops::Range<usize>,
+/// The runs of `range` whose servers share a provider.
+fn runs_by_provider(providers: &[Sym], range: Range<usize>) -> Vec<Range<usize>> {
+    let mut start = range.start;
+    providers[range]
+        .chunk_by(|a, b| a == b)
+        .map(|run| {
+            start += run.len();
+            start - run.len()..start
+        })
+        .collect()
+}
+
+/// A shard's probe order, computed rather than stored: its `M` codes
+/// shuffled once, and one cursor a server while it is walked. The server
+/// in slot `s` of the shard reads the codes rotated by the `s`-th code (mod
+/// `M`), a pure function of the shard's seed, so while cursors stay in step
+/// no two of a shard's first `M` servers probe one task in a round. It
+/// skips the targets exactly delegated to it: its records there are
+/// authoritative, not undelegated.
+struct ShardOrder<'a> {
+    codes: Vec<u32>,
+    /// The shard's first server.
+    first: usize,
     codec: TaskCodec,
-) -> Vec<ScanTask> {
-    // The cross product is an upper bound a few delegated pairs short of
-    // exact: one allocation instead of a doubling series.
-    let mut tasks: Vec<ScanTask> = Vec::with_capacity(range.len() * delegated.len() * codec.types);
-    for ni in range {
-        let ns_ip = nameservers[ni].ip;
-        for (di, servers) in delegated.iter().enumerate() {
-            if servers.iter().any(|&(_, ip)| ip == ns_ip) {
-                continue;
+    delegated: &'a [&'a [(Name, Ipv4Addr)]],
+    nameservers: &'a [NsInfo],
+}
+
+impl<'a> ShardOrder<'a> {
+    /// The order of the shard whose first server is `first`, shuffled by
+    /// its scheduler.
+    fn new(
+        sched: &mut QueryScheduler,
+        codec: TaskCodec,
+        first: usize,
+        delegated: &'a [&'a [(Name, Ipv4Addr)]],
+        nameservers: &'a [NsInfo],
+    ) -> Self {
+        // In range: `TaskCodec::new` checked the whole product.
+        let mut codes: Vec<u32> = (0..codec.per_server() as u32).collect();
+        sched.randomize(&mut codes);
+        ShardOrder {
+            codes,
+            first,
+            codec,
+            delegated,
+            nameservers,
+        }
+    }
+
+    /// Server `ni`'s next task, as its code, from `cursor`, the count of
+    /// codes it has read; `None` once it has read all `M`.
+    fn next_task(&self, ni: usize, cursor: &mut u32) -> Option<u32> {
+        let m = self.codes.len();
+        let ip = self.nameservers[ni].ip;
+        while (*cursor as usize) < m {
+            let at = self.codes[(ni - self.first) % m] as usize + *cursor as usize;
+            *cursor += 1;
+            let code = self.codes[if at < m { at } else { at - m }];
+            let (di, _) = self.codec.decode(code);
+            if !self.delegated[di].iter().any(|&(_, d)| d == ip) {
+                return Some(code);
             }
-            let first = codec.encode(ni, di, 0);
-            tasks.extend(first..first + codec.types as ScanTask);
+        }
+        None
+    }
+
+    /// Rounds over the servers of `runs`, each a run of the shard's
+    /// servers sharing a provider: round `r` hands `visit` the `r`-th task
+    /// of every server that has one, runs and servers in shard order, as
+    /// `(server, code, position)`. A server's tasks come in the order it
+    /// reads them whatever else is walked beside it, so walking each run
+    /// alone gives every task the position it has in a walk of them all,
+    /// and visits a run's positions in increasing order. The walk ends
+    /// with the first round that finds no task.
+    fn walk(&self, runs: &[Range<usize>], mut visit: impl FnMut(usize, u32, u32)) {
+        let mut cursors = vec![0u32; runs.iter().map(|run| run.len()).sum()];
+        for round in 0.. {
+            let mut cursor = cursors.iter_mut();
+            let mut probed = false;
+            for run in runs {
+                for (k, ni) in run.clone().enumerate() {
+                    let cursor = cursor.next().expect("one cursor a server");
+                    if let Some(code) = self.next_task(ni, cursor) {
+                        visit(ni, code, self.codec.position(self.first, run, round, k));
+                        probed = true;
+                    }
+                }
+            }
+            if !probed {
+                return;
+            }
         }
     }
-    tasks
 }
-
-/// The runs of `range` whose servers share a provider, each beside the run
-/// of the ns-major `tasks` they own.
-fn provider_runs(
-    providers: &[Sym],
-    range: std::ops::Range<usize>,
-    tasks: &[ScanTask],
-    codec: TaskCodec,
-) -> Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> {
-    let mut runs = Vec::new();
-    let (mut servers, mut first) = (range.start, 0);
-    for ni in range.clone() {
-        if ni + 1 == range.end || providers[ni + 1] != providers[ni] {
-            let end = tasks.partition_point(|&t| codec.nameserver(t) <= ni);
-            runs.push((servers..ni + 1, first..end));
-            (servers, first) = (ni + 1, end);
-        }
-    }
-    runs
-}
-
-/// The order a paced shard probes its list in, as positions in it:
-/// round-robin over per-server FIFO queues. Round `r` takes the `r`-th
-/// task of every server that has one, servers in the order their first
-/// tasks appear, so while one server's bucket refills the shard probes the
-/// others. One linear pass links each position to the next position of
-/// the same server and notes each server's first, in order of appearance;
-/// the rounds then walk those links, 4 bytes a task. `server_of` maps a
-/// position to its server, an index below `servers`.
-///
-/// Each server's positions keep their list order, so its per-flow fault
-/// fates, qids and quarantine streak are those of the list walk (see
-/// DESIGN.md §11).
-fn paced_rounds(
-    len: u32,
-    servers: usize,
-    server_of: impl Fn(u32) -> usize,
-) -> impl Iterator<Item = u32> {
-    // No position: `len` fits a `u32`, so a position is below `u32::MAX`.
-    const END: u32 = u32::MAX;
-    let mut next = vec![END; len as usize];
-    let mut last = vec![END; servers];
-    // Each server's queue, as the position at its front.
-    let mut fronts = Vec::new();
-    for pos in 0..len {
-        let server = server_of(pos);
-        match last[server] {
-            END => fronts.push(pos),
-            prev => next[prev as usize] = pos,
-        }
-        last[server] = pos;
-    }
-    let mut at = 0;
-    std::iter::from_fn(move || {
-        if at == fronts.len() {
-            // A round is over: the queues it emptied leave.
-            fronts.retain(|&pos| pos != END);
-            at = 0;
-        }
-        let front = fronts.get_mut(at)?;
-        let pos = *front;
-        *front = next[pos as usize];
-        at += 1;
-        Some(pos)
-    })
-}
-
-/// One bulk-scan probe, as its [`TaskCodec`] code.
-type ScanTask = u32;
-
-// What a shard's order costs a task.
-const _: () = assert!(std::mem::size_of::<ScanTask>() == 4);
 
 /// The canonical shard layout of the bulk scan: the selected nameservers
 /// split into this many contiguous ranges ([`par::chunk_ranges`]). It is
@@ -406,21 +406,19 @@ pub fn collect_urs_sharded(
 /// The bulk scan — the only one in the tree.
 ///
 /// The selected nameservers are split into `world_shards` contiguous
-/// ranges. Shard `s` builds its own slice of the cross product (minus
-/// delegated pairs), nameserver by nameserver, and shuffles each
-/// provider's run of it with `QueryScheduler::for_shard`'s seed, so its
-/// order is O(slice): 4 bytes a task, 18 MB for one of a paper-scale
-/// world's 8 shards against 143 MB for the whole. `workers` spawned
-/// threads each claim the next shard (one worker is the calling thread
-/// itself, and no thread is spawned), build a replica fabric for it, scan
-/// it with their own [`ProbeEngine`] and task probe order (its list, one
-/// provider's servers attached at a time through
-/// [`worldgen::ScanBlueprint::attach`], or [`paced_rounds`] over all of
-/// them when the scheduler paces),
-/// `absorb` each UR, in probe order and carrying its `(shard, index)`
-/// position, into the shard's own `A` **on the worker thread** while its
-/// reply is read (its records are borrowed from it), and drop the fabric
-/// before claiming the next shard. Through
+/// ranges. Shard `s` computes its order from `QueryScheduler::for_shard`'s
+/// seed rather than storing it ([`ShardOrder`]): `targets × types` codes
+/// and one cursor a server, whatever its task count, each task's position
+/// computed from its run, round and slot. `workers` spawned threads each
+/// claim the next shard (one worker is the calling thread itself, and no
+/// thread is spawned), build a replica fabric for it and scan it with
+/// their own [`ProbeEngine`]: one provider's servers walked and attached
+/// at a time through [`worldgen::ScanBlueprint::attach`], or all of them
+/// at once when the scheduler paces, each server's tasks in the same
+/// order either way; `absorb` each UR, in probe order and carrying its
+/// `(shard, index)` position, into the shard's own `A` **on the worker
+/// thread** while its reply is read (its records are borrowed from it), and
+/// drop the fabric before claiming the next shard. Through
 /// [`par::sharded_fold`] every shard's `A` reaches `merge` on the calling
 /// thread beside its shard index, in the order shards finish, its summary
 /// (coverage, elapsed, fabric stats, bucket waits) absorbed beside it;
@@ -428,8 +426,7 @@ pub fn collect_urs_sharded(
 /// values kept by shard index) makes the output deterministic in
 /// `(world, scheduler, world_shards)` and bit-identical for every
 /// `workers` value, and peak memory is `workers` shards being scanned —
-/// their fabrics, their task orders (4 bytes a task, and 4 more when
-/// paced, for the rounds' links) and their `A`s — plus what `merge` keeps.
+/// their fabrics, their orders and their `A`s — plus what `merge` keeps.
 /// `lead` runs once on the calling thread beside the workers, before the
 /// merge starts (first, when the calling thread is the one worker).
 #[allow(clippy::too_many_arguments)]
@@ -464,14 +461,9 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
         let range = ranges[shard_idx].clone();
         let shard_id = u16::try_from(shard_idx).expect("a scan has at most 65,536 shards");
         // The shard's scheduler shuffles its order and paces its probes.
-        // Each provider's servers are a run of the range, so their tasks
-        // are a run of the ns-major list, shuffled on its own.
         let mut sched = scheduler.for_shard(shard_idx);
-        let mut tasks = build_scan_tasks(&delegated, nameservers, range.clone(), codec);
-        let runs = provider_runs(&providers, range.clone(), &tasks, codec);
-        for (_, run) in &runs {
-            sched.randomize(&mut tasks[run.clone()]);
-        }
+        let order = ShardOrder::new(&mut sched, codec, range.start, &delegated, nameservers);
+        let runs = runs_by_provider(&providers, range.clone());
         let pool_before = dnswire::bufpool::stats();
         // The shard's replica: `shard_idx` seeds its general RNG stream;
         // the per-flow fault seed is the world's. Servers are attached as
@@ -479,61 +471,45 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
         let mut net = blueprint.build_network_scoped(shard_idx as u64, &[]);
         net.set_faults(faults);
         net.set_payload_recycler(Some(dnswire::bufpool::release));
-        let ips = |servers: std::ops::Range<usize>| -> Vec<Ipv4Addr> {
-            servers.map(|ni| nameservers[ni].ip).collect()
-        };
         let mut engine = ProbeEngine::new(plan);
         if let Some(hub) = &obs {
             engine = engine.with_obs(hub.clone());
         }
         let mut shard = A::default();
-        let len = u32::try_from(tasks.len()).expect("a shard's list is part of one u32 product");
-        let mut probe = |net: &mut Network, pos: u32| {
-            let (ni, di, ti) = codec.decode(tasks[pos as usize]);
-            // The engine's servers are the shard's range, by slot.
-            query_one_ur(
-                net,
-                &mut engine,
-                cfg.scanner_ip,
-                (nameservers[ni].ip, Some(ni - range.start)),
-                (&targets[di], target_keys[di]),
-                types[ti],
-                QidGen::of(scan_stream(ni, di), types[ti]),
-                providers[ni],
-                (shard_id, pos),
-                |ur| absorb(&mut shard, ur),
-            );
-        };
-        // A paced shard probes in rounds over all its servers, so it
-        // attaches every provider of the shard at once. An unpaced shard's
-        // clock is a sum of exchange times, each set by its own server's
-        // earlier probes, so it walks its list one provider at a time, that
-        // provider's servers (and zones) alone attached, settled and
-        // detached before the next's. Elapsed is read before settling:
-        // stragglers (replies landing after their probe's deadline) are
-        // flushed into the fabric's stats but don't extend the scan clock.
+        // A paced shard walks all its servers at once, so while one
+        // server's bucket refills it probes the others, and it attaches
+        // every provider of the shard. An unpaced shard's clock is a sum of
+        // exchange times, each set by its own server's earlier probes, so
+        // it walks one provider's run at a time, that provider's servers
+        // (and zones) alone attached, settled and detached before the
+        // next's. Elapsed is read before settling: stragglers (replies
+        // landing after their probe's deadline) are flushed into the
+        // fabric's stats but don't extend the scan clock.
         let paced = sched.interval() > simnet::SimDuration::ZERO;
-        let walks = if paced {
-            vec![(range.clone(), 0..tasks.len())]
-        } else {
-            runs
-        };
         let mut elapsed = simnet::SimDuration::ZERO;
-        for (servers, run) in walks {
-            let scope = ips(servers);
+        for walk in runs.chunks(if paced { runs.len() } else { 1 }) {
+            let scope: Vec<Ipv4Addr> = (walk[0].start..walk[walk.len() - 1].end)
+                .map(|ni| nameservers[ni].ip)
+                .collect();
             blueprint.attach(&mut net, Some(&scope));
             let start = net.now();
-            let server_of = |pos| codec.nameserver(tasks[pos as usize]) - range.start;
-            let mut rounds = paced.then(|| paced_rounds(len, range.len(), server_of));
-            for i in run {
-                let pos = match &mut rounds {
-                    Some(order) => order.next().expect("the rounds hold every position"),
-                    None => i as u32,
-                };
-                let ni = codec.nameserver(tasks[pos as usize]);
+            order.walk(walk, |ni, code, pos| {
+                let (di, ti) = codec.decode(code);
                 sched.admit(&mut net, nameservers[ni].ip);
-                probe(&mut net, pos);
-            }
+                // The engine's servers are the shard's range, by slot.
+                query_one_ur(
+                    &mut net,
+                    &mut engine,
+                    cfg.scanner_ip,
+                    (nameservers[ni].ip, Some(ni - range.start)),
+                    (&targets[di], target_keys[di]),
+                    types[ti],
+                    QidGen::of(scan_stream(ni, di), types[ti]),
+                    providers[ni],
+                    (shard_id, pos),
+                    |ur| absorb(&mut shard, ur),
+                );
+            });
             elapsed = elapsed + (net.now() - start);
             net.settle();
             scope.iter().for_each(|&ip| net.remove_node(ip));
@@ -862,82 +838,21 @@ mod tests {
     }
 
     #[test]
-    fn task_codes_decode_and_shuffle_to_the_tuple_order() {
-        let types = [RecordType::A, RecordType::Txt, RecordType::Mx];
-        let nameservers: Vec<NsInfo> = (0..5u8)
-            .map(|i| NsInfo {
-                ip: Ipv4Addr::new(10, 1, 0, i),
-                provider: format!("p{i}"),
-                provider_idx: None,
-                tail_hosted_sites: 50,
-            })
-            .collect();
-        // Every third target is delegated to one or two of the servers
-        // that would probe it, so those pairs leave the cross product.
-        let ns_name: Name = "ns.example".parse().unwrap();
-        let delegations: Vec<Vec<(Name, Ipv4Addr)>> = (0..7)
-            .map(|di| match di % 3 {
-                0 => vec![(ns_name.clone(), nameservers[di % 5].ip)],
-                1 if di > 1 => vec![
-                    (ns_name.clone(), nameservers[(di + 1) % 5].ip),
-                    (ns_name.clone(), nameservers[(di + 3) % 5].ip),
-                ],
-                _ => Vec::new(),
-            })
-            .collect();
-        let delegated: Vec<&[(Name, Ipv4Addr)]> = delegations.iter().map(Vec::as_slice).collect();
-        let codec = TaskCodec::new(nameservers.len(), delegated.len(), types.len());
-        for range in [0..5, 1..4, 3..3] {
-            let mut codes = build_scan_tasks(&delegated, &nameservers, range.clone(), codec);
-            // The reference: `(nameserver, target, type)` tuples, built
-            // the way the list used to be.
-            let (ns, del) = (&nameservers, &delegated);
-            let mut tuples: Vec<_> = range
-                .clone()
-                .flat_map(|ni| {
-                    del.iter()
-                        .enumerate()
-                        .filter(move |(_, servers)| servers.iter().all(|&(_, ip)| ip != ns[ni].ip))
-                        .flat_map(move |(di, _)| types.map(|rt| (ni, di, rt)))
-                })
-                .collect();
-            let decode = |codes: &[ScanTask]| -> Vec<_> {
-                codes
-                    .iter()
-                    .map(|&c| {
-                        let (ni, di, ti) = codec.decode(c);
-                        assert_eq!(codec.nameserver(c), ni);
-                        assert_eq!(codec.encode(ni, di, ti), c);
-                        (ni, di, types[ti])
-                    })
-                    .collect()
-            };
-            assert_eq!(decode(&codes), tuples);
-            if range.len() == 5 {
-                assert!(tuples.len() < 5 * 7 * 3, "no pair was delegated away");
-            }
-            for seed in [0, 7, 42, u64::MAX] {
-                QueryScheduler::new(seed, SimDuration::ZERO).randomize(&mut codes);
-                QueryScheduler::new(seed, SimDuration::ZERO).randomize(&mut tuples);
-                assert_eq!(decode(&codes), tuples, "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
     fn the_cross_product_is_sized_up_to_u32_max() {
         // 65,535 × 65,537 is u32::MAX, the largest product that fits; its
-        // last code is u32::MAX − 1.
+        // last position, round 65,536 of the last of one run of 65,535
+        // servers, is u32::MAX − 1.
         let codec = TaskCodec::new(65_535, 65_537, 1);
-        assert_eq!(codec.encode(65_534, 65_536, 0), u32::MAX - 1);
-        assert_eq!(codec.decode(u32::MAX - 1), (65_534, 65_536, 0));
-        assert_eq!(codec.nameserver(u32::MAX - 1), 65_534);
-        // The paper's inventory: 35.8 M tasks.
-        let codec = TaskCodec::new(8_941, 2_000, 2);
         assert_eq!(
-            codec.decode(codec.encode(8_940, 1_999, 1)),
-            (8_940, 1_999, 1)
+            codec.position(0, &(0..65_535), 65_536, 65_534),
+            u32::MAX - 1
         );
+        assert_eq!(codec.decode(65_536), (65_536, 0));
+        // The paper's inventory: 35.8 M tasks, the last run's last task
+        // at the last position.
+        let codec = TaskCodec::new(8_941, 2_000, 2);
+        assert_eq!(codec.position(0, &(8_000..8_941), 3_999, 940), 35_763_999);
+        assert_eq!(codec.decode(3_999), (1_999, 1));
     }
 
     #[test]
@@ -948,119 +863,246 @@ mod tests {
         TaskCodec::new(65_536, 65_536, 1);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
+    /// A shard's walk, as `(server, code, position)` in visit order.
+    type Visits = Vec<(usize, u32, u32)>;
 
-        #[test]
-        fn shard_partitioning_is_a_permutation(
-            ns_count in 1usize..48,
-            domains in 1usize..48,
-            shards in 1usize..12,
-            seed in any::<u64>(),
-        ) {
-            let nameservers: Vec<NsInfo> = (0..ns_count)
+    /// A scan to walk: servers in provider runs of the given lengths, each
+    /// target delegated to the servers its list names (modulo the server
+    /// count), `types` record types, in `shards` shards at `seed`.
+    struct Fixture {
+        providers: Vec<Sym>,
+        nameservers: Vec<NsInfo>,
+        delegations: Vec<Vec<(Name, Ipv4Addr)>>,
+        types: usize,
+        shards: usize,
+        seed: u64,
+    }
+
+    /// One shard of a [`Fixture`]: its servers, its provider runs, and its
+    /// two walks, one run at a time as an unpaced shard walks and all at
+    /// once as a paced one does.
+    struct ShardWalks {
+        range: Range<usize>,
+        runs: Vec<Range<usize>>,
+        unpaced: Visits,
+        paced: Visits,
+    }
+
+    /// A [`Fixture`]'s inputs: run lengths, delegations, types, shards and
+    /// seed.
+    type Scan = (Vec<usize>, Vec<Vec<usize>>, usize, usize, u64);
+
+    fn scan() -> impl Strategy<Value = Scan> {
+        (
+            proptest::collection::vec(1usize..6, 1..8),
+            proptest::collection::vec(proptest::collection::vec(0usize..64, 0..3), 0..10),
+            1usize..3,
+            1usize..5,
+            any::<u64>(),
+        )
+    }
+
+    /// Scans as wide as the production layout: up to 11 shards (the scan
+    /// has [`SCAN_SHARDS`]), 1..48 targets and up to 55 servers.
+    fn wide_scan() -> impl Strategy<Value = Scan> {
+        (
+            proptest::collection::vec(1usize..6, 1..12),
+            proptest::collection::vec(proptest::collection::vec(0usize..64, 0..3), 1..48),
+            1usize..3,
+            1usize..12,
+            any::<u64>(),
+        )
+    }
+
+    impl Fixture {
+        fn new((run_lens, delegations, types, shards, seed): &Scan) -> Self {
+            let providers: Vec<Sym> = (run_lens.iter().enumerate())
+                .flat_map(|(p, &len)| std::iter::repeat_n(Sym::intern(&format!("p{p}")), len))
+                .collect();
+            let nameservers: Vec<NsInfo> = (0..providers.len())
                 .map(|i| NsInfo {
                     ip: Ipv4Addr::from(0x0a00_0000 + i as u32),
-                    provider: format!("p{i}"),
+                    provider: providers[i].to_string(),
                     provider_idx: None,
                     tail_hosted_sites: 50,
                 })
                 .collect();
-            // Some targets are delegated to one of the servers, so those
-            // pairs leave the cross product.
             let ns_name: Name = "ns.example".parse().unwrap();
-            let delegations: Vec<Vec<(Name, Ipv4Addr)>> = (0..domains)
-                .map(|di| match (seed as usize).wrapping_add(di) % 3 {
-                    0 => vec![(ns_name.clone(), nameservers[(di * 7) % ns_count].ip)],
-                    _ => Vec::new(),
+            let delegations = (delegations.iter())
+                .map(|servers| {
+                    let ip = |s: &usize| nameservers[s % nameservers.len()].ip;
+                    servers.iter().map(|s| (ns_name.clone(), ip(s))).collect()
                 })
                 .collect();
-            let delegated: Vec<&[(Name, Ipv4Addr)]> =
-                delegations.iter().map(Vec::as_slice).collect();
-            let codec = TaskCodec::new(ns_count, domains, 1);
-            let full = build_scan_tasks(&delegated, &nameservers, 0..ns_count, codec);
-            let scheduler = QueryScheduler::new(seed, SimDuration::ZERO);
-
-            // Shard the scan the way the collector does: contiguous
-            // nameserver ranges, each building and shuffling its own slice.
-            let ranges = par::chunk_ranges(ns_count, shards);
-            prop_assert!(ranges.len() <= shards.min(ns_count));
-            let mut union = Vec::new();
-            let mut seen = vec![false; ns_count * domains];
-            for (s, range) in ranges.iter().enumerate() {
-                let built = build_scan_tasks(&delegated, &nameservers, range.clone(), codec);
-                let mut part = built.clone();
-                scheduler.for_shard(s).randomize(&mut part);
-                // The shuffle is a permutation of the shard's slice.
-                let mut sorted = part.clone();
-                sorted.sort_unstable();
-                prop_assert_eq!(&sorted, &built);
-                for &task in &part {
-                    // Each task is scanned once, and a nameserver never
-                    // straddles shards.
-                    prop_assert!(!seen[task as usize], "task {} assigned twice", task);
-                    seen[task as usize] = true;
-                    prop_assert!(range.contains(&codec.nameserver(task)));
-                }
-                union.extend(built);
+            Fixture {
+                providers,
+                nameservers,
+                delegations,
+                types: *types,
+                shards: *shards,
+                seed: *seed,
             }
-            // Splicing the shards' slices back reconstructs the unsharded
-            // build: nothing is dropped beyond the delegated pairs.
-            prop_assert_eq!(union, full);
         }
+
+        fn codec(&self) -> TaskCodec {
+            TaskCodec::new(self.nameservers.len(), self.delegations.len(), self.types)
+        }
+
+        /// Every task of `servers` but the delegated ones, in order.
+        fn tasks(&self, servers: Range<usize>) -> Vec<(usize, u32)> {
+            let m = self.codec().per_server() as u32;
+            let delegated = |ni: usize, code: u32| {
+                let servers = &self.delegations[code as usize / self.types];
+                servers.iter().any(|&(_, ip)| ip == self.nameservers[ni].ip)
+            };
+            servers
+                .flat_map(|ni| (0..m).map(move |code| (ni, code)))
+                .filter(|&(ni, code)| !delegated(ni, code))
+                .collect()
+        }
+
+        fn walk(&self) -> Vec<ShardWalks> {
+            let delegated: Vec<_> = self.delegations.iter().map(Vec::as_slice).collect();
+            let scheduler = QueryScheduler::new(self.seed, SimDuration::ZERO);
+            let ranges = par::chunk_ranges(self.nameservers.len(), self.shards);
+            (ranges.into_iter().enumerate())
+                .map(|(s, range)| {
+                    let mut sched = scheduler.for_shard(s);
+                    let (codec, first) = (self.codec(), range.start);
+                    let order =
+                        ShardOrder::new(&mut sched, codec, first, &delegated, &self.nameservers);
+                    let runs = runs_by_provider(&self.providers, range.clone());
+                    let mut unpaced = Vec::new();
+                    for run in runs.chunks(1) {
+                        order.walk(run, |ni, code, pos| unpaced.push((ni, code, pos)));
+                    }
+                    let mut paced = Vec::new();
+                    order.walk(&runs, |ni, code, pos| paced.push((ni, code, pos)));
+                    ShardWalks {
+                        range,
+                        runs,
+                        unpaced,
+                        paced,
+                    }
+                })
+                .collect()
+        }
+    }
+
+    /// A server's visits of `walk`, in order.
+    fn of_server(walk: &Visits, ni: usize) -> Visits {
+        walk.iter().copied().filter(|v| v.0 == ni).collect()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         #[test]
-        fn paced_rounds_is_a_per_server_order_preserving_permutation(
-            server_of_pos in proptest::collection::vec(0usize..12, 0..256),
-        ) {
-            let len = server_of_pos.len() as u32;
-            let order: Vec<u32> =
-                paced_rounds(len, 12, |pos| server_of_pos[pos as usize]).collect();
-            // Every position exactly once.
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(sorted, (0..len).collect::<Vec<u32>>());
-            // Each server's positions in list order.
-            for server in 0..12 {
-                let mine: Vec<u32> = order
-                    .iter()
-                    .copied()
-                    .filter(|&pos| server_of_pos[pos as usize] == server)
-                    .collect();
-                prop_assert!(
-                    mine.windows(2).all(|w| w[0] < w[1]),
-                    "server {} saw its probes reordered: {:?}",
-                    server,
-                    mine
-                );
-            }
-            // Round-robin over per-server FIFO queues, queues in the order
-            // their servers first appear, one task a queue a round.
-            let mut queues: Vec<(usize, std::collections::VecDeque<u32>)> = Vec::new();
-            for (pos, &server) in server_of_pos.iter().enumerate() {
-                match queues.iter_mut().find(|(s, _)| *s == server) {
-                    Some((_, queue)) => queue.push_back(pos as u32),
-                    None => queues.push((server, [pos as u32].into())),
+        fn each_walk_probes_every_undelegated_task_once(scan in scan()) {
+            let fixture = Fixture::new(&scan);
+            for ShardWalks { range, runs, unpaced, paced } in &fixture.walk() {
+                // Each provider's servers are one run.
+                let provider = |ni: usize| fixture.providers[ni];
+                prop_assert!(runs.iter().all(|run| run.clone().all(|ni| provider(ni) == provider(run.start))));
+                prop_assert!(runs.windows(2).all(|w| w[0].end == w[1].start && provider(w[0].start) != provider(w[1].start)));
+                // Every task of the shard's servers but the delegated ones,
+                // once, in each walk.
+                let want = fixture.tasks(range.clone());
+                for walk in [unpaced, paced] {
+                    let mut got: Vec<(usize, u32)> = walk.iter().map(|&(ni, code, _)| (ni, code)).collect();
+                    got.sort_unstable();
+                    prop_assert_eq!(&got, &want);
                 }
             }
-            let mut rounds = Vec::new();
-            while queues.iter().any(|(_, queue)| !queue.is_empty()) {
-                rounds.extend(queues.iter_mut().filter_map(|(_, queue)| queue.pop_front()));
-            }
-            prop_assert_eq!(order, rounds);
         }
 
         #[test]
-        fn paced_rounds_is_the_same_on_every_call(
-            server_of_pos in proptest::collection::vec(0usize..8, 0..128),
-        ) {
-            let len = server_of_pos.len() as u32;
-            let order = || paced_rounds(len, 8, |pos| server_of_pos[pos as usize]).collect::<Vec<u32>>();
-            prop_assert_eq!(order(), order());
+        fn shard_partitioning_is_a_permutation(scan in wide_scan()) {
+            // The shards' walks together are the scan: every pair of the
+            // cross product but the delegated ones, once.
+            let fixture = Fixture::new(&scan);
+            let walked = fixture.walk();
+            prop_assert!(walked.len() <= fixture.shards.min(fixture.nameservers.len()));
+            let unpaced = walked.iter().flat_map(|s| &s.unpaced);
+            let paced = walked.iter().flat_map(|s| &s.paced);
+            for walk in [unpaced.collect::<Vec<_>>(), paced.collect()] {
+                let mut probed: Vec<(usize, u32)> =
+                    walk.iter().map(|&&(ni, code, _)| (ni, code)).collect();
+                probed.sort_unstable();
+                prop_assert_eq!(probed, fixture.tasks(0..fixture.nameservers.len()));
+            }
+        }
+
+        #[test]
+        fn paced_rounds_is_the_same_on_every_call(scan in scan()) {
+            // Both walks of every shard repeat, visit for visit.
+            let fixture = Fixture::new(&scan);
+            let visits = |w: Vec<ShardWalks>| -> Vec<(Visits, Visits)> {
+                w.into_iter().map(|s| (s.unpaced, s.paced)).collect()
+            };
+            prop_assert_eq!(visits(fixture.walk()), visits(fixture.walk()));
+        }
+
+        #[test]
+        fn both_walks_give_every_task_one_position(scan in scan()) {
+            let fixture = Fixture::new(&scan);
+            let m = fixture.codec().per_server();
+            for ShardWalks { range, unpaced, paced, .. } in fixture.walk() {
+                // Inside the shard's slice of the product, in increasing
+                // order in the unpaced walk, and the same in the paced one.
+                prop_assert!(unpaced.windows(2).all(|w| w[0].2 < w[1].2), "{:?}", unpaced);
+                prop_assert!(unpaced.iter().all(|&(_, _, pos)| (pos as usize) < range.len() * m));
+                let mut by_position = paced;
+                by_position.sort_unstable_by_key(|&(_, _, pos)| pos);
+                prop_assert_eq!(by_position, unpaced);
+            }
+        }
+
+        #[test]
+        fn each_server_keeps_one_order_in_both_walks(scan in scan()) {
+            let fixture = Fixture::new(&scan);
+            for ShardWalks { range, unpaced, paced, .. } in fixture.walk() {
+                for ni in range {
+                    prop_assert_eq!(of_server(&unpaced, ni), of_server(&paced, ni));
+                }
+            }
+        }
+
+        #[test]
+        fn the_paced_walk_is_round_robin_over_per_server_queues(scan in scan()) {
+            let fixture = Fixture::new(&scan);
+            let m = fixture.codec().per_server();
+            for ShardWalks { range, runs, unpaced, paced } in fixture.walk() {
+                // Round-robin over per-server FIFO queues, servers in shard
+                // order, one task a queue a round.
+                let mut queues: Vec<std::collections::VecDeque<(usize, u32, u32)>> =
+                    range.clone().map(|ni| of_server(&unpaced, ni).into()).collect();
+                let busiest = queues.iter().map(|queue| queue.len()).max().unwrap_or(0);
+                let mut rounds = Vec::new();
+                while queues.iter().any(|queue| !queue.is_empty()) {
+                    rounds.extend(queues.iter_mut().filter_map(|queue| queue.pop_front()));
+                }
+                prop_assert_eq!(&paced, &rounds);
+                // Its rounds, read off the positions: in order, at most one
+                // task a server each, and the busiest server's count of them.
+                let round_of = |&(ni, _, pos): &(usize, u32, u32)| {
+                    let run = runs.iter().find(|run| run.contains(&ni)).unwrap();
+                    (pos as usize - (run.start - range.start) * m) / run.len()
+                };
+                let server_rounds: Vec<(usize, usize)> =
+                    paced.iter().map(|v| (round_of(v), v.0)).collect();
+                prop_assert!(server_rounds.windows(2).all(|w| w[0] < w[1]), "{:?}", server_rounds);
+                prop_assert_eq!(server_rounds.last().map_or(0, |&(r, _)| r + 1), busiest);
+                // With no delegation to skip, no round of a shard of at most
+                // `M` servers probes one task twice.
+                if fixture.delegations.iter().all(Vec::is_empty) && range.len() <= m {
+                    let mut tasks: Vec<(usize, u32)> =
+                        paced.iter().map(|v| (round_of(v), v.1)).collect();
+                    tasks.sort_unstable();
+                    tasks.dedup();
+                    prop_assert_eq!(tasks.len(), paced.len());
+                }
+            }
         }
     }
 

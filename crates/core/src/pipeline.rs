@@ -213,8 +213,8 @@ struct ShardUrs {
 /// The bulk scan is [`run_streamed`]'s, over the fixed
 /// [`SCAN_SHARDS`](crate::SCAN_SHARDS) layout, and it keeps the verdicts:
 /// `classified` is in `(shard, index)` order: shard-major, each shard in
-/// its shuffled task order. The
-/// calling thread sweeps for correct and protective records on
+/// its unpaced probe order ([`CollectedUr::index`](crate::CollectedUr::index)).
+/// The calling thread sweeps for correct and protective records on
 /// `world.net` while the scan workers probe their replica fabrics (with
 /// one worker, first), then gathers the verdicts, classifying any shard
 /// that ended before the sweep did, analyzes, and reduces the final
@@ -299,7 +299,7 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         }
     };
     // The merge keeps each shard's verdicts by its index, in whatever order
-    // the shards end, sorted by index into task order, which a paced
+    // the shards end, sorted by index into position order, which a paced
     // shard's rounds do not keep (an unpaced shard's are sorted already,
     // and the sort sees that in one pass). Verdicts are the same wherever
     // they are reached: the classifier is a pure function of the UR.
@@ -480,13 +480,13 @@ pub struct StreamRunOutput {
 /// its shard's own `RunFold`, and the shard folds merged into the
 /// [`StreamRunOutput`] aggregates on the calling thread as the shards end
 /// (the merge commutes). Peak memory is `workers` shards' zone tables and
-/// task orders (4 bytes for each of a shard's nameservers × targets ×
-/// query types) plus the shard folds, each its shard's distinct suspicious
-/// entities and provider tally: it grows with a shard's share of the
-/// world, not with the world.
+/// orders (4 bytes for each of a shard's targets × query types, and one
+/// cursor a nameserver) plus the shard folds, each its shard's distinct
+/// suspicious entities and provider tally: it grows with a shard's share
+/// of the world, not with the world.
 ///
 /// Deterministic in `(world, cfg, world_shards)` — a UR's position is its
-/// shard and its index in that shard's shuffled task list, so
+/// shard and its index in that shard's computed order, so
 /// `world_shards` is part of a run's identity, as the
 /// fixed [`SCAN_SHARDS`](crate::SCAN_SHARDS) layout is of [`run`]'s. The
 /// worker count is **not** part of the identity: every field of the

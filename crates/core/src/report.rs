@@ -149,7 +149,7 @@ pub fn build_report(
 
 /// Digest of a classified sequence: two runs agree iff they produced the
 /// same URs, each at the same position (its shard and its index in the
-/// shard's task list), with the same categories. Each UR is a row of its
+/// shard's order), with the same categories. Each UR is a row of its
 /// own (`row_digest`), its position first, and the rows add as an
 /// [`fxhash::SeqDigest`], which reads no order: so
 /// [`run`](crate::run) and [`run_streamed`](crate::run_streamed), whose

@@ -82,7 +82,7 @@ impl QueryScheduler {
         self
     }
 
-    /// Shuffle the task list into the randomized probe order.
+    /// Shuffle `tasks` into the randomized probe order.
     pub fn randomize<T>(&mut self, tasks: &mut [T]) {
         worldgen::shuffle(&mut self.rng, tasks);
     }

@@ -51,7 +51,9 @@ pub struct CollectedUr<R = RDataSet> {
     pub recursion_available: bool,
     /// The scan shard that probed it.
     pub shard: u16,
-    /// Its task's index in that shard's shuffled task list. With `shard`,
+    /// Its task's position in that shard's order: the `r`-th task of slot
+    /// `k` in a provider run of `S` servers sits at `O + r·S + k`, where `O`
+    /// is `targets × types` for each server before the run. With `shard`,
     /// where the UR sits in its run: the sequence digest hashes both into
     /// the UR's row, so no two URs of a run share a row's position.
     pub index: u32,

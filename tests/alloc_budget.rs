@@ -288,9 +288,9 @@ fn the_bulk_scan_allocates_one_count_on_every_copy_of_a_world() {
         runs.iter().all(|run| *run == runs[0]),
         "eight copies of one world, more than one count: {runs:?}"
     );
-    // Everything is in the count: the replica fabric, the task list, every
-    // UR's record data and the batch handed to the sink. Measured 0.14 a
-    // probe (2,040 over 14,462); the budget is that plus a tenth.
+    // Everything is in the count: the replica fabric, the shard's order,
+    // every UR's record data and the batch handed to the sink. Measured
+    // 0.14 a probe (2,195 over 15,470); the budget is that plus a tenth.
     let per_probe = allocations as f64 / probes as f64;
     assert!(
         per_probe <= 0.24,
@@ -503,8 +503,8 @@ fn counted_streamed_run() -> (u64, u64, Tally) {
 fn a_streamed_verdict_is_folded_off_its_reply() {
     let (probes, urs, tally) = counted_streamed_run();
     assert_eq!((probes, urs), (7_858, 2_517));
-    // Measured 11,249 allocations: the shard fabrics, task lists and
-    // folds. The fabrics build each provider from the world plan, its
+    // Measured 11,276 allocations: the shard fabrics, orders and folds.
+    // The fabrics build each provider from the world plan, its
     // campaign zones in the eager world's record mix; the streamed world
     // before the one plan held one record a zone on global-fixed fleets,
     // and measured 5,571 here (budget 6,128). Copying each UR's records
