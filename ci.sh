@@ -106,6 +106,18 @@ if grep -rnwE 'build_scan_tasks|provider_runs|paced_rounds|ScanTask' crates/core
     exit 1
 fi
 
+echo "== stale names: one fault schedule and one probe entry =="
+# Every datagram's fate, a corruption's bit included, is drawn from its
+# flow: no RNG stream of the fabric's own, no per-shard reseeding of it,
+# no switch between the two schedules. And a probe's answer is read where
+# it lies: no reply type that copies it out. Whole words only: the tests
+# `per_flow_fates*` and the identity `scheduled_per_flow` stay legal.
+if grep -rnwE 'with_rng_seed|per_flow' crates/simnet/src crates/worldgen/src ||
+    grep -rnw 'ProbeReply' crates/core/src; then
+    echo "ci.sh: a name of the second fault schedule or the copied reply is back (see the matches above)" >&2
+    exit 1
+fi
+
 echo "== size: every count at or under its SIZE row, and within 2 % of it =="
 # Aim 2 is the same behaviour from less code; SIZE is its budget. It has
 # one row for each crate (the non-test lines of `crates/NAME/src`, each

@@ -77,7 +77,7 @@ impl Network {
         let mut cfg = HunterConfig::fast().with_retries(self.attempts);
         if self.loss_pct > 0 {
             let drop = f64::from(self.loss_pct) / 100.0;
-            cfg = cfg.with_scan_faults(FaultPlan::lossy(drop).scheduled_per_flow());
+            cfg = cfg.with_scan_faults(FaultPlan::lossy(drop));
         }
         if self.adaptive {
             cfg = cfg.with_adaptive();

@@ -376,8 +376,8 @@ fn ablation() -> Section {
 
 /// Collection under loss on the small world: UR recall against drop rate
 /// and retry budget, with fixed and adaptive timeouts. Every cell is a full
-/// pipeline run under a per-flow scheduled fault plan, so every retry
-/// policy faces the same loss lottery.
+/// pipeline run under a fault plan, whose per-flow schedule gives every
+/// retry policy the same loss lottery.
 fn lossy_scan() -> Section {
     let small = |cfg: &HunterConfig| run(&mut World::generate(WorldConfig::small()), cfg);
     let reliable = small(&HunterConfig::fast());
@@ -391,7 +391,7 @@ fn lossy_scan() -> Section {
             let mut plan = QueryPlan::with_attempts(attempts);
             plan.adaptive = adaptive;
             let cfg = HunterConfig::fast().with_retry_plan(plan);
-            let out = small(&cfg.with_scan_faults(FaultPlan::lossy(drop).scheduled_per_flow()));
+            let out = small(&cfg.with_scan_faults(FaultPlan::lossy(drop)));
             let c = &out.coverage;
             assert!(c.is_complete(), "coverage must account for every probe");
             let (hash, gave_up) = (out.sequence_hash, c.total_gave_up());

@@ -229,11 +229,13 @@ const _: () = {
 
 /// The one entry point to suspicious-record determination.
 ///
-/// The classifier receives batches — on the streamed path while other
-/// shards are still being scanned — and is safe to call from several worker
-/// threads at once. It is **bit-identical** for every batch partition and
-/// thread count because each verdict reads one UR and the read-only stage
-/// databases, nothing else.
+/// It decides one UR at a time, on whichever worker calls it, while other
+/// shards are still being scanned: the streamed scan while the UR's reply
+/// is read, `run` as each kept UR is probed (or at the merge, for a UR
+/// probed before the classifier was published). It is safe to call from
+/// several worker threads at once and **bit-identical** for every thread
+/// count and call order, because each verdict reads one UR and the
+/// read-only stage databases, nothing else.
 pub struct StreamClassifier<'a> {
     correct: &'a CorrectDb,
     protective: &'a ProtectiveDb,

@@ -95,7 +95,7 @@ impl ScanFlags {
             cfg = cfg.with_timeout(SimDuration::from_millis(ms));
         }
         if let Some(p) = self.fault_drop {
-            cfg = cfg.with_scan_faults(FaultPlan::lossy(p).scheduled_per_flow());
+            cfg = cfg.with_scan_faults(FaultPlan::lossy(p));
         }
         if self.adaptive {
             cfg = cfg.with_adaptive();
@@ -135,7 +135,7 @@ mod tests {
             ),
             (
                 &["--fault-drop", "0.1"],
-                with(|c| c.scan_faults = Some(FaultPlan::lossy(0.1).scheduled_per_flow())),
+                with(|c| c.scan_faults = Some(FaultPlan::lossy(0.1))),
             ),
             (&["--adaptive"], with(|c| c.retry.adaptive = true)),
         ] {

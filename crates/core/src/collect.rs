@@ -5,7 +5,7 @@
 use crate::query::ProbeEngine;
 use crate::schedule::QueryScheduler;
 use crate::types::{CollectedUr, CorrectDb, DomainProfile, NameId, ProtectiveDb, UrKey};
-use dnswire::{Name, RDataSetRef, Rcode, RecordType};
+use dnswire::{Flags, Name, RDataSetRef, Rcode, RecordType};
 use intern::{InternedName, Sym};
 use simnet::Network;
 use std::net::Ipv4Addr;
@@ -358,11 +358,15 @@ type ShardSummary = (
 /// The bulk scan over the [`SCAN_SHARDS`] layout, in the order
 /// [`crate::run`] scans. `shards` keeps its old name but is the number of
 /// worker threads claiming those shards (`0` = automatic); the output is
-/// the same for every value. URs reach `sink` in batches of `batch_size`
-/// (`0` or `usize::MAX` = one batch a shard) that never span a shard
-/// boundary, on the calling thread, once their shard is scanned: shards in
-/// the order they finish (shard order on one worker), each shard's URs in
-/// the order it probed them (see [`CollectedUr::index`] for task order).
+/// the same for every value. Each shard's URs reach `sink` as one `Vec`,
+/// on the calling thread, once their shard is scanned: shards in the order
+/// they finish (shard order on one worker), each shard's URs in the order
+/// it probed them (see [`CollectedUr::index`] for task order).
+/// `batch_size` keeps its place but must be `0` or `usize::MAX` (one batch
+/// a shard).
+///
+/// # Panics
+/// Panics on any other `batch_size`.
 #[allow(clippy::too_many_arguments)]
 pub fn collect_urs_sharded(
     blueprint: &worldgen::ScanBlueprint,
@@ -378,10 +382,10 @@ pub fn collect_urs_sharded(
     batch_size: usize,
     sink: &mut dyn FnMut(Vec<CollectedUr>),
 ) -> ShardedScanOutcome {
-    let batch_size = match batch_size {
-        0 => usize::MAX,
-        n => n,
-    };
+    assert!(
+        matches!(batch_size, 0 | usize::MAX),
+        "batch_size {batch_size}: a shard's URs are one batch (0 or usize::MAX)"
+    );
     collect_urs_streamed(
         blueprint,
         plan,
@@ -394,12 +398,13 @@ pub fn collect_urs_sharded(
         scheduler,
         SCAN_SHARDS,
         par::Parallelism::from_knob(shards).get(),
-        &|batches: &mut Vec<Vec<CollectedUr>>, ur| match batches.last_mut() {
-            Some(batch) if batch.len() < batch_size => batch.push(ur.to_kept()),
-            _ => batches.push(vec![ur.to_kept()]),
-        },
+        &|urs: &mut Vec<CollectedUr>, ur| urs.push(ur.to_kept()),
         || {},
-        &mut |_, batches| batches.into_iter().for_each(&mut *sink),
+        &mut |_, urs| {
+            if !urs.is_empty() {
+                sink(urs);
+            }
+        },
     )
 }
 
@@ -465,9 +470,8 @@ pub(crate) fn collect_urs_streamed<A: Default + Send>(
         let order = ShardOrder::new(&mut sched, codec, range.start, &delegated, nameservers);
         let runs = runs_by_provider(&providers, range.clone());
         let pool_before = dnswire::bufpool::stats();
-        // The shard's replica: `shard_idx` seeds its general RNG stream;
-        // the per-flow fault seed is the world's. Servers are attached as
-        // they are scanned.
+        // The shard's replica, on the world's fault seed. Servers are
+        // attached as they are scanned.
         let mut net = blueprint.build_network_scoped(shard_idx as u64, &[]);
         net.set_faults(faults);
         net.set_payload_recycler(Some(dnswire::bufpool::release));
@@ -611,20 +615,20 @@ pub fn collect_correct(
             let resolver = stable[resolver_pick(di, j, k, stable.len())];
             for rt in [RecordType::A, RecordType::Txt] {
                 qid = qid.wrapping_add(1).max(1);
-                let Some(resp) = engine.query(net, cfg.scanner_ip, resolver, domain, rt, qid)
-                else {
-                    continue;
-                };
-                if resp.rcode() != Rcode::NoError {
-                    continue;
-                }
-                for r in resp.answers.iter() {
-                    if let Some(ip) = r.as_a() {
-                        profile.ips.insert(ip);
-                    } else if let Some(t) = r.txt_str() {
-                        profile.txts.insert(Sym::intern(&t));
+                let server = (resolver, None);
+                let read = |flags: Flags, answers: RDataSetRef<'_>| {
+                    if flags.rcode != Rcode::NoError {
+                        return;
                     }
-                }
+                    for r in answers.iter() {
+                        if let Some(ip) = r.as_a() {
+                            profile.ips.insert(ip);
+                        } else if let Some(t) = r.txt_str() {
+                            profile.txts.insert(Sym::intern(&t));
+                        }
+                    }
+                };
+                engine.probe(net, cfg.scanner_ip, server, domain, rt, qid, |_| true, read);
             }
         }
         // Metadata enrichment of every correct address.
@@ -712,20 +716,30 @@ pub fn collect_protective(
         let mut profile = crate::types::ProtectiveProfile::default();
         for rt in [RecordType::A, RecordType::Txt] {
             qid = qid.wrapping_add(1).max(1);
-            let Some(resp) = engine.query(net, cfg.scanner_ip, ns.ip, &canary, rt, qid) else {
-                continue;
+            let read = |flags: Flags, answers: RDataSetRef<'_>| {
+                if flags.rcode != Rcode::NoError {
+                    return;
+                }
+                for r in answers.iter() {
+                    if let Some(ip) = r.as_a() {
+                        profile.a_ips.insert(ip);
+                    }
+                    if let Some(t) = r.txt_str() {
+                        profile.txts.insert(Sym::intern(&t));
+                    }
+                }
             };
-            if resp.rcode() != Rcode::NoError {
-                continue;
-            }
-            for r in resp.answers.iter() {
-                if let Some(ip) = r.as_a() {
-                    profile.a_ips.insert(ip);
-                }
-                if let Some(t) = r.txt_str() {
-                    profile.txts.insert(Sym::intern(&t));
-                }
-            }
+            let server = (ns.ip, None);
+            engine.probe(
+                net,
+                cfg.scanner_ip,
+                server,
+                &canary,
+                rt,
+                qid,
+                |_| true,
+                read,
+            );
         }
         if !profile.a_ips.is_empty() || !profile.txts.is_empty() {
             db.servers.insert(ns.ip, profile);
@@ -1171,6 +1185,26 @@ mod tests {
         assert!(!selected.is_empty());
         assert!(selected.len() < all, "threshold must drop some servers");
         assert!(selected.iter().all(|ns| ns.tail_hosted_sites >= 50));
+    }
+
+    #[test]
+    #[should_panic(expected = "a shard's URs are one batch")]
+    fn a_batch_smaller_than_a_shard_is_refused() {
+        let world = World::generate(WorldConfig::small());
+        collect_urs_sharded(
+            &world.scan_blueprint(),
+            crate::query::QueryPlan::single_shot(),
+            world.net.faults(),
+            None,
+            &world.registry,
+            &[],
+            &[],
+            &CollectConfig::default(),
+            &mut QueryScheduler::new(7, SimDuration::ZERO),
+            1,
+            64,
+            &mut |_| {},
+        );
     }
 
     #[test]

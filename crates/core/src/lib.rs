@@ -61,7 +61,7 @@ pub use collect::{
 pub use pipeline::{
     evaluate_false_negatives, run, run_streamed, HunterConfig, RunOutput, StreamRunOutput,
 };
-pub use query::{CoverageReport, ProbeEngine, ProbeReply, QueryPlan, RttEstimate};
+pub use query::{CoverageReport, ProbeEngine, QueryPlan, RttEstimate};
 pub use report::{build_report, classified_sequence_hash, ProviderRow, Report, Table1Row, Totals};
 pub use schedule::{QueryScheduler, TokenBucket};
 pub use store::UrStore;

@@ -246,11 +246,11 @@ pub fn run(world: &mut World, cfg: &HunterConfig) -> RunOutput {
         .with_global_interval(cfg.rate_limit_interval);
     let classify_cfg = cfg.classify_cfg(world.config.today);
     let workers = par::Parallelism::from_knob(cfg.workers).get();
-    // The bulk scan runs on shard replica fabrics built from this snapshot:
-    // same fault seed and latency, per-shard RNG streams. The snapshot
-    // shares the world's zone tables copy-on-write, and the support sweep
-    // below only reads the providers, so taking it first snapshots the same
-    // state and copies nothing.
+    // The bulk scan runs on shard replica fabrics built from this snapshot,
+    // with the world's fault seed and latency. The snapshot shares the
+    // world's zone tables copy-on-write, and the support sweep below only
+    // reads the providers, so taking it first snapshots the same state and
+    // copies nothing.
     let blueprint = world.scan_blueprint();
     let scan_faults = world.net.faults();
 
@@ -476,7 +476,7 @@ pub struct StreamRunOutput {
 /// Run the streamed paper-scale pipeline against a plan-backed world:
 /// [`run`]'s bulk scan over `world_shards` scoped shards, claimed by
 /// [`HunterConfig::workers`] worker threads, every UR classified on the
-/// worker that scanned it the moment its batch fills and folded there into
+/// worker that scanned it while its reply is read and folded there into
 /// its shard's own `RunFold`, and the shard folds merged into the
 /// [`StreamRunOutput`] aggregates on the calling thread as the shards end
 /// (the merge commutes). Peak memory is `workers` shards' zone tables and

@@ -35,27 +35,8 @@ use fxhash::{Digest, FxHashMap};
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
-use dnswire::{Flags, Name, RDataSet, RDataSetRef, Rcode, RecordType, RecordView};
+use dnswire::{Flags, Name, RDataSetRef, RecordType, RecordView};
 use simnet::{Network, SimDuration};
-
-/// What a probe brings back: the response's header flags and the data of
-/// the answer records the caller chose to keep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProbeReply {
-    /// Header flags of the response.
-    pub(crate) flags: Flags,
-    /// The data of the answer-section records that passed the caller's
-    /// filter, in one owned buffer (their owner names are not kept: the
-    /// filter is where a caller checks them).
-    pub answers: RDataSet,
-}
-
-impl ProbeReply {
-    /// The response code (shorthand for `flags.rcode`).
-    pub fn rcode(&self) -> Rcode {
-        self.flags.rcode
-    }
-}
 
 /// Retry/backoff policy for one collection run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -469,33 +450,6 @@ impl ProbeEngine {
         d.finish()
     }
 
-    /// [`ProbeEngine::probe`] of the server at `server_ip`, found by its
-    /// address: the flags and every answer record, copied into one buffer.
-    pub fn query(
-        &mut self,
-        net: &mut Network,
-        client_ip: Ipv4Addr,
-        server_ip: Ipv4Addr,
-        qname: &Name,
-        qtype: RecordType,
-        qid: u16,
-    ) -> Option<ProbeReply> {
-        let server = (server_ip, None);
-        self.probe(
-            net,
-            client_ip,
-            server,
-            qname,
-            qtype,
-            qid,
-            |_| true,
-            |flags, answers| ProbeReply {
-                flags,
-                answers: answers.to_set(),
-            },
-        )
-    }
-
     /// One resilient DNS probe: transmit, wait, retransmit with backoff up
     /// to `plan.attempts` times, reusing `qid` so a late reply to an earlier
     /// transmission still matches. Every call lands in exactly one
@@ -869,6 +823,27 @@ mod tests {
         );
     }
 
+    /// One A probe from `ip(8)` to `server`, addressed by its address.
+    fn probe(
+        engine: &mut ProbeEngine,
+        net: &mut Network,
+        server: Ipv4Addr,
+        qname: &Name,
+        qid: u16,
+    ) -> Option<()> {
+        let server = (server, None);
+        engine.probe(
+            net,
+            ip(8),
+            server,
+            qname,
+            RecordType::A,
+            qid,
+            |_| true,
+            |_, _| (),
+        )
+    }
+
     #[test]
     fn engine_quarantine_skips_without_sending() {
         let mut engine = ProbeEngine::new(QueryPlan::with_attempts(1).quarantine_after(1));
@@ -877,15 +852,11 @@ mod tests {
         net.register_external(ip(8));
         let qname: Name = "probe.example".parse().unwrap();
         // First probe exhausts attempts and trips the breaker.
-        assert!(engine
-            .query(&mut net, ip(8), server, &qname, RecordType::A, 77)
-            .is_none());
+        assert!(probe(&mut engine, &mut net, server, &qname, 77).is_none());
         assert!(engine.health.server(server).quarantined);
         let sent_after_first = net.stats().delivered + net.stats().dropped;
         // Second probe is skipped entirely — no new traffic.
-        assert!(engine
-            .query(&mut net, ip(8), server, &qname, RecordType::A, 78)
-            .is_none());
+        assert!(probe(&mut engine, &mut net, server, &qname, 78).is_none());
         assert_eq!(
             net.stats().delivered + net.stats().dropped,
             sent_after_first
@@ -975,9 +946,7 @@ mod tests {
         net.add_node(server, Box::new(Responder));
         let qname: Name = "probe.example".parse().unwrap();
         assert!(engine.health.server(server).rtt.is_none());
-        assert!(engine
-            .query(&mut net, ip(8), server, &qname, RecordType::A, 1)
-            .is_some());
+        assert!(probe(&mut engine, &mut net, server, &qname, 1).is_some());
         let est = engine.health.server(server).rtt.expect("one sample");
         assert_eq!(est.samples, 1);
         assert!(est.srtt_us > 0, "virtual clock advanced during the rpc");
@@ -989,7 +958,7 @@ mod tests {
         let mut net = Network::new(2);
         net.register_external(ip(8));
         let qname: Name = "probe.example".parse().unwrap();
-        engine.query(&mut net, ip(8), ip(9), &qname, RecordType::A, 1);
+        probe(&mut engine, &mut net, ip(9), &qname, 1);
         let cov = engine.take_coverage();
         assert_eq!(cov.scheduled, 1);
         assert_eq!(engine.coverage, CoverageReport::default());

@@ -189,7 +189,7 @@ mod tests {
         assert!(retry.adaptive);
         assert_eq!(
             cfg.driver.hunter.scan_faults,
-            Some(simnet::FaultPlan::lossy(0.05).scheduled_per_flow())
+            Some(simnet::FaultPlan::lossy(0.05))
         );
     }
 

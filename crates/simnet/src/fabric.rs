@@ -6,8 +6,6 @@ use crate::node::{Actions, Datagram, Endpoint, Node};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Disposition, FlowLog};
 use fxhash::FxHashMap;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
@@ -190,7 +188,7 @@ impl Ord for Event {
 
 /// The fate of a datagram that arrives as it was sent, once.
 const CLEAN: FaultDecision = FaultDecision::Deliver {
-    corrupt: false,
+    corrupt: None,
     duplicate: false,
 };
 
@@ -213,8 +211,7 @@ pub struct Network {
     now: SimTime,
     latency: LatencyModel,
     faults: FaultPlan,
-    rng: StdRng,
-    /// Seed for per-flow fault scheduling (see [`FaultPlan::per_flow`]).
+    /// Seed of every flow's fault schedule (see [`FaultPlan`]).
     fault_seed: u64,
     /// Per-`(src, dst)` datagram counters driving per-flow fault decisions.
     flow_counters: FxHashMap<(Ipv4Addr, Ipv4Addr), u64>,
@@ -231,7 +228,7 @@ pub struct Network {
 }
 
 impl Network {
-    /// Create a fabric with the given RNG seed, default latency model, no
+    /// Create a fabric with the given fault seed, default latency model, no
     /// faults, and capture enabled.
     pub fn new(seed: u64) -> Self {
         Network {
@@ -240,7 +237,6 @@ impl Network {
             now: SimTime::ZERO,
             latency: LatencyModel::default(),
             faults: FaultPlan::reliable(),
-            rng: StdRng::seed_from_u64(seed),
             fault_seed: seed,
             flow_counters: FxHashMap::default(),
             trace: FlowLog::new().with_payload_cap(2048),
@@ -297,18 +293,6 @@ impl Network {
     /// Replace the latency model.
     pub fn with_latency(mut self, latency: LatencyModel) -> Self {
         self.latency = latency;
-        self
-    }
-
-    /// Reseed only the fabric's general RNG, leaving the per-flow fault
-    /// seed untouched.
-    ///
-    /// Shard replicas of one world use this: every shard keeps the world's
-    /// `fault_seed` so per-flow fates stay identical regardless of which
-    /// shard carries a flow, while each shard's general RNG (non-per-flow
-    /// fault draws, corruption bit picks) gets its own derived stream.
-    pub fn with_rng_seed(mut self, rng_seed: u64) -> Self {
-        self.rng = StdRng::seed_from_u64(rng_seed);
         self
     }
 
@@ -400,17 +384,13 @@ impl Network {
         found
     }
 
-    /// Inject a datagram into the fabric (from an external sender).
-    pub(crate) fn send(&mut self, dgram: Datagram) {
-        self.enqueue_send(dgram);
-    }
-
-    /// One fault decision. In per-flow mode the decision derives from the
-    /// fabric seed, the `(src, dst)` pair, and that flow's own datagram
-    /// counter — independent of every other flow's traffic volume.
+    /// One fault decision, derived from the fabric seed, the `(src, dst)`
+    /// pair, and that flow's own datagram counter — independent of every
+    /// other flow's traffic volume. A plan that cannot fault decides a
+    /// clean delivery and counts no flow.
     fn decide_fate(&mut self, dgram: &Datagram) -> FaultDecision {
-        if !self.faults.per_flow {
-            return self.faults.decide(&mut self.rng, dgram.payload.len());
+        if self.faults == FaultPlan::reliable() {
+            return CLEAN;
         }
         let ctr = self
             .flow_counters
@@ -435,7 +415,8 @@ impl Network {
         self.faults.decide(&mut draws, dgram.payload.len())
     }
 
-    fn enqueue_send(&mut self, dgram: Datagram) {
+    /// Hand a datagram to the fabric: decide its fate and queue it.
+    fn send(&mut self, dgram: Datagram) {
         let (fate, at) = self.launch(&dgram);
         self.enqueue_decided(dgram, fate, at);
     }
@@ -451,8 +432,10 @@ impl Network {
         )
     }
 
-    /// Queue (or drop) a datagram whose fate is decided, arriving `at`.
-    fn enqueue_decided(&mut self, dgram: Datagram, fate: FaultDecision, at: SimTime) {
+    /// Queue (or drop) a datagram whose fate is decided, arriving `at`. A
+    /// corrupted datagram's bit is flipped here, after its duplicate (which
+    /// arrives intact) is copied.
+    fn enqueue_decided(&mut self, mut dgram: Datagram, fate: FaultDecision, at: SimTime) {
         match fate {
             FaultDecision::Drop => {
                 self.trace.record(self.now, &dgram, Disposition::Dropped);
@@ -471,7 +454,16 @@ impl Network {
                         },
                     );
                 }
-                self.push_event(at, EventKind::Deliver { dgram, corrupt });
+                if let Some(bit) = corrupt {
+                    dgram.payload[bit / 8] ^= 1 << (bit % 8);
+                }
+                self.push_event(
+                    at,
+                    EventKind::Deliver {
+                        dgram,
+                        corrupt: corrupt.is_some(),
+                    },
+                );
             }
         }
     }
@@ -483,19 +475,6 @@ impl Network {
             seq: self.seq,
             kind,
         }));
-    }
-
-    /// Process events until the queue is empty or `max_events` is reached.
-    /// Returns the number of events processed.
-    pub(crate) fn run_until_idle(&mut self, max_events: u64) -> u64 {
-        let mut n = 0;
-        while n < max_events {
-            if !self.step() {
-                break;
-            }
-            n += 1;
-        }
-        n
     }
 
     /// Process events with timestamps `<= deadline`. Returns events processed.
@@ -523,9 +502,8 @@ impl Network {
         self.now = ev.at;
         self.stats.events += 1;
         match ev.kind {
-            EventKind::Deliver { mut dgram, corrupt } => {
+            EventKind::Deliver { dgram, corrupt } => {
                 if corrupt {
-                    FaultPlan::corrupt(&mut self.rng, &mut dgram.payload);
                     self.stats.corrupted += 1;
                 }
                 let attached = self.attached.get_mut(&dgram.dst.ip);
@@ -569,7 +547,7 @@ impl Network {
     /// Perform what a handler asked for, leaving `out` empty.
     fn apply_actions(&mut self, out: &mut Actions, origin: Ipv4Addr) {
         for dgram in out.sends.drain(..) {
-            self.enqueue_send(dgram);
+            self.send(dgram);
         }
         for (delay, token) in out.timers.drain(..) {
             let at = self.now + delay;
@@ -699,11 +677,10 @@ impl Network {
         self.stats.bytes_delivered += dgram.payload.len() as u64;
     }
 
-    /// Run every queued event (bounded), then assert quiescence. Useful in
-    /// tests that must observe a settled world.
+    /// Run every queued event. Useful in tests that must observe a settled
+    /// world.
     pub fn settle(&mut self) {
-        self.run_until_idle(u64::MAX);
-        debug_assert!(self.queue.is_empty());
+        while self.step() {}
     }
 }
 
@@ -999,10 +976,10 @@ mod tests {
         assert_eq!(take_inbox(&mut net, ip(4)).len(), 1);
     }
 
-    /// In per-flow mode, one flow's fate sequence must not depend on how
-    /// much traffic other flows push in between.
+    /// One flow's fate sequence must not depend on how much traffic other
+    /// flows push in between.
     fn per_flow_fates(seed: u64, interleave: usize) -> Vec<bool> {
-        let mut net = Network::new(seed).with_faults(FaultPlan::lossy(0.5).scheduled_per_flow());
+        let mut net = Network::new(seed).with_faults(FaultPlan::lossy(0.5));
         net.register_external(ip(4));
         net.register_external(ip(5));
         let mut delivered_before = 0;
@@ -1037,11 +1014,51 @@ mod tests {
         assert_ne!(per_flow_fates(11, 0), per_flow_fates(12, 0));
     }
 
+    /// The bytes one flow receives when every datagram is corrupted, with
+    /// `interleave` corrupted datagrams of another flow before each of its
+    /// own.
+    fn corrupted_flow(interleave: usize) -> Vec<Vec<u8>> {
+        let mut net = Network::new(11).with_faults(FaultPlan {
+            corrupt_chance: 1.0,
+            ..FaultPlan::default()
+        });
+        net.register_external(ip(4));
+        net.register_external(ip(5));
+        let mut received = Vec::new();
+        for i in 0..30u8 {
+            for _ in 0..interleave {
+                net.send(Datagram::udp(
+                    Endpoint::new(ip(2), 9),
+                    Endpoint::new(ip(5), 9),
+                    vec![0xEE; 16],
+                ));
+            }
+            net.send(Datagram::udp(
+                Endpoint::new(ip(1), 1),
+                Endpoint::new(ip(4), 1),
+                vec![i; 16],
+            ));
+            net.settle();
+            received.extend(take_inbox(&mut net, ip(4)).into_iter().map(|d| d.payload));
+            take_inbox(&mut net, ip(5));
+        }
+        assert_eq!(net.stats().corrupted, 30 * (1 + interleave as u64));
+        received
+    }
+
+    #[test]
+    fn a_flows_corruption_ignores_cross_traffic() {
+        let alone = corrupted_flow(0);
+        assert_eq!(alone.len(), 30);
+        assert!(alone.iter().zip(0..).all(|(p, i)| p != &[i; 16]));
+        assert_eq!(alone, corrupted_flow(3));
+    }
+
     #[test]
     fn per_flow_retransmission_draws_fresh_fate() {
         // drop_chance 0.5: across 64 datagrams of one flow both fates must
         // occur, i.e. the per-flow counter really advances the decision.
-        let mut net = Network::new(7).with_faults(FaultPlan::lossy(0.5).scheduled_per_flow());
+        let mut net = Network::new(7).with_faults(FaultPlan::lossy(0.5));
         net.register_external(ip(4));
         for i in 0..64u8 {
             net.send(Datagram::udp(
@@ -1163,7 +1180,7 @@ mod tests {
         #[test]
         fn a_direct_exchange_is_the_event_loops(
             seed in any::<u64>(),
-            fates in (0usize..4, 0usize..3, 0usize..3, 0usize..3, any::<bool>()),
+            fates in (0usize..4, 0usize..3, 0usize..3, 0usize..3),
             scripts in (
                 vec(any::<u8>(), 1..6),
                 vec(any::<u8>(), 1..6),
@@ -1173,13 +1190,12 @@ mod tests {
                 1..16,
             ),
         ) {
-            let (drop, corrupt, duplicate, size, per_flow) = fates;
+            let (drop, corrupt, duplicate, size) = fates;
             let plan = FaultPlan {
                 drop_chance: [0.0, 0.1, 0.3, 1.0][drop],
                 corrupt_chance: [0.0, 0.2, 1.0][corrupt],
                 duplicate_chance: [0.0, 0.2, 1.0][duplicate],
                 size_limit: [0, 0, 32][size],
-                per_flow,
             };
             let fabric = || {
                 let mut net = Network::new(seed).with_faults(plan);

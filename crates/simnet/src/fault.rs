@@ -9,35 +9,23 @@ use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 
 /// Fault-injection configuration applied to every datagram in transit.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// Every fate is scheduled per `(src, dst)` flow: the n-th datagram of a
+/// flow meets the same fate, and a corrupted one has the same bit flipped,
+/// for a given fabric seed, however traffic on *other* flows interleaves.
+/// So loss patterns are comparable across runs that differ only in retry
+/// policy or shard layout — a retransmission draws a fresh per-flow
+/// decision without shifting any other flow's lottery.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultPlan {
     /// Probability in `[0, 1]` that a datagram is silently dropped.
     pub(crate) drop_chance: f64,
-    /// Probability in `[0, 1]` that one payload octet is flipped.
+    /// Probability in `[0, 1]` that one payload bit is flipped.
     pub(crate) corrupt_chance: f64,
     /// Probability in `[0, 1]` that a datagram is delivered twice.
     pub(crate) duplicate_chance: f64,
     /// Datagrams with payloads larger than this are dropped (0 = no limit).
     pub(crate) size_limit: usize,
-    /// Schedule faults per `(src, dst)` flow instead of from the fabric's
-    /// global RNG stream: the n-th datagram of a flow always meets the same
-    /// fate for a given fabric seed, no matter how traffic on *other* flows
-    /// interleaves. This makes loss patterns comparable across runs that
-    /// differ only in retry policy — a retransmission draws a fresh
-    /// per-flow decision without shifting any other flow's lottery.
-    pub(crate) per_flow: bool,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            drop_chance: 0.0,
-            corrupt_chance: 0.0,
-            duplicate_chance: 0.0,
-            size_limit: 0,
-            per_flow: false,
-        }
-    }
 }
 
 impl FaultPlan {
@@ -46,7 +34,7 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// A mildly lossy network (1% drop), useful for retry-path tests.
+    /// A network that drops each datagram with probability `drop_chance`.
     pub fn lossy(drop_chance: f64) -> Self {
         FaultPlan {
             drop_chance,
@@ -54,15 +42,14 @@ impl FaultPlan {
         }
     }
 
-    /// Switch this plan to per-flow fault scheduling: the n-th datagram of
-    /// a `(src, dst)` flow always meets the same fate for a given fabric
-    /// seed, however traffic on other flows interleaves.
-    pub fn scheduled_per_flow(mut self) -> Self {
-        self.per_flow = true;
+    /// Returns the plan unchanged: every plan is scheduled per flow. Kept
+    /// so existing callers compile.
+    pub fn scheduled_per_flow(self) -> Self {
         self
     }
 
-    /// What should happen to one datagram.
+    /// What should happen to one datagram. A corruption's bit (an index
+    /// into the payload's bits) is the decision's last draw.
     pub(crate) fn decide(&self, rng: &mut impl RngCore, payload_len: usize) -> FaultDecision {
         if self.size_limit != 0 && payload_len > self.size_limit {
             return FaultDecision::Drop;
@@ -75,17 +62,10 @@ impl FaultPlan {
             && rng.random_bool(self.corrupt_chance.clamp(0.0, 1.0));
         let duplicate =
             self.duplicate_chance > 0.0 && rng.random_bool(self.duplicate_chance.clamp(0.0, 1.0));
-        FaultDecision::Deliver { corrupt, duplicate }
-    }
-
-    /// Flip one random bit in `payload` (no-op on empty payloads).
-    pub(crate) fn corrupt(rng: &mut StdRng, payload: &mut [u8]) {
-        if payload.is_empty() {
-            return;
+        FaultDecision::Deliver {
+            corrupt: corrupt.then(|| rng.random_range(0..payload_len * 8)),
+            duplicate,
         }
-        let idx = rng.random_range(0..payload.len());
-        let bit = rng.random_range(0..8u8);
-        payload[idx] ^= 1 << bit;
     }
 }
 
@@ -136,8 +116,8 @@ pub(crate) enum FaultDecision {
     Drop,
     /// Deliver, possibly corrupted and/or duplicated.
     Deliver {
-        /// Flip one payload bit before delivery.
-        corrupt: bool,
+        /// The payload bit to flip before delivery, if any.
+        corrupt: Option<usize>,
         /// Deliver a second copy.
         duplicate: bool,
     },
@@ -155,7 +135,7 @@ mod tests {
             assert_eq!(
                 plan.decide(&mut rng, 100),
                 FaultDecision::Deliver {
-                    corrupt: false,
+                    corrupt: None,
                     duplicate: false
                 }
             );
@@ -195,26 +175,37 @@ mod tests {
         ));
     }
 
+    /// A corrupting plan names one bit inside the payload.
+    fn corrupted_bit(seed: u64, len: usize) -> Option<usize> {
+        let plan = FaultPlan {
+            corrupt_chance: 1.0,
+            ..FaultPlan::default()
+        };
+        match plan.decide(&mut StdRng::seed_from_u64(seed), len) {
+            FaultDecision::Deliver { corrupt, .. } => corrupt,
+            FaultDecision::Drop => panic!("nothing drops"),
+        }
+    }
+
     #[test]
     fn corrupt_flips_exactly_one_bit() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let original = vec![0u8; 32];
-        let mut copy = original.clone();
-        FaultPlan::corrupt(&mut rng, &mut copy);
-        let flipped: u32 = original
-            .iter()
-            .zip(copy.iter())
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
-        assert_eq!(flipped, 1);
+        for seed in 0..64 {
+            let original = vec![0u8; 32];
+            let mut copy = original.clone();
+            let bit = corrupted_bit(seed, copy.len()).expect("always corrupts");
+            copy[bit / 8] ^= 1 << (bit % 8);
+            let flipped: u32 = original
+                .iter()
+                .zip(copy.iter())
+                .map(|(a, b)| (a ^ b).count_ones())
+                .sum();
+            assert_eq!(flipped, 1);
+        }
     }
 
     #[test]
     fn corrupt_empty_payload_is_noop() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut empty: Vec<u8> = Vec::new();
-        FaultPlan::corrupt(&mut rng, &mut empty);
-        assert!(empty.is_empty());
+        assert_eq!(corrupted_bit(6, 0), None);
     }
 
     fn draws(seed: u64) -> FlowDraws {

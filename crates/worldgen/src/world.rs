@@ -227,8 +227,8 @@ impl World {
 /// replica. Replicas answer bit-identically to the live world because the
 /// node state is immutable — the eager world's own zone tables, shared
 /// copy-on-write, or providers materialized from the plan, which is pure —
-/// and the fabric seed, latency model and per-flow fault seed are the
-/// world fabric's.
+/// and the fabric seed (every flow's fault schedule) and latency model are
+/// the world fabric's.
 pub struct ScanBlueprint {
     fabric_seed: u64,
     plan: Arc<StreamPlan>,
@@ -255,23 +255,21 @@ impl ScanBlueprint {
         }
     }
 
-    /// Build shard `shard`'s replica fabric with every nameserver node.
+    /// Build a replica fabric with every nameserver node.
     ///
-    /// The replica keeps the world's fabric seed — and therefore its
-    /// per-flow fault seed, so a flow's loss lottery is the same no matter
-    /// which shard carries it — while the general RNG (non-per-flow fault
-    /// draws, corruption bit picks) gets a per-shard derived stream, the
-    /// way per-flow fates are derived from `(seed, src, dst, counter)`.
-    /// Traffic capture is off: shard probes are accounted via stats and
-    /// metrics, not the packet log.
-    pub fn build_network(&self, shard: u64) -> Network {
-        self.build(shard, None)
+    /// Every replica is the same whatever `shard` it is built for: it
+    /// keeps the world's fabric seed, from which each flow's fault schedule
+    /// is derived, so a flow's fates are the same no matter which shard
+    /// carries it. Traffic capture is off: shard probes are accounted via
+    /// stats and metrics, not the packet log.
+    pub fn build_network(&self, _shard: u64) -> Network {
+        self.build(None)
     }
 
-    /// Build shard `shard`'s replica with only the nameserver nodes in
-    /// `scope` (see [`ScanBlueprint::attach`]).
-    pub fn build_network_scoped(&self, shard: u64, scope: &[Ipv4Addr]) -> Network {
-        self.build(shard, Some(scope))
+    /// Build a replica with only the nameserver nodes in `scope` (see
+    /// [`ScanBlueprint::attach`]); `shard` changes nothing.
+    pub fn build_network_scoped(&self, _shard: u64, scope: &[Ipv4Addr]) -> Network {
+        self.build(Some(scope))
     }
 
     /// Attach the nameserver nodes of `scope` (every node: `None`),
@@ -288,11 +286,8 @@ impl ScanBlueprint {
             });
     }
 
-    fn build(&self, shard: u64, scope: Option<&[Ipv4Addr]>) -> Network {
-        let rng_seed = self.fabric_seed ^ shard.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut net = Network::new(self.fabric_seed)
-            .with_latency(latency())
-            .with_rng_seed(rng_seed);
+    fn build(&self, scope: Option<&[Ipv4Addr]>) -> Network {
+        let mut net = Network::new(self.fabric_seed).with_latency(latency());
         net.trace.set_enabled(false);
         self.attach(&mut net, scope);
         net

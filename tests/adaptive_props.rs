@@ -139,13 +139,15 @@ fn flow_log_never_shows_transmissions_inside_the_interval() {
                 scheduler.admit(&mut world.net, ns.ip);
                 let qid =
                     urhunter::QidGen::of(urhunter::scan_stream(ni, di), dnswire::RecordType::A);
-                let reply = engine.query(
+                let reply = engine.probe(
                     &mut world.net,
                     collect_cfg.scanner_ip,
-                    ns.ip,
+                    (ns.ip, None),
                     domain,
                     dnswire::RecordType::A,
                     qid,
+                    |_| true,
+                    |_, _| (),
                 );
                 answered += usize::from(reply.is_some());
             }

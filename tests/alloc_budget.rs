@@ -289,8 +289,9 @@ fn the_bulk_scan_allocates_one_count_on_every_copy_of_a_world() {
         "eight copies of one world, more than one count: {runs:?}"
     );
     // Everything is in the count: the replica fabric, the shard's order,
-    // every UR's record data and the batch handed to the sink. Measured
-    // 0.14 a probe (2,195 over 15,470); the budget is that plus a tenth.
+    // every UR's record data and the one vector of a shard's URs handed to
+    // the sink. Measured 0.14 a probe (2,179 over 15,470; 2,195 with a
+    // vector of batches a shard); the budget is an older count's.
     let per_probe = allocations as f64 / probes as f64;
     assert!(
         per_probe <= 0.24,
@@ -442,14 +443,15 @@ fn the_support_sweep_allocates_within_its_budget() {
     let (probes, tally) = counted_support_sweep();
     assert_eq!(counted_support_sweep(), (probes, tally), "one count");
     assert!(probes > 800, "{probes} probes");
-    // Measured 12.2 allocations and 1,241 B a probe (10,710 blocks and
-    // 1,087,447 B over 876 A and TXT probes: the datagrams each
+    // Measured 10.9 allocations and 1,331 B a probe (9,636 blocks and
+    // 1,170,856 B over 880 A and TXT probes: the datagrams each
     // resolver's walk sends, its cached answers and zone cuts, and the two
     // databases), with the world's fabric returning spent payloads to the
-    // codec's pool; without that it took 16.0 and 1,735 B. Resolvers that
-    // walked from the root for every question and built an owned message
-    // per datagram took 55.9 and 4,692 B. The budget is the measurement
-    // plus a tenth.
+    // codec's pool and each answer read where it lies; copying every
+    // answer out first took 11.5 and 1,344 B, and before the pool 16.0
+    // and 1,735 B. Resolvers that walked from the root for every question
+    // and built an owned message per datagram took 55.9 and 4,692 B. The
+    // budget is an earlier measurement (12.2 and 1,241 B) plus a tenth.
     let allocations = tally.allocations as f64 / probes as f64;
     let bytes = tally.allocated_bytes as f64 / probes as f64;
     assert!(

@@ -115,7 +115,16 @@ fn retransmissions_reuse_the_same_qid_on_the_wire() {
     let mut engine = ProbeEngine::new(QueryPlan::with_attempts(4).quarantine_after(0));
     let qid = 0x4242;
     assert!(engine
-        .query(&mut net, scanner, server, &qname, RecordType::A, qid)
+        .probe(
+            &mut net,
+            scanner,
+            (server, None),
+            &qname,
+            RecordType::A,
+            qid,
+            |_| true,
+            |_, _| ()
+        )
         .is_none());
     assert_eq!(engine.coverage.gave_up, 1);
     assert_eq!(engine.coverage.retransmissions, 3);

@@ -68,7 +68,7 @@ fn guarantee_holds_under_one_percent_loss() {
     let mut world = World::generate(WorldConfig::small());
     let cfg = HunterConfig::fast()
         .with_retries(5)
-        .with_scan_faults(simnet::FaultPlan::lossy(0.01).scheduled_per_flow());
+        .with_scan_faults(simnet::FaultPlan::lossy(0.01));
     let out = run(&mut world, &cfg);
     assert!(
         out.coverage.is_complete(),
